@@ -436,21 +436,21 @@ impl std::fmt::Debug for CollectionAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sensor::{ImuSensor, SensorReading};
-    use darnet_sim::{Behavior, DrivingWorld, Segment, WorldConfig};
+    use crate::sensor::{ScriptedSensor, SensorReading};
+    use darnet_sim::{CanonicalBehavior, DrivingWorld, Segment, WorldConfig};
     use std::sync::Arc;
 
     fn make_agent_with(clock: DriftClock, config: AgentConfig) -> CollectionAgent {
         let world = Arc::new(DrivingWorld::new(WorldConfig::default()));
         let script = vec![Segment {
             driver: 0,
-            behavior: Behavior::Texting,
+            behavior: CanonicalBehavior::Texting,
             start: 0.0,
             duration: 60.0,
         }];
         CollectionAgent::new(
             7,
-            Box::new(ImuSensor::new(world, 0, script, 0.025)),
+            Box::new(ScriptedSensor::imu(world, 0, script, 0.025)),
             clock,
             config,
         )

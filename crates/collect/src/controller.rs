@@ -479,12 +479,15 @@ impl Controller {
         (self.batches, self.readings)
     }
 
-    /// A bitwise-exact digest of the controller's durable state: stream
-    /// seen-sets and counters, ingest counters, raw IMU observations and
-    /// frames in acceptance order, and the TSDB fingerprint. Recovery is
-    /// correct iff the recovered controller digests identically to the
-    /// controller that wrote the log (modulo explicitly-shed state —
-    /// see DESIGN.md §13).
+    /// A bitwise-exact digest of the controller's replayable state —
+    /// what accepted batches alone determine: stream seen-sets, delivery
+    /// counts and last arrivals, ingest counters, raw IMU observations
+    /// and frames in acceptance order, and the TSDB fingerprint. Recovery
+    /// is correct iff the recovered controller digests identically to the
+    /// controller that wrote the log. The per-stream `duplicates`/`shed`
+    /// tallies are deliberately left out: refused deliveries never enter
+    /// the log (only snapshots carry the tallies), so a recovery loses
+    /// whatever accumulated since the last snapshot (DESIGN.md §13).
     // darlint: pure-root
     pub fn state_digest(&self) -> u64 {
         use crate::tsdb::{fnv1a, fnv1a_init};
@@ -492,8 +495,6 @@ impl Controller {
         for (&id, s) in &self.streams {
             fnv1a(&mut h, &id.to_le_bytes());
             fnv1a(&mut h, &s.delivered.to_le_bytes());
-            fnv1a(&mut h, &s.duplicates.to_le_bytes());
-            fnv1a(&mut h, &s.shed.to_le_bytes());
             fnv1a(&mut h, &s.last_arrival.to_bits().to_le_bytes());
             fnv1a(&mut h, &(s.seen.len() as u64).to_le_bytes());
             for &seq in &s.seen {
@@ -884,8 +885,17 @@ mod tests {
         assert_ne!(a.state_digest(), b.state_digest());
         b.ingest_at(0.5, &imu_batch(0, 0, &[0.0, 0.025]));
         assert_eq!(a.state_digest(), b.state_digest());
-        // Duplicates change the counters, hence the digest.
-        a.ingest_at(0.6, &imu_batch(0, 0, &[0.0, 0.025]));
+        // A duplicate delivery is not replayable state: it bumps the
+        // stream's tally but must leave the digest alone, or a recovered
+        // controller could never match the one that wrote the log.
+        assert_eq!(
+            a.ingest_at(0.6, &imu_batch(0, 0, &[0.0, 0.025])),
+            IngestOutcome::Duplicate
+        );
+        assert_ne!(a.stream_meta(), b.stream_meta());
+        assert_eq!(a.state_digest(), b.state_digest());
+        // Anything accepted moves it.
+        a.ingest_at(0.7, &imu_batch(0, 1, &[0.05]));
         assert_ne!(a.state_digest(), b.state_digest());
     }
 

@@ -69,10 +69,7 @@ pub use decision::{
 pub use error::CollectError;
 pub use loadgen::{run_fleet, run_fleet_into, run_fleet_timed, FleetConfig, FleetReport};
 pub use network::{FaultConfig, Link, LinkConfig, LinkStats};
-pub use sensor::{
-    CameraSensor, CameraView, CanonicalCameraSensor, CanonicalImuSensor, ImuSensor, Sensor,
-    SensorReading,
-};
+pub use sensor::{CameraView, ScriptedSensor, Sensor, SensorReading};
 pub use shard::{
     shard_of, BackpressureConfig, FleetAdmission, FleetPressure, OfferOutcome, ShardAck,
     ShardConfig, ShardPressure, ShardedController,

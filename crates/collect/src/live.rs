@@ -20,7 +20,7 @@ use crate::agent::{AgentConfig, CollectionAgent, RetransmitConfig, TransportStat
 use crate::clock::DriftClock;
 use crate::controller::{Controller, ControllerConfig, IngestOutcome};
 use crate::network::{Link, LinkConfig, LinkStats};
-use crate::sensor::{CameraSensor, ImuSensor, Sensor};
+use crate::sensor::{canonical_script, CameraView, ScriptedSensor, Sensor};
 use crate::shard::{ShardConfig, ShardedController};
 use crate::wal::{self, RecoveryReport, Wal, WalConfig, WalStorage};
 use crate::wire::{decode_batch, encode_batch};
@@ -137,11 +137,7 @@ fn run_live_inner(
     faults: Option<(LinkConfig, RetransmitConfig, u64)>,
     durable: Option<(Arc<dyn WalStorage>, WalConfig)>,
 ) -> Result<LiveRunReport> {
-    let script: Vec<Segment<Behavior>> = segments
-        .iter()
-        .filter(|s| s.driver == driver)
-        .copied()
-        .collect();
+    let script = canonical_script(segments, driver);
     let (tx, rx) = bounded::<Vec<u8>>(64);
 
     // Open the durable controller (replaying any prior incarnation's WAL)
@@ -175,7 +171,12 @@ fn run_live_inner(
         let imu_handle = scope.spawn(move || {
             run_agent(
                 0,
-                Box::new(ImuSensor::new(Arc::clone(world), driver, script_imu, 0.025)),
+                Box::new(ScriptedSensor::imu(
+                    Arc::clone(world),
+                    driver,
+                    script_imu,
+                    0.025,
+                )),
                 DriftClock::new(50e-6, 0.01),
                 duration,
                 0.5,
@@ -186,7 +187,13 @@ fn run_live_inner(
         let cam_handle = scope.spawn(move || {
             run_agent(
                 1,
-                Box::new(CameraSensor::new(Arc::clone(world), driver, script, 0.25)),
+                Box::new(ScriptedSensor::camera(
+                    Arc::clone(world),
+                    driver,
+                    script,
+                    0.25,
+                    CameraView::Front,
+                )),
                 DriftClock::new(1e-6, 0.0),
                 duration,
                 0.5,
@@ -364,11 +371,7 @@ pub fn run_live_session_sharded(
     thread::scope(|scope| {
         let mut handles = Vec::with_capacity(drivers.len() * 2);
         for &driver in drivers {
-            let script: Vec<Segment<Behavior>> = segments
-                .iter()
-                .filter(|s| s.driver == driver)
-                .copied()
-                .collect();
+            let script = canonical_script(segments, driver);
             let imu_id = (driver as u32) * 2;
             let tx_imu = tx.clone();
             let tx_cam = tx.clone();
@@ -378,7 +381,7 @@ pub fn run_live_session_sharded(
             handles.push(scope.spawn(move || {
                 run_agent(
                     imu_id,
-                    Box::new(ImuSensor::new(world_imu, driver, script, 0.025)),
+                    Box::new(ScriptedSensor::imu(world_imu, driver, script, 0.025)),
                     DriftClock::new(50e-6, 0.01),
                     duration,
                     0.5,
@@ -389,7 +392,13 @@ pub fn run_live_session_sharded(
             handles.push(scope.spawn(move || {
                 run_agent(
                     imu_id + 1,
-                    Box::new(CameraSensor::new(world_cam, driver, script_cam, 0.25)),
+                    Box::new(ScriptedSensor::camera(
+                        world_cam,
+                        driver,
+                        script_cam,
+                        0.25,
+                        CameraView::Front,
+                    )),
                     DriftClock::new(1e-6, 0.0),
                     duration,
                     0.5,

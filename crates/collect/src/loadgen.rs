@@ -2,7 +2,8 @@
 //! simulated vehicles — each a real [`CollectionAgent`] with the full
 //! reliable transport (bounded windows, backoff retransmission, seeded
 //! link faults) — into a [`ShardedController`] through one shared
-//! discrete-event heap (DESIGN.md §14).
+//! discrete-event queue, the session runtime's
+//! [`EventQueue`](crate::runtime) (DESIGN.md §14).
 //!
 //! Traffic *shapes* come from the sim's session protocol: every vehicle
 //! follows one of the [`build_schedule`] driver scripts (offset by a
@@ -21,7 +22,7 @@
 //! [`FleetAdmission::Throttle`] — backpressure as deferral, with the
 //! spill buffer and retransmission schedule absorbing the slack.
 
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use darnet_sim::schedule::build_schedule;
@@ -31,7 +32,7 @@ use darnet_tensor::SplitMix64;
 use crate::agent::{AgentConfig, CollectionAgent, RetransmitConfig, SpillConfig};
 use crate::clock::DriftClock;
 use crate::network::{FaultConfig, Link, LinkConfig};
-use crate::runtime::TimedEvent;
+use crate::runtime::{EventQueue, LinkedAgent};
 use crate::sensor::{behavior_at, Sensor, SensorReading};
 use crate::shard::{FleetAdmission, ShardConfig, ShardedController};
 use crate::wire::{decode_ack, decode_batch, encode_ack, encode_batch, Batch};
@@ -265,15 +266,6 @@ enum FleetEventKind {
     Drain,
 }
 
-type FleetEvent = TimedEvent<FleetEventKind>;
-
-/// One vehicle's simulation state.
-struct Vehicle {
-    agent: CollectionAgent,
-    data_link: Link,
-    ack_link: Link,
-}
-
 fn percentile(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
@@ -322,19 +314,9 @@ pub fn run_fleet_into(
         .map(|s| s.last().map(|seg| seg.end()).unwrap_or(1.0))
         .collect();
 
-    let mut heap: BinaryHeap<FleetEvent> = BinaryHeap::new();
-    let mut seq = 0u64;
-    let push =
-        |heap: &mut BinaryHeap<FleetEvent>, time: f64, kind: FleetEventKind, seq: &mut u64| {
-            heap.push(FleetEvent {
-                time,
-                seq: *seq,
-                kind,
-            });
-            *seq += 1;
-        };
-
-    let mut vehicles: Vec<Vehicle> = Vec::with_capacity(config.agents);
+    let mut queue = EventQueue::new();
+    // One vehicle = one agent with its data and ack links.
+    let mut vehicles: Vec<LinkedAgent> = Vec::with_capacity(config.agents);
     for i in 0..config.agents {
         let id = i as u32;
         let driver = i % drivers;
@@ -376,7 +358,7 @@ pub fn run_fleet_into(
         .with_transport(config.transport, agent_rng.next_u64());
         let data_link = Link::new(config.link, agent_rng.next_u64());
         let ack_link = Link::new(config.link, agent_rng.next_u64());
-        vehicles.push(Vehicle {
+        vehicles.push(LinkedAgent {
             agent,
             data_link,
             ack_link,
@@ -385,25 +367,16 @@ pub fn run_fleet_into(
         // not thunder in lockstep.
         let poll_jitter = agent_rng.next_f64() * config.imu_period;
         let flush_jitter = agent_rng.next_f64() * config.transmit_period;
-        push(&mut heap, poll_jitter, FleetEventKind::Poll(id), &mut seq);
-        push(
-            &mut heap,
+        queue.push(poll_jitter, FleetEventKind::Poll(id));
+        queue.push(
             config.transmit_period + flush_jitter,
             FleetEventKind::Flush(id),
-            &mut seq,
         );
     }
-    push(
-        &mut heap,
-        config.drain_period,
-        FleetEventKind::Drain,
-        &mut seq,
-    );
+    queue.push(config.drain_period, FleetEventKind::Drain);
 
     let session_end = config.session_seconds;
     let end_time = session_end + config.transmit_period + config.drain_grace;
-    // Pending transmissions stay allocated so duplicated arrivals can
-    // re-read them (the controller dedupes re-deliveries).
     let mut pending: Vec<Batch> = Vec::new();
     let mut first_flush: BTreeMap<(u32, u32), f64> = BTreeMap::new();
     let mut latencies: Vec<f64> = Vec::new();
@@ -415,24 +388,18 @@ pub fn run_fleet_into(
     let mut signal = FleetAdmission::Accept;
     let mut peak_signal = FleetAdmission::Accept;
 
-    while let Some(event) = heap.pop() {
-        let t = event.time;
+    while let Some((t, event)) = queue.pop() {
         if t > end_time {
             break;
         }
-        match event.kind {
+        match event {
             FleetEventKind::Poll(id) => {
                 let Some(v) = vehicles.get_mut(id as usize) else {
                     continue;
                 };
                 if t <= session_end {
                     v.agent.poll(t)?;
-                    push(
-                        &mut heap,
-                        t + config.imu_period,
-                        FleetEventKind::Poll(id),
-                        &mut seq,
-                    );
+                    queue.push(t + config.imu_period, FleetEventKind::Poll(id));
                 }
             }
             FleetEventKind::Flush(id) => {
@@ -452,49 +419,35 @@ pub fn run_fleet_into(
                         throttled_flushes += 1;
                         next_flush = t + 2.0 * config.transmit_period;
                     }
-                    if let Some(batch) = v.agent.flush_at(t)? {
+                    let flushed = v.flush(
+                        t,
+                        &mut pending,
+                        &mut queue,
+                        FleetEventKind::Deliver,
+                        FleetEventKind::Retry(id),
+                    )?;
+                    if let Some(batch) = flushed {
                         first_flush.insert((batch.agent_id, batch.seq), t);
-                        let bytes = encode_batch(&batch);
-                        wire_bytes += bytes.len() as u64;
-                        let pending_id = pending.len() as u32;
-                        pending.push(batch);
-                        for arrival in v.data_link.transmit_all(t) {
-                            push(
-                                &mut heap,
-                                arrival,
-                                FleetEventKind::Deliver(pending_id),
-                                &mut seq,
-                            );
-                        }
-                    }
-                    if let Some(deadline) = v.agent.next_deadline() {
-                        push(&mut heap, deadline, FleetEventKind::Retry(id), &mut seq);
+                        wire_bytes += encode_batch(batch).len() as u64;
                     }
                 }
                 if t <= session_end {
-                    push(&mut heap, next_flush, FleetEventKind::Flush(id), &mut seq);
+                    queue.push(next_flush, FleetEventKind::Flush(id));
                 }
             }
             FleetEventKind::Retry(id) => {
                 let Some(v) = vehicles.get_mut(id as usize) else {
                     continue;
                 };
-                for batch in v.agent.due_retransmits(t)? {
-                    let bytes = encode_batch(&batch);
-                    wire_bytes += bytes.len() as u64;
-                    let pending_id = pending.len() as u32;
-                    pending.push(batch);
-                    for arrival in v.data_link.transmit_all(t) {
-                        push(
-                            &mut heap,
-                            arrival,
-                            FleetEventKind::Deliver(pending_id),
-                            &mut seq,
-                        );
-                    }
-                }
-                if let Some(deadline) = v.agent.next_deadline() {
-                    push(&mut heap, deadline, FleetEventKind::Retry(id), &mut seq);
+                let resent = v.retry(
+                    t,
+                    &mut pending,
+                    &mut queue,
+                    FleetEventKind::Deliver,
+                    FleetEventKind::Retry(id),
+                )?;
+                for batch in resent {
+                    wire_bytes += encode_batch(batch).len() as u64;
                 }
             }
             FleetEventKind::Deliver(id) => {
@@ -530,28 +483,17 @@ pub fn run_fleet_into(
                     let Some(v) = vehicles.get_mut(ack.agent_id as usize) else {
                         continue;
                     };
-                    for arrival in v.ack_link.transmit_all(t) {
-                        push(
-                            &mut heap,
-                            arrival,
-                            FleetEventKind::DeliverAck {
-                                agent: ack.agent_id,
-                                seq: ack.seq,
-                            },
-                            &mut seq,
-                        );
-                    }
+                    let delivered = FleetEventKind::DeliverAck {
+                        agent: ack.agent_id,
+                        seq: ack.seq,
+                    };
+                    v.ack(t, &mut queue, delivered);
                 }
                 let pressure = sharded.pressure();
                 signal = pressure.signal;
                 peak_signal = peak_signal.max(signal);
                 if t <= end_time - config.drain_period {
-                    push(
-                        &mut heap,
-                        t + config.drain_period,
-                        FleetEventKind::Drain,
-                        &mut seq,
-                    );
+                    queue.push(t + config.drain_period, FleetEventKind::Drain);
                 }
             }
         }

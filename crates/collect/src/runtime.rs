@@ -1,27 +1,28 @@
 //! Discrete-event simulation driving full collection campaigns.
 //!
-//! For every driver session the runtime instantiates two collection agents
-//! (camera + phone IMU, as in the paper's deployment), a lossy link per
-//! agent, and one controller. Events — sensor polls, batch flushes, network
-//! deliveries, ack deliveries, retransmission timers, and periodic clock
-//! syncs — are processed in timestamp order from a binary heap, so
-//! campaigns are fully deterministic for a given seed.
+//! A session is N collection agents — one per registered [`StreamId`]
+//! (phone IMU, front camera, side camera) — each with a lossy data link
+//! and an equally lossy ack link, and one controller. Events — sensor
+//! polls, batch flushes, network deliveries, ack deliveries,
+//! retransmission timers, periodic clock syncs, and injected controller
+//! kills/restarts — are processed in timestamp order from one
+//! [`EventQueue`], so campaigns are fully deterministic for a given seed.
+//! There is one such loop ([`run_streams`]); the paper's two-agent
+//! deployment ([`run_session`]) is its `[IMU, CAMERA_FRONT]` case.
 //!
 //! With the reliable transport enabled (the default), every data delivery
-//! is answered with an ack over an equally faulty reverse link; unacked
-//! batches retransmit on the agent's backoff schedule until acked or
-//! abandoned. After the session ends the loop keeps running for
+//! is answered with an ack over the reverse link; unacked batches
+//! retransmit on the agent's backoff schedule until acked or abandoned.
+//! After the session ends the loop keeps running for
 //! [`CampaignConfig::drain_grace`] seconds so in-flight retransmissions can
 //! complete.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeSet, BinaryHeap};
 use std::sync::Arc;
 
-use darnet_sim::{Behavior, DrivingWorld, Segment};
+use darnet_sim::{Behavior, CanonicalBehavior, DrivingWorld, Segment};
 use darnet_tensor::SplitMix64;
-
-use std::collections::BTreeSet;
 
 use crate::agent::{
     AgentConfig, CollectionAgent, RetransmitConfig, SpillConfig, SpillStats, TransportStats,
@@ -31,11 +32,156 @@ use crate::controller::{
     AlignedImuPoint, Controller, ControllerConfig, FrameRecord, IngestOutcome, StreamHealth,
 };
 use crate::network::{Link, LinkConfig, LinkStats};
-use crate::sensor::{CameraSensor, ImuSensor};
+use crate::sensor::{canonical_script, CameraView, ScriptedSensor};
 use crate::stream::StreamId;
 use crate::wal::{self, Wal, WalConfig, WalStorage};
 use crate::wire::{decode_ack, decode_batch, encode_ack, encode_batch, Batch};
-use crate::Result;
+use crate::{CollectError, Result};
+
+/// A timestamped discrete event with a deterministic tie-break.
+struct TimedEvent<K> {
+    time: f64,
+    // Tie-break so heap order is deterministic.
+    seq: u64,
+    kind: K,
+}
+
+impl<K> PartialEq for TimedEvent<K> {
+    fn eq(&self, other: &Self) -> bool {
+        self.time == other.time && self.seq == other.seq
+    }
+}
+impl<K> Eq for TimedEvent<K> {}
+impl<K> PartialOrd for TimedEvent<K> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<K> Ord for TimedEvent<K> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // BinaryHeap is a max-heap: invert for earliest-first. total_cmp
+        // keeps the ordering panic-free even if a NaN timestamp ever
+        // slipped in (it would sort last instead of aborting the loop).
+        other
+            .time
+            .total_cmp(&self.time)
+            .then_with(|| other.seq.cmp(&self.seq))
+    }
+}
+
+/// The discrete-event scheduler shared by the session loop and the fleet
+/// load generator ([`crate::loadgen`]), generic over the event
+/// vocabulary: events pop earliest first, equal times in push order.
+pub(crate) struct EventQueue<K> {
+    heap: BinaryHeap<TimedEvent<K>>,
+    pushed: u64,
+}
+
+impl<K> EventQueue<K> {
+    pub(crate) fn new() -> Self {
+        EventQueue {
+            heap: BinaryHeap::new(),
+            pushed: 0,
+        }
+    }
+
+    /// Schedules `kind` at `time`.
+    pub(crate) fn push(&mut self, time: f64, kind: K) {
+        self.heap.push(TimedEvent {
+            time,
+            seq: self.pushed,
+            kind,
+        });
+        self.pushed += 1;
+    }
+
+    /// The next event and its time.
+    pub(crate) fn pop(&mut self) -> Option<(f64, K)> {
+        self.heap.pop().map(|e| (e.time, e.kind))
+    }
+}
+
+/// One collection agent with its data link (agent → controller) and its
+/// ack link (controller → agent, suffering the same faults): the
+/// transport endpoint every event loop drives. Transmitted batches are
+/// parked in the loop's `pending` list and stay allocated, so duplicated
+/// arrivals (link-level duplication) can read them again; the
+/// controller's sequence dedupe keeps re-delivery harmless.
+pub(crate) struct LinkedAgent {
+    pub(crate) agent: CollectionAgent,
+    pub(crate) data_link: Link,
+    pub(crate) ack_link: Link,
+}
+
+impl LinkedAgent {
+    /// Parks `batch` and schedules one `deliver(id)` per arrival the data
+    /// link yields: none if lost, several if duplicated.
+    fn transmit<K>(
+        &mut self,
+        t: f64,
+        batch: Batch,
+        pending: &mut Vec<Batch>,
+        queue: &mut EventQueue<K>,
+        deliver: fn(u32) -> K,
+    ) {
+        let id = pending.len() as u32;
+        pending.push(batch);
+        for arrival in self.data_link.transmit_all(t) {
+            queue.push(arrival, deliver(id));
+        }
+    }
+
+    /// Scheduled flush at `t`: transmits what the agent releases (returned
+    /// for the caller's accounting) and schedules the `retry` ack-timeout
+    /// check if anything is in flight.
+    pub(crate) fn flush<'p, K>(
+        &mut self,
+        t: f64,
+        pending: &'p mut Vec<Batch>,
+        queue: &mut EventQueue<K>,
+        deliver: fn(u32) -> K,
+        retry: K,
+    ) -> Result<Option<&'p Batch>> {
+        let flushed = self.agent.flush_at(t)?;
+        let sent = flushed.is_some();
+        if let Some(batch) = flushed {
+            self.transmit(t, batch, pending, queue, deliver);
+        }
+        if let Some(deadline) = self.agent.next_deadline() {
+            queue.push(deadline, retry);
+        }
+        Ok(if sent { pending.last() } else { None })
+    }
+
+    /// Ack-timeout check at `t`: retransmits every overdue batch
+    /// (returned for the caller's accounting) and reschedules itself
+    /// while anything is still in flight.
+    pub(crate) fn retry<'p, K>(
+        &mut self,
+        t: f64,
+        pending: &'p mut Vec<Batch>,
+        queue: &mut EventQueue<K>,
+        deliver: fn(u32) -> K,
+        retry: K,
+    ) -> Result<&'p [Batch]> {
+        let first = pending.len();
+        for batch in self.agent.due_retransmits(t)? {
+            self.transmit(t, batch, pending, queue, deliver);
+        }
+        if let Some(deadline) = self.agent.next_deadline() {
+            queue.push(deadline, retry);
+        }
+        Ok(&pending[first..])
+    }
+
+    /// Sends one ack down the reverse link at `t`, scheduling `delivered`
+    /// per arrival.
+    pub(crate) fn ack<K: Copy>(&mut self, t: f64, queue: &mut EventQueue<K>, delivered: K) {
+        for arrival in self.ack_link.transmit_all(t) {
+            queue.push(arrival, delivered);
+        }
+    }
+}
 
 /// Campaign configuration: sensor cadences, batching, network, clocks.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -228,7 +374,7 @@ pub struct AlignedTuple {
 }
 
 /// Pairs every frame with its trailing IMU window of `window_len` grid
-/// points — the alignment shared by the legacy two-stream recording and
+/// points — the alignment shared by the two-stream recording and
 /// every camera stream of a canonical multi-stream recording. Frames
 /// that precede all IMU data are skipped (no context to classify from
 /// yet).
@@ -273,285 +419,234 @@ impl DriverRecording {
     }
 }
 
+/// Event vocabulary of the session loop. Agents are addressed by index
+/// into the session's stream registration order, so any number of
+/// streams share one loop.
 #[derive(Debug, Clone, Copy, PartialEq)]
-enum EventKind {
-    PollImu,
-    PollCamera,
-    Flush(usize), // agent index: 0 = imu, 1 = camera
+enum SessionEvent {
+    Poll(usize),
+    Flush(usize),
     Sync,
     Deliver(u32),                          // delivery id into pending batch storage
     DeliverAck { agent: usize, seq: u32 }, // controller ack reaching an agent
     Retry(usize),                          // ack-timeout check for one agent
-    Crash(usize),                          // kill the controller (index into crash windows)
-    Restart(usize),                        // recover a fresh controller from the WAL
+    Crash,                                 // kill the controller
+    Restart,                               // recover a fresh controller from the WAL
 }
 
-/// A timestamped discrete event with a deterministic tie-break, generic
-/// over the event vocabulary — shared by the session runtime and the
-/// fleet load generator ([`crate::loadgen`]).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct TimedEvent<K> {
-    pub(crate) time: f64,
-    // Tie-break so heap order is deterministic.
-    pub(crate) seq: u64,
-    pub(crate) kind: K,
-}
-
-impl<K> PartialEq for TimedEvent<K> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<K> Eq for TimedEvent<K> {}
-impl<K> PartialOrd for TimedEvent<K> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<K> Ord for TimedEvent<K> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap: invert for earliest-first. total_cmp
-        // keeps the ordering panic-free even if a NaN timestamp ever
-        // slipped in (it would sort last instead of aborting the loop).
-        other
-            .time
-            .total_cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-type Event = TimedEvent<EventKind>;
-
-/// Runs one driver's session and returns its recording.
-///
-/// # Errors
-///
-/// Propagates alignment errors (e.g. a session so short no IMU data was
-/// collected) and, in strict transport mode, [`crate::CollectError::Transport`]
-/// failures.
-pub fn run_session(
+/// Builds the agent and poll period for one registered stream. The front
+/// camera shares the controller tablet in the paper's deployment, so its
+/// clock is nearly perfect (tiny residual drift); the IMU phone and the
+/// side camera are independent devices with the full clock imperfection.
+fn session_agent(
     world: &Arc<DrivingWorld>,
     driver: usize,
-    segments: &[Segment<Behavior>],
+    script: &[Segment<CanonicalBehavior>],
+    stream: StreamId,
     config: &CampaignConfig,
-) -> Result<DriverRecording> {
-    run_session_durable(world, driver, segments, config, &Durability::default()).map(|(rec, _)| rec)
+    rng: &mut SplitMix64,
+) -> Result<(CollectionAgent, f64)> {
+    let world = Arc::clone(world);
+    let script = script.to_vec();
+    let camera = config.camera_period;
+    let (sensor, clock, period) = match stream {
+        StreamId::IMU => (
+            ScriptedSensor::imu(world, driver, script, config.imu_period),
+            DriftClock::random(&config.clock, rng),
+            config.imu_period,
+        ),
+        StreamId::CAMERA_FRONT => (
+            ScriptedSensor::camera(world, driver, script, camera, CameraView::Front),
+            DriftClock::new(1e-6, 0.0),
+            camera,
+        ),
+        StreamId::CAMERA_SIDE => (
+            ScriptedSensor::camera(world, driver, script, camera, CameraView::Side),
+            DriftClock::random(&config.clock, rng),
+            camera,
+        ),
+        other => {
+            return Err(CollectError::InvalidConfig(format!(
+                "no canonical sensor registered for stream {other}"
+            )))
+        }
+    };
+    let agent_config = AgentConfig {
+        poll_period: period,
+        transmit_period: config.transmit_period,
+        spill: config.spill,
+    };
+    let agent = CollectionAgent::new(stream.agent_id(), Box::new(sensor), clock, agent_config)
+        .with_transport(config.retransmit, rng.next_u64());
+    Ok((agent, period))
 }
 
-/// Like [`run_session`], with durability and chaos: accepted batches are
-/// appended to the WAL *before* being acked, controller kills/restarts
-/// from `durability.crashes` are injected as events (recovery replays the
-/// log into a fresh controller), and the returned [`ChaosReport`] carries
-/// the recovery invariants — most importantly `acked_lost`, which must be
-/// zero whenever a WAL is configured.
-///
-/// # Errors
-///
-/// Everything [`run_session`] returns, plus [`crate::CollectError::Wal`]
-/// and [`crate::CollectError::Recovery`] from the durability layer, and
-/// [`crate::CollectError::Overload`] if an agent's spill buffer hits its
-/// bound in strict (non-`drop_oldest`) mode.
-pub fn run_session_durable(
-    world: &Arc<DrivingWorld>,
-    driver: usize,
-    segments: &[Segment<Behavior>],
+/// Opens a controller incarnation over `durability`'s store, replaying
+/// whatever a prior incarnation logged; without a store, a fresh
+/// in-memory controller.
+fn open_controller(
     config: &CampaignConfig,
     durability: &Durability,
-) -> Result<(DriverRecording, ChaosReport)> {
-    let session_end = segments
-        .iter()
-        .filter(|s| s.driver == driver)
-        .map(|s| s.end())
-        .fold(0.0f64, f64::max);
-    let script: Vec<Segment<Behavior>> = segments
-        .iter()
-        .filter(|s| s.driver == driver)
-        .copied()
-        .collect();
+    chaos: &mut ChaosReport,
+) -> Result<(Controller, Option<Wal>)> {
+    let Some(storage) = &durability.storage else {
+        return Ok((Controller::new(config.controller), None));
+    };
+    let (controller, wal, report) =
+        wal::open(config.controller, Arc::clone(storage), durability.wal)?;
+    chaos.replayed_records += report.records_replayed;
+    chaos.torn_tail_bytes_discarded += report.torn_tail_bytes;
+    Ok((controller, Some(wal)))
+}
 
-    let mut rng = SplitMix64::new(config.seed ^ (driver as u64).wrapping_mul(0x9E37_79B9));
-    let agent_config = AgentConfig {
-        poll_period: config.imu_period,
-        transmit_period: config.transmit_period,
-        spill: config.spill,
+/// Folds a dying incarnation's WAL counters into the chaos report.
+fn retire_wal(chaos: &mut ChaosReport, wal: Option<Wal>) {
+    if let Some(w) = wal {
+        let s = w.stats();
+        chaos.wal_appends += s.appends;
+        chaos.wal_bytes += s.bytes_appended;
+        chaos.wal_segments_rolled += s.segments_rolled;
+        chaos.wal_snapshots += s.snapshots_taken;
+    }
+}
+
+/// What [`run_streams`] leaves behind for a front-end to project into
+/// its recording type.
+struct SessionEnd {
+    /// The final (possibly crash-recovered) controller.
+    controller: Controller,
+    /// The session's agents and links, in stream registration order.
+    agents: Vec<LinkedAgent>,
+    /// Per agent: maximum absolute clock error at its poll instants.
+    clock_errors: Vec<f64>,
+    chaos: ChaosReport,
+}
+
+/// The session loop: one agent per entry of `streams` over one driver's
+/// `script`, into one controller that appends accepted batches to the
+/// WAL *before* acking them and is killed/restarted per
+/// `durability.crashes` (recovery replays the log into a fresh
+/// controller).
+///
+/// `seed_domain` is XORed into the per-driver seed so front-ends never
+/// alias. The draw order is fixed — per stream its clock then its
+/// retransmission-jitter seed, then every data link, the sync link, every
+/// ack link — which, with the event order, is what keeps every seeded
+/// recording bit-identical (pinned by `tests/golden.rs`).
+#[allow(clippy::too_many_arguments)]
+fn run_streams(
+    world: &Arc<DrivingWorld>,
+    driver: usize,
+    script: &[Segment<CanonicalBehavior>],
+    config: &CampaignConfig,
+    streams: &[StreamId],
+    link_overrides: &[(StreamId, LinkConfig)],
+    seed_domain: u64,
+    durability: &Durability,
+) -> Result<SessionEnd> {
+    let session_end = script.iter().map(|s| s.end()).fold(0.0f64, f64::max);
+    let link_for = |stream: StreamId| {
+        link_overrides
+            .iter()
+            .find(|(s, _)| *s == stream)
+            .map(|(_, l)| *l)
+            .unwrap_or(config.link)
     };
-    let cam_config = AgentConfig {
-        poll_period: config.camera_period,
-        transmit_period: config.transmit_period,
-        spill: config.spill,
-    };
-    // Phone agent: full clock imperfection. Camera agent runs on the same
-    // tablet as the controller in the paper's deployment, so its clock is
-    // nearly perfect (tiny residual drift).
-    let mut imu_agent = CollectionAgent::new(
-        0,
-        Box::new(ImuSensor::new(
-            Arc::clone(world),
-            driver,
-            script.clone(),
-            config.imu_period,
-        )),
-        DriftClock::random(&config.clock, &mut rng),
-        agent_config,
-    )
-    .with_transport(config.retransmit, rng.next_u64());
-    let mut cam_agent = CollectionAgent::new(
-        1,
-        Box::new(CameraSensor::new(
-            Arc::clone(world),
-            driver,
-            script.clone(),
-            config.camera_period,
-        )),
-        DriftClock::new(1e-6, 0.0),
-        cam_config,
-    )
-    .with_transport(config.retransmit, rng.next_u64());
-    let mut imu_link = Link::new(config.link, rng.next_u64());
-    let mut cam_link = Link::new(config.link, rng.next_u64());
+
+    let mut rng =
+        SplitMix64::new(config.seed ^ (driver as u64).wrapping_mul(0x9E37_79B9) ^ seed_domain);
+    let mut built = Vec::with_capacity(streams.len());
+    for &stream in streams {
+        built.push(session_agent(
+            world, driver, script, stream, config, &mut rng,
+        )?);
+    }
+    let data_links: Vec<Link> = streams
+        .iter()
+        .map(|&s| Link::new(link_for(s), rng.next_u64()))
+        .collect();
     let mut sync_link = Link::new(config.link, rng.next_u64());
-    // Reverse (controller → agent) ack links suffer the same faults.
-    let mut imu_ack_link = Link::new(config.link, rng.next_u64());
-    let mut cam_ack_link = Link::new(config.link, rng.next_u64());
+    let mut periods = Vec::with_capacity(streams.len());
+    let mut agents = Vec::with_capacity(streams.len());
+    for (((agent, period), data_link), &stream) in built.into_iter().zip(data_links).zip(streams) {
+        periods.push(period);
+        agents.push(LinkedAgent {
+            agent,
+            data_link,
+            ack_link: Link::new(link_for(stream), rng.next_u64()),
+        });
+    }
+    let mut clock_errors = vec![0.0f64; agents.len()];
 
     let mut chaos = ChaosReport::default();
-    // Open the durable controller: a pre-populated store replays here
-    // (resuming a prior incarnation's session), an empty one starts clean.
-    let (mut controller, mut wal) = match &durability.storage {
-        Some(storage) => {
-            let (controller, wal, report) =
-                wal::open(config.controller, Arc::clone(storage), durability.wal)?;
-            chaos.replayed_records += report.records_replayed;
-            chaos.torn_tail_bytes_discarded += report.torn_tail_bytes;
-            (controller, Some(wal))
-        }
-        None => (Controller::new(config.controller), None),
-    };
+    // A pre-populated store replays here (resuming a prior incarnation's
+    // session), an empty one starts clean.
+    let (mut controller, mut wal) = open_controller(config, durability, &mut chaos)?;
     // Controller liveness: while down, deliveries drop and syncs stop.
     let mut down = false;
-    // Every (agent, seq) the agents saw acked — the promise the recovery
-    // invariant is checked against.
+    // Every (agent id, seq) the agents saw acked — the promise the
+    // recovery invariant is checked against.
     let mut acked_set: BTreeSet<(u32, u32)> = BTreeSet::new();
-    // Folds a dying incarnation's WAL counters into the chaos report.
-    fn retire_wal(chaos: &mut ChaosReport, wal: Option<Wal>) {
-        if let Some(w) = wal {
-            let s = w.stats();
-            chaos.wal_appends += s.appends;
-            chaos.wal_bytes += s.bytes_appended;
-            chaos.wal_segments_rolled += s.segments_rolled;
-            chaos.wal_snapshots += s.snapshots_taken;
-        }
-    }
 
-    let mut heap = BinaryHeap::new();
-    let mut seq = 0u64;
-    let push = |heap: &mut BinaryHeap<Event>, time: f64, kind: EventKind, seq: &mut u64| {
-        heap.push(Event {
-            time,
-            seq: *seq,
-            kind,
-        });
-        *seq += 1;
-    };
-    push(&mut heap, 0.0, EventKind::PollImu, &mut seq);
-    push(&mut heap, 0.0, EventKind::PollCamera, &mut seq);
-    push(
-        &mut heap,
-        config.transmit_period,
-        EventKind::Flush(0),
-        &mut seq,
-    );
-    push(
-        &mut heap,
-        config.transmit_period,
-        EventKind::Flush(1),
-        &mut seq,
-    );
+    let mut queue = EventQueue::new();
+    for i in 0..agents.len() {
+        queue.push(0.0, SessionEvent::Poll(i));
+        queue.push(config.transmit_period, SessionEvent::Flush(i));
+    }
     if config.sync_enabled {
         // Startup handshake: when the controller opens the two-way channel
         // it immediately distributes its UTC, so agents begin the session
         // already synchronized (§4.1). Periodic re-syncs then follow.
         let measured = sync_link.mean_delay();
         if let Some(arrival) = sync_link.transmit(-measured) {
-            imu_agent.handle_sync(arrival, -measured, measured);
-            cam_agent.handle_sync(arrival, -measured, measured);
+            for a in &mut agents {
+                a.agent.handle_sync(arrival, -measured, measured);
+            }
         }
-        push(
-            &mut heap,
-            config.controller.sync_period,
-            EventKind::Sync,
-            &mut seq,
-        );
+        queue.push(config.controller.sync_period, SessionEvent::Sync);
     }
-    for (i, window) in durability.crashes.iter().enumerate() {
-        push(&mut heap, window.kill_t, EventKind::Crash(i), &mut seq);
-        push(&mut heap, window.restart_t, EventKind::Restart(i), &mut seq);
+    for window in &durability.crashes {
+        queue.push(window.kill_t, SessionEvent::Crash);
+        queue.push(window.restart_t, SessionEvent::Restart);
     }
 
-    // Batches awaiting delivery. Entries stay allocated so duplicated
-    // arrivals (link-level duplication) can read them again; the
-    // controller's sequence dedupe keeps re-delivery harmless.
     let mut pending: Vec<Batch> = Vec::new();
-    let mut max_clock_error = 0.0f64;
     let reliable = config.retransmit.enabled;
 
-    while let Some(event) = heap.pop() {
-        let t = event.time;
+    while let Some((t, event)) = queue.pop() {
         if t > session_end + config.transmit_period + config.drain_grace {
             break;
         }
-        match event.kind {
-            EventKind::PollImu => {
+        match event {
+            SessionEvent::Poll(i) => {
                 if t <= session_end {
-                    imu_agent.poll(t)?;
-                    max_clock_error = max_clock_error.max(imu_agent.clock_error(t).abs());
-                    push(
-                        &mut heap,
-                        t + config.imu_period,
-                        EventKind::PollImu,
-                        &mut seq,
-                    );
+                    agents[i].agent.poll(t)?;
+                    clock_errors[i] = clock_errors[i].max(agents[i].agent.clock_error(t).abs());
+                    queue.push(t + periods[i], SessionEvent::Poll(i));
                 }
             }
-            EventKind::PollCamera => {
+            SessionEvent::Flush(i) => {
+                agents[i].flush(
+                    t,
+                    &mut pending,
+                    &mut queue,
+                    SessionEvent::Deliver,
+                    SessionEvent::Retry(i),
+                )?;
                 if t <= session_end {
-                    cam_agent.poll(t)?;
-                    push(
-                        &mut heap,
-                        t + config.camera_period,
-                        EventKind::PollCamera,
-                        &mut seq,
-                    );
+                    queue.push(t + config.transmit_period, SessionEvent::Flush(i));
                 }
             }
-            EventKind::Flush(which) => {
-                let (agent, link) = if which == 0 {
-                    (&mut imu_agent, &mut imu_link)
-                } else {
-                    (&mut cam_agent, &mut cam_link)
-                };
-                if let Some(batch) = agent.flush_at(t)? {
-                    let id = pending.len() as u32;
-                    pending.push(batch);
-                    for arrival in link.transmit_all(t) {
-                        push(&mut heap, arrival, EventKind::Deliver(id), &mut seq);
-                    }
-                }
-                if reliable {
-                    if let Some(deadline) = agent.next_deadline() {
-                        push(&mut heap, deadline, EventKind::Retry(which), &mut seq);
-                    }
-                }
-                if t <= session_end {
-                    push(
-                        &mut heap,
-                        t + config.transmit_period,
-                        EventKind::Flush(which),
-                        &mut seq,
-                    );
-                }
+            SessionEvent::Retry(i) => {
+                agents[i].retry(
+                    t,
+                    &mut pending,
+                    &mut queue,
+                    SessionEvent::Deliver,
+                    SessionEvent::Retry(i),
+                )?;
             }
-            EventKind::Sync => {
+            SessionEvent::Sync => {
                 // Controller (master) sends its UTC; the agent applies
                 // master UTC + empirically measured delay on receipt. A
                 // dead controller sends nothing (agents coast on drift).
@@ -561,20 +656,16 @@ pub fn run_session_durable(
                         // tiny and modelled without reordering against
                         // data.
                         let measured = sync_link.mean_delay();
-                        imu_agent.handle_sync(arrival, t, measured);
-                        cam_agent.handle_sync(arrival, t, measured);
+                        for a in &mut agents {
+                            a.agent.handle_sync(arrival, t, measured);
+                        }
                     }
                 }
                 if t <= session_end {
-                    push(
-                        &mut heap,
-                        t + config.controller.sync_period,
-                        EventKind::Sync,
-                        &mut seq,
-                    );
+                    queue.push(t + config.controller.sync_period, SessionEvent::Sync);
                 }
             }
-            EventKind::Deliver(id) => {
+            SessionEvent::Deliver(id) => {
                 if down {
                     // The controller process is dead: the delivery is
                     // lost and never acked — the agent's retransmission
@@ -605,54 +696,22 @@ pub fn run_session_durable(
                     // duplicates included, since a duplicate usually
                     // means the previous ack was lost.
                     let ack = decode_ack(encode_ack(&ack))?;
-                    let agent_idx = ack.agent_id as usize;
-                    let ack_link = if agent_idx == 0 {
-                        &mut imu_ack_link
-                    } else {
-                        &mut cam_ack_link
-                    };
-                    for arrival in ack_link.transmit_all(t) {
-                        push(
-                            &mut heap,
-                            arrival,
-                            EventKind::DeliverAck {
-                                agent: agent_idx,
-                                seq: ack.seq,
-                            },
-                            &mut seq,
-                        );
+                    if let Some(agent) = streams.iter().position(|s| s.agent_id() == ack.agent_id) {
+                        let delivered = SessionEvent::DeliverAck {
+                            agent,
+                            seq: ack.seq,
+                        };
+                        agents[agent].ack(t, &mut queue, delivered);
                     }
                 }
             }
-            EventKind::DeliverAck { agent, seq: acked } => {
-                let a = if agent == 0 {
-                    &mut imu_agent
-                } else {
-                    &mut cam_agent
-                };
-                a.handle_ack(acked);
+            SessionEvent::DeliverAck { agent, seq } => {
+                agents[agent].agent.handle_ack(seq);
                 // The agent now believes this batch is durable — exactly
                 // the promise the recovery invariant checks.
-                acked_set.insert((agent as u32, acked));
+                acked_set.insert((streams[agent].agent_id(), seq));
             }
-            EventKind::Retry(which) => {
-                let (agent, link) = if which == 0 {
-                    (&mut imu_agent, &mut imu_link)
-                } else {
-                    (&mut cam_agent, &mut cam_link)
-                };
-                for batch in agent.due_retransmits(t)? {
-                    let id = pending.len() as u32;
-                    pending.push(batch);
-                    for arrival in link.transmit_all(t) {
-                        push(&mut heap, arrival, EventKind::Deliver(id), &mut seq);
-                    }
-                }
-                if let Some(deadline) = agent.next_deadline() {
-                    push(&mut heap, deadline, EventKind::Retry(which), &mut seq);
-                }
-            }
-            EventKind::Crash(_) => {
+            SessionEvent::Crash => {
                 if down {
                     continue;
                 }
@@ -674,39 +733,27 @@ pub fn run_session_durable(
                 controller = Controller::new(config.controller);
                 down = true;
             }
-            EventKind::Restart(_) => {
+            SessionEvent::Restart => {
                 if !down {
                     continue;
                 }
                 down = false;
                 chaos.recoveries += 1;
-                if let Some(storage) = &durability.storage {
-                    let (recovered, new_wal, report) =
-                        wal::open(config.controller, Arc::clone(storage), durability.wal)?;
-                    chaos.replayed_records += report.records_replayed;
-                    chaos.torn_tail_bytes_discarded += report.torn_tail_bytes;
-                    controller = recovered;
-                    wal = Some(new_wal);
-                }
                 // Without storage the fresh (empty) controller from the
                 // crash simply resumes — the negative control that shows
                 // what the WAL is for.
+                if durability.storage.is_some() {
+                    (controller, wal) = open_controller(config, durability, &mut chaos)?;
+                }
             }
         }
     }
 
     // Session ended mid-outage: run the recovery that the next controller
     // incarnation would, so the recording reflects the durable state.
-    if down {
-        if let Some(storage) = &durability.storage {
-            chaos.recoveries += 1;
-            let (recovered, new_wal, report) =
-                wal::open(config.controller, Arc::clone(storage), durability.wal)?;
-            chaos.replayed_records += report.records_replayed;
-            chaos.torn_tail_bytes_discarded += report.torn_tail_bytes;
-            controller = recovered;
-            wal = Some(new_wal);
-        }
+    if down && durability.storage.is_some() {
+        chaos.recoveries += 1;
+        (controller, wal) = open_controller(config, durability, &mut chaos)?;
     }
     retire_wal(&mut chaos, wal.take());
 
@@ -717,36 +764,101 @@ pub fn run_session_durable(
         .iter()
         .filter(|&&(agent, s)| !controller.has_seen(agent, s))
         .count() as u64;
-    chaos.spill_dropped =
-        imu_agent.spill_stats().dropped_oldest + cam_agent.spill_stats().dropped_oldest;
-    chaos.spill_peak = imu_agent
-        .spill_stats()
-        .peak_buffered
-        .max(cam_agent.spill_stats().peak_buffered);
+    for a in &agents {
+        let spill = a.agent.spill_stats();
+        chaos.spill_dropped += spill.dropped_oldest;
+        chaos.spill_peak = chaos.spill_peak.max(spill.peak_buffered);
+    }
+    Ok(SessionEnd {
+        controller,
+        agents,
+        clock_errors,
+        chaos,
+    })
+}
 
+/// The drivers a schedule covers, ascending.
+fn drivers_of<B>(segments: &[Segment<B>]) -> Vec<usize> {
+    let mut drivers: Vec<usize> = segments.iter().map(|s| s.driver).collect();
+    drivers.sort_unstable();
+    drivers.dedup();
+    drivers
+}
+
+/// Runs one driver's session and returns its recording.
+///
+/// # Errors
+///
+/// Propagates alignment errors (e.g. a session so short no IMU data was
+/// collected) and, in strict transport mode, [`crate::CollectError::Transport`]
+/// failures.
+pub fn run_session(
+    world: &Arc<DrivingWorld>,
+    driver: usize,
+    segments: &[Segment<Behavior>],
+    config: &CampaignConfig,
+) -> Result<DriverRecording> {
+    run_session_durable(world, driver, segments, config, &Durability::default()).map(|(rec, _)| rec)
+}
+
+/// Like [`run_session`], with durability and chaos: accepted batches are
+/// appended to the WAL *before* being acked, controller kills/restarts
+/// from `durability.crashes` are injected as events (recovery replays the
+/// log into a fresh controller), and the returned [`ChaosReport`] carries
+/// the recovery invariants — most importantly `acked_lost`, which must be
+/// zero whenever a WAL is configured.
+///
+/// This is the paper's deployment as one configuration of the N-stream
+/// session: streams `[IMU, CAMERA_FRONT]` over the 6-class script
+/// embedded in the canonical taxonomy.
+///
+/// # Errors
+///
+/// Everything [`run_session`] returns, plus [`crate::CollectError::Wal`]
+/// and [`crate::CollectError::Recovery`] from the durability layer, and
+/// [`crate::CollectError::Overload`] if an agent's spill buffer hits its
+/// bound in strict (non-`drop_oldest`) mode.
+pub fn run_session_durable(
+    world: &Arc<DrivingWorld>,
+    driver: usize,
+    segments: &[Segment<Behavior>],
+    config: &CampaignConfig,
+    durability: &Durability,
+) -> Result<(DriverRecording, ChaosReport)> {
+    let end = run_streams(
+        world,
+        driver,
+        &canonical_script(segments, driver),
+        config,
+        &[StreamId::IMU, StreamId::CAMERA_FRONT],
+        &[],
+        0,
+        durability,
+    )?;
+    let (imu, cam) = (&end.agents[0], &end.agents[1]);
     let transport = SessionTransportReport {
-        imu: imu_agent.transport_stats(),
-        camera: cam_agent.transport_stats(),
-        imu_link: imu_link.link_stats(),
-        camera_link: cam_link.link_stats(),
-        imu_stream: controller.stream_health(0),
-        camera_stream: controller.stream_health(1),
-        readings_polled: imu_agent.poll_count() + cam_agent.poll_count(),
-        readings_ingested: controller.ingest_stats().1,
-        imu_spill: imu_agent.spill_stats(),
-        camera_spill: cam_agent.spill_stats(),
+        imu: imu.agent.transport_stats(),
+        camera: cam.agent.transport_stats(),
+        imu_link: imu.data_link.link_stats(),
+        camera_link: cam.data_link.link_stats(),
+        imu_stream: end.controller.stream_health_by_id(StreamId::IMU),
+        camera_stream: end.controller.stream_health_by_id(StreamId::CAMERA_FRONT),
+        readings_polled: imu.agent.poll_count() + cam.agent.poll_count(),
+        readings_ingested: end.controller.ingest_stats().1,
+        imu_spill: imu.agent.spill_stats(),
+        camera_spill: cam.agent.spill_stats(),
     };
-    let imu = controller.aligned_imu()?;
-    let frames = controller.frames_sorted();
     Ok((
         DriverRecording {
             driver,
-            imu,
-            frames,
-            max_clock_error,
+            imu: end.controller.aligned_imu()?,
+            frames: end.controller.frames_sorted(),
+            // The sync-ablation diagnostic follows the phone: the camera
+            // shares the controller's tablet.
+            max_clock_error: end.clock_errors[0],
             transport,
         },
-        chaos,
+        end.chaos,
     ))
 }
 
@@ -760,10 +872,7 @@ pub fn run_campaign(
     segments: &[Segment<Behavior>],
     config: &CampaignConfig,
 ) -> Result<Vec<DriverRecording>> {
-    let mut drivers: Vec<usize> = segments.iter().map(|s| s.driver).collect();
-    drivers.sort_unstable();
-    drivers.dedup();
-    drivers
+    drivers_of(segments)
         .into_iter()
         .map(|d| run_session(world, d, segments, config))
         .collect()
@@ -783,10 +892,7 @@ pub fn run_campaign_durable(
     config: &CampaignConfig,
     mut durability_for: impl FnMut(usize) -> Durability,
 ) -> Result<Vec<(DriverRecording, ChaosReport)>> {
-    let mut drivers: Vec<usize> = segments.iter().map(|s| s.driver).collect();
-    drivers.sort_unstable();
-    drivers.dedup();
-    drivers
+    drivers_of(segments)
         .into_iter()
         .map(|d| {
             let durability = durability_for(d);
@@ -842,88 +948,10 @@ impl MultiStreamRecording {
     }
 }
 
-/// Event vocabulary of the canonical N-agent session loop. Unlike the
-/// legacy [`EventKind`], agents are addressed by index into the session's
-/// stream registration order, so any number of streams share one loop.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum CanonEvent {
-    Poll(usize),
-    Flush(usize),
-    Sync,
-    Deliver(u32),
-    DeliverAck { agent: usize, seq: u32 },
-    Retry(usize),
-}
-
-/// Builds the sensor, clock, and poll period for one registered stream.
-/// The front camera shares the controller tablet (near-perfect clock, as
-/// in the legacy session); the IMU phone and the side camera are
-/// independent devices with imperfect clocks.
-fn canonical_agent(
-    world: &Arc<DrivingWorld>,
-    driver: usize,
-    script: &[Segment<darnet_sim::CanonicalBehavior>],
-    stream: StreamId,
-    config: &CampaignConfig,
-    rng: &mut SplitMix64,
-) -> Result<(CollectionAgent, f64)> {
-    use crate::sensor::{CameraView, CanonicalCameraSensor, CanonicalImuSensor};
-    let (sensor, clock, period): (Box<dyn crate::sensor::Sensor>, DriftClock, f64) = match stream {
-        StreamId::IMU => (
-            Box::new(CanonicalImuSensor::new(
-                Arc::clone(world),
-                driver,
-                script.to_vec(),
-                config.imu_period,
-            )),
-            DriftClock::random(&config.clock, rng),
-            config.imu_period,
-        ),
-        StreamId::CAMERA_FRONT => (
-            Box::new(CanonicalCameraSensor::new(
-                Arc::clone(world),
-                driver,
-                script.to_vec(),
-                config.camera_period,
-                CameraView::Front,
-            )),
-            DriftClock::new(1e-6, 0.0),
-            config.camera_period,
-        ),
-        StreamId::CAMERA_SIDE => (
-            Box::new(CanonicalCameraSensor::new(
-                Arc::clone(world),
-                driver,
-                script.to_vec(),
-                config.camera_period,
-                CameraView::Side,
-            )),
-            DriftClock::random(&config.clock, rng),
-            config.camera_period,
-        ),
-        other => {
-            return Err(crate::CollectError::InvalidConfig(format!(
-                "no canonical sensor registered for stream {other}"
-            )))
-        }
-    };
-    let agent_config = AgentConfig {
-        poll_period: period,
-        transmit_period: config.transmit_period,
-        spill: config.spill,
-    };
-    let agent = CollectionAgent::new(stream.agent_id(), sensor, clock, agent_config)
-        .with_transport(config.retransmit, rng.next_u64());
-    Ok((agent, period))
-}
-
 /// Runs one driver's canonical multi-stream session: any subset of
 /// {IMU, front camera, side camera} over the 8-class script, with an
 /// optional per-stream [`LinkConfig`] override (fault injection on one
 /// stream while the others run clean — the multi-view ablation's knob).
-///
-/// The legacy two-agent [`run_session`] is untouched; this is the
-/// generalized N-agent loop the modality registry consumes.
 ///
 /// # Errors
 ///
@@ -932,190 +960,61 @@ fn canonical_agent(
 pub fn run_canonical_session(
     world: &Arc<DrivingWorld>,
     driver: usize,
-    segments: &[Segment<darnet_sim::CanonicalBehavior>],
+    segments: &[Segment<CanonicalBehavior>],
     config: &CampaignConfig,
     streams: &[StreamId],
     link_overrides: &[(StreamId, LinkConfig)],
 ) -> Result<MultiStreamRecording> {
-    let session_end = segments
-        .iter()
-        .filter(|s| s.driver == driver)
-        .map(|s| s.end())
-        .fold(0.0f64, f64::max);
-    let script: Vec<Segment<darnet_sim::CanonicalBehavior>> = segments
+    run_canonical_session_durable(
+        world,
+        driver,
+        segments,
+        config,
+        streams,
+        link_overrides,
+        &Durability::default(),
+    )
+    .map(|(rec, _)| rec)
+}
+
+/// Like [`run_canonical_session`], with the durability and chaos of
+/// [`run_session_durable`]: it is the same loop, so N-stream sessions get
+/// WAL-before-ack, crash injection and the [`ChaosReport`] invariants
+/// from the same code.
+///
+/// # Errors
+///
+/// Everything [`run_canonical_session`] and the durability layer return.
+pub fn run_canonical_session_durable(
+    world: &Arc<DrivingWorld>,
+    driver: usize,
+    segments: &[Segment<CanonicalBehavior>],
+    config: &CampaignConfig,
+    streams: &[StreamId],
+    link_overrides: &[(StreamId, LinkConfig)],
+    durability: &Durability,
+) -> Result<(MultiStreamRecording, ChaosReport)> {
+    let script: Vec<Segment<CanonicalBehavior>> = segments
         .iter()
         .filter(|s| s.driver == driver)
         .copied()
         .collect();
-    let link_for = |stream: StreamId| {
-        link_overrides
-            .iter()
-            .find(|(s, _)| *s == stream)
-            .map(|(_, l)| *l)
-            .unwrap_or(config.link)
-    };
-
-    // A distinct seed domain from the legacy session so the two paths
-    // never alias, while staying per-driver deterministic.
-    let mut rng = SplitMix64::new(
-        config.seed ^ (driver as u64).wrapping_mul(0x9E37_79B9) ^ 0xCA40_0515_0A11_ED00,
-    );
-    let mut agents = Vec::with_capacity(streams.len());
-    let mut periods = Vec::with_capacity(streams.len());
-    for &stream in streams {
-        let (agent, period) = canonical_agent(world, driver, &script, stream, config, &mut rng)?;
-        agents.push(agent);
-        periods.push(period);
-    }
-    let mut links: Vec<Link> = streams
-        .iter()
-        .map(|&s| Link::new(link_for(s), rng.next_u64()))
-        .collect();
-    let mut sync_link = Link::new(config.link, rng.next_u64());
-    let mut ack_links: Vec<Link> = streams
-        .iter()
-        .map(|&s| Link::new(link_for(s), rng.next_u64()))
-        .collect();
-    let mut controller = Controller::new(config.controller);
-
-    let mut heap: BinaryHeap<TimedEvent<CanonEvent>> = BinaryHeap::new();
-    let mut seq = 0u64;
-    let push = |heap: &mut BinaryHeap<TimedEvent<CanonEvent>>,
-                time: f64,
-                kind: CanonEvent,
-                seq: &mut u64| {
-        heap.push(TimedEvent {
-            time,
-            seq: *seq,
-            kind,
-        });
-        *seq += 1;
-    };
-    for i in 0..agents.len() {
-        push(&mut heap, 0.0, CanonEvent::Poll(i), &mut seq);
-        push(
-            &mut heap,
-            config.transmit_period,
-            CanonEvent::Flush(i),
-            &mut seq,
-        );
-    }
-    if config.sync_enabled {
-        // Startup handshake, as in the legacy session (§4.1).
-        let measured = sync_link.mean_delay();
-        if let Some(arrival) = sync_link.transmit(-measured) {
-            for agent in &mut agents {
-                agent.handle_sync(arrival, -measured, measured);
-            }
-        }
-        push(
-            &mut heap,
-            config.controller.sync_period,
-            CanonEvent::Sync,
-            &mut seq,
-        );
-    }
-
-    let mut pending: Vec<Batch> = Vec::new();
-    let mut max_clock_error = 0.0f64;
-    let reliable = config.retransmit.enabled;
-
-    while let Some(event) = heap.pop() {
-        let t = event.time;
-        if t > session_end + config.transmit_period + config.drain_grace {
-            break;
-        }
-        match event.kind {
-            CanonEvent::Poll(i) => {
-                if t <= session_end {
-                    agents[i].poll(t)?;
-                    max_clock_error = max_clock_error.max(agents[i].clock_error(t).abs());
-                    push(&mut heap, t + periods[i], CanonEvent::Poll(i), &mut seq);
-                }
-            }
-            CanonEvent::Flush(i) => {
-                if let Some(batch) = agents[i].flush_at(t)? {
-                    let id = pending.len() as u32;
-                    pending.push(batch);
-                    for arrival in links[i].transmit_all(t) {
-                        push(&mut heap, arrival, CanonEvent::Deliver(id), &mut seq);
-                    }
-                }
-                if reliable {
-                    if let Some(deadline) = agents[i].next_deadline() {
-                        push(&mut heap, deadline, CanonEvent::Retry(i), &mut seq);
-                    }
-                }
-                if t <= session_end {
-                    push(
-                        &mut heap,
-                        t + config.transmit_period,
-                        CanonEvent::Flush(i),
-                        &mut seq,
-                    );
-                }
-            }
-            CanonEvent::Sync => {
-                if let Some(arrival) = sync_link.transmit(t) {
-                    let measured = sync_link.mean_delay();
-                    for agent in &mut agents {
-                        agent.handle_sync(arrival, t, measured);
-                    }
-                }
-                if t <= session_end {
-                    push(
-                        &mut heap,
-                        t + config.controller.sync_period,
-                        CanonEvent::Sync,
-                        &mut seq,
-                    );
-                }
-            }
-            CanonEvent::Deliver(id) => {
-                let decoded = decode_batch(encode_batch(&pending[id as usize]))?;
-                let ack = Controller::ack_for(&decoded);
-                let outcome = controller.offer_at(t, &decoded, None)?;
-                if outcome == IngestOutcome::Shed {
-                    continue;
-                }
-                if reliable {
-                    let ack = decode_ack(encode_ack(&ack))?;
-                    if let Some(idx) = streams.iter().position(|s| s.agent_id() == ack.agent_id) {
-                        for arrival in ack_links[idx].transmit_all(t) {
-                            push(
-                                &mut heap,
-                                arrival,
-                                CanonEvent::DeliverAck {
-                                    agent: idx,
-                                    seq: ack.seq,
-                                },
-                                &mut seq,
-                            );
-                        }
-                    }
-                }
-            }
-            CanonEvent::DeliverAck { agent, seq: acked } => {
-                agents[agent].handle_ack(acked);
-            }
-            CanonEvent::Retry(i) => {
-                for batch in agents[i].due_retransmits(t)? {
-                    let id = pending.len() as u32;
-                    pending.push(batch);
-                    for arrival in links[i].transmit_all(t) {
-                        push(&mut heap, arrival, CanonEvent::Deliver(id), &mut seq);
-                    }
-                }
-                if let Some(deadline) = agents[i].next_deadline() {
-                    push(&mut heap, deadline, CanonEvent::Retry(i), &mut seq);
-                }
-            }
-        }
-    }
-
+    // A distinct seed domain from the two-stream session so the two
+    // front-ends never alias, while staying per-driver deterministic.
+    let end = run_streams(
+        world,
+        driver,
+        &script,
+        config,
+        streams,
+        link_overrides,
+        0xCA40_0515_0A11_ED00,
+        durability,
+    )?;
+    let controller = &end.controller;
     let imu = match controller.aligned_imu() {
         Ok(points) => points,
-        Err(crate::CollectError::NoData(_)) => Vec::new(),
+        Err(CollectError::NoData(_)) => Vec::new(),
         Err(e) => return Err(e),
     };
     let mut frame_streams: Vec<(StreamId, Vec<FrameRecord>)> = streams
@@ -1128,13 +1027,16 @@ pub fn run_canonical_session(
         .iter()
         .map(|&s| (s, controller.stream_health_by_id(s)))
         .collect();
-    Ok(MultiStreamRecording {
-        driver,
-        imu,
-        frame_streams,
-        health,
-        max_clock_error,
-    })
+    Ok((
+        MultiStreamRecording {
+            driver,
+            imu,
+            frame_streams,
+            health,
+            max_clock_error: end.clock_errors.iter().copied().fold(0.0, f64::max),
+        },
+        end.chaos,
+    ))
 }
 
 /// Runs a canonical multi-stream campaign: one
@@ -1145,15 +1047,12 @@ pub fn run_canonical_session(
 /// Propagates per-session errors.
 pub fn run_canonical_campaign(
     world: &Arc<DrivingWorld>,
-    segments: &[Segment<darnet_sim::CanonicalBehavior>],
+    segments: &[Segment<CanonicalBehavior>],
     config: &CampaignConfig,
     streams: &[StreamId],
     link_overrides: &[(StreamId, LinkConfig)],
 ) -> Result<Vec<MultiStreamRecording>> {
-    let mut drivers: Vec<usize> = segments.iter().map(|s| s.driver).collect();
-    drivers.sort_unstable();
-    drivers.dedup();
-    drivers
+    drivers_of(segments)
         .into_iter()
         .map(|d| run_canonical_session(world, d, segments, config, streams, link_overrides))
         .collect()
@@ -1617,6 +1516,63 @@ mod tests {
             clean.frames_for(StreamId::CAMERA_FRONT).len()
         );
         assert_eq!(rec.imu.len(), clean.imu.len());
+    }
+
+    #[test]
+    fn canonical_session_with_crash_window_loses_no_acked_batch() {
+        // Crash tolerance used to live only in the two-agent loop; the
+        // one loop gives it to any stream set.
+        let storage = Arc::new(crate::wal::MemStorage::new());
+        let mut config = CampaignConfig::default();
+        config.link.loss = 0.05;
+        let (rec, chaos) = run_canonical_session_durable(
+            &world(),
+            0,
+            &canonical_schedule_short(),
+            &config,
+            &THREE_STREAMS,
+            &[],
+            &chaos_durability(Some(storage)),
+        )
+        .unwrap();
+        assert_eq!(chaos.recoveries, 2);
+        assert!(chaos.deliveries_while_down > 0 && chaos.replayed_records > 0);
+        assert!(chaos.torn_tail_bytes_discarded >= 13);
+        assert!(chaos.acked > 0);
+        assert_eq!(chaos.acked_lost, 0, "{} acked", chaos.acked);
+        // Hold-and-resume across the outages: every stream ends gap-free.
+        for s in THREE_STREAMS {
+            assert_eq!(rec.health_for(s).unwrap().gaps, 0, "gaps on {s}");
+        }
+
+        // And without a WAL the same windows lose acked side-camera
+        // batches like anyone else's.
+        let (_, lossy) = run_canonical_session_durable(
+            &world(),
+            0,
+            &canonical_schedule_short(),
+            &config,
+            &THREE_STREAMS,
+            &[],
+            &chaos_durability(None),
+        )
+        .unwrap();
+        assert!(lossy.acked_lost > 0);
+    }
+
+    #[test]
+    fn event_queue_pops_by_time_then_push_order() {
+        let mut q = EventQueue::new();
+        q.push(2.0, 'c');
+        q.push(f64::NAN, 'z');
+        q.push(1.0, 'a');
+        q.push(2.0, 'd');
+        q.push(f64::INFINITY, 'y');
+        q.push(1.0, 'b');
+        let order: String = std::iter::from_fn(|| q.pop()).map(|(_, k)| k).collect();
+        // Equal times keep push order; a NaN time sorts after everything.
+        assert_eq!(order, "abcdyz");
+        assert!(q.pop().is_none());
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Sensor abstraction and the two concrete DarNet sensors (camera + IMU)
-//! backed by the synthetic driving world.
+//! Sensor abstraction and the scripted DarNet sensor (IMU, front or side
+//! camera) backed by the synthetic driving world.
 
 use std::sync::Arc;
 
@@ -73,95 +73,27 @@ pub(crate) fn behavior_at(segments: &[Segment<Behavior>], t: f64) -> Behavior {
     scripted_at(segments, t, Behavior::NormalDriving)
 }
 
-/// The in-vehicle camera (the paper's Nexus 7 "dashcam" agent).
-pub struct CameraSensor {
-    world: Arc<DrivingWorld>,
+/// One driver's slice of a Table-1 script, embedded in the canonical
+/// taxonomy. The embedding keeps the class index, and the sim renders the
+/// six Table-1 classes bit-identically through either taxonomy, so a
+/// 6-class session is just a canonical session that never goes drowsy.
+pub(crate) fn canonical_script(
+    segments: &[Segment<Behavior>],
     driver: usize,
-    segments: Vec<Segment<Behavior>>,
-    period: f64,
-    name: String,
+) -> Vec<Segment<CanonicalBehavior>> {
+    segments
+        .iter()
+        .filter(|s| s.driver == driver)
+        .map(|s| Segment {
+            driver: s.driver,
+            behavior: CanonicalBehavior::from_behavior(s.behavior),
+            start: s.start,
+            duration: s.duration,
+        })
+        .collect()
 }
 
-impl CameraSensor {
-    /// Creates a camera for `driver` following the given (session-local,
-    /// sorted) segment script.
-    pub fn new(
-        world: Arc<DrivingWorld>,
-        driver: usize,
-        mut segments: Vec<Segment<Behavior>>,
-        period: f64,
-    ) -> Self {
-        segments.sort_by(|a, b| a.start.total_cmp(&b.start));
-        CameraSensor {
-            world,
-            driver,
-            segments,
-            period,
-            name: format!("camera.driver{driver}"),
-        }
-    }
-}
-
-impl Sensor for CameraSensor {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn period(&self) -> f64 {
-        self.period
-    }
-
-    fn sample(&mut self, t: f64) -> SensorReading {
-        let behavior = behavior_at(&self.segments, t);
-        SensorReading::Frame(self.world.render_frame(self.driver, behavior, t))
-    }
-}
-
-/// The driver's phone IMU (the paper's Nexus S agent: accelerometer,
-/// gyroscope, gravity, and rotation listeners at 25 ms).
-pub struct ImuSensor {
-    world: Arc<DrivingWorld>,
-    driver: usize,
-    segments: Vec<Segment<Behavior>>,
-    period: f64,
-    name: String,
-}
-
-impl ImuSensor {
-    /// Creates an IMU sensor for `driver` following the given script.
-    pub fn new(
-        world: Arc<DrivingWorld>,
-        driver: usize,
-        mut segments: Vec<Segment<Behavior>>,
-        period: f64,
-    ) -> Self {
-        segments.sort_by(|a, b| a.start.total_cmp(&b.start));
-        ImuSensor {
-            world,
-            driver,
-            segments,
-            period,
-            name: format!("imu.driver{driver}"),
-        }
-    }
-}
-
-impl Sensor for ImuSensor {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn period(&self) -> f64 {
-        self.period
-    }
-
-    fn sample(&mut self, t: f64) -> SensorReading {
-        let behavior = behavior_at(&self.segments, t);
-        SensorReading::Imu(self.world.imu_sample(self.driver, behavior, t))
-    }
-}
-
-/// Which physical camera a canonical-session camera sensor models.
+/// Which physical camera a scripted camera sensor models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CameraView {
     /// The dash-mounted front view (the paper's Nexus 7 placement).
@@ -170,92 +102,70 @@ pub enum CameraView {
     Side,
 }
 
-/// A camera over the 8-class canonical script: front or side view of the
-/// same scripted session, so a multi-stream campaign can register two
-/// camera streams that disagree in geometry but agree in ground truth.
-pub struct CanonicalCameraSensor {
+/// A sensor of the synthetic driving world following one driver's
+/// canonical script: the phone IMU (the paper's Nexus S agent:
+/// accelerometer, gyroscope, gravity, and rotation listeners at 25 ms;
+/// drowsy classes emit micro-correction signatures instead of
+/// manipulation jitter) or a camera in one of two views of the same
+/// session, which disagree in geometry but agree in ground truth.
+pub struct ScriptedSensor {
     world: Arc<DrivingWorld>,
     driver: usize,
     segments: Vec<Segment<CanonicalBehavior>>,
     period: f64,
-    view: CameraView,
+    /// `None` for the IMU.
+    view: Option<CameraView>,
     name: String,
 }
 
-impl CanonicalCameraSensor {
-    /// Creates a canonical camera for `driver` with the given view.
-    pub fn new(
+impl ScriptedSensor {
+    fn new(
         world: Arc<DrivingWorld>,
         driver: usize,
         mut segments: Vec<Segment<CanonicalBehavior>>,
         period: f64,
-        view: CameraView,
+        view: Option<CameraView>,
     ) -> Self {
         segments.sort_by(|a, b| a.start.total_cmp(&b.start));
         let tag = match view {
-            CameraView::Front => "front",
-            CameraView::Side => "side",
+            None => "imu",
+            Some(CameraView::Front) => "camera.front",
+            Some(CameraView::Side) => "camera.side",
         };
-        CanonicalCameraSensor {
+        ScriptedSensor {
             world,
             driver,
             segments,
             period,
             view,
-            name: format!("camera.{tag}.driver{driver}"),
+            name: format!("{tag}.driver{driver}"),
         }
     }
-}
 
-impl Sensor for CanonicalCameraSensor {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn period(&self) -> f64 {
-        self.period
-    }
-
-    fn sample(&mut self, t: f64) -> SensorReading {
-        let class = scripted_at(&self.segments, t, CanonicalBehavior::NormalDriving);
-        let frame = match self.view {
-            CameraView::Front => self.world.render_canonical_frame(self.driver, class, t),
-            CameraView::Side => self.world.render_side_frame(self.driver, class, t),
-        };
-        SensorReading::Frame(frame)
-    }
-}
-
-/// The phone IMU over the 8-class canonical script (drowsy classes emit
-/// micro-correction signatures instead of manipulation jitter).
-pub struct CanonicalImuSensor {
-    world: Arc<DrivingWorld>,
-    driver: usize,
-    segments: Vec<Segment<CanonicalBehavior>>,
-    period: f64,
-    name: String,
-}
-
-impl CanonicalImuSensor {
-    /// Creates a canonical IMU sensor for `driver`.
-    pub fn new(
+    /// The phone IMU of `driver` following the given (session-local)
+    /// segment script.
+    pub fn imu(
         world: Arc<DrivingWorld>,
         driver: usize,
-        mut segments: Vec<Segment<CanonicalBehavior>>,
+        segments: Vec<Segment<CanonicalBehavior>>,
         period: f64,
     ) -> Self {
-        segments.sort_by(|a, b| a.start.total_cmp(&b.start));
-        CanonicalImuSensor {
-            world,
-            driver,
-            segments,
-            period,
-            name: format!("imu.driver{driver}"),
-        }
+        ScriptedSensor::new(world, driver, segments, period, None)
+    }
+
+    /// A camera on `driver` with the given view.
+    pub fn camera(
+        world: Arc<DrivingWorld>,
+        driver: usize,
+        segments: Vec<Segment<CanonicalBehavior>>,
+        period: f64,
+        view: CameraView,
+    ) -> Self {
+        ScriptedSensor::new(world, driver, segments, period, Some(view))
     }
 }
 
-impl Sensor for CanonicalImuSensor {
+impl Sensor for ScriptedSensor {
     fn name(&self) -> &str {
         &self.name
     }
@@ -266,7 +176,15 @@ impl Sensor for CanonicalImuSensor {
 
     fn sample(&mut self, t: f64) -> SensorReading {
         let class = scripted_at(&self.segments, t, CanonicalBehavior::NormalDriving);
-        SensorReading::Imu(self.world.imu_sample_canonical(self.driver, class, t))
+        match self.view {
+            None => SensorReading::Imu(self.world.imu_sample_canonical(self.driver, class, t)),
+            Some(CameraView::Front) => {
+                SensorReading::Frame(self.world.render_canonical_frame(self.driver, class, t))
+            }
+            Some(CameraView::Side) => {
+                SensorReading::Frame(self.world.render_side_frame(self.driver, class, t))
+            }
+        }
     }
 }
 
@@ -309,9 +227,32 @@ mod tests {
     }
 
     #[test]
+    fn canonical_script_keeps_one_driver_and_the_class_index() {
+        let mut s = script();
+        s.push(Segment {
+            driver: 1,
+            behavior: Behavior::Reaching,
+            start: 0.0,
+            duration: 5.0,
+        });
+        let canon = canonical_script(&s, 0);
+        assert_eq!(canon.len(), 3);
+        for (c, b) in canon.iter().zip(&s) {
+            assert_eq!(c.behavior.index(), b.behavior.index());
+            assert_eq!((c.driver, c.start, c.duration), (0, b.start, b.duration));
+        }
+    }
+
+    #[test]
     fn camera_sensor_emits_frames() {
         let world = Arc::new(DrivingWorld::new(WorldConfig::default()));
-        let mut cam = CameraSensor::new(world, 0, script(), 0.25);
+        let mut cam = ScriptedSensor::camera(
+            world,
+            0,
+            canonical_script(&script(), 0),
+            0.25,
+            CameraView::Front,
+        );
         assert_eq!(cam.period(), 0.25);
         assert!(cam.name().contains("camera"));
         let reading = cam.sample(1.0);
@@ -322,7 +263,7 @@ mod tests {
     #[test]
     fn imu_sensor_emits_samples() {
         let world = Arc::new(DrivingWorld::new(WorldConfig::default()));
-        let mut imu = ImuSensor::new(world, 1, script(), 0.025);
+        let mut imu = ScriptedSensor::imu(world, 1, canonical_script(&script(), 0), 0.025);
         let reading = imu.sample(20.0);
         assert!(reading.as_imu().is_some());
     }
@@ -330,15 +271,22 @@ mod tests {
     #[test]
     fn sensors_are_boxable_as_trait_objects() {
         let world = Arc::new(DrivingWorld::new(WorldConfig::default()));
+        let script = canonical_script(&script(), 0);
         let sensors: Vec<Box<dyn Sensor>> = vec![
-            Box::new(CameraSensor::new(Arc::clone(&world), 0, script(), 0.25)),
-            Box::new(ImuSensor::new(world, 0, script(), 0.025)),
+            Box::new(ScriptedSensor::camera(
+                Arc::clone(&world),
+                0,
+                script.clone(),
+                0.25,
+                CameraView::Side,
+            )),
+            Box::new(ScriptedSensor::imu(world, 0, script, 0.025)),
         ];
         assert_eq!(sensors.len(), 2);
     }
 
     #[test]
-    fn canonical_sensors_follow_the_8_class_script() {
+    fn scripted_sensors_follow_the_8_class_script() {
         let world = Arc::new(DrivingWorld::new(WorldConfig::default()));
         let script = vec![
             Segment {
@@ -354,21 +302,21 @@ mod tests {
                 duration: 10.0,
             },
         ];
-        let mut front = CanonicalCameraSensor::new(
+        let mut front = ScriptedSensor::camera(
             Arc::clone(&world),
             0,
             script.clone(),
             0.25,
             CameraView::Front,
         );
-        let mut side = CanonicalCameraSensor::new(
+        let mut side = ScriptedSensor::camera(
             Arc::clone(&world),
             0,
             script.clone(),
             0.25,
             CameraView::Side,
         );
-        let mut imu = CanonicalImuSensor::new(Arc::clone(&world), 0, script, 0.025);
+        let mut imu = ScriptedSensor::imu(Arc::clone(&world), 0, script, 0.025);
         assert!(front.name().contains("camera.front"));
         assert!(side.name().contains("camera.side"));
         let f = front.sample(2.0);
@@ -376,21 +324,28 @@ mod tests {
         // Same instant, same scripted class, different geometry.
         assert_ne!(f.as_frame().unwrap(), s.as_frame().unwrap());
         assert!(imu.sample(2.0).as_imu().is_some());
-        // Base classes route through the legacy render path bitwise.
+        // Base classes route through the Table-1 render path bitwise —
+        // what lets the 6-class session run on this one sensor.
         let legacy = world.render_frame(0, Behavior::Texting, 12.0);
         assert_eq!(front.sample(12.0).as_frame().unwrap(), &legacy);
+        let legacy_imu = world.imu_sample(0, Behavior::Texting, 12.0);
+        assert_eq!(imu.sample(12.0).as_imu().unwrap(), &legacy_imu);
     }
 
     #[test]
     fn unsorted_script_is_sorted_on_construction() {
         let world = Arc::new(DrivingWorld::new(WorldConfig::default()));
-        let mut rev = script();
+        let mut rev = canonical_script(&script(), 0);
         rev.reverse();
-        let mut cam = CameraSensor::new(world, 0, rev, 0.25);
+        let mut cam = ScriptedSensor::camera(Arc::clone(&world), 0, rev, 0.25, CameraView::Front);
         // Still resolves the right behaviour.
-        let f_texting = cam.sample(20.0);
-        let f_normal = cam.sample(5.0);
-        assert!(f_texting.as_frame().is_some());
-        assert!(f_normal.as_frame().is_some());
+        assert_eq!(
+            cam.sample(20.0).as_frame().unwrap(),
+            &world.render_frame(0, Behavior::Texting, 20.0)
+        );
+        assert_eq!(
+            cam.sample(5.0).as_frame().unwrap(),
+            &world.render_frame(0, Behavior::NormalDriving, 5.0)
+        );
     }
 }

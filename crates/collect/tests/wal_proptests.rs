@@ -8,8 +8,8 @@ use std::sync::Arc;
 
 use darnet_collect::wal;
 use darnet_collect::{
-    decode_batch, encode_batch, replay_into, Batch, Controller, ControllerConfig, MemStorage,
-    SensorReading, StampedReading, WalConfig, WalStorage,
+    decode_batch, encode_batch, replay_into, Batch, Controller, ControllerConfig, IngestOutcome,
+    MemStorage, SensorReading, StampedReading, WalConfig, WalStorage,
 };
 use darnet_sim::ImuSample;
 use proptest::prelude::*;
@@ -40,8 +40,11 @@ fn imu_batch(seq: u32, t0: f64, n: usize) -> Batch {
 }
 
 /// Builds a log on `storage`: one batch per entry in `sizes`, snapshotting
-/// whenever the cadence asks. Returns the live controller for digest
-/// comparison.
+/// whenever the cadence asks. Every third batch is delivered twice, as a
+/// lossy ack link makes routine: the duplicate is refused, never logged,
+/// and only a snapshot carries its tally — so a recovery sees fewer
+/// duplicates than the live controller did. Returns the live controller
+/// for digest comparison.
 #[allow(clippy::expect_used)] // test helper: a failed expect IS the test failing
 fn build_log(storage: &Arc<dyn WalStorage>, config: WalConfig, sizes: &[usize]) -> Controller {
     let (mut live, mut wal, _) =
@@ -51,6 +54,12 @@ fn build_log(storage: &Arc<dyn WalStorage>, config: WalConfig, sizes: &[usize]) 
         let batch = imu_batch(i as u32, arrival, n);
         live.offer_at(arrival, &batch, Some(&mut wal))
             .expect("offer");
+        if i % 3 == 0 {
+            let again = live
+                .offer_at(arrival + 0.05, &batch, Some(&mut wal))
+                .expect("duplicate offer");
+            assert_eq!(again, IngestOutcome::Duplicate);
+        }
         if wal.needs_snapshot() {
             wal.snapshot(&live).expect("snapshot");
         }
