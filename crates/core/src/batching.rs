@@ -14,12 +14,13 @@
 //! discrete-event style of [`darnet_collect::runtime`].
 
 use darnet_collect::runtime::AlignedTuple;
+use darnet_collect::StreamId;
 use darnet_sim::Frame;
 use darnet_tensor::Tensor;
 
 use crate::dataset::{IMU_FEATURES, WINDOW_LEN};
-use crate::engine::{AnalyticsEngine, StepClassification};
 use crate::error::CoreError;
+use crate::registry::{FusedRow, MultiModalEngine, MultiStepClassification, StreamInput};
 use crate::Result;
 
 /// Flush policy for a [`MicroBatcher`].
@@ -142,41 +143,52 @@ pub fn tuples_to_inputs(tuples: &[AlignedTuple]) -> Result<(Vec<Frame>, Tensor)>
     Ok((frames, windows))
 }
 
-impl AnalyticsEngine {
-    /// Classifies a flushed micro-batch of aligned tuples — the
-    /// collect-to-engine feed path. Results are in tuple order and
-    /// identical to classifying each tuple alone.
+impl MultiModalEngine {
+    /// The collect-to-engine feed path: classifies a flushed micro-batch
+    /// of aligned tuples, each tuple's frame feeding the `camera` stream
+    /// and its IMU window the `imu` stream. Input assembly runs on the
+    /// session's reused buffers — the window tensor is a workspace
+    /// checkout and frames are `clone_pixels_from`ed into an engine-owned
+    /// scratch list, so their pixel buffers keep their capacity — so
+    /// after one warm-up call at a given batch shape the drain loop
+    /// performs zero heap allocations per flush. Results are in tuple
+    /// order, written into `out` as
+    /// [`MultiModalEngine::classify_batch_into`] would.
     ///
     /// # Errors
     ///
-    /// Propagates model and window-shape errors.
-    pub fn classify_tuples(&mut self, tuples: &[AlignedTuple]) -> Result<Vec<StepClassification>> {
-        let (frames, windows) = tuples_to_inputs(tuples)?;
-        self.classify_batch(&frames, &windows)
-    }
-
-    /// [`AnalyticsEngine::classify_tuples`] on the session's reused
-    /// buffers: the frame scratch list and window tensor are engine-owned
-    /// (frames are `clone_from`ed into place, so their pixel buffers keep
-    /// their capacity), and classification runs through
-    /// [`AnalyticsEngine::classify_batch_into`]. After one warm-up call
-    /// at a given batch shape the drain loop performs zero heap
-    /// allocations per flush; results are bitwise-identical to
-    /// [`AnalyticsEngine::classify_tuples`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates model and window-shape errors.
+    /// Returns a dataset error when a tuple's window is not
+    /// `WINDOW_LEN × IMU_FEATURES` long; otherwise as
+    /// [`MultiModalEngine::classify_batch_checked_into`].
     // darlint: hot
     pub fn classify_tuples_into(
         &mut self,
+        camera: StreamId,
+        imu: StreamId,
         tuples: &[AlignedTuple],
-        out: &mut Vec<StepClassification>,
+        out: &mut Vec<MultiStepClassification>,
     ) -> Result<()> {
+        let n = self.classify_tuple_rows(camera, imu, tuples, |row| {
+            MultiStepClassification::write_row(out, row)
+        })?;
+        out.truncate(n);
+        Ok(())
+    }
+
+    /// [`MultiModalEngine::classify_tuples_into`] over
+    /// [`MultiModalEngine::classify_rows`]: the tuple→input assembly,
+    /// with the result type left to the row writer.
+    // darlint: hot
+    pub(crate) fn classify_tuple_rows(
+        &mut self,
+        camera: StreamId,
+        imu: StreamId,
+        tuples: &[AlignedTuple],
+        write: impl FnMut(FusedRow<'_>) -> Result<()>,
+    ) -> Result<usize> {
         let n = tuples.len();
         if n == 0 {
-            out.clear();
-            return Ok(());
+            return Ok(0);
         }
         let row = WINDOW_LEN * IMU_FEATURES;
         for tup in tuples {
@@ -202,7 +214,11 @@ impl AnalyticsEngine {
             }
         }
         frames.truncate(n);
-        let result = self.classify_batch_into(&frames, &windows, out);
+        let inputs = [
+            (camera, StreamInput::Frames(&frames)),
+            (imu, StreamInput::Windows(&windows)),
+        ];
+        let result = self.classify_rows(&inputs, &[], write);
         self.tuple_frames = frames;
         self.ws.restore(windows);
         result

@@ -2,16 +2,19 @@
 //! device data-streams and models, combined at a later stage, classifying
 //! at each time-step for near-real-time detection.
 
+use darnet_collect::runtime::AlignedTuple;
+use darnet_collect::StreamId;
 use darnet_sim::{Behavior, Frame};
-use darnet_tensor::{Parallelism, Tensor, Workspace};
+use darnet_tensor::{Parallelism, Tensor};
 
-use crate::dataset::{frames_to_tensor, frames_to_tensor_into, IMU_FEATURES, WINDOW_LEN};
-use crate::ensemble::{BayesianCombiner, CombinerKind, NaryBayesianCombiner};
+use crate::batching::tuples_to_inputs;
+use crate::dataset::{frames_to_tensor, IMU_FEATURES, WINDOW_LEN};
+use crate::ensemble::{BayesianCombiner, CombinerKind};
 use crate::error::CoreError;
 use crate::health::ModalityStatus;
 use crate::models::{FrameCnn, ImuRnn, ImuSvm};
 use crate::privacy::{Downsampler, PrivacyLevel};
-use crate::registry::{product_combine_subset_into, ModalityDescriptor};
+use crate::registry::{FusedRow, MultiModalEngine, StreamInput, StreamModelSlot};
 use crate::Result;
 
 /// Engine configuration.
@@ -96,33 +99,72 @@ pub struct StepClassification {
     pub degraded: bool,
 }
 
-/// The assembled engine: frame CNN + IMU model + combiner, with optional
-/// per-privacy-level dCNN students for distorted input.
+impl StepClassification {
+    /// The two-stream row writer: updates entry `row.index` of a reused
+    /// output vector in place (its inner vectors keep their capacity),
+    /// growing the vector by one while it is still shorter than the
+    /// batch. `row.parents` is `[camera, imu]`, the pair's registry
+    /// order; both are present on this path.
+    // darlint: hot
+    fn write_row(out: &mut Vec<Self>, row: FusedRow<'_>) -> Result<()> {
+        let behavior = Behavior::from_index(row.class)
+            .ok_or_else(|| CoreError::Dataset(format!("class index {} out of range", row.class)))?;
+        let &[Some(cnn_probs), Some(imu_probs)] = row.parents else {
+            return Err(CoreError::NotReady(
+                "pair engine fused a step without both posteriors".into(),
+            ));
+        };
+        if out.len() <= row.index {
+            // Growth path: only taken during warm-up or at a larger
+            // batch shape; the empty vectors are filled just below.
+            out.push(StepClassification {
+                behavior,
+                scores: Vec::new(),
+                cnn_probs: Vec::new(),
+                imu_probs: Vec::new(),
+                source: FusionSource::Fused,
+                degraded: false,
+            });
+        }
+        if let Some(slot) = out.get_mut(row.index) {
+            slot.behavior = behavior;
+            slot.scores.clear();
+            slot.scores.extend_from_slice(row.scores);
+            slot.cnn_probs.clear();
+            slot.cnn_probs.extend_from_slice(cnn_probs);
+            slot.imu_probs.clear();
+            slot.imu_probs.extend_from_slice(imu_probs);
+            slot.source = FusionSource::Fused;
+            slot.degraded = false;
+        }
+        Ok(())
+    }
+}
+
+/// The assembled two-stream engine: frame CNN + IMU model + combiner,
+/// with optional per-privacy-level dCNN students for distorted input.
+///
+/// It is the N=2 configuration of the registry engine, kept as its own
+/// type for two reasons. The `classify_*_into` methods are thin
+/// delegations to an inner [`MultiModalEngine`] — the crate's only
+/// zero-alloc classify implementation — with a row writer that fills
+/// [`StepClassification`]s. The allocating `classify_step` /
+/// `classify_batch` / `classify_step_degraded` / `classify_step_private`
+/// methods are the *reference path*: they run each model's allocating
+/// `predict_proba` and build fresh vectors per step, sharing no
+/// workspace with the `_into` path, and are what the N=2 bitwise
+/// proptests and `bench_inference`'s `*_alloc` baselines compare the
+/// registry against. That is why they stay.
 pub struct AnalyticsEngine {
-    cnn: FrameCnn,
-    imu: ImuModelSlot,
-    /// The fitted pair combiner, held in its N-ary registry form: the
-    /// legacy CPT is carried over verbatim, so N=2 fusion through
-    /// [`NaryBayesianCombiner::combine_subset_into`] is bit-for-bit the
-    /// historical [`BayesianCombiner::combine_into`].
-    nary: NaryBayesianCombiner,
-    /// Registry descriptors for the engine's two fixed streams, in the
-    /// legacy CPT's parent order: front camera (identity) then IMU
-    /// (6→3 projection).
-    descriptors: [ModalityDescriptor; 2],
+    /// The registry engine over `[CAMERA_FRONT, IMU]` (the pair CPT's
+    /// parent order). It owns both models, the fitted combiner, and every
+    /// session buffer of the zero-alloc path.
+    inner: MultiModalEngine,
     config: EngineConfig,
     downsampler: Downsampler,
     students: Vec<(PrivacyLevel, FrameCnn)>,
     fallbacks: FallbackCounters,
     parallelism: Parallelism,
-    /// Session buffers for the zero-alloc `*_into` classification path:
-    /// a workspace for the assembled input tensors plus flat probability
-    /// and score buffers reused across calls.
-    pub(crate) ws: Workspace,
-    cnn_buf: Vec<f32>,
-    imu_buf: Vec<f32>,
-    scores_buf: Vec<f32>,
-    pub(crate) tuple_frames: Vec<Frame>,
 }
 
 impl AnalyticsEngine {
@@ -134,37 +176,28 @@ impl AnalyticsEngine {
         config: EngineConfig,
     ) -> Self {
         let full = cnn.config().input_size;
+        let imu = match imu {
+            ImuModelSlot::Rnn(m) => StreamModelSlot::Rnn(m),
+            ImuModelSlot::Svm(m) => StreamModelSlot::Svm(m),
+        };
         AnalyticsEngine {
-            cnn,
-            imu,
-            nary: combiner.to_nary(),
-            descriptors: [
-                ModalityDescriptor::darnet_camera(),
-                ModalityDescriptor::darnet_imu(),
-            ],
+            // The pair CPT is carried over verbatim into its N-ary form,
+            // so N=2 fusion is bit-for-bit the historical pair combiner.
+            inner: MultiModalEngine::darnet_pair(config.combiner, cnn, imu, combiner.to_nary()),
             config,
             downsampler: Downsampler::new(full),
             students: Vec::new(),
             fallbacks: FallbackCounters::default(),
             parallelism: Parallelism::serial(),
-            ws: Workspace::new(),
-            cnn_buf: Vec::new(),
-            imu_buf: Vec::new(),
-            scores_buf: Vec::new(),
-            tuple_frames: Vec::new(),
         }
     }
 
     /// Installs a [`Parallelism`] handle: every model's tensor products
     /// fan out across its threads, and a non-serial handle additionally
-    /// runs the CNN and IMU branches of [`AnalyticsEngine::classify_batch`]
-    /// concurrently.
+    /// runs the CNN and IMU branches of a batch concurrently.
     pub fn set_parallelism(&mut self, par: Parallelism) {
         self.parallelism = par;
-        self.cnn.set_parallelism(par);
-        if let ImuModelSlot::Rnn(m) = &mut self.imu {
-            m.set_parallelism(par);
-        }
+        self.inner.set_parallelism(par);
         for (_, student) in &mut self.students {
             student.set_parallelism(par);
         }
@@ -180,7 +213,7 @@ impl AnalyticsEngine {
     /// misses stay constant across calls — the observable form of the
     /// zero-alloc steady state (DESIGN.md §12).
     pub fn workspace_stats(&self) -> (u64, u64) {
-        (self.ws.pool_hits(), self.ws.cold_misses())
+        self.inner.workspace_stats()
     }
 
     /// Registers a distilled dCNN student for a privacy level.
@@ -195,6 +228,22 @@ impl AnalyticsEngine {
         self.students.iter().map(|(l, _)| *l).collect()
     }
 
+    /// The pair's models in registry order: (front-camera CNN, IMU model).
+    fn models(&mut self) -> Result<(&mut StreamModelSlot, &mut StreamModelSlot)> {
+        let mut models = self.inner.models_mut();
+        match (models.next(), models.next()) {
+            (Some(cnn), Some(imu)) => Ok((cnn, imu)),
+            _ => Err(CoreError::NotReady(
+                "pair engine is missing a stream model".into(),
+            )),
+        }
+    }
+
+    fn cnn_probs(&mut self, frame: &Frame) -> Result<Vec<f32>> {
+        let frames = frames_to_tensor(std::slice::from_ref(frame))?;
+        Ok(self.models()?.0.predict_proba(&frames)?.into_vec())
+    }
+
     fn imu_probs(&mut self, window: &Tensor) -> Result<Vec<f32>> {
         if window.dims() != [1, WINDOW_LEN, IMU_FEATURES] {
             return Err(CoreError::Dataset(format!(
@@ -202,48 +251,18 @@ impl AnalyticsEngine {
                 window.dims()
             )));
         }
-        let probs = match &mut self.imu {
-            ImuModelSlot::Rnn(m) => m.predict_proba(window)?,
-            ImuModelSlot::Svm(m) => m.predict_proba(window)?,
-        };
-        Ok(probs.into_vec())
+        Ok(self.models()?.1.predict_proba(window)?.into_vec())
     }
 
-    fn fuse(&self, cnn_probs: &[f32], imu_probs: &[f32]) -> Result<Vec<f32>> {
+    /// Fuses one step's posteriors through the registry's fusion policy:
+    /// both present → the configured pair combiner; one absent → the
+    /// survivor's class-map expansion (the CNN posterior verbatim, or
+    /// each IMU class's mass split uniformly across the behaviours
+    /// mapping to it).
+    fn fuse(&self, cnn_probs: Option<&[f32]>, imu_probs: Option<&[f32]>) -> Result<Vec<f32>> {
         let mut scores = Vec::with_capacity(6);
-        self.fuse_into(cnn_probs, imu_probs, &mut scores)?;
+        self.inner.fuse_row(&[cnn_probs, imu_probs], &mut scores)?;
         Ok(scores)
-    }
-
-    /// Fuses the pair of posteriors through the registry primitives (the
-    /// N=2 special case): bitwise-identical to the historical pair
-    /// combiners.
-    // darlint: hot
-    fn fuse_into(&self, cnn_probs: &[f32], imu_probs: &[f32], scores: &mut Vec<f32>) -> Result<()> {
-        match self.config.combiner {
-            CombinerKind::Bayesian => self
-                .nary
-                .combine_subset_into(&[Some(cnn_probs), Some(imu_probs)], scores),
-            CombinerKind::Product => product_combine_subset_into(
-                &[
-                    (
-                        Some(cnn_probs),
-                        &self.descriptors[0].class_map,
-                        self.descriptors[0].weight,
-                    ),
-                    (
-                        Some(imu_probs),
-                        &self.descriptors[1].class_map,
-                        self.descriptors[1].weight,
-                    ),
-                ],
-                6,
-                scores,
-            ),
-            CombinerKind::CnnOnly => self.descriptors[0]
-                .class_map
-                .expand_into(cnn_probs, 6, scores),
-        }
     }
 
     fn decide(
@@ -286,20 +305,8 @@ impl AnalyticsEngine {
         window: &Tensor,
     ) -> Result<StepClassification> {
         let imu_probs = self.imu_probs(window)?;
-        let scores = self.fuse(&cnn_probs, &imu_probs)?;
+        let scores = self.fuse(Some(&cnn_probs), Some(&imu_probs))?;
         self.decide(scores, cnn_probs, imu_probs, FusionSource::Fused, false)
-    }
-
-    /// Expands the IMU model's 3-class posterior onto the 6-class
-    /// taxonomy via the registry's projection expansion (each IMU
-    /// class's mass split uniformly across the behaviours mapping to
-    /// it) — bitwise the historical hand-rolled expansion.
-    fn imu_only_scores(&self, imu_probs: &[f32]) -> Result<Vec<f32>> {
-        let mut scores = Vec::with_capacity(6);
-        self.descriptors[1]
-            .class_map
-            .expand_into(imu_probs, 6, &mut scores)?;
-        Ok(scores)
     }
 
     /// Degradation-tolerant classification: classifies from whichever
@@ -326,10 +333,10 @@ impl AnalyticsEngine {
                 Ok(out)
             }
             (Some(frame), None) => {
-                let frames = frames_to_tensor(std::slice::from_ref(frame))?;
-                let cnn_probs = self.cnn.predict_proba(&frames)?.into_vec();
+                let cnn_probs = self.cnn_probs(frame)?;
+                let scores = self.fuse(Some(&cnn_probs), None)?;
                 self.decide(
-                    cnn_probs.clone(),
+                    scores,
                     cnn_probs,
                     Vec::new(),
                     FusionSource::CnnOnly,
@@ -338,7 +345,7 @@ impl AnalyticsEngine {
             }
             (None, Some(window)) => {
                 let imu_probs = self.imu_probs(window)?;
-                let scores = self.imu_only_scores(&imu_probs)?;
+                let scores = self.fuse(None, Some(&imu_probs))?;
                 self.decide(
                     scores,
                     Vec::new(),
@@ -385,8 +392,7 @@ impl AnalyticsEngine {
     /// Propagates model errors; returns a dataset error on a malformed
     /// window.
     pub fn classify_step(&mut self, frame: &Frame, window: &Tensor) -> Result<StepClassification> {
-        let frames = frames_to_tensor(std::slice::from_ref(frame))?;
-        let cnn_probs = self.cnn.predict_proba(&frames)?.into_vec();
+        let cnn_probs = self.cnn_probs(frame)?;
         self.classify_with_cnn_probs(cnn_probs, window)
     }
 
@@ -408,12 +414,7 @@ impl AnalyticsEngine {
         windows: &Tensor,
     ) -> Result<Vec<StepClassification>> {
         let n = frames.len();
-        if windows.dims() != [n, WINDOW_LEN, IMU_FEATURES] {
-            return Err(CoreError::Dataset(format!(
-                "expected [{n}, {WINDOW_LEN}, {IMU_FEATURES}] windows, got {:?}",
-                windows.dims()
-            )));
-        }
+        check_windows(n, windows)?;
         if n == 0 {
             return Ok(Vec::new());
         }
@@ -425,10 +426,22 @@ impl AnalyticsEngine {
         for i in 0..n {
             let cp = cnn_probs.data()[i * classes..(i + 1) * classes].to_vec();
             let ip = imu_probs.data()[i * imu_classes..(i + 1) * imu_classes].to_vec();
-            let scores = self.fuse(&cp, &ip)?;
+            let scores = self.fuse(Some(&cp), Some(&ip))?;
             out.push(self.decide(scores, cp, ip, FusionSource::Fused, false)?);
         }
         Ok(out)
+    }
+
+    /// Classifies a flushed micro-batch of aligned tuples — the
+    /// collect-to-engine feed path. Results are in tuple order and
+    /// identical to classifying each tuple alone.
+    ///
+    /// # Errors
+    ///
+    /// Propagates model and window-shape errors.
+    pub fn classify_tuples(&mut self, tuples: &[AlignedTuple]) -> Result<Vec<StepClassification>> {
+        let (frames, windows) = tuples_to_inputs(tuples)?;
+        self.classify_batch(&frames, &windows)
     }
 
     /// [`AnalyticsEngine::classify_step`] on the session's reused
@@ -451,12 +464,11 @@ impl AnalyticsEngine {
     /// [`AnalyticsEngine::classify_batch`] writing results into a reused
     /// output vector: existing entries are updated in place (their inner
     /// vectors keep their capacity) and the vector is truncated or grown
-    /// to the batch length. After one warm-up call at a given batch
-    /// shape, a steady-state call performs **zero heap allocations** end
-    /// to end — input assembly, both model branches, fusion, and result
-    /// write-back all run on workspace checkouts and reused buffers —
-    /// and every result is bitwise-identical to
-    /// [`AnalyticsEngine::classify_batch`].
+    /// to the batch length. The work is the inner registry engine's
+    /// [`MultiModalEngine::classify_batch_checked_into`]; after one
+    /// warm-up call at a given batch shape, a steady-state call performs
+    /// **zero heap allocations** end to end, and every result is
+    /// bitwise-identical to [`AnalyticsEngine::classify_batch`].
     ///
     /// # Errors
     ///
@@ -469,123 +481,48 @@ impl AnalyticsEngine {
         windows: &Tensor,
         out: &mut Vec<StepClassification>,
     ) -> Result<()> {
-        let n = frames.len();
-        if windows.dims() != [n, WINDOW_LEN, IMU_FEATURES] {
-            return Err(CoreError::Dataset(format!(
-                "expected [{n}, {WINDOW_LEN}, {IMU_FEATURES}] windows, got {:?}",
-                windows.dims()
-            )));
-        }
-        if n == 0 {
+        check_windows(frames.len(), windows)?;
+        if frames.is_empty() {
             out.clear();
             return Ok(());
         }
-        let (w, h) = (frames[0].width(), frames[0].height());
-        let mut frame_tensor = self.ws.checkout(&[n, 1, h, w]);
-        let filled = frames_to_tensor_into(frames, &mut frame_tensor);
-        if let Err(e) = filled {
-            self.ws.restore(frame_tensor);
-            return Err(e);
-        }
-        let branches = self.predict_branches_into(&frame_tensor, windows);
-        self.ws.restore(frame_tensor);
-        branches?;
-        let classes = self.cnn_buf.len() / n;
-        let imu_classes = self.imu_buf.len() / n;
-        // Take the buffers out of `self` so the per-item loop can borrow
-        // them as slices while `self` mutates its counters. On an error
-        // return they stay taken (empty); that only forfeits their reuse.
-        let cnn_buf = std::mem::take(&mut self.cnn_buf);
-        let imu_buf = std::mem::take(&mut self.imu_buf);
-        let mut scores = std::mem::take(&mut self.scores_buf);
-        for i in 0..n {
-            let cp = &cnn_buf[i * classes..(i + 1) * classes];
-            let ip = &imu_buf[i * imu_classes..(i + 1) * imu_classes];
-            self.fuse_into(cp, ip, &mut scores)?;
-            let best = scores
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.total_cmp(b.1))
-                .map(|(c, _)| c)
-                .unwrap_or(0);
-            let behavior = Behavior::from_index(best)
-                .ok_or_else(|| CoreError::Dataset(format!("class index {best} out of range")))?;
-            self.fallbacks.fused += 1;
-            if let Some(slot) = out.get_mut(i) {
-                slot.behavior = behavior;
-                slot.scores.clear();
-                slot.scores.extend_from_slice(&scores);
-                slot.cnn_probs.clear();
-                slot.cnn_probs.extend_from_slice(cp);
-                slot.imu_probs.clear();
-                slot.imu_probs.extend_from_slice(ip);
-                slot.source = FusionSource::Fused;
-                slot.degraded = false;
-            } else {
-                // Growth path: only taken while `out` is still shorter
-                // than the batch (warm-up or a larger batch shape).
-                out.push(StepClassification {
-                    behavior,
-                    scores: scores.clone(),
-                    // darlint: allow(hot-alloc) — growth path, never taken warm
-                    cnn_probs: cp.to_vec(),
-                    // darlint: allow(hot-alloc) — growth path, never taken warm
-                    imu_probs: ip.to_vec(),
-                    source: FusionSource::Fused,
-                    degraded: false,
-                });
-            }
-        }
+        let inputs = [
+            (StreamId::CAMERA_FRONT, StreamInput::Frames(frames)),
+            (StreamId::IMU, StreamInput::Windows(windows)),
+        ];
+        let n = self
+            .inner
+            .classify_rows(&inputs, &[], |row| StepClassification::write_row(out, row))?;
         out.truncate(n);
-        self.cnn_buf = cnn_buf;
-        self.imu_buf = imu_buf;
-        self.scores_buf = scores;
+        self.fallbacks.fused += n as u64;
         Ok(())
     }
 
-    /// Runs both model branches over a batch through their zero-alloc
-    /// `predict_proba_into` paths, filling `self.cnn_buf` / `self.imu_buf`
-    /// with row-major probabilities. Same branch/thread structure as
-    /// [`AnalyticsEngine::predict_branches`].
+    /// [`AnalyticsEngine::classify_tuples`] on the session's reused
+    /// buffers, through the registry's tuple feed path
+    /// ([`MultiModalEngine::classify_tuples_into`]). After one warm-up
+    /// call at a given batch shape the drain loop performs zero heap
+    /// allocations per flush; results are bitwise-identical to
+    /// [`AnalyticsEngine::classify_tuples`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates model and window-shape errors.
     // darlint: hot
-    fn predict_branches_into(&mut self, frame_tensor: &Tensor, windows: &Tensor) -> Result<()> {
-        let AnalyticsEngine {
-            cnn,
-            imu,
-            parallelism,
-            cnn_buf,
-            imu_buf,
-            ..
-        } = self;
-        let run_imu = |imu: &mut ImuModelSlot, buf: &mut Vec<f32>| match imu {
-            ImuModelSlot::Rnn(m) => m.predict_proba_into(windows, buf),
-            ImuModelSlot::Svm(m) => {
-                // The SVM baseline has no workspace path; fall back to its
-                // allocating prediction and copy the rows out.
-                let probs = m.predict_proba(windows)?;
-                buf.clear();
-                buf.extend_from_slice(probs.data());
-                Ok(())
-            }
-        };
-        if parallelism.is_serial() {
-            cnn.predict_proba_into(frame_tensor, cnn_buf)?;
-            run_imu(imu, imu_buf)
-        } else {
-            let (cnn_result, imu_result) = std::thread::scope(|scope| {
-                let cnn_branch = scope.spawn(move || cnn.predict_proba_into(frame_tensor, cnn_buf));
-                let imu_result = run_imu(imu, imu_buf);
-                let cnn_result = match cnn_branch.join() {
-                    Ok(r) => r,
-                    Err(_) => Err(CoreError::WorkerPanicked {
-                        stage: "AnalyticsEngine frame-CNN branch",
-                    }),
-                };
-                (cnn_result, imu_result)
-            });
-            cnn_result?;
-            imu_result
-        }
+    pub fn classify_tuples_into(
+        &mut self,
+        tuples: &[AlignedTuple],
+        out: &mut Vec<StepClassification>,
+    ) -> Result<()> {
+        let n = self.inner.classify_tuple_rows(
+            StreamId::CAMERA_FRONT,
+            StreamId::IMU,
+            tuples,
+            |row| StepClassification::write_row(out, row),
+        )?;
+        out.truncate(n);
+        self.fallbacks.fused += n as u64;
+        Ok(())
     }
 
     /// Runs both model branches over a batch. The CNN and IMU models are
@@ -598,24 +535,16 @@ impl AnalyticsEngine {
         frame_tensor: &Tensor,
         windows: &Tensor,
     ) -> Result<(Tensor, Tensor)> {
-        let AnalyticsEngine {
-            cnn,
-            imu,
-            parallelism,
-            ..
-        } = self;
-        let run_imu = |imu: &mut ImuModelSlot| match imu {
-            ImuModelSlot::Rnn(m) => m.predict_proba(windows),
-            ImuModelSlot::Svm(m) => m.predict_proba(windows),
-        };
-        if parallelism.is_serial() {
+        let serial = self.parallelism.is_serial();
+        let (cnn, imu) = self.models()?;
+        if serial {
             let cnn_probs = cnn.predict_proba(frame_tensor)?;
-            let imu_probs = run_imu(imu)?;
+            let imu_probs = imu.predict_proba(windows)?;
             Ok((cnn_probs, imu_probs))
         } else {
             let (cnn_probs, imu_probs) = std::thread::scope(|scope| {
                 let cnn_branch = scope.spawn(move || cnn.predict_proba(frame_tensor));
-                let imu_probs = run_imu(imu);
+                let imu_probs = imu.predict_proba(windows);
                 let cnn_probs = match cnn_branch.join() {
                     Ok(probs) => probs,
                     Err(_) => Err(CoreError::WorkerPanicked {
@@ -657,11 +586,23 @@ impl AnalyticsEngine {
     }
 }
 
+/// The batch-shape check shared by the allocating and `_into` batch
+/// entry points: one `[WINDOW_LEN, IMU_FEATURES]` window per frame.
+fn check_windows(n: usize, windows: &Tensor) -> Result<()> {
+    if windows.dims() != [n, WINDOW_LEN, IMU_FEATURES] {
+        return Err(CoreError::Dataset(format!(
+            "expected [{n}, {WINDOW_LEN}, {IMU_FEATURES}] windows, got {:?}",
+            windows.dims()
+        )));
+    }
+    Ok(())
+}
+
 impl std::fmt::Debug for AnalyticsEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AnalyticsEngine")
             .field("combiner", &self.config.combiner)
-            .field("imu", &self.imu)
+            .field("inner", &self.inner)
             .field("privacy_levels", &self.privacy_levels())
             .finish()
     }
@@ -673,13 +614,6 @@ mod tests {
     use crate::models::{CnnConfig, RnnConfig};
 
     fn tiny_engine(kind: CombinerKind) -> AnalyticsEngine {
-        let cnn_config = CnnConfig {
-            input_size: 24,
-            classes: 6,
-            width: 0.5,
-            ..CnnConfig::default()
-        };
-        let cnn = FrameCnn::new(cnn_config, 1);
         let rnn_config = RnnConfig {
             hidden: 4,
             depth: 1,
@@ -689,18 +623,41 @@ mod tests {
         // Minimal fit so the standardizer exists.
         let x = Tensor::ones(&[6, WINDOW_LEN, IMU_FEATURES]);
         rnn.fit(&x, &[0, 1, 2, 0, 1, 2], 1).unwrap();
+        tiny_engine_with(kind, ImuModelSlot::Rnn(rnn))
+    }
+
+    /// The same engine with the SVM baseline in the IMU slot.
+    fn tiny_svm_engine(kind: CombinerKind) -> AnalyticsEngine {
+        use darnet_nn::SvmConfig;
+        let mut svm = ImuSvm::new(WINDOW_LEN, IMU_FEATURES, 3, SvmConfig::default());
+        let mut x = Tensor::zeros(&[6, WINDOW_LEN, IMU_FEATURES]);
+        for (i, v) in x.data_mut().iter_mut().enumerate() {
+            *v = ((i * 7) % 11) as f32 * 0.1;
+        }
+        svm.fit(
+            &x,
+            &[0, 1, 2, 0, 1, 2],
+            &mut darnet_tensor::SplitMix64::new(5),
+        )
+        .unwrap();
+        tiny_engine_with(kind, ImuModelSlot::Svm(svm))
+    }
+
+    fn tiny_engine_with(kind: CombinerKind, imu: ImuModelSlot) -> AnalyticsEngine {
+        let cnn_config = CnnConfig {
+            input_size: 24,
+            classes: 6,
+            width: 0.5,
+            ..CnnConfig::default()
+        };
+        let cnn = FrameCnn::new(cnn_config, 1);
         let mut combiner = BayesianCombiner::darnet();
         let cnn_probs = Tensor::full(&[6, 6], 1.0 / 6.0);
         let imu_probs = Tensor::full(&[6, 3], 1.0 / 3.0);
         combiner
             .fit(&cnn_probs, &imu_probs, &[0, 1, 2, 3, 4, 5])
             .unwrap();
-        AnalyticsEngine::new(
-            cnn,
-            ImuModelSlot::Rnn(rnn),
-            combiner,
-            EngineConfig { combiner: kind },
-        )
+        AnalyticsEngine::new(cnn, imu, combiner, EngineConfig { combiner: kind })
     }
 
     #[test]
@@ -798,14 +755,14 @@ mod tests {
             .classify_batch_into(&frames, &windows, &mut out)
             .unwrap();
         assert_eq!(out, expected);
-        let misses = engine.ws.cold_misses();
+        let misses = engine.workspace_stats().1;
         for round in 0..2 {
             engine
                 .classify_batch_into(&frames, &windows, &mut out)
                 .unwrap();
             assert_eq!(out, expected, "round {round} diverged");
         }
-        assert_eq!(engine.ws.cold_misses(), misses, "engine workspace grew");
+        assert_eq!(engine.workspace_stats().1, misses, "engine workspace grew");
         assert_eq!(engine.fallback_counters().fused, 3 * n as u64);
 
         // Concurrent engine: same results bitwise.
@@ -832,37 +789,57 @@ mod tests {
 
     #[test]
     fn classify_tuples_into_matches_allocating_path() {
-        use darnet_collect::runtime::AlignedTuple;
+        use darnet_sim::{DriverProfile, FrameRenderer};
 
+        let renderer = FrameRenderer::new(13).with_size(24);
+        let driver = DriverProfile::generate(0, 42);
         let tuples: Vec<AlignedTuple> = (0..4)
             .map(|i| AlignedTuple {
                 t: i as f64 * 0.25,
-                frame: Frame::new(24, 24),
+                frame: renderer.render(&driver, Behavior::ALL[i % 6], i as f64 * 0.27),
                 window: (0..WINDOW_LEN * IMU_FEATURES)
                     .map(|k| ((k + i) % 9) as f32 * 0.1)
                     .collect(),
             })
             .collect();
-
-        let mut baseline = tiny_engine(CombinerKind::Bayesian);
-        let expected = baseline.classify_tuples(&tuples).unwrap();
-
-        let mut engine = tiny_engine(CombinerKind::Bayesian);
-        let mut out = Vec::new();
-        for round in 0..3 {
-            engine.classify_tuples_into(&tuples, &mut out).unwrap();
-            assert_eq!(out, expected, "round {round} diverged");
-        }
-
-        // Malformed tuple windows are rejected without disturbing state.
         let bad = vec![AlignedTuple {
             t: 0.0,
             frame: Frame::new(24, 24),
             window: vec![0.0; 7],
         }];
-        assert!(engine.classify_tuples_into(&bad, &mut out).is_err());
-        engine.classify_tuples_into(&tuples, &mut out).unwrap();
-        assert_eq!(out, expected);
+
+        // The `_into` path is the inner registry engine's; the allocating
+        // path is the reference. Bitwise equal for every combiner, and
+        // with the SVM baseline in the IMU slot (whose non-workspace
+        // fallback lives only in `StreamModelSlot`).
+        type Build = fn(CombinerKind) -> AnalyticsEngine;
+        for build in [tiny_engine as Build, tiny_svm_engine as Build] {
+            for kind in [
+                CombinerKind::Bayesian,
+                CombinerKind::Product,
+                CombinerKind::CnnOnly,
+            ] {
+                let expected = build(kind).classify_tuples(&tuples).unwrap();
+                assert_eq!(expected.len(), tuples.len());
+
+                let mut engine = build(kind);
+                let mut out = Vec::new();
+                for round in 0..3 {
+                    engine.classify_tuples_into(&tuples, &mut out).unwrap();
+                    assert_eq!(out, expected, "{kind:?} round {round} diverged");
+                }
+                assert_eq!(engine.fallback_counters().fused, 3 * tuples.len() as u64);
+
+                // Malformed tuple windows are rejected without disturbing
+                // state.
+                assert!(engine.classify_tuples_into(&bad, &mut out).is_err());
+                engine.classify_tuples_into(&tuples, &mut out).unwrap();
+                assert_eq!(out, expected);
+                // An empty flush clears the reused output.
+                engine.classify_tuples_into(&[], &mut out).unwrap();
+                assert!(out.is_empty());
+            }
+        }
     }
 
     #[test]

@@ -8,12 +8,13 @@
 //! canonical multi-stream sessions use), and registry order — ascending
 //! `StreamId` — fixes the parent order of the N-ary combiner's CPTs.
 //!
-//! The legacy two-stream analytics engine is the N=2 special case: its
-//! fusion paths route through this module's primitives
-//! ([`crate::ensemble::NaryBayesianCombiner`],
-//! [`product_combine_subset_into`], [`ClassMap::expand_into`]) and stay
-//! bitwise-identical to the historical pair implementations (pinned by
-//! unit tests here and the proptest suite).
+//! [`MultiModalEngine`] is the crate's one zero-alloc classify
+//! implementation. The two-stream [`crate::engine::AnalyticsEngine`] is
+//! its N=2 case: it owns an inner `MultiModalEngine` over
+//! `[CAMERA_FRONT, IMU]`, delegates every `*_into` call to it, and keeps
+//! only the allocating `classify_*` path — the reference the bitwise
+//! proptests compare this module against — which fuses through the same
+//! [`MultiModalEngine::fuse_row`].
 
 use serde::{Deserialize, Serialize};
 
@@ -266,6 +267,24 @@ impl std::fmt::Debug for StreamModelSlot {
     }
 }
 
+impl StreamModelSlot {
+    /// The allocating reference posterior, `[n, native_classes]`: each
+    /// model's own `predict_proba`, sharing no workspace or buffer with
+    /// [`StreamModel::predict_proba_into`]. This is the side of the
+    /// bitwise proptests the zero-alloc path is held to.
+    ///
+    /// # Errors
+    ///
+    /// Propagates model errors (e.g. not fitted, shape mismatch).
+    pub fn predict_proba(&mut self, input: &Tensor) -> Result<Tensor> {
+        match self {
+            StreamModelSlot::Cnn(m) => m.predict_proba(input),
+            StreamModelSlot::Rnn(m) => m.predict_proba(input),
+            StreamModelSlot::Svm(m) => m.predict_proba(input),
+        }
+    }
+}
+
 impl StreamModel for StreamModelSlot {
     fn native_classes(&self) -> usize {
         match self {
@@ -420,6 +439,59 @@ pub struct MultiStepClassification {
     pub degraded: bool,
 }
 
+impl MultiStepClassification {
+    /// The row writer behind the public `classify_*_into` methods:
+    /// updates entry `row.index` of a reused output vector in place (its
+    /// inner vectors keep their capacity), growing the vector by one
+    /// while it is still shorter than the batch.
+    // darlint: hot
+    pub(crate) fn write_row(out: &mut Vec<Self>, row: FusedRow<'_>) -> Result<()> {
+        if out.len() <= row.index {
+            // Growth path: only taken during warm-up or at a larger
+            // batch shape; the empty vectors are filled just below.
+            out.push(MultiStepClassification {
+                class: 0,
+                scores: Vec::new(),
+                used: Vec::new(),
+                degraded: false,
+            });
+        }
+        if let Some(slot) = out.get_mut(row.index) {
+            slot.class = row.class;
+            slot.scores.clear();
+            slot.scores.extend_from_slice(row.scores);
+            slot.used.clear();
+            for (id, parent) in row.ids.iter().zip(row.parents) {
+                if parent.is_some() {
+                    slot.used.push(*id);
+                }
+            }
+            slot.degraded = row.degraded;
+        }
+        Ok(())
+    }
+}
+
+/// One fused time-step as [`MultiModalEngine::classify_rows`] hands it
+/// to its row writer. Everything is borrowed from the engine's session
+/// buffers, so a writer copies out exactly what its result type keeps.
+pub(crate) struct FusedRow<'a> {
+    /// Position in the batch.
+    pub(crate) index: usize,
+    /// The fused canonical class index.
+    pub(crate) class: usize,
+    /// Fused class scores (normalized).
+    pub(crate) scores: &'a [f32],
+    /// Registered stream ids, registry order.
+    pub(crate) ids: &'a [StreamId],
+    /// Per registered stream, its native posterior row for this step
+    /// (`None` if the stream sat the batch out).
+    pub(crate) parents: &'a [Option<&'a [f32]>],
+    /// `true` if a contributing stream was degraded or a registered
+    /// stream had to be dropped.
+    pub(crate) degraded: bool,
+}
+
 /// The registry-driven N-stream analytics engine: an ordered set of
 /// [`StreamModel`]s fused by the [`NaryBayesianCombiner`] (or the product
 /// rule) over whichever subset of streams is healthy, with the legacy
@@ -433,6 +505,9 @@ pub struct MultiModalEngine {
     counters: SubsetCounters,
     pub(crate) ws: Workspace,
     scores_buf: Vec<f32>,
+    /// Frame scratch of the tuple feed path
+    /// ([`MultiModalEngine::classify_tuples_into`]).
+    pub(crate) tuple_frames: Vec<Frame>,
 }
 
 impl MultiModalEngine {
@@ -447,7 +522,46 @@ impl MultiModalEngine {
             counters: SubsetCounters::default(),
             ws: Workspace::new(),
             scores_buf: Vec::new(),
+            tuple_frames: Vec::new(),
         }
+    }
+
+    /// The DarNet pair over the 6-class taxonomy, in the pair CPT's
+    /// parent order (front camera, then IMU), with `combiner` installed
+    /// as fitted. Unlike [`MultiModalEngine::register`] nothing is
+    /// validated here: the two-stream engine's constructor is
+    /// infallible, so a model whose class count disagrees with its
+    /// descriptor surfaces as a dataset error at classification time.
+    pub(crate) fn darnet_pair(
+        kind: CombinerKind,
+        cnn: FrameCnn,
+        imu: StreamModelSlot,
+        combiner: NaryBayesianCombiner,
+    ) -> Self {
+        let mut engine = MultiModalEngine::new(6, kind);
+        engine.push_stream(
+            ModalityDescriptor::darnet_camera(),
+            StreamModelSlot::Cnn(cnn),
+        );
+        engine.push_stream(ModalityDescriptor::darnet_imu(), imu);
+        engine.combiner = Some(combiner);
+        engine
+    }
+
+    fn push_stream(&mut self, descriptor: ModalityDescriptor, mut model: StreamModelSlot) {
+        model.set_parallelism(self.parallelism);
+        self.streams.push(RegisteredStream {
+            descriptor,
+            model,
+            probs: Vec::new(),
+            present: false,
+            status: ModalityStatus::Healthy,
+        });
+    }
+
+    /// The registered models, in registry order.
+    pub(crate) fn models_mut(&mut self) -> impl Iterator<Item = &mut StreamModelSlot> {
+        self.streams.iter_mut().map(|s| &mut s.model)
     }
 
     /// Canonical class count.
@@ -539,15 +653,7 @@ impl MultiModalEngine {
                 descriptor.id
             )));
         }
-        let mut model = model;
-        model.set_parallelism(self.parallelism);
-        self.streams.push(RegisteredStream {
-            descriptor,
-            model,
-            probs: Vec::new(),
-            present: false,
-            status: ModalityStatus::Healthy,
-        });
+        self.push_stream(descriptor, model);
         self.combiner = None;
         Ok(())
     }
@@ -650,6 +756,31 @@ impl MultiModalEngine {
         statuses: &[(StreamId, ModalityStatus)],
         out: &mut Vec<MultiStepClassification>,
     ) -> Result<()> {
+        let n = self.classify_rows(inputs, statuses, |row| {
+            MultiStepClassification::write_row(out, row)
+        })?;
+        out.truncate(n);
+        Ok(())
+    }
+
+    /// [`MultiModalEngine::classify_batch_checked_into`] with the result
+    /// type left to the caller: every fused step is handed to `write` as
+    /// a borrowed [`FusedRow`], in batch order, and the batch length is
+    /// returned. This is the one classify implementation; the public
+    /// `_into` methods here and on the two-stream
+    /// [`crate::engine::AnalyticsEngine`] differ only in their writer.
+    ///
+    /// # Errors
+    ///
+    /// As [`MultiModalEngine::classify_batch_checked_into`], plus
+    /// whatever `write` returns.
+    // darlint: hot
+    pub(crate) fn classify_rows(
+        &mut self,
+        inputs: &[(StreamId, StreamInput<'_>)],
+        statuses: &[(StreamId, ModalityStatus)],
+        write: impl FnMut(FusedRow<'_>) -> Result<()>,
+    ) -> Result<usize> {
         if self.streams.is_empty() {
             return Err(CoreError::NotReady("no streams registered".into()));
         }
@@ -693,11 +824,11 @@ impl MultiModalEngine {
             ));
         };
         if n == 0 {
-            out.clear();
-            return Ok(());
+            return Ok(0);
         }
         self.predict_streams(inputs, n)?;
-        self.fuse_batch(n, out)
+        self.fuse_batch(n, write)?;
+        Ok(n)
     }
 
     /// Runs every present stream's model over its assembled input,
@@ -831,24 +962,87 @@ impl MultiModalEngine {
         Ok(())
     }
 
-    /// Fuses the per-stream posteriors item by item and writes results
-    /// into `out` (entries updated in place, vector truncated/grown to
-    /// the batch length — the legacy engine's reuse discipline).
+    /// Fuses one time-step's posteriors (`parents[k]` is registered
+    /// stream `k`'s native row, `None` if it sits this step out) by the
+    /// healthy-subset policy: a single survivor → its class-map
+    /// expansion; otherwise the configured combiner over the present
+    /// subset, absent parents marginalized out.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::NotReady`] when every parent is absent or the
+    /// Bayesian combiner is missing; a dataset error on width mismatches.
     // darlint: hot
-    fn fuse_batch(&mut self, n: usize, out: &mut Vec<MultiStepClassification>) -> Result<()> {
+    pub(crate) fn fuse_row(&self, parents: &[Option<&[f32]>], scores: &mut Vec<f32>) -> Result<()> {
+        let classes = self.classes;
+        let mut present = self
+            .streams
+            .iter()
+            .zip(parents)
+            .filter_map(|(stream, row)| row.map(|row| (stream, row)));
+        let Some((first, first_row)) = present.next() else {
+            return Err(CoreError::NotReady(
+                "every registered stream is unavailable — nothing to classify from".into(),
+            ));
+        };
+        if present.next().is_none() {
+            return first
+                .descriptor
+                .class_map
+                .expand_into(first_row, classes, scores);
+        }
+        match self.kind {
+            CombinerKind::Bayesian => match &self.combiner {
+                Some(c) => c.combine_subset_into(parents, scores),
+                None => Err(CoreError::NotReady(
+                    "no n-ary combiner installed — call fit_combiner or set_combiner".into(),
+                )),
+            },
+            CombinerKind::Product => {
+                let mut factors: [(Option<&[f32]>, &ClassMap, f32); MAX_STREAMS] =
+                    [(None, &ClassMap::Identity, 1.0); MAX_STREAMS];
+                let n = self.streams.len().min(parents.len());
+                for (factor, (stream, row)) in
+                    factors.iter_mut().zip(self.streams.iter().zip(parents))
+                {
+                    *factor = (*row, &stream.descriptor.class_map, stream.descriptor.weight);
+                }
+                product_combine_subset_into(&factors[..n], classes, scores)
+            }
+            // Primary-stream-only fusion: expand the first *present*
+            // stream (the paper's CNN-only baseline when the front
+            // camera is up).
+            CombinerKind::CnnOnly => first
+                .descriptor
+                .class_map
+                .expand_into(first_row, classes, scores),
+        }
+    }
+
+    /// Fuses the per-stream posteriors item by item and hands each step
+    /// to `write`.
+    // darlint: hot
+    fn fuse_batch(
+        &mut self,
+        n: usize,
+        mut write: impl FnMut(FusedRow<'_>) -> Result<()>,
+    ) -> Result<()> {
         let classes = self.classes;
         let total_streams = self.streams.len();
         let degraded = self
             .streams
             .iter()
             .any(|s| !s.present || s.status == ModalityStatus::Degraded);
+        let mut ids = [StreamId(0); MAX_STREAMS];
+        for (id, stream) in ids.iter_mut().zip(&self.streams) {
+            *id = stream.descriptor.id;
+        }
         let mut scores = std::mem::take(&mut self.scores_buf);
         let mut full = 0u64;
         let mut partial = 0u64;
         let mut single_count = 0u64;
         for i in 0..n {
             let mut parents: [Option<&[f32]>; MAX_STREAMS] = [None; MAX_STREAMS];
-            let mut single: Option<usize> = None;
             let mut used = 0usize;
             for (k, stream) in self.streams.iter().enumerate() {
                 if !stream.present {
@@ -856,90 +1050,29 @@ impl MultiModalEngine {
                 }
                 let native = stream.descriptor.native_classes(classes);
                 parents[k] = Some(&stream.probs[i * native..(i + 1) * native]);
-                single = Some(k);
                 used += 1;
             }
-            let Some(last_present) = single else {
-                // Unreachable: the caller resolved `n` from a present
-                // stream. Kept as a defensive error, not a panic.
-                self.scores_buf = scores;
-                return Err(CoreError::NotReady(
-                    "every registered stream is unavailable — nothing to classify from".into(),
-                ));
-            };
-            let fuse_result = if used == 1 {
-                let stream = &self.streams[last_present];
-                match parents[last_present] {
-                    Some(row) => stream
-                        .descriptor
-                        .class_map
-                        .expand_into(row, classes, &mut scores),
-                    // Unreachable: `last_present` was recorded from a
-                    // Some(_) parent. Defensive error, not a panic.
-                    None => Err(CoreError::NotReady(
-                        "surviving stream lost its posterior row".into(),
-                    )),
-                }
-            } else {
-                match self.kind {
-                    CombinerKind::Bayesian => match &self.combiner {
-                        Some(c) => c.combine_subset_into(&parents[..total_streams], &mut scores),
-                        None => Err(CoreError::NotReady(
-                            "no n-ary combiner installed — call fit_combiner or set_combiner"
-                                .into(),
-                        )),
-                    },
-                    CombinerKind::Product => {
-                        let mut factors: [(Option<&[f32]>, &ClassMap, f32); MAX_STREAMS] =
-                            [(None, &ClassMap::Identity, 1.0); MAX_STREAMS];
-                        for (k, stream) in self.streams.iter().enumerate() {
-                            factors[k] = (
-                                parents[k],
-                                &stream.descriptor.class_map,
-                                stream.descriptor.weight,
-                            );
-                        }
-                        product_combine_subset_into(&factors[..total_streams], classes, &mut scores)
-                    }
-                    CombinerKind::CnnOnly => {
-                        // Primary-stream-only fusion: expand the first
-                        // *present* stream (the legacy CNN-only baseline
-                        // when the front camera is up).
-                        match self
-                            .streams
-                            .iter()
-                            .enumerate()
-                            .find_map(|(k, s)| parents[k].map(|row| (s, row)))
-                        {
-                            Some((stream, row)) => {
-                                stream
-                                    .descriptor
-                                    .class_map
-                                    .expand_into(row, classes, &mut scores)
-                            }
-                            // Unreachable: `used >= 1` was established
-                            // above. Defensive error, not a panic.
-                            None => Err(CoreError::NotReady(
-                                "every registered stream is unavailable — nothing to \
-                                 classify from"
-                                    .into(),
-                            )),
-                        }
-                    }
-                }
-            };
-            if let Err(e) = fuse_result {
-                // The scores buffer stays taken on error; that only
-                // forfeits its reuse.
+            let parents = &parents[..total_streams];
+            let written = self.fuse_row(parents, &mut scores).and_then(|()| {
+                let class = scores
+                    .iter()
+                    .enumerate()
+                    .max_by(|a, b| a.1.total_cmp(b.1))
+                    .map(|(c, _)| c)
+                    .unwrap_or(0);
+                write(FusedRow {
+                    index: i,
+                    class,
+                    scores: &scores,
+                    ids: &ids[..total_streams],
+                    parents,
+                    degraded,
+                })
+            });
+            if let Err(e) = written {
                 self.scores_buf = scores;
                 return Err(e);
             }
-            let best = scores
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.total_cmp(b.1))
-                .map(|(c, _)| c)
-                .unwrap_or(0);
             if used == total_streams {
                 full += 1;
             } else if used > 1 {
@@ -947,31 +1080,7 @@ impl MultiModalEngine {
             } else {
                 single_count += 1;
             }
-            if out.len() <= i {
-                // Growth path: only taken while `out` is still shorter
-                // than the batch (warm-up or a larger batch shape); the
-                // empty vectors are filled by the shared slot path below.
-                out.push(MultiStepClassification {
-                    class: 0,
-                    scores: Vec::new(),
-                    used: Vec::new(),
-                    degraded: false,
-                });
-            }
-            if let Some(slot) = out.get_mut(i) {
-                slot.class = best;
-                slot.scores.clear();
-                slot.scores.extend_from_slice(&scores);
-                slot.used.clear();
-                for (k, stream) in self.streams.iter().enumerate() {
-                    if parents[k].is_some() {
-                        slot.used.push(stream.descriptor.id);
-                    }
-                }
-                slot.degraded = degraded;
-            }
         }
-        out.truncate(n);
         self.counters.full += full;
         self.counters.partial += partial;
         self.counters.single += single_count;
