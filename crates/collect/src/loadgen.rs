@@ -2,8 +2,8 @@
 //! simulated vehicles — each a real [`CollectionAgent`] with the full
 //! reliable transport (bounded windows, backoff retransmission, seeded
 //! link faults) — into a [`ShardedController`] through one shared
-//! discrete-event queue, the session runtime's
-//! [`EventQueue`](crate::runtime) (DESIGN.md §14).
+//! discrete-event queue, the session runtime's `EventQueue` (DESIGN.md
+//! §14).
 //!
 //! Traffic *shapes* come from the sim's session protocol: every vehicle
 //! follows one of the [`build_schedule`] driver scripts (offset by a
@@ -33,7 +33,7 @@ use crate::agent::{AgentConfig, CollectionAgent, RetransmitConfig, SpillConfig};
 use crate::clock::DriftClock;
 use crate::network::{FaultConfig, Link, LinkConfig};
 use crate::runtime::{EventQueue, LinkedAgent};
-use crate::sensor::{behavior_at, Sensor, SensorReading};
+use crate::sensor::{scripted_at, Sensor, SensorReading};
 use crate::shard::{FleetAdmission, ShardConfig, ShardedController};
 use crate::wire::{decode_ack, decode_batch, encode_ack, encode_batch, Batch};
 use crate::Result;
@@ -203,7 +203,7 @@ impl FleetSensor {
         } else {
             0.0
         };
-        let behavior = behavior_at(&self.script, local);
+        let behavior = scripted_at(&self.script, local, Behavior::NormalDriving);
         Behavior::ALL
             .iter()
             .position(|b| *b == behavior)

@@ -32,7 +32,7 @@ use crate::controller::{
     AlignedImuPoint, Controller, ControllerConfig, FrameRecord, IngestOutcome, StreamHealth,
 };
 use crate::network::{Link, LinkConfig, LinkStats};
-use crate::sensor::{canonical_script, CameraView, ScriptedSensor};
+use crate::sensor::{canonical_script, CameraView, ScriptedSensor, Sensor};
 use crate::stream::StreamId;
 use crate::wal::{self, Wal, WalConfig, WalStorage};
 use crate::wire::{decode_ack, decode_batch, encode_ack, encode_batch, Batch};
@@ -142,15 +142,14 @@ impl LinkedAgent {
         deliver: fn(u32) -> K,
         retry: K,
     ) -> Result<Option<&'p Batch>> {
-        let flushed = self.agent.flush_at(t)?;
-        let sent = flushed.is_some();
-        if let Some(batch) = flushed {
+        let first = pending.len();
+        if let Some(batch) = self.agent.flush_at(t)? {
             self.transmit(t, batch, pending, queue, deliver);
         }
         if let Some(deadline) = self.agent.next_deadline() {
             queue.push(deadline, retry);
         }
-        Ok(if sent { pending.last() } else { None })
+        Ok(pending.get(first))
     }
 
     /// Ack-timeout check at `t`: retransmits every overdue batch
@@ -434,7 +433,7 @@ enum SessionEvent {
     Restart,                               // recover a fresh controller from the WAL
 }
 
-/// Builds the agent and poll period for one registered stream. The front
+/// Builds the agent for one registered stream. The front
 /// camera shares the controller tablet in the paper's deployment, so its
 /// clock is nearly perfect (tiny residual drift); the IMU phone and the
 /// side camera are independent devices with the full clock imperfection.
@@ -445,25 +444,22 @@ fn session_agent(
     stream: StreamId,
     config: &CampaignConfig,
     rng: &mut SplitMix64,
-) -> Result<(CollectionAgent, f64)> {
+) -> Result<CollectionAgent> {
     let world = Arc::clone(world);
     let script = script.to_vec();
     let camera = config.camera_period;
-    let (sensor, clock, period) = match stream {
+    let (sensor, clock) = match stream {
         StreamId::IMU => (
             ScriptedSensor::imu(world, driver, script, config.imu_period),
             DriftClock::random(&config.clock, rng),
-            config.imu_period,
         ),
         StreamId::CAMERA_FRONT => (
             ScriptedSensor::camera(world, driver, script, camera, CameraView::Front),
             DriftClock::new(1e-6, 0.0),
-            camera,
         ),
         StreamId::CAMERA_SIDE => (
             ScriptedSensor::camera(world, driver, script, camera, CameraView::Side),
             DriftClock::random(&config.clock, rng),
-            camera,
         ),
         other => {
             return Err(CollectError::InvalidConfig(format!(
@@ -472,13 +468,14 @@ fn session_agent(
         }
     };
     let agent_config = AgentConfig {
-        poll_period: period,
+        poll_period: sensor.period(),
         transmit_period: config.transmit_period,
         spill: config.spill,
     };
-    let agent = CollectionAgent::new(stream.agent_id(), Box::new(sensor), clock, agent_config)
-        .with_transport(config.retransmit, rng.next_u64());
-    Ok((agent, period))
+    Ok(
+        CollectionAgent::new(stream.agent_id(), Box::new(sensor), clock, agent_config)
+            .with_transport(config.retransmit, rng.next_u64()),
+    )
 }
 
 /// Opens a controller incarnation over `durability`'s store, replaying
@@ -566,10 +563,8 @@ fn run_streams(
         .map(|&s| Link::new(link_for(s), rng.next_u64()))
         .collect();
     let mut sync_link = Link::new(config.link, rng.next_u64());
-    let mut periods = Vec::with_capacity(streams.len());
     let mut agents = Vec::with_capacity(streams.len());
-    for (((agent, period), data_link), &stream) in built.into_iter().zip(data_links).zip(streams) {
-        periods.push(period);
+    for ((agent, data_link), &stream) in built.into_iter().zip(data_links).zip(streams) {
         agents.push(LinkedAgent {
             agent,
             data_link,
@@ -622,7 +617,8 @@ fn run_streams(
                 if t <= session_end {
                     agents[i].agent.poll(t)?;
                     clock_errors[i] = clock_errors[i].max(agents[i].agent.clock_error(t).abs());
-                    queue.push(t + periods[i], SessionEvent::Poll(i));
+                    let period = agents[i].agent.config().poll_period;
+                    queue.push(t + period, SessionEvent::Poll(i));
                 }
             }
             SessionEvent::Flush(i) => {

@@ -66,13 +66,6 @@ pub(crate) fn scripted_at<B: Copy>(segments: &[Segment<B>], t: f64, fallback: B)
     }
 }
 
-/// Looks up the scripted behaviour at session time `t` for a sorted,
-/// per-driver segment list. Falls back to [`Behavior::NormalDriving`]
-/// outside the script.
-pub(crate) fn behavior_at(segments: &[Segment<Behavior>], t: f64) -> Behavior {
-    scripted_at(segments, t, Behavior::NormalDriving)
-}
-
 /// One driver's slice of a Table-1 script, embedded in the canonical
 /// taxonomy. The embedding keeps the class index, and the sim renders the
 /// six Table-1 classes bit-identically through either taxonomy, so a
@@ -219,11 +212,12 @@ mod tests {
     #[test]
     fn behavior_lookup_follows_script() {
         let s = script();
-        assert_eq!(behavior_at(&s, 0.0), Behavior::NormalDriving);
-        assert_eq!(behavior_at(&s, 16.0), Behavior::Texting);
-        assert_eq!(behavior_at(&s, 44.9), Behavior::Talking);
-        // Past the end: normal driving.
-        assert_eq!(behavior_at(&s, 45.1), Behavior::NormalDriving);
+        let at = |t| scripted_at(&s, t, Behavior::NormalDriving);
+        assert_eq!(at(0.0), Behavior::NormalDriving);
+        assert_eq!(at(16.0), Behavior::Texting);
+        assert_eq!(at(44.9), Behavior::Talking);
+        // Past the end: the fallback.
+        assert_eq!(at(45.1), Behavior::NormalDriving);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::dataset::{frames_to_tensor, IMU_FEATURES, WINDOW_LEN};
 use crate::ensemble::{BayesianCombiner, CombinerKind};
 use crate::error::CoreError;
 use crate::health::ModalityStatus;
-use crate::models::{FrameCnn, ImuRnn, ImuSvm};
+use crate::models::FrameCnn;
 use crate::privacy::{Downsampler, PrivacyLevel};
 use crate::registry::{FusedRow, MultiModalEngine, StreamInput, StreamModelSlot};
 use crate::Result;
@@ -33,25 +33,10 @@ impl Default for EngineConfig {
 }
 
 /// The IMU model slot: the engine's stream→model mapping is modular, so
-/// either the paper's RNN or the SVM baseline can serve the IMU stream.
-// One slot exists per engine and is never moved after construction, so the
-// RNN/SVM size gap doesn't justify boxing the variants.
-#[allow(clippy::large_enum_variant)]
-pub enum ImuModelSlot {
-    /// Deep bidirectional LSTM (the DarNet configuration).
-    Rnn(ImuRnn),
-    /// Linear SVM baseline.
-    Svm(ImuSvm),
-}
-
-impl std::fmt::Debug for ImuModelSlot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ImuModelSlot::Rnn(_) => f.write_str("ImuModelSlot::Rnn"),
-            ImuModelSlot::Svm(_) => f.write_str("ImuModelSlot::Svm"),
-        }
-    }
-}
+/// either the paper's RNN (`ImuModelSlot::Rnn`) or the SVM baseline
+/// (`ImuModelSlot::Svm`) can serve the IMU stream. It is the registry's
+/// slot type under the two-stream API's name.
+pub type ImuModelSlot = StreamModelSlot;
 
 /// Which posteriors a classification was computed from. Anything other
 /// than [`FusionSource::Fused`] means the ensemble degraded gracefully to
@@ -160,7 +145,6 @@ pub struct AnalyticsEngine {
     /// parent order). It owns both models, the fitted combiner, and every
     /// session buffer of the zero-alloc path.
     inner: MultiModalEngine,
-    config: EngineConfig,
     downsampler: Downsampler,
     students: Vec<(PrivacyLevel, FrameCnn)>,
     fallbacks: FallbackCounters,
@@ -176,15 +160,10 @@ impl AnalyticsEngine {
         config: EngineConfig,
     ) -> Self {
         let full = cnn.config().input_size;
-        let imu = match imu {
-            ImuModelSlot::Rnn(m) => StreamModelSlot::Rnn(m),
-            ImuModelSlot::Svm(m) => StreamModelSlot::Svm(m),
-        };
         AnalyticsEngine {
             // The pair CPT is carried over verbatim into its N-ary form,
             // so N=2 fusion is bit-for-bit the historical pair combiner.
             inner: MultiModalEngine::darnet_pair(config.combiner, cnn, imu, combiner.to_nary()),
-            config,
             downsampler: Downsampler::new(full),
             students: Vec::new(),
             fallbacks: FallbackCounters::default(),
@@ -323,41 +302,26 @@ impl AnalyticsEngine {
         window: Option<&Tensor>,
         flag_degraded: bool,
     ) -> Result<StepClassification> {
-        match (frame, window) {
-            (Some(frame), Some(window)) => {
-                let mut out = self.classify_step(frame, window)?;
-                if flag_degraded {
-                    out.degraded = true;
-                    self.fallbacks.degraded += 1;
-                }
-                Ok(out)
+        let source = match (frame, window) {
+            (Some(_), Some(_)) => FusionSource::Fused,
+            (Some(_), None) => FusionSource::CnnOnly,
+            (None, Some(_)) => FusionSource::ImuOnly,
+            (None, None) => {
+                return Err(CoreError::NotReady(
+                    "both modality streams unavailable — nothing to classify from".into(),
+                ))
             }
-            (Some(frame), None) => {
-                let cnn_probs = self.cnn_probs(frame)?;
-                let scores = self.fuse(Some(&cnn_probs), None)?;
-                self.decide(
-                    scores,
-                    cnn_probs,
-                    Vec::new(),
-                    FusionSource::CnnOnly,
-                    flag_degraded,
-                )
-            }
-            (None, Some(window)) => {
-                let imu_probs = self.imu_probs(window)?;
-                let scores = self.fuse(None, Some(&imu_probs))?;
-                self.decide(
-                    scores,
-                    Vec::new(),
-                    imu_probs,
-                    FusionSource::ImuOnly,
-                    flag_degraded,
-                )
-            }
-            (None, None) => Err(CoreError::NotReady(
-                "both modality streams unavailable — nothing to classify from".into(),
-            )),
-        }
+        };
+        let cnn_probs = frame.map(|f| self.cnn_probs(f)).transpose()?;
+        let imu_probs = window.map(|w| self.imu_probs(w)).transpose()?;
+        let scores = self.fuse(cnn_probs.as_deref(), imu_probs.as_deref())?;
+        self.decide(
+            scores,
+            cnn_probs.unwrap_or_default(),
+            imu_probs.unwrap_or_default(),
+            source,
+            flag_degraded,
+        )
     }
 
     /// Health-aware classification: both inputs are physically present,
@@ -392,8 +356,7 @@ impl AnalyticsEngine {
     /// Propagates model errors; returns a dataset error on a malformed
     /// window.
     pub fn classify_step(&mut self, frame: &Frame, window: &Tensor) -> Result<StepClassification> {
-        let cnn_probs = self.cnn_probs(frame)?;
-        self.classify_with_cnn_probs(cnn_probs, window)
+        self.classify_step_degraded(Some(frame), Some(window), false)
     }
 
     /// Classifies a batch of aligned time-steps in one pass: `frames[i]`
@@ -601,7 +564,6 @@ fn check_windows(n: usize, windows: &Tensor) -> Result<()> {
 impl std::fmt::Debug for AnalyticsEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AnalyticsEngine")
-            .field("combiner", &self.config.combiner)
             .field("inner", &self.inner)
             .field("privacy_levels", &self.privacy_levels())
             .finish()
@@ -611,7 +573,7 @@ impl std::fmt::Debug for AnalyticsEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models::{CnnConfig, RnnConfig};
+    use crate::models::{CnnConfig, ImuRnn, ImuSvm, RnnConfig};
 
     fn tiny_engine(kind: CombinerKind) -> AnalyticsEngine {
         let rnn_config = RnnConfig {

@@ -2,8 +2,8 @@
 # Full CI pipeline, runnable offline on any checkout:
 #
 #   1. tier1     — lockfile freshness, fmt --check, release build,
-#                  tests, clippy -D warnings + escalated panic lints,
-#                  darlint --check (scripts/tier1.sh)
+#                  workspace tests, clippy -D warnings + escalated panic
+#                  lints, darlint --check (scripts/tier1.sh)
 #   2. darlint   — re-runs the invariant lint with --json, writing the
 #                  machine-readable report next to the bench artifacts
 #                  (target/ci/darlint.json), and compares per-rule /

@@ -16,7 +16,11 @@ fi
 
 cargo fmt --all --check
 cargo build --release --locked
-cargo test -q --locked
+# --workspace: at the root a bare `cargo test` covers only the `darnet`
+# facade package; the per-crate suites (zero_alloc.rs, the N=2 bitwise
+# proptests, the WAL proptests, the golden session digests) live in the
+# member crates.
+cargo test -q --locked --workspace
 cargo clippy --workspace --locked -- -D warnings
 
 # Escalated pass on the hot-path crates AND the linter itself: panics in
