@@ -31,8 +31,8 @@ fn bench_ingest(c: &mut Criterion) {
     c.bench_function("controller ingest 20-reading batch", |bench| {
         bench.iter(|| {
             let mut controller = Controller::new(ControllerConfig::default());
-            controller.ingest(black_box(&batch));
-            black_box(controller)
+            let outcome = controller.offer_at(0.5, black_box(&batch), None);
+            black_box((controller, outcome))
         })
     });
 }

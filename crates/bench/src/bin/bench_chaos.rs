@@ -18,25 +18,21 @@
 //!
 //! Flags (the shared bench conventions):
 //!
-//! * `--fast` — reduced reps (the CI smoke configuration).
-//! * `--json` — print the metrics JSON to stdout instead of a summary.
-//! * `--out PATH` — also write the metrics JSON to `PATH`.
-//! * `--compare PATH` — compare `speedup_*` metrics against a committed
-//!   baseline; exits non-zero on any >15% regression.
+//! * `--fast`, `--json`, `--out PATH`, `--compare PATH` — the shared
+//!   gated-bench conventions, see [`darnet_bench::gate`].
 //! * `--check` — enforce the invariant gates listed above.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use darnet_bench::metrics;
+use darnet_bench::gate::{self, Gate};
 use darnet_collect::runtime::{
     run_session, run_session_durable, CampaignConfig, CrashWindow, Durability,
 };
 use darnet_collect::{replay_into, AdmissionConfig, Controller, MemStorage, WalConfig, WalStorage};
 use darnet_sim::{Behavior, DrivingWorld, Segment, WorldConfig};
 
-const TOLERANCE: f64 = 0.15;
 /// Garbage bytes appended at each kill (the torn final write).
 const TORN_BYTES: u64 = 13;
 /// Absolute budget for replaying the full session log, milliseconds.
@@ -238,121 +234,60 @@ fn run(fast: bool) -> BTreeMap<String, f64> {
     out
 }
 
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let fast = args.iter().any(|a| a == "--fast");
-    let json = args.iter().any(|a| a == "--json");
-    let check = args.iter().any(|a| a == "--check");
-
-    let results = run(fast);
-    let text = metrics::to_json(&results);
-
-    if json {
-        print!("{text}");
-    } else {
-        darnet_bench::header("crash-tolerant collection chaos harness");
-        for (key, value) in &results {
-            if key.starts_with("speedup_") {
-                println!("{key:30} {value:.3}×");
-            } else if key.ends_with("_ms") {
-                println!("{key:30} {value:.4} ms");
-            } else {
-                println!("{key:30} {value:.3}");
-            }
-        }
-    }
-
-    if let Some(path) = arg_value(&args, "--out") {
-        std::fs::write(&path, &text).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        eprintln!("wrote {path}");
-    }
-
-    let mut failed = false;
-    if let Some(path) = arg_value(&args, "--compare") {
-        let baseline_text =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
-        let baseline =
-            metrics::parse_json(&baseline_text).unwrap_or_else(|e| panic!("parsing {path}: {e}"));
-        let regressions = metrics::compare(&baseline, &results, TOLERANCE);
-        if regressions.is_empty() {
-            eprintln!("no regressions against {path}");
-        } else {
-            for r in &regressions {
-                eprintln!("REGRESSION: {r}");
-            }
-            failed = true;
-        }
-    }
-
-    if check {
+    Gate::start(
+        "crash-tolerant collection chaos harness",
+        run,
+        gate::print_metrics,
+    )
+    .finish(|results, failures| {
         // (key, minimum, human meaning); equality gates use min == max.
-        let floors: &[(&str, f64, &str)] = &[
-            ("chaos_recoveries", 2.0, "both crash windows must recover"),
-            ("chaos_replayed_records", 1.0, "replay must do real work"),
-            (
-                "chaos_torn_bytes",
-                2.0 * TORN_BYTES as f64,
-                "each kill tears the tail; recovery must repair both",
-            ),
-            (
-                "acked_lost_no_wal",
-                1.0,
-                "the no-WAL control must demonstrably lose acked data",
-            ),
-            ("overload_shed_batches", 1.0, "starved bucket must shed"),
-            (
-                "overload_priority_ordered",
-                1.0,
-                "frames shed before the IMU stream",
-            ),
-            (
-                "chaos_deterministic",
-                1.0,
-                "seeded chaos must replay bitwise",
-            ),
-            ("chaos_lossless", 1.0, "retransmission must close the gaps"),
-        ];
-        for &(key, floor, why) in floors {
-            if results[key] < floor {
-                eprintln!("GATE FAILED: {key} = {} < {floor} — {why}", results[key]);
-                failed = true;
-            }
-        }
+        failures.floors(
+            results,
+            &[
+                ("chaos_recoveries", 2.0, "both crash windows must recover"),
+                ("chaos_replayed_records", 1.0, "replay must do real work"),
+                (
+                    "chaos_torn_bytes",
+                    2.0 * TORN_BYTES as f64,
+                    "each kill tears the tail; recovery must repair both",
+                ),
+                (
+                    "acked_lost_no_wal",
+                    1.0,
+                    "the no-WAL control must demonstrably lose acked data",
+                ),
+                ("overload_shed_batches", 1.0, "starved bucket must shed"),
+                (
+                    "overload_priority_ordered",
+                    1.0,
+                    "frames shed before the IMU stream",
+                ),
+                (
+                    "chaos_deterministic",
+                    1.0,
+                    "seeded chaos must replay bitwise",
+                ),
+                ("chaos_lossless", 1.0, "retransmission must close the gaps"),
+            ],
+        );
         if results["chaos_acked_lost"] != 0.0 {
-            eprintln!(
-                "GATE FAILED: chaos_acked_lost = {} ≠ 0 — WAL recovery must preserve \
-                 every acked batch",
+            failures.fail(format_args!(
+                "chaos_acked_lost = {} ≠ 0 — WAL recovery must preserve every acked batch",
                 results["chaos_acked_lost"]
-            );
-            failed = true;
+            ));
         }
         if results["recovery_replay_ms"] > REPLAY_BUDGET_MS {
-            eprintln!(
-                "GATE FAILED: recovery_replay_ms = {:.3} > {REPLAY_BUDGET_MS} — replay \
-                 must stay bounded",
+            failures.fail(format_args!(
+                "recovery_replay_ms = {:.3} > {REPLAY_BUDGET_MS} — replay must stay bounded",
                 results["recovery_replay_ms"]
-            );
-            failed = true;
+            ));
         }
         if results["speedup_recovery_vs_rerun"] < SPEEDUP_FLOOR {
-            eprintln!(
-                "GATE FAILED: speedup_recovery_vs_rerun = {:.3} < {SPEEDUP_FLOOR}",
+            failures.fail(format_args!(
+                "speedup_recovery_vs_rerun = {:.3} < {SPEEDUP_FLOOR}",
                 results["speedup_recovery_vs_rerun"]
-            );
-            failed = true;
+            ));
         }
-        if !failed {
-            eprintln!("all gates passed");
-        }
-    }
-
-    if failed {
-        std::process::exit(1);
-    }
+    });
 }

@@ -18,21 +18,17 @@
 //!
 //! Flags (the shared bench conventions):
 //!
-//! * `--fast` — reduced fleet (the CI smoke configuration).
-//! * `--json` — print the metrics JSON to stdout instead of a summary.
-//! * `--out PATH` — also write the metrics JSON to `PATH`.
-//! * `--compare PATH` — compare `speedup_*`/`rate_*`/`cost_*` metrics
-//!   against a committed baseline; exits non-zero on any >15% regression.
+//! * `--fast`, `--json`, `--out PATH`, `--compare PATH` — the shared
+//!   gated-bench conventions, see [`darnet_bench::gate`].
 //! * `--check` — enforce the invariant gates listed above.
 
 use std::collections::BTreeMap;
 
-use darnet_bench::metrics;
+use darnet_bench::gate::{self, Gate};
 use darnet_collect::{
     run_fleet, run_fleet_timed, ControllerConfig, FleetAdmission, FleetConfig, ShardConfig,
 };
 
-const TOLERANCE: f64 = 0.15;
 /// The fleet size whose numbers are regression-gated.
 const MAIN_AGENTS: usize = 10_000;
 /// Smoke fleet for `--fast` (gates still run; the committed baseline is
@@ -175,99 +171,40 @@ fn run(fast: bool) -> BTreeMap<String, f64> {
     out
 }
 
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let fast = args.iter().any(|a| a == "--fast");
-    let json = args.iter().any(|a| a == "--json");
-    let check = args.iter().any(|a| a == "--check");
-
-    let results = run(fast);
-    let text = metrics::to_json(&results);
-
-    if json {
-        print!("{text}");
-    } else {
-        darnet_bench::header("fleet-scale sharded ingest harness");
-        for (key, value) in &results {
-            if key.ends_with("_rps") {
-                println!("{key:38} {value:.0} readings/s");
-            } else if key.ends_with("_s") {
-                println!("{key:38} {value:.4} s");
-            } else if key.ends_with("_mb") {
-                println!("{key:38} {value:.2} MB");
-            } else {
-                println!("{key:38} {value:.3}");
-            }
-        }
-    }
-
-    if let Some(path) = arg_value(&args, "--out") {
-        std::fs::write(&path, &text).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        eprintln!("wrote {path}");
-    }
-
-    let mut failed = false;
-    if let Some(path) = arg_value(&args, "--compare") {
-        let baseline_text =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
-        let baseline =
-            metrics::parse_json(&baseline_text).unwrap_or_else(|e| panic!("parsing {path}: {e}"));
-        let regressions = metrics::compare(&baseline, &results, TOLERANCE);
-        if regressions.is_empty() {
-            eprintln!("no regressions against {path}");
-        } else {
-            for r in &regressions {
-                eprintln!("REGRESSION: {r}");
-            }
-            failed = true;
-        }
-    }
-
-    if check {
-        let floors: &[(&str, f64, &str)] = &[
-            (
-                "fleet_agents",
-                10_000.0,
-                "the harness must exercise a ≥10k-agent fleet",
-            ),
-            (
-                "rate_fleet_deterministic",
-                1.0,
-                "same seed must reproduce the fleet report bitwise",
-            ),
-            (
-                "rate_fleet_digest_match",
-                1.0,
-                "sharded TSDB must merge to the single-controller digest",
-            ),
-            ("fleet_acked", 1.0, "acks must flow back to agents"),
-        ];
-        for &(key, floor, why) in floors {
-            if results[key] < floor {
-                eprintln!("GATE FAILED: {key} = {} < {floor} — {why}", results[key]);
-                failed = true;
-            }
-        }
+    Gate::start(
+        "fleet-scale sharded ingest harness",
+        run,
+        gate::print_metrics,
+    )
+    .finish(|results, failures| {
+        failures.floors(
+            results,
+            &[
+                (
+                    "fleet_agents",
+                    10_000.0,
+                    "the harness must exercise a ≥10k-agent fleet",
+                ),
+                (
+                    "rate_fleet_deterministic",
+                    1.0,
+                    "same seed must reproduce the fleet report bitwise",
+                ),
+                (
+                    "rate_fleet_digest_match",
+                    1.0,
+                    "sharded TSDB must merge to the single-controller digest",
+                ),
+                ("fleet_acked", 1.0, "acks must flow back to agents"),
+            ],
+        );
         if results["fleet_abandoned"] > 0.0 {
-            eprintln!(
-                "GATE FAILED: fleet_abandoned = {} ≠ 0 — the retry budget must cover \
-                 baseline loss at fleet scale",
+            failures.fail(format_args!(
+                "fleet_abandoned = {} ≠ 0 — the retry budget must cover baseline loss at \
+                 fleet scale",
                 results["fleet_abandoned"]
-            );
-            failed = true;
+            ));
         }
-        if !failed {
-            eprintln!("all gates passed");
-        }
-    }
-
-    if failed {
-        std::process::exit(1);
-    }
+    });
 }

@@ -11,11 +11,8 @@
 //!
 //! Flags:
 //!
-//! * `--fast` — reduced reps (the CI smoke configuration).
-//! * `--json` — print the metrics JSON to stdout instead of a summary.
-//! * `--out PATH` — also write the metrics JSON to `PATH`.
-//! * `--compare PATH` — compare `speedup_*` metrics against a committed
-//!   baseline; exits non-zero on any >15% regression.
+//! * `--fast`, `--json`, `--out PATH`, `--compare PATH` — the shared
+//!   gated-bench conventions, see [`darnet_bench::gate`].
 //! * `--check` — enforce the acceptance gates: the warm workspace paths
 //!   perform exactly **0** heap allocations per call, and single-step
 //!   steady-state throughput is ≥1.15× the allocating path.
@@ -23,7 +20,8 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use darnet_bench::{alloc_counter, metrics};
+use darnet_bench::alloc_counter;
+use darnet_bench::gate::{self, Gate};
 use darnet_collect::runtime::AlignedTuple;
 use darnet_collect::StreamId;
 use darnet_core::dataset::{IMU_FEATURES, WINDOW_LEN};
@@ -35,7 +33,6 @@ use darnet_core::{
 use darnet_sim::Frame;
 use darnet_tensor::{SplitMix64, Tensor};
 
-const TOLERANCE: f64 = 0.15;
 const FRAME_SIZE: usize = 12;
 /// Micro-batch size for the batched measurements: what a deadline flush
 /// typically holds at the paper's 4 Hz per-driver rate. (At much larger
@@ -364,59 +361,13 @@ fn run(fast: bool) -> BTreeMap<String, f64> {
     out
 }
 
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let fast = args.iter().any(|a| a == "--fast");
-    let json = args.iter().any(|a| a == "--json");
-    let check = args.iter().any(|a| a == "--check");
-
-    let results = run(fast);
-    let text = metrics::to_json(&results);
-
-    if json {
-        print!("{text}");
-    } else {
-        darnet_bench::header("workspace-backed zero-alloc inference");
-        for (key, value) in &results {
-            if key.starts_with("speedup_") {
-                println!("{key:30} {value:.3}×");
-            } else if key.starts_with("allocs_") {
-                println!("{key:30} {value:.3}");
-            } else {
-                println!("{key:30} {value:.3e}");
-            }
-        }
-    }
-
-    if let Some(path) = arg_value(&args, "--out") {
-        std::fs::write(&path, &text).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        eprintln!("wrote {path}");
-    }
-
-    let mut failed = false;
-    if let Some(path) = arg_value(&args, "--compare") {
-        let baseline_text =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
-        let baseline =
-            metrics::parse_json(&baseline_text).unwrap_or_else(|e| panic!("parsing {path}: {e}"));
-        let regressions = metrics::compare(&baseline, &results, TOLERANCE);
-        if regressions.is_empty() {
-            eprintln!("no regressions against {path}");
-        } else {
-            for r in &regressions {
-                eprintln!("REGRESSION: {r}");
-            }
-            failed = true;
-        }
-    }
-
-    if check {
+    Gate::start(
+        "workspace-backed zero-alloc inference",
+        run,
+        gate::print_metrics,
+    )
+    .finish(|results, failures| {
         for key in [
             "allocs_per_batch_steady",
             "allocs_per_step_steady",
@@ -425,27 +376,17 @@ fn main() {
             "allocs_per_multistream_step_steady",
         ] {
             if results[key] != 0.0 {
-                eprintln!(
-                    "GATE FAILED: {key} = {} ≠ 0 — the warm workspace path must not \
-                     touch the heap",
+                failures.fail(format_args!(
+                    "{key} = {} ≠ 0 — the warm workspace path must not touch the heap",
                     results[key]
-                );
-                failed = true;
+                ));
             }
         }
         if results["speedup_workspace_step"] < STEP_SPEEDUP_FLOOR {
-            eprintln!(
-                "GATE FAILED: speedup_workspace_step = {:.3} < {STEP_SPEEDUP_FLOOR}",
+            failures.fail(format_args!(
+                "speedup_workspace_step = {:.3} < {STEP_SPEEDUP_FLOOR}",
                 results["speedup_workspace_step"]
-            );
-            failed = true;
+            ));
         }
-        if !failed {
-            eprintln!("all gates passed");
-        }
-    }
-
-    if failed {
-        std::process::exit(1);
-    }
+    });
 }

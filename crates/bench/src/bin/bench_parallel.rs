@@ -8,11 +8,8 @@
 //!
 //! Flags:
 //!
-//! * `--fast` — reduced sizes/reps (the CI smoke configuration).
-//! * `--json` — print the metrics JSON to stdout instead of a summary.
-//! * `--out PATH` — also write the metrics JSON to `PATH`.
-//! * `--compare PATH` — compare `speedup_*` metrics against a committed
-//!   baseline; exits non-zero on any >15% regression.
+//! * `--fast`, `--json`, `--out PATH`, `--compare PATH` — the shared
+//!   gated-bench conventions, see [`darnet_bench::gate`].
 //! * `--check` — enforce the acceptance gates: ≥2× kernel speedup at 4
 //!   threads *when ≥4 hardware threads exist* (on smaller hosts the
 //!   threaded path must merely not collapse below 0.5×), and ≥1.5×
@@ -27,7 +24,7 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use darnet_bench::metrics;
+use darnet_bench::gate::{self, Gate};
 use darnet_core::dataset::{IMU_FEATURES, WINDOW_LEN};
 use darnet_core::{
     AnalyticsEngine, BayesianCombiner, CnnConfig, CombinerKind, EngineConfig, FrameCnn,
@@ -37,7 +34,6 @@ use darnet_sim::Frame;
 use darnet_tensor::{im2col_with, Conv2dSpec, Parallelism, SplitMix64, Tensor};
 
 const THREADS: usize = 4;
-const TOLERANCE: f64 = 0.15;
 /// The serial-vs-threaded kernel ratios: gated only between runs that
 /// both had more than one hardware thread.
 const THREAD_SPEEDUPS: [&str; 2] = ["speedup_matmul_threads", "speedup_conv_threads"];
@@ -193,73 +189,26 @@ fn run(fast: bool) -> BTreeMap<String, f64> {
     out
 }
 
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let fast = args.iter().any(|a| a == "--fast");
-    let json = args.iter().any(|a| a == "--json");
-    let check = args.iter().any(|a| a == "--check");
-
-    let results = run(fast);
-    let text = metrics::to_json(&results);
-
-    if json {
-        print!("{text}");
-    } else {
-        darnet_bench::header("parallel backend + batched inference");
-        for (key, value) in &results {
-            if key.starts_with("speedup_") {
-                println!("{key:32} {value:.3}×");
-            } else {
-                println!("{key:32} {value:.3e}");
-            }
-        }
-    }
-
-    if let Some(path) = arg_value(&args, "--out") {
-        std::fs::write(&path, &text).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        eprintln!("wrote {path}");
-    }
-
-    let mut failed = false;
-    let mut baseline = arg_value(&args, "--compare").map(|path| {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
-        let parsed = metrics::parse_json(&text).unwrap_or_else(|e| panic!("parsing {path}: {e}"));
-        (path, parsed)
-    });
+    let mut gate = Gate::start(
+        "parallel backend + batched inference",
+        run,
+        gate::print_metrics,
+    );
     // A thread speedup is only a number worth pinning when both runs had
     // more than one hardware thread: on a 1-core host the ratio is
     // dispatch noise around 1×, in the baseline and in this run alike.
     let one_core =
         |m: &BTreeMap<String, f64>| m.get("threads_available").is_some_and(|&t| t <= 1.0);
-    let gate_threads = !one_core(&results) && !baseline.as_ref().is_some_and(|(_, b)| one_core(b));
+    let gate_threads =
+        !one_core(&gate.results) && !gate.baseline.as_ref().is_some_and(|(_, b)| one_core(b));
     if !gate_threads {
         eprintln!("1 hardware thread in this run or the baseline: thread speedups not gated");
-    }
-
-    if let Some((path, baseline)) = baseline.as_mut() {
-        if !gate_threads {
-            for key in THREAD_SPEEDUPS {
-                baseline.remove(key);
-            }
-        }
-        let regressions = metrics::compare(baseline, &results, TOLERANCE);
-        if regressions.is_empty() {
-            eprintln!("no regressions against {path}");
-        } else {
-            for r in &regressions {
-                eprintln!("REGRESSION: {r}");
-            }
-            failed = true;
+        if let Some((_, baseline)) = gate.baseline.as_mut() {
+            baseline.retain(|key, _| !THREAD_SPEEDUPS.contains(&key.as_str()));
         }
     }
-
-    if check {
+    gate.finish(|results, failures| {
         let available = results["threads_available"];
         let kernel_floor = if available >= THREADS as f64 {
             2.0
@@ -271,26 +220,17 @@ fn main() {
         };
         for key in THREAD_SPEEDUPS {
             if gate_threads && results[key] < kernel_floor {
-                eprintln!(
-                    "GATE FAILED: {key} = {:.3} < {kernel_floor} ({available} hardware threads)",
+                failures.fail(format_args!(
+                    "{key} = {:.3} < {kernel_floor} ({available} hardware threads)",
                     results[key]
-                );
-                failed = true;
+                ));
             }
         }
         if results["speedup_engine_batch32"] < 1.5 {
-            eprintln!(
-                "GATE FAILED: speedup_engine_batch32 = {:.3} < 1.5",
+            failures.fail(format_args!(
+                "speedup_engine_batch32 = {:.3} < 1.5",
                 results["speedup_engine_batch32"]
-            );
-            failed = true;
+            ));
         }
-        if !failed {
-            eprintln!("all gates passed");
-        }
-    }
-
-    if failed {
-        std::process::exit(1);
-    }
+    });
 }

@@ -10,11 +10,8 @@
 //!
 //! Flags:
 //!
-//! * `--fast` — reduced-scale preset (the CI smoke configuration).
-//! * `--json` — print the metrics JSON to stdout instead of a summary.
-//! * `--out PATH` — also write the metrics JSON to `PATH`.
-//! * `--compare PATH` — compare `rate_*` metrics against a committed
-//!   baseline; exits non-zero on any >15% regression.
+//! * `--fast`, `--json`, `--out PATH`, `--compare PATH` — the shared
+//!   gated-bench conventions, see [`darnet_bench::gate`].
 //! * `--check` — enforce the acceptance gates: the fault campaign must
 //!   actually knock the front camera out, and the 3-stream engine under
 //!   that loss must stay at or above the 2-stream engine under the same
@@ -23,22 +20,11 @@
 
 use std::collections::BTreeMap;
 
-use darnet_bench::{header, metrics, multiview_config, pct};
+use darnet_bench::gate::{Gate, TOLERANCE};
+use darnet_bench::{multiview_config, pct};
 use darnet_core::experiment::run_ablation_multiview;
 
-const TOLERANCE: f64 = 0.15;
-
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = args.iter().any(|a| a == "--json");
-    let check = args.iter().any(|a| a == "--check");
-
     let config = multiview_config();
     let ab = run_ablation_multiview(&config)?;
 
@@ -59,95 +45,63 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "rate_front_unusable_under_fault".to_string(),
         f64::from(ab.front_unusable_under_fault),
     );
-    let text = metrics::to_json(&results);
 
-    if json {
-        print!("{text}");
-    } else {
-        header("Ablation: N-stream registry vs front-camera loss (8-class Top-1)");
-        println!("{:<34} {:>10}", "front camera only", pct(ab.front_only));
-        println!("{:<34} {:>10}", "IMU + front (N=2)", pct(ab.two_stream));
-        println!(
-            "{:<34} {:>10}",
-            "IMU + front + side (N=3)",
-            pct(ab.three_stream)
-        );
-        println!(
-            "{:<34} {:>10}",
-            "N=2, front lost",
-            pct(ab.two_stream_front_lost)
-        );
-        println!(
-            "{:<34} {:>10}",
-            "N=3, front lost",
-            pct(ab.three_stream_front_lost)
-        );
-        println!(
-            "\nfault campaign marked the front camera unusable: {}",
-            ab.front_unusable_under_fault
-        );
-    }
-
-    if let Some(path) = arg_value(&args, "--out") {
-        std::fs::write(&path, &text).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        eprintln!("wrote {path}");
-    }
-
-    let mut failed = false;
-    if let Some(path) = arg_value(&args, "--compare") {
-        let baseline_text =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
-        let baseline =
-            metrics::parse_json(&baseline_text).unwrap_or_else(|e| panic!("parsing {path}: {e}"));
-        let regressions = metrics::compare(&baseline, &results, TOLERANCE);
-        if regressions.is_empty() {
-            eprintln!("no regressions against {path}");
-        } else {
-            for r in &regressions {
-                eprintln!("REGRESSION: {r}");
-            }
-            failed = true;
-        }
-    }
-
-    if check {
-        if !ab.front_unusable_under_fault {
-            eprintln!(
-                "GATE FAILED: the fault campaign did not drive the front camera to \
-                 Unavailable — the loss scenario is not exercising the subset policy"
+    Gate::start(
+        "Ablation: N-stream registry vs front-camera loss (8-class Top-1)",
+        // `--fast` already picked the preset `ab` ran at.
+        |_fast| results,
+        |_| {
+            println!("{:<34} {:>10}", "front camera only", pct(ab.front_only));
+            println!("{:<34} {:>10}", "IMU + front (N=2)", pct(ab.two_stream));
+            println!(
+                "{:<34} {:>10}",
+                "IMU + front + side (N=3)",
+                pct(ab.three_stream)
             );
-            failed = true;
-        }
-        if ab.three_stream_front_lost < ab.two_stream_front_lost {
-            eprintln!(
-                "GATE FAILED: 3-stream accuracy under front loss ({}) fell below the \
-                 2-stream engine under the same loss ({})",
-                pct(ab.three_stream_front_lost),
+            println!(
+                "{:<34} {:>10}",
+                "N=2, front lost",
                 pct(ab.two_stream_front_lost)
             );
-            failed = true;
+            println!(
+                "{:<34} {:>10}",
+                "N=3, front lost",
+                pct(ab.three_stream_front_lost)
+            );
+            println!(
+                "\nfault campaign marked the front camera unusable: {}",
+                ab.front_unusable_under_fault
+            );
+        },
+    )
+    .finish(|_, failures| {
+        if !ab.front_unusable_under_fault {
+            failures.fail(
+                "the fault campaign did not drive the front camera to Unavailable — the \
+                 loss scenario is not exercising the subset policy",
+            );
+        }
+        if ab.three_stream_front_lost < ab.two_stream_front_lost {
+            failures.fail(format_args!(
+                "3-stream accuracy under front loss ({}) fell below the 2-stream engine \
+                 under the same loss ({})",
+                pct(ab.three_stream_front_lost),
+                pct(ab.two_stream_front_lost)
+            ));
         }
         // The headline claim: losing the front camera costs the 3-stream
         // registry at most the comparison tolerance relative to the
         // 2-stream engine's *clean* accuracy — the side view absorbs the
         // loss instead of collapsing to the IMU projection.
         if ab.three_stream_front_lost < ab.two_stream * (1.0 - TOLERANCE) {
-            eprintln!(
-                "GATE FAILED: 3-stream accuracy under front loss ({}) is more than \
-                 {:.0}% below the clean 2-stream baseline ({})",
+            failures.fail(format_args!(
+                "3-stream accuracy under front loss ({}) is more than {:.0}% below the \
+                 clean 2-stream baseline ({})",
                 pct(ab.three_stream_front_lost),
                 TOLERANCE * 100.0,
                 pct(ab.two_stream)
-            );
-            failed = true;
+            ));
         }
-        if !failed {
-            eprintln!("all gates passed");
-        }
-    }
-
-    if failed {
-        std::process::exit(1);
-    }
+    });
     Ok(())
 }

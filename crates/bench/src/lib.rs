@@ -167,6 +167,160 @@ pub mod metrics {
     }
 }
 
+/// The command-line runner the five gated benchmarks share
+/// (`bench_parallel`, `bench_inference`, `bench_chaos`, `bench_fleet`,
+/// `repro_ablation_multiview` — steps 4–8 of `scripts/ci.sh`).
+///
+/// Flags:
+///
+/// * `--fast` — reduced scale (the CI smoke configuration).
+/// * `--json` — print the metrics JSON to stdout instead of a summary.
+/// * `--out PATH` — also write the metrics JSON to `PATH`.
+/// * `--compare PATH` — compare against a committed baseline
+///   ([`metrics::compare`]); exits non-zero on any regression beyond
+///   [`TOLERANCE`](gate::TOLERANCE).
+/// * `--check` — enforce the benchmark's own invariant gates.
+pub mod gate {
+    use std::collections::BTreeMap;
+
+    use crate::metrics;
+
+    /// One run's flat metrics, as [`metrics::to_json`] writes them.
+    pub type Metrics = BTreeMap<String, f64>;
+
+    /// Allowed regression against the committed baseline.
+    pub const TOLERANCE: f64 = 0.15;
+
+    fn arg_value(args: &[String], flag: &str) -> Option<String> {
+        args.iter()
+            .position(|a| a == flag)
+            .and_then(|i| args.get(i + 1).cloned())
+    }
+
+    /// A benchmark that has run and reported, and is yet to be judged.
+    pub struct Gate {
+        check: bool,
+        /// This run's metrics.
+        pub results: Metrics,
+        /// The `--compare` baseline and its path, if one was given. Keys
+        /// removed here are left out of the comparison.
+        pub baseline: Option<(String, Metrics)>,
+    }
+
+    /// Where a benchmark's `--check` closure reports the gates it
+    /// failed.
+    #[derive(Default)]
+    pub struct Failures(bool);
+
+    impl Failures {
+        /// Reports one failed gate.
+        pub fn fail(&mut self, message: impl std::fmt::Display) {
+            eprintln!("GATE FAILED: {message}");
+            self.0 = true;
+        }
+
+        /// Fails every `(key, floor, why)` whose metric is below its
+        /// floor.
+        pub fn floors(&mut self, results: &Metrics, floors: &[(&str, f64, &str)]) {
+            for &(key, floor, why) in floors {
+                if results[key] < floor {
+                    self.fail(format_args!("{key} = {} < {floor} — {why}", results[key]));
+                }
+            }
+        }
+    }
+
+    impl Gate {
+        /// Parses the process arguments, runs the benchmark (`run` gets
+        /// `--fast`), prints the JSON or — under `title` — `summary`'s
+        /// rendering of it, and honours `--out`.
+        ///
+        /// # Panics
+        ///
+        /// If the `--out` path cannot be written or the `--compare`
+        /// baseline cannot be read or parsed.
+        pub fn start(
+            title: &str,
+            run: impl FnOnce(bool) -> Metrics,
+            summary: impl FnOnce(&Metrics),
+        ) -> Gate {
+            let args: Vec<String> = std::env::args().skip(1).collect();
+            let flag = |name: &str| args.iter().any(|a| a == name);
+            let results = run(flag("--fast"));
+            let text = metrics::to_json(&results);
+            if flag("--json") {
+                print!("{text}");
+            } else {
+                crate::header(title);
+                summary(&results);
+            }
+            if let Some(path) = arg_value(&args, "--out") {
+                std::fs::write(&path, &text).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+                eprintln!("wrote {path}");
+            }
+            let baseline = arg_value(&args, "--compare").map(|path| {
+                let text = std::fs::read_to_string(&path)
+                    .unwrap_or_else(|e| panic!("reading {path}: {e}"));
+                let parsed =
+                    metrics::parse_json(&text).unwrap_or_else(|e| panic!("parsing {path}: {e}"));
+                (path, parsed)
+            });
+            Gate {
+                check: flag("--check"),
+                results,
+                baseline,
+            }
+        }
+
+        /// Compares against the baseline, runs `check` under `--check`,
+        /// and exits with status 1 if either found a failure.
+        pub fn finish(self, check: impl FnOnce(&Metrics, &mut Failures)) {
+            let mut failures = Failures::default();
+            if let Some((path, baseline)) = &self.baseline {
+                let regressions = metrics::compare(baseline, &self.results, TOLERANCE);
+                if regressions.is_empty() {
+                    eprintln!("no regressions against {path}");
+                }
+                for r in &regressions {
+                    eprintln!("REGRESSION: {r}");
+                    failures.0 = true;
+                }
+            }
+            if self.check {
+                check(&self.results, &mut failures);
+                if !failures.0 {
+                    eprintln!("all gates passed");
+                }
+            }
+            if failures.0 {
+                std::process::exit(1);
+            }
+        }
+    }
+
+    /// The default summary: one line per metric, the unit read off the
+    /// key (`speedup_*` ×, `*_ms`, `*_rps`, `*_s`, `*_mb`).
+    pub fn print_metrics(results: &Metrics) {
+        for (key, value) in results {
+            if key.starts_with("speedup_") {
+                println!("{key:38} {value:.3}×");
+            } else if key.ends_with("_ms") {
+                println!("{key:38} {value:.4} ms");
+            } else if key.ends_with("_rps") {
+                println!("{key:38} {value:.0} readings/s");
+            } else if key.ends_with("_s") {
+                println!("{key:38} {value:.4} s");
+            } else if key.ends_with("_mb") {
+                println!("{key:38} {value:.2} MB");
+            } else if value.abs() >= 1e6 {
+                println!("{key:38} {value:.3e}");
+            } else {
+                println!("{key:38} {value:.3}");
+            }
+        }
+    }
+}
+
 /// Counting global allocator for allocation-budget benchmarks and tests.
 ///
 /// Installed as this crate's `#[global_allocator]`, so every

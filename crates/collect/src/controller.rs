@@ -260,41 +260,13 @@ impl Controller {
         &self.config
     }
 
-    /// Ingests one agent batch with an unknown arrival time (recorded as
-    /// the batch's last reading timestamp). See
-    /// [`Controller::ingest_at`].
-    pub fn ingest(&mut self, batch: &Batch) -> IngestOutcome {
-        let arrival = batch
-            .readings
-            .last()
-            .map(|r| r.timestamp)
-            .unwrap_or_default();
-        self.ingest_at(arrival, batch)
-    }
-
-    /// Ingests one agent batch arriving at controller time `arrival`.
-    ///
-    /// Duplicate `(agent, seq)` deliveries — retransmissions whose
-    /// original arrived after all, or link-level duplication — are
-    /// detected and discarded; out-of-order delivery is harmless because
-    /// readings are buffered by timestamp, not arrival. Accepted readings
-    /// are mirrored into the TSDB.
-    pub fn ingest_at(&mut self, arrival: f64, batch: &Batch) -> IngestOutcome {
-        let stream = self.streams.entry(batch.agent_id).or_default();
-        if !stream.seen.insert(batch.seq) {
-            stream.duplicates += 1;
-            return IngestOutcome::Duplicate;
-        }
-        self.ingest_accepted(arrival, batch);
-        IngestOutcome::Accepted
-    }
-
-    /// Offers one batch arriving at controller time `arrival`, running
-    /// the full resilient ingest path: duplicate detection, admission
-    /// control, then — *before* any state mutation that would be acked —
-    /// a durable WAL append when `wal` is provided. The caller acks
-    /// `Accepted` and `Duplicate` outcomes only; a [`IngestOutcome::Shed`]
-    /// batch is left to the agent's retransmission schedule.
+    /// Offers one batch arriving at controller time `arrival` — the
+    /// controller's one ingest door: admission control, then the
+    /// crate-internal `admitted` (duplicate detection, the durable WAL
+    /// append when `wal` is provided, and only then the state mutation
+    /// an ack promises). The caller acks `Accepted` and `Duplicate`
+    /// outcomes only; a [`IngestOutcome::Shed`] batch is left to the
+    /// agent's retransmission schedule.
     ///
     /// # Errors
     ///
@@ -313,24 +285,7 @@ impl Controller {
             self.streams.entry(batch.agent_id).or_default().shed += 1;
             return Ok(IngestOutcome::Shed);
         }
-        if self
-            .streams
-            .get(&batch.agent_id)
-            .is_some_and(|s| s.seen.contains(&batch.seq))
-        {
-            self.streams.entry(batch.agent_id).or_default().duplicates += 1;
-            return Ok(IngestOutcome::Duplicate);
-        }
-        if let Some(wal) = wal {
-            wal.append(arrival, batch)?;
-        }
-        self.streams
-            .entry(batch.agent_id)
-            .or_default()
-            .seen
-            .insert(batch.seq);
-        self.ingest_accepted(arrival, batch);
-        Ok(IngestOutcome::Accepted)
+        self.admitted(arrival, batch, wal)
     }
 
     /// Token-bucket admission decision for one batch at arrival time `t`.
@@ -354,11 +309,33 @@ impl Controller {
         true
     }
 
-    /// The accepted-batch ingest body shared by [`Controller::ingest_at`]
-    /// and [`Controller::offer_at`]; the caller has already recorded
-    /// `batch.seq` in the stream's seen-set.
-    fn ingest_accepted(&mut self, arrival: f64, batch: &Batch) {
+    /// The door past admission, where WAL replay enters (a logged batch
+    /// was admitted once already and must not be shed on the way back).
+    ///
+    /// Duplicate `(agent, seq)` deliveries — retransmissions whose
+    /// original arrived after all, or link-level duplication — are
+    /// detected and discarded; out-of-order delivery is harmless because
+    /// readings are buffered by timestamp, not arrival. Accepted readings
+    /// are mirrored into the TSDB.
+    pub(crate) fn admitted(
+        &mut self,
+        arrival: f64,
+        batch: &Batch,
+        wal: Option<&mut crate::wal::Wal>,
+    ) -> Result<IngestOutcome> {
+        // Looked up, not `entry`-created: a failed append below must
+        // leave no trace of the batch, not even an empty stream.
+        if let Some(stream) = self.streams.get_mut(&batch.agent_id) {
+            if stream.seen.contains(&batch.seq) {
+                stream.duplicates += 1;
+                return Ok(IngestOutcome::Duplicate);
+            }
+        }
+        if let Some(wal) = wal {
+            wal.append(arrival, batch)?;
+        }
         let stream = self.streams.entry(batch.agent_id).or_default();
+        stream.seen.insert(batch.seq);
         stream.delivered += 1;
         stream.last_arrival = stream.last_arrival.max(arrival);
         self.batches += 1;
@@ -398,6 +375,7 @@ impl Controller {
                 }
             }
         }
+        Ok(IngestOutcome::Accepted)
     }
 
     /// The ack to return to the sender for a just-ingested batch. Issued
@@ -654,9 +632,12 @@ mod tests {
     fn multi_camera_frames_separate_by_stream() {
         let mut c = Controller::new(ControllerConfig::default());
         // Interleaved deliveries from two camera agents.
-        c.ingest_at(0.5, &multi_frame_batch(1, 0, &[0.25, 0.5]));
-        c.ingest_at(0.6, &multi_frame_batch(2, 0, &[0.3, 0.55]));
-        c.ingest_at(1.0, &multi_frame_batch(1, 1, &[0.75]));
+        c.offer_at(0.5, &multi_frame_batch(1, 0, &[0.25, 0.5]), None)
+            .unwrap();
+        c.offer_at(0.6, &multi_frame_batch(2, 0, &[0.3, 0.55]), None)
+            .unwrap();
+        c.offer_at(1.0, &multi_frame_batch(1, 1, &[0.75]), None)
+            .unwrap();
         let front = c.frames_sorted_for(crate::StreamId::CAMERA_FRONT);
         let side = c.frames_sorted_for(crate::StreamId::CAMERA_SIDE);
         assert_eq!(front.len(), 3);
@@ -675,7 +656,8 @@ mod tests {
     #[test]
     fn ingest_counts_and_tsdb_mirroring() {
         let mut c = Controller::new(ControllerConfig::default());
-        c.ingest(&imu_batch(0, 0, &[0.0, 0.025, 0.05]));
+        c.offer_at(0.0, &imu_batch(0, 0, &[0.0, 0.025, 0.05]), None)
+            .unwrap();
         assert_eq!(c.ingest_stats(), (1, 3));
         assert_eq!(c.imu_observation_count(), 3);
         assert_eq!(c.tsdb().len("imu.0"), 3);
@@ -685,8 +667,8 @@ mod tests {
     fn duplicate_batches_are_discarded_but_reacked() {
         let mut c = Controller::new(ControllerConfig::default());
         let b = imu_batch(0, 0, &[0.0, 0.025]);
-        assert_eq!(c.ingest_at(0.5, &b), IngestOutcome::Accepted);
-        assert_eq!(c.ingest_at(0.6, &b), IngestOutcome::Duplicate);
+        assert_eq!(c.offer_at(0.5, &b, None).unwrap(), IngestOutcome::Accepted);
+        assert_eq!(c.offer_at(0.6, &b, None).unwrap(), IngestOutcome::Duplicate);
         assert_eq!(c.ingest_stats(), (1, 2));
         assert_eq!(c.imu_observation_count(), 2);
         let ack = Controller::ack_for(&b);
@@ -702,7 +684,7 @@ mod tests {
         let mut c = Controller::new(ControllerConfig::default());
         // Seqs 0, 2, 5 arrive (out of order, too): 1, 3, 4 are gaps.
         for &(seq, at) in &[(5u32, 1.4), (0, 0.5), (2, 0.9)] {
-            c.ingest_at(at, &imu_batch(3, seq, &[at]));
+            c.offer_at(at, &imu_batch(3, seq, &[at]), None).unwrap();
         }
         let h = c.stream_health(3).unwrap();
         assert_eq!(h.highest_seq, 5);
@@ -712,7 +694,7 @@ mod tests {
         assert!((h.last_arrival - 1.4).abs() < 1e-12);
         assert!((h.staleness(2.0) - 0.6).abs() < 1e-12);
         // A late gap-filling retransmission closes the accounting.
-        c.ingest_at(2.1, &imu_batch(3, 1, &[0.7]));
+        c.offer_at(2.1, &imu_batch(3, 1, &[0.7]), None).unwrap();
         assert_eq!(c.stream_health(3).unwrap().gaps, 2);
         assert!(c.stream_health(99).is_none());
         assert_eq!(c.stream_healths().len(), 1);
@@ -727,7 +709,7 @@ mod tests {
         });
         // accel.x = t, sampled at 40 Hz over 1 second.
         let stamps: Vec<f64> = (0..=40).map(|i| i as f64 * 0.025).collect();
-        c.ingest(&imu_batch(0, 0, &stamps));
+        c.offer_at(0.0, &imu_batch(0, 0, &stamps), None).unwrap();
         let aligned = c.aligned_imu().unwrap();
         assert_eq!(aligned.len(), 5); // 0, 0.25, 0.5, 0.75, 1.0
         for p in &aligned {
@@ -745,7 +727,7 @@ mod tests {
         let make = |order: &[(u32, &[f64])]| {
             let mut c = Controller::new(ControllerConfig::default());
             for &(seq, stamps) in order {
-                c.ingest(&imu_batch(0, seq, stamps));
+                c.offer_at(0.0, &imu_batch(0, seq, stamps), None).unwrap();
             }
             c.aligned_imu().unwrap()
         };
@@ -765,14 +747,19 @@ mod tests {
         let mut c = Controller::new(ControllerConfig::default());
         let frame = darnet_sim::Frame::new(2, 2);
         for (seq, &t) in [0.5, 0.1, 0.3].iter().enumerate() {
-            c.ingest(&Batch {
-                agent_id: 1,
-                seq: seq as u32,
-                readings: vec![StampedReading {
-                    timestamp: t,
-                    reading: SensorReading::Frame(frame.clone()),
-                }],
-            });
+            c.offer_at(
+                0.0,
+                &Batch {
+                    agent_id: 1,
+                    seq: seq as u32,
+                    readings: vec![StampedReading {
+                        timestamp: t,
+                        reading: SensorReading::Frame(frame.clone()),
+                    }],
+                },
+                None,
+            )
+            .unwrap();
         }
         let frames = c.frames_sorted();
         let times: Vec<f64> = frames.iter().map(|f| f.t).collect();
@@ -881,21 +868,24 @@ mod tests {
         let mut a = Controller::new(ControllerConfig::default());
         let mut b = Controller::new(ControllerConfig::default());
         assert_eq!(a.state_digest(), b.state_digest());
-        a.ingest_at(0.5, &imu_batch(0, 0, &[0.0, 0.025]));
+        a.offer_at(0.5, &imu_batch(0, 0, &[0.0, 0.025]), None)
+            .unwrap();
         assert_ne!(a.state_digest(), b.state_digest());
-        b.ingest_at(0.5, &imu_batch(0, 0, &[0.0, 0.025]));
+        b.offer_at(0.5, &imu_batch(0, 0, &[0.0, 0.025]), None)
+            .unwrap();
         assert_eq!(a.state_digest(), b.state_digest());
         // A duplicate delivery is not replayable state: it bumps the
         // stream's tally but must leave the digest alone, or a recovered
         // controller could never match the one that wrote the log.
         assert_eq!(
-            a.ingest_at(0.6, &imu_batch(0, 0, &[0.0, 0.025])),
+            a.offer_at(0.6, &imu_batch(0, 0, &[0.0, 0.025]), None)
+                .unwrap(),
             IngestOutcome::Duplicate
         );
         assert_ne!(a.stream_meta(), b.stream_meta());
         assert_eq!(a.state_digest(), b.state_digest());
         // Anything accepted moves it.
-        a.ingest_at(0.7, &imu_batch(0, 1, &[0.05]));
+        a.offer_at(0.7, &imu_batch(0, 1, &[0.05]), None).unwrap();
         assert_ne!(a.state_digest(), b.state_digest());
     }
 
@@ -905,8 +895,8 @@ mod tests {
             per_agent_series: true,
             ..ControllerConfig::default()
         });
-        c.ingest(&imu_batch(7, 0, &[0.0]));
-        c.ingest(&frame_batch(9, 0, 0.5));
+        c.offer_at(0.0, &imu_batch(7, 0, &[0.0]), None).unwrap();
+        c.offer_at(0.0, &frame_batch(9, 0, 0.5), None).unwrap();
         assert_eq!(c.tsdb().len("imu.7.0"), 1);
         assert_eq!(c.tsdb().len("imu.0"), 0);
         assert_eq!(c.tsdb().len("camera.mean_intensity.9"), 1);
@@ -917,11 +907,11 @@ mod tests {
     fn approx_bytes_grows_with_ingest() {
         let mut c = Controller::new(ControllerConfig::default());
         assert_eq!(c.approx_bytes(), 0);
-        c.ingest(&imu_batch(0, 0, &[0.0]));
+        c.offer_at(0.0, &imu_batch(0, 0, &[0.0]), None).unwrap();
         let after_imu = c.approx_bytes();
         // One stream (32 + 4), one observation (8 + 48), 12 TSDB points.
         assert_eq!(after_imu, 36 + 56 + 144);
-        c.ingest(&frame_batch(0, 1, 0.5));
+        c.offer_at(0.0, &frame_batch(0, 1, 0.5), None).unwrap();
         assert!(c.approx_bytes() > after_imu);
     }
 
@@ -933,7 +923,7 @@ mod tests {
         };
         let mut c = Controller::new(config);
         let stamps: Vec<f64> = (0..=40).map(|i| i as f64 * 0.025).collect();
-        c.ingest(&imu_batch(0, 0, &stamps));
+        c.offer_at(0.0, &imu_batch(0, 0, &stamps), None).unwrap();
         let smooth = c.aligned_imu().unwrap();
         // With accel.x = t linear, the trailing average lags below t.
         let last = smooth.last().unwrap();

@@ -18,12 +18,12 @@ use darnet_sim::{Behavior, DrivingWorld, Segment};
 
 use crate::agent::{AgentConfig, CollectionAgent, RetransmitConfig, TransportStats};
 use crate::clock::DriftClock;
-use crate::controller::{Controller, ControllerConfig, IngestOutcome};
+use crate::controller::{Controller, ControllerConfig};
 use crate::network::{Link, LinkConfig, LinkStats};
 use crate::sensor::{canonical_script, CameraView, ScriptedSensor, Sensor};
-use crate::shard::{ShardConfig, ShardedController};
-use crate::wal::{self, RecoveryReport, Wal, WalConfig, WalStorage};
-use crate::wire::{decode_batch, encode_batch};
+use crate::shard::{Door, ShardConfig, ShardedController};
+use crate::wal::{RecoveryReport, WalConfig, WalStorage};
+use crate::wire::{decode_batch, encode_batch, Batch};
 use crate::{CollectError, Result};
 
 /// Output of a live run.
@@ -75,7 +75,7 @@ impl FaultySend {
 }
 
 /// Drives one collection agent to completion on the calling thread —
-/// invoked from a scoped worker inside [`run_live_inner`] (the project's
+/// invoked from a scoped worker inside [`run_live`] (the project's
 /// scoped-threads-only invariant: no detached `thread::spawn`, workers
 /// cannot outlive the session).
 fn run_agent(
@@ -128,119 +128,110 @@ fn run_agent(
     faulty.map(|f| (f.stats, f.link.link_stats()))
 }
 
-fn run_live_inner(
+/// Channel-level accounting of one live run.
+struct LiveTraffic {
+    bytes_transferred: usize,
+    batches: usize,
+    /// Per faulty agent, in spawn order; empty over reliable channels.
+    transports: Vec<(TransportStats, LinkStats)>,
+}
+
+/// The live runtime every `run_live_session*` fronts: for each
+/// `(driver, imu_agent_id)` an IMU agent and a front-camera agent
+/// (`imu_agent_id + 1`) on scoped threads, all streaming encoded batches
+/// over one channel into `ingest` on the calling thread, which sees each
+/// decoded batch with its arrival time — the batch's own newest stamp,
+/// live mode's arrival time base.
+fn run_live(
     world: &Arc<DrivingWorld>,
-    driver: usize,
     segments: &[Segment<Behavior>],
     duration: f64,
-    controller_config: ControllerConfig,
+    agents: &[(usize, u32)],
     faults: Option<(LinkConfig, RetransmitConfig, u64)>,
-    durable: Option<(Arc<dyn WalStorage>, WalConfig)>,
-) -> Result<LiveRunReport> {
-    let script = canonical_script(segments, driver);
+    mut ingest: impl FnMut(f64, &Batch) -> Result<()>,
+) -> Result<LiveTraffic> {
     let (tx, rx) = bounded::<Vec<u8>>(64);
-
-    // Open the durable controller (replaying any prior incarnation's WAL)
-    // before the agent threads start streaming.
-    let (mut controller, mut wal): (Controller, Option<Wal>) = match durable {
-        Some((storage, wal_config)) => {
-            let (c, w, _) = wal::open(controller_config, storage, wal_config)?;
-            (c, Some(w))
-        }
-        None => (Controller::new(controller_config), None),
-    };
-
-    let make_faulty = |agent_id: u64| {
-        faults.map(|(link, retransmit, seed)| FaultySend {
-            link: Link::new(link, seed ^ agent_id.wrapping_mul(0x9E37_79B9)),
-            retransmit,
-            stats: TransportStats::default(),
-        })
-    };
-
-    // Scoped threads: the controller ingests on this thread while both
-    // agents stream from workers that provably terminate before the scope
-    // (and thus this function) returns. If the ingest loop aborts early on
-    // a decode error, dropping `rx` makes the workers' sends fail and they
-    // exit — the scope cannot deadlock.
-    let tx_imu = tx.clone();
-    let script_imu = script.clone();
-    let faulty_imu = make_faulty(0);
-    let faulty_cam = make_faulty(1);
+    // Scoped threads: ingest runs on this thread while the agents stream
+    // from workers that provably terminate before the scope (and thus
+    // this function) returns. If the ingest loop aborts early on an
+    // error, dropping `rx` makes the workers' sends fail and they exit —
+    // the scope cannot deadlock.
     thread::scope(|scope| {
-        let imu_handle = scope.spawn(move || {
-            run_agent(
-                0,
-                Box::new(ScriptedSensor::imu(
-                    Arc::clone(world),
-                    driver,
-                    script_imu,
-                    0.025,
-                )),
-                DriftClock::new(50e-6, 0.01),
-                duration,
-                0.5,
-                faulty_imu,
-                tx_imu,
-            )
-        });
-        let cam_handle = scope.spawn(move || {
-            run_agent(
-                1,
-                Box::new(ScriptedSensor::camera(
-                    Arc::clone(world),
-                    driver,
-                    script,
-                    0.25,
-                    CameraView::Front,
-                )),
-                DriftClock::new(1e-6, 0.0),
-                duration,
-                0.5,
-                faulty_cam,
-                tx,
-            )
-        });
+        let mut handles = Vec::with_capacity(agents.len() * 2);
+        for &(driver, imu_id) in agents {
+            let script = canonical_script(segments, driver);
+            for (agent_id, camera) in [(imu_id, false), (imu_id + 1, true)] {
+                let (world, script, tx) = (Arc::clone(world), script.clone(), tx.clone());
+                let faulty = faults.map(|(link, retransmit, seed)| FaultySend {
+                    link: Link::new(link, seed ^ u64::from(agent_id).wrapping_mul(0x9E37_79B9)),
+                    retransmit,
+                    stats: TransportStats::default(),
+                });
+                handles.push(scope.spawn(move || {
+                    let (sensor, clock) = if camera {
+                        (
+                            ScriptedSensor::camera(world, driver, script, 0.25, CameraView::Front),
+                            DriftClock::new(1e-6, 0.0),
+                        )
+                    } else {
+                        (
+                            ScriptedSensor::imu(world, driver, script, 0.025),
+                            DriftClock::new(50e-6, 0.01),
+                        )
+                    };
+                    run_agent(agent_id, Box::new(sensor), clock, duration, 0.5, faulty, tx)
+                }));
+            }
+        }
+        // The spawning thread's clone of `tx` must drop, or `rx` never
+        // closes and the ingest loop below spins forever.
+        drop(tx);
 
-        let mut bytes_transferred = 0usize;
-        let mut batches = 0usize;
+        let mut traffic = LiveTraffic {
+            bytes_transferred: 0,
+            batches: 0,
+            transports: Vec::new(),
+        };
         for encoded in rx {
-            bytes_transferred += encoded.len();
-            batches += 1;
+            traffic.bytes_transferred += encoded.len();
+            traffic.batches += 1;
             let batch = decode_batch(bytes::Bytes::from(encoded))?;
-            // Live mode's arrival time base is the batch's own newest
-            // stamp (matching `Controller::ingest`); the durable path
-            // appends to the WAL before mutating state.
             let arrival = batch
                 .readings
                 .last()
                 .map(|r| r.timestamp)
                 .unwrap_or_default();
-            let outcome = controller.offer_at(arrival, &batch, wal.as_mut())?;
-            if outcome != IngestOutcome::Shed {
-                if let Some(w) = wal.as_mut() {
-                    if w.needs_snapshot() {
-                        w.snapshot(&controller)?;
-                    }
-                }
-            }
+            ingest(arrival, &batch)?;
         }
-        let imu_transport = imu_handle
-            .join()
-            .map_err(|_| CollectError::InvalidConfig("imu agent thread panicked".into()))?;
-        let cam_transport = cam_handle
-            .join()
-            .map_err(|_| CollectError::InvalidConfig("camera agent thread panicked".into()))?;
+        for handle in handles {
+            let transport = handle
+                .join()
+                .map_err(|_| CollectError::InvalidConfig("agent thread panicked".into()))?;
+            traffic.transports.extend(transport);
+        }
+        Ok(traffic)
+    })
+}
 
-        Ok(LiveRunReport {
-            controller,
-            bytes_transferred,
-            batches,
-            transports: [imu_transport, cam_transport]
-                .into_iter()
-                .flatten()
-                .collect(),
-        })
+/// The single-controller front-end: one driver's two agents into one
+/// [`Door`], which the caller opened (replaying any prior incarnation's
+/// WAL) before the agent threads start streaming.
+fn run_live_single(
+    world: &Arc<DrivingWorld>,
+    driver: usize,
+    segments: &[Segment<Behavior>],
+    duration: f64,
+    mut door: Door,
+    faults: Option<(LinkConfig, RetransmitConfig, u64)>,
+) -> Result<LiveRunReport> {
+    // Acks are meaningless over a reliable channel and are dropped.
+    let ingest = |arrival: f64, batch: &Batch| door.offer(arrival, batch).map(drop);
+    let traffic = run_live(world, segments, duration, &[(driver, 0)], faults, ingest)?;
+    Ok(LiveRunReport {
+        controller: door.into_controller(),
+        bytes_transferred: traffic.bytes_transferred,
+        batches: traffic.batches,
+        transports: traffic.transports,
     })
 }
 
@@ -258,15 +249,8 @@ pub fn run_live_session(
     duration: f64,
     controller_config: ControllerConfig,
 ) -> Result<LiveRunReport> {
-    run_live_inner(
-        world,
-        driver,
-        segments,
-        duration,
-        controller_config,
-        None,
-        None,
-    )
+    let door = Door::new(controller_config);
+    run_live_single(world, driver, segments, duration, door, None)
 }
 
 /// Like [`run_live_session`], but every accepted batch is appended to a
@@ -289,22 +273,9 @@ pub fn run_live_session_durable(
     storage: Arc<dyn WalStorage>,
     wal_config: WalConfig,
 ) -> Result<(LiveRunReport, RecoveryReport)> {
-    // Probe the replay separately so the caller sees what recovery did
-    // (run_live_inner then re-opens; replay is idempotent and cheap at
-    // live-session scale).
-    let mut probe = Controller::new(controller_config);
-    let report = wal::replay_into(&mut probe, storage.as_ref())?;
-    drop(probe);
-    run_live_inner(
-        world,
-        driver,
-        segments,
-        duration,
-        controller_config,
-        None,
-        Some((storage, wal_config)),
-    )
-    .map(|live| (live, report))
+    let (door, recovery) = Door::open(controller_config, Some(storage), wal_config)?;
+    let live = run_live_single(world, driver, segments, duration, door, None)?;
+    Ok((live, recovery))
 }
 
 /// Like [`run_live_session`], but every agent sends through a seeded faulty
@@ -325,15 +296,9 @@ pub fn run_live_session_faulty(
     retransmit: RetransmitConfig,
     seed: u64,
 ) -> Result<LiveRunReport> {
-    run_live_inner(
-        world,
-        driver,
-        segments,
-        duration,
-        controller_config,
-        Some((link, retransmit, seed)),
-        None,
-    )
+    let door = Door::new(controller_config);
+    let faults = Some((link, retransmit, seed));
+    run_live_single(world, driver, segments, duration, door, faults)
 }
 
 /// Output of a sharded live run: the fleet front door after ingesting
@@ -367,82 +332,34 @@ pub fn run_live_session_sharded(
     shard_config: ShardConfig,
 ) -> Result<LiveFleetReport> {
     let mut sharded = ShardedController::new(shard_config)?;
-    let (tx, rx) = bounded::<Vec<u8>>(64);
-    thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(drivers.len() * 2);
-        for &driver in drivers {
-            let script = canonical_script(segments, driver);
-            let imu_id = (driver as u32) * 2;
-            let tx_imu = tx.clone();
-            let tx_cam = tx.clone();
-            let script_cam = script.clone();
-            let world_imu = Arc::clone(world);
-            let world_cam = Arc::clone(world);
-            handles.push(scope.spawn(move || {
-                run_agent(
-                    imu_id,
-                    Box::new(ScriptedSensor::imu(world_imu, driver, script, 0.025)),
-                    DriftClock::new(50e-6, 0.01),
-                    duration,
-                    0.5,
-                    None,
-                    tx_imu,
-                )
-            }));
-            handles.push(scope.spawn(move || {
-                run_agent(
-                    imu_id + 1,
-                    Box::new(ScriptedSensor::camera(
-                        world_cam,
-                        driver,
-                        script_cam,
-                        0.25,
-                        CameraView::Front,
-                    )),
-                    DriftClock::new(1e-6, 0.0),
-                    duration,
-                    0.5,
-                    None,
-                    tx_cam,
-                )
-            }));
-        }
-        // The spawning thread's clone of `tx` must drop, or `rx` never
-        // closes and the ingest loop below spins forever.
-        drop(tx);
-
-        let mut bytes_transferred = 0usize;
-        let mut batches = 0usize;
-        for encoded in rx {
-            bytes_transferred += encoded.len();
-            batches += 1;
-            let batch = decode_batch(bytes::Bytes::from(encoded))?;
-            let arrival = batch
-                .readings
-                .last()
-                .map(|r| r.timestamp)
-                .unwrap_or_default();
+    let agents: Vec<(usize, u32)> = drivers.iter().map(|&d| (d, d as u32 * 2)).collect();
+    let mut undrained = 0usize;
+    let traffic = run_live(
+        world,
+        segments,
+        duration,
+        &agents,
+        None,
+        |arrival, batch| {
             // Queue-shed offers are fine here: the channel is reliable, so
             // a shed batch simply surfaces as a controller-side gap, the
             // same contract as a lossy link.
-            let _ = sharded.offer_at(arrival, &batch);
+            let _ = sharded.offer_at(arrival, batch);
             // Drain opportunistically so queues stay shallow (acks are
             // meaningless over a reliable channel and are dropped).
-            if batches.is_multiple_of(64) {
+            undrained += 1;
+            if undrained == 64 {
+                undrained = 0;
                 sharded.drain()?;
             }
-        }
-        sharded.drain()?;
-        for handle in handles {
-            handle
-                .join()
-                .map_err(|_| CollectError::InvalidConfig("agent thread panicked".into()))?;
-        }
-        Ok(LiveFleetReport {
-            sharded,
-            bytes_transferred,
-            batches,
-        })
+            Ok(())
+        },
+    )?;
+    sharded.drain()?;
+    Ok(LiveFleetReport {
+        sharded,
+        bytes_transferred: traffic.bytes_transferred,
+        batches: traffic.batches,
     })
 }
 
@@ -532,6 +449,58 @@ mod tests {
         let (b, r) = report.sharded.ingest_stats();
         assert!(b > 0 && r > 0);
         assert_ne!(report.sharded.tsdb_digest(), 0);
+    }
+
+    #[test]
+    fn durable_live_session_resumes_from_the_log() {
+        use crate::wal::MemStorage;
+        let world = Arc::new(DrivingWorld::new(WorldConfig::default()));
+        let segments = vec![Segment {
+            driver: 0,
+            behavior: Behavior::Talking,
+            start: 0.0,
+            duration: 3.0,
+        }];
+        let config = ControllerConfig::default();
+        let storage = Arc::new(MemStorage::new());
+        let run = || {
+            let store = Arc::clone(&storage) as Arc<dyn WalStorage>;
+            run_live_session_durable(
+                &world,
+                0,
+                &segments,
+                3.0,
+                config,
+                store,
+                WalConfig::default(),
+            )
+            .unwrap()
+        };
+        let (first, fresh) = run();
+        assert_eq!(
+            fresh,
+            RecoveryReport::default(),
+            "empty store: nothing to replay"
+        );
+        let logged = storage.total_bytes();
+        assert!(logged > 0);
+
+        // The next incarnation replays the log once — the report is the
+        // open's own — and the re-sent session is all duplicates: nothing
+        // is logged twice and the state is the uninterrupted run's.
+        let (second, recovery) = run();
+        assert_eq!(recovery.records_replayed, first.controller.ingest_stats().0);
+        assert_eq!(recovery.duplicates_skipped, 0);
+        assert_eq!(storage.total_bytes(), logged);
+        let uninterrupted = run_live_session(&world, 0, &segments, 3.0, config).unwrap();
+        assert_eq!(
+            second.controller.state_digest(),
+            uninterrupted.controller.state_digest()
+        );
+        assert_eq!(
+            second.controller.ingest_stats(),
+            first.controller.ingest_stats()
+        );
     }
 
     #[test]

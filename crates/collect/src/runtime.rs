@@ -28,13 +28,12 @@ use crate::agent::{
     AgentConfig, CollectionAgent, RetransmitConfig, SpillConfig, SpillStats, TransportStats,
 };
 use crate::clock::{ClockConfig, DriftClock};
-use crate::controller::{
-    AlignedImuPoint, Controller, ControllerConfig, FrameRecord, IngestOutcome, StreamHealth,
-};
+use crate::controller::{AlignedImuPoint, Controller, ControllerConfig, FrameRecord, StreamHealth};
 use crate::network::{Link, LinkConfig, LinkStats};
 use crate::sensor::{canonical_script, CameraView, ScriptedSensor, Sensor};
+use crate::shard::Door;
 use crate::stream::StreamId;
-use crate::wal::{self, Wal, WalConfig, WalStorage};
+use crate::wal::{RecoveryReport, WalConfig, WalStats, WalStorage};
 use crate::wire::{decode_ack, decode_batch, encode_ack, encode_batch, Batch};
 use crate::{CollectError, Result};
 
@@ -478,35 +477,6 @@ fn session_agent(
     )
 }
 
-/// Opens a controller incarnation over `durability`'s store, replaying
-/// whatever a prior incarnation logged; without a store, a fresh
-/// in-memory controller.
-fn open_controller(
-    config: &CampaignConfig,
-    durability: &Durability,
-    chaos: &mut ChaosReport,
-) -> Result<(Controller, Option<Wal>)> {
-    let Some(storage) = &durability.storage else {
-        return Ok((Controller::new(config.controller), None));
-    };
-    let (controller, wal, report) =
-        wal::open(config.controller, Arc::clone(storage), durability.wal)?;
-    chaos.replayed_records += report.records_replayed;
-    chaos.torn_tail_bytes_discarded += report.torn_tail_bytes;
-    Ok((controller, Some(wal)))
-}
-
-/// Folds a dying incarnation's WAL counters into the chaos report.
-fn retire_wal(chaos: &mut ChaosReport, wal: Option<Wal>) {
-    if let Some(w) = wal {
-        let s = w.stats();
-        chaos.wal_appends += s.appends;
-        chaos.wal_bytes += s.bytes_appended;
-        chaos.wal_segments_rolled += s.segments_rolled;
-        chaos.wal_snapshots += s.snapshots_taken;
-    }
-}
-
 /// What [`run_streams`] leaves behind for a front-end to project into
 /// its recording type.
 struct SessionEnd {
@@ -574,9 +544,22 @@ fn run_streams(
     let mut clock_errors = vec![0.0f64; agents.len()];
 
     let mut chaos = ChaosReport::default();
+    // What every controller incarnation of this session replayed on open
+    // and logged before it died.
+    let mut recovered = RecoveryReport::default();
+    let mut logged = WalStats::default();
+    let mut open = || -> Result<Door> {
+        let (door, report) = Door::open(
+            config.controller,
+            durability.storage.clone(),
+            durability.wal,
+        )?;
+        recovered.absorb(&report);
+        Ok(door)
+    };
     // A pre-populated store replays here (resuming a prior incarnation's
     // session), an empty one starts clean.
-    let (mut controller, mut wal) = open_controller(config, durability, &mut chaos)?;
+    let mut door = open()?;
     // Controller liveness: while down, deliveries drop and syncs stop.
     let mut down = false;
     // Every (agent id, seq) the agents saw acked — the promise the
@@ -672,26 +655,17 @@ fn run_streams(
                 // Round-trip through the wire format, as the real system
                 // would.
                 let decoded = decode_batch(encode_batch(&pending[id as usize]))?;
-                let ack = Controller::ack_for(&decoded);
-                // Durable ack ordering: admission first, then dedup, then
-                // WAL append, and only then state mutation + ack.
-                let outcome = controller.offer_at(t, &decoded, wal.as_mut())?;
-                if outcome == IngestOutcome::Shed {
+                let Some(acked) = door.offer(t, &decoded)? else {
                     // Shed = deferred, not lost: no ack, so the agent's
                     // backoff schedule retries once pressure drains.
                     chaos.shed_batches += 1;
                     continue;
-                }
-                if let Some(w) = wal.as_mut() {
-                    if w.needs_snapshot() {
-                        w.snapshot(&controller)?;
-                    }
-                }
+                };
                 if reliable {
                     // Ack every accepted or duplicate delivery —
                     // duplicates included, since a duplicate usually
                     // means the previous ack was lost.
-                    let ack = decode_ack(encode_ack(&ack))?;
+                    let ack = decode_ack(encode_ack(&acked.ack))?;
                     if let Some(agent) = streams.iter().position(|s| s.agent_id() == ack.agent_id) {
                         let delivered = SessionEvent::DeliverAck {
                             agent,
@@ -714,19 +688,17 @@ fn run_streams(
                 // A real crash can tear the tail of the segment being
                 // written; model it with seeded garbage, which recovery
                 // must truncate away.
-                if durability.torn_tail_bytes > 0 {
-                    if let Some(w) = wal.as_mut() {
-                        let garbage: Vec<u8> = (0..durability.torn_tail_bytes)
-                            .map(|_| (rng.next_u64() & 0xFF) as u8)
-                            .collect();
-                        w.simulate_torn_tail(&garbage)?;
-                    }
+                if durability.torn_tail_bytes > 0 && durability.storage.is_some() {
+                    let garbage: Vec<u8> = (0..durability.torn_tail_bytes)
+                        .map(|_| (rng.next_u64() & 0xFF) as u8)
+                        .collect();
+                    door.simulate_torn_tail(&garbage)?;
                 }
                 // The process dies: all in-memory controller state is
                 // gone. Only the WAL storage (held by `durability`)
                 // survives.
-                retire_wal(&mut chaos, wal.take());
-                controller = Controller::new(config.controller);
+                logged.absorb(&door.wal_stats());
+                door = Door::new(config.controller);
                 down = true;
             }
             SessionEvent::Restart => {
@@ -739,7 +711,7 @@ fn run_streams(
                 // crash simply resumes — the negative control that shows
                 // what the WAL is for.
                 if durability.storage.is_some() {
-                    (controller, wal) = open_controller(config, durability, &mut chaos)?;
+                    door = open()?;
                 }
             }
         }
@@ -749,9 +721,16 @@ fn run_streams(
     // incarnation would, so the recording reflects the durable state.
     if down && durability.storage.is_some() {
         chaos.recoveries += 1;
-        (controller, wal) = open_controller(config, durability, &mut chaos)?;
+        door = open()?;
     }
-    retire_wal(&mut chaos, wal.take());
+    logged.absorb(&door.wal_stats());
+    chaos.replayed_records = recovered.records_replayed;
+    chaos.torn_tail_bytes_discarded = recovered.torn_tail_bytes;
+    chaos.wal_appends = logged.appends;
+    chaos.wal_bytes = logged.bytes_appended;
+    chaos.wal_segments_rolled = logged.segments_rolled;
+    chaos.wal_snapshots = logged.snapshots_taken;
+    let controller = door.into_controller();
 
     // The recovery invariant: every batch an agent saw acked must be in
     // the final controller state.

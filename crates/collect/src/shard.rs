@@ -1,7 +1,7 @@
 //! Fleet-scale sharded ingestion: hash-partitions agents across N
-//! shards, each owning a full [`Controller`] (alignment, per-stream
-//! health, admission control) and optionally its own WAL, behind a
-//! bounded per-shard ingest queue. Per-shard pressure (queue depth +
+//! shards, each a bounded ingest queue in front of the crate's one
+//! durable ingest door — a full [`Controller`] (alignment, per-stream
+//! health, admission control) and optionally its own WAL. Per-shard pressure (queue depth +
 //! shed ratio) rolls up to a fleet-level admission signal that the load
 //! generator and live mode feed back to agents (DESIGN.md §14).
 //!
@@ -215,12 +215,94 @@ pub struct FleetPressure {
     pub signal: FleetAdmission,
 }
 
-/// One shard: a controller, its optional WAL, and the bounded FIFO
-/// ingest queue in front of them.
+/// The one durable ingest door: a [`Controller`] and, when the session
+/// is durable, the [`Wal`] its acks are promises about. Sessions
+/// (`runtime`), live mode and every shard ingest through
+/// [`Door::offer`], so the policy — admission → dedup → WAL append →
+/// mutate → snapshot if due → ack iff not shed — is written here and
+/// nowhere else in the crate.
 #[derive(Debug)]
-struct Shard {
+pub(crate) struct Door {
     controller: Controller,
     wal: Option<Wal>,
+}
+
+impl Door {
+    /// A door with no log behind it: acks promise nothing past a crash.
+    pub(crate) fn new(config: ControllerConfig) -> Self {
+        Door {
+            controller: Controller::new(config),
+            wal: None,
+        }
+    }
+
+    /// Opens the door over `storage`, replaying whatever a prior
+    /// incarnation logged ([`wal::open`]); without storage, [`Door::new`]
+    /// and an empty report.
+    pub(crate) fn open(
+        config: ControllerConfig,
+        storage: Option<Arc<dyn WalStorage>>,
+        wal_config: WalConfig,
+    ) -> Result<(Self, RecoveryReport)> {
+        let Some(storage) = storage else {
+            return Ok((Door::new(config), RecoveryReport::default()));
+        };
+        let (controller, wal, report) = wal::open(config, storage, wal_config)?;
+        let wal = Some(wal);
+        Ok((Door { controller, wal }, report))
+    }
+
+    /// Offers one batch arriving at `arrival`. `Some` is the ack the
+    /// caller may now send (first acceptance or duplicate re-ack): the
+    /// batch is in the log, if there is one, and in controller state.
+    /// `None` means admission shed it — deferral, not loss: nothing was
+    /// logged or mutated, and the unacked agent retransmits later.
+    pub(crate) fn offer(&mut self, arrival: f64, batch: &Batch) -> Result<Option<ShardAck>> {
+        let outcome = self
+            .controller
+            .offer_at(arrival, batch, self.wal.as_mut())?;
+        if outcome == IngestOutcome::Shed {
+            return Ok(None);
+        }
+        if let Some(wal) = self.wal.as_mut() {
+            if wal.needs_snapshot() {
+                wal.snapshot(&self.controller)?;
+            }
+        }
+        Ok(Some(ShardAck {
+            ack: Controller::ack_for(batch),
+            outcome,
+        }))
+    }
+
+    /// Appends garbage to the log's tail — the torn write a kill leaves
+    /// behind ([`Wal::simulate_torn_tail`]); a no-op without a log.
+    pub(crate) fn simulate_torn_tail(&mut self, garbage: &[u8]) -> Result<()> {
+        match self.wal.as_mut() {
+            Some(wal) => wal.simulate_torn_tail(garbage),
+            None => Ok(()),
+        }
+    }
+
+    /// This incarnation's WAL counters (zeros without a log).
+    pub(crate) fn wal_stats(&self) -> WalStats {
+        self.wal.as_ref().map(Wal::stats).unwrap_or_default()
+    }
+
+    pub(crate) fn controller(&self) -> &Controller {
+        &self.controller
+    }
+
+    pub(crate) fn into_controller(self) -> Controller {
+        self.controller
+    }
+}
+
+/// One shard: a [`Door`] and the bounded FIFO ingest queue in front of
+/// it.
+#[derive(Debug)]
+struct Shard {
+    door: Door,
     queue: VecDeque<(f64, Batch)>,
     queue_shed: u64,
     offered: u64,
@@ -228,31 +310,27 @@ struct Shard {
 }
 
 impl Shard {
+    fn new(door: Door) -> Self {
+        Shard {
+            door,
+            queue: VecDeque::new(),
+            queue_shed: 0,
+            offered: 0,
+            queue_peak: 0,
+        }
+    }
+
     fn drain_queue(&mut self) -> Result<Vec<ShardAck>> {
         let mut acks = Vec::with_capacity(self.queue.len());
         while let Some((arrival, batch)) = self.queue.pop_front() {
-            let outcome = self
-                .controller
-                .offer_at(arrival, &batch, self.wal.as_mut())?;
-            if let Some(wal) = self.wal.as_mut() {
-                if wal.needs_snapshot() {
-                    wal.snapshot(&self.controller)?;
-                }
-            }
-            // Shed batches are deliberately unacked (deferral, not
-            // loss); the per-stream shed counter records them.
-            if matches!(outcome, IngestOutcome::Accepted | IngestOutcome::Duplicate) {
-                acks.push(ShardAck {
-                    ack: Controller::ack_for(&batch),
-                    outcome,
-                });
-            }
+            acks.extend(self.door.offer(arrival, &batch)?);
         }
         Ok(acks)
     }
 
     fn admission_shed(&self) -> u64 {
-        self.controller
+        self.door
+            .controller()
             .stream_healths()
             .iter()
             .map(|h| h.shed)
@@ -279,14 +357,7 @@ impl ShardedController {
     pub fn new(config: ShardConfig) -> Result<Self> {
         config.validate()?;
         let shards = (0..config.shards)
-            .map(|_| Shard {
-                controller: Controller::new(config.controller),
-                wal: None,
-                queue: VecDeque::new(),
-                queue_shed: 0,
-                offered: 0,
-                queue_peak: 0,
-            })
+            .map(|_| Shard::new(Door::new(config.controller)))
             .collect();
         Ok(ShardedController { config, shards })
     }
@@ -317,17 +388,9 @@ impl ShardedController {
         let mut report = RecoveryReport::default();
         let mut shards = Vec::with_capacity(config.shards);
         for storage in storages {
-            let (controller, wal, shard_report) =
-                wal::open(config.controller, storage, wal_config)?;
+            let (door, shard_report) = Door::open(config.controller, Some(storage), wal_config)?;
             report.absorb(&shard_report);
-            shards.push(Shard {
-                controller,
-                wal: Some(wal),
-                queue: VecDeque::new(),
-                queue_shed: 0,
-                offered: 0,
-                queue_peak: 0,
-            });
+            shards.push(Shard::new(door));
         }
         Ok((ShardedController { config, shards }, report))
     }
@@ -459,7 +522,8 @@ impl ShardedController {
     pub fn stream_health(&self, agent_id: u32) -> Option<StreamHealth> {
         self.shards
             .get(self.shard_for(agent_id))?
-            .controller
+            .door
+            .controller()
             .stream_health(agent_id)
     }
 
@@ -469,7 +533,7 @@ impl ShardedController {
         let mut out: Vec<StreamHealth> = self
             .shards
             .iter()
-            .flat_map(|s| s.controller.stream_healths())
+            .flat_map(|s| s.door.controller().stream_healths())
             .collect();
         out.sort_by_key(|h| h.agent_id);
         out
@@ -479,7 +543,7 @@ impl ShardedController {
     pub fn has_seen(&self, agent_id: u32, seq: u32) -> bool {
         self.shards
             .get(self.shard_for(agent_id))
-            .is_some_and(|s| s.controller.has_seen(agent_id, seq))
+            .is_some_and(|s| s.door.controller().has_seen(agent_id, seq))
     }
 
     /// `(batches, readings)` accepted across all shards.
@@ -487,7 +551,7 @@ impl ShardedController {
         let mut batches = 0;
         let mut readings = 0;
         for s in &self.shards {
-            let (b, r) = s.controller.ingest_stats();
+            let (b, r) = s.door.controller().ingest_stats();
             batches += b;
             readings += r;
         }
@@ -500,7 +564,7 @@ impl ShardedController {
     pub fn approx_bytes(&self) -> u64 {
         let mut total = 0u64;
         for s in &self.shards {
-            total += s.controller.approx_bytes();
+            total += s.door.controller().approx_bytes();
             for (_, batch) in &s.queue {
                 total += 16 + batch.readings.len() as u64 * 16;
             }
@@ -513,13 +577,7 @@ impl ShardedController {
     pub fn wal_stats(&self) -> WalStats {
         let mut out = WalStats::default();
         for s in &self.shards {
-            if let Some(wal) = &s.wal {
-                let st = wal.stats();
-                out.appends += st.appends;
-                out.bytes_appended += st.bytes_appended;
-                out.segments_rolled += st.segments_rolled;
-                out.snapshots_taken += st.snapshots_taken;
-            }
+            out.absorb(&s.door.wal_stats());
         }
         out
     }
@@ -533,7 +591,7 @@ impl ShardedController {
         let mut h = fnv1a_init();
         for (i, s) in self.shards.iter().enumerate() {
             fnv1a(&mut h, &(i as u64).to_le_bytes());
-            fnv1a(&mut h, &s.controller.state_digest().to_le_bytes());
+            fnv1a(&mut h, &s.door.controller().state_digest().to_le_bytes());
         }
         h
     }
@@ -544,14 +602,18 @@ impl ShardedController {
     /// invariant the proptests and `bench_fleet --check` pin.
     // darlint: pure-root
     pub fn tsdb_digest(&self) -> u64 {
-        let stores: Vec<&TsDb> = self.shards.iter().map(|s| s.controller.tsdb()).collect();
+        let stores: Vec<&TsDb> = self
+            .shards
+            .iter()
+            .map(|s| s.door.controller().tsdb())
+            .collect();
         canonical_fingerprint_merged(&stores)
     }
 
     /// Borrow one shard's controller (diagnostics and tests; `None` out
     /// of range).
     pub fn shard_controller(&self, shard: usize) -> Option<&Controller> {
-        self.shards.get(shard).map(|s| &s.controller)
+        self.shards.get(shard).map(|s| s.door.controller())
     }
 }
 
@@ -646,13 +708,19 @@ mod tests {
         };
         let mut sharded = ShardedController::new(config).unwrap();
         let mut single = Controller::new(config.controller);
+        let mut door = Door::new(config.controller);
+        let mut door_acks = Vec::new();
         for (at, batch) in traffic() {
             assert_eq!(sharded.offer_at(at, &batch), OfferOutcome::Queued);
             single.offer_at(at, &batch, None).unwrap();
+            door_acks.extend(door.offer(at, &batch).unwrap());
         }
         let acks = sharded.drain().unwrap();
         assert!(!acks.is_empty());
+        // A shard is a queue in front of the door: same acks, same state.
+        assert_eq!(acks, door_acks);
         let c0 = sharded.shard_controller(0).unwrap();
+        assert_eq!(c0.state_digest(), door.controller().state_digest());
         assert_eq!(c0.state_digest(), single.state_digest());
         assert_eq!(sharded.tsdb_digest(), single.tsdb().canonical_fingerprint());
     }
@@ -682,6 +750,154 @@ mod tests {
             // Stream-level accounting is sharding-invariant too.
             assert_eq!(sharded.stream_healths(), single.stream_healths());
         }
+    }
+
+    fn frame_batch(agent: u32, seq: u32, t: f64) -> Batch {
+        canonical(&Batch {
+            agent_id: agent,
+            seq,
+            readings: vec![StampedReading {
+                timestamp: t,
+                reading: SensorReading::Frame(darnet_sim::Frame::new(4, 4)),
+            }],
+        })
+    }
+
+    /// A bucket of 30 with a low-priority reserve of 20: every frame
+    /// batch (cost 16) is shed, IMU batches (cost 1 per reading) pass.
+    fn frames_shed_config() -> ControllerConfig {
+        ControllerConfig {
+            admission: crate::controller::AdmissionConfig {
+                enabled: true,
+                capacity: 30.0,
+                drain_per_sec: 0.0,
+                low_priority_reserve: 20.0,
+            },
+            ..ControllerConfig::default()
+        }
+    }
+
+    #[test]
+    fn door_shed_means_no_ack_no_append_no_snapshot() {
+        let storage = Arc::new(MemStorage::new());
+        let store = || Some(Arc::clone(&storage) as Arc<dyn WalStorage>);
+        let cadence = |snapshot_every| WalConfig {
+            snapshot_every,
+            ..WalConfig::default()
+        };
+        // Log two batches with snapshots off, then reopen with a cadence
+        // of two: a snapshot is due the moment the door opens.
+        let (mut door, _) = Door::open(frames_shed_config(), store(), cadence(0)).unwrap();
+        for seq in 0..2 {
+            assert!(door
+                .offer(0.0, &imu_batch(0, seq, &[0.0]))
+                .unwrap()
+                .is_some());
+        }
+        drop(door);
+        let (mut door, report) = Door::open(frames_shed_config(), store(), cadence(2)).unwrap();
+        assert_eq!(report.records_replayed, 2);
+        let logged = storage.total_bytes();
+
+        assert_eq!(door.offer(0.1, &frame_batch(1, 0, 0.1)).unwrap(), None);
+        assert_eq!(door.wal_stats(), WalStats::default());
+        assert_eq!(storage.total_bytes(), logged);
+        assert!(!door.controller().has_seen(1, 0));
+        assert_eq!(door.controller().stream_health(0).unwrap().shed, 0);
+        assert_eq!(door.controller().stream_meta(), vec![(0, 0, 0), (1, 0, 1)]);
+
+        // The due snapshot rides on the next acked delivery instead.
+        let acked = door.offer(0.2, &imu_batch(0, 2, &[0.2])).unwrap().unwrap();
+        assert_eq!(acked.outcome, IngestOutcome::Accepted);
+        let stats = door.wal_stats();
+        assert_eq!((stats.appends, stats.snapshots_taken), (1, 1));
+    }
+
+    /// A store whose appends fail while `broken` is set.
+    #[derive(Debug, Default)]
+    struct FlakyStorage {
+        inner: MemStorage,
+        broken: std::sync::atomic::AtomicBool,
+    }
+
+    impl WalStorage for FlakyStorage {
+        fn list(&self) -> Result<Vec<String>> {
+            self.inner.list()
+        }
+        fn read(&self, object: &str) -> Result<Vec<u8>> {
+            self.inner.read(object)
+        }
+        fn append(&self, object: &str, data: &[u8]) -> Result<()> {
+            if self.broken.load(std::sync::atomic::Ordering::SeqCst) {
+                return Err(CollectError::Wal {
+                    object: object.to_string(),
+                    op: "append",
+                    kind: std::io::ErrorKind::Other,
+                });
+            }
+            self.inner.append(object, data)
+        }
+        fn truncate(&self, object: &str, len: u64) -> Result<()> {
+            self.inner.truncate(object, len)
+        }
+        fn delete(&self, object: &str) -> Result<()> {
+            self.inner.delete(object)
+        }
+    }
+
+    #[test]
+    fn door_logs_before_it_mutates_or_acks() {
+        let storage = Arc::new(FlakyStorage::default());
+        let store = || Some(Arc::clone(&storage) as Arc<dyn WalStorage>);
+        let config = ControllerConfig::default();
+        let (mut door, _) = Door::open(config, store(), WalConfig::default()).unwrap();
+        let empty = door.controller().state_digest();
+
+        // The append fails: no ack, and state never got ahead of the log.
+        storage
+            .broken
+            .store(true, std::sync::atomic::Ordering::SeqCst);
+        let batch = imu_batch(0, 0, &[0.0, 0.025]);
+        assert!(matches!(
+            door.offer(0.5, &batch),
+            Err(CollectError::Wal { op: "append", .. })
+        ));
+        assert!(!door.controller().has_seen(0, 0));
+        assert_eq!(door.controller().state_digest(), empty);
+
+        // The retransmission is logged, then acked. Kill the process
+        // right there, mid-write of whatever came next: the ack's
+        // promise holds in the next incarnation.
+        storage
+            .broken
+            .store(false, std::sync::atomic::Ordering::SeqCst);
+        let acked = door.offer(0.7, &batch).unwrap().unwrap();
+        assert_eq!(acked.ack, Controller::ack_for(&batch));
+        let digest = door.controller().state_digest();
+        door.simulate_torn_tail(&[0xAB; 11]).unwrap();
+        drop(door);
+        let (door, report) = Door::open(config, store(), WalConfig::default()).unwrap();
+        assert_eq!(report.torn_tail_bytes, 11);
+        assert!(door.controller().has_seen(0, 0));
+        assert_eq!(door.controller().state_digest(), digest);
+    }
+
+    #[test]
+    fn door_reacks_duplicates_without_a_second_append() {
+        let storage = Arc::new(MemStorage::new());
+        let store = Some(Arc::clone(&storage) as Arc<dyn WalStorage>);
+        let (mut door, _) =
+            Door::open(ControllerConfig::default(), store, WalConfig::default()).unwrap();
+        let batch = imu_batch(3, 7, &[1.0]);
+        let first = door.offer(1.0, &batch).unwrap().unwrap();
+        let logged = storage.total_bytes();
+        let again = door.offer(1.4, &batch).unwrap().unwrap();
+        assert_eq!(first.outcome, IngestOutcome::Accepted);
+        assert_eq!(again.outcome, IngestOutcome::Duplicate);
+        assert_eq!(again.ack, first.ack);
+        assert_eq!(door.wal_stats().appends, 1);
+        assert_eq!(storage.total_bytes(), logged);
+        assert_eq!(door.controller().stream_health(3).unwrap().duplicates, 1);
     }
 
     #[test]

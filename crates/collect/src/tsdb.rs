@@ -58,7 +58,12 @@ impl TsDb {
     /// Inserts a point into `metric`, creating the series if needed.
     pub fn insert(&self, metric: &str, t: f64, value: f32) {
         let mut guard = self.series.write();
-        let series = guard.entry(metric.to_string()).or_default();
+        // Looked up by `&str`: the key is allocated once per series, not
+        // once per point.
+        let Some(series) = guard.get_mut(metric) else {
+            guard.insert(metric.to_string(), vec![(t, value)]);
+            return;
+        };
         if series.last().is_none_or(|&(lt, _)| lt <= t) {
             series.push((t, value));
         } else {

@@ -301,6 +301,17 @@ pub struct WalStats {
     pub snapshots_taken: u64,
 }
 
+impl WalStats {
+    /// Folds another log's counters into this one: a session sums its
+    /// controller incarnations, a sharded controller its shards.
+    pub(crate) fn absorb(&mut self, other: &WalStats) {
+        self.appends += other.appends;
+        self.bytes_appended += other.bytes_appended;
+        self.segments_rolled += other.segments_rolled;
+        self.snapshots_taken += other.snapshots_taken;
+    }
+}
+
 /// What replay-on-open found and did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RecoveryReport {
@@ -706,15 +717,19 @@ pub fn replay_into(
         // covered, so the predecessor snapshot + segments are intact.
     }
 
-    let mut apply = |records: Vec<Record>, report: &mut RecoveryReport| {
+    let mut apply = |records: Vec<Record>, report: &mut RecoveryReport| -> Result<()> {
         for record in records {
             match record {
-                Record::Batch(arrival, batch) => match controller.ingest_at(arrival, &batch) {
-                    crate::controller::IngestOutcome::Accepted => {
-                        report.records_replayed += 1;
+                // Past admission and with no log to append to: the record
+                // was admitted when it was first logged.
+                Record::Batch(arrival, batch) => {
+                    match controller.admitted(arrival, &batch, None)? {
+                        crate::controller::IngestOutcome::Accepted => {
+                            report.records_replayed += 1;
+                        }
+                        _ => report.duplicates_skipped += 1,
                     }
-                    _ => report.duplicates_skipped += 1,
-                },
+                }
                 Record::Meta(meta) => {
                     for (agent, duplicates, shed) in meta {
                         controller.restore_stream_meta(agent, duplicates, shed);
@@ -722,11 +737,12 @@ pub fn replay_into(
                 }
             }
         }
+        Ok(())
     };
 
     if let Some(records) = snap_records {
         report.snapshot_used = true;
-        apply(records, &mut report);
+        apply(records, &mut report)?;
     }
 
     let live: Vec<u64> = segments.into_iter().filter(|&s| s >= base).collect();
@@ -750,7 +766,7 @@ pub fn replay_into(
             storage.truncate(&name, valid_len)?;
         }
         report.segments_scanned += 1;
-        apply(records, &mut report);
+        apply(records, &mut report)?;
     }
     Ok(report)
 }

@@ -70,7 +70,6 @@ impl Dense {
 }
 
 impl Layer for Dense {
-    // darlint: cold — owned-output twin of forward_into; Train mode caches the input and allocates by design
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
         if input.rank() != 2 || input.dims()[1] != self.in_features {
             return Err(NnError::InvalidConfig(format!(

@@ -13,7 +13,6 @@ use crate::Result;
 
 /// Extracts timestep `t` of a `[batch, time, feat]` tensor as `[batch,
 /// feat]`.
-// darlint: cold — owned-output twin of step_slice_into; used by the allocating forward_seq and the training backward pass
 fn step_slice(x: &Tensor, t: usize) -> Result<Tensor> {
     let d = x.dims();
     let (b, time, f) = (d[0], d[1], d[2]);
@@ -340,7 +339,6 @@ impl LstmCell {
 }
 
 /// Reverses a `[batch, time, feat]` tensor along the time axis.
-// darlint: cold — owned-output twin of reverse_time_into; used by the allocating forward_seq and the training backward pass
 fn reverse_time(x: &Tensor) -> Tensor {
     let d = x.dims();
     let (b, time, f) = (d[0], d[1], d[2]);

@@ -205,12 +205,7 @@ pub fn im2col_into(
 /// Validates that `out` has exactly `dims`.
 pub(crate) fn check_out_dims(out: &Tensor, dims: &[usize]) -> Result<()> {
     if out.dims() != dims {
-        return Err(TensorError::ShapeMismatch {
-            // darlint: allow(hot-alloc) — error construction on the cold mismatch branch
-            left: out.dims().to_vec(),
-            // darlint: allow(hot-alloc) — error construction on the cold mismatch branch
-            right: dims.to_vec(),
-        });
+        return Err(TensorError::shape_mismatch(out.dims(), dims));
     }
     Ok(())
 }

@@ -55,6 +55,31 @@ pub enum TensorError {
     InvalidArgument(String),
 }
 
+impl TensorError {
+    /// [`TensorError::ShapeMismatch`] of two shapes. Out of line so the
+    /// zero-alloc kernels that validate shapes keep their two `Vec`s off
+    /// the warm path.
+    // darlint: cold — error constructor
+    #[cold]
+    pub(crate) fn shape_mismatch(left: &[usize], right: &[usize]) -> Self {
+        TensorError::ShapeMismatch {
+            left: left.to_vec(),
+            right: right.to_vec(),
+        }
+    }
+
+    /// [`TensorError::MatmulDimMismatch`] of two operand shapes; see
+    /// [`TensorError::shape_mismatch`].
+    // darlint: cold — error constructor
+    #[cold]
+    pub(crate) fn matmul_dim_mismatch(left: &[usize], right: &[usize]) -> Self {
+        TensorError::MatmulDimMismatch {
+            left: left.to_vec(),
+            right: right.to_vec(),
+        }
+    }
+}
+
 impl fmt::Display for TensorError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -100,20 +100,13 @@ fn check_product_into(
 ) -> Result<(usize, usize, usize)> {
     let (m, k) = a_dims;
     if k != b_inner {
-        return Err(TensorError::MatmulDimMismatch {
-            // darlint: allow(hot-alloc) — error construction on the cold mismatch branch
-            left: operands.0.dims().to_vec(),
-            // darlint: allow(hot-alloc) — error construction on the cold mismatch branch
-            right: operands.1.dims().to_vec(),
-        });
+        return Err(TensorError::matmul_dim_mismatch(
+            operands.0.dims(),
+            operands.1.dims(),
+        ));
     }
     if out.dims() != [m, n] {
-        return Err(TensorError::ShapeMismatch {
-            // darlint: allow(hot-alloc) — error construction on the cold mismatch branch
-            left: out.dims().to_vec(),
-            // darlint: allow(hot-alloc) — error construction on the cold mismatch branch
-            right: vec![m, n],
-        });
+        return Err(TensorError::shape_mismatch(out.dims(), &[m, n]));
     }
     Ok((m, k, n))
 }

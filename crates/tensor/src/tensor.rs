@@ -385,12 +385,7 @@ impl Tensor {
     /// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
     pub fn add_assign(&mut self, other: &Tensor) -> Result<()> {
         if self.shape != other.shape {
-            return Err(TensorError::ShapeMismatch {
-                // darlint: allow(hot-alloc) — error construction on the cold mismatch branch
-                left: self.dims().to_vec(),
-                // darlint: allow(hot-alloc) — error construction on the cold mismatch branch
-                right: other.dims().to_vec(),
-            });
+            return Err(TensorError::shape_mismatch(self.dims(), other.dims()));
         }
         for (a, &b) in self.data.iter_mut().zip(&other.data) {
             *a += b;
@@ -462,12 +457,7 @@ impl Tensor {
     /// Validates that `out` has exactly this tensor's shape.
     fn check_same_shape(&self, out: &Tensor) -> Result<()> {
         if self.shape != out.shape {
-            return Err(TensorError::ShapeMismatch {
-                // darlint: allow(hot-alloc) — error construction on the cold mismatch branch
-                left: self.dims().to_vec(),
-                // darlint: allow(hot-alloc) — error construction on the cold mismatch branch
-                right: out.dims().to_vec(),
-            });
+            return Err(TensorError::shape_mismatch(self.dims(), out.dims()));
         }
         Ok(())
     }
@@ -548,12 +538,7 @@ impl Tensor {
         }
         let (r, c) = (self.dims()[0], self.dims()[1]);
         if bias.rank() != 1 || bias.len() != c {
-            return Err(TensorError::ShapeMismatch {
-                // darlint: allow(hot-alloc) — error path, never taken warm
-                left: self.dims().to_vec(),
-                // darlint: allow(hot-alloc) — error path, never taken warm
-                right: bias.dims().to_vec(),
-            });
+            return Err(TensorError::shape_mismatch(self.dims(), bias.dims()));
         }
         for i in 0..r {
             for j in 0..c {
@@ -583,14 +568,11 @@ impl Tensor {
                 .enumerate()
                 .all(|(d, (&o, &f))| if d == axis { o == axis_total } else { o == f });
         if !shape_ok {
-            // darlint: allow(hot-alloc) — error path, never taken warm
-            let mut want = first.dims().to_vec();
-            want[axis] = axis_total;
-            return Err(TensorError::ShapeMismatch {
-                // darlint: allow(hot-alloc) — error path, never taken warm
-                left: out.dims().to_vec(),
-                right: want,
-            });
+            let mut mismatch = TensorError::shape_mismatch(out.dims(), first.dims());
+            if let TensorError::ShapeMismatch { right: want, .. } = &mut mismatch {
+                want[axis] = axis_total;
+            }
+            return Err(mismatch);
         }
         let mut offset = 0usize;
         for o in 0..outer {
@@ -636,12 +618,7 @@ impl Tensor {
             }
             for (d, (&a, &b)) in first.dims().iter().zip(t.dims()).enumerate() {
                 if d != axis && a != b {
-                    return Err(TensorError::ShapeMismatch {
-                        // darlint: allow(hot-alloc) — error path, never taken warm
-                        left: first.dims().to_vec(),
-                        // darlint: allow(hot-alloc) — error path, never taken warm
-                        right: t.dims().to_vec(),
-                    });
+                    return Err(TensorError::shape_mismatch(first.dims(), t.dims()));
                 }
             }
             axis_total += t.dims()[axis];
