@@ -79,7 +79,6 @@ pub use tsdb::{canonical_fingerprint_merged, Aggregation, SeriesStats, TsDb};
 pub use wal::{
     replay_into, DirStorage, MemStorage, RecoveryReport, Wal, WalConfig, WalStats, WalStorage,
 };
-pub use wire::compact::{decode_imu_batch, encode_imu_batch};
 pub use wire::{decode_ack, decode_batch, encode_ack, encode_batch, Ack, Batch, StampedReading};
 
 /// Crate-wide result alias.

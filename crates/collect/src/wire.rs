@@ -179,207 +179,6 @@ pub fn decode_batch(mut data: Bytes) -> Result<Batch> {
     })
 }
 
-/// Compact IMU batch encoding for constrained links (the paper sizes the
-/// transmission frequency "based on the latency and bandwidth between the
-/// agent and the controller"; when bandwidth is the constraint, agents can
-/// trade precision for bytes):
-///
-/// * timestamps are delta-encoded as microseconds (`u32` after the first),
-/// * IMU features are quantized to `f16`-like half precision (here: a
-///   simple 1/1024-resolution fixed point in an `i16`, range ±32),
-/// * frames are rejected — the privacy down-sampler is the frame-side
-///   bandwidth tool.
-///
-/// Measured on 40 Hz IMU batches this is ~2.6× smaller than
-/// [`encode_batch`].
-pub mod compact {
-    use super::*;
-
-    const KIND_COMPACT_IMU: u8 = 2;
-    /// Fixed-point scale: 1/1024 resolution, ±32 range in an i16.
-    const SCALE: f32 = 1024.0;
-
-    fn quantize(v: f32) -> i16 {
-        (v * SCALE).clamp(i16::MIN as f32, i16::MAX as f32) as i16
-    }
-
-    fn dequantize(q: i16) -> f32 {
-        q as f32 / SCALE
-    }
-
-    /// Encodes an IMU-only batch compactly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CollectError::InvalidConfig`] if the batch contains
-    /// frames, or if timestamps are not non-decreasing (delta encoding
-    /// requires poll order).
-    pub fn encode_imu_batch(batch: &Batch) -> Result<Bytes> {
-        let mut buf = BytesMut::with_capacity(16 + batch.readings.len() * 30);
-        buf.put_u32(batch.agent_id);
-        buf.put_u32(batch.seq);
-        buf.put_u8(KIND_COMPACT_IMU);
-        buf.put_u32(batch.readings.len() as u32);
-        let mut prev_t = None;
-        for r in &batch.readings {
-            let sample = r.reading.as_imu().ok_or_else(|| {
-                CollectError::InvalidConfig("compact encoding is IMU-only".into())
-            })?;
-            match prev_t {
-                None => buf.put_f64(r.timestamp),
-                Some(p) => {
-                    let delta_us = (r.timestamp - p) * 1e6;
-                    if !(0.0..=u32::MAX as f64).contains(&delta_us) {
-                        return Err(CollectError::InvalidConfig(
-                            "compact encoding requires non-decreasing timestamps".into(),
-                        ));
-                    }
-                    buf.put_u32(delta_us.round() as u32);
-                }
-            }
-            prev_t = Some(r.timestamp);
-            for v in sample.to_features() {
-                buf.put_i16(quantize(v));
-            }
-        }
-        Ok(buf.freeze())
-    }
-
-    /// Decodes a compact IMU batch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CollectError::Decode`] on malformed input.
-    pub fn decode_imu_batch(mut data: Bytes) -> Result<Batch> {
-        let fail = |msg: &str| CollectError::Decode(format!("compact: {msg}"));
-        if data.remaining() < 13 {
-            return Err(fail("truncated header"));
-        }
-        let agent_id = data.get_u32();
-        let seq = data.get_u32();
-        if data.get_u8() != KIND_COMPACT_IMU {
-            return Err(fail("wrong kind byte"));
-        }
-        let count = data.get_u32() as usize;
-        let mut readings = Vec::with_capacity(count.min(1 << 20));
-        let mut prev_t = None;
-        for _ in 0..count {
-            let timestamp = match prev_t {
-                None => {
-                    if data.remaining() < 8 {
-                        return Err(fail("truncated base timestamp"));
-                    }
-                    data.get_f64()
-                }
-                Some(p) => {
-                    if data.remaining() < 4 {
-                        return Err(fail("truncated delta"));
-                    }
-                    p + data.get_u32() as f64 / 1e6
-                }
-            };
-            prev_t = Some(timestamp);
-            if data.remaining() < ImuSample::FEATURES * 2 {
-                return Err(fail("truncated features"));
-            }
-            let mut feats = [0.0f32; ImuSample::FEATURES];
-            for f in &mut feats {
-                *f = dequantize(data.get_i16());
-            }
-            readings.push(StampedReading {
-                timestamp,
-                reading: SensorReading::Imu(ImuSample::from_features(&feats)),
-            });
-        }
-        Ok(Batch {
-            agent_id,
-            seq,
-            readings,
-        })
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        fn imu_batch(n: usize) -> Batch {
-            Batch {
-                agent_id: 3,
-                seq: 9,
-                readings: (0..n)
-                    .map(|i| StampedReading {
-                        timestamp: 100.0 + i as f64 * 0.025,
-                        reading: SensorReading::Imu(ImuSample {
-                            accel: [0.125, -9.8125, 3.5],
-                            gyro: [0.25, -0.5, 0.0625],
-                            gravity: [0.0, -9.8125, 0.5],
-                            rotation: [1.5, 0.75, -0.25],
-                        }),
-                    })
-                    .collect(),
-            }
-        }
-
-        #[test]
-        fn roundtrip_preserves_structure_and_quantized_values() {
-            let batch = imu_batch(20);
-            let decoded = decode_imu_batch(encode_imu_batch(&batch).unwrap()).unwrap();
-            assert_eq!(decoded.agent_id, 3);
-            assert_eq!(decoded.seq, 9);
-            assert_eq!(decoded.readings.len(), 20);
-            for (orig, got) in batch.readings.iter().zip(&decoded.readings) {
-                assert!((orig.timestamp - got.timestamp).abs() < 2e-6);
-                let a = orig.reading.as_imu().unwrap().to_features();
-                let b = got.reading.as_imu().unwrap().to_features();
-                for (x, y) in a.iter().zip(&b) {
-                    assert!((x - y).abs() <= 1.0 / SCALE + 1e-6);
-                }
-            }
-        }
-
-        #[test]
-        fn compact_is_much_smaller_than_standard() {
-            let batch = imu_batch(40);
-            let standard = encode_batch(&batch).len();
-            let compact = encode_imu_batch(&batch).unwrap().len();
-            assert!(
-                compact * 2 < standard,
-                "compact {compact} vs standard {standard}"
-            );
-        }
-
-        #[test]
-        fn frames_are_rejected() {
-            let batch = Batch {
-                agent_id: 0,
-                seq: 0,
-                readings: vec![StampedReading {
-                    timestamp: 0.0,
-                    reading: SensorReading::Frame(Frame::new(2, 2)),
-                }],
-            };
-            assert!(matches!(
-                encode_imu_batch(&batch),
-                Err(CollectError::InvalidConfig(_))
-            ));
-        }
-
-        #[test]
-        fn decreasing_timestamps_are_rejected() {
-            let mut batch = imu_batch(2);
-            batch.readings[1].timestamp = batch.readings[0].timestamp - 1.0;
-            assert!(encode_imu_batch(&batch).is_err());
-        }
-
-        #[test]
-        fn truncated_compact_is_rejected() {
-            let bytes = encode_imu_batch(&imu_batch(3)).unwrap();
-            assert!(decode_imu_batch(bytes.slice(0..bytes.len() - 5)).is_err());
-            assert!(decode_imu_batch(Bytes::from_static(b"short")).is_err());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

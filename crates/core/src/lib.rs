@@ -28,8 +28,8 @@
 //!   at each time-step (§3.3: a 1-to-1 mapping between device data-streams
 //!   and ML models, combined at a later stage).
 //! * [`registry`] — the N-stream modality registry: [`ModalityDescriptor`]s
-//!   keyed by [`darnet_collect::StreamId`], the [`StreamModel`] trait
-//!   unifying the per-stream models, and the [`MultiModalEngine`] fusing any
+//!   keyed by [`darnet_collect::StreamId`], the [`StreamModelSlot`] enum
+//!   holding the per-stream models, and the [`MultiModalEngine`] fusing any
 //!   healthy subset of registered streams through the N-ary Bayesian
 //!   combiner (the two-stream engine is the N=2 special case, bit-for-bit).
 //! * [`MicroBatcher`] — the micro-batching front between the collect
@@ -70,7 +70,7 @@ pub use model_io::{decode_tensors, encode_tensors};
 pub use models::{CnnConfig, FrameCnn, ImuRnn, ImuSvm, RnnConfig};
 pub use registry::{
     ClassMap, ModalityDescriptor, MultiModalEngine, MultiStepClassification, StreamInput,
-    StreamModel, StreamModelSlot, SubsetCounters,
+    StreamModelSlot, SubsetCounters,
 };
 
 /// Crate-wide result alias.

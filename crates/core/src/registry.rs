@@ -1,7 +1,7 @@
 //! The N-stream modality registry: the generalization of the engine's
 //! hard-coded CNN+IMU pair into an ordered set of registered streams,
 //! each described by a [`ModalityDescriptor`] (identity, class mapping,
-//! fusion weight) and served by a [`StreamModel`].
+//! fusion weight) and served by a [`StreamModelSlot`].
 //!
 //! Identity flows up from the collection layer: a stream is named by its
 //! [`StreamId`] (the same tag the controller's health accounting and the
@@ -177,74 +177,10 @@ impl ModalityDescriptor {
     }
 }
 
-/// The unified model interface every registered stream serves: a
-/// zero-alloc batch posterior over the stream's assembled input tensor,
-/// preserving the workspace discipline of the legacy engine.
-pub trait StreamModel: Send {
-    /// The model's native class count.
-    fn native_classes(&self) -> usize;
-
-    /// Installs a [`Parallelism`] handle for the model's internal tensor
-    /// products.
-    fn set_parallelism(&mut self, par: Parallelism);
-
-    /// Writes row-major class probabilities for the batch into `out`
-    /// (cleared first), allocating nothing once `out` has capacity.
-    ///
-    /// # Errors
-    ///
-    /// Propagates model errors (e.g. not fitted, shape mismatch).
-    fn predict_proba_into(&mut self, input: &Tensor, out: &mut Vec<f32>) -> Result<()>;
-}
-
-impl StreamModel for FrameCnn {
-    fn native_classes(&self) -> usize {
-        self.classes()
-    }
-
-    fn set_parallelism(&mut self, par: Parallelism) {
-        FrameCnn::set_parallelism(self, par);
-    }
-
-    fn predict_proba_into(&mut self, input: &Tensor, out: &mut Vec<f32>) -> Result<()> {
-        FrameCnn::predict_proba_into(self, input, out)
-    }
-}
-
-impl StreamModel for ImuRnn {
-    fn native_classes(&self) -> usize {
-        self.config().classes
-    }
-
-    fn set_parallelism(&mut self, par: Parallelism) {
-        ImuRnn::set_parallelism(self, par);
-    }
-
-    fn predict_proba_into(&mut self, input: &Tensor, out: &mut Vec<f32>) -> Result<()> {
-        ImuRnn::predict_proba_into(self, input, out)
-    }
-}
-
-impl StreamModel for ImuSvm {
-    fn native_classes(&self) -> usize {
-        self.classes()
-    }
-
-    fn set_parallelism(&mut self, _par: Parallelism) {}
-
-    fn predict_proba_into(&mut self, input: &Tensor, out: &mut Vec<f32>) -> Result<()> {
-        // The SVM baseline has no workspace path; fall back to its
-        // allocating prediction and copy the rows out (same as the
-        // legacy engine's SVM branch).
-        let probs = ImuSvm::predict_proba(self, input)?;
-        out.clear();
-        out.extend_from_slice(probs.data());
-        Ok(())
-    }
-}
-
 /// Concrete storage for a registered stream's model — the registry's
-/// slot type, delegating [`StreamModel`] to the wrapped model.
+/// slot type and the one model interface every registered stream
+/// serves: a zero-alloc batch posterior over the stream's assembled
+/// input tensor.
 // One slot exists per registered stream and never moves after
 // registration, so the size gap between variants doesn't justify boxing.
 #[allow(clippy::large_enum_variant)]
@@ -270,7 +206,7 @@ impl std::fmt::Debug for StreamModelSlot {
 impl StreamModelSlot {
     /// The allocating reference posterior, `[n, native_classes]`: each
     /// model's own `predict_proba`, sharing no workspace or buffer with
-    /// [`StreamModel::predict_proba_into`]. This is the side of the
+    /// [`Self::predict_proba_into`]. This is the side of the
     /// bitwise proptests the zero-alloc path is held to.
     ///
     /// # Errors
@@ -283,30 +219,44 @@ impl StreamModelSlot {
             StreamModelSlot::Svm(m) => m.predict_proba(input),
         }
     }
-}
 
-impl StreamModel for StreamModelSlot {
-    fn native_classes(&self) -> usize {
+    /// The model's native class count.
+    pub fn native_classes(&self) -> usize {
         match self {
-            StreamModelSlot::Cnn(m) => StreamModel::native_classes(m),
-            StreamModelSlot::Rnn(m) => StreamModel::native_classes(m),
-            StreamModelSlot::Svm(m) => StreamModel::native_classes(m),
+            StreamModelSlot::Cnn(m) => m.classes(),
+            StreamModelSlot::Rnn(m) => m.config().classes,
+            StreamModelSlot::Svm(m) => m.classes(),
         }
     }
 
-    fn set_parallelism(&mut self, par: Parallelism) {
+    /// Installs a [`Parallelism`] handle for the model's internal tensor
+    /// products (the SVM baseline has none).
+    pub fn set_parallelism(&mut self, par: Parallelism) {
         match self {
-            StreamModelSlot::Cnn(m) => StreamModel::set_parallelism(m, par),
-            StreamModelSlot::Rnn(m) => StreamModel::set_parallelism(m, par),
-            StreamModelSlot::Svm(m) => StreamModel::set_parallelism(m, par),
+            StreamModelSlot::Cnn(m) => m.set_parallelism(par),
+            StreamModelSlot::Rnn(m) => m.set_parallelism(par),
+            StreamModelSlot::Svm(_) => {}
         }
     }
 
-    fn predict_proba_into(&mut self, input: &Tensor, out: &mut Vec<f32>) -> Result<()> {
+    /// Writes row-major class probabilities for the batch into `out`
+    /// (cleared first), allocating nothing once `out` has capacity.
+    ///
+    /// # Errors
+    ///
+    /// Propagates model errors (e.g. not fitted, shape mismatch).
+    pub fn predict_proba_into(&mut self, input: &Tensor, out: &mut Vec<f32>) -> Result<()> {
         match self {
-            StreamModelSlot::Cnn(m) => StreamModel::predict_proba_into(m, input, out),
-            StreamModelSlot::Rnn(m) => StreamModel::predict_proba_into(m, input, out),
-            StreamModelSlot::Svm(m) => StreamModel::predict_proba_into(m, input, out),
+            StreamModelSlot::Cnn(m) => m.predict_proba_into(input, out),
+            StreamModelSlot::Rnn(m) => m.predict_proba_into(input, out),
+            StreamModelSlot::Svm(m) => {
+                // The SVM baseline has no workspace path; fall back to
+                // its allocating prediction and copy the rows out.
+                let probs = m.predict_proba(input)?;
+                out.clear();
+                out.extend_from_slice(probs.data());
+                Ok(())
+            }
         }
     }
 }
@@ -493,7 +443,7 @@ pub(crate) struct FusedRow<'a> {
 }
 
 /// The registry-driven N-stream analytics engine: an ordered set of
-/// [`StreamModel`]s fused by the [`NaryBayesianCombiner`] (or the product
+/// [`StreamModelSlot`]s fused by the [`NaryBayesianCombiner`] (or the product
 /// rule) over whichever subset of streams is healthy, with the legacy
 /// engine's zero-alloc workspace discipline.
 pub struct MultiModalEngine {

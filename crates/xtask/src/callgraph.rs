@@ -1,24 +1,22 @@
-//! Approximate workspace call graph and hot-path constraint propagation.
+//! Approximate workspace call graph and the one reachability pass.
 //!
 //! [`Graph::build`] constructs a name-resolution call graph across every
-//! scanned file; it is the substrate for *all* interprocedural analysis:
-//! the hot-path propagation below, and the effect-inference fixpoint in
-//! [`crate::effects`] (which runs the `replay-pure` rule and powers the
-//! `effects` subcommand).
+//! scanned file. [`reach`] walks it forward from a set of marked roots
+//! and reports the banned effect seeds
+//! ([`crate::effects::lexical_sites`]) of every function it reaches,
+//! with the `root → … → site` chain in the diagnostic. Two constraint
+//! rows run through it:
 //!
-//! The per-file `hot-alloc` rule only guards functions someone remembered
-//! to annotate with `// darlint: hot`. [`hot_propagate`] closes the
-//! unmarked-helper hole: it walks the graph from the hot **roots** —
-//! explicitly marked functions plus the `*_into` layer/kernel entries in
-//! `tensor` and `nn` — so that *any* function transitively reachable
-//! from the zero-alloc inference path is checked for allocation (and,
-//! outside the panic-free crates, for panics). The allocation/panic
-//! sites themselves come from the shared effect-seed table
-//! ([`crate::effects::lexical_sites`]): `Alloc` and `Panic` seeds are
-//! exactly the constructs this pass used to scan for itself. Findings
-//! carry the reach chain so the fix is obvious: break the edge, hatch
-//! the site with `// darlint: allow(hot-alloc) — <reason>`, or declare
-//! the callee `// darlint: cold — <reason>` to prune traversal.
+//! * [`HOT`] — roots are the `// darlint: hot` functions plus the
+//!   `*_into` layer/kernel entries in `tensor` and `nn`;
+//!   `// darlint: cold — <reason>` prunes the walk; `Alloc` seeds are
+//!   findings (`hot-alloc` in a function that carries the marker itself,
+//!   `hot-propagate` in one that is only reached).
+//! * [`PURE`] — roots are the `// darlint: pure-root` functions (WAL
+//!   replay, `state_digest`, `canonical_fingerprint*`,
+//!   `metrics::compare`); nothing prunes; `Time`, `Rng`, `ThreadSpawn`,
+//!   `HashOrder`, and `Io` outside the durable-I/O owners are findings
+//!   (`replay-pure`).
 //!
 //! Resolution is deliberately approximate (no type information):
 //!
@@ -38,11 +36,11 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use crate::effects::{Effect, Site};
+use crate::effects::{lexical_sites, Effect, Site};
 use crate::lex::TokKind;
 use crate::rules::{
-    crate_of, file_hatches, hatch_name, rule, skip_angles, snippet, suppressed, FileLint,
-    Violation, PANIC_CRATES,
+    allowlisted, file_hatches, hatch_name, rule, skip_angles, snippet, suppressed, FileLint,
+    Violation, DURABLE_IO_ALLOWLIST,
 };
 use crate::scan::ScannedFile;
 
@@ -191,7 +189,7 @@ pub struct Node {
     /// `// darlint: cold — <reason>`: pruned from hot-path traversal.
     pub cold: bool,
     /// `// darlint: pure-root`: a replay-purity contract root
-    /// (see [`crate::effects::replay_pure`]).
+    /// (see [`PURE`]).
     pub pure_root: bool,
     /// Inside a `cfg(test)` region: excluded from resolution and edges.
     pub is_test: bool,
@@ -385,54 +383,132 @@ impl Graph {
     }
 }
 
-/// Runs the full propagation analysis over all scanned files: graph
-/// construction, effect-seed extraction, and [`hot_propagate`].
-pub fn analyze(files: &[(String, ScannedFile)]) -> FileLint {
-    let graph = Graph::build(files);
-    let seeds = crate::effects::lexical_sites(&graph, files);
-    hot_propagate(&graph, files, &seeds)
+/// One reachability constraint: where the walk starts, where it stops,
+/// and which effect seeds are findings on the functions it reaches.
+struct Constraint {
+    /// Does the walk start at this node?
+    root: fn(&Node) -> bool,
+    /// Does the walk refuse to enter this node?
+    prune: fn(&Node) -> bool,
+    /// Is a seed of this effect, in the file at this path, a finding?
+    bans: fn(Effect, &str) -> bool,
+    /// Rule id of a finding inside this node.
+    rule: fn(&Node) -> &'static str,
+    /// Diagnostic for a banned site reached along `via` (`a → b → c`).
+    message: fn(&Site, &str) -> String,
 }
 
-/// Hot-path constraint propagation over a prebuilt graph. Returns
-/// violations (rule [`rule::HOT_PROPAGATE`]) plus the suppression counts
-/// from hatches that covered propagated findings. `seeds` must come from
-/// [`crate::effects::lexical_sites`] over the same graph: the `Alloc`
-/// seeds (and, outside the panic-free crates, `Panic` seeds) of every
-/// reached function are the findings.
-pub(crate) fn hot_propagate(
+/// The zero-alloc inference path: nothing reachable from a hot root may
+/// allocate. A finding in a function that carries the `hot` marker
+/// itself keeps the `hot-alloc` id; one in a function that is only
+/// reached is `hot-propagate`. Both share the `hot-alloc` hatch.
+const HOT: Constraint = Constraint {
+    root: |n| n.hot_root,
+    prune: |n| n.cold,
+    bans: |e, _| e == Effect::Alloc,
+    rule: |n| {
+        if n.hot {
+            rule::HOT_ALLOC
+        } else {
+            rule::HOT_PROPAGATE
+        }
+    },
+    message: |site, via| {
+        format!(
+            "`{}` allocates on the hot path via {via}; use a workspace \
+             checkout or an `_into` kernel, hatch the line with \
+             `// darlint: allow(hot-alloc) — <reason>`, or mark the \
+             function `// darlint: cold — <reason>`",
+            site.what
+        )
+    },
+};
+
+/// The replay-purity contract: nothing reachable from a pure root may
+/// read a clock, draw randomness, spawn a thread, observe hash order, or
+/// touch the filesystem outside [`DURABLE_IO_ALLOWLIST`] (replay *reads
+/// its own storage* by design — the durable-I/O owners are the replay
+/// input, not a purity leak). `cold` does not prune here: it is a claim
+/// about the hot path only.
+const PURE: Constraint = Constraint {
+    root: |n| n.pure_root,
+    prune: |_| false,
+    bans: |e, path| match e {
+        Effect::Time | Effect::Rng | Effect::ThreadSpawn | Effect::HashOrder => true,
+        Effect::Io => !allowlisted(path, DURABLE_IO_ALLOWLIST),
+        Effect::Alloc => false,
+    },
+    rule: |_| rule::REPLAY_PURE,
+    message: |site, via| {
+        format!(
+            "`{}` is a {} effect on a replay-pure path via {via}; \
+             replay/digest outputs must be bitwise-reproducible — \
+             fix it, hatch the line with `// darlint: \
+             allow(replay-pure) — <reason>`, or narrow the \
+             `// darlint: pure-root` root",
+            site.what,
+            site.effect.name()
+        )
+    },
+};
+
+/// Runs the interprocedural half of the lint over all scanned files —
+/// graph construction, effect-seed extraction, and [`reach`] under
+/// [`HOT`] then [`PURE`] — appending to `out`. `lap` is called with a
+/// pass name as each pass finishes (the workspace driver times them).
+pub fn analyze(
+    files: &[(String, ScannedFile)],
+    mut lap: impl FnMut(&'static str),
+    out: &mut FileLint,
+) {
+    let graph = Graph::build(files);
+    lap("callgraph");
+    let seeds = lexical_sites(&graph, files);
+    lap("effect-seeds");
+    reach(&graph, files, &seeds, &HOT, out);
+    lap("reach-hot");
+    reach(&graph, files, &seeds, &PURE, out);
+    lap("reach-pure");
+}
+
+/// The one reachability pass: BFS from `c`'s roots over call edges
+/// (never into test code or pruned nodes), then every banned seed site
+/// of every reached function becomes a violation naming the
+/// root-to-site chain, unless a justified hatch covers the line.
+/// `seeds` must come from [`lexical_sites`] over the same graph.
+fn reach(
     graph: &Graph,
     files: &[(String, ScannedFile)],
     seeds: &[Vec<Site>],
-) -> FileLint {
-    // BFS from the roots; predecessor chains feed the diagnostics.
+    c: &Constraint,
+    out: &mut FileLint,
+) {
+    // Predecessor links feed the diagnostics; BFS makes each chain a
+    // shortest one and visits every node once, so cycles terminate.
     let mut pred: BTreeMap<usize, usize> = BTreeMap::new();
-    let mut visited: BTreeSet<usize> = BTreeSet::new();
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    for (gid, n) in graph.nodes.iter().enumerate() {
-        if n.hot_root {
-            visited.insert(gid);
-            queue.push_back(gid);
-        }
-    }
+    let mut visited: BTreeSet<usize> = (0..graph.nodes.len())
+        .filter(|&gid| (c.root)(&graph.nodes[gid]))
+        .collect();
+    let mut queue: VecDeque<usize> = visited.iter().copied().collect();
     while let Some(gid) = queue.pop_front() {
         for &next in &graph.edges[gid] {
             let n = &graph.nodes[next];
-            if n.is_test || n.cold || visited.contains(&next) {
+            if n.is_test || (c.prune)(n) || !visited.insert(next) {
                 continue;
             }
-            visited.insert(next);
             pred.insert(next, gid);
             queue.push_back(next);
         }
     }
 
-    // Check every reachable function that is not already covered by the
-    // per-file hot-alloc rule (i.e. not explicitly `// darlint: hot`).
-    let mut out = FileLint::default();
     for &gid in &visited {
-        let n = &graph.nodes[gid];
-        let (path, scanned) = &files[n.file];
-        if n.hot || seeds[gid].is_empty() {
+        let node = &graph.nodes[gid];
+        let (path, scanned) = &files[node.file];
+        let mut banned = seeds[gid]
+            .iter()
+            .filter(|s| (c.bans)(s.effect, path))
+            .peekable();
+        if banned.peek().is_none() {
             continue;
         }
         let hatches = file_hatches(&scanned.comments);
@@ -444,34 +520,21 @@ pub(crate) fn hot_propagate(
         }
         chain.reverse();
         let via = chain.join(" → ");
-        let panic_too = !crate_of(path).is_some_and(|c| PANIC_CRATES.contains(&c));
-        for site in &seeds[gid] {
-            let verb = match site.effect {
-                Effect::Alloc => "allocates",
-                Effect::Panic if panic_too => "can panic",
-                _ => continue,
-            };
-            if suppressed(&hatches, rule::HOT_PROPAGATE, site.line) {
-                out.count_allow(hatch_name(rule::HOT_PROPAGATE));
+        let rule_id = (c.rule)(node);
+        for site in banned {
+            if suppressed(&hatches, rule_id, site.line) {
+                out.count_allow(hatch_name(rule_id));
                 continue;
             }
             out.violations.push(Violation {
-                rule: rule::HOT_PROPAGATE,
+                rule: rule_id,
                 file: path.clone(),
                 line: site.line,
-                message: format!(
-                    "`{}` {verb} in `{}`, which is on the hot path via \
-                     {via}; fix it, hatch the line with `// darlint: \
-                     allow(hot-alloc) — <reason>`, or mark the function \
-                     `// darlint: cold — <reason>`",
-                    site.what,
-                    graph.display(files, gid),
-                ),
+                message: (c.message)(site, &via),
                 snippet: snippet(&scanned.lines, site.line),
             });
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -484,7 +547,9 @@ mod tests {
             .iter()
             .map(|(p, s)| ((*p).to_owned(), scan(s)))
             .collect();
-        analyze(&scanned)
+        let mut out = FileLint::default();
+        analyze(&scanned, |_| {}, &mut out);
+        out
     }
 
     #[test]
@@ -643,5 +708,79 @@ fn helper() -> u64 { 0 }
         assert!(graph.nodes[1].cold);
         assert!(graph.edges[0].contains(&1), "digest → helper edge");
         assert_eq!(graph.display(&scanned, 0), "digest");
+    }
+
+    #[test]
+    fn replay_pure_flags_transitive_time_leak_with_chain() {
+        let lint = run(&[(
+            "crates/collect/src/fixture.rs",
+            "// darlint: pure-root\npub fn digest() -> u64 { helper() }\nfn helper() -> u64 { let _ = std::time::Instant::now(); 0 }\n",
+        )]);
+        assert_eq!(lint.violations.len(), 1, "{:?}", lint.violations);
+        let v = &lint.violations[0];
+        assert_eq!(v.rule, rule::REPLAY_PURE);
+        assert_eq!(v.line, 3);
+        assert!(v.message.contains("via digest → helper"), "{}", v.message);
+        assert!(v.message.contains("time effect"), "{}", v.message);
+    }
+
+    #[test]
+    fn replay_pure_allows_alloc_and_sanctioned_io() {
+        // Alloc is not a purity concern; Io inside a durable-I/O owner
+        // (here: the WAL) is the replay input, not a leak.
+        let lint = run(&[(
+            "crates/collect/src/wal.rs",
+            "// darlint: pure-root\npub fn replay() -> Vec<u8> { std::fs::read(\"wal\").unwrap_or_default().to_vec() }\n",
+        )]);
+        assert!(lint.violations.is_empty(), "{:?}", lint.violations);
+    }
+
+    #[test]
+    fn replay_pure_bans_io_outside_durable_owners() {
+        let lint = run(&[(
+            "crates/collect/src/fixture.rs",
+            "// darlint: pure-root\npub fn digest() -> Vec<u8> { std::fs::read(\"x\").unwrap_or_default() }\n",
+        )]);
+        assert_eq!(lint.violations.len(), 1, "{:?}", lint.violations);
+        assert!(lint.violations[0].message.contains("io effect"));
+    }
+
+    #[test]
+    fn replay_pure_hatch_suppresses_and_counts() {
+        let lint = run(&[(
+            "crates/collect/src/fixture.rs",
+            "// darlint: pure-root\npub fn digest() -> u64 {\n    // darlint: allow(replay-pure) — cache warmup stamp, excluded from the digest\n    let _ = std::time::Instant::now();\n    0\n}\n",
+        )]);
+        assert!(lint.violations.is_empty(), "{:?}", lint.violations);
+        assert_eq!(lint.allows.get("replay-pure"), Some(&1));
+    }
+
+    #[test]
+    fn unmarked_functions_are_not_replay_constrained() {
+        let lint = run(&[(
+            "crates/collect/src/fixture.rs",
+            "pub fn free() -> u64 { let _ = std::time::Instant::now(); 0 }\n",
+        )]);
+        assert!(lint.violations.is_empty(), "{:?}", lint.violations);
+    }
+
+    #[test]
+    fn hash_order_seeds_come_from_iteration_sites() {
+        let lint = run(&[(
+            "crates/core/src/a.rs",
+            "use std::collections::HashMap;\n\
+             pub fn dump(m: &HashMap<u32, u32>) -> u32 { let mut s = 0; for (k, _) in m.iter() { s += k; } s }\n\
+             // darlint: pure-root\n\
+             pub fn caller(m: &HashMap<u32, u32>) -> u32 { dump(m) }\n",
+        )]);
+        assert!(
+            !lint.violations.is_empty(),
+            "hash iteration must be flagged"
+        );
+        for v in &lint.violations {
+            assert_eq!((v.rule, v.line), (rule::REPLAY_PURE, 2), "{v:?}");
+            assert!(v.message.contains("hash-order effect"), "{}", v.message);
+            assert!(v.message.contains("via caller → dump"), "{}", v.message);
+        }
     }
 }

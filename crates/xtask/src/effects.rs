@@ -1,61 +1,23 @@
-//! Interprocedural effect inference over the workspace call graph.
+//! The effect seed table shared by every darlint rule.
 //!
-//! Every per-file darlint rule is, at bottom, a ban on the *lexical
-//! seeds* of one effect: `Instant::now` seeds `Time`, `std::fs` seeds
-//! `Io`, `SplitMix64::new` seeds `Rng`, and so on. This module lifts
-//! those seeds into a proper effect system: [`infer`] runs a fixpoint
-//! (per-effect multi-source BFS over the reversed call graph) that
-//! computes, for every workspace function, its **transitive** effect
-//! set under the lattice
-//!
-//! ```text
-//! Effect ::= Alloc | HashOrder | Io | Panic | Rng | ThreadSpawn | Time
-//! EffectSet = ℘(Effect)   (join = ∪; a caller absorbs its callees)
-//! ```
-//!
-//! Inference is deliberately monotone and over-approximate: adding a
-//! call edge can only *add* effects, never remove one, and unresolved
-//! calls (stoplisted method names, function values) under-approximate —
-//! the same trade the hot-path pass makes (DESIGN.md §16).
-//!
-//! Every inferred effect carries a **witness chain**: the exact call
-//! path from the function to a lexical seed site, reconstructed by
-//! walking strictly-decreasing BFS depths (so chains are acyclic and
-//! deterministic even through recursion). The chain is what turns "this
-//! function has the Time effect" into an actionable diagnostic.
-//!
-//! Consumers:
-//! * [`replay_pure`] — the `replay-pure` contract rule: functions
-//!   reachable from a `// darlint: pure-root` marker (WAL replay,
-//!   `state_digest`, `canonical_fingerprint*`, `metrics::compare`) must
-//!   be free of Time/Io/Rng/ThreadSpawn/HashOrder effects.
-//! * [`crate::callgraph::hot_propagate`] — consumes the same seed table
-//!   for its Alloc/Panic propagation.
-//! * [`Analysis`] — the `effects` subcommand: a deterministic
-//!   `effects.json` report (schema version [`EFFECTS_SCHEMA_VERSION`])
-//!   and `--explain <fn>` witness-chain output.
-
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::fmt::Write as _;
+//! Every rule is, at bottom, a ban on the *lexical seeds* of one effect:
+//! `Instant::now` seeds `Time`, `std::fs` seeds `Io`, `SplitMix64::new`
+//! seeds `Rng`, and so on. The per-file rules ban an effect's seeds
+//! outside its sanctioned owners ([`crate::rules::lint_scanned`]); the
+//! reachability pass ([`crate::callgraph::analyze`]) bans them on every
+//! function reachable from a marked root. Both read the one table here,
+//! so a construct is a seed of an effect everywhere or nowhere.
 
 use crate::callgraph::Graph;
-use crate::report::json_str;
 use crate::rules::{
-    allowlisted, file_hatches, hash_bound_names, hash_iter_sites, hatch_name, is_test, match_pat,
-    rule, snippet, suppressed, FileLint, Pat, Violation, ALLOC_PATS, DURABLE_IO_ALLOWLIST, IO_PATS,
-    PANIC_PATS, RNG_PATS, THREAD_PATS, TIME_PATS,
+    hash_bound_names, hash_iter_sites, is_test, match_pat, Pat, ALLOC_PATS, IO_PATS, RNG_PATS,
+    THREAD_PATS, TIME_PATS,
 };
 use crate::scan::ScannedFile;
 
-/// Schema version of the `effects.json` report. Versions 1 and 2 are
-/// the per-file lint report's history; the effect report starts at 3 so
-/// the two artifact families share one version sequence.
-pub const EFFECTS_SCHEMA_VERSION: usize = 3;
-
-/// One effect in the darlint lattice. Variant order is alphabetical by
-/// display name, and `ALL`/report output follow it, so every artifact
-/// lists effects in one canonical order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+/// One effect a construct can seed. Panics are not here: clippy owns
+/// them (`scripts/tier1.sh`, DESIGN.md §11.3).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Effect {
     /// Heap allocation on the steady-state path (`vec!`, `.collect()`).
     Alloc,
@@ -63,8 +25,6 @@ pub enum Effect {
     HashOrder,
     /// Direct filesystem access (`std::fs`, `File::open`, ...).
     Io,
-    /// A panicking construct (`.unwrap()`, `panic!`, ...).
-    Panic,
     /// Seeded-PRNG construction or use (`SplitMix64`).
     Rng,
     /// Raw thread creation (`thread::spawn`).
@@ -74,78 +34,30 @@ pub enum Effect {
 }
 
 impl Effect {
-    /// Every effect, in canonical (alphabetical) order.
-    pub const ALL: [Effect; 7] = [
+    /// Every effect.
+    pub const ALL: [Effect; 6] = [
         Effect::Alloc,
         Effect::HashOrder,
         Effect::Io,
-        Effect::Panic,
         Effect::Rng,
         Effect::ThreadSpawn,
         Effect::Time,
     ];
 
-    /// Stable display name (used in reports, diagnostics, and JSON).
+    /// Display name used in diagnostics.
     pub fn name(self) -> &'static str {
         match self {
             Effect::Alloc => "alloc",
             Effect::HashOrder => "hash-order",
             Effect::Io => "io",
-            Effect::Panic => "panic",
             Effect::Rng => "rng",
             Effect::ThreadSpawn => "thread-spawn",
             Effect::Time => "time",
         }
     }
-
-    fn idx(self) -> usize {
-        self as usize
-    }
 }
 
-/// A set of effects: the lattice element attached to every function.
-/// Join is union; the bottom element (`default`) is "pure".
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EffectSet(u8);
-
-impl EffectSet {
-    /// Adds one effect.
-    pub fn insert(&mut self, e: Effect) {
-        self.0 |= 1 << e.idx();
-    }
-
-    /// Membership test.
-    pub fn contains(self, e: Effect) -> bool {
-        self.0 & (1 << e.idx()) != 0
-    }
-
-    /// Joins `other` into `self`; returns whether `self` changed.
-    pub fn union_with(&mut self, other: EffectSet) -> bool {
-        let before = self.0;
-        self.0 |= other.0;
-        self.0 != before
-    }
-
-    /// No effects: the function is pure under the darlint lattice.
-    pub fn is_empty(self) -> bool {
-        self.0 == 0
-    }
-
-    /// Members in canonical order.
-    pub fn iter(self) -> impl Iterator<Item = Effect> {
-        Effect::ALL.into_iter().filter(move |e| self.contains(*e))
-    }
-
-    /// Is `self` a superset of `other`? (Monotonicity checks.)
-    pub fn is_superset(self, other: EffectSet) -> bool {
-        self.0 & other.0 == other.0
-    }
-}
-
-/// The lexical seed table: which token patterns introduce each effect.
-/// This is the single source of truth shared by the per-file rules
-/// (which ban an effect's seeds outside its allowlist) and the
-/// interprocedural passes (which propagate them). `HashOrder` has no
+/// Which token patterns introduce each effect. `HashOrder` has no
 /// pattern entry — its seeds are the structural hash-iteration sites
 /// found by [`hash_iter_sites`].
 pub(crate) fn seed_pats(effect: Effect) -> &'static [Pat] {
@@ -153,7 +65,6 @@ pub(crate) fn seed_pats(effect: Effect) -> &'static [Pat] {
         Effect::Alloc => ALLOC_PATS,
         Effect::HashOrder => &[],
         Effect::Io => IO_PATS,
-        Effect::Panic => PANIC_PATS,
         Effect::Rng => RNG_PATS,
         Effect::ThreadSpawn => THREAD_PATS,
         Effect::Time => TIME_PATS,
@@ -231,575 +142,4 @@ pub(crate) fn lexical_sites(graph: &Graph, files: &[(String, ScannedFile)]) -> V
             sites
         })
         .collect()
-}
-
-/// The inference result: per-node transitive effect sets plus, for each
-/// `(node, effect)`, the BFS depth to the nearest seed (the witness
-/// reconstruction key).
-pub struct Inference {
-    /// `sets[gid]` = the transitive effect set of node `gid`.
-    pub sets: Vec<EffectSet>,
-    /// `depth[gid][e]` = shortest call-chain length from `gid` to an
-    /// `e`-seeded function (`0` = seeded itself, `u32::MAX` = none).
-    depth: Vec<[u32; 7]>,
-}
-
-/// Runs the effect fixpoint: for each effect, a multi-source BFS from
-/// the lexically-seeded nodes along *reversed* call edges, so callers
-/// absorb their callees' effects. BFS depths double as the witness
-/// metric: a node at depth `d` always has a callee at depth `d - 1`,
-/// which makes chain reconstruction acyclic even through recursion.
-pub(crate) fn infer(graph: &Graph, seeds: &[Vec<Site>]) -> Inference {
-    let n = graph.nodes.len();
-    let mut redges: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (gid, callees) in graph.edges.iter().enumerate() {
-        if graph.nodes[gid].is_test {
-            continue;
-        }
-        for &c in callees {
-            redges[c].push(gid);
-        }
-    }
-    let mut sets = vec![EffectSet::default(); n];
-    let mut depth = vec![[u32::MAX; 7]; n];
-    for e in Effect::ALL {
-        let mut queue: VecDeque<usize> = VecDeque::new();
-        for gid in 0..n {
-            if !graph.nodes[gid].is_test && seeds[gid].iter().any(|s| s.effect == e) {
-                depth[gid][e.idx()] = 0;
-                sets[gid].insert(e);
-                queue.push_back(gid);
-            }
-        }
-        while let Some(gid) = queue.pop_front() {
-            let d = depth[gid][e.idx()];
-            for &caller in &redges[gid] {
-                if depth[caller][e.idx()] == u32::MAX {
-                    depth[caller][e.idx()] = d.saturating_add(1);
-                    sets[caller].insert(e);
-                    queue.push_back(caller);
-                }
-            }
-        }
-    }
-    Inference { sets, depth }
-}
-
-/// Reconstructs the witness chain for `(gid, e)`: a call path of
-/// strictly decreasing depth ending at a seeded function. Returns the
-/// node ids from `gid` down to the seed owner. Deterministic: at each
-/// hop the smallest-id callee at the next depth is chosen (edge sets
-/// are ordered).
-fn witness_path(graph: &Graph, inf: &Inference, gid: usize, e: Effect) -> Vec<usize> {
-    let mut chain = vec![gid];
-    let mut cur = gid;
-    let mut d = inf.depth[gid][e.idx()];
-    while d > 0 {
-        let next = graph.edges[cur]
-            .iter()
-            .copied()
-            .find(|&c| inf.depth[c][e.idx()] == d - 1);
-        let Some(nx) = next else {
-            break;
-        };
-        chain.push(nx);
-        cur = nx;
-        d -= 1;
-    }
-    chain
-}
-
-/// One inferred effect on one function, with its witness.
-pub struct EffectEntry {
-    /// The effect.
-    pub effect: Effect,
-    /// Seeded directly in the function's own body (witness length 1).
-    pub direct: bool,
-    /// Call path from the function (inclusive) to the seed owner.
-    pub witness: Vec<String>,
-    /// File of the seed site.
-    pub site_file: String,
-    /// 1-based line of the seed site.
-    pub site_line: usize,
-    /// Display form of the seeding construct.
-    pub what: String,
-}
-
-/// One function's inferred effects.
-pub struct FnEffects {
-    /// `Owner::name` display form.
-    pub name: String,
-    /// Workspace-relative file.
-    pub file: String,
-    /// 1-based declaration line.
-    pub line: usize,
-    /// Inferred effects in canonical order (empty = pure).
-    pub effects: Vec<EffectEntry>,
-}
-
-/// The full effect analysis of a workspace: input to the `effects`
-/// subcommand's report, summary, and `--explain` output.
-pub struct Analysis {
-    /// Every non-test function, sorted by `(file, line, name)`.
-    pub fns: Vec<FnEffects>,
-    /// Number of functions analyzed (= `fns.len()`).
-    pub functions_analyzed: usize,
-}
-
-/// Runs the complete analysis over scanned files: graph, seeds,
-/// fixpoint, witnesses.
-pub fn analyze(files: &[(String, ScannedFile)]) -> Analysis {
-    let graph = Graph::build(files);
-    let seeds = lexical_sites(&graph, files);
-    let inf = infer(&graph, &seeds);
-    let mut fns: Vec<FnEffects> = Vec::new();
-    for (gid, node) in graph.nodes.iter().enumerate() {
-        if node.is_test {
-            continue;
-        }
-        let (path, scanned) = &files[node.file];
-        let item = &scanned.fns[node.fn_idx].item;
-        let mut effects: Vec<EffectEntry> = Vec::new();
-        for e in Effect::ALL {
-            if !inf.sets[gid].contains(e) {
-                continue;
-            }
-            let chain = witness_path(&graph, &inf, gid, e);
-            let Some(&seed_gid) = chain.last() else {
-                continue;
-            };
-            let Some(site) = seeds[seed_gid].iter().find(|s| s.effect == e) else {
-                continue;
-            };
-            effects.push(EffectEntry {
-                effect: e,
-                direct: chain.len() == 1,
-                witness: chain.iter().map(|&g| graph.display(files, g)).collect(),
-                site_file: files[graph.nodes[seed_gid].file].0.clone(),
-                site_line: site.line,
-                what: site.what.clone(),
-            });
-        }
-        fns.push(FnEffects {
-            name: graph.display(files, gid),
-            file: path.clone(),
-            line: item.line,
-            effects,
-        });
-    }
-    fns.sort_by(|a, b| {
-        (a.file.as_str(), a.line, a.name.as_str()).cmp(&(b.file.as_str(), b.line, b.name.as_str()))
-    });
-    Analysis {
-        functions_analyzed: fns.len(),
-        fns,
-    }
-}
-
-impl Analysis {
-    /// The deterministic JSON report: sorted functions, canonical effect
-    /// order, sorted keys — byte-identical across identical runs.
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"tool\": \"darlint-effects\",");
-        let _ = writeln!(out, "  \"schema_version\": {EFFECTS_SCHEMA_VERSION},");
-        let _ = writeln!(
-            out,
-            "  \"functions_analyzed\": {},",
-            self.functions_analyzed
-        );
-        out.push_str("  \"functions\": [");
-        for (i, f) in self.fns.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"fn\": {}, \"file\": {}, \"line\": {}, \"effects\": [",
-                json_str(&f.name),
-                json_str(&f.file),
-                f.line
-            );
-            for (j, e) in f.effects.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let witness: Vec<String> = e.witness.iter().map(|w| json_str(w)).collect();
-                let _ = write!(
-                    out,
-                    "\n      {{\"effect\": {}, \"direct\": {}, \"witness\": [{}], \
-                     \"site\": {}, \"construct\": {}}}",
-                    json_str(e.effect.name()),
-                    e.direct,
-                    witness.join(", "),
-                    json_str(&format!("{}:{}", e.site_file, e.site_line)),
-                    json_str(&e.what)
-                );
-            }
-            if !f.effects.is_empty() {
-                out.push_str("\n    ");
-            }
-            out.push_str("]}");
-        }
-        if !self.fns.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
-        out
-    }
-
-    /// Human-readable explanation of one function's inferred effects,
-    /// matched by exact display name or bare method/function name.
-    pub fn explain(&self, query: &str) -> Option<String> {
-        let suffix = format!("::{query}");
-        let f = self
-            .fns
-            .iter()
-            .find(|f| f.name == query || f.name.ends_with(&suffix))?;
-        let mut out = String::new();
-        let _ = writeln!(out, "{} ({}:{})", f.name, f.file, f.line);
-        if f.effects.is_empty() {
-            let _ = writeln!(
-                out,
-                "  pure — no effects inferred under the darlint lattice"
-            );
-        }
-        for e in &f.effects {
-            if e.direct {
-                let _ = writeln!(
-                    out,
-                    "  {:<12} direct: `{}` at {}:{}",
-                    e.effect.name(),
-                    e.what,
-                    e.site_file,
-                    e.site_line
-                );
-            } else {
-                let _ = writeln!(
-                    out,
-                    "  {:<12} via {}: `{}` at {}:{}",
-                    e.effect.name(),
-                    e.witness.join(" → "),
-                    e.what,
-                    e.site_file,
-                    e.site_line
-                );
-            }
-        }
-        Some(out)
-    }
-
-    /// One-screen workspace summary: per-effect function counts plus the
-    /// pure count.
-    pub fn render_summary(&self) -> String {
-        let mut counts: BTreeMap<&'static str, usize> = BTreeMap::new();
-        let mut pure = 0usize;
-        for f in &self.fns {
-            if f.effects.is_empty() {
-                pure += 1;
-            }
-            for e in &f.effects {
-                *counts.entry(e.effect.name()).or_insert(0) += 1;
-            }
-        }
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "darlint-effects: {} function(s) analyzed",
-            self.functions_analyzed
-        );
-        for e in Effect::ALL {
-            let _ = writeln!(
-                out,
-                "  {:<12} {}",
-                e.name(),
-                counts.get(e.name()).copied().unwrap_or(0)
-            );
-        }
-        let _ = writeln!(out, "  {:<12} {pure}", "pure");
-        out
-    }
-}
-
-/// The `replay-pure` contract rule: walks the call graph forward from
-/// every `// darlint: pure-root` function and flags any banned-effect
-/// seed site on a reached function, with the full root-to-site chain in
-/// the diagnostic. Banned: `Time`, `Rng`, `ThreadSpawn`, `HashOrder`
-/// unconditionally, and `Io` outside [`DURABLE_IO_ALLOWLIST`] (replay
-/// *reads its own storage* by design — sanctioned durable-I/O owners
-/// are the replay input, not a purity leak). `Alloc` and `Panic` are
-/// not purity concerns.
-pub(crate) fn replay_pure(
-    graph: &Graph,
-    files: &[(String, ScannedFile)],
-    seeds: &[Vec<Site>],
-) -> FileLint {
-    let mut pred: BTreeMap<usize, usize> = BTreeMap::new();
-    let mut visited: BTreeSet<usize> = BTreeSet::new();
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    for (gid, n) in graph.nodes.iter().enumerate() {
-        if n.pure_root {
-            visited.insert(gid);
-            queue.push_back(gid);
-        }
-    }
-    while let Some(gid) = queue.pop_front() {
-        for &next in &graph.edges[gid] {
-            if graph.nodes[next].is_test || visited.contains(&next) {
-                continue;
-            }
-            visited.insert(next);
-            pred.insert(next, gid);
-            queue.push_back(next);
-        }
-    }
-
-    let mut out = FileLint::default();
-    for &gid in &visited {
-        if seeds[gid].is_empty() {
-            continue;
-        }
-        let node = &graph.nodes[gid];
-        let (path, scanned) = &files[node.file];
-        let io_exempt = allowlisted(path, DURABLE_IO_ALLOWLIST);
-        let hatches = file_hatches(&scanned.comments);
-        let mut chain: Vec<String> = vec![graph.display(files, gid)];
-        let mut cur = gid;
-        while let Some(&p) = pred.get(&cur) {
-            chain.push(graph.display(files, p));
-            cur = p;
-        }
-        chain.reverse();
-        let via = chain.join(" → ");
-        for site in &seeds[gid] {
-            let banned = match site.effect {
-                Effect::Time | Effect::Rng | Effect::ThreadSpawn | Effect::HashOrder => true,
-                Effect::Io => !io_exempt,
-                Effect::Alloc | Effect::Panic => false,
-            };
-            if !banned {
-                continue;
-            }
-            if suppressed(&hatches, rule::REPLAY_PURE, site.line) {
-                out.count_allow(hatch_name(rule::REPLAY_PURE));
-                continue;
-            }
-            out.violations.push(Violation {
-                rule: rule::REPLAY_PURE,
-                file: path.clone(),
-                line: site.line,
-                message: format!(
-                    "`{}` is a {} effect on a replay-pure path via {via}; \
-                     replay/digest outputs must be bitwise-reproducible — \
-                     fix it, hatch the line with `// darlint: \
-                     allow(replay-pure) — <reason>`, or narrow the \
-                     `// darlint: pure-root` root",
-                    site.what,
-                    site.effect.name()
-                ),
-                snippet: snippet(&scanned.lines, site.line),
-            });
-        }
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::scan::scan;
-
-    fn scanned(files: &[(&str, &str)]) -> Vec<(String, ScannedFile)> {
-        files
-            .iter()
-            .map(|(p, s)| ((*p).to_owned(), scan(s)))
-            .collect()
-    }
-
-    #[test]
-    fn effect_set_lattice_ops() {
-        let mut a = EffectSet::default();
-        assert!(a.is_empty());
-        a.insert(Effect::Time);
-        a.insert(Effect::Rng);
-        assert!(a.contains(Effect::Time));
-        assert!(!a.contains(Effect::Io));
-        let mut b = EffectSet::default();
-        b.insert(Effect::Io);
-        assert!(b.union_with(a), "join added members");
-        assert!(!b.union_with(a), "join is idempotent");
-        assert!(b.is_superset(a));
-        assert!(!a.is_superset(b));
-        let members: Vec<&str> = b.iter().map(Effect::name).collect();
-        assert_eq!(members, vec!["io", "rng", "time"], "canonical order");
-    }
-
-    #[test]
-    fn direct_seeds_are_inferred_at_depth_zero() {
-        let files = scanned(&[(
-            "crates/core/src/a.rs",
-            "pub fn stamp() -> u64 { std::time::Instant::now(); 0 }\n",
-        )]);
-        let analysis = analyze(&files);
-        assert_eq!(analysis.functions_analyzed, 1);
-        let f = &analysis.fns[0];
-        assert_eq!(f.effects.len(), 1);
-        assert_eq!(f.effects[0].effect, Effect::Time);
-        assert!(f.effects[0].direct);
-        assert_eq!(f.effects[0].witness, vec!["stamp".to_owned()]);
-    }
-
-    #[test]
-    fn effects_propagate_to_callers_with_witness() {
-        let files = scanned(&[(
-            "crates/core/src/a.rs",
-            "pub fn outer() { mid(); }\nfn mid() { leaf(); }\nfn leaf() { let _ = std::time::SystemTime::now(); }\n",
-        )]);
-        let analysis = analyze(&files);
-        let outer = analysis.explain("outer").unwrap_or_default();
-        assert!(
-            outer.contains("via outer → mid → leaf"),
-            "witness chain: {outer}"
-        );
-        assert!(outer.contains("`SystemTime::now`"), "{outer}");
-    }
-
-    #[test]
-    fn direct_recursion_terminates_with_acyclic_witness() {
-        let files = scanned(&[(
-            "crates/core/src/a.rs",
-            "pub fn looper(n: u32) { if n > 0 { looper(n - 1); } let _v = vec![n]; }\n",
-        )]);
-        let analysis = analyze(&files);
-        let f = &analysis.fns[0];
-        assert_eq!(f.effects.len(), 1);
-        assert_eq!(f.effects[0].effect, Effect::Alloc);
-        assert!(f.effects[0].direct, "self-seed beats the recursive edge");
-        assert_eq!(f.effects[0].witness.len(), 1);
-    }
-
-    #[test]
-    fn mutual_recursion_terminates_with_acyclic_witness() {
-        let files = scanned(&[(
-            "crates/core/src/a.rs",
-            "pub fn ping(n: u32) { if n > 0 { pong(n - 1); } }\n\
-             pub fn pong(n: u32) { if n > 0 { ping(n - 1); } let _ = std::fs::read(\"x\");\n}\n",
-        )]);
-        let analysis = analyze(&files);
-        let ping = analysis.explain("ping").unwrap_or_default();
-        assert!(ping.contains("via ping → pong"), "{ping}");
-        let pong = analysis.explain("pong").unwrap_or_default();
-        assert!(pong.contains("direct: `std::fs`"), "{pong}");
-        // Witness chains never revisit a node despite the cycle.
-        for f in &analysis.fns {
-            for e in &f.effects {
-                let uniq: BTreeSet<&String> = e.witness.iter().collect();
-                assert_eq!(uniq.len(), e.witness.len(), "cycle in witness");
-            }
-        }
-    }
-
-    #[test]
-    fn hash_order_seeds_come_from_iteration_sites() {
-        let files = scanned(&[(
-            "crates/core/src/a.rs",
-            "use std::collections::HashMap;\n\
-             pub fn dump(m: &HashMap<u32, u32>) -> u32 { let mut s = 0; for (k, _) in m.iter() { s += k; } s }\n\
-             pub fn caller(m: &HashMap<u32, u32>) -> u32 { dump(m) }\n",
-        )]);
-        let analysis = analyze(&files);
-        let caller = analysis.explain("caller").unwrap_or_default();
-        assert!(
-            caller.contains("hash-order") && caller.contains("via caller → dump"),
-            "{caller}"
-        );
-    }
-
-    #[test]
-    fn pure_functions_report_empty_sets() {
-        let files = scanned(&[(
-            "crates/core/src/a.rs",
-            "pub fn add(a: u32, b: u32) -> u32 { a + b }\n",
-        )]);
-        let analysis = analyze(&files);
-        assert!(analysis.fns[0].effects.is_empty());
-        let text = analysis.explain("add").unwrap_or_default();
-        assert!(text.contains("pure — no effects inferred"), "{text}");
-    }
-
-    #[test]
-    fn render_json_is_deterministic_and_versioned() {
-        let files = scanned(&[(
-            "crates/core/src/a.rs",
-            "pub fn outer() { leaf(); }\nfn leaf() { let _ = std::time::Instant::now(); }\n",
-        )]);
-        let a = analyze(&files).render_json();
-        let b = analyze(&files).render_json();
-        assert_eq!(a, b, "byte-identical across runs");
-        assert!(a.contains("\"schema_version\": 3"), "{a}");
-        assert!(a.contains("\"tool\": \"darlint-effects\""), "{a}");
-        assert_eq!(a.matches('{').count(), a.matches('}').count());
-        assert_eq!(a.matches('[').count(), a.matches(']').count());
-    }
-
-    fn replay_lint(files: &[(&str, &str)]) -> FileLint {
-        let files = scanned(files);
-        let graph = Graph::build(&files);
-        let seeds = lexical_sites(&graph, &files);
-        replay_pure(&graph, &files, &seeds)
-    }
-
-    #[test]
-    fn replay_pure_flags_transitive_time_leak_with_chain() {
-        let lint = replay_lint(&[(
-            "crates/collect/src/fixture.rs",
-            "// darlint: pure-root\npub fn digest() -> u64 { helper() }\nfn helper() -> u64 { let _ = std::time::Instant::now(); 0 }\n",
-        )]);
-        assert_eq!(lint.violations.len(), 1, "{:?}", lint.violations);
-        let v = &lint.violations[0];
-        assert_eq!(v.rule, rule::REPLAY_PURE);
-        assert_eq!(v.line, 3);
-        assert!(v.message.contains("via digest → helper"), "{}", v.message);
-        assert!(v.message.contains("time effect"), "{}", v.message);
-    }
-
-    #[test]
-    fn replay_pure_allows_alloc_and_sanctioned_io() {
-        // Alloc is not a purity concern; Io inside a durable-I/O owner
-        // (here: the WAL) is the replay input, not a leak.
-        let lint = replay_lint(&[(
-            "crates/collect/src/wal.rs",
-            "// darlint: pure-root\npub fn replay() -> Vec<u8> { std::fs::read(\"wal\").unwrap_or_default() }\n",
-        )]);
-        assert!(lint.violations.is_empty(), "{:?}", lint.violations);
-    }
-
-    #[test]
-    fn replay_pure_bans_io_outside_durable_owners() {
-        let lint = replay_lint(&[(
-            "crates/collect/src/fixture.rs",
-            "// darlint: pure-root\npub fn digest() -> Vec<u8> { std::fs::read(\"x\").unwrap_or_default() }\n",
-        )]);
-        assert_eq!(lint.violations.len(), 1, "{:?}", lint.violations);
-        assert!(lint.violations[0].message.contains("io effect"));
-    }
-
-    #[test]
-    fn replay_pure_hatch_suppresses_and_counts() {
-        let lint = replay_lint(&[(
-            "crates/collect/src/fixture.rs",
-            "// darlint: pure-root\npub fn digest() -> u64 {\n    // darlint: allow(replay-pure) — cache warmup stamp, excluded from the digest\n    let _ = std::time::Instant::now();\n    0\n}\n",
-        )]);
-        assert!(lint.violations.is_empty(), "{:?}", lint.violations);
-        assert_eq!(lint.allows.get("replay-pure"), Some(&1));
-    }
-
-    #[test]
-    fn unmarked_functions_are_not_replay_constrained() {
-        let lint = replay_lint(&[(
-            "crates/collect/src/fixture.rs",
-            "pub fn free() -> u64 { let _ = std::time::Instant::now(); 0 }\n",
-        )]);
-        assert!(lint.violations.is_empty(), "{:?}", lint.violations);
-    }
 }

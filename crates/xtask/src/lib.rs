@@ -5,30 +5,26 @@
 //! analyzer over `crates/*/src` that machine-checks the project
 //! invariants documented in DESIGN.md §11 and §15:
 //!
-//! * **no-panic-paths** — `.unwrap()`, `.expect(`, `panic!`,
-//!   `unreachable!`, `todo!` are forbidden in non-`#[cfg(test)]` code of
-//!   the hot-path crates (`tensor`, `nn`, `core`, `collect`, `xtask`);
-//!   typed errors must be threaded instead. Escape hatch:
-//!   `// darlint: allow(panic) — <reason>` (a justification is mandatory).
 //! * **deterministic-time** — `Instant::now` / `SystemTime::now` only in
-//!   the runtime allowlist (`collect::runtime`, `collect::live`, `bench`).
-//! * **scoped-threads-only** — `thread::spawn` is forbidden outside the
-//!   `Parallelism`/`MicroBatcher` allowlist; concurrency goes through
-//!   `std::thread::scope`.
+//!   the runtime allowlist (`collect::loadgen`'s timed bench wrapper,
+//!   `bench`, and this driver's pass timer). Escape hatch:
+//!   `// darlint: allow(time) — <reason>` (a justification is mandatory,
+//!   for every rule's hatch).
+//! * **scoped-threads-only** — `thread::spawn` is forbidden everywhere;
+//!   concurrency goes through `std::thread::scope`.
 //! * **crate-hygiene** — every crate root carries
 //!   `#![deny(unsafe_code)]`, `#![deny(missing_docs)]`, and
 //!   `#![warn(rust_2018_idioms)]`.
-//! * **hot-alloc** — inside any function annotated with an own-line
-//!   `// darlint: hot` marker, the allocating constructs
+//! * **hot-alloc** / **hot-propagate** — the reachability pass
+//!   ([`callgraph`]) walks the workspace call graph from every hot root
+//!   (`// darlint: hot` markers and the `*_into` entries in
+//!   `tensor`/`nn`) and forbids the allocating constructs
 //!   `Tensor::zeros`, `vec!`, `.collect()` (turbofish included), and
-//!   `.to_vec()` are forbidden; hot code checks buffers out of a
-//!   `darnet_tensor::Workspace` or writes through an `_into` kernel.
-//! * **hot-propagate** — the workspace call graph ([`callgraph`]) walks
-//!   from every hot root (`// darlint: hot` markers and the `*_into`
-//!   entries in `tensor`/`nn`) and applies the same no-alloc constraint
-//!   to every function *transitively reachable*, closing the
-//!   unmarked-helper hole. `// darlint: cold — <reason>` prunes a
-//!   function out of the traversal.
+//!   `.to_vec()` in every function it reaches; hot code checks buffers
+//!   out of a `darnet_tensor::Workspace` or writes through an `_into`
+//!   kernel. A finding inside a marked function is `hot-alloc`, one in
+//!   an unmarked helper it reaches is `hot-propagate`.
+//!   `// darlint: cold — <reason>` prunes a function out of the walk.
 //! * **nondet-order** — `HashMap`/`HashSet` (declaration or iteration)
 //!   are banned on the order-sensitive paths (digests, fingerprints,
 //!   WAL replay, wire encoding, reports) where nondeterministic
@@ -47,20 +43,19 @@
 //!   `// darlint: pure-root` marker (WAL replay, `state_digest`,
 //!   `canonical_fingerprint*`, `metrics::compare`) must be free of
 //!   Time/Io/Rng/ThreadSpawn/HashOrder effects; diagnostics carry the
-//!   full root-to-site call chain. Built on the interprocedural effect
-//!   inference in [`effects`], which also powers the `effects`
-//!   subcommand (`cargo run -p xtask -- effects [--explain <fn>]`) and
-//!   the deterministic `effects.json` artifact.
+//!   full root-to-site call chain. It is the same reachability pass
+//!   under a second constraint row, over the seed table in [`effects`].
 //!
 //! The pass operates on a real token stream ([`lex`]) and parsed item
 //! structure ([`parse`]): comments, strings, and char literals can never
 //! match, call chains split across lines still match, and `cfg(test)`
 //! regions (including `#[cfg(not(test))]`, which is *not* test-gated)
-//! resolve correctly. Semantic cousins of these rules
-//! (`clippy::unwrap_used` et al.) run in the same tier-1 gate and catch
-//! what name-level analysis cannot; darlint catches what clippy does not
-//! model (allowlists, justification-bearing escape hatches, attribute
-//! hygiene, transitive hot-path constraints, the ratchet).
+//! resolve correctly. Panics are clippy's: the escalated pass in
+//! `scripts/tier1.sh` denies `unwrap_used`/`expect_used`/`panic`/
+//! `unreachable`/`todo`/`unimplemented` with type information. darlint
+//! covers what clippy does not model (allowlists, justification-bearing
+//! escape hatches, attribute hygiene, transitive hot-path and
+//! replay-purity constraints, the ratchet).
 
 #![deny(unsafe_code)]
 #![deny(missing_docs)]
@@ -90,16 +85,6 @@ use scan::{scan, ScannedFile};
 /// Returns a message when the workspace layout cannot be read.
 pub fn run_lint(root: &Path) -> Result<LintReport, String> {
     Ok(lint_workspace(&workspace_sources(root)?))
-}
-
-/// Runs the effect-inference analysis over the workspace rooted at
-/// `root` (the `effects` subcommand's core).
-///
-/// # Errors
-///
-/// Returns a message when the workspace layout cannot be read.
-pub fn run_effects(root: &Path) -> Result<effects::Analysis, String> {
-    Ok(effects_workspace(&workspace_sources(root)?))
 }
 
 /// Reads every `crates/*/src/**/*.rs` file under `root` in sorted order
@@ -134,7 +119,7 @@ fn workspace_sources(root: &Path) -> Result<Vec<(String, String)>, String> {
 
 /// Lints a workspace presented as `(workspace-relative path, source)`
 /// pairs: per-file rules, crate-root hygiene, and the cross-file
-/// call-graph propagation pass. This is the pure core of [`run_lint`];
+/// reachability pass. This is the pure core of [`run_lint`];
 /// tests feed it synthetic multi-file inputs directly.
 pub fn lint_workspace(files: &[(String, String)]) -> LintReport {
     // Wall-clock each pass so analyzer cost regressions are visible in
@@ -162,34 +147,15 @@ pub fn lint_workspace(files: &[(String, String)]) -> LintReport {
     }
     timer.lap("file-rules");
 
-    let graph = callgraph::Graph::build(&scanned);
-    timer.lap("callgraph");
-    let seeds = effects::lexical_sites(&graph, &scanned);
-    timer.lap("effect-seeds");
-    merge(
-        &mut report,
-        callgraph::hot_propagate(&graph, &scanned, &seeds),
-    );
-    timer.lap("hot-propagate");
-    merge(&mut report, effects::replay_pure(&graph, &scanned, &seeds));
-    timer.lap("replay-pure");
+    let mut reached = rules::FileLint::default();
+    callgraph::analyze(&scanned, |pass| timer.lap(pass), &mut reached);
+    merge(&mut report, reached);
 
     report
         .violations
         .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     report.timings = timer.laps;
     report
-}
-
-/// Runs the effect-inference analysis over a workspace presented as
-/// `(workspace-relative path, source)` pairs. This is the pure core of
-/// [`run_effects`]; tests feed it synthetic multi-file inputs directly.
-pub fn effects_workspace(files: &[(String, String)]) -> effects::Analysis {
-    let scanned: Vec<(String, ScannedFile)> = files
-        .iter()
-        .map(|(path, source)| (path.clone(), scan(source)))
-        .collect();
-    effects::analyze(&scanned)
 }
 
 /// Accumulates named per-pass wall-clock laps (microseconds).

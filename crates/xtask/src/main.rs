@@ -1,10 +1,8 @@
 //! CLI entry point for workspace maintenance tasks.
 //!
 //! ```text
-//! cargo run -p xtask -- lint    [--check] [--json] [--out PATH] [--root PATH]
-//!                               [--ratchet PATH] [--write-ratchet PATH]
-//! cargo run -p xtask -- effects [--json] [--out PATH] [--explain FN]
-//!                               [--root PATH]
+//! cargo run -p xtask -- lint [--check] [--json] [--out PATH] [--root PATH]
+//!                            [--ratchet PATH] [--write-ratchet PATH]
 //! ```
 //!
 //! `lint` runs the darlint invariant pass (see the crate docs and
@@ -16,13 +14,8 @@
 //! per-rule or per-hatch count above it; `--write-ratchet PATH`
 //! re-baselines.
 //!
-//! `effects` runs the interprocedural effect inference alone: by default
-//! it prints a per-effect summary; `--explain FN` prints one function's
-//! inferred effects with their witness chains; `--json`/`--out` emit the
-//! deterministic `effects.json` report (schema version 3).
-//!
 //! Exit code 2 signals an operational failure (unreadable workspace, bad
-//! flags, unreadable baseline, unknown `--explain` function).
+//! flags, unreadable baseline).
 
 #![deny(unsafe_code)]
 #![deny(missing_docs)]
@@ -32,77 +25,59 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use xtask::ratchet::{compare, Ratchet};
-use xtask::{find_root, run_effects, run_lint};
+use xtask::{find_root, run_lint};
 
 const USAGE: &str = "\
 xtask — workspace maintenance tasks
 
 USAGE:
-    cargo run -p xtask -- lint    [--check] [--json] [--out PATH] [--root PATH]
-                                  [--ratchet PATH] [--write-ratchet PATH]
-    cargo run -p xtask -- effects [--json] [--out PATH] [--explain FN]
-                                  [--root PATH]
+    cargo run -p xtask -- lint [--check] [--json] [--out PATH] [--root PATH]
+                               [--ratchet PATH] [--write-ratchet PATH]
 
 COMMANDS:
     lint     run the darlint invariant pass over crates/*/src
-             (no-panic-paths, deterministic-time, scoped-threads-only,
-             crate-hygiene, hot-alloc, hot-propagate, durable-io,
-             nondet-order, rng-confined, replay-pure, bare-allow)
-    effects  run interprocedural effect inference alone: per-function
-             transitive effect sets (alloc/hash-order/io/panic/rng/
-             thread-spawn/time) with witness chains
+             (deterministic-time, scoped-threads-only, crate-hygiene,
+             hot-alloc, hot-propagate, durable-io, nondet-order,
+             rng-confined, replay-pure, bare-allow)
 
 OPTIONS:
-    --check               (lint) exit nonzero when any violation is found,
-                          or when a --ratchet count regresses
+    --check               exit nonzero when any violation is found, or
+                          when a --ratchet count regresses
     --json                emit the JSON report on stdout
     --out PATH            write the JSON report to PATH (implies --json)
     --root PATH           workspace root (default: auto-detected)
-    --ratchet PATH        (lint) compare against the committed baseline at PATH
-    --write-ratchet PATH  (lint) write the current counts to PATH as the
-                          new baseline
-    --explain FN          (effects) print FN's inferred effects and witness
-                          chains (matches `name` or `Owner::name`)
+    --ratchet PATH        compare against the committed baseline at PATH
+    --write-ratchet PATH  write the current counts to PATH as the new
+                          baseline
 ";
 
-enum Command {
-    Lint,
-    Effects,
-}
-
 struct Args {
-    command: Command,
     check: bool,
     json: bool,
     out: Option<PathBuf>,
     root: Option<PathBuf>,
     ratchet: Option<PathBuf>,
     write_ratchet: Option<PathBuf>,
-    explain: Option<String>,
 }
 
 fn parse_args(mut argv: std::env::Args) -> Result<Args, String> {
     let _ = argv.next(); // program name
-    let command = match argv.next().as_deref() {
-        Some("lint") => Command::Lint,
-        Some("effects") => Command::Effects,
+    match argv.next().as_deref() {
+        Some("lint") => {}
         Some("help") | Some("--help") | Some("-h") | None => return Err(USAGE.to_owned()),
         Some(other) => return Err(format!("unknown command `{other}`\n\n{USAGE}")),
-    };
-    let lint = matches!(command, Command::Lint);
+    }
     let mut args = Args {
-        command,
         check: false,
         json: false,
         out: None,
         root: None,
         ratchet: None,
         write_ratchet: None,
-        explain: None,
     };
     while let Some(flag) = argv.next() {
         match flag.as_str() {
-            "--check" if lint => args.check = true,
+            "--check" => args.check = true,
             "--json" => args.json = true,
             "--out" => {
                 let path = argv.next().ok_or("--out requires a path")?;
@@ -113,17 +88,13 @@ fn parse_args(mut argv: std::env::Args) -> Result<Args, String> {
                 let path = argv.next().ok_or("--root requires a path")?;
                 args.root = Some(PathBuf::from(path));
             }
-            "--ratchet" if lint => {
+            "--ratchet" => {
                 let path = argv.next().ok_or("--ratchet requires a path")?;
                 args.ratchet = Some(PathBuf::from(path));
             }
-            "--write-ratchet" if lint => {
+            "--write-ratchet" => {
                 let path = argv.next().ok_or("--write-ratchet requires a path")?;
                 args.write_ratchet = Some(PathBuf::from(path));
-            }
-            "--explain" if !lint => {
-                let name = argv.next().ok_or("--explain requires a function name")?;
-                args.explain = Some(name);
             }
             other => return Err(format!("unknown flag `{other}`\n\n{USAGE}")),
         }
@@ -173,7 +144,7 @@ fn check_ratchet(path: &PathBuf, current: &Ratchet) -> Result<bool, String> {
 }
 
 /// Writes `json` to `--out PATH` (creating parent directories) or stdout.
-fn emit_json(out: &Option<PathBuf>, json: &str, label: &str) -> Result<(), String> {
+fn emit_json(out: &Option<PathBuf>, json: &str) -> Result<(), String> {
     match out {
         Some(path) => {
             if let Some(parent) = path.parent() {
@@ -181,7 +152,7 @@ fn emit_json(out: &Option<PathBuf>, json: &str, label: &str) -> Result<(), Strin
             }
             std::fs::write(path, json)
                 .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-            eprintln!("darlint: {label} written to {}", path.display());
+            eprintln!("darlint: JSON report written to {}", path.display());
         }
         None => print!("{json}"),
     }
@@ -198,7 +169,7 @@ fn run_lint_command(args: &Args, root: &std::path::Path) -> ExitCode {
     };
     eprint!("{}", report.render_human());
     if args.json {
-        if let Err(msg) = emit_json(&args.out, &report.render_json(), "JSON report") {
+        if let Err(msg) = emit_json(&args.out, &report.render_json()) {
             eprintln!("xtask: {msg}");
             return ExitCode::from(2);
         }
@@ -227,35 +198,6 @@ fn run_lint_command(args: &Args, root: &std::path::Path) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn run_effects_command(args: &Args, root: &std::path::Path) -> ExitCode {
-    let analysis = match run_effects(root) {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("xtask: {msg}");
-            return ExitCode::from(2);
-        }
-    };
-    if let Some(name) = &args.explain {
-        match analysis.explain(name) {
-            Some(text) => print!("{text}"),
-            None => {
-                eprintln!("xtask: no workspace function matches `{name}`");
-                return ExitCode::from(2);
-            }
-        }
-        return ExitCode::SUCCESS;
-    }
-    if args.json {
-        if let Err(msg) = emit_json(&args.out, &analysis.render_json(), "effects report") {
-            eprintln!("xtask: {msg}");
-            return ExitCode::from(2);
-        }
-    } else {
-        print!("{}", analysis.render_summary());
-    }
-    ExitCode::SUCCESS
-}
-
 fn main() -> ExitCode {
     let args = match parse_args(std::env::args()) {
         Ok(a) => a,
@@ -271,8 +213,5 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    match args.command {
-        Command::Lint => run_lint_command(&args, &root),
-        Command::Effects => run_effects_command(&args, &root),
-    }
+    run_lint_command(&args, &root)
 }

@@ -273,8 +273,8 @@ mod tests {
     fn sample() -> Ratchet {
         let mut r = Ratchet::default();
         r.allows.insert("hot-alloc".into(), 7);
-        r.allows.insert("panic".into(), 2);
-        r.violations.insert("no-panic-paths".into(), 0);
+        r.allows.insert("time".into(), 2);
+        r.violations.insert("deterministic-time".into(), 0);
         r
     }
 
@@ -308,7 +308,7 @@ mod tests {
         let base = sample();
         let mut cur = sample();
         cur.allows.insert("hot-alloc".into(), 9); // worse
-        cur.allows.insert("panic".into(), 1); // better
+        cur.allows.insert("time".into(), 1); // better
         cur.violations.insert("nondet-order".into(), 3); // new debt
         let delta = compare(&base, &cur);
         assert_eq!(
@@ -318,7 +318,7 @@ mod tests {
                 "allows/hot-alloc: 9 (baseline 7, +2)",
             ]
         );
-        assert_eq!(delta.improvements, vec!["allows/panic: 1 (baseline 2, -1)"]);
+        assert_eq!(delta.improvements, vec!["allows/time: 1 (baseline 2, -1)"]);
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub struct LintReport {
     pub files_scanned: usize,
     /// Matches suppressed by justified escape hatches.
     pub allowed: usize,
-    /// Suppressions by hatch name (`panic`, `hot-alloc`, `order`, ...).
+    /// Suppressions by hatch name (`time`, `hot-alloc`, `order`, ...).
     pub allows: BTreeMap<String, usize>,
     /// Per-pass wall-clock timings in microseconds, in execution order.
     /// Rendered to stderr (human output) only — never into the JSON
@@ -160,14 +160,14 @@ mod tests {
 
     fn sample() -> LintReport {
         let mut allows = BTreeMap::new();
-        allows.insert("panic".to_owned(), 2);
+        allows.insert("time".to_owned(), 2);
         LintReport {
             violations: vec![Violation {
-                rule: rule::PANIC,
+                rule: rule::TIME,
                 file: "crates/nn/src/a.rs".into(),
                 line: 3,
-                message: "`.unwrap()` — no".into(),
-                snippet: "x.unwrap()".into(),
+                message: "`Instant::now` — no".into(),
+                snippet: "Instant::now()".into(),
             }],
             files_scanned: 7,
             allowed: 2,
@@ -179,7 +179,7 @@ mod tests {
     #[test]
     fn human_mentions_rule_file_line() {
         let h = sample().render_human();
-        assert!(h.contains("darlint[no-panic-paths] crates/nn/src/a.rs:3"));
+        assert!(h.contains("darlint[deterministic-time] crates/nn/src/a.rs:3"));
         assert!(h.contains("1 violation(s), 2 justified allow(s), 7 file(s) scanned"));
     }
 
@@ -187,9 +187,9 @@ mod tests {
     fn json_is_well_formed_enough() {
         let j = sample().render_json();
         assert!(j.contains("\"schema_version\": 2"));
-        assert!(j.contains("\"no-panic-paths\": 1"));
+        assert!(j.contains("\"deterministic-time\": 1"));
         assert!(j.contains("\"files_scanned\": 7"));
-        assert!(j.contains("\"panic\": 2"));
+        assert!(j.contains("\"time\": 2"));
         // Balanced braces/brackets as a cheap well-formedness check.
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());

@@ -9,18 +9,17 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use crate::effects::{seed_pats, Effect};
 use crate::lex::{LineComment, TokKind, Token};
 use crate::scan::{parse_cold_marker, scan, ScannedFile};
 
 /// Machine-readable rule identifiers (stable: they appear in JSON reports,
 /// escape-hatch comments, and the ratchet baseline).
 pub mod rule {
-    /// `.unwrap()` / `.expect(` / `panic!` / `unreachable!` / `todo!` in
-    /// non-test hot-path code.
-    pub const PANIC: &str = "no-panic-paths";
     /// `Instant::now` / `SystemTime::now` outside the runtime allowlist.
     pub const TIME: &str = "deterministic-time";
-    /// `thread::spawn` outside the `Parallelism`/`MicroBatcher` allowlist.
+    /// `thread::spawn` anywhere: concurrency goes through
+    /// `std::thread::scope`.
     pub const THREAD: &str = "scoped-threads-only";
     /// Crate roots missing the required inner attributes.
     pub const HYGIENE: &str = "crate-hygiene";
@@ -35,8 +34,8 @@ pub mod rule {
     /// `HashMap`/`HashSet` (declaration or iteration) in an
     /// order-sensitive path: digests, fingerprints, replay, reports.
     pub const ORDER: &str = "nondet-order";
-    /// Allocation (or panic, outside the panic-free crates) in a function
-    /// *transitively reachable* from a hot root via the call graph.
+    /// Allocation in a function *transitively reachable* from a hot root
+    /// via the call graph.
     pub const HOT_PROPAGATE: &str = "hot-propagate";
     /// A nondeterminism effect (Time/Io/Rng/ThreadSpawn/HashOrder) on a
     /// path reachable from a `// darlint: pure-root` function: WAL
@@ -48,21 +47,13 @@ pub mod rule {
     pub const RNG_CONFINED: &str = "rng-confined";
 }
 
-/// Crates whose non-test code must be panic-free (the inference and
-/// collection hot paths, plus the linter itself).
-pub const PANIC_CRATES: &[&str] = &["tensor", "nn", "core", "collect", "xtask"];
-
 /// Files (workspace-relative, `/`-separated) or path prefixes where
-/// wall-clock reads are legitimate: the live collection layer and the
-/// benchmark harness. The WAL (`collect::wal`) is deliberately *not*
-/// here: durability code must be replayable, so it receives time as data
-/// (arrival stamps) rather than reading a clock.
-/// `collect::loadgen` is here for exactly one surface: the
+/// wall-clock reads are legitimate. Sessions, live mode and the WAL
+/// receive time as data (injected timestamps, arrival stamps), so none
+/// of them is here. `collect::loadgen` is, for exactly one surface: the
 /// `run_fleet_timed` bench wrapper that wall-clocks a whole fleet run.
 /// The fleet simulation itself is event-driven virtual time.
 pub const TIME_ALLOWLIST: &[&str] = &[
-    "crates/collect/src/runtime.rs",
-    "crates/collect/src/live.rs",
     "crates/collect/src/loadgen.rs",
     "crates/bench/",
     // The lint driver wall-clocks its own passes so analyzer cost
@@ -84,16 +75,6 @@ pub const DURABLE_IO_ALLOWLIST: &[&str] = &[
     "crates/bench/",
     "crates/xtask/src/lib.rs",
     "crates/xtask/src/main.rs",
-];
-
-/// Files where `thread::spawn` would be legitimate. The sanctioned
-/// concurrency owners use `std::thread::scope` exclusively today
-/// (`shard.rs` drains its shard queues on scoped workers), so the
-/// allowlist exists to keep future spawns confined to them.
-pub const THREAD_ALLOWLIST: &[&str] = &[
-    "crates/tensor/src/parallel.rs",
-    "crates/core/src/batching.rs",
-    "crates/collect/src/shard.rs",
 ];
 
 /// The randomness owners: files or path prefixes where seeded-PRNG
@@ -183,7 +164,7 @@ const ROOT_ATTRS: &[(&str, &str, &str)] = &[
 #[derive(Clone, Copy)]
 pub(crate) struct Pat {
     pub(crate) kind: PatKind,
-    /// Canonical display form for diagnostics (e.g. `.unwrap()`).
+    /// Canonical display form for diagnostics (e.g. `.collect()`).
     pub(crate) display: &'static str,
 }
 
@@ -203,36 +184,6 @@ pub(crate) enum PatKind {
     /// `name!` — a macro invocation.
     MacroCall(&'static str),
 }
-
-/// Constructs forbidden by [`rule::PANIC`].
-pub(crate) const PANIC_PATS: &[Pat] = &[
-    Pat {
-        kind: PatKind::Method {
-            name: "unwrap",
-            empty_args: true,
-        },
-        display: ".unwrap()",
-    },
-    Pat {
-        kind: PatKind::Method {
-            name: "expect",
-            empty_args: false,
-        },
-        display: ".expect(",
-    },
-    Pat {
-        kind: PatKind::MacroCall("panic"),
-        display: "panic!",
-    },
-    Pat {
-        kind: PatKind::MacroCall("unreachable"),
-        display: "unreachable!",
-    },
-    Pat {
-        kind: PatKind::MacroCall("todo"),
-        display: "todo!",
-    },
-];
 
 /// Constructs forbidden by [`rule::TIME`].
 pub(crate) const TIME_PATS: &[Pat] = &[
@@ -320,7 +271,7 @@ pub(crate) const RNG_PATS: &[Pat] = &[
 ];
 
 /// Constructs forbidden by [`rule::HOT_ALLOC`] (and flagged by
-/// [`rule::HOT_PROPAGATE`]) inside hot functions. Each one
+/// [`rule::HOT_PROPAGATE`]) on the hot path. Each one
 /// heap-allocates on the success path of the steady state; hot code
 /// must go through workspace checkouts and the `_into` kernels instead.
 /// (Error-path `format!`/`.into()` construction is deliberately not
@@ -392,7 +343,7 @@ pub struct FileLint {
     pub violations: Vec<Violation>,
     /// Number of matches suppressed by a justified escape hatch.
     pub allowed: usize,
-    /// Suppressions broken down by hatch name (`panic`, `hot-alloc`,
+    /// Suppressions broken down by hatch name (`time`, `hot-alloc`,
     /// ...) — the debt currency the ratchet baseline tracks.
     pub allows: BTreeMap<String, usize>,
 }
@@ -442,7 +393,6 @@ pub(crate) fn file_hatches(comments: &[LineComment]) -> Vec<Hatch> {
 /// Short escape-hatch rule names accepted in `allow(...)`.
 pub(crate) fn hatch_name(rule_id: &str) -> &'static str {
     match rule_id {
-        rule::PANIC => "panic",
         rule::TIME => "time",
         rule::THREAD => "thread",
         // Propagated hot findings share the hot-alloc hatch: the
@@ -462,11 +412,6 @@ pub(crate) fn allowlisted(path: &str, allowlist: &[&str]) -> bool {
     allowlist
         .iter()
         .any(|a| path == *a || (a.ends_with('/') && path.starts_with(a)))
-}
-
-/// Crate name for a `crates/<name>/src/...` path, if any.
-pub(crate) fn crate_of(path: &str) -> Option<&str> {
-    path.strip_prefix("crates/")?.split('/').next()
 }
 
 /// Skips a `<...>` group starting at `start` (which must be `<`),
@@ -536,14 +481,53 @@ pub(crate) fn match_pat(tokens: &[Token], i: usize, pat: &Pat) -> Option<usize> 
     }
 }
 
-/// Lints one file. `path` must be workspace-relative with `/` separators
-/// (it selects which rules apply).
+/// The per-file rules: each bans the lexical seeds of one effect
+/// outside that effect's sanctioned owners. `scoped-threads-only` has no
+/// owners — every concurrent path uses `std::thread::scope`.
+const SCOPED_RULES: &[(&str, Effect, &[&str], &str)] = &[
+    (
+        rule::TIME,
+        Effect::Time,
+        TIME_ALLOWLIST,
+        "wall-clock read outside the runtime allowlist; inject time \
+         through the clock abstraction",
+    ),
+    (
+        rule::THREAD,
+        Effect::ThreadSpawn,
+        &[],
+        "raw thread::spawn; use std::thread::scope under the \
+         Parallelism policy",
+    ),
+    (
+        rule::DURABLE_IO,
+        Effect::Io,
+        DURABLE_IO_ALLOWLIST,
+        "direct filesystem access outside the durable-I/O owners; \
+         route persistence through a WalStorage backend",
+    ),
+    (
+        rule::RNG_CONFINED,
+        Effect::Rng,
+        RNG_ALLOWLIST,
+        "seeded PRNG construction/use outside the randomness owners; \
+         thread a `SplitMix64` in from sim/loadgen/fault-injection/init",
+    ),
+];
+
+/// Lints one file as a workspace of its own: the per-file rules plus the
+/// reachability pass over the file's own call graph. `path` must be
+/// workspace-relative with `/` separators (it selects which rules
+/// apply).
 pub fn lint_file(path: &str, source: &str) -> FileLint {
-    lint_scanned(path, &scan(source))
+    let files = [(path.to_owned(), scan(source))];
+    let mut out = lint_scanned(path, &files[0].1);
+    crate::callgraph::analyze(&files, |_| {}, &mut out);
+    out
 }
 
-/// Lints an already-scanned file (the workspace pass scans once and
-/// shares the result with the call-graph analysis).
+/// Applies the per-file rules to an already-scanned file (the workspace
+/// pass scans once and shares the result with the call-graph analysis).
 pub fn lint_scanned(path: &str, scanned: &ScannedFile) -> FileLint {
     let hatches = file_hatches(&scanned.comments);
     let mut out = FileLint::default();
@@ -580,56 +564,12 @@ pub fn lint_scanned(path: &str, scanned: &ScannedFile) -> FileLint {
         }
     }
 
-    // The per-file rules are the *scoped* face of the effect lattice:
-    // each one bans the lexical seeds of a single effect
-    // ([`crate::effects::seed_pats`]) outside that effect's sanctioned
-    // owners. The interprocedural passes (`hot-propagate`,
-    // `replay-pure`) consume the same seed table transitively.
-    use crate::effects::{seed_pats, Effect};
-    let mut checks: Vec<(&'static str, &[Pat], &'static str)> = Vec::new();
-    if crate_of(path).is_some_and(|c| PANIC_CRATES.contains(&c)) {
-        checks.push((
-            rule::PANIC,
-            seed_pats(Effect::Panic),
-            "panicking call in hot-path code; return a typed error instead",
-        ));
-    }
-    if !allowlisted(path, TIME_ALLOWLIST) {
-        checks.push((
-            rule::TIME,
-            seed_pats(Effect::Time),
-            "wall-clock read outside the runtime allowlist; inject time \
-             through the clock abstraction",
-        ));
-    }
-    if !allowlisted(path, THREAD_ALLOWLIST) {
-        checks.push((
-            rule::THREAD,
-            seed_pats(Effect::ThreadSpawn),
-            "raw thread::spawn; use std::thread::scope under the \
-             Parallelism policy",
-        ));
-    }
-    if !allowlisted(path, DURABLE_IO_ALLOWLIST) {
-        checks.push((
-            rule::DURABLE_IO,
-            seed_pats(Effect::Io),
-            "direct filesystem access outside the durable-I/O owners; \
-             route persistence through a WalStorage backend",
-        ));
-    }
-    if !allowlisted(path, RNG_ALLOWLIST) {
-        checks.push((
-            rule::RNG_CONFINED,
-            seed_pats(Effect::Rng),
-            "seeded PRNG construction/use outside the randomness owners; \
-             thread a `SplitMix64` in from sim/loadgen/fault-injection/init",
-        ));
-    }
-
-    for (rule_id, pats, why) in checks {
+    for &(rule_id, effect, owners, why) in SCOPED_RULES {
+        if allowlisted(path, owners) {
+            continue;
+        }
         for i in 0..scanned.tokens.len() {
-            for pat in pats {
+            for pat in seed_pats(effect) {
                 let Some(line) = match_pat(&scanned.tokens, i, pat) else {
                     continue;
                 };
@@ -645,42 +585,6 @@ pub fn lint_scanned(path: &str, scanned: &ScannedFile) -> FileLint {
                     file: path.to_owned(),
                     line,
                     message: format!("`{}` — {why}", pat.display),
-                    snippet: snippet(&scanned.lines, line),
-                });
-            }
-        }
-    }
-
-    // hot-alloc: inside every function annotated `// darlint: hot`, the
-    // allocating constructs are banned outright — the annotation is the
-    // author's claim that the function is on the zero-alloc inference
-    // path, and this rule keeps the claim honest. (Functions *reached*
-    // from hot roots are handled by the call-graph pass.)
-    for f in scanned.fns.iter().filter(|f| f.hot) {
-        let Some((open, close)) = f.item.body else {
-            continue;
-        };
-        for i in open..=close {
-            for pat in ALLOC_PATS {
-                let Some(line) = match_pat(&scanned.tokens, i, pat) else {
-                    continue;
-                };
-                if is_test(scanned, line) {
-                    continue;
-                }
-                if suppressed(&hatches, rule::HOT_ALLOC, line) {
-                    out.count_allow(hatch_name(rule::HOT_ALLOC));
-                    continue;
-                }
-                out.violations.push(Violation {
-                    rule: rule::HOT_ALLOC,
-                    file: path.to_owned(),
-                    line,
-                    message: format!(
-                        "`{}` allocates inside a `// darlint: hot` function; \
-                         use a workspace checkout or an `_into` kernel",
-                        pat.display
-                    ),
                     snippet: snippet(&scanned.lines, line),
                 });
             }
@@ -741,7 +645,7 @@ fn order_check(path: &str, scanned: &ScannedFile, hatches: &[Hatch], out: &mut F
 
     // Sub-check 2: iteration sites over bindings whose declared type or
     // initializer is hash-ordered. The detection is shared with the
-    // effect-inference pass (HashOrder seeds, [`crate::effects`]).
+    // `HashOrder` seeds of [`crate::effects`].
     let names = hash_bound_names(tokens);
     for site in hash_iter_sites(tokens, &names) {
         let message = match &site.method {
@@ -777,7 +681,7 @@ pub(crate) struct HashIterSite {
 
 /// Finds every iteration site over the hash-bound `names`, in token
 /// order. Shared by the `nondet-order` rule (which bans them on
-/// order-sensitive paths) and the effect-inference pass (where each one
+/// order-sensitive paths) and the effect seed table (where each one
 /// seeds the `HashOrder` effect).
 pub(crate) fn hash_iter_sites(tokens: &[Token], names: &BTreeSet<String>) -> Vec<HashIterSite> {
     let mut sites = Vec::new();
@@ -947,27 +851,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn panic_rule_scoped_to_hot_path_crates() {
-        let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
-        assert_eq!(lint_file("crates/nn/src/a.rs", src).violations.len(), 1);
-        assert_eq!(lint_file("crates/sim/src/a.rs", src).violations.len(), 0);
-    }
-
-    #[test]
-    fn xtask_is_held_to_the_panic_rule() {
-        let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
-        assert_eq!(lint_file("crates/xtask/src/a.rs", src).violations.len(), 1);
-    }
-
-    #[test]
-    fn unwrap_or_else_is_not_unwrap() {
-        let src = "fn f(x: Option<u32>) -> u32 { x.unwrap_or_else(|| 0) }\n";
+    fn method_patterns_match_whole_identifiers_and_arity() {
+        // `.next_u64_below(n)` is not `.next_u64()`, and a `.normal()`
+        // that takes arguments is some other method.
+        let src = "fn f(r: &mut R) -> u64 { r.next_u64_below(3) + r.normal(1.0) }\n";
         assert!(lint_file("crates/nn/src/a.rs", src).violations.is_empty());
     }
 
     #[test]
     fn multiline_method_chain_still_fires() {
-        let src = "fn f(x: Option<u32>) -> u32 {\n    x\n        .unwrap()\n}\n";
+        let src = "fn f(r: &mut SplitMix64) -> u64 {\n    r\n        .next_u64()\n}\n";
         let lint = lint_file("crates/nn/src/a.rs", src);
         assert_eq!(lint.violations.len(), 1);
         assert_eq!(lint.violations[0].line, 3);
@@ -978,7 +871,7 @@ mod tests {
         let src = "fn t() { let _ = std::time::Instant::now(); }\n";
         assert_eq!(lint_file("crates/core/src/a.rs", src).violations.len(), 1);
         assert_eq!(
-            lint_file("crates/collect/src/runtime.rs", src)
+            lint_file("crates/collect/src/loadgen.rs", src)
                 .violations
                 .len(),
             0
@@ -987,6 +880,37 @@ mod tests {
             lint_file("crates/bench/src/bin/b.rs", src).violations.len(),
             0
         );
+    }
+
+    #[test]
+    fn every_grant_is_still_used_by_the_workspace() {
+        // A grant that outlives its reason is a hole: a regression in the
+        // granted file would pass. Every file (or directory-prefix) entry
+        // of every allowlist must cover at least one file its rule would
+        // fire on (or need a hatch in) were the grant not there.
+        let root = crate::find_root().expect("workspace root");
+        let scanned: Vec<(String, ScannedFile)> = crate::workspace_sources(&root)
+            .expect("workspace sources")
+            .into_iter()
+            .map(|(path, source)| (path, scan(&source)))
+            .collect();
+        let mut stale: Vec<String> = Vec::new();
+        for &(rule_id, _, owners, _) in SCOPED_RULES {
+            for &owner in owners {
+                let used = scanned
+                    .iter()
+                    .filter(|(path, _)| allowlisted(path, &[owner]))
+                    .any(|(_, sc)| {
+                        let ungranted = lint_scanned("crates/ungranted/src/file.rs", sc);
+                        ungranted.violations.iter().any(|v| v.rule == rule_id)
+                            || ungranted.allows.contains_key(hatch_name(rule_id))
+                    });
+                if !used {
+                    stale.push(format!("{rule_id}: {owner}"));
+                }
+            }
+        }
+        assert!(stale.is_empty(), "grants with no seed left: {stale:?}");
     }
 
     #[test]
@@ -1014,21 +938,21 @@ mod tests {
 
     #[test]
     fn hatch_with_reason_suppresses_and_counts() {
-        let src = "fn f(x: Option<u32>) -> u32 {\n    // darlint: allow(panic) — invariant: x is Some by construction\n    x.unwrap()\n}\n";
+        let src = "fn f() {\n    // darlint: allow(time) — startup banner stamp, never enters a digest\n    let _ = std::time::Instant::now();\n}\n";
         let lint = lint_file("crates/tensor/src/a.rs", src);
         assert!(lint.violations.is_empty());
         assert_eq!(lint.allowed, 1);
-        assert_eq!(lint.allows.get("panic"), Some(&1));
+        assert_eq!(lint.allows.get("time"), Some(&1));
     }
 
     #[test]
     fn bare_hatch_rejected() {
         let src =
-            "fn f(x: Option<u32>) -> u32 {\n    // darlint: allow(panic)\n    x.unwrap()\n}\n";
+            "fn f() {\n    // darlint: allow(time)\n    let _ = std::time::Instant::now();\n}\n";
         let lint = lint_file("crates/tensor/src/a.rs", src);
         let rules: Vec<_> = lint.violations.iter().map(|v| v.rule).collect();
         assert!(rules.contains(&rule::BARE_ALLOW));
-        assert!(rules.contains(&rule::PANIC));
+        assert!(rules.contains(&rule::TIME));
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Fixture: effect inference through recursion. Direct recursion
+//! Fixture: reachability through recursion. Direct recursion
 //! (`countdown`) and a mutual cycle (`even`/`odd`, with the Io seed in
-//! `odd`) must both reach a fixpoint, and every witness chain must stay
-//! acyclic.
+//! `odd`): a walk rooted inside either must terminate and visit each
+//! function once.
 
 pub fn countdown(n: u32) -> u32 {
     if n == 0 {

@@ -1,8 +1,8 @@
 //! Fixture: an escape hatch WITHOUT a justification must be rejected —
 //! the bare allow is itself a violation, and it does not suppress the
-//! panic it decorates.
+//! clock read it decorates.
 
-pub fn bare(x: Option<u32>) -> u32 {
-    // darlint: allow(panic)
-    x.unwrap() // line 7
+pub fn bare() -> std::time::Instant {
+    // darlint: allow(time)
+    std::time::Instant::now() // line 7
 }

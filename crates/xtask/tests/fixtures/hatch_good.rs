@@ -1,11 +1,11 @@
-//! Fixture: justified escape hatches suppress the panic rule, both as a
+//! Fixture: justified escape hatches suppress the time rule, both as a
 //! leading own-line comment and as a trailing comment.
 
-pub fn leading(x: Option<u32>) -> u32 {
-    // darlint: allow(panic) — x is Some by construction of the caller
-    x.unwrap()
+pub fn leading() -> std::time::Instant {
+    // darlint: allow(time) — startup banner stamp, never enters a digest
+    std::time::Instant::now()
 }
 
-pub fn trailing(x: Option<u32>) -> u32 {
-    x.unwrap() // darlint: allow(panic) — invariant checked two lines up
+pub fn trailing() -> std::time::Instant {
+    std::time::Instant::now() // darlint: allow(time) — operator-facing log stamp only
 }

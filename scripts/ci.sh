@@ -12,11 +12,7 @@
 #                  count above the baseline fails the pipeline with a
 #                  delta print (pay the debt down, or re-baseline with
 #                  `cargo run -p xtask -- lint --write-ratchet
-#                  darlint.ratchet.json` if the new debt is justified).
-#                  Also emits the interprocedural effect-inference
-#                  report (target/ci/effects.json, schema v3): every
-#                  workspace function's transitive effect set with
-#                  witness chains
+#                  darlint.ratchet.json` if the new debt is justified)
 #   3. docs      — rustdoc must build cleanly (missing_docs is denied
 #                  in the crates, so this catches broken intra-doc
 #                  links and malformed examples)
@@ -104,9 +100,6 @@ step_darlint() {
   cargo run --locked -q -p xtask -- lint --check \
     --json --out target/ci/darlint.json \
     --ratchet darlint.ratchet.json
-  # The effect-inference artifact rides along: per-function transitive
-  # effect sets with witness chains, byte-deterministic (schema v3).
-  cargo run --locked -q -p xtask -- effects --out target/ci/effects.json
 }
 
 step_docs() {
