@@ -424,7 +424,7 @@ impl Controller {
     }
 
     /// Per-stream `(agent_id, duplicates, shed)` counters — the state a
-    /// WAL snapshot must carry explicitly because it is *not* derivable
+    /// WAL checkpoint must carry explicitly because it is *not* derivable
     /// from replaying accepted batches (duplicates and shed deliveries
     /// never enter the log).
     pub fn stream_meta(&self) -> Vec<(u32, u64, u64)> {
@@ -434,14 +434,14 @@ impl Controller {
             .collect()
     }
 
-    /// Restores snapshot-carried stream counters during WAL replay (the
-    /// inverse of [`Controller::stream_meta`]). Counters are added, not
-    /// assigned, so replaying a snapshot into a fresh controller and
-    /// accumulating later segment activity both work.
+    /// Restores checkpoint-carried stream counters during WAL replay (the
+    /// inverse of [`Controller::stream_meta`]). Counters are assigned, not
+    /// added: every checkpoint stays in the log and carries the totals
+    /// as of its position, so the last one replayed wins.
     pub fn restore_stream_meta(&mut self, agent_id: u32, duplicates: u64, shed: u64) {
         let stream = self.streams.entry(agent_id).or_default();
-        stream.duplicates += duplicates;
-        stream.shed += shed;
+        stream.duplicates = duplicates;
+        stream.shed = shed;
     }
 
     /// Health reports for every stream the controller has seen.
@@ -464,8 +464,8 @@ impl Controller {
     /// is correct iff the recovered controller digests identically to the
     /// controller that wrote the log. The per-stream `duplicates`/`shed`
     /// tallies are deliberately left out: refused deliveries never enter
-    /// the log (only snapshots carry the tallies), so a recovery loses
-    /// whatever accumulated since the last snapshot (DESIGN.md §13).
+    /// the log (only checkpoints carry the tallies), so a recovery loses
+    /// whatever accumulated since the last checkpoint (DESIGN.md §13).
     // darlint: pure-root
     pub fn state_digest(&self) -> u64 {
         use crate::tsdb::{fnv1a, fnv1a_init};

@@ -23,16 +23,17 @@ pub enum CollectError {
     /// object, the operation, and the underlying I/O error kind (the
     /// error itself is not `Clone`, its kind is).
     Wal {
-        /// Storage object (segment or snapshot name) involved.
+        /// Storage object (segment name) involved.
         object: String,
-        /// Storage operation: `"list"`, `"read"`, `"append"`,
-        /// `"truncate"`, or `"delete"`.
+        /// Storage operation: `"list"`, `"read"`, `"append"`, or
+        /// `"truncate"`.
         op: &'static str,
         /// Kind of the underlying `std::io::Error`.
         kind: std::io::ErrorKind,
     },
     /// Replay-on-open hit corruption that torn-tail truncation cannot
-    /// mask: an invalid record *before* the tail of the newest segment.
+    /// mask: an invalid record *before* the tail of the newest segment,
+    /// or a compacted-snapshot object left by an earlier build's log format.
     Recovery {
         /// Storage object the bad record was read from.
         object: String,

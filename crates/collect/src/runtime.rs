@@ -250,7 +250,7 @@ pub struct Durability {
     /// disables durability: a crash then loses all controller state (the
     /// chaos harness's negative control).
     pub storage: Option<Arc<dyn WalStorage>>,
-    /// WAL tuning (segment roll and snapshot cadence).
+    /// WAL tuning (segment roll and checkpoint cadence).
     pub wal: WalConfig,
     /// Controller outages to inject, in time order.
     pub crashes: Vec<CrashWindow>,
@@ -298,7 +298,7 @@ pub struct ChaosReport {
     pub wal_bytes: u64,
     /// Cumulative WAL segment rolls.
     pub wal_segments_rolled: u64,
-    /// Cumulative WAL snapshots taken.
+    /// Cumulative WAL checkpoints taken ([`crate::wal::Wal::snapshot`]).
     pub wal_snapshots: u64,
     /// Readings agents dropped oldest-first at the spill bound.
     pub spill_dropped: u64,

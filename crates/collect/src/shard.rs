@@ -219,7 +219,7 @@ pub struct FleetPressure {
 /// is durable, the [`Wal`] its acks are promises about. Sessions
 /// (`runtime`), live mode and every shard ingest through
 /// [`Door::offer`], so the policy — admission → dedup → WAL append →
-/// mutate → snapshot if due → ack iff not shed — is written here and
+/// mutate → checkpoint if due → ack iff not shed — is written here and
 /// nowhere else in the crate.
 #[derive(Debug)]
 pub(crate) struct Door {
@@ -430,13 +430,13 @@ impl ShardedController {
 
     /// Drains every shard's queue serially (shard 0 first), running the
     /// full resilient ingest path — admission, dedup, WAL append,
-    /// snapshot cadence — and returns the acks to route back, in shard
+    /// checkpoint cadence — and returns the acks to route back, in shard
     /// then FIFO order. [`ShardedController::drain_parallel`] produces
     /// byte-identical state and the same ack sequence.
     ///
     /// # Errors
     ///
-    /// Propagates WAL append/snapshot failures.
+    /// Propagates WAL append/checkpoint failures.
     pub fn drain(&mut self) -> Result<Vec<ShardAck>> {
         let mut acks = Vec::new();
         for shard in &mut self.shards {
@@ -840,9 +840,106 @@ mod tests {
         fn truncate(&self, object: &str, len: u64) -> Result<()> {
             self.inner.truncate(object, len)
         }
-        fn delete(&self, object: &str) -> Result<()> {
-            self.inner.delete(object)
+    }
+
+    #[test]
+    fn failed_checkpoint_stays_due_and_rides_the_next_ack() {
+        let storage = Arc::new(FlakyStorage::default());
+        let store = || Some(Arc::clone(&storage) as Arc<dyn WalStorage>);
+        let cadence = |snapshot_every| WalConfig {
+            snapshot_every,
+            ..WalConfig::default()
+        };
+        // As in `door_shed_means_…`: a checkpoint is due at open.
+        let (mut door, _) = Door::open(ControllerConfig::default(), store(), cadence(0)).unwrap();
+        let batch = imu_batch(0, 0, &[0.0]);
+        door.offer(0.0, &batch).unwrap();
+        door.offer(0.0, &imu_batch(0, 1, &[0.0])).unwrap();
+        drop(door);
+        let (mut door, _) = Door::open(ControllerConfig::default(), store(), cadence(2)).unwrap();
+        let position = |door: &Door| {
+            let wal = door.wal.as_ref().unwrap();
+            (wal.segment_index(), wal.needs_snapshot())
+        };
+        assert_eq!(position(&door), (0, true));
+        let logged = storage.inner.total_bytes();
+
+        // A duplicate needs no batch append, so the only append this
+        // offer makes is the checkpoint — and it fails.
+        storage
+            .broken
+            .store(true, std::sync::atomic::Ordering::SeqCst);
+        assert!(matches!(
+            door.offer(0.1, &batch),
+            Err(CollectError::Wal { op: "append", .. })
+        ));
+        assert_eq!(position(&door), (0, true), "the log position did not move");
+        assert_eq!(door.wal_stats().snapshots_taken, 0);
+        assert_eq!(storage.inner.total_bytes(), logged);
+
+        storage
+            .broken
+            .store(false, std::sync::atomic::Ordering::SeqCst);
+        let acked = door.offer(0.2, &batch).unwrap().unwrap();
+        assert_eq!(acked.outcome, IngestOutcome::Duplicate);
+        assert_eq!(position(&door), (1, false));
+        assert_eq!(door.wal_stats().snapshots_taken, 1);
+        let meta = door.controller().stream_meta();
+        drop(door);
+        let (door, _) = Door::open(ControllerConfig::default(), store(), cadence(2)).unwrap();
+        assert_eq!(door.controller().stream_meta(), meta);
+    }
+
+    /// A store that counts its listings and logs every object read.
+    #[derive(Debug, Default)]
+    struct CountingStorage {
+        inner: MemStorage,
+        lists: std::sync::atomic::AtomicUsize,
+        reads: std::sync::Mutex<Vec<String>>,
+    }
+
+    impl WalStorage for CountingStorage {
+        fn list(&self) -> Result<Vec<String>> {
+            self.lists.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            self.inner.list()
         }
+        fn read(&self, object: &str) -> Result<Vec<u8>> {
+            self.reads.lock().unwrap().push(object.to_string());
+            self.inner.read(object)
+        }
+        fn append(&self, object: &str, data: &[u8]) -> Result<()> {
+            self.inner.append(object, data)
+        }
+        fn truncate(&self, object: &str, len: u64) -> Result<()> {
+            self.inner.truncate(object, len)
+        }
+    }
+
+    #[test]
+    fn open_lists_once_and_reads_each_object_once() {
+        let storage = Arc::new(CountingStorage::default());
+        let store = || Some(Arc::clone(&storage) as Arc<dyn WalStorage>);
+        let wal_config = WalConfig {
+            segment_max_records: 4,
+            snapshot_every: 10,
+        };
+        let (mut door, _) = Door::open(ControllerConfig::default(), store(), wal_config).unwrap();
+        for seq in 0..25 {
+            door.offer(0.0, &imu_batch(0, seq, &[0.0])).unwrap();
+        }
+        door.simulate_torn_tail(&[0xEE; 5]).unwrap();
+        drop(door);
+        let objects = storage.inner.list().unwrap();
+        assert!(objects.len() > 2, "{objects:?}");
+        storage.lists.store(0, std::sync::atomic::Ordering::SeqCst);
+        storage.reads.lock().unwrap().clear();
+
+        let (_, report) = Door::open(ControllerConfig::default(), store(), wal_config).unwrap();
+        assert_eq!((report.records_replayed, report.torn_tail_bytes), (25, 5));
+        assert_eq!(storage.lists.load(std::sync::atomic::Ordering::SeqCst), 1);
+        let mut reads = storage.reads.lock().unwrap().clone();
+        reads.sort();
+        assert_eq!(reads, objects, "each object read exactly once");
     }
 
     #[test]

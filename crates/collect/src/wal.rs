@@ -1,22 +1,24 @@
-//! Segment-based write-ahead log + snapshot for the controller's durable
-//! ingest state (DESIGN.md §13).
+//! Segment-based write-ahead log for the controller's durable ingest
+//! state (DESIGN.md §13).
 //!
 //! Every accepted batch is appended — *before* it is acked — as one
 //! CRC-framed record to the current segment object; segments roll at a
-//! configured record count, and a periodic **snapshot** compacts all
-//! records so far (deduplicated by `(agent, seq)`, preserving acceptance
-//! order byte-for-byte) plus the per-stream counters that replay cannot
-//! rederive (duplicates, shed). Replay-on-open re-ingests the newest
-//! valid snapshot followed by the surviving segments through the
-//! controller's normal dedup path, which makes recovery **idempotent**
-//! (a record applied twice is a duplicate, not a double-insert) and
+//! configured record count. The log is append-only: nothing is ever
+//! rewritten or deleted, so replay-on-open is O(history). A periodic
+//! **checkpoint** ([`Wal::snapshot`]) rolls to a fresh segment and heads
+//! it with one record of the per-stream counters that replay cannot
+//! rederive (duplicates, shed). Replay re-ingests every segment in order
+//! through the controller's normal dedup path — the last checkpoint's
+//! counters win — which makes recovery **idempotent** (a record applied
+//! twice is a duplicate, not a double-insert) and
 //! **bitwise-deterministic** (records replay in acceptance order with the
 //! exact bytes that were acked — see [`Controller::state_digest`]).
 //!
 //! A crash can tear the tail of the newest segment: an incomplete or
 //! corrupt record *at the tail* is truncated away (it was never acked —
-//! the append happens before the ack). The same corruption anywhere else
-//! is real damage and surfaces as [`CollectError::Recovery`].
+//! the append happens before the ack; a torn checkpoint is the same
+//! tear). The same corruption anywhere else is real damage and surfaces
+//! as [`CollectError::Recovery`].
 //!
 //! Storage is abstracted behind [`WalStorage`]: [`MemStorage`] backs the
 //! deterministic simulation and chaos harness, [`DirStorage`] puts
@@ -39,7 +41,7 @@ use crate::Result;
 
 /// Record tag: one accepted batch (`[tag][arrival f64][batch wire bytes]`).
 const REC_BATCH: u8 = 1;
-/// Record tag: snapshot stream-counter metadata
+/// Record tag: checkpoint stream-counter metadata
 /// (`[tag][u32 n]{[u32 agent][u64 duplicates][u64 shed]}*n`).
 const REC_META: u8 = 2;
 /// Bytes of record framing: `[u32 payload_len][u32 crc32(payload)]`.
@@ -83,10 +85,9 @@ fn crc32(data: &[u8]) -> u32 {
     c ^ 0xFFFF_FFFF
 }
 
-/// Storage backend for WAL objects (segments and snapshots). Objects are
-/// flat named byte blobs supporting append, truncate-to-length, and
-/// delete — the minimal contract both an in-memory store and a directory
-/// of files satisfy.
+/// Storage backend for WAL objects (segments). Objects are flat named
+/// byte blobs supporting append and truncate-to-length — the minimal
+/// contract both an in-memory store and a directory of files satisfy.
 pub trait WalStorage: fmt::Debug + Send + Sync {
     /// Names of all existing objects, in unspecified order.
     ///
@@ -116,14 +117,6 @@ pub trait WalStorage: fmt::Debug + Send + Sync {
     ///
     /// Returns [`CollectError::Wal`] when the truncate fails.
     fn truncate(&self, object: &str, len: u64) -> Result<()>;
-
-    /// Deletes `object`; deleting a missing object is not an error.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CollectError::Wal`] when an existing object cannot be
-    /// removed.
-    fn delete(&self, object: &str) -> Result<()>;
 }
 
 /// In-memory [`WalStorage`], the backend for the deterministic simulation
@@ -184,11 +177,6 @@ impl WalStorage for MemStorage {
                 kind: std::io::ErrorKind::NotFound,
             }),
         }
-    }
-
-    fn delete(&self, object: &str) -> Result<()> {
-        self.objects.lock().remove(object);
-        Ok(())
     }
 }
 
@@ -259,14 +247,6 @@ impl WalStorage for DirStorage {
         file.set_len(len)
             .map_err(|e| wal_io(object, "truncate", &e))
     }
-
-    fn delete(&self, object: &str) -> Result<()> {
-        match std::fs::remove_file(self.dir.join(object)) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(wal_io(object, "delete", &e)),
-        }
-    }
 }
 
 /// WAL tuning.
@@ -274,8 +254,8 @@ impl WalStorage for DirStorage {
 pub struct WalConfig {
     /// Records per segment before rolling to a new segment object.
     pub segment_max_records: u64,
-    /// Records appended since the last snapshot before
-    /// [`Wal::needs_snapshot`] turns true; `0` disables snapshotting.
+    /// Batch records appended since the last checkpoint before
+    /// [`Wal::needs_snapshot`] turns true; `0` disables checkpointing.
     pub snapshot_every: u64,
 }
 
@@ -295,9 +275,10 @@ pub struct WalStats {
     pub appends: u64,
     /// Bytes appended (framing included).
     pub bytes_appended: u64,
-    /// Segment rolls.
+    /// Segment rolls at `segment_max_records` (a checkpoint's roll is
+    /// counted in `snapshots_taken` instead).
     pub segments_rolled: u64,
-    /// Snapshots taken.
+    /// Checkpoints taken.
     pub snapshots_taken: u64,
 }
 
@@ -315,7 +296,8 @@ impl WalStats {
 /// What replay-on-open found and did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RecoveryReport {
-    /// Whether a snapshot seeded the replay.
+    /// Whether the log held a checkpoint, i.e. the per-stream
+    /// duplicate/shed counters were restored from one.
     pub snapshot_used: bool,
     /// Batch records applied (controller accepted them).
     pub records_replayed: u64,
@@ -331,7 +313,7 @@ pub struct RecoveryReport {
 impl RecoveryReport {
     /// Folds another report into this one — a sharded controller opens
     /// one WAL per shard and reports fleet recovery as the sum of the
-    /// per-shard replays (`snapshot_used` is true if any shard used one).
+    /// per-shard replays (`snapshot_used` is true if any shard's log held a checkpoint).
     pub fn absorb(&mut self, other: &RecoveryReport) {
         self.snapshot_used |= other.snapshot_used;
         self.records_replayed += other.records_replayed;
@@ -345,26 +327,11 @@ fn seg_name(index: u64) -> String {
     format!("seg-{index:08}")
 }
 
-fn snap_name(index: u64) -> String {
-    format!("snap-{index:08}")
-}
-
-/// Parses `seg-N`/`snap-N` object names; `(is_snapshot, index)`.
-fn parse_object(name: &str) -> Option<(bool, u64)> {
-    if let Some(idx) = name.strip_prefix("seg-") {
-        return idx.parse().ok().map(|i| (false, i));
-    }
-    if let Some(idx) = name.strip_prefix("snap-") {
-        return idx.parse().ok().map(|i| (true, i));
-    }
-    None
-}
-
 /// One parsed WAL record.
 enum Record {
     /// `(arrival, batch)` — an accepted batch to re-ingest.
     Batch(f64, Batch),
-    /// Snapshot stream counters: `(agent, duplicates, shed)`.
+    /// Checkpoint stream counters: `(agent, duplicates, shed)`.
     Meta(Vec<(u32, u64, u64)>),
 }
 
@@ -377,9 +344,9 @@ struct TornTail {
 }
 
 /// Parses every complete, CRC-valid record in `data`. Returns the
-/// records, the byte length of the valid prefix, and — when the object
-/// ends in an incomplete or corrupt record — a description of the tear.
-fn parse_records(data: &[u8]) -> (Vec<Record>, u64, Option<TornTail>) {
+/// records and — when the object ends in an incomplete or corrupt
+/// record — where the valid prefix ends and what was wrong there.
+fn parse_records(data: &[u8]) -> (Vec<Record>, Option<TornTail>) {
     let mut records = Vec::new();
     let mut offset = 0usize;
     while offset < data.len() {
@@ -391,7 +358,6 @@ fn parse_records(data: &[u8]) -> (Vec<Record>, u64, Option<TornTail>) {
         if rest.len() < FRAME_BYTES {
             return (
                 records,
-                offset as u64,
                 Some(torn(format!(
                     "truncated frame header ({} bytes)",
                     rest.len()
@@ -403,7 +369,6 @@ fn parse_records(data: &[u8]) -> (Vec<Record>, u64, Option<TornTail>) {
         if len > MAX_PAYLOAD {
             return (
                 records,
-                offset as u64,
                 Some(torn(format!("implausible payload length {len}"))),
             );
         }
@@ -411,7 +376,6 @@ fn parse_records(data: &[u8]) -> (Vec<Record>, u64, Option<TornTail>) {
         if rest.len() < FRAME_BYTES + len {
             return (
                 records,
-                offset as u64,
                 Some(torn(format!(
                     "truncated payload ({} of {len} bytes)",
                     rest.len() - FRAME_BYTES
@@ -420,15 +384,15 @@ fn parse_records(data: &[u8]) -> (Vec<Record>, u64, Option<TornTail>) {
         }
         let payload = &rest[FRAME_BYTES..FRAME_BYTES + len];
         if crc32(payload) != crc {
-            return (records, offset as u64, Some(torn("crc mismatch".into())));
+            return (records, Some(torn("crc mismatch".into())));
         }
         match parse_payload(payload) {
             Ok(record) => records.push(record),
-            Err(reason) => return (records, offset as u64, Some(torn(reason))),
+            Err(reason) => return (records, Some(torn(reason))),
         }
         offset += FRAME_BYTES + len;
     }
-    (records, offset as u64, None)
+    (records, None)
 }
 
 /// Parses one CRC-validated record payload.
@@ -474,26 +438,34 @@ fn parse_payload(payload: &[u8]) -> std::result::Result<Record, String> {
     }
 }
 
-/// Frames `payload` (length + CRC) onto the tail of `buf`.
-fn frame_into(buf: &mut BytesMut, payload: &[u8]) {
-    buf.put_u32(payload.len() as u32);
-    buf.put_u32(crc32(payload));
-    buf.put_slice(payload);
+/// Back-patches the reserved `[len][crc]` header of the one record in
+/// `scratch`; everything past the header is its payload.
+fn seal(scratch: &mut BytesMut) {
+    let payload_len = (scratch.len() - FRAME_BYTES) as u32;
+    let crc = crc32(&scratch[FRAME_BYTES..]);
+    scratch[0..4].copy_from_slice(&payload_len.to_be_bytes());
+    scratch[4..8].copy_from_slice(&crc.to_be_bytes());
+}
+
+/// Where the log ends — what [`open`] needs to position the write side.
+#[derive(Debug, Default)]
+struct Tail {
+    /// Index of the newest segment.
+    seg_index: u64,
+    /// Batch records in the newest segment.
+    seg_records: u64,
+    /// Batch records since the last checkpoint.
+    since_snapshot: u64,
 }
 
 /// The write side of the log: appends CRC-framed batch records to the
-/// current segment, rolls segments, and takes compacting snapshots.
-/// Obtain one positioned at the log's tail via [`open`].
+/// current segment, rolls segments, and takes checkpoints. Obtain one
+/// positioned at the log's tail via [`open`].
 #[derive(Debug)]
 pub struct Wal {
     storage: Arc<dyn WalStorage>,
     config: WalConfig,
-    /// Index of the segment currently being appended to.
-    seg_index: u64,
-    /// Records already in the current segment.
-    seg_records: u64,
-    /// Batch records appended since the last snapshot.
-    since_snapshot: u64,
+    tail: Tail,
     /// Reused scratch for record framing (hot path: zero steady-state
     /// allocation per append).
     scratch: BytesMut,
@@ -508,7 +480,7 @@ impl Wal {
 
     /// Index of the segment currently appended to.
     pub fn segment_index(&self) -> u64 {
-        self.seg_index
+        self.tail.seg_index
     }
 
     /// Appends one accepted batch (arriving at `arrival`) as a durable
@@ -521,132 +493,63 @@ impl Wal {
     /// caller must then neither ingest nor ack the batch.
     // darlint: hot
     pub fn append(&mut self, arrival: f64, batch: &Batch) -> Result<()> {
-        if self.seg_records >= self.config.segment_max_records {
-            self.seg_index += 1;
-            self.seg_records = 0;
+        if self.tail.seg_records >= self.config.segment_max_records {
+            self.tail.seg_index += 1;
+            self.tail.seg_records = 0;
             self.stats.segments_rolled += 1;
         }
         self.scratch.clear();
         // Payload: tag + arrival + wire-encoded batch. Reserve the frame
         // header, fill the payload, then back-patch length and CRC.
-        self.scratch.put_u32(0);
-        self.scratch.put_u32(0);
+        self.scratch.put_u64(0);
         self.scratch.put_u8(REC_BATCH);
         self.scratch.put_f64(arrival);
         encode_batch_into(&mut self.scratch, batch);
-        let payload_len = (self.scratch.len() - FRAME_BYTES) as u32;
-        let crc = crc32(&self.scratch[FRAME_BYTES..]);
-        self.scratch[0..4].copy_from_slice(&payload_len.to_be_bytes());
-        self.scratch[4..8].copy_from_slice(&crc.to_be_bytes());
-        let name = seg_name(self.seg_index);
+        seal(&mut self.scratch);
+        let name = seg_name(self.tail.seg_index);
         self.storage.append(&name, &self.scratch)?;
-        self.seg_records += 1;
-        self.since_snapshot += 1;
+        self.tail.seg_records += 1;
+        self.tail.since_snapshot += 1;
         self.stats.appends += 1;
         self.stats.bytes_appended += self.scratch.len() as u64;
         Ok(())
     }
 
-    /// Whether enough records have accumulated since the last snapshot
-    /// that the caller should take one.
+    /// Whether enough batch records have accumulated since the last
+    /// checkpoint that the caller should take one.
     pub fn needs_snapshot(&self) -> bool {
-        self.config.snapshot_every > 0 && self.since_snapshot >= self.config.snapshot_every
+        self.config.snapshot_every > 0 && self.tail.since_snapshot >= self.config.snapshot_every
     }
 
-    /// Takes a compacting snapshot: rolls to a fresh segment, writes a
-    /// `snap-<n>` object covering every segment `< n` — the live
-    /// controller's stream counters first, then all logged batch records
-    /// deduplicated by `(agent, seq)` with their payload bytes preserved
-    /// verbatim — and deletes the segments and snapshots it supersedes.
-    /// Crash-safe at every step: until the old objects are deleted, the
-    /// newest *valid* snapshot plus surviving segments always reproduce
-    /// the same state.
+    /// Takes a checkpoint: rolls to a fresh segment headed by one record
+    /// of the live controller's per-stream duplicate/shed counters — the
+    /// state replay cannot rederive. One append, O(streams). The log
+    /// position moves only once that append succeeds, so a failed
+    /// checkpoint stays due, and a torn one is the ordinary torn tail of
+    /// the newest segment: recovery truncates it and the previous
+    /// checkpoint's counters stand.
     ///
     /// # Errors
     ///
-    /// Returns [`CollectError::Wal`] on storage failures and
-    /// [`CollectError::Recovery`] if a non-tail record in a covered
-    /// segment is corrupt.
+    /// Returns [`CollectError::Wal`] when the storage append fails.
     pub fn snapshot(&mut self, controller: &Controller) -> Result<()> {
-        let cover = self.seg_index + 1;
-        let (snapshots, segments) = existing_objects(self.storage.as_ref())?;
-
-        // Meta record: counters replay cannot rederive.
         let meta = controller.stream_meta();
-        let mut payload = BytesMut::new();
-        payload.put_u8(REC_META);
-        payload.put_u32(meta.len() as u32);
-        for (agent, duplicates, shed) in &meta {
-            payload.put_u32(*agent);
-            payload.put_u64(*duplicates);
-            payload.put_u64(*shed);
+        self.scratch.clear();
+        self.scratch.put_u64(0);
+        self.scratch.put_u8(REC_META);
+        self.scratch.put_u32(meta.len() as u32);
+        for (agent, duplicates, shed) in meta {
+            self.scratch.put_u32(agent);
+            self.scratch.put_u64(duplicates);
+            self.scratch.put_u64(shed);
         }
-        let mut out = BytesMut::new();
-        frame_into(&mut out, &payload);
-
-        // Compact: newest valid snapshot first, then covered segments in
-        // order, keeping the first occurrence of each (agent, seq) with
-        // its original record bytes.
-        let mut seen: BTreeMap<(u32, u32), ()> = BTreeMap::new();
-        let mut sources: Vec<String> = Vec::new();
-        if let Some(&snap) = snapshots.iter().rev().find(|&&s| s <= self.seg_index) {
-            sources.push(snap_name(snap));
-        }
-        sources.extend(
-            segments
-                .iter()
-                .filter(|&&s| s < cover)
-                .map(|&s| seg_name(s)),
-        );
-        for source in &sources {
-            let data = self.storage.read(source)?;
-            let (records, valid_len, torn) = parse_records(&data);
-            if let Some(t) = torn {
-                // Tears are only forgivable at the tail of the newest
-                // segment; during compaction every covered object must be
-                // whole — except a final segment whose tear was not yet
-                // repaired, which recovery would also truncate.
-                let is_final_segment = Some(source) == sources.last();
-                if !is_final_segment {
-                    return Err(CollectError::Recovery {
-                        object: source.clone(),
-                        offset: t.offset,
-                        reason: t.reason,
-                    });
-                }
-                self.storage.truncate(source, valid_len)?;
-            }
-            for record in records {
-                if let Record::Batch(arrival, batch) = record {
-                    if seen.insert((batch.agent_id, batch.seq), ()).is_none() {
-                        // Re-frame the canonical record bytes. Re-encoding
-                        // is bitwise-stable (u8 frame quantization is
-                        // idempotent), so recovered replay stays exact.
-                        let mut p = BytesMut::new();
-                        p.put_u8(REC_BATCH);
-                        p.put_f64(arrival);
-                        encode_batch_into(&mut p, &batch);
-                        frame_into(&mut out, &p);
-                    }
-                }
-            }
-        }
-
-        let name = snap_name(cover);
-        // A torn snapshot with this name can exist if an earlier snapshot
-        // attempt crashed mid-write; start it over.
-        self.storage.delete(&name)?;
-        self.storage.append(&name, &out)?;
-        // Only after the snapshot is fully written: retire what it covers.
-        for &s in segments.iter().filter(|&&s| s < cover) {
-            self.storage.delete(&seg_name(s))?;
-        }
-        for &s in snapshots.iter().filter(|&&s| s < cover) {
-            self.storage.delete(&snap_name(s))?;
-        }
-        self.seg_index = cover;
-        self.seg_records = 0;
-        self.since_snapshot = 0;
+        seal(&mut self.scratch);
+        let next = self.tail.seg_index + 1;
+        self.storage.append(&seg_name(next), &self.scratch)?;
+        self.tail = Tail {
+            seg_index: next,
+            ..Tail::default()
+        };
         self.stats.snapshots_taken += 1;
         Ok(())
     }
@@ -662,95 +565,43 @@ impl Wal {
         if garbage.is_empty() {
             return Ok(());
         }
-        self.storage.append(&seg_name(self.seg_index), garbage)
+        self.storage.append(&seg_name(self.tail.seg_index), garbage)
     }
 }
 
-/// Sorted `(snapshot_indices, segment_indices)` present in storage.
-fn existing_objects(storage: &dyn WalStorage) -> Result<(Vec<u64>, Vec<u64>)> {
-    let mut snapshots = Vec::new();
+/// The one pass over the log that replay and [`open`] share: lists
+/// storage once, reads and parses each segment once, in index order,
+/// applies its records to `controller`, and returns where the log ends
+/// along with the report.
+fn scan(controller: &mut Controller, storage: &dyn WalStorage) -> Result<(RecoveryReport, Tail)> {
     let mut segments = Vec::new();
     for name in storage.list()? {
-        match parse_object(&name) {
-            Some((true, i)) => snapshots.push(i),
-            Some((false, i)) => segments.push(i),
-            None => {}
+        if let Some(index) = name
+            .strip_prefix("seg-")
+            .and_then(|i| i.parse::<u64>().ok())
+        {
+            segments.push(index);
+        } else if name.starts_with("snap-") {
+            // An earlier build's compacted snapshot is the only copy of
+            // the records it covers; opening without it would silently
+            // drop them.
+            return Err(CollectError::Recovery {
+                object: name,
+                offset: 0,
+                reason:
+                    "snapshot object from an earlier log format; this build reads segments only"
+                        .into(),
+            });
         }
     }
-    snapshots.sort_unstable();
     segments.sort_unstable();
-    Ok((snapshots, segments))
-}
-
-/// Replays the log into an existing controller: newest *valid* snapshot
-/// first (a torn snapshot — crash during compaction — falls back to its
-/// predecessor), then every segment at or above the snapshot's cover
-/// index, in order. Torn tails on the newest segment are truncated; any
-/// other corruption is a [`CollectError::Recovery`]. Replaying twice is
-/// idempotent: the controller's `(agent, seq)` dedup skips records it
-/// already holds.
-///
-/// # Errors
-///
-/// Returns [`CollectError::Wal`] on storage failures and
-/// [`CollectError::Recovery`] on non-tail corruption.
-// darlint: pure-root
-pub fn replay_into(
-    controller: &mut Controller,
-    storage: &dyn WalStorage,
-) -> Result<RecoveryReport> {
-    let (snapshots, segments) = existing_objects(storage)?;
+    let last = segments.last().copied();
     let mut report = RecoveryReport::default();
-
-    // Choose the newest snapshot that parses end-to-end.
-    let mut base = 0u64;
-    let mut snap_records = None;
-    for &snap in snapshots.iter().rev() {
-        let data = storage.read(&snap_name(snap))?;
-        let (records, _, torn) = parse_records(&data);
-        if torn.is_none() {
-            base = snap;
-            snap_records = Some(records);
-            break;
-        }
-        // Torn snapshot: the compaction crashed before deleting what it
-        // covered, so the predecessor snapshot + segments are intact.
-    }
-
-    let mut apply = |records: Vec<Record>, report: &mut RecoveryReport| -> Result<()> {
-        for record in records {
-            match record {
-                // Past admission and with no log to append to: the record
-                // was admitted when it was first logged.
-                Record::Batch(arrival, batch) => {
-                    match controller.admitted(arrival, &batch, None)? {
-                        crate::controller::IngestOutcome::Accepted => {
-                            report.records_replayed += 1;
-                        }
-                        _ => report.duplicates_skipped += 1,
-                    }
-                }
-                Record::Meta(meta) => {
-                    for (agent, duplicates, shed) in meta {
-                        controller.restore_stream_meta(agent, duplicates, shed);
-                    }
-                }
-            }
-        }
-        Ok(())
-    };
-
-    if let Some(records) = snap_records {
-        report.snapshot_used = true;
-        apply(records, &mut report)?;
-    }
-
-    let live: Vec<u64> = segments.into_iter().filter(|&s| s >= base).collect();
-    let last = live.last().copied();
-    for &seg in &live {
+    let mut tail = Tail::default();
+    for seg in segments {
         let name = seg_name(seg);
         let data = storage.read(&name)?;
-        let (records, valid_len, torn) = parse_records(&data);
+        let (records, torn) = parse_records(&data);
         if let Some(t) = torn {
             if Some(seg) != last {
                 return Err(CollectError::Recovery {
@@ -762,19 +613,65 @@ pub fn replay_into(
             // Torn tail on the newest segment: those bytes were never
             // acked (append-before-ack), so truncating them loses nothing
             // acknowledged.
-            report.torn_tail_bytes += data.len() as u64 - valid_len;
-            storage.truncate(&name, valid_len)?;
+            report.torn_tail_bytes += data.len() as u64 - t.offset;
+            storage.truncate(&name, t.offset)?;
         }
         report.segments_scanned += 1;
-        apply(records, &mut report)?;
+        tail.seg_index = seg;
+        tail.seg_records = 0;
+        for record in records {
+            match record {
+                // Past admission and with no log to append to: the record
+                // was admitted when it was first logged.
+                Record::Batch(arrival, batch) => {
+                    match controller.admitted(arrival, &batch, None)? {
+                        crate::controller::IngestOutcome::Accepted => {
+                            report.records_replayed += 1;
+                        }
+                        _ => report.duplicates_skipped += 1,
+                    }
+                    tail.seg_records += 1;
+                    tail.since_snapshot += 1;
+                }
+                Record::Meta(meta) => {
+                    for (agent, duplicates, shed) in meta {
+                        controller.restore_stream_meta(agent, duplicates, shed);
+                    }
+                    report.snapshot_used = true;
+                    tail.since_snapshot = 0;
+                }
+            }
+        }
     }
-    Ok(report)
+    Ok((report, tail))
+}
+
+/// Replays the log into an existing controller: every segment in index
+/// order, batch records through the controller's dedup, each checkpoint
+/// assigning the stream counters it carries (the last one wins). Torn
+/// tails on the newest segment are truncated; any other corruption, and
+/// any snapshot object of an earlier log format, is a
+/// [`CollectError::Recovery`]. Replaying twice is idempotent: the
+/// controller's `(agent, seq)` dedup skips records it already holds.
+///
+/// # Errors
+///
+/// Returns [`CollectError::Wal`] on storage failures and
+/// [`CollectError::Recovery`] on non-tail corruption.
+// darlint: pure-root
+pub fn replay_into(
+    controller: &mut Controller,
+    storage: &dyn WalStorage,
+) -> Result<RecoveryReport> {
+    scan(controller, storage).map(|(report, _)| report)
 }
 
 /// Opens the log: builds a fresh [`Controller`] with `config`, replays
 /// storage into it, and returns the controller, a [`Wal`] positioned at
-/// the log's tail, and the replay report. An empty store yields an empty
-/// controller — this is also how a brand-new durable session starts.
+/// the log's tail — rolls and checkpoints fall due on the same records
+/// as if the log had never been closed — and the replay report. An
+/// empty store yields an empty controller — this is also how a
+/// brand-new durable session starts.
 ///
 /// # Errors
 ///
@@ -786,33 +683,13 @@ pub fn open(
     wal_config: WalConfig,
 ) -> Result<(Controller, Wal, RecoveryReport)> {
     let mut controller = Controller::new(config);
-    let report = replay_into(&mut controller, storage.as_ref())?;
-    let (snapshots, segments) = existing_objects(storage.as_ref())?;
-    let snap_base = snapshots.last().copied().unwrap_or(0);
-    let seg_index = segments.last().copied().unwrap_or(snap_base).max(snap_base);
-    let seg_records = if segments.last() == Some(&seg_index) {
-        let data = storage.read(&seg_name(seg_index))?;
-        let (records, _, _) = parse_records(&data);
-        records.len() as u64
-    } else {
-        0
-    };
-    // Snapshot cadence resumes from the live (uncovered) segments only:
-    // records already compacted into the snapshot don't count against the
-    // next snapshot.
-    let mut segment_records = 0u64;
-    for &seg in segments.iter().filter(|&&s| s >= snap_base) {
-        let data = storage.read(&seg_name(seg))?;
-        segment_records += parse_records(&data).0.len() as u64;
-    }
+    let (report, tail) = scan(&mut controller, storage.as_ref())?;
     Ok((
         controller,
         Wal {
             storage,
             config: wal_config,
-            seg_index,
-            seg_records,
-            since_snapshot: segment_records,
+            tail,
             scratch: BytesMut::with_capacity(4096),
             stats: WalStats::default(),
         },
@@ -913,19 +790,13 @@ mod tests {
     }
 
     #[test]
-    fn segments_roll_and_snapshots_compact() {
+    fn segments_roll_and_checkpoints_replay() {
         let (controller, wal, storage) = durable_workload(WalConfig {
             segment_max_records: 8,
             snapshot_every: 20,
         });
         assert!(wal.stats().segments_rolled > 0);
         assert!(wal.stats().snapshots_taken > 0);
-        let (snapshots, segments) = existing_objects(storage.as_ref()).unwrap();
-        assert_eq!(snapshots.len(), 1, "old snapshots are retired");
-        assert!(
-            segments.iter().all(|&s| s >= snapshots[0]),
-            "covered segments are retired: {segments:?} vs snap {snapshots:?}"
-        );
         let (recovered, _, report) = open(
             ControllerConfig::default(),
             storage as Arc<dyn WalStorage>,
@@ -1022,12 +893,11 @@ mod tests {
             snapshot_every: 0,
         });
         // Flip a byte in the middle of the FIRST segment: not a tail tear.
-        let (_, segments) = existing_objects(storage.as_ref()).unwrap();
-        let name = seg_name(segments[0]);
+        let name = seg_name(0);
         let mut data = storage.read(&name).unwrap();
         let mid = data.len() / 2;
         data[mid] ^= 0xFF;
-        storage.delete(&name).unwrap();
+        storage.truncate(&name, 0).unwrap();
         storage.append(&name, &data).unwrap();
         let err = open(
             ControllerConfig::default(),
@@ -1038,51 +908,153 @@ mod tests {
         assert!(matches!(err, CollectError::Recovery { .. }), "got {err:?}");
     }
 
-    #[test]
-    fn torn_snapshot_falls_back_to_predecessor_state() {
-        let (controller, wal, storage) = durable_workload(WalConfig {
-            segment_max_records: 8,
-            snapshot_every: 20,
-        });
-        drop(wal);
-        // Corrupt the (only) snapshot's tail: recovery must still rebuild
-        // identical state? No — the covered segments were deleted after
-        // the snapshot committed. A torn snapshot only happens when the
-        // compaction crashed BEFORE deletion. Model that: tear a snapshot
-        // while its sources still exist.
-        let storage2 = Arc::new(MemStorage::new());
-        let (mut c2, mut w2, _) = open(
+    /// Logs `records` IMU batches from `streams` agents (duplicating every
+    /// fifth delivery), then returns how many bytes one checkpoint adds.
+    fn checkpoint_bytes(records: u32, streams: u32) -> (usize, Arc<MemStorage>) {
+        let storage = Arc::new(MemStorage::new());
+        let (mut controller, mut wal, _) = open(
             ControllerConfig::default(),
-            Arc::<MemStorage>::clone(&storage2) as Arc<dyn WalStorage>,
-            WalConfig::default(),
+            Arc::<MemStorage>::clone(&storage) as Arc<dyn WalStorage>,
+            WalConfig {
+                segment_max_records: 16,
+                snapshot_every: 0,
+            },
         )
         .unwrap();
-        for seq in 0..10u32 {
-            let t = seq as f64;
-            c2.offer_at(t, &imu_batch(0, seq, &[t]), Some(&mut w2))
-                .unwrap();
+        for i in 0..records {
+            let batch = imu_batch(i % streams, i / streams, &[i as f64]);
+            for _ in 0..1 + u32::from(i % 5 == 0) {
+                controller
+                    .offer_at(i as f64, &batch, Some(&mut wal))
+                    .unwrap();
+            }
         }
-        let digest = c2.state_digest();
-        // A half-written snapshot that crashed before retiring segments.
-        storage2
-            .append(&snap_name(w2.segment_index() + 1), &[0x01, 0x02, 0x03])
-            .unwrap();
-        let (recovered, _, report) = open(
+        let before = storage.total_bytes();
+        wal.snapshot(&controller).unwrap();
+        (storage.total_bytes() - before, storage)
+    }
+
+    #[test]
+    fn checkpoint_cost_depends_on_streams_not_history() {
+        let (short, _) = checkpoint_bytes(40, 2);
+        let (long, storage) = checkpoint_bytes(400, 2);
+        assert_eq!(short, long, "a checkpoint rewrites no history");
+        assert_eq!(short, FRAME_BYTES + 1 + 4 + 2 * 20);
+        assert_eq!(checkpoint_bytes(40, 3).0, short + 20);
+        let names = storage.list().unwrap();
+        assert!(names.iter().all(|n| n.starts_with("seg-")), "{names:?}");
+    }
+
+    #[test]
+    fn last_checkpoint_wins_not_the_sum() {
+        let storage = Arc::new(MemStorage::new());
+        let (mut controller, mut wal, _) = open(
             ControllerConfig::default(),
-            storage2 as Arc<dyn WalStorage>,
+            Arc::<MemStorage>::clone(&storage) as Arc<dyn WalStorage>,
             WalConfig::default(),
         )
         .unwrap();
-        assert!(!report.snapshot_used);
-        assert_eq!(recovered.state_digest(), digest);
-        // And the original workload's state still digests stable.
-        let (r0, _, _) = open(
+        let deliver_twice = |controller: &mut Controller, wal: &mut Wal, seq: u32| {
+            let batch = imu_batch(0, seq, &[seq as f64]);
+            for _ in 0..2 {
+                controller
+                    .offer_at(seq as f64, &batch, Some(&mut *wal))
+                    .unwrap();
+            }
+        };
+        deliver_twice(&mut controller, &mut wal, 0);
+        wal.snapshot(&controller).unwrap();
+        deliver_twice(&mut controller, &mut wal, 1);
+        deliver_twice(&mut controller, &mut wal, 2);
+        wal.snapshot(&controller).unwrap();
+        assert_eq!(controller.stream_meta(), vec![(0, 3, 0)]);
+        let (recovered, _, report) = open(
             ControllerConfig::default(),
             storage as Arc<dyn WalStorage>,
             WalConfig::default(),
         )
         .unwrap();
-        assert_eq!(r0.state_digest(), controller.state_digest());
+        assert!(report.snapshot_used);
+        assert_eq!(recovered.stream_meta(), controller.stream_meta());
+    }
+
+    #[test]
+    fn snap_object_from_an_earlier_build_is_refused() {
+        let (controller, _, storage) = durable_workload(WalConfig::default());
+        // Names the log does not own are none of its business...
+        storage.append("lost+found", &[0xFF; 9]).unwrap();
+        let reopen = || {
+            open(
+                ControllerConfig::default(),
+                Arc::<MemStorage>::clone(&storage) as Arc<dyn WalStorage>,
+                WalConfig::default(),
+            )
+        };
+        let (recovered, _, _) = reopen().unwrap();
+        assert_eq!(recovered.state_digest(), controller.state_digest());
+        // ...but an old compacted snapshot is the only copy of the records
+        // it covers: opening an emptier controller would be silent loss.
+        storage.append("snap-00000003", &[]).unwrap();
+        let err = reopen().unwrap_err();
+        assert!(
+            matches!(&err, CollectError::Recovery { object, .. } if object == "snap-00000003"),
+            "got {err:?}"
+        );
+    }
+
+    /// Offers `range` one record at a time through the door policy and
+    /// returns, per record, `(segment index after it, checkpoints so far)`.
+    fn positions(
+        controller: &mut Controller,
+        wal: &mut Wal,
+        range: std::ops::Range<u32>,
+    ) -> Vec<(u64, u64)> {
+        range
+            .map(|seq| {
+                let t = seq as f64;
+                controller
+                    .offer_at(t, &imu_batch(0, seq, &[t]), Some(&mut *wal))
+                    .unwrap();
+                if wal.needs_snapshot() {
+                    wal.snapshot(controller).unwrap();
+                }
+                (wal.segment_index(), wal.stats().snapshots_taken)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn reopening_mid_segment_keeps_roll_and_checkpoint_cadence() {
+        let config = WalConfig {
+            segment_max_records: 7,
+            snapshot_every: 10,
+        };
+        let open_on = |storage: &Arc<MemStorage>| {
+            open(
+                ControllerConfig::default(),
+                Arc::<MemStorage>::clone(storage) as Arc<dyn WalStorage>,
+                config,
+            )
+            .unwrap()
+        };
+        let (mut controller, mut wal, _) = open_on(&Arc::new(MemStorage::new()));
+        let uninterrupted = positions(&mut controller, &mut wal, 0..40);
+
+        // Close and reopen after every prefix length: mid-segment, right
+        // after a roll, right after a checkpoint.
+        for stop in 0..40u32 {
+            let storage = Arc::new(MemStorage::new());
+            let (mut controller, mut wal, _) = open_on(&storage);
+            positions(&mut controller, &mut wal, 0..stop);
+            let taken = wal.stats().snapshots_taken;
+            drop((controller, wal));
+            let (mut controller, mut wal, _) = open_on(&storage);
+            let resumed: Vec<_> = positions(&mut controller, &mut wal, stop..40)
+                .into_iter()
+                .map(|(seg, checkpoints)| (seg, checkpoints + taken))
+                .collect();
+            assert_eq!(resumed, uninterrupted[stop as usize..], "stop {stop}");
+        }
     }
 
     #[test]
@@ -1132,6 +1104,5 @@ mod tests {
             }
         ));
         assert!(storage.truncate("nope", 0).is_err());
-        assert!(storage.delete("nope").is_ok());
     }
 }

@@ -1,5 +1,8 @@
 //! Property-based tests for the WAL: append→replay round-trip identity,
-//! idempotent double replay, and crash-at-any-byte truncation tolerance.
+//! idempotent double replay, crash-at-any-byte truncation tolerance
+//! (checkpoint records included), and the premise the append-only log
+//! rests on — a log written through the ingest door never holds one
+//! `(agent, seq)` twice.
 //!
 //! All properties run over [`MemStorage`] so a "crash" is just byte
 //! surgery on the stored segment — no filesystem, fully deterministic.
@@ -8,10 +11,10 @@ use std::sync::Arc;
 
 use darnet_collect::wal;
 use darnet_collect::{
-    decode_batch, encode_batch, replay_into, Batch, Controller, ControllerConfig, IngestOutcome,
-    MemStorage, SensorReading, StampedReading, WalConfig, WalStorage,
+    decode_batch, encode_batch, replay_into, AdmissionConfig, Batch, Controller, ControllerConfig,
+    IngestOutcome, MemStorage, SensorReading, StampedReading, WalConfig, WalStorage,
 };
-use darnet_sim::ImuSample;
+use darnet_sim::{Frame, ImuSample};
 use proptest::prelude::*;
 
 const AGENT: u32 = 7;
@@ -94,8 +97,114 @@ fn single_segment_log(
     (live, name, ends)
 }
 
+/// Frames come from their own agent and, under [`lossy_door_config`],
+/// are what admission sheds.
+const CAMERA: u32 = 8;
+
+#[allow(clippy::expect_used)] // test helper: a failed expect IS the test failing
+fn frame_batch(seq: u32, t: f64) -> Batch {
+    let batch = Batch {
+        agent_id: CAMERA,
+        seq,
+        readings: vec![StampedReading {
+            timestamp: t,
+            reading: SensorReading::Frame(Frame::new(4, 4)),
+        }],
+    };
+    decode_batch(encode_batch(&batch)).expect("wire round-trip")
+}
+
+/// A bucket that admits roughly every other frame batch (cost 16 against
+/// 8 tokens refilled per 0.1 s step), so a generated life sees sheds,
+/// their retransmissions, and IMU traffic that always passes.
+fn lossy_door_config() -> ControllerConfig {
+    ControllerConfig {
+        admission: AdmissionConfig {
+            enabled: true,
+            capacity: 40.0,
+            drain_per_sec: 80.0,
+            low_priority_reserve: 20.0,
+        },
+        ..ControllerConfig::default()
+    }
+}
+
+/// Runs one generated life of a durable controller over `storage` through
+/// the public door (`offer_at` + due checkpoints, as `shard::Door` and the
+/// ledger sequence them) and returns the last incarnation's controller
+/// with `Σ WalStats::appends` over all incarnations. Each op is
+/// `(kind, arg)`: a new IMU or frame batch, a re-delivery of an earlier
+/// one (a duplicate if it was accepted — in this incarnation or one
+/// before — else the retransmission of a shed batch), a checkpoint off
+/// cadence, or a kill that leaves `arg % 16` garbage bytes as the torn
+/// final write, followed by reopen.
+#[allow(clippy::expect_used)] // test helper: a failed expect IS the test failing
+fn live_a_life(
+    storage: &Arc<dyn WalStorage>,
+    config: WalConfig,
+    ops: &[(u8, u8)],
+) -> (Controller, u64) {
+    let open = || wal::open(lossy_door_config(), Arc::clone(storage), config).expect("open");
+    let (mut live, mut wal, _) = open();
+    let mut appends = 0;
+    let mut offered: Vec<Batch> = Vec::new();
+    for (step, &(kind, arg)) in ops.iter().enumerate() {
+        let arrival = step as f64 * 0.1;
+        let batch = match kind {
+            0..=2 => imu_batch(offered.len() as u32, arrival, 1 + arg as usize % 3),
+            3..=5 => frame_batch(offered.len() as u32, arrival),
+            6..=7 if !offered.is_empty() => offered[arg as usize % offered.len()].clone(),
+            8 => {
+                wal.snapshot(&live).expect("checkpoint off cadence");
+                continue;
+            }
+            9 => {
+                wal.simulate_torn_tail(&[0xA5; 16][..arg as usize % 16])
+                    .expect("torn write");
+                appends += wal.stats().appends;
+                (live, wal, _) = open();
+                continue;
+            }
+            _ => continue,
+        };
+        if kind < 6 {
+            offered.push(batch.clone());
+        }
+        let outcome = live
+            .offer_at(arrival, &batch, Some(&mut wal))
+            .expect("offer");
+        if outcome != IngestOutcome::Shed && wal.needs_snapshot() {
+            wal.snapshot(&live).expect("checkpoint");
+        }
+    }
+    (live, appends + wal.stats().appends)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The premise of the append-only log: whatever mix of deliveries,
+    /// duplicates, sheds, retransmissions, checkpoints and crash/reopen
+    /// cycles a controller lives through, every append it ever made is in
+    /// the log exactly once — replaying into a FRESH controller skips
+    /// nothing as a duplicate, so no compaction pass could ever drop a
+    /// record.
+    #[test]
+    fn a_log_written_through_the_door_never_holds_a_seq_twice(
+        ops in prop::collection::vec((0u8..10, any::<u8>()), 1..80),
+        segment_max in 1u64..12,
+        snapshot_every in 0u64..12,
+    ) {
+        let storage: Arc<dyn WalStorage> = Arc::new(MemStorage::new());
+        let config = WalConfig { segment_max_records: segment_max, snapshot_every };
+        let (live, appends) = live_a_life(&storage, config, &ops);
+
+        let mut fresh = Controller::new(lossy_door_config());
+        let report = replay_into(&mut fresh, storage.as_ref()).expect("replay");
+        prop_assert_eq!(report.duplicates_skipped, 0);
+        prop_assert_eq!(report.records_replayed, appends);
+        prop_assert_eq!(fresh.state_digest(), live.state_digest());
+    }
 
     /// Round-trip identity: for ANY batch sequence × segment size ×
     /// snapshot cadence, replaying the log into a fresh controller
@@ -180,6 +289,68 @@ proptest! {
         let extra = imu_batch(next_seq, 99.0, 2);
         resumed.offer_at(99.0, &extra, Some(&mut wal)).expect("append after recovery");
         prop_assert!(resumed.has_seen(AGENT, next_seq));
+    }
+
+    /// Crash at any byte of a checkpoint: a checkpoint is one record at
+    /// the head of the newest segment, so tearing it anywhere recovers
+    /// exactly the pre-checkpoint state with the PREVIOUS checkpoint's
+    /// counters, and the checkpoint is due again.
+    #[test]
+    fn truncation_at_any_byte_of_a_checkpoint_keeps_the_previous_one(
+        sizes in prop::collection::vec(1usize..4, 2..20),
+        earlier_frac in 0.0f64..1.0,
+    ) {
+        let storage: Arc<dyn WalStorage> = Arc::new(MemStorage::new());
+        let config = WalConfig { segment_max_records: 5, snapshot_every: 0 };
+        let (mut live, mut wal, _) =
+            wal::open(ControllerConfig::default(), Arc::clone(&storage), config).expect("open");
+        // 0 = no earlier checkpoint; otherwise at least one (duplicated)
+        // record separates the two.
+        let earlier = (earlier_frac * (sizes.len() - 1) as f64) as usize;
+        let mut previous = Vec::new();
+        for (i, &n) in sizes.iter().enumerate() {
+            let arrival = i as f64 * 0.2;
+            let batch = imu_batch(i as u32, arrival, n);
+            // Every delivery arrives twice, so each checkpoint carries a
+            // different duplicate tally.
+            for _ in 0..2 {
+                live.offer_at(arrival, &batch, Some(&mut wal)).expect("offer");
+            }
+            if i + 1 == earlier {
+                wal.snapshot(&live).expect("earlier checkpoint");
+                previous = live.stream_meta();
+            }
+        }
+        if previous.is_empty() {
+            // No earlier checkpoint: replay alone rebuilds zeroed tallies.
+            previous = vec![(AGENT, 0, 0)];
+        }
+        wal.snapshot(&live).expect("checkpoint");
+        prop_assert_ne!(&live.stream_meta(), &previous);
+        let name = storage.list().expect("list").pop().expect("segment exists");
+        prop_assert_eq!(&name, &format!("seg-{:08}", wal.segment_index()));
+        let record = storage.read(&name).expect("read");
+
+        let check = WalConfig { snapshot_every: 1, ..config };
+        for cut in 0..record.len() {
+            // Recovery repairs the tear durably, so rebuild it each time.
+            storage.truncate(&name, 0).expect("truncate");
+            storage.append(&name, &record[..cut]).expect("torn checkpoint");
+            let (recovered, reopened, report) =
+                wal::open(ControllerConfig::default(), Arc::clone(&storage), check)
+                    .expect("reopen");
+            prop_assert_eq!(report.torn_tail_bytes, cut as u64);
+            prop_assert_eq!(report.records_replayed, sizes.len() as u64);
+            prop_assert_eq!(recovered.state_digest(), live.state_digest());
+            prop_assert_eq!(&recovered.stream_meta(), &previous, "cut {}", cut);
+            prop_assert!(reopened.needs_snapshot(), "cut {}", cut);
+        }
+        // Whole again, the last checkpoint's counters stand.
+        storage.truncate(&name, 0).expect("truncate");
+        storage.append(&name, &record).expect("restore");
+        let mut recovered = Controller::new(ControllerConfig::default());
+        replay_into(&mut recovered, storage.as_ref()).expect("replay");
+        prop_assert_eq!(recovered.stream_meta(), live.stream_meta());
     }
 
     /// Corrupting any single byte of the live segment is tolerated: the

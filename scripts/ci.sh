@@ -47,6 +47,15 @@
 #                  under that loss must stay at or above the 2-stream
 #                  engine under the same loss and within 15% of the
 #                  clean 2-stream baseline (--check)
+#   9. ledger    — the frozen pipeline ledger (benchmark/, BENCHMARK.json;
+#                  a package of its own that no step above compiles)
+#                  against this checkout's crates: its unit tests, then
+#                  an untraced seed-1 run of each workload, which must
+#                  end in a result line with "correct": true and
+#                  "failed": 0 — every label present, no acked batch
+#                  lost and no digest changed across recovery, the
+#                  bitwise shadow pass and the golden posteriors intact.
+#                  No timing gate: the numbers are the driver's to judge
 #
 # Usage:
 #   scripts/ci.sh                 run every step
@@ -54,7 +63,7 @@
 #   scripts/ci.sh --list          list step names and exit
 #
 # Every step is timed and a per-step elapsed summary is printed at the
-# end, so the 8-step pipeline can be profiled and iterated on locally
+# end, so the 9-step pipeline can be profiled and iterated on locally
 # without grepping logs.
 #
 # The workspace vendors every dependency, so the whole pipeline runs with
@@ -65,7 +74,7 @@ cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
 
-STEPS=(tier1 darlint docs parallel inference chaos fleet multiview)
+STEPS=(tier1 darlint docs parallel inference chaos fleet multiview ledger)
 ONLY=()
 while [[ $# -gt 0 ]]; do
   case "$1" in
@@ -125,6 +134,27 @@ step_inference() { run_bench bench_inference BENCH_inference.json; }
 step_chaos()     { run_bench bench_chaos     BENCH_chaos.json; }
 step_fleet()     { run_bench bench_fleet     BENCH_fleet.json; }
 step_multiview() { run_bench repro_ablation_multiview BENCH_multiview.json; }
+
+# `workload:seconds` pairs. cabin_stream and fleet_ingest scale in whole
+# sessions, so --seconds 1 is their smallest run; cabin_long runs at the
+# nominal 20 because its golden posteriors exist at that size only (the
+# session length feeds the seeded traffic draw) and below 2.5 it has too
+# few latency samples for the p95 the ledger insists on.
+LEDGER_SMOKES=(cabin_stream:1 cabin_long:20 fleet_ingest:1)
+
+step_ledger() {
+  local ledger=(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml --)
+  cargo test --offline --quiet --manifest-path benchmark/Cargo.toml
+  local smoke verdict
+  for smoke in "${LEDGER_SMOKES[@]}"; do
+    verdict=$("${ledger[@]}" --workload "${smoke%:*}" --seed 1 --trace 0 \
+      --seconds "${smoke#*:}" | tail -n 1)
+    if [[ "$verdict" != *'"correct": true'* || "$verdict" != *'"failed": 0,'* ]]; then
+      echo "ledger: ${smoke%:*} did not come back correct: ${verdict:0:120}" >&2
+      return 1
+    fi
+  done
+}
 
 wants() {
   [[ ${#ONLY[@]} -eq 0 ]] && return 0
