@@ -5,10 +5,11 @@
 //! * **`repro_*` binaries** — regenerate every table and figure of the
 //!   paper (`cargo run -p darnet-bench --release --bin repro_table2`).
 //!   Each accepts `--fast` to run a reduced-scale smoke version.
-//! * **Criterion benches** (`cargo bench`) — performance characterization
-//!   of the substrates: tensor kernels, model inference, controller
-//!   ingest/alignment, end-to-end per-time-step classification latency,
-//!   and privacy transforms.
+//! * **`bench_*` binaries** — the gated harnesses behind the committed
+//!   `BENCH_*.json` baselines (thread speedups, the zero-alloc inference
+//!   path, crash recovery, fleet ingest), all driven through [`gate`].
+//!   Per-kernel and per-layer timings live in the pipeline ledger
+//!   (`benchmark/`), not here.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
@@ -324,7 +325,7 @@ pub mod gate {
 /// Counting global allocator for allocation-budget benchmarks and tests.
 ///
 /// Installed as this crate's `#[global_allocator]`, so every
-/// `darnet-bench` binary, test, and Criterion bench can measure heap
+/// `darnet-bench` binary and test can measure heap
 /// allocation events (alloc + realloc; frees are not counted). The
 /// zero-alloc inference gate (`bench_inference`, the `zero_alloc`
 /// integration test) is built on this.

@@ -1,12 +1,12 @@
 //! 2-D convolution layer implemented via im2col lowering.
 
 use darnet_tensor::{
-    col2im, he_normal, im2col_into, im2col_with, Conv2dSpec, Parallelism, SplitMix64, Tensor,
-    TensorView, Workspace,
+    col2im, he_normal, im2col_into, Conv2dSpec, Parallelism, SplitMix64, Tensor, TensorView,
+    Workspace,
 };
 
 use crate::error::NnError;
-use crate::layer::{Layer, Mode};
+use crate::layer::{rank4_dims, Layer, Mode};
 use crate::param::Param;
 use crate::Result;
 
@@ -23,8 +23,9 @@ pub struct Conv2d {
     spec: Conv2dSpec,
     weight: Param,
     bias: Param,
-    cols: Option<Tensor>,
-    input_dims: Option<Vec<usize>>,
+    /// Train-mode cache: the im2col patch matrix and the input's
+    /// `(batch, h, w)`.
+    cache: Option<(Tensor, [usize; 3])>,
     par: Parallelism,
 }
 
@@ -37,8 +38,7 @@ impl Conv2d {
             spec,
             weight: Param::new(weight),
             bias: Param::new(Tensor::zeros(&[spec.out_channels])),
-            cols: None,
-            input_dims: None,
+            cache: None,
             par: Parallelism::serial(),
         }
     }
@@ -69,25 +69,8 @@ impl Conv2d {
     }
 }
 
-/// Reorders a `[b*oh*ow, c]` row-per-pixel matrix into `[b, c, oh, ow]`
-/// channel-major layout.
-fn pixels_to_nchw(pixels: &Tensor, b: usize, c: usize, oh: usize, ow: usize) -> Result<Tensor> {
-    let hw = oh * ow;
-    let mut out = vec![0.0f32; b * c * hw];
-    let data = pixels.data();
-    for n in 0..b {
-        for p in 0..hw {
-            let row = (n * hw + p) * c;
-            for ch in 0..c {
-                out[(n * c + ch) * hw + p] = data[row + ch];
-            }
-        }
-    }
-    Ok(Tensor::from_vec(out, &[b, c, oh, ow])?)
-}
-
-/// [`pixels_to_nchw`] writing into a caller-provided buffer of shape
-/// `[b, c, oh, ow]` (same element order, so results are bitwise identical).
+/// Reorders a `[b*oh*ow, c]` row-per-pixel matrix into a caller-provided
+/// `[b, c, oh, ow]` channel-major buffer.
 // darlint: hot
 fn pixels_to_nchw_into(
     pixels: &Tensor,
@@ -118,7 +101,7 @@ fn pixels_to_nchw_into(
     Ok(())
 }
 
-/// Inverse of [`pixels_to_nchw`].
+/// Inverse of [`pixels_to_nchw_into`].
 fn nchw_to_pixels(t: &Tensor) -> Result<Tensor> {
     let d = t.dims();
     let (b, c, oh, ow) = (d[0], d[1], d[2], d[3]);
@@ -136,29 +119,6 @@ fn nchw_to_pixels(t: &Tensor) -> Result<Tensor> {
 }
 
 impl Layer for Conv2d {
-    // darlint: cold — owned-output twin of forward_into; Train mode caches im2col patches and allocates by design
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        if input.rank() != 4 {
-            return Err(NnError::InvalidConfig(format!(
-                "conv expects [batch, c, h, w], got {:?}",
-                input.dims()
-            )));
-        }
-        let d = input.dims();
-        let (b, h, w) = (d[0], d[2], d[3]);
-        let (oh, ow) = self.spec.output_size(h, w)?;
-        let cols = im2col_with(input, &self.spec, &self.par)?;
-        // [b*oh*ow, patch] × [patch, out_c]ᵀ → [b*oh*ow, out_c]
-        let mut pixels = cols.matmul_transpose_b_with(&self.weight.value, &self.par)?;
-        // Bias per output channel.
-        pixels = pixels.add_row_broadcast(&self.bias.value)?;
-        if mode == Mode::Train {
-            self.cols = Some(cols);
-            self.input_dims = Some(d.to_vec());
-        }
-        pixels_to_nchw(&pixels, b, self.spec.out_channels, oh, ow)
-    }
-
     // darlint: hot
     fn forward_into(
         &mut self,
@@ -166,24 +126,18 @@ impl Layer for Conv2d {
         mode: Mode,
         ws: &mut Workspace,
     ) -> Result<TensorView> {
-        if mode == Mode::Train {
-            return self.forward(input, mode);
-        }
-        if input.rank() != 4 {
-            return Err(NnError::InvalidConfig(format!(
-                "conv expects [batch, c, h, w], got {:?}",
-                input.dims()
-            )));
-        }
-        let d = input.dims();
-        let (b, h, w) = (d[0], d[2], d[3]);
+        let [b, _, h, w] = rank4_dims(input, "conv")?;
         let (oh, ow) = self.spec.output_size(h, w)?;
         let rows = b * oh * ow;
         let mut cols = ws.checkout(&[rows, self.spec.patch_len()]);
         im2col_into(input, &self.spec, &self.par, &mut cols)?;
         let mut pixels = ws.checkout(&[rows, self.spec.out_channels]);
         cols.matmul_transpose_b_into(&self.weight.value, &self.par, &mut pixels)?;
-        ws.restore(cols);
+        if mode == Mode::Train {
+            self.cache = Some((cols, [b, h, w]));
+        } else {
+            ws.restore(cols);
+        }
         pixels.add_row_broadcast_assign(&self.bias.value)?;
         let mut out = ws.checkout(&[b, self.spec.out_channels, oh, ow]);
         pixels_to_nchw_into(&pixels, b, self.spec.out_channels, oh, ow, &mut out)?;
@@ -192,15 +146,10 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let cols = self
-            .cols
+        let &(ref cols, [b, h, w]) = self
+            .cache
             .as_ref()
             .ok_or(NnError::NoForwardCache { layer: "Conv2d" })?;
-        let input_dims = self
-            .input_dims
-            .as_ref()
-            .ok_or(NnError::NoForwardCache { layer: "Conv2d" })?;
-        let (b, h, w) = (input_dims[0], input_dims[2], input_dims[3]);
         // [b, out_c, oh, ow] → [b*oh*ow, out_c]
         let dpixels = nchw_to_pixels(grad_out)?;
         // dW [out_c, patch] = dpixelsᵀ × cols
@@ -333,7 +282,8 @@ mod tests {
         let t = Tensor::from_vec((0..24).map(|v| v as f32).collect(), &[2, 3, 2, 2]).unwrap();
         let pixels = nchw_to_pixels(&t).unwrap();
         assert_eq!(pixels.dims(), &[8, 3]);
-        let back = pixels_to_nchw(&pixels, 2, 3, 2, 2).unwrap();
+        let mut back = Tensor::full(t.dims(), 9.0); // stale contents
+        pixels_to_nchw_into(&pixels, 2, 3, 2, 2, &mut back).unwrap();
         assert_eq!(back, t);
     }
 

@@ -70,7 +70,13 @@ impl Dense {
 }
 
 impl Layer for Dense {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
+    // darlint: hot
+    fn forward_into(
+        &mut self,
+        input: &Tensor,
+        mode: Mode,
+        ws: &mut Workspace,
+    ) -> Result<TensorView> {
         if input.rank() != 2 || input.dims()[1] != self.in_features {
             return Err(NnError::InvalidConfig(format!(
                 "dense expects [batch, {}], got {:?}",
@@ -80,27 +86,6 @@ impl Layer for Dense {
         }
         if mode == Mode::Train {
             self.input = Some(input.clone());
-        }
-        let out = input.matmul_transpose_b_with(&self.weight.value, &self.par)?;
-        Ok(out.add_row_broadcast(&self.bias.value)?)
-    }
-
-    // darlint: hot
-    fn forward_into(
-        &mut self,
-        input: &Tensor,
-        mode: Mode,
-        ws: &mut Workspace,
-    ) -> Result<TensorView> {
-        if mode == Mode::Train {
-            return self.forward(input, mode);
-        }
-        if input.rank() != 2 || input.dims()[1] != self.in_features {
-            return Err(NnError::InvalidConfig(format!(
-                "dense expects [batch, {}], got {:?}",
-                self.in_features,
-                input.dims()
-            )));
         }
         let mut out = ws.checkout(&[input.dims()[0], self.out_features]);
         input.matmul_transpose_b_into(&self.weight.value, &self.par, &mut out)?;

@@ -40,33 +40,6 @@ impl Dropout {
 }
 
 impl Layer for Dropout {
-    // darlint: cold — owned-output twin of forward_into; Train mode samples a fresh mask and allocates by design
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        match mode {
-            Mode::Eval => Ok(input.clone()),
-            Mode::Train => {
-                let keep = 1.0 - self.p;
-                let scale = 1.0 / keep;
-                // Reuse the previous step's mask buffer when the batch shape
-                // is unchanged; every element is overwritten below.
-                let mut mask = match self.mask.take() {
-                    Some(m) if m.dims() == input.dims() => m,
-                    _ => Tensor::zeros(input.dims()),
-                };
-                for v in mask.data_mut() {
-                    *v = if self.rng.next_f32() < keep {
-                        scale
-                    } else {
-                        0.0
-                    };
-                }
-                let out = input.mul(&mask)?;
-                self.mask = Some(mask);
-                Ok(out)
-            }
-        }
-    }
-
     // darlint: hot
     fn forward_into(
         &mut self,
@@ -74,11 +47,33 @@ impl Layer for Dropout {
         mode: Mode,
         ws: &mut Workspace,
     ) -> Result<TensorView> {
-        if mode == Mode::Train {
-            return self.forward(input, mode);
-        }
         let mut out = ws.checkout(input.dims());
-        input.copy_into(&mut out)?;
+        if mode == Mode::Eval {
+            input.copy_into(&mut out)?;
+            return Ok(out);
+        }
+        let keep = 1.0 - self.p;
+        let scale = 1.0 / keep;
+        // Reuse the previous step's mask buffer when the batch shape is
+        // unchanged; every element is overwritten below.
+        let mut mask = match self.mask.take() {
+            Some(m) if m.dims() == input.dims() => m,
+            _ => ws.checkout(input.dims()),
+        };
+        for ((o, m), &x) in out
+            .data_mut()
+            .iter_mut()
+            .zip(mask.data_mut())
+            .zip(input.data())
+        {
+            *m = if self.rng.next_f32() < keep {
+                scale
+            } else {
+                0.0
+            };
+            *o = x * *m;
+        }
+        self.mask = Some(mask);
         Ok(out)
     }
 

@@ -10,7 +10,7 @@ use darnet_tensor::{Parallelism, SplitMix64, Tensor, TensorView, Workspace};
 
 use crate::conv::Conv2d;
 use crate::error::NnError;
-use crate::layer::{join_worker, Layer, Mode, Relu};
+use crate::layer::{join_worker, rank4_dims, Layer, Mode, Relu};
 use crate::param::Param;
 use crate::pool::MaxPool2d;
 use crate::Result;
@@ -39,29 +39,8 @@ impl InceptionChannels {
     }
 }
 
-/// Pads the spatial dims of a `[b, c, h, w]` tensor with one ring of
-/// `value`.
-fn pad_spatial(input: &Tensor, pad: usize, value: f32) -> Result<Tensor> {
-    let d = input.dims();
-    let (b, c, h, w) = (d[0], d[1], d[2], d[3]);
-    let (nh, nw) = (h + 2 * pad, w + 2 * pad);
-    let mut out = Tensor::full(&[b, c, nh, nw], value);
-    let od = out.data_mut();
-    let id = input.data();
-    for n in 0..b {
-        for ch in 0..c {
-            for y in 0..h {
-                let src = ((n * c + ch) * h + y) * w;
-                let dst = ((n * c + ch) * nh + y + pad) * nw + pad;
-                od[dst..dst + w].copy_from_slice(&id[src..src + w]);
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// [`pad_spatial`] writing into a caller-provided `[b, c, h+2p, w+2p]`
-/// buffer.
+/// Pads the spatial dims of a `[b, c, h, w]` tensor with `pad` rings of
+/// `value`, into a caller-provided `[b, c, h+2p, w+2p]` buffer.
 // darlint: hot
 fn pad_spatial_into(input: &Tensor, pad: usize, value: f32, out: &mut Tensor) -> Result<()> {
     let d = input.dims();
@@ -89,8 +68,8 @@ fn pad_spatial_into(input: &Tensor, pad: usize, value: f32, out: &mut Tensor) ->
     Ok(())
 }
 
-/// Crops one ring of `pad` from the spatial dims (inverse of
-/// [`pad_spatial`]).
+/// Crops `pad` rings from the spatial dims (inverse of
+/// [`pad_spatial_into`]).
 fn crop_spatial(input: &Tensor, pad: usize) -> Result<Tensor> {
     let d = input.dims();
     let (b, c, nh, nw) = (d[0], d[1], d[2], d[3]);
@@ -128,13 +107,16 @@ pub struct InceptionBlock {
     b4_pool: MaxPool2d,
     b4_proj: Conv2d,
     b4_act: Relu,
-    pad_dims: Option<Vec<usize>>,
-    /// Per-branch workspaces for the zero-alloc inference path: the four
-    /// branches may run on scoped threads, so each needs its own pool.
+    /// Pools for the three branches a parallel policy runs on scoped
+    /// worker threads (the fourth, and all four under a serial policy, run
+    /// on the calling thread in the caller's workspace). The block owns
+    /// them, so under a parallel policy they stay warm across calls even
+    /// when the caller's workspace is a fresh one (as in
+    /// [`Layer::forward`]); every checkout is zero-filled, so results do
+    /// not depend on what a pool held before.
     ws1: Workspace,
     ws2: Workspace,
     ws3: Workspace,
-    ws4: Workspace,
     par: Parallelism,
 }
 
@@ -156,11 +138,9 @@ impl InceptionBlock {
             b4_pool: MaxPool2d::new(3, 1),
             b4_proj: Conv2d::square(in_channels, channels.pool_proj, 1, 1, 0, rng),
             b4_act: Relu::new(),
-            pad_dims: None,
             ws1: Workspace::new(),
             ws2: Workspace::new(),
             ws3: Workspace::new(),
-            ws4: Workspace::new(),
             par: Parallelism::serial(),
         }
     }
@@ -172,74 +152,6 @@ impl InceptionBlock {
 }
 
 impl Layer for InceptionBlock {
-    // darlint: cold — owned-output twin of forward_into; Train mode caches branch activations and allocates by design
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        if input.rank() != 4 {
-            return Err(NnError::InvalidConfig(format!(
-                "inception block expects rank-4 input, got {:?}",
-                input.dims()
-            )));
-        }
-        // The four branches touch disjoint fields, so with a parallel policy
-        // they run on scoped threads; each branch is internally unchanged,
-        // and concatenation order is fixed, so output bytes never depend on
-        // the dispatch strategy.
-        let InceptionBlock {
-            b1,
-            b1_act,
-            b2_reduce,
-            b2_reduce_act,
-            b2,
-            b2_act,
-            b3_reduce,
-            b3_reduce_act,
-            b3,
-            b3_act,
-            b4_pool,
-            b4_proj,
-            b4_act,
-            pad_dims,
-            par,
-            ..
-        } = self;
-        let mut branch1 =
-            move || -> Result<Tensor> { b1_act.forward(&b1.forward(input, mode)?, mode) };
-        let mut branch2 = move || -> Result<Tensor> {
-            let r = b2_reduce_act.forward(&b2_reduce.forward(input, mode)?, mode)?;
-            b2_act.forward(&b2.forward(&r, mode)?, mode)
-        };
-        let mut branch3 = move || -> Result<Tensor> {
-            let r = b3_reduce_act.forward(&b3_reduce.forward(input, mode)?, mode)?;
-            b3_act.forward(&b3.forward(&r, mode)?, mode)
-        };
-        let mut branch4 = move || -> Result<Tensor> {
-            // Same-size 3×3 max pool: pad with -inf so padding never wins.
-            let padded = pad_spatial(input, 1, f32::NEG_INFINITY)?;
-            if mode == Mode::Train {
-                *pad_dims = Some(padded.dims().to_vec());
-            }
-            let pooled = b4_pool.forward(&padded, mode)?;
-            b4_act.forward(&b4_proj.forward(&pooled, mode)?, mode)
-        };
-        let (y1, y2, y3, y4) = if par.is_serial() {
-            (branch1(), branch2(), branch3(), branch4())
-        } else {
-            std::thread::scope(|scope| {
-                let h1 = scope.spawn(branch1);
-                let h2 = scope.spawn(branch2);
-                let h3 = scope.spawn(branch3);
-                let y4 = branch4();
-                (
-                    join_worker(h1, "Inception branch 1"),
-                    join_worker(h2, "Inception branch 2"),
-                    join_worker(h3, "Inception branch 3"),
-                    y4,
-                )
-            })
-        };
-        Ok(Tensor::concat(&[&y1?, &y2?, &y3?, &y4?], 1)?)
-    }
-
     // darlint: hot
     fn forward_into(
         &mut self,
@@ -247,18 +159,13 @@ impl Layer for InceptionBlock {
         mode: Mode,
         ws: &mut Workspace,
     ) -> Result<TensorView> {
-        if mode == Mode::Train {
-            return self.forward(input, mode);
-        }
-        if input.rank() != 4 {
-            return Err(NnError::InvalidConfig(format!(
-                "inception block expects rank-4 input, got {:?}",
-                input.dims()
-            )));
-        }
-        // Same branch structure as `forward`, but every intermediate lives
-        // in the branch's own workspace; only the concatenated result comes
-        // from the caller's pool.
+        let d = rank4_dims(input, "inception block")?;
+        // The four branches touch disjoint fields, so with a parallel policy
+        // they run on scoped threads; each branch is internally unchanged,
+        // and concatenation order is fixed, so output bytes never depend on
+        // the dispatch strategy. A branch keeps its intermediates in the
+        // pool it is handed: the caller's on the calling thread, one of the
+        // block's own on a worker.
         let (y1, y2, y3, y4) = {
             let InceptionBlock {
                 b1,
@@ -277,56 +184,55 @@ impl Layer for InceptionBlock {
                 ws1,
                 ws2,
                 ws3,
-                ws4,
                 par,
                 ..
             } = self;
-            let mut branch1 = move || -> Result<TensorView> {
-                let a = b1.forward_into(input, mode, ws1)?;
-                let y = b1_act.forward_into(&a, mode, ws1)?;
-                ws1.restore(a);
+            let mut branch1 = move |ws: &mut Workspace| -> Result<TensorView> {
+                let a = b1.forward_into(input, mode, ws)?;
+                let y = b1_act.forward_into(&a, mode, ws)?;
+                ws.restore(a);
                 Ok(y)
             };
-            let mut branch2 = move || -> Result<TensorView> {
-                let a = b2_reduce.forward_into(input, mode, ws2)?;
-                let r = b2_reduce_act.forward_into(&a, mode, ws2)?;
-                ws2.restore(a);
-                let c = b2.forward_into(&r, mode, ws2)?;
-                ws2.restore(r);
-                let y = b2_act.forward_into(&c, mode, ws2)?;
-                ws2.restore(c);
+            let mut branch2 = move |ws: &mut Workspace| -> Result<TensorView> {
+                let a = b2_reduce.forward_into(input, mode, ws)?;
+                let r = b2_reduce_act.forward_into(&a, mode, ws)?;
+                ws.restore(a);
+                let c = b2.forward_into(&r, mode, ws)?;
+                ws.restore(r);
+                let y = b2_act.forward_into(&c, mode, ws)?;
+                ws.restore(c);
                 Ok(y)
             };
-            let mut branch3 = move || -> Result<TensorView> {
-                let a = b3_reduce.forward_into(input, mode, ws3)?;
-                let r = b3_reduce_act.forward_into(&a, mode, ws3)?;
-                ws3.restore(a);
-                let c = b3.forward_into(&r, mode, ws3)?;
-                ws3.restore(r);
-                let y = b3_act.forward_into(&c, mode, ws3)?;
-                ws3.restore(c);
+            let mut branch3 = move |ws: &mut Workspace| -> Result<TensorView> {
+                let a = b3_reduce.forward_into(input, mode, ws)?;
+                let r = b3_reduce_act.forward_into(&a, mode, ws)?;
+                ws.restore(a);
+                let c = b3.forward_into(&r, mode, ws)?;
+                ws.restore(r);
+                let y = b3_act.forward_into(&c, mode, ws)?;
+                ws.restore(c);
                 Ok(y)
             };
-            let mut branch4 = move || -> Result<TensorView> {
-                let d = input.dims();
-                let mut padded = ws4.checkout(&[d[0], d[1], d[2] + 2, d[3] + 2]);
+            let mut branch4 = move |ws: &mut Workspace| -> Result<TensorView> {
+                // Same-size 3×3 max pool: pad with -inf so padding never wins.
+                let mut padded = ws.checkout(&[d[0], d[1], d[2] + 2, d[3] + 2]);
                 pad_spatial_into(input, 1, f32::NEG_INFINITY, &mut padded)?;
-                let pooled = b4_pool.forward_into(&padded, mode, ws4)?;
-                ws4.restore(padded);
-                let p = b4_proj.forward_into(&pooled, mode, ws4)?;
-                ws4.restore(pooled);
-                let y = b4_act.forward_into(&p, mode, ws4)?;
-                ws4.restore(p);
+                let pooled = b4_pool.forward_into(&padded, mode, ws)?;
+                ws.restore(padded);
+                let p = b4_proj.forward_into(&pooled, mode, ws)?;
+                ws.restore(pooled);
+                let y = b4_act.forward_into(&p, mode, ws)?;
+                ws.restore(p);
                 Ok(y)
             };
             if par.is_serial() {
-                (branch1(), branch2(), branch3(), branch4())
+                (branch1(ws), branch2(ws), branch3(ws), branch4(ws))
             } else {
                 std::thread::scope(|scope| {
-                    let h1 = scope.spawn(branch1);
-                    let h2 = scope.spawn(branch2);
-                    let h3 = scope.spawn(branch3);
-                    let y4 = branch4();
+                    let h1 = scope.spawn(move || branch1(ws1));
+                    let h2 = scope.spawn(move || branch2(ws2));
+                    let h3 = scope.spawn(move || branch3(ws3));
+                    let y4 = branch4(ws);
                     (
                         join_worker(h1, "Inception branch 1"),
                         join_worker(h2, "Inception branch 2"),
@@ -340,10 +246,17 @@ impl Layer for InceptionBlock {
         let d = y1.dims();
         let mut out = ws.checkout(&[d[0], self.channels.total(), d[2], d[3]]);
         Tensor::concat_into(&[&y1, &y2, &y3, &y4], 1, &mut out)?;
-        self.ws1.restore(y1);
-        self.ws2.restore(y2);
-        self.ws3.restore(y3);
-        self.ws4.restore(y4);
+        // Each branch output goes back to the pool it came from.
+        if self.par.is_serial() {
+            ws.restore(y1);
+            ws.restore(y2);
+            ws.restore(y3);
+        } else {
+            self.ws1.restore(y1);
+            self.ws2.restore(y2);
+            self.ws3.restore(y3);
+        }
+        ws.restore(y4);
         Ok(out)
     }
 
@@ -426,8 +339,9 @@ mod tests {
     #[test]
     fn pad_crop_roundtrip() {
         let x = Tensor::from_vec((0..16).map(|v| v as f32).collect(), &[1, 1, 4, 4]).unwrap();
-        let padded = pad_spatial(&x, 2, 0.0).unwrap();
-        assert_eq!(padded.dims(), &[1, 1, 8, 8]);
+        let mut padded = Tensor::full(&[1, 1, 8, 8], 9.0); // stale contents
+        pad_spatial_into(&x, 2, 0.0, &mut padded).unwrap();
+        assert_eq!(padded.sum(), x.sum());
         let back = crop_spatial(&padded, 2).unwrap();
         assert_eq!(back, x);
     }
@@ -435,7 +349,8 @@ mod tests {
     #[test]
     fn negative_inf_padding_never_wins_pool() {
         let x = Tensor::full(&[1, 1, 2, 2], -5.0);
-        let padded = pad_spatial(&x, 1, f32::NEG_INFINITY).unwrap();
+        let mut padded = Tensor::zeros(&[1, 1, 4, 4]);
+        pad_spatial_into(&x, 1, f32::NEG_INFINITY, &mut padded).unwrap();
         let (pooled, _) =
             darnet_tensor::max_pool2d(&padded, &darnet_tensor::PoolSpec::new(3, 1)).unwrap();
         assert!(pooled.data().iter().all(|&v| v == -5.0));
@@ -486,6 +401,36 @@ mod tests {
         let ys = serial.forward(&x, Mode::Eval).unwrap();
         let yp = parallel.forward(&x, Mode::Eval).unwrap();
         assert_eq!(ys, yp);
+    }
+
+    #[test]
+    fn own_branch_pools_go_flat_once_warm() {
+        // The ledger's shape sequence: batch 8 → 6 → 8, under a policy that
+        // puts three branches on workers (a serial one never touches the
+        // block's pools).
+        let mut block = InceptionBlock::new(2, tiny_channels(), &mut SplitMix64::new(4));
+        block.set_parallelism(Parallelism::new(4).with_min_work(1));
+        let (x8, x6) = (Tensor::ones(&[8, 2, 5, 5]), Tensor::ones(&[6, 2, 5, 5]));
+        let mut ws = Workspace::new();
+        let mut lap = |block: &mut InceptionBlock| {
+            for x in [&x8, &x6, &x8] {
+                let y = block.forward_into(x, Mode::Eval, &mut ws).unwrap();
+                ws.restore(y);
+            }
+            [&block.ws1, &block.ws2, &block.ws3].map(Workspace::cold_misses)
+        };
+        lap(&mut block);
+        let warm = lap(&mut block);
+        assert!(warm.iter().all(|&misses| misses > 0));
+        assert_eq!(lap(&mut block), warm, "a warm branch pool allocated again");
+
+        // Under a serial policy the block keeps nothing: a call leaves
+        // its own pools as they were.
+        block.set_parallelism(Parallelism::serial());
+        let pooled = |b: &InceptionBlock| [&b.ws1, &b.ws2, &b.ws3].map(Workspace::pooled_elems);
+        let before = pooled(&block);
+        block.forward(&x8, Mode::Eval).unwrap();
+        assert_eq!(pooled(&block), before);
     }
 
     #[test]

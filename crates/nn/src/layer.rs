@@ -18,32 +18,36 @@ pub enum Mode {
 
 /// A differentiable network layer.
 ///
-/// Layers cache whatever they need during [`Layer::forward`] and replay it
-/// in [`Layer::backward`], which receives `dL/d(output)` and must return
-/// `dL/d(input)` while *accumulating* parameter gradients into its
-/// [`Param`]s.
+/// Each layer has one forward body, [`Layer::forward_into`]. In
+/// [`Mode::Train`] it also keeps whatever [`Layer::backward`] needs, which
+/// receives `dL/d(output)` and must return `dL/d(input)` while
+/// *accumulating* parameter gradients into the layer's [`Param`]s.
 ///
 /// Layers are `Send` so whole sub-networks can be moved across (or borrowed
 /// by) scoped worker threads when a model runs its branches concurrently.
 pub trait Layer: Send {
-    /// Computes the layer output for `input`.
+    /// Computes the layer output for `input` as an owned tensor: runs
+    /// [`Layer::forward_into`] on a fresh, empty [`Workspace`], so nothing
+    /// the call touches was used by an earlier one.
     ///
     /// # Errors
     ///
     /// Returns an error if the input shape is incompatible with the layer.
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor>;
+    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
+        self.forward_into(input, mode, &mut Workspace::new())
+    }
 
     /// Computes the layer output into a buffer checked out from `ws`,
-    /// avoiding heap allocation once the workspace is warm.
+    /// avoiding heap allocation in [`Mode::Eval`] once the workspace is
+    /// warm.
     ///
-    /// The returned [`TensorView`] is bitwise identical to what
-    /// [`Layer::forward`] would produce; callers should hand it back via
-    /// [`Workspace::restore`] when done so the buffer is reused. The
-    /// caller's `input` is never consumed. Implementations only take the
-    /// workspace path in [`Mode::Eval`]; in [`Mode::Train`] they defer to
-    /// `forward` (training must cache activations, which requires owned
-    /// allocations anyway). The default implementation just calls
-    /// `forward`, so custom layers remain correct without opting in.
+    /// Callers should hand the returned [`TensorView`] back via
+    /// [`Workspace::restore`] when done so the buffer is reused; keeping it
+    /// is fine too (it is an ordinary owned tensor). The caller's `input`
+    /// is never consumed. In [`Mode::Train`] the same body runs, and the
+    /// buffers `backward` will read (im2col patches, masks, argmax
+    /// indices, gate activations) move into the layer's cache instead of
+    /// going back to the pool, so a training step allocates what it keeps.
     ///
     /// # Errors
     ///
@@ -53,10 +57,7 @@ pub trait Layer: Send {
         input: &Tensor,
         mode: Mode,
         ws: &mut Workspace,
-    ) -> Result<TensorView> {
-        let _ = ws;
-        self.forward(input, mode)
-    }
+    ) -> Result<TensorView>;
 
     /// Backpropagates `grad_out = dL/d(output)`, accumulating parameter
     /// gradients, and returns `dL/d(input)`.
@@ -103,14 +104,6 @@ impl Relu {
 }
 
 impl Layer for Relu {
-    // darlint: cold — owned-output twin of forward_into; Train mode caches the mask and allocates by design
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        if mode == Mode::Train {
-            self.mask = Some(input.data().iter().map(|&v| v > 0.0).collect());
-        }
-        Ok(input.map(|v| v.max(0.0)))
-    }
-
     // darlint: hot
     fn forward_into(
         &mut self,
@@ -119,7 +112,9 @@ impl Layer for Relu {
         ws: &mut Workspace,
     ) -> Result<TensorView> {
         if mode == Mode::Train {
-            return self.forward(input, mode);
+            let mask = self.mask.get_or_insert_with(Vec::new);
+            mask.clear();
+            mask.extend(input.data().iter().map(|&v| v > 0.0));
         }
         let mut out = ws.checkout(input.dims());
         input.map_into(|v| v.max(0.0), &mut out)?;
@@ -184,6 +179,17 @@ pub(crate) fn join_worker<T>(
         .map_err(|_| NnError::WorkerPanicked { layer })?
 }
 
+/// The dims of a `[batch, c, h, w]` input, or `layer`'s typed rank error.
+pub(crate) fn rank4_dims(input: &Tensor, layer: &str) -> Result<[usize; 4]> {
+    match *input.dims() {
+        [b, c, h, w] => Ok([b, c, h, w]),
+        _ => Err(NnError::InvalidConfig(format!(
+            "{layer} expects [batch, c, h, w], got {:?}",
+            input.dims()
+        ))),
+    }
+}
+
 /// Numerically stable scalar sigmoid.
 pub(crate) fn sigmoid_scalar(x: f32) -> f32 {
     if x >= 0.0 {
@@ -195,14 +201,6 @@ pub(crate) fn sigmoid_scalar(x: f32) -> f32 {
 }
 
 impl Layer for Sigmoid {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        let out = input.map(sigmoid_scalar);
-        if mode == Mode::Train {
-            self.output = Some(out.clone());
-        }
-        Ok(out)
-    }
-
     // darlint: hot
     fn forward_into(
         &mut self,
@@ -210,11 +208,11 @@ impl Layer for Sigmoid {
         mode: Mode,
         ws: &mut Workspace,
     ) -> Result<TensorView> {
-        if mode == Mode::Train {
-            return self.forward(input, mode);
-        }
         let mut out = ws.checkout(input.dims());
         input.map_into(sigmoid_scalar, &mut out)?;
+        if mode == Mode::Train {
+            self.output = Some(out.clone());
+        }
         Ok(out)
     }
 
@@ -253,14 +251,6 @@ impl Tanh {
 }
 
 impl Layer for Tanh {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        let out = input.map(f32::tanh);
-        if mode == Mode::Train {
-            self.output = Some(out.clone());
-        }
-        Ok(out)
-    }
-
     // darlint: hot
     fn forward_into(
         &mut self,
@@ -268,11 +258,11 @@ impl Layer for Tanh {
         mode: Mode,
         ws: &mut Workspace,
     ) -> Result<TensorView> {
-        if mode == Mode::Train {
-            return self.forward(input, mode);
-        }
         let mut out = ws.checkout(input.dims());
         input.map_into(f32::tanh, &mut out)?;
+        if mode == Mode::Train {
+            self.output = Some(out.clone());
+        }
         Ok(out)
     }
 
@@ -312,17 +302,6 @@ impl Flatten {
 }
 
 impl Layer for Flatten {
-    // darlint: cold — owned-output twin of forward_into; caches input dims for backward and allocates by design
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Result<Tensor> {
-        if input.rank() < 1 {
-            return Err(NnError::InvalidConfig("flatten needs rank >= 1".into()));
-        }
-        self.input_dims = Some(input.dims().to_vec());
-        let batch = input.dims()[0];
-        let feats = input.len() / batch.max(1);
-        Ok(input.reshape(&[batch, feats])?)
-    }
-
     // darlint: hot
     fn forward_into(
         &mut self,
@@ -330,11 +309,13 @@ impl Layer for Flatten {
         mode: Mode,
         ws: &mut Workspace,
     ) -> Result<TensorView> {
-        if mode == Mode::Train {
-            return self.forward(input, mode);
-        }
         if input.rank() < 1 {
             return Err(NnError::InvalidConfig("flatten needs rank >= 1".into()));
+        }
+        if mode == Mode::Train {
+            let dims = self.input_dims.get_or_insert_with(Vec::new);
+            dims.clear();
+            dims.extend_from_slice(input.dims());
         }
         let batch = input.dims()[0];
         let feats = input.len() / batch.max(1);

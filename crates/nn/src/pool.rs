@@ -1,12 +1,12 @@
 //! Pooling layers: max, average, and global average pooling.
 
 use darnet_tensor::{
-    avg_pool2d_backward, avg_pool2d_into, avg_pool2d_with, max_pool2d_backward, max_pool2d_into,
-    max_pool2d_with, Parallelism, PoolSpec, Tensor, TensorView, Workspace,
+    avg_pool2d_backward, avg_pool2d_into, max_pool2d_backward, max_pool2d_into, Parallelism,
+    PoolSpec, Tensor, TensorView, Workspace,
 };
 
 use crate::error::NnError;
-use crate::layer::{Layer, Mode};
+use crate::layer::{rank4_dims, Layer, Mode};
 use crate::param::Param;
 use crate::Result;
 
@@ -14,10 +14,10 @@ use crate::Result;
 #[derive(Debug, Clone)]
 pub struct MaxPool2d {
     spec: PoolSpec,
-    argmax: Option<Vec<usize>>,
-    input_dims: Option<Vec<usize>>,
-    /// Reused argmax buffer for the workspace inference path (Eval mode
-    /// never needs the indices, but the kernel still produces them).
+    /// Train-mode cache: the winning indices and the input dims.
+    cache: Option<(Vec<usize>, [usize; 4])>,
+    /// Reused argmax buffer for Eval mode, which never needs the indices
+    /// (the kernel still produces them).
     scratch_arg: Vec<usize>,
     par: Parallelism,
 }
@@ -27,8 +27,7 @@ impl MaxPool2d {
     pub fn new(window: usize, stride: usize) -> Self {
         MaxPool2d {
             spec: PoolSpec::new(window, stride),
-            argmax: None,
-            input_dims: None,
+            cache: None,
             scratch_arg: Vec::new(),
             par: Parallelism::serial(),
         }
@@ -36,16 +35,6 @@ impl MaxPool2d {
 }
 
 impl Layer for MaxPool2d {
-    // darlint: cold — owned-output twin of forward_into; Train mode caches argmax indices and allocates by design
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        let (out, arg) = max_pool2d_with(input, &self.spec, &self.par)?;
-        if mode == Mode::Train {
-            self.argmax = Some(arg);
-            self.input_dims = Some(input.dims().to_vec());
-        }
-        Ok(out)
-    }
-
     // darlint: hot
     fn forward_into(
         &mut self,
@@ -53,32 +42,22 @@ impl Layer for MaxPool2d {
         mode: Mode,
         ws: &mut Workspace,
     ) -> Result<TensorView> {
-        if mode == Mode::Train {
-            return self.forward(input, mode);
-        }
-        if input.rank() != 4 {
-            return Err(NnError::InvalidConfig(format!(
-                "max pool expects rank-4 input, got {:?}",
-                input.dims()
-            )));
-        }
-        let d = input.dims();
+        let d = rank4_dims(input, "max pool")?;
         let (oh, ow) = self.spec.output_size(d[2], d[3])?;
         let mut out = ws.checkout(&[d[0], d[1], oh, ow]);
         let mut arg = std::mem::take(&mut self.scratch_arg);
-        let result = max_pool2d_into(input, &self.spec, &self.par, &mut out, &mut arg);
-        self.scratch_arg = arg;
-        result?;
+        max_pool2d_into(input, &self.spec, &self.par, &mut out, &mut arg)?;
+        if mode == Mode::Train {
+            self.cache = Some((arg, d));
+        } else {
+            self.scratch_arg = arg;
+        }
         Ok(out)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let arg = self
-            .argmax
-            .as_ref()
-            .ok_or(NnError::NoForwardCache { layer: "MaxPool2d" })?;
-        let dims = self
-            .input_dims
+        let (arg, dims) = self
+            .cache
             .as_ref()
             .ok_or(NnError::NoForwardCache { layer: "MaxPool2d" })?;
         Ok(max_pool2d_backward(grad_out, arg, dims)?)
@@ -101,7 +80,7 @@ impl Layer for MaxPool2d {
 #[derive(Debug, Clone)]
 pub struct AvgPool2d {
     spec: PoolSpec,
-    input_dims: Option<Vec<usize>>,
+    input_dims: Option<[usize; 4]>,
     par: Parallelism,
 }
 
@@ -117,15 +96,6 @@ impl AvgPool2d {
 }
 
 impl Layer for AvgPool2d {
-    // darlint: cold — owned-output twin of forward_into; Train mode caches input dims and allocates by design
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        let out = avg_pool2d_with(input, &self.spec, &self.par)?;
-        if mode == Mode::Train {
-            self.input_dims = Some(input.dims().to_vec());
-        }
-        Ok(out)
-    }
-
     // darlint: hot
     fn forward_into(
         &mut self,
@@ -133,19 +103,13 @@ impl Layer for AvgPool2d {
         mode: Mode,
         ws: &mut Workspace,
     ) -> Result<TensorView> {
-        if mode == Mode::Train {
-            return self.forward(input, mode);
-        }
-        if input.rank() != 4 {
-            return Err(NnError::InvalidConfig(format!(
-                "avg pool expects rank-4 input, got {:?}",
-                input.dims()
-            )));
-        }
-        let d = input.dims();
+        let d = rank4_dims(input, "avg pool")?;
         let (oh, ow) = self.spec.output_size(d[2], d[3])?;
         let mut out = ws.checkout(&[d[0], d[1], oh, ow]);
         avg_pool2d_into(input, &self.spec, &self.par, &mut out)?;
+        if mode == Mode::Train {
+            self.input_dims = Some(d);
+        }
         Ok(out)
     }
 
@@ -175,7 +139,7 @@ impl Layer for AvgPool2d {
 /// large dense layers before the classifier head.
 #[derive(Debug, Clone, Default)]
 pub struct GlobalAvgPool {
-    input_dims: Option<Vec<usize>>,
+    input_dims: Option<[usize; 4]>,
 }
 
 impl GlobalAvgPool {
@@ -186,33 +150,6 @@ impl GlobalAvgPool {
 }
 
 impl Layer for GlobalAvgPool {
-    // darlint: cold — owned-output twin of forward_into; Train mode caches input dims and allocates by design
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        if input.rank() != 4 {
-            return Err(NnError::InvalidConfig(format!(
-                "global avg pool expects rank-4 input, got {:?}",
-                input.dims()
-            )));
-        }
-        let d = input.dims();
-        let (b, c, h, w) = (d[0], d[1], d[2], d[3]);
-        let hw = (h * w) as f32;
-        let mut out = Tensor::zeros(&[b, c]);
-        let od = out.data_mut();
-        let id = input.data();
-        for n in 0..b {
-            for ch in 0..c {
-                let base = (n * c + ch) * h * w;
-                let sum: f32 = id[base..base + h * w].iter().sum();
-                od[n * c + ch] = sum / hw;
-            }
-        }
-        if mode == Mode::Train {
-            self.input_dims = Some(d.to_vec());
-        }
-        Ok(out)
-    }
-
     // darlint: hot
     fn forward_into(
         &mut self,
@@ -220,17 +157,8 @@ impl Layer for GlobalAvgPool {
         mode: Mode,
         ws: &mut Workspace,
     ) -> Result<TensorView> {
-        if mode == Mode::Train {
-            return self.forward(input, mode);
-        }
-        if input.rank() != 4 {
-            return Err(NnError::InvalidConfig(format!(
-                "global avg pool expects rank-4 input, got {:?}",
-                input.dims()
-            )));
-        }
-        let d = input.dims();
-        let (b, c, h, w) = (d[0], d[1], d[2], d[3]);
+        let d = rank4_dims(input, "global avg pool")?;
+        let [b, c, h, w] = d;
         let hw = (h * w) as f32;
         let mut out = ws.checkout(&[b, c]);
         let od = out.data_mut();
@@ -242,6 +170,9 @@ impl Layer for GlobalAvgPool {
                 od[n * c + ch] = sum / hw;
             }
         }
+        if mode == Mode::Train {
+            self.input_dims = Some(d);
+        }
         Ok(out)
     }
 
@@ -249,7 +180,7 @@ impl Layer for GlobalAvgPool {
         let dims = self.input_dims.as_ref().ok_or(NnError::NoForwardCache {
             layer: "GlobalAvgPool",
         })?;
-        let (b, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
+        let [b, c, h, w] = *dims;
         if grad_out.dims() != [b, c] {
             return Err(NnError::Tensor(darnet_tensor::TensorError::ShapeMismatch {
                 left: grad_out.dims().to_vec(),

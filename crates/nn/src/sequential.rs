@@ -64,20 +64,6 @@ impl std::fmt::Debug for Sequential {
 }
 
 impl Layer for Sequential {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        // The first layer reads the caller's input directly; cloning it up
-        // front would be a wasted allocation on every forward pass.
-        let mut layers = self.layers.iter_mut();
-        let Some(first) = layers.next() else {
-            return Ok(input.clone());
-        };
-        let mut x = first.forward(input, mode)?;
-        for layer in layers {
-            x = layer.forward(&x, mode)?;
-        }
-        Ok(x)
-    }
-
     // darlint: hot
     fn forward_into(
         &mut self,
@@ -85,9 +71,8 @@ impl Layer for Sequential {
         mode: Mode,
         ws: &mut Workspace,
     ) -> Result<TensorView> {
-        if mode == Mode::Train {
-            return self.forward(input, mode);
-        }
+        // The first layer reads the caller's input directly; copying it up
+        // front would be wasted work on every forward pass.
         let mut layers = self.layers.iter_mut();
         let Some(first) = layers.next() else {
             let mut out = ws.checkout(input.dims());

@@ -167,6 +167,7 @@ impl LinearSvm {
     /// # Errors
     ///
     /// Returns an error on feature-width mismatch.
+    // darlint: cold — the SVM baseline has no workspace path; the engine's SVM slot takes this owned result and copies the rows out
     pub fn predict_proba(&self, x: &Tensor) -> Result<Tensor> {
         softmax(&self.decision_function(x)?)
     }

@@ -1,15 +1,25 @@
-//! Bitwise-equality tests for the workspace-backed `forward_into` path.
+//! Cold-vs-warm tests for the one forward body, `forward_into`.
 //!
-//! Every layer's `forward_into` must produce output bytes identical to its
-//! allocating `forward`, for serial and threaded policies alike, and a
-//! warm workspace must stop allocating (cold-miss counter goes flat).
+//! `forward` is `forward_into` on a fresh workspace, so "the two paths
+//! agree" is true by construction. What still needs holding is that a
+//! *warm* call — recycled, dirty buffers in the caller's workspace and in
+//! the worker-thread pools `InceptionBlock` and `BiLstm` own (used under
+//! a parallel policy), after the batch shape changed, after a
+//! `Mode::Train` call — returns the bytes a cold call on a freshly built
+//! layer returns, and that a warm workspace stops allocating (cold-miss
+//! counter goes flat).
+
+// The helpers below are not #[test] fns themselves, so clippy's
+// allow-unwrap-in-tests does not reach them; a failed unwrap here IS the
+// test failing.
+#![allow(clippy::unwrap_used)]
 
 use darnet_nn::{
     AvgPool2d, BiLstm, Conv2d, DeepBiLstmClassifier, Dense, Dropout, Flatten, GlobalAvgPool,
-    InceptionBlock, InceptionChannels, Layer, LstmCell, MaxPool2d, Mode, Relu, Sequential, Sigmoid,
-    Tanh,
+    InceptionBlock, InceptionChannels, Layer, LstmCell, MaxPool2d, Mode, NnError, Relu, Sequential,
+    Sigmoid, Tanh,
 };
-use darnet_tensor::{Parallelism, SplitMix64, Tensor, Workspace};
+use darnet_tensor::{Parallelism, SplitMix64, Tensor, TensorError, Workspace};
 
 fn random_tensor(dims: &[usize], seed: u64) -> Tensor {
     let mut rng = SplitMix64::new(seed);
@@ -20,167 +30,259 @@ fn random_tensor(dims: &[usize], seed: u64) -> Tensor {
     t
 }
 
-/// Runs `forward` and `forward_into` three times each, asserting bitwise
-/// identity on every round and that cold misses stop after the first
-/// workspace round.
-// Not a #[test] fn itself, so clippy's allow-unwrap-in-tests does not
-// apply; here a failed unwrap IS the test failing.
-#[allow(clippy::unwrap_used)]
-fn assert_into_matches(layer: &mut dyn Layer, input: &Tensor) {
+/// The first `batch` samples of `x`.
+fn head(x: &Tensor, batch: usize) -> Tensor {
+    let mut dims = x.dims().to_vec();
+    let keep = x.len() / dims[0] * batch;
+    dims[0] = batch;
+    Tensor::from_vec(x.data()[..keep].to_vec(), &dims).unwrap()
+}
+
+type Run<M> = fn(&mut M, &Tensor, Mode, &mut Workspace) -> Tensor;
+
+/// Holds a model to its cold result under the ledger's shape sequence.
+///
+/// `dims` is the input shape at batch 8. Cold = a freshly built model on a
+/// fresh workspace. One model and one workspace then serve laps of batch
+/// 8, 8, 6, 8: every output must be bitwise the cold one, and the third
+/// lap must not add a cold miss. Finally a `Mode::Train` call must not
+/// change what the next `Mode::Eval` call returns.
+fn assert_warm_is_cold<M>(build: impl Fn() -> M, run: Run<M>, dims: &[usize], seed: u64) {
+    assert_eq!(dims[0], 8);
+    let x8 = random_tensor(dims, seed);
+    let x6 = head(&x8, 6);
+    let cold = |x: &Tensor| run(&mut build(), x, Mode::Eval, &mut Workspace::new());
+    let (cold8, cold6) = (cold(&x8), cold(&x6));
+
+    let mut model = build();
     let mut ws = Workspace::new();
-    let expected = layer.forward(input, Mode::Eval).unwrap();
-    for round in 0..3 {
-        let got = layer.forward_into(input, Mode::Eval, &mut ws).unwrap();
-        assert_eq!(got, expected, "round {round} diverged from forward()");
-        ws.restore(got);
-        if round == 0 {
-            // Pin the warm-up cost; later rounds must not add to it.
-            let misses = ws.cold_misses();
-            let got = layer.forward_into(input, Mode::Eval, &mut ws).unwrap();
+    for lap in 0..3 {
+        let misses = ws.cold_misses();
+        for (x, want) in [(&x8, &cold8), (&x8, &cold8), (&x6, &cold6), (&x8, &cold8)] {
+            let got = run(&mut model, x, Mode::Eval, &mut ws);
+            assert_eq!(&got, want, "lap {lap}: warm call diverged from cold");
             ws.restore(got);
-            assert_eq!(
-                ws.cold_misses(),
-                misses,
-                "warm workspace allocated again for {}",
-                layer.name()
-            );
+        }
+        if lap == 2 {
+            assert_eq!(ws.cold_misses(), misses, "warm workspace allocated again");
         }
     }
+
+    let trained = run(&mut model, &x6, Mode::Train, &mut ws);
+    ws.restore(trained);
+    let got = run(&mut model, &x8, Mode::Eval, &mut ws);
+    assert_eq!(got, cold8, "Eval after Train diverged from cold Eval");
 }
 
-#[test]
-fn activations_and_flatten_match() {
-    let x = random_tensor(&[3, 4, 2, 2], 1);
-    assert_into_matches(&mut Relu::new(), &x);
-    assert_into_matches(&mut Sigmoid::new(), &x);
-    assert_into_matches(&mut Tanh::new(), &x);
-    assert_into_matches(&mut Flatten::new(), &x);
-    assert_into_matches(&mut Dropout::new(0.4, 7), &x);
+fn assert_layer<L: Layer>(build: impl Fn() -> L, dims: &[usize], seed: u64) {
+    assert_warm_is_cold(
+        build,
+        |l, x, mode, ws| l.forward_into(x, mode, ws).unwrap(),
+        dims,
+        seed,
+    );
 }
 
-#[test]
-fn dense_matches_serial_and_parallel() {
-    let x = random_tensor(&[5, 6], 2);
-    for threads in [1, 4] {
-        let mut rng = SplitMix64::new(3);
-        let mut layer = Dense::new(6, 4, &mut rng);
-        layer.set_parallelism(Parallelism::new(threads).with_min_work(1));
-        assert_into_matches(&mut layer, &x);
-    }
+/// `layer` under a policy that fans out even on these tiny shapes.
+fn forced<L: Layer>(mut layer: L, threads: usize) -> L {
+    layer.set_parallelism(Parallelism::new(threads).with_min_work(1));
+    layer
 }
 
-#[test]
-fn conv_and_pools_match_serial_and_parallel() {
-    let x = random_tensor(&[2, 3, 6, 6], 4);
-    for threads in [1, 4] {
-        let par = Parallelism::new(threads).with_min_work(1);
-        let mut rng = SplitMix64::new(5);
-        let mut conv = Conv2d::square(3, 4, 3, 1, 1, &mut rng);
-        conv.set_parallelism(par);
-        assert_into_matches(&mut conv, &x);
-
-        let mut mp = MaxPool2d::new(2, 2);
-        mp.set_parallelism(par);
-        assert_into_matches(&mut mp, &x);
-
-        let mut ap = AvgPool2d::new(2, 2);
-        ap.set_parallelism(par);
-        assert_into_matches(&mut ap, &x);
-    }
-    assert_into_matches(&mut GlobalAvgPool::new(), &x);
-}
-
-#[test]
-fn sequential_stack_matches() {
-    let x = random_tensor(&[2, 1, 8, 8], 6);
-    for threads in [1, 4] {
-        let mut rng = SplitMix64::new(7);
-        let mut net = Sequential::new();
-        net.push(Conv2d::square(1, 4, 3, 1, 1, &mut rng));
-        net.push(Relu::new());
-        net.push(MaxPool2d::new(2, 2));
-        net.push(Flatten::new());
-        net.push(Dense::new(4 * 4 * 4, 5, &mut rng));
-        net.set_parallelism(Parallelism::new(threads).with_min_work(1));
-        assert_into_matches(&mut net, &x);
-    }
-}
-
-#[test]
-fn inception_block_matches_serial_and_parallel() {
-    let ch = InceptionChannels {
+fn tiny_channels() -> InceptionChannels {
+    InceptionChannels {
         c1: 2,
         c3_reduce: 2,
         c3: 3,
         c5_reduce: 1,
         c5: 2,
         pool_proj: 1,
-    };
-    let x = random_tensor(&[2, 3, 5, 5], 8);
-    for threads in [1, 4] {
-        let mut block = InceptionBlock::new(3, ch, &mut SplitMix64::new(9));
-        block.set_parallelism(Parallelism::new(threads).with_min_work(1));
-        assert_into_matches(&mut block, &x);
     }
 }
 
 #[test]
-fn lstm_cell_seq_into_matches() {
-    let x = random_tensor(&[2, 5, 3], 10);
+fn activations_flatten_and_dropout() {
+    let dims = [8, 4, 2, 2];
+    assert_layer(Relu::new, &dims, 1);
+    assert_layer(Sigmoid::new, &dims, 1);
+    assert_layer(Tanh::new, &dims, 1);
+    assert_layer(Flatten::new, &dims, 1);
+    assert_layer(|| Dropout::new(0.4, 7), &dims, 1);
+}
+
+#[test]
+fn dense_serial_and_parallel() {
     for threads in [1, 4] {
-        let mut cell = LstmCell::new(3, 6, &mut SplitMix64::new(11));
-        cell.set_parallelism(Parallelism::new(threads).with_min_work(1));
-        let expected = cell.forward_seq(&x, Mode::Eval).unwrap();
-        let mut ws = Workspace::new();
-        for _ in 0..3 {
-            let got = cell.forward_seq_into(&x, Mode::Eval, &mut ws).unwrap();
-            assert_eq!(got, expected);
-            ws.restore(got);
-        }
-        let misses = ws.cold_misses();
-        let got = cell.forward_seq_into(&x, Mode::Eval, &mut ws).unwrap();
-        ws.restore(got);
-        assert_eq!(ws.cold_misses(), misses, "warm LSTM workspace allocated");
+        let build = || forced(Dense::new(6, 4, &mut SplitMix64::new(3)), threads);
+        assert_layer(build, &[8, 6], 2);
     }
 }
 
 #[test]
-fn bilstm_and_classifier_match() {
-    let x = random_tensor(&[2, 6, 3], 12);
+fn conv_and_pools_serial_and_parallel() {
+    let dims = [8, 3, 6, 6];
     for threads in [1, 4] {
-        let mut bi = BiLstm::new(3, 5, &mut SplitMix64::new(13));
-        bi.set_parallelism(Parallelism::new(threads).with_min_work(1));
-        let expected = bi.forward_seq(&x, Mode::Eval).unwrap();
-        let mut ws = Workspace::new();
-        for _ in 0..3 {
-            let got = bi.forward_seq_into(&x, Mode::Eval, &mut ws).unwrap();
-            assert_eq!(got, expected);
-            ws.restore(got);
-        }
+        let conv = || Conv2d::square(3, 4, 3, 1, 1, &mut SplitMix64::new(5));
+        assert_layer(|| forced(conv(), threads), &dims, 4);
+        assert_layer(|| forced(MaxPool2d::new(2, 2), threads), &dims, 4);
+        assert_layer(|| forced(AvgPool2d::new(2, 2), threads), &dims, 4);
+    }
+    assert_layer(GlobalAvgPool::new, &dims, 4);
+}
 
-        let mut model = DeepBiLstmClassifier::new(3, 4, 2, 3, &mut SplitMix64::new(14));
-        model.set_parallelism(Parallelism::new(threads).with_min_work(1));
-        let expected = model.forward(&x, Mode::Eval).unwrap();
-        let mut ws = Workspace::new();
-        for _ in 0..3 {
-            let got = model.forward_into(&x, Mode::Eval, &mut ws).unwrap();
-            assert_eq!(got, expected);
-            ws.restore(got);
-        }
+#[test]
+fn sequential_stack() {
+    for threads in [1, 4] {
+        let build = || {
+            let mut rng = SplitMix64::new(7);
+            let mut net = Sequential::new();
+            net.push(Conv2d::square(1, 4, 3, 1, 1, &mut rng));
+            net.push(Relu::new());
+            net.push(MaxPool2d::new(2, 2));
+            net.push(Flatten::new());
+            net.push(Dense::new(4 * 4 * 4, 5, &mut rng));
+            forced(net, threads)
+        };
+        assert_layer(build, &[8, 1, 8, 8], 6);
+    }
+}
+
+/// Under the threaded policy the block's own worker pools are cold on the
+/// freshly built side and warm (and re-shaped by the 8 → 6 → 8 laps) on
+/// the other; `inception::tests::own_branch_pools_go_flat_once_warm`
+/// holds their cold-miss counters flat.
+#[test]
+fn inception_block_own_pools_serial_and_parallel() {
+    for threads in [1, 4] {
+        let build = || {
+            let block = InceptionBlock::new(3, tiny_channels(), &mut SplitMix64::new(9));
+            forced(block, threads)
+        };
+        assert_layer(build, &[8, 3, 5, 5], 8);
+
+        // The provided `forward` hands a warm block a fresh workspace.
+        let mut block = build();
+        let x = random_tensor(&[8, 3, 5, 5], 8);
+        let cold = block.forward(&x, Mode::Eval).unwrap();
+        block.forward(&head(&x, 6), Mode::Train).unwrap();
+        assert_eq!(block.forward(&x, Mode::Eval).unwrap(), cold);
     }
 }
 
 #[test]
-fn train_mode_falls_back_to_forward() {
-    // forward_into in Train mode must behave exactly like forward,
-    // including cache population (backward must work afterwards).
-    let x = random_tensor(&[2, 3], 15);
-    let mut rng = SplitMix64::new(16);
-    let mut layer = Dense::new(3, 2, &mut rng);
-    let mut ws = Workspace::new();
-    let y = layer.forward_into(&x, Mode::Train, &mut ws).unwrap();
-    assert_eq!(y.dims(), &[2, 2]);
-    assert!(layer.backward(&Tensor::ones(&[2, 2])).is_ok());
+fn lstm_cell_bilstm_and_classifier() {
+    let dims = [8, 5, 3];
+    for threads in [1, 4] {
+        let par = Parallelism::new(threads).with_min_work(1);
+        let cell = || {
+            let mut cell = LstmCell::new(3, 6, &mut SplitMix64::new(11));
+            cell.set_parallelism(par);
+            cell
+        };
+        assert_warm_is_cold(
+            cell,
+            |m, x, mode, ws| m.forward_seq_into(x, mode, ws).unwrap(),
+            &dims,
+            10,
+        );
+        let bi = || {
+            let mut bi = BiLstm::new(3, 5, &mut SplitMix64::new(13));
+            bi.set_parallelism(par);
+            bi
+        };
+        assert_warm_is_cold(
+            bi,
+            |m, x, mode, ws| m.forward_seq_into(x, mode, ws).unwrap(),
+            &dims,
+            12,
+        );
+        let model = || {
+            let mut model = DeepBiLstmClassifier::new(3, 4, 2, 3, &mut SplitMix64::new(14));
+            model.set_parallelism(par);
+            model
+        };
+        assert_warm_is_cold(
+            model,
+            |m, x, mode, ws| m.forward_into(x, mode, ws).unwrap(),
+            &dims,
+            12,
+        );
+    }
+}
+
+/// With one body a misuse has one error: `forward` and `forward_into`
+/// agree on it, in both modes, and it is the documented variant
+/// (`InvalidConfig` for a shape the layer cannot take, the tensor
+/// kernel's geometry error for a window that does not fit).
+#[test]
+fn every_layer_reports_one_typed_error_per_misuse() {
+    let mut rng = SplitMix64::new(15);
+    let config = |e: &NnError| matches!(e, NnError::InvalidConfig(_));
+    let geometry = |e: &NnError| matches!(e, NnError::Tensor(TensorError::InvalidGeometry(_)));
+    let channels = |e: &NnError| matches!(e, NnError::Tensor(TensorError::InvalidArgument(_)));
+    type Case = (Box<dyn Layer>, Vec<usize>, fn(&NnError) -> bool);
+    let cases: Vec<Case> = vec![
+        // Wrong rank.
+        (
+            Box::new(Conv2d::square(1, 2, 3, 1, 1, &mut rng)),
+            vec![2, 9],
+            config,
+        ),
+        (Box::new(MaxPool2d::new(2, 2)), vec![2, 9], config),
+        (Box::new(AvgPool2d::new(2, 2)), vec![2, 9], config),
+        (Box::new(GlobalAvgPool::new()), vec![2, 9], config),
+        (
+            Box::new(InceptionBlock::new(1, tiny_channels(), &mut rng)),
+            vec![2, 9],
+            config,
+        ),
+        (
+            Box::new(Dense::new(4, 2, &mut rng)),
+            vec![2, 1, 2, 2],
+            config,
+        ),
+        (Box::new(Flatten::new()), vec![], config),
+        // Wrong width.
+        (Box::new(Dense::new(4, 2, &mut rng)), vec![2, 5], config),
+        (
+            Box::new(Conv2d::square(1, 2, 3, 1, 1, &mut rng)),
+            vec![2, 3, 4, 4],
+            channels,
+        ),
+        // Window larger than the input.
+        (Box::new(MaxPool2d::new(3, 1)), vec![1, 1, 2, 2], geometry),
+        (Box::new(AvgPool2d::new(3, 1)), vec![1, 1, 2, 2], geometry),
+        (
+            Box::new(Conv2d::square(1, 2, 5, 1, 0, &mut rng)),
+            vec![1, 1, 3, 3],
+            geometry,
+        ),
+    ];
+    for (mut layer, dims, expected) in cases {
+        let bad = Tensor::zeros(&dims);
+        for mode in [Mode::Eval, Mode::Train] {
+            let owned = layer.forward(&bad, mode).unwrap_err();
+            let into = layer
+                .forward_into(&bad, mode, &mut Workspace::new())
+                .unwrap_err();
+            assert_eq!(owned, into, "{} {dims:?} {mode:?}", layer.name());
+            assert!(expected(&owned), "{} {dims:?}: {owned:?}", layer.name());
+        }
+    }
+
+    // The recurrent layers are not `Layer`s; same contract.
+    let bad = Tensor::zeros(&[2, 3]);
+    let mut cell = LstmCell::new(3, 4, &mut rng);
+    let owned = cell.forward_seq(&bad, Mode::Eval).unwrap_err();
+    let into = cell.forward_seq_into(&bad, Mode::Eval, &mut Workspace::new());
+    assert_eq!(owned, into.unwrap_err());
+    assert!(config(&owned));
+    let mut bi = BiLstm::new(3, 4, &mut rng);
+    let wide = Tensor::zeros(&[2, 5, 4]);
+    let owned = bi.forward_seq(&wide, Mode::Eval).unwrap_err();
+    let into = bi.forward_seq_into(&wide, Mode::Eval, &mut Workspace::new());
+    assert_eq!(owned, into.unwrap_err());
+    assert!(config(&owned));
 }
 
 mod proptests {
@@ -191,7 +293,7 @@ mod proptests {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         #[test]
-        fn dense_into_is_bitwise_forward(
+        fn dense_warm_is_bitwise_cold(
             in_f in 1usize..7,
             out_f in 1usize..7,
             batch in 1usize..5,
@@ -199,20 +301,19 @@ mod proptests {
             seed in 0u64..500,
         ) {
             let mut rng = SplitMix64::new(seed);
-            let mut layer = Dense::new(in_f, out_f, &mut rng);
-            layer.set_parallelism(Parallelism::new(threads).with_min_work(1));
+            let mut layer = forced(Dense::new(in_f, out_f, &mut rng), threads);
             let x = random_tensor(&[batch, in_f], seed ^ 0xABCD);
-            let expected = layer.forward(&x, Mode::Eval).unwrap();
+            let cold = layer.forward(&x, Mode::Eval).unwrap();
             let mut ws = Workspace::new();
             for _ in 0..2 {
                 let got = layer.forward_into(&x, Mode::Eval, &mut ws).unwrap();
-                prop_assert_eq!(&got, &expected);
+                prop_assert_eq!(&got, &cold);
                 ws.restore(got);
             }
         }
 
         #[test]
-        fn lstm_into_is_bitwise_forward(
+        fn lstm_warm_is_bitwise_cold(
             feat in 1usize..5,
             hidden in 1usize..5,
             time in 1usize..5,
@@ -223,11 +324,11 @@ mod proptests {
             let mut cell = LstmCell::new(feat, hidden, &mut SplitMix64::new(seed));
             cell.set_parallelism(Parallelism::new(threads).with_min_work(1));
             let x = random_tensor(&[batch, time, feat], seed ^ 0x1234);
-            let expected = cell.forward_seq(&x, Mode::Eval).unwrap();
+            let cold = cell.forward_seq(&x, Mode::Eval).unwrap();
             let mut ws = Workspace::new();
             for _ in 0..2 {
                 let got = cell.forward_seq_into(&x, Mode::Eval, &mut ws).unwrap();
-                prop_assert_eq!(&got, &expected);
+                prop_assert_eq!(&got, &cold);
                 ws.restore(got);
             }
         }

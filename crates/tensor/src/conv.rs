@@ -133,20 +133,16 @@ fn im2col_rows(
 /// [`im2col`] with a parallel execution policy: patch rows are chunked
 /// across scoped threads. Each row is a pure gather from the (shared,
 /// read-only) input, so the result is bitwise identical to serial.
+/// Allocates the patch matrix and calls [`im2col_into`].
 ///
 /// # Errors
 ///
 /// Same conditions as [`im2col`].
 pub fn im2col_with(input: &Tensor, spec: &Conv2dSpec, par: &Parallelism) -> Result<Tensor> {
-    let ((b, c, h, w), (oh, ow), patch) = check_im2col(input, spec)?;
-    let mut out = vec![0.0f32; b * oh * ow * patch];
-    let data = input.data();
-    if patch > 0 {
-        par.run_rows(&mut out, patch, patch, |row0, chunk| {
-            im2col_rows(data, spec, (c, h, w, oh, ow), row0, chunk)
-        });
-    }
-    Tensor::from_vec(out, &[b * oh * ow, patch])
+    let ((b, ..), (oh, ow), patch) = check_im2col(input, spec)?;
+    let mut out = Tensor::zeros(&[b * oh * ow, patch]);
+    im2col_into(input, spec, par, &mut out)?;
+    Ok(out)
 }
 
 /// Validates an im2col input against `spec`, returning the input dims, the
@@ -174,11 +170,10 @@ fn check_im2col(
     Ok(((b, c, h, w), (oh, ow), spec.patch_len()))
 }
 
-/// [`im2col_with`] writing into a caller-provided `[batch * out_h * out_w,
-/// c * kh * kw]` buffer (typically a [`crate::Workspace`] checkout);
-/// bitwise identical to the allocating variant. Every output element is
-/// overwritten (padding positions included), so `out`'s prior contents are
-/// irrelevant.
+/// Lowers `input` into a caller-provided `[batch * out_h * out_w,
+/// c * kh * kw]` buffer (typically a [`crate::Workspace`] checkout) — the
+/// one body of the lowering. Every output element is overwritten (padding
+/// positions included), so `out`'s prior contents are irrelevant.
 ///
 /// # Errors
 ///

@@ -88,29 +88,6 @@ fn check_rank2(a: &Tensor, b: &Tensor) -> Result<()> {
     Ok(())
 }
 
-/// Validates operands of shapes `[m,k] × [k,n]` (or the stated transpose
-/// layout) and an `out` buffer of `[m,n]`; returns `(m, k, n)`. Shared by
-/// the `_into` product variants so their hot bodies stay allocation-free.
-fn check_product_into(
-    a_dims: (usize, usize),
-    b_inner: usize,
-    n: usize,
-    operands: (&Tensor, &Tensor),
-    out: &Tensor,
-) -> Result<(usize, usize, usize)> {
-    let (m, k) = a_dims;
-    if k != b_inner {
-        return Err(TensorError::matmul_dim_mismatch(
-            operands.0.dims(),
-            operands.1.dims(),
-        ));
-    }
-    if out.dims() != [m, n] {
-        return Err(TensorError::shape_mismatch(out.dims(), &[m, n]));
-    }
-    Ok((m, k, n))
-}
-
 impl Tensor {
     /// Matrix product of two rank-2 tensors: `self [m,k] × other [k,n] →
     /// [m,n]`.
@@ -176,31 +153,17 @@ impl Tensor {
     }
 
     /// [`Tensor::matmul_transpose_b`] with a parallel execution policy;
-    /// bitwise identical to the serial product.
+    /// bitwise identical to the serial product. Allocates the `[m,n]`
+    /// output and calls [`Tensor::matmul_transpose_b_into`].
     ///
     /// # Errors
     ///
     /// Same conditions as [`Tensor::matmul`].
-    // darlint: cold — owned-output twin of matmul_transpose_b_into; steady-state inference writes into workspace buffers
     pub fn matmul_transpose_b_with(&self, other: &Tensor, par: &Parallelism) -> Result<Tensor> {
         check_rank2(self, other)?;
-        let (m, k) = (self.dims()[0], self.dims()[1]);
-        let (n, k2) = (other.dims()[0], other.dims()[1]);
-        if k != k2 {
-            return Err(TensorError::MatmulDimMismatch {
-                left: self.dims().to_vec(),
-                right: other.dims().to_vec(),
-            });
-        }
-        let a = self.data();
-        let b = other.data();
-        let mut out = vec![0.0f32; m * n];
-        if n > 0 {
-            par.run_rows(&mut out, n, k * n, |row0, chunk| {
-                matmul_transpose_b_rows(a, b, k, n, row0, chunk)
-            });
-        }
-        Tensor::from_vec(out, &[m, n])
+        let mut out = Tensor::zeros(&[self.dims()[0], other.dims()[0]]);
+        self.matmul_transpose_b_into(other, par, &mut out)?;
+        Ok(out)
     }
 
     /// `selfᵀ × other` where `self` is `[k,m]` and `other` is `[k,n]` —
@@ -241,43 +204,10 @@ impl Tensor {
         Tensor::from_vec(out, &[m, n])
     }
 
-    /// [`Tensor::matmul_with`] writing into a caller-provided `[m,n]`
-    /// buffer (typically a [`crate::Workspace`] checkout) instead of
-    /// allocating; bitwise identical to the allocating variant. `out` is
-    /// zeroed first, so its prior contents are irrelevant.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Tensor::matmul`], plus
-    /// [`TensorError::ShapeMismatch`] if `out` is not `[m,n]`.
-    // darlint: hot
-    pub fn matmul_into(&self, other: &Tensor, par: &Parallelism, out: &mut Tensor) -> Result<()> {
-        check_rank2(self, other)?;
-        let (_m, k, n) = check_product_into(
-            (self.dims()[0], self.dims()[1]),
-            other.dims()[0],
-            other.dims()[1],
-            (self, other),
-            out,
-        )?;
-        let a = self.data();
-        let b = other.data();
-        let c = out.data_mut();
-        // The row kernel accumulates, so the recycled buffer must start
-        // from zero — a memset, still cheaper than allocate-and-zero.
-        c.fill(0.0);
-        if n > 0 {
-            par.run_rows(c, n, k * n, |row0, chunk| {
-                matmul_rows(a, b, k, n, row0, chunk)
-            });
-        }
-        Ok(())
-    }
-
-    /// [`Tensor::matmul_transpose_b_with`] writing into a caller-provided
-    /// `[m,n]` buffer; bitwise identical to the allocating variant. Every
-    /// output element is overwritten, so `out`'s prior contents are
-    /// irrelevant.
+    /// `self [m,k] × otherᵀ` into a caller-provided `[m,n]` buffer
+    /// (typically a [`crate::Workspace`] checkout) — the one body of this
+    /// product. Every output element is overwritten, so `out`'s prior
+    /// contents are irrelevant.
     ///
     /// # Errors
     ///
@@ -291,54 +221,19 @@ impl Tensor {
         out: &mut Tensor,
     ) -> Result<()> {
         check_rank2(self, other)?;
-        let (_m, k, n) = check_product_into(
-            (self.dims()[0], self.dims()[1]),
-            other.dims()[1],
-            other.dims()[0],
-            (self, other),
-            out,
-        )?;
+        let (m, k) = (self.dims()[0], self.dims()[1]);
+        let n = other.dims()[0];
+        if k != other.dims()[1] {
+            return Err(TensorError::matmul_dim_mismatch(self.dims(), other.dims()));
+        }
+        if out.dims() != [m, n] {
+            return Err(TensorError::shape_mismatch(out.dims(), &[m, n]));
+        }
         let a = self.data();
         let b = other.data();
         if n > 0 {
             par.run_rows(out.data_mut(), n, k * n, |row0, chunk| {
                 matmul_transpose_b_rows(a, b, k, n, row0, chunk)
-            });
-        }
-        Ok(())
-    }
-
-    /// [`Tensor::matmul_transpose_a_with`] writing into a caller-provided
-    /// `[m,n]` buffer; bitwise identical to the allocating variant. `out`
-    /// is zeroed first, so its prior contents are irrelevant.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Tensor::matmul`], plus
-    /// [`TensorError::ShapeMismatch`] if `out` is not `[m,n]`.
-    // darlint: hot
-    pub fn matmul_transpose_a_into(
-        &self,
-        other: &Tensor,
-        par: &Parallelism,
-        out: &mut Tensor,
-    ) -> Result<()> {
-        check_rank2(self, other)?;
-        let (m, k, n) = check_product_into(
-            (self.dims()[1], self.dims()[0]),
-            other.dims()[0],
-            other.dims()[1],
-            (self, other),
-            out,
-        )?;
-        let a = self.data();
-        let b = other.data();
-        let c = out.data_mut();
-        // Accumulating kernel: start from zero (see matmul_into).
-        c.fill(0.0);
-        if n > 0 {
-            par.run_rows(c, n, k * n, |row0, chunk| {
-                matmul_transpose_a_rows(a, b, k, m, n, row0, chunk)
             });
         }
         Ok(())
@@ -473,20 +368,13 @@ mod tests {
     }
 
     #[test]
-    fn into_variants_match_allocating_and_ignore_stale_contents() {
+    fn transpose_b_into_matches_allocating_and_ignores_stale_contents() {
         use crate::workspace::Workspace;
         let a = Tensor::from_vec(
             (0..12 * 7)
                 .map(|v| ((v * 13) % 9) as f32 * 0.4 - 1.0)
                 .collect(),
             &[12, 7],
-        )
-        .unwrap();
-        let b = Tensor::from_vec(
-            (0..7 * 5)
-                .map(|v| ((v * 19) % 11) as f32 * 0.2 - 0.7)
-                .collect(),
-            &[7, 5],
         )
         .unwrap();
         let bt = Tensor::from_vec(
@@ -496,51 +384,26 @@ mod tests {
             &[5, 7],
         )
         .unwrap();
-        let at = Tensor::from_vec(
-            (0..12 * 5)
-                .map(|v| ((v * 29) % 17) as f32 * 0.1 - 0.4)
-                .collect(),
-            &[12, 5],
-        )
-        .unwrap();
         let mut ws = Workspace::new();
         for threads in [1, 3] {
             let par = Parallelism::new(threads).with_min_work(1);
-            // Poison the output buffers to prove prior contents are
-            // irrelevant (the accumulating kernels must self-zero).
-            let mut out = ws.checkout(&[12, 5]);
-            out.data_mut().fill(99.0);
-            a.matmul_into(&b, &par, &mut out).unwrap();
-            assert_eq!(out, a.matmul_with(&b, &par).unwrap());
-            ws.restore(out);
-
+            // Poison the output buffer to prove prior contents are
+            // irrelevant.
             let mut out = ws.checkout(&[12, 5]);
             out.data_mut().fill(-3.5);
             a.matmul_transpose_b_into(&bt, &par, &mut out).unwrap();
             assert_eq!(out, a.matmul_transpose_b_with(&bt, &par).unwrap());
             ws.restore(out);
-
-            let mut out = ws.checkout(&[7, 5]);
-            out.data_mut().fill(42.0);
-            a.matmul_transpose_a_into(&at, &par, &mut out).unwrap();
-            assert_eq!(out, a.matmul_transpose_a_with(&at, &par).unwrap());
-            ws.restore(out);
         }
     }
 
     #[test]
-    fn into_variants_reject_bad_output_shapes() {
+    fn transpose_b_into_rejects_a_bad_output_shape() {
         let a = Tensor::zeros(&[3, 4]);
-        let b = Tensor::zeros(&[4, 2]);
         let mut bad = Tensor::zeros(&[3, 3]);
-        assert!(a.matmul_into(&b, &Parallelism::serial(), &mut bad).is_err());
         let bt = Tensor::zeros(&[2, 4]);
         assert!(a
             .matmul_transpose_b_into(&bt, &Parallelism::serial(), &mut bad)
-            .is_err());
-        let at = Tensor::zeros(&[3, 2]);
-        assert!(a
-            .matmul_transpose_a_into(&at, &Parallelism::serial(), &mut bad)
             .is_err());
     }
 

@@ -114,7 +114,8 @@ fn max_pool_planes(
 
 /// [`max_pool2d`] with a parallel execution policy: the `batch * channels`
 /// planes are chunked across scoped threads, with the output and argmax
-/// buffers split in lockstep. Bitwise identical to serial.
+/// buffers split in lockstep. Bitwise identical to serial. Allocates both
+/// outputs and calls [`max_pool2d_into`].
 ///
 /// # Errors
 ///
@@ -126,25 +127,15 @@ pub fn max_pool2d_with(
 ) -> Result<(Tensor, Vec<usize>)> {
     let (b, c, h, w) = check_rank4(input)?;
     let (oh, ow) = spec.output_size(h, w)?;
-    let plane_out = oh * ow;
-    let mut out = vec![0.0f32; b * c * plane_out];
-    let mut arg = vec![0usize; b * c * plane_out];
-    max_pool_dispatch(
-        input.data(),
-        spec,
-        (b * c, h, w, oh, ow),
-        par,
-        &mut out,
-        &mut arg,
-    );
-    Ok((Tensor::from_vec(out, &[b, c, oh, ow])?, arg))
+    let mut out = Tensor::zeros(&[b, c, oh, ow]);
+    let mut argmax = Vec::new();
+    max_pool2d_into(input, spec, par, &mut out, &mut argmax)?;
+    Ok((out, argmax))
 }
 
-/// Shared serial/threaded dispatch for max pooling: chunks the `planes`
-/// `[h,w]` planes across scoped threads (output and argmax buffers split
-/// in lockstep) or runs inline under a serial policy. Both entry points go
-/// through here, so the `_into` variant is bitwise identical by
-/// construction.
+/// Serial/threaded dispatch for max pooling: chunks the `planes` `[h,w]`
+/// planes across scoped threads (output and argmax buffers split in
+/// lockstep) or runs inline under a serial policy.
 // darlint: hot
 fn max_pool_dispatch(
     data: &[f32],
@@ -187,11 +178,11 @@ fn max_pool_dispatch(
     }
 }
 
-/// [`max_pool2d_with`] writing into a caller-provided `[b, c, oh, ow]`
-/// buffer (typically a [`crate::Workspace`] checkout) and a reusable
-/// argmax scratch vector; bitwise identical to the allocating variant.
-/// `argmax` is resized to the output length (no allocation once its
-/// capacity suffices) and every element of both buffers is overwritten.
+/// Max-pools into a caller-provided `[b, c, oh, ow]` buffer (typically a
+/// [`crate::Workspace`] checkout) and a reusable argmax vector — the one
+/// body of max pooling. `argmax` is resized to the output length (no
+/// allocation once its capacity suffices) and every element of both
+/// buffers is overwritten.
 ///
 /// # Errors
 ///
@@ -291,6 +282,7 @@ fn avg_pool_planes(
 
 /// [`avg_pool2d`] with a parallel execution policy: `batch * channels`
 /// planes chunked across scoped threads, bitwise identical to serial.
+/// Allocates the output and calls [`avg_pool2d_into`].
 ///
 /// # Errors
 ///
@@ -298,21 +290,14 @@ fn avg_pool_planes(
 pub fn avg_pool2d_with(input: &Tensor, spec: &PoolSpec, par: &Parallelism) -> Result<Tensor> {
     let (b, c, h, w) = check_rank4(input)?;
     let (oh, ow) = spec.output_size(h, w)?;
-    let data = input.data();
-    let plane_out = oh * ow;
-    let mut out = vec![0.0f32; b * c * plane_out];
-    par.run_rows(
-        &mut out,
-        plane_out,
-        plane_out * spec.window * spec.window,
-        |plane0, chunk| avg_pool_planes(data, spec, (h, w, oh, ow), plane0, chunk),
-    );
-    Tensor::from_vec(out, &[b, c, oh, ow])
+    let mut out = Tensor::zeros(&[b, c, oh, ow]);
+    avg_pool2d_into(input, spec, par, &mut out)?;
+    Ok(out)
 }
 
-/// [`avg_pool2d_with`] writing into a caller-provided `[b, c, oh, ow]`
-/// buffer (typically a [`crate::Workspace`] checkout); bitwise identical
-/// to the allocating variant. Every output element is overwritten.
+/// Average-pools into a caller-provided `[b, c, oh, ow]` buffer
+/// (typically a [`crate::Workspace`] checkout) — the one body of average
+/// pooling. Every output element is overwritten.
 ///
 /// # Errors
 ///

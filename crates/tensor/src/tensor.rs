@@ -259,17 +259,12 @@ impl Tensor {
     /// Returns an error if the tensor list is empty, ranks differ, the axis
     /// is out of range, or non-axis dimensions disagree.
     pub fn concat(tensors: &[&Tensor], axis: usize) -> Result<Tensor> {
-        // outer = product of dims before axis; inner = product after.
-        let (out_dims, outer, inner) = Tensor::concat_dims(tensors, axis)?;
-        let mut data = Vec::with_capacity(out_dims.iter().product());
-        for o in 0..outer {
-            for t in tensors {
-                let a = t.dims()[axis];
-                let start = o * a * inner;
-                data.extend_from_slice(&t.data[start..start + a * inner]);
-            }
-        }
-        Tensor::from_vec(data, &out_dims)
+        let (axis_total, _, _) = Tensor::concat_strides(tensors, axis)?;
+        let mut dims = tensors[0].dims().to_vec();
+        dims[axis] = axis_total;
+        let mut out = Tensor::zeros(&dims);
+        Tensor::concat_into(tensors, axis, &mut out)?;
+        Ok(out)
     }
 
     /// Splits a tensor into pieces along `axis` with the given sizes
@@ -426,27 +421,9 @@ impl Tensor {
     /// # Errors
     ///
     /// Returns an error on rank/shape mismatch.
-    // darlint: cold — owned-output twin of add_row_broadcast_assign; steady-state inference mutates workspace buffers in place
     pub fn add_row_broadcast(&self, bias: &Tensor) -> Result<Tensor> {
-        if self.rank() != 2 {
-            return Err(TensorError::RankMismatch {
-                expected: 2,
-                actual: self.rank(),
-            });
-        }
-        let (r, c) = (self.dims()[0], self.dims()[1]);
-        if bias.rank() != 1 || bias.len() != c {
-            return Err(TensorError::ShapeMismatch {
-                left: self.dims().to_vec(),
-                right: bias.dims().to_vec(),
-            });
-        }
         let mut out = self.clone();
-        for i in 0..r {
-            for j in 0..c {
-                out.data[i * c + j] += bias.data[j];
-            }
-        }
+        out.add_row_broadcast_assign(bias)?;
         Ok(out)
     }
 
@@ -489,41 +466,9 @@ impl Tensor {
         Ok(())
     }
 
-    /// [`Tensor::add`] writing into a caller-provided same-shaped buffer;
-    /// bitwise identical to the allocating variant.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if any shape differs.
-    // darlint: hot
-    pub fn add_into(&self, other: &Tensor, out: &mut Tensor) -> Result<()> {
-        self.check_same_shape(other)?;
-        self.check_same_shape(out)?;
-        for ((o, &a), &b) in out.data.iter_mut().zip(&self.data).zip(&other.data) {
-            *o = a + b;
-        }
-        Ok(())
-    }
-
-    /// [`Tensor::mul`] writing into a caller-provided same-shaped buffer;
-    /// bitwise identical to the allocating variant.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if any shape differs.
-    // darlint: hot
-    pub fn mul_into(&self, other: &Tensor, out: &mut Tensor) -> Result<()> {
-        self.check_same_shape(other)?;
-        self.check_same_shape(out)?;
-        for ((o, &a), &b) in out.data.iter_mut().zip(&self.data).zip(&other.data) {
-            *o = a * b;
-        }
-        Ok(())
-    }
-
-    /// In-place [`Tensor::add_row_broadcast`]: adds a rank-1 bias to each
-    /// row of this rank-2 tensor without allocating; bitwise identical to
-    /// the allocating variant.
+    /// Adds a rank-1 bias to each row of this rank-2 tensor in place —
+    /// the one body of the row broadcast; [`Tensor::add_row_broadcast`]
+    /// clones and calls it.
     ///
     /// # Errors
     ///
@@ -548,8 +493,9 @@ impl Tensor {
         Ok(())
     }
 
-    /// [`Tensor::concat`] writing into a caller-provided buffer of the
-    /// concatenated shape; bitwise identical to the allocating variant.
+    /// Concatenates along `axis` into a caller-provided buffer of the
+    /// concatenated shape (every element is overwritten) — the one body of
+    /// concatenation; [`Tensor::concat`] allocates `out` and calls it.
     ///
     /// # Errors
     ///
@@ -587,18 +533,9 @@ impl Tensor {
         Ok(())
     }
 
-    /// Validates a concat argument list and returns the output dims plus
-    /// the outer/inner strides (allocating variant, for [`Tensor::concat`]).
-    fn concat_dims(tensors: &[&Tensor], axis: usize) -> Result<(Vec<usize>, usize, usize)> {
-        let (axis_total, outer, inner) = Tensor::concat_strides(tensors, axis)?;
-        let mut out_dims = tensors[0].dims().to_vec();
-        out_dims[axis] = axis_total;
-        Ok((out_dims, outer, inner))
-    }
-
     /// Validates a concat argument list without allocating: returns the
-    /// total length along `axis` plus the outer/inner strides. The
-    /// zero-alloc [`Tensor::concat_into`] builds on this.
+    /// total length along `axis` plus the outer/inner strides (outer =
+    /// product of dims before `axis`, inner = product after).
     // darlint: hot
     fn concat_strides(tensors: &[&Tensor], axis: usize) -> Result<(usize, usize, usize)> {
         let first = tensors
@@ -762,7 +699,6 @@ mod tests {
     #[test]
     fn elementwise_into_variants_match_allocating() {
         let a = Tensor::from_vec(vec![1.0, -2.0, 3.5, 0.25], &[2, 2]).unwrap();
-        let b = Tensor::from_vec(vec![0.5, 4.0, -1.0, 2.0], &[2, 2]).unwrap();
         let mut out = Tensor::full(&[2, 2], 9.0); // stale contents
 
         a.copy_into(&mut out).unwrap();
@@ -771,15 +707,9 @@ mod tests {
         a.map_into(|v| v * v + 1.0, &mut out).unwrap();
         assert_eq!(out, a.map(|v| v * v + 1.0));
 
-        a.add_into(&b, &mut out).unwrap();
-        assert_eq!(out, a.add(&b).unwrap());
-
-        a.mul_into(&b, &mut out).unwrap();
-        assert_eq!(out, a.mul(&b).unwrap());
-
         let mut shape_err = Tensor::zeros(&[4]);
         assert!(a.copy_into(&mut shape_err).is_err());
-        assert!(a.add_into(&b, &mut shape_err).is_err());
+        assert!(a.map_into(|v| v, &mut shape_err).is_err());
     }
 
     #[test]

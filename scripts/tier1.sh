@@ -21,8 +21,8 @@ cargo build --release --locked
 # proptests, the WAL proptests, the golden session digests) live in the
 # member crates.
 cargo test -q --locked --workspace
-# Nothing above compiles `crates/bench/benches/*` or `examples/*`; check
-# them so an API change cannot rot them silently.
+# Check every target (examples, bins, tests) so an API change cannot rot
+# one silently.
 cargo check --workspace --all-targets --locked
 cargo clippy --workspace --locked -- -D warnings
 
