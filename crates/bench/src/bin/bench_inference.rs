@@ -1,7 +1,7 @@
 //! Zero-alloc inference-path benchmark with regression tracking.
 //!
 //! Measures the workspace-backed `*_into` classification paths against
-//! the allocating reference paths on the same engine and inputs, and — via the
+//! the allocating paths on the same engine and inputs, and — via the
 //! crate's counting global allocator ([`darnet_bench::alloc_counter`]) —
 //! the number of heap allocation events a steady-state classification
 //! performs. Three shapes are measured, matching how the engine is
@@ -13,18 +13,18 @@
 //!
 //! * `--fast`, `--json`, `--out PATH`, `--compare PATH` — the shared
 //!   gated-bench conventions, see [`darnet_bench::gate`].
-//! * `--check` — enforce the acceptance gate: the warm workspace paths
-//!   perform exactly **0** heap allocations per call. No timing is
-//!   gated: every layer has one forward body, so the allocating engine
-//!   path runs the same kernels on a fresh workspace per model call and
-//!   the workspace-vs-allocating ratios sit at ≈1.0–1.1, inside this
-//!   host's run-to-run noise. They are recorded as `ratio_*` for humans.
+//! * `--check` — enforce the acceptance gates: the warm workspace paths
+//!   perform exactly **0** heap allocations per call, and single-step
+//!   steady-state throughput is no lower than the allocating path's,
+//!   within [`gate::TOLERANCE`]. (Every layer has one forward body, so
+//!   the allocating path runs the same kernels on a fresh workspace per
+//!   model call and the ratio reads ≈1.06: the gate holds the workspace
+//!   path to never being the slower one, not to a margin.)
 
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 use darnet_bench::alloc_counter;
-use darnet_bench::gate::{self, Gate};
+use darnet_bench::gate::{self, paired_time_per_call, Gate};
 use darnet_collect::runtime::AlignedTuple;
 use darnet_collect::StreamId;
 use darnet_core::dataset::{IMU_FEATURES, WINDOW_LEN};
@@ -42,6 +42,7 @@ const FRAME_SIZE: usize = 12;
 /// batches per-item model compute dominates and the allocation savings
 /// shrink toward the noise floor.)
 const BATCH: usize = 8;
+const STEP_SPEEDUP_FLOOR: f64 = 1.0 - gate::TOLERANCE;
 
 fn random_tensor(dims: &[usize], seed: u64) -> Tensor {
     let mut rng = SplitMix64::new(seed);
@@ -52,27 +53,6 @@ fn random_tensor(dims: &[usize], seed: u64) -> Tensor {
         *v = rng.uniform(0.1, 1.0);
     }
     t
-}
-
-/// Best (minimum) seconds per call for two alternatives measured
-/// back-to-back in the same loop, after one warmup call each. The single
-/// closure runs alternative A when called with `false` and B with `true`
-/// (one closure, so both sides may borrow the same engine). Interleaving
-/// keeps scheduler drift from loading one side of the comparison, and
-/// min-of-N is robust to noise spikes on small shared hosts.
-fn paired_time_per_call<F: FnMut(bool)>(reps: usize, mut f: F) -> (f64, f64) {
-    f(false);
-    f(true);
-    let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..reps {
-        let start = Instant::now();
-        f(false);
-        best_a = best_a.min(start.elapsed().as_secs_f64());
-        let start = Instant::now();
-        f(true);
-        best_b = best_b.min(start.elapsed().as_secs_f64());
-    }
-    (best_a, best_b)
 }
 
 /// The same deliberately small engine as `bench_parallel`: per-item
@@ -249,12 +229,13 @@ fn run(fast: bool) -> BTreeMap<String, f64> {
     );
 
     // Steady-state timing: allocating path vs workspace path on the same
-    // engine and inputs (everything warmed by the probes above). The
-    // ratios swing with scheduler noise on small hosts by more than they
-    // differ from 1, so all three are recorded under `ratio_*` for
-    // humans and none is compared or gated.
+    // engine and inputs (everything warmed by the probes above). Only the
+    // single-step comparison is a compared/gated `speedup_*` metric: it
+    // has the largest allocation-to-compute ratio and therefore the most
+    // stable margin; the batched ratios swing with scheduler noise on
+    // small hosts and are recorded under `ratio_*` for humans.
     let reps = if fast { 15 } else { 50 };
-    let (t_step_alloc, t_step_ws) = paired_time_per_call(reps, |workspace_path| {
+    let (t_step_alloc, t_step_ws, speedup) = paired_time_per_call(reps, |workspace_path| {
         if workspace_path {
             engine
                 .classify_step_into(&frames[0], &single_window, &mut step_result)
@@ -267,9 +248,9 @@ fn run(fast: bool) -> BTreeMap<String, f64> {
     });
     out.insert("throughput_step_alloc".to_string(), 1.0 / t_step_alloc);
     out.insert("throughput_step_workspace".to_string(), 1.0 / t_step_ws);
-    out.insert("ratio_workspace_step".to_string(), t_step_alloc / t_step_ws);
+    out.insert("speedup_workspace_step".to_string(), speedup);
 
-    let (t_batch_alloc, t_batch_ws) = paired_time_per_call(reps, |workspace_path| {
+    let (t_batch_alloc, t_batch_ws, speedup) = paired_time_per_call(reps, |workspace_path| {
         if workspace_path {
             engine
                 .classify_batch_into(&frames, &windows, &mut results)
@@ -286,12 +267,9 @@ fn run(fast: bool) -> BTreeMap<String, f64> {
         "throughput_batch8_workspace".to_string(),
         items / t_batch_ws,
     );
-    out.insert(
-        "ratio_workspace_batch8".to_string(),
-        t_batch_alloc / t_batch_ws,
-    );
+    out.insert("ratio_workspace_batch8".to_string(), speedup);
 
-    let (t_tuples_alloc, t_tuples_ws) = paired_time_per_call(reps, |workspace_path| {
+    let (t_tuples_alloc, t_tuples_ws, speedup) = paired_time_per_call(reps, |workspace_path| {
         if workspace_path {
             engine
                 .classify_tuples_into(&tuples, &mut results)
@@ -308,10 +286,7 @@ fn run(fast: bool) -> BTreeMap<String, f64> {
         "throughput_tuples8_workspace".to_string(),
         items / t_tuples_ws,
     );
-    out.insert(
-        "ratio_workspace_tuples8".to_string(),
-        t_tuples_alloc / t_tuples_ws,
-    );
+    out.insert("ratio_workspace_tuples8".to_string(), speedup);
 
     // The N-stream registry engine is held to the same zero-alloc bar on
     // its warm serial paths, at both measured shapes.
@@ -379,6 +354,12 @@ fn main() {
                     results[key]
                 ));
             }
+        }
+        if results["speedup_workspace_step"] < STEP_SPEEDUP_FLOOR {
+            failures.fail(format_args!(
+                "speedup_workspace_step = {:.3} < {STEP_SPEEDUP_FLOOR}",
+                results["speedup_workspace_step"]
+            ));
         }
     });
 }

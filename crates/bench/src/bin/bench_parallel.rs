@@ -12,21 +12,19 @@
 //!   gated-bench conventions, see [`darnet_bench::gate`].
 //! * `--check` — enforce the acceptance gates: ≥2× kernel speedup at 4
 //!   threads *when ≥4 hardware threads exist* (on smaller hosts the
-//!   threaded path must merely not collapse below 0.5×).
+//!   threaded path must merely not collapse below 0.5×), and engine
+//!   throughput at batch=32 no lower than at batch=1 (within
+//!   [`gate::TOLERANCE`]) unconditionally.
 //!
 //! When this run or the `--compare` baseline reports
 //! `threads_available <= 1`, the two kernel thread speedups are exempt
 //! from both `--compare` and `--check`: a serial-vs-threaded ratio
 //! measured on one core is dispatch noise, not a number to pin.
-//!
-//! The batch=32 vs batch=1 engine ratio is recorded as
-//! `ratio_engine_batch32`, not gated. It runs the allocating reference
-//! API, and the ≥1.5× it used to be held to was that API's per-call
-//! allocation overhead being amortized (≈1.3k allocations a call, most of
-//! them in the allocating LSTM twin). Since every layer has one forward
-//! body the single-step call costs about half what it did, batch=32
-//! throughput is unchanged, and the ratio reads 1.0–1.4 on this host —
-//! inside its run-to-run noise.
+//! `speedup_engine_batch32` is gated regardless. A single-step call
+//! carries little per-call overhead for a batch to amortize (under a
+//! hundred heap allocations, the layer bodies are the workspace ones),
+//! so the ratio reads 1.2–1.4 and the floor guards the property, not a
+//! margin: batching never costs throughput.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -45,6 +43,9 @@ const THREADS: usize = 4;
 /// both had more than one hardware thread.
 const THREAD_SPEEDUPS: [&str; 2] = ["speedup_matmul_threads", "speedup_conv_threads"];
 const FRAME_SIZE: usize = 12;
+/// Batch=32 must not be slower per item than batch=1, within the
+/// tolerance the baseline comparison allows.
+const BATCH_SPEEDUP_FLOOR: f64 = 1.0 - gate::TOLERANCE;
 
 fn random_tensor(dims: &[usize], seed: u64) -> Tensor {
     let mut rng = SplitMix64::new(seed);
@@ -177,21 +178,24 @@ fn run(fast: bool) -> BTreeMap<String, f64> {
             .expect("window slice")
         })
         .collect();
-    let eng_reps = if fast { 5 } else { 10 };
-    let t_single = time_per_call(eng_reps, || {
-        for (frame, window) in frames.iter().zip(&singles) {
-            engine.classify_step(frame, window).expect("classify_step");
+    // Interleaved: the ratio sits near 1.3, so both sides have to see the
+    // same host conditions for it to repeat.
+    let eng_reps = if fast { 50 } else { 100 };
+    let (t_single, t_batch, speedup) = gate::paired_time_per_call(eng_reps, |batched| {
+        if batched {
+            engine
+                .classify_batch(&frames, &windows)
+                .expect("classify_batch");
+        } else {
+            for (frame, window) in frames.iter().zip(&singles) {
+                engine.classify_step(frame, window).expect("classify_step");
+            }
         }
-    });
-    let t_batch = time_per_call(eng_reps, || {
-        engine
-            .classify_batch(&frames, &windows)
-            .expect("classify_batch");
     });
     let items = batch as f64;
     out.insert("throughput_engine_batch1".to_string(), items / t_single);
     out.insert("throughput_engine_batch32".to_string(), items / t_batch);
-    out.insert("ratio_engine_batch32".to_string(), t_single / t_batch);
+    out.insert("speedup_engine_batch32".to_string(), speedup);
 
     out
 }
@@ -232,6 +236,12 @@ fn main() {
                     results[key]
                 ));
             }
+        }
+        if results["speedup_engine_batch32"] < BATCH_SPEEDUP_FLOOR {
+            failures.fail(format_args!(
+                "speedup_engine_batch32 = {:.3} < {BATCH_SPEEDUP_FLOOR}",
+                results["speedup_engine_batch32"]
+            ));
         }
     });
 }

@@ -183,6 +183,7 @@ pub mod metrics {
 /// * `--check` — enforce the benchmark's own invariant gates.
 pub mod gate {
     use std::collections::BTreeMap;
+    use std::time::Instant;
 
     use crate::metrics;
 
@@ -297,6 +298,43 @@ pub mod gate {
                 std::process::exit(1);
             }
         }
+    }
+
+    /// Best (minimum) seconds per call for two alternatives measured
+    /// back-to-back in the same loop, after one warmup call each, and how
+    /// many times faster B ran than A. The single closure runs alternative
+    /// A when called with `false` and B with `true` (one closure, so both
+    /// sides may borrow the same engine). Interleaving keeps scheduler
+    /// drift from loading one side of the comparison, and min-of-N is
+    /// robust to noise spikes on small shared hosts.
+    ///
+    /// The speedup is the median over reps of that rep's A/B time ratio,
+    /// not the quotient of the two minima: a rep's two calls are adjacent
+    /// in time, so a noisy phase of the host scales both, and the median
+    /// drops the reps a spike split. On a shared 2-vCPU VM that repeats to
+    /// ±6 % where the quotient of minima swings ±25 %.
+    ///
+    /// # Panics
+    ///
+    /// If `reps` is 0.
+    pub fn paired_time_per_call<F: FnMut(bool)>(reps: usize, mut f: F) -> (f64, f64, f64) {
+        f(false);
+        f(true);
+        let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
+        let mut ratios = Vec::with_capacity(reps);
+        for _ in 0..reps {
+            let start = Instant::now();
+            f(false);
+            let a = start.elapsed().as_secs_f64();
+            let start = Instant::now();
+            f(true);
+            let b = start.elapsed().as_secs_f64();
+            best_a = best_a.min(a);
+            best_b = best_b.min(b);
+            ratios.push(a / b);
+        }
+        ratios.sort_by(f64::total_cmp);
+        (best_a, best_b, ratios[ratios.len() / 2])
     }
 
     /// The default summary: one line per metric, the unit read off the

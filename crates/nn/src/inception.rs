@@ -165,8 +165,9 @@ impl Layer for InceptionBlock {
         // and concatenation order is fixed, so output bytes never depend on
         // the dispatch strategy. A branch keeps its intermediates in the
         // pool it is handed: the caller's on the calling thread, one of the
-        // block's own on a worker.
-        let (y1, y2, y3, y4) = {
+        // block's own on a worker. `own` is the pools the first three
+        // outputs came from when they are not the caller's.
+        let (y1, y2, y3, y4, own) = {
             let InceptionBlock {
                 b1,
                 b1_act,
@@ -226,12 +227,12 @@ impl Layer for InceptionBlock {
                 Ok(y)
             };
             if par.is_serial() {
-                (branch1(ws), branch2(ws), branch3(ws), branch4(ws))
+                (branch1(ws), branch2(ws), branch3(ws), branch4(ws), None)
             } else {
-                std::thread::scope(|scope| {
-                    let h1 = scope.spawn(move || branch1(ws1));
-                    let h2 = scope.spawn(move || branch2(ws2));
-                    let h3 = scope.spawn(move || branch3(ws3));
+                let (y1, y2, y3, y4) = std::thread::scope(|scope| {
+                    let h1 = scope.spawn(|| branch1(ws1));
+                    let h2 = scope.spawn(|| branch2(ws2));
+                    let h3 = scope.spawn(|| branch3(ws3));
                     let y4 = branch4(ws);
                     (
                         join_worker(h1, "Inception branch 1"),
@@ -239,7 +240,8 @@ impl Layer for InceptionBlock {
                         join_worker(h3, "Inception branch 3"),
                         y4,
                     )
-                })
+                });
+                (y1, y2, y3, y4, Some([ws1, ws2, ws3]))
             }
         };
         let (y1, y2, y3, y4) = (y1?, y2?, y3?, y4?);
@@ -247,14 +249,17 @@ impl Layer for InceptionBlock {
         let mut out = ws.checkout(&[d[0], self.channels.total(), d[2], d[3]]);
         Tensor::concat_into(&[&y1, &y2, &y3, &y4], 1, &mut out)?;
         // Each branch output goes back to the pool it came from.
-        if self.par.is_serial() {
-            ws.restore(y1);
-            ws.restore(y2);
-            ws.restore(y3);
-        } else {
-            self.ws1.restore(y1);
-            self.ws2.restore(y2);
-            self.ws3.restore(y3);
+        match own {
+            Some([ws1, ws2, ws3]) => {
+                ws1.restore(y1);
+                ws2.restore(y2);
+                ws3.restore(y3);
+            }
+            None => {
+                ws.restore(y1);
+                ws.restore(y2);
+                ws.restore(y3);
+            }
         }
         ws.restore(y4);
         Ok(out)

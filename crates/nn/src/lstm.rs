@@ -39,6 +39,37 @@ fn step_write(dst: &mut Tensor, t: usize, src: &Tensor) {
     }
 }
 
+/// The fused gate update: one pass over the packed pre-activations `z`
+/// `[B, 4H]` (gate order `i, f, g, o`) that advances `h` and `c` `[B, H]`
+/// in place. `record(at, [i, f, g, o, tanh_c])` sees each element's
+/// activations — the Train cache's tap; Eval passes a no-op.
+#[inline]
+fn gate_update(
+    z: &Tensor,
+    h_t: &mut Tensor,
+    c_t: &mut Tensor,
+    mut record: impl FnMut(usize, [f32; 5]),
+) {
+    let (b, h) = (h_t.dims()[0], h_t.dims()[1]);
+    let zd = z.data();
+    let hd = h_t.data_mut();
+    let cd = c_t.data_mut();
+    for n in 0..b {
+        let row = &zd[n * 4 * h..(n + 1) * 4 * h];
+        for k in 0..h {
+            let i_g = sigmoid_scalar(row[k]);
+            let f_g = sigmoid_scalar(row[h + k]);
+            let g_g = row[2 * h + k].tanh();
+            let o_g = sigmoid_scalar(row[3 * h + k]);
+            let c_new = f_g * cd[n * h + k] + i_g * g_g;
+            let tanh_c = c_new.tanh();
+            hd[n * h + k] = o_g * tanh_c;
+            cd[n * h + k] = c_new;
+            record(n * h + k, [i_g, f_g, g_g, o_g, tanh_c]);
+        }
+    }
+}
+
 /// Per-timestep cache for backpropagation through time.
 #[derive(Debug, Clone)]
 struct StepCache {
@@ -177,33 +208,22 @@ impl LstmCell {
             z.add_assign(&zh)?;
             z.add_row_broadcast_assign(&self.b.value)?;
 
-            let mut step = (mode == Mode::Train).then(|| StepCache::begin(&x_t, &h_t, &c_t));
-            // Fused gate update: one pass over the packed pre-activations.
-            let zd = z.data();
-            let hd = h_t.data_mut();
-            let cd = c_t.data_mut();
-            for n in 0..b {
-                let row = &zd[n * 4 * h..(n + 1) * 4 * h];
-                for k in 0..h {
-                    let i_g = sigmoid_scalar(row[k]);
-                    let f_g = sigmoid_scalar(row[h + k]);
-                    let g_g = row[2 * h + k].tanh();
-                    let o_g = sigmoid_scalar(row[3 * h + k]);
-                    let c_new = f_g * cd[n * h + k] + i_g * g_g;
-                    let tanh_c = c_new.tanh();
-                    hd[n * h + k] = o_g * tanh_c;
-                    cd[n * h + k] = c_new;
-                    if let Some(s) = step.as_mut() {
-                        s.i.data_mut()[n * h + k] = i_g;
-                        s.f.data_mut()[n * h + k] = f_g;
-                        s.g.data_mut()[n * h + k] = g_g;
-                        s.o.data_mut()[n * h + k] = o_g;
-                        s.tanh_c.data_mut()[n * h + k] = tanh_c;
-                    }
-                }
-            }
-            if let Some(s) = step {
-                self.cache.push(s);
+            // Decided once per step, so the Eval loop records nothing.
+            if mode == Mode::Train {
+                let mut step = StepCache::begin(&x_t, &h_t, &c_t);
+                let (i, f, g, o, tanh_c) = (
+                    step.i.data_mut(),
+                    step.f.data_mut(),
+                    step.g.data_mut(),
+                    step.o.data_mut(),
+                    step.tanh_c.data_mut(),
+                );
+                gate_update(&z, &mut h_t, &mut c_t, |at, gates| {
+                    [i[at], f[at], g[at], o[at], tanh_c[at]] = gates;
+                });
+                self.cache.push(step);
+            } else {
+                gate_update(&z, &mut h_t, &mut c_t, |_, _| {});
             }
             step_write(&mut out, t, &h_t);
         }
@@ -379,7 +399,9 @@ impl BiLstm {
         mode: Mode,
         ws: &mut Workspace,
     ) -> Result<TensorView> {
-        let (hf, hb) = {
+        // `own` is the pool the forward cell's output came from when that
+        // is not the caller's.
+        let (hf, hb, own) = {
             let BiLstm {
                 fwd,
                 bwd,
@@ -399,13 +421,14 @@ impl BiLstm {
                 Ok(h_out)
             };
             if par.is_serial() {
-                (run_fwd(ws), run_bwd(ws))
+                (run_fwd(ws), run_bwd(ws), None)
             } else {
-                std::thread::scope(|scope| {
-                    let handle = scope.spawn(move || run_fwd(ws_fwd));
+                let (hf, hb) = std::thread::scope(|scope| {
+                    let handle = scope.spawn(|| run_fwd(ws_fwd));
                     let hb = run_bwd(ws);
                     (join_worker(handle, "BiLstm::forward_seq"), hb)
-                })
+                });
+                (hf, hb, Some(ws_fwd))
             }
         };
         let (hf, hb) = (hf?, hb?);
@@ -413,11 +436,7 @@ impl BiLstm {
         let mut out = ws.checkout(&[d[0], d[1], 2 * self.hidden_size]);
         Tensor::concat_into(&[&hf, &hb], 2, &mut out)?;
         // Each direction's output goes back to the pool it came from.
-        if self.par.is_serial() {
-            ws.restore(hf);
-        } else {
-            self.ws_fwd.restore(hf);
-        }
+        own.unwrap_or(&mut *ws).restore(hf);
         ws.restore(hb);
         Ok(out)
     }

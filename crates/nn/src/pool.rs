@@ -45,13 +45,17 @@ impl Layer for MaxPool2d {
         let d = rank4_dims(input, "max pool")?;
         let (oh, ow) = self.spec.output_size(d[2], d[3])?;
         let mut out = ws.checkout(&[d[0], d[1], oh, ow]);
-        let mut arg = std::mem::take(&mut self.scratch_arg);
-        max_pool2d_into(input, &self.spec, &self.par, &mut out, &mut arg)?;
-        if mode == Mode::Train {
-            self.cache = Some((arg, d));
-        } else {
-            self.scratch_arg = arg;
-        }
+        // Train writes the indices straight into its cache (reusing the
+        // last step's buffer), Eval into the scratch it never reads.
+        let arg = match mode {
+            Mode::Train => {
+                let cache = self.cache.get_or_insert_with(Default::default);
+                cache.1 = d;
+                &mut cache.0
+            }
+            Mode::Eval => &mut self.scratch_arg,
+        };
+        max_pool2d_into(input, &self.spec, &self.par, &mut out, arg)?;
         Ok(out)
     }
 
@@ -224,6 +228,24 @@ mod tests {
         assert_eq!(y.data(), &[4.0]);
         let g = pool.backward(&Tensor::ones(&[1, 1, 1, 1])).unwrap();
         assert_eq!(g.data(), &[0.0, 0.0, 0.0, 1.0]);
+    }
+
+    #[test]
+    fn max_pool_train_and_eval_each_keep_their_own_argmax_buffer() {
+        let mut pool = MaxPool2d::new(2, 2);
+        let x = Tensor::from_vec((0..16).map(|v| v as f32).collect(), &[1, 1, 4, 4]).unwrap();
+        let train_buf = |p: &MaxPool2d| p.cache.as_ref().map(|(arg, _)| arg.as_ptr());
+        pool.forward(&x, Mode::Train).unwrap();
+        let (first, winners) = (train_buf(&pool), pool.cache.clone());
+        pool.forward(&x.scale(-1.0), Mode::Eval).unwrap();
+        // Eval wrote its indices elsewhere: backward still sees Train's.
+        assert_eq!(pool.cache, winners);
+        let eval_buf = pool.scratch_arg.as_ptr();
+        pool.forward(&x, Mode::Train).unwrap();
+        pool.forward(&x, Mode::Eval).unwrap();
+        // Alternating modes reallocates neither buffer.
+        assert_eq!(train_buf(&pool), first);
+        assert_eq!(pool.scratch_arg.as_ptr(), eval_buf);
     }
 
     #[test]

@@ -24,8 +24,9 @@
 #   5. inference — the workspace inference benchmark in --fast mode,
 #                  compared against the committed BENCH_inference.json
 #                  baseline; the warm *_into paths must perform 0 heap
-#                  allocations per call (--check). Its timing ratios
-#                  are recorded, not gated
+#                  allocations per call and the single-step workspace
+#                  path must be no slower than the allocating one,
+#                  within the 15% tolerance (--check)
 #   6. chaos     — the crash-tolerance harness in --fast mode,
 #                  compared against the committed BENCH_chaos.json
 #                  baseline; seeded controller kills with torn tail
