@@ -23,11 +23,10 @@
 //! * `--check` — enforce the invariant gates listed above.
 
 use std::collections::BTreeMap;
+use std::time::Instant;
 
 use darnet_bench::gate::{self, Gate};
-use darnet_collect::{
-    run_fleet, run_fleet_timed, ControllerConfig, FleetAdmission, FleetConfig, ShardConfig,
-};
+use darnet_collect::{run_fleet, ControllerConfig, FleetAdmission, FleetConfig, ShardConfig};
 
 /// The fleet size whose numbers are regression-gated.
 const MAIN_AGENTS: usize = 10_000;
@@ -82,7 +81,8 @@ fn run(fast: bool) -> BTreeMap<String, f64> {
     let mut main_report = None;
     for &shards in shard_counts {
         let config = fleet_config(agents, session);
-        let (_, report, elapsed) = run_fleet_timed(
+        let start = Instant::now();
+        let run = run_fleet(
             &FleetConfig {
                 parallel_drain: shards > 1,
                 ..config
@@ -90,6 +90,10 @@ fn run(fast: bool) -> BTreeMap<String, f64> {
             shard_config(shards),
         )
         .expect("fleet run");
+        // Stopped before the controller is dropped: the run is what is
+        // timed, not freeing 10k agents' state.
+        let elapsed = start.elapsed().as_secs_f64();
+        let (_, report) = run;
         let prefix = format!("fleet{agents}_shards{shards}");
         out.insert(
             format!("{prefix}_ingest_rps"),

@@ -2,9 +2,9 @@
 //! tracking.
 //!
 //! Measures the tensor kernels (matmul, conv lowering) serial vs
-//! 4-thread, and end-to-end engine classification at batch=1 vs
-//! batch=32, then emits a flat-JSON metrics file (see
-//! [`darnet_bench::metrics`]).
+//! 4-thread, end-to-end engine classification at batch=1 vs batch=32,
+//! and the registry engine's streams inline vs one worker each, then
+//! emits a flat-JSON metrics file (see [`darnet_bench::metrics`]).
 //!
 //! Flags:
 //!
@@ -14,11 +14,15 @@
 //!   threads *when ≥4 hardware threads exist* (on smaller hosts the
 //!   threaded path must merely not collapse below 0.5×), and engine
 //!   throughput at batch=32 no lower than at batch=1 (within
-//!   [`gate::TOLERANCE`]) unconditionally.
+//!   [`gate::TOLERANCE`]) unconditionally; and `speedup_engine_streams`
+//!   — the engine's one level of thread fan-out, a worker per stream —
+//!   no lower than inline within the same tolerance *when this run has
+//!   ≥2 hardware threads*.
 //!
 //! When this run or the `--compare` baseline reports
 //! `threads_available <= 1`, the two kernel thread speedups are exempt
-//! from both `--compare` and `--check`: a serial-vs-threaded ratio
+//! from both `--compare` and `--check`, and `speedup_engine_streams`
+//! from `--compare`: a serial-vs-threaded ratio
 //! measured on one core is dispatch noise, not a number to pin.
 //! `speedup_engine_batch32` is gated regardless. A single-step call
 //! carries little per-call overhead for a batch to amortize (under a
@@ -30,10 +34,12 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use darnet_bench::gate::{self, Gate};
+use darnet_collect::StreamId;
 use darnet_core::dataset::{IMU_FEATURES, WINDOW_LEN};
 use darnet_core::{
-    AnalyticsEngine, BayesianCombiner, CnnConfig, CombinerKind, EngineConfig, FrameCnn,
-    ImuModelSlot, ImuRnn, RnnConfig,
+    AnalyticsEngine, BayesianCombiner, ClassMap, CnnConfig, CombinerKind, EngineConfig, FrameCnn,
+    ImuModelSlot, ImuRnn, ModalityDescriptor, MultiModalEngine, RnnConfig, StreamInput,
+    StreamModelSlot,
 };
 use darnet_sim::Frame;
 use darnet_tensor::{im2col_with, Conv2dSpec, Parallelism, SplitMix64, Tensor};
@@ -41,11 +47,18 @@ use darnet_tensor::{im2col_with, Conv2dSpec, Parallelism, SplitMix64, Tensor};
 const THREADS: usize = 4;
 /// The serial-vs-threaded kernel ratios: gated only between runs that
 /// both had more than one hardware thread.
-const THREAD_SPEEDUPS: [&str; 2] = ["speedup_matmul_threads", "speedup_conv_threads"];
+const KERNEL_SPEEDUPS: [&str; 2] = ["speedup_matmul_threads", "speedup_conv_threads"];
+/// Streams inline vs a worker per stream: compared with the baseline on
+/// the kernel ratios' condition, held to [`PARITY_FLOOR`] whenever this
+/// run has a second hardware thread.
+const STREAMS_SPEEDUP: &str = "speedup_engine_streams";
 const FRAME_SIZE: usize = 12;
-/// Batch=32 must not be slower per item than batch=1, within the
-/// tolerance the baseline comparison allows.
-const BATCH_SPEEDUP_FLOOR: f64 = 1.0 - gate::TOLERANCE;
+/// Frame edge of the ledger's `cabin_*` workloads.
+const CABIN_FRAME: usize = 48;
+/// Batch=32 must not be slower per item than batch=1, nor fanned-out
+/// streams than inline ones, within the tolerance the baseline
+/// comparison allows.
+const PARITY_FLOOR: f64 = 1.0 - gate::TOLERANCE;
 
 fn random_tensor(dims: &[usize], seed: u64) -> Tensor {
     let mut rng = SplitMix64::new(seed);
@@ -111,6 +124,46 @@ fn tiny_engine() -> AnalyticsEngine {
             combiner: CombinerKind::Bayesian,
         },
     )
+}
+
+/// The 3-stream registry engine at the model shape of the ledger's
+/// `cabin_*` workloads — 48×48 frames, CNN width 1.0, BiLSTM 2×64; IMU,
+/// front and side camera — seeded, so two calls build twins.
+fn cabin_engine() -> MultiModalEngine {
+    let cnn = |seed| {
+        let config = CnnConfig {
+            input_size: CABIN_FRAME,
+            classes: 6,
+            width: 1.0,
+            ..CnnConfig::default()
+        };
+        StreamModelSlot::Cnn(FrameCnn::new(config, seed))
+    };
+    let rnn_config = RnnConfig {
+        hidden: 64,
+        depth: 2,
+        ..RnnConfig::default()
+    };
+    let mut rnn = ImuRnn::new(rnn_config, 2);
+    let x = Tensor::ones(&[6, WINDOW_LEN, IMU_FEATURES]);
+    rnn.fit(&x, &[0, 1, 2, 0, 1, 2], 1).expect("rnn smoke fit");
+    let mut engine = MultiModalEngine::new(6, CombinerKind::Bayesian);
+    let side = ModalityDescriptor::new(StreamId::CAMERA_SIDE, ClassMap::Identity);
+    for (descriptor, model) in [
+        (ModalityDescriptor::darnet_imu(), StreamModelSlot::Rnn(rnn)),
+        (ModalityDescriptor::darnet_camera(), cnn(3)),
+        (side, cnn(4)),
+    ] {
+        engine.register(descriptor, model).expect("register stream");
+    }
+    let cameras = Tensor::full(&[6, 6], 1.0 / 6.0);
+    engine
+        .fit_combiner(
+            &[&Tensor::full(&[6, 3], 1.0 / 3.0), &cameras, &cameras],
+            &[0, 1, 2, 3, 4, 5],
+        )
+        .expect("combiner smoke fit");
+    engine
 }
 
 fn run(fast: bool) -> BTreeMap<String, f64> {
@@ -197,6 +250,51 @@ fn run(fast: bool) -> BTreeMap<String, f64> {
     out.insert("throughput_engine_batch32".to_string(), items / t_batch);
     out.insert("speedup_engine_batch32".to_string(), speedup);
 
+    // The engine's one level of thread fan-out: the same micro-batch
+    // through twin engines, streams inline vs one scoped worker each.
+    let batch = 8usize;
+    let mut inline = cabin_engine();
+    let mut fanned = cabin_engine();
+    fanned.set_parallelism(Parallelism::new(2));
+    let pixels = random_tensor(&[2 * batch, CABIN_FRAME * CABIN_FRAME], 15);
+    let frames: Vec<Frame> = pixels
+        .data()
+        .chunks(CABIN_FRAME * CABIN_FRAME)
+        .map(|p| Frame::from_pixels(CABIN_FRAME, CABIN_FRAME, p.to_vec()))
+        .collect();
+    let windows = random_tensor(&[batch, WINDOW_LEN, IMU_FEATURES], 16);
+    let inputs = [
+        (StreamId::IMU, StreamInput::Windows(&windows)),
+        (
+            StreamId::CAMERA_FRONT,
+            StreamInput::Frames(&frames[..batch]),
+        ),
+        (StreamId::CAMERA_SIDE, StreamInput::Frames(&frames[batch..])),
+    ];
+    let (mut inline_out, mut fanned_out) = (Vec::new(), Vec::new());
+    let stream_reps = if fast { 30 } else { 60 };
+    let (t_inline, t_fanned, speedup) = gate::paired_time_per_call(stream_reps, |fan_out| {
+        let (engine, labels) = if fan_out {
+            (&mut fanned, &mut fanned_out)
+        } else {
+            (&mut inline, &mut inline_out)
+        };
+        engine
+            .classify_batch_into(&inputs, labels)
+            .expect("classify_batch_into");
+    });
+    assert_eq!(fanned_out, inline_out, "fanned-out streams changed a label");
+    let items = batch as f64;
+    out.insert(
+        "throughput_engine_streams_inline".to_string(),
+        items / t_inline,
+    );
+    out.insert(
+        "throughput_engine_streams_threads".to_string(),
+        items / t_fanned,
+    );
+    out.insert(STREAMS_SPEEDUP.to_string(), speedup);
+
     out
 }
 
@@ -214,9 +312,11 @@ fn main() {
     let gate_threads =
         !one_core(&gate.results) && !gate.baseline.as_ref().is_some_and(|(_, b)| one_core(b));
     if !gate_threads {
-        eprintln!("1 hardware thread in this run or the baseline: thread speedups not gated");
+        eprintln!("1 hardware thread in this run or the baseline: thread speedups not compared");
         if let Some((_, baseline)) = gate.baseline.as_mut() {
-            baseline.retain(|key, _| !THREAD_SPEEDUPS.contains(&key.as_str()));
+            baseline.retain(|key, _| {
+                key != STREAMS_SPEEDUP && !KERNEL_SPEEDUPS.contains(&key.as_str())
+            });
         }
     }
     gate.finish(|results, failures| {
@@ -229,7 +329,7 @@ fn main() {
             // slowdown from the threaded dispatch itself.
             0.5
         };
-        for key in THREAD_SPEEDUPS {
+        for key in KERNEL_SPEEDUPS {
             if gate_threads && results[key] < kernel_floor {
                 failures.fail(format_args!(
                     "{key} = {:.3} < {kernel_floor} ({available} hardware threads)",
@@ -237,10 +337,16 @@ fn main() {
                 ));
             }
         }
-        if results["speedup_engine_batch32"] < BATCH_SPEEDUP_FLOOR {
+        if results["speedup_engine_batch32"] < PARITY_FLOOR {
             failures.fail(format_args!(
-                "speedup_engine_batch32 = {:.3} < {BATCH_SPEEDUP_FLOOR}",
+                "speedup_engine_batch32 = {:.3} < {PARITY_FLOOR}",
                 results["speedup_engine_batch32"]
+            ));
+        }
+        if available >= 2.0 && results[STREAMS_SPEEDUP] < PARITY_FLOOR {
+            failures.fail(format_args!(
+                "{STREAMS_SPEEDUP} = {:.3} < {PARITY_FLOOR} ({available} hardware threads)",
+                results[STREAMS_SPEEDUP]
             ));
         }
     });

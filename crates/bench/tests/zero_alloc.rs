@@ -3,9 +3,11 @@
 //! Uses the crate's counting global allocator
 //! ([`darnet_bench::alloc_counter`]) to prove that, after warm-up, the
 //! `*_into` classification paths of a serially-configured engine never
-//! touch the heap. Kept as a single `#[test]` in its own integration
-//! binary: the allocation counter is process-global, so a concurrently
-//! running test would pollute the measurement.
+//! touch the heap — and that no layer or model spawns a thread of its
+//! own under a threaded policy. Kept in its own integration binary, its
+//! tests taking turns on [`COUNTER`]: the allocation counter is
+//! process-global, so a concurrently running test would pollute the
+//! measurement.
 
 use darnet_bench::alloc_counter;
 use darnet_collect::runtime::AlignedTuple;
@@ -16,11 +18,14 @@ use darnet_core::{
     ImuModelSlot, ImuRnn, ModalityDescriptor, ModalityStatus, MultiModalEngine,
     MultiStepClassification, RnnConfig, StepClassification, StreamInput, StreamModelSlot,
 };
+use darnet_nn::{BiLstm, InceptionBlock, InceptionChannels, Layer, Mode};
 use darnet_sim::Frame;
-use darnet_tensor::{SplitMix64, Tensor};
+use darnet_tensor::{Parallelism, SplitMix64, Tensor, Workspace};
 
 const FRAME_SIZE: usize = 12;
 const BATCH: usize = 8;
+/// Held by whichever test is counting allocations.
+static COUNTER: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn random_tensor(dims: &[usize], seed: u64) -> Tensor {
     let mut rng = SplitMix64::new(seed);
@@ -29,6 +34,20 @@ fn random_tensor(dims: &[usize], seed: u64) -> Tensor {
         *v = rng.uniform(0.1, 1.0);
     }
     t
+}
+
+fn tiny_rnn() -> ImuRnn {
+    let mut rnn = ImuRnn::new(
+        RnnConfig {
+            hidden: 8,
+            depth: 1,
+            ..RnnConfig::default()
+        },
+        2,
+    );
+    let x = Tensor::ones(&[6, WINDOW_LEN, IMU_FEATURES]);
+    rnn.fit(&x, &[0, 1, 2, 0, 1, 2], 1).expect("rnn smoke fit");
+    rnn
 }
 
 fn tiny_engine() -> AnalyticsEngine {
@@ -41,16 +60,7 @@ fn tiny_engine() -> AnalyticsEngine {
         },
         1,
     );
-    let mut rnn = ImuRnn::new(
-        RnnConfig {
-            hidden: 8,
-            depth: 1,
-            ..RnnConfig::default()
-        },
-        2,
-    );
-    let x = Tensor::ones(&[6, WINDOW_LEN, IMU_FEATURES]);
-    rnn.fit(&x, &[0, 1, 2, 0, 1, 2], 1).expect("rnn smoke fit");
+    let rnn = tiny_rnn();
     let mut combiner = BayesianCombiner::darnet();
     combiner
         .fit(
@@ -84,16 +94,7 @@ fn tiny_cnn(seed: u64) -> FrameCnn {
 /// A 3-stream registry engine: IMU RNN behind the 6→3 projection plus
 /// two camera views, fused through a 3-parent Bayesian combiner.
 fn tiny_registry_engine() -> MultiModalEngine {
-    let mut rnn = ImuRnn::new(
-        RnnConfig {
-            hidden: 8,
-            depth: 1,
-            ..RnnConfig::default()
-        },
-        2,
-    );
-    let x = Tensor::ones(&[6, WINDOW_LEN, IMU_FEATURES]);
-    rnn.fit(&x, &[0, 1, 2, 0, 1, 2], 1).expect("rnn smoke fit");
+    let rnn = tiny_rnn();
     let mut engine = MultiModalEngine::new(6, CombinerKind::Bayesian);
     engine
         .register(ModalityDescriptor::darnet_imu(), StreamModelSlot::Rnn(rnn))
@@ -125,6 +126,7 @@ fn tiny_registry_engine() -> MultiModalEngine {
 
 #[test]
 fn warm_into_paths_perform_zero_heap_allocations() {
+    let _turn = COUNTER.lock().expect("counter lock");
     let mut engine = tiny_engine();
     let frames: Vec<Frame> = (0..BATCH)
         .map(|_| Frame::new(FRAME_SIZE, FRAME_SIZE))
@@ -260,4 +262,77 @@ fn warm_into_paths_perform_zero_heap_allocations() {
         );
         assert_eq!(multi_results.len(), BATCH);
     }
+}
+
+/// Below the engine's streams, the kernels' row chunks are the only
+/// fan-out there is. Under a four-thread policy at the default `min_work`
+/// this file's shapes keep every kernel under the threshold, so a warm
+/// call that allocates anything has spawned a thread from a layer, a
+/// model, or an engine with one stream to run.
+#[test]
+fn layers_and_models_never_spawn_under_a_threaded_policy() {
+    let _turn = COUNTER.lock().expect("counter lock");
+    fn steady(what: &str, mut call: impl FnMut()) {
+        call();
+        call();
+        let ((), allocs) = alloc_counter::allocations_during(call);
+        assert_eq!(allocs, 0, "{what} allocated on a warm call");
+    }
+    let par = Parallelism::new(4);
+    let mut ws = Workspace::new();
+
+    let channels = InceptionChannels {
+        c1: 2,
+        c3_reduce: 2,
+        c3: 3,
+        c5_reduce: 1,
+        c5: 2,
+        pool_proj: 1,
+    };
+    let mut block = InceptionBlock::new(2, channels, &mut SplitMix64::new(5));
+    block.set_parallelism(par);
+    let maps = random_tensor(&[BATCH, 2, 6, 6], 6);
+    steady("InceptionBlock::forward_into", || {
+        let y = block
+            .forward_into(&maps, Mode::Eval, &mut ws)
+            .expect("inception forward");
+        ws.restore(y);
+    });
+
+    let mut bilstm = BiLstm::new(IMU_FEATURES, 8, &mut SplitMix64::new(7));
+    bilstm.set_parallelism(par);
+    let windows = random_tensor(&[BATCH, WINDOW_LEN, IMU_FEATURES], 14);
+    steady("BiLstm::forward_seq_into", || {
+        let h = bilstm
+            .forward_seq_into(&windows, Mode::Eval, &mut ws)
+            .expect("bilstm forward");
+        ws.restore(h);
+    });
+
+    let mut probs = Vec::new();
+    let mut cnn = tiny_cnn(3);
+    cnn.set_parallelism(par);
+    let frames = random_tensor(&[BATCH, 1, FRAME_SIZE, FRAME_SIZE], 8);
+    steady("FrameCnn::predict_proba_into", || {
+        cnn.predict_proba_into(&frames, &mut probs)
+            .expect("cnn posterior");
+    });
+
+    let mut rnn = tiny_rnn();
+    rnn.set_parallelism(par);
+    steady("ImuRnn::predict_proba_into", || {
+        rnn.predict_proba_into(&windows, &mut probs)
+            .expect("rnn posterior");
+    });
+
+    // One stream left to run is run inline: a thread scope would allocate.
+    let mut registry = tiny_registry_engine();
+    registry.set_parallelism(par);
+    let survivor = [(StreamId::IMU, StreamInput::Windows(&windows))];
+    let mut labels: Vec<MultiStepClassification> = Vec::new();
+    steady("a single-survivor registry call", || {
+        registry
+            .classify_batch_into(&survivor, &mut labels)
+            .expect("single survivor");
+    });
 }

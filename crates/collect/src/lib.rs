@@ -67,7 +67,7 @@ pub use decision::{
     decide_processing, LinkObservation, PrivacyPreference, ProcessingSite, SiteCapabilities,
 };
 pub use error::CollectError;
-pub use loadgen::{run_fleet, run_fleet_into, run_fleet_timed, FleetConfig, FleetReport};
+pub use loadgen::{run_fleet, run_fleet_into, FleetConfig, FleetReport};
 pub use network::{FaultConfig, Link, LinkConfig, LinkStats};
 pub use sensor::{CameraView, ScriptedSensor, Sensor, SensorReading};
 pub use shard::{

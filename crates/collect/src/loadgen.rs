@@ -575,21 +575,6 @@ pub fn run_fleet_into(
     Ok(report)
 }
 
-/// [`run_fleet`] plus a wall-clock measurement of the whole run — the
-/// only wall-clock surface in this module, for the bench harness.
-///
-/// # Errors
-///
-/// Propagates [`run_fleet`] errors.
-pub fn run_fleet_timed(
-    config: &FleetConfig,
-    shard_config: ShardConfig,
-) -> Result<(ShardedController, FleetReport, f64)> {
-    let start = std::time::Instant::now();
-    let (sharded, report) = run_fleet(config, shard_config)?;
-    Ok((sharded, report, start.elapsed().as_secs_f64()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -701,20 +686,5 @@ mod tests {
             .collect::<Vec<_>>();
         assert!(metrics.iter().any(|m| m.starts_with("imu.")));
         assert!(metrics.iter().any(|m| m.starts_with("camera.")));
-    }
-
-    #[test]
-    fn timed_wrapper_reports_elapsed() {
-        let (_, report, elapsed) = run_fleet_timed(
-            &FleetConfig {
-                agents: 10,
-                session_seconds: 2.0,
-                ..FleetConfig::default()
-            },
-            fleet_shards(2),
-        )
-        .unwrap();
-        assert!(elapsed >= 0.0);
-        assert!(report.readings_polled > 0);
     }
 }

@@ -148,7 +148,6 @@ pub struct AnalyticsEngine {
     downsampler: Downsampler,
     students: Vec<(PrivacyLevel, FrameCnn)>,
     fallbacks: FallbackCounters,
-    parallelism: Parallelism,
 }
 
 impl AnalyticsEngine {
@@ -167,19 +166,17 @@ impl AnalyticsEngine {
             downsampler: Downsampler::new(full),
             students: Vec::new(),
             fallbacks: FallbackCounters::default(),
-            parallelism: Parallelism::serial(),
         }
     }
 
-    /// Installs a [`Parallelism`] handle: every model's tensor products
-    /// fan out across its threads, and a non-serial handle additionally
-    /// runs the CNN and IMU branches of a batch concurrently.
+    /// Installs a [`Parallelism`] handle on the inner registry engine
+    /// ([`MultiModalEngine::set_parallelism`]): a non-serial one lets the
+    /// `classify_*_into` paths run the CNN and IMU streams of a batch on
+    /// concurrent workers. The models and students themselves, and the
+    /// whole allocating reference path, always run inline on the caller's
+    /// thread.
     pub fn set_parallelism(&mut self, par: Parallelism) {
-        self.parallelism = par;
         self.inner.set_parallelism(par);
-        for (_, student) in &mut self.students {
-            student.set_parallelism(par);
-        }
     }
 
     /// Running counts of fused vs fallback classifications.
@@ -195,9 +192,10 @@ impl AnalyticsEngine {
         self.inner.workspace_stats()
     }
 
-    /// Registers a distilled dCNN student for a privacy level.
+    /// Registers a distilled dCNN student for a privacy level. Like every
+    /// model in an engine it runs its kernels inline from here on.
     pub fn register_dcnn(&mut self, level: PrivacyLevel, mut student: FrameCnn) {
-        student.set_parallelism(self.parallelism);
+        student.set_parallelism(Parallelism::serial());
         self.students.retain(|(l, _)| *l != level);
         self.students.push((level, student));
     }
@@ -363,9 +361,7 @@ impl AnalyticsEngine {
     /// pairs with window `i` of the `[n, WINDOW_LEN, IMU_FEATURES]`
     /// tensor. Each item's result is identical to what
     /// [`AnalyticsEngine::classify_step`] would produce for it alone; the
-    /// batch amortizes the per-call model overhead, and a non-serial
-    /// [`Parallelism`] handle runs the CNN and IMU branches on concurrent
-    /// threads before the combiner joins them.
+    /// batch amortizes the per-call model overhead.
     ///
     /// # Errors
     ///
@@ -382,7 +378,9 @@ impl AnalyticsEngine {
             return Ok(Vec::new());
         }
         let frame_tensor = frames_to_tensor(frames)?;
-        let (cnn_probs, imu_probs) = self.predict_branches(&frame_tensor, windows)?;
+        let (cnn, imu) = self.models()?;
+        let cnn_probs = cnn.predict_proba(&frame_tensor)?;
+        let imu_probs = imu.predict_proba(windows)?;
         let classes = cnn_probs.dims()[1];
         let imu_classes = imu_probs.dims()[1];
         let mut out = Vec::with_capacity(n);
@@ -486,38 +484,6 @@ impl AnalyticsEngine {
         out.truncate(n);
         self.fallbacks.fused += n as u64;
         Ok(())
-    }
-
-    /// Runs both model branches over a batch. The CNN and IMU models are
-    /// disjoint engine state, so with a non-serial handle the CNN branch
-    /// gets a scoped worker thread while the IMU branch runs on the
-    /// caller's thread; the join order is fixed, so results are
-    /// deterministic either way.
-    fn predict_branches(
-        &mut self,
-        frame_tensor: &Tensor,
-        windows: &Tensor,
-    ) -> Result<(Tensor, Tensor)> {
-        let serial = self.parallelism.is_serial();
-        let (cnn, imu) = self.models()?;
-        if serial {
-            let cnn_probs = cnn.predict_proba(frame_tensor)?;
-            let imu_probs = imu.predict_proba(windows)?;
-            Ok((cnn_probs, imu_probs))
-        } else {
-            let (cnn_probs, imu_probs) = std::thread::scope(|scope| {
-                let cnn_branch = scope.spawn(move || cnn.predict_proba(frame_tensor));
-                let imu_probs = imu.predict_proba(windows);
-                let cnn_probs = match cnn_branch.join() {
-                    Ok(probs) => probs,
-                    Err(_) => Err(CoreError::WorkerPanicked {
-                        stage: "AnalyticsEngine frame-CNN branch",
-                    }),
-                };
-                (cnn_probs, imu_probs)
-            });
-            Ok((cnn_probs?, imu_probs?))
-        }
     }
 
     /// Classifies one time-step from a *distorted* frame tagged with its
@@ -663,7 +629,7 @@ mod tests {
         assert_eq!(batch.len(), n);
         assert_eq!(serial.fallback_counters().fused, n as u64);
 
-        // A concurrent engine must produce bitwise-identical results.
+        // The reference path ignores the policy: bitwise-identical results.
         let mut parallel = tiny_engine(CombinerKind::Bayesian);
         parallel.set_parallelism(Parallelism::new(4).with_min_work(1));
         let par_batch = parallel.classify_batch(&frames, &windows).unwrap();
@@ -727,7 +693,7 @@ mod tests {
         assert_eq!(engine.workspace_stats().1, misses, "engine workspace grew");
         assert_eq!(engine.fallback_counters().fused, 3 * n as u64);
 
-        // Concurrent engine: same results bitwise.
+        // Streams on concurrent workers: same results bitwise.
         let mut parallel = tiny_engine(CombinerKind::Bayesian);
         parallel.set_parallelism(Parallelism::new(4).with_min_work(1));
         let mut par_out = Vec::new();

@@ -76,8 +76,8 @@ impl ImuRnn {
         &self.config
     }
 
-    /// Routes a [`Parallelism`] handle through the stacked BiLSTM so gate
-    /// products parallelize and the two directions run concurrently.
+    /// Routes a [`Parallelism`] handle through the stacked BiLSTM so its
+    /// gate products fan out across threads.
     pub fn set_parallelism(&mut self, par: Parallelism) {
         self.model.set_parallelism(par);
     }

@@ -498,8 +498,12 @@ impl MultiModalEngine {
         engine
     }
 
+    /// A model inside an engine runs its layers and kernels inline: the
+    /// engine's one level of thread fan-out is the streams
+    /// ([`MultiModalEngine::predict_streams`]), so whatever policy the
+    /// model arrived with is replaced by the serial one.
     fn push_stream(&mut self, descriptor: ModalityDescriptor, mut model: StreamModelSlot) {
-        model.set_parallelism(self.parallelism);
+        model.set_parallelism(Parallelism::serial());
         self.streams.push(RegisteredStream {
             descriptor,
             model,
@@ -542,15 +546,16 @@ impl MultiModalEngine {
         (self.ws.pool_hits(), self.ws.cold_misses())
     }
 
-    /// Installs a [`Parallelism`] handle: every stream model fans its
-    /// tensor products across the threads, and a non-serial handle
-    /// additionally runs the stream branches on concurrent scoped
-    /// workers.
+    /// Installs a [`Parallelism`] handle. The engine reads one thing off
+    /// it — whether more than one thread is allowed — and then runs each
+    /// *present* stream's model on its own scoped worker whenever at least
+    /// two streams take part in a batch; a single survivor, and every
+    /// stream under the serial default, runs on the caller's thread. The
+    /// handle is not passed on to the models: inside an engine their
+    /// layers and kernels always run inline, so no call nests one thread
+    /// scope in another. Results never depend on the installed handle.
     pub fn set_parallelism(&mut self, par: Parallelism) {
         self.parallelism = par;
-        for stream in &mut self.streams {
-            stream.model.set_parallelism(par);
-        }
     }
 
     /// Registers a stream. Registration order is registry order: it
@@ -690,8 +695,10 @@ impl MultiModalEngine {
     /// subset → the same combiner with absent parents marginalized out; a
     /// single survivor → its class-map expansion (bitwise the legacy
     /// CNN-only / IMU-only fallbacks). After one warm-up call at a given
-    /// batch shape, a steady-state serial call performs zero heap
-    /// allocations end to end.
+    /// batch shape, a steady-state call that runs its streams inline
+    /// performs zero heap allocations end to end; one that fans them out
+    /// ([`MultiModalEngine::set_parallelism`]) allocates what its thread
+    /// scope and spawns do, and nothing else.
     ///
     /// # Errors
     ///
@@ -782,11 +789,17 @@ impl MultiModalEngine {
     }
 
     /// Runs every present stream's model over its assembled input,
-    /// filling the per-stream posterior buffers. Serial handles process
-    /// streams in order on the caller's thread (the zero-alloc path);
-    /// non-serial handles assemble camera tensors first, then run each
-    /// stream on its own scoped worker and join in registry order, so
-    /// results and error precedence are deterministic either way.
+    /// filling the per-stream posterior buffers. This is the only place
+    /// under the engine that may spawn a thread, and the decision is made
+    /// here, once per call, from the installed policy and the number of
+    /// present streams. Fanned out, the streams form one group: camera
+    /// batches are assembled on the caller's thread (the workspace is not
+    /// shared with workers), each present stream's model runs on its own
+    /// scoped worker, every worker is joined in registry order, and the
+    /// batches go back to the pool. Inline, each stream is a group of its
+    /// own and the same three steps run for it alone, so one camera batch
+    /// is checked out at a time. Either way the first error in registry
+    /// order is the one returned.
     // darlint: hot
     fn predict_streams(&mut self, inputs: &[(StreamId, StreamInput<'_>)], n: usize) -> Result<()> {
         let classes = self.classes;
@@ -796,103 +809,61 @@ impl MultiModalEngine {
             parallelism,
             ..
         } = self;
-        if parallelism.is_serial() {
-            for stream in streams.iter_mut() {
-                if !stream.present {
-                    continue;
+        let fan_out = !parallelism.is_serial() && streams.iter().filter(|s| s.present).count() >= 2;
+        // The input of a stream that takes part in this batch.
+        let input_of = |stream: &RegisteredStream| {
+            let id = stream.descriptor.id;
+            let input = inputs.iter().find(|(s, _)| stream.present && *s == id);
+            input.map(|(_, input)| *input)
+        };
+        for group in streams.chunks_mut(if fan_out { MAX_STREAMS } else { 1 }) {
+            let mut batches: [Option<Tensor>; MAX_STREAMS] = [const { None }; MAX_STREAMS];
+            let mut run = Ok(());
+            for (stream, batch) in group.iter().zip(&mut batches) {
+                if let Some(StreamInput::Frames(frames)) = input_of(stream) {
+                    let (w, h) = (frames[0].width(), frames[0].height());
+                    run = frames_to_tensor_into(frames, batch.insert(ws.checkout(&[n, 1, h, w])));
+                    if run.is_err() {
+                        break;
+                    }
                 }
-                let id = stream.descriptor.id;
-                let Some((_, input)) = inputs.iter().find(|(s, _)| *s == id) else {
-                    stream.present = false;
-                    stream.probs.clear();
-                    continue;
+            }
+            if run.is_ok() {
+                let mut jobs = group
+                    .iter_mut()
+                    .zip(&batches)
+                    .filter_map(|(stream, batch)| {
+                        let input = match input_of(stream)? {
+                            StreamInput::Windows(windows) => windows,
+                            StreamInput::Frames(_) => batch.as_ref()?,
+                        };
+                        Some(move || stream.model.predict_proba_into(input, &mut stream.probs))
+                    });
+                run = if fan_out {
+                    std::thread::scope(|scope| {
+                        let mut workers = [const { None }; MAX_STREAMS];
+                        for (worker, job) in workers.iter_mut().zip(jobs) {
+                            *worker = Some(scope.spawn(job));
+                        }
+                        // Every worker is joined before the first error
+                        // surfaces, so none outlives the scope's borrows.
+                        let mut first = Ok(());
+                        for worker in workers.into_iter().flatten() {
+                            let joined = worker.join().unwrap_or(Err(CoreError::WorkerPanicked {
+                                stage: "MultiModalEngine stream branch",
+                            }));
+                            first = first.and(joined);
+                        }
+                        first
+                    })
+                } else {
+                    jobs.try_for_each(|mut job| job())
                 };
-                match input {
-                    StreamInput::Frames(frames) => {
-                        let (w, h) = (frames[0].width(), frames[0].height());
-                        let mut tensor = ws.checkout(&[n, 1, h, w]);
-                        let run = frames_to_tensor_into(frames, &mut tensor).and_then(|()| {
-                            stream.model.predict_proba_into(&tensor, &mut stream.probs)
-                        });
-                        ws.restore(tensor);
-                        run?;
-                    }
-                    StreamInput::Windows(t) => {
-                        stream.model.predict_proba_into(t, &mut stream.probs)?;
-                    }
-                }
             }
-        } else {
-            // Assemble camera batches on the caller thread first (the
-            // workspace is not shared across workers), then fan the
-            // model branches out.
-            let mut checkouts: Vec<Option<Tensor>> = Vec::with_capacity(streams.len());
-            let mut assemble_err = None;
-            for stream in streams.iter() {
-                let id = stream.descriptor.id;
-                let input = inputs.iter().find(|(s, _)| *s == id).map(|(_, i)| i);
-                match (stream.present, input) {
-                    (true, Some(StreamInput::Frames(frames))) => {
-                        let (w, h) = (frames[0].width(), frames[0].height());
-                        let mut tensor = ws.checkout(&[n, 1, h, w]);
-                        match frames_to_tensor_into(frames, &mut tensor) {
-                            Ok(()) => checkouts.push(Some(tensor)),
-                            Err(e) => {
-                                ws.restore(tensor);
-                                assemble_err = Some(e);
-                                break;
-                            }
-                        }
-                    }
-                    _ => checkouts.push(None),
-                }
+            for batch in batches.into_iter().flatten() {
+                ws.restore(batch);
             }
-            if let Some(e) = assemble_err {
-                for t in checkouts.into_iter().flatten() {
-                    ws.restore(t);
-                }
-                return Err(e);
-            }
-            let mut first_err: Option<CoreError> = None;
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(streams.len());
-                for (stream, checkout) in streams.iter_mut().zip(&checkouts) {
-                    if !stream.present {
-                        handles.push(None);
-                        continue;
-                    }
-                    let id = stream.descriptor.id;
-                    let input = inputs.iter().find(|(s, _)| *s == id).map(|(_, i)| i);
-                    handles.push(Some(scope.spawn(move || match (checkout, input) {
-                        (Some(tensor), _) => {
-                            stream.model.predict_proba_into(tensor, &mut stream.probs)
-                        }
-                        (None, Some(StreamInput::Windows(t))) => {
-                            stream.model.predict_proba_into(t, &mut stream.probs)
-                        }
-                        _ => Ok(()),
-                    })));
-                }
-                // Join every worker before surfacing the first error, so
-                // no thread outlives the scope with a live borrow.
-                for h in handles {
-                    let joined = match h {
-                        None => Ok(()),
-                        Some(h) => h.join().unwrap_or(Err(CoreError::WorkerPanicked {
-                            stage: "MultiModalEngine stream branch",
-                        })),
-                    };
-                    if let Err(e) = joined {
-                        first_err.get_or_insert(e);
-                    }
-                }
-            });
-            for t in checkouts.into_iter().flatten() {
-                ws.restore(t);
-            }
-            if let Some(e) = first_err {
-                return Err(e);
-            }
+            run?;
         }
         // Posterior width check — catches a model/descriptor mismatch
         // that slipped past registration (e.g. a refit model).
@@ -1241,21 +1212,113 @@ mod tests {
         }
     }
 
+    /// A three-stream engine in ascending `StreamId` order: IMU, front
+    /// camera, side camera.
+    fn three_stream_engine() -> MultiModalEngine {
+        let (cnn, rnn, _) = tiny_models();
+        let side_cnn = FrameCnn::new(
+            CnnConfig {
+                input_size: 24,
+                classes: 6,
+                width: 0.5,
+                ..CnnConfig::default()
+            },
+            3,
+        );
+        let mut engine = MultiModalEngine::new(6, CombinerKind::Bayesian);
+        engine
+            .register(ModalityDescriptor::darnet_imu(), StreamModelSlot::Rnn(rnn))
+            .unwrap();
+        engine
+            .register(
+                ModalityDescriptor::darnet_camera(),
+                StreamModelSlot::Cnn(cnn),
+            )
+            .unwrap();
+        engine
+            .register(
+                ModalityDescriptor::new(StreamId::CAMERA_SIDE, ClassMap::Identity),
+                StreamModelSlot::Cnn(side_cnn),
+            )
+            .unwrap();
+        let imu_rows = Tensor::full(&[6, 3], 1.0 / 3.0);
+        let cam_rows = Tensor::full(&[6, 6], 1.0 / 6.0);
+        engine
+            .fit_combiner(&[&imu_rows, &cam_rows, &cam_rows], &[0, 1, 2, 3, 4, 5])
+            .unwrap();
+        engine
+    }
+
     #[test]
     fn parallel_registry_engine_is_bitwise_serial() {
         let (frames, windows) = test_batch(4);
-        let inputs = [
-            (StreamId::CAMERA_FRONT, StreamInput::Frames(&frames)),
+        let all = [
             (StreamId::IMU, StreamInput::Windows(&windows)),
+            (StreamId::CAMERA_FRONT, StreamInput::Frames(&frames)),
+            (StreamId::CAMERA_SIDE, StreamInput::Frames(&frames)),
         ];
-        let mut serial = registry_engine(CombinerKind::Bayesian);
-        let mut expected = Vec::new();
-        serial.classify_batch_into(&inputs, &mut expected).unwrap();
-
-        let mut parallel = registry_engine(CombinerKind::Bayesian);
+        let side_down = [(StreamId::CAMERA_SIDE, ModalityStatus::Unavailable)];
+        let cameras_down = [
+            (StreamId::CAMERA_FRONT, ModalityStatus::Unavailable),
+            (StreamId::CAMERA_SIDE, ModalityStatus::Unavailable),
+        ];
+        let mut serial = three_stream_engine();
+        let mut parallel = three_stream_engine();
         parallel.set_parallelism(Parallelism::new(4).with_min_work(1));
-        let mut out = Vec::new();
-        parallel.classify_batch_into(&inputs, &mut out).unwrap();
+        let (mut expected, mut out) = (Vec::new(), Vec::new());
+
+        // Every way a stream takes part or sits out: all three on workers;
+        // two of three with the third unavailable, or its input omitted;
+        // a single survivor (which runs inline — `zero_alloc.rs` holds
+        // that call to 0 allocations).
+        type Case<'a> = (
+            &'a [(StreamId, StreamInput<'a>)],
+            &'a [(StreamId, ModalityStatus)],
+            usize,
+        );
+        let cases: [Case<'_>; 5] = [
+            (&all, &[], 3),
+            (&all, &side_down, 2),
+            (&all[..2], &[], 2),
+            (&all, &cameras_down, 1),
+            (&all[..1], &[], 1),
+        ];
+        for (inputs, statuses, used) in cases {
+            serial
+                .classify_batch_checked_into(inputs, statuses, &mut expected)
+                .unwrap();
+            parallel
+                .classify_batch_checked_into(inputs, statuses, &mut out)
+                .unwrap();
+            assert!(expected.iter().all(|step| step.used.len() == used));
+            assert_eq!(out, expected);
+        }
+        assert_eq!(parallel.counters(), serial.counters());
+
+        // A model error: both camera models reject their (differently
+        // mis-sized) frames. The error returned is the first in registry
+        // order — the front camera's — with workers as without; every
+        // worker is joined and every batch restored, so the next call is
+        // bitwise serial again.
+        let resized = |size: usize| vec![Frame::new(size, size); frames.len()];
+        let (front_bad, side_bad) = (resized(32), resized(48));
+        let both_bad = [
+            all[0],
+            (StreamId::CAMERA_FRONT, StreamInput::Frames(&front_bad)),
+            (StreamId::CAMERA_SIDE, StreamInput::Frames(&side_bad)),
+        ];
+        let side_only_bad = [all[0], all[1], both_bad[2]];
+        let front_err = serial.classify_batch_into(&both_bad, &mut expected);
+        let side_err = serial.classify_batch_into(&side_only_bad, &mut expected);
+        assert!(front_err.is_err() && side_err.is_err());
+        assert_ne!(front_err, side_err);
+        assert_eq!(parallel.classify_batch_into(&both_bad, &mut out), front_err);
+        assert_eq!(
+            parallel.classify_batch_into(&side_only_bad, &mut out),
+            side_err
+        );
+        serial.classify_batch_into(&all, &mut expected).unwrap();
+        parallel.classify_batch_into(&all, &mut out).unwrap();
         assert_eq!(out, expected);
     }
 
@@ -1330,38 +1393,7 @@ mod tests {
 
     #[test]
     fn three_stream_registry_fuses_any_subset() {
-        let (cnn, rnn, _) = tiny_models();
-        let side_cnn = FrameCnn::new(
-            CnnConfig {
-                input_size: 24,
-                classes: 6,
-                width: 0.5,
-                ..CnnConfig::default()
-            },
-            3,
-        );
-        let mut engine = MultiModalEngine::new(6, CombinerKind::Bayesian);
-        // Ascending StreamId: IMU, front camera, side camera.
-        engine
-            .register(ModalityDescriptor::darnet_imu(), StreamModelSlot::Rnn(rnn))
-            .unwrap();
-        engine
-            .register(
-                ModalityDescriptor::darnet_camera(),
-                StreamModelSlot::Cnn(cnn),
-            )
-            .unwrap();
-        engine
-            .register(
-                ModalityDescriptor::new(StreamId::CAMERA_SIDE, ClassMap::Identity),
-                StreamModelSlot::Cnn(side_cnn),
-            )
-            .unwrap();
-        let imu_rows = Tensor::full(&[6, 3], 1.0 / 3.0);
-        let cam_rows = Tensor::full(&[6, 6], 1.0 / 6.0);
-        engine
-            .fit_combiner(&[&imu_rows, &cam_rows, &cam_rows], &[0, 1, 2, 3, 4, 5])
-            .unwrap();
+        let mut engine = three_stream_engine();
 
         let (frames, windows) = test_batch(3);
         let inputs = [

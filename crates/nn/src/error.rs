@@ -33,13 +33,6 @@ pub enum NnError {
     InvalidConfig(String),
     /// Training diverged (NaN/inf appeared in loss or parameters).
     Diverged(String),
-    /// A scoped worker thread panicked while executing part of a layer's
-    /// forward/backward pass (the panic payload is not preserved — the
-    /// worker's own diagnostics go to stderr).
-    WorkerPanicked {
-        /// The layer whose worker died.
-        layer: &'static str,
-    },
 }
 
 impl fmt::Display for NnError {
@@ -57,9 +50,6 @@ impl fmt::Display for NnError {
             }
             NnError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             NnError::Diverged(msg) => write!(f, "training diverged: {msg}"),
-            NnError::WorkerPanicked { layer } => {
-                write!(f, "a parallel worker thread panicked in layer {layer}")
-            }
         }
     }
 }

@@ -10,7 +10,7 @@ use darnet_tensor::{Parallelism, SplitMix64, Tensor, TensorView, Workspace};
 
 use crate::conv::Conv2d;
 use crate::error::NnError;
-use crate::layer::{join_worker, rank4_dims, Layer, Mode, Relu};
+use crate::layer::{rank4_dims, Layer, Mode, Relu};
 use crate::param::Param;
 use crate::pool::MaxPool2d;
 use crate::Result;
@@ -107,17 +107,6 @@ pub struct InceptionBlock {
     b4_pool: MaxPool2d,
     b4_proj: Conv2d,
     b4_act: Relu,
-    /// Pools for the three branches a parallel policy runs on scoped
-    /// worker threads (the fourth, and all four under a serial policy, run
-    /// on the calling thread in the caller's workspace). The block owns
-    /// them, so under a parallel policy they stay warm across calls even
-    /// when the caller's workspace is a fresh one (as in
-    /// [`Layer::forward`]); every checkout is zero-filled, so results do
-    /// not depend on what a pool held before.
-    ws1: Workspace,
-    ws2: Workspace,
-    ws3: Workspace,
-    par: Parallelism,
 }
 
 impl InceptionBlock {
@@ -138,10 +127,6 @@ impl InceptionBlock {
             b4_pool: MaxPool2d::new(3, 1),
             b4_proj: Conv2d::square(in_channels, channels.pool_proj, 1, 1, 0, rng),
             b4_act: Relu::new(),
-            ws1: Workspace::new(),
-            ws2: Workspace::new(),
-            ws3: Workspace::new(),
-            par: Parallelism::serial(),
         }
     }
 
@@ -160,107 +145,42 @@ impl Layer for InceptionBlock {
         ws: &mut Workspace,
     ) -> Result<TensorView> {
         let d = rank4_dims(input, "inception block")?;
-        // The four branches touch disjoint fields, so with a parallel policy
-        // they run on scoped threads; each branch is internally unchanged,
-        // and concatenation order is fixed, so output bytes never depend on
-        // the dispatch strategy. A branch keeps its intermediates in the
-        // pool it is handed: the caller's on the calling thread, one of the
-        // block's own on a worker. `own` is the pools the first three
-        // outputs came from when they are not the caller's.
-        let (y1, y2, y3, y4, own) = {
-            let InceptionBlock {
-                b1,
-                b1_act,
-                b2_reduce,
-                b2_reduce_act,
-                b2,
-                b2_act,
-                b3_reduce,
-                b3_reduce_act,
-                b3,
-                b3_act,
-                b4_pool,
-                b4_proj,
-                b4_act,
-                ws1,
-                ws2,
-                ws3,
-                par,
-                ..
-            } = self;
-            let mut branch1 = move |ws: &mut Workspace| -> Result<TensorView> {
-                let a = b1.forward_into(input, mode, ws)?;
-                let y = b1_act.forward_into(&a, mode, ws)?;
-                ws.restore(a);
-                Ok(y)
-            };
-            let mut branch2 = move |ws: &mut Workspace| -> Result<TensorView> {
-                let a = b2_reduce.forward_into(input, mode, ws)?;
-                let r = b2_reduce_act.forward_into(&a, mode, ws)?;
-                ws.restore(a);
-                let c = b2.forward_into(&r, mode, ws)?;
-                ws.restore(r);
-                let y = b2_act.forward_into(&c, mode, ws)?;
-                ws.restore(c);
-                Ok(y)
-            };
-            let mut branch3 = move |ws: &mut Workspace| -> Result<TensorView> {
-                let a = b3_reduce.forward_into(input, mode, ws)?;
-                let r = b3_reduce_act.forward_into(&a, mode, ws)?;
-                ws.restore(a);
-                let c = b3.forward_into(&r, mode, ws)?;
-                ws.restore(r);
-                let y = b3_act.forward_into(&c, mode, ws)?;
-                ws.restore(c);
-                Ok(y)
-            };
-            let mut branch4 = move |ws: &mut Workspace| -> Result<TensorView> {
-                // Same-size 3×3 max pool: pad with -inf so padding never wins.
-                let mut padded = ws.checkout(&[d[0], d[1], d[2] + 2, d[3] + 2]);
-                pad_spatial_into(input, 1, f32::NEG_INFINITY, &mut padded)?;
-                let pooled = b4_pool.forward_into(&padded, mode, ws)?;
-                ws.restore(padded);
-                let p = b4_proj.forward_into(&pooled, mode, ws)?;
-                ws.restore(pooled);
-                let y = b4_act.forward_into(&p, mode, ws)?;
-                ws.restore(p);
-                Ok(y)
-            };
-            if par.is_serial() {
-                (branch1(ws), branch2(ws), branch3(ws), branch4(ws), None)
-            } else {
-                let (y1, y2, y3, y4) = std::thread::scope(|scope| {
-                    let h1 = scope.spawn(|| branch1(ws1));
-                    let h2 = scope.spawn(|| branch2(ws2));
-                    let h3 = scope.spawn(|| branch3(ws3));
-                    let y4 = branch4(ws);
-                    (
-                        join_worker(h1, "Inception branch 1"),
-                        join_worker(h2, "Inception branch 2"),
-                        join_worker(h3, "Inception branch 3"),
-                        y4,
-                    )
-                });
-                (y1, y2, y3, y4, Some([ws1, ws2, ws3]))
-            }
-        };
-        let (y1, y2, y3, y4) = (y1?, y2?, y3?, y4?);
-        let d = y1.dims();
+        // Branch 1: 1×1.
+        let a = self.b1.forward_into(input, mode, ws)?;
+        let y1 = self.b1_act.forward_into(&a, mode, ws)?;
+        ws.restore(a);
+        // Branch 2: 1×1 reduce, then 3×3.
+        let a = self.b2_reduce.forward_into(input, mode, ws)?;
+        let r = self.b2_reduce_act.forward_into(&a, mode, ws)?;
+        ws.restore(a);
+        let c = self.b2.forward_into(&r, mode, ws)?;
+        ws.restore(r);
+        let y2 = self.b2_act.forward_into(&c, mode, ws)?;
+        ws.restore(c);
+        // Branch 3: 1×1 reduce, then 5×5.
+        let a = self.b3_reduce.forward_into(input, mode, ws)?;
+        let r = self.b3_reduce_act.forward_into(&a, mode, ws)?;
+        ws.restore(a);
+        let c = self.b3.forward_into(&r, mode, ws)?;
+        ws.restore(r);
+        let y3 = self.b3_act.forward_into(&c, mode, ws)?;
+        ws.restore(c);
+        // Branch 4: same-size 3×3 max pool (padded with -inf so padding
+        // never wins), then a 1×1 projection.
+        let mut padded = ws.checkout(&[d[0], d[1], d[2] + 2, d[3] + 2]);
+        pad_spatial_into(input, 1, f32::NEG_INFINITY, &mut padded)?;
+        let pooled = self.b4_pool.forward_into(&padded, mode, ws)?;
+        ws.restore(padded);
+        let p = self.b4_proj.forward_into(&pooled, mode, ws)?;
+        ws.restore(pooled);
+        let y4 = self.b4_act.forward_into(&p, mode, ws)?;
+        ws.restore(p);
+
         let mut out = ws.checkout(&[d[0], self.channels.total(), d[2], d[3]]);
         Tensor::concat_into(&[&y1, &y2, &y3, &y4], 1, &mut out)?;
-        // Each branch output goes back to the pool it came from.
-        match own {
-            Some([ws1, ws2, ws3]) => {
-                ws1.restore(y1);
-                ws2.restore(y2);
-                ws3.restore(y3);
-            }
-            None => {
-                ws.restore(y1);
-                ws.restore(y2);
-                ws.restore(y3);
-            }
-        }
+        ws.restore(y1);
+        ws.restore(y2);
+        ws.restore(y3);
         ws.restore(y4);
         Ok(out)
     }
@@ -305,7 +225,6 @@ impl Layer for InceptionBlock {
     }
 
     fn set_parallelism(&mut self, par: Parallelism) {
-        self.par = par;
         self.b1.set_parallelism(par);
         self.b2_reduce.set_parallelism(par);
         self.b2.set_parallelism(par);
@@ -394,48 +313,18 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_branches_match_serial_bitwise() {
+    fn threaded_kernels_match_serial_bitwise() {
         let mut serial = InceptionBlock::new(2, tiny_channels(), &mut SplitMix64::new(9));
-        let mut parallel = InceptionBlock::new(2, tiny_channels(), &mut SplitMix64::new(9));
-        parallel.set_parallelism(Parallelism::new(4).with_min_work(1));
+        let mut threaded = InceptionBlock::new(2, tiny_channels(), &mut SplitMix64::new(9));
+        threaded.set_parallelism(Parallelism::new(4).with_min_work(1));
         let mut x = Tensor::zeros(&[2, 2, 5, 5]);
         let mut r = SplitMix64::new(3);
         for v in x.data_mut() {
             *v = r.uniform(-1.0, 1.0);
         }
         let ys = serial.forward(&x, Mode::Eval).unwrap();
-        let yp = parallel.forward(&x, Mode::Eval).unwrap();
-        assert_eq!(ys, yp);
-    }
-
-    #[test]
-    fn own_branch_pools_go_flat_once_warm() {
-        // The ledger's shape sequence: batch 8 → 6 → 8, under a policy that
-        // puts three branches on workers (a serial one never touches the
-        // block's pools).
-        let mut block = InceptionBlock::new(2, tiny_channels(), &mut SplitMix64::new(4));
-        block.set_parallelism(Parallelism::new(4).with_min_work(1));
-        let (x8, x6) = (Tensor::ones(&[8, 2, 5, 5]), Tensor::ones(&[6, 2, 5, 5]));
-        let mut ws = Workspace::new();
-        let mut lap = |block: &mut InceptionBlock| {
-            for x in [&x8, &x6, &x8] {
-                let y = block.forward_into(x, Mode::Eval, &mut ws).unwrap();
-                ws.restore(y);
-            }
-            [&block.ws1, &block.ws2, &block.ws3].map(Workspace::cold_misses)
-        };
-        lap(&mut block);
-        let warm = lap(&mut block);
-        assert!(warm.iter().all(|&misses| misses > 0));
-        assert_eq!(lap(&mut block), warm, "a warm branch pool allocated again");
-
-        // Under a serial policy the block keeps nothing: a call leaves
-        // its own pools as they were.
-        block.set_parallelism(Parallelism::serial());
-        let pooled = |b: &InceptionBlock| [&b.ws1, &b.ws2, &b.ws3].map(Workspace::pooled_elems);
-        let before = pooled(&block);
-        block.forward(&x8, Mode::Eval).unwrap();
-        assert_eq!(pooled(&block), before);
+        let yt = threaded.forward(&x, Mode::Eval).unwrap();
+        assert_eq!(ys, yt);
     }
 
     #[test]

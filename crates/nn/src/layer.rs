@@ -23,8 +23,8 @@ pub enum Mode {
 /// receives `dL/d(output)` and must return `dL/d(input)` while
 /// *accumulating* parameter gradients into the layer's [`Param`]s.
 ///
-/// Layers are `Send` so whole sub-networks can be moved across (or borrowed
-/// by) scoped worker threads when a model runs its branches concurrently.
+/// Layers are `Send` so a whole model can be borrowed by a scoped worker
+/// thread when an engine runs its streams concurrently.
 pub trait Layer: Send {
     /// Computes the layer output for `input` as an owned tensor: runs
     /// [`Layer::forward_into`] on a fresh, empty [`Workspace`], so nothing
@@ -81,7 +81,9 @@ pub trait Layer: Send {
     }
 
     /// Installs a parallel execution policy for this layer's tensor kernels
-    /// (and, for containers, every child layer). Stateless layers ignore it;
+    /// (containers only hand it on to every child layer: no layer spawns a
+    /// thread of its own, so a kernel's row chunks are the one level of
+    /// fan-out below a directly driven model). Stateless layers ignore it;
     /// results never depend on the installed policy.
     fn set_parallelism(&mut self, _par: Parallelism) {}
 }
@@ -164,19 +166,6 @@ impl Sigmoid {
     pub fn new() -> Self {
         Sigmoid { output: None }
     }
-}
-
-/// Joins a scoped worker and converts a worker panic into a typed
-/// [`NnError::WorkerPanicked`] instead of re-panicking on the caller's
-/// thread (the hot paths are panic-free by project invariant; see
-/// DESIGN.md §11).
-pub(crate) fn join_worker<T>(
-    handle: std::thread::ScopedJoinHandle<'_, Result<T>>,
-    layer: &'static str,
-) -> Result<T> {
-    handle
-        .join()
-        .map_err(|_| NnError::WorkerPanicked { layer })?
 }
 
 /// The dims of a `[batch, c, h, w]` input, or `layer`'s typed rank error.

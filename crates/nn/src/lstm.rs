@@ -7,7 +7,7 @@
 use darnet_tensor::{uniform_init, Parallelism, SplitMix64, Tensor, TensorView, Workspace};
 
 use crate::error::NnError;
-use crate::layer::{join_worker, sigmoid_scalar, Mode};
+use crate::layer::{sigmoid_scalar, Mode};
 use crate::param::Param;
 use crate::Result;
 
@@ -340,11 +340,6 @@ pub struct BiLstm {
     fwd: LstmCell,
     bwd: LstmCell,
     hidden_size: usize,
-    /// Pool for the forward cell when a parallel policy runs it on a
-    /// scoped worker thread (the backward cell, and both under a serial
-    /// policy, run on the calling thread in the caller's workspace).
-    ws_fwd: Workspace,
-    par: Parallelism,
 }
 
 impl BiLstm {
@@ -354,8 +349,6 @@ impl BiLstm {
             fwd: LstmCell::new(input_size, hidden_size, rng),
             bwd: LstmCell::new(input_size, hidden_size, rng),
             hidden_size,
-            ws_fwd: Workspace::new(),
-            par: Parallelism::serial(),
         }
     }
 
@@ -364,11 +357,10 @@ impl BiLstm {
         2 * self.hidden_size
     }
 
-    /// Installs a parallel execution policy: the two direction cells run on
-    /// scoped threads (they touch disjoint state) and each cell's matrix
-    /// products use the policy. Results are bitwise identical to serial.
+    /// Installs a parallel execution policy for both direction cells'
+    /// matrix products. The cells themselves run one after the other on
+    /// the calling thread; results are bitwise identical to serial.
     pub fn set_parallelism(&mut self, par: Parallelism) {
-        self.par = par;
         self.fwd.set_parallelism(par);
         self.bwd.set_parallelism(par);
     }
@@ -383,11 +375,9 @@ impl BiLstm {
         self.forward_seq_into(x, mode, &mut Workspace::new())
     }
 
-    /// The layer's one forward body: both directions run in the caller's
-    /// `ws` under a serial policy; under a parallel one the forward cell
-    /// runs on a scoped worker in a pool the layer owns (so it stays warm
-    /// across calls). The concatenation lands in a buffer checked out from
-    /// `ws`.
+    /// The layer's one forward body: the forward cell, then the backward
+    /// cell over the time-reversed input, both in the caller's `ws`; the
+    /// concatenation lands in a buffer checked out from `ws` too.
     ///
     /// # Errors
     ///
@@ -399,44 +389,18 @@ impl BiLstm {
         mode: Mode,
         ws: &mut Workspace,
     ) -> Result<TensorView> {
-        // `own` is the pool the forward cell's output came from when that
-        // is not the caller's.
-        let (hf, hb, own) = {
-            let BiLstm {
-                fwd,
-                bwd,
-                ws_fwd,
-                par,
-                ..
-            } = self;
-            let mut run_fwd = move |ws: &mut Workspace| fwd.forward_seq_into(x, mode, ws);
-            let mut run_bwd = move |ws: &mut Workspace| -> Result<TensorView> {
-                let mut x_rev = ws.checkout(x.dims());
-                reverse_time_into(x, &mut x_rev);
-                let h_rev = bwd.forward_seq_into(&x_rev, mode, ws)?;
-                ws.restore(x_rev);
-                let mut h_out = ws.checkout(h_rev.dims());
-                reverse_time_into(&h_rev, &mut h_out);
-                ws.restore(h_rev);
-                Ok(h_out)
-            };
-            if par.is_serial() {
-                (run_fwd(ws), run_bwd(ws), None)
-            } else {
-                let (hf, hb) = std::thread::scope(|scope| {
-                    let handle = scope.spawn(|| run_fwd(ws_fwd));
-                    let hb = run_bwd(ws);
-                    (join_worker(handle, "BiLstm::forward_seq"), hb)
-                });
-                (hf, hb, Some(ws_fwd))
-            }
-        };
-        let (hf, hb) = (hf?, hb?);
+        let hf = self.fwd.forward_seq_into(x, mode, ws)?;
+        let mut x_rev = ws.checkout(x.dims());
+        reverse_time_into(x, &mut x_rev);
+        let h_rev = self.bwd.forward_seq_into(&x_rev, mode, ws)?;
+        ws.restore(x_rev);
+        let mut hb = ws.checkout(h_rev.dims());
+        reverse_time_into(&h_rev, &mut hb);
+        ws.restore(h_rev);
         let d = hf.dims();
         let mut out = ws.checkout(&[d[0], d[1], 2 * self.hidden_size]);
         Tensor::concat_into(&[&hf, &hb], 2, &mut out)?;
-        // Each direction's output goes back to the pool it came from.
-        own.unwrap_or(&mut *ws).restore(hf);
+        ws.restore(hf);
         ws.restore(hb);
         Ok(out)
     }
@@ -457,27 +421,13 @@ impl BiLstm {
                 ))
             }
         };
-        let BiLstm { fwd, bwd, par, .. } = self;
-        let mut run_fwd = move || fwd.backward_seq(&grad_fwd);
-        let mut run_bwd = move || -> Result<Tensor> {
-            let mut g_rev = Tensor::zeros(grad_bwd.dims());
-            reverse_time_into(&grad_bwd, &mut g_rev);
-            let dx_rev = bwd.backward_seq(&g_rev)?;
-            let mut dx = Tensor::zeros(dx_rev.dims());
-            reverse_time_into(&dx_rev, &mut dx);
-            Ok(dx)
-        };
-        let (dx_f, dx_b) = if par.is_serial() {
-            (run_fwd(), run_bwd())
-        } else {
-            std::thread::scope(|scope| {
-                let handle = scope.spawn(run_fwd);
-                let dx_b = run_bwd();
-                (join_worker(handle, "BiLstm::backward_seq"), dx_b)
-            })
-        };
-        let mut dx = dx_f?;
-        dx.add_assign(&dx_b?)?;
+        let mut dx = self.fwd.backward_seq(&grad_fwd)?;
+        let mut g_rev = Tensor::zeros(grad_bwd.dims());
+        reverse_time_into(&grad_bwd, &mut g_rev);
+        let dx_rev = self.bwd.backward_seq(&g_rev)?;
+        let mut dx_b = Tensor::zeros(dx_rev.dims());
+        reverse_time_into(&dx_rev, &mut dx_b);
+        dx.add_assign(&dx_b)?;
         Ok(dx)
     }
 
@@ -826,18 +776,18 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_directions_match_serial_bitwise() {
+    fn threaded_kernels_match_serial_bitwise() {
         let mut serial = BiLstm::new(3, 5, &mut SplitMix64::new(21));
-        let mut parallel = BiLstm::new(3, 5, &mut SplitMix64::new(21));
-        parallel.set_parallelism(Parallelism::new(4).with_min_work(1));
+        let mut threaded = BiLstm::new(3, 5, &mut SplitMix64::new(21));
+        threaded.set_parallelism(Parallelism::new(4).with_min_work(1));
         let x = random_tensor(&[2, 6, 3], 22);
         let hs = serial.forward_seq(&x, Mode::Train).unwrap();
-        let hp = parallel.forward_seq(&x, Mode::Train).unwrap();
-        assert_eq!(hs, hp);
+        let ht = threaded.forward_seq(&x, Mode::Train).unwrap();
+        assert_eq!(hs, ht);
         let grad = random_tensor(hs.dims(), 23);
         let ds = serial.backward_seq(&grad).unwrap();
-        let dp = parallel.backward_seq(&grad).unwrap();
-        assert_eq!(ds, dp);
+        let dt = threaded.backward_seq(&grad).unwrap();
+        assert_eq!(ds, dt);
     }
 
     #[test]

@@ -2,10 +2,9 @@
 //!
 //! `forward` is `forward_into` on a fresh workspace, so "the two paths
 //! agree" is true by construction. What still needs holding is that a
-//! *warm* call — recycled, dirty buffers in the caller's workspace and in
-//! the worker-thread pools `InceptionBlock` and `BiLstm` own (used under
-//! a parallel policy), after the batch shape changed, after a
-//! `Mode::Train` call — returns the bytes a cold call on a freshly built
+//! *warm* call — recycled, dirty buffers in the caller's workspace, after
+//! the batch shape changed, after a `Mode::Train` call, with kernels
+//! inline or on threads — returns the bytes a cold call on a freshly built
 //! layer returns, and that a warm workspace stops allocating (cold-miss
 //! counter goes flat).
 
@@ -147,12 +146,8 @@ fn sequential_stack() {
     }
 }
 
-/// Under the threaded policy the block's own worker pools are cold on the
-/// freshly built side and warm (and re-shaped by the 8 → 6 → 8 laps) on
-/// the other; `inception::tests::own_branch_pools_go_flat_once_warm`
-/// holds their cold-miss counters flat.
 #[test]
-fn inception_block_own_pools_serial_and_parallel() {
+fn inception_block_serial_and_threaded_kernels() {
     for threads in [1, 4] {
         let build = || {
             let block = InceptionBlock::new(3, tiny_channels(), &mut SplitMix64::new(9));

@@ -23,9 +23,7 @@ const DEFAULT_MIN_WORK: usize = 1 << 16;
 /// A copyable parallel-execution policy for tensor kernels.
 ///
 /// The default ([`Parallelism::serial`]) runs everything inline on the
-/// calling thread; [`Parallelism::new`] requests a fixed fan-out and
-/// [`Parallelism::auto`] sizes it to the machine (overridable with the
-/// `DARNET_THREADS` environment variable).
+/// calling thread; [`Parallelism::new`] requests a fixed fan-out.
 ///
 /// ```
 /// use darnet_tensor::{Parallelism, Tensor};
@@ -64,21 +62,6 @@ impl Parallelism {
             threads: threads.max(1),
             min_work: DEFAULT_MIN_WORK,
         }
-    }
-
-    /// A policy sized to the machine: `DARNET_THREADS` if set and valid,
-    /// otherwise [`std::thread::available_parallelism`], otherwise 1.
-    pub fn auto() -> Self {
-        let env = std::env::var("DARNET_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0);
-        let threads = env.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
-        Parallelism::new(threads)
     }
 
     /// Returns the same policy with a different serial-fallback threshold:

@@ -6,10 +6,9 @@
 //! invariants documented in DESIGN.md §11 and §15:
 //!
 //! * **deterministic-time** — `Instant::now` / `SystemTime::now` only in
-//!   the runtime allowlist (`collect::loadgen`'s timed bench wrapper,
-//!   `bench`, and this driver's pass timer). Escape hatch:
-//!   `// darlint: allow(time) — <reason>` (a justification is mandatory,
-//!   for every rule's hatch).
+//!   the runtime allowlist (`bench` and this driver's pass timer).
+//!   Escape hatch: `// darlint: allow(time) — <reason>` (a justification
+//!   is mandatory, for every rule's hatch).
 //! * **scoped-threads-only** — `thread::spawn` is forbidden everywhere;
 //!   concurrency goes through `std::thread::scope`.
 //! * **crate-hygiene** — every crate root carries

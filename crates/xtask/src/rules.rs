@@ -49,12 +49,10 @@ pub mod rule {
 
 /// Files (workspace-relative, `/`-separated) or path prefixes where
 /// wall-clock reads are legitimate. Sessions, live mode and the WAL
-/// receive time as data (injected timestamps, arrival stamps), so none
-/// of them is here. `collect::loadgen` is, for exactly one surface: the
-/// `run_fleet_timed` bench wrapper that wall-clocks a whole fleet run.
-/// The fleet simulation itself is event-driven virtual time.
+/// receive time as data (injected timestamps, arrival stamps) and the
+/// fleet simulation is event-driven virtual time, so no library crate is
+/// here: whoever wants a run timed wraps it in the bench crate.
 pub const TIME_ALLOWLIST: &[&str] = &[
-    "crates/collect/src/loadgen.rs",
     "crates/bench/",
     // The lint driver wall-clocks its own passes so analyzer cost
     // regressions are visible; timings go to stderr only, never into the
@@ -874,7 +872,7 @@ mod tests {
             lint_file("crates/collect/src/loadgen.rs", src)
                 .violations
                 .len(),
-            0
+            1
         );
         assert_eq!(
             lint_file("crates/bench/src/bin/b.rs", src).violations.len(),

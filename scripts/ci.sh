@@ -20,7 +20,13 @@
 #                  compared against the committed BENCH_parallel.json
 #                  baseline; any speedup_* ratio more than 15% below
 #                  baseline fails the build, as does missing the
-#                  hardware-scaled absolute floors (--check)
+#                  hardware-scaled absolute floors (--check).
+#                  speedup_engine_streams — the registry engine's
+#                  streams inline vs one worker each, the one level of
+#                  thread fan-out under the engine — must read >= 0.85
+#                  when the run has >= 2 hardware threads; it and the two
+#                  kernel thread ratios are left out of the comparison
+#                  while this run or the baseline reports 1
 #   5. inference — the workspace inference benchmark in --fast mode,
 #                  compared against the committed BENCH_inference.json
 #                  baseline; the warm *_into paths must perform 0 heap
