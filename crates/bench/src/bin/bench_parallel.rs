@@ -33,16 +33,16 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
+use darnet_bench::fixtures::{random_tensor, tiny_engine, FRAME_SIZE};
 use darnet_bench::gate::{self, Gate};
 use darnet_collect::StreamId;
 use darnet_core::dataset::{IMU_FEATURES, WINDOW_LEN};
 use darnet_core::{
-    AnalyticsEngine, BayesianCombiner, ClassMap, CnnConfig, CombinerKind, EngineConfig, FrameCnn,
-    ImuModelSlot, ImuRnn, ModalityDescriptor, MultiModalEngine, RnnConfig, StreamInput,
-    StreamModelSlot,
+    ClassMap, CnnConfig, CombinerKind, FrameCnn, ImuRnn, ModalityDescriptor, MultiModalEngine,
+    RnnConfig, StreamInput, StreamModelSlot,
 };
 use darnet_sim::Frame;
-use darnet_tensor::{im2col_with, Conv2dSpec, Parallelism, SplitMix64, Tensor};
+use darnet_tensor::{im2col_with, Conv2dSpec, Parallelism, Tensor};
 
 const THREADS: usize = 4;
 /// The serial-vs-threaded kernel ratios: gated only between runs that
@@ -52,24 +52,12 @@ const KERNEL_SPEEDUPS: [&str; 2] = ["speedup_matmul_threads", "speedup_conv_thre
 /// the kernel ratios' condition, held to [`PARITY_FLOOR`] whenever this
 /// run has a second hardware thread.
 const STREAMS_SPEEDUP: &str = "speedup_engine_streams";
-const FRAME_SIZE: usize = 12;
 /// Frame edge of the ledger's `cabin_*` workloads.
 const CABIN_FRAME: usize = 48;
 /// Batch=32 must not be slower per item than batch=1, nor fanned-out
 /// streams than inline ones, within the tolerance the baseline
 /// comparison allows.
 const PARITY_FLOOR: f64 = 1.0 - gate::TOLERANCE;
-
-fn random_tensor(dims: &[usize], seed: u64) -> Tensor {
-    let mut rng = SplitMix64::new(seed);
-    let mut t = Tensor::zeros(dims);
-    // Non-zero everywhere: the matmul kernel skips zero elements, so a
-    // zero-filled benchmark input would measure the wrong code path.
-    for v in t.data_mut() {
-        *v = rng.uniform(0.1, 1.0);
-    }
-    t
-}
 
 /// Best (minimum) seconds per call over `reps` calls, after one warmup
 /// call. Min-of-N is robust to scheduler noise on small shared hosts,
@@ -83,47 +71,6 @@ fn time_per_call<F: FnMut()>(reps: usize, mut f: F) -> f64 {
         best = best.min(start.elapsed().as_secs_f64());
     }
     best
-}
-
-/// A deliberately small engine: per-item compute low enough that the
-/// per-call overheads batching amortizes (tensor allocation, layer
-/// dispatch, per-step LSTM products) are a visible fraction of runtime.
-fn tiny_engine() -> AnalyticsEngine {
-    let cnn = FrameCnn::new(
-        CnnConfig {
-            input_size: FRAME_SIZE,
-            classes: 6,
-            width: 0.25,
-            ..CnnConfig::default()
-        },
-        1,
-    );
-    let mut rnn = ImuRnn::new(
-        RnnConfig {
-            hidden: 8,
-            depth: 1,
-            ..RnnConfig::default()
-        },
-        2,
-    );
-    let x = Tensor::ones(&[6, WINDOW_LEN, IMU_FEATURES]);
-    rnn.fit(&x, &[0, 1, 2, 0, 1, 2], 1).expect("rnn smoke fit");
-    let mut combiner = BayesianCombiner::darnet();
-    combiner
-        .fit(
-            &Tensor::full(&[6, 6], 1.0 / 6.0),
-            &Tensor::full(&[6, 3], 1.0 / 3.0),
-            &[0, 1, 2, 3, 4, 5],
-        )
-        .expect("combiner smoke fit");
-    AnalyticsEngine::new(
-        cnn,
-        ImuModelSlot::Rnn(rnn),
-        combiner,
-        EngineConfig {
-            combiner: CombinerKind::Bayesian,
-        },
-    )
 }
 
 /// The 3-stream registry engine at the model shape of the ledger's

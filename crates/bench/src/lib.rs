@@ -6,10 +6,10 @@
 //!   paper (`cargo run -p darnet-bench --release --bin repro_table2`).
 //!   Each accepts `--fast` to run a reduced-scale smoke version.
 //! * **`bench_*` binaries** — the gated harnesses behind the committed
-//!   `BENCH_*.json` baselines (thread speedups, the zero-alloc inference
-//!   path, crash recovery, fleet ingest), all driven through [`gate`].
-//!   Per-kernel and per-layer timings live in the pipeline ledger
-//!   (`benchmark/`), not here.
+//!   `BENCH_*.json` baselines (thread speedups, crash recovery, fleet
+//!   ingest), all driven through [`gate`]. Per-kernel and per-layer
+//!   timings live in the pipeline ledger (`benchmark/`), not here; the
+//!   zero-alloc inference path is held by `tests/zero_alloc.rs`.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
@@ -168,9 +168,9 @@ pub mod metrics {
     }
 }
 
-/// The command-line runner the five gated benchmarks share
-/// (`bench_parallel`, `bench_inference`, `bench_chaos`, `bench_fleet`,
-/// `repro_ablation_multiview` — steps 4–8 of `scripts/ci.sh`).
+/// The command-line runner the four gated benchmarks share
+/// (`bench_parallel`, `bench_chaos`, `bench_fleet`,
+/// `repro_ablation_multiview` — steps 3–6 of `scripts/ci.sh`).
 ///
 /// Flags:
 ///
@@ -365,21 +365,36 @@ pub mod gate {
 /// Installed as this crate's `#[global_allocator]`, so every
 /// `darnet-bench` binary and test can measure heap
 /// allocation events (alloc + realloc; frees are not counted). The
-/// zero-alloc inference gate (`bench_inference`, the `zero_alloc`
-/// integration test) is built on this.
+/// zero-alloc inference gate (the `zero_alloc` integration test) and the
+/// ledger's `engine.allocs_per_label` are built on this.
+///
+/// Events are counted **per thread**: a measurement sees what the
+/// measuring thread allocated and nothing else. A process-wide counter
+/// also caught the test harness's main thread filing the test it had just
+/// spawned (four allocations, up to a scheduler stall late), which failed
+/// a warm zero-allocation assertion in a quarter of runs on a busy host.
+/// A spawn still shows: creating a thread allocates on the spawning one.
 #[allow(unsafe_code)]
 pub mod alloc_counter {
     use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::cell::Cell;
 
-    static ALLOCS: AtomicU64 = AtomicU64::new(0);
+    thread_local! {
+        // Const-initialised and without a destructor, so the allocator
+        // can touch it at any point of a thread's life without allocating.
+        static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    fn count() {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+    }
 
     /// A [`System`]-backed allocator that counts every allocation event.
     pub struct CountingAlloc;
 
     unsafe impl GlobalAlloc for CountingAlloc {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
+            count();
             unsafe { System.alloc(layout) }
         }
 
@@ -388,7 +403,7 @@ pub mod alloc_counter {
         }
 
         unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
+            count();
             unsafe { System.realloc(ptr, layout, new_size) }
         }
     }
@@ -396,18 +411,93 @@ pub mod alloc_counter {
     #[global_allocator]
     static GLOBAL: CountingAlloc = CountingAlloc;
 
-    /// Total allocation events since process start.
+    /// Allocation events on the calling thread since it started.
     pub fn allocation_count() -> u64 {
-        ALLOCS.load(Ordering::Relaxed)
+        ALLOCS.with(Cell::get)
     }
 
     /// Runs `f` and returns its result together with the number of
-    /// allocation events it performed. Only meaningful when no other
-    /// thread is allocating concurrently.
+    /// allocation events it performed on the calling thread.
     pub fn allocations_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
         let before = allocation_count();
         let out = f();
         (out, allocation_count() - before)
+    }
+}
+
+/// The deliberately small engine `bench_parallel` and `tests/zero_alloc.rs`
+/// both drive, and its parts: per-item compute low enough that per-call
+/// overhead (allocation, dispatch, per-step LSTM products) is a visible
+/// fraction of a call. Seeded, so two calls build twins.
+pub mod fixtures {
+    use darnet_core::dataset::{IMU_FEATURES, WINDOW_LEN};
+    use darnet_core::{
+        AnalyticsEngine, BayesianCombiner, CnnConfig, CombinerKind, EngineConfig, FrameCnn,
+        ImuModelSlot, ImuRnn, RnnConfig,
+    };
+    use darnet_tensor::{SplitMix64, Tensor};
+
+    /// Frame edge the tiny CNN takes.
+    pub const FRAME_SIZE: usize = 12;
+
+    /// A seeded tensor that is non-zero everywhere: the matmul kernel
+    /// skips zero elements, so a zero-filled input would measure the
+    /// wrong code path.
+    pub fn random_tensor(dims: &[usize], seed: u64) -> Tensor {
+        let mut rng = SplitMix64::new(seed);
+        let mut t = Tensor::zeros(dims);
+        for v in t.data_mut() {
+            *v = rng.uniform(0.1, 1.0);
+        }
+        t
+    }
+
+    /// A quarter-width 6-class CNN over [`FRAME_SIZE`]² frames.
+    pub fn tiny_cnn(seed: u64) -> FrameCnn {
+        FrameCnn::new(
+            CnnConfig {
+                input_size: FRAME_SIZE,
+                classes: 6,
+                width: 0.25,
+                ..CnnConfig::default()
+            },
+            seed,
+        )
+    }
+
+    /// A one-layer, 8-unit IMU RNN after one smoke epoch.
+    pub fn tiny_rnn() -> ImuRnn {
+        let mut rnn = ImuRnn::new(
+            RnnConfig {
+                hidden: 8,
+                depth: 1,
+                ..RnnConfig::default()
+            },
+            2,
+        );
+        let x = Tensor::ones(&[6, WINDOW_LEN, IMU_FEATURES]);
+        rnn.fit(&x, &[0, 1, 2, 0, 1, 2], 1).expect("rnn smoke fit");
+        rnn
+    }
+
+    /// [`tiny_cnn`] and [`tiny_rnn`] behind a fitted Bayesian combiner.
+    pub fn tiny_engine() -> AnalyticsEngine {
+        let mut combiner = BayesianCombiner::darnet();
+        combiner
+            .fit(
+                &Tensor::full(&[6, 6], 1.0 / 6.0),
+                &Tensor::full(&[6, 3], 1.0 / 3.0),
+                &[0, 1, 2, 3, 4, 5],
+            )
+            .expect("combiner smoke fit");
+        AnalyticsEngine::new(
+            tiny_cnn(1),
+            ImuModelSlot::Rnn(tiny_rnn()),
+            combiner,
+            EngineConfig {
+                combiner: CombinerKind::Bayesian,
+            },
+        )
     }
 }
 

@@ -4,92 +4,26 @@
 //! ([`darnet_bench::alloc_counter`]) to prove that, after warm-up, the
 //! `*_into` classification paths of a serially-configured engine never
 //! touch the heap — and that no layer or model spawns a thread of its
-//! own under a threaded policy. Kept in its own integration binary, its
-//! tests taking turns on [`COUNTER`]: the allocation counter is
-//! process-global, so a concurrently running test would pollute the
-//! measurement.
+//! own under a threaded policy. It is the only dynamic gate on that
+//! contract (DESIGN.md §12.4; darlint's `hot-alloc` is the static one),
+//! so each entry point keeps its own assertion and message. The counter
+//! is per thread, so the tests here run side by side and the harness's
+//! own allocations stay out of every measurement.
 
 use darnet_bench::alloc_counter;
+use darnet_bench::fixtures::{random_tensor, tiny_cnn, tiny_engine, tiny_rnn, FRAME_SIZE};
 use darnet_collect::runtime::AlignedTuple;
 use darnet_collect::StreamId;
 use darnet_core::dataset::{IMU_FEATURES, WINDOW_LEN};
 use darnet_core::{
-    AnalyticsEngine, BayesianCombiner, ClassMap, CnnConfig, CombinerKind, EngineConfig, FrameCnn,
-    ImuModelSlot, ImuRnn, ModalityDescriptor, ModalityStatus, MultiModalEngine,
-    MultiStepClassification, RnnConfig, StepClassification, StreamInput, StreamModelSlot,
+    ClassMap, CombinerKind, ModalityDescriptor, ModalityStatus, MultiModalEngine,
+    MultiStepClassification, StepClassification, StreamInput, StreamModelSlot,
 };
 use darnet_nn::{BiLstm, InceptionBlock, InceptionChannels, Layer, Mode};
 use darnet_sim::Frame;
 use darnet_tensor::{Parallelism, SplitMix64, Tensor, Workspace};
 
-const FRAME_SIZE: usize = 12;
 const BATCH: usize = 8;
-/// Held by whichever test is counting allocations.
-static COUNTER: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn random_tensor(dims: &[usize], seed: u64) -> Tensor {
-    let mut rng = SplitMix64::new(seed);
-    let mut t = Tensor::zeros(dims);
-    for v in t.data_mut() {
-        *v = rng.uniform(0.1, 1.0);
-    }
-    t
-}
-
-fn tiny_rnn() -> ImuRnn {
-    let mut rnn = ImuRnn::new(
-        RnnConfig {
-            hidden: 8,
-            depth: 1,
-            ..RnnConfig::default()
-        },
-        2,
-    );
-    let x = Tensor::ones(&[6, WINDOW_LEN, IMU_FEATURES]);
-    rnn.fit(&x, &[0, 1, 2, 0, 1, 2], 1).expect("rnn smoke fit");
-    rnn
-}
-
-fn tiny_engine() -> AnalyticsEngine {
-    let cnn = FrameCnn::new(
-        CnnConfig {
-            input_size: FRAME_SIZE,
-            classes: 6,
-            width: 0.25,
-            ..CnnConfig::default()
-        },
-        1,
-    );
-    let rnn = tiny_rnn();
-    let mut combiner = BayesianCombiner::darnet();
-    combiner
-        .fit(
-            &Tensor::full(&[6, 6], 1.0 / 6.0),
-            &Tensor::full(&[6, 3], 1.0 / 3.0),
-            &[0, 1, 2, 3, 4, 5],
-        )
-        .expect("combiner smoke fit");
-    AnalyticsEngine::new(
-        cnn,
-        ImuModelSlot::Rnn(rnn),
-        combiner,
-        EngineConfig {
-            combiner: CombinerKind::Bayesian,
-        },
-    )
-}
-
-fn tiny_cnn(seed: u64) -> FrameCnn {
-    FrameCnn::new(
-        CnnConfig {
-            input_size: FRAME_SIZE,
-            classes: 6,
-            width: 0.25,
-            ..CnnConfig::default()
-        },
-        seed,
-    )
-}
 
 /// A 3-stream registry engine: IMU RNN behind the 6→3 projection plus
 /// two camera views, fused through a 3-parent Bayesian combiner.
@@ -126,7 +60,6 @@ fn tiny_registry_engine() -> MultiModalEngine {
 
 #[test]
 fn warm_into_paths_perform_zero_heap_allocations() {
-    let _turn = COUNTER.lock().expect("counter lock");
     let mut engine = tiny_engine();
     let frames: Vec<Frame> = (0..BATCH)
         .map(|_| Frame::new(FRAME_SIZE, FRAME_SIZE))
@@ -271,7 +204,6 @@ fn warm_into_paths_perform_zero_heap_allocations() {
 /// model, or an engine with one stream to run.
 #[test]
 fn layers_and_models_never_spawn_under_a_threaded_policy() {
-    let _turn = COUNTER.lock().expect("counter lock");
     fn steady(what: &str, mut call: impl FnMut()) {
         call();
         call();

@@ -29,8 +29,6 @@ pub struct ControllerConfig {
     pub grid_hz: f64,
     /// Sliding moving-average window in grid samples.
     pub smoothing_window: usize,
-    /// Clock re-synchronization period, seconds (paper: 5 s).
-    pub sync_period: f64,
     /// Ingest admission control (off by default — the pre-overload
     /// behaviour admits everything).
     pub admission: AdmissionConfig,
@@ -48,7 +46,6 @@ impl Default for ControllerConfig {
         ControllerConfig {
             grid_hz: 4.0,
             smoothing_window: 3,
-            sync_period: 5.0,
             admission: AdmissionConfig::default(),
             per_agent_series: false,
         }

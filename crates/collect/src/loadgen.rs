@@ -38,6 +38,10 @@ use crate::shard::{FleetAdmission, ShardConfig, ShardedController};
 use crate::wire::{decode_ack, decode_batch, encode_ack, encode_batch, Batch};
 use crate::Result;
 
+/// Controller drain-tick period, seconds: how often shard queues are
+/// drained, acks sent, and the fleet pressure rollup refreshed.
+const DRAIN_PERIOD: f64 = 0.25;
+
 /// Configuration of one fleet load-generation run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetConfig {
@@ -55,9 +59,6 @@ pub struct FleetConfig {
     pub frame_side: usize,
     /// Batch transmission period, seconds.
     pub transmit_period: f64,
-    /// Controller drain-tick period, seconds: how often shard queues are
-    /// drained, acks sent, and the fleet pressure rollup refreshed.
-    pub drain_period: f64,
     /// Extra post-session time for retransmissions and final drains.
     pub drain_grace: f64,
     /// Master seed; everything (sensors, clocks, links, jitter) derives
@@ -91,7 +92,6 @@ impl Default for FleetConfig {
             frame_period: 2.0,
             frame_side: 8,
             transmit_period: 1.0,
-            drain_period: 0.25,
             drain_grace: 5.0,
             seed: 0xF1EE7,
             schedule: ScheduleConfig::default(),
@@ -373,7 +373,7 @@ pub fn run_fleet_into(
             FleetEventKind::Flush(id),
         );
     }
-    queue.push(config.drain_period, FleetEventKind::Drain);
+    queue.push(DRAIN_PERIOD, FleetEventKind::Drain);
 
     let session_end = config.session_seconds;
     let end_time = session_end + config.transmit_period + config.drain_grace;
@@ -492,8 +492,8 @@ pub fn run_fleet_into(
                 let pressure = sharded.pressure();
                 signal = pressure.signal;
                 peak_signal = peak_signal.max(signal);
-                if t <= end_time - config.drain_period {
-                    queue.push(t + config.drain_period, FleetEventKind::Drain);
+                if t <= end_time - DRAIN_PERIOD {
+                    queue.push(t + DRAIN_PERIOD, FleetEventKind::Drain);
                 }
             }
         }
@@ -579,7 +579,6 @@ pub fn run_fleet_into(
 mod tests {
     use super::*;
     use crate::controller::ControllerConfig;
-    use crate::shard::BackpressureConfig;
 
     fn small_config() -> FleetConfig {
         FleetConfig {
@@ -666,7 +665,6 @@ mod tests {
         let config = small_config();
         let squeezed = ShardConfig {
             queue_limit: 2,
-            backpressure: BackpressureConfig::default(),
             ..fleet_shards(2)
         };
         let (_, report) = run_fleet(&config, squeezed).unwrap();

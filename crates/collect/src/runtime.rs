@@ -181,16 +181,19 @@ impl LinkedAgent {
     }
 }
 
+/// Camera frame period, seconds (reproduction default: 4 fps).
+const CAMERA_PERIOD: f64 = 0.25;
+/// Clock re-synchronization period, seconds (paper §3.2: 5 s).
+const SYNC_PERIOD: f64 = 5.0;
+
 /// Campaign configuration: sensor cadences, batching, network, clocks.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CampaignConfig {
     /// IMU poll period (paper: 25 ms).
     pub imu_period: f64,
-    /// Camera frame period (reproduction default: 4 fps).
-    pub camera_period: f64,
     /// Batch transmit period.
     pub transmit_period: f64,
-    /// Controller behaviour (grid, smoothing, sync period).
+    /// Controller behaviour (grid, smoothing, admission).
     pub controller: ControllerConfig,
     /// Network link model (applied to data, ack, and sync links).
     pub link: LinkConfig,
@@ -215,7 +218,6 @@ impl Default for CampaignConfig {
     fn default() -> Self {
         CampaignConfig {
             imu_period: 0.025,
-            camera_period: 0.25,
             transmit_period: 0.5,
             controller: ControllerConfig::default(),
             link: LinkConfig::default(),
@@ -446,18 +448,17 @@ fn session_agent(
 ) -> Result<CollectionAgent> {
     let world = Arc::clone(world);
     let script = script.to_vec();
-    let camera = config.camera_period;
     let (sensor, clock) = match stream {
         StreamId::IMU => (
             ScriptedSensor::imu(world, driver, script, config.imu_period),
             DriftClock::random(&config.clock, rng),
         ),
         StreamId::CAMERA_FRONT => (
-            ScriptedSensor::camera(world, driver, script, camera, CameraView::Front),
+            ScriptedSensor::camera(world, driver, script, CAMERA_PERIOD, CameraView::Front),
             DriftClock::new(1e-6, 0.0),
         ),
         StreamId::CAMERA_SIDE => (
-            ScriptedSensor::camera(world, driver, script, camera, CameraView::Side),
+            ScriptedSensor::camera(world, driver, script, CAMERA_PERIOD, CameraView::Side),
             DriftClock::random(&config.clock, rng),
         ),
         other => {
@@ -581,7 +582,7 @@ fn run_streams(
                 a.agent.handle_sync(arrival, -measured, measured);
             }
         }
-        queue.push(config.controller.sync_period, SessionEvent::Sync);
+        queue.push(SYNC_PERIOD, SessionEvent::Sync);
     }
     for window in &durability.crashes {
         queue.push(window.kill_t, SessionEvent::Crash);
@@ -641,7 +642,7 @@ fn run_streams(
                     }
                 }
                 if t <= session_end {
-                    queue.push(t + config.controller.sync_period, SessionEvent::Sync);
+                    queue.push(t + SYNC_PERIOD, SessionEvent::Sync);
                 }
             }
             SessionEvent::Deliver(id) => {

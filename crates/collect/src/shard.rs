@@ -41,45 +41,33 @@ pub fn shard_of(agent_id: u32, shards: usize) -> usize {
     (z % shards as u64) as usize
 }
 
-/// Thresholds for rolling per-shard pressure up into a fleet-level
-/// admission signal. Queue fractions are `queued / queue_limit` of the
-/// *worst* shard (one hot shard must be able to throttle the fleet);
-/// shed ratios are fleet-aggregate `shed / offered`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BackpressureConfig {
-    /// Worst-shard queue fill fraction at which the fleet signal turns
-    /// [`FleetAdmission::Throttle`].
-    pub throttle_queue_frac: f64,
-    /// Worst-shard queue fill fraction at which the signal turns
-    /// [`FleetAdmission::Shed`].
-    pub shed_queue_frac: f64,
-    /// Fleet shed ratio at which the signal turns `Throttle`.
-    pub throttle_shed_ratio: f64,
-    /// Fleet shed ratio at which the signal turns `Shed`.
-    pub shed_shed_ratio: f64,
-}
+/// Worst-shard queue fill fraction at which the fleet signal turns
+/// [`FleetAdmission::Throttle`].
+const THROTTLE_QUEUE_FRAC: f64 = 0.5;
+/// Worst-shard queue fill fraction at which the signal turns
+/// [`FleetAdmission::Shed`].
+const SHED_QUEUE_FRAC: f64 = 0.9;
+/// Fleet shed ratio at which the signal turns `Throttle`.
+const THROTTLE_SHED_RATIO: f64 = 0.25;
+/// Fleet shed ratio at which the signal turns `Shed`.
+const SHED_SHED_RATIO: f64 = 0.75;
 
-impl Default for BackpressureConfig {
-    fn default() -> Self {
-        BackpressureConfig {
-            throttle_queue_frac: 0.5,
-            shed_queue_frac: 0.9,
-            throttle_shed_ratio: 0.25,
-            shed_shed_ratio: 0.75,
-        }
-    }
-}
+/// The rollup of per-shard pressure into a fleet-level admission signal.
+/// Queue fractions are `queued / queue_limit` of the *worst* shard (one
+/// hot shard must be able to throttle the fleet; half full throttles,
+/// nine tenths sheds); shed ratios are fleet-aggregate `shed / offered`
+/// (a quarter throttles, three quarters sheds).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct BackpressureConfig;
 
 impl BackpressureConfig {
     /// The rollup decision: worst-shard queue fill and fleet shed ratio
     /// in, fleet admission signal out. Shed thresholds dominate
     /// throttle thresholds; either axis alone can escalate.
     pub fn signal(&self, max_queue_frac: f64, shed_ratio: f64) -> FleetAdmission {
-        if max_queue_frac >= self.shed_queue_frac || shed_ratio >= self.shed_shed_ratio {
+        if max_queue_frac >= SHED_QUEUE_FRAC || shed_ratio >= SHED_SHED_RATIO {
             FleetAdmission::Shed
-        } else if max_queue_frac >= self.throttle_queue_frac
-            || shed_ratio >= self.throttle_shed_ratio
-        {
+        } else if max_queue_frac >= THROTTLE_QUEUE_FRAC || shed_ratio >= THROTTLE_SHED_RATIO {
             FleetAdmission::Throttle
         } else {
             FleetAdmission::Accept
@@ -121,7 +109,7 @@ impl Default for ShardConfig {
             shards: 4,
             queue_limit: 1024,
             controller: ControllerConfig::default(),
-            backpressure: BackpressureConfig::default(),
+            backpressure: BackpressureConfig,
         }
     }
 }
@@ -1048,7 +1036,7 @@ mod tests {
 
     #[test]
     fn backpressure_rollup_thresholds() {
-        let bp = BackpressureConfig::default();
+        let bp = BackpressureConfig;
         assert_eq!(bp.signal(0.0, 0.0), FleetAdmission::Accept);
         assert_eq!(bp.signal(0.49, 0.24), FleetAdmission::Accept);
         // Either axis crossing its throttle threshold throttles.

@@ -36,6 +36,10 @@ pub struct Batch {
 const KIND_IMU: u8 = 0;
 const KIND_FRAME: u8 = 1;
 
+/// Bytes every encoded reading occupies at least: an 8-byte stamp and a
+/// kind byte.
+const READING_HEADER: usize = 9;
+
 /// Magic byte prefixing controller→agent acknowledgement messages.
 const ACK_MAGIC: u8 = 0xA5;
 
@@ -120,11 +124,21 @@ pub fn encode_batch_into(buf: &mut BytesMut, batch: &Batch) {
     }
 }
 
+/// Readings a decoder reserves room for up front: the header's `count`,
+/// but never more than the `remaining` bytes could hold — the count is
+/// the sender's claim, the datagram's length is a fact.
+fn reserved_readings(count: usize, remaining: usize) -> usize {
+    count.min(remaining / READING_HEADER)
+}
+
 /// Decodes a batch from its wire representation.
 ///
 /// # Errors
 ///
-/// Returns [`CollectError::Decode`] on truncated or malformed input.
+/// Returns [`CollectError::Decode`] on truncated or malformed input, a
+/// non-finite timestamp included: a NaN stamp would sort to the front of
+/// its TSDB series and to the back of the alignment grid, and turn every
+/// grid point past the last finite observation into NaN.
 pub fn decode_batch(mut data: Bytes) -> Result<Batch> {
     fn need(data: &Bytes, n: usize, what: &str) -> Result<()> {
         if data.remaining() < n {
@@ -139,10 +153,15 @@ pub fn decode_batch(mut data: Bytes) -> Result<Batch> {
     let agent_id = data.get_u32();
     let seq = data.get_u32();
     let count = data.get_u32() as usize;
-    let mut readings = Vec::with_capacity(count.min(1 << 20));
+    let mut readings = Vec::with_capacity(reserved_readings(count, data.remaining()));
     for _ in 0..count {
-        need(&data, 9, "reading header")?;
+        need(&data, READING_HEADER, "reading header")?;
         let timestamp = data.get_f64();
+        if !timestamp.is_finite() {
+            return Err(CollectError::Decode(format!(
+                "non-finite reading timestamp {timestamp}"
+            )));
+        }
         let kind = data.get_u8();
         let reading = match kind {
             KIND_IMU => {
@@ -255,6 +274,27 @@ mod tests {
             readings: vec![],
         };
         assert_eq!(decode_batch(encode_batch(&batch)).unwrap(), batch);
+    }
+
+    #[test]
+    fn reservation_is_bounded_by_the_bytes_that_arrived() {
+        // A bare 12-byte header claiming u32::MAX readings reserves
+        // nothing; k reading headers' worth of payload, at most k.
+        let claimed = u32::MAX as usize;
+        assert_eq!(reserved_readings(claimed, 0), 0);
+        for k in [1, 7, 1000] {
+            assert_eq!(reserved_readings(claimed, READING_HEADER * k), k);
+            assert_eq!(reserved_readings(claimed, READING_HEADER * k + 8), k);
+        }
+        assert_eq!(reserved_readings(3, 1 << 20), 3, "an honest count wins");
+        let mut header = BytesMut::new();
+        header.put_u32(1);
+        header.put_u32(0);
+        header.put_u32(u32::MAX);
+        assert!(matches!(
+            decode_batch(header.freeze()),
+            Err(CollectError::Decode(_))
+        ));
     }
 
     #[test]

@@ -3,11 +3,30 @@
 
 use bytes::Bytes;
 use darnet_collect::{
-    decode_batch, encode_batch, interpolate_grid, moving_average, Batch, DriftClock, GridSpec,
-    SensorReading, StampedReading,
+    decode_batch, encode_batch, interpolate_grid, moving_average, Batch, CollectError, DriftClock,
+    GridSpec, SensorReading, StampedReading,
 };
 use darnet_sim::ImuSample;
 use proptest::prelude::*;
+
+fn imu_batch(agent_id: u32, seq: u32, stamps: &[f64]) -> Batch {
+    Batch {
+        agent_id,
+        seq,
+        readings: stamps
+            .iter()
+            .map(|&t| StampedReading {
+                timestamp: t,
+                reading: SensorReading::Imu(ImuSample {
+                    accel: [t as f32, -1.0, 9.8],
+                    gyro: [0.1, 0.2, 0.3],
+                    gravity: [0.0, 0.0, 9.81],
+                    rotation: [1.0, 0.5, -0.5],
+                }),
+            })
+            .collect(),
+    }
+}
 
 proptest! {
     #[test]
@@ -83,22 +102,7 @@ proptest! {
         seq in 0u32..1000,
         stamps in prop::collection::vec(0.0f64..100.0, 0..20),
     ) {
-        let batch = Batch {
-            agent_id: agent,
-            seq,
-            readings: stamps
-                .iter()
-                .map(|&t| StampedReading {
-                    timestamp: t,
-                    reading: SensorReading::Imu(ImuSample {
-                        accel: [t as f32, -1.0, 9.8],
-                        gyro: [0.1, 0.2, 0.3],
-                        gravity: [0.0, 0.0, 9.81],
-                        rotation: [1.0, 0.5, -0.5],
-                    }),
-                })
-                .collect(),
-        };
+        let batch = imu_batch(agent, seq, &stamps);
         prop_assert_eq!(decode_batch(encode_batch(&batch)).unwrap(), batch);
     }
 
@@ -106,6 +110,23 @@ proptest! {
     fn decoder_never_panics_on_garbage(bytes in prop::collection::vec(any::<u8>(), 0..200)) {
         // Must return Ok or Err — never panic.
         let _ = decode_batch(Bytes::from(bytes));
+    }
+
+    #[test]
+    fn decoder_rejects_a_non_finite_stamp_wherever_it_sits(
+        stamps in prop::collection::vec(0.0f64..100.0, 1..20),
+        victim in 0usize..20,
+        poison in 0usize..3,
+    ) {
+        let batch = imu_batch(7, 3, &stamps);
+        let mut poisoned = batch.clone();
+        poisoned.readings[victim % stamps.len()].timestamp =
+            [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][poison];
+        prop_assert!(matches!(
+            decode_batch(encode_batch(&poisoned)),
+            Err(CollectError::Decode(_))
+        ));
+        prop_assert_eq!(decode_batch(encode_batch(&batch)).unwrap(), batch);
     }
 }
 

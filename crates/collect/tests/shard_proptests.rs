@@ -112,7 +112,7 @@ proptest! {
         q1 in 0.0f64..1.0, q2 in 0.0f64..1.0,
         s1 in 0.0f64..1.0, s2 in 0.0f64..1.0,
     ) {
-        let bp = BackpressureConfig::default();
+        let bp = BackpressureConfig;
         let (qlo, qhi) = if q1 <= q2 { (q1, q2) } else { (q2, q1) };
         let (slo, shi) = if s1 <= s2 { (s1, s2) } else { (s2, s1) };
         prop_assert!(bp.signal(qlo, slo) <= bp.signal(qhi, shi));

@@ -138,8 +138,7 @@ impl StepClassification {
 /// methods are the *reference path*: they run each model's allocating
 /// `predict_proba` and build fresh vectors per step, sharing no
 /// workspace with the `_into` path, and are what the N=2 bitwise
-/// proptests and `bench_inference`'s `*_alloc` baselines compare the
-/// registry against. That is why they stay.
+/// proptests compare the registry against. That is why they stay.
 pub struct AnalyticsEngine {
     /// The registry engine over `[CAMERA_FRONT, IMU]` (the pair CPT's
     /// parent order). It owns both models, the fitted combiner, and every
@@ -870,7 +869,7 @@ mod tests {
         use crate::health::HealthPolicy;
         use darnet_collect::StreamHealth;
 
-        let policy = HealthPolicy::default();
+        let policy = HealthPolicy;
         let now = 30.0;
         // Camera stream went silent 20 s ago; IMU is fresh and gap-free.
         let camera_health = StreamHealth {

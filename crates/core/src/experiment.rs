@@ -107,7 +107,6 @@ pub fn collect_multimodal(
         drivers: config.drivers,
         frame_size: config.frame_size,
         seed: config.seed,
-        ..WorldConfig::default()
     }));
     let schedule = build_schedule(&ScheduleConfig {
         drivers: config.drivers,
@@ -463,7 +462,6 @@ pub fn run_table3(config: &PrivacyExperimentConfig) -> Result<Table3Report> {
         drivers: config.drivers,
         frame_size: config.frame_size,
         seed: config.seed,
-        ..WorldConfig::default()
     });
     let schedule = build_extended_schedule(&ExtendedScheduleConfig {
         drivers: config.drivers,
@@ -642,7 +640,6 @@ pub fn run_ablation_clocksync(config: &ExperimentConfig) -> Result<ClockSyncAbla
         drivers: config.drivers,
         frame_size: config.frame_size,
         seed: config.seed,
-        ..WorldConfig::default()
     }));
     let schedule = build_schedule(&ScheduleConfig {
         drivers: config.drivers,
@@ -698,7 +695,6 @@ pub fn run_ablation_alignment(config: &ExperimentConfig) -> Result<AlignmentAbla
             drivers: config.drivers,
             frame_size: config.frame_size,
             seed: config.seed,
-            ..WorldConfig::default()
         }));
         let schedule = build_schedule(&ScheduleConfig {
             drivers: config.drivers,
@@ -768,7 +764,6 @@ pub fn run_ablation_pretrain(config: &ExperimentConfig) -> Result<PretrainAblati
         drivers: 8,
         frame_size: config.frame_size,
         seed: config.seed ^ 0xAAAA,
-        ..WorldConfig::default()
     });
     let mut proxy_frames = Vec::new();
     let mut proxy_labels = Vec::new();
@@ -830,7 +825,6 @@ pub fn run_ablation_distill(
         drivers: config.drivers,
         frame_size: config.frame_size,
         seed: config.seed,
-        ..WorldConfig::default()
     });
     let schedule = build_extended_schedule(&ExtendedScheduleConfig {
         drivers: config.drivers,
@@ -928,13 +922,14 @@ pub struct MultiviewConfig {
     /// Max |Δt| (seconds) when adopting the nearest side frame for a
     /// front-camera anchor in the three-way join.
     pub side_tolerance: f64,
-    /// Steady packet loss injected on the front-camera link in the
-    /// faulted campaign.
-    pub front_loss: f64,
-    /// Fraction of the session after which the front-camera link blacks
-    /// out for the remainder (drives its health verdict stale).
-    pub front_blackout_frac: f64,
 }
+
+/// Steady packet loss injected on the front-camera link in the multiview
+/// ablation's faulted campaign.
+const FRONT_LOSS: f64 = 0.35;
+/// Fraction of the session after which the front-camera link blacks out
+/// for the remainder (drives its health verdict stale).
+const FRONT_BLACKOUT_FRAC: f64 = 0.25;
 
 impl MultiviewConfig {
     /// Reduced-scale preset for tests: runs in seconds.
@@ -952,8 +947,6 @@ impl MultiviewConfig {
             rnn_depth: 1,
             train_frac: 0.8,
             side_tolerance: 0.3,
-            front_loss: 0.35,
-            front_blackout_frac: 0.25,
         }
     }
 
@@ -1032,7 +1025,6 @@ pub fn run_ablation_multiview(config: &MultiviewConfig) -> Result<MultiviewAblat
         drivers: config.drivers,
         frame_size: config.frame_size,
         seed: config.seed,
-        ..WorldConfig::default()
     }));
     let schedule = build_canonical_schedule(&CanonicalScheduleConfig {
         base: ScheduleConfig {
@@ -1123,10 +1115,10 @@ pub fn run_ablation_multiview(config: &MultiviewConfig) -> Result<MultiviewAblat
         .map(|s| s.start + s.duration)
         .fold(0.0, f64::max);
     let front_link = LinkConfig {
-        loss: config.front_loss,
+        loss: FRONT_LOSS,
         faults: FaultConfig {
             blackout: Some((
-                session_end * config.front_blackout_frac,
+                session_end * FRONT_BLACKOUT_FRAC,
                 session_end + campaign.drain_grace,
             )),
             ..FaultConfig::default()
@@ -1140,7 +1132,7 @@ pub fn run_ablation_multiview(config: &MultiviewConfig) -> Result<MultiviewAblat
         &streams,
         &[(StreamId::CAMERA_FRONT, front_link)],
     )?;
-    let policy = HealthPolicy::default();
+    let policy = HealthPolicy;
     let mut statuses: Vec<(StreamId, ModalityStatus)> = Vec::with_capacity(streams.len());
     for id in streams {
         let mut status = ModalityStatus::Healthy;

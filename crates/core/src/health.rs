@@ -18,37 +18,28 @@ pub enum ModalityStatus {
     Unavailable,
 }
 
-/// Thresholds separating the three [`ModalityStatus`] levels.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HealthPolicy {
-    /// Seconds without an accepted batch before a stream is unavailable.
-    pub max_staleness: f64,
-    /// Accounted-gap fraction (missing / expected sequence numbers) above
-    /// which a stream is degraded.
-    pub degraded_gap_ratio: f64,
-    /// Gap fraction above which a stream is unavailable outright.
-    pub max_gap_ratio: f64,
-    /// Admission-shed fraction (shed / offered batches) above which a
-    /// stream is degraded: the controller is deliberately deferring this
-    /// stream under overload, so its recent windows are thin.
-    pub degraded_shed_ratio: f64,
-    /// Shed fraction above which the stream is unavailable — the
-    /// ensemble should degrade to the surviving modality (CNN-only /
-    /// IMU-only) rather than fuse from a starved stream.
-    pub max_shed_ratio: f64,
-}
+/// Seconds without an accepted batch before a stream is unavailable.
+const MAX_STALENESS: f64 = 2.0;
+/// Accounted-gap fraction (missing / expected sequence numbers) above
+/// which a stream is degraded.
+const DEGRADED_GAP_RATIO: f64 = 0.05;
+/// Gap fraction above which a stream is unavailable outright.
+const MAX_GAP_RATIO: f64 = 0.5;
+/// Admission-shed fraction (shed / offered batches) above which a stream
+/// is degraded: the controller is deliberately deferring this stream
+/// under overload, so its recent windows are thin.
+const DEGRADED_SHED_RATIO: f64 = 0.25;
+/// Shed fraction above which the stream is unavailable — the ensemble
+/// should degrade to the surviving modality (CNN-only / IMU-only) rather
+/// than fuse from a starved stream.
+const MAX_SHED_RATIO: f64 = 0.75;
 
-impl Default for HealthPolicy {
-    fn default() -> Self {
-        HealthPolicy {
-            max_staleness: 2.0,
-            degraded_gap_ratio: 0.05,
-            max_gap_ratio: 0.5,
-            degraded_shed_ratio: 0.25,
-            max_shed_ratio: 0.75,
-        }
-    }
-}
+/// The policy separating the three [`ModalityStatus`] levels: stale past
+/// 2 s, more than half the sequence numbers missing or more than three
+/// quarters of the offers shed is unavailable; more than 5 % missing or a
+/// quarter shed is degraded.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct HealthPolicy;
 
 /// Fleet-level rollup of per-stream assessments: how many agents are in
 /// each [`ModalityStatus`] bucket, and an overall fleet status the
@@ -134,13 +125,13 @@ impl HealthPolicy {
         let Some(h) = health else {
             return ModalityStatus::Unavailable;
         };
-        if h.staleness(now) > self.max_staleness
-            || h.gap_ratio() > self.max_gap_ratio
-            || h.shed_ratio() > self.max_shed_ratio
+        if h.staleness(now) > MAX_STALENESS
+            || h.gap_ratio() > MAX_GAP_RATIO
+            || h.shed_ratio() > MAX_SHED_RATIO
         {
             return ModalityStatus::Unavailable;
         }
-        if h.gap_ratio() > self.degraded_gap_ratio || h.shed_ratio() > self.degraded_shed_ratio {
+        if h.gap_ratio() > DEGRADED_GAP_RATIO || h.shed_ratio() > DEGRADED_SHED_RATIO {
             return ModalityStatus::Degraded;
         }
         ModalityStatus::Healthy
@@ -215,7 +206,7 @@ mod tests {
 
     #[test]
     fn fleet_rollup_tallies_and_rolls_up() {
-        let p = HealthPolicy::default();
+        let p = HealthPolicy;
         // 3 healthy, 1 degraded (gap), 1 unavailable (stale).
         let mut streams = vec![
             health(19, 0, 10.0),
@@ -247,7 +238,7 @@ mod tests {
 
     #[test]
     fn subset_selection_resolves_the_healthy_subset() {
-        let p = HealthPolicy::default();
+        let p = HealthPolicy;
         let fresh = health(19, 0, 10.0);
         let lossy = health(19, 2, 10.0);
         let stale = health(19, 0, 1.0);
@@ -290,14 +281,14 @@ mod tests {
 
     #[test]
     fn fresh_gapless_stream_is_healthy() {
-        let p = HealthPolicy::default();
+        let p = HealthPolicy;
         let h = health(19, 0, 10.0);
         assert_eq!(p.assess(Some(&h), 10.5), ModalityStatus::Healthy);
     }
 
     #[test]
     fn stale_stream_is_unavailable() {
-        let p = HealthPolicy::default();
+        let p = HealthPolicy;
         let h = health(19, 0, 10.0);
         assert_eq!(p.assess(Some(&h), 13.0), ModalityStatus::Unavailable);
         assert_eq!(p.assess(None, 0.0), ModalityStatus::Unavailable);
@@ -305,7 +296,7 @@ mod tests {
 
     #[test]
     fn shed_ratio_degrades_then_drops_the_modality() {
-        let p = HealthPolicy::default();
+        let p = HealthPolicy;
         // 30% of offers shed: degraded (fuse, but flag it).
         let mut h = health(13, 0, 10.0);
         h.delivered = 14;
@@ -324,7 +315,7 @@ mod tests {
 
     #[test]
     fn gap_ratio_separates_degraded_from_unavailable() {
-        let p = HealthPolicy::default();
+        let p = HealthPolicy;
         // 2/20 missing: degraded.
         assert_eq!(
             p.assess(Some(&health(19, 2, 10.0)), 10.1),

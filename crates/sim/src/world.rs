@@ -10,6 +10,11 @@ use crate::imu::{ImuSample, ImuSynthesizer};
 use crate::render::FrameRenderer;
 use crate::vehicle::VehicleDynamics;
 
+/// Image sensor noise sigma, both cameras.
+const IMAGE_NOISE: f32 = 0.07;
+/// IMU white-noise sigma.
+const IMU_NOISE: f32 = 0.08;
+
 /// World configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct WorldConfig {
@@ -19,10 +24,6 @@ pub struct WorldConfig {
     pub frame_size: usize,
     /// Master seed; every sub-generator derives from it.
     pub seed: u64,
-    /// Image sensor noise sigma.
-    pub image_noise: f32,
-    /// IMU white-noise sigma.
-    pub imu_noise: f32,
 }
 
 impl Default for WorldConfig {
@@ -31,8 +32,6 @@ impl Default for WorldConfig {
             drivers: 5,
             frame_size: 48,
             seed: 0xDA12_2017,
-            image_noise: 0.07,
-            imu_noise: 0.08,
         }
     }
 }
@@ -61,13 +60,13 @@ impl DrivingWorld {
             .collect();
         let renderer = FrameRenderer::new(config.seed ^ 0xF00D)
             .with_size(config.frame_size)
-            .with_noise(config.image_noise);
+            .with_noise(IMAGE_NOISE);
         // The side camera is a physically separate sensor: its own seed
         // stream, same optics.
         let side_renderer = FrameRenderer::new(config.seed ^ 0x51DE)
             .with_size(config.frame_size)
-            .with_noise(config.image_noise);
-        let imu = ImuSynthesizer::new(config.seed ^ 0xBEEF).with_noise(config.imu_noise);
+            .with_noise(IMAGE_NOISE);
+        let imu = ImuSynthesizer::new(config.seed ^ 0xBEEF).with_noise(IMU_NOISE);
         DrivingWorld {
             config,
             drivers,

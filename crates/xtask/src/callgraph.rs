@@ -39,8 +39,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use crate::effects::{lexical_sites, Effect, Site};
 use crate::lex::TokKind;
 use crate::rules::{
-    allowlisted, file_hatches, hatch_name, rule, skip_angles, snippet, suppressed, FileLint,
-    Violation, DURABLE_IO_ALLOWLIST,
+    allowlisted, rule, skip_angles, snippet, FileLint, Violation, DURABLE_IO_ALLOWLIST,
 };
 use crate::scan::ScannedFile;
 
@@ -401,7 +400,7 @@ struct Constraint {
 /// The zero-alloc inference path: nothing reachable from a hot root may
 /// allocate. A finding in a function that carries the `hot` marker
 /// itself keeps the `hot-alloc` id; one in a function that is only
-/// reached is `hot-propagate`. Both share the `hot-alloc` hatch.
+/// reached is `hot-propagate`.
 const HOT: Constraint = Constraint {
     root: |n| n.hot_root,
     prune: |n| n.cold,
@@ -416,9 +415,8 @@ const HOT: Constraint = Constraint {
     message: |site, via| {
         format!(
             "`{}` allocates on the hot path via {via}; use a workspace \
-             checkout or an `_into` kernel, hatch the line with \
-             `// darlint: allow(hot-alloc) — <reason>`, or mark the \
-             function `// darlint: cold — <reason>`",
+             checkout or an `_into` kernel, or mark the function \
+             `// darlint: cold — <reason>`",
             site.what
         )
     },
@@ -443,9 +441,7 @@ const PURE: Constraint = Constraint {
         format!(
             "`{}` is a {} effect on a replay-pure path via {via}; \
              replay/digest outputs must be bitwise-reproducible — \
-             fix it, hatch the line with `// darlint: \
-             allow(replay-pure) — <reason>`, or narrow the \
-             `// darlint: pure-root` root",
+             fix it, or narrow the `// darlint: pure-root` root",
             site.what,
             site.effect.name()
         )
@@ -474,7 +470,7 @@ pub fn analyze(
 /// The one reachability pass: BFS from `c`'s roots over call edges
 /// (never into test code or pruned nodes), then every banned seed site
 /// of every reached function becomes a violation naming the
-/// root-to-site chain, unless a justified hatch covers the line.
+/// root-to-site chain.
 /// `seeds` must come from [`lexical_sites`] over the same graph.
 fn reach(
     graph: &Graph,
@@ -511,7 +507,6 @@ fn reach(
         if banned.peek().is_none() {
             continue;
         }
-        let hatches = file_hatches(&scanned.comments);
         let mut chain: Vec<String> = vec![graph.display(files, gid)];
         let mut cur = gid;
         while let Some(&p) = pred.get(&cur) {
@@ -522,10 +517,6 @@ fn reach(
         let via = chain.join(" → ");
         let rule_id = (c.rule)(node);
         for site in banned {
-            if suppressed(&hatches, rule_id, site.line) {
-                out.count_allow(hatch_name(rule_id));
-                continue;
-            }
             out.violations.push(Violation {
                 rule: rule_id,
                 file: path.clone(),
@@ -615,25 +606,6 @@ fn diagnostics(x: u32) {
 ";
         let lint = run(&[("crates/nn/src/fixture.rs", src)]);
         assert!(lint.violations.is_empty(), "{:?}", lint.violations);
-    }
-
-    #[test]
-    fn hatch_suppresses_propagated_finding_and_counts() {
-        let src = "\
-// darlint: hot
-pub fn step_into(x: u32) {
-    helper(x);
-}
-
-fn helper(x: u32) {
-    // darlint: allow(hot-alloc) — first-call growth, amortized to zero
-    let _v = vec![x as u8];
-}
-";
-        let lint = run(&[("crates/nn/src/fixture.rs", src)]);
-        assert!(lint.violations.is_empty(), "{:?}", lint.violations);
-        assert_eq!(lint.allowed, 1);
-        assert_eq!(lint.allows.get("hot-alloc"), Some(&1));
     }
 
     #[test]
@@ -743,16 +715,6 @@ fn helper() -> u64 { 0 }
         )]);
         assert_eq!(lint.violations.len(), 1, "{:?}", lint.violations);
         assert!(lint.violations[0].message.contains("io effect"));
-    }
-
-    #[test]
-    fn replay_pure_hatch_suppresses_and_counts() {
-        let lint = run(&[(
-            "crates/collect/src/fixture.rs",
-            "// darlint: pure-root\npub fn digest() -> u64 {\n    // darlint: allow(replay-pure) — cache warmup stamp, excluded from the digest\n    let _ = std::time::Instant::now();\n    0\n}\n",
-        )]);
-        assert!(lint.violations.is_empty(), "{:?}", lint.violations);
-        assert_eq!(lint.allows.get("replay-pure"), Some(&1));
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! and char literals (contents dropped so rules can never match into
 //! text), and single-character punctuation, each tagged with its 1-based
 //! source line. Comments are not tokens; line comments are captured on
-//! the side because the escape-hatch grammar (`// darlint: ...`) lives
-//! in them.
+//! the side because the function markers (`// darlint: ...`) live in
+//! them.
 //!
 //! The lexer understands the full literal zoo that used to live in the
 //! masking scanner — nested block comments, `r#"…"#`/`r##"…"##` raw

@@ -3,12 +3,14 @@
 //! Home of **darlint**, the in-repo invariant lint pass (`cargo run -p
 //! xtask -- lint`). darlint is a self-contained, std-only static
 //! analyzer over `crates/*/src` that machine-checks the project
-//! invariants documented in DESIGN.md §11 and §15:
+//! invariants documented in DESIGN.md §11 and §15. It is deny-by-default:
+//! any finding fails the run. An exception is either a path grant in a
+//! rule's allowlist ([`rules`]) or a `// darlint: cold — <reason>`
+//! marker; there is no per-line suppression and no baseline of tolerated
+//! findings.
 //!
 //! * **deterministic-time** — `Instant::now` / `SystemTime::now` only in
 //!   the runtime allowlist (`bench` and this driver's pass timer).
-//!   Escape hatch: `// darlint: allow(time) — <reason>` (a justification
-//!   is mandatory, for every rule's hatch).
 //! * **scoped-threads-only** — `thread::spawn` is forbidden everywhere;
 //!   concurrency goes through `std::thread::scope`.
 //! * **crate-hygiene** — every crate root carries
@@ -30,9 +32,9 @@
 //!   iteration order would break bitwise reproducibility.
 //! * **durable-io** — `std::fs` / `File::open` / `File::create` /
 //!   `OpenOptions::new` only in the durable-I/O owners (`collect::wal`,
-//!   `core::model_io`, `core::experiment`, `bench`, and xtask's two I/O
-//!   surfaces); everything else persists through a `WalStorage` so crash
-//!   recovery stays testable against `MemStorage`.
+//!   `core::model_io`, `core::experiment`, `bench`, and this driver's
+//!   workspace walk); everything else persists through a `WalStorage`
+//!   so crash recovery stays testable against `MemStorage`.
 //! * **rng-confined** — seeded-PRNG construction and use (`SplitMix64`)
 //!   only in the randomness owners (sim, loadgen, fault injection,
 //!   weight init, training-time randomness); everything else receives
@@ -44,6 +46,10 @@
 //!   Time/Io/Rng/ThreadSpawn/HashOrder effects; diagnostics carry the
 //!   full root-to-site call chain. It is the same reachability pass
 //!   under a second constraint row, over the seed table in [`effects`].
+//! * **marker** — a `// darlint:` comment that is not `hot`,
+//!   `cold — <reason>` or `pure-root` (a `cold` without its reason, a
+//!   typo, a retired `allow(<rule>)` hatch) marks nothing and is itself
+//!   a finding.
 //!
 //! The pass operates on a real token stream ([`lex`]) and parsed item
 //! structure ([`parse`]): comments, strings, and char literals can never
@@ -52,9 +58,8 @@
 //! resolve correctly. Panics are clippy's: the escalated pass in
 //! `scripts/tier1.sh` denies `unwrap_used`/`expect_used`/`panic`/
 //! `unreachable`/`todo`/`unimplemented` with type information. darlint
-//! covers what clippy does not model (allowlists, justification-bearing
-//! escape hatches, attribute hygiene, transitive hot-path and
-//! replay-purity constraints, the ratchet).
+//! covers what clippy does not model (per-path allowlists, attribute
+//! hygiene, transitive hot-path and replay-purity constraints).
 
 #![deny(unsafe_code)]
 #![deny(missing_docs)]
@@ -64,7 +69,6 @@ pub mod callgraph;
 pub mod effects;
 pub mod lex;
 pub mod parse;
-pub mod ratchet;
 pub mod report;
 pub mod rules;
 pub mod scan;
@@ -122,8 +126,7 @@ fn workspace_sources(root: &Path) -> Result<Vec<(String, String)>, String> {
 /// tests feed it synthetic multi-file inputs directly.
 pub fn lint_workspace(files: &[(String, String)]) -> LintReport {
     // Wall-clock each pass so analyzer cost regressions are visible in
-    // the human output (stderr); the timings never enter the JSON
-    // report, which must stay byte-identical across runs.
+    // the report's last line.
     let mut timer = PassTimer::start();
     let mut report = LintReport::default();
     let scanned: Vec<(String, ScannedFile)> = files
@@ -133,14 +136,15 @@ pub fn lint_workspace(files: &[(String, String)]) -> LintReport {
     timer.lap("scan");
 
     for (path, sc) in &scanned {
-        let lint = lint_scanned(path, sc);
-        merge(&mut report, lint);
+        report.violations.extend(lint_scanned(path, sc).violations);
         report.files_scanned += 1;
         if is_crate_root(path, files) {
             // Hygiene is cheap; re-using the raw source keeps the
             // token-window check simple.
             if let Some((_, source)) = files.iter().find(|(p, _)| p == path) {
-                merge(&mut report, check_crate_root(path, source));
+                report
+                    .violations
+                    .extend(check_crate_root(path, source).violations);
             }
         }
     }
@@ -148,7 +152,7 @@ pub fn lint_workspace(files: &[(String, String)]) -> LintReport {
 
     let mut reached = rules::FileLint::default();
     callgraph::analyze(&scanned, |pass| timer.lap(pass), &mut reached);
-    merge(&mut report, reached);
+    report.violations.extend(reached.violations);
 
     report
         .violations
@@ -190,15 +194,6 @@ fn is_crate_root(path: &str, files: &[(String, String)]) -> bool {
         return !files.iter().any(|(p, _)| *p == lib);
     }
     false
-}
-
-/// Folds a per-file result into the workspace report.
-fn merge(report: &mut LintReport, lint: rules::FileLint) {
-    report.violations.extend(lint.violations);
-    report.allowed += lint.allowed;
-    for (hatch, n) in lint.allows {
-        *report.allows.entry(hatch).or_insert(0) += n;
-    }
 }
 
 /// Locates the workspace root: `CARGO_MANIFEST_DIR/../..` when invoked via

@@ -7,14 +7,14 @@
 //! split across lines or spelled with a turbofish
 //! (`.collect::<Vec<_>>()`) matches the same as its compact form.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use crate::effects::{seed_pats, Effect};
-use crate::lex::{LineComment, TokKind, Token};
-use crate::scan::{parse_cold_marker, scan, ScannedFile};
+use crate::lex::{TokKind, Token};
+use crate::scan::{parse_marker, scan, Marker, ScannedFile};
 
-/// Machine-readable rule identifiers (stable: they appear in JSON reports,
-/// escape-hatch comments, and the ratchet baseline).
+/// Rule identifiers (stable: diagnostics print them as `darlint[<id>]`
+/// and DESIGN.md §11 is keyed by them).
 pub mod rule {
     /// `Instant::now` / `SystemTime::now` outside the runtime allowlist.
     pub const TIME: &str = "deterministic-time";
@@ -23,8 +23,10 @@ pub mod rule {
     pub const THREAD: &str = "scoped-threads-only";
     /// Crate roots missing the required inner attributes.
     pub const HYGIENE: &str = "crate-hygiene";
-    /// An escape-hatch comment (or `cold` marker) without a justification.
-    pub const BARE_ALLOW: &str = "bare-allow";
+    /// A `// darlint:` comment that is none of the three markers (`hot`,
+    /// `cold — <reason>`, `pure-root`): a `cold` without its reason, a
+    /// typo, a retired `allow(<rule>)` hatch.
+    pub const MARKER: &str = "marker";
     /// Allocating constructs inside a function annotated `// darlint: hot`
     /// (the zero-alloc inference path).
     pub const HOT_ALLOC: &str = "hot-alloc";
@@ -55,15 +57,13 @@ pub mod rule {
 pub const TIME_ALLOWLIST: &[&str] = &[
     "crates/bench/",
     // The lint driver wall-clocks its own passes so analyzer cost
-    // regressions are visible; timings go to stderr only, never into the
-    // deterministic JSON artifacts.
+    // regressions are visible in the report's last line.
     "crates/xtask/src/lib.rs",
 ];
 
 /// Files or path prefixes sanctioned to touch the filesystem: the WAL's
 /// directory storage backend, model/experiment persistence, the bench
-/// harness, and the two xtask surfaces that genuinely do I/O (walking
-/// the workspace; reading/writing reports and the ratchet baseline).
+/// harness, and the xtask driver that walks the workspace.
 /// Everything else must route durable state through a `WalStorage` (so
 /// tests can substitute `MemStorage` and crash-recovery stays simulable).
 pub const DURABLE_IO_ALLOWLIST: &[&str] = &[
@@ -72,7 +72,6 @@ pub const DURABLE_IO_ALLOWLIST: &[&str] = &[
     "crates/core/src/experiment.rs",
     "crates/bench/",
     "crates/xtask/src/lib.rs",
-    "crates/xtask/src/main.rs",
 ];
 
 /// The randomness owners: files or path prefixes where seeded-PRNG
@@ -125,7 +124,6 @@ pub const ORDER_PATHS: &[&str] = &[
     "crates/core/src/model_io.rs",
     "crates/core/src/experiment.rs",
     "crates/xtask/src/report.rs",
-    "crates/xtask/src/ratchet.rs",
 ];
 
 /// Container types banned by [`rule::ORDER`] on order-sensitive paths.
@@ -339,70 +337,6 @@ pub struct Violation {
 pub struct FileLint {
     /// Diagnostics for this file.
     pub violations: Vec<Violation>,
-    /// Number of matches suppressed by a justified escape hatch.
-    pub allowed: usize,
-    /// Suppressions broken down by hatch name (`time`, `hot-alloc`,
-    /// ...) — the debt currency the ratchet baseline tracks.
-    pub allows: BTreeMap<String, usize>,
-}
-
-impl FileLint {
-    pub(crate) fn count_allow(&mut self, hatch: &str) {
-        self.allowed += 1;
-        *self.allows.entry(hatch.to_owned()).or_insert(0) += 1;
-    }
-}
-
-/// A parsed `// darlint: allow(<rule>) — <reason>` comment.
-pub(crate) struct Hatch {
-    pub(crate) line: usize,
-    pub(crate) own_line: bool,
-    pub(crate) rule: String,
-    pub(crate) has_reason: bool,
-}
-
-/// Parses an escape-hatch comment, if the comment is one.
-fn parse_hatch(c: &LineComment) -> Option<Hatch> {
-    let body = c.text.trim_start_matches('/').trim();
-    let rest = body.strip_prefix("darlint:")?.trim();
-    let rest = rest.strip_prefix("allow(")?;
-    let close = rest.find(')')?;
-    let rule = rest[..close].trim().to_owned();
-    let tail = rest[close + 1..].trim();
-    // A justification must follow an em-dash or hyphen separator.
-    let reason = tail
-        .strip_prefix('—')
-        .or_else(|| tail.strip_prefix('-'))
-        .map(|r| r.trim_start_matches('-').trim());
-    let has_reason = reason.is_some_and(|r| !r.is_empty());
-    Some(Hatch {
-        line: c.line,
-        own_line: c.own_line,
-        rule,
-        has_reason,
-    })
-}
-
-/// All escape hatches declared in a file's comments.
-pub(crate) fn file_hatches(comments: &[LineComment]) -> Vec<Hatch> {
-    comments.iter().filter_map(parse_hatch).collect()
-}
-
-/// Short escape-hatch rule names accepted in `allow(...)`.
-pub(crate) fn hatch_name(rule_id: &str) -> &'static str {
-    match rule_id {
-        rule::TIME => "time",
-        rule::THREAD => "thread",
-        // Propagated hot findings share the hot-alloc hatch: the
-        // justification ("this allocation is fine here because ...") is
-        // the same claim either way.
-        rule::HOT_ALLOC | rule::HOT_PROPAGATE => "hot-alloc",
-        rule::DURABLE_IO => "io",
-        rule::ORDER => "order",
-        rule::REPLAY_PURE => "replay-pure",
-        rule::RNG_CONFINED => "rng",
-        _ => "",
-    }
 }
 
 /// Does `path` match the allowlist (exact file or directory prefix)?
@@ -527,35 +461,20 @@ pub fn lint_file(path: &str, source: &str) -> FileLint {
 /// Applies the per-file rules to an already-scanned file (the workspace
 /// pass scans once and shares the result with the call-graph analysis).
 pub fn lint_scanned(path: &str, scanned: &ScannedFile) -> FileLint {
-    let hatches = file_hatches(&scanned.comments);
     let mut out = FileLint::default();
 
-    // Reject bare allows and bare cold markers up front: an escape hatch
-    // without a reason is a violation wherever it appears (even if it
-    // suppresses nothing).
-    for h in &hatches {
-        if !h.has_reason {
+    // There is no per-line escape hatch: an exception is a path grant in
+    // one of the allowlists above or a `cold — <reason>` marker, so any
+    // other comment addressed to darlint is a finding, wherever it sits.
+    for c in &scanned.comments {
+        if parse_marker(c) == Some(Marker::Malformed) {
             out.violations.push(Violation {
-                rule: rule::BARE_ALLOW,
-                file: path.to_owned(),
-                line: h.line,
-                message: format!(
-                    "darlint: allow({}) without a justification; write \
-                     `// darlint: allow({}) — <reason>`",
-                    h.rule, h.rule
-                ),
-                snippet: snippet(&scanned.lines, h.line),
-            });
-        }
-    }
-    for c in scanned.comments.iter().filter(|c| c.own_line) {
-        if parse_cold_marker(c) == Some(false) {
-            out.violations.push(Violation {
-                rule: rule::BARE_ALLOW,
+                rule: rule::MARKER,
                 file: path.to_owned(),
                 line: c.line,
-                message: "darlint: cold marker without a justification; write \
-                          `// darlint: cold — <reason>`"
+                message: "not a darlint marker, so it marks nothing; darlint reads \
+                          `// darlint: hot`, `// darlint: cold — <reason>` and \
+                          `// darlint: pure-root`, each on its own line above a fn"
                     .to_owned(),
                 snippet: snippet(&scanned.lines, c.line),
             });
@@ -574,10 +493,6 @@ pub fn lint_scanned(path: &str, scanned: &ScannedFile) -> FileLint {
                 if is_test(scanned, line) {
                     continue;
                 }
-                if suppressed(&hatches, rule_id, line) {
-                    out.count_allow(hatch_name(rule_id));
-                    continue;
-                }
                 out.violations.push(Violation {
                     rule: rule_id,
                     file: path.to_owned(),
@@ -590,7 +505,7 @@ pub fn lint_scanned(path: &str, scanned: &ScannedFile) -> FileLint {
     }
 
     if allowlisted(path, ORDER_PATHS) {
-        order_check(path, scanned, &hatches, &mut out);
+        order_check(path, scanned, &mut out);
     }
     out
 }
@@ -598,21 +513,15 @@ pub fn lint_scanned(path: &str, scanned: &ScannedFile) -> FileLint {
 /// The `nondet-order` rule body: on order-sensitive paths, ban
 /// hash-ordered containers at the type level and flag iteration sites
 /// over bindings known to be hash-typed.
-fn order_check(path: &str, scanned: &ScannedFile, hatches: &[Hatch], out: &mut FileLint) {
+fn order_check(path: &str, scanned: &ScannedFile, out: &mut FileLint) {
     let tokens = &scanned.tokens;
     // One diagnostic per line is enough: a declaration or loop header
     // frequently matches both sub-checks.
     let mut reported: BTreeSet<usize> = BTreeSet::new();
     let mut emit = |line: usize, message: String, out: &mut FileLint| {
-        if is_test(scanned, line) || reported.contains(&line) {
+        if is_test(scanned, line) || !reported.insert(line) {
             return;
         }
-        if suppressed(hatches, rule::ORDER, line) {
-            out.count_allow(hatch_name(rule::ORDER));
-            reported.insert(line);
-            return;
-        }
-        reported.insert(line);
         out.violations.push(Violation {
             rule: rule::ORDER,
             file: path.to_owned(),
@@ -795,15 +704,6 @@ pub(crate) fn is_test(scanned: &ScannedFile, line: usize) -> bool {
     scanned.is_test_line.get(line - 1).copied().unwrap_or(false)
 }
 
-/// Is a match on `line` covered by a justified hatch for `rule_id` —
-/// either trailing on the same line or on its own line directly above?
-pub(crate) fn suppressed(hatches: &[Hatch], rule_id: &str, line: usize) -> bool {
-    let name = hatch_name(rule_id);
-    hatches.iter().any(|h| {
-        h.has_reason && h.rule == name && (h.line == line || (h.own_line && h.line + 1 == line))
-    })
-}
-
 /// Checks the crate-hygiene rule on a crate-root file.
 pub fn check_crate_root(path: &str, source: &str) -> FileLint {
     let scanned = scan(source);
@@ -885,7 +785,7 @@ mod tests {
         // A grant that outlives its reason is a hole: a regression in the
         // granted file would pass. Every file (or directory-prefix) entry
         // of every allowlist must cover at least one file its rule would
-        // fire on (or need a hatch in) were the grant not there.
+        // fire on were the grant not there.
         let root = crate::find_root().expect("workspace root");
         let scanned: Vec<(String, ScannedFile)> = crate::workspace_sources(&root)
             .expect("workspace sources")
@@ -901,7 +801,6 @@ mod tests {
                     .any(|(_, sc)| {
                         let ungranted = lint_scanned("crates/ungranted/src/file.rs", sc);
                         ungranted.violations.iter().any(|v| v.rule == rule_id)
-                            || ungranted.allows.contains_key(hatch_name(rule_id))
                     });
                 if !used {
                     stale.push(format!("{rule_id}: {owner}"));
@@ -935,30 +834,11 @@ mod tests {
     }
 
     #[test]
-    fn hatch_with_reason_suppresses_and_counts() {
-        let src = "fn f() {\n    // darlint: allow(time) — startup banner stamp, never enters a digest\n    let _ = std::time::Instant::now();\n}\n";
-        let lint = lint_file("crates/tensor/src/a.rs", src);
-        assert!(lint.violations.is_empty());
-        assert_eq!(lint.allowed, 1);
-        assert_eq!(lint.allows.get("time"), Some(&1));
-    }
-
-    #[test]
-    fn bare_hatch_rejected() {
-        let src =
-            "fn f() {\n    // darlint: allow(time)\n    let _ = std::time::Instant::now();\n}\n";
-        let lint = lint_file("crates/tensor/src/a.rs", src);
-        let rules: Vec<_> = lint.violations.iter().map(|v| v.rule).collect();
-        assert!(rules.contains(&rule::BARE_ALLOW));
-        assert!(rules.contains(&rule::TIME));
-    }
-
-    #[test]
     fn bare_cold_marker_rejected() {
         let src = "// darlint: cold\nfn helper() {}\n";
         let lint = lint_file("crates/tensor/src/a.rs", src);
         assert_eq!(lint.violations.len(), 1);
-        assert_eq!(lint.violations[0].rule, rule::BARE_ALLOW);
+        assert_eq!(lint.violations[0].rule, rule::MARKER);
     }
 
     #[test]
@@ -993,21 +873,6 @@ fn also_cold() -> Vec<u32> { vec![1, 2] }
         let lint = lint_file("crates/tensor/src/a.rs", src);
         let rules: Vec<_> = lint.violations.iter().map(|v| v.rule).collect();
         assert!(rules.contains(&rule::HOT_ALLOC), "{:?}", lint.violations);
-    }
-
-    #[test]
-    fn hot_alloc_hatch_suppresses() {
-        let src = "\
-// darlint: hot
-fn hot(t: &Tensor) -> TensorError {
-    // darlint: allow(hot-alloc) — error path, never taken warm
-    let dims = t.dims().to_vec();
-    TensorError::Shape(dims)
-}
-";
-        let lint = lint_file("crates/tensor/src/a.rs", src);
-        assert!(lint.violations.is_empty(), "{:?}", lint.violations);
-        assert_eq!(lint.allowed, 1);
     }
 
     #[test]
@@ -1066,14 +931,6 @@ impl S {
             .collect();
         assert!(order_lines.contains(&6), "m.iter(): {order_lines:?}");
         assert!(order_lines.contains(&9), "for in &self.m: {order_lines:?}");
-    }
-
-    #[test]
-    fn order_hatch_suppresses() {
-        let src = "// darlint: allow(order) — scratch set, never iterated\nuse std::collections::HashSet;\n";
-        let lint = lint_file("crates/collect/src/wal.rs", src);
-        assert!(lint.violations.is_empty(), "{:?}", lint.violations);
-        assert_eq!(lint.allows.get("order"), Some(&1));
     }
 
     #[test]

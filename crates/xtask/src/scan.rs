@@ -1,6 +1,6 @@
 //! File scanner underpinning every darlint rule: lexes the source into
 //! tokens ([`crate::lex`]), parses the item structure ([`crate::parse`]),
-//! and resolves the `// darlint: hot` / `// darlint: cold` function
+//! and resolves the `// darlint: hot` / `cold` / `pure-root` function
 //! markers so the rules (and the call-graph pass) operate on a uniform
 //! per-file view.
 //!
@@ -67,23 +67,19 @@ pub fn scan(source: &str) -> ScannedFile {
     // A marker annotates the nearest `fn` item declared after it
     // (attributes and other modifiers may sit in between).
     for c in lexed.comments.iter().filter(|c| c.own_line) {
-        let is_hot = is_hot_marker(c);
-        let is_cold = parse_cold_marker(c).is_some();
-        let is_pure = is_pure_root_marker(c);
-        if !is_hot && !is_cold && !is_pure {
+        let Some(marker) = parse_marker(c) else {
             continue;
-        }
+        };
         if let Some(f) = fns
             .iter_mut()
             .filter(|f| f.item.line > c.line)
             .min_by_key(|f| f.item.line)
         {
-            if is_hot {
-                f.hot = true;
-            } else if is_cold {
-                f.cold = true;
-            } else {
-                f.pure_root = true;
+            match marker {
+                Marker::Hot => f.hot = true,
+                Marker::Cold => f.cold = true,
+                Marker::PureRoot => f.pure_root = true,
+                Marker::Malformed => {}
             }
         }
     }
@@ -97,37 +93,38 @@ pub fn scan(source: &str) -> ScannedFile {
     }
 }
 
-/// Is this comment a `// darlint: hot` marker?
-pub(crate) fn is_hot_marker(c: &LineComment) -> bool {
-    let body = c.text.trim_start_matches('/').trim();
-    body.strip_prefix("darlint:")
-        .is_some_and(|rest| rest.trim() == "hot")
+/// What a `// darlint: …` comment says.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Marker {
+    /// `hot`: the function is on the zero-alloc inference path.
+    Hot,
+    /// `cold — <reason>`: off the hot path; the reason is mandatory.
+    Cold,
+    /// `pure-root`: a replay-purity contract root. Like `hot` it declares
+    /// a contract (not an exception), so it carries no reason.
+    PureRoot,
+    /// Addressed to darlint but none of the above — a `cold` without its
+    /// reason, a typo, a retired `allow(<rule>)` hatch. It marks nothing,
+    /// and the `marker` rule reports it so it cannot look as if it did.
+    Malformed,
 }
 
-/// Is this comment a `// darlint: pure-root` marker? Like `hot`, the
-/// marker is a contract declaration (not debt), so it carries no reason.
-pub(crate) fn is_pure_root_marker(c: &LineComment) -> bool {
-    let body = c.text.trim_start_matches('/').trim();
-    body.strip_prefix("darlint:")
-        .is_some_and(|rest| rest.trim() == "pure-root")
-}
-
-/// Parses a `// darlint: cold — <reason>` marker. Returns
-/// `Some(has_reason)` when the comment is a cold marker at all, so a
-/// bare `// darlint: cold` can be rejected like a bare allow.
-pub(crate) fn parse_cold_marker(c: &LineComment) -> Option<bool> {
+/// Reads a comment as a darlint marker; `None` when it is not addressed
+/// to darlint at all.
+pub(crate) fn parse_marker(c: &LineComment) -> Option<Marker> {
     let body = c.text.trim_start_matches('/').trim();
     let rest = body.strip_prefix("darlint:")?.trim();
-    let tail = rest.strip_prefix("cold")?;
-    if !tail.is_empty() && !tail.starts_with([' ', '\t', '—', '-']) {
-        return None; // e.g. `darlint: coldness` is not a marker
-    }
-    let tail = tail.trim();
-    let reason = tail
-        .strip_prefix('—')
-        .or_else(|| tail.strip_prefix('-'))
-        .map(|r| r.trim_start_matches('-').trim());
-    Some(reason.is_some_and(|r| !r.is_empty()))
+    let cold_reason = rest.strip_prefix("cold").and_then(|tail| {
+        let tail = tail.trim_start();
+        // A justification must follow an em-dash or hyphen separator.
+        tail.strip_prefix('—').or_else(|| tail.strip_prefix('-'))
+    });
+    Some(match (rest, cold_reason) {
+        ("hot", _) => Marker::Hot,
+        ("pure-root", _) => Marker::PureRoot,
+        (_, Some(reason)) if !reason.trim_start_matches('-').trim().is_empty() => Marker::Cold,
+        _ => Marker::Malformed,
+    })
 }
 
 #[cfg(test)]
@@ -183,25 +180,38 @@ fn cold_after() {}
     }
 
     #[test]
-    fn cold_marker_reason_parse() {
-        let with = LineComment {
-            line: 1,
-            text: "// darlint: cold — startup only".into(),
-            own_line: true,
+    fn markers_parse_and_everything_else_addressed_to_darlint_is_malformed() {
+        let marker = |text: &str| {
+            parse_marker(&LineComment {
+                line: 1,
+                text: text.into(),
+                own_line: true,
+            })
         };
-        let without = LineComment {
-            line: 1,
-            text: "// darlint: cold".into(),
-            own_line: true,
-        };
-        let not_marker = LineComment {
-            line: 1,
-            text: "// darlint: coldness".into(),
-            own_line: true,
-        };
-        assert_eq!(parse_cold_marker(&with), Some(true));
-        assert_eq!(parse_cold_marker(&without), Some(false));
-        assert_eq!(parse_cold_marker(&not_marker), None);
+        assert_eq!(marker("// darlint: hot"), Some(Marker::Hot));
+        assert_eq!(marker("// darlint: pure-root"), Some(Marker::PureRoot));
+        assert_eq!(
+            marker("// darlint: cold — startup only"),
+            Some(Marker::Cold)
+        );
+        assert_eq!(
+            marker("// darlint: cold - startup only"),
+            Some(Marker::Cold)
+        );
+        for not_a_marker in [
+            "// darlint: cold",
+            "// darlint: cold —",
+            "// darlint: coldness — of heart",
+            "// darlint: hot path",
+            "// darlint: allow(time) — startup banner stamp",
+        ] {
+            assert_eq!(
+                marker(not_a_marker),
+                Some(Marker::Malformed),
+                "{not_a_marker}"
+            );
+        }
+        assert_eq!(marker("// the darlint: hot marker, in prose"), None);
     }
 
     #[test]

@@ -29,7 +29,6 @@ fn fired(lint: &FileLint) -> Vec<(&'static str, usize)> {
 fn comments_strings_docs_and_test_code_never_fire() {
     let lint = lint_file("crates/tensor/src/fixture.rs", &fixture("decoys_clean.rs"));
     assert!(lint.violations.is_empty(), "{:?}", lint.violations);
-    assert_eq!(lint.allowed, 0, "nothing should even need an allow");
 }
 
 #[test]
@@ -105,14 +104,6 @@ fn durable_io_fires_per_token_outside_allowlist() {
 }
 
 #[test]
-fn durable_io_hatch_uses_the_io_short_name() {
-    let src = "fn probe(p: &std::path::Path) -> bool {\n    // darlint: allow(io) — feature probe at startup, not durable state\n    std::fs::metadata(p).is_ok()\n}\n";
-    let lint = lint_file("crates/collect/src/fixture.rs", src);
-    assert!(lint.violations.is_empty(), "{:?}", lint.violations);
-    assert_eq!(lint.allowed, 1);
-}
-
-#[test]
 fn wal_module_is_held_to_the_deterministic_time_rule() {
     // The WAL is a durable-I/O owner but *not* a time owner: replay must
     // be deterministic, so wall-clock reads there are violations.
@@ -141,30 +132,12 @@ fn thread_rule_fires_on_detached_spawn_not_scoped() {
 }
 
 #[test]
-fn justified_hatch_suppresses_both_positions() {
-    let lint = lint_file("crates/nn/src/fixture.rs", &fixture("hatch_good.rs"));
-    assert!(lint.violations.is_empty(), "{:?}", lint.violations);
-    assert_eq!(lint.allowed, 2, "both hatches must be counted");
-}
-
-#[test]
-fn bare_hatch_is_rejected_and_does_not_suppress() {
-    let lint = lint_file("crates/nn/src/fixture.rs", &fixture("hatch_bare.rs"));
-    assert_eq!(
-        fired(&lint),
-        vec![
-            (rule::BARE_ALLOW, 6), // the unjustified allow itself
-            (rule::TIME, 7),       // and the clock read it failed to cover
-        ]
-    );
-    assert_eq!(lint.allowed, 0);
-}
-
-#[test]
-fn hatch_for_wrong_rule_does_not_suppress() {
-    let src = "fn f() {\n    // darlint: allow(io) — wrong rule name\n    let _ = std::time::Instant::now();\n}\n";
+fn retired_allow_hatch_suppresses_nothing_and_is_itself_a_finding() {
+    // There is no per-line suppression: a comment in the retired hatch
+    // grammar, reason and all, must not look as if it still worked.
+    let src = "fn f() {\n    // darlint: allow(time) — startup banner stamp, never enters a digest\n    let _ = std::time::Instant::now();\n}\n";
     let lint = lint_file("crates/nn/src/fixture.rs", src);
-    assert_eq!(fired(&lint), vec![(rule::TIME, 3)]);
+    assert_eq!(fired(&lint), vec![(rule::TIME, 3), (rule::MARKER, 2)]);
 }
 
 #[test]
@@ -182,16 +155,6 @@ fn hot_alloc_fixture_fires_inside_hot_fn_and_spares_cold_fn() {
             (rule::HOT_ALLOC, 8), // .to_vec()
         ]
     );
-}
-
-#[test]
-fn hot_alloc_hatches_suppress_trailing_and_own_line_positions() {
-    let lint = lint_file(
-        "crates/tensor/src/fixture.rs",
-        &fixture("hot_alloc_hatched.rs"),
-    );
-    assert!(lint.violations.is_empty(), "{:?}", lint.violations);
-    assert_eq!(lint.allowed, 2, "both hatches must be counted");
 }
 
 #[test]
@@ -369,17 +332,6 @@ fn nondet_order_fires_on_order_paths_only() {
 }
 
 #[test]
-fn nondet_order_hatch_uses_the_order_short_name() {
-    let lint = lint_file(
-        "crates/collect/src/wire.rs",
-        &fixture("nondet_order_hatched.rs"),
-    );
-    assert!(lint.violations.is_empty(), "{:?}", lint.violations);
-    assert_eq!(lint.allowed, 1);
-    assert_eq!(lint.allows.get("order"), Some(&1));
-}
-
-#[test]
 fn lexer_edge_cases_never_fire() {
     // Nested block comments, raw strings, char literals, multi-line
     // items, and a cfg(test) module delivered through a macro: none of
@@ -446,29 +398,4 @@ fn whole_workspace_lint_is_clean() {
         report.render_human()
     );
     assert!(report.files_scanned > 50, "suspiciously few files scanned");
-}
-
-#[test]
-fn committed_ratchet_baseline_is_not_regressed() {
-    // Mirrors the CI gate: the live run's per-rule and per-hatch counts
-    // must not exceed the committed darlint.ratchet.json. Paying debt
-    // *down* is fine (CI reports it as available tightening).
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .map(std::path::Path::to_path_buf)
-        .unwrap_or_else(|| panic!("workspace root not found"));
-    let text = std::fs::read_to_string(root.join("darlint.ratchet.json"))
-        .unwrap_or_else(|e| panic!("cannot read committed ratchet baseline: {e}"));
-    let baseline = xtask::ratchet::Ratchet::parse(&text)
-        .unwrap_or_else(|e| panic!("committed ratchet baseline is malformed: {e}"));
-    let report = xtask::run_lint(&root).unwrap_or_else(|e| panic!("lint failed to run: {e}"));
-    let current = xtask::ratchet::Ratchet::from_report(&report);
-    let delta = xtask::ratchet::compare(&baseline, &current);
-    assert!(
-        delta.regressions.is_empty(),
-        "lint debt above the committed baseline (fix it or re-baseline with \
-         `cargo run -p xtask -- lint --write-ratchet darlint.ratchet.json`):\n{}",
-        delta.regressions.join("\n")
-    );
 }

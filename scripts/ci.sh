@@ -3,20 +3,13 @@
 #
 #   1. tier1     — lockfile freshness, fmt --check, release build,
 #                  workspace tests, clippy -D warnings + escalated panic
-#                  lints, darlint --check (scripts/tier1.sh)
-#   2. darlint   — re-runs the invariant lint with --json, writing the
-#                  machine-readable report next to the bench artifacts
-#                  (target/ci/darlint.json), and compares per-rule /
-#                  per-hatch counts against the committed
-#                  darlint.ratchet.json baseline; any violation OR any
-#                  count above the baseline fails the pipeline with a
-#                  delta print (pay the debt down, or re-baseline with
-#                  `cargo run -p xtask -- lint --write-ratchet
-#                  darlint.ratchet.json` if the new debt is justified)
-#   3. docs      — rustdoc must build cleanly (missing_docs is denied
+#                  lints, darlint (scripts/tier1.sh). darlint is
+#                  deny-by-default — any violation fails — and no other
+#                  step runs it
+#   2. docs      — rustdoc must build cleanly (missing_docs is denied
 #                  in the crates, so this catches broken intra-doc
 #                  links and malformed examples)
-#   4. parallel  — the parallel/batching benchmark in --fast mode,
+#   3. parallel  — the parallel/batching benchmark in --fast mode,
 #                  compared against the committed BENCH_parallel.json
 #                  baseline; any speedup_* ratio more than 15% below
 #                  baseline fails the build, as does missing the
@@ -26,35 +19,32 @@
 #                  thread fan-out under the engine — must read >= 0.85
 #                  when the run has >= 2 hardware threads; it and the two
 #                  kernel thread ratios are left out of the comparison
-#                  while this run or the baseline reports 1
-#   5. inference — the workspace inference benchmark in --fast mode,
-#                  compared against the committed BENCH_inference.json
-#                  baseline; the warm *_into paths must perform 0 heap
-#                  allocations per call and the single-step workspace
-#                  path must be no slower than the allocating one,
-#                  within the 15% tolerance (--check)
-#   6. chaos     — the crash-tolerance harness in --fast mode,
+#                  while this run or the baseline reports 1. Its two
+#                  engine ratios are the only engine timing gated in CI;
+#                  absolute engine time is the ledger's to report, and
+#                  the zero-alloc contract is tier1's (zero_alloc.rs)
+#   4. chaos     — the crash-tolerance harness in --fast mode,
 #                  compared against the committed BENCH_chaos.json
 #                  baseline; seeded controller kills with torn tail
 #                  writes must recover with zero acked samples lost,
 #                  deterministically, within the replay time budget,
 #                  and overload must shed low-priority streams first
 #                  (--check)
-#   7. fleet     — the fleet-scale sharded-ingest harness in --fast
+#   5. fleet     — the fleet-scale sharded-ingest harness in --fast
 #                  mode (a 10k-agent seeded fleet), compared against
 #                  the committed BENCH_fleet.json baseline; the run
 #                  must be bit-deterministic, the sharded TSDB must
 #                  merge to the single-controller digest, and sustained
 #                  ingest rate / ack p99 / bytes-per-agent must stay
 #                  within 15% of baseline (--check)
-#   8. multiview — the N-stream registry ablation in --fast mode,
+#   6. multiview — the N-stream registry ablation in --fast mode,
 #                  compared against the committed BENCH_multiview.json
 #                  baseline; the seeded fault campaign must knock the
 #                  front camera out, and the 3-stream engine's accuracy
 #                  under that loss must stay at or above the 2-stream
 #                  engine under the same loss and within 15% of the
 #                  clean 2-stream baseline (--check)
-#   9. ledger    — the frozen pipeline ledger (benchmark/, BENCHMARK.json;
+#   7. ledger    — the frozen pipeline ledger (benchmark/, BENCHMARK.json;
 #                  a package of its own that no step above compiles)
 #                  against this checkout's crates: its unit tests, then
 #                  an untraced seed-1 run of each workload, which must
@@ -70,7 +60,7 @@
 #   scripts/ci.sh --list          list step names and exit
 #
 # Every step is timed and a per-step elapsed summary is printed at the
-# end, so the 9-step pipeline can be profiled and iterated on locally
+# end, so the 7-step pipeline can be profiled and iterated on locally
 # without grepping logs. The last thing printed is scripts/loc.sh's
 # non-test line count per crate — the number every simplicity PR quotes.
 #
@@ -82,7 +72,7 @@ cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
 
-STEPS=(tier1 darlint docs parallel inference chaos fleet multiview ledger)
+STEPS=(tier1 docs parallel chaos fleet multiview ledger)
 ONLY=()
 while [[ $# -gt 0 ]]; do
   case "$1" in
@@ -112,18 +102,11 @@ step_tier1() {
   scripts/tier1.sh
 }
 
-step_darlint() {
-  mkdir -p target/ci
-  cargo run --locked -q -p xtask -- lint --check \
-    --json --out target/ci/darlint.json \
-    --ratchet darlint.ratchet.json
-}
-
 step_docs() {
   cargo doc --workspace --no-deps --locked --quiet
 }
 
-# Shared shape of the five gated benchmarks: --fast smoke, JSON artifact
+# Shared shape of the four gated benchmarks: --fast smoke, JSON artifact
 # under target/ci/, regression compare against the committed baseline,
 # and the bench's own invariant gates.
 run_bench() {
@@ -138,7 +121,6 @@ run_bench() {
 }
 
 step_parallel()  { run_bench bench_parallel  BENCH_parallel.json; }
-step_inference() { run_bench bench_inference BENCH_inference.json; }
 step_chaos()     { run_bench bench_chaos     BENCH_chaos.json; }
 step_fleet()     { run_bench bench_fleet     BENCH_fleet.json; }
 step_multiview() { run_bench repro_ablation_multiview BENCH_multiview.json; }

@@ -38,7 +38,7 @@ cargo clippy --locked -p darnet-tensor -p darnet-nn -p darnet-core -p darnet-col
 
 # darlint: the in-repo invariant lint (deterministic-time,
 # scoped-threads-only, crate-hygiene, hot-alloc, hot-propagate,
-# nondet-order, durable-io, rng-confined, replay-pure), held to the
-# committed ratchet baseline. Per-pass timings print to stderr so
-# analyzer cost regressions show up.
-cargo run --locked -q -p xtask -- lint --check --ratchet darlint.ratchet.json
+# nondet-order, durable-io, rng-confined, replay-pure, marker). It is
+# deny-by-default: any violation exits 1. Per-pass timings print to
+# stderr so analyzer cost regressions show up.
+cargo run --locked -q -p xtask -- lint
