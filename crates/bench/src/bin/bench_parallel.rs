@@ -24,11 +24,12 @@
 //! from both `--compare` and `--check`, and `speedup_engine_streams`
 //! from `--compare`: a serial-vs-threaded ratio
 //! measured on one core is dispatch noise, not a number to pin.
-//! `speedup_engine_batch32` is gated regardless. A single-step call
-//! carries little per-call overhead for a batch to amortize (under a
-//! hundred heap allocations, the layer bodies are the workspace ones),
-//! so the ratio reads 1.2–1.4 and the floor guards the property, not a
-//! margin: batching never costs throughput.
+//! `speedup_engine_batch32` is gated regardless. Both sides are the pair
+//! engine's zero-alloc path — `classify_step_into` × 32 against one
+//! `classify_batch_into` — so all a batch has to amortize is per-call
+//! dispatch and the per-step LSTM products; the ratio reads 1.2–1.3 and
+//! the floor guards the property, not a margin: batching never costs
+//! throughput.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -160,8 +161,8 @@ fn run(fast: bool) -> BTreeMap<String, f64> {
     out.insert("throughput_conv_threads".to_string(), patches / t_par);
     out.insert("speedup_conv_threads".to_string(), t_serial / t_par);
 
-    // End-to-end engine: batch=1 vs batch=32 items/s (serial handle, so
-    // the comparison isolates batching from thread-level parallelism).
+    // End-to-end pair engine: batch=1 vs batch=32 items/s (serial handle,
+    // so the comparison isolates batching from thread-level parallelism).
     let batch = 32usize;
     let mut engine = tiny_engine();
     let frames: Vec<Frame> = (0..batch)
@@ -178,17 +179,31 @@ fn run(fast: bool) -> BTreeMap<String, f64> {
             .expect("window slice")
         })
         .collect();
-    // Interleaved: the ratio sits near 1.3, so both sides have to see the
+    let batch_inputs = [
+        (StreamId::CAMERA_FRONT, StreamInput::Frames(&frames)),
+        (StreamId::IMU, StreamInput::Windows(&windows)),
+    ];
+    let (mut step_labels, mut batch_labels) = (Vec::new(), Vec::new());
+    // Interleaved: the ratio sits near 1.2, so both sides have to see the
     // same host conditions for it to repeat.
     let eng_reps = if fast { 50 } else { 100 };
     let (t_single, t_batch, speedup) = gate::paired_time_per_call(eng_reps, |batched| {
         if batched {
             engine
-                .classify_batch(&frames, &windows)
-                .expect("classify_batch");
+                .classify_batch_into(&batch_inputs, &mut batch_labels)
+                .expect("classify_batch_into");
         } else {
             for (frame, window) in frames.iter().zip(&singles) {
-                engine.classify_step(frame, window).expect("classify_step");
+                let step_inputs = [
+                    (
+                        StreamId::CAMERA_FRONT,
+                        StreamInput::Frames(std::slice::from_ref(frame)),
+                    ),
+                    (StreamId::IMU, StreamInput::Windows(window)),
+                ];
+                engine
+                    .classify_step_into(&step_inputs, &mut step_labels)
+                    .expect("classify_step_into");
             }
         }
     });

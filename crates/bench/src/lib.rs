@@ -432,8 +432,8 @@ pub mod alloc_counter {
 pub mod fixtures {
     use darnet_core::dataset::{IMU_FEATURES, WINDOW_LEN};
     use darnet_core::{
-        AnalyticsEngine, BayesianCombiner, CnnConfig, CombinerKind, EngineConfig, FrameCnn,
-        ImuModelSlot, ImuRnn, RnnConfig,
+        CnnConfig, CombinerKind, FrameCnn, ImuRnn, MultiModalEngine, NaryBayesianCombiner,
+        RnnConfig, StreamModelSlot,
     };
     use darnet_tensor::{SplitMix64, Tensor};
 
@@ -480,24 +480,24 @@ pub mod fixtures {
         rnn
     }
 
-    /// [`tiny_cnn`] and [`tiny_rnn`] behind a fitted Bayesian combiner.
-    pub fn tiny_engine() -> AnalyticsEngine {
-        let mut combiner = BayesianCombiner::darnet();
+    /// The paper's pair — [`tiny_cnn`] on the front camera, `imu` on the
+    /// IMU stream — behind a fitted Bayesian combiner.
+    pub fn tiny_pair(imu: StreamModelSlot) -> MultiModalEngine {
+        let mut combiner = NaryBayesianCombiner::new(6, vec![6, 3], 1.0);
+        let (cnn_probs, imu_probs) = (
+            Tensor::full(&[6, 6], 1.0 / 6.0),
+            Tensor::full(&[6, 3], 1.0 / 3.0),
+        );
         combiner
-            .fit(
-                &Tensor::full(&[6, 6], 1.0 / 6.0),
-                &Tensor::full(&[6, 3], 1.0 / 3.0),
-                &[0, 1, 2, 3, 4, 5],
-            )
+            .fit(&[&cnn_probs, &imu_probs], &[0, 1, 2, 3, 4, 5])
             .expect("combiner smoke fit");
-        AnalyticsEngine::new(
-            tiny_cnn(1),
-            ImuModelSlot::Rnn(tiny_rnn()),
-            combiner,
-            EngineConfig {
-                combiner: CombinerKind::Bayesian,
-            },
-        )
+        MultiModalEngine::darnet_pair(CombinerKind::Bayesian, tiny_cnn(1), imu, combiner)
+            .expect("pair engine")
+    }
+
+    /// [`tiny_pair`] with [`tiny_rnn`] in the IMU slot.
+    pub fn tiny_engine() -> MultiModalEngine {
+        tiny_pair(StreamModelSlot::Rnn(tiny_rnn()))
     }
 }
 

@@ -11,15 +11,18 @@
 //! own allocations stay out of every measurement.
 
 use darnet_bench::alloc_counter;
-use darnet_bench::fixtures::{random_tensor, tiny_cnn, tiny_engine, tiny_rnn, FRAME_SIZE};
+use darnet_bench::fixtures::{
+    random_tensor, tiny_cnn, tiny_engine, tiny_pair, tiny_rnn, FRAME_SIZE,
+};
 use darnet_collect::runtime::AlignedTuple;
 use darnet_collect::StreamId;
 use darnet_core::dataset::{IMU_FEATURES, WINDOW_LEN};
+use darnet_core::privacy::PrivacyLevel;
 use darnet_core::{
-    ClassMap, CombinerKind, ModalityDescriptor, ModalityStatus, MultiModalEngine,
-    MultiStepClassification, StepClassification, StreamInput, StreamModelSlot,
+    ClassMap, CombinerKind, ImuSvm, ModalityDescriptor, ModalityStatus, MultiModalEngine,
+    MultiStepClassification, StreamInput, StreamModelSlot,
 };
-use darnet_nn::{BiLstm, InceptionBlock, InceptionChannels, Layer, Mode};
+use darnet_nn::{BiLstm, InceptionBlock, InceptionChannels, Layer, Mode, SvmConfig};
 use darnet_sim::Frame;
 use darnet_tensor::{Parallelism, SplitMix64, Tensor, Workspace};
 
@@ -58,12 +61,36 @@ fn tiny_registry_engine() -> MultiModalEngine {
     engine
 }
 
+/// One `classify_*_into` entry point, closed over its inputs.
+type Path<'a> = (
+    &'a str,
+    &'a dyn Fn(&mut MultiModalEngine, &mut Vec<MultiStepClassification>),
+);
+
+/// The contract, stated once: after two warm-up rounds over every path,
+/// three more rounds — paths interleaved, so each call follows one at
+/// another batch shape or stream subset — never touch the heap.
+fn assert_steady_state(name: &str, engine: &mut MultiModalEngine, paths: &[Path<'_>]) {
+    let mut outs: Vec<Vec<MultiStepClassification>> = vec![Vec::new(); paths.len()];
+    for _ in 0..2 {
+        for ((_, path), out) in paths.iter().zip(&mut outs) {
+            path(engine, out);
+        }
+    }
+    for round in 0..3 {
+        for ((what, path), out) in paths.iter().zip(&mut outs) {
+            let ((), allocs) = alloc_counter::allocations_during(|| path(engine, out));
+            assert_eq!(allocs, 0, "{name}: {what} allocated in round {round}");
+        }
+    }
+}
+
 #[test]
 fn warm_into_paths_perform_zero_heap_allocations() {
-    let mut engine = tiny_engine();
-    let frames: Vec<Frame> = (0..BATCH)
+    let frames: Vec<Frame> = (0..2 * BATCH)
         .map(|_| Frame::new(FRAME_SIZE, FRAME_SIZE))
         .collect();
+    let (frames, side_frames) = frames.split_at(BATCH);
     let windows = random_tensor(&[BATCH, WINDOW_LEN, IMU_FEATURES], 14);
     let row = WINDOW_LEN * IMU_FEATURES;
     let single_window = Tensor::from_vec(
@@ -78,123 +105,93 @@ fn warm_into_paths_perform_zero_heap_allocations() {
             window: windows.data()[i * row..(i + 1) * row].to_vec(),
         })
         .collect();
-    let mut results: Vec<StepClassification> = Vec::new();
-    let mut step_result: Vec<StepClassification> = Vec::new();
-
-    // Warm-up: one call per path populates the workspaces and session
-    // buffers for every shape used below.
-    for _ in 0..2 {
-        engine
-            .classify_batch_into(&frames, &windows, &mut results)
-            .expect("warm classify_batch_into");
-        engine
-            .classify_step_into(&frames[0], &single_window, &mut step_result)
-            .expect("warm classify_step_into");
-        engine
-            .classify_tuples_into(&tuples, &mut results)
-            .expect("warm classify_tuples_into");
-    }
-
-    // Steady state: several rounds, every round must be allocation-free.
-    for round in 0..3 {
-        let ((), allocs) = alloc_counter::allocations_during(|| {
-            engine
-                .classify_batch_into(&frames, &windows, &mut results)
-                .expect("steady classify_batch_into");
-        });
-        assert_eq!(allocs, 0, "classify_batch_into allocated in round {round}");
-        assert_eq!(results.len(), BATCH);
-
-        let ((), allocs) = alloc_counter::allocations_during(|| {
-            engine
-                .classify_step_into(&frames[0], &single_window, &mut step_result)
-                .expect("steady classify_step_into");
-        });
-        assert_eq!(allocs, 0, "classify_step_into allocated in round {round}");
-        assert_eq!(step_result.len(), 1);
-
-        let ((), allocs) = alloc_counter::allocations_during(|| {
-            engine
-                .classify_tuples_into(&tuples, &mut results)
-                .expect("steady classify_tuples_into");
-        });
-        assert_eq!(allocs, 0, "classify_tuples_into allocated in round {round}");
-        assert_eq!(results.len(), BATCH);
-    }
-
-    // The N-stream registry engine must meet the same bar: after
-    // warm-up, serial `classify_*_into` calls — full fusion and the
-    // health-gated subset path alike — never touch the heap.
-    let mut registry = tiny_registry_engine();
-    let side_frames: Vec<Frame> = (0..BATCH)
-        .map(|_| Frame::new(FRAME_SIZE, FRAME_SIZE))
-        .collect();
     let batch_inputs = [
         (StreamId::IMU, StreamInput::Windows(&windows)),
-        (StreamId::CAMERA_FRONT, StreamInput::Frames(&frames)),
-        (StreamId::CAMERA_SIDE, StreamInput::Frames(&side_frames)),
+        (StreamId::CAMERA_FRONT, StreamInput::Frames(frames)),
+        (StreamId::CAMERA_SIDE, StreamInput::Frames(side_frames)),
     ];
     let step_inputs = [
         (StreamId::IMU, StreamInput::Windows(&single_window)),
-        (
-            StreamId::CAMERA_FRONT,
-            StreamInput::Frames(std::slice::from_ref(&frames[0])),
-        ),
+        (StreamId::CAMERA_FRONT, StreamInput::Frames(&frames[..1])),
         (
             StreamId::CAMERA_SIDE,
-            StreamInput::Frames(std::slice::from_ref(&side_frames[0])),
+            StreamInput::Frames(&side_frames[..1]),
         ),
     ];
+
+    // The paper's pair, with either IMU model in its slot: a batch, a
+    // single step, and the collect-to-engine tuple feed.
+    let pair_paths: [Path<'_>; 3] = [
+        ("classify_batch_into", &|engine, out| {
+            let inputs = &batch_inputs[..2];
+            engine.classify_batch_into(inputs, out).expect("batch");
+            assert_eq!(out.len(), BATCH);
+        }),
+        ("classify_step_into", &|engine, out| {
+            let inputs = &step_inputs[..2];
+            engine.classify_step_into(inputs, out).expect("step");
+            assert_eq!(out.len(), 1);
+        }),
+        ("classify_tuples_into", &|engine, out| {
+            engine
+                .classify_tuples_into(StreamId::CAMERA_FRONT, StreamId::IMU, &tuples, out)
+                .expect("tuples");
+            assert_eq!(out.len(), BATCH);
+        }),
+    ];
+    assert_steady_state("pair, RNN slot", &mut tiny_engine(), &pair_paths);
+    let mut svm = ImuSvm::new(WINDOW_LEN, IMU_FEATURES, 3, SvmConfig::default());
+    svm.fit(&windows, &[0, 1, 2, 0, 1, 2, 0, 1], &mut SplitMix64::new(5))
+        .expect("svm smoke fit");
+    let mut svm_pair = tiny_pair(StreamModelSlot::Svm(svm));
+    assert_steady_state("pair, SVM slot", &mut svm_pair, &pair_paths);
+
+    // Three streams: full fusion and the health-gated subset path alike.
     let front_down = [(StreamId::CAMERA_FRONT, ModalityStatus::Unavailable)];
-    let mut multi_results: Vec<MultiStepClassification> = Vec::new();
-    let mut multi_step: Vec<MultiStepClassification> = Vec::new();
+    let registry_paths: [Path<'_>; 3] = [
+        ("classify_batch_into", &|engine, out| {
+            engine
+                .classify_batch_into(&batch_inputs, out)
+                .expect("batch");
+            assert_eq!(out.len(), BATCH);
+        }),
+        ("classify_step_into", &|engine, out| {
+            engine.classify_step_into(&step_inputs, out).expect("step");
+            assert_eq!(out.len(), 1);
+        }),
+        ("the health-gated subset path", &|engine, out| {
+            engine
+                .classify_batch_checked_into(&batch_inputs, &front_down, out)
+                .expect("subset");
+            assert_eq!(out.len(), BATCH);
+        }),
+    ];
+    assert_steady_state("3 streams", &mut tiny_registry_engine(), &registry_paths);
 
-    for _ in 0..2 {
-        registry
-            .classify_batch_into(&batch_inputs, &mut multi_results)
-            .expect("warm registry classify_batch_into");
-        registry
-            .classify_step_into(&step_inputs, &mut multi_step)
-            .expect("warm registry classify_step_into");
-        registry
-            .classify_batch_checked_into(&batch_inputs, &front_down, &mut multi_results)
-            .expect("warm registry subset path");
-    }
-
-    for round in 0..3 {
-        let ((), allocs) = alloc_counter::allocations_during(|| {
-            registry
-                .classify_batch_into(&batch_inputs, &mut multi_results)
-                .expect("steady registry classify_batch_into");
-        });
-        assert_eq!(
-            allocs, 0,
-            "registry classify_batch_into allocated in round {round}"
-        );
-        assert_eq!(multi_results.len(), BATCH);
-
-        let ((), allocs) = alloc_counter::allocations_during(|| {
-            registry
-                .classify_step_into(&step_inputs, &mut multi_step)
-                .expect("steady registry classify_step_into");
-        });
-        assert_eq!(
-            allocs, 0,
-            "registry classify_step_into allocated in round {round}"
-        );
-        assert_eq!(multi_step.len(), 1);
-
-        let ((), allocs) = alloc_counter::allocations_during(|| {
-            registry
-                .classify_batch_checked_into(&batch_inputs, &front_down, &mut multi_results)
-                .expect("steady registry subset path");
-        });
-        assert_eq!(
-            allocs, 0,
-            "registry health-gated subset path allocated in round {round}"
-        );
-        assert_eq!(multi_results.len(), BATCH);
-    }
+    // The privacy route: frames distorted to a third of the edge are
+    // restored inside the engine workspace and served by the dCNN-L
+    // student, next to full-resolution batches on the same stream.
+    let level = PrivacyLevel::Low;
+    let small = level.target_size(FRAME_SIZE);
+    let distorted: Vec<Frame> = (0..BATCH).map(|_| Frame::new(small, small)).collect();
+    let private_inputs = [
+        batch_inputs[0],
+        (StreamId::CAMERA_FRONT, StreamInput::Frames(&distorted)),
+    ];
+    let mut private = tiny_engine();
+    private
+        .register_dcnn(StreamId::CAMERA_FRONT, level, tiny_cnn(9))
+        .expect("register student");
+    let private_paths: [Path<'_>; 2] = [
+        ("a distorted batch", &|engine, out| {
+            engine
+                .classify_batch_into(&private_inputs, out)
+                .expect("private");
+            assert_eq!(out.len(), BATCH);
+        }),
+        pair_paths[0],
+    ];
+    assert_steady_state("private-frame route", &mut private, &private_paths);
 }
 
 /// Below the engine's streams, the kernels' row chunks are the only

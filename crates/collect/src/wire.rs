@@ -136,9 +136,11 @@ fn reserved_readings(count: usize, remaining: usize) -> usize {
 /// # Errors
 ///
 /// Returns [`CollectError::Decode`] on truncated or malformed input, a
-/// non-finite timestamp included: a NaN stamp would sort to the front of
-/// its TSDB series and to the back of the alignment grid, and turn every
-/// grid point past the last finite observation into NaN.
+/// non-finite timestamp or IMU feature included: a NaN stamp would sort
+/// to the front of its TSDB series and to the back of the alignment grid,
+/// and turn every grid point past the last finite observation into NaN;
+/// a NaN feature poisons every interpolated and smoothed grid point
+/// around it.
 pub fn decode_batch(mut data: Bytes) -> Result<Batch> {
     fn need(data: &Bytes, n: usize, what: &str) -> Result<()> {
         if data.remaining() < n {
@@ -169,6 +171,11 @@ pub fn decode_batch(mut data: Bytes) -> Result<Batch> {
                 let mut feats = [0.0f32; ImuSample::FEATURES];
                 for f in &mut feats {
                     *f = data.get_f32();
+                }
+                if !feats.iter().all(|f| f.is_finite()) {
+                    return Err(CollectError::Decode(format!(
+                        "non-finite imu features {feats:?}"
+                    )));
                 }
                 SensorReading::Imu(ImuSample::from_features(&feats))
             }

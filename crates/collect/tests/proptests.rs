@@ -116,12 +116,21 @@ proptest! {
     fn decoder_rejects_a_non_finite_stamp_wherever_it_sits(
         stamps in prop::collection::vec(0.0f64..100.0, 1..20),
         victim in 0usize..20,
+        // 0 is the reading's stamp, 1..=12 one of its IMU features.
+        slot in 0usize..13,
         poison in 0usize..3,
     ) {
         let batch = imu_batch(7, 3, &stamps);
         let mut poisoned = batch.clone();
-        poisoned.readings[victim % stamps.len()].timestamp =
-            [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][poison];
+        let reading = &mut poisoned.readings[victim % stamps.len()];
+        match (slot.checked_sub(1), &mut reading.reading) {
+            (Some(feature), SensorReading::Imu(sample)) => {
+                let mut feats = sample.to_features();
+                feats[feature] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][poison];
+                *sample = ImuSample::from_features(&feats);
+            }
+            _ => reading.timestamp = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][poison],
+        }
         prop_assert!(matches!(
             decode_batch(encode_batch(&poisoned)),
             Err(CollectError::Decode(_))

@@ -12,7 +12,7 @@
 use darnet_sim::Behavior;
 use serde::{Deserialize, Serialize};
 
-use crate::engine::StepClassification;
+use crate::registry::MultiStepClassification;
 
 /// Alert policy parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -83,9 +83,14 @@ impl AlertTracker {
     }
 
     /// Feeds one classification step; returns the transition it causes.
-    pub fn observe(&mut self, step: &StepClassification) -> AlertEvent {
+    /// A step whose class lies outside the 6-behaviour taxonomy
+    /// ([`MultiStepClassification::behavior`] is `None`) changes nothing.
+    pub fn observe(&mut self, step: &MultiStepClassification) -> AlertEvent {
+        let Some(behavior) = step.behavior() else {
+            return AlertEvent::None;
+        };
         let confidence = step.scores.iter().cloned().fold(0.0f32, f32::max);
-        if step.behavior == Behavior::NormalDriving {
+        if behavior == Behavior::NormalDriving {
             self.distracted_streak = 0;
             self.confidence_acc = 0.0;
             if self.active.is_some() {
@@ -105,11 +110,11 @@ impl AlertTracker {
         if self.active.is_none() && self.distracted_streak >= self.policy.trigger_steps {
             let mean_conf = self.confidence_acc / self.distracted_streak as f32;
             if mean_conf >= self.policy.min_confidence {
-                self.active = Some(step.behavior);
+                self.active = Some(behavior);
                 self.raised_total += 1;
                 self.distracted_streak = 0;
                 self.confidence_acc = 0.0;
-                return AlertEvent::Raised(step.behavior);
+                return AlertEvent::Raised(behavior);
             }
         }
         AlertEvent::None
@@ -119,16 +124,15 @@ impl AlertTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use darnet_collect::StreamId;
 
-    fn step(behavior: Behavior, confidence: f32) -> StepClassification {
+    fn step(behavior: Behavior, confidence: f32) -> MultiStepClassification {
         let mut scores = vec![(1.0 - confidence) / 5.0; 6];
         scores[behavior.index()] = confidence;
-        StepClassification {
-            behavior,
+        MultiStepClassification {
+            class: behavior.index(),
             scores,
-            cnn_probs: vec![1.0 / 6.0; 6],
-            imu_probs: vec![1.0 / 3.0; 3],
-            source: crate::engine::FusionSource::Fused,
+            used: vec![StreamId::CAMERA_FRONT, StreamId::IMU],
             degraded: false,
         }
     }

@@ -15,12 +15,10 @@
 
 use darnet_collect::runtime::AlignedTuple;
 use darnet_collect::StreamId;
-use darnet_sim::Frame;
-use darnet_tensor::Tensor;
 
 use crate::dataset::{IMU_FEATURES, WINDOW_LEN};
 use crate::error::CoreError;
-use crate::registry::{FusedRow, MultiModalEngine, MultiStepClassification, StreamInput};
+use crate::registry::{MultiModalEngine, MultiStepClassification, StreamInput};
 use crate::Result;
 
 /// Flush policy for a [`MicroBatcher`].
@@ -117,32 +115,6 @@ impl MicroBatcher {
     }
 }
 
-/// Splits a tuple batch into the engine's inputs: the frames and a
-/// `[n, WINDOW_LEN, IMU_FEATURES]` window tensor.
-///
-/// # Errors
-///
-/// Returns a dataset error when a tuple's window is not
-/// `WINDOW_LEN × IMU_FEATURES` long.
-pub fn tuples_to_inputs(tuples: &[AlignedTuple]) -> Result<(Vec<Frame>, Tensor)> {
-    let row = WINDOW_LEN * IMU_FEATURES;
-    let mut frames = Vec::with_capacity(tuples.len());
-    let mut windows = Vec::with_capacity(tuples.len() * row);
-    for tup in tuples {
-        if tup.window.len() != row {
-            return Err(CoreError::Dataset(format!(
-                "tuple at t={} has a {}-element window, expected {row}",
-                tup.t,
-                tup.window.len()
-            )));
-        }
-        frames.push(tup.frame.clone());
-        windows.extend_from_slice(&tup.window);
-    }
-    let windows = Tensor::from_vec(windows, &[tuples.len(), WINDOW_LEN, IMU_FEATURES])?;
-    Ok((frames, windows))
-}
-
 impl MultiModalEngine {
     /// The collect-to-engine feed path: classifies a flushed micro-batch
     /// of aligned tuples, each tuple's frame feeding the `camera` stream
@@ -168,27 +140,10 @@ impl MultiModalEngine {
         tuples: &[AlignedTuple],
         out: &mut Vec<MultiStepClassification>,
     ) -> Result<()> {
-        let n = self.classify_tuple_rows(camera, imu, tuples, |row| {
-            MultiStepClassification::write_row(out, row)
-        })?;
-        out.truncate(n);
-        Ok(())
-    }
-
-    /// [`MultiModalEngine::classify_tuples_into`] over
-    /// [`MultiModalEngine::classify_rows`]: the tuple→input assembly,
-    /// with the result type left to the row writer.
-    // darlint: hot
-    pub(crate) fn classify_tuple_rows(
-        &mut self,
-        camera: StreamId,
-        imu: StreamId,
-        tuples: &[AlignedTuple],
-        write: impl FnMut(FusedRow<'_>) -> Result<()>,
-    ) -> Result<usize> {
         let n = tuples.len();
         if n == 0 {
-            return Ok(0);
+            out.clear();
+            return Ok(());
         }
         let row = WINDOW_LEN * IMU_FEATURES;
         for tup in tuples {
@@ -218,7 +173,7 @@ impl MultiModalEngine {
             (camera, StreamInput::Frames(&frames)),
             (imu, StreamInput::Windows(&windows)),
         ];
-        let result = self.classify_rows(&inputs, &[], write);
+        let result = self.classify_batch_checked_into(&inputs, &[], out);
         self.tuple_frames = frames;
         self.ws.restore(windows);
         result
@@ -228,6 +183,7 @@ impl MultiModalEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use darnet_sim::Frame;
 
     fn tuple(t: f64) -> AlignedTuple {
         AlignedTuple {
@@ -299,19 +255,5 @@ mod tests {
             max_delay: 1.0,
         });
         assert!(b.push(tuple(0.0), 0.0).is_some());
-    }
-
-    #[test]
-    fn tuples_to_inputs_validates_window_length() {
-        let good = vec![tuple(0.0), tuple(0.25)];
-        let (frames, windows) = tuples_to_inputs(&good).unwrap();
-        assert_eq!(frames.len(), 2);
-        assert_eq!(windows.dims(), &[2, WINDOW_LEN, IMU_FEATURES]);
-        let bad = vec![AlignedTuple {
-            t: 0.0,
-            frame: Frame::new(4, 4),
-            window: vec![0.0; 7],
-        }];
-        assert!(tuples_to_inputs(&bad).is_err());
     }
 }

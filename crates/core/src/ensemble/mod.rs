@@ -1,17 +1,10 @@
-//! Ensemble learning: combining the CNN's 6-class output with the IMU
-//! model's 3-class output into a single inference (paper §4.2 "Ensemble
-//! Learning").
+//! Ensemble learning: combining the per-stream models' class posteriors
+//! (the CNN's 6-class output and the IMU model's 3-class output, in the
+//! paper) into a single inference (§4.2 "Ensemble Learning").
 
-mod bayes;
 mod nary;
 
-pub use bayes::BayesianCombiner;
 pub use nary::NaryBayesianCombiner;
-
-use darnet_sim::Behavior;
-
-use crate::error::CoreError;
-use crate::Result;
 
 /// The combiner strategies implemented for the ablation study (DESIGN.md
 /// §6.1). The paper's contribution is the Bayesian-network combiner; the
@@ -21,99 +14,9 @@ pub enum CombinerKind {
     /// Per-class Bayesian network with CPTs from training counts (the
     /// paper's approach).
     Bayesian,
-    /// Independence product: `P(c) ∝ cnn[c] · imu[imu_class(c)]`.
+    /// Independence product: `P(c) ∝ cnn[c] · imu[imu_class(c)]`
+    /// ([`crate::registry::product_combine_subset_into`]).
     Product,
     /// CNN only (no fusion) — the paper's single-modality baseline.
     CnnOnly,
-}
-
-/// Maps a 6-class behaviour index to its 3-class IMU index.
-pub(crate) fn imu_index_of(behavior_index: usize) -> usize {
-    Behavior::from_index(behavior_index)
-        .map(|b| b.imu_class().index())
-        .unwrap_or(0)
-}
-
-/// Combines per-sample probability rows with the product rule.
-///
-/// # Errors
-///
-/// Returns an error on width mismatch.
-pub fn product_combine(cnn_probs: &[f32], imu_probs: &[f32]) -> Result<Vec<f32>> {
-    let mut scores = Vec::with_capacity(6);
-    product_combine_into(cnn_probs, imu_probs, &mut scores)?;
-    Ok(scores)
-}
-
-/// [`product_combine`] writing into a caller-provided buffer (cleared
-/// first); bitwise-identical — the allocating variant delegates here.
-///
-/// # Errors
-///
-/// Returns an error on width mismatch.
-// darlint: hot
-pub fn product_combine_into(
-    cnn_probs: &[f32],
-    imu_probs: &[f32],
-    scores: &mut Vec<f32>,
-) -> Result<()> {
-    if cnn_probs.len() != 6 || imu_probs.len() != 3 {
-        return Err(CoreError::Dataset(format!(
-            "product combiner expects 6/3 probabilities, got {}/{}",
-            cnn_probs.len(),
-            imu_probs.len()
-        )));
-    }
-    scores.clear();
-    for c in 0..6 {
-        scores.push(cnn_probs[c] * imu_probs[imu_index_of(c)].max(1e-6));
-    }
-    let total: f32 = scores.iter().sum();
-    if total > 0.0 {
-        for s in scores.iter_mut() {
-            *s /= total;
-        }
-    }
-    Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn imu_index_mapping_matches_taxonomy() {
-        assert_eq!(imu_index_of(0), 0); // normal
-        assert_eq!(imu_index_of(1), 1); // talking
-        assert_eq!(imu_index_of(2), 2); // texting
-        assert_eq!(imu_index_of(3), 0); // eating → pocket
-        assert_eq!(imu_index_of(4), 0);
-        assert_eq!(imu_index_of(5), 0);
-    }
-
-    #[test]
-    fn product_combine_normalizes() {
-        let cnn = [0.4, 0.3, 0.3, 0.0, 0.0, 0.0];
-        let imu = [0.1, 0.8, 0.1];
-        let out = product_combine(&cnn, &imu).unwrap();
-        assert!((out.iter().sum::<f32>() - 1.0).abs() < 1e-5);
-        // Talking is boosted by the IMU.
-        assert!(out[1] > out[0] && out[1] > out[2]);
-    }
-
-    #[test]
-    fn product_combine_validates_widths() {
-        assert!(product_combine(&[0.5; 5], &[0.3; 3]).is_err());
-        assert!(product_combine(&[0.5; 6], &[0.3; 2]).is_err());
-    }
-
-    #[test]
-    fn imu_cannot_fully_veto_unseen_classes() {
-        // Even with imu[0] == 0, pocket classes keep an epsilon so the CNN
-        // can still win if it is very confident.
-        let cnn = [0.9, 0.05, 0.05, 0.0, 0.0, 0.0];
-        let imu = [0.0, 0.5, 0.5];
-        let out = product_combine(&cnn, &imu).unwrap();
-        assert!(out[0] > 0.0);
-    }
 }

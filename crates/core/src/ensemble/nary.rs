@@ -1,15 +1,15 @@
-//! N-parent generalization of the Bayesian-network combiner: the same
-//! per-class CPT marginalization as [`super::BayesianCombiner`], but over
-//! an arbitrary ordered list of parent streams instead of a hard-coded
-//! CNN/IMU pair.
+//! The Bayesian-network combiner (paper §4.2): each class gets its own BN
+//! whose parent nodes are the per-stream models' predictions — the CNN's
+//! and the IMU model's in the paper, any ordered list of registered
+//! streams here — and whose child node indicates class membership. The
+//! conditional probability tables are computed from observation counts on
+//! training data.
 //!
 //! The flattened CPT layout folds the parent indices lexicographically —
-//! `idx = ((c · card₀ + a₀) · card₁ + a₁) …` — which for two parents is
-//! exactly the legacy `(c · classes + a) · imu_classes + b` layout, so a
-//! legacy combiner converts by copying its table
-//! ([`super::BayesianCombiner::to_nary`]) and the 2-parent inference loop
-//! here reproduces the legacy loop bitwise: same visit order, same
-//! zero-weight skips, same accumulation order, same normalization.
+//! `idx = ((c · card₀ + a₀) · card₁ + a₁) …` — so for the paper's pair,
+//! cards `[6, 3]`, it is `(c · 6 + a) · 3 + b`, and inference visits it as
+//! the two nested loops `Σ_a Σ_b p_cnn(a) · p_imu(b) · CPT_c[a][b]` would:
+//! same order, same zero-weight skips, same normalization.
 
 use serde::{Deserialize, Serialize};
 
@@ -59,26 +59,6 @@ impl NaryBayesianCombiner {
         }
     }
 
-    /// Rebuilds a combiner from raw parts (the legacy pair-combiner
-    /// conversion path).
-    pub(crate) fn from_parts(
-        classes: usize,
-        parent_cards: Vec<usize>,
-        cpt: Vec<f32>,
-        alpha: f32,
-        fitted: bool,
-    ) -> Self {
-        let weights = vec![1.0; parent_cards.len()];
-        NaryBayesianCombiner {
-            classes,
-            parent_weights: weights,
-            cpt,
-            parent_cards,
-            alpha,
-            fitted,
-        }
-    }
-
     /// Sets per-parent tempering weights (posterior exponents). A weight
     /// of `1.0` leaves that parent untouched bitwise.
     ///
@@ -107,8 +87,7 @@ impl NaryBayesianCombiner {
         &self.parent_cards
     }
 
-    /// Whether [`NaryBayesianCombiner::fit`] has run (or the table was
-    /// copied from a fitted legacy combiner).
+    /// Whether [`NaryBayesianCombiner::fit`] has run.
     pub fn is_fitted(&self) -> bool {
         self.fitted
     }
@@ -120,8 +99,8 @@ impl NaryBayesianCombiner {
 
     /// Estimates the CPTs from training observations: each parent's
     /// probability output (`[n, card_k]`, registry order) and the true
-    /// labels. Counting uses each parent's argmax, exactly as the legacy
-    /// pair fit does.
+    /// labels. Counting uses each parent's argmax (the "number of
+    /// true-positive observations" of the paper).
     ///
     /// # Errors
     ///
@@ -165,7 +144,7 @@ impl NaryBayesianCombiner {
             counts[label * stride + base] += 1.0;
         }
         // Normalize over c for each parent combination with Laplace
-        // smoothing — identical arithmetic to the legacy pair fit.
+        // smoothing.
         for base in 0..stride {
             let total: f32 = (0..self.classes).map(|c| counts[c * stride + base]).sum();
             let denom = total + self.alpha * self.classes as f32;
@@ -192,9 +171,7 @@ impl NaryBayesianCombiner {
     }
 
     /// [`NaryBayesianCombiner::combine_n`] writing into a caller-provided
-    /// buffer (cleared first) — the zero-alloc fusion path. With two
-    /// parents this is bitwise-identical to the legacy
-    /// [`super::BayesianCombiner::combine_into`].
+    /// buffer (cleared first) — the zero-alloc fusion path.
     ///
     /// # Errors
     ///
@@ -275,8 +252,7 @@ impl NaryBayesianCombiner {
     /// Recursive lexicographic descent over the parent label space. The
     /// weight threading starts at `1.0`, so the first level's weight is
     /// `1.0 · p₀` — bitwise `p₀` — and every deeper level multiplies in
-    /// exactly the legacy order; zero weights prune the subtree exactly
-    /// where the legacy nested loop `continue`d.
+    /// nested-loop order; a zero weight prunes its subtree.
     // darlint: hot
     fn descend(
         &self,
@@ -324,7 +300,6 @@ impl NaryBayesianCombiner {
 
 #[cfg(test)]
 mod tests {
-    use super::super::BayesianCombiner;
     use super::*;
     use darnet_tensor::SplitMix64;
 
@@ -351,28 +326,43 @@ mod tests {
         rows
     }
 
-    fn fitted_pair(seed: u64) -> (BayesianCombiner, NaryBayesianCombiner) {
-        let mut rng = SplitMix64::new(seed);
-        let n = 64;
-        let cnn = Tensor::from_vec(random_rows(&mut rng, n, 6, false), &[n, 6]).unwrap();
-        let imu = Tensor::from_vec(random_rows(&mut rng, n, 3, false), &[n, 3]).unwrap();
-        let labels: Vec<usize> = (0..n).map(|_| rng.next_usize(6)).collect();
-        let mut legacy = BayesianCombiner::darnet();
-        legacy.fit(&cnn, &imu, &labels).unwrap();
-        let nary = legacy.to_nary();
-        (legacy, nary)
+    /// Seeded `[n, 6]` / `[n, 3]` posteriors and 6-class labels.
+    fn pair_observations(rng: &mut SplitMix64, n: usize) -> (Tensor, Tensor, Vec<usize>) {
+        let cnn = Tensor::from_vec(random_rows(rng, n, 6, false), &[n, 6]).unwrap();
+        let imu = Tensor::from_vec(random_rows(rng, n, 3, false), &[n, 3]).unwrap();
+        let labels = (0..n).map(|_| rng.next_usize(6)).collect();
+        (cnn, imu, labels)
+    }
+
+    fn fitted_pair(seed: u64) -> NaryBayesianCombiner {
+        let (cnn, imu, labels) = pair_observations(&mut SplitMix64::new(seed), 64);
+        let mut nary = NaryBayesianCombiner::new(6, vec![6, 3], 1.0);
+        nary.fit(&[&cnn, &imu], &labels).unwrap();
+        nary
     }
 
     #[test]
-    fn two_parent_inference_is_bitwise_legacy() {
-        let (legacy, nary) = fitted_pair(0x17A5);
+    fn two_parent_inference_is_bitwise_the_nested_loop() {
+        // The paper's pair formula, frozen: Σ_a Σ_b p(a)·p(b)·CPT_c[a][b]
+        // with zero-weight skips, then one normalization.
+        let nary = fitted_pair(0x17A5);
         let mut rng = SplitMix64::new(99);
         for case in 0..200 {
             let cnn = random_rows(&mut rng, 1, 6, true);
             let imu = random_rows(&mut rng, 1, 3, true);
-            let want = legacy.combine(&cnn, &imu).unwrap();
+            let mut want = [0.0f32; 6];
+            for (a, &pa) in cnn.iter().enumerate().filter(|(_, &pa)| pa != 0.0) {
+                for (b, &pb) in imu.iter().enumerate().filter(|(_, &pb)| pa * pb != 0.0) {
+                    for (c, s) in want.iter_mut().enumerate() {
+                        *s += pa * pb * nary.cpt[(c * 6 + a) * 3 + b];
+                    }
+                }
+            }
+            let total: f32 = want.iter().sum();
+            if total > 0.0 {
+                want.iter_mut().for_each(|s| *s /= total);
+            }
             let got = nary.combine_n(&[&cnn, &imu]).unwrap();
-            assert_eq!(want.len(), got.len());
             for (i, (a, b)) in want.iter().zip(&got).enumerate() {
                 assert_eq!(a.to_bits(), b.to_bits(), "case {case} class {i}");
             }
@@ -380,25 +370,123 @@ mod tests {
     }
 
     #[test]
-    fn two_parent_fit_matches_legacy_fit_bitwise() {
-        let mut rng = SplitMix64::new(0xF1F1);
-        let n = 96;
-        let cnn = Tensor::from_vec(random_rows(&mut rng, n, 6, false), &[n, 6]).unwrap();
-        let imu = Tensor::from_vec(random_rows(&mut rng, n, 3, false), &[n, 3]).unwrap();
-        let labels: Vec<usize> = (0..n).map(|_| rng.next_usize(6)).collect();
-        let mut legacy = BayesianCombiner::darnet();
-        legacy.fit(&cnn, &imu, &labels).unwrap();
+    fn two_parent_fit_is_bitwise_the_counted_table() {
+        // Argmax counts per (label, a, b), Laplace-smoothed and
+        // normalized over the label, frozen.
+        let (cnn, imu, labels) = pair_observations(&mut SplitMix64::new(0xF1F1), 96);
         let mut nary = NaryBayesianCombiner::new(6, vec![6, 3], 1.0);
         nary.fit(&[&cnn, &imu], &labels).unwrap();
-        for c in 0..6 {
-            for a in 0..6 {
-                for b in 0..3 {
-                    let want = legacy.cpt(c, a, b);
+        let (a_pred, b_pred) = (cnn.argmax_rows().unwrap(), imu.argmax_rows().unwrap());
+        let mut counts = [[[0.0f32; 3]; 6]; 6];
+        for (i, &label) in labels.iter().enumerate() {
+            counts[label][a_pred[i]][b_pred[i]] += 1.0;
+        }
+        for a in 0..6 {
+            for b in 0..3 {
+                let total: f32 = (0..6).map(|c| counts[c][a][b]).sum();
+                for (c, table) in counts.iter().enumerate() {
+                    let want = (table[a][b] + 1.0) / (total + 6.0);
                     let got = nary.cpt[(c * 6 + a) * 3 + b];
                     assert_eq!(want.to_bits(), got.to_bits(), "cpt({c},{a},{b})");
                 }
             }
         }
+    }
+
+    /// A toy world where the CNN confuses classes 0/1 but the IMU resolves
+    /// them perfectly (class 0 → imu 0, class 1 → imu 1).
+    fn toy_fit() -> NaryBayesianCombiner {
+        let n = 200;
+        let labels: Vec<usize> = (0..n).map(|i| i % 2).collect();
+        let rows = |strong: f32| -> Vec<f32> {
+            let row = |&label: &usize| match label {
+                0 => [strong, 1.0 - strong],
+                _ => [1.0 - strong, strong],
+            };
+            labels.iter().flat_map(row).collect()
+        };
+        // CNN: barely informative (52/48). IMU: highly informative.
+        let cnn = Tensor::from_vec(rows(0.52), &[n, 2]).unwrap();
+        let imu = Tensor::from_vec(rows(0.95), &[n, 2]).unwrap();
+        let mut comb = NaryBayesianCombiner::new(2, vec![2, 2], 1.0);
+        comb.fit(&[&cnn, &imu], &labels).unwrap();
+        comb
+    }
+
+    #[test]
+    fn cpt_columns_are_distributions() {
+        let comb = toy_fit();
+        for column in 0..4 {
+            let total: f32 = (0..2).map(|c| comb.cpt[c * 4 + column]).sum();
+            assert!((total - 1.0).abs() < 1e-5);
+        }
+    }
+
+    #[test]
+    fn combiner_trusts_the_informative_modality() {
+        let comb = toy_fit();
+        // CNN says class 0 weakly; IMU says class 1 strongly.
+        let scores = comb.combine_n(&[&[0.52, 0.48], &[0.05, 0.95]]).unwrap();
+        assert!(scores[1] > scores[0], "{scores:?}");
+        assert!((scores.iter().sum::<f32>() - 1.0).abs() < 1e-5);
+        // A parent combination the fit rarely saw is still a valid
+        // distribution (Laplace smoothing).
+        let scores = comb.combine_n(&[&[0.0, 1.0], &[1.0, 0.0]]).unwrap();
+        assert!(scores.iter().all(|v| v.is_finite() && *v >= 0.0));
+        assert!((scores.iter().sum::<f32>() - 1.0).abs() < 1e-5);
+    }
+
+    #[test]
+    fn combined_accuracy_beats_weak_modality_alone() {
+        // Generative model: the CNN is right 70% of the time, the IMU 95%.
+        // The fused posterior should track the more reliable parent and
+        // beat the CNN alone — the structural claim behind the paper's
+        // Table 2.
+        let gen = |i: usize| -> (usize, [f32; 2], [f32; 2]) {
+            let label = i % 2;
+            let toward = |right: bool, conf: f32| -> [f32; 2] {
+                match if right { label } else { 1 - label } {
+                    0 => [conf, 1.0 - conf],
+                    _ => [1.0 - conf, conf],
+                }
+            };
+            let (cnn_right, imu_right) = (i % 10 < 7, !i.is_multiple_of(20));
+            (label, toward(cnn_right, 0.7), toward(imu_right, 0.95))
+        };
+        let n_fit = 400;
+        let (mut cnn_rows, mut imu_rows, mut labels) = (Vec::new(), Vec::new(), Vec::new());
+        for (l, c, m) in (0..n_fit).map(gen) {
+            labels.push(l);
+            cnn_rows.extend_from_slice(&c);
+            imu_rows.extend_from_slice(&m);
+        }
+        let cnn = Tensor::from_vec(cnn_rows, &[n_fit, 2]).unwrap();
+        let imu = Tensor::from_vec(imu_rows, &[n_fit, 2]).unwrap();
+        let mut comb = NaryBayesianCombiner::new(2, vec![2, 2], 1.0);
+        comb.fit(&[&cnn, &imu], &labels).unwrap();
+        // Evaluate on a phase-shifted sample of the same distribution.
+        let n = 200;
+        let (mut correct_comb, mut correct_cnn) = (0, 0);
+        for (label, cnn, imu) in (3..n + 3).map(gen) {
+            let scores = comb.combine_n(&[&cnn, &imu]).unwrap();
+            correct_comb += usize::from((scores[0] < scores[1]) == (label == 1));
+            correct_cnn += usize::from((cnn[0] < cnn[1]) == (label == 1));
+        }
+        assert!(
+            correct_comb > correct_cnn,
+            "combined {correct_comb} vs cnn {correct_cnn}"
+        );
+        assert!(correct_comb as f32 / n as f32 > 0.85);
+    }
+
+    #[test]
+    fn fit_validates_shapes_and_labels() {
+        let mut comb = NaryBayesianCombiner::new(2, vec![2, 2], 1.0);
+        let (cnn, imu) = (Tensor::zeros(&[3, 2]), Tensor::zeros(&[3, 2]));
+        assert!(comb.fit(&[&cnn, &imu], &[0, 1]).is_err());
+        assert!(comb.fit(&[&cnn, &imu], &[0, 1, 5]).is_err());
+        assert!(comb.fit(&[&cnn], &[0, 1, 1]).is_err());
+        assert!(!comb.is_fitted());
     }
 
     #[test]
@@ -422,7 +510,7 @@ mod tests {
 
     #[test]
     fn absent_parent_marginalizes_uniformly() {
-        let (_, nary) = fitted_pair(0xAB);
+        let nary = fitted_pair(0xAB);
         let mut rng = SplitMix64::new(3);
         let cnn = random_rows(&mut rng, 1, 6, false);
         // Explicit uniform IMU vs absent IMU must agree (the uniform
@@ -439,7 +527,7 @@ mod tests {
 
     #[test]
     fn all_absent_or_unfitted_is_an_error() {
-        let (_, nary) = fitted_pair(0xCD);
+        let nary = fitted_pair(0xCD);
         let mut out = Vec::new();
         assert!(matches!(
             nary.combine_subset_into(&[None, None], &mut out),
@@ -457,7 +545,7 @@ mod tests {
 
     #[test]
     fn neutral_weights_are_bitwise_invisible() {
-        let (_, nary) = fitted_pair(0xEE);
+        let nary = fitted_pair(0xEE);
         let weighted = nary.clone().with_weights(vec![1.0, 1.0]).unwrap();
         let mut rng = SplitMix64::new(11);
         let cnn = random_rows(&mut rng, 1, 6, false);

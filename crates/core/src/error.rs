@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use darnet_collect::CollectError;
+use darnet_collect::{CollectError, StreamId};
 use darnet_nn::NnError;
 use darnet_tensor::TensorError;
 
@@ -19,6 +19,13 @@ pub enum CoreError {
     Dataset(String),
     /// The engine was used before its models were trained/registered.
     NotReady(String),
+    /// A stream's model produced a NaN or infinite class probability (a
+    /// poisoned sensor window, typically); no label was derived from it.
+    NonFinitePosterior {
+        /// The first stream, in registry order, whose posterior is not
+        /// finite.
+        stream: StreamId,
+    },
     /// A scoped worker thread panicked during a concurrent engine stage
     /// (see DESIGN.md §11: hot paths convert panics at the join boundary
     /// instead of re-panicking).
@@ -36,6 +43,9 @@ impl fmt::Display for CoreError {
             CoreError::Collect(e) => write!(f, "collection error: {e}"),
             CoreError::Dataset(msg) => write!(f, "dataset error: {msg}"),
             CoreError::NotReady(msg) => write!(f, "engine not ready: {msg}"),
+            CoreError::NonFinitePosterior { stream } => {
+                write!(f, "stream {stream} produced a non-finite posterior")
+            }
             CoreError::WorkerPanicked { stage } => {
                 write!(f, "a parallel worker thread panicked in stage {stage}")
             }

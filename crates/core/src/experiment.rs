@@ -20,14 +20,14 @@ use darnet_tensor::{SplitMix64, Tensor};
 use crate::dataset::{
     CanonicalDataset, ExtendedFrameDataset, MultimodalDataset, IMU_FEATURES, WINDOW_LEN,
 };
-use crate::ensemble::{product_combine, BayesianCombiner, CombinerKind};
+use crate::ensemble::{CombinerKind, NaryBayesianCombiner};
 use crate::eval::ConfusionMatrix;
 use crate::health::{HealthPolicy, ModalityStatus};
 use crate::models::{CnnConfig, FrameCnn, ImuRnn, ImuSvm, RnnConfig};
 use crate::privacy::{distill_dcnn, DistillConfig, Downsampler, PrivacyLevel};
 use crate::registry::{
-    ClassMap, ModalityDescriptor, MultiModalEngine, MultiStepClassification, StreamInput,
-    StreamModelSlot,
+    product_combine_subset_into, ClassMap, ModalityDescriptor, MultiModalEngine,
+    MultiStepClassification, StreamInput, StreamModelSlot,
 };
 use crate::{CoreError, Result};
 
@@ -200,10 +200,10 @@ pub struct TrainedStack {
     pub rnn: ImuRnn,
     /// Trained IMU SVM (3 classes).
     pub svm: ImuSvm,
-    /// Bayesian combiner fitted for CNN+RNN.
-    pub bn_rnn: BayesianCombiner,
-    /// Bayesian combiner fitted for CNN+SVM.
-    pub bn_svm: BayesianCombiner,
+    /// Bayesian combiner fitted for CNN+RNN (parents `[cnn, rnn]`).
+    pub bn_rnn: NaryBayesianCombiner,
+    /// Bayesian combiner fitted for CNN+SVM (parents `[cnn, svm]`).
+    pub bn_svm: NaryBayesianCombiner,
     /// CNN probabilities on the evaluation split.
     pub cnn_probs_eval: Tensor,
     /// RNN probabilities on the evaluation split.
@@ -269,10 +269,10 @@ pub fn train_stack_on(
     let cnn_probs_train = cnn.predict_proba(&train_frames)?;
     let rnn_probs_train = rnn.predict_proba(&train_windows)?;
     let svm_probs_train = svm.predict_proba(&train_windows)?;
-    let mut bn_rnn = BayesianCombiner::darnet();
-    bn_rnn.fit(&cnn_probs_train, &rnn_probs_train, &train_labels6)?;
-    let mut bn_svm = BayesianCombiner::darnet();
-    bn_svm.fit(&cnn_probs_train, &svm_probs_train, &train_labels6)?;
+    let mut bn_rnn = NaryBayesianCombiner::new(6, vec![6, 3], 1.0);
+    bn_rnn.fit(&[&cnn_probs_train, &rnn_probs_train], &train_labels6)?;
+    let mut bn_svm = NaryBayesianCombiner::new(6, vec![6, 3], 1.0);
+    bn_svm.fit(&[&cnn_probs_train, &svm_probs_train], &train_labels6)?;
 
     // Evaluation-split probabilities (computed once, reused by reports).
     let eval_frames = eval.frames_tensor()?;
@@ -321,6 +321,35 @@ fn accuracy(preds: &[usize], labels: &[usize]) -> f64 {
     correct as f64 / labels.len().max(1) as f64
 }
 
+/// Hard pair-ensemble predictions over an evaluation split: sample `i`'s
+/// CNN and IMU posterior rows go through `fuse`, the fused rows through
+/// one argmax.
+fn pair_predictions(
+    cnn_probs: &Tensor,
+    imu_probs: &Tensor,
+    mut fuse: impl FnMut(&[f32], &[f32], &mut Vec<f32>) -> Result<()>,
+) -> Result<Vec<usize>> {
+    let (n, classes) = (cnn_probs.dims()[0], cnn_probs.dims()[1]);
+    let (mut rows, mut scores) = (Vec::with_capacity(n * classes), Vec::new());
+    let imu_rows = imu_probs.data().chunks(imu_probs.dims()[1]);
+    for (c, m) in cnn_probs.data().chunks(classes).zip(imu_rows) {
+        fuse(c, m, &mut scores)?;
+        rows.extend_from_slice(&scores);
+    }
+    Ok(Tensor::from_vec(rows, &[n, classes])?.argmax_rows()?)
+}
+
+/// [`pair_predictions`] through a fitted Bayesian combiner.
+fn bayes_predictions(
+    combiner: &NaryBayesianCombiner,
+    cnn_probs: &Tensor,
+    imu_probs: &Tensor,
+) -> Result<Vec<usize>> {
+    pair_predictions(cnn_probs, imu_probs, |c, m, scores| {
+        combiner.combine_n_into(&[c, m], scores)
+    })
+}
+
 /// Computes the Table-2/Figure-5 report from a trained stack.
 ///
 /// # Errors
@@ -331,12 +360,10 @@ pub fn table2_from_stack(stack: &TrainedStack) -> Result<Table2Report> {
     let labels3 = stack.eval.labels3();
 
     let preds_cnn = stack.cnn_probs_eval.argmax_rows()?;
-    let preds_rnn_ens = stack
-        .bn_rnn
-        .predict_batch(&stack.cnn_probs_eval, &stack.rnn_probs_eval)?;
-    let preds_svm_ens = stack
-        .bn_svm
-        .predict_batch(&stack.cnn_probs_eval, &stack.svm_probs_eval)?;
+    let preds_rnn_ens =
+        bayes_predictions(&stack.bn_rnn, &stack.cnn_probs_eval, &stack.rnn_probs_eval)?;
+    let preds_svm_ens =
+        bayes_predictions(&stack.bn_svm, &stack.cnn_probs_eval, &stack.svm_probs_eval)?;
     let preds_rnn_only = stack.rnn_probs_eval.argmax_rows()?;
     let preds_svm_only = stack.svm_probs_eval.argmax_rows()?;
 
@@ -595,23 +622,19 @@ pub struct CombinerAblation {
 /// Propagates combiner errors.
 pub fn run_ablation_combiner(stack: &TrainedStack) -> Result<CombinerAblation> {
     let labels6 = stack.eval.labels6();
-    let n = labels6.len();
-    let bayes_preds = stack
-        .bn_rnn
-        .predict_batch(&stack.cnn_probs_eval, &stack.rnn_probs_eval)?;
-    let mut product_preds = Vec::with_capacity(n);
-    for i in 0..n {
-        let c = &stack.cnn_probs_eval.data()[i * 6..(i + 1) * 6];
-        let m = &stack.rnn_probs_eval.data()[i * 3..(i + 1) * 3];
-        let scores = product_combine(c, m)?;
-        let best = scores
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        product_preds.push(best);
-    }
+    let (cnn_probs, rnn_probs) = (&stack.cnn_probs_eval, &stack.rnn_probs_eval);
+    let bayes_preds = bayes_predictions(&stack.bn_rnn, cnn_probs, rnn_probs)?;
+    let (camera, imu) = (
+        ModalityDescriptor::darnet_camera(),
+        ModalityDescriptor::darnet_imu(),
+    );
+    let product_preds = pair_predictions(cnn_probs, rnn_probs, |c, m, scores| {
+        let parents = [
+            (Some(c), &camera.class_map, camera.weight),
+            (Some(m), &imu.class_map, imu.weight),
+        ];
+        product_combine_subset_into(&parents, 6, scores)
+    })?;
     let cnn_preds = stack.cnn_probs_eval.argmax_rows()?;
     Ok(CombinerAblation {
         bayesian: accuracy(&bayes_preds, &labels6),
@@ -976,7 +999,7 @@ pub struct MultiviewAblation {
     pub eval_samples: usize,
     /// Front camera alone (single-survivor expansion = CNN argmax).
     pub front_only: f64,
-    /// IMU + front camera, the legacy pairing as an N=2 registry.
+    /// IMU + front camera, the paper's pairing.
     pub two_stream: f64,
     /// IMU + front + side camera through the 3-parent combiner.
     pub three_stream: f64,

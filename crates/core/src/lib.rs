@@ -16,22 +16,23 @@
 //!   (2 × 64 hidden units over 20-step windows in the paper's
 //!   configuration).
 //! * [`ImuSvm`] — the SVM baseline for the IMU stream.
-//! * [`BayesianCombiner`] — the per-class Bayesian-network ensemble with
-//!   CPTs estimated from training-set observations (§4.2 "Ensemble
-//!   Learning"), plus simpler combiners for ablation.
+//! * [`NaryBayesianCombiner`] — the per-class Bayesian-network ensemble
+//!   with CPTs estimated from training-set observations (§4.2 "Ensemble
+//!   Learning") over any ordered list of parent streams, plus simpler
+//!   combiners for ablation.
 //! * [`privacy`] — nearest-neighbour down-sampling at the paper's three
 //!   levels and the unsupervised L2-distillation training of the dCNN
 //!   students (§4.3).
 //! * [`eval`] — Top-1 accuracy and confusion matrices (the paper's Table 2
 //!   / Figure 5 metrics).
-//! * [`AnalyticsEngine`] — the modular per-stream engine that classifies
-//!   at each time-step (§3.3: a 1-to-1 mapping between device data-streams
-//!   and ML models, combined at a later stage).
-//! * [`registry`] — the N-stream modality registry: [`ModalityDescriptor`]s
-//!   keyed by [`darnet_collect::StreamId`], the [`StreamModelSlot`] enum
-//!   holding the per-stream models, and the [`MultiModalEngine`] fusing any
-//!   healthy subset of registered streams through the N-ary Bayesian
-//!   combiner (the two-stream engine is the N=2 special case, bit-for-bit).
+//! * [`MultiModalEngine`] ([`registry`]) — the one modular per-stream
+//!   engine, classifying at each time-step (§3.3: a 1-to-1 mapping between
+//!   device data-streams and ML models, combined at a later stage):
+//!   [`ModalityDescriptor`]s keyed by [`darnet_collect::StreamId`], the
+//!   [`StreamModelSlot`] enum holding the per-stream models (and a camera
+//!   stream's dCNN students), and fusion of any healthy subset of
+//!   registered streams. The paper's camera + IMU pair is
+//!   [`MultiModalEngine::darnet_pair`].
 //! * [`MicroBatcher`] — the micro-batching front between the collect
 //!   pipeline and the engine: aligned tuples queue and flush on
 //!   batch-size-or-deadline, bounding latency while amortizing per-call
@@ -46,7 +47,6 @@
 pub mod alerts;
 pub mod batching;
 pub mod dataset;
-mod engine;
 pub mod ensemble;
 mod error;
 pub mod eval;
@@ -59,10 +59,7 @@ pub mod registry;
 
 pub use alerts::{AlertEvent, AlertPolicy, AlertTracker};
 pub use batching::{MicroBatchConfig, MicroBatcher};
-pub use engine::{
-    AnalyticsEngine, EngineConfig, FallbackCounters, FusionSource, ImuModelSlot, StepClassification,
-};
-pub use ensemble::{BayesianCombiner, CombinerKind, NaryBayesianCombiner};
+pub use ensemble::{CombinerKind, NaryBayesianCombiner};
 pub use error::CoreError;
 pub use eval::ConfusionMatrix;
 pub use health::{FleetHealthSummary, HealthPolicy, ModalityStatus, SubsetSelection};

@@ -2,14 +2,14 @@
 //! that the CNN+RNN architecture edges out by ~1%).
 
 use darnet_nn::{LinearSvm, SvmConfig};
-use darnet_tensor::{SplitMix64, Tensor};
+use darnet_tensor::{SplitMix64, Tensor, Workspace};
 
 use crate::dataset::Standardizer;
 use crate::error::CoreError;
 use crate::Result;
 
 /// A linear one-vs-rest SVM over flattened, standardized IMU windows.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ImuSvm {
     svm: LinearSvm,
     standardizer: Option<Standardizer>,
@@ -17,6 +17,8 @@ pub struct ImuSvm {
     window_len: usize,
     features: usize,
     classes: usize,
+    /// Reusable inference buffers for the zero-alloc prediction path.
+    ws: Workspace,
 }
 
 impl ImuSvm {
@@ -29,6 +31,7 @@ impl ImuSvm {
             window_len,
             features,
             classes,
+            ws: Workspace::new(),
         }
     }
 
@@ -37,15 +40,20 @@ impl ImuSvm {
         self.classes
     }
 
-    fn flatten(&self, windows: &Tensor) -> Result<Tensor> {
-        let dims = windows.dims();
-        if dims.len() != 3 || dims[1] != self.window_len || dims[2] != self.features {
-            return Err(CoreError::Dataset(format!(
+    /// The batch length of `[n, window_len, features]` windows.
+    fn batch_len(&self, windows: &Tensor) -> Result<usize> {
+        match *windows.dims() {
+            [n, t, f] if t == self.window_len && f == self.features => Ok(n),
+            ref dims => Err(CoreError::Dataset(format!(
                 "expected [n, {}, {}] windows, got {:?}",
                 self.window_len, self.features, dims
-            )));
+            ))),
         }
-        Ok(windows.reshape(&[dims[0], self.window_len * self.features])?)
+    }
+
+    fn flatten(&self, windows: &Tensor) -> Result<Tensor> {
+        let n = self.batch_len(windows)?;
+        Ok(windows.reshape(&[n, self.window_len * self.features])?)
     }
 
     /// Trains on `[n, window_len, features]` windows with class labels,
@@ -62,18 +70,59 @@ impl ImuSvm {
         Ok(())
     }
 
-    /// Pseudo-probabilities `[n, classes]` (softmax over margins).
+    /// Row-major pseudo-probabilities (softmax over margins) for the
+    /// batch, appended to `out`: the windows are flattened and
+    /// standardized inside a checkout of `ws`, so a warm workspace makes
+    /// the call allocation-free. The one body of both prediction paths.
+    // darlint: hot
+    fn proba_rows(&self, windows: &Tensor, ws: &mut Workspace, out: &mut Vec<f32>) -> Result<()> {
+        let std = self
+            .standardizer
+            .as_ref()
+            .ok_or_else(|| CoreError::NotReady("imu svm not fitted".into()))?;
+        let n = self.batch_len(windows)?;
+        let mut x = ws.checkout(&[n, self.window_len * self.features]);
+        x.data_mut().copy_from_slice(windows.data());
+        std.apply_inplace(&mut x);
+        let mut probs = ws.checkout(&[n, self.classes]);
+        let run = self.svm.predict_proba_into(&x, &mut probs);
+        if run.is_ok() {
+            out.extend_from_slice(probs.data());
+        }
+        ws.restore(probs);
+        ws.restore(x);
+        Ok(run?)
+    }
+
+    /// Pseudo-probabilities `[n, classes]` (softmax over margins):
+    /// [`ImuSvm::predict_proba_into`] on a fresh workspace and output.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::NotReady`] before [`ImuSvm::fit`].
     pub fn predict_proba(&self, windows: &Tensor) -> Result<Tensor> {
-        let std = self
-            .standardizer
-            .as_ref()
-            .ok_or_else(|| CoreError::NotReady("imu svm not fitted".into()))?;
-        let x = self.flatten(&std.apply(windows))?;
-        Ok(self.svm.predict_proba(&x)?)
+        let mut rows = Vec::new();
+        self.proba_rows(windows, &mut Workspace::new(), &mut rows)?;
+        Ok(Tensor::from_vec(
+            rows,
+            &[self.batch_len(windows)?, self.classes],
+        )?)
+    }
+
+    /// Row-major pseudo-probabilities written into a caller-provided
+    /// buffer (cleared first). After one warm-up call at a given batch
+    /// shape the model allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::NotReady`] before [`ImuSvm::fit`].
+    // darlint: hot
+    pub fn predict_proba_into(&mut self, windows: &Tensor, out: &mut Vec<f32>) -> Result<()> {
+        out.clear();
+        let mut ws = std::mem::take(&mut self.ws);
+        let run = self.proba_rows(windows, &mut ws, out);
+        self.ws = ws;
+        run
     }
 
     /// Hard class predictions.

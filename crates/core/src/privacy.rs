@@ -9,7 +9,7 @@ use darnet_tensor::{SplitMix64, Tensor};
 
 use crate::dataset::frames_to_tensor;
 use crate::models::FrameCnn;
-use crate::Result;
+use crate::{CoreError, Result};
 
 /// The paper's three distortion levels. With 48×48 source frames the
 /// target sizes keep the paper's exact linear ratios (3×, 6×, 12×) and
@@ -91,28 +91,60 @@ impl Downsampler {
         frame.downsample_nearest(target, target)
     }
 
-    /// Re-expands a distorted frame to the nominal input size with
-    /// nearest-neighbour up-sampling (server-side, before the dCNN).
-    // darlint: cold — privacy restore builds a frame at a new geometry; only the by-value classify_step_private path calls it
-    pub fn restore(&self, frame: &Frame) -> Frame {
-        frame.upsample_nearest(self.full_size, self.full_size)
-    }
-
     /// Distort-then-restore: exactly the pixels the dCNN sees.
     pub fn roundtrip(&self, frame: &Frame, level: PrivacyLevel) -> Frame {
-        self.restore(&self.distort(frame, level))
+        self.distort(frame, level)
+            .upsample_nearest(self.full_size, self.full_size)
     }
 
     /// Distorts a whole set and returns the dCNN input tensor
-    /// `[n, 1, full, full]`.
+    /// `[n, 1, full, full]`, restored as the engine restores a distorted
+    /// batch ([`restore_frames_into`]).
     ///
     /// # Errors
     ///
     /// Returns an error for an empty batch.
     pub fn roundtrip_tensor(&self, frames: &[Frame], level: PrivacyLevel) -> Result<Tensor> {
-        let distorted: Vec<Frame> = frames.iter().map(|f| self.roundtrip(f, level)).collect();
-        frames_to_tensor(&distorted)
+        let distorted: Vec<Frame> = frames.iter().map(|f| self.distort(f, level)).collect();
+        let mut out = Tensor::zeros(&[frames.len(), 1, self.full_size, self.full_size]);
+        restore_frames_into(&distorted, &mut out)?;
+        Ok(out)
     }
+}
+
+/// Re-expands a batch of distorted frames to the nominal input size with
+/// nearest-neighbour up-sampling (server-side, before the dCNN), straight
+/// into a `[n, 1, full, full]` tensor — typically a workspace checkout —
+/// whose geometry names the size to restore to. The engine's route for
+/// distorted frames, allocation-free.
+///
+/// # Errors
+///
+/// Returns a dataset error for an empty batch, empty or inconsistently
+/// sized frames, or an `out` that is not `[frames.len(), 1, h, w]`.
+// darlint: hot
+pub fn restore_frames_into(frames: &[Frame], out: &mut Tensor) -> Result<()> {
+    let (fw, fh) = frames.first().map_or((0, 0), |f| (f.width(), f.height()));
+    let &[n, 1, h, w] = out.dims() else {
+        return Err(CoreError::Dataset(format!(
+            "restored batch must be [n, 1, h, w], got {:?}",
+            out.dims()
+        )));
+    };
+    if n != frames.len() || fw * fh == 0 || w * h == 0 {
+        return Err(CoreError::Dataset(format!(
+            "cannot restore {} {fw}×{fh} frames into {:?}",
+            frames.len(),
+            out.dims()
+        )));
+    }
+    for (frame, pixels) in frames.iter().zip(out.data_mut().chunks_exact_mut(w * h)) {
+        if (frame.width(), frame.height()) != (fw, fh) {
+            return Err(CoreError::Dataset("inconsistent frame sizes".into()));
+        }
+        frame.resample_nearest_into(w, h, pixels);
+    }
+    Ok(())
 }
 
 /// Hyperparameters for dCNN distillation.

@@ -1,25 +1,25 @@
-//! The N-stream modality registry: the generalization of the engine's
-//! hard-coded CNN+IMU pair into an ordered set of registered streams,
-//! each described by a [`ModalityDescriptor`] (identity, class mapping,
-//! fusion weight) and served by a [`StreamModelSlot`].
+//! The modular analytics engine (paper §3.3): "a 1-to-1 mapping between
+//! device data-streams and models, combined at a later stage". Streams
+//! are an ordered registry, each described by a [`ModalityDescriptor`]
+//! (identity, class mapping, fusion weight) and served by a
+//! [`StreamModelSlot`]; the stream count is a parameter, and the paper's
+//! camera + IMU pair is [`MultiModalEngine::darnet_pair`].
 //!
 //! Identity flows up from the collection layer: a stream is named by its
 //! [`StreamId`] (the same tag the controller's health accounting and the
-//! canonical multi-stream sessions use), and registry order — ascending
-//! `StreamId` — fixes the parent order of the N-ary combiner's CPTs.
+//! canonical multi-stream sessions use), and registry order fixes the
+//! parent order of the combiner's CPTs.
 //!
-//! [`MultiModalEngine`] is the crate's one zero-alloc classify
-//! implementation. The two-stream [`crate::engine::AnalyticsEngine`] is
-//! its N=2 case: it owns an inner `MultiModalEngine` over
-//! `[CAMERA_FRONT, IMU]`, delegates every `*_into` call to it, and keeps
-//! only the allocating `classify_*` path — the reference the bitwise
-//! proptests compare this module against — which fuses through the same
-//! [`MultiModalEngine::fuse_row`].
+//! [`MultiModalEngine`] is the crate's one engine and its `classify_*_into`
+//! methods the one classify implementation. What it is held to is what it
+//! does not share a workspace or a buffer with: each model's allocating
+//! `predict_proba` fused by [`NaryBayesianCombiner::combine_n`] or
+//! [`ClassMap::expand_into`].
 
 use serde::{Deserialize, Serialize};
 
 use darnet_collect::StreamId;
-use darnet_sim::Frame;
+use darnet_sim::{Behavior, Frame};
 use darnet_tensor::{Parallelism, Tensor, Workspace};
 
 use crate::dataset::frames_to_tensor_into;
@@ -27,6 +27,7 @@ use crate::ensemble::{CombinerKind, NaryBayesianCombiner};
 use crate::error::CoreError;
 use crate::health::ModalityStatus;
 use crate::models::{FrameCnn, ImuRnn, ImuSvm};
+use crate::privacy::{restore_frames_into, PrivacyLevel};
 use crate::Result;
 
 /// Registry capacity: fusion scratch lives on the stack, so the number of
@@ -53,14 +54,6 @@ impl ClassMap {
         ClassMap::Projection(vec![0, 1, 2, 0, 0, 0])
     }
 
-    /// The native class observed for canonical class `c`.
-    pub fn native_of(&self, c: usize) -> usize {
-        match self {
-            ClassMap::Identity => c,
-            ClassMap::Projection(m) => m[c],
-        }
-    }
-
     /// The stream's native class count given the canonical count.
     pub fn native_classes(&self, canonical_classes: usize) -> usize {
         match self {
@@ -71,10 +64,10 @@ impl ClassMap {
 
     /// Expands a native posterior onto the canonical class space — the
     /// single-surviving-stream fallback. [`ClassMap::Identity`] passes the
-    /// posterior through verbatim (the legacy CNN-only fallback);
+    /// posterior through verbatim (the CNN-only fallback);
     /// [`ClassMap::Projection`] splits each native class's mass uniformly
-    /// over its canonical preimage and renormalizes (the legacy IMU-only
-    /// fallback, bitwise).
+    /// over its canonical preimage and renormalizes (the IMU-only
+    /// fallback).
     ///
     /// # Errors
     ///
@@ -110,9 +103,8 @@ impl ClassMap {
                 scores.clear();
                 for c in 0..canonical_classes {
                     let native = m[c];
-                    // Preimage size of this native class (the legacy
-                    // fanout table, recomputed by scan — O(classes²) on
-                    // 6–8 classes, allocation-free).
+                    // Preimage size of this native class, by scan:
+                    // O(classes²) on 6–8 classes, allocation-free.
                     let fanout = m.iter().filter(|&&x| x == native).count();
                     scores.push(probs[native] / fanout as f32);
                 }
@@ -160,13 +152,13 @@ impl ModalityDescriptor {
         self
     }
 
-    /// The legacy front-camera descriptor (identity over the canonical
+    /// The paper's front-camera descriptor (identity over the canonical
     /// classes).
     pub fn darnet_camera() -> Self {
         ModalityDescriptor::new(StreamId::CAMERA_FRONT, ClassMap::Identity)
     }
 
-    /// The legacy IMU descriptor (6→3 projection).
+    /// The paper's IMU descriptor (6→3 projection).
     pub fn darnet_imu() -> Self {
         ModalityDescriptor::new(StreamId::IMU, ClassMap::darnet_imu())
     }
@@ -249,14 +241,7 @@ impl StreamModelSlot {
         match self {
             StreamModelSlot::Cnn(m) => m.predict_proba_into(input, out),
             StreamModelSlot::Rnn(m) => m.predict_proba_into(input, out),
-            StreamModelSlot::Svm(m) => {
-                // The SVM baseline has no workspace path; fall back to
-                // its allocating prediction and copy the rows out.
-                let probs = m.predict_proba(input)?;
-                out.clear();
-                out.extend_from_slice(probs.data());
-                Ok(())
-            }
+            StreamModelSlot::Svm(m) => m.predict_proba_into(input, out),
         }
     }
 }
@@ -289,9 +274,7 @@ impl StreamInput<'_> {
 /// for each canonical class the present streams' (class-mapped) posterior
 /// factors are multiplied in registry order, then the scores are
 /// normalized. Projection-mapped factors are floored at `1e-6` so a
-/// coarse modality cannot fully veto classes outside its resolution —
-/// with the legacy `[camera(identity), imu(projection)]` pair this is
-/// bitwise the legacy `product_combine_into`.
+/// coarse modality cannot fully veto classes outside its resolution.
 ///
 /// # Errors
 ///
@@ -354,12 +337,46 @@ pub fn product_combine_subset_into(
 struct RegisteredStream {
     descriptor: ModalityDescriptor,
     model: StreamModelSlot,
+    /// dCNN students of a camera stream, at most one per privacy level.
+    students: Vec<(PrivacyLevel, StreamModelSlot)>,
+    /// The student serving the current batch's distorted frames, if any.
+    route: Option<usize>,
     /// Row-major posteriors for the current batch (reused).
     probs: Vec<f32>,
     /// Whether the stream contributes to the current batch.
     present: bool,
     /// The stream's health status for the current batch.
     status: ModalityStatus,
+}
+
+impl RegisteredStream {
+    /// Picks the model for a batch of `w`×`h` frames and returns the
+    /// geometry to assemble the batch at. Frames at the stream model's
+    /// own input geometry (and anything offered to a non-camera model,
+    /// which rejects it itself) go to the model as they are. Anything
+    /// else is a distorted batch: it goes to the student whose
+    /// [`PrivacyLevel::target_size`] is that geometry, restored to the
+    /// full input edge.
+    // darlint: hot
+    fn route_frames(&mut self, w: usize, h: usize) -> Result<(usize, usize)> {
+        self.route = None;
+        let StreamModelSlot::Cnn(model) = &self.model else {
+            return Ok((w, h));
+        };
+        let full = model.config().input_size;
+        if (w, h) == (full, full) {
+            return Ok((w, h));
+        }
+        let serves = |level: PrivacyLevel| w == h && w == level.target_size(full);
+        self.route = self.students.iter().position(|(level, _)| serves(*level));
+        if self.route.is_none() {
+            return Err(CoreError::NotReady(format!(
+                "stream {} takes {full}×{full} frames and has no dCNN registered for {w}×{h} ones",
+                self.descriptor.id
+            )));
+        }
+        Ok((full, full))
+    }
 }
 
 /// Running counts of how N-stream classifications were fused.
@@ -390,62 +407,17 @@ pub struct MultiStepClassification {
 }
 
 impl MultiStepClassification {
-    /// The row writer behind the public `classify_*_into` methods:
-    /// updates entry `row.index` of a reused output vector in place (its
-    /// inner vectors keep their capacity), growing the vector by one
-    /// while it is still shorter than the batch.
-    // darlint: hot
-    pub(crate) fn write_row(out: &mut Vec<Self>, row: FusedRow<'_>) -> Result<()> {
-        if out.len() <= row.index {
-            // Growth path: only taken during warm-up or at a larger
-            // batch shape; the empty vectors are filled just below.
-            out.push(MultiStepClassification {
-                class: 0,
-                scores: Vec::new(),
-                used: Vec::new(),
-                degraded: false,
-            });
-        }
-        if let Some(slot) = out.get_mut(row.index) {
-            slot.class = row.class;
-            slot.scores.clear();
-            slot.scores.extend_from_slice(row.scores);
-            slot.used.clear();
-            for (id, parent) in row.ids.iter().zip(row.parents) {
-                if parent.is_some() {
-                    slot.used.push(*id);
-                }
-            }
-            slot.degraded = row.degraded;
-        }
-        Ok(())
+    /// The fused class as a DarNet behaviour: `None` when the index lies
+    /// outside the 6-class taxonomy (an engine over another class space).
+    pub fn behavior(&self) -> Option<Behavior> {
+        Behavior::from_index(self.class)
     }
 }
 
-/// One fused time-step as [`MultiModalEngine::classify_rows`] hands it
-/// to its row writer. Everything is borrowed from the engine's session
-/// buffers, so a writer copies out exactly what its result type keeps.
-pub(crate) struct FusedRow<'a> {
-    /// Position in the batch.
-    pub(crate) index: usize,
-    /// The fused canonical class index.
-    pub(crate) class: usize,
-    /// Fused class scores (normalized).
-    pub(crate) scores: &'a [f32],
-    /// Registered stream ids, registry order.
-    pub(crate) ids: &'a [StreamId],
-    /// Per registered stream, its native posterior row for this step
-    /// (`None` if the stream sat the batch out).
-    pub(crate) parents: &'a [Option<&'a [f32]>],
-    /// `true` if a contributing stream was degraded or a registered
-    /// stream had to be dropped.
-    pub(crate) degraded: bool,
-}
-
-/// The registry-driven N-stream analytics engine: an ordered set of
-/// [`StreamModelSlot`]s fused by the [`NaryBayesianCombiner`] (or the product
-/// rule) over whichever subset of streams is healthy, with the legacy
-/// engine's zero-alloc workspace discipline.
+/// The analytics engine: an ordered set of [`StreamModelSlot`]s fused by
+/// the [`NaryBayesianCombiner`] (or the product rule) over whichever
+/// subset of streams is healthy, on session buffers that make a warm
+/// call allocation-free.
 pub struct MultiModalEngine {
     classes: usize,
     kind: CombinerKind,
@@ -476,46 +448,30 @@ impl MultiModalEngine {
         }
     }
 
-    /// The DarNet pair over the 6-class taxonomy, in the pair CPT's
-    /// parent order (front camera, then IMU), with `combiner` installed
-    /// as fitted. Unlike [`MultiModalEngine::register`] nothing is
-    /// validated here: the two-stream engine's constructor is
-    /// infallible, so a model whose class count disagrees with its
-    /// descriptor surfaces as a dataset error at classification time.
-    pub(crate) fn darnet_pair(
+    /// The paper's engine: the front-camera CNN and an IMU model (the
+    /// BiLSTM or the SVM baseline) over the 6-class taxonomy, in the pair
+    /// CPT's parent order — camera, then IMU — with `combiner` installed
+    /// as fitted.
+    ///
+    /// # Errors
+    ///
+    /// As [`MultiModalEngine::register`] and
+    /// [`MultiModalEngine::set_combiner`]: a model whose class count is
+    /// not 6 / 3, or a combiner not over cards `[6, 3]`.
+    pub fn darnet_pair(
         kind: CombinerKind,
         cnn: FrameCnn,
         imu: StreamModelSlot,
         combiner: NaryBayesianCombiner,
-    ) -> Self {
+    ) -> Result<Self> {
         let mut engine = MultiModalEngine::new(6, kind);
-        engine.push_stream(
+        engine.register(
             ModalityDescriptor::darnet_camera(),
             StreamModelSlot::Cnn(cnn),
-        );
-        engine.push_stream(ModalityDescriptor::darnet_imu(), imu);
-        engine.combiner = Some(combiner);
-        engine
-    }
-
-    /// A model inside an engine runs its layers and kernels inline: the
-    /// engine's one level of thread fan-out is the streams
-    /// ([`MultiModalEngine::predict_streams`]), so whatever policy the
-    /// model arrived with is replaced by the serial one.
-    fn push_stream(&mut self, descriptor: ModalityDescriptor, mut model: StreamModelSlot) {
-        model.set_parallelism(Parallelism::serial());
-        self.streams.push(RegisteredStream {
-            descriptor,
-            model,
-            probs: Vec::new(),
-            present: false,
-            status: ModalityStatus::Healthy,
-        });
-    }
-
-    /// The registered models, in registry order.
-    pub(crate) fn models_mut(&mut self) -> impl Iterator<Item = &mut StreamModelSlot> {
-        self.streams.iter_mut().map(|s| &mut s.model)
+        )?;
+        engine.register(ModalityDescriptor::darnet_imu(), imu)?;
+        engine.set_combiner(combiner)?;
+        Ok(engine)
     }
 
     /// Canonical class count.
@@ -561,7 +517,7 @@ impl MultiModalEngine {
     /// Registers a stream. Registration order is registry order: it
     /// fixes the parent order of the combiner's CPTs and the order of
     /// product factors (new registries conventionally register in
-    /// ascending [`StreamId`]; the legacy pair order — camera before
+    /// ascending [`StreamId`]; the paper's pair order — camera before
     /// IMU — is equally valid). The model's native class count must
     /// match the descriptor's class map. Registering a stream
     /// invalidates any installed combiner (its parent cardinalities
@@ -574,7 +530,7 @@ impl MultiModalEngine {
     pub fn register(
         &mut self,
         descriptor: ModalityDescriptor,
-        model: StreamModelSlot,
+        mut model: StreamModelSlot,
     ) -> Result<()> {
         if self.streams.len() >= MAX_STREAMS {
             return Err(CoreError::Dataset(format!(
@@ -608,8 +564,67 @@ impl MultiModalEngine {
                 descriptor.id
             )));
         }
-        self.push_stream(descriptor, model);
+        // A model inside an engine runs its layers and kernels inline:
+        // the engine's one level of thread fan-out is the streams
+        // ([`MultiModalEngine::predict_streams`]), so whatever policy the
+        // model arrived with is replaced by the serial one.
+        model.set_parallelism(Parallelism::serial());
+        self.streams.push(RegisteredStream {
+            descriptor,
+            model,
+            students: Vec::new(),
+            route: None,
+            probs: Vec::new(),
+            present: false,
+            status: ModalityStatus::Healthy,
+        });
         self.combiner = None;
+        Ok(())
+    }
+
+    /// Registers a distilled dCNN student (paper §4.3) on camera stream
+    /// `id` for one privacy level, replacing any earlier student at that
+    /// level. From then on a batch that arrives on the stream at the
+    /// level's distorted geometry — [`PrivacyLevel::target_size`] of the
+    /// stream model's input edge — is restored to the full edge inside
+    /// the engine workspace and classified by the student: "the analytics
+    /// engine picks the appropriate classifier". A distorted batch no
+    /// student serves is a [`CoreError::NotReady`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a dataset error when `id` is not a registered camera
+    /// stream or the student's input size or class count differs from
+    /// the stream model's.
+    pub fn register_dcnn(
+        &mut self,
+        id: StreamId,
+        level: PrivacyLevel,
+        student: FrameCnn,
+    ) -> Result<()> {
+        let stream = self.streams.iter_mut().find(|s| s.descriptor.id == id);
+        let Some(RegisteredStream {
+            model: StreamModelSlot::Cnn(teacher),
+            students,
+            ..
+        }) = stream
+        else {
+            return Err(CoreError::Dataset(format!(
+                "stream {id} is not a registered camera stream"
+            )));
+        };
+        let geometry = |m: &FrameCnn| (m.config().input_size, m.classes());
+        if geometry(&student) != geometry(teacher) {
+            return Err(CoreError::Dataset(format!(
+                "{level} student (input, classes) {:?} does not match stream {id}'s {:?}",
+                geometry(&student),
+                geometry(teacher)
+            )));
+        }
+        let mut student = StreamModelSlot::Cnn(student);
+        student.set_parallelism(Parallelism::serial());
+        students.retain(|(l, _)| *l != level);
+        students.push((level, student));
         Ok(())
     }
 
@@ -693,8 +708,8 @@ impl MultiModalEngine {
     /// [`ModalityStatus::Unavailable`]. Fusion follows the healthy-subset
     /// policy: every registered stream → N-ary fusion; a plural strict
     /// subset → the same combiner with absent parents marginalized out; a
-    /// single survivor → its class-map expansion (bitwise the legacy
-    /// CNN-only / IMU-only fallbacks). After one warm-up call at a given
+    /// single survivor → its class-map expansion (the CNN-only / IMU-only
+    /// fallbacks). After one warm-up call at a given
     /// batch shape, a steady-state call that runs its streams inline
     /// performs zero heap allocations end to end; one that fans them out
     /// ([`MultiModalEngine::set_parallelism`]) allocates what its thread
@@ -713,31 +728,6 @@ impl MultiModalEngine {
         statuses: &[(StreamId, ModalityStatus)],
         out: &mut Vec<MultiStepClassification>,
     ) -> Result<()> {
-        let n = self.classify_rows(inputs, statuses, |row| {
-            MultiStepClassification::write_row(out, row)
-        })?;
-        out.truncate(n);
-        Ok(())
-    }
-
-    /// [`MultiModalEngine::classify_batch_checked_into`] with the result
-    /// type left to the caller: every fused step is handed to `write` as
-    /// a borrowed [`FusedRow`], in batch order, and the batch length is
-    /// returned. This is the one classify implementation; the public
-    /// `_into` methods here and on the two-stream
-    /// [`crate::engine::AnalyticsEngine`] differ only in their writer.
-    ///
-    /// # Errors
-    ///
-    /// As [`MultiModalEngine::classify_batch_checked_into`], plus
-    /// whatever `write` returns.
-    // darlint: hot
-    pub(crate) fn classify_rows(
-        &mut self,
-        inputs: &[(StreamId, StreamInput<'_>)],
-        statuses: &[(StreamId, ModalityStatus)],
-        write: impl FnMut(FusedRow<'_>) -> Result<()>,
-    ) -> Result<usize> {
         if self.streams.is_empty() {
             return Err(CoreError::NotReady("no streams registered".into()));
         }
@@ -780,12 +770,12 @@ impl MultiModalEngine {
                 "every registered stream is unavailable — nothing to classify from".into(),
             ));
         };
-        if n == 0 {
-            return Ok(0);
+        if n > 0 {
+            self.predict_streams(inputs, n)?;
+            self.fuse_batch(n, out)?;
         }
-        self.predict_streams(inputs, n)?;
-        self.fuse_batch(n, write)?;
-        Ok(n)
+        out.truncate(n);
+        Ok(())
     }
 
     /// Runs every present stream's model over its assembled input,
@@ -794,12 +784,13 @@ impl MultiModalEngine {
     /// here, once per call, from the installed policy and the number of
     /// present streams. Fanned out, the streams form one group: camera
     /// batches are assembled on the caller's thread (the workspace is not
-    /// shared with workers), each present stream's model runs on its own
-    /// scoped worker, every worker is joined in registry order, and the
-    /// batches go back to the pool. Inline, each stream is a group of its
-    /// own and the same three steps run for it alone, so one camera batch
-    /// is checked out at a time. Either way the first error in registry
-    /// order is the one returned.
+    /// shared with workers; a distorted batch is restored here and routed
+    /// to its dCNN student, [`MultiModalEngine::register_dcnn`]), each
+    /// present stream's model runs on its own scoped worker, every worker
+    /// is joined in registry order, and the batches go back to the pool.
+    /// Inline, each stream is a group of its own and the same three steps
+    /// run for it alone, so one camera batch is checked out at a time.
+    /// Either way the first error in registry order is the one returned.
     // darlint: hot
     fn predict_streams(&mut self, inputs: &[(StreamId, StreamInput<'_>)], n: usize) -> Result<()> {
         let classes = self.classes;
@@ -819,10 +810,17 @@ impl MultiModalEngine {
         for group in streams.chunks_mut(if fan_out { MAX_STREAMS } else { 1 }) {
             let mut batches: [Option<Tensor>; MAX_STREAMS] = [const { None }; MAX_STREAMS];
             let mut run = Ok(());
-            for (stream, batch) in group.iter().zip(&mut batches) {
+            for (stream, batch) in group.iter_mut().zip(&mut batches) {
                 if let Some(StreamInput::Frames(frames)) = input_of(stream) {
-                    let (w, h) = (frames[0].width(), frames[0].height());
-                    run = frames_to_tensor_into(frames, batch.insert(ws.checkout(&[n, 1, h, w])));
+                    run = stream
+                        .route_frames(frames[0].width(), frames[0].height())
+                        .and_then(|(w, h)| {
+                            let batch = batch.insert(ws.checkout(&[n, 1, h, w]));
+                            match stream.route {
+                                Some(_) => restore_frames_into(frames, batch),
+                                None => frames_to_tensor_into(frames, batch),
+                            }
+                        });
                     if run.is_err() {
                         break;
                     }
@@ -837,7 +835,12 @@ impl MultiModalEngine {
                             StreamInput::Windows(windows) => windows,
                             StreamInput::Frames(_) => batch.as_ref()?,
                         };
-                        Some(move || stream.model.predict_proba_into(input, &mut stream.probs))
+                        let model = match stream.route {
+                            Some(student) => &mut stream.students.get_mut(student)?.1,
+                            None => &mut stream.model,
+                        };
+                        let probs = &mut stream.probs;
+                        Some(move || model.predict_proba_into(input, probs))
                     });
                 run = if fan_out {
                     std::thread::scope(|scope| {
@@ -865,19 +868,21 @@ impl MultiModalEngine {
             }
             run?;
         }
-        // Posterior width check — catches a model/descriptor mismatch
-        // that slipped past registration (e.g. a refit model).
-        for stream in streams.iter() {
-            if !stream.present {
-                continue;
-            }
+        // Posterior checks. Width catches a model/descriptor mismatch
+        // that slipped past registration (e.g. a refit model). Finiteness
+        // stops a poisoned window here: fusion picks the label with
+        // `total_cmp`, which sorts NaN above every real score.
+        for stream in streams.iter().filter(|s| s.present) {
+            let id = stream.descriptor.id;
             let native = stream.descriptor.native_classes(classes);
             if stream.probs.len() != n * native {
                 return Err(CoreError::Dataset(format!(
-                    "stream {} produced {} probabilities for {n}×{native}",
-                    stream.descriptor.id,
+                    "stream {id} produced {} probabilities for {n}×{native}",
                     stream.probs.len()
                 )));
+            }
+            if !stream.probs.iter().all(|p| p.is_finite()) {
+                return Err(CoreError::NonFinitePosterior { stream: id });
             }
         }
         Ok(())
@@ -894,7 +899,7 @@ impl MultiModalEngine {
     /// [`CoreError::NotReady`] when every parent is absent or the
     /// Bayesian combiner is missing; a dataset error on width mismatches.
     // darlint: hot
-    pub(crate) fn fuse_row(&self, parents: &[Option<&[f32]>], scores: &mut Vec<f32>) -> Result<()> {
+    fn fuse_row(&self, parents: &[Option<&[f32]>], scores: &mut Vec<f32>) -> Result<()> {
         let classes = self.classes;
         let mut present = self
             .streams
@@ -940,75 +945,70 @@ impl MultiModalEngine {
         }
     }
 
-    /// Fuses the per-stream posteriors item by item and hands each step
-    /// to `write`.
+    /// Fuses step `i` of the batch from the present streams' posterior
+    /// rows and writes it into entry `i` of the reused output vector (its
+    /// inner vectors keep their capacity), growing the vector by one while
+    /// it is still shorter than the batch.
     // darlint: hot
-    fn fuse_batch(
-        &mut self,
-        n: usize,
-        mut write: impl FnMut(FusedRow<'_>) -> Result<()>,
+    fn fuse_step(
+        &self,
+        i: usize,
+        degraded: bool,
+        scores: &mut Vec<f32>,
+        out: &mut Vec<MultiStepClassification>,
     ) -> Result<()> {
-        let classes = self.classes;
-        let total_streams = self.streams.len();
+        let mut parents: [Option<&[f32]>; MAX_STREAMS] = [None; MAX_STREAMS];
+        for (parent, stream) in parents.iter_mut().zip(&self.streams) {
+            if !stream.present {
+                continue;
+            }
+            let native = stream.descriptor.native_classes(self.classes);
+            *parent = Some(&stream.probs[i * native..(i + 1) * native]);
+        }
+        self.fuse_row(&parents[..self.streams.len()], scores)?;
+        if out.len() <= i {
+            // Growth path: only taken during warm-up or at a larger
+            // batch shape; the empty vectors are filled just below.
+            out.push(MultiStepClassification {
+                class: 0,
+                scores: Vec::new(),
+                used: Vec::new(),
+                degraded,
+            });
+        }
+        let step = &mut out[i];
+        let best = scores.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1));
+        step.class = best.map_or(0, |(class, _)| class);
+        step.scores.clear();
+        step.scores.extend_from_slice(scores);
+        step.used.clear();
+        let present = self.streams.iter().filter(|s| s.present);
+        step.used.extend(present.map(|s| s.descriptor.id));
+        step.degraded = degraded;
+        Ok(())
+    }
+
+    /// Fuses the per-stream posteriors item by item into `out`.
+    // darlint: hot
+    fn fuse_batch(&mut self, n: usize, out: &mut Vec<MultiStepClassification>) -> Result<()> {
         let degraded = self
             .streams
             .iter()
             .any(|s| !s.present || s.status == ModalityStatus::Degraded);
-        let mut ids = [StreamId(0); MAX_STREAMS];
-        for (id, stream) in ids.iter_mut().zip(&self.streams) {
-            *id = stream.descriptor.id;
-        }
         let mut scores = std::mem::take(&mut self.scores_buf);
-        let mut full = 0u64;
-        let mut partial = 0u64;
-        let mut single_count = 0u64;
-        for i in 0..n {
-            let mut parents: [Option<&[f32]>; MAX_STREAMS] = [None; MAX_STREAMS];
-            let mut used = 0usize;
-            for (k, stream) in self.streams.iter().enumerate() {
-                if !stream.present {
-                    continue;
-                }
-                let native = stream.descriptor.native_classes(classes);
-                parents[k] = Some(&stream.probs[i * native..(i + 1) * native]);
-                used += 1;
-            }
-            let parents = &parents[..total_streams];
-            let written = self.fuse_row(parents, &mut scores).and_then(|()| {
-                let class = scores
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.total_cmp(b.1))
-                    .map(|(c, _)| c)
-                    .unwrap_or(0);
-                write(FusedRow {
-                    index: i,
-                    class,
-                    scores: &scores,
-                    ids: &ids[..total_streams],
-                    parents,
-                    degraded,
-                })
-            });
-            if let Err(e) = written {
-                self.scores_buf = scores;
-                return Err(e);
-            }
-            if used == total_streams {
-                full += 1;
-            } else if used > 1 {
-                partial += 1;
-            } else {
-                single_count += 1;
-            }
-        }
-        self.counters.full += full;
-        self.counters.partial += partial;
-        self.counters.single += single_count;
+        let fused = (0..n).try_for_each(|i| self.fuse_step(i, degraded, &mut scores, out));
+        self.scores_buf = scores;
+        fused?;
+        // Every step of a batch fuses the same subset of streams.
+        let counter = match self.streams.iter().filter(|s| s.present).count() {
+            used if used == self.streams.len() => &mut self.counters.full,
+            1 => &mut self.counters.single,
+            _ => &mut self.counters.partial,
+        };
+        *counter += n as u64;
         if degraded {
             self.counters.degraded += n as u64;
         }
-        self.scores_buf = scores;
         Ok(())
     }
 }
@@ -1027,20 +1027,23 @@ impl std::fmt::Debug for MultiModalEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::{IMU_FEATURES, WINDOW_LEN};
-    use crate::engine::{AnalyticsEngine, EngineConfig, ImuModelSlot};
-    use crate::ensemble::{product_combine_into, BayesianCombiner};
+    use crate::dataset::{frames_to_tensor, IMU_FEATURES, WINDOW_LEN};
     use crate::models::{CnnConfig, RnnConfig};
-    use darnet_sim::{Behavior, DriverProfile, FrameRenderer};
+    use crate::privacy::Downsampler;
+    use darnet_sim::{DriverProfile, FrameRenderer};
 
-    fn tiny_models() -> (FrameCnn, ImuRnn, BayesianCombiner) {
+    fn tiny_cnn(seed: u64) -> FrameCnn {
         let cnn_config = CnnConfig {
             input_size: 24,
             classes: 6,
             width: 0.5,
             ..CnnConfig::default()
         };
-        let cnn = FrameCnn::new(cnn_config, 1);
+        FrameCnn::new(cnn_config, seed)
+    }
+
+    /// Seeded, so two calls build weight-identical twins.
+    fn tiny_models() -> (FrameCnn, ImuRnn, NaryBayesianCombiner) {
         let rnn_config = RnnConfig {
             hidden: 4,
             depth: 1,
@@ -1049,42 +1052,41 @@ mod tests {
         let mut rnn = ImuRnn::new(rnn_config, 2);
         let x = Tensor::ones(&[6, WINDOW_LEN, IMU_FEATURES]);
         rnn.fit(&x, &[0, 1, 2, 0, 1, 2], 1).unwrap();
-        let mut combiner = BayesianCombiner::darnet();
+        let mut combiner = NaryBayesianCombiner::new(6, vec![6, 3], 1.0);
         let cnn_probs = Tensor::full(&[6, 6], 1.0 / 6.0);
         let imu_probs = Tensor::full(&[6, 3], 1.0 / 3.0);
         combiner
-            .fit(&cnn_probs, &imu_probs, &[0, 1, 2, 3, 4, 5])
+            .fit(&[&cnn_probs, &imu_probs], &[0, 1, 2, 3, 4, 5])
             .unwrap();
-        (cnn, rnn, combiner)
+        (tiny_cnn(1), rnn, combiner)
     }
 
-    fn legacy_engine(kind: CombinerKind) -> AnalyticsEngine {
-        let (cnn, rnn, combiner) = tiny_models();
-        AnalyticsEngine::new(
-            cnn,
-            ImuModelSlot::Rnn(rnn),
-            combiner,
-            EngineConfig { combiner: kind },
-        )
+    /// The SVM baseline for the pair's IMU slot.
+    fn tiny_svm() -> ImuSvm {
+        let mut svm = ImuSvm::new(WINDOW_LEN, IMU_FEATURES, 3, darnet_nn::SvmConfig::default());
+        let mut x = Tensor::zeros(&[6, WINDOW_LEN, IMU_FEATURES]);
+        for (i, v) in x.data_mut().iter_mut().enumerate() {
+            *v = ((i * 7) % 11) as f32 * 0.1;
+        }
+        let mut rng = darnet_tensor::SplitMix64::new(5);
+        svm.fit(&x, &[0, 1, 2, 0, 1, 2], &mut rng).unwrap();
+        svm
     }
 
-    /// An N=2 registry engine wired exactly like the legacy pair engine:
-    /// same models (same seeds), same CPT, same parent order (camera
-    /// before IMU, the legacy convention).
-    fn registry_engine(kind: CombinerKind) -> MultiModalEngine {
+    /// The paper's pair: camera before IMU, the pair CPT's parent order.
+    fn pair_engine(kind: CombinerKind) -> MultiModalEngine {
         let (cnn, rnn, combiner) = tiny_models();
-        let mut engine = MultiModalEngine::new(6, kind);
-        engine
-            .register(
-                ModalityDescriptor::darnet_camera(),
-                StreamModelSlot::Cnn(cnn),
-            )
-            .unwrap();
-        engine
-            .register(ModalityDescriptor::darnet_imu(), StreamModelSlot::Rnn(rnn))
-            .unwrap();
-        engine.set_combiner(combiner.to_nary()).unwrap();
-        engine
+        MultiModalEngine::darnet_pair(kind, cnn, StreamModelSlot::Rnn(rnn), combiner).unwrap()
+    }
+
+    fn pair_inputs<'a>(
+        frames: &'a [Frame],
+        windows: &'a Tensor,
+    ) -> [(StreamId, StreamInput<'a>); 2] {
+        [
+            (StreamId::CAMERA_FRONT, StreamInput::Frames(frames)),
+            (StreamId::IMU, StreamInput::Windows(windows)),
+        ]
     }
 
     fn test_batch(n: usize) -> (Vec<Frame>, Tensor) {
@@ -1108,11 +1110,51 @@ mod tests {
         (frames, windows)
     }
 
+    fn window_row(windows: &Tensor, i: usize) -> Tensor {
+        let row = WINDOW_LEN * IMU_FEATURES;
+        let data = windows.data()[i * row..(i + 1) * row].to_vec();
+        Tensor::from_vec(data, &[1, WINDOW_LEN, IMU_FEATURES]).unwrap()
+    }
+
     fn assert_bitwise(a: &[f32], b: &[f32], what: &str) {
         assert_eq!(a.len(), b.len(), "{what}: length");
         for (i, (x, y)) in a.iter().zip(b).enumerate() {
             assert_eq!(x.to_bits(), y.to_bits(), "{what}: lane {i}: {x} vs {y}");
         }
+    }
+
+    /// The pair product rule, frozen: `cnn[c] · max(imu[imu_class(c)], 1e-6)`,
+    /// normalized.
+    fn frozen_product(cnn: &[f32], imu: &[f32]) -> Vec<f32> {
+        let m = [0usize, 1, 2, 0, 0, 0];
+        let mut scores: Vec<f32> = (0..6).map(|c| cnn[c] * imu[m[c]].max(1e-6)).collect();
+        let total: f32 = scores.iter().sum();
+        if total > 0.0 {
+            scores.iter_mut().for_each(|s| *s /= total);
+        }
+        scores
+    }
+
+    /// The IMU-only expansion, frozen: fanout-split then total-normalize.
+    fn frozen_imu_expansion(imu: &[f32]) -> Vec<f32> {
+        let fanout = [4.0f32, 1.0, 1.0];
+        let m = [0usize, 1, 2, 0, 0, 0];
+        let mut scores: Vec<f32> = (0..6).map(|c| imu[m[c]] / fanout[m[c]]).collect();
+        let total: f32 = scores.iter().sum();
+        scores.iter_mut().for_each(|s| *s /= total);
+        scores
+    }
+
+    /// What the engine is held to: fresh twins' allocating `predict_proba`
+    /// per stream — no engine, no workspace — as `(cnn, imu)` row pairs.
+    fn reference_posteriors(frames: &[Frame], windows: &Tensor) -> Vec<(Vec<f32>, Vec<f32>)> {
+        let (mut cnn, mut rnn, _) = tiny_models();
+        let cnn_probs = cnn
+            .predict_proba(&frames_to_tensor(frames).unwrap())
+            .unwrap();
+        let imu_probs = rnn.predict_proba(windows).unwrap();
+        let rows = cnn_probs.data().chunks(6).zip(imu_probs.data().chunks(3));
+        rows.map(|(c, m)| (c.to_vec(), m.to_vec())).collect()
     }
 
     #[test]
@@ -1131,18 +1173,13 @@ mod tests {
     #[test]
     fn projection_expansion_matches_legacy_imu_only_formula() {
         let map = ClassMap::darnet_imu();
+        // The projection is the taxonomy's own 6→3 assignment.
+        let taxonomy = Behavior::ALL.map(|b| b.imu_class().index());
+        assert_eq!(map, ClassMap::Projection(taxonomy.to_vec()));
         let imu = [0.5f32, 0.3, 0.2];
         let mut scores = Vec::new();
         map.expand_into(&imu, 6, &mut scores).unwrap();
-        // The frozen legacy formula: fanout-split then total-normalize.
-        let fanout = [4.0f32, 1.0, 1.0];
-        let m = [0usize, 1, 2, 0, 0, 0];
-        let mut expected: Vec<f32> = (0..6).map(|c| imu[m[c]] / fanout[m[c]]).collect();
-        let total: f32 = expected.iter().sum();
-        for s in &mut expected {
-            *s /= total;
-        }
-        assert_bitwise(&scores, &expected, "projection expansion");
+        assert_bitwise(&scores, &frozen_imu_expansion(&imu), "projection expansion");
         // 1-to-1 classes keep their full mass.
         assert!((scores[1] - imu[1]).abs() < 1e-6);
         assert!((scores[2] - imu[2]).abs() < 1e-6);
@@ -1150,11 +1187,9 @@ mod tests {
     }
 
     #[test]
-    fn product_subset_pair_is_bitwise_legacy() {
+    fn product_subset_pair_is_bitwise_the_frozen_formula() {
         let cnn = [0.4f32, 0.3, 0.1, 0.05, 0.05, 0.1];
         let imu = [0.2f32, 0.0, 0.8];
-        let mut legacy = Vec::new();
-        product_combine_into(&cnn, &imu, &mut legacy).unwrap();
         let camera = ModalityDescriptor::darnet_camera();
         let imu_desc = ModalityDescriptor::darnet_imu();
         let mut scores = Vec::new();
@@ -1167,49 +1202,230 @@ mod tests {
             &mut scores,
         )
         .unwrap();
-        assert_bitwise(&scores, &legacy, "product pair");
-        // All-absent is an error; a lone present parent is its expansion
-        // factor (unnormalized identity row normalizes to itself).
+        assert_bitwise(&scores, &frozen_product(&cnn, &imu), "product pair");
+        assert!((scores.iter().sum::<f32>() - 1.0).abs() < 1e-5);
+        // The floor: a zero IMU class cannot fully veto the CNN.
+        assert!(scores[1] > 0.0);
+        // Width mismatches and an all-absent parent list are errors.
+        let short = [(Some(&cnn[..5]), &camera.class_map, 1.0)];
+        assert!(product_combine_subset_into(&short, 6, &mut scores).is_err());
         assert!(
             product_combine_subset_into(&[(None, &camera.class_map, 1.0)], 6, &mut scores).is_err()
         );
     }
 
     #[test]
-    fn n2_registry_engine_is_bitwise_legacy_for_every_combiner() {
+    fn pair_engine_is_bitwise_the_reference_for_every_combiner() {
         let (frames, windows) = test_batch(5);
+        let inputs = pair_inputs(&frames, &windows);
+        let reference = reference_posteriors(&frames, &windows);
+        let (_, _, combiner) = tiny_models();
         for kind in [
             CombinerKind::Bayesian,
             CombinerKind::Product,
             CombinerKind::CnnOnly,
         ] {
-            let mut legacy = legacy_engine(kind);
-            let expected = legacy.classify_batch(&frames, &windows).unwrap();
-
-            let mut registry = registry_engine(kind);
-            let inputs = [
-                (StreamId::CAMERA_FRONT, StreamInput::Frames(&frames)),
-                (StreamId::IMU, StreamInput::Windows(&windows)),
-            ];
+            let mut engine = pair_engine(kind);
             let mut out = Vec::new();
-            registry.classify_batch_into(&inputs, &mut out).unwrap();
-            assert_eq!(out.len(), expected.len());
-            for (i, (got, want)) in out.iter().zip(&expected).enumerate() {
-                assert_bitwise(&got.scores, &want.scores, &format!("{kind:?} item {i}"));
-                assert_eq!(got.class, want.behavior.index(), "{kind:?} item {i} class");
+            engine.classify_batch_into(&inputs, &mut out).unwrap();
+            assert_eq!(out.len(), frames.len());
+            for (i, (got, (cnn, imu))) in out.iter().zip(&reference).enumerate() {
+                let want = match kind {
+                    CombinerKind::Bayesian => combiner.combine_n(&[cnn, imu]).unwrap(),
+                    CombinerKind::Product => frozen_product(cnn, imu),
+                    CombinerKind::CnnOnly => cnn.clone(),
+                };
+                assert_bitwise(&got.scores, &want, &format!("{kind:?} item {i}"));
+                assert!((got.scores.iter().sum::<f32>() - 1.0).abs() < 1e-4);
+                assert_eq!(
+                    got.scores[got.class],
+                    want.iter().copied().fold(0.0, f32::max)
+                );
+                assert_eq!(got.behavior(), Behavior::from_index(got.class));
                 assert_eq!(got.used, vec![StreamId::CAMERA_FRONT, StreamId::IMU]);
                 assert!(!got.degraded);
             }
-            assert_eq!(registry.counters().full, frames.len() as u64);
+            assert_eq!(engine.counters().full, frames.len() as u64);
 
             // Repeat calls reuse buffers and stay identical; the session
             // workspace stops allocating after warm-up.
-            let misses = registry.ws.cold_misses();
+            let misses = engine.workspace_stats().1;
             let snapshot = out.clone();
-            registry.classify_batch_into(&inputs, &mut out).unwrap();
+            engine.classify_batch_into(&inputs, &mut out).unwrap();
             assert_eq!(out, snapshot);
-            assert_eq!(registry.ws.cold_misses(), misses, "workspace grew");
+            assert_eq!(engine.workspace_stats().1, misses, "workspace grew");
+
+            // A shorter batch truncates the reused output vector.
+            let first = window_row(&windows, 0);
+            engine
+                .classify_batch_into(&pair_inputs(&frames[..1], &first), &mut out)
+                .unwrap();
+            assert_eq!(out, snapshot[..1]);
         }
+    }
+
+    #[test]
+    fn batch_is_bitwise_its_per_item_steps() {
+        let (frames, windows) = test_batch(5);
+        let mut batch = Vec::new();
+        pair_engine(CombinerKind::Bayesian)
+            .classify_batch_into(&pair_inputs(&frames, &windows), &mut batch)
+            .unwrap();
+        let mut single = pair_engine(CombinerKind::Bayesian);
+        let mut step = Vec::new();
+        for (i, frame) in frames.iter().enumerate() {
+            let window = window_row(&windows, i);
+            let inputs = pair_inputs(std::slice::from_ref(frame), &window);
+            single.classify_step_into(&inputs, &mut step).unwrap();
+            assert_eq!(step.len(), 1);
+            assert_eq!(step[0], batch[i], "batch item {i} diverged");
+        }
+        assert_eq!(single.counters().full, frames.len() as u64);
+    }
+
+    #[test]
+    fn tuple_feed_is_bitwise_the_batch_path() {
+        use darnet_collect::runtime::AlignedTuple;
+
+        let (frames, windows) = test_batch(4);
+        let row = WINDOW_LEN * IMU_FEATURES;
+        let tuples: Vec<AlignedTuple> = (0..frames.len())
+            .map(|i| AlignedTuple {
+                t: i as f64 * 0.25,
+                frame: frames[i].clone(),
+                window: windows.data()[i * row..(i + 1) * row].to_vec(),
+            })
+            .collect();
+        let bad = vec![AlignedTuple {
+            t: 0.0,
+            frame: Frame::new(24, 24),
+            window: vec![0.0; 7],
+        }];
+        let (camera, imu) = (StreamId::CAMERA_FRONT, StreamId::IMU);
+        // Every combiner, and both IMU models the slot can hold.
+        for svm_slot in [false, true] {
+            for kind in [
+                CombinerKind::Bayesian,
+                CombinerKind::Product,
+                CombinerKind::CnnOnly,
+            ] {
+                let build = || {
+                    let (cnn, rnn, combiner) = tiny_models();
+                    let slot = match svm_slot {
+                        true => StreamModelSlot::Svm(tiny_svm()),
+                        false => StreamModelSlot::Rnn(rnn),
+                    };
+                    MultiModalEngine::darnet_pair(kind, cnn, slot, combiner).unwrap()
+                };
+                let mut expected = Vec::new();
+                build()
+                    .classify_batch_into(&pair_inputs(&frames, &windows), &mut expected)
+                    .unwrap();
+                assert_eq!(expected.len(), tuples.len());
+
+                let mut engine = build();
+                let mut out = Vec::new();
+                for round in 0..3 {
+                    engine
+                        .classify_tuples_into(camera, imu, &tuples, &mut out)
+                        .unwrap();
+                    assert_eq!(out, expected, "{kind:?} round {round} diverged");
+                }
+                assert_eq!(engine.counters().full, 3 * tuples.len() as u64);
+
+                // Malformed tuple windows are rejected without
+                // disturbing state.
+                assert!(engine
+                    .classify_tuples_into(camera, imu, &bad, &mut out)
+                    .is_err());
+                engine
+                    .classify_tuples_into(camera, imu, &tuples, &mut out)
+                    .unwrap();
+                assert_eq!(out, expected);
+                // An empty flush clears the reused output.
+                engine
+                    .classify_tuples_into(camera, imu, &[], &mut out)
+                    .unwrap();
+                assert!(out.is_empty());
+            }
+        }
+    }
+
+    #[test]
+    fn svm_slot_posterior_is_bitwise_the_allocating_one() {
+        let (_, windows) = test_batch(3);
+        let mut slot = StreamModelSlot::Svm(tiny_svm());
+        let want = slot.predict_proba(&windows).unwrap();
+        let mut got = vec![9.0];
+        slot.predict_proba_into(&windows, &mut got).unwrap();
+        assert_bitwise(&got, want.data(), "svm slot");
+        assert!(slot
+            .predict_proba_into(&Tensor::zeros(&[1, 5, IMU_FEATURES]), &mut got)
+            .is_err());
+    }
+
+    #[test]
+    fn malformed_batches_are_rejected() {
+        let mut engine = pair_engine(CombinerKind::Bayesian);
+        let frames = vec![Frame::new(24, 24), Frame::new(24, 24)];
+        let mut out = Vec::new();
+        // Three windows for two frames.
+        let windows = Tensor::zeros(&[3, WINDOW_LEN, IMU_FEATURES]);
+        assert!(matches!(
+            engine.classify_batch_into(&pair_inputs(&frames, &windows), &mut out),
+            Err(CoreError::Dataset(_))
+        ));
+        // Windows of five features: the stream's model rejects them.
+        let narrow = Tensor::zeros(&[2, WINDOW_LEN, 5]);
+        assert!(engine
+            .classify_batch_into(&pair_inputs(&frames, &narrow), &mut out)
+            .is_err());
+        // A model whose class count is not the pair's, or a combiner over
+        // other cards, never becomes an engine.
+        let (cnn, rnn, combiner) = tiny_models();
+        let wrong_cards = NaryBayesianCombiner::new(6, vec![3, 6], 1.0);
+        assert!(MultiModalEngine::darnet_pair(
+            CombinerKind::Bayesian,
+            cnn,
+            StreamModelSlot::Rnn(rnn),
+            wrong_cards
+        )
+        .is_err());
+        assert!(MultiModalEngine::darnet_pair(
+            CombinerKind::Bayesian,
+            tiny_cnn(1),
+            StreamModelSlot::Cnn(tiny_cnn(2)),
+            combiner
+        )
+        .is_err());
+    }
+
+    #[test]
+    fn nan_window_is_an_error_not_a_label() {
+        let (frames, windows) = test_batch(3);
+        let mut engine = pair_engine(CombinerKind::Bayesian);
+        let mut out = Vec::new();
+        engine
+            .classify_batch_into(&pair_inputs(&frames, &windows), &mut out)
+            .unwrap();
+        // One NaN accelerometer sample in the second step's window.
+        let mut poisoned = windows.clone();
+        poisoned.data_mut()[WINDOW_LEN * IMU_FEATURES + 3] = f32::NAN;
+        let inputs = pair_inputs(&frames, &poisoned);
+        assert_eq!(
+            engine.classify_batch_into(&inputs, &mut out),
+            Err(CoreError::NonFinitePosterior {
+                stream: StreamId::IMU
+            })
+        );
+        // No step of the poisoned batch was counted, and with the IMU
+        // stream sitting out the camera decides alone.
+        assert_eq!(engine.counters().full, 3);
+        let imu_down = [(StreamId::IMU, ModalityStatus::Unavailable)];
+        engine
+            .classify_batch_checked_into(&inputs, &imu_down, &mut out)
+            .unwrap();
+        assert!(out.iter().all(|o| o.used == vec![StreamId::CAMERA_FRONT]));
     }
 
     /// A three-stream engine in ascending `StreamId` order: IMU, front
@@ -1325,41 +1541,40 @@ mod tests {
     #[test]
     fn unavailable_stream_falls_back_to_survivor_bitwise() {
         let (frames, windows) = test_batch(1);
-
-        // Camera down → IMU-only expansion, bitwise the legacy fallback.
-        let mut legacy = legacy_engine(CombinerKind::Bayesian);
-        let row =
-            Tensor::from_vec(windows.data().to_vec(), &[1, WINDOW_LEN, IMU_FEATURES]).unwrap();
-        let imu_only = legacy
-            .classify_step_degraded(None, Some(&row), false)
-            .unwrap();
-
-        let mut registry = registry_engine(CombinerKind::Bayesian);
-        let inputs = [
-            (StreamId::CAMERA_FRONT, StreamInput::Frames(&frames)),
-            (StreamId::IMU, StreamInput::Windows(&windows)),
-        ];
-        let statuses = [(StreamId::CAMERA_FRONT, ModalityStatus::Unavailable)];
+        let (cnn_probs, imu_probs) = reference_posteriors(&frames, &windows).remove(0);
+        let mut engine = pair_engine(CombinerKind::Bayesian);
+        let inputs = pair_inputs(&frames, &windows);
         let mut out = Vec::new();
-        registry
+
+        // Camera down → the IMU posterior's expansion: each IMU class's
+        // mass split uniformly across the behaviours mapping to it.
+        let statuses = [(StreamId::CAMERA_FRONT, ModalityStatus::Unavailable)];
+        engine
             .classify_batch_checked_into(&inputs, &statuses, &mut out)
             .unwrap();
         assert_eq!(out.len(), 1);
-        assert_bitwise(&out[0].scores, &imu_only.scores, "imu-only fallback");
+        let want = frozen_imu_expansion(&imu_probs);
+        assert_bitwise(&out[0].scores, &want, "imu-only fallback");
+        assert!((out[0].scores.iter().sum::<f32>() - 1.0).abs() < 1e-4);
         assert_eq!(out[0].used, vec![StreamId::IMU]);
         assert!(out[0].degraded);
-        assert_eq!(registry.counters().single, 1);
-
-        // IMU down → CNN posterior verbatim, bitwise the legacy fallback.
-        let cnn_only = legacy
-            .classify_step_degraded(Some(&frames[0]), None, false)
+        assert_eq!(engine.counters().single, 1);
+        // Omitting the camera's input is the same fallback.
+        let mut omitted = Vec::new();
+        engine
+            .classify_batch_into(&inputs[1..], &mut omitted)
             .unwrap();
+        assert_eq!(omitted, out);
+
+        // IMU down → the CNN posterior verbatim.
         let statuses = [(StreamId::IMU, ModalityStatus::Unavailable)];
-        registry
+        engine
             .classify_batch_checked_into(&inputs, &statuses, &mut out)
             .unwrap();
-        assert_bitwise(&out[0].scores, &cnn_only.scores, "cnn-only fallback");
+        assert_bitwise(&out[0].scores, &cnn_probs, "cnn-only fallback");
         assert_eq!(out[0].used, vec![StreamId::CAMERA_FRONT]);
+        assert_eq!(engine.counters().single, 3);
+        assert_eq!(engine.counters().full, 0);
 
         // Everything down → NotReady.
         let statuses = [
@@ -1367,9 +1582,57 @@ mod tests {
             (StreamId::IMU, ModalityStatus::Unavailable),
         ];
         assert!(matches!(
-            registry.classify_batch_checked_into(&inputs, &statuses, &mut out),
+            engine.classify_batch_checked_into(&inputs, &statuses, &mut out),
             Err(CoreError::NotReady(_))
         ));
+    }
+
+    #[test]
+    fn stale_stream_health_drives_fallback() {
+        use crate::health::HealthPolicy;
+        use darnet_collect::StreamHealth;
+
+        // Camera stream went silent 20 s ago; IMU is fresh and gap-free.
+        let camera_health = StreamHealth {
+            agent_id: 1,
+            delivered: 20,
+            duplicates: 0,
+            highest_seq: 19,
+            gaps: 0,
+            last_arrival: 10.0,
+            shed: 0,
+        };
+        let imu_health = StreamHealth {
+            agent_id: 0,
+            last_arrival: 29.9,
+            ..camera_health
+        };
+        let selection = HealthPolicy.select_subset(
+            &[
+                (StreamId::CAMERA_FRONT, Some(&camera_health)),
+                (StreamId::IMU, Some(&imu_health)),
+            ],
+            30.0,
+        );
+        let statuses = [
+            (
+                StreamId::CAMERA_FRONT,
+                selection.status_of(StreamId::CAMERA_FRONT),
+            ),
+            (StreamId::IMU, selection.status_of(StreamId::IMU)),
+        ];
+        assert_eq!(statuses[0].1, ModalityStatus::Unavailable);
+        assert_eq!(statuses[1].1, ModalityStatus::Healthy);
+
+        let (frames, windows) = test_batch(1);
+        let mut engine = pair_engine(CombinerKind::Bayesian);
+        let mut out = Vec::new();
+        engine
+            .classify_batch_checked_into(&pair_inputs(&frames, &windows), &statuses, &mut out)
+            .unwrap();
+        assert_eq!(out[0].used, vec![StreamId::IMU]);
+        assert_eq!(engine.counters().single, 1);
+        assert_eq!(engine.counters().full, 0);
     }
 
     #[test]
@@ -1379,16 +1642,96 @@ mod tests {
             (StreamId::CAMERA_FRONT, StreamInput::Frames(&frames)),
             (StreamId::IMU, StreamInput::Windows(&windows)),
         ];
-        let mut registry = registry_engine(CombinerKind::Bayesian);
+        let mut engine = pair_engine(CombinerKind::Bayesian);
         let statuses = [(StreamId::CAMERA_FRONT, ModalityStatus::Degraded)];
         let mut out = Vec::new();
-        registry
+        engine
             .classify_batch_checked_into(&inputs, &statuses, &mut out)
             .unwrap();
         assert!(out.iter().all(|o| o.degraded));
         assert_eq!(out[0].used.len(), 2);
-        assert_eq!(registry.counters().full, 2);
-        assert_eq!(registry.counters().degraded, 2);
+        assert_eq!(engine.counters().full, 2);
+        assert_eq!(engine.counters().degraded, 2);
+    }
+
+    #[test]
+    fn distorted_frames_route_to_the_registered_student() {
+        let (frames, windows) = test_batch(2);
+        let level = PrivacyLevel::Low;
+        let downsampler = Downsampler::new(24);
+        let distorted: Vec<Frame> = frames
+            .iter()
+            .map(|f| downsampler.distort(f, level))
+            .collect();
+        assert_eq!(distorted[0].width(), 8);
+        let inputs = pair_inputs(&distorted, &windows);
+        let mut engine = pair_engine(CombinerKind::Bayesian);
+        let mut out = Vec::new();
+
+        // No student serves 8×8 frames yet: typed, and naming the stream.
+        let err = engine.classify_batch_into(&inputs, &mut out).unwrap_err();
+        assert!(
+            matches!(&err, CoreError::NotReady(msg) if msg.contains("8×8")),
+            "{err}"
+        );
+        // A student must match the stream model's geometry and classes,
+        // and sit on a registered camera stream.
+        let wide = FrameCnn::new(
+            CnnConfig {
+                input_size: 48,
+                classes: 6,
+                ..CnnConfig::default()
+            },
+            9,
+        );
+        assert!(engine
+            .register_dcnn(StreamId::CAMERA_FRONT, level, wide)
+            .is_err());
+        assert!(engine
+            .register_dcnn(StreamId::IMU, level, tiny_cnn(9))
+            .is_err());
+        assert!(engine
+            .register_dcnn(StreamId::CAMERA_SIDE, level, tiny_cnn(9))
+            .is_err());
+        engine
+            .register_dcnn(StreamId::CAMERA_FRONT, level, tiny_cnn(9))
+            .unwrap();
+        // Another level's geometry still has no student.
+        let tiny: Vec<Frame> = vec![Frame::new(4, 4); 2];
+        assert!(matches!(
+            engine.classify_batch_into(&pair_inputs(&tiny, &windows), &mut out),
+            Err(CoreError::NotReady(_))
+        ));
+
+        // Routed: exactly what the student says about the restored
+        // frames, fused with the IMU posterior.
+        engine.classify_batch_into(&inputs, &mut out).unwrap();
+        let (_, mut rnn, combiner) = tiny_models();
+        let restored = downsampler.roundtrip_tensor(&frames, level).unwrap();
+        let student_probs = tiny_cnn(9).predict_proba(&restored).unwrap();
+        let imu_probs = rnn.predict_proba(&windows).unwrap();
+        let rows = student_probs
+            .data()
+            .chunks(6)
+            .zip(imu_probs.data().chunks(3));
+        for (got, (c, m)) in out.iter().zip(rows) {
+            assert_bitwise(
+                &got.scores,
+                &combiner.combine_n(&[c, m]).unwrap(),
+                "student",
+            );
+        }
+        // Full-resolution frames still go to the stream's own model.
+        let mut full = Vec::new();
+        engine
+            .classify_batch_into(&pair_inputs(&frames, &windows), &mut full)
+            .unwrap();
+        let mut plain = Vec::new();
+        pair_engine(CombinerKind::Bayesian)
+            .classify_batch_into(&pair_inputs(&frames, &windows), &mut plain)
+            .unwrap();
+        assert_eq!(full, plain);
+        assert_ne!(full, out);
     }
 
     #[test]
@@ -1469,7 +1812,7 @@ mod tests {
 
     #[test]
     fn empty_batch_clears_output() {
-        let mut engine = registry_engine(CombinerKind::Bayesian);
+        let mut engine = pair_engine(CombinerKind::Bayesian);
         let frames: Vec<Frame> = Vec::new();
         let windows = Tensor::zeros(&[0, WINDOW_LEN, IMU_FEATURES]);
         let inputs = [

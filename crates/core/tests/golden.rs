@@ -18,15 +18,17 @@
 use std::sync::Arc;
 
 use darnet_collect::runtime::{run_campaign, CampaignConfig};
+use darnet_collect::StreamId;
 use darnet_core::dataset::{MultimodalDataset, IMU_FEATURES, WINDOW_LEN};
-use darnet_core::ensemble::{product_combine, CombinerKind};
 use darnet_core::experiment::{
     run_ablation_combiner, table2_from_stack, train_stack_on, ExperimentConfig,
 };
 use darnet_core::privacy::{Downsampler, PrivacyLevel};
+use darnet_core::registry::product_combine_subset_into;
 use darnet_core::{
-    AnalyticsEngine, BayesianCombiner, CnnConfig, ConfusionMatrix, EngineConfig, FrameCnn,
-    ImuModelSlot, ImuRnn, RnnConfig, StepClassification,
+    CnnConfig, CombinerKind, ConfusionMatrix, FrameCnn, ImuRnn, ModalityDescriptor, ModalityStatus,
+    MultiModalEngine, MultiStepClassification, NaryBayesianCombiner, RnnConfig, StreamInput,
+    StreamModelSlot,
 };
 use darnet_sim::schedule::{build_schedule, ScheduleConfig};
 use darnet_sim::{Behavior, DriverProfile, DrivingWorld, Frame, FrameRenderer, WorldConfig};
@@ -88,24 +90,34 @@ fn posterior_rows(rng: &mut SplitMix64, n: usize, width: usize, zeros: bool) -> 
 }
 
 /// The pair combiner fitted on 64 seeded observations.
-fn fitted_pair_combiner() -> BayesianCombiner {
+fn fitted_pair_combiner() -> NaryBayesianCombiner {
     let mut rng = SplitMix64::new(0x17A5);
     let cnn = posterior_rows(&mut rng, 64, 6, false);
     let imu = posterior_rows(&mut rng, 64, 3, false);
     let labels: Vec<usize> = (0..64).map(|_| rng.next_usize(6)).collect();
-    let mut combiner = BayesianCombiner::darnet();
-    combiner.fit(&cnn, &imu, &labels).unwrap();
+    let mut combiner = NaryBayesianCombiner::new(6, vec![6, 3], 1.0);
+    combiner.fit(&[&cnn, &imu], &labels).unwrap();
     combiner
 }
 
 /// The pair's Bayesian fusion of one sample.
-fn bayes_fuse(combiner: &BayesianCombiner, cnn: &[f32], imu: &[f32]) -> Vec<f32> {
-    combiner.combine(cnn, imu).unwrap()
+fn bayes_fuse(combiner: &NaryBayesianCombiner, cnn: &[f32], imu: &[f32]) -> Vec<f32> {
+    combiner.combine_n(&[cnn, imu]).unwrap()
 }
 
 /// The pair's product-rule fusion of one sample.
 fn product_fuse(cnn: &[f32], imu: &[f32]) -> Vec<f32> {
-    product_combine(cnn, imu).unwrap()
+    let (camera, imu_desc) = (
+        ModalityDescriptor::darnet_camera(),
+        ModalityDescriptor::darnet_imu(),
+    );
+    let parents = [
+        (Some(cnn), &camera.class_map, camera.weight),
+        (Some(imu), &imu_desc.class_map, imu_desc.weight),
+    ];
+    let mut scores = Vec::new();
+    product_combine_subset_into(&parents, 6, &mut scores).unwrap();
+    scores
 }
 
 #[test]
@@ -180,7 +192,7 @@ fn window_row(windows: &Tensor, i: usize) -> Tensor {
 
 /// The seeded tiny pair engine: a half-width CNN, a 4-unit BiLSTM after
 /// one epoch on seeded windows, and [`fitted_pair_combiner`].
-fn tiny_engine(kind: CombinerKind) -> AnalyticsEngine {
+fn tiny_engine(kind: CombinerKind) -> MultiModalEngine {
     let rnn_config = RnnConfig {
         hidden: 4,
         depth: 1,
@@ -193,39 +205,52 @@ fn tiny_engine(kind: CombinerKind) -> AnalyticsEngine {
         *v = rng.uniform(-1.0, 1.0);
     }
     rnn.fit(&x, &[0, 1, 2, 0, 1, 2, 0, 1, 2], 1).unwrap();
-    AnalyticsEngine::new(
-        tiny_cnn(1),
-        ImuModelSlot::Rnn(rnn),
-        fitted_pair_combiner(),
-        EngineConfig { combiner: kind },
-    )
+    let imu = StreamModelSlot::Rnn(rnn);
+    MultiModalEngine::darnet_pair(kind, tiny_cnn(1), imu, fitted_pair_combiner()).unwrap()
 }
 
 /// What a digest keeps of one step: the label and the fused scores.
-fn digest_steps(h: &mut Fnv, steps: &[StepClassification]) {
+fn digest_steps(h: &mut Fnv, steps: &[MultiStepClassification]) {
     h.index(steps.len());
     for step in steps {
-        h.index(step.behavior.index());
+        h.index(step.class);
         h.scores(&step.scores);
     }
 }
 
-/// The whole batch through the engine, both streams healthy.
-fn classify_batch(
-    engine: &mut AnalyticsEngine,
-    frames: &[Frame],
-    windows: &Tensor,
-) -> Vec<StepClassification> {
-    engine.classify_batch(frames, windows).unwrap()
+fn pair_inputs<'a>(frames: &'a [Frame], windows: &'a Tensor) -> [(StreamId, StreamInput<'a>); 2] {
+    [
+        (StreamId::CAMERA_FRONT, StreamInput::Frames(frames)),
+        (StreamId::IMU, StreamInput::Windows(windows)),
+    ]
 }
 
-/// One step with a stream down: `frame` or `window` is `None`.
+/// The whole batch through the engine, both streams healthy.
+fn classify_batch(
+    engine: &mut MultiModalEngine,
+    frames: &[Frame],
+    windows: &Tensor,
+) -> Vec<MultiStepClassification> {
+    let mut out = Vec::new();
+    engine
+        .classify_batch_into(&pair_inputs(frames, windows), &mut out)
+        .unwrap();
+    out
+}
+
+/// One step with the stream `down` unavailable.
 fn classify_survivor(
-    engine: &mut AnalyticsEngine,
-    frame: Option<&Frame>,
-    window: Option<&Tensor>,
-) -> StepClassification {
-    engine.classify_step_degraded(frame, window, false).unwrap()
+    engine: &mut MultiModalEngine,
+    frame: &Frame,
+    window: &Tensor,
+    down: StreamId,
+) -> MultiStepClassification {
+    let inputs = pair_inputs(std::slice::from_ref(frame), window);
+    let mut out = Vec::new();
+    engine
+        .classify_batch_checked_into(&inputs, &[(down, ModalityStatus::Unavailable)], &mut out)
+        .unwrap();
+    out.remove(0)
 }
 
 #[test]
@@ -265,11 +290,21 @@ fn single_survivor_expansion_digests() {
         let window = window_row(&windows, i);
         digest_steps(
             &mut camera,
-            &[classify_survivor(&mut engine, Some(frame), None)],
+            &[classify_survivor(
+                &mut engine,
+                frame,
+                &window,
+                StreamId::IMU,
+            )],
         );
         digest_steps(
             &mut imu,
-            &[classify_survivor(&mut engine, None, Some(&window))],
+            &[classify_survivor(
+                &mut engine,
+                frame,
+                &window,
+                StreamId::CAMERA_FRONT,
+            )],
         );
     }
     pin(camera.0, 0x432C_9910_9B2A_1665, "camera-only expansion");
@@ -283,15 +318,19 @@ fn private_frame_route_digest() {
     let level = PrivacyLevel::Low;
     let downsampler = Downsampler::new(FRAME);
     let mut engine = tiny_engine(CombinerKind::Bayesian);
-    engine.register_dcnn(level, tiny_cnn(9));
+    engine
+        .register_dcnn(StreamId::CAMERA_FRONT, level, tiny_cnn(9))
+        .unwrap();
     let mut h = Fnv::new();
     for (i, frame) in frames.iter().enumerate() {
         let distorted = downsampler.distort(frame, level);
         assert_eq!(distorted.width(), 8);
-        let step = engine
-            .classify_step_private(&distorted, level, &window_row(&windows, i))
-            .unwrap();
-        digest_steps(&mut h, &[step]);
+        let step = classify_batch(
+            &mut engine,
+            std::slice::from_ref(&distorted),
+            &window_row(&windows, i),
+        );
+        digest_steps(&mut h, &step);
     }
     pin(h.0, 0x287A_2C41_C704_3429, "private-frame route");
 }

@@ -1,16 +1,15 @@
 //! Property-based tests for the analytics engine: confusion-matrix and
 //! combiner invariants, privacy arithmetic, batched-inference equivalence,
-//! and the N-stream registry's bitwise fidelity to the legacy pair path.
+//! and the engine's bitwise fidelity to its models' allocating posteriors
+//! fused outside it.
 
 use darnet_collect::StreamId;
-use darnet_core::dataset::{IMU_FEATURES, WINDOW_LEN};
-use darnet_core::ensemble::{product_combine, CombinerKind};
+use darnet_core::dataset::{frames_to_tensor, IMU_FEATURES, WINDOW_LEN};
 use darnet_core::privacy::PrivacyLevel;
 use darnet_core::registry::product_combine_subset_into;
 use darnet_core::{
-    AnalyticsEngine, BayesianCombiner, ClassMap, CnnConfig, ConfusionMatrix, EngineConfig,
-    FrameCnn, ImuModelSlot, ImuRnn, ModalityDescriptor, MultiModalEngine, NaryBayesianCombiner,
-    RnnConfig, StreamInput, StreamModelSlot,
+    ClassMap, CnnConfig, CombinerKind, ConfusionMatrix, FrameCnn, ImuRnn, MultiModalEngine,
+    NaryBayesianCombiner, RnnConfig, StreamInput, StreamModelSlot,
 };
 use darnet_sim::Frame;
 use darnet_tensor::{Parallelism, SplitMix64, Tensor};
@@ -36,15 +35,30 @@ fn random_tensor(dims: &[usize], rng: &mut SplitMix64) -> Tensor {
     t
 }
 
-/// A legacy pair combiner fitted on random posteriors.
-fn fitted_pair(n: usize, alpha: f32, seed: u64) -> darnet_core::Result<BayesianCombiner> {
+/// The pair combiner (parents `[cnn, imu]`) fitted on random posteriors.
+fn fitted_pair(n: usize, alpha: f32, seed: u64) -> darnet_core::Result<NaryBayesianCombiner> {
     let mut rng = SplitMix64::new(seed);
     let cnn = random_tensor(&[n, 6], &mut rng);
     let imu = random_tensor(&[n, 3], &mut rng);
     let labels: Vec<usize> = (0..n).map(|i| (i + seed as usize) % 6).collect();
-    let mut comb = BayesianCombiner::new(6, 3, alpha);
-    comb.fit(&cnn, &imu, &labels)?;
+    let mut comb = NaryBayesianCombiner::new(6, vec![6, 3], alpha);
+    comb.fit(&[&cnn, &imu], &labels)?;
     Ok(comb)
+}
+
+/// The pair product rule through the one product combiner.
+fn pair_product(cnn_row: &[f32], imu_row: &[f32]) -> darnet_core::Result<Vec<f32>> {
+    let (camera, imu_map) = (ClassMap::Identity, ClassMap::darnet_imu());
+    let mut scores = Vec::new();
+    product_combine_subset_into(
+        &[
+            (Some(cnn_row), &camera, 1.0),
+            (Some(imu_row), &imu_map, 1.0),
+        ],
+        6,
+        &mut scores,
+    )?;
+    Ok(scores)
 }
 
 proptest! {
@@ -75,12 +89,18 @@ proptest! {
         for v in cnn.data_mut() { *v = rng.uniform(0.01, 1.0); }
         let mut imu = Tensor::zeros(&[n, 2]);
         for v in imu.data_mut() { *v = rng.uniform(0.01, 1.0); }
-        let mut comb = BayesianCombiner::new(3, 2, 1.0);
-        comb.fit(&cnn, &imu, &labels).unwrap();
+        let mut comb = NaryBayesianCombiner::new(3, vec![3, 2], 1.0);
+        comb.fit(&[&cnn, &imu], &labels).unwrap();
+        // One-hot parents read column (a, b) of the table back; fusion
+        // divides by the column's sum, so each entry must survive it.
         for a in 0..3 {
             for b in 0..2 {
-                let total: f32 = (0..3).map(|c| comb.cpt(c, a, b)).sum();
+                let (mut pa, mut pb) = ([0.0f32; 3], [0.0f32; 2]);
+                (pa[a], pb[b]) = (1.0, 1.0);
+                let column = comb.combine_n(&[&pa, &pb]).unwrap();
+                let total: f32 = column.iter().sum();
                 prop_assert!((total - 1.0).abs() < 1e-4);
+                prop_assert!(column.iter().all(|&v| v > 0.0 && v < 1.0));
             }
         }
     }
@@ -98,9 +118,9 @@ proptest! {
         for v in cnn.data_mut() { *v = rng.uniform(0.01, 1.0); }
         let mut imu = Tensor::zeros(&[n, 2]);
         for v in imu.data_mut() { *v = rng.uniform(0.01, 1.0); }
-        let mut comb = BayesianCombiner::new(3, 2, 0.5);
-        comb.fit(&cnn, &imu, &labels).unwrap();
-        let scores = comb.combine(&cnn_row, &imu_row).unwrap();
+        let mut comb = NaryBayesianCombiner::new(3, vec![3, 2], 0.5);
+        comb.fit(&[&cnn, &imu], &labels).unwrap();
+        let scores = comb.combine_n(&[&cnn_row, &imu_row]).unwrap();
         let sum: f32 = scores.iter().sum();
         prop_assert!((sum - 1.0).abs() < 1e-4);
         prop_assert!(scores.iter().all(|&v| v >= 0.0));
@@ -108,9 +128,15 @@ proptest! {
 
     #[test]
     fn product_combiner_outputs_distribution(cnn_row in prob_row(6), imu_row in prob_row(3)) {
-        let scores = product_combine(&cnn_row, &imu_row).unwrap();
+        let scores = pair_product(&cnn_row, &imu_row).unwrap();
         let sum: f32 = scores.iter().sum();
         prop_assert!((sum - 1.0).abs() < 1e-4);
+        // The frozen pair formula: `cnn[c] · max(imu[imu_class(c)], 1e-6)`.
+        let m = [0usize, 1, 2, 0, 0, 0];
+        let mut want: Vec<f32> = (0..6).map(|c| cnn_row[c] * imu_row[m[c]].max(1e-6)).collect();
+        let total: f32 = want.iter().sum();
+        want.iter_mut().for_each(|v| *v /= total);
+        prop_assert_eq!(bits(&want), bits(&scores));
     }
 
     #[test]
@@ -145,44 +171,21 @@ proptest! {
     }
 
     #[test]
-    fn nary_pair_combiner_is_bitwise_legacy(
+    fn pair_subset_fusion_is_bitwise_the_dense_product(
         n in 12usize..40,
         alpha in 0.1f32..2.0,
         seed in 0u64..200,
         cnn_row in prob_row(6),
         imu_row in prob_row(3),
     ) {
-        let legacy = fitted_pair(n, alpha, seed).unwrap();
-        let nary = legacy.to_nary();
-        let want = legacy.combine(&cnn_row, &imu_row).unwrap();
-        let full = nary.combine_n(&[&cnn_row, &imu_row]).unwrap();
-        prop_assert_eq!(bits(&want), bits(&full));
+        let pair = fitted_pair(n, alpha, seed).unwrap();
+        let full = pair.combine_n(&[&cnn_row, &imu_row]).unwrap();
         let mut subset = Vec::new();
-        nary.combine_subset_into(
+        pair.combine_subset_into(
             &[Some(cnn_row.as_slice()), Some(imu_row.as_slice())],
             &mut subset,
         ).unwrap();
-        prop_assert_eq!(bits(&want), bits(&subset));
-    }
-
-    #[test]
-    fn product_subset_pair_is_bitwise_legacy(
-        cnn_row in prob_row(6),
-        imu_row in prob_row(3),
-    ) {
-        let want = product_combine(&cnn_row, &imu_row).unwrap();
-        let camera = ClassMap::Identity;
-        let imu_map = ClassMap::darnet_imu();
-        let mut got = Vec::new();
-        product_combine_subset_into(
-            &[
-                (Some(cnn_row.as_slice()), &camera, 1.0),
-                (Some(imu_row.as_slice()), &imu_map, 1.0),
-            ],
-            6,
-            &mut got,
-        ).unwrap();
-        prop_assert_eq!(bits(&want), bits(&got));
+        prop_assert_eq!(bits(&full), bits(&subset));
     }
 
     #[test]
@@ -270,12 +273,13 @@ proptest! {
     // Each case trains a (tiny) RNN, so keep the case count modest.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The tentpole contract: an N=2 registry engine loaded with the
-    /// same models, combiner, and [`Parallelism`] is bitwise-identical
-    /// to the legacy two-stream [`AnalyticsEngine`] on arbitrary inputs,
-    /// for every combiner kind.
+    /// The engine's contract: `classify_batch_into` on the paper's pair
+    /// equals each model's allocating `predict_proba` — on fresh
+    /// weight-identical models, sharing no workspace with the engine —
+    /// fused outside it by `combine_n` / the product rule / the camera
+    /// expansion, for every combiner kind, streams inline or fanned out.
     #[test]
-    fn n2_registry_engine_matches_legacy_engine_bitwise(
+    fn pair_engine_matches_posteriors_fused_outside_it(
         n in 1usize..4,
         threads in 1usize..4,
         seed in 0u64..50,
@@ -294,8 +298,8 @@ proptest! {
             depth: 1,
             ..RnnConfig::default()
         };
-        // Models are rebuilt per engine from the same seeds and fit
-        // data, so both engines own weight-identical copies.
+        // Models are rebuilt from the same seeds and fit data, so the
+        // engine and the reference own weight-identical copies.
         let mut rng = SplitMix64::new(seed ^ 0x1234);
         let fit_windows = random_tensor(&[9, WINDOW_LEN, IMU_FEATURES], &mut rng);
         let fit_labels: Vec<usize> = (0..9).map(|i| i % 3).collect();
@@ -306,26 +310,15 @@ proptest! {
             rnn
         };
         let combiner = fitted_pair(24, 1.0, seed ^ 0x77).unwrap();
-        let par = Parallelism::new(threads).with_min_work(1);
 
-        let mut legacy = AnalyticsEngine::new(
+        let mut engine = MultiModalEngine::darnet_pair(
+            kind,
             make_cnn(),
-            ImuModelSlot::Rnn(make_rnn()),
+            StreamModelSlot::Rnn(make_rnn()),
             combiner.clone(),
-            EngineConfig { combiner: kind },
-        );
-        legacy.set_parallelism(par);
-
-        let mut registry = MultiModalEngine::new(6, kind);
-        // Legacy CPT parent order: camera first, then IMU.
-        registry
-            .register(ModalityDescriptor::darnet_camera(), StreamModelSlot::Cnn(make_cnn()))
-            .unwrap();
-        registry
-            .register(ModalityDescriptor::darnet_imu(), StreamModelSlot::Rnn(make_rnn()))
-            .unwrap();
-        registry.set_combiner(combiner.to_nary()).unwrap();
-        registry.set_parallelism(par);
+        )
+        .unwrap();
+        engine.set_parallelism(Parallelism::new(threads).with_min_work(1));
 
         let frames: Vec<Frame> = (0..n)
             .map(|_| {
@@ -335,9 +328,10 @@ proptest! {
             .collect();
         let windows = random_tensor(&[n, WINDOW_LEN, IMU_FEATURES], &mut rng);
 
-        let want = legacy.classify_batch(&frames, &windows).unwrap();
+        let cnn_probs = make_cnn().predict_proba(&frames_to_tensor(&frames).unwrap()).unwrap();
+        let imu_probs = make_rnn().predict_proba(&windows).unwrap();
         let mut got = Vec::new();
-        registry
+        engine
             .classify_batch_into(
                 &[
                     (StreamId::CAMERA_FRONT, StreamInput::Frames(&frames)),
@@ -346,10 +340,18 @@ proptest! {
                 &mut got,
             )
             .unwrap();
-        prop_assert_eq!(want.len(), got.len());
-        for (w, g) in want.iter().zip(&got) {
-            prop_assert_eq!(w.behavior.index(), g.class);
-            prop_assert_eq!(bits(&w.scores), bits(&g.scores));
+        prop_assert_eq!(got.len(), n);
+        let rows = cnn_probs.data().chunks(6).zip(imu_probs.data().chunks(3));
+        for (g, (cnn_row, imu_row)) in got.iter().zip(rows) {
+            let mut want = Vec::new();
+            match kind {
+                CombinerKind::Bayesian => want = combiner.combine_n(&[cnn_row, imu_row]).unwrap(),
+                CombinerKind::Product => want = pair_product(cnn_row, imu_row).unwrap(),
+                CombinerKind::CnnOnly => ClassMap::Identity.expand_into(cnn_row, 6, &mut want).unwrap(),
+            }
+            prop_assert_eq!(bits(&want), bits(&g.scores));
+            let best = want.iter().copied().fold(0.0f32, f32::max);
+            prop_assert_eq!(best.to_bits(), want[g.class].to_bits());
         }
     }
 }

@@ -1,9 +1,9 @@
 //! Linear one-vs-rest SVM — the IMU baseline model in the paper's Table 2.
 
-use darnet_tensor::{SplitMix64, Tensor};
+use darnet_tensor::{Parallelism, SplitMix64, Tensor};
 
 use crate::error::NnError;
-use crate::loss::softmax;
+use crate::loss::softmax_inplace;
 use crate::Result;
 
 /// Hyperparameters for [`LinearSvm`] training.
@@ -135,12 +135,10 @@ impl LinearSvm {
         Ok(())
     }
 
-    /// Raw margin scores `[n, classes]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on feature-width mismatch.
-    pub fn decision_function(&self, x: &Tensor) -> Result<Tensor> {
+    /// Raw margin scores into a caller-provided `[n, classes]` buffer —
+    /// the one body of the decision function.
+    // darlint: hot
+    fn margins_into(&self, x: &Tensor, out: &mut Tensor) -> Result<()> {
         if x.rank() != 2 || x.dims()[1] != self.features {
             return Err(NnError::InvalidConfig(format!(
                 "svm expects [n, {}], got {:?}",
@@ -148,8 +146,24 @@ impl LinearSvm {
                 x.dims()
             )));
         }
-        let scores = x.matmul_transpose_b(&self.weights)?;
-        Ok(scores.add_row_broadcast(&self.bias)?)
+        x.matmul_transpose_b_into(&self.weights, &Parallelism::serial(), out)?;
+        Ok(out.add_row_broadcast_assign(&self.bias)?)
+    }
+
+    /// A zeroed `[n, classes]` output for an `[n, features]` input.
+    fn output_for(&self, x: &Tensor) -> Tensor {
+        Tensor::zeros(&[x.dims().first().copied().unwrap_or(0), self.classes])
+    }
+
+    /// Raw margin scores `[n, classes]`.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error on feature-width mismatch.
+    pub fn decision_function(&self, x: &Tensor) -> Result<Tensor> {
+        let mut scores = self.output_for(x);
+        self.margins_into(x, &mut scores)?;
+        Ok(scores)
     }
 
     /// Predicted class per row.
@@ -161,15 +175,30 @@ impl LinearSvm {
         Ok(self.decision_function(x)?.argmax_rows()?)
     }
 
-    /// Pseudo-probabilities from a softmax over margins, `[n, classes]` —
-    /// the form the Bayesian-network combiner consumes.
+    /// Pseudo-probabilities from a softmax over margins — the form the
+    /// Bayesian-network combiner consumes — into a caller-provided
+    /// `[n, classes]` buffer (typically a workspace checkout; every
+    /// element is overwritten).
+    ///
+    /// # Errors
+    ///
+    /// Returns an error on feature-width mismatch or if `out` is not
+    /// `[n, classes]`.
+    // darlint: hot
+    pub fn predict_proba_into(&self, x: &Tensor, out: &mut Tensor) -> Result<()> {
+        self.margins_into(x, out)?;
+        softmax_inplace(out)
+    }
+
+    /// [`LinearSvm::predict_proba_into`] on a freshly allocated output.
     ///
     /// # Errors
     ///
     /// Returns an error on feature-width mismatch.
-    // darlint: cold — the SVM baseline has no workspace path; the engine's SVM slot takes this owned result and copies the rows out
     pub fn predict_proba(&self, x: &Tensor) -> Result<Tensor> {
-        softmax(&self.decision_function(x)?)
+        let mut probs = self.output_for(x);
+        self.predict_proba_into(x, &mut probs)?;
+        Ok(probs)
     }
 }
 

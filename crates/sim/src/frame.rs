@@ -106,14 +106,26 @@ impl Frame {
     pub fn downsample_nearest(&self, new_w: usize, new_h: usize) -> Frame {
         assert!(new_w > 0 && new_h > 0, "target dimensions must be non-zero");
         let mut out = Frame::new(new_w, new_h);
+        self.resample_nearest_into(new_w, new_h, &mut out.pixels);
+        out
+    }
+
+    /// Nearest-neighbour resampling to `new_w × new_h` into a
+    /// caller-provided row-major buffer — the one body of
+    /// [`Frame::downsample_nearest`] and [`Frame::upsample_nearest`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` holds fewer than `new_w * new_h` pixels or this
+    /// frame has none.
+    pub fn resample_nearest_into(&self, new_w: usize, new_h: usize, out: &mut [f32]) {
         for y in 0..new_h {
             let sy = y * self.height / new_h;
             for x in 0..new_w {
                 let sx = x * self.width / new_w;
-                out.pixels[y * new_w + x] = self.pixels[sy * self.width + sx];
+                out[y * new_w + x] = self.pixels[sy * self.width + sx];
             }
         }
-        out
     }
 
     /// Nearest-neighbour up-sampling back to `new_w × new_h` (used to feed

@@ -9,10 +9,11 @@
 
 use std::error::Error;
 
+use darnet::collect::StreamId;
 use darnet::core::alerts::{AlertEvent, AlertPolicy, AlertTracker};
 use darnet::core::dataset::{IMU_FEATURES, WINDOW_LEN};
 use darnet::core::experiment::{train_stack, ExperimentConfig};
-use darnet::core::{AnalyticsEngine, EngineConfig, ImuModelSlot};
+use darnet::core::{CombinerKind, MultiModalEngine, StreamInput, StreamModelSlot};
 use darnet::sim::Behavior;
 use darnet::tensor::Tensor;
 
@@ -27,12 +28,13 @@ fn main() -> Result<(), Box<dyn Error>> {
     println!("training fleet model on a collection campaign...");
     let stack = train_stack(&config)?;
     let eval = stack.eval.clone();
-    let mut engine = AnalyticsEngine::new(
+    let mut engine = MultiModalEngine::darnet_pair(
+        CombinerKind::Bayesian,
         stack.cnn,
-        ImuModelSlot::Rnn(stack.rnn),
+        StreamModelSlot::Rnn(stack.rnn),
         stack.bn_rnn,
-        EngineConfig::default(),
-    );
+    )?;
+    let mut results = Vec::new();
 
     // Score the held-out steps per driver, tracking distraction episodes.
     let drivers: Vec<usize> = {
@@ -60,13 +62,21 @@ fn main() -> Result<(), Box<dyn Error>> {
         for sample in eval.samples().iter().filter(|s| s.driver == driver) {
             let window =
                 Tensor::from_vec(sample.imu_window.clone(), &[1, WINDOW_LEN, IMU_FEATURES])?;
-            let result = engine.classify_step(&sample.frame, &window)?;
+            let inputs = [
+                (
+                    StreamId::CAMERA_FRONT,
+                    StreamInput::Frames(std::slice::from_ref(&sample.frame)),
+                ),
+                (StreamId::IMU, StreamInput::Windows(&window)),
+            ];
+            engine.classify_step_into(&inputs, &mut results)?;
+            let result = &results[0];
             steps += 1;
-            if result.behavior != Behavior::NormalDriving {
+            if result.behavior() != Some(Behavior::NormalDriving) {
                 distracted += 1;
-                per_class[result.behavior.index()] += 1;
+                per_class[result.class] += 1;
             }
-            if let AlertEvent::Raised(_) = tracker.observe(&result) {
+            if let AlertEvent::Raised(_) = tracker.observe(result) {
                 // Alert delivery would go to the driver/fleet dashboard.
             }
         }

@@ -15,10 +15,11 @@ use std::sync::Arc;
 use darnet::collect::live::run_live_session;
 use darnet::collect::runtime::{DriverRecording, SessionTransportReport};
 use darnet::collect::ControllerConfig;
+use darnet::collect::StreamId;
 use darnet::core::dataset::{IMU_FEATURES, WINDOW_LEN};
 use darnet::core::{
-    AnalyticsEngine, BayesianCombiner, CnnConfig, EngineConfig, FrameCnn, ImuModelSlot, ImuRnn,
-    MicroBatchConfig, MicroBatcher, RnnConfig,
+    CnnConfig, CombinerKind, FrameCnn, ImuRnn, MicroBatchConfig, MicroBatcher, MultiModalEngine,
+    NaryBayesianCombiner, RnnConfig, StreamModelSlot,
 };
 use darnet::sim::{Behavior, DrivingWorld, Segment, WorldConfig};
 use darnet::tensor::Tensor;
@@ -26,7 +27,7 @@ use darnet::tensor::Tensor;
 /// A minimally-fitted engine standing in for a trained stack (the
 /// quickstart example trains a real one) — this demo is about the
 /// collect-to-engine feed path, not accuracy.
-fn demo_engine(frame_size: usize) -> Result<AnalyticsEngine, Box<dyn Error>> {
+fn demo_engine(frame_size: usize) -> Result<MultiModalEngine, Box<dyn Error>> {
     let cnn = FrameCnn::new(
         CnnConfig {
             input_size: frame_size,
@@ -46,18 +47,20 @@ fn demo_engine(frame_size: usize) -> Result<AnalyticsEngine, Box<dyn Error>> {
     );
     let x = Tensor::ones(&[6, WINDOW_LEN, IMU_FEATURES]);
     rnn.fit(&x, &[0, 1, 2, 0, 1, 2], 1)?;
-    let mut combiner = BayesianCombiner::darnet();
+    let mut combiner = NaryBayesianCombiner::new(6, vec![6, 3], 1.0);
     combiner.fit(
-        &Tensor::full(&[6, 6], 1.0 / 6.0),
-        &Tensor::full(&[6, 3], 1.0 / 3.0),
+        &[
+            &Tensor::full(&[6, 6], 1.0 / 6.0),
+            &Tensor::full(&[6, 3], 1.0 / 3.0),
+        ],
         &[0, 1, 2, 3, 4, 5],
     )?;
-    Ok(AnalyticsEngine::new(
+    Ok(MultiModalEngine::darnet_pair(
+        CombinerKind::Bayesian,
         cnn,
-        ImuModelSlot::Rnn(rnn),
+        StreamModelSlot::Rnn(rnn),
         combiner,
-        EngineConfig::default(),
-    ))
+    )?)
 }
 
 fn main() -> Result<(), Box<dyn Error>> {
@@ -148,19 +151,20 @@ fn main() -> Result<(), Box<dyn Error>> {
         max_batch: 8,
         max_delay: 0.25,
     });
+    let (camera, imu) = (StreamId::CAMERA_FRONT, StreamId::IMU);
     let mut results = Vec::new();
     let (mut flushes, mut classified) = (0usize, 0usize);
     for tuple in tuples {
         let now = tuple.t;
         if let Some(batch) = batcher.push(tuple, now) {
-            engine.classify_tuples_into(&batch, &mut results)?;
+            engine.classify_tuples_into(camera, imu, &batch, &mut results)?;
             flushes += 1;
             classified += results.len();
         }
     }
     let tail = batcher.flush();
     if !tail.is_empty() {
-        engine.classify_tuples_into(&tail, &mut results)?;
+        engine.classify_tuples_into(camera, imu, &tail, &mut results)?;
         flushes += 1;
         classified += results.len();
     }

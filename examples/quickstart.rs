@@ -9,9 +9,10 @@ use std::error::Error;
 use std::sync::Arc;
 
 use darnet::collect::runtime::{run_campaign, CampaignConfig};
+use darnet::collect::StreamId;
 use darnet::core::dataset::MultimodalDataset;
 use darnet::core::experiment::{train_stack_on, ExperimentConfig};
-use darnet::core::{AnalyticsEngine, EngineConfig, ImuModelSlot};
+use darnet::core::{CombinerKind, MultiModalEngine, StreamInput, StreamModelSlot};
 use darnet::sim::{Behavior, DrivingWorld, Segment, WorldConfig};
 use darnet::tensor::Tensor;
 
@@ -65,12 +66,12 @@ fn main() -> Result<(), Box<dyn Error>> {
     //    warms the buffer pool, every subsequent step runs without a
     //    single heap allocation (DESIGN.md §12).
     let eval = stack.eval.clone();
-    let mut engine = AnalyticsEngine::new(
+    let mut engine = MultiModalEngine::darnet_pair(
+        CombinerKind::Bayesian,
         stack.cnn,
-        ImuModelSlot::Rnn(stack.rnn),
+        StreamModelSlot::Rnn(stack.rnn),
         stack.bn_rnn,
-        EngineConfig::default(),
-    );
+    )?;
     let mut window = Tensor::zeros(&[
         1,
         darnet::core::dataset::WINDOW_LEN,
@@ -81,16 +82,24 @@ fn main() -> Result<(), Box<dyn Error>> {
     let shown = eval.len().min(10);
     for (i, sample) in eval.samples().iter().take(shown).enumerate() {
         window.data_mut().copy_from_slice(&sample.imu_window);
-        engine.classify_step_into(&sample.frame, &window, &mut result)?;
+        let inputs = [
+            (
+                StreamId::CAMERA_FRONT,
+                StreamInput::Frames(std::slice::from_ref(&sample.frame)),
+            ),
+            (StreamId::IMU, StreamInput::Windows(&window)),
+        ];
+        engine.classify_step_into(&inputs, &mut result)?;
         let step = &result[0];
-        let ok = step.behavior == sample.behavior;
+        let predicted = step.behavior().map_or("-", |b| b.name());
+        let ok = step.behavior() == Some(sample.behavior);
         if ok {
             correct += 1;
         }
         println!(
             "step {i}: true={:<16} predicted={:<16} confidence={:.2} {}",
             sample.behavior.name(),
-            step.behavior.name(),
+            predicted,
             step.scores.iter().cloned().fold(0.0f32, f32::max),
             if ok { "ok" } else { "MISS" }
         );

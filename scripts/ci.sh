@@ -2,8 +2,11 @@
 # Full CI pipeline, runnable offline on any checkout:
 #
 #   1. tier1     — lockfile freshness, fmt --check, release build,
-#                  workspace tests, clippy -D warnings + escalated panic
-#                  lints, darlint (scripts/tier1.sh). darlint is
+#                  workspace tests, check --all-targets of the workspace
+#                  and of the frozen ledger package (benchmark/, so an
+#                  API deletion that breaks it fails here and not in
+#                  step 7), clippy -D warnings + escalated panic lints,
+#                  darlint (scripts/tier1.sh). darlint is
 #                  deny-by-default — any violation fails — and no other
 #                  step runs it
 #   2. docs      — rustdoc must build cleanly (missing_docs is denied
@@ -45,7 +48,7 @@
 #                  engine under the same loss and within 15% of the
 #                  clean 2-stream baseline (--check)
 #   7. ledger    — the frozen pipeline ledger (benchmark/, BENCHMARK.json;
-#                  a package of its own that no step above compiles)
+#                  a package of its own that step 1 only type-checks)
 #                  against this checkout's crates: its unit tests, then
 #                  an untraced seed-1 run of each workload, which must
 #                  end in a result line with "correct": true and

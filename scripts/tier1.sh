@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Tier-1 gate: formatting, release build, full test suite, a
-# warnings-as-errors clippy pass over the whole workspace (escalated with
-# panic-hunting lints on six crates), and the darlint invariant pass
-# (see DESIGN.md §11). Run from anywhere.
+# Tier-1 gate: formatting, release build, full test suite, a check of
+# every target and of the frozen ledger package, a warnings-as-errors
+# clippy pass over the whole workspace (escalated with panic-hunting
+# lints on six crates), and the darlint invariant pass (see DESIGN.md
+# §11). Run from anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -24,6 +25,10 @@ cargo test -q --locked --workspace
 # Check every target (examples, bins, tests) so an API change cannot rot
 # one silently.
 cargo check --workspace --all-targets --locked
+# The frozen ledger (benchmark/, BENCHMARK.json) is a package of its own
+# that nothing above compiles: check it against these crates here, so an
+# API deletion that breaks it fails in the first CI step, not the last.
+cargo check --offline --all-targets --manifest-path benchmark/Cargo.toml
 cargo clippy --workspace --locked -- -D warnings
 
 # Escalated pass on the pipeline crates, the simulator AND the linter

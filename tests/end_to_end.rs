@@ -4,13 +4,14 @@
 use std::sync::Arc;
 
 use darnet::collect::runtime::{run_campaign, CampaignConfig};
+use darnet::collect::StreamId;
 use darnet::core::dataset::{MultimodalDataset, IMU_FEATURES, WINDOW_LEN};
 use darnet::core::experiment::{
     run_ablation_combiner, table2_from_stack, train_stack_on, ExperimentConfig,
 };
-use darnet::core::{AnalyticsEngine, EngineConfig, ImuModelSlot};
+use darnet::core::{CombinerKind, MultiModalEngine, StreamInput, StreamModelSlot};
 use darnet::sim::schedule::{build_schedule, ScheduleConfig};
-use darnet::sim::{Behavior, DrivingWorld, WorldConfig};
+use darnet::sim::{Behavior, DrivingWorld, Frame, WorldConfig};
 use darnet::tensor::Tensor;
 
 fn small_campaign() -> (MultimodalDataset, ExperimentConfig) {
@@ -99,27 +100,40 @@ fn combiner_ablation_orders_strategies() {
     assert!(ab.product > ab.cnn_only);
 }
 
+/// One time-step's inputs for the paper's pair engine.
+fn step_inputs<'a>(frame: &'a Frame, window: &'a Tensor) -> [(StreamId, StreamInput<'a>); 2] {
+    [
+        (
+            StreamId::CAMERA_FRONT,
+            StreamInput::Frames(std::slice::from_ref(frame)),
+        ),
+        (StreamId::IMU, StreamInput::Windows(window)),
+    ]
+}
+
 #[test]
 fn engine_classifies_held_out_steps_end_to_end() {
     let (dataset, config) = small_campaign();
     let stack = train_stack_on(&config, dataset).expect("stack trains");
     let eval = stack.eval.clone();
-    let mut engine = AnalyticsEngine::new(
+    let mut engine = MultiModalEngine::darnet_pair(
+        CombinerKind::Bayesian,
         stack.cnn,
-        ImuModelSlot::Rnn(stack.rnn),
+        StreamModelSlot::Rnn(stack.rnn),
         stack.bn_rnn,
-        EngineConfig::default(),
-    );
+    )
+    .expect("pair engine");
     let mut correct = 0;
     let n = eval.len().min(40);
+    let mut out = Vec::new();
     for sample in eval.samples().iter().take(n) {
         let window = Tensor::from_vec(sample.imu_window.clone(), &[1, WINDOW_LEN, IMU_FEATURES])
             .expect("window shape");
-        let out = engine
-            .classify_step(&sample.frame, &window)
+        engine
+            .classify_step_into(&step_inputs(&sample.frame, &window), &mut out)
             .expect("classifies");
-        assert!((out.scores.iter().sum::<f32>() - 1.0).abs() < 1e-3);
-        if out.behavior == sample.behavior {
+        assert!((out[0].scores.iter().sum::<f32>() - 1.0).abs() < 1e-3);
+        if out[0].behavior() == Some(sample.behavior) {
             correct += 1;
         }
     }
@@ -134,19 +148,22 @@ fn svm_slot_works_in_engine() {
     let (dataset, config) = small_campaign();
     let stack = train_stack_on(&config, dataset).expect("stack trains");
     let eval = stack.eval.clone();
-    let mut engine = AnalyticsEngine::new(
+    let mut engine = MultiModalEngine::darnet_pair(
+        CombinerKind::Bayesian,
         stack.cnn,
-        ImuModelSlot::Svm(stack.svm),
+        StreamModelSlot::Svm(stack.svm),
         stack.bn_svm,
-        EngineConfig::default(),
-    );
+    )
+    .expect("pair engine");
     let sample = &eval.samples()[0];
     let window = Tensor::from_vec(sample.imu_window.clone(), &[1, WINDOW_LEN, IMU_FEATURES])
         .expect("window shape");
-    let out = engine
-        .classify_step(&sample.frame, &window)
+    let mut out = Vec::new();
+    engine
+        .classify_step_into(&step_inputs(&sample.frame, &window), &mut out)
         .expect("classifies");
-    assert_eq!(out.imu_probs.len(), 3);
+    assert_eq!(out[0].used, vec![StreamId::CAMERA_FRONT, StreamId::IMU]);
+    assert_eq!(out[0].scores.len(), 6);
 }
 
 #[test]
