@@ -7,8 +7,10 @@
 //! (6 classes) + IMU model (3 classes): the fitted CPT, the Bayesian /
 //! product / CNN-only fused scores, the single-survivor expansions, a
 //! seeded tiny engine's batch and private-frame outputs, and the
-//! confusion matrices behind Table 2. If one fails, the arithmetic or a
-//! seed's draw order moved: fix the code, don't re-pin.
+//! confusion matrices behind Table 2 — and, below the models, the two
+//! labelled datasets a seeded campaign turns into (pair and 3-stream).
+//! If one fails, the arithmetic or a seed's draw order moved: fix the
+//! code, don't re-pin.
 
 // The helpers below are not #[test] fns themselves, so clippy's
 // allow-unwrap-in-tests does not reach them; a failed unwrap here IS the
@@ -17,9 +19,11 @@
 
 use std::sync::Arc;
 
-use darnet_collect::runtime::{run_campaign, CampaignConfig};
-use darnet_collect::StreamId;
-use darnet_core::dataset::{MultimodalDataset, IMU_FEATURES, WINDOW_LEN};
+use darnet_collect::runtime::{
+    pair_frames_with_windows, run_campaign, run_canonical_campaign, CampaignConfig,
+};
+use darnet_collect::{LinkConfig, RetransmitConfig, StreamId};
+use darnet_core::dataset::{CanonicalDataset, MultimodalDataset, IMU_FEATURES, WINDOW_LEN};
 use darnet_core::experiment::{
     run_ablation_combiner, table2_from_stack, train_stack_on, ExperimentConfig,
 };
@@ -30,7 +34,9 @@ use darnet_core::{
     MultiModalEngine, MultiStepClassification, NaryBayesianCombiner, RnnConfig, StreamInput,
     StreamModelSlot,
 };
-use darnet_sim::schedule::{build_schedule, ScheduleConfig};
+use darnet_sim::schedule::{
+    build_canonical_schedule, build_schedule, CanonicalScheduleConfig, ScheduleConfig,
+};
 use darnet_sim::{Behavior, DriverProfile, DrivingWorld, Frame, FrameRenderer, WorldConfig};
 use darnet_tensor::{SplitMix64, Tensor};
 
@@ -388,4 +394,144 @@ fn table2_stack_digest() {
         h.bytes(&v.to_bits().to_le_bytes());
     }
     pin(h.0, 0xF70A_ACEF_8C66_F491, "Table 2 stack");
+}
+
+/// The world, schedule knobs and campaign the two dataset digests share:
+/// two drivers at 24 px, ≈ 190 Table-1 frames, 3 % loss on every link.
+fn dataset_world() -> (Arc<DrivingWorld>, ScheduleConfig, CampaignConfig) {
+    let world = Arc::new(DrivingWorld::new(WorldConfig {
+        drivers: 2,
+        frame_size: FRAME,
+        seed: 0xDA7A,
+    }));
+    let schedule = ScheduleConfig {
+        drivers: 2,
+        scale: 0.0033,
+        ..ScheduleConfig::default()
+    };
+    let mut campaign = CampaignConfig {
+        seed: 0xDA7A ^ 0xCA11,
+        ..CampaignConfig::default()
+    };
+    campaign.link.loss = 0.03;
+    (world, schedule, campaign)
+}
+
+/// What a digest keeps of one labelled sample: when, who, which class,
+/// every pixel of every frame it holds, and the IMU window.
+fn digest_sample(
+    h: &mut Fnv,
+    (t, driver, class): (f64, usize, usize),
+    frames: &[&Frame],
+    window: &[f32],
+) {
+    h.bytes(&t.to_bits().to_le_bytes());
+    h.index(driver);
+    h.index(class);
+    for frame in frames {
+        h.scores(frame.pixels());
+    }
+    h.scores(window);
+}
+
+/// The identity of each side of a seeded split: its size and the
+/// `(driver, t)` of every sample, in order.
+fn digest_split(h: &mut Fnv, sides: [Vec<(usize, f64)>; 2]) {
+    for side in sides {
+        h.index(side.len());
+        for (driver, t) in side {
+            h.index(driver);
+            h.bytes(&t.to_bits().to_le_bytes());
+        }
+    }
+}
+
+#[test]
+fn pair_dataset_digest() {
+    let (world, schedule, campaign) = dataset_world();
+    let schedule = build_schedule(&schedule);
+    let recordings = run_campaign(&world, &schedule, &campaign).unwrap();
+    let dataset = MultimodalDataset::from_recordings(&recordings, &schedule).unwrap();
+    assert_eq!(dataset.frame_size(), FRAME);
+
+    let mut h = Fnv::new();
+    h.index(dataset.len());
+    for s in dataset.samples() {
+        digest_sample(
+            &mut h,
+            (s.t, s.driver, s.behavior.index()),
+            &[&s.frame],
+            &s.imu_window,
+        );
+    }
+    let counts = dataset.class_counts();
+    assert!(counts.iter().all(|&c| c > 0), "{counts:?}");
+    for c in counts {
+        h.index(c);
+    }
+    let (train, eval) = dataset.split(0.8, 0x5EED);
+    let ids = |d: &MultimodalDataset| d.samples().iter().map(|s| (s.driver, s.t)).collect();
+    digest_split(&mut h, [ids(&train), ids(&eval)]);
+    pin(h.0, 0x258C_73C0_3276_3CEF, "pair dataset");
+}
+
+#[test]
+fn three_stream_dataset_digest() {
+    // Fire-and-forget transport with a side link that loses 45 % of its
+    // batches: a front anchor whose neighbouring side batches all died
+    // has no side frame within the 0.3 s tolerance and is dropped; one
+    // that lost only its own adopts a frame a period away.
+    let (world, base, mut campaign) = dataset_world();
+    campaign.retransmit = RetransmitConfig::disabled();
+    let schedule = build_canonical_schedule(&CanonicalScheduleConfig {
+        base,
+        drowsy_seconds_per_class: 4.0,
+    });
+    let streams = [StreamId::IMU, StreamId::CAMERA_FRONT, StreamId::CAMERA_SIDE];
+    let lossy_side = LinkConfig {
+        loss: 0.45,
+        ..LinkConfig::default()
+    };
+    let recordings = run_canonical_campaign(
+        &world,
+        &schedule,
+        &campaign,
+        &streams,
+        &[(StreamId::CAMERA_SIDE, lossy_side)],
+    )
+    .unwrap();
+    let dataset = CanonicalDataset::from_recordings(&recordings, &schedule, 0.3).unwrap();
+    assert_eq!(dataset.frame_size(), FRAME);
+    let anchors: usize = recordings
+        .iter()
+        .map(|r| {
+            let front = r.frames_for(StreamId::CAMERA_FRONT);
+            pair_frames_with_windows(front, &r.imu, WINDOW_LEN).len()
+        })
+        .sum();
+    assert!(
+        dataset.len() > anchors / 2 && dataset.len() < anchors,
+        "{} of {anchors} anchors kept: the tolerance must drop some, not all",
+        dataset.len()
+    );
+
+    let mut h = Fnv::new();
+    h.index(dataset.len());
+    for s in dataset.samples() {
+        digest_sample(
+            &mut h,
+            (s.t, s.driver, s.class.index()),
+            &[&s.front, &s.side],
+            &s.imu_window,
+        );
+    }
+    let counts = dataset.class_counts();
+    assert!(counts.iter().all(|&c| c > 0), "{counts:?}");
+    for c in counts {
+        h.index(c);
+    }
+    let (train, eval) = dataset.split(0.8, 0x5EED);
+    let ids = |d: &CanonicalDataset| d.samples().iter().map(|s| (s.driver, s.t)).collect();
+    digest_split(&mut h, [ids(&train), ids(&eval)]);
+    pin(h.0, 0x0011_AE14_7FF4_0229, "3-stream dataset");
 }
