@@ -27,10 +27,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use darnet_bench::gate::{self, Gate};
-use darnet_collect::runtime::{
-    run_session, run_session_durable, CampaignConfig, CrashWindow, Durability,
+use darnet_collect::runtime::{run_session, CampaignConfig, CrashWindow, Durability, Recording};
+use darnet_collect::{
+    replay_into, AdmissionConfig, Controller, MemStorage, StreamId, WalConfig, WalStorage,
 };
-use darnet_collect::{replay_into, AdmissionConfig, Controller, MemStorage, WalConfig, WalStorage};
 use darnet_sim::{Behavior, DrivingWorld, Segment, WorldConfig};
 
 /// Garbage bytes appended at each kill (the torn final write).
@@ -42,6 +42,21 @@ const REPLAY_BUDGET_MS: f64 = 50.0;
 /// Replaying the log must beat re-collecting the session outright by at
 /// least this factor, or durability is not paying for its complexity.
 const SPEEDUP_FLOOR: f64 = 2.0;
+/// The counts the session seed fully determines: `--compare` holds them
+/// to the baseline exactly.
+const SEEDED: &[&str] = &[
+    "chaos_acked",
+    "chaos_acked_lost",
+    "chaos_recoveries",
+    "chaos_replayed_records",
+    "chaos_torn_bytes",
+    "chaos_deliveries_while_down",
+    "chaos_wal_appends",
+    "chaos_wal_bytes",
+    "chaos_wal_snapshots",
+    "acked_lost_no_wal",
+    "overload_shed_batches",
+];
 
 fn schedule() -> Vec<Segment<Behavior>> {
     vec![
@@ -107,52 +122,36 @@ fn run(fast: bool) -> BTreeMap<String, f64> {
     let world = Arc::new(DrivingWorld::new(WorldConfig::default()));
     let schedule = schedule();
     let config = chaos_config();
+    // The paper's pair, whatever the links and the controller go through.
+    let session = |config: &CampaignConfig, durability: &Durability| -> Recording {
+        let streams = StreamId::DARNET_PAIR;
+        run_session(&world, 0, &schedule, config, &streams, &[], durability).expect("session")
+    };
 
     // The chaos session proper, twice against fresh stores: the second
     // run exists purely to prove bitwise determinism.
     let storage_a = Arc::new(MemStorage::new());
-    let (rec_a, chaos) = run_session_durable(
-        &world,
-        0,
-        &schedule,
-        &config,
-        &chaos_durability(Some(Arc::clone(&storage_a))),
-    )
-    .expect("chaos session");
+    let rec_a = session(&config, &chaos_durability(Some(Arc::clone(&storage_a))));
+    let chaos = rec_a.chaos;
     let storage_b = Arc::new(MemStorage::new());
-    let (rec_b, chaos_b) = run_session_durable(
-        &world,
-        0,
-        &schedule,
-        &config,
-        &chaos_durability(Some(Arc::clone(&storage_b))),
-    )
-    .expect("chaos session (determinism twin)");
+    let rec_b = session(&config, &chaos_durability(Some(Arc::clone(&storage_b))));
 
-    out.insert("chaos_acked".to_string(), chaos.acked as f64);
-    out.insert("chaos_acked_lost".to_string(), chaos.acked_lost as f64);
-    out.insert("chaos_recoveries".to_string(), chaos.recoveries as f64);
-    out.insert(
-        "chaos_replayed_records".to_string(),
-        chaos.replayed_records as f64,
-    );
-    out.insert(
-        "chaos_torn_bytes".to_string(),
-        chaos.torn_tail_bytes_discarded as f64,
-    );
-    out.insert(
-        "chaos_deliveries_while_down".to_string(),
-        chaos.deliveries_while_down as f64,
-    );
-    out.insert("chaos_wal_appends".to_string(), chaos.wal_appends as f64);
-    out.insert("chaos_wal_bytes".to_string(), chaos.wal_bytes as f64);
-    out.insert(
-        "chaos_wal_snapshots".to_string(),
-        chaos.wal_snapshots as f64,
-    );
+    for (key, count) in [
+        ("chaos_acked", chaos.acked),
+        ("chaos_acked_lost", chaos.acked_lost),
+        ("chaos_recoveries", chaos.recoveries),
+        ("chaos_replayed_records", chaos.replayed_records),
+        ("chaos_torn_bytes", chaos.torn_tail_bytes_discarded),
+        ("chaos_deliveries_while_down", chaos.deliveries_while_down),
+        ("chaos_wal_appends", chaos.wal_appends),
+        ("chaos_wal_bytes", chaos.wal_bytes),
+        ("chaos_wal_snapshots", chaos.wal_snapshots),
+    ] {
+        out.insert(key.to_string(), count as f64);
+    }
     out.insert(
         "chaos_lossless".to_string(),
-        f64::from(u8::from(rec_a.transport.lossless())),
+        f64::from(u8::from(rec_a.lossless())),
     );
 
     // Determinism: identical recordings and chaos reports, and the two
@@ -162,8 +161,7 @@ fn run(fast: bool) -> BTreeMap<String, f64> {
         replay_into(&mut controller, storage.as_ref()).expect("replay");
         controller.state_digest()
     };
-    let deterministic =
-        rec_a == rec_b && chaos == chaos_b && digest(Arc::clone(&storage_a)) == digest(storage_b);
+    let deterministic = rec_a == rec_b && digest(Arc::clone(&storage_a)) == digest(storage_b);
     out.insert(
         "chaos_deterministic".to_string(),
         f64::from(u8::from(deterministic)),
@@ -172,8 +170,7 @@ fn run(fast: bool) -> BTreeMap<String, f64> {
     // Negative control: the same chaos without a WAL must lose acked
     // data — it proves the harness actually kills state, so the zero-loss
     // gate above is meaningful.
-    let (_, no_wal) = run_session_durable(&world, 0, &schedule, &config, &chaos_durability(None))
-        .expect("no-WAL control session");
+    let no_wal = session(&config, &chaos_durability(None)).chaos;
     out.insert("acked_lost_no_wal".to_string(), no_wal.acked_lost as f64);
 
     // Overload burst: a starved token bucket sheds low-priority frame
@@ -185,28 +182,17 @@ fn run(fast: bool) -> BTreeMap<String, f64> {
         drain_per_sec: 24.0,
         low_priority_reserve: 32.0,
     };
-    let (overload_rec, overload) = run_session_durable(
-        &world,
-        0,
-        &schedule,
-        &overload_config,
-        &Durability::default(),
-    )
-    .expect("overload session");
+    let overload = session(&overload_config, &Durability::default());
     out.insert(
         "overload_shed_batches".to_string(),
-        overload.shed_batches as f64,
+        overload.chaos.shed_batches as f64,
     );
-    let imu_shed = overload_rec
-        .transport
-        .imu_stream
-        .map(|h| h.shed_ratio())
-        .unwrap_or(1.0);
-    let cam_shed = overload_rec
-        .transport
-        .camera_stream
-        .map(|h| h.shed_ratio())
-        .unwrap_or(1.0);
+    let shed_ratio = |stream| {
+        let health = overload.stream(stream).and_then(|row| row.health);
+        health.map_or(1.0, |h| h.shed_ratio())
+    };
+    let imu_shed = shed_ratio(StreamId::IMU);
+    let cam_shed = shed_ratio(StreamId::CAMERA_FRONT);
     out.insert("overload_imu_shed_ratio".to_string(), imu_shed);
     out.insert("overload_camera_shed_ratio".to_string(), cam_shed);
     out.insert(
@@ -225,7 +211,7 @@ fn run(fast: bool) -> BTreeMap<String, f64> {
     });
     let rerun_reps = if fast { 3 } else { 8 };
     let t_rerun = min_time(rerun_reps, || {
-        run_session(&world, 0, &schedule, &config).expect("timed rerun");
+        session(&config, &Durability::default());
     });
     out.insert("recovery_replay_ms".to_string(), t_replay * 1e3);
     out.insert("session_rerun_ms".to_string(), t_rerun * 1e3);
@@ -240,7 +226,7 @@ fn main() {
         run,
         gate::print_metrics,
     )
-    .finish(|results, failures| {
+    .finish(SEEDED, |results, failures| {
         // (key, minimum, human meaning); equality gates use min == max.
         failures.floors(
             results,

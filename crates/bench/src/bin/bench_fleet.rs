@@ -33,6 +33,18 @@ const MAIN_AGENTS: usize = 10_000;
 /// Smoke fleet for `--fast` (gates still run; the committed baseline is
 /// produced with the same flag CI uses).
 const FAST_AGENTS: usize = 10_000;
+/// The counts the fleet seed fully determines (whole keys, and the
+/// suffixes of the per-shard-count families), which `--compare` holds
+/// to the baseline exactly.
+const SEEDED: &[&str] = &[
+    "_readings_ingested",
+    "_deliveries",
+    "_queue_shed",
+    "fleet_acked",
+    "fleet_retransmits",
+    "fleet_abandoned",
+    "fleet_deferred_flushes",
+];
 /// Wall-clock throughput baselines are recorded at this fraction of the
 /// measured rate so cross-machine noise does not trip the gate; the
 /// compare tolerance then catches genuine collapses.
@@ -181,7 +193,7 @@ fn main() {
         run,
         gate::print_metrics,
     )
-    .finish(|results, failures| {
+    .finish(SEEDED, |results, failures| {
         failures.floors(
             results,
             &[

@@ -281,7 +281,7 @@ fn main() {
             });
         }
     }
-    gate.finish(|results, failures| {
+    gate.finish(&[], |results, failures| {
         let available = results["threads_available"];
         let kernel_floor = if available >= THREADS as f64 {
             2.0

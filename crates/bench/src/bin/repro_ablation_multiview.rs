@@ -74,7 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             );
         },
     )
-    .finish(|_, failures| {
+    .finish(&["eval_samples"], |_, failures| {
         if !ab.front_unusable_under_fault {
             failures.fail(
                 "the fault campaign did not drive the front camera to Unavailable — the \

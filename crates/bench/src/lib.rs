@@ -66,8 +66,12 @@ pub fn pct(x: f64) -> String {
 /// `rate_`/`cost_` keys must likewise be machine-portable (simulated-time
 /// latencies, deterministic byte counts, 0/1 invariant checks — or
 /// wall-clock rates whose committed baselines are deliberately
-/// conservative). Everything else is recorded for humans but would make
-/// the gate flaky across hardware.
+/// conservative). Each seeded bench also names its *seeded counts* —
+/// integers its seed fully determines (batches acked, WAL bytes,
+/// deliveries) — which must equal the baseline exactly: a refactor that
+/// re-rolls a seeded session moves them long before any ratio. Everything
+/// else is recorded for humans but would make the gate flaky across
+/// hardware.
 pub mod metrics {
     use std::collections::BTreeMap;
 
@@ -133,15 +137,29 @@ pub mod metrics {
     /// `rate_*` key present in both must not fall below
     /// `baseline × (1 − tolerance)`, and every `cost_*` key must not rise
     /// above `baseline × (1 + tolerance)`. Improvements never fail.
+    /// A baseline key ending with an entry of `seeded` (a whole name, or
+    /// the suffix a family shares) is a seeded count instead: any
+    /// difference fails, in either direction.
     /// Returns the list of regression descriptions (empty = pass).
     // darlint: pure-root
     pub fn compare(
         baseline: &BTreeMap<String, f64>,
         current: &BTreeMap<String, f64>,
         tolerance: f64,
+        seeded: &[&str],
     ) -> Vec<String> {
         let mut regressions = Vec::new();
         for (key, &base) in baseline {
+            if seeded.iter().any(|s| key.ends_with(s)) {
+                match current.get(key) {
+                    Some(&cur) if cur == base => {}
+                    Some(&cur) => regressions.push(format!(
+                        "{key}: seeded count {cur} differs from baseline {base}"
+                    )),
+                    None => regressions.push(format!("{key}: missing from current run")),
+                }
+                continue;
+            }
             let higher_better = key.starts_with(COMPARED_PREFIX) || key.starts_with(RATE_PREFIX);
             let lower_better = key.starts_with(COST_PREFIX);
             if (!higher_better && !lower_better) || base <= 0.0 {
@@ -179,7 +197,7 @@ pub mod metrics {
 /// * `--out PATH` — also write the metrics JSON to `PATH`.
 /// * `--compare PATH` — compare against a committed baseline
 ///   ([`metrics::compare`]); exits non-zero on any regression beyond
-///   [`TOLERANCE`](gate::TOLERANCE).
+///   [`TOLERANCE`](gate::TOLERANCE) or any seeded count that differs.
 /// * `--check` — enforce the benchmark's own invariant gates.
 pub mod gate {
     use std::collections::BTreeMap;
@@ -274,12 +292,13 @@ pub mod gate {
             }
         }
 
-        /// Compares against the baseline, runs `check` under `--check`,
+        /// Compares against the baseline (`seeded` names the counts
+        /// that must match it exactly), runs `check` under `--check`,
         /// and exits with status 1 if either found a failure.
-        pub fn finish(self, check: impl FnOnce(&Metrics, &mut Failures)) {
+        pub fn finish(self, seeded: &[&str], check: impl FnOnce(&Metrics, &mut Failures)) {
             let mut failures = Failures::default();
             if let Some((path, baseline)) = &self.baseline {
-                let regressions = metrics::compare(baseline, &self.results, TOLERANCE);
+                let regressions = metrics::compare(baseline, &self.results, TOLERANCE, seeded);
                 if regressions.is_empty() {
                     eprintln!("no regressions against {path}");
                 }
@@ -546,24 +565,24 @@ mod tests {
         let mut cur = base.clone();
         cur.insert("speedup_matmul_threads".to_string(), 1.75);
         cur.insert("throughput_matmul_serial".to_string(), 5e8);
-        assert!(metrics::compare(&base, &cur, 0.15).is_empty());
+        assert!(metrics::compare(&base, &cur, 0.15, &[]).is_empty());
 
         // Speedup collapsed: fail.
         cur.insert("speedup_matmul_threads".to_string(), 1.0);
-        let regressions = metrics::compare(&base, &cur, 0.15);
+        let regressions = metrics::compare(&base, &cur, 0.15, &[]);
         assert_eq!(regressions.len(), 1);
         assert!(regressions[0].contains("speedup_matmul_threads"));
 
         // Missing compared key: fail.
         cur.remove("speedup_engine_batch32");
         cur.insert("speedup_matmul_threads".to_string(), 2.0);
-        let regressions = metrics::compare(&base, &cur, 0.15);
+        let regressions = metrics::compare(&base, &cur, 0.15, &[]);
         assert_eq!(regressions.len(), 1);
         assert!(regressions[0].contains("missing"));
 
         // Improvements never fail.
         cur.insert("speedup_engine_batch32".to_string(), 3.0);
-        assert!(metrics::compare(&base, &cur, 0.15).is_empty());
+        assert!(metrics::compare(&base, &cur, 0.15, &[]).is_empty());
     }
 
     #[test]
@@ -579,25 +598,58 @@ mod tests {
         cur.insert("rate_ingest_rps".to_string(), 90_000.0);
         cur.insert("cost_ack_p99_s".to_string(), 0.22);
         cur.insert("agents".to_string(), 1.0);
-        assert!(metrics::compare(&base, &cur, 0.15).is_empty());
+        assert!(metrics::compare(&base, &cur, 0.15, &[]).is_empty());
 
         // Throughput collapse fails.
         cur.insert("rate_ingest_rps".to_string(), 50_000.0);
-        let regressions = metrics::compare(&base, &cur, 0.15);
+        let regressions = metrics::compare(&base, &cur, 0.15, &[]);
         assert_eq!(regressions.len(), 1);
         assert!(regressions[0].contains("rate_ingest_rps"));
 
         // Cost blow-up fails (lower-is-better inverts the check).
         cur.insert("rate_ingest_rps".to_string(), 100_000.0);
         cur.insert("cost_bytes_per_agent".to_string(), 9000.0);
-        let regressions = metrics::compare(&base, &cur, 0.15);
+        let regressions = metrics::compare(&base, &cur, 0.15, &[]);
         assert_eq!(regressions.len(), 1);
         assert!(regressions[0].contains("cost_bytes_per_agent"));
 
         // Cost improvements never fail; missing gated cost key does.
         cur.insert("cost_bytes_per_agent".to_string(), 100.0);
-        assert!(metrics::compare(&base, &cur, 0.15).is_empty());
+        assert!(metrics::compare(&base, &cur, 0.15, &[]).is_empty());
         cur.remove("cost_ack_p99_s");
-        assert_eq!(metrics::compare(&base, &cur, 0.15).len(), 1);
+        assert_eq!(metrics::compare(&base, &cur, 0.15, &[]).len(), 1);
+    }
+
+    #[test]
+    fn compare_holds_seeded_counts_to_equality() {
+        let mut base = std::collections::BTreeMap::new();
+        base.insert("chaos_acked".to_string(), 41.0);
+        base.insert("chaos_acked_lost".to_string(), 0.0);
+        base.insert("fleet10000_shards8_deliveries".to_string(), 69_373.0);
+        base.insert("session_rerun_ms".to_string(), 5.6);
+        let seeded = ["chaos_acked", "chaos_acked_lost", "_deliveries"];
+
+        // Equal counts pass whatever the wall clock did; unnamed, the
+        // counts are recorded for humans only.
+        let mut cur = base.clone();
+        cur.insert("session_rerun_ms".to_string(), 50.0);
+        assert!(metrics::compare(&base, &cur, 0.15, &seeded).is_empty());
+        cur.insert("chaos_acked".to_string(), 40.0);
+        assert!(metrics::compare(&base, &cur, 0.15, &[]).is_empty());
+
+        // One batch fewer, one delivery more, a zero that moved: each
+        // fails, in either direction and far inside the tolerance.
+        cur.insert("fleet10000_shards8_deliveries".to_string(), 69_374.0);
+        cur.insert("chaos_acked_lost".to_string(), 1.0);
+        let regressions = metrics::compare(&base, &cur, 0.15, &seeded);
+        assert_eq!(regressions.len(), 3, "{regressions:?}");
+        assert!(regressions.iter().all(|r| r.contains("seeded count")));
+
+        // A seeded count the run no longer reports fails too.
+        cur = base.clone();
+        cur.remove("chaos_acked");
+        let regressions = metrics::compare(&base, &cur, 0.15, &seeded);
+        assert_eq!(regressions.len(), 1);
+        assert!(regressions[0].contains("missing"));
     }
 }

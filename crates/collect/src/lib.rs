@@ -30,8 +30,12 @@
 //!   retransmission ([`RetransmitConfig`]), and seeded fault injection on
 //!   every [`Link`] ([`FaultConfig`]: Gilbert–Elliott bursts, blackouts,
 //!   duplication).
-//! * [`runtime::run_campaign`] — drives a full collection campaign over a
-//!   [`darnet_sim`] schedule and returns per-driver aligned recordings.
+//! * [`runtime::run_session`] — the one door of the session loop: any
+//!   set of streams ([`StreamId::DARNET_PAIR`] is the paper's) over one
+//!   driver's script, with per-stream link overrides and a
+//!   [`runtime::Durability`], into one [`runtime::Recording`];
+//!   [`runtime::run_campaign`] runs it for every driver of a
+//!   [`darnet_sim`] schedule.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]

@@ -7,8 +7,10 @@
 //! retransmission timers, periodic clock syncs, and injected controller
 //! kills/restarts — are processed in timestamp order from one
 //! [`EventQueue`], so campaigns are fully deterministic for a given seed.
-//! There is one such loop ([`run_streams`]); the paper's two-agent
-//! deployment ([`run_session`]) is its `[IMU, CAMERA_FRONT]` case.
+//! There is one such loop behind one door, [`run_session`], which returns
+//! one [`Recording`] whatever the stream set; the paper's two-agent
+//! deployment is the stream set [`StreamId::DARNET_PAIR`], and
+//! [`run_campaign`] is a session per driver.
 //!
 //! With the reliable transport enabled (the default), every data delivery
 //! is answered with an ack over the reverse link; unacked batches
@@ -21,14 +23,14 @@ use std::cmp::Ordering;
 use std::collections::{BTreeSet, BinaryHeap};
 use std::sync::Arc;
 
-use darnet_sim::{Behavior, CanonicalBehavior, DrivingWorld, Segment};
+use darnet_sim::{CanonicalBehavior, DrivingWorld, Segment};
 use darnet_tensor::SplitMix64;
 
 use crate::agent::{
     AgentConfig, CollectionAgent, RetransmitConfig, SpillConfig, SpillStats, TransportStats,
 };
 use crate::clock::{ClockConfig, DriftClock};
-use crate::controller::{AlignedImuPoint, Controller, ControllerConfig, FrameRecord, StreamHealth};
+use crate::controller::{AlignedImuPoint, ControllerConfig, FrameRecord, StreamHealth};
 use crate::network::{Link, LinkConfig, LinkStats};
 use crate::sensor::{canonical_script, CameraView, ScriptedSensor, Sensor};
 use crate::shard::Door;
@@ -232,8 +234,8 @@ impl Default for CampaignConfig {
 }
 
 /// One controller outage: the process dies at `kill_t` and a fresh
-/// process recovers from the WAL at `restart_t`. Windows must be
-/// disjoint and ordered.
+/// process recovers from the WAL at `restart_t`. [`run_session`] rejects
+/// windows that are not finite, ordered and disjoint.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CrashWindow {
     /// When the controller process is killed (seconds).
@@ -308,54 +310,77 @@ pub struct ChaosReport {
     pub spill_peak: usize,
 }
 
-/// End-of-session reliability accounting for one driver recording.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct SessionTransportReport {
-    /// IMU agent transport counters.
-    pub imu: TransportStats,
-    /// Camera agent transport counters.
-    pub camera: TransportStats,
-    /// IMU data-link fault counters.
-    pub imu_link: LinkStats,
-    /// Camera data-link fault counters.
-    pub camera_link: LinkStats,
-    /// Controller-side health of the IMU stream.
-    pub imu_stream: Option<StreamHealth>,
-    /// Controller-side health of the camera stream.
-    pub camera_stream: Option<StreamHealth>,
-    /// Readings polled by both agents over the session.
-    pub readings_polled: u64,
-    /// Distinct readings the controller accepted.
-    pub readings_ingested: u64,
-    /// IMU agent spill-buffer counters.
-    pub imu_spill: SpillStats,
-    /// Camera agent spill-buffer counters.
-    pub camera_spill: SpillStats,
+/// End-of-session accounting for one registered stream: its agent, its
+/// data link and the controller's view of it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StreamReport {
+    /// The stream.
+    pub stream: StreamId,
+    /// Its agent's transport counters.
+    pub transport: TransportStats,
+    /// Its data link's fault counters.
+    pub link: LinkStats,
+    /// Its agent's spill-buffer counters.
+    pub spill: SpillStats,
+    /// Controller-side health (`None` if it never delivered a batch).
+    pub health: Option<StreamHealth>,
+    /// Readings its agent polled over the session.
+    pub polled: u64,
+    /// Maximum absolute clock error of its agent at poll instants (the
+    /// sync ablation reads the phone's: the front camera shares the
+    /// controller's tablet).
+    pub max_clock_error: f64,
 }
 
-impl SessionTransportReport {
+/// The collected output of one driver's session over any stream set: one
+/// aligned IMU stream plus the frames of every registered camera, each
+/// tagged with its [`StreamId`] so the analytics registry can address
+/// them generically.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Recording {
+    /// Driver id.
+    pub driver: usize,
+    /// Aligned, smoothed 4 Hz IMU stream (empty if the IMU stream was
+    /// not registered or delivered nothing).
+    pub imu: Vec<AlignedImuPoint>,
+    /// Per camera stream, its frames in timestamp order; cameras in
+    /// registration order.
+    pub frames: Vec<(StreamId, Vec<FrameRecord>)>,
+    /// One accounting row per registered stream, in registration order.
+    pub streams: Vec<StreamReport>,
+    /// Distinct readings the controller accepted.
+    pub readings_ingested: u64,
+    /// What the durability and chaos machinery observed — most
+    /// importantly `acked_lost`, which must be zero whenever a WAL is
+    /// configured.
+    pub chaos: ChaosReport,
+}
+
+impl Recording {
+    /// Frames of one camera stream (empty slice if not registered).
+    pub fn frames_for(&self, stream: StreamId) -> &[FrameRecord] {
+        self.frames
+            .iter()
+            .find(|(s, _)| *s == stream)
+            .map_or(&[], |(_, frames)| frames.as_slice())
+    }
+
+    /// The accounting row of one stream, if it was registered.
+    pub fn stream(&self, stream: StreamId) -> Option<&StreamReport> {
+        self.streams.iter().find(|r| r.stream == stream)
+    }
+
+    /// Readings polled by every agent over the session.
+    pub fn readings_polled(&self) -> u64 {
+        self.streams.iter().map(|r| r.polled).sum()
+    }
+
     /// `true` when every reading either arrived or is accounted as a gap
     /// of an abandoned batch — and with retransmission on and nothing
     /// abandoned, that means zero data loss.
     pub fn lossless(&self) -> bool {
-        self.readings_ingested == self.readings_polled
+        self.readings_ingested == self.readings_polled()
     }
-}
-
-/// The collected output of one driver's session.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DriverRecording {
-    /// Driver id.
-    pub driver: usize,
-    /// Aligned, smoothed 4 Hz IMU stream.
-    pub imu: Vec<AlignedImuPoint>,
-    /// Camera frames in timestamp order.
-    pub frames: Vec<FrameRecord>,
-    /// Maximum absolute agent clock error observed at poll instants
-    /// (diagnostic for the sync ablation).
-    pub max_clock_error: f64,
-    /// Transport-layer accounting for the session.
-    pub transport: SessionTransportReport,
 }
 
 /// One frame paired with the IMU window ending at its timestamp — the
@@ -374,10 +399,9 @@ pub struct AlignedTuple {
 }
 
 /// Pairs every frame with its trailing IMU window of `window_len` grid
-/// points — the alignment shared by the two-stream recording and
-/// every camera stream of a canonical multi-stream recording. Frames
-/// that precede all IMU data are skipped (no context to classify from
-/// yet).
+/// points — the alignment every camera stream of a [`Recording`] gets.
+/// Frames that precede all IMU data are skipped (no context to classify
+/// from yet).
 pub fn pair_frames_with_windows(
     frames: &[FrameRecord],
     imu: &[AlignedImuPoint],
@@ -408,15 +432,6 @@ pub fn pair_frames_with_windows(
         });
     }
     tuples
-}
-
-impl DriverRecording {
-    /// Pairs every received frame with its trailing IMU window of
-    /// `window_len` grid points. Frames that precede all IMU data are
-    /// skipped (no context to classify from yet).
-    pub fn aligned_tuples(&self, window_len: usize) -> Vec<AlignedTuple> {
-        pair_frames_with_windows(&self.frames, &self.imu, window_len)
-    }
 }
 
 /// Event vocabulary of the session loop. Agents are addressed by index
@@ -478,30 +493,87 @@ fn session_agent(
     )
 }
 
-/// What [`run_streams`] leaves behind for a front-end to project into
-/// its recording type.
-struct SessionEnd {
-    /// The final (possibly crash-recovered) controller.
-    controller: Controller,
-    /// The session's agents and links, in stream registration order.
-    agents: Vec<LinkedAgent>,
-    /// Per agent: maximum absolute clock error at its poll instants.
-    clock_errors: Vec<f64>,
-    chaos: ChaosReport,
+/// Rejects what the loop would silently mis-run: an empty stream set
+/// records nothing, two agents of one stream share an agent id and the
+/// controller discards the second's batches as duplicates, and a crash
+/// window that is not finite, ordered and disjoint from the previous one
+/// turns its restart into a no-op and leaves the controller down.
+fn validate(streams: &[StreamId], crashes: &[CrashWindow]) -> Result<()> {
+    if streams.is_empty() {
+        return Err(CollectError::InvalidConfig(
+            "a session needs at least one stream".into(),
+        ));
+    }
+    for (i, stream) in streams.iter().enumerate() {
+        if streams[..i].contains(stream) {
+            return Err(CollectError::InvalidConfig(format!(
+                "stream {stream} is registered twice"
+            )));
+        }
+    }
+    let mut up_since = f64::NEG_INFINITY;
+    for w in crashes {
+        let finite = w.kill_t.is_finite() && w.restart_t.is_finite();
+        if !finite || w.kill_t < up_since || w.restart_t < w.kill_t {
+            return Err(CollectError::InvalidConfig(format!(
+                "crash window [{}, {}] is not finite, ordered and after the previous one",
+                w.kill_t, w.restart_t
+            )));
+        }
+        up_since = w.restart_t;
+    }
+    Ok(())
 }
 
-/// The session loop: one agent per entry of `streams` over one driver's
-/// `script`, into one controller that appends accepted batches to the
-/// WAL *before* acking them and is killed/restarted per
-/// `durability.crashes` (recovery replays the log into a fresh
-/// controller).
+/// Runs one driver's session — one agent per entry of `streams` (any
+/// subset of {IMU, front camera, side camera}) over the driver's slice
+/// of `segments`, each stream's links taken from `link_overrides` where
+/// it is named (fault injection on one stream while the others run
+/// clean) and from `config.link` otherwise — into one controller that
+/// appends accepted batches to the WAL *before* acking them and is
+/// killed/restarted per `durability.crashes` (recovery replays the log
+/// into a fresh controller). The paper's deployment is
+/// [`StreamId::DARNET_PAIR`] over `build_schedule`'s 6-class script;
+/// `build_canonical_schedule`'s 8-class one passes in the same way.
 ///
-/// `seed_domain` is XORed into the per-driver seed so front-ends never
-/// alias. The draw order is fixed — per stream its clock then its
+/// The draw order is fixed — per stream its clock then its
 /// retransmission-jitter seed, then every data link, the sync link, every
 /// ack link — which, with the event order, is what keeps every seeded
 /// recording bit-identical (pinned by `tests/golden.rs`).
-#[allow(clippy::too_many_arguments)]
+///
+/// # Errors
+///
+/// [`CollectError::InvalidConfig`] for an empty stream set, a stream
+/// registered twice or without a scripted sensor, or a crash window that
+/// is not finite, ordered and disjoint from the one before it;
+/// [`CollectError::Transport`] in strict transport mode;
+/// [`CollectError::Wal`] / [`CollectError::Recovery`] from the durability
+/// layer; [`CollectError::Overload`] if an agent's spill buffer hits its
+/// bound in strict (non-`drop_oldest`) mode.
+pub fn run_session<B: Copy + Into<CanonicalBehavior>>(
+    world: &Arc<DrivingWorld>,
+    driver: usize,
+    segments: &[Segment<B>],
+    config: &CampaignConfig,
+    streams: &[StreamId],
+    link_overrides: &[(StreamId, LinkConfig)],
+    durability: &Durability,
+) -> Result<Recording> {
+    validate(streams, &durability.crashes)?;
+    let script = canonical_script(segments, driver);
+    run_streams(
+        world,
+        driver,
+        &script,
+        config,
+        streams,
+        link_overrides,
+        durability,
+    )
+}
+
+/// The session loop behind [`run_session`], over an already validated
+/// stream set and one driver's canonical script.
 fn run_streams(
     world: &Arc<DrivingWorld>,
     driver: usize,
@@ -509,9 +581,8 @@ fn run_streams(
     config: &CampaignConfig,
     streams: &[StreamId],
     link_overrides: &[(StreamId, LinkConfig)],
-    seed_domain: u64,
     durability: &Durability,
-) -> Result<SessionEnd> {
+) -> Result<Recording> {
     let session_end = script.iter().map(|s| s.end()).fold(0.0f64, f64::max);
     let link_for = |stream: StreamId| {
         link_overrides
@@ -521,8 +592,7 @@ fn run_streams(
             .unwrap_or(config.link)
     };
 
-    let mut rng =
-        SplitMix64::new(config.seed ^ (driver as u64).wrapping_mul(0x9E37_79B9) ^ seed_domain);
+    let mut rng = SplitMix64::new(config.seed ^ (driver as u64).wrapping_mul(0x9E37_79B9));
     let mut built = Vec::with_capacity(streams.len());
     for &stream in streams {
         built.push(session_agent(
@@ -740,297 +810,70 @@ fn run_streams(
         .iter()
         .filter(|&&(agent, s)| !controller.has_seen(agent, s))
         .count() as u64;
-    for a in &agents {
-        let spill = a.agent.spill_stats();
-        chaos.spill_dropped += spill.dropped_oldest;
-        chaos.spill_peak = chaos.spill_peak.max(spill.peak_buffered);
-    }
-    Ok(SessionEnd {
-        controller,
-        agents,
-        clock_errors,
-        chaos,
-    })
-}
-
-/// The drivers a schedule covers, ascending.
-fn drivers_of<B>(segments: &[Segment<B>]) -> Vec<usize> {
-    let mut drivers: Vec<usize> = segments.iter().map(|s| s.driver).collect();
-    drivers.sort_unstable();
-    drivers.dedup();
-    drivers
-}
-
-/// Runs one driver's session and returns its recording.
-///
-/// # Errors
-///
-/// Propagates alignment errors (e.g. a session so short no IMU data was
-/// collected) and, in strict transport mode, [`crate::CollectError::Transport`]
-/// failures.
-pub fn run_session(
-    world: &Arc<DrivingWorld>,
-    driver: usize,
-    segments: &[Segment<Behavior>],
-    config: &CampaignConfig,
-) -> Result<DriverRecording> {
-    run_session_durable(world, driver, segments, config, &Durability::default()).map(|(rec, _)| rec)
-}
-
-/// Like [`run_session`], with durability and chaos: accepted batches are
-/// appended to the WAL *before* being acked, controller kills/restarts
-/// from `durability.crashes` are injected as events (recovery replays the
-/// log into a fresh controller), and the returned [`ChaosReport`] carries
-/// the recovery invariants — most importantly `acked_lost`, which must be
-/// zero whenever a WAL is configured.
-///
-/// This is the paper's deployment as one configuration of the N-stream
-/// session: streams `[IMU, CAMERA_FRONT]` over the 6-class script
-/// embedded in the canonical taxonomy.
-///
-/// # Errors
-///
-/// Everything [`run_session`] returns, plus [`crate::CollectError::Wal`]
-/// and [`crate::CollectError::Recovery`] from the durability layer, and
-/// [`crate::CollectError::Overload`] if an agent's spill buffer hits its
-/// bound in strict (non-`drop_oldest`) mode.
-pub fn run_session_durable(
-    world: &Arc<DrivingWorld>,
-    driver: usize,
-    segments: &[Segment<Behavior>],
-    config: &CampaignConfig,
-    durability: &Durability,
-) -> Result<(DriverRecording, ChaosReport)> {
-    let end = run_streams(
-        world,
-        driver,
-        &canonical_script(segments, driver),
-        config,
-        &[StreamId::IMU, StreamId::CAMERA_FRONT],
-        &[],
-        0,
-        durability,
-    )?;
-    let (imu, cam) = (&end.agents[0], &end.agents[1]);
-    let transport = SessionTransportReport {
-        imu: imu.agent.transport_stats(),
-        camera: cam.agent.transport_stats(),
-        imu_link: imu.data_link.link_stats(),
-        camera_link: cam.data_link.link_stats(),
-        imu_stream: end.controller.stream_health_by_id(StreamId::IMU),
-        camera_stream: end.controller.stream_health_by_id(StreamId::CAMERA_FRONT),
-        readings_polled: imu.agent.poll_count() + cam.agent.poll_count(),
-        readings_ingested: end.controller.ingest_stats().1,
-        imu_spill: imu.agent.spill_stats(),
-        camera_spill: cam.agent.spill_stats(),
-    };
-    Ok((
-        DriverRecording {
-            driver,
-            imu: end.controller.aligned_imu()?,
-            frames: end.controller.frames_sorted(),
-            // The sync-ablation diagnostic follows the phone: the camera
-            // shares the controller's tablet.
-            max_clock_error: end.clock_errors[0],
-            transport,
-        },
-        end.chaos,
-    ))
-}
-
-/// Runs the full campaign (every driver session in the schedule).
-///
-/// # Errors
-///
-/// Propagates per-session errors.
-pub fn run_campaign(
-    world: &Arc<DrivingWorld>,
-    segments: &[Segment<Behavior>],
-    config: &CampaignConfig,
-) -> Result<Vec<DriverRecording>> {
-    drivers_of(segments)
-        .into_iter()
-        .map(|d| run_session(world, d, segments, config))
-        .collect()
-}
-
-/// Runs the full campaign with durability and chaos. Each driver session
-/// is an independent controller, so `durability_for` supplies a
-/// [`Durability`] (typically with its own storage) per driver.
-///
-/// # Errors
-///
-/// Propagates per-session errors, including the durability layer's
-/// [`crate::CollectError::Wal`] / [`crate::CollectError::Recovery`].
-pub fn run_campaign_durable(
-    world: &Arc<DrivingWorld>,
-    segments: &[Segment<Behavior>],
-    config: &CampaignConfig,
-    mut durability_for: impl FnMut(usize) -> Durability,
-) -> Result<Vec<(DriverRecording, ChaosReport)>> {
-    drivers_of(segments)
-        .into_iter()
-        .map(|d| {
-            let durability = durability_for(d);
-            run_session_durable(world, d, segments, config, &durability)
-        })
-        .collect()
-}
-
-/// The collected output of one driver's canonical multi-stream session:
-/// one aligned IMU stream plus any number of camera streams, each tagged
-/// with its [`StreamId`] so the analytics registry can address them
-/// generically.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MultiStreamRecording {
-    /// Driver id.
-    pub driver: usize,
-    /// Aligned, smoothed IMU stream (empty if the IMU stream was absent
-    /// or delivered nothing).
-    pub imu: Vec<AlignedImuPoint>,
-    /// Per-camera-stream frames in timestamp order, keyed by stream and
-    /// sorted by [`StreamId`].
-    pub frame_streams: Vec<(StreamId, Vec<FrameRecord>)>,
-    /// Controller-side health per registered stream (in registration
-    /// order; `None` if the stream never delivered a batch).
-    pub health: Vec<(StreamId, Option<StreamHealth>)>,
-    /// Maximum absolute agent clock error observed at poll instants.
-    pub max_clock_error: f64,
-}
-
-impl MultiStreamRecording {
-    /// Frames of one camera stream (empty slice if not registered).
-    pub fn frames_for(&self, stream: StreamId) -> &[FrameRecord] {
-        self.frame_streams
-            .iter()
-            .find(|(s, _)| *s == stream)
-            .map(|(_, frames)| frames.as_slice())
-            .unwrap_or(&[])
-    }
-
-    /// Controller health of one stream, if it delivered anything.
-    pub fn health_for(&self, stream: StreamId) -> Option<StreamHealth> {
-        self.health
-            .iter()
-            .find(|(s, _)| *s == stream)
-            .and_then(|(_, h)| *h)
-    }
-
-    /// Pairs one camera stream's frames with trailing IMU windows — the
-    /// same alignment as [`DriverRecording::aligned_tuples`], applied per
-    /// stream.
-    pub fn aligned_tuples_for(&self, stream: StreamId, window_len: usize) -> Vec<AlignedTuple> {
-        pair_frames_with_windows(self.frames_for(stream), &self.imu, window_len)
-    }
-}
-
-/// Runs one driver's canonical multi-stream session: any subset of
-/// {IMU, front camera, side camera} over the 8-class script, with an
-/// optional per-stream [`LinkConfig`] override (fault injection on one
-/// stream while the others run clean — the multi-view ablation's knob).
-///
-/// # Errors
-///
-/// [`crate::CollectError::InvalidConfig`] for an unknown stream id, plus
-/// everything the transport/alignment layers return.
-pub fn run_canonical_session(
-    world: &Arc<DrivingWorld>,
-    driver: usize,
-    segments: &[Segment<CanonicalBehavior>],
-    config: &CampaignConfig,
-    streams: &[StreamId],
-    link_overrides: &[(StreamId, LinkConfig)],
-) -> Result<MultiStreamRecording> {
-    run_canonical_session_durable(
-        world,
-        driver,
-        segments,
-        config,
-        streams,
-        link_overrides,
-        &Durability::default(),
-    )
-    .map(|(rec, _)| rec)
-}
-
-/// Like [`run_canonical_session`], with the durability and chaos of
-/// [`run_session_durable`]: it is the same loop, so N-stream sessions get
-/// WAL-before-ack, crash injection and the [`ChaosReport`] invariants
-/// from the same code.
-///
-/// # Errors
-///
-/// Everything [`run_canonical_session`] and the durability layer return.
-pub fn run_canonical_session_durable(
-    world: &Arc<DrivingWorld>,
-    driver: usize,
-    segments: &[Segment<CanonicalBehavior>],
-    config: &CampaignConfig,
-    streams: &[StreamId],
-    link_overrides: &[(StreamId, LinkConfig)],
-    durability: &Durability,
-) -> Result<(MultiStreamRecording, ChaosReport)> {
-    let script: Vec<Segment<CanonicalBehavior>> = segments
-        .iter()
-        .filter(|s| s.driver == driver)
-        .copied()
-        .collect();
-    // A distinct seed domain from the two-stream session so the two
-    // front-ends never alias, while staying per-driver deterministic.
-    let end = run_streams(
-        world,
-        driver,
-        &script,
-        config,
-        streams,
-        link_overrides,
-        0xCA40_0515_0A11_ED00,
-        durability,
-    )?;
-    let controller = &end.controller;
     let imu = match controller.aligned_imu() {
         Ok(points) => points,
         Err(CollectError::NoData(_)) => Vec::new(),
         Err(e) => return Err(e),
     };
-    let mut frame_streams: Vec<(StreamId, Vec<FrameRecord>)> = streams
-        .iter()
-        .filter(|&&s| s != StreamId::IMU)
-        .map(|&s| (s, controller.frames_sorted_for(s)))
-        .collect();
-    frame_streams.sort_by_key(|(s, _)| *s);
-    let health = streams
-        .iter()
-        .map(|&s| (s, controller.stream_health_by_id(s)))
-        .collect();
-    Ok((
-        MultiStreamRecording {
-            driver,
-            imu,
-            frame_streams,
-            health,
-            max_clock_error: end.clock_errors.iter().copied().fold(0.0, f64::max),
-        },
-        end.chaos,
-    ))
+    let mut frames = Vec::new();
+    let mut reports = Vec::with_capacity(streams.len());
+    for ((&stream, a), max_clock_error) in streams.iter().zip(&agents).zip(clock_errors) {
+        let spill = a.agent.spill_stats();
+        chaos.spill_dropped += spill.dropped_oldest;
+        chaos.spill_peak = chaos.spill_peak.max(spill.peak_buffered);
+        if stream != StreamId::IMU {
+            frames.push((stream, controller.frames_sorted_for(stream)));
+        }
+        reports.push(StreamReport {
+            stream,
+            transport: a.agent.transport_stats(),
+            link: a.data_link.link_stats(),
+            spill,
+            health: controller.stream_health_by_id(stream),
+            polled: a.agent.poll_count(),
+            max_clock_error,
+        });
+    }
+    Ok(Recording {
+        driver,
+        imu,
+        frames,
+        streams: reports,
+        readings_ingested: controller.ingest_stats().1,
+        chaos,
+    })
 }
 
-/// Runs a canonical multi-stream campaign: one
-/// [`run_canonical_session`] per driver in the schedule.
+/// Runs the full campaign: one [`run_session`] per driver in the
+/// schedule, ascending, each into its own in-memory controller.
 ///
 /// # Errors
 ///
 /// Propagates per-session errors.
-pub fn run_canonical_campaign(
+pub fn run_campaign<B: Copy + Into<CanonicalBehavior>>(
     world: &Arc<DrivingWorld>,
-    segments: &[Segment<CanonicalBehavior>],
+    segments: &[Segment<B>],
     config: &CampaignConfig,
     streams: &[StreamId],
     link_overrides: &[(StreamId, LinkConfig)],
-) -> Result<Vec<MultiStreamRecording>> {
-    drivers_of(segments)
+) -> Result<Vec<Recording>> {
+    let mut drivers: Vec<usize> = segments.iter().map(|s| s.driver).collect();
+    drivers.sort_unstable();
+    drivers.dedup();
+    let durability = Durability::default();
+    drivers
         .into_iter()
-        .map(|d| run_canonical_session(world, d, segments, config, streams, link_overrides))
+        .map(|d| {
+            run_session(
+                world,
+                d,
+                segments,
+                config,
+                streams,
+                link_overrides,
+                &durability,
+            )
+        })
         .collect()
 }
 
@@ -1038,7 +881,8 @@ pub fn run_canonical_campaign(
 mod tests {
     use super::*;
     use crate::network::FaultConfig;
-    use darnet_sim::WorldConfig;
+    use crate::wal::MemStorage;
+    use darnet_sim::{Behavior, WorldConfig};
 
     fn short_schedule() -> Vec<Segment<Behavior>> {
         vec![
@@ -1057,29 +901,95 @@ mod tests {
         ]
     }
 
+    fn canonical_schedule_short() -> Vec<Segment<CanonicalBehavior>> {
+        [
+            CanonicalBehavior::NormalDriving,
+            CanonicalBehavior::HeadDroop,
+            CanonicalBehavior::Texting,
+        ]
+        .iter()
+        .enumerate()
+        .map(|(i, &behavior)| Segment {
+            driver: 0,
+            behavior,
+            start: i as f64 * 4.0,
+            duration: 4.0,
+        })
+        .collect()
+    }
+
     fn world() -> Arc<DrivingWorld> {
         Arc::new(DrivingWorld::new(WorldConfig::default()))
     }
 
+    const PAIR: [StreamId; 2] = StreamId::DARNET_PAIR;
+    const THREE_STREAMS: [StreamId; 3] =
+        [StreamId::IMU, StreamId::CAMERA_FRONT, StreamId::CAMERA_SIDE];
+
+    /// The paper's pair over the 6-class script, no overrides.
+    fn pair_session(config: &CampaignConfig, durability: &Durability) -> Recording {
+        run_session(
+            &world(),
+            0,
+            &short_schedule(),
+            config,
+            &PAIR,
+            &[],
+            durability,
+        )
+        .unwrap()
+    }
+
+    /// Any stream set over the 8-class script.
+    fn canonical_session(
+        config: &CampaignConfig,
+        streams: &[StreamId],
+        link_overrides: &[(StreamId, LinkConfig)],
+        durability: &Durability,
+    ) -> Result<Recording> {
+        run_session(
+            &world(),
+            0,
+            &canonical_schedule_short(),
+            config,
+            streams,
+            link_overrides,
+            durability,
+        )
+    }
+
+    fn clean_pair_session() -> Recording {
+        pair_session(&CampaignConfig::default(), &Durability::default())
+    }
+
+    fn health(rec: &Recording, stream: StreamId) -> StreamHealth {
+        rec.stream(stream).unwrap().health.unwrap()
+    }
+
     #[test]
     fn session_produces_aligned_imu_and_frames() {
-        let rec = run_session(&world(), 0, &short_schedule(), &CampaignConfig::default()).unwrap();
+        let rec = clean_pair_session();
+        let frames = rec.frames_for(StreamId::CAMERA_FRONT);
         // 10 s at 4 Hz ≈ 40 grid points; 10 s at 4 fps ≈ 40 frames.
         assert!(rec.imu.len() >= 35, "imu points {}", rec.imu.len());
-        assert!(rec.frames.len() >= 35, "frames {}", rec.frames.len());
+        assert!(frames.len() >= 35, "frames {}", frames.len());
         assert_eq!(rec.driver, 0);
         // Grid is strictly increasing.
         assert!(rec.imu.windows(2).all(|w| w[0].t < w[1].t));
+        // One accounting row per registered stream, in registration order.
+        let rows: Vec<StreamId> = rec.streams.iter().map(|r| r.stream).collect();
+        assert_eq!(rows, PAIR);
     }
 
     #[test]
     fn aligned_tuples_pair_frames_with_trailing_windows() {
-        let rec = run_session(&world(), 0, &short_schedule(), &CampaignConfig::default()).unwrap();
+        let rec = clean_pair_session();
+        let frames = rec.frames_for(StreamId::CAMERA_FRONT);
         let window_len = 20;
         let features = rec.imu[0].features.len();
-        let tuples = rec.aligned_tuples(window_len);
+        let tuples = pair_frames_with_windows(frames, &rec.imu, window_len);
         assert!(!tuples.is_empty());
-        assert!(tuples.len() <= rec.frames.len());
+        assert!(tuples.len() <= frames.len());
         for tup in &tuples {
             assert_eq!(tup.window.len(), window_len * features);
             // The window ends at the last grid point not after the frame.
@@ -1098,32 +1008,34 @@ mod tests {
             &first.window[features..2 * features]
         );
         // Degenerate inputs produce no tuples rather than panicking.
-        assert!(rec.aligned_tuples(0).is_empty());
-        let empty = DriverRecording {
-            imu: Vec::new(),
-            ..rec.clone()
-        };
-        assert!(empty.aligned_tuples(window_len).is_empty());
+        assert!(pair_frames_with_windows(frames, &rec.imu, 0).is_empty());
+        assert!(pair_frames_with_windows(frames, &[], window_len).is_empty());
     }
 
     #[test]
     fn campaign_is_deterministic() {
-        let config = CampaignConfig::default();
-        let a = run_campaign(&world(), &short_schedule(), &config).unwrap();
-        let b = run_campaign(&world(), &short_schedule(), &config).unwrap();
-        assert_eq!(a, b);
+        // Clean and faulty links, the pair and the three-stream set.
+        let mut faulty = CampaignConfig::default();
+        faulty.link.loss = 0.15;
+        faulty.link.faults = FaultConfig::bursty(0.05, 0.3);
+        faulty.link.faults.duplicate = 0.1;
+        for config in [CampaignConfig::default(), faulty] {
+            let pair = || run_campaign(&world(), &short_schedule(), &config, &PAIR, &[]).unwrap();
+            assert_eq!(pair(), pair());
+            let three = || {
+                let schedule = canonical_schedule_short();
+                run_campaign(&world(), &schedule, &config, &THREE_STREAMS, &[]).unwrap()
+            };
+            assert_eq!(three(), three());
+        }
     }
 
     #[test]
     fn sync_keeps_clock_error_small() {
-        let config = CampaignConfig::default();
-        let rec = run_session(&world(), 0, &short_schedule(), &config).unwrap();
+        let rec = clean_pair_session();
         // With 5 s re-sync, error is bounded by drift × period + jitter.
-        assert!(
-            rec.max_clock_error < 0.02,
-            "clock error {}",
-            rec.max_clock_error
-        );
+        let error = rec.stream(StreamId::IMU).unwrap().max_clock_error;
+        assert!(error < 0.02, "clock error {error}");
     }
 
     #[test]
@@ -1132,11 +1044,10 @@ mod tests {
             sync_enabled: false,
             ..CampaignConfig::default()
         };
-        let rec = run_session(&world(), 0, &short_schedule(), &config).unwrap();
+        let rec = pair_session(&config, &Durability::default());
         // Initial offset up to 0.25 s is never corrected.
-        let synced =
-            run_session(&world(), 0, &short_schedule(), &CampaignConfig::default()).unwrap();
-        assert!(rec.max_clock_error > synced.max_clock_error);
+        let error = |rec: &Recording| rec.stream(StreamId::IMU).unwrap().max_clock_error;
+        assert!(error(&rec) > error(&clean_pair_session()));
     }
 
     #[test]
@@ -1146,16 +1057,21 @@ mod tests {
         let mut config = CampaignConfig::default();
         config.link.loss = 0.2;
         config.retransmit = RetransmitConfig::disabled();
-        let rec = run_session(&world(), 0, &short_schedule(), &config).unwrap();
-        let lossless =
-            run_session(&world(), 0, &short_schedule(), &CampaignConfig::default()).unwrap();
+        let rec = pair_session(&config, &Durability::default());
+        let lossless = clean_pair_session();
         // Fewer frames arrive, but the pipeline interpolates through gaps.
-        assert!(rec.frames.len() < lossless.frames.len());
+        assert!(
+            rec.frames_for(StreamId::CAMERA_FRONT).len()
+                < lossless.frames_for(StreamId::CAMERA_FRONT).len()
+        );
         assert!(!rec.imu.is_empty());
-        assert!(!rec.transport.lossless());
+        assert!(!rec.lossless());
         // The controller's gap accounting notices the missing batches.
-        let gaps = rec.transport.imu_stream.map(|h| h.gaps).unwrap_or(0)
-            + rec.transport.camera_stream.map(|h| h.gaps).unwrap_or(0);
+        let gaps: u64 = rec
+            .streams
+            .iter()
+            .map(|r| r.health.map_or(0, |h| h.gaps))
+            .sum();
         assert!(gaps > 0, "expected accounted gaps at 20% loss");
     }
 
@@ -1169,63 +1085,51 @@ mod tests {
             blackout: Some((3.0, 5.0)),
             ..FaultConfig::default()
         };
-        let rec = run_session(&world(), 0, &short_schedule(), &config).unwrap();
+        let rec = pair_session(&config, &Durability::default());
+        let imu = rec.stream(StreamId::IMU).unwrap();
         assert!(
-            rec.transport.imu_link.lost + rec.transport.imu_link.blackout_drops > 0,
+            imu.link.lost + imu.link.blackout_drops > 0,
             "fault injection should actually drop transmissions"
         );
         assert!(
-            rec.transport.lossless(),
+            rec.lossless(),
             "retransmission must recover all samples: polled {} ingested {}",
-            rec.transport.readings_polled,
-            rec.transport.readings_ingested
+            rec.readings_polled(),
+            rec.readings_ingested
         );
-        assert_eq!(rec.transport.imu.abandoned, 0);
-        assert_eq!(rec.transport.camera.abandoned, 0);
-        assert_eq!(rec.transport.imu_stream.unwrap().gaps, 0);
-        assert_eq!(rec.transport.camera_stream.unwrap().gaps, 0);
-        assert!(
-            rec.transport.imu.retransmits > 0,
-            "blackout must force retries"
-        );
+        for row in &rec.streams {
+            assert_eq!(row.transport.abandoned, 0);
+            assert_eq!(row.health.unwrap().gaps, 0);
+        }
+        assert!(imu.transport.retransmits > 0, "blackout must force retries");
         // And the recovered recording matches a lossless run's volume.
-        let lossless =
-            run_session(&world(), 0, &short_schedule(), &CampaignConfig::default()).unwrap();
-        assert_eq!(rec.frames.len(), lossless.frames.len());
-    }
-
-    #[test]
-    fn faulty_campaign_is_deterministic() {
-        let mut config = CampaignConfig::default();
-        config.link.loss = 0.15;
-        config.link.faults = FaultConfig::bursty(0.05, 0.3);
-        config.link.faults.duplicate = 0.1;
-        let a = run_campaign(&world(), &short_schedule(), &config).unwrap();
-        let b = run_campaign(&world(), &short_schedule(), &config).unwrap();
-        assert_eq!(a, b);
+        assert_eq!(
+            rec.frames_for(StreamId::CAMERA_FRONT).len(),
+            clean_pair_session()
+                .frames_for(StreamId::CAMERA_FRONT)
+                .len()
+        );
     }
 
     #[test]
     fn duplicated_deliveries_do_not_inflate_the_recording() {
         let mut config = CampaignConfig::default();
         config.link.faults.duplicate = 0.5;
-        let rec = run_session(&world(), 0, &short_schedule(), &config).unwrap();
-        let clean =
-            run_session(&world(), 0, &short_schedule(), &CampaignConfig::default()).unwrap();
-        assert_eq!(rec.frames.len(), clean.frames.len());
+        let rec = pair_session(&config, &Durability::default());
+        let clean = clean_pair_session();
         assert_eq!(
-            rec.transport.readings_ingested,
-            clean.transport.readings_ingested
+            rec.frames_for(StreamId::CAMERA_FRONT).len(),
+            clean.frames_for(StreamId::CAMERA_FRONT).len()
         );
-        let dups = rec.transport.imu_stream.unwrap().duplicates
-            + rec.transport.camera_stream.unwrap().duplicates;
+        assert_eq!(rec.readings_ingested, clean.readings_ingested);
+        let dups: u64 = PAIR.iter().map(|&s| health(&rec, s).duplicates).sum();
         assert!(
             dups > 0,
             "50% duplication should produce duplicate deliveries"
         );
     }
 
-    fn chaos_durability(storage: Option<Arc<crate::wal::MemStorage>>) -> Durability {
+    fn chaos_durability(storage: Option<Arc<MemStorage>>) -> Durability {
         Durability {
             storage: storage.map(|s| s as Arc<dyn WalStorage>),
             wal: WalConfig {
@@ -1246,109 +1150,100 @@ mod tests {
         }
     }
 
+    /// The pair and the three-stream set, each through the same crash
+    /// windows at 5% link loss, each onto its own store (if any).
+    fn chaos_sessions([pair, three]: [Option<Arc<MemStorage>>; 2]) -> [Recording; 2] {
+        let mut config = CampaignConfig::default();
+        config.link.loss = 0.05;
+        [
+            pair_session(&config, &chaos_durability(pair)),
+            canonical_session(&config, &THREE_STREAMS, &[], &chaos_durability(three)).unwrap(),
+        ]
+    }
+
+    fn fresh_stores() -> [Option<Arc<MemStorage>>; 2] {
+        [(); 2].map(|()| Some(Arc::new(MemStorage::new())))
+    }
+
     #[test]
     fn crash_without_wal_loses_acked_data() {
         // Negative control: no WAL, so a controller crash erases state
-        // the agents were already told was safe.
-        let (rec, chaos) = run_session_durable(
-            &world(),
-            0,
-            &short_schedule(),
-            &CampaignConfig::default(),
-            &chaos_durability(None),
-        )
-        .unwrap();
-        assert_eq!(chaos.recoveries, 2);
-        assert!(chaos.deliveries_while_down > 0);
-        assert!(
-            chaos.acked_lost > 0,
-            "without a WAL, acked pre-crash batches must be gone \
-             (acked {} lost {})",
-            chaos.acked,
-            chaos.acked_lost
-        );
-        assert!(!rec.transport.lossless());
+        // the agents were already told was safe — whatever the stream set.
+        for rec in chaos_sessions([None, None]) {
+            let chaos = rec.chaos;
+            assert_eq!(chaos.recoveries, 2);
+            assert!(chaos.deliveries_while_down > 0);
+            assert!(
+                chaos.acked_lost > 0,
+                "without a WAL, acked pre-crash batches must be gone \
+                 (acked {} lost {})",
+                chaos.acked,
+                chaos.acked_lost
+            );
+            assert!(!rec.lossless());
+        }
     }
 
     #[test]
     fn wal_recovery_loses_no_acked_samples() {
         // The tentpole invariant: crashes, torn tail writes, and link
-        // loss together lose nothing that was ever acked.
-        let storage = Arc::new(crate::wal::MemStorage::new());
-        let mut config = CampaignConfig::default();
-        config.link.loss = 0.05;
-        let (rec, chaos) = run_session_durable(
-            &world(),
-            0,
-            &short_schedule(),
-            &config,
-            &chaos_durability(Some(Arc::clone(&storage))),
-        )
-        .unwrap();
-        assert_eq!(chaos.recoveries, 2);
-        assert!(chaos.replayed_records > 0, "replay must do real work");
-        assert!(
-            chaos.torn_tail_bytes_discarded >= 13,
-            "each kill tears the tail; recovery must repair it (got {})",
-            chaos.torn_tail_bytes_discarded
-        );
-        assert_eq!(
-            chaos.acked_lost, 0,
-            "WAL recovery must preserve every acked batch ({} acked)",
-            chaos.acked
-        );
-        assert!(chaos.wal_appends > 0 && chaos.wal_snapshots > 0);
-        // Hold-and-resume: with retransmission across the outages, the
-        // recording ends complete.
-        assert!(
-            rec.transport.lossless(),
-            "polled {} ingested {}",
-            rec.transport.readings_polled,
-            rec.transport.readings_ingested
-        );
+        // loss together lose nothing that was ever acked, over the pair
+        // and over three streams alike.
+        let (stores, twins) = (fresh_stores(), fresh_stores());
+        for rec in chaos_sessions(stores.clone()) {
+            let chaos = rec.chaos;
+            assert_eq!(chaos.recoveries, 2);
+            assert!(chaos.deliveries_while_down > 0);
+            assert!(chaos.replayed_records > 0, "replay must do real work");
+            assert!(
+                chaos.torn_tail_bytes_discarded >= 13,
+                "each kill tears the tail; recovery must repair it (got {})",
+                chaos.torn_tail_bytes_discarded
+            );
+            assert!(chaos.acked > 0);
+            assert_eq!(
+                chaos.acked_lost, 0,
+                "WAL recovery must preserve every acked batch ({} acked)",
+                chaos.acked
+            );
+            assert!(chaos.wal_appends > 0 && chaos.wal_snapshots > 0);
+            // Hold-and-resume: with retransmission across the outages, the
+            // recording ends complete and every stream gap-free.
+            assert!(
+                rec.lossless(),
+                "polled {} ingested {}",
+                rec.readings_polled(),
+                rec.readings_ingested
+            );
+            for row in &rec.streams {
+                assert_eq!(row.health.unwrap().gaps, 0, "gaps on {}", row.stream);
+            }
+        }
         // Recovery is bitwise-deterministic: an identical re-run against
-        // a fresh store leaves a log that recovers to the same digest.
-        let storage2 = Arc::new(crate::wal::MemStorage::new());
-        let _ = run_session_durable(
-            &world(),
-            0,
-            &short_schedule(),
-            &config,
-            &chaos_durability(Some(Arc::clone(&storage2))),
-        )
-        .unwrap();
-        let (recovered_a, _, _) = crate::wal::open(
-            config.controller,
-            storage as Arc<dyn WalStorage>,
-            WalConfig::default(),
-        )
-        .unwrap();
-        let (recovered_b, _, _) = crate::wal::open(
-            config.controller,
-            storage2 as Arc<dyn WalStorage>,
-            WalConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(recovered_a.state_digest(), recovered_b.state_digest());
+        // fresh stores leaves logs that recover to the same digests.
+        let _ = chaos_sessions(twins.clone());
+        let digests: Vec<u64> = stores
+            .into_iter()
+            .chain(twins)
+            .flatten()
+            .map(|storage| {
+                let (recovered, _, _) = crate::wal::open(
+                    ControllerConfig::default(),
+                    storage as Arc<dyn WalStorage>,
+                    WalConfig::default(),
+                )
+                .unwrap();
+                recovered.state_digest()
+            })
+            .collect();
+        assert_eq!(digests[..2], digests[2..]);
+        assert_ne!(digests[0], digests[1]);
     }
 
     #[test]
     fn durable_chaos_runs_are_deterministic() {
-        let run = || {
-            let storage = Arc::new(crate::wal::MemStorage::new());
-            run_session_durable(
-                &world(),
-                0,
-                &short_schedule(),
-                &CampaignConfig::default(),
-                &chaos_durability(Some(storage)),
-            )
-            .unwrap()
-        };
-        let (rec_a, chaos_a) = run();
-        let (rec_b, chaos_b) = run();
-        assert_eq!(rec_a, rec_b);
-        assert_eq!(chaos_a, chaos_b);
+        let run = || chaos_sessions(fresh_stores());
+        assert_eq!(run(), run());
     }
 
     #[test]
@@ -1362,21 +1257,14 @@ mod tests {
             drain_per_sec: 24.0,
             low_priority_reserve: 32.0,
         };
-        let (rec, chaos) = run_session_durable(
-            &world(),
-            0,
-            &short_schedule(),
-            &config,
-            &Durability::default(),
-        )
-        .unwrap();
-        assert!(chaos.shed_batches > 0, "starved bucket must shed");
-        let cam = rec.transport.camera_stream.unwrap();
+        let rec = pair_session(&config, &Durability::default());
+        assert!(rec.chaos.shed_batches > 0, "starved bucket must shed");
+        let cam = health(&rec, StreamId::CAMERA_FRONT);
         assert!(cam.shed > 0 && cam.shed_ratio() > 0.0);
         // Lowest priority sheds first: the frame stream bears the brunt
         // while the IMU stream stays comparatively whole, so the aligned
         // stream the ensemble degrades onto still exists.
-        let imu = rec.transport.imu_stream.unwrap();
+        let imu = health(&rec, StreamId::IMU);
         assert!(
             imu.shed_ratio() < cam.shed_ratio(),
             "imu {} vs cam {}",
@@ -1386,42 +1274,13 @@ mod tests {
         assert!(!rec.imu.is_empty());
     }
 
-    fn canonical_schedule_short() -> Vec<Segment<darnet_sim::CanonicalBehavior>> {
-        use darnet_sim::CanonicalBehavior;
-        vec![
-            Segment {
-                driver: 0,
-                behavior: CanonicalBehavior::NormalDriving,
-                start: 0.0,
-                duration: 4.0,
-            },
-            Segment {
-                driver: 0,
-                behavior: CanonicalBehavior::HeadDroop,
-                start: 4.0,
-                duration: 4.0,
-            },
-            Segment {
-                driver: 0,
-                behavior: CanonicalBehavior::Texting,
-                start: 8.0,
-                duration: 4.0,
-            },
-        ]
-    }
-
-    const THREE_STREAMS: [StreamId; 3] =
-        [StreamId::IMU, StreamId::CAMERA_FRONT, StreamId::CAMERA_SIDE];
-
     #[test]
     fn canonical_session_collects_all_three_streams() {
-        let rec = run_canonical_session(
-            &world(),
-            0,
-            &canonical_schedule_short(),
+        let rec = canonical_session(
             &CampaignConfig::default(),
             &THREE_STREAMS,
             &[],
+            &Durability::default(),
         )
         .unwrap();
         assert!(rec.imu.len() >= 40, "imu points {}", rec.imu.len());
@@ -1433,27 +1292,12 @@ mod tests {
         assert_ne!(front[10].frame, side[10].frame);
         // Per-stream health exists for every registered stream.
         for s in THREE_STREAMS {
-            assert!(rec.health_for(s).is_some(), "no health for {s}");
+            assert!(rec.stream(s).unwrap().health.is_some(), "no health for {s}");
         }
         // Each camera stream aligns against the shared IMU grid.
-        let tuples = rec.aligned_tuples_for(StreamId::CAMERA_SIDE, 20);
+        let tuples = pair_frames_with_windows(side, &rec.imu, 20);
         assert!(!tuples.is_empty());
         assert_eq!(tuples[0].window.len(), 20 * rec.imu[0].features.len());
-    }
-
-    #[test]
-    fn canonical_campaign_is_deterministic() {
-        let run = || {
-            run_canonical_campaign(
-                &world(),
-                &canonical_schedule_short(),
-                &CampaignConfig::default(),
-                &THREE_STREAMS,
-                &[],
-            )
-            .unwrap()
-        };
-        assert_eq!(run(), run());
     }
 
     #[test]
@@ -1467,73 +1311,24 @@ mod tests {
             },
             ..LinkConfig::default()
         };
-        let rec = run_canonical_session(
-            &world(),
-            0,
-            &canonical_schedule_short(),
-            &CampaignConfig::default(),
-            &THREE_STREAMS,
-            &[(StreamId::CAMERA_SIDE, dead)],
-        )
-        .unwrap();
-        let clean = run_canonical_session(
-            &world(),
-            0,
-            &canonical_schedule_short(),
-            &CampaignConfig::default(),
-            &THREE_STREAMS,
-            &[],
-        )
-        .unwrap();
+        let session = |overrides: &[(StreamId, LinkConfig)]| {
+            canonical_session(
+                &CampaignConfig::default(),
+                &THREE_STREAMS,
+                overrides,
+                &Durability::default(),
+            )
+            .unwrap()
+        };
+        let rec = session(&[(StreamId::CAMERA_SIDE, dead)]);
+        let clean = session(&[]);
         assert!(rec.frames_for(StreamId::CAMERA_SIDE).is_empty());
-        assert!(rec.health_for(StreamId::CAMERA_SIDE).is_none());
+        assert!(rec.stream(StreamId::CAMERA_SIDE).unwrap().health.is_none());
         assert_eq!(
             rec.frames_for(StreamId::CAMERA_FRONT).len(),
             clean.frames_for(StreamId::CAMERA_FRONT).len()
         );
         assert_eq!(rec.imu.len(), clean.imu.len());
-    }
-
-    #[test]
-    fn canonical_session_with_crash_window_loses_no_acked_batch() {
-        // Crash tolerance used to live only in the two-agent loop; the
-        // one loop gives it to any stream set.
-        let storage = Arc::new(crate::wal::MemStorage::new());
-        let mut config = CampaignConfig::default();
-        config.link.loss = 0.05;
-        let (rec, chaos) = run_canonical_session_durable(
-            &world(),
-            0,
-            &canonical_schedule_short(),
-            &config,
-            &THREE_STREAMS,
-            &[],
-            &chaos_durability(Some(storage)),
-        )
-        .unwrap();
-        assert_eq!(chaos.recoveries, 2);
-        assert!(chaos.deliveries_while_down > 0 && chaos.replayed_records > 0);
-        assert!(chaos.torn_tail_bytes_discarded >= 13);
-        assert!(chaos.acked > 0);
-        assert_eq!(chaos.acked_lost, 0, "{} acked", chaos.acked);
-        // Hold-and-resume across the outages: every stream ends gap-free.
-        for s in THREE_STREAMS {
-            assert_eq!(rec.health_for(s).unwrap().gaps, 0, "gaps on {s}");
-        }
-
-        // And without a WAL the same windows lose acked side-camera
-        // batches like anyone else's.
-        let (_, lossy) = run_canonical_session_durable(
-            &world(),
-            0,
-            &canonical_schedule_short(),
-            &config,
-            &THREE_STREAMS,
-            &[],
-            &chaos_durability(None),
-        )
-        .unwrap();
-        assert!(lossy.acked_lost > 0);
     }
 
     #[test]
@@ -1552,17 +1347,34 @@ mod tests {
     }
 
     #[test]
-    fn canonical_session_rejects_unknown_streams() {
-        let err = run_canonical_session(
-            &world(),
-            0,
-            &canonical_schedule_short(),
-            &CampaignConfig::default(),
-            &[StreamId(9)],
-            &[],
-        )
-        .unwrap_err();
-        assert!(matches!(err, crate::CollectError::InvalidConfig(_)));
+    fn session_rejects_invalid_stream_sets_and_crash_windows() {
+        let rejected = |streams: &[StreamId], crashes: &[(f64, f64)]| {
+            let durability = Durability {
+                crashes: crashes
+                    .iter()
+                    .map(|&(kill_t, restart_t)| CrashWindow { kill_t, restart_t })
+                    .collect(),
+                ..Durability::default()
+            };
+            let result = canonical_session(&CampaignConfig::default(), streams, &[], &durability);
+            matches!(result, Err(CollectError::InvalidConfig(_)))
+        };
+        // Stream sets: unknown, empty, registered twice.
+        assert!(rejected(&[StreamId(9)], &[]));
+        assert!(rejected(&[], &[]));
+        assert!(rejected(&[StreamId::IMU, StreamId::IMU], &[]));
+        assert!(rejected(
+            &[StreamId::IMU, StreamId::CAMERA_SIDE, StreamId::IMU],
+            &[]
+        ));
+        // Crash windows: reversed, overlapping, out of order, non-finite.
+        assert!(rejected(&PAIR, &[(4.0, 3.0)]));
+        assert!(rejected(&PAIR, &[(3.0, 5.0), (4.0, 6.0)]));
+        assert!(rejected(&PAIR, &[(7.0, 8.0), (3.0, 4.0)]));
+        assert!(rejected(&PAIR, &[(3.0, f64::INFINITY)]));
+        assert!(rejected(&PAIR, &[(f64::NAN, 4.0)]));
+        // Back-to-back windows are ordered and disjoint.
+        assert!(!rejected(&PAIR, &[(3.0, 4.0), (4.0, 5.0)]));
     }
 
     #[test]
@@ -1574,7 +1386,8 @@ mod tests {
             start: 0.0,
             duration: 6.0,
         });
-        let recs = run_campaign(&world(), &schedule, &CampaignConfig::default()).unwrap();
+        let config = CampaignConfig::default();
+        let recs = run_campaign(&world(), &schedule, &config, &PAIR, &[]).unwrap();
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[0].driver, 0);
         assert_eq!(recs[1].driver, 1);

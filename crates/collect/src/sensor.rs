@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use darnet_sim::{Behavior, CanonicalBehavior, DrivingWorld, Frame, ImuSample, Segment};
+use darnet_sim::{CanonicalBehavior, DrivingWorld, Frame, ImuSample, Segment};
 use serde::{Deserialize, Serialize};
 
 /// One sensor observation.
@@ -66,23 +66,19 @@ pub(crate) fn scripted_at<B: Copy>(segments: &[Segment<B>], t: f64, fallback: B)
     }
 }
 
-/// One driver's slice of a Table-1 script, embedded in the canonical
-/// taxonomy. The embedding keeps the class index, and the sim renders the
-/// six Table-1 classes bit-identically through either taxonomy, so a
-/// 6-class session is just a canonical session that never goes drowsy.
-pub(crate) fn canonical_script(
-    segments: &[Segment<Behavior>],
+/// One driver's slice of a script in either taxonomy, as canonical
+/// segments. The Table-1 embedding keeps the class index, and the sim
+/// renders the six Table-1 classes bit-identically through either
+/// taxonomy, so a 6-class session is just a canonical session that never
+/// goes drowsy.
+pub(crate) fn canonical_script<B: Copy + Into<CanonicalBehavior>>(
+    segments: &[Segment<B>],
     driver: usize,
 ) -> Vec<Segment<CanonicalBehavior>> {
     segments
         .iter()
         .filter(|s| s.driver == driver)
-        .map(|s| Segment {
-            driver: s.driver,
-            behavior: CanonicalBehavior::from_behavior(s.behavior),
-            start: s.start,
-            duration: s.duration,
-        })
+        .map(Segment::cast)
         .collect()
 }
 
@@ -184,7 +180,7 @@ impl Sensor for ScriptedSensor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use darnet_sim::WorldConfig;
+    use darnet_sim::{Behavior, WorldConfig};
 
     fn script() -> Vec<Segment<Behavior>> {
         vec![

@@ -29,6 +29,8 @@ impl StreamId {
     pub const CAMERA_FRONT: StreamId = StreamId(1);
     /// The passenger-side A-pillar camera stream (agent 2).
     pub const CAMERA_SIDE: StreamId = StreamId(2);
+    /// The paper's deployment (§3.2): the phone IMU and the dash camera.
+    pub const DARNET_PAIR: [StreamId; 2] = [StreamId::IMU, StreamId::CAMERA_FRONT];
 
     /// The session convention: agent `i` carries stream `i`.
     pub fn from_agent(agent_id: u32) -> StreamId {

@@ -147,8 +147,8 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 mod transport_props {
-    use darnet_collect::runtime::{run_session, CampaignConfig};
-    use darnet_collect::RetransmitConfig;
+    use darnet_collect::runtime::{run_session, CampaignConfig, Durability, Recording};
+    use darnet_collect::{RetransmitConfig, StreamId};
     use darnet_sim::{Behavior, DrivingWorld, Segment, WorldConfig};
     use proptest::prelude::*;
     use std::sync::Arc;
@@ -185,6 +185,25 @@ mod transport_props {
         config
     }
 
+    /// The paper's pair over [`schedule`]. Not a `#[test]` fn, so clippy's
+    /// allow-unwrap-in-tests does not reach it; a failed unwrap here IS the
+    /// property failing.
+    #[allow(clippy::unwrap_used)]
+    fn pair_session(config: &CampaignConfig) -> Recording {
+        let world = Arc::new(DrivingWorld::new(WorldConfig::default()));
+        let durability = Durability::default();
+        run_session(
+            &world,
+            0,
+            &schedule(),
+            config,
+            &StreamId::DARNET_PAIR,
+            &[],
+            &durability,
+        )
+        .unwrap()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -195,27 +214,26 @@ mod transport_props {
             jitter in 0.0f64..0.05,
             duplicate in 0.0f64..0.5,
         ) {
-            let world = Arc::new(DrivingWorld::new(WorldConfig::default()));
-            let config = faulty_config(seed, loss, jitter, duplicate);
-            let rec = run_session(&world, 0, &schedule(), &config).unwrap();
+            let rec = pair_session(&faulty_config(seed, loss, jitter, duplicate));
 
             // No loss: with retransmission on, everything polled arrives.
             prop_assert_eq!(
-                rec.transport.readings_ingested,
-                rec.transport.readings_polled,
+                rec.readings_ingested,
+                rec.readings_polled(),
                 "seed {} loss {} jitter {} dup {}",
                 seed, loss, jitter, duplicate
             );
             // No duplicates: every stream's gap accounting closes at zero
             // and duplicate deliveries were discarded, not ingested.
-            for h in [rec.transport.imu_stream, rec.transport.camera_stream] {
-                let h = h.expect("both streams delivered");
+            for row in &rec.streams {
+                let h = row.health.expect("both streams delivered");
                 prop_assert_eq!(h.gaps, 0);
                 prop_assert_eq!(h.delivered, h.highest_seq as u64 + 1);
             }
             // Sorted after alignment, despite jitter-induced reordering.
             prop_assert!(rec.imu.windows(2).all(|w| w[0].t < w[1].t));
-            prop_assert!(rec.frames.windows(2).all(|w| w[0].t <= w[1].t));
+            let frames = rec.frames_for(StreamId::CAMERA_FRONT);
+            prop_assert!(frames.windows(2).all(|w| w[0].t <= w[1].t));
         }
 
         #[test]
@@ -224,13 +242,12 @@ mod transport_props {
             loss in 0.0f64..0.4,
             duplicate in 0.0f64..0.5,
         ) {
-            let world = Arc::new(DrivingWorld::new(WorldConfig::default()));
             let mut config = faulty_config(seed, loss, 0.01, duplicate);
             config.retransmit = RetransmitConfig::disabled();
-            let rec = run_session(&world, 0, &schedule(), &config).unwrap();
+            let rec = pair_session(&config);
             // Dedupe holds even without acks: duplication can never inflate
             // the recording past what was polled.
-            prop_assert!(rec.transport.readings_ingested <= rec.transport.readings_polled);
+            prop_assert!(rec.readings_ingested <= rec.readings_polled());
             prop_assert!(rec.imu.windows(2).all(|w| w[0].t < w[1].t));
         }
 
@@ -240,11 +257,8 @@ mod transport_props {
             loss in 0.0f64..0.3,
             duplicate in 0.0f64..0.4,
         ) {
-            let world = Arc::new(DrivingWorld::new(WorldConfig::default()));
             let config = faulty_config(seed, loss, 0.02, duplicate);
-            let a = run_session(&world, 0, &schedule(), &config).unwrap();
-            let b = run_session(&world, 0, &schedule(), &config).unwrap();
-            prop_assert_eq!(a, b);
+            prop_assert_eq!(pair_session(&config), pair_session(&config));
         }
     }
 }

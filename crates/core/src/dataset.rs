@@ -1,52 +1,46 @@
 //! Dataset construction: from collection-campaign recordings to labeled
-//! multimodal training data.
+//! training data.
+//!
+//! There is one labeled dataset, [`Dataset`], over the canonical 8-class
+//! taxonomy and keyed by the camera streams its recordings registered:
+//! the paper's pair (`[IMU, CAMERA_FRONT]`, whose 6-class script only ever
+//! produces the first six classes) and the three-stream multiview
+//! campaign build it the same way.
 //!
 //! The paper divides its collected dataset into an 80/20 partition for
 //! training and evaluation (§5.1); IMU windows are 20 points at 4 Hz
 //! (5 seconds, §4.2).
 
-use darnet_collect::runtime::{DriverRecording, MultiStreamRecording};
-use darnet_collect::StreamId;
-use darnet_sim::{
-    Behavior, CanonicalBehavior, DrivingWorld, ExtendedBehavior, Frame, ImuClass, Segment,
-};
+use darnet_collect::runtime::{pair_frames_with_windows, Recording};
+use darnet_collect::{FrameRecord, StreamId};
+use darnet_sim::{CanonicalBehavior, DrivingWorld, ExtendedBehavior, Frame, Segment};
 use darnet_tensor::{SplitMix64, Tensor};
 
 use crate::error::CoreError;
+use crate::experiment::canonical_imu_projection;
 use crate::Result;
 
 /// The paper's IMU window length: 4 Hz × 5 s.
 pub const WINDOW_LEN: usize = 20;
 /// IMU features per grid point.
 pub const IMU_FEATURES: usize = 12;
+/// Max |Δt| (seconds) when a sample adopts, for each camera other than
+/// its anchor, that camera's frame nearest in time: a little over one
+/// 4 fps frame period, so a camera that lost one batch still joins.
+pub const CAMERA_JOIN_TOLERANCE: f64 = 0.3;
 
-/// Looks up the scripted behaviour at session time `t` within a driver's
-/// (sorted) segments, defaulting to normal driving outside the script.
-pub fn label_at(segments: &[Segment<Behavior>], t: f64) -> Behavior {
+/// Looks up the scripted class at session time `t` within one driver's
+/// segments, sorted by start: the segment containing `t`; normal driving
+/// in a gap between segments or past the last one; and, for a `t` before
+/// the first segment, that segment's class (a frame stamped by a clock
+/// running slightly behind the controller's still belongs to the
+/// session's opening segment).
+pub fn label_at(segments: &[Segment<CanonicalBehavior>], t: f64) -> CanonicalBehavior {
     let idx = segments.partition_point(|s| s.start <= t);
     if idx == 0 {
         return segments
             .first()
-            .map(|s| s.behavior)
-            .unwrap_or(Behavior::NormalDriving);
-    }
-    let seg = &segments[idx - 1];
-    if seg.contains(t) {
-        seg.behavior
-    } else {
-        Behavior::NormalDriving
-    }
-}
-
-/// [`label_at`] over the canonical 8-class taxonomy (the 6 manual
-/// distractions plus the two drowsiness cues).
-pub fn canonical_label_at(segments: &[Segment<CanonicalBehavior>], t: f64) -> CanonicalBehavior {
-    let idx = segments.partition_point(|s| s.start <= t);
-    if idx == 0 {
-        return segments
-            .first()
-            .map(|s| s.behavior)
-            .unwrap_or(CanonicalBehavior::NormalDriving);
+            .map_or(CanonicalBehavior::NormalDriving, |s| s.behavior);
     }
     let seg = &segments[idx - 1];
     if seg.contains(t) {
@@ -56,77 +50,131 @@ pub fn canonical_label_at(segments: &[Segment<CanonicalBehavior>], t: f64) -> Ca
     }
 }
 
-/// One N-stream sample: the front frame, the side frame nearest to it,
-/// and the IMU window ending at the front frame's timestamp.
+/// The shuffled `(train, eval)` index partition behind every `split`:
+/// `0..n` shuffled by `seed`, the first `round(n × train_frac)` to train.
+fn shuffled_split(n: usize, train_frac: f64, seed: u64) -> Result<(Vec<usize>, Vec<usize>)> {
+    if !(train_frac > 0.0 && train_frac < 1.0) {
+        return Err(CoreError::Dataset(format!(
+            "train fraction {train_frac} is not within (0, 1)"
+        )));
+    }
+    let mut idx: Vec<usize> = (0..n).collect();
+    let mut rng = SplitMix64::new(seed);
+    rng.shuffle(&mut idx);
+    let eval = idx.split_off(((n as f64) * train_frac).round() as usize);
+    non_empty_split(idx, eval)
+}
+
+/// Refuses a partition with an empty side: a model cannot be fitted on,
+/// or scored against, nothing.
+fn non_empty_split(train: Vec<usize>, eval: Vec<usize>) -> Result<(Vec<usize>, Vec<usize>)> {
+    if train.is_empty() || eval.is_empty() {
+        return Err(CoreError::Dataset(format!(
+            "split leaves {} training and {} evaluation samples",
+            train.len(),
+            eval.len()
+        )));
+    }
+    Ok((train, eval))
+}
+
+/// The frame of a timestamp-ordered stream nearest to `t`.
+fn nearest_frame(frames: &[FrameRecord], t: f64) -> Option<&FrameRecord> {
+    let at = frames.partition_point(|f| f.t < t);
+    [at.checked_sub(1), Some(at)]
+        .into_iter()
+        .flatten()
+        .filter_map(|i| frames.get(i))
+        .min_by(|a, b| (a.t - t).abs().total_cmp(&(b.t - t).abs()))
+}
+
+/// One labeled sample: a frame per camera with the IMU window that ends
+/// at the anchor frame's timestamp.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CanonicalSample {
-    /// Controller timestamp of the front frame.
+pub struct Sample {
+    /// Controller timestamp of the anchor (first camera's) frame.
     pub t: f64,
     /// Driver id.
     pub driver: usize,
-    /// Ground-truth canonical 8-class behaviour.
+    /// Ground-truth class. A 6-class script only produces classes with a
+    /// [`CanonicalBehavior::base`].
     pub class: CanonicalBehavior,
-    /// The front-camera frame.
-    pub front: Frame,
-    /// The side-camera frame nearest in time.
-    pub side: Frame,
+    /// One frame per camera of [`Dataset::cameras`], in that order: the
+    /// anchor frame, then each other camera's frame nearest in time.
+    pub frames: Vec<Frame>,
     /// Flattened `[WINDOW_LEN × IMU_FEATURES]` window, time-major.
     pub imu_window: Vec<f32>,
 }
 
-/// A labeled N-stream dataset over the canonical 8-class taxonomy, built
-/// from multi-stream campaign recordings: every sample joins the front
-/// camera, the side camera, and the IMU at one instant.
+/// A labeled dataset over the canonical taxonomy, built from campaign
+/// recordings of any stream set: every sample joins the IMU and every
+/// registered camera at one instant.
 #[derive(Debug, Clone, Default)]
-pub struct CanonicalDataset {
-    samples: Vec<CanonicalSample>,
+pub struct Dataset {
+    samples: Vec<Sample>,
+    cameras: Vec<StreamId>,
     frame_size: usize,
 }
 
-impl CanonicalDataset {
-    /// Builds the dataset from canonical multi-stream recordings plus
-    /// the schedule that produced them. The front camera anchors the
-    /// join (as in [`MultimodalDataset::from_recordings`]); each front
-    /// tuple then adopts the side frame nearest in time, and tuples with
-    /// no side frame within `side_tolerance` seconds are dropped — a
-    /// three-way-complete dataset, so single-stream ablations evaluate
-    /// the exact same instants.
+impl Dataset {
+    /// Builds the dataset from campaign recordings plus the schedule that
+    /// produced them (the schedule provides ground-truth labels — the
+    /// paper's "each video was verified at a later point in time").
+    ///
+    /// The recordings' first camera anchors the join: for each of its
+    /// frames, the IMU window is the last [`WINDOW_LEN`] aligned grid
+    /// points not after the frame timestamp (front-padded with the
+    /// earliest point at the session start; frames with no IMU data at
+    /// all are skipped — the collect pipeline owns this pairing). Every
+    /// other camera contributes its frame nearest in time, and an anchor
+    /// with no such frame within [`CAMERA_JOIN_TOLERANCE`] is dropped —
+    /// the dataset is complete across cameras, so single-stream
+    /// ablations evaluate the exact same instants.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Dataset`] on inconsistent frame sizes.
-    pub fn from_recordings(
-        recordings: &[MultiStreamRecording],
-        segments: &[Segment<CanonicalBehavior>],
-        side_tolerance: f64,
+    /// Returns [`CoreError::Dataset`] if the recordings disagree on their
+    /// camera streams or contain frames of inconsistent sizes.
+    pub fn from_recordings<B: Copy + Into<CanonicalBehavior>>(
+        recordings: &[Recording],
+        segments: &[Segment<B>],
     ) -> Result<Self> {
+        let cameras_of = |rec: &Recording| rec.frames.iter().map(|(s, _)| *s).collect::<Vec<_>>();
+        let cameras = recordings.first().map(cameras_of).unwrap_or_default();
         let mut samples = Vec::new();
         let mut frame_size = 0usize;
         for rec in recordings {
+            if cameras_of(rec) != cameras {
+                return Err(CoreError::Dataset(format!(
+                    "driver {} recorded cameras {:?}, not {cameras:?}",
+                    rec.driver,
+                    cameras_of(rec)
+                )));
+            }
+            let Some(((_, anchor), others)) = rec.frames.split_first() else {
+                continue;
+            };
             let mut script: Vec<Segment<CanonicalBehavior>> = segments
                 .iter()
                 .filter(|s| s.driver == rec.driver)
-                .copied()
+                .map(Segment::cast)
                 .collect();
             script.sort_by(|a, b| a.start.total_cmp(&b.start));
-            let side = rec.frames_for(StreamId::CAMERA_SIDE);
-            for tup in rec.aligned_tuples_for(StreamId::CAMERA_FRONT, WINDOW_LEN) {
-                // Nearest side frame by timestamp (the side stream is in
-                // timestamp order).
-                let at = side.partition_point(|f| f.t < tup.t);
-                let nearest = [at.checked_sub(1), Some(at)]
-                    .into_iter()
-                    .flatten()
-                    .filter_map(|i| side.get(i))
-                    .min_by(|a, b| (a.t - tup.t).abs().total_cmp(&(b.t - tup.t).abs()));
-                let Some(near) = nearest else { continue };
-                if (near.t - tup.t).abs() > side_tolerance {
-                    continue;
-                }
+            for tup in pair_frames_with_windows(anchor, &rec.imu, WINDOW_LEN) {
+                let joined: Option<Vec<Frame>> = others
+                    .iter()
+                    .map(|(_, frames)| {
+                        nearest_frame(frames, tup.t)
+                            .filter(|near| (near.t - tup.t).abs() <= CAMERA_JOIN_TOLERANCE)
+                            .map(|near| near.frame.clone())
+                    })
+                    .collect();
+                let Some(mut frames) = joined else { continue };
                 if frame_size == 0 {
                     frame_size = tup.frame.width();
                 }
-                for f in [&tup.frame, &near.frame] {
+                frames.insert(0, tup.frame);
+                for f in &frames {
                     if f.width() != frame_size || f.height() != frame_size {
                         return Err(CoreError::Dataset(format!(
                             "inconsistent frame size {}x{} (expected {frame_size})",
@@ -135,18 +183,18 @@ impl CanonicalDataset {
                         )));
                     }
                 }
-                samples.push(CanonicalSample {
+                samples.push(Sample {
                     t: tup.t,
                     driver: rec.driver,
-                    class: canonical_label_at(&script, tup.t),
-                    front: tup.frame,
-                    side: near.frame.clone(),
+                    class: label_at(&script, tup.t),
+                    frames,
                     imu_window: tup.window,
                 });
             }
         }
-        Ok(CanonicalDataset {
+        Ok(Dataset {
             samples,
+            cameras,
             frame_size,
         })
     }
@@ -167,11 +215,17 @@ impl CanonicalDataset {
     }
 
     /// The samples.
-    pub fn samples(&self) -> &[CanonicalSample] {
+    pub fn samples(&self) -> &[Sample] {
         &self.samples
     }
 
-    /// Per-class sample counts over the canonical taxonomy.
+    /// The camera streams every sample holds a frame of, anchor first.
+    pub fn cameras(&self) -> &[StreamId] {
+        &self.cameras
+    }
+
+    /// Per-class sample counts over the canonical taxonomy; the first six
+    /// are Table 1's.
     pub fn class_counts(&self) -> [usize; 8] {
         let mut counts = [0usize; 8];
         for s in &self.samples {
@@ -180,272 +234,71 @@ impl CanonicalDataset {
         counts
     }
 
-    /// Canonical 8-class labels (all samples).
-    pub fn labels8(&self) -> Vec<usize> {
+    /// Canonical class labels (all samples); below 6 for a 6-class script.
+    pub fn labels(&self) -> Vec<usize> {
         self.samples.iter().map(|s| s.class.index()).collect()
     }
 
-    /// Shuffled split into `(train, eval)` — same shuffle machinery as
-    /// [`MultimodalDataset::split`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `train_frac` is not within `(0, 1)`.
-    pub fn split(&self, train_frac: f64, seed: u64) -> (CanonicalDataset, CanonicalDataset) {
-        assert!(
-            train_frac > 0.0 && train_frac < 1.0,
-            "train fraction must be in (0, 1)"
-        );
-        let mut idx: Vec<usize> = (0..self.samples.len()).collect();
-        let mut rng = SplitMix64::new(seed);
-        rng.shuffle(&mut idx);
-        let n_train = ((self.samples.len() as f64) * train_frac).round() as usize;
-        let take = |ids: &[usize]| CanonicalDataset {
-            samples: ids.iter().map(|&i| self.samples[i].clone()).collect(),
-            frame_size: self.frame_size,
-        };
-        (take(&idx[..n_train]), take(&idx[n_train..]))
+    /// 3-class IMU labels (all samples), through
+    /// [`canonical_imu_projection`].
+    pub fn labels3(&self) -> Vec<usize> {
+        let map = canonical_imu_projection();
+        self.samples.iter().map(|s| map[s.class.index()]).collect()
     }
 
-    fn camera_tensor(&self, pick: impl Fn(&CanonicalSample) -> &Frame) -> Result<Tensor> {
+    /// Shuffled 80/20-style split: returns `(train, eval)` datasets.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Dataset`] if `train_frac` is not within
+    /// `(0, 1)` or either side would be empty.
+    pub fn split(&self, train_frac: f64, seed: u64) -> Result<(Dataset, Dataset)> {
+        let (train, eval) = shuffled_split(self.len(), train_frac, seed)?;
+        let take = |ids: Vec<usize>| Dataset {
+            samples: ids.into_iter().map(|i| self.samples[i].clone()).collect(),
+            cameras: self.cameras.clone(),
+            frame_size: self.frame_size,
+        };
+        Ok((take(train), take(eval)))
+    }
+
+    fn camera_index(&self, camera: StreamId) -> Result<usize> {
+        self.cameras
+            .iter()
+            .position(|&c| c == camera)
+            .ok_or_else(|| CoreError::Dataset(format!("no frames of stream {camera}")))
+    }
+
+    /// One camera's frames (for the step-by-step engine path).
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the dataset holds no frames of `camera`.
+    pub fn frames(&self, camera: StreamId) -> Result<Vec<Frame>> {
+        let at = self.camera_index(camera)?;
+        Ok(self.samples.iter().map(|s| s.frames[at].clone()).collect())
+    }
+
+    /// One camera's frames as a `[n, 1, h, w]` tensor for its CNN.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the dataset is empty or holds no frames of
+    /// `camera`.
+    pub fn frames_tensor(&self, camera: StreamId) -> Result<Tensor> {
+        let at = self.camera_index(camera)?;
         if self.is_empty() {
             return Err(CoreError::Dataset("empty frame batch".into()));
         }
         let hw = self.frame_size * self.frame_size;
         let mut data = Vec::with_capacity(self.len() * hw);
         for s in &self.samples {
-            data.extend_from_slice(pick(s).pixels());
+            data.extend_from_slice(s.frames[at].pixels());
         }
         Ok(Tensor::from_vec(
             data,
             &[self.len(), 1, self.frame_size, self.frame_size],
         )?)
-    }
-
-    /// Front frames as a `[n, 1, h, w]` tensor.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the dataset is empty.
-    pub fn front_tensor(&self) -> Result<Tensor> {
-        self.camera_tensor(|s| &s.front)
-    }
-
-    /// Side frames as a `[n, 1, h, w]` tensor.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the dataset is empty.
-    pub fn side_tensor(&self) -> Result<Tensor> {
-        self.camera_tensor(|s| &s.side)
-    }
-
-    /// IMU windows as a `[n, WINDOW_LEN, IMU_FEATURES]` tensor.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the dataset is empty.
-    pub fn imu_tensor(&self) -> Result<Tensor> {
-        if self.is_empty() {
-            return Err(CoreError::Dataset("empty imu batch".into()));
-        }
-        let mut data = Vec::with_capacity(self.len() * WINDOW_LEN * IMU_FEATURES);
-        for s in &self.samples {
-            data.extend_from_slice(&s.imu_window);
-        }
-        Ok(Tensor::from_vec(
-            data,
-            &[self.len(), WINDOW_LEN, IMU_FEATURES],
-        )?)
-    }
-
-    /// Front frames of the samples (for the step-by-step engine path).
-    pub fn front_frames(&self) -> Vec<Frame> {
-        self.samples.iter().map(|s| s.front.clone()).collect()
-    }
-
-    /// Side frames of the samples.
-    pub fn side_frames(&self) -> Vec<Frame> {
-        self.samples.iter().map(|s| s.side.clone()).collect()
-    }
-}
-
-/// One multimodal sample: a camera frame with the IMU window that ends at
-/// the frame's timestamp.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MultimodalSample {
-    /// Controller timestamp of the frame.
-    pub t: f64,
-    /// Driver id.
-    pub driver: usize,
-    /// Ground-truth 6-class behaviour.
-    pub behavior: Behavior,
-    /// The camera frame.
-    pub frame: Frame,
-    /// Flattened `[WINDOW_LEN × IMU_FEATURES]` window, time-major.
-    pub imu_window: Vec<f32>,
-}
-
-impl MultimodalSample {
-    /// The 3-class IMU label implied by the behaviour.
-    pub fn imu_class(&self) -> ImuClass {
-        self.behavior.imu_class()
-    }
-}
-
-/// A labeled multimodal dataset.
-#[derive(Debug, Clone, Default)]
-pub struct MultimodalDataset {
-    samples: Vec<MultimodalSample>,
-    frame_size: usize,
-}
-
-impl MultimodalDataset {
-    /// Builds the dataset from campaign recordings plus the schedule that
-    /// produced them (the schedule provides ground-truth labels — the
-    /// paper's "each video was verified at a later point in time").
-    ///
-    /// For every received frame, the IMU window is the last [`WINDOW_LEN`]
-    /// aligned grid points not after the frame timestamp; windows at the
-    /// session start are front-padded with their earliest point. Frames
-    /// with no IMU data at all are skipped.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Dataset`] if the recordings contain frames of
-    /// inconsistent sizes.
-    pub fn from_recordings(
-        recordings: &[DriverRecording],
-        segments: &[Segment<Behavior>],
-    ) -> Result<Self> {
-        let mut samples = Vec::new();
-        let mut frame_size = 0usize;
-        for rec in recordings {
-            let mut script: Vec<Segment<Behavior>> = segments
-                .iter()
-                .filter(|s| s.driver == rec.driver)
-                .copied()
-                .collect();
-            script.sort_by(|a, b| a.start.total_cmp(&b.start));
-            // The collect pipeline owns frame↔window pairing; the dataset
-            // adds ground-truth labels from the schedule on top.
-            for tup in rec.aligned_tuples(WINDOW_LEN) {
-                if frame_size == 0 {
-                    frame_size = tup.frame.width();
-                }
-                if tup.frame.width() != frame_size || tup.frame.height() != frame_size {
-                    return Err(CoreError::Dataset(format!(
-                        "inconsistent frame size {}x{} (expected {frame_size})",
-                        tup.frame.width(),
-                        tup.frame.height()
-                    )));
-                }
-                samples.push(MultimodalSample {
-                    t: tup.t,
-                    driver: rec.driver,
-                    behavior: label_at(&script, tup.t),
-                    frame: tup.frame,
-                    imu_window: tup.window,
-                });
-            }
-        }
-        Ok(MultimodalDataset {
-            samples,
-            frame_size,
-        })
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether the dataset is empty.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Square frame edge length.
-    pub fn frame_size(&self) -> usize {
-        self.frame_size
-    }
-
-    /// The samples.
-    pub fn samples(&self) -> &[MultimodalSample] {
-        &self.samples
-    }
-
-    /// Per-class sample counts (Table 1 reproduction).
-    pub fn class_counts(&self) -> [usize; 6] {
-        let mut counts = [0usize; 6];
-        for s in &self.samples {
-            counts[s.behavior.index()] += 1;
-        }
-        counts
-    }
-
-    /// Shuffled 80/20-style split: returns `(train, eval)` datasets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `train_frac` is not within `(0, 1)`.
-    pub fn split(&self, train_frac: f64, seed: u64) -> (MultimodalDataset, MultimodalDataset) {
-        assert!(
-            train_frac > 0.0 && train_frac < 1.0,
-            "train fraction must be in (0, 1)"
-        );
-        let mut idx: Vec<usize> = (0..self.samples.len()).collect();
-        let mut rng = SplitMix64::new(seed);
-        rng.shuffle(&mut idx);
-        let n_train = ((self.samples.len() as f64) * train_frac).round() as usize;
-        let take = |ids: &[usize]| MultimodalDataset {
-            samples: ids.iter().map(|&i| self.samples[i].clone()).collect(),
-            frame_size: self.frame_size,
-        };
-        (take(&idx[..n_train]), take(&idx[n_train..]))
-    }
-
-    /// Frames as a `[n, 1, h, w]` tensor for the CNN.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the dataset is empty.
-    pub fn frames_tensor(&self) -> Result<Tensor> {
-        self.frames_tensor_of(&(0..self.len()).collect::<Vec<_>>())
-    }
-
-    /// Frames at `indices` as a `[n, 1, h, w]` tensor.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on empty/out-of-range indices.
-    pub fn frames_tensor_of(&self, indices: &[usize]) -> Result<Tensor> {
-        if indices.is_empty() {
-            return Err(CoreError::Dataset("empty frame batch".into()));
-        }
-        let hw = self.frame_size * self.frame_size;
-        let mut data = Vec::with_capacity(indices.len() * hw);
-        for &i in indices {
-            let s = self
-                .samples
-                .get(i)
-                .ok_or_else(|| CoreError::Dataset(format!("index {i} out of range")))?;
-            data.extend_from_slice(s.frame.pixels());
-        }
-        Ok(Tensor::from_vec(
-            data,
-            &[indices.len(), 1, self.frame_size, self.frame_size],
-        )?)
-    }
-
-    /// 6-class labels (all samples).
-    pub fn labels6(&self) -> Vec<usize> {
-        self.samples.iter().map(|s| s.behavior.index()).collect()
-    }
-
-    /// 3-class IMU labels (all samples).
-    pub fn labels3(&self) -> Vec<usize> {
-        self.samples.iter().map(|s| s.imu_class().index()).collect()
     }
 
     /// IMU windows as a `[n, WINDOW_LEN, IMU_FEATURES]` tensor.
@@ -668,52 +521,53 @@ impl ExtendedFrameDataset {
         out
     }
 
+    /// The frames at `ids`, in that order, as a dataset of their own.
+    fn subset(&self, ids: &[usize]) -> ExtendedFrameDataset {
+        ExtendedFrameDataset {
+            frames: ids.iter().map(|&i| self.frames[i].clone()).collect(),
+            labels: ids.iter().map(|&i| self.labels[i]).collect(),
+            drivers: ids.iter().map(|&i| self.drivers[i]).collect(),
+            frame_size: self.frame_size,
+        }
+    }
+
     /// Driver-disjoint split: drivers with `id % holdout_mod == holdout_rem`
     /// go to evaluation, everyone else to training. The paper's privacy
     /// study evaluates generalization across its 10 participants; holding
     /// out whole drivers exposes the teacher's identity overfitting that
     /// §5.3 hypothesizes (and that down-sampling removes).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Dataset`] for a zero `holdout_mod` or if
+    /// either side would be empty.
     pub fn split_by_driver(
         &self,
         holdout_mod: usize,
         holdout_rem: usize,
-    ) -> (ExtendedFrameDataset, ExtendedFrameDataset) {
-        let take = |want_eval: bool| {
-            let ids: Vec<usize> = (0..self.len())
-                .filter(|&i| (self.drivers[i] % holdout_mod == holdout_rem) == want_eval)
-                .collect();
-            ExtendedFrameDataset {
-                frames: ids.iter().map(|&i| self.frames[i].clone()).collect(),
-                labels: ids.iter().map(|&i| self.labels[i]).collect(),
-                drivers: ids.iter().map(|&i| self.drivers[i]).collect(),
-                frame_size: self.frame_size,
-            }
-        };
-        (take(false), take(true))
+    ) -> Result<(ExtendedFrameDataset, ExtendedFrameDataset)> {
+        if holdout_mod == 0 {
+            return Err(CoreError::Dataset("driver holdout modulus is 0".into()));
+        }
+        let (eval, train): (Vec<usize>, Vec<usize>) =
+            (0..self.len()).partition(|&i| self.drivers[i] % holdout_mod == holdout_rem);
+        let (train, eval) = non_empty_split(train, eval)?;
+        Ok((self.subset(&train), self.subset(&eval)))
     }
 
     /// Shuffled split into `(train, eval)`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `train_frac` is not within `(0, 1)`.
+    /// Returns [`CoreError::Dataset`] if `train_frac` is not within
+    /// `(0, 1)` or either side would be empty.
     pub fn split(
         &self,
         train_frac: f64,
         seed: u64,
-    ) -> (ExtendedFrameDataset, ExtendedFrameDataset) {
-        assert!(train_frac > 0.0 && train_frac < 1.0);
-        let mut idx: Vec<usize> = (0..self.len()).collect();
-        let mut rng = SplitMix64::new(seed);
-        rng.shuffle(&mut idx);
-        let n_train = ((self.len() as f64) * train_frac).round() as usize;
-        let take = |ids: &[usize]| ExtendedFrameDataset {
-            frames: ids.iter().map(|&i| self.frames[i].clone()).collect(),
-            labels: ids.iter().map(|&i| self.labels[i]).collect(),
-            drivers: ids.iter().map(|&i| self.drivers[i]).collect(),
-            frame_size: self.frame_size,
-        };
-        (take(&idx[..n_train]), take(&idx[n_train..]))
+    ) -> Result<(ExtendedFrameDataset, ExtendedFrameDataset)> {
+        let (train, eval) = shuffled_split(self.len(), train_frac, seed)?;
+        Ok((self.subset(&train), self.subset(&eval)))
     }
 
     /// Frames at `indices` as a `[n, 1, h, w]` tensor.
@@ -798,175 +652,215 @@ pub fn frames_to_tensor_into(frames: &[Frame], out: &mut Tensor) -> Result<()> {
 mod tests {
     use super::*;
     use darnet_collect::runtime::{run_campaign, CampaignConfig};
-    use darnet_sim::WorldConfig;
+    use darnet_sim::{Behavior, WorldConfig};
     use std::sync::Arc;
 
-    fn tiny_campaign() -> (Vec<DriverRecording>, Vec<Segment<Behavior>>) {
+    fn script<B: Copy>(behaviors: &[B], each: f64) -> Vec<Segment<B>> {
+        behaviors
+            .iter()
+            .enumerate()
+            .map(|(i, &behavior)| Segment {
+                driver: 0,
+                behavior,
+                start: i as f64 * each,
+                duration: each,
+            })
+            .collect()
+    }
+
+    /// The paper's pair over an 18 s, three-class script.
+    fn tiny_dataset() -> Dataset {
         let world = Arc::new(DrivingWorld::new(WorldConfig::default()));
-        let segments = vec![
-            Segment {
-                driver: 0,
-                behavior: Behavior::NormalDriving,
-                start: 0.0,
-                duration: 6.0,
-            },
-            Segment {
-                driver: 0,
-                behavior: Behavior::Texting,
-                start: 6.0,
-                duration: 6.0,
-            },
-            Segment {
-                driver: 0,
-                behavior: Behavior::Talking,
-                start: 12.0,
-                duration: 6.0,
-            },
-        ];
-        let recs = run_campaign(&world, &segments, &CampaignConfig::default()).unwrap();
-        (recs, segments)
+        let segments = script(
+            &[
+                Behavior::NormalDriving,
+                Behavior::Texting,
+                Behavior::Talking,
+            ],
+            6.0,
+        );
+        let config = CampaignConfig::default();
+        let recs = run_campaign(&world, &segments, &config, &StreamId::DARNET_PAIR, &[]).unwrap();
+        Dataset::from_recordings(&recs, &segments).unwrap()
     }
 
     #[test]
     fn canonical_dataset_joins_three_streams() {
-        use darnet_collect::runtime::run_canonical_campaign;
-
         let world = Arc::new(DrivingWorld::new(WorldConfig {
             drivers: 1,
             frame_size: 24,
             ..WorldConfig::default()
         }));
-        let segments = vec![
-            Segment {
-                driver: 0,
-                behavior: CanonicalBehavior::NormalDriving,
-                start: 0.0,
-                duration: 5.0,
-            },
-            Segment {
-                driver: 0,
-                behavior: CanonicalBehavior::EyesClosing,
-                start: 5.0,
-                duration: 5.0,
-            },
-            Segment {
-                driver: 0,
-                behavior: CanonicalBehavior::HeadDroop,
-                start: 10.0,
-                duration: 5.0,
-            },
-        ];
+        let segments = script(
+            &[
+                CanonicalBehavior::NormalDriving,
+                CanonicalBehavior::EyesClosing,
+                CanonicalBehavior::HeadDroop,
+            ],
+            5.0,
+        );
         let streams = [StreamId::IMU, StreamId::CAMERA_FRONT, StreamId::CAMERA_SIDE];
-        let recs =
-            run_canonical_campaign(&world, &segments, &CampaignConfig::default(), &streams, &[])
-                .unwrap();
-        let ds = CanonicalDataset::from_recordings(&recs, &segments, 0.5).unwrap();
+        let config = CampaignConfig::default();
+        let mut recs = run_campaign(&world, &segments, &config, &streams, &[]).unwrap();
+        let ds = Dataset::from_recordings(&recs, &segments).unwrap();
         assert!(!ds.is_empty());
         assert_eq!(ds.frame_size(), 24);
+        assert_eq!(ds.cameras(), &streams[1..]);
         for s in ds.samples() {
             assert_eq!(s.imu_window.len(), WINDOW_LEN * IMU_FEATURES);
-            assert_eq!(s.front.width(), 24);
-            assert_eq!(s.side.width(), 24);
+            let [front, side] = &s.frames[..] else {
+                panic!("{} frames in a two-camera sample", s.frames.len());
+            };
+            assert_eq!((front.width(), side.width()), (24, 24));
             // The adopted side frame differs from the front view at the
             // same instant (different camera geometry).
-            assert_ne!(s.front.pixels(), s.side.pixels());
+            assert_ne!(front.pixels(), side.pixels());
         }
         // The drowsy classes are labeled.
         let counts = ds.class_counts();
         assert!(counts[CanonicalBehavior::EyesClosing.index()] > 0);
         assert!(counts[CanonicalBehavior::HeadDroop.index()] > 0);
-        assert_eq!(ds.labels8().len(), ds.len());
-        let front = ds.front_tensor().unwrap();
-        let side = ds.side_tensor().unwrap();
+        assert_eq!(ds.labels().len(), ds.len());
+        let front = ds.frames_tensor(StreamId::CAMERA_FRONT).unwrap();
+        let side = ds.frames_tensor(StreamId::CAMERA_SIDE).unwrap();
         assert_eq!(front.dims(), &[ds.len(), 1, 24, 24]);
         assert_eq!(side.dims(), front.dims());
-        let (train, eval) = ds.split(0.8, 3);
+        assert_eq!(ds.frames(StreamId::CAMERA_SIDE).unwrap().len(), ds.len());
+        assert!(ds.frames_tensor(StreamId::IMU).is_err());
+        let (train, eval) = ds.split(0.8, 3).unwrap();
         assert_eq!(train.len() + eval.len(), ds.len());
-        // A zero tolerance drops every tuple (clocks never line up
-        // perfectly across devices).
-        let strict = CanonicalDataset::from_recordings(&recs, &segments, 0.0).unwrap();
-        assert!(strict.len() <= ds.len());
-    }
 
-    #[test]
-    fn canonical_label_lookup_matches_schedule() {
-        let segments = vec![
-            Segment {
-                driver: 0,
-                behavior: CanonicalBehavior::Texting,
-                start: 0.0,
-                duration: 2.0,
-            },
-            Segment {
-                driver: 0,
-                behavior: CanonicalBehavior::EyesClosing,
-                start: 4.0,
-                duration: 3.0,
-            },
-        ];
-        assert_eq!(
-            canonical_label_at(&segments, 1.0),
-            CanonicalBehavior::Texting
-        );
-        // The gap between segments is normal driving (same semantics as
-        // the 6-class `label_at`).
-        assert_eq!(
-            canonical_label_at(&segments, 3.0),
-            CanonicalBehavior::NormalDriving
-        );
-        assert_eq!(
-            canonical_label_at(&segments, 5.0),
-            CanonicalBehavior::EyesClosing
-        );
-        assert_eq!(
-            canonical_label_at(&segments, 9.0),
-            CanonicalBehavior::NormalDriving
-        );
+        // A side camera dark over the middle segment: anchors farther
+        // than the tolerance from every surviving side frame are dropped,
+        // the rest join as before.
+        recs[0].frames[1].1.retain(|f| !(5.0..10.0).contains(&f.t));
+        let holed = Dataset::from_recordings(&recs, &segments).unwrap();
+        assert!(!holed.is_empty() && holed.len() < ds.len());
+        let inside =
+            |t: f64| (5.0 + CAMERA_JOIN_TOLERANCE..10.0 - CAMERA_JOIN_TOLERANCE).contains(&t);
+        assert!(ds.samples().iter().any(|s| inside(s.t)));
+        assert!(!holed.samples().iter().any(|s| inside(s.t)));
+        // Recordings that disagree on their cameras do not join at all.
+        let mut odd = recs.clone();
+        odd.push(Recording {
+            frames: recs[0].frames[..1].to_vec(),
+            ..recs[0].clone()
+        });
+        assert!(Dataset::from_recordings(&odd, &segments).is_err());
     }
 
     #[test]
     fn label_lookup_matches_schedule() {
-        let (_, segments) = tiny_campaign();
-        assert_eq!(label_at(&segments, 1.0), Behavior::NormalDriving);
-        assert_eq!(label_at(&segments, 7.0), Behavior::Texting);
-        assert_eq!(label_at(&segments, 13.0), Behavior::Talking);
-        assert_eq!(label_at(&segments, 99.0), Behavior::NormalDriving);
+        let mut segments = script(
+            &[
+                CanonicalBehavior::Texting,
+                CanonicalBehavior::EyesClosing,
+                CanonicalBehavior::Talking,
+            ],
+            3.0,
+        );
+        segments[0].duration = 2.0;
+        segments[0].start = 0.5;
+        assert_eq!(label_at(&segments, 1.0), CanonicalBehavior::Texting);
+        assert_eq!(label_at(&segments, 5.0), CanonicalBehavior::EyesClosing);
+        assert_eq!(label_at(&segments, 7.0), CanonicalBehavior::Talking);
+        // The gap between segments and everything past the script are
+        // normal driving; a stamp before the script is its first segment.
+        assert_eq!(label_at(&segments, 2.75), CanonicalBehavior::NormalDriving);
+        assert_eq!(label_at(&segments, 99.0), CanonicalBehavior::NormalDriving);
+        assert_eq!(label_at(&segments, 0.25), CanonicalBehavior::Texting);
+        assert_eq!(label_at(&[], 1.0), CanonicalBehavior::NormalDriving);
     }
 
     #[test]
     fn dataset_builds_with_windows() {
-        let (recs, segments) = tiny_campaign();
-        let ds = MultimodalDataset::from_recordings(&recs, &segments).unwrap();
+        let ds = tiny_dataset();
         assert!(ds.len() > 40, "only {} samples", ds.len());
         assert_eq!(ds.frame_size(), 48);
+        assert_eq!(ds.cameras(), &[StreamId::CAMERA_FRONT]);
         for s in ds.samples() {
             assert_eq!(s.imu_window.len(), WINDOW_LEN * IMU_FEATURES);
+            assert_eq!(s.frames.len(), 1);
         }
-        // All three scripted classes appear.
+        // All three scripted classes appear, and no drowsy one.
         let counts = ds.class_counts();
         assert!(counts[0] > 0 && counts[1] > 0 && counts[2] > 0);
+        assert_eq!(counts[3..], [0; 5]);
     }
 
     #[test]
     fn split_preserves_total_and_is_disjoint_in_size() {
-        let (recs, segments) = tiny_campaign();
-        let ds = MultimodalDataset::from_recordings(&recs, &segments).unwrap();
-        let (train, eval) = ds.split(0.8, 1);
+        let ds = tiny_dataset();
+        let (train, eval) = ds.split(0.8, 1).unwrap();
         assert_eq!(train.len() + eval.len(), ds.len());
         let expected_train = ((ds.len() as f64) * 0.8).round() as usize;
         assert_eq!(train.len(), expected_train);
     }
 
     #[test]
+    fn splits_reject_bad_fractions_and_empty_sides() {
+        let is_dataset_error = |e: CoreError| matches!(e, CoreError::Dataset(_));
+        let ds = tiny_dataset();
+        for frac in [0.0, 1.0, f64::NAN, -0.5, 1.5] {
+            assert!(is_dataset_error(ds.split(frac, 1).unwrap_err()), "{frac}");
+        }
+        // One sample cannot fill both sides; nor can none.
+        let one = Dataset {
+            samples: ds.samples[..1].to_vec(),
+            ..ds.clone()
+        };
+        assert!(is_dataset_error(one.split(0.8, 1).unwrap_err()));
+        assert!(is_dataset_error(
+            Dataset::default().split(0.8, 1).unwrap_err()
+        ));
+
+        let world = DrivingWorld::new(WorldConfig {
+            drivers: 2,
+            ..WorldConfig::default()
+        });
+        let segments = vec![
+            Segment {
+                driver: 0,
+                behavior: ExtendedBehavior::ALL[0],
+                start: 0.0,
+                duration: 1.0,
+            },
+            Segment {
+                driver: 1,
+                behavior: ExtendedBehavior::ALL[1],
+                start: 0.0,
+                duration: 1.0,
+            },
+        ];
+        let frames = ExtendedFrameDataset::generate(&world, &segments, 2.0);
+        assert!(is_dataset_error(frames.split_by_driver(0, 0).unwrap_err()));
+        assert!(is_dataset_error(frames.split(f64::NAN, 1).unwrap_err()));
+        // Driver 1 held out; a remainder nobody has leaves eval empty.
+        let (train, eval) = frames.split_by_driver(2, 1).unwrap();
+        assert_eq!(
+            (train.drivers(), eval.drivers()),
+            (&[0, 0][..], &[1, 1][..])
+        );
+        assert!(is_dataset_error(frames.split_by_driver(5, 4).unwrap_err()));
+        let (train, eval) = frames.split(0.5, 9).unwrap();
+        assert_eq!((train.len(), eval.len()), (2, 2));
+    }
+
+    #[test]
     fn tensors_have_expected_shapes() {
-        let (recs, segments) = tiny_campaign();
-        let ds = MultimodalDataset::from_recordings(&recs, &segments).unwrap();
-        let frames = ds.frames_tensor().unwrap();
+        let ds = tiny_dataset();
+        let frames = ds.frames_tensor(StreamId::CAMERA_FRONT).unwrap();
         assert_eq!(frames.dims(), &[ds.len(), 1, 48, 48]);
         let imu = ds.imu_tensor().unwrap();
         assert_eq!(imu.dims(), &[ds.len(), WINDOW_LEN, IMU_FEATURES]);
-        assert_eq!(ds.labels6().len(), ds.len());
-        assert_eq!(ds.labels3().len(), ds.len());
+        assert_eq!(ds.labels().len(), ds.len());
+        // The IMU labels are the 6 → 3 projection of the class labels.
+        let expected: Vec<usize> = ds
+            .samples()
+            .iter()
+            .map(|s| s.class.base().unwrap().imu_class().index())
+            .collect();
+        assert_eq!(ds.labels3(), expected);
     }
 
     #[test]

@@ -5,11 +5,11 @@
 
 use std::sync::Arc;
 
-use darnet_collect::runtime::{run_campaign, run_canonical_campaign, CampaignConfig};
+use darnet_collect::runtime::{run_campaign, CampaignConfig, Recording};
 use darnet_collect::{FaultConfig, LinkConfig, StreamId};
 use darnet_nn::SvmConfig;
 use darnet_sim::schedule::{
-    build_canonical_schedule, build_extended_schedule, build_schedule, CanonicalScheduleConfig,
+    build_canonical_schedule, build_extended_schedule, CanonicalScheduleConfig,
     ExtendedScheduleConfig, ScheduleConfig, TABLE1_FRAME_COUNTS,
 };
 use darnet_sim::{
@@ -17,9 +17,7 @@ use darnet_sim::{
 };
 use darnet_tensor::{SplitMix64, Tensor};
 
-use crate::dataset::{
-    CanonicalDataset, ExtendedFrameDataset, MultimodalDataset, IMU_FEATURES, WINDOW_LEN,
-};
+use crate::dataset::{Dataset, ExtendedFrameDataset, IMU_FEATURES, WINDOW_LEN};
 use crate::ensemble::{CombinerKind, NaryBayesianCombiner};
 use crate::eval::ConfusionMatrix;
 use crate::health::{HealthPolicy, ModalityStatus};
@@ -29,7 +27,7 @@ use crate::registry::{
     product_combine_subset_into, ClassMap, ModalityDescriptor, MultiModalEngine,
     MultiStepClassification, StreamInput, StreamModelSlot,
 };
-use crate::{CoreError, Result};
+use crate::Result;
 
 /// Knobs shared by every experiment driver.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -93,33 +91,58 @@ impl ExperimentConfig {
     }
 }
 
-/// Builds the world + schedule and runs the full collection campaign
-/// through the middleware, returning the labeled multimodal dataset and
-/// the schedule it came from.
-///
-/// # Errors
-///
-/// Propagates collection and dataset errors.
-pub fn collect_multimodal(
+/// The campaign every experiment starts from: the master seed's campaign
+/// seed, everything else at the paper's defaults.
+fn campaign(config: &ExperimentConfig) -> CampaignConfig {
+    CampaignConfig {
+        seed: config.seed ^ 0xCA11,
+        ..CampaignConfig::default()
+    }
+}
+
+/// Builds `config`'s world and its Table-1 schedule plus
+/// `drowsy_seconds` of each drowsiness class per driver (`0.0` is the
+/// paper's 6-class script exactly), and runs `campaign` over `streams`
+/// through the middleware with `link_overrides` on the named streams.
+/// Returns one recording per driver and the schedule that labels them.
+fn collect(
     config: &ExperimentConfig,
-) -> Result<(MultimodalDataset, Vec<Segment<Behavior>>)> {
+    drowsy_seconds: f64,
+    streams: &[StreamId],
+    campaign: &CampaignConfig,
+    link_overrides: &[(StreamId, LinkConfig)],
+) -> Result<(Vec<Recording>, Vec<Segment<CanonicalBehavior>>)> {
     let world = Arc::new(DrivingWorld::new(WorldConfig {
         drivers: config.drivers,
         frame_size: config.frame_size,
         seed: config.seed,
     }));
-    let schedule = build_schedule(&ScheduleConfig {
-        drivers: config.drivers,
-        scale: config.scale,
-        ..ScheduleConfig::default()
+    let schedule = build_canonical_schedule(&CanonicalScheduleConfig {
+        base: ScheduleConfig {
+            drivers: config.drivers,
+            scale: config.scale,
+            ..ScheduleConfig::default()
+        },
+        drowsy_seconds_per_class: drowsy_seconds,
     });
-    let campaign = CampaignConfig {
-        seed: config.seed ^ 0xCA11,
-        ..CampaignConfig::default()
-    };
-    let recordings = run_campaign(&world, &schedule, &campaign)?;
-    let dataset = MultimodalDataset::from_recordings(&recordings, &schedule)?;
-    Ok((dataset, schedule))
+    let recordings = run_campaign(&world, &schedule, campaign, streams, link_overrides)?;
+    Ok((recordings, schedule))
+}
+
+/// The paper's campaign — [`StreamId::DARNET_PAIR`] over the 6-class
+/// script — as a labeled dataset.
+///
+/// # Errors
+///
+/// Propagates collection and dataset errors.
+pub fn collect_multimodal(config: &ExperimentConfig) -> Result<Dataset> {
+    collect_pair(config, &campaign(config))
+}
+
+/// [`collect_multimodal`] under a modified `campaign`.
+fn collect_pair(config: &ExperimentConfig, campaign: &CampaignConfig) -> Result<Dataset> {
+    let (recordings, schedule) = collect(config, 0.0, &StreamId::DARNET_PAIR, campaign, &[])?;
+    Dataset::from_recordings(&recordings, &schedule)
 }
 
 // ---------------------------------------------------------------------
@@ -159,7 +182,7 @@ pub struct Table1Report {
 ///
 /// Propagates collection errors.
 pub fn run_table1(config: &ExperimentConfig) -> Result<Table1Report> {
-    let (dataset, _) = collect_multimodal(config)?;
+    let dataset = collect_multimodal(config)?;
     let counts = dataset.class_counts();
     let rows = Behavior::ALL
         .iter()
@@ -191,9 +214,9 @@ pub fn run_table1(config: &ExperimentConfig) -> Result<Table1Report> {
 /// Table-2/Figure-5 reports and the ablations.
 pub struct TrainedStack {
     /// Training split.
-    pub train: MultimodalDataset,
+    pub train: Dataset,
     /// Evaluation split.
-    pub eval: MultimodalDataset,
+    pub eval: Dataset,
     /// Trained frame CNN (6 classes).
     pub cnn: FrameCnn,
     /// Trained IMU BiLSTM (3 classes).
@@ -219,8 +242,7 @@ pub struct TrainedStack {
 ///
 /// Propagates collection/training errors.
 pub fn train_stack(config: &ExperimentConfig) -> Result<TrainedStack> {
-    let (dataset, _) = collect_multimodal(config)?;
-    train_stack_on(config, dataset)
+    train_stack_on(config, collect_multimodal(config)?)
 }
 
 /// Trains the full stack on an already-collected dataset (ablations reuse
@@ -229,11 +251,8 @@ pub fn train_stack(config: &ExperimentConfig) -> Result<TrainedStack> {
 /// # Errors
 ///
 /// Propagates training errors.
-pub fn train_stack_on(
-    config: &ExperimentConfig,
-    dataset: MultimodalDataset,
-) -> Result<TrainedStack> {
-    let (train, eval) = dataset.split(config.train_frac, config.seed ^ 0x5911);
+pub fn train_stack_on(config: &ExperimentConfig, dataset: Dataset) -> Result<TrainedStack> {
+    let (train, eval) = dataset.split(config.train_frac, config.seed ^ 0x5911)?;
 
     // Frame CNN.
     let mut cnn = FrameCnn::new(
@@ -245,8 +264,8 @@ pub fn train_stack_on(
         },
         config.seed ^ 0xC99,
     );
-    let train_frames = train.frames_tensor()?;
-    let train_labels6 = train.labels6();
+    let train_frames = train.frames_tensor(StreamId::CAMERA_FRONT)?;
+    let train_labels6 = train.labels();
     cnn.fit(&train_frames, &train_labels6, config.cnn_epochs)?;
 
     // IMU models.
@@ -275,7 +294,7 @@ pub fn train_stack_on(
     bn_svm.fit(&[&cnn_probs_train, &svm_probs_train], &train_labels6)?;
 
     // Evaluation-split probabilities (computed once, reused by reports).
-    let eval_frames = eval.frames_tensor()?;
+    let eval_frames = eval.frames_tensor(StreamId::CAMERA_FRONT)?;
     let eval_windows = eval.imu_tensor()?;
     let cnn_probs_eval = cnn.predict_proba(&eval_frames)?;
     let rnn_probs_eval = rnn.predict_proba(&eval_windows)?;
@@ -356,7 +375,7 @@ fn bayes_predictions(
 ///
 /// Propagates model errors.
 pub fn table2_from_stack(stack: &TrainedStack) -> Result<Table2Report> {
-    let labels6 = stack.eval.labels6();
+    let labels6 = stack.eval.labels();
     let labels3 = stack.eval.labels3();
 
     let preds_cnn = stack.cnn_probs_eval.argmax_rows()?;
@@ -501,7 +520,7 @@ pub fn run_table3(config: &PrivacyExperimentConfig) -> Result<Table3Report> {
     // overfitting (the paper's §5.3 hypothesis for why dCNN-L can beat
     // the full-resolution CNN).
     let holdout = config.drivers.min(5);
-    let (train, eval) = dataset.split_by_driver(holdout, holdout - 1);
+    let (train, eval) = dataset.split_by_driver(holdout, holdout.saturating_sub(1))?;
 
     // Teacher: supervised training on the labeled split.
     let mut teacher = FrameCnn::new(
@@ -621,7 +640,7 @@ pub struct CombinerAblation {
 ///
 /// Propagates combiner errors.
 pub fn run_ablation_combiner(stack: &TrainedStack) -> Result<CombinerAblation> {
-    let labels6 = stack.eval.labels6();
+    let labels6 = stack.eval.labels();
     let (cnn_probs, rnn_probs) = (&stack.cnn_probs_eval, &stack.rnn_probs_eval);
     let bayes_preds = bayes_predictions(&stack.bn_rnn, cnn_probs, rnn_probs)?;
     let (camera, imu) = (
@@ -659,40 +678,22 @@ pub struct ClockSyncAblation {
 ///
 /// Propagates collection errors.
 pub fn run_ablation_clocksync(config: &ExperimentConfig) -> Result<ClockSyncAblation> {
-    let world = Arc::new(DrivingWorld::new(WorldConfig {
-        drivers: config.drivers,
-        frame_size: config.frame_size,
-        seed: config.seed,
-    }));
-    let schedule = build_schedule(&ScheduleConfig {
-        drivers: config.drivers,
-        scale: config.scale,
-        ..ScheduleConfig::default()
-    });
-    let synced = run_campaign(
-        &world,
-        &schedule,
-        &CampaignConfig {
-            seed: config.seed ^ 0xCA11,
-            sync_enabled: true,
-            ..CampaignConfig::default()
-        },
-    )?;
-    let unsynced = run_campaign(
-        &world,
-        &schedule,
-        &CampaignConfig {
-            seed: config.seed ^ 0xCA11,
-            sync_enabled: false,
-            ..CampaignConfig::default()
-        },
-    )?;
-    let max = |recs: &[darnet_collect::runtime::DriverRecording]| {
-        recs.iter().map(|r| r.max_clock_error).fold(0.0, f64::max)
+    // The diagnostic follows the phone: the front camera shares the
+    // controller's tablet.
+    let max_error = |sync_enabled: bool| -> Result<f64> {
+        let campaign = CampaignConfig {
+            sync_enabled,
+            ..campaign(config)
+        };
+        let (recordings, _) = collect(config, 0.0, &StreamId::DARNET_PAIR, &campaign, &[])?;
+        let phones = recordings
+            .iter()
+            .filter_map(|rec| rec.stream(StreamId::IMU));
+        Ok(phones.map(|p| p.max_clock_error).fold(0.0, f64::max))
     };
     Ok(ClockSyncAblation {
-        max_error_synced: max(&synced),
-        max_error_unsynced: max(&unsynced),
+        max_error_synced: max_error(true)?,
+        max_error_unsynced: max_error(false)?,
     })
 }
 
@@ -714,24 +715,10 @@ pub struct AlignmentAblation {
 /// Propagates collection/training errors.
 pub fn run_ablation_alignment(config: &ExperimentConfig) -> Result<AlignmentAblation> {
     let run = |window: usize| -> Result<f64> {
-        let world = Arc::new(DrivingWorld::new(WorldConfig {
-            drivers: config.drivers,
-            frame_size: config.frame_size,
-            seed: config.seed,
-        }));
-        let schedule = build_schedule(&ScheduleConfig {
-            drivers: config.drivers,
-            scale: config.scale,
-            ..ScheduleConfig::default()
-        });
-        let mut campaign = CampaignConfig {
-            seed: config.seed ^ 0xCA11,
-            ..CampaignConfig::default()
-        };
+        let mut campaign = campaign(config);
         campaign.controller.smoothing_window = window;
-        let recordings = run_campaign(&world, &schedule, &campaign)?;
-        let dataset = MultimodalDataset::from_recordings(&recordings, &schedule)?;
-        let (train, eval) = dataset.split(config.train_frac, config.seed ^ 0x5911);
+        let (train, eval) =
+            collect_pair(config, &campaign)?.split(config.train_frac, config.seed ^ 0x5911)?;
         let mut rnn = ImuRnn::new(
             RnnConfig {
                 hidden: config.rnn_hidden,
@@ -767,12 +754,12 @@ pub struct PretrainAblation {
 ///
 /// Propagates training errors.
 pub fn run_ablation_pretrain(config: &ExperimentConfig) -> Result<PretrainAblation> {
-    let (dataset, _) = collect_multimodal(config)?;
-    let (train, eval) = dataset.split(config.train_frac, config.seed ^ 0x5911);
-    let train_frames = train.frames_tensor()?;
-    let train_labels = train.labels6();
-    let eval_frames = eval.frames_tensor()?;
-    let eval_labels = eval.labels6();
+    let dataset = collect_multimodal(config)?;
+    let (train, eval) = dataset.split(config.train_frac, config.seed ^ 0x5911)?;
+    let train_frames = train.frames_tensor(StreamId::CAMERA_FRONT)?;
+    let train_labels = train.labels();
+    let eval_frames = eval.frames_tensor(StreamId::CAMERA_FRONT)?;
+    let eval_labels = eval.labels();
     let cnn_config = CnnConfig {
         input_size: config.frame_size,
         classes: 6,
@@ -856,7 +843,7 @@ pub fn run_ablation_distill(
     });
     let dataset = ExtendedFrameDataset::generate(&world, &schedule, config.fps);
     let holdout = config.drivers.min(5);
-    let (train, eval) = dataset.split_by_driver(holdout, holdout - 1);
+    let (train, eval) = dataset.split_by_driver(holdout, holdout.saturating_sub(1))?;
     let cnn_config = CnnConfig {
         input_size: config.frame_size,
         classes: 18,
@@ -920,31 +907,11 @@ pub fn canonical_imu_projection() -> Vec<usize> {
 /// Knobs for [`run_ablation_multiview`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MultiviewConfig {
-    /// Master seed.
-    pub seed: u64,
-    /// Scale factor on the Table-1 frame counts for the base classes.
-    pub scale: f64,
-    /// Square frame edge length.
-    pub frame_size: usize,
-    /// Number of drivers in the campaign.
-    pub drivers: usize,
+    /// World, schedule scale, model sizes and training budgets; the CNN
+    /// knobs serve both camera views.
+    pub base: ExperimentConfig,
     /// Seconds of each drowsiness class per driver.
     pub drowsy_seconds_per_class: f64,
-    /// CNN training epochs (front and side view).
-    pub cnn_epochs: usize,
-    /// CNN width multiplier.
-    pub cnn_width: f32,
-    /// RNN training epochs.
-    pub rnn_epochs: usize,
-    /// LSTM hidden units per direction.
-    pub rnn_hidden: usize,
-    /// Stacked BiLSTM layers.
-    pub rnn_depth: usize,
-    /// Train fraction of the split.
-    pub train_frac: f64,
-    /// Max |Δt| (seconds) when adopting the nearest side frame for a
-    /// front-camera anchor in the three-way join.
-    pub side_tolerance: f64,
 }
 
 /// Steady packet loss injected on the front-camera link in the multiview
@@ -958,33 +925,27 @@ impl MultiviewConfig {
     /// Reduced-scale preset for tests: runs in seconds.
     pub fn fast() -> Self {
         MultiviewConfig {
-            seed: 0xDA12_2017,
-            scale: 0.02,
-            frame_size: 48,
-            drivers: 3,
+            base: ExperimentConfig {
+                drivers: 3,
+                ..ExperimentConfig::fast()
+            },
             drowsy_seconds_per_class: 6.0,
-            cnn_epochs: 4,
-            cnn_width: 0.75,
-            rnn_epochs: 4,
-            rnn_hidden: 12,
-            rnn_depth: 1,
-            train_frac: 0.8,
-            side_tolerance: 0.3,
         }
     }
 
     /// Fuller preset for the `repro_ablation_multiview` binary.
     pub fn paper() -> Self {
         MultiviewConfig {
-            scale: 0.05,
-            drivers: 5,
+            base: ExperimentConfig {
+                scale: 0.05,
+                cnn_epochs: 8,
+                cnn_width: 1.0,
+                rnn_epochs: 6,
+                rnn_hidden: 24,
+                rnn_depth: 2,
+                ..ExperimentConfig::fast()
+            },
             drowsy_seconds_per_class: 20.0,
-            cnn_epochs: 8,
-            cnn_width: 1.0,
-            rnn_epochs: 6,
-            rnn_hidden: 24,
-            rnn_depth: 2,
-            ..MultiviewConfig::fast()
         }
     }
 }
@@ -1044,43 +1005,27 @@ fn score_engine(
 ///
 /// Propagates collection, dataset, and training errors.
 pub fn run_ablation_multiview(config: &MultiviewConfig) -> Result<MultiviewAblation> {
-    let world = Arc::new(DrivingWorld::new(WorldConfig {
-        drivers: config.drivers,
-        frame_size: config.frame_size,
-        seed: config.seed,
-    }));
-    let schedule = build_canonical_schedule(&CanonicalScheduleConfig {
-        base: ScheduleConfig {
-            drivers: config.drivers,
-            scale: config.scale,
-            ..ScheduleConfig::default()
-        },
-        drowsy_seconds_per_class: config.drowsy_seconds_per_class,
-    });
+    let drowsy_seconds = config.drowsy_seconds_per_class;
+    let config = &config.base;
     let streams = [StreamId::IMU, StreamId::CAMERA_FRONT, StreamId::CAMERA_SIDE];
-    let campaign = CampaignConfig {
-        seed: config.seed ^ 0xCA11,
-        ..CampaignConfig::default()
-    };
+    // The constant the retired 3-stream session front-end mixed into
+    // every seed: BENCH_multiview.json was recorded with it.
+    let mut campaign = campaign(config);
+    campaign.seed ^= 0xCA40_0515_0A11_ED00;
 
-    // Clean campaign → canonical three-stream dataset.
-    let clean = run_canonical_campaign(&world, &schedule, &campaign, &streams, &[])?;
-    let dataset = CanonicalDataset::from_recordings(&clean, &schedule, config.side_tolerance)?;
-    let (train, eval) = dataset.split(config.train_frac, config.seed ^ 0x5911);
-    if train.is_empty() || eval.is_empty() {
-        return Err(CoreError::Dataset(
-            "multiview campaign produced an empty split".into(),
-        ));
-    }
+    // Clean campaign → three-stream dataset.
+    let (clean, schedule) = collect(config, drowsy_seconds, &streams, &campaign, &[])?;
+    let (train, eval) = Dataset::from_recordings(&clean, &schedule)?
+        .split(config.train_frac, config.seed ^ 0x5911)?;
 
     // Per-stream models: the IMU RNN stays native 3-class behind the
     // canonical projection; both camera views train 8-class heads.
     let imu_map = canonical_imu_projection();
-    let labels8_train = train.labels8();
-    let labels3_train: Vec<usize> = labels8_train.iter().map(|&c| imu_map[c]).collect();
+    let labels8_train = train.labels();
+    let labels3_train = train.labels3();
     let train_imu = train.imu_tensor()?;
-    let train_front = train.front_tensor()?;
-    let train_side = train.side_tensor()?;
+    let train_front = train.frames_tensor(StreamId::CAMERA_FRONT)?;
+    let train_side = train.frames_tensor(StreamId::CAMERA_SIDE)?;
 
     let cnn_config = CnnConfig {
         input_size: config.frame_size,
@@ -1133,10 +1078,7 @@ pub fn run_ablation_multiview(config: &MultiviewConfig) -> Result<MultiviewAblat
     // Faulted campaign: steady loss plus a terminal blackout on the
     // front-camera link only. Its recorded per-stream health drives the
     // subset policy, aggregated as the worst verdict across drivers.
-    let session_end = schedule
-        .iter()
-        .map(|s| s.start + s.duration)
-        .fold(0.0, f64::max);
+    let session_end = schedule.iter().map(|s| s.end()).fold(0.0, f64::max);
     let front_link = LinkConfig {
         loss: FRONT_LOSS,
         faults: FaultConfig {
@@ -1148,19 +1090,14 @@ pub fn run_ablation_multiview(config: &MultiviewConfig) -> Result<MultiviewAblat
         },
         ..LinkConfig::default()
     };
-    let faulted = run_canonical_campaign(
-        &world,
-        &schedule,
-        &campaign,
-        &streams,
-        &[(StreamId::CAMERA_FRONT, front_link)],
-    )?;
+    let front_fault = [(StreamId::CAMERA_FRONT, front_link)];
+    let (faulted, _) = collect(config, drowsy_seconds, &streams, &campaign, &front_fault)?;
     let policy = HealthPolicy;
     let mut statuses: Vec<(StreamId, ModalityStatus)> = Vec::with_capacity(streams.len());
     for id in streams {
         let mut status = ModalityStatus::Healthy;
         for rec in &faulted {
-            let health = rec.health_for(id);
+            let health = rec.stream(id).and_then(|row| row.health);
             let sel = policy.select_subset(&[(id, health.as_ref())], session_end);
             status = worst_status(status, sel.status_of(id));
         }
@@ -1172,10 +1109,10 @@ pub fn run_ablation_multiview(config: &MultiviewConfig) -> Result<MultiviewAblat
 
     // Every scenario scores the same clean evaluation split, so the
     // numbers differ only by which streams the engine could use.
-    let eval_front = eval.front_frames();
-    let eval_side = eval.side_frames();
+    let eval_front = eval.frames(StreamId::CAMERA_FRONT)?;
+    let eval_side = eval.frames(StreamId::CAMERA_SIDE)?;
     let eval_imu = eval.imu_tensor()?;
-    let labels8_eval = eval.labels8();
+    let labels8_eval = eval.labels();
     let two_inputs = [
         (StreamId::IMU, StreamInput::Windows(&eval_imu)),
         (StreamId::CAMERA_FRONT, StreamInput::Frames(&eval_front)),

@@ -19,11 +19,9 @@
 
 use std::sync::Arc;
 
-use darnet_collect::runtime::{
-    pair_frames_with_windows, run_campaign, run_canonical_campaign, CampaignConfig,
-};
+use darnet_collect::runtime::{pair_frames_with_windows, run_campaign, CampaignConfig};
 use darnet_collect::{LinkConfig, RetransmitConfig, StreamId};
-use darnet_core::dataset::{CanonicalDataset, MultimodalDataset, IMU_FEATURES, WINDOW_LEN};
+use darnet_core::dataset::{Dataset, IMU_FEATURES, WINDOW_LEN};
 use darnet_core::experiment::{
     run_ablation_combiner, table2_from_stack, train_stack_on, ExperimentConfig,
 };
@@ -371,8 +369,9 @@ fn table2_stack_digest() {
         seed: config.seed ^ 0xCA11,
         ..CampaignConfig::default()
     };
-    let recordings = run_campaign(&world, &schedule, &campaign).unwrap();
-    let dataset = MultimodalDataset::from_recordings(&recordings, &schedule).unwrap();
+    let recordings =
+        run_campaign(&world, &schedule, &campaign, &StreamId::DARNET_PAIR, &[]).unwrap();
+    let dataset = Dataset::from_recordings(&recordings, &schedule).unwrap();
     let stack = train_stack_on(&config, dataset).unwrap();
 
     // The Bayesian ensembles' predictions, as Table 2 / Figure 5 report
@@ -450,8 +449,9 @@ fn digest_split(h: &mut Fnv, sides: [Vec<(usize, f64)>; 2]) {
 fn pair_dataset_digest() {
     let (world, schedule, campaign) = dataset_world();
     let schedule = build_schedule(&schedule);
-    let recordings = run_campaign(&world, &schedule, &campaign).unwrap();
-    let dataset = MultimodalDataset::from_recordings(&recordings, &schedule).unwrap();
+    let recordings =
+        run_campaign(&world, &schedule, &campaign, &StreamId::DARNET_PAIR, &[]).unwrap();
+    let dataset = Dataset::from_recordings(&recordings, &schedule).unwrap();
     assert_eq!(dataset.frame_size(), FRAME);
 
     let mut h = Fnv::new();
@@ -459,18 +459,19 @@ fn pair_dataset_digest() {
     for s in dataset.samples() {
         digest_sample(
             &mut h,
-            (s.t, s.driver, s.behavior.index()),
-            &[&s.frame],
+            (s.t, s.driver, s.class.index()),
+            &[&s.frames[0]],
             &s.imu_window,
         );
     }
+    // The six Table-1 counts; a 6-class script leaves the drowsy two at 0.
     let counts = dataset.class_counts();
-    assert!(counts.iter().all(|&c| c > 0), "{counts:?}");
-    for c in counts {
+    assert!(counts[..6].iter().all(|&c| c > 0) && counts[6..] == [0, 0]);
+    for &c in &counts[..6] {
         h.index(c);
     }
-    let (train, eval) = dataset.split(0.8, 0x5EED);
-    let ids = |d: &MultimodalDataset| d.samples().iter().map(|s| (s.driver, s.t)).collect();
+    let (train, eval) = dataset.split(0.8, 0x5EED).unwrap();
+    let ids = |d: &Dataset| d.samples().iter().map(|s| (s.driver, s.t)).collect();
     digest_split(&mut h, [ids(&train), ids(&eval)]);
     pin(h.0, 0x258C_73C0_3276_3CEF, "pair dataset");
 }
@@ -483,6 +484,8 @@ fn three_stream_dataset_digest() {
     // that lost only its own adopts a frame a period away.
     let (world, base, mut campaign) = dataset_world();
     campaign.retransmit = RetransmitConfig::disabled();
+    // The constant the retired 3-stream front-end mixed into every seed.
+    campaign.seed ^= 0xCA40_0515_0A11_ED00;
     let schedule = build_canonical_schedule(&CanonicalScheduleConfig {
         base,
         drowsy_seconds_per_class: 4.0,
@@ -492,7 +495,7 @@ fn three_stream_dataset_digest() {
         loss: 0.45,
         ..LinkConfig::default()
     };
-    let recordings = run_canonical_campaign(
+    let recordings = run_campaign(
         &world,
         &schedule,
         &campaign,
@@ -500,7 +503,7 @@ fn three_stream_dataset_digest() {
         &[(StreamId::CAMERA_SIDE, lossy_side)],
     )
     .unwrap();
-    let dataset = CanonicalDataset::from_recordings(&recordings, &schedule, 0.3).unwrap();
+    let dataset = Dataset::from_recordings(&recordings, &schedule).unwrap();
     assert_eq!(dataset.frame_size(), FRAME);
     let anchors: usize = recordings
         .iter()
@@ -521,7 +524,7 @@ fn three_stream_dataset_digest() {
         digest_sample(
             &mut h,
             (s.t, s.driver, s.class.index()),
-            &[&s.front, &s.side],
+            &[&s.frames[0], &s.frames[1]],
             &s.imu_window,
         );
     }
@@ -530,8 +533,8 @@ fn three_stream_dataset_digest() {
     for c in counts {
         h.index(c);
     }
-    let (train, eval) = dataset.split(0.8, 0x5EED);
-    let ids = |d: &CanonicalDataset| d.samples().iter().map(|s| (s.driver, s.t)).collect();
+    let (train, eval) = dataset.split(0.8, 0x5EED).unwrap();
+    let ids = |d: &Dataset| d.samples().iter().map(|s| (s.driver, s.t)).collect();
     digest_split(&mut h, [ids(&train), ids(&eval)]);
     pin(h.0, 0x0011_AE14_7FF4_0229, "3-stream dataset");
 }

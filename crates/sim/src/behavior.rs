@@ -235,9 +235,11 @@ impl CanonicalBehavior {
             CanonicalBehavior::EyesClosing | CanonicalBehavior::HeadDroop
         )
     }
+}
 
-    /// Embeds a Table-1 behaviour into the canonical set (same index).
-    pub fn from_behavior(b: Behavior) -> CanonicalBehavior {
+/// Embeds a Table-1 behaviour into the canonical set (same index).
+impl From<Behavior> for CanonicalBehavior {
+    fn from(b: Behavior) -> CanonicalBehavior {
         CanonicalBehavior::ALL[b.index()]
     }
 }
@@ -389,7 +391,7 @@ mod tests {
         assert_eq!(CanonicalBehavior::from_index(8), None);
         // The first six indices coincide with Behavior.
         for b in Behavior::ALL {
-            let c = CanonicalBehavior::from_behavior(b);
+            let c = CanonicalBehavior::from(b);
             assert_eq!(c.index(), b.index());
             assert_eq!(c.base(), Some(b));
             assert!(!c.is_drowsy());

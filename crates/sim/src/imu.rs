@@ -438,7 +438,7 @@ mod tests {
         for b in Behavior::ALL {
             let legacy = synth.sample(&driver, b, &vehicle, 3.0);
             let canonical =
-                synth.sample_canonical(&driver, CanonicalBehavior::from_behavior(b), &vehicle, 3.0);
+                synth.sample_canonical(&driver, CanonicalBehavior::from(b), &vehicle, 3.0);
             assert_eq!(legacy, canonical, "class {b} diverged");
         }
     }

@@ -1068,7 +1068,7 @@ mod tests {
         let d = driver();
         for b in Behavior::ALL {
             let legacy = r.render(&d, b, 2.5);
-            let canonical = r.render_canonical(&d, CanonicalBehavior::from_behavior(b), 2.5);
+            let canonical = r.render_canonical(&d, CanonicalBehavior::from(b), 2.5);
             assert_eq!(legacy, canonical, "class {b} diverged");
         }
     }

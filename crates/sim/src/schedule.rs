@@ -38,6 +38,19 @@ impl<B: Copy> Segment<B> {
     pub fn contains(&self, t: f64) -> bool {
         t >= self.start && t < self.end()
     }
+
+    /// The same span scripted in a taxonomy `B` embeds into.
+    pub fn cast<C>(&self) -> Segment<C>
+    where
+        B: Into<C>,
+    {
+        Segment {
+            driver: self.driver,
+            behavior: self.behavior.into(),
+            start: self.start,
+            duration: self.duration,
+        }
+    }
 }
 
 /// Configuration of a 6-class collection campaign.

@@ -65,7 +65,8 @@ fn main() -> Result<(), Box<dyn Error>> {
             let inputs = [
                 (
                     StreamId::CAMERA_FRONT,
-                    StreamInput::Frames(std::slice::from_ref(&sample.frame)),
+                    // A pair sample holds one frame: the front camera's.
+                    StreamInput::Frames(&sample.frames),
                 ),
                 (StreamId::IMU, StreamInput::Windows(&window)),
             ];

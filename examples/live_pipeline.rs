@@ -13,7 +13,7 @@ use std::error::Error;
 use std::sync::Arc;
 
 use darnet::collect::live::run_live_session;
-use darnet::collect::runtime::{DriverRecording, SessionTransportReport};
+use darnet::collect::runtime::pair_frames_with_windows;
 use darnet::collect::ControllerConfig;
 use darnet::collect::StreamId;
 use darnet::core::dataset::{IMU_FEATURES, WINDOW_LEN};
@@ -136,14 +136,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     // workspace, steady-state flushes never touch the heap (DESIGN.md
     // §12).
     let frame_size = frames.first().map_or(48, |f| f.frame.width());
-    let recording = DriverRecording {
-        driver: 0,
-        imu: aligned,
-        frames,
-        max_clock_error: 0.0,
-        transport: SessionTransportReport::default(),
-    };
-    let tuples = recording.aligned_tuples(WINDOW_LEN);
+    let tuples = pair_frames_with_windows(&frames, &aligned, WINDOW_LEN);
     println!("\naligned frame+window tuples: {}", tuples.len());
 
     let mut engine = demo_engine(frame_size)?;

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use darnet::collect::runtime::{run_campaign, CampaignConfig};
 use darnet::collect::StreamId;
-use darnet::core::dataset::MultimodalDataset;
+use darnet::core::dataset::Dataset;
 use darnet::core::experiment::{train_stack_on, ExperimentConfig};
 use darnet::core::{CombinerKind, MultiModalEngine, StreamInput, StreamModelSlot};
 use darnet::sim::{Behavior, DrivingWorld, Segment, WorldConfig};
@@ -41,8 +41,9 @@ fn main() -> Result<(), Box<dyn Error>> {
     //    re-syncs clocks every 5 s, re-orders, interpolates to 4 Hz, and
     //    smooths.
     println!("collecting {} driver sessions...", world.driver_count());
-    let recordings = run_campaign(&world, &schedule, &CampaignConfig::default())?;
-    let dataset = MultimodalDataset::from_recordings(&recordings, &schedule)?;
+    let campaign = CampaignConfig::default();
+    let recordings = run_campaign(&world, &schedule, &campaign, &StreamId::DARNET_PAIR, &[])?;
+    let dataset = Dataset::from_recordings(&recordings, &schedule)?;
     println!(
         "collected {} multimodal samples ({} per class on average)",
         dataset.len(),
@@ -83,22 +84,19 @@ fn main() -> Result<(), Box<dyn Error>> {
     for (i, sample) in eval.samples().iter().take(shown).enumerate() {
         window.data_mut().copy_from_slice(&sample.imu_window);
         let inputs = [
-            (
-                StreamId::CAMERA_FRONT,
-                StreamInput::Frames(std::slice::from_ref(&sample.frame)),
-            ),
+            (StreamId::CAMERA_FRONT, StreamInput::Frames(&sample.frames)),
             (StreamId::IMU, StreamInput::Windows(&window)),
         ];
         engine.classify_step_into(&inputs, &mut result)?;
         let step = &result[0];
         let predicted = step.behavior().map_or("-", |b| b.name());
-        let ok = step.behavior() == Some(sample.behavior);
+        let ok = step.behavior() == sample.class.base();
         if ok {
             correct += 1;
         }
         println!(
             "step {i}: true={:<16} predicted={:<16} confidence={:.2} {}",
-            sample.behavior.name(),
+            sample.class.name(),
             predicted,
             step.scores.iter().cloned().fold(0.0f32, f32::max),
             if ok { "ok" } else { "MISS" }

@@ -32,21 +32,26 @@
 #                  writes must recover with zero acked samples lost,
 #                  deterministically, within the replay time budget,
 #                  and overload must shed low-priority streams first
-#                  (--check)
+#                  (--check); its seeded counts (batches acked, WAL
+#                  bytes, replayed records, shed batches, ...) must
+#                  equal the baseline exactly
 #   5. fleet     — the fleet-scale sharded-ingest harness in --fast
 #                  mode (a 10k-agent seeded fleet), compared against
 #                  the committed BENCH_fleet.json baseline; the run
 #                  must be bit-deterministic, the sharded TSDB must
 #                  merge to the single-controller digest, and sustained
 #                  ingest rate / ack p99 / bytes-per-agent must stay
-#                  within 15% of baseline (--check)
+#                  within 15% of baseline (--check), and its seeded
+#                  counts (acked, retransmits, deliveries and readings
+#                  per shard count) must equal it exactly
 #   6. multiview — the N-stream registry ablation in --fast mode,
 #                  compared against the committed BENCH_multiview.json
 #                  baseline; the seeded fault campaign must knock the
 #                  front camera out, and the 3-stream engine's accuracy
 #                  under that loss must stay at or above the 2-stream
 #                  engine under the same loss and within 15% of the
-#                  clean 2-stream baseline (--check)
+#                  clean 2-stream baseline (--check); the seeded
+#                  evaluation-split size must equal the baseline's
 #   7. ledger    — the frozen pipeline ledger (benchmark/, BENCHMARK.json;
 #                  a package of its own that step 1 only type-checks)
 #                  against this checkout's crates: its unit tests, then

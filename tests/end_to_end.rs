@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use darnet::collect::runtime::{run_campaign, CampaignConfig};
 use darnet::collect::StreamId;
-use darnet::core::dataset::{MultimodalDataset, IMU_FEATURES, WINDOW_LEN};
+use darnet::core::dataset::{Dataset, IMU_FEATURES, WINDOW_LEN};
 use darnet::core::experiment::{
     run_ablation_combiner, table2_from_stack, train_stack_on, ExperimentConfig,
 };
@@ -14,7 +14,7 @@ use darnet::sim::schedule::{build_schedule, ScheduleConfig};
 use darnet::sim::{Behavior, DrivingWorld, Frame, WorldConfig};
 use darnet::tensor::Tensor;
 
-fn small_campaign() -> (MultimodalDataset, ExperimentConfig) {
+fn small_campaign() -> (Dataset, ExperimentConfig) {
     let config = ExperimentConfig {
         scale: 0.015,
         cnn_epochs: 4,
@@ -38,10 +38,11 @@ fn small_campaign() -> (MultimodalDataset, ExperimentConfig) {
             seed: config.seed ^ 0xCA11,
             ..CampaignConfig::default()
         },
+        &StreamId::DARNET_PAIR,
+        &[],
     )
     .expect("campaign runs");
-    let dataset =
-        MultimodalDataset::from_recordings(&recordings, &schedule).expect("dataset builds");
+    let dataset = Dataset::from_recordings(&recordings, &schedule).expect("dataset builds");
     (dataset, config)
 }
 
@@ -58,7 +59,8 @@ fn campaign_to_dataset_is_deterministic() {
 fn dataset_covers_all_classes_with_windows() {
     let (dataset, _) = small_campaign();
     assert!(dataset.len() > 400, "dataset too small: {}", dataset.len());
-    let counts = dataset.class_counts();
+    // The six Table-1 classes; the 6-class script never goes drowsy.
+    let counts = &dataset.class_counts()[..6];
     for (i, &c) in counts.iter().enumerate() {
         assert!(c > 0, "class {i} missing");
     }
@@ -130,10 +132,10 @@ fn engine_classifies_held_out_steps_end_to_end() {
         let window = Tensor::from_vec(sample.imu_window.clone(), &[1, WINDOW_LEN, IMU_FEATURES])
             .expect("window shape");
         engine
-            .classify_step_into(&step_inputs(&sample.frame, &window), &mut out)
+            .classify_step_into(&step_inputs(&sample.frames[0], &window), &mut out)
             .expect("classifies");
         assert!((out[0].scores.iter().sum::<f32>() - 1.0).abs() < 1e-3);
-        if out[0].behavior() == Some(sample.behavior) {
+        if out[0].behavior() == sample.class.base() {
             correct += 1;
         }
     }
@@ -160,7 +162,7 @@ fn svm_slot_works_in_engine() {
         .expect("window shape");
     let mut out = Vec::new();
     engine
-        .classify_step_into(&step_inputs(&sample.frame, &window), &mut out)
+        .classify_step_into(&step_inputs(&sample.frames[0], &window), &mut out)
         .expect("classifies");
     assert_eq!(out[0].used, vec![StreamId::CAMERA_FRONT, StreamId::IMU]);
     assert_eq!(out[0].scores.len(), 6);
@@ -169,12 +171,12 @@ fn svm_slot_works_in_engine() {
 #[test]
 fn behaviors_imu_mapping_consistency_through_pipeline() {
     let (dataset, _) = small_campaign();
-    for s in dataset.samples() {
+    for (s, imu_class) in dataset.samples().iter().zip(dataset.labels3()) {
         // Table-1 invariant: only talking/texting carry task-specific IMU.
-        match s.behavior {
-            Behavior::Talking => assert_eq!(s.imu_class().index(), 1),
-            Behavior::Texting => assert_eq!(s.imu_class().index(), 2),
-            _ => assert_eq!(s.imu_class().index(), 0),
+        match s.class.base() {
+            Some(Behavior::Talking) => assert_eq!(imu_class, 1),
+            Some(Behavior::Texting) => assert_eq!(imu_class, 2),
+            _ => assert_eq!(imu_class, 0),
         }
     }
 }

@@ -5,8 +5,10 @@
 use std::sync::Arc;
 
 use darnet::collect::live::run_live_session;
-use darnet::collect::runtime::{run_campaign, run_session, CampaignConfig};
-use darnet::collect::{ClockConfig, ControllerConfig, LinkConfig, RetransmitConfig};
+use darnet::collect::runtime::{run_campaign, run_session, CampaignConfig, Durability, Recording};
+use darnet::collect::{
+    ClockConfig, ControllerConfig, FaultConfig, LinkConfig, RetransmitConfig, StreamId,
+};
 use darnet::core::experiment::{run_ablation_clocksync, ExperimentConfig};
 use darnet::sim::{Behavior, DrivingWorld, Segment, WorldConfig};
 
@@ -31,9 +33,30 @@ fn script(duration: f64) -> Vec<Segment<Behavior>> {
     ]
 }
 
+/// The paper's pair over [`script`], with `link_overrides` on the named
+/// streams.
+fn pair_session(
+    duration: f64,
+    config: &CampaignConfig,
+    link_overrides: &[(StreamId, LinkConfig)],
+) -> Recording {
+    let streams = StreamId::DARNET_PAIR;
+    let durability = Durability::default();
+    run_session(
+        &world(),
+        0,
+        &script(duration),
+        config,
+        &streams,
+        link_overrides,
+        &durability,
+    )
+    .unwrap()
+}
+
 #[test]
 fn grid_density_matches_configured_rate() {
-    let rec = run_session(&world(), 0, &script(8.0), &CampaignConfig::default()).unwrap();
+    let rec = pair_session(8.0, &CampaignConfig::default(), &[]);
     // 16 s at 4 Hz ≈ 64 grid points (±edge effects).
     assert!(
         (58..=68).contains(&rec.imu.len()),
@@ -41,7 +64,7 @@ fn grid_density_matches_configured_rate() {
         rec.imu.len()
     );
     // Frames at 4 fps over 16 s ≈ 64.
-    assert!((58..=68).contains(&rec.frames.len()));
+    assert!((58..=68).contains(&rec.frames_for(StreamId::CAMERA_FRONT).len()));
 }
 
 #[test]
@@ -55,7 +78,7 @@ fn harsh_network_still_produces_aligned_output() {
         },
         ..CampaignConfig::default()
     };
-    let rec = run_session(&world(), 0, &script(8.0), &config).unwrap();
+    let rec = pair_session(8.0, &config, &[]);
     assert!(!rec.imu.is_empty());
     // Grid timestamps remain strictly increasing despite loss/reordering.
     assert!(rec.imu.windows(2).all(|w| w[0].t < w[1].t));
@@ -70,14 +93,11 @@ fn terrible_clocks_are_tamed_by_sync() {
         },
         ..CampaignConfig::default()
     };
-    let rec = run_session(&world(), 0, &script(8.0), &config).unwrap();
+    let rec = pair_session(8.0, &config, &[]);
     // With the 5 s sync protocol the residual error stays bounded by
     // drift × sync period + jitter ≈ 2e-3·5 + 0.01 ≈ 20 ms.
-    assert!(
-        rec.max_clock_error < 0.05,
-        "clock error {}",
-        rec.max_clock_error
-    );
+    let error = rec.stream(StreamId::IMU).unwrap().max_clock_error;
+    assert!(error < 0.05, "clock error {error}");
 }
 
 #[test]
@@ -96,9 +116,8 @@ fn clocksync_ablation_has_large_effect_size() {
 #[test]
 fn campaign_output_is_stable_across_runs() {
     let config = CampaignConfig::default();
-    let a = run_campaign(&world(), &script(5.0), &config).unwrap();
-    let b = run_campaign(&world(), &script(5.0), &config).unwrap();
-    assert_eq!(a, b);
+    let run = || run_campaign(&world(), &script(5.0), &config, &StreamId::DARNET_PAIR, &[]);
+    assert_eq!(run().unwrap(), run().unwrap());
 }
 
 #[test]
@@ -119,10 +138,35 @@ fn total_camera_outage_still_yields_imu_stream() {
         retransmit: RetransmitConfig::disabled(),
         ..CampaignConfig::default()
     };
-    let rec = run_session(&world(), 0, &script(8.0), &config).unwrap();
-    let healthy = run_session(&world(), 0, &script(8.0), &CampaignConfig::default()).unwrap();
-    assert!(rec.frames.len() < healthy.frames.len() / 4);
+    let rec = pair_session(8.0, &config, &[]);
+    let healthy = pair_session(8.0, &CampaignConfig::default(), &[]);
+    let frames = |rec: &Recording| rec.frames_for(StreamId::CAMERA_FRONT).len();
+    assert!(frames(&rec) < frames(&healthy) / 4);
     assert!(!rec.imu.is_empty());
+}
+
+#[test]
+fn total_imu_outage_still_yields_frames() {
+    // The mirror image: the phone's link is blacked out for the whole
+    // session, so no IMU reading ever arrives. The recording is an empty
+    // aligned stream beside intact frames — not an error — and the
+    // controller never saw the stream at all.
+    let dead = LinkConfig {
+        faults: FaultConfig {
+            blackout: Some((0.0, 1e9)),
+            ..FaultConfig::default()
+        },
+        ..LinkConfig::default()
+    };
+    let rec = pair_session(8.0, &CampaignConfig::default(), &[(StreamId::IMU, dead)]);
+    let healthy = pair_session(8.0, &CampaignConfig::default(), &[]);
+    assert!(rec.imu.is_empty());
+    assert_eq!(
+        rec.frames_for(StreamId::CAMERA_FRONT),
+        healthy.frames_for(StreamId::CAMERA_FRONT)
+    );
+    let phone = rec.stream(StreamId::IMU).unwrap();
+    assert!(phone.health.is_none() && phone.polled > 0 && !rec.lossless());
 }
 
 #[test]
@@ -152,7 +196,7 @@ fn tsdb_rollups_reflect_session_dynamics() {
 
 #[test]
 fn live_threaded_mode_agrees_with_event_driven_grid() {
-    let rec = run_session(&world(), 0, &script(5.0), &CampaignConfig::default()).unwrap();
+    let rec = pair_session(5.0, &CampaignConfig::default(), &[]);
     let live =
         run_live_session(&world(), 0, &script(5.0), 10.0, ControllerConfig::default()).unwrap();
     let live_grid = live.controller.aligned_imu().unwrap();

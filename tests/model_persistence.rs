@@ -3,7 +3,8 @@
 //! release its learning models.
 
 use darnet::collect::runtime::{run_campaign, CampaignConfig};
-use darnet::core::dataset::MultimodalDataset;
+use darnet::collect::StreamId;
+use darnet::core::dataset::Dataset;
 use darnet::core::experiment::{train_stack_on, ExperimentConfig};
 use darnet::core::models::{CnnConfig, FrameCnn, ImuRnn, RnnConfig};
 use darnet::sim::schedule::{build_schedule, ScheduleConfig};
@@ -35,9 +36,11 @@ fn trained_models_roundtrip_through_weight_files() {
             seed: config.seed ^ 0xCA11,
             ..CampaignConfig::default()
         },
+        &StreamId::DARNET_PAIR,
+        &[],
     )
     .unwrap();
-    let dataset = MultimodalDataset::from_recordings(&recordings, &schedule).unwrap();
+    let dataset = Dataset::from_recordings(&recordings, &schedule).unwrap();
     let mut stack = train_stack_on(&config, dataset).unwrap();
 
     let dir = std::env::temp_dir().join("darnet_persist_test");
@@ -68,7 +71,7 @@ fn trained_models_roundtrip_through_weight_files() {
     );
     rnn2.load_weights(&rnn_path).unwrap();
 
-    let eval_frames = stack.eval.frames_tensor().unwrap();
+    let eval_frames = stack.eval.frames_tensor(StreamId::CAMERA_FRONT).unwrap();
     let eval_windows = stack.eval.imu_tensor().unwrap();
     assert_eq!(
         stack.cnn.predict_proba(&eval_frames).unwrap(),
