@@ -9,18 +9,23 @@
 //! so each entry point keeps its own assertion and message. The counter
 //! is per thread, so the tests here run side by side and the harness's
 //! own allocations stay out of every measurement.
+//!
+//! The same counter gates the controller's read side: a frame read
+//! allocates per call, not per frame of history (DESIGN.md §18).
 
 use darnet_bench::alloc_counter;
 use darnet_bench::fixtures::{
     random_tensor, tiny_cnn, tiny_engine, tiny_pair, tiny_rnn, FRAME_SIZE,
 };
 use darnet_collect::runtime::AlignedTuple;
-use darnet_collect::StreamId;
+use darnet_collect::{
+    Batch, Controller, ControllerConfig, SensorReading, StampedReading, StreamId,
+};
 use darnet_core::dataset::{IMU_FEATURES, WINDOW_LEN};
 use darnet_core::privacy::PrivacyLevel;
 use darnet_core::{
-    ClassMap, CombinerKind, ImuSvm, ModalityDescriptor, ModalityStatus, MultiModalEngine,
-    MultiStepClassification, StreamInput, StreamModelSlot,
+    ClassMap, CombinerKind, ImuSvm, MicroBatchConfig, MicroBatcher, ModalityDescriptor,
+    ModalityStatus, MultiModalEngine, MultiStepClassification, StreamInput, StreamModelSlot,
 };
 use darnet_nn::{BiLstm, InceptionBlock, InceptionChannels, Layer, Mode, SvmConfig};
 use darnet_sim::Frame;
@@ -264,4 +269,58 @@ fn layers_and_models_never_spawn_under_a_threaded_policy() {
             .classify_batch_into(&survivor, &mut labels)
             .expect("single survivor");
     });
+}
+
+/// The read side's regression gate: counts repeat exactly where timings
+/// do not. A frame read clones pointers into one `Vec`, so it costs the
+/// same allocation events over a 64-frame history as over a 1 024-frame
+/// one (with owned pixel buffers it cost one more per frame), and handing
+/// a frame of the result on to a warm micro-batcher costs none.
+#[test]
+fn frame_reads_allocate_per_call_not_per_frame() {
+    const EDGE: usize = 48;
+    let read = |history: usize| {
+        let mut controller = Controller::new(ControllerConfig::default());
+        for seq in 0..history as u32 {
+            let batch = Batch {
+                // Two cameras interleaved: the read must not visit the other's.
+                agent_id: 1 + seq % 2,
+                seq: seq / 2,
+                readings: vec![StampedReading {
+                    timestamp: f64::from(seq / 2) * 0.25,
+                    reading: SensorReading::Frame(Frame::new(EDGE, EDGE)),
+                }],
+            };
+            controller.offer_at(0.0, &batch, None).expect("offer");
+        }
+        let (frames, allocs) = alloc_counter::allocations_during(|| {
+            controller.frames_sorted_for(StreamId::CAMERA_FRONT)
+        });
+        assert_eq!(frames.len(), history / 2);
+        (frames, allocs)
+    };
+    let (_, short) = read(2 * 64);
+    let (frames, long) = read(2 * 1024);
+    assert_eq!(short, long, "a frame read allocates per frame of history");
+    assert!(long <= 2, "a frame read allocated {long} times");
+
+    let tuple = |record: &darnet_collect::FrameRecord, window: Vec<f32>| AlignedTuple {
+        t: record.t,
+        frame: record.frame.clone(),
+        window,
+    };
+    let mut batcher = MicroBatcher::new(MicroBatchConfig {
+        max_batch: 32,
+        max_delay: 1.0,
+    });
+    // Built out here: the windows are the caller's, the frames the read's.
+    let (first, second) = (
+        vec![0.0f32; WINDOW_LEN * IMU_FEATURES],
+        vec![0.0f32; WINDOW_LEN * IMU_FEATURES],
+    );
+    assert!(batcher.push(tuple(&frames[0], first), 0.0).is_none());
+    let (flushed, allocs) =
+        alloc_counter::allocations_during(|| batcher.push(tuple(&frames[1], second), 0.0));
+    assert!(flushed.is_none());
+    assert_eq!(allocs, 0, "a warm push of a read frame allocated");
 }

@@ -1,5 +1,12 @@
 //! Data normalization: ordering, linear interpolation onto a uniform grid,
 //! and sliding moving-average smoothing (paper §3.2 "Data Normalization").
+//!
+//! The arithmetic lives once, in two per-grid-point bodies
+//! (`interpolate_at`, `smooth_at`). The batch functions
+//! ([`interpolate_grid`], [`moving_average`]) map them over a whole grid;
+//! the controller's read side (`GridCache`) calls the same bodies for the
+//! grid points a read has to (re)compute, so its output is the batch
+//! output by construction.
 
 use serde::{Deserialize, Serialize};
 
@@ -15,15 +22,99 @@ pub struct GridSpec {
 }
 
 impl GridSpec {
-    /// The grid timestamps.
-    pub fn points(&self) -> Vec<f64> {
-        if self.hz <= 0.0 || self.end < self.start {
-            return Vec::new();
+    /// The most points a grid may hold (at the paper's 4 Hz, seven weeks
+    /// of driving). `hz` is a public configuration value; a grid past
+    /// this bound is treated like any other degenerate grid — empty —
+    /// instead of asking the allocator for it.
+    const MAX_POINTS: usize = 1 << 24;
+
+    /// Number of grid points: zero for a degenerate grid (see
+    /// [`GridSpec::points`]).
+    pub(crate) fn len(&self) -> usize {
+        let finite = self.start.is_finite() && self.end.is_finite() && self.hz.is_finite();
+        if !finite || self.hz <= 0.0 || self.end < self.start {
+            return 0;
         }
-        let step = 1.0 / self.hz;
-        let n = ((self.end - self.start) / step).floor() as usize + 1;
-        (0..n).map(|i| self.start + i as f64 * step).collect()
+        let intervals = ((self.end - self.start) / (1.0 / self.hz)).floor();
+        // The span can overflow to infinity, and ∞ ÷ ∞ (a denormal rate)
+        // is NaN.
+        if intervals.is_nan() || intervals >= Self::MAX_POINTS as f64 {
+            return 0;
+        }
+        intervals as usize + 1
     }
+
+    /// Grid timestamp `i`.
+    pub(crate) fn point(&self, i: usize) -> f64 {
+        self.start + i as f64 * (1.0 / self.hz)
+    }
+
+    /// The grid timestamps. A degenerate grid is empty: `start`, `end` or
+    /// `hz` not finite, `hz` not positive, `end < start`, or more than
+    /// 2^24 points asked for.
+    pub fn points(&self) -> Vec<f64> {
+        (0..self.len()).map(|i| self.point(i)).collect()
+    }
+}
+
+/// One observation log entry: `(timestamp, channel values)`.
+type Observation = (f64, Vec<f32>);
+
+/// The interpolated value at grid time `g`. `at(k)` is the `k`-th of
+/// `len > 0` observations in `(timestamp, log position)` order; `hi` is
+/// the bracket cursor — on return the first observation in that order
+/// not before `g` — and must be carried from one grid point to the next
+/// in grid order (it only moves forward). Outside the observation span
+/// the nearest observation is returned (no extrapolation).
+#[inline]
+fn interpolate_at<'a>(
+    at: impl Fn(usize) -> &'a Observation,
+    len: usize,
+    hi: &mut usize,
+    g: f64,
+) -> Vec<f32> {
+    while *hi < len && at(*hi).0 < g {
+        *hi += 1;
+    }
+    if *hi == 0 {
+        return at(0).1.clone();
+    }
+    if *hi == len {
+        return at(len - 1).1.clone();
+    }
+    let channels = at(0).1.len();
+    let (t0, v0) = at(*hi - 1);
+    let (t1, v1) = at(*hi);
+    let w = if (t1 - t0).abs() < 1e-12 {
+        0.0
+    } else {
+        ((g - t0) / (t1 - t0)) as f32
+    };
+    (0..channels)
+        .map(|c| v0[c] * (1.0 - w) + v1[c] * w)
+        .collect()
+}
+
+/// Row `i` of the moving average of `series`, which must hold rows
+/// `0..=i`: the mean of row `i` and the `window - 1` rows before it (as
+/// many as exist). A window of 0 or 1 is the row itself.
+#[inline]
+fn smooth_at(series: &[Vec<f32>], i: usize, window: usize) -> Vec<f32> {
+    if window <= 1 {
+        return series[i].clone();
+    }
+    let rows = &series[i.saturating_sub(window - 1)..=i];
+    let count = rows.len() as f32;
+    let mut acc = vec![0.0f32; series[0].len()];
+    for row in rows {
+        for (a, &v) in acc.iter_mut().zip(row) {
+            *a += v;
+        }
+    }
+    for a in &mut acc {
+        *a /= count;
+    }
+    acc
 }
 
 /// Linearly interpolates irregular `(t, value)` observations onto `grid`.
@@ -41,34 +132,12 @@ pub fn interpolate_grid(observations: &[(f64, Vec<f32>)], grid: &GridSpec) -> Ve
     if observations.is_empty() {
         return Vec::new();
     }
-    let mut obs: Vec<&(f64, Vec<f32>)> = observations.iter().collect();
-    obs.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let channels = obs[0].1.len();
-    let mut out = Vec::new();
-    let mut hi = 0usize; // first observation with time >= g
-    for g in grid.points() {
-        while hi < obs.len() && obs[hi].0 < g {
-            hi += 1;
-        }
-        let v = if hi == 0 {
-            obs[0].1.clone()
-        } else if hi == obs.len() {
-            obs[obs.len() - 1].1.clone()
-        } else {
-            let (t0, v0) = (&obs[hi - 1].0, &obs[hi - 1].1);
-            let (t1, v1) = (&obs[hi].0, &obs[hi].1);
-            let w = if (t1 - t0).abs() < 1e-12 {
-                0.0
-            } else {
-                ((g - t0) / (t1 - t0)) as f32
-            };
-            (0..channels)
-                .map(|c| v0[c] * (1.0 - w) + v1[c] * w)
-                .collect()
-        };
-        out.push(v);
-    }
-    out
+    let mut sorted: Vec<&Observation> = observations.iter().collect();
+    sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let mut hi = 0usize;
+    (0..grid.len())
+        .map(|i| interpolate_at(|k| sorted[k], sorted.len(), &mut hi, grid.point(i)))
+        .collect()
 }
 
 /// Sliding moving average with a centered-causal window of `window`
@@ -79,26 +148,96 @@ pub fn interpolate_grid(observations: &[(f64, Vec<f32>)], grid: &GridSpec) -> Ve
 ///
 /// `window == 0` or `1` returns the input unchanged.
 pub fn moving_average(series: &[Vec<f32>], window: usize) -> Vec<Vec<f32>> {
-    if window <= 1 || series.is_empty() {
-        return series.to_vec();
-    }
-    let channels = series[0].len();
-    let mut out = Vec::with_capacity(series.len());
-    for i in 0..series.len() {
-        let lo = i.saturating_sub(window - 1);
-        let count = (i - lo + 1) as f32;
-        let mut acc = vec![0.0f32; channels];
-        for row in &series[lo..=i] {
-            for (a, &v) in acc.iter_mut().zip(row) {
-                *a += v;
-            }
+    (0..series.len())
+        .map(|i| smooth_at(series, i, window))
+        .collect()
+}
+
+/// The aligned grid of an append-only observation log, kept between
+/// reads so that a read pays for what arrived since the previous one.
+///
+/// Derived state: everything here is a function of the log and the two
+/// configuration values, and [`GridCache::read`] returns exactly
+/// `moving_average(interpolate_grid(log, grid), window)` over the log's
+/// time span — it runs the same per-point bodies, over the grid points
+/// the new observations can have changed.
+#[derive(Debug)]
+pub(crate) struct GridCache {
+    hz: f64,
+    window: usize,
+    /// `log[..folded]` is what `order`, `start` and `end` cover.
+    folded: usize,
+    /// Log positions by `(timestamp, position)`: the stable sort
+    /// [`interpolate_grid`] does, maintained by insertion.
+    order: Vec<usize>,
+    /// The log's time span, folded in log order as a batch pass would.
+    start: f64,
+    end: f64,
+    /// Per cached grid point, where the bracket cursor stood after it. A
+    /// point read `order[hi - 1]` and `order[hi]` and nothing past them,
+    /// so it survives an insertion into `order` at any slot above `hi`.
+    bracket: Vec<usize>,
+    interpolated: Vec<Vec<f32>>,
+    smoothed: Vec<Vec<f32>>,
+}
+
+impl GridCache {
+    pub(crate) fn new(hz: f64, window: usize) -> Self {
+        GridCache {
+            hz,
+            window,
+            folded: 0,
+            order: Vec::new(),
+            start: f64::INFINITY,
+            end: f64::NEG_INFINITY,
+            bracket: Vec::new(),
+            interpolated: Vec::new(),
+            smoothed: Vec::new(),
         }
-        for a in &mut acc {
-            *a /= count;
-        }
-        out.push(acc);
     }
-    out
+
+    /// Keeps the first `points` cached grid points. The moving average
+    /// trails, so a smoothed row never depends on a later point and the
+    /// three prefixes stay valid together.
+    fn truncate(&mut self, points: usize) {
+        self.bracket.truncate(points);
+        self.interpolated.truncate(points);
+        self.smoothed.truncate(points);
+    }
+
+    /// The grid spanning `log` and its smoothed rows. `log` must be the
+    /// log of the previous read, possibly grown at its end.
+    pub(crate) fn read(&mut self, log: &[Observation]) -> (GridSpec, &[Vec<f32>]) {
+        for (position, (t, _)) in log.iter().enumerate().skip(self.folded) {
+            self.start = self.start.min(*t);
+            self.end = self.end.max(*t);
+            let slot = self
+                .order
+                .partition_point(|&i| log[i].0.total_cmp(t).is_le());
+            self.order.insert(slot, position);
+            // An observation older than every other lands in slot 0 and
+            // drops the whole grid, whose start it moves.
+            self.truncate(self.bracket.partition_point(|&hi| hi < slot));
+        }
+        self.folded = log.len();
+        let grid = GridSpec {
+            start: self.start,
+            end: self.end,
+            hz: self.hz,
+        };
+        // A grid only shrinks when it degenerates (to empty).
+        self.truncate(grid.len());
+        let order = &self.order;
+        let mut hi = self.bracket.last().copied().unwrap_or(0);
+        for i in self.bracket.len()..grid.len() {
+            let row = interpolate_at(|k| &log[order[k]], order.len(), &mut hi, grid.point(i));
+            self.bracket.push(hi);
+            self.interpolated.push(row);
+            let smooth = smooth_at(&self.interpolated, i, self.window);
+            self.smoothed.push(smooth);
+        }
+        (grid, &self.smoothed)
+    }
 }
 
 #[cfg(test)]
@@ -134,6 +273,29 @@ mod tests {
         }
         .points()
         .is_empty());
+    }
+
+    #[test]
+    fn non_finite_or_unbounded_grids_are_empty_not_a_panic() {
+        let grid = |start: f64, end: f64, hz: f64| GridSpec { start, end, hz };
+        // NaN passed the old `hz <= 0.0` guard and made one NaN point.
+        assert!(grid(0.0, 1.0, f64::NAN).points().is_empty());
+        // An infinite rate overflowed `n + 1`.
+        assert!(grid(0.0, 1.0, f64::INFINITY).points().is_empty());
+        assert!(grid(0.0, 1.0, f64::NEG_INFINITY).points().is_empty());
+        assert!(grid(0.0, 1.0, -4.0).points().is_empty());
+        // A huge finite rate, or span, asked for an unbounded `Vec`.
+        assert!(grid(0.0, 1.0, 1e300).points().is_empty());
+        assert!(grid(0.0, 1.0, 1e12).points().is_empty());
+        assert!(grid(-1e300, 1e300, 4.0).points().is_empty());
+        assert!(grid(0.0, f64::MAX, 4.0).points().is_empty());
+        assert!(grid(-f64::MAX, f64::MAX, 5e-324).points().is_empty());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(grid(bad, 1.0, 4.0).points().is_empty());
+            assert!(grid(0.0, bad, 4.0).points().is_empty());
+        }
+        // The bound itself is far from any real session.
+        assert_eq!(grid(0.0, 3600.0, 50.0).points().len(), 180_001);
     }
 
     #[test]

@@ -9,12 +9,13 @@
 //! which feeds the per-stream health report consumed by the analytics
 //! engine's degradation logic.
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 
 use darnet_sim::Frame;
 use serde::{Deserialize, Serialize};
 
-use crate::align::{interpolate_grid, moving_average, GridSpec};
+use crate::align::GridCache;
 use crate::error::CollectError;
 use crate::sensor::SensorReading;
 use crate::stream::StreamId;
@@ -205,6 +206,14 @@ struct StreamState {
     duplicates: u64,
     last_arrival: f64,
     shed: u64,
+    // Positions in `Controller::frames` of this agent's frames, by
+    // `(t, acceptance order)` — what a stable sort of them by `t` yields,
+    // kept at insert. Derived from the acceptance log: in no digest, byte
+    // count or WAL record, rebuilt by replay like the log itself. `u32`
+    // because this is the one read-side structure ingest pays for, and a
+    // fleet shard holds thousands of streams nobody reads (`admitted`
+    // refuses a frame log that would outgrow it).
+    frames: Vec<u32>,
 }
 
 /// Token-bucket state for admission control.
@@ -220,12 +229,10 @@ pub struct Controller {
     config: ControllerConfig,
     imu_observations: Vec<(f64, Vec<f32>)>,
     frames: Vec<FrameRecord>,
-    // Agent id of frames[i], in acceptance order. Kept parallel to
-    // `frames` (both are only pushed in the frame-ingest arm) so a
-    // multi-camera session can separate its views per [`StreamId`]
-    // without touching the frame wire format or the state digest; WAL
-    // replay re-ingests batches, so recovery rebuilds it consistently.
-    frame_agents: Vec<u32>,
+    // The read side of `imu_observations`, brought up to date by
+    // `aligned_imu` (hence the cell: reads take `&self`). Derived state
+    // like `StreamState::frames`; ingest never touches it.
+    aligned: RefCell<GridCache>,
     tsdb: TsDb,
     streams: BTreeMap<u32, StreamState>,
     batches: u64,
@@ -240,7 +247,7 @@ impl Controller {
             config,
             imu_observations: Vec::new(),
             frames: Vec::new(),
-            frame_agents: Vec::new(),
+            aligned: RefCell::new(GridCache::new(config.grid_hz, config.smoothing_window)),
             tsdb: TsDb::new(),
             streams: BTreeMap::new(),
             batches: 0,
@@ -267,8 +274,10 @@ impl Controller {
     ///
     /// # Errors
     ///
-    /// Propagates [`CollectError::Wal`] when the durable append fails;
-    /// the batch is then neither ingested nor acked.
+    /// Propagates [`CollectError::Wal`] when the durable append fails,
+    /// and returns [`CollectError::Overload`] when the frame log has no
+    /// position left for the batch's readings (it holds 2^32); the batch
+    /// is then neither ingested nor acked.
     pub fn offer_at(
         &mut self,
         arrival: f64,
@@ -328,6 +337,16 @@ impl Controller {
                 return Ok(IngestOutcome::Duplicate);
             }
         }
+        // Streams index the frame log by `u32` position; refused here,
+        // before the append, so that a refusal leaves no trace either.
+        let held = self.frames.len();
+        if u32::try_from(held + batch.readings.len()).is_err() {
+            return Err(CollectError::Overload {
+                agent_id: batch.agent_id,
+                buffered: held,
+                capacity: u32::MAX as usize,
+            });
+        }
         if let Some(wal) = wal {
             wal.append(arrival, batch)?;
         }
@@ -364,11 +383,17 @@ impl Controller {
                         self.tsdb
                             .insert("camera.mean_intensity", r.timestamp, frame.mean());
                     }
+                    // After every frame of this stream not later than
+                    // it: the end, unless it arrived late.
+                    let slot = stream.frames.partition_point(|&i| {
+                        self.frames[i as usize].t.total_cmp(&r.timestamp).is_le()
+                    });
+                    // Fits: checked for the whole batch before the append.
+                    stream.frames.insert(slot, self.frames.len() as u32);
                     self.frames.push(FrameRecord {
                         t: r.timestamp,
                         frame: frame.clone(),
                     });
-                    self.frame_agents.push(batch.agent_id);
                 }
             }
         }
@@ -520,28 +545,28 @@ impl Controller {
         &self.tsdb
     }
 
-    /// Received frames sorted by timestamp.
+    /// Received frames of every stream, sorted by timestamp (ties in
+    /// acceptance order).
     pub fn frames_sorted(&self) -> Vec<FrameRecord> {
         let mut out = self.frames.clone();
         out.sort_by(|a, b| a.t.total_cmp(&b.t));
         out
     }
 
-    /// Received frames of one camera stream, sorted by timestamp. A
-    /// multi-camera session ingests every view into the same acceptance
-    /// log; this is the stream-generic read side that keeps each view
-    /// separable for the per-modality models.
+    /// Received frames of one camera stream, sorted by timestamp (ties in
+    /// acceptance order). A multi-camera session ingests every view into
+    /// the same acceptance log; this is the stream-generic read side that
+    /// keeps each view separable for the per-modality models. One pass
+    /// over the stream's own frames, each clone a pointer copy.
     pub fn frames_sorted_for(&self, stream: StreamId) -> Vec<FrameRecord> {
-        let agent = stream.agent_id();
-        let mut out: Vec<FrameRecord> = self
+        let Some(state) = self.streams.get(&stream.agent_id()) else {
+            return Vec::new();
+        };
+        state
             .frames
             .iter()
-            .zip(&self.frame_agents)
-            .filter(|(_, &a)| a == agent)
-            .map(|(fr, _)| fr.clone())
-            .collect();
-        out.sort_by(|a, b| a.t.total_cmp(&b.t));
-        out
+            .map(|&i| self.frames[i as usize].clone())
+            .collect()
     }
 
     /// Number of raw IMU observations buffered.
@@ -561,23 +586,15 @@ impl Controller {
         if self.imu_observations.is_empty() {
             return Err(CollectError::NoData("no imu observations".into()));
         }
-        let (mut t0, mut t1) = (f64::INFINITY, f64::NEG_INFINITY);
-        for (t, _) in &self.imu_observations {
-            t0 = t0.min(*t);
-            t1 = t1.max(*t);
-        }
-        let grid = GridSpec {
-            start: t0,
-            end: t1,
-            hz: self.config.grid_hz,
-        };
-        let interp = interpolate_grid(&self.imu_observations, &grid);
-        let smoothed = moving_average(&interp, self.config.smoothing_window);
-        Ok(grid
-            .points()
-            .into_iter()
-            .zip(smoothed)
-            .map(|(t, features)| AlignedImuPoint { t, features })
+        let mut cache = self.aligned.borrow_mut();
+        let (grid, smoothed) = cache.read(&self.imu_observations);
+        Ok(smoothed
+            .iter()
+            .enumerate()
+            .map(|(i, features)| AlignedImuPoint {
+                t: grid.point(i),
+                features: features.clone(),
+            })
             .collect())
     }
 }
@@ -731,6 +748,27 @@ mod tests {
         let in_order = make(&[(0, &[0.0, 0.1, 0.2]), (1, &[0.3, 0.4, 0.5])]);
         let reordered = make(&[(1, &[0.3, 0.4, 0.5]), (0, &[0.0, 0.1, 0.2])]);
         assert_eq!(in_order, reordered);
+    }
+
+    #[test]
+    fn degenerate_grids_align_to_nothing() {
+        // `grid_hz` is a public field: no value of it may panic a read.
+        for grid_hz in [0.0, -4.0, f64::NAN, f64::INFINITY, 1e300] {
+            let mut c = Controller::new(ControllerConfig {
+                grid_hz,
+                ..ControllerConfig::default()
+            });
+            c.offer_at(0.0, &imu_batch(0, 0, &[0.0, 0.5, 1.0]), None)
+                .unwrap();
+            assert_eq!(c.aligned_imu().unwrap(), vec![], "grid_hz {grid_hz}");
+        }
+        // A grid that degenerates after it was read empties the cache too.
+        let mut c = Controller::new(ControllerConfig::default());
+        c.offer_at(0.0, &imu_batch(0, 0, &[0.0, 0.5, 1.0]), None)
+            .unwrap();
+        assert_eq!(c.aligned_imu().unwrap().len(), 5);
+        c.offer_at(0.0, &imu_batch(0, 1, &[1e300]), None).unwrap();
+        assert_eq!(c.aligned_imu().unwrap(), vec![]);
     }
 
     #[test]

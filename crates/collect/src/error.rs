@@ -50,7 +50,8 @@ pub enum CollectError {
         shard: usize,
     },
     /// A bounded buffer refused new work: the agent's spill buffer hit
-    /// its configured bound with `drop_oldest` off.
+    /// its configured bound with `drop_oldest` off, or the controller's
+    /// frame log its 2^32 positions.
     Overload {
         /// The agent whose buffer overflowed.
         agent_id: u32,
@@ -88,8 +89,8 @@ impl fmt::Display for CollectError {
             } => {
                 write!(
                     f,
-                    "overload: agent {agent_id} spill buffer full \
-                     ({buffered} readings buffered, bound {capacity})"
+                    "overload: agent {agent_id} met a full buffer \
+                     ({buffered} buffered, bound {capacity})"
                 )
             }
         }

@@ -262,3 +262,288 @@ mod transport_props {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Read-side invariants: the controller keeps derived state between reads
+// (a per-stream frame index, a cached aligned grid). For ANY arrival order
+// and ANY interleaving of reads with offers, each read door returns what
+// recomputing from the acceptance log alone returns — bit for bit — and a
+// controller recovered from the WAL of the same traffic does too.
+// ---------------------------------------------------------------------------
+
+mod read_side_props {
+    use std::sync::Arc;
+
+    use darnet_collect::wal;
+    use darnet_collect::{
+        decode_batch, encode_batch, interpolate_grid, moving_average, AlignedImuPoint, Batch,
+        Controller, ControllerConfig, FrameRecord, GridSpec, IngestOutcome, MemStorage,
+        SensorReading, StampedReading, StreamId, WalConfig, WalStorage,
+    };
+    use darnet_sim::{Frame, ImuSample};
+    use darnet_tensor::SplitMix64;
+    use proptest::prelude::*;
+
+    type Observation = (f64, Vec<f32>);
+
+    /// The reference: the batch pipeline over the accepted observations,
+    /// through the public batch functions only.
+    fn batch_aligned(log: &[Observation], config: &ControllerConfig) -> Vec<AlignedImuPoint> {
+        let (start, end) = log
+            .iter()
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), (t, _)| {
+                (lo.min(*t), hi.max(*t))
+            });
+        let grid = GridSpec {
+            start,
+            end,
+            hz: config.grid_hz,
+        };
+        let smoothed = moving_average(&interpolate_grid(log, &grid), config.smoothing_window);
+        grid.points()
+            .into_iter()
+            .zip(smoothed)
+            .map(|(t, features)| AlignedImuPoint { t, features })
+            .collect()
+    }
+
+    fn bits(points: &[AlignedImuPoint]) -> Vec<(u64, Vec<u32>)> {
+        points
+            .iter()
+            .map(|p| {
+                (
+                    p.t.to_bits(),
+                    p.features.iter().map(|v| v.to_bits()).collect(),
+                )
+            })
+            .collect()
+    }
+
+    fn imu_sample(rng: &mut SplitMix64, scale: f32) -> ImuSample {
+        let mut feats = [0.0f32; ImuSample::FEATURES];
+        for f in &mut feats {
+            *f = rng.uniform(-scale, scale);
+        }
+        ImuSample::from_features(&feats)
+    }
+
+    /// Seeded IMU batches in arrival order, holding what an incrementally
+    /// kept grid has to survive: shuffled arrival, timestamps equal to and
+    /// 5e-13 s from earlier ones (inside the interpolation's 1e-12 guard),
+    /// constant runs, retransmitted `(agent, seq)`s, and — never first —
+    /// one batch older than everything else, which moves the grid start.
+    fn imu_traffic(rng: &mut SplitMix64, batches: usize, scale: f32) -> Vec<Batch> {
+        let mut used: Vec<f64> = Vec::new();
+        let mut clock = 10.0f64;
+        let mut out: Vec<Batch> = Vec::new();
+        for seq in 0..batches as u32 {
+            let held = (rng.next_usize(4) == 0).then(|| imu_sample(rng, scale));
+            let readings = (0..1 + rng.next_usize(6))
+                .map(|_| {
+                    let timestamp = match rng.next_usize(8) {
+                        0 if !used.is_empty() => used[rng.next_usize(used.len())],
+                        1 if !used.is_empty() => used[rng.next_usize(used.len())] + 5e-13,
+                        _ => {
+                            clock += rng.next_f64() * 0.2;
+                            clock
+                        }
+                    };
+                    used.push(timestamp);
+                    StampedReading {
+                        timestamp,
+                        reading: SensorReading::Imu(held.unwrap_or_else(|| imu_sample(rng, scale))),
+                    }
+                })
+                .collect();
+            out.push(Batch {
+                agent_id: 0,
+                seq,
+                readings,
+            });
+        }
+        rng.shuffle(&mut out);
+        let oldest = Batch {
+            agent_id: 0,
+            seq: batches as u32,
+            readings: vec![StampedReading {
+                timestamp: 7.0 - rng.next_f64(),
+                reading: SensorReading::Imu(imu_sample(rng, scale)),
+            }],
+        };
+        out.insert(1 + rng.next_usize(out.len()), oldest);
+        for _ in 0..batches / 3 {
+            let again = out[rng.next_usize(out.len())].clone();
+            out.insert(rng.next_usize(out.len() + 1), again);
+        }
+        out
+    }
+
+    /// Offers `traffic` through a WAL-backed controller, keeping what
+    /// `record` makes of each accepted reading as the reference log, and
+    /// calls `check` with the controller and that log after each offer a
+    /// coin picks, after the last offer, and on a controller recovered
+    /// from the WAL.
+    #[allow(clippy::expect_used)] // test helper: a failed expect IS the test failing
+    fn drive<T>(
+        rng: &mut SplitMix64,
+        config: ControllerConfig,
+        traffic: &[Batch],
+        record: impl Fn(&Batch, &StampedReading) -> Option<T>,
+        check: impl Fn(&Controller, &[T]),
+    ) {
+        let storage: Arc<dyn WalStorage> = Arc::new(MemStorage::new());
+        let open = || wal::open(config, Arc::clone(&storage), WalConfig::default()).expect("open");
+        let (mut live, mut wal, _) = open();
+        let mut log: Vec<T> = Vec::new();
+        for (i, batch) in traffic.iter().enumerate() {
+            let outcome = live
+                .offer_at(i as f64 * 0.1, batch, Some(&mut wal))
+                .expect("offer");
+            if outcome == IngestOutcome::Accepted {
+                log.extend(batch.readings.iter().filter_map(|r| record(batch, r)));
+            }
+            if rng.next_usize(2) == 0 {
+                check(&live, &log);
+            }
+        }
+        check(&live, &log);
+        let (recovered, _, _) = open();
+        check(&recovered, &log);
+    }
+
+    fn observation(_: &Batch, r: &StampedReading) -> Option<Observation> {
+        match r.reading {
+            SensorReading::Imu(s) => Some((r.timestamp, s.to_features().to_vec())),
+            SensorReading::Frame(_) => None,
+        }
+    }
+
+    fn frame_record(batch: &Batch, r: &StampedReading) -> Option<(u32, FrameRecord)> {
+        match &r.reading {
+            SensorReading::Frame(frame) => Some((
+                batch.agent_id,
+                FrameRecord {
+                    t: r.timestamp,
+                    frame: frame.clone(),
+                },
+            )),
+            SensorReading::Imu(_) => None,
+        }
+    }
+
+    /// Two cameras' single-frame batches in arrival order: every timestamp
+    /// is shared by both cameras and some by several frames of one (ties),
+    /// arrival is shuffled (late frames), some batches arrive twice. Each
+    /// frame's pixels name it, so ties cannot hide a swap. Sent through
+    /// the wire codec, so the WAL replays exactly what was ingested.
+    #[allow(clippy::expect_used)] // test helper: a failed expect IS the test failing
+    fn frame_traffic(rng: &mut SplitMix64, per_camera: usize) -> Vec<Batch> {
+        let mut out = Vec::new();
+        for seq in 0..per_camera as u32 {
+            let timestamp = rng.next_usize(per_camera.div_ceil(2)) as f64 * 0.25;
+            for agent_id in [1u32, 2] {
+                let id = (seq * 2 + agent_id) as f32 / 255.0;
+                let batch = Batch {
+                    agent_id,
+                    seq,
+                    readings: vec![StampedReading {
+                        timestamp,
+                        reading: SensorReading::Frame(Frame::from_pixels(2, 1, vec![id, 1.0])),
+                    }],
+                };
+                out.push(decode_batch(encode_batch(&batch)).expect("wire round-trip"));
+            }
+        }
+        rng.shuffle(&mut out);
+        for _ in 0..per_camera / 3 {
+            let again = out[rng.next_usize(out.len())].clone();
+            out.insert(rng.next_usize(out.len() + 1), again);
+        }
+        out
+    }
+
+    /// What the frame doors returned before they kept an index: filter
+    /// the acceptance log, then a stable sort by timestamp.
+    fn sorted_from_log(log: &[(u32, FrameRecord)], agent: Option<u32>) -> Vec<FrameRecord> {
+        let mut out: Vec<FrameRecord> = log
+            .iter()
+            .filter(|(a, _)| agent.is_none_or(|want| *a == want))
+            .map(|(_, fr)| fr.clone())
+            .collect();
+        out.sort_by(|a, b| a.t.total_cmp(&b.t));
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn aligned_imu_read_at_any_point_equals_batch_recomputation_bitwise(
+            seed in any::<u64>(),
+            batches in 1usize..14,
+            grid_hz in 1.0f64..50.0,
+            smoothing_window in 1usize..=8,
+        ) {
+            let mut rng = SplitMix64::new(seed);
+            let config = ControllerConfig { grid_hz, smoothing_window, ..ControllerConfig::default() };
+            let traffic = imu_traffic(&mut rng, batches, 20.0);
+            drive(&mut rng, config, &traffic, observation, |controller, log| {
+                let read = controller.aligned_imu().expect("observations were accepted");
+                assert!(!read.is_empty());
+                assert_eq!(bits(&read), bits(&batch_aligned(log, &config)), "seed {seed}");
+            });
+        }
+
+        // ROADMAP item 6, the aligner's slice: finite readings in, finite
+        // grid out, inside what was observed. The bound on `scale` is the
+        // moving average's: it sums up to `window` values before dividing.
+        #[test]
+        fn aligned_imu_of_finite_readings_is_finite_and_within_observed_range(
+            seed in any::<u64>(),
+            batches in 1usize..14,
+            grid_hz in 1.0f64..50.0,
+            smoothing_window in 1usize..=8,
+            magnitude in 0usize..3,
+        ) {
+            let scale = [1.0f32, 1e3, 1e30][magnitude];
+            let mut rng = SplitMix64::new(seed);
+            let config = ControllerConfig { grid_hz, smoothing_window, ..ControllerConfig::default() };
+            let traffic = imu_traffic(&mut rng, batches, scale);
+            drive(&mut rng, config, &traffic, observation, |controller, log| {
+                let slack = scale * 1e-5;
+                for point in controller.aligned_imu().expect("observations were accepted") {
+                    assert!(point.t.is_finite());
+                    for (channel, value) in point.features.iter().enumerate() {
+                        let seen = log.iter().map(|(_, feats)| feats[channel]);
+                        let lo = seen.clone().fold(f32::INFINITY, f32::min);
+                        let hi = seen.fold(f32::NEG_INFINITY, f32::max);
+                        assert!(
+                            value.is_finite() && (lo - slack..=hi + slack).contains(value),
+                            "seed {seed} channel {channel}: {value} outside [{lo}, {hi}]"
+                        );
+                    }
+                }
+            });
+        }
+
+        #[test]
+        fn frame_doors_equal_a_stable_sort_of_the_acceptance_log(
+            seed in any::<u64>(),
+            per_camera in 1usize..16,
+        ) {
+            let mut rng = SplitMix64::new(seed);
+            let traffic = frame_traffic(&mut rng, per_camera);
+            drive(&mut rng, ControllerConfig::default(), &traffic, frame_record, |controller, log| {
+                for agent in [1u32, 2] {
+                    assert_eq!(
+                        controller.frames_sorted_for(StreamId::from_agent(agent)),
+                        sorted_from_log(log, Some(agent)),
+                        "seed {seed}"
+                    );
+                }
+                assert_eq!(controller.frames_sorted(), sorted_from_log(log, None), "seed {seed}");
+                assert!(controller.frames_sorted_for(StreamId(9)).is_empty());
+            });
+        }
+    }
+}

@@ -120,12 +120,11 @@ impl MultiModalEngine {
     /// of aligned tuples, each tuple's frame feeding the `camera` stream
     /// and its IMU window the `imu` stream. Input assembly runs on the
     /// session's reused buffers — the window tensor is a workspace
-    /// checkout and frames are `clone_pixels_from`ed into an engine-owned
-    /// scratch list, so their pixel buffers keep their capacity — so
-    /// after one warm-up call at a given batch shape the drain loop
-    /// performs zero heap allocations per flush. Results are in tuple
-    /// order, written into `out` as
-    /// [`MultiModalEngine::classify_batch_into`] would.
+    /// checkout and the frames (a clone shares its pixels) refill an
+    /// engine-owned scratch list that keeps its capacity — so after one
+    /// warm-up call at a given batch shape the drain loop performs zero
+    /// heap allocations per flush. Results are in tuple order, written
+    /// into `out` as [`MultiModalEngine::classify_batch_into`] would.
     ///
     /// # Errors
     ///
@@ -161,14 +160,8 @@ impl MultiModalEngine {
             wd[i * row..(i + 1) * row].copy_from_slice(&tup.window);
         }
         let mut frames = std::mem::take(&mut self.tuple_frames);
-        for (i, tup) in tuples.iter().enumerate() {
-            if let Some(slot) = frames.get_mut(i) {
-                slot.clone_pixels_from(&tup.frame);
-            } else {
-                frames.push(tup.frame.clone());
-            }
-        }
-        frames.truncate(n);
+        frames.clear();
+        frames.extend(tuples.iter().map(|tup| tup.frame.clone()));
         let inputs = [
             (camera, StreamInput::Frames(&frames)),
             (imu, StreamInput::Windows(&windows)),

@@ -1,16 +1,75 @@
 //! Grayscale camera frames.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 /// A grayscale camera frame with pixel intensities in `[0, 1]`, row-major.
 ///
 /// This is the unit of data the dashcam collection agent emits and the CNN
 /// consumes (after conversion to a tensor).
+///
+/// The pixels sit in a shared buffer: `clone` copies a pointer, and the
+/// first mutation of a frame whose buffer is shared copies the pixels
+/// (copy on write), so a clone can never be changed through another
+/// handle. Equality compares pixel values, not pointers.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Frame {
     width: usize,
     height: usize,
-    pixels: Vec<f32>,
+    pixels: Arc<[f32]>,
+}
+
+/// A frame's pixel buffer borrowed uniquely for drawing. Taking it
+/// ([`Frame::canvas`]) settles copy-on-write once, so a renderer that
+/// draws thousands of pixels pays no reference-count check per pixel.
+#[derive(Debug)]
+pub struct Canvas<'a> {
+    width: usize,
+    height: usize,
+    pixels: &'a mut [f32],
+}
+
+impl Canvas<'_> {
+    /// Canvas width in pixels.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Canvas height in pixels.
+    pub fn height(&self) -> usize {
+        self.height
+    }
+
+    /// The pixel buffer (row-major).
+    pub fn pixels_mut(&mut self) -> &mut [f32] {
+        self.pixels
+    }
+
+    fn index(&self, x: isize, y: isize) -> Option<usize> {
+        (x >= 0 && y >= 0 && (x as usize) < self.width && (y as usize) < self.height)
+            .then(|| y as usize * self.width + x as usize)
+    }
+
+    /// Pixel at `(x, y)`, or `None` if out of bounds.
+    pub fn get(&self, x: isize, y: isize) -> Option<f32> {
+        self.index(x, y).map(|i| self.pixels[i])
+    }
+
+    /// Sets pixel `(x, y)` if in bounds (silently ignores out-of-bounds,
+    /// which keeps drawing primitives simple).
+    pub fn put(&mut self, x: isize, y: isize, value: f32) {
+        if let Some(i) = self.index(x, y) {
+            self.pixels[i] = value.clamp(0.0, 1.0);
+        }
+    }
+
+    /// Blends `value` over pixel `(x, y)` with weight `alpha` if in bounds.
+    pub fn blend(&mut self, x: isize, y: isize, value: f32, alpha: f32) {
+        if let Some(i) = self.index(x, y) {
+            self.pixels[i] = (self.pixels[i] * (1.0 - alpha) + value * alpha).clamp(0.0, 1.0);
+        }
+    }
 }
 
 impl Frame {
@@ -19,7 +78,7 @@ impl Frame {
         Frame {
             width,
             height,
-            pixels: vec![0.0; width * height],
+            pixels: std::iter::repeat_n(0.0, width * height).collect(),
         }
     }
 
@@ -37,7 +96,7 @@ impl Frame {
         Frame {
             width,
             height,
-            pixels,
+            pixels: pixels.into(),
         }
     }
 
@@ -56,19 +115,19 @@ impl Frame {
         &self.pixels
     }
 
-    /// Copies `other` into this frame, reusing the existing pixel buffer
-    /// when its capacity suffices (`Vec::clone_from` semantics). The
-    /// zero-alloc batching path refreshes its frame scratch list with
-    /// this instead of cloning fresh frames.
-    pub fn clone_pixels_from(&mut self, other: &Frame) {
-        self.width = other.width;
-        self.height = other.height;
-        self.pixels.clone_from(&other.pixels);
+    /// The pixels borrowed uniquely for drawing, copied first if another
+    /// frame shares them.
+    pub fn canvas(&mut self) -> Canvas<'_> {
+        Canvas {
+            width: self.width,
+            height: self.height,
+            pixels: Arc::make_mut(&mut self.pixels),
+        }
     }
 
-    /// Mutable pixel buffer.
+    /// Mutable pixel buffer (copied first if another frame shares it).
     pub fn pixels_mut(&mut self) -> &mut [f32] {
-        &mut self.pixels
+        Arc::make_mut(&mut self.pixels)
     }
 
     /// Pixel at `(x, y)`, or `None` if out of bounds.
@@ -83,18 +142,12 @@ impl Frame {
     /// Sets pixel `(x, y)` if in bounds (silently ignores out-of-bounds,
     /// which keeps drawing primitives simple).
     pub fn put(&mut self, x: isize, y: isize, value: f32) {
-        if x >= 0 && y >= 0 && (x as usize) < self.width && (y as usize) < self.height {
-            self.pixels[y as usize * self.width + x as usize] = value.clamp(0.0, 1.0);
-        }
+        self.canvas().put(x, y, value);
     }
 
     /// Blends `value` over pixel `(x, y)` with weight `alpha` if in bounds.
     pub fn blend(&mut self, x: isize, y: isize, value: f32, alpha: f32) {
-        if x >= 0 && y >= 0 && (x as usize) < self.width && (y as usize) < self.height {
-            let idx = y as usize * self.width + x as usize;
-            let old = self.pixels[idx];
-            self.pixels[idx] = (old * (1.0 - alpha) + value * alpha).clamp(0.0, 1.0);
-        }
+        self.canvas().blend(x, y, value, alpha);
     }
 
     /// Nearest-neighbour down-sampling to `new_w × new_h` — the distortion
@@ -106,7 +159,7 @@ impl Frame {
     pub fn downsample_nearest(&self, new_w: usize, new_h: usize) -> Frame {
         assert!(new_w > 0 && new_h > 0, "target dimensions must be non-zero");
         let mut out = Frame::new(new_w, new_h);
-        self.resample_nearest_into(new_w, new_h, &mut out.pixels);
+        self.resample_nearest_into(new_w, new_h, out.pixels_mut());
         out
     }
 

@@ -58,7 +58,7 @@ mod world;
 
 pub use behavior::{Behavior, CanonicalBehavior, ExtendedBehavior, ImuClass};
 pub use driver::DriverProfile;
-pub use frame::Frame;
+pub use frame::{Canvas, Frame};
 pub use imu::{ImuSample, ImuSynthesizer};
 pub use render::FrameRenderer;
 pub use schedule::{ScheduleConfig, Segment};

@@ -21,7 +21,7 @@ use darnet_tensor::SplitMix64;
 
 use crate::behavior::{Behavior, CanonicalBehavior, ExtendedBehavior};
 use crate::driver::DriverProfile;
-use crate::frame::Frame;
+use crate::frame::{Canvas, Frame};
 
 /// Props a hand can hold.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -535,7 +535,8 @@ impl FrameRenderer {
     ) -> Frame {
         let s = self.size as f32 / 48.0; // geometry scale factor
         let rng = &mut *rng;
-        let mut f = Frame::new(self.size, self.size);
+        let mut frame = Frame::new(self.size, self.size);
+        let mut f = frame.canvas();
 
         // Lighting varies slowly with time (the paper collected "under
         // varying degrees of lighting").
@@ -716,7 +717,7 @@ impl FrameRenderer {
                 *p = (*p + rng.normal() * self.noise_sigma).clamp(0.0, 1.0);
             }
         }
-        f
+        frame
     }
 
     /// Profile projection of a dash-view pose: the camera sits on the
@@ -734,7 +735,8 @@ impl FrameRenderer {
     ) -> Frame {
         let s = self.size as f32 / 48.0;
         let rng = &mut *rng;
-        let mut f = Frame::new(self.size, self.size);
+        let mut frame = Frame::new(self.size, self.size);
+        let mut f = frame.canvas();
 
         let _ = t;
         let lighting = 1.0 + rng.uniform(-0.20, 0.20);
@@ -866,7 +868,7 @@ impl FrameRenderer {
                 *p = (*p + rng.normal() * self.noise_sigma).clamp(0.0, 1.0);
             }
         }
-        f
+        frame
     }
 }
 
@@ -874,7 +876,7 @@ impl FrameRenderer {
 // Drawing primitives
 // ---------------------------------------------------------------------
 
-fn fill_rect(f: &mut Frame, x0: f32, y0: f32, x1: f32, y1: f32, value: f32) {
+fn fill_rect(f: &mut Canvas<'_>, x0: f32, y0: f32, x1: f32, y1: f32, value: f32) {
     let (x0, x1) = (x0.min(x1), x0.max(x1));
     let (y0, y1) = (y0.min(y1), y0.max(y1));
     for y in y0.floor() as isize..=y1.ceil() as isize {
@@ -884,7 +886,7 @@ fn fill_rect(f: &mut Frame, x0: f32, y0: f32, x1: f32, y1: f32, value: f32) {
     }
 }
 
-fn fill_circle(f: &mut Frame, cx: f32, cy: f32, r: f32, value: f32) {
+fn fill_circle(f: &mut Canvas<'_>, cx: f32, cy: f32, r: f32, value: f32) {
     let r2 = r * r;
     for y in (cy - r).floor() as isize..=(cy + r).ceil() as isize {
         for x in (cx - r).floor() as isize..=(cx + r).ceil() as isize {
@@ -897,7 +899,7 @@ fn fill_circle(f: &mut Frame, cx: f32, cy: f32, r: f32, value: f32) {
     }
 }
 
-fn draw_ring(f: &mut Frame, cx: f32, cy: f32, r: f32, thickness: f32, value: f32) {
+fn draw_ring(f: &mut Canvas<'_>, cx: f32, cy: f32, r: f32, thickness: f32, value: f32) {
     let outer2 = r * r;
     let inner = (r - thickness).max(0.0);
     let inner2 = inner * inner;
@@ -913,7 +915,7 @@ fn draw_ring(f: &mut Frame, cx: f32, cy: f32, r: f32, thickness: f32, value: f32
     }
 }
 
-fn draw_thick_line(f: &mut Frame, a: (f32, f32), b: (f32, f32), width: f32, value: f32) {
+fn draw_thick_line(f: &mut Canvas<'_>, a: (f32, f32), b: (f32, f32), width: f32, value: f32) {
     let steps = ((b.0 - a.0).abs().max((b.1 - a.1).abs()).ceil() as usize).max(1) * 2;
     for i in 0..=steps {
         let t = i as f32 / steps as f32;
@@ -925,7 +927,7 @@ fn draw_thick_line(f: &mut Frame, a: (f32, f32), b: (f32, f32), width: f32, valu
 
 #[allow(clippy::too_many_arguments)] // private raster helper: a bounding box + wave parameters
 fn apply_texture(
-    f: &mut Frame,
+    f: &mut Canvas<'_>,
     x0: f32,
     y0: f32,
     x1: f32,
@@ -937,8 +939,9 @@ fn apply_texture(
     for y in y0.floor().max(0.0) as usize..(y1.ceil() as usize).min(f.height()) {
         for x in x0.floor().max(0.0) as usize..(x1.ceil() as usize).min(f.width()) {
             let wave = (std::f32::consts::TAU * freq * (x as f32 + 0.7 * y as f32) + phase).sin();
+            let (x, y) = (x as isize, y as isize);
             let old = f.get(x, y).unwrap_or(0.0);
-            f.put(x as isize, y as isize, old + amp * wave);
+            f.put(x, y, old + amp * wave);
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests for the synthetic world.
 
 use darnet_sim::schedule::{build_schedule, class_durations, ScheduleConfig, TABLE1_FRAME_COUNTS};
-use darnet_sim::{Behavior, DriverProfile, DrivingWorld, FrameRenderer, WorldConfig};
+use darnet_sim::{Behavior, DriverProfile, DrivingWorld, Frame, FrameRenderer, WorldConfig};
 use proptest::prelude::*;
 
 proptest! {
@@ -71,6 +71,49 @@ proptest! {
             w1.imu_sample(driver_id, behavior, t),
             w2.imu_sample(driver_id, behavior, t)
         );
+    }
+
+    // A clone shares its pixels until one side is written to: no write
+    // through one handle may show through another, and equality is about
+    // pixel values, never about which buffer holds them.
+    #[test]
+    fn a_cloned_frame_is_never_changed_through_its_clone(
+        pixels in prop::collection::vec(0.0f32..1.0, 12),
+        writes in prop::collection::vec((0usize..4, 0isize..4, 0isize..3, 0.0f32..1.0), 1..6),
+    ) {
+        let original = Frame::from_pixels(4, 3, pixels.clone());
+        let untouched = Frame::from_pixels(4, 3, pixels);
+        let mut copy = original.clone();
+        prop_assert_eq!(&copy, &original);
+        let mut expected = original.pixels().to_vec();
+        for (how, x, y, value) in writes {
+            let at = y as usize * 4 + x as usize;
+            match how {
+                0 => {
+                    copy.put(x, y, value);
+                    expected[at] = value;
+                }
+                1 => {
+                    copy.blend(x, y, value, 0.5);
+                    expected[at] = (expected[at] * 0.5 + value * 0.5).clamp(0.0, 1.0);
+                }
+                2 => {
+                    copy.canvas().put(x, y, value);
+                    expected[at] = value;
+                }
+                _ => {
+                    copy.pixels_mut()[at] = value;
+                    expected[at] = value;
+                }
+            }
+            prop_assert_eq!(&original, &untouched);
+        }
+        prop_assert_eq!(copy.pixels(), &expected[..]);
+        // Equal values in separate buffers are equal frames; a frame
+        // differing in one pixel is not, shared history or none.
+        prop_assert_eq!(&copy, &Frame::from_pixels(4, 3, expected.clone()));
+        expected[0] = if expected[0] == 0.25 { 0.75 } else { 0.25 };
+        prop_assert_ne!(&copy, &Frame::from_pixels(4, 3, expected));
     }
 
     #[test]
