@@ -14,7 +14,8 @@
 //!   wall-clock second at the main fleet size, committed conservatively)
 //!   must not regress;
 //! * **tail latency and footprint** — `cost_ack_p99_s` (simulated-time
-//!   ack p99, deterministic) and `cost_bytes_per_agent` must not grow.
+//!   ack p99, deterministic) must not grow, and `cost_bytes_per_agent`
+//!   (a byte count the seed determines) must equal the baseline.
 //!
 //! Flags (the shared bench conventions):
 //!
@@ -44,6 +45,7 @@ const SEEDED: &[&str] = &[
     "fleet_retransmits",
     "fleet_abandoned",
     "fleet_deferred_flushes",
+    "cost_bytes_per_agent",
 ];
 /// Wall-clock throughput baselines are recorded at this fraction of the
 /// measured rate so cross-machine noise does not trip the gate; the
@@ -134,8 +136,8 @@ fn run(fast: bool) -> BTreeMap<String, f64> {
 
     // Gated metrics. The throughput baseline is recorded conservatively
     // (× CONSERVATIVE) so only genuine collapses trip the 15% gate; the
-    // simulated-time latency and byte metrics are deterministic and gate
-    // tightly.
+    // simulated-time latency is deterministic and gates tightly, the
+    // byte count exactly (`SEEDED`).
     let rps = out[&format!("fleet{agents}_shards{main_shards}_ingest_rps")];
     out.insert("rate_ingest_rps".to_string(), rps * CONSERVATIVE);
     out.insert("cost_ack_p99_s".to_string(), main.ack_latency_p99);

@@ -10,8 +10,9 @@
 //! is per thread, so the tests here run side by side and the harness's
 //! own allocations stay out of every measurement.
 //!
-//! The same counter gates the controller's read side: a frame read
-//! allocates per call, not per frame of history (DESIGN.md §18).
+//! The same counter gates the controller's two sides: a frame read
+//! allocates per call, not per frame of history, and an IMU reading is
+//! written as one TSDB row, allocating for growth only (DESIGN.md §18).
 
 use darnet_bench::alloc_counter;
 use darnet_bench::fixtures::{
@@ -28,7 +29,7 @@ use darnet_core::{
     ModalityStatus, MultiModalEngine, MultiStepClassification, StreamInput, StreamModelSlot,
 };
 use darnet_nn::{BiLstm, InceptionBlock, InceptionChannels, Layer, Mode, SvmConfig};
-use darnet_sim::Frame;
+use darnet_sim::{Frame, ImuSample};
 use darnet_tensor::{Parallelism, SplitMix64, Tensor, Workspace};
 
 const BATCH: usize = 8;
@@ -323,4 +324,50 @@ fn frame_reads_allocate_per_call_not_per_frame() {
         alloc_counter::allocations_during(|| batcher.push(tuple(&frames[1], second), 0.0));
     assert!(flushed.is_none());
     assert_eq!(allocs, 0, "a warm push of a read frame allocated");
+}
+
+/// The write side's gate, again as a count. An IMU reading reaches the
+/// one store that keeps it as one row under a name built per batch in
+/// place, so in-order readings into a warm controller allocate only when
+/// the stamp and value buffers (and the batch's seen-set) grow — logged
+/// and fanned out over twelve named series it was 13 events or more per
+/// reading. Per-agent keys cost the same.
+#[test]
+fn imu_ingest_allocates_for_growth_not_per_reading() {
+    const BATCHES: u32 = 32;
+    const PER_BATCH: u32 = 32;
+    let batch = |seq: u32| Batch {
+        agent_id: 0,
+        seq,
+        readings: (0..PER_BATCH)
+            .map(|i| StampedReading {
+                timestamp: f64::from(seq * PER_BATCH + i) * 0.025,
+                reading: SensorReading::Imu(ImuSample::from_features(&[i as f32; 12])),
+            })
+            .collect(),
+    };
+    let ingest = |per_agent_series: bool| {
+        let mut controller = Controller::new(ControllerConfig {
+            per_agent_series,
+            ..ControllerConfig::default()
+        });
+        // Warm: the stream, its series and the key scratch exist.
+        controller.offer_at(0.0, &batch(0), None).expect("offer");
+        let traffic: Vec<Batch> = (1..=BATCHES).map(batch).collect();
+        let ((), allocs) = alloc_counter::allocations_during(|| {
+            for batch in &traffic {
+                controller.offer_at(0.0, batch, None).expect("offer");
+            }
+        });
+        let readings = ((BATCHES + 1) * PER_BATCH) as usize;
+        assert_eq!(controller.imu_observation_count(), readings);
+        allocs
+    };
+    let shared = ingest(false);
+    let readings = u64::from(BATCHES * PER_BATCH);
+    assert!(
+        shared * 32 <= readings,
+        "{readings} in-order imu readings allocated {shared} times"
+    );
+    assert_eq!(ingest(true), shared, "per-agent keys allocate per reading");
 }

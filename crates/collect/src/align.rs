@@ -4,11 +4,13 @@
 //! The arithmetic lives once, in two per-grid-point bodies
 //! (`interpolate_at`, `smooth_at`). The batch functions
 //! ([`interpolate_grid`], [`moving_average`]) map them over a whole grid;
-//! the controller's read side (`GridCache`) calls the same bodies for the
-//! grid points a read has to (re)compute, so its output is the batch
-//! output by construction.
+//! the controller's read side (`GridCache`, over the TSDB's IMU rows)
+//! calls the same bodies for the grid points a read has to (re)compute,
+//! so its output is the batch output by construction.
 
 use serde::{Deserialize, Serialize};
+
+use crate::tsdb::Series;
 
 /// A uniform sampling grid `start, start + 1/hz, ...` up to `end`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -57,18 +59,16 @@ impl GridSpec {
     }
 }
 
-/// One observation log entry: `(timestamp, channel values)`.
-type Observation = (f64, Vec<f32>);
-
 /// The interpolated value at grid time `g`. `at(k)` is the `k`-th of
-/// `len > 0` observations in `(timestamp, log position)` order; `hi` is
-/// the bracket cursor — on return the first observation in that order
-/// not before `g` — and must be carried from one grid point to the next
-/// in grid order (it only moves forward). Outside the observation span
-/// the nearest observation is returned (no extrapolation).
+/// `len > 0` observations — `(timestamp, channel values)` — in
+/// `(timestamp, arrival)` order; `hi` is the bracket cursor — on return
+/// the first observation in that order not before `g` — and must be
+/// carried from one grid point to the next in grid order (it only moves
+/// forward). Outside the observation span the nearest observation is
+/// returned (no extrapolation).
 #[inline]
 fn interpolate_at<'a>(
-    at: impl Fn(usize) -> &'a Observation,
+    at: impl Fn(usize) -> (f64, &'a [f32]),
     len: usize,
     hi: &mut usize,
     g: f64,
@@ -77,10 +77,10 @@ fn interpolate_at<'a>(
         *hi += 1;
     }
     if *hi == 0 {
-        return at(0).1.clone();
+        return at(0).1.to_vec();
     }
     if *hi == len {
-        return at(len - 1).1.clone();
+        return at(len - 1).1.to_vec();
     }
     let channels = at(0).1.len();
     let (t0, v0) = at(*hi - 1);
@@ -132,11 +132,12 @@ pub fn interpolate_grid(observations: &[(f64, Vec<f32>)], grid: &GridSpec) -> Ve
     if observations.is_empty() {
         return Vec::new();
     }
-    let mut sorted: Vec<&Observation> = observations.iter().collect();
+    let mut sorted: Vec<&(f64, Vec<f32>)> = observations.iter().collect();
     sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let at = |k: usize| (sorted[k].0, sorted[k].1.as_slice());
     let mut hi = 0usize;
     (0..grid.len())
-        .map(|i| interpolate_at(|k| sorted[k], sorted.len(), &mut hi, grid.point(i)))
+        .map(|i| interpolate_at(at, sorted.len(), &mut hi, grid.point(i)))
         .collect()
 }
 
@@ -153,29 +154,22 @@ pub fn moving_average(series: &[Vec<f32>], window: usize) -> Vec<Vec<f32>> {
         .collect()
 }
 
-/// The aligned grid of an append-only observation log, kept between
+/// The aligned grid of a row series (a TSDB [`Series`]: the stable sort
+/// [`interpolate_grid`] does, kept by the store at insert), kept between
 /// reads so that a read pays for what arrived since the previous one.
 ///
-/// Derived state: everything here is a function of the log and the two
+/// Derived state: everything here is a function of the rows and the two
 /// configuration values, and [`GridCache::read`] returns exactly
-/// `moving_average(interpolate_grid(log, grid), window)` over the log's
+/// `moving_average(interpolate_grid(rows, grid), window)` over the rows'
 /// time span — it runs the same per-point bodies, over the grid points
-/// the new observations can have changed.
+/// the rows written since can have changed.
 #[derive(Debug)]
 pub(crate) struct GridCache {
     hz: f64,
     window: usize,
-    /// `log[..folded]` is what `order`, `start` and `end` cover.
-    folded: usize,
-    /// Log positions by `(timestamp, position)`: the stable sort
-    /// [`interpolate_grid`] does, maintained by insertion.
-    order: Vec<usize>,
-    /// The log's time span, folded in log order as a batch pass would.
-    start: f64,
-    end: f64,
     /// Per cached grid point, where the bracket cursor stood after it. A
-    /// point read `order[hi - 1]` and `order[hi]` and nothing past them,
-    /// so it survives an insertion into `order` at any slot above `hi`.
+    /// point read rows `hi - 1` and `hi` and nothing past them, so it
+    /// survives a row written at any slot above `hi`.
     bracket: Vec<usize>,
     interpolated: Vec<Vec<f32>>,
     smoothed: Vec<Vec<f32>>,
@@ -186,51 +180,34 @@ impl GridCache {
         GridCache {
             hz,
             window,
-            folded: 0,
-            order: Vec::new(),
-            start: f64::INFINITY,
-            end: f64::NEG_INFINITY,
             bracket: Vec::new(),
             interpolated: Vec::new(),
             smoothed: Vec::new(),
         }
     }
 
-    /// Keeps the first `points` cached grid points. The moving average
-    /// trails, so a smoothed row never depends on a later point and the
-    /// three prefixes stay valid together.
-    fn truncate(&mut self, points: usize) {
-        self.bracket.truncate(points);
-        self.interpolated.truncate(points);
-        self.smoothed.truncate(points);
-    }
-
-    /// The grid spanning `log` and its smoothed rows. `log` must be the
-    /// log of the previous read, possibly grown at its end.
-    pub(crate) fn read(&mut self, log: &[Observation]) -> (GridSpec, &[Vec<f32>]) {
-        for (position, (t, _)) in log.iter().enumerate().skip(self.folded) {
-            self.start = self.start.min(*t);
-            self.end = self.end.max(*t);
-            let slot = self
-                .order
-                .partition_point(|&i| log[i].0.total_cmp(t).is_le());
-            self.order.insert(slot, position);
-            // An observation older than every other lands in slot 0 and
-            // drops the whole grid, whose start it moves.
-            self.truncate(self.bracket.partition_point(|&hi| hi < slot));
-        }
-        self.folded = log.len();
+    /// The grid spanning `rows` and its smoothed rows. `dirty` is the
+    /// lowest slot written since the previous read of the same series
+    /// (`TsDb::read_rows`): every row below it is where and what it was.
+    pub(crate) fn read(&mut self, rows: &Series, dirty: usize) -> (GridSpec, &[Vec<f32>]) {
+        let stamps = rows.stamps();
         let grid = GridSpec {
-            start: self.start,
-            end: self.end,
+            start: stamps.first().copied().unwrap_or(f64::NAN),
+            end: stamps.last().copied().unwrap_or(f64::NAN),
             hz: self.hz,
         };
-        // A grid only shrinks when it degenerates (to empty).
-        self.truncate(grid.len());
-        let order = &self.order;
+        // A row older than every other is written at slot 0 and drops the
+        // whole grid, whose start it moves; otherwise a grid only shrinks
+        // when it degenerates (to empty). The moving average trails, so a
+        // smoothed row never depends on a later point and the three
+        // prefixes stay valid together.
+        let kept = self.bracket.partition_point(|&hi| hi < dirty);
+        self.bracket.truncate(kept.min(grid.len()));
+        self.interpolated.truncate(self.bracket.len());
+        self.smoothed.truncate(self.bracket.len());
         let mut hi = self.bracket.last().copied().unwrap_or(0);
         for i in self.bracket.len()..grid.len() {
-            let row = interpolate_at(|k| &log[order[k]], order.len(), &mut hi, grid.point(i));
+            let row = interpolate_at(|k| rows.row(k), stamps.len(), &mut hi, grid.point(i));
             self.bracket.push(hi);
             self.interpolated.push(row);
             let smooth = smooth_at(&self.interpolated, i, self.window);

@@ -1,6 +1,7 @@
-//! The centralized controller: ingests agent batches, re-orders by
-//! timestamp, interpolates the IMU stream onto a uniform grid, smooths it,
-//! and stores everything in the time-series database (paper §3.2, §4.1).
+//! The centralized controller: ingests agent batches into the
+//! time-series database — which keeps the IMU stream ordered by timestamp,
+//! one row per reading — and interpolates that stream onto a uniform grid
+//! and smooths it on demand (paper §3.2, §4.1).
 //!
 //! Ingestion is duplicate- and reorder-tolerant: batches carry per-agent
 //! sequence numbers, a batch seen twice (retransmission racing its ack) is
@@ -11,6 +12,7 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write;
 
 use darnet_sim::Frame;
 use serde::{Deserialize, Serialize};
@@ -35,10 +37,12 @@ pub struct ControllerConfig {
     pub admission: AdmissionConfig,
     /// Key TSDB series per agent (`imu.<agent>.<ch>` instead of the
     /// session-scoped `imu.<ch>`). A single driver session shares series
-    /// across its two agents, but at fleet scale a shared series turns
+    /// across its agents, but at fleet scale a shared series turns
     /// every insert into an O(points) binary insertion among interleaved
     /// agent timestamps; per-agent keys make each series append-only
     /// because one agent's stream is timestamp-monotone (DESIGN.md §14).
+    /// [`Controller::aligned_imu`] then aligns [`StreamId::IMU`]'s series,
+    /// which is the whole IMU stream of a session with one IMU agent.
     pub per_agent_series: bool,
 }
 
@@ -210,9 +214,8 @@ struct StreamState {
     // `(t, acceptance order)` — what a stable sort of them by `t` yields,
     // kept at insert. Derived from the acceptance log: in no digest, byte
     // count or WAL record, rebuilt by replay like the log itself. `u32`
-    // because this is the one read-side structure ingest pays for, and a
-    // fleet shard holds thousands of streams nobody reads (`admitted`
-    // refuses a frame log that would outgrow it).
+    // because a fleet shard holds thousands of streams nobody reads
+    // (`admitted` refuses a frame log that would outgrow it).
     frames: Vec<u32>,
 }
 
@@ -227,13 +230,18 @@ struct AdmissionState {
 #[derive(Debug)]
 pub struct Controller {
     config: ControllerConfig,
-    imu_observations: Vec<(f64, Vec<f32>)>,
     frames: Vec<FrameRecord>,
-    // The read side of `imu_observations`, brought up to date by
+    // The one store of IMU readings (a row each) and of the cameras'
+    // mean intensities.
+    tsdb: TsDb,
+    // The aligned grid of the TSDB's IMU rows, brought up to date by
     // `aligned_imu` (hence the cell: reads take `&self`). Derived state
     // like `StreamState::frames`; ingest never touches it.
     aligned: RefCell<GridCache>,
-    tsdb: TsDb,
+    // The series names `admitted` writes under: rebuilt per batch under
+    // `per_agent_series`, in place so that a warm controller allocates
+    // for neither.
+    keys: (String, String),
     streams: BTreeMap<u32, StreamState>,
     batches: u64,
     readings: u64,
@@ -245,10 +253,10 @@ impl Controller {
     pub fn new(config: ControllerConfig) -> Self {
         Controller {
             config,
-            imu_observations: Vec::new(),
             frames: Vec::new(),
-            aligned: RefCell::new(GridCache::new(config.grid_hz, config.smoothing_window)),
             tsdb: TsDb::new(),
+            aligned: RefCell::new(GridCache::new(config.grid_hz, config.smoothing_window)),
+            keys: ("imu".to_string(), "camera.mean_intensity".to_string()),
             streams: BTreeMap::new(),
             batches: 0,
             readings: 0,
@@ -276,8 +284,9 @@ impl Controller {
     ///
     /// Propagates [`CollectError::Wal`] when the durable append fails,
     /// and returns [`CollectError::Overload`] when the frame log has no
-    /// position left for the batch's readings (it holds 2^32); the batch
-    /// is then neither ingested nor acked.
+    /// position left for the batch's readings (it holds 2^32) and
+    /// [`CollectError::NonFiniteTimestamp`] when a reading's timestamp is
+    /// not finite; the batch is then neither ingested nor acked.
     pub fn offer_at(
         &mut self,
         arrival: f64,
@@ -321,8 +330,8 @@ impl Controller {
     /// Duplicate `(agent, seq)` deliveries — retransmissions whose
     /// original arrived after all, or link-level duplication — are
     /// detected and discarded; out-of-order delivery is harmless because
-    /// readings are buffered by timestamp, not arrival. Accepted readings
-    /// are mirrored into the TSDB.
+    /// readings are stored by timestamp, not arrival: an IMU reading as
+    /// one row of the TSDB, which is the only place it is kept.
     pub(crate) fn admitted(
         &mut self,
         arrival: f64,
@@ -347,6 +356,14 @@ impl Controller {
                 capacity: u32::MAX as usize,
             });
         }
+        // The wire's line (`decode_batch`), held in process too: a NaN
+        // stamp has no place in a series ordered by timestamp.
+        if batch.readings.iter().any(|r| !r.timestamp.is_finite()) {
+            return Err(CollectError::NonFiniteTimestamp {
+                agent_id: batch.agent_id,
+                seq: batch.seq,
+            });
+        }
         if let Some(wal) = wal {
             wal.append(arrival, batch)?;
         }
@@ -355,34 +372,23 @@ impl Controller {
         stream.delivered += 1;
         stream.last_arrival = stream.last_arrival.max(arrival);
         self.batches += 1;
-        let per_agent = self.config.per_agent_series;
+        let (imu_key, camera_key) = &mut self.keys;
+        if self.config.per_agent_series {
+            imu_key.clear();
+            camera_key.clear();
+            // Writing to a `String` cannot fail.
+            let _ = write!(imu_key, "imu.{}", batch.agent_id);
+            let _ = write!(camera_key, "camera.mean_intensity.{}", batch.agent_id);
+        }
         for r in &batch.readings {
             self.readings += 1;
             match &r.reading {
                 SensorReading::Imu(sample) => {
-                    let feats = sample.to_features().to_vec();
-                    if per_agent {
-                        self.tsdb.insert_vector(
-                            &format!("imu.{}", batch.agent_id),
-                            r.timestamp,
-                            &feats,
-                        );
-                    } else {
-                        self.tsdb.insert_vector("imu", r.timestamp, &feats);
-                    }
-                    self.imu_observations.push((r.timestamp, feats));
+                    self.tsdb
+                        .insert_vector(imu_key, r.timestamp, &sample.to_features());
                 }
                 SensorReading::Frame(frame) => {
-                    if per_agent {
-                        self.tsdb.insert(
-                            &format!("camera.mean_intensity.{}", batch.agent_id),
-                            r.timestamp,
-                            frame.mean(),
-                        );
-                    } else {
-                        self.tsdb
-                            .insert("camera.mean_intensity", r.timestamp, frame.mean());
-                    }
+                    self.tsdb.insert(camera_key, r.timestamp, frame.mean());
                     // After every frame of this stream not later than
                     // it: the end, unless it arrived late.
                     let slot = stream.frames.partition_point(|&i| {
@@ -481,10 +487,11 @@ impl Controller {
 
     /// A bitwise-exact digest of the controller's replayable state —
     /// what accepted batches alone determine: stream seen-sets, delivery
-    /// counts and last arrivals, ingest counters, raw IMU observations
-    /// and frames in acceptance order, and the TSDB fingerprint. Recovery
-    /// is correct iff the recovered controller digests identically to the
-    /// controller that wrote the log. The per-stream `duplicates`/`shed`
+    /// counts and last arrivals, ingest counters, frames in acceptance
+    /// order, and the TSDB fingerprint, which covers every IMU reading's
+    /// stamp and channels bitwise. Recovery is correct iff the recovered
+    /// controller digests identically to the controller that wrote the
+    /// log. The per-stream `duplicates`/`shed`
     /// tallies are deliberately left out: refused deliveries never enter
     /// the log (only checkpoints carry the tallies), so a recovery loses
     /// whatever accumulated since the last checkpoint (DESIGN.md §13).
@@ -503,12 +510,6 @@ impl Controller {
         }
         fnv1a(&mut h, &self.batches.to_le_bytes());
         fnv1a(&mut h, &self.readings.to_le_bytes());
-        for (t, feats) in &self.imu_observations {
-            fnv1a(&mut h, &t.to_bits().to_le_bytes());
-            for v in feats {
-                fnv1a(&mut h, &v.to_bits().to_le_bytes());
-            }
-        }
         for fr in &self.frames {
             fnv1a(&mut h, &fr.t.to_bits().to_le_bytes());
             for &p in fr.frame.pixels() {
@@ -520,10 +521,11 @@ impl Controller {
     }
 
     /// Approximate resident bytes of the controller's retained state:
-    /// per-stream seen-sets, raw IMU observations, frame pixels, and the
-    /// TSDB points. Logical payload bytes only (container overhead is
-    /// ignored), so the figure is deterministic for a given traffic
-    /// history — the basis of the gated bytes-per-agent fleet metric.
+    /// per-stream seen-sets, frame pixels, and the TSDB (an IMU reading
+    /// is one row there: 8 + 4·12 bytes). Logical payload bytes only
+    /// (container overhead is ignored), so the figure is deterministic
+    /// for a given traffic history — the basis of the gated
+    /// bytes-per-agent fleet metric.
     pub fn approx_bytes(&self) -> u64 {
         let mut total = 0u64;
         for s in self.streams.values() {
@@ -531,16 +533,17 @@ impl Controller {
             // plus 4 bytes per recorded sequence number.
             total += 32 + s.seen.len() as u64 * 4;
         }
-        for (_, feats) in &self.imu_observations {
-            total += 8 + feats.len() as u64 * 4;
-        }
         for fr in &self.frames {
             total += 8 + fr.frame.pixels().len() as u64 * 4;
         }
         total + self.tsdb.approx_bytes()
     }
 
-    /// The controller's time-series store.
+    /// The controller's time-series store. It is the aligner's input,
+    /// not a mirror of it: a row inserted into the IMU series through this
+    /// handle shows up in the next [`Controller::aligned_imu`], and a
+    /// scalar inserted under one of that series' channel names (`imu.3`)
+    /// turns its rows back into scalar series, leaving nothing to align.
     pub fn tsdb(&self) -> &TsDb {
         &self.tsdb
     }
@@ -569,9 +572,9 @@ impl Controller {
             .collect()
     }
 
-    /// Number of raw IMU observations buffered.
+    /// Number of raw IMU observations held: the TSDB's rows.
     pub fn imu_observation_count(&self) -> usize {
-        self.imu_observations.len()
+        self.tsdb.row_count()
     }
 
     /// Produces the aligned, smoothed IMU stream over the observation span
@@ -583,19 +586,21 @@ impl Controller {
     /// Returns [`CollectError::NoData`] if no IMU observations were
     /// ingested.
     pub fn aligned_imu(&self) -> Result<Vec<AlignedImuPoint>> {
-        if self.imu_observations.is_empty() {
-            return Err(CollectError::NoData("no imu observations".into()));
-        }
+        let series = if self.config.per_agent_series {
+            format!("imu.{}", StreamId::IMU.agent_id())
+        } else {
+            "imu".to_string()
+        };
         let mut cache = self.aligned.borrow_mut();
-        let (grid, smoothed) = cache.read(&self.imu_observations);
-        Ok(smoothed
-            .iter()
-            .enumerate()
-            .map(|(i, features)| AlignedImuPoint {
+        let aligned = self.tsdb.read_rows(&series, |rows, dirty| {
+            let (grid, smoothed) = cache.read(rows, dirty);
+            let point = |(i, features): (usize, &Vec<f32>)| AlignedImuPoint {
                 t: grid.point(i),
                 features: features.clone(),
-            })
-            .collect())
+            };
+            smoothed.iter().enumerate().map(point).collect()
+        });
+        aligned.ok_or_else(|| CollectError::NoData("no imu observations".into()))
     }
 }
 
@@ -668,13 +673,34 @@ mod tests {
     }
 
     #[test]
-    fn ingest_counts_and_tsdb_mirroring() {
+    fn ingest_counts_and_one_tsdb_row_per_imu_reading() {
         let mut c = Controller::new(ControllerConfig::default());
         c.offer_at(0.0, &imu_batch(0, 0, &[0.0, 0.025, 0.05]), None)
             .unwrap();
         assert_eq!(c.ingest_stats(), (1, 3));
         assert_eq!(c.imu_observation_count(), 3);
         assert_eq!(c.tsdb().len("imu.0"), 3);
+        assert_eq!(c.tsdb().point_count(), 3 * 12);
+    }
+
+    #[test]
+    fn non_finite_reading_timestamp_is_refused_without_a_trace() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut c = Controller::new(ControllerConfig::default());
+            let empty = c.state_digest();
+            let err = c.offer_at(0.0, &imu_batch(4, 9, &[0.0, bad, 0.5]), None);
+            assert_eq!(
+                err,
+                Err(CollectError::NonFiniteTimestamp {
+                    agent_id: 4,
+                    seq: 9
+                })
+            );
+            assert!(c.offer_at(0.0, &frame_batch(1, 0, bad), None).is_err());
+            assert_eq!(c.state_digest(), empty);
+            assert!(!c.has_seen(4, 9) && c.stream_health(4).is_none());
+            assert_eq!(c.tsdb().point_count(), 0);
+        }
     }
 
     #[test]
@@ -944,8 +970,8 @@ mod tests {
         assert_eq!(c.approx_bytes(), 0);
         c.offer_at(0.0, &imu_batch(0, 0, &[0.0]), None).unwrap();
         let after_imu = c.approx_bytes();
-        // One stream (32 + 4), one observation (8 + 48), 12 TSDB points.
-        assert_eq!(after_imu, 36 + 56 + 144);
+        // One stream (32 + 4), one TSDB row (8 + 12 × 4).
+        assert_eq!(after_imu, 36 + 56);
         c.offer_at(0.0, &frame_batch(0, 1, 0.5), None).unwrap();
         assert!(c.approx_bytes() > after_imu);
     }

@@ -60,6 +60,14 @@ pub enum CollectError {
         /// The configured bound.
         capacity: usize,
     },
+    /// A batch offered in process carried a reading whose timestamp is
+    /// not finite (over the wire `decode_batch` refuses it first).
+    NonFiniteTimestamp {
+        /// The agent that sent the batch.
+        agent_id: u32,
+        /// The batch's sequence number.
+        seq: u32,
+    },
 }
 
 impl fmt::Display for CollectError {
@@ -91,6 +99,12 @@ impl fmt::Display for CollectError {
                     f,
                     "overload: agent {agent_id} met a full buffer \
                      ({buffered} buffered, bound {capacity})"
+                )
+            }
+            CollectError::NonFiniteTimestamp { agent_id, seq } => {
+                write!(
+                    f,
+                    "non-finite reading timestamp: agent {agent_id} batch {seq}"
                 )
             }
         }

@@ -26,13 +26,150 @@ pub struct SeriesStats {
     pub last_t: f64,
 }
 
+/// One series: timestamps — ascending by `total_cmp`, ties in insertion
+/// order — and row-major values, `width` to a row (a scalar series is the
+/// width-1 case).
+#[derive(Debug, Default)]
+pub(crate) struct Series {
+    width: usize,
+    t: Vec<f64>,
+    values: Vec<f32>,
+    /// Lowest slot written since `TsDb::read_rows` last looked (0 before
+    /// it ever did) — every row below it is as that read saw it.
+    dirty: usize,
+}
+
+impl Series {
+    fn of_width(width: usize) -> Self {
+        Series {
+            width,
+            ..Series::default()
+        }
+    }
+
+    /// The row timestamps.
+    pub(crate) fn stamps(&self) -> &[f64] {
+        &self.t
+    }
+
+    /// Row `k`: its timestamp and channel values.
+    pub(crate) fn row(&self, k: usize) -> (f64, &[f32]) {
+        (self.t[k], &self.values[k * self.width..][..self.width])
+    }
+
+    /// Stores one row after every row not later than it: an append for
+    /// in-order arrival, a binary insertion otherwise.
+    fn insert(&mut self, t: f64, row: &[f32]) {
+        let not_later = |st: &f64| st.total_cmp(&t).is_le();
+        let slot = if self.t.last().is_none_or(not_later) {
+            self.t.len()
+        } else {
+            self.t.partition_point(not_later)
+        };
+        self.dirty = self.dirty.min(slot);
+        self.t.insert(slot, t);
+        let at = slot * self.width;
+        self.values.splice(at..at, row.iter().copied());
+    }
+
+    /// The points of column `k`, in stored order.
+    fn column(&self, k: usize) -> impl Iterator<Item = (f64, f32)> + '_ {
+        let values = self.values.iter().skip(k).step_by(self.width);
+        self.t.iter().copied().zip(values.copied())
+    }
+}
+
+/// `(m, k)` if `name` is what column `k` of a row series `m` answers to:
+/// `m.k`, with `k` in plain decimal.
+fn column_name(name: &str) -> Option<(&str, usize)> {
+    let (owner, index) = name.rsplit_once('.')?;
+    let plain =
+        index.bytes().all(|b| b.is_ascii_digit()) && (index.len() == 1 || !index.starts_with('0'));
+    Some((owner, index.parse().ok().filter(|_| plain)?))
+}
+
+#[derive(Debug, Default)]
+struct Store {
+    scalars: BTreeMap<String, Series>,
+    /// Vector samples, one row each. Column `k` of series `m` answers to
+    /// the name `m.k`, and no scalar series has such a name: the insert
+    /// that would make one splits the row series first.
+    rows: BTreeMap<String, Series>,
+}
+
+impl Store {
+    fn series(&self) -> impl Iterator<Item = &Series> {
+        self.scalars.values().chain(self.rows.values())
+    }
+
+    /// The series and column `name` addresses.
+    fn column(&self, name: &str) -> Option<(&Series, usize)> {
+        if let Some(series) = self.scalars.get(name) {
+            return Some((series, 0));
+        }
+        let (owner, k) = column_name(name)?;
+        let rows = self.rows.get(owner)?;
+        (k < rows.width).then_some((rows, k))
+    }
+
+    /// Every column as `(name, series, column)`, sorted by name — the one
+    /// order fingerprints and listings walk (darlint `nondet-order`).
+    fn columns(&self) -> Vec<(String, &Series, usize)> {
+        let scalars = self.scalars.iter().map(|(name, s)| (name.clone(), s, 0));
+        let rows = self
+            .rows
+            .iter()
+            .flat_map(|(name, s)| (0..s.width).map(move |k| (format!("{name}.{k}"), s, k)));
+        let mut out: Vec<_> = scalars.chain(rows).collect();
+        out.sort_by(|a, b| a.0.cmp(&b.0));
+        out
+    }
+
+    /// Turns the row series `metric` back into one scalar series per
+    /// column, each with the points and order it had.
+    fn split(&mut self, metric: &str) {
+        let Some(rows) = self.rows.remove(metric) else {
+            return;
+        };
+        for k in 0..rows.width {
+            let column = Series {
+                width: 1,
+                t: rows.t.clone(),
+                values: rows.column(k).map(|(_, v)| v).collect(),
+                dirty: 0,
+            };
+            self.scalars.insert(format!("{metric}.{k}"), column);
+        }
+    }
+
+    fn insert_scalar(&mut self, metric: &str, t: f64, value: f32) {
+        // Looked up by `&str`: the key is allocated once per series, not
+        // once per point.
+        if let Some(series) = self.scalars.get_mut(metric) {
+            return series.insert(t, &[value]);
+        }
+        // A new scalar name that a row series' column answers to: from
+        // here on the name means a series of its own, as do its siblings.
+        if let Some((owner, _)) = column_name(metric).filter(|_| self.column(metric).is_some()) {
+            self.split(owner);
+        }
+        self.scalars
+            .entry(metric.to_string())
+            .or_insert_with(|| Series::of_width(1))
+            .insert(t, &[value]);
+    }
+}
+
 /// A thread-safe, in-memory, multi-series time-series database.
 ///
 /// Points are kept sorted by timestamp per series; insertion keeps order
 /// (fast append for the common in-order case, binary insertion otherwise).
-/// Series live in a `BTreeMap` so every traversal — fingerprints, metric
-/// listings, point counts — walks names in one deterministic order
-/// regardless of insertion order (darlint `nondet-order`).
+/// A vector sample ([`TsDb::insert_vector`]) is stored as one row of a row
+/// series — one timestamp, its channels side by side — and every read
+/// addresses a channel as the series `metric.<channel>`; nothing a read
+/// returns tells the two layouts apart. Every traversal — fingerprints,
+/// metric listings — walks those names in sorted order regardless of
+/// insertion order (darlint `nondet-order`).
 ///
 /// ```
 /// use darnet_collect::TsDb;
@@ -46,7 +183,7 @@ pub struct SeriesStats {
 /// ```
 #[derive(Debug, Default)]
 pub struct TsDb {
-    series: RwLock<BTreeMap<String, Vec<(f64, f32)>>>,
+    store: RwLock<Store>,
 }
 
 impl TsDb {
@@ -57,36 +194,67 @@ impl TsDb {
 
     /// Inserts a point into `metric`, creating the series if needed.
     pub fn insert(&self, metric: &str, t: f64, value: f32) {
-        let mut guard = self.series.write();
-        // Looked up by `&str`: the key is allocated once per series, not
-        // once per point.
-        let Some(series) = guard.get_mut(metric) else {
-            guard.insert(metric.to_string(), vec![(t, value)]);
-            return;
-        };
-        if series.last().is_none_or(|&(lt, _)| lt <= t) {
-            series.push((t, value));
-        } else {
-            let idx = series.partition_point(|&(st, _)| st <= t);
-            series.insert(idx, (t, value));
-        }
+        self.store.write().insert_scalar(metric, t, value);
     }
 
-    /// Inserts a multi-channel sample as `metric.0`, `metric.1`, ...
+    /// Inserts a multi-channel sample, readable as the series `metric.0`,
+    /// `metric.1`, ... — under one guard, as one row. The first sample
+    /// fixes the row width; a sample of another width, or a scalar
+    /// inserted under one of the channel names, turns the rows back into
+    /// one scalar series per channel, which is what they read as anyway.
     pub fn insert_vector(&self, metric: &str, t: f64, values: &[f32]) {
-        for (i, &v) in values.iter().enumerate() {
-            self.insert(&format!("{metric}.{i}"), t, v);
+        if values.is_empty() {
+            return;
+        }
+        let store = &mut *self.store.write();
+        let same_width = |rows: &&mut Series| rows.width == values.len();
+        if let Some(rows) = store.rows.get_mut(metric).filter(same_width) {
+            return rows.insert(t, values);
+        }
+        let taken = |k| store.column(&format!("{metric}.{k}")).is_some();
+        if !(0..values.len()).any(taken) {
+            let mut rows = Series::of_width(values.len());
+            rows.insert(t, values);
+            store.rows.insert(metric.to_string(), rows);
+            return;
+        }
+        // A channel name is taken, by a scalar series or by rows of
+        // another width: each channel goes where a scalar of its name does.
+        for (k, &v) in values.iter().enumerate() {
+            store.insert_scalar(&format!("{metric}.{k}"), t, v);
         }
     }
 
-    /// Names of all series, sorted (the map is ordered by name).
+    /// Runs `read` over the row series `metric` and the lowest row slot
+    /// written since the previous `read_rows` of it (`usize::MAX` if
+    /// none): what the one reader that keeps state derived from the rows
+    /// has to redo. `None` if no such row series exists.
+    pub(crate) fn read_rows<R>(
+        &self,
+        metric: &str,
+        read: impl FnOnce(&Series, usize) -> R,
+    ) -> Option<R> {
+        let mut store = self.store.write();
+        let series = store.rows.get_mut(metric)?;
+        let dirty = std::mem::replace(&mut series.dirty, usize::MAX);
+        Some(read(series, dirty))
+    }
+
+    /// Number of vector samples held as rows.
+    pub(crate) fn row_count(&self) -> usize {
+        self.store.read().rows.values().map(|s| s.t.len()).sum()
+    }
+
+    /// Names of all series, sorted.
     pub fn metrics(&self) -> Vec<String> {
-        self.series.read().keys().cloned().collect()
+        let store = self.store.read();
+        store.columns().into_iter().map(|(name, ..)| name).collect()
     }
 
     /// Number of points in `metric` (0 if absent).
     pub fn len(&self, metric: &str) -> usize {
-        self.series.read().get(metric).map_or(0, Vec::len)
+        let store = self.store.read();
+        store.column(metric).map_or(0, |(s, _)| s.t.len())
     }
 
     /// Whether `metric` exists and has points.
@@ -100,13 +268,15 @@ impl TsDb {
     ///
     /// Returns [`CollectError::NoData`] if the series does not exist.
     pub fn query_range(&self, metric: &str, t0: f64, t1: f64) -> Result<Vec<(f64, f32)>> {
-        let guard = self.series.read();
-        let series = guard
-            .get(metric)
+        let store = self.store.read();
+        let (series, k) = store
+            .column(metric)
             .ok_or_else(|| CollectError::NoData(format!("unknown series {metric}")))?;
-        let lo = series.partition_point(|&(t, _)| t < t0);
-        let hi = series.partition_point(|&(t, _)| t <= t1);
-        Ok(series[lo..hi].to_vec())
+        let lo = series.t.partition_point(|&t| t < t0);
+        let hi = series.t.partition_point(|&t| t <= t1);
+        Ok((lo..hi)
+            .map(|i| (series.t[i], series.values[i * series.width + k]))
+            .collect())
     }
 
     /// Summary statistics for `metric`.
@@ -115,16 +285,16 @@ impl TsDb {
     ///
     /// Returns [`CollectError::NoData`] if the series is missing or empty.
     pub fn stats(&self, metric: &str) -> Result<SeriesStats> {
-        let guard = self.series.read();
-        let series = guard
-            .get(metric)
-            .filter(|s| !s.is_empty())
+        let store = self.store.read();
+        let (series, k) = store
+            .column(metric)
+            .filter(|(s, _)| !s.t.is_empty())
             .ok_or_else(|| CollectError::NoData(format!("empty series {metric}")))?;
-        let count = series.len();
+        let count = series.t.len();
         let mut sum = 0.0f64;
         let mut min = f32::INFINITY;
         let mut max = f32::NEG_INFINITY;
-        for &(_, v) in series {
+        for (_, v) in series.column(k) {
             sum += v as f64;
             min = min.min(v);
             max = max.max(v);
@@ -134,14 +304,9 @@ impl TsDb {
             mean: (sum / count as f64) as f32,
             min,
             max,
-            first_t: series[0].0,
-            last_t: series[count - 1].0,
+            first_t: series.t[0],
+            last_t: series.t[count - 1],
         })
-    }
-
-    /// Removes every series.
-    pub fn clear(&self) {
-        self.series.write().clear();
     }
 
     /// An order-independent-across-series, bitwise-exact fingerprint of
@@ -151,12 +316,12 @@ impl TsDb {
     /// data — the equality check behind the WAL recovery invariant
     /// (replay must rebuild the TSDB *bitwise*, DESIGN.md §13).
     pub fn fingerprint(&self) -> u64 {
-        let guard = self.series.read();
+        let store = self.store.read();
         let mut h = fnv1a_init();
-        for (name, points) in guard.iter() {
+        for (name, series, k) in store.columns() {
             fnv1a(&mut h, name.as_bytes());
-            fnv1a(&mut h, &(points.len() as u64).to_le_bytes());
-            for &(t, v) in points {
+            fnv1a(&mut h, &(series.t.len() as u64).to_le_bytes());
+            for (t, v) in series.column(k) {
                 fnv1a(&mut h, &t.to_bits().to_le_bytes());
                 fnv1a(&mut h, &v.to_bits().to_le_bytes());
             }
@@ -179,25 +344,31 @@ impl TsDb {
 
     /// Total number of points across every series.
     pub fn point_count(&self) -> usize {
-        self.series.read().values().map(Vec::len).sum()
+        self.store.read().series().map(|s| s.values.len()).sum()
     }
 
-    /// Approximate resident bytes of the stored points (12 bytes per
-    /// point: an `f64` timestamp and an `f32` value), ignoring container
-    /// overhead. Deterministic, so it can participate in gated
-    /// memory-per-agent accounting.
+    /// Approximate resident bytes of the stored samples (an `f64`
+    /// timestamp and an `f32` per channel: 12 bytes for a scalar point,
+    /// `8 + 4·width` for a row), ignoring container overhead.
+    /// Deterministic, so it can participate in gated memory-per-agent
+    /// accounting.
     pub fn approx_bytes(&self) -> u64 {
-        self.point_count() as u64 * 12
+        let bytes = |s: &Series| (s.t.len() * 8 + s.values.len() * 4) as u64;
+        self.store.read().series().map(bytes).sum()
     }
 
     /// Rolls `metric` up into fixed-width buckets over `[t0, t1)` with the
     /// given aggregation — the statsd-style query a dashboard over the
-    /// controller's store would issue. Buckets with no points are omitted.
+    /// controller's store would issue. Bucket `k` starts at
+    /// `t0 + k·bucket` and holds the points whose `(t − t0) / bucket`
+    /// floors to `k`; buckets with no points are omitted, and never
+    /// visited.
     ///
     /// # Errors
     ///
     /// Returns [`CollectError::NoData`] if the series does not exist, or
-    /// an invalid-config error for a non-positive bucket width.
+    /// an invalid-config error for a bucket width that is not positive
+    /// or a `bucket`, `t0` or `t1` that is not finite.
     pub fn rollup(
         &self,
         metric: &str,
@@ -206,43 +377,36 @@ impl TsDb {
         bucket: f64,
         agg: Aggregation,
     ) -> Result<Vec<(f64, f32)>> {
-        if bucket <= 0.0 {
+        if !(bucket > 0.0 && bucket.is_finite() && t0.is_finite() && t1.is_finite()) {
             return Err(CollectError::InvalidConfig(
-                "rollup bucket width must be positive".into(),
+                "rollup needs a positive finite bucket width and a finite range".into(),
             ));
         }
         let points = self.query_range(metric, t0, t1)?;
+        let bucket_of = |t: f64| ((t - t0) / bucket).floor();
         let mut out: Vec<(f64, f32)> = Vec::new();
-        let mut idx = 0usize;
-        let mut bucket_start = t0;
-        while bucket_start < t1 && idx < points.len() {
-            let bucket_end = bucket_start + bucket;
-            let lo = idx;
-            while idx < points.len() && points[idx].0 < bucket_end {
-                idx += 1;
+        for slice in points.chunk_by(|a, b| bucket_of(a.0) == bucket_of(b.0)) {
+            let bucket_start = t0 + bucket_of(slice[0].0) * bucket;
+            if bucket_start >= t1 {
+                break;
             }
-            let slice = &points[lo..idx];
-            if !slice.is_empty() {
-                let value = match agg {
-                    Aggregation::Mean => {
-                        slice.iter().map(|&(_, v)| v as f64).sum::<f64>() as f32
-                            / slice.len() as f32
-                    }
-                    Aggregation::Min => slice.iter().map(|&(_, v)| v).fold(f32::INFINITY, f32::min),
-                    Aggregation::Max => slice
-                        .iter()
-                        .map(|&(_, v)| v)
-                        .fold(f32::NEG_INFINITY, f32::max),
-                    Aggregation::Count => slice.len() as f32,
-                    Aggregation::P95 => {
-                        let mut vals: Vec<f32> = slice.iter().map(|&(_, v)| v).collect();
-                        vals.sort_by(|a, b| a.total_cmp(b));
-                        vals[((vals.len() as f64 - 1.0) * 0.95).round() as usize]
-                    }
-                };
-                out.push((bucket_start, value));
-            }
-            bucket_start = bucket_end;
+            let value = match agg {
+                Aggregation::Mean => {
+                    slice.iter().map(|&(_, v)| v as f64).sum::<f64>() as f32 / slice.len() as f32
+                }
+                Aggregation::Min => slice.iter().map(|&(_, v)| v).fold(f32::INFINITY, f32::min),
+                Aggregation::Max => slice
+                    .iter()
+                    .map(|&(_, v)| v)
+                    .fold(f32::NEG_INFINITY, f32::max),
+                Aggregation::Count => slice.len() as f32,
+                Aggregation::P95 => {
+                    let mut vals: Vec<f32> = slice.iter().map(|&(_, v)| v).collect();
+                    vals.sort_by(|a, b| a.total_cmp(b));
+                    vals[((vals.len() as f64 - 1.0) * 0.95).round() as usize]
+                }
+            };
+            out.push((bucket_start, value));
         }
         Ok(out)
     }
@@ -257,22 +421,18 @@ impl TsDb {
 /// controller's store over the same traffic.
 // darlint: pure-root
 pub fn canonical_fingerprint_merged(stores: &[&TsDb]) -> u64 {
-    use std::collections::BTreeSet;
-    let guards: Vec<_> = stores.iter().map(|s| s.series.read()).collect();
-    let mut names: BTreeSet<&str> = BTreeSet::new();
-    for guard in &guards {
-        names.extend(guard.keys().map(String::as_str));
-    }
+    let guards: Vec<_> = stores.iter().map(|s| s.store.read()).collect();
+    let mut columns: Vec<_> = guards.iter().flat_map(|g| g.columns()).collect();
+    columns.sort_by(|a, b| a.0.cmp(&b.0));
     let mut h = fnv1a_init();
-    for name in names {
-        let mut points: Vec<(u64, u32)> = Vec::new();
-        for guard in &guards {
-            if let Some(series) = guard.get(name) {
-                points.extend(series.iter().map(|&(t, v)| (t.to_bits(), v.to_bits())));
-            }
-        }
+    for same_name in columns.chunk_by(|a, b| a.0 == b.0) {
+        let mut points: Vec<(u64, u32)> = same_name
+            .iter()
+            .flat_map(|(_, series, k)| series.column(*k))
+            .map(|(t, v)| (t.to_bits(), v.to_bits()))
+            .collect();
         points.sort_unstable();
-        fnv1a(&mut h, name.as_bytes());
+        fnv1a(&mut h, same_name[0].0.as_bytes());
         fnv1a(&mut h, &(points.len() as u64).to_le_bytes());
         for (t, v) in points {
             fnv1a(&mut h, &t.to_le_bytes());
@@ -479,9 +639,41 @@ mod tests {
         let out = db.rollup("m", 0.0, 30.0, 10.0, Aggregation::Mean).unwrap();
         assert_eq!(out.len(), 2);
         assert!(db.rollup("m", 0.0, 1.0, 0.0, Aggregation::Mean).is_err());
+        for nan in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for (t0, t1, bucket) in [(nan, 1.0, 1.0), (0.0, nan, 1.0), (0.0, 1.0, nan)] {
+                assert!(matches!(
+                    db.rollup("m", t0, t1, bucket, Aggregation::Mean),
+                    Err(CollectError::InvalidConfig(_))
+                ));
+            }
+        }
         assert!(db
             .rollup("absent", 0.0, 1.0, 1.0, Aggregation::Mean)
             .is_err());
+    }
+
+    #[test]
+    fn rollup_returns_for_a_bucket_below_the_ulp_of_t0() {
+        // `bucket_start + bucket == bucket_start` used to spin forever.
+        let db = TsDb::new();
+        db.insert("m", 1e6 + 0.5, 1.0);
+        db.insert("m", 1e6 + 1.0, 3.0);
+        let out = db
+            .rollup("m", 1e6, 1e6 + 2.0, 1e-12, Aggregation::Mean)
+            .unwrap();
+        assert_eq!(out, vec![(1e6 + 0.5, 1.0), (1e6 + 1.0, 3.0)]);
+    }
+
+    #[test]
+    fn rollup_jumps_over_empty_buckets() {
+        // 10^12 empty buckets between the two points: walking them would
+        // not end; the keys are the buckets' own starts.
+        let db = TsDb::new();
+        db.insert("m", 0.5, 1.0);
+        db.insert("m", 0.75, 2.0);
+        db.insert("m", 1e12 + 0.5, 5.0);
+        let out = db.rollup("m", 0.0, 2e12, 1.0, Aggregation::Count).unwrap();
+        assert_eq!(out, vec![(0.0, 2.0), (1e12, 1.0)]);
     }
 
     #[test]
@@ -540,11 +732,10 @@ mod tests {
             whole.canonical_fingerprint(),
             canonical_fingerprint_merged(&[&left, &right])
         );
-        // Dropping a point breaks equality.
-        left.clear();
+        // Dropping a store's points breaks equality.
         assert_ne!(
             whole.canonical_fingerprint(),
-            canonical_fingerprint_merged(&[&left, &right])
+            canonical_fingerprint_merged(&[&right])
         );
     }
 
@@ -555,15 +746,7 @@ mod tests {
         db.insert_vector("v", 0.0, &[1.0, 2.0, 3.0]);
         db.insert("w", 1.0, 4.0);
         assert_eq!(db.point_count(), 4);
-        assert_eq!(db.approx_bytes(), 48);
-    }
-
-    #[test]
-    fn clear_empties_everything() {
-        let db = TsDb::new();
-        db.insert("a", 0.0, 0.0);
-        db.clear();
-        assert!(db.metrics().is_empty());
-        assert!(db.is_empty("a"));
+        // One row (8 + 3 × 4) and one scalar point (8 + 4).
+        assert_eq!(db.approx_bytes(), 20 + 12);
     }
 }

@@ -526,6 +526,61 @@ mod read_side_props {
             });
         }
 
+        // The same property where the IMU series is keyed by agent: the
+        // aligner reads `StreamId::IMU`'s series, which `imu_traffic`'s one
+        // IMU agent writes.
+        #[test]
+        fn aligned_imu_under_per_agent_series_equals_batch_recomputation_bitwise(
+            seed in any::<u64>(),
+            batches in 1usize..14,
+            grid_hz in 1.0f64..50.0,
+            smoothing_window in 1usize..=8,
+        ) {
+            let mut rng = SplitMix64::new(seed);
+            let config = ControllerConfig {
+                grid_hz,
+                smoothing_window,
+                per_agent_series: true,
+                ..ControllerConfig::default()
+            };
+            let traffic = imu_traffic(&mut rng, batches, 20.0);
+            drive(&mut rng, config, &traffic, observation, |controller, log| {
+                assert_eq!(controller.tsdb().len("imu.0.11"), log.len());
+                let read = controller.aligned_imu().expect("observations were accepted");
+                assert_eq!(bits(&read), bits(&batch_aligned(log, &config)), "seed {seed}");
+            });
+        }
+
+        // The TSDB is the aligner's input, not a copy of it: a row written
+        // through `Controller::tsdb()` between two reads — late, early or
+        // newest — invalidates like an accepted reading.
+        #[test]
+        fn a_row_inserted_through_the_tsdb_handle_shows_up_in_the_next_read(
+            seed in any::<u64>(),
+            batches in 1usize..8,
+            grid_hz in 1.0f64..50.0,
+            smoothing_window in 1usize..=8,
+            stamp in 5.0f64..14.0,
+        ) {
+            let mut rng = SplitMix64::new(seed);
+            let config = ControllerConfig { grid_hz, smoothing_window, ..ControllerConfig::default() };
+            let mut controller = Controller::new(config);
+            let mut log: Vec<Observation> = Vec::new();
+            for batch in imu_traffic(&mut rng, batches, 20.0) {
+                if controller.offer_at(0.0, &batch, None).expect("offer") == IngestOutcome::Accepted {
+                    log.extend(batch.readings.iter().filter_map(|r| observation(&batch, r)));
+                }
+            }
+            let before = controller.aligned_imu().expect("observations were accepted");
+            prop_assert_eq!(bits(&before), bits(&batch_aligned(&log, &config)));
+            let row = imu_sample(&mut rng, 20.0).to_features();
+            controller.tsdb().insert_vector("imu", stamp, &row);
+            log.push((stamp, row.to_vec()));
+            prop_assert_eq!(controller.imu_observation_count(), log.len());
+            let after = controller.aligned_imu().expect("observations were accepted");
+            prop_assert_eq!(bits(&after), bits(&batch_aligned(&log, &config)), "seed {}", seed);
+        }
+
         #[test]
         fn frame_doors_equal_a_stable_sort_of_the_acceptance_log(
             seed in any::<u64>(),
@@ -544,6 +599,154 @@ mod read_side_props {
                 assert_eq!(controller.frames_sorted(), sorted_from_log(log, None), "seed {seed}");
                 assert!(controller.frames_sorted_for(StreamId(9)).is_empty());
             });
+        }
+    }
+}
+
+/// The row store against the store it replaced: every vector sample as
+/// one scalar point per channel.
+mod tsdb_model_props {
+    use std::collections::BTreeMap;
+
+    use darnet_collect::{canonical_fingerprint_merged, Aggregation, SeriesStats, TsDb};
+    use darnet_tensor::SplitMix64;
+    use proptest::prelude::*;
+
+    /// The scalar store as it was before rows: a sorted point list per
+    /// name, a vector sample fanned out to `metric.<channel>`.
+    #[derive(Default)]
+    struct Model(BTreeMap<String, Vec<(f64, f32)>>);
+
+    impl Model {
+        fn insert(&mut self, metric: &str, t: f64, value: f32) {
+            let series = self.0.entry(metric.to_string()).or_default();
+            let idx = series.partition_point(|&(st, _)| st <= t);
+            series.insert(idx, (t, value));
+        }
+
+        fn insert_vector(&mut self, metric: &str, t: f64, values: &[f32]) {
+            for (i, &v) in values.iter().enumerate() {
+                self.insert(&format!("{metric}.{i}"), t, v);
+            }
+        }
+
+        fn fingerprint(&self, canonical: bool) -> u64 {
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            let mut fold = |bytes: &[u8]| {
+                for &b in bytes {
+                    h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            };
+            for (name, points) in &self.0 {
+                let mut bits: Vec<(u64, u32)> = points
+                    .iter()
+                    .map(|&(t, v)| (t.to_bits(), v.to_bits()))
+                    .collect();
+                if canonical {
+                    bits.sort_unstable();
+                }
+                fold(name.as_bytes());
+                fold(&(bits.len() as u64).to_le_bytes());
+                for (t, v) in bits {
+                    fold(&t.to_le_bytes());
+                    fold(&v.to_le_bytes());
+                }
+            }
+            h
+        }
+
+        fn stats(points: &[(f64, f32)]) -> SeriesStats {
+            let values = points.iter().map(|p| p.1);
+            SeriesStats {
+                count: points.len(),
+                mean: (values.clone().map(f64::from).sum::<f64>() / points.len() as f64) as f32,
+                min: values.clone().fold(f32::INFINITY, f32::min),
+                max: values.fold(f32::NEG_INFINITY, f32::max),
+                first_t: points[0].0,
+                last_t: points[points.len() - 1].0,
+            }
+        }
+
+        /// Point counts per 1 s bucket over `[0, 2)`, empty ones left out.
+        fn counts(points: &[(f64, f32)]) -> Vec<(f64, f32)> {
+            let count = |lo: f64| {
+                points
+                    .iter()
+                    .filter(|p| (lo..lo + 1.0).contains(&p.0))
+                    .count()
+            };
+            let buckets = [0.0, 1.0].into_iter().map(|lo| (lo, count(lo) as f32));
+            buckets.filter(|b| b.1 > 0.0).collect()
+        }
+    }
+
+    // Scalar names that are, are not quite, and are not a row's channel
+    // name; vector names whose channels those are.
+    const SCALARS: [&str; 9] = [
+        "a", "a.1", "a.01", "a.+1", "a.1.0", "a.12", "b", "imu.3", "b.",
+    ];
+    const VECTORS: [&str; 4] = ["a", "a.1", "b", "imu"];
+    const WIDTHS: [usize; 5] = [0, 1, 2, 3, 12];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn row_store_reads_as_the_scalar_store_it_replaced(seed in any::<u64>(), ops in 1usize..60) {
+            let mut rng = SplitMix64::new(seed);
+            let mut model = Model::default();
+            // Every op goes to `whole`, and to one of the two `halves`.
+            let (whole, halves) = (TsDb::new(), [TsDb::new(), TsDb::new()]);
+            for _ in 0..ops {
+                // Few distinct stamps: ties and late arrivals are the rule.
+                let t = rng.next_usize(8) as f64 * 0.25;
+                let half = &halves[rng.next_usize(2)];
+                if rng.next_usize(3) == 0 {
+                    let (metric, value) = (SCALARS[rng.next_usize(SCALARS.len())], rng.normal());
+                    model.insert(metric, t, value);
+                    whole.insert(metric, t, value);
+                    half.insert(metric, t, value);
+                } else {
+                    let metric = VECTORS[rng.next_usize(VECTORS.len())];
+                    let width = WIDTHS[rng.next_usize(WIDTHS.len())];
+                    let values: Vec<f32> = (0..width).map(|_| rng.normal()).collect();
+                    model.insert_vector(metric, t, &values);
+                    whole.insert_vector(metric, t, &values);
+                    half.insert_vector(metric, t, &values);
+                }
+            }
+            let names: Vec<String> = model.0.keys().cloned().collect();
+            prop_assert_eq!(whole.metrics(), names, "seed {}", seed);
+            prop_assert_eq!(whole.point_count(), model.0.values().map(Vec::len).sum::<usize>());
+            prop_assert_eq!(whole.fingerprint(), model.fingerprint(false), "seed {}", seed);
+            prop_assert_eq!(whole.canonical_fingerprint(), model.fingerprint(true), "seed {}", seed);
+            let [left, right] = &halves;
+            prop_assert_eq!(
+                canonical_fingerprint_merged(&[left, right]),
+                model.fingerprint(true),
+                "seed {}", seed
+            );
+            for (name, points) in &model.0 {
+                prop_assert_eq!(whole.len(name), points.len(), "seed {} {}", seed, name);
+                prop_assert!(!whole.is_empty(name));
+                prop_assert_eq!(&whole.query_range(name, -1.0, 9.0).expect("series"), points);
+                let inner: Vec<_> =
+                    points.iter().copied().filter(|p| (0.5..=1.25).contains(&p.0)).collect();
+                prop_assert_eq!(whole.query_range(name, 0.5, 1.25).expect("series"), inner);
+                prop_assert_eq!(whole.stats(name).expect("series"), Model::stats(points));
+                prop_assert_eq!(
+                    whole.rollup(name, 0.0, 2.0, 1.0, Aggregation::Count).expect("series"),
+                    Model::counts(points)
+                );
+            }
+            // Names nothing was stored under read as absent.
+            for name in SCALARS.iter().chain(&["imu.12", "imu.03", "a.0.0", "imu"]) {
+                if !model.0.contains_key(*name) {
+                    prop_assert_eq!(whole.len(name), 0, "seed {} {}", seed, name);
+                    prop_assert!(whole.is_empty(name) && whole.query_range(name, 0.0, 9.0).is_err());
+                    prop_assert!(whole.stats(name).is_err());
+                }
+            }
         }
     }
 }

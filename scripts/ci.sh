@@ -40,10 +40,10 @@
 #                  the committed BENCH_fleet.json baseline; the run
 #                  must be bit-deterministic, the sharded TSDB must
 #                  merge to the single-controller digest, and sustained
-#                  ingest rate / ack p99 / bytes-per-agent must stay
-#                  within 15% of baseline (--check), and its seeded
-#                  counts (acked, retransmits, deliveries and readings
-#                  per shard count) must equal it exactly
+#                  ingest rate / ack p99 must stay within 15% of
+#                  baseline (--check), and its seeded counts (acked,
+#                  retransmits, deliveries and readings per shard
+#                  count, bytes per agent) must equal it exactly
 #   6. multiview — the N-stream registry ablation in --fast mode,
 #                  compared against the committed BENCH_multiview.json
 #                  baseline; the seeded fault campaign must knock the
