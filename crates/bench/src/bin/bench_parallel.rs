@@ -27,9 +27,11 @@
 //! `speedup_engine_batch32` is gated regardless. Both sides are the pair
 //! engine's zero-alloc path — `classify_step_into` × 32 against one
 //! `classify_batch_into` — so all a batch has to amortize is per-call
-//! dispatch and the per-step LSTM products; the ratio reads 1.2–1.3 and
-//! the floor guards the property, not a margin: batching never costs
-//! throughput.
+//! dispatch and the per-step LSTM products, and since the register-tiled
+//! product (which a batch's taller operands feed better) the ratio reads
+//! 1.38–1.48. The floor guards the property, not a margin: batching never
+//! costs throughput; the committed baseline is what would catch the
+//! kernel regressing to the dot loop (1.17–1.21).
 
 use std::collections::BTreeMap;
 use std::time::Instant;

@@ -73,19 +73,27 @@ type Path<'a> = (
     &'a dyn Fn(&mut MultiModalEngine, &mut Vec<MultiStepClassification>),
 );
 
-/// The contract, stated once: after two warm-up rounds over every path,
-/// three more rounds — paths interleaved, so each call follows one at
-/// another batch shape or stream subset — never touch the heap.
+/// The contract, stated once. A warm-up call into a temporary leaves the
+/// first call into a caller's fresh vector allocation-free (the ledger's
+/// order). After two warm-up rounds over every path, three more rounds —
+/// paths interleaved, so each call follows one at another batch shape or
+/// stream subset, all writing one output vector the way a caller that
+/// keeps its buffer does (the ledger's labeller sees batches of 8, 6, 8,
+/// 2) — never touch the heap.
 fn assert_steady_state(name: &str, engine: &mut MultiModalEngine, paths: &[Path<'_>]) {
-    let mut outs: Vec<Vec<MultiStepClassification>> = vec![Vec::new(); paths.len()];
+    let (first, path) = &paths[0];
+    path(engine, &mut Vec::new());
+    let mut out = Vec::new();
+    let ((), allocs) = alloc_counter::allocations_during(|| path(engine, &mut out));
+    assert_eq!(allocs, 0, "{name}: {first} into a fresh vector allocated");
     for _ in 0..2 {
-        for ((_, path), out) in paths.iter().zip(&mut outs) {
-            path(engine, out);
+        for (_, path) in paths {
+            path(engine, &mut out);
         }
     }
     for round in 0..3 {
-        for ((what, path), out) in paths.iter().zip(&mut outs) {
-            let ((), allocs) = alloc_counter::allocations_during(|| path(engine, out));
+        for (what, path) in paths {
+            let ((), allocs) = alloc_counter::allocations_during(|| path(engine, &mut out));
             assert_eq!(allocs, 0, "{name}: {what} allocated in round {round}");
         }
     }
@@ -99,11 +107,15 @@ fn warm_into_paths_perform_zero_heap_allocations() {
     let (frames, side_frames) = frames.split_at(BATCH);
     let windows = random_tensor(&[BATCH, WINDOW_LEN, IMU_FEATURES], 14);
     let row = WINDOW_LEN * IMU_FEATURES;
-    let single_window = Tensor::from_vec(
-        windows.data()[..row].to_vec(),
-        &[1, WINDOW_LEN, IMU_FEATURES],
-    )
-    .expect("window slice");
+    let first_windows = |n: usize| {
+        Tensor::from_vec(
+            windows.data()[..n * row].to_vec(),
+            &[n, WINDOW_LEN, IMU_FEATURES],
+        )
+        .expect("window slice")
+    };
+    let (single_window, six_windows, two_windows) =
+        (first_windows(1), first_windows(6), first_windows(2));
     let tuples: Vec<AlignedTuple> = (0..BATCH)
         .map(|i| AlignedTuple {
             t: i as f64 * 0.25,
@@ -116,22 +128,34 @@ fn warm_into_paths_perform_zero_heap_allocations() {
         (StreamId::CAMERA_FRONT, StreamInput::Frames(frames)),
         (StreamId::CAMERA_SIDE, StreamInput::Frames(side_frames)),
     ];
-    let step_inputs = [
-        (StreamId::IMU, StreamInput::Windows(&single_window)),
-        (StreamId::CAMERA_FRONT, StreamInput::Frames(&frames[..1])),
-        (
-            StreamId::CAMERA_SIDE,
-            StreamInput::Frames(&side_frames[..1]),
-        ),
-    ];
+    let first_steps = |windows| {
+        let n = StreamInput::Windows(windows).len();
+        [
+            (StreamId::IMU, StreamInput::Windows(windows)),
+            (StreamId::CAMERA_FRONT, StreamInput::Frames(&frames[..n])),
+            (
+                StreamId::CAMERA_SIDE,
+                StreamInput::Frames(&side_frames[..n]),
+            ),
+        ]
+    };
+    let step_inputs = first_steps(&single_window);
+    let (six_inputs, two_inputs) = (first_steps(&six_windows), first_steps(&two_windows));
 
     // The paper's pair, with either IMU model in its slot: a batch, a
-    // single step, and the collect-to-engine tuple feed.
-    let pair_paths: [Path<'_>; 3] = [
+    // single step, and the collect-to-engine tuple feed, between batches
+    // of the other sizes the ledger's micro-batcher flushes.
+    let pair_paths: [Path<'_>; 5] = [
         ("classify_batch_into", &|engine, out| {
             let inputs = &batch_inputs[..2];
             engine.classify_batch_into(inputs, out).expect("batch");
             assert_eq!(out.len(), BATCH);
+        }),
+        ("classify_batch_into, 6 steps", &|engine, out| {
+            engine
+                .classify_batch_into(&six_inputs[..2], out)
+                .expect("6");
+            assert_eq!(out.len(), 6);
         }),
         ("classify_step_into", &|engine, out| {
             let inputs = &step_inputs[..2];
@@ -144,6 +168,12 @@ fn warm_into_paths_perform_zero_heap_allocations() {
                 .expect("tuples");
             assert_eq!(out.len(), BATCH);
         }),
+        ("classify_batch_into, 2 steps", &|engine, out| {
+            engine
+                .classify_batch_into(&two_inputs[..2], out)
+                .expect("2");
+            assert_eq!(out.len(), 2);
+        }),
     ];
     assert_steady_state("pair, RNN slot", &mut tiny_engine(), &pair_paths);
     let mut svm = ImuSvm::new(WINDOW_LEN, IMU_FEATURES, 3, SvmConfig::default());
@@ -154,12 +184,16 @@ fn warm_into_paths_perform_zero_heap_allocations() {
 
     // Three streams: full fusion and the health-gated subset path alike.
     let front_down = [(StreamId::CAMERA_FRONT, ModalityStatus::Unavailable)];
-    let registry_paths: [Path<'_>; 3] = [
+    let registry_paths: [Path<'_>; 5] = [
         ("classify_batch_into", &|engine, out| {
             engine
                 .classify_batch_into(&batch_inputs, out)
                 .expect("batch");
             assert_eq!(out.len(), BATCH);
+        }),
+        ("classify_batch_into, 6 steps", &|engine, out| {
+            engine.classify_batch_into(&six_inputs, out).expect("6");
+            assert_eq!(out.len(), 6);
         }),
         ("classify_step_into", &|engine, out| {
             engine.classify_step_into(&step_inputs, out).expect("step");
@@ -170,6 +204,10 @@ fn warm_into_paths_perform_zero_heap_allocations() {
                 .classify_batch_checked_into(&batch_inputs, &front_down, out)
                 .expect("subset");
             assert_eq!(out.len(), BATCH);
+        }),
+        ("classify_batch_into, 2 steps", &|engine, out| {
+            engine.classify_batch_into(&two_inputs, out).expect("2");
+            assert_eq!(out.len(), 2);
         }),
     ];
     assert_steady_state("3 streams", &mut tiny_registry_engine(), &registry_paths);

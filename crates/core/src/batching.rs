@@ -141,7 +141,7 @@ impl MultiModalEngine {
     ) -> Result<()> {
         let n = tuples.len();
         if n == 0 {
-            out.clear();
+            self.truncate_out(out, 0);
             return Ok(());
         }
         let row = WINDOW_LEN * IMU_FEATURES;

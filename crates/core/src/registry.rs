@@ -427,6 +427,14 @@ pub struct MultiModalEngine {
     counters: SubsetCounters,
     pub(crate) ws: Workspace,
     scores_buf: Vec<f32>,
+    /// Output entries no caller's vector holds, inner vectors sized: the
+    /// ones a shorter batch cut off ([`MultiModalEngine::truncate_out`])
+    /// and the spare set a growing call stocks
+    /// ([`MultiModalEngine::fuse_batch`]).
+    spare_steps: Vec<MultiStepClassification>,
+    /// An empty output vector with room for the largest batch, swapped in
+    /// for a caller's fresh one.
+    spare_out: Vec<MultiStepClassification>,
     /// Frame scratch of the tuple feed path
     /// ([`MultiModalEngine::classify_tuples_into`]).
     pub(crate) tuple_frames: Vec<Frame>,
@@ -444,6 +452,8 @@ impl MultiModalEngine {
             counters: SubsetCounters::default(),
             ws: Workspace::new(),
             scores_buf: Vec::new(),
+            spare_steps: Vec::new(),
+            spare_out: Vec::new(),
             tuple_frames: Vec::new(),
         }
     }
@@ -774,8 +784,19 @@ impl MultiModalEngine {
             self.predict_streams(inputs, n)?;
             self.fuse_batch(n, out)?;
         }
-        out.truncate(n);
+        self.truncate_out(out, n);
         Ok(())
+    }
+
+    /// Shortens `out` to `n` steps, keeping the entries it cuts — and
+    /// their inner vectors' capacity — for the next call that grows an
+    /// output, so a caller alternating batch sizes (8, 6, 8, 2 off a
+    /// micro-batcher) allocates nothing once the largest has been seen.
+    // darlint: hot
+    pub(crate) fn truncate_out(&mut self, out: &mut Vec<MultiStepClassification>, n: usize) {
+        if out.len() > n {
+            self.spare_steps.extend(out.drain(n..));
+        }
     }
 
     /// Runs every present stream's model over its assembled input,
@@ -947,15 +968,14 @@ impl MultiModalEngine {
 
     /// Fuses step `i` of the batch from the present streams' posterior
     /// rows and writes it into entry `i` of the reused output vector (its
-    /// inner vectors keep their capacity), growing the vector by one while
-    /// it is still shorter than the batch.
+    /// inner vectors keep their capacity).
     // darlint: hot
     fn fuse_step(
         &self,
         i: usize,
         degraded: bool,
         scores: &mut Vec<f32>,
-        out: &mut Vec<MultiStepClassification>,
+        out: &mut [MultiStepClassification],
     ) -> Result<()> {
         let mut parents: [Option<&[f32]>; MAX_STREAMS] = [None; MAX_STREAMS];
         for (parent, stream) in parents.iter_mut().zip(&self.streams) {
@@ -966,16 +986,6 @@ impl MultiModalEngine {
             *parent = Some(&stream.probs[i * native..(i + 1) * native]);
         }
         self.fuse_row(&parents[..self.streams.len()], scores)?;
-        if out.len() <= i {
-            // Growth path: only taken during warm-up or at a larger
-            // batch shape; the empty vectors are filled just below.
-            out.push(MultiStepClassification {
-                class: 0,
-                scores: Vec::new(),
-                used: Vec::new(),
-                degraded,
-            });
-        }
         let step = &mut out[i];
         let best = scores.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1));
         step.class = best.map_or(0, |(class, _)| class);
@@ -988,13 +998,38 @@ impl MultiModalEngine {
         Ok(())
     }
 
-    /// Fuses the per-stream posteriors item by item into `out`.
+    /// Fuses the per-stream posteriors item by item into `out`, grown to
+    /// the batch first from the spare entries
+    /// ([`MultiModalEngine::truncate_out`]). Only a step count no entry
+    /// covers allocates, and that call also stocks a spare set — `n`
+    /// entries and an output vector with room for them — so a caller that
+    /// then brings a fresh vector (a labeller after a warm-up call into a
+    /// temporary) allocates nothing either.
     // darlint: hot
     fn fuse_batch(&mut self, n: usize, out: &mut Vec<MultiStepClassification>) -> Result<()> {
         let degraded = self
             .streams
             .iter()
             .any(|s| !s.present || s.status == ModalityStatus::Degraded);
+        if out.capacity() == 0 {
+            std::mem::swap(out, &mut self.spare_out);
+        }
+        let held = out.len() + self.spare_steps.len();
+        if held < n {
+            let (classes, streams) = (self.classes, self.streams.len());
+            // Room for every entry to come back through `truncate_out`.
+            self.spare_steps.reserve(2 * n - self.spare_steps.len());
+            self.spare_steps
+                .extend((held..2 * n).map(|_| MultiStepClassification {
+                    class: 0,
+                    scores: Vec::with_capacity(classes),
+                    used: Vec::with_capacity(streams),
+                    degraded,
+                }));
+            self.spare_out.reserve(n);
+        }
+        let from = self.spare_steps.len() - n.saturating_sub(out.len());
+        out.extend(self.spare_steps.drain(from..));
         let mut scores = std::mem::take(&mut self.scores_buf);
         let fused = (0..n).try_for_each(|i| self.fuse_step(i, degraded, &mut scores, out));
         self.scores_buf = scores;

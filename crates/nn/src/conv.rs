@@ -1,8 +1,8 @@
 //! 2-D convolution layer implemented via im2col lowering.
 
 use darnet_tensor::{
-    col2im, he_normal, im2col_into, Conv2dSpec, Parallelism, SplitMix64, Tensor, TensorView,
-    Workspace,
+    col2im, he_normal, im2col_into, matmul_transpose_b_slices_into, Conv2dSpec, Parallelism,
+    SplitMix64, Tensor, TensorView, Workspace,
 };
 
 use crate::error::NnError;
@@ -14,10 +14,11 @@ use crate::Result;
 /// `[batch, out_c, oh, ow]`.
 ///
 /// The forward pass lowers the input to a patch matrix with
-/// [`darnet_tensor::im2col`] and performs one matrix product against the `[out_c,
-/// in_c·kh·kw]` weight; the backward pass uses the transpose products plus
-/// [`col2im`]. Weights use He initialisation (the layer is normally followed
-/// by ReLU).
+/// [`darnet_tensor::im2col`] and multiplies the `[out_c, in_c·kh·kw]`
+/// weight by each image's patch rows, straight into that image's channel
+/// planes with the bias added as each output is stored; the backward pass
+/// uses the transpose products plus [`col2im`]. Weights use He
+/// initialisation (the layer is normally followed by ReLU).
 #[derive(Debug, Clone)]
 pub struct Conv2d {
     spec: Conv2dSpec,
@@ -69,39 +70,8 @@ impl Conv2d {
     }
 }
 
-/// Reorders a `[b*oh*ow, c]` row-per-pixel matrix into a caller-provided
-/// `[b, c, oh, ow]` channel-major buffer.
-// darlint: hot
-fn pixels_to_nchw_into(
-    pixels: &Tensor,
-    b: usize,
-    c: usize,
-    oh: usize,
-    ow: usize,
-    out: &mut Tensor,
-) -> Result<()> {
-    let hw = oh * ow;
-    if out.dims() != [b, c, oh, ow] || pixels.len() != b * c * hw {
-        return Err(NnError::InvalidConfig(format!(
-            "pixels_to_nchw_into: {:?} pixels into {:?} output",
-            pixels.dims(),
-            out.dims()
-        )));
-    }
-    let od = out.data_mut();
-    let data = pixels.data();
-    for n in 0..b {
-        for p in 0..hw {
-            let row = (n * hw + p) * c;
-            for ch in 0..c {
-                od[(n * c + ch) * hw + p] = data[row + ch];
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Inverse of [`pixels_to_nchw_into`].
+/// Reorders a `[b, c, oh, ow]` channel-major tensor into a `[b*oh*ow, c]`
+/// row-per-pixel matrix (the layout of the backward products).
 fn nchw_to_pixels(t: &Tensor) -> Result<Tensor> {
     let d = t.dims();
     let (b, c, oh, ow) = (d[0], d[1], d[2], d[3]);
@@ -128,20 +98,27 @@ impl Layer for Conv2d {
     ) -> Result<TensorView> {
         let [b, _, h, w] = rank4_dims(input, "conv")?;
         let (oh, ow) = self.spec.output_size(h, w)?;
-        let rows = b * oh * ow;
-        let mut cols = ws.checkout(&[rows, self.spec.patch_len()]);
+        let (hw, patch, oc) = (oh * ow, self.spec.patch_len(), self.spec.out_channels);
+        let mut cols = ws.checkout(&[b * hw, patch]);
         im2col_into(input, &self.spec, &self.par, &mut cols)?;
-        let mut pixels = ws.checkout(&[rows, self.spec.out_channels]);
-        cols.matmul_transpose_b_into(&self.weight.value, &self.par, &mut pixels)?;
+        let mut out = ws.checkout(&[b, oc, oh, ow]);
+        // Per image, `W [oc, patch] × cols_nᵀ` lands as that image's
+        // `[oc, oh·ow]` block of the NCHW output, each output `+ bias[c]`.
+        for n in 0..b {
+            matmul_transpose_b_slices_into(
+                self.weight.value.data(),
+                &cols.data()[n * hw * patch..(n + 1) * hw * patch],
+                (oc, patch, hw),
+                Some(self.bias.value.data()),
+                &self.par,
+                &mut out.data_mut()[n * oc * hw..(n + 1) * oc * hw],
+            )?;
+        }
         if mode == Mode::Train {
             self.cache = Some((cols, [b, h, w]));
         } else {
             ws.restore(cols);
         }
-        pixels.add_row_broadcast_assign(&self.bias.value)?;
-        let mut out = ws.checkout(&[b, self.spec.out_channels, oh, ow]);
-        pixels_to_nchw_into(&pixels, b, self.spec.out_channels, oh, ow, &mut out)?;
-        ws.restore(pixels);
         Ok(out)
     }
 
@@ -278,13 +255,12 @@ mod tests {
     }
 
     #[test]
-    fn pixels_nchw_roundtrip() {
+    fn nchw_to_pixels_puts_one_pixel_per_row() {
         let t = Tensor::from_vec((0..24).map(|v| v as f32).collect(), &[2, 3, 2, 2]).unwrap();
         let pixels = nchw_to_pixels(&t).unwrap();
         assert_eq!(pixels.dims(), &[8, 3]);
-        let mut back = Tensor::full(t.dims(), 9.0); // stale contents
-        pixels_to_nchw_into(&pixels, 2, 3, 2, 2, &mut back).unwrap();
-        assert_eq!(back, t);
+        // Image 1, pixel 2 holds channels [1·12 + 0·4 + 2, … + 1·4, … + 2·4].
+        assert_eq!(&pixels.data()[6 * 3..7 * 3], &[14.0, 18.0, 22.0]);
     }
 
     #[test]

@@ -4,7 +4,10 @@
 //! ([`DeepBiLstmClassifier`] — 2 bidirectional layers × 64 hidden units in
 //! the paper's configuration, §4.2).
 
-use darnet_tensor::{uniform_init, Parallelism, SplitMix64, Tensor, TensorView, Workspace};
+use darnet_tensor::{
+    matmul_transpose_b_slices_into, uniform_init, Parallelism, SplitMix64, Tensor, TensorView,
+    Workspace,
+};
 
 use crate::error::NnError;
 use crate::layer::{sigmoid_scalar, Mode};
@@ -84,13 +87,16 @@ struct StepCache {
 }
 
 impl StepCache {
-    /// Starts a step's cache from its inputs; the fused gate loop fills in
-    /// the activations.
+    /// Starts a step's cache from its inputs — timestep `t` of the
+    /// `[batch, time, feat]` sequence `x` and the carried state; the fused
+    /// gate loop fills in the activations.
     // darlint: cold — Train-cache helper: backward needs every step's gates, so a training step allocates them
-    fn begin(x: &Tensor, h_prev: &Tensor, c_prev: &Tensor) -> Self {
+    fn begin(x: &Tensor, t: usize, h_prev: &Tensor, c_prev: &Tensor) -> Self {
         let gate = || Tensor::zeros(h_prev.dims());
+        let mut x_t = Tensor::zeros(&[x.dims()[0], x.dims()[2]]);
+        step_slice_into(x, t, &mut x_t);
         StepCache {
-            x: x.clone(),
+            x: x_t,
             h_prev: h_prev.clone(),
             c_prev: c_prev.clone(),
             i: gate(),
@@ -190,27 +196,47 @@ impl LstmCell {
             )));
         }
         let (b, time) = (x.dims()[0], x.dims()[1]);
-        let h = self.hidden_size;
+        let (h, gates) = (self.hidden_size, 4 * self.hidden_size);
+        if self.b.value.len() != gates {
+            return Err(NnError::InvalidConfig(format!(
+                "lstm bias has {} values for {gates} gates",
+                self.b.value.len()
+            )));
+        }
         self.cache.clear();
+        // x·W_xᵀ for every timestep in one product: the `[B, T, in]` input
+        // is already `[B·T, in]` row-major, so row `n·T + t` of `zx` is
+        // batch row `n`'s input projection at step `t`.
+        let mut zx = ws.checkout(&[b, time, gates]);
+        matmul_transpose_b_slices_into(
+            x.data(),
+            self.w_x.value.data(),
+            (b * time, self.input_size, gates),
+            None,
+            &self.par,
+            zx.data_mut(),
+        )?;
         // Checked out once; reused across all timesteps.
-        let mut x_t = ws.checkout(&[b, self.input_size]);
-        let mut z = ws.checkout(&[b, 4 * h]);
-        let mut zh = ws.checkout(&[b, 4 * h]);
+        let mut z = ws.checkout(&[b, gates]);
         let mut h_t = ws.checkout(&[b, h]);
         let mut c_t = ws.checkout(&[b, h]);
         let mut out = ws.checkout(&[b, time, h]);
 
         for t in 0..time {
-            step_slice_into(x, t, &mut x_t);
-            // z = x_t·W_xᵀ + h·W_hᵀ + b  → [B, 4H]
-            x_t.matmul_transpose_b_into(&self.w_x.value, &self.par, &mut z)?;
-            h_t.matmul_transpose_b_into(&self.w_h.value, &self.par, &mut zh)?;
-            z.add_assign(&zh)?;
-            z.add_row_broadcast_assign(&self.b.value)?;
+            // z = (x_t·W_xᵀ + h·W_hᵀ) + b  → [B, 4H]
+            h_t.matmul_transpose_b_into(&self.w_h.value, &self.par, &mut z)?;
+            let zd = z.data_mut();
+            for n in 0..b {
+                let zx_t = &zx.data()[(n * time + t) * gates..][..gates];
+                let z_n = &mut zd[n * gates..][..gates];
+                for ((z, &zx), &bias) in z_n.iter_mut().zip(zx_t).zip(self.b.value.data()) {
+                    *z = zx + *z + bias;
+                }
+            }
 
             // Decided once per step, so the Eval loop records nothing.
             if mode == Mode::Train {
-                let mut step = StepCache::begin(&x_t, &h_t, &c_t);
+                let mut step = StepCache::begin(x, t, &h_t, &c_t);
                 let (i, f, g, o, tanh_c) = (
                     step.i.data_mut(),
                     step.f.data_mut(),
@@ -227,9 +253,8 @@ impl LstmCell {
             }
             step_write(&mut out, t, &h_t);
         }
-        ws.restore(x_t);
+        ws.restore(zx);
         ws.restore(z);
-        ws.restore(zh);
         ws.restore(h_t);
         ws.restore(c_t);
         Ok(out)

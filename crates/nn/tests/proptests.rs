@@ -80,6 +80,167 @@ proptest! {
     }
 }
 
+mod layer_reference {
+    //! The forward layers against their formulation before the conv wrote
+    //! NCHW straight from the product and the LSTM batched its input
+    //! projection, bit for bit: one `p`-ascending dot product per output.
+
+    use darnet_nn::{BiLstm, Conv2d, Layer, LstmCell, Mode};
+    use darnet_tensor::{im2col, Parallelism, SplitMix64, Tensor};
+    use proptest::prelude::*;
+
+    fn dot(a: &[f32], b: &[f32]) -> f32 {
+        let mut acc = 0.0f32;
+        for (&x, &y) in a.iter().zip(b) {
+            acc += x * y;
+        }
+        acc
+    }
+
+    fn random(dims: &[usize], rng: &mut SplitMix64) -> Tensor {
+        let mut t = Tensor::zeros(dims);
+        for v in t.data_mut() {
+            *v = rng.uniform(-1.5, 1.5);
+        }
+        t
+    }
+
+    fn sigmoid(x: f32) -> f32 {
+        if x >= 0.0 {
+            1.0 / (1.0 + (-x).exp())
+        } else {
+            let e = x.exp();
+            e / (1.0 + e)
+        }
+    }
+
+    /// One LSTM direction step by step: `z = (x_t·W_xᵀ + h·W_hᵀ) + b`,
+    /// then the gates, batch row by batch row.
+    fn lstm_steps(x: &Tensor, cell: &mut LstmCell) -> Vec<f32> {
+        let (b, time, feat, hidden) = (x.dims()[0], x.dims()[1], x.dims()[2], cell.hidden_size());
+        let params = cell.params_mut();
+        let (w_x, w_h, bias) = (
+            params[0].value.data(),
+            params[1].value.data(),
+            params[2].value.data(),
+        );
+        let (mut h, mut c) = (vec![0.0f32; b * hidden], vec![0.0f32; b * hidden]);
+        let mut out = vec![0.0f32; b * time * hidden];
+        for t in 0..time {
+            for n in 0..b {
+                let x_t = &x.data()[(n * time + t) * feat..][..feat];
+                let h_n = &h[n * hidden..][..hidden];
+                let z: Vec<f32> = (0..4 * hidden)
+                    .map(|g| {
+                        dot(x_t, &w_x[g * feat..][..feat])
+                            + dot(h_n, &w_h[g * hidden..][..hidden])
+                            + bias[g]
+                    })
+                    .collect();
+                for k in 0..hidden {
+                    let (i, f) = (sigmoid(z[k]), sigmoid(z[hidden + k]));
+                    let (g, o) = (z[2 * hidden + k].tanh(), sigmoid(z[3 * hidden + k]));
+                    let c_new = f * c[n * hidden + k] + i * g;
+                    c[n * hidden + k] = c_new;
+                    h[n * hidden + k] = o * c_new.tanh();
+                    out[(n * time + t) * hidden + k] = h[n * hidden + k];
+                }
+            }
+        }
+        out
+    }
+
+    fn reverse_time(x: &[f32], (b, time, f): (usize, usize, usize)) -> Vec<f32> {
+        let mut out = Vec::with_capacity(x.len());
+        for n in 0..b {
+            for t in (0..time).rev() {
+                out.extend_from_slice(&x[(n * time + t) * f..][..f]);
+            }
+        }
+        out
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn conv_eval_is_im2col_product_scatter_bias(
+            batch in 1usize..3, in_c in 1usize..4, out_c in 1usize..10, size in 5usize..11,
+            kernel in 0usize..3, stride in 1usize..=2, padding in 0usize..=2,
+            threads in 1usize..=3, seed in 0u64..500,
+        ) {
+            let kernel = [1, 3, 5][kernel];
+            let mut rng = SplitMix64::new(seed);
+            let mut conv = Conv2d::square(in_c, out_c, kernel, stride, padding, &mut rng);
+            conv.set_parallelism(Parallelism::new(threads).with_min_work(1));
+            for v in conv.params_mut()[1].value.data_mut() {
+                *v = rng.uniform(-1.0, 1.0);
+            }
+            let x = random(&[batch, in_c, size, size], &mut rng);
+            let got = conv.forward(&x, Mode::Eval).unwrap();
+
+            let spec = *conv.spec();
+            let cols = im2col(&x, &spec).unwrap();
+            let (oh, ow) = spec.output_size(size, size).unwrap();
+            let (hw, patch) = (oh * ow, spec.patch_len());
+            let params = conv.params_mut();
+            let (w, bias) = (params[0].value.data(), params[1].value.data());
+            // Pixel row `n·hw + p` times weight row `c`, then `+ bias[c]`,
+            // scattered to NCHW `(n, c, p)`.
+            let mut want = vec![0.0f32; batch * out_c * hw];
+            for n in 0..batch {
+                for p in 0..hw {
+                    let pixel = &cols.data()[(n * hw + p) * patch..][..patch];
+                    for c in 0..out_c {
+                        want[(n * out_c + c) * hw + p] = dot(pixel, &w[c * patch..][..patch]) + bias[c];
+                    }
+                }
+            }
+            prop_assert_eq!(got.dims(), &[batch, out_c, oh, ow]);
+            prop_assert_eq!(bits(got.data()), bits(&want));
+        }
+
+        #[test]
+        fn lstm_eval_is_the_per_step_loop(
+            batch in 1usize..4, time in 1usize..7, feat in 1usize..14, hidden in 1usize..11,
+            threads in 1usize..=3, seed in 0u64..500,
+        ) {
+            let mut rng = SplitMix64::new(seed);
+            let x = random(&[batch, time, feat], &mut rng);
+            let par = Parallelism::new(threads).with_min_work(1);
+
+            let mut cell = LstmCell::new(feat, hidden, &mut rng);
+            cell.set_parallelism(par);
+            let got = cell.forward_seq(&x, Mode::Eval).unwrap();
+            prop_assert_eq!(bits(got.data()), bits(&lstm_steps(&x, &mut cell)));
+
+            // The bidirectional layer: the backward cell over the
+            // time-reversed input, concatenated per step.
+            let mut bi = BiLstm::new(feat, hidden, &mut rng);
+            bi.set_parallelism(par);
+            let got = bi.forward_seq(&x, Mode::Eval).unwrap();
+            let mut fwd = LstmCell::new(feat, hidden, &mut SplitMix64::new(0));
+            let mut bwd = LstmCell::new(feat, hidden, &mut SplitMix64::new(0));
+            for (dst, src) in fwd.params_mut().into_iter().chain(bwd.params_mut()).zip(bi.params_mut()) {
+                dst.value = src.value.clone();
+            }
+            let hf = lstm_steps(&x, &mut fwd);
+            let x_rev = Tensor::from_vec(reverse_time(x.data(), (batch, time, feat)), x.dims()).unwrap();
+            let hb = reverse_time(&lstm_steps(&x_rev, &mut bwd), (batch, time, hidden));
+            let want: Vec<f32> = hf
+                .chunks(hidden)
+                .zip(hb.chunks(hidden))
+                .flat_map(|(f, b)| f.iter().chain(b).copied())
+                .collect();
+            prop_assert_eq!(bits(got.data()), bits(&want));
+        }
+    }
+}
+
 mod gradcheck {
     //! Property-based finite-difference gradient checks: random layer
     //! geometries and inputs, not just the fixed cases in unit tests.

@@ -93,8 +93,18 @@ pub fn im2col(input: &Tensor, spec: &Conv2dSpec) -> Result<Tensor> {
     im2col_with(input, spec, &Parallelism::serial())
 }
 
-/// Fills patch rows `row0..` into `chunk`; each patch row is an independent
-/// gather, so any contiguous row range can be produced by any thread.
+/// Fills patch rows `row0..` into `chunk` (`patch_len > 0`); each patch row
+/// is an independent gather, so any contiguous row range can be produced by
+/// any thread.
+///
+/// The chunk is filled one output-row segment at a time (its pixels share
+/// their input rows) and, within a segment, one patch column at a time:
+/// column `(ch, ky, kx)` of pixel `ox` reads input `(ch, oy·s + ky − pad,
+/// ox·s + kx − pad)`. The pixels whose read is in bounds form one range, so
+/// a column is one strided copy from an input row with only the padded
+/// positions around it zero-filled, and the `/`, `%` and bounds arithmetic
+/// runs per segment and column, not per element. (A patch row's `kw`-value
+/// runs, copied one by one, cost a `memcpy` call per 1–5 values.)
 fn im2col_rows(
     data: &[f32],
     spec: &Conv2dSpec,
@@ -103,27 +113,42 @@ fn im2col_rows(
     chunk: &mut [f32],
 ) {
     let (c, h, w, oh, ow) = geom;
+    let (kh, kw, stride, pad) = (spec.kernel_h, spec.kernel_w, spec.stride, spec.padding);
     let patch = spec.patch_len();
-    let pad = spec.padding as isize;
-    for (i, dst) in chunk.chunks_mut(patch).enumerate() {
-        let row = row0 + i;
-        let n = row / (oh * ow);
-        let rem = row % (oh * ow);
-        let (oy, ox) = (rem / ow, rem % ow);
-        let base_n = n * c * h * w;
-        let mut k = 0usize;
-        for ch in 0..c {
-            let base_c = base_n + ch * h * w;
-            for ky in 0..spec.kernel_h {
-                let iy = (oy * spec.stride + ky) as isize - pad;
-                for kx in 0..spec.kernel_w {
-                    let ix = (ox * spec.stride + kx) as isize - pad;
-                    dst[k] = if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
-                        data[base_c + iy as usize * w + ix as usize]
+    let (mut row, mut rest) = (row0, chunk);
+    while !rest.is_empty() {
+        // Pixels `ox0..ox0 + len` of output row `oy` of image `n`.
+        let (n, oy, ox0) = (row / (oh * ow), row % (oh * ow) / ow, row % ow);
+        let len = (ow - ox0).min(rest.len() / patch);
+        let (segment, tail) = std::mem::take(&mut rest).split_at_mut(len * patch);
+        (row, rest) = (row + len, tail);
+        for kx in 0..kw {
+            // In bounds: `ox·s + kx − pad ∈ [0, w)`, i.e. `ox ∈ first..end`;
+            // as segment offsets, `lo..hi`.
+            let first = pad.saturating_sub(kx).div_ceil(stride);
+            let end = (w + pad).saturating_sub(kx).div_ceil(stride);
+            let (lo, hi) = (
+                first.clamp(ox0, ox0 + len) - ox0,
+                end.clamp(ox0, ox0 + len) - ox0,
+            );
+            for ch in 0..c {
+                let plane = &data[(n * c + ch) * h * w..(n * c + ch + 1) * h * w];
+                for ky in 0..kh {
+                    let col = (ch * kh + ky) * kw + kx;
+                    let y = oy * stride + ky;
+                    let copied = if y >= pad && y < h + pad && lo < hi {
+                        let src = &plane[(y - pad) * w..(y - pad + 1) * w];
+                        let x0 = (ox0 + lo) * stride + kx - pad;
+                        for i in lo..hi {
+                            segment[i * patch + col] = src[x0 + (i - lo) * stride];
+                        }
+                        lo..hi
                     } else {
-                        0.0
+                        0..0
                     };
-                    k += 1;
+                    for i in (0..copied.start).chain(copied.end..len) {
+                        segment[i * patch + col] = 0.0;
+                    }
                 }
             }
         }

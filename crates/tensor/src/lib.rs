@@ -50,6 +50,7 @@ mod workspace;
 pub use conv::{col2im, im2col, im2col_into, im2col_with, Conv2dSpec};
 pub use error::TensorError;
 pub use init::{he_normal, uniform_init, xavier_uniform, SplitMix64};
+pub use matmul::matmul_transpose_b_slices_into;
 pub use parallel::Parallelism;
 pub use pool::{
     avg_pool2d, avg_pool2d_backward, avg_pool2d_into, avg_pool2d_with, max_pool2d,

@@ -4,11 +4,23 @@
 //! serial entry points and the [`Parallelism`]-aware `_with` variants, so
 //! parallel execution is bitwise identical to serial: a thread count only
 //! changes *which thread* computes a row, never the arithmetic inside it.
+//!
+//! The forward product every dense, conv and LSTM layer lowers to,
+//! `a [m,k] × bᵀ`, runs on a register-tiled kernel
+//! ([`matmul_transpose_b_slices_into`]); the products only backward passes
+//! use keep their i-k-j loops.
 
 use crate::error::TensorError;
 use crate::parallel::Parallelism;
 use crate::tensor::Tensor;
 use crate::Result;
+
+/// Rows of `a` in one register tile.
+const MR: usize = 4;
+/// Rows of `b` in one register tile: the lanes of a packed panel.
+const NR: usize = 8;
+/// Depth of one packed panel: `KC × NR` floats, 8 KiB on the stack.
+const KC: usize = 256;
 
 /// Computes output rows `row0..` of `a [m,k] × b [k,n]` into `chunk`.
 /// i-k-j loop order: the innermost loop walks both operands contiguously.
@@ -28,24 +40,132 @@ fn matmul_rows(a: &[f32], b: &[f32], k: usize, n: usize, row0: usize, chunk: &mu
 }
 
 /// Computes output rows `row0..` of `a [m,k] × bᵀ` (`b` stored `[n,k]`) into
-/// `chunk` as row-by-row dot products.
+/// `chunk` (`n > 0`), adding `row_bias[row]` to every output of a row when
+/// given.
+///
+/// Every output is `0.0 + a[i][0]·b[j][0] + … + a[i][k−1]·b[j][k−1]`, then
+/// `+ bias`: one rounding per operation, `p` ascending, no fused
+/// multiply-add and no skipped zero. Tiling only decides which outputs share
+/// registers, so the bits do not depend on the path or on the rows a chunk
+/// holds. Two rows or more pack `b` — the operand every row reuses — into
+/// `NR`-lane k-major panels and accumulate tiles of up to [`MR`] rows; the
+/// running sums rest in `chunk` between k-blocks, which is exact. A single
+/// row would spend more packing `b` than it saves, so it reads `b` in place.
 fn matmul_transpose_b_rows(
     a: &[f32],
     b: &[f32],
-    k: usize,
-    n: usize,
+    (k, n): (usize, usize),
+    row_bias: Option<&[f32]>,
     row0: usize,
     chunk: &mut [f32],
 ) {
-    for (i, c_row) in chunk.chunks_mut(n).enumerate() {
-        let a_row = &a[(row0 + i) * k..(row0 + i + 1) * k];
-        for (j, c) in c_row.iter_mut().enumerate() {
-            let b_row = &b[j * k..(j + 1) * k];
-            let mut acc = 0.0f32;
-            for (&x, &y) in a_row.iter().zip(b_row) {
-                acc += x * y;
+    let rows = chunk.len() / n;
+    let mut op = Operands {
+        a: &a[row0 * k..(row0 + rows) * k],
+        k,
+        out: chunk,
+        n,
+        bias: row_bias.map(|bias| &bias[row0..row0 + rows]),
+    };
+    let mut panel = [[0.0f32; NR]; KC];
+    // `k = 0` is one empty block, so every output is still stored.
+    for k0 in (0..k.max(1)).step_by(KC) {
+        let kc = KC.min(k - k0);
+        for j0 in (0..n).step_by(NR) {
+            let nr = NR.min(n - j0);
+            let block = Block {
+                k0,
+                kc,
+                j0,
+                nr,
+                last: k0 + kc == k,
+            };
+            // Lanes past `nr` repeat the last row; their sums are never stored.
+            let b_rows: [&[f32]; NR] =
+                std::array::from_fn(|l| &b[(j0 + l.min(nr - 1)) * k + k0..][..kc]);
+            let lane = |p: usize| std::array::from_fn(|l| b_rows[l][p]);
+            if rows == 1 {
+                tile::<1>(&mut op, 0, block, lane, 1);
+                continue;
             }
-            *c = acc;
+            let panel = &mut panel[..kc];
+            for (p, lanes) in panel.iter_mut().enumerate() {
+                *lanes = lane(p);
+            }
+            let panel = |p: usize| panel[p];
+            for i0 in (0..rows).step_by(MR) {
+                tile::<MR>(&mut op, i0, block, panel, rows - i0);
+            }
+        }
+    }
+}
+
+/// A chunk's operands: rows of `a` (`k` wide), the output rows (`n` wide)
+/// and their biases.
+struct Operands<'a> {
+    a: &'a [f32],
+    k: usize,
+    out: &'a mut [f32],
+    n: usize,
+    bias: Option<&'a [f32]>,
+}
+
+/// What a tile covers besides its rows: k-block `k0..k0 + kc` (the `last`
+/// one adds the bias) of output columns `j0..j0 + nr`.
+#[derive(Clone, Copy)]
+struct Block {
+    k0: usize,
+    kc: usize,
+    j0: usize,
+    nr: usize,
+    last: bool,
+}
+
+/// One `R × NR` register tile at output rows `i0..i0 + R`: resumes the sums
+/// an earlier k-block stored (or starts from `0.0`), adds `a[r][p] ·
+/// lanes(p)[l]` for `p` ascending, and stores the `nr` valid columns.
+#[inline(always)]
+fn tile<const R: usize>(
+    op: &mut Operands<'_>,
+    i0: usize,
+    block: Block,
+    lanes: impl Fn(usize) -> [f32; NR],
+    mr: usize,
+) {
+    let Block {
+        k0,
+        kc,
+        j0,
+        nr,
+        last,
+    } = block;
+    let mr = mr.min(R);
+    let a: [&[f32]; R] = std::array::from_fn(|r| &op.a[(i0 + r.min(mr - 1)) * op.k + k0..][..kc]);
+    let at = |r: usize| (i0 + r) * op.n + j0;
+    let mut acc = [[0.0f32; NR]; R];
+    if k0 > 0 {
+        for (r, acc_r) in acc.iter_mut().enumerate().take(mr) {
+            acc_r[..nr].copy_from_slice(&op.out[at(r)..][..nr]);
+        }
+    }
+    for p in 0..kc {
+        let lanes = lanes(p);
+        for (acc_r, a_r) in acc.iter_mut().zip(&a) {
+            let x = a_r[p];
+            for (c, &y) in acc_r.iter_mut().zip(&lanes) {
+                *c += x * y;
+            }
+        }
+    }
+    for (r, acc_r) in acc.iter().enumerate().take(mr) {
+        let dst = &mut op.out[at(r)..][..nr];
+        match op.bias.filter(|_| last) {
+            Some(bias) => {
+                for (o, &v) in dst.iter_mut().zip(acc_r) {
+                    *o = v + bias[i0 + r];
+                }
+            }
+            None => dst.copy_from_slice(&acc_r[..nr]),
         }
     }
 }
@@ -142,8 +262,9 @@ impl Tensor {
     }
 
     /// `self [m,k] × otherᵀ` where `other` is `[n,k]` — multiplies by the
-    /// transpose without materializing it. This is the hot path in dense
-    /// layer backward passes.
+    /// transpose without materializing it. This is the product every
+    /// dense, conv and LSTM forward pass lowers to, on the register-tiled
+    /// kernel of [`matmul_transpose_b_slices_into`].
     ///
     /// # Errors
     ///
@@ -229,54 +350,53 @@ impl Tensor {
         if out.dims() != [m, n] {
             return Err(TensorError::shape_mismatch(out.dims(), &[m, n]));
         }
-        let a = self.data();
-        let b = other.data();
-        if n > 0 {
-            par.run_rows(out.data_mut(), n, k * n, |row0, chunk| {
-                matmul_transpose_b_rows(a, b, k, n, row0, chunk)
-            });
-        }
-        Ok(())
+        matmul_transpose_b_slices_into(
+            self.data(),
+            other.data(),
+            (m, k, n),
+            None,
+            par,
+            out.data_mut(),
+        )
     }
+}
 
-    /// Matrix–vector product: `self [m,k] × v [k] → [m]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on rank or dimension mismatch.
-    pub fn matvec(&self, v: &Tensor) -> Result<Tensor> {
-        if self.rank() != 2 {
-            return Err(TensorError::RankMismatch {
-                expected: 2,
-                actual: self.rank(),
-            });
-        }
-        if v.rank() != 1 {
-            return Err(TensorError::RankMismatch {
-                expected: 1,
-                actual: v.rank(),
-            });
-        }
-        let (m, k) = (self.dims()[0], self.dims()[1]);
-        if v.len() != k {
-            return Err(TensorError::MatmulDimMismatch {
-                left: self.dims().to_vec(),
-                right: v.dims().to_vec(),
-            });
-        }
-        let a = self.data();
-        let x = v.data();
-        let mut out = vec![0.0f32; m];
-        for i in 0..m {
-            let row = &a[i * k..(i + 1) * k];
-            let mut acc = 0.0f32;
-            for (&w, &xv) in row.iter().zip(x) {
-                acc += w * xv;
-            }
-            out[i] = acc;
-        }
-        Tensor::from_vec(out, &[m])
+/// `a [m,k] × bᵀ` (`b` stored `[n,k]`) on row-major slices into `out
+/// [m,n]`, adding `row_bias[i]` to every output of row `i` when given —
+/// the one body of the product ([`Tensor::matmul_transpose_b_into`] is this
+/// on whole tensors). Slices let a layer multiply part of a buffer: a conv
+/// computes `W [out_c, patch] × cols_nᵀ` straight into image `n`'s block of
+/// its NCHW output, the LSTM a `[batch, time, in]` input as `[batch·time,
+/// in]`. Every output is `0.0 + a[i][0]·b[j][0] + … ` with `p` ascending,
+/// then `+ row_bias[i]`, so results are bitwise identical under every
+/// [`Parallelism`]. Every output is overwritten.
+///
+/// # Errors
+///
+/// [`TensorError::ShapeMismatch`] if a slice's length disagrees with `(m,
+/// k, n)` (`row_bias` must hold `m` values).
+// darlint: hot
+pub fn matmul_transpose_b_slices_into(
+    a: &[f32],
+    b: &[f32],
+    (m, k, n): (usize, usize, usize),
+    row_bias: Option<&[f32]>,
+    par: &Parallelism,
+    out: &mut [f32],
+) -> Result<()> {
+    let bias_len = row_bias.map_or(m, <[f32]>::len);
+    if a.len() != m * k || b.len() != n * k || out.len() != m * n || bias_len != m {
+        return Err(TensorError::shape_mismatch(
+            &[a.len(), b.len(), out.len(), bias_len],
+            &[m * k, n * k, m * n, m],
+        ));
     }
+    if n > 0 {
+        par.run_rows(out, n, k * n, |row0, chunk| {
+            matmul_transpose_b_rows(a, b, (k, n), row_bias, row0, chunk)
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -357,14 +477,6 @@ mod tests {
         for (x, y) in fast.data().iter().zip(slow.data()) {
             assert!((x - y).abs() < 1e-4);
         }
-    }
-
-    #[test]
-    fn matvec_matches_matmul_with_column() {
-        let a = Tensor::from_vec((0..6).map(|v| v as f32).collect(), &[2, 3]).unwrap();
-        let v = Tensor::from_slice(&[1.0, 0.5, -1.0]);
-        let direct = a.matvec(&v).unwrap();
-        assert_eq!(direct.data(), &[0.5 - 2.0, 3.0 + 2.0 - 5.0]);
     }
 
     #[test]

@@ -1,10 +1,105 @@
 //! Property-based tests for tensor algebra invariants.
 
 use darnet_tensor::{
-    avg_pool2d, avg_pool2d_with, col2im, im2col, im2col_with, max_pool2d, max_pool2d_with,
-    Conv2dSpec, Parallelism, PoolSpec, SplitMix64, Tensor,
+    avg_pool2d, avg_pool2d_with, col2im, im2col, im2col_with, matmul_transpose_b_slices_into,
+    max_pool2d, max_pool2d_with, Conv2dSpec, Parallelism, PoolSpec, SplitMix64, Tensor,
+    TensorError,
 };
 use proptest::prelude::*;
+
+/// The forward product before the register-tiled kernel, kept as its
+/// reference: one dot product per output, `0.0 + a[i][0]·b[j][0] + …`
+/// with `p` ascending.
+fn scalar_transpose_b(a: &[f32], b: &[f32], (m, k, n): (usize, usize, usize)) -> Vec<f32> {
+    let mut out = vec![0.0f32; m * n];
+    for (i, o) in out.iter_mut().enumerate() {
+        let (a_row, b_row) = (&a[i / n * k..][..k], &b[i % n * k..][..k]);
+        let mut acc = 0.0f32;
+        for (&x, &y) in a_row.iter().zip(b_row) {
+            acc += x * y;
+        }
+        *o = acc;
+    }
+    out
+}
+
+/// Mostly values in `±4`, with ±0.0 and subnormals mixed in and ±inf one
+/// draw in `inf_every` (a product or sum of those makes NaN too).
+fn awkward(len: usize, inf_every: u64, rng: &mut SplitMix64) -> Vec<f32> {
+    const SPECIAL: [f32; 4] = [0.0, -0.0, 1e-40, -3.5e-39];
+    (0..len)
+        .map(|_| match rng.next_u64() {
+            r if r % inf_every == 0 => [f32::INFINITY, f32::NEG_INFINITY][(r >> 32) as usize % 2],
+            r if r % 8 == 1 => SPECIAL[(r >> 32) as usize % SPECIAL.len()],
+            _ => rng.uniform(-4.0, 4.0),
+        })
+        .collect()
+}
+
+/// Bit for bit, except that any NaN matches any NaN: payloads are not part
+/// of the kernel's contract.
+fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: length");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert!(
+            g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+            "{what}: output {i} is {g:e}, the scalar loop gives {w:e}"
+        );
+    }
+}
+
+/// Runs `matmul_transpose_b_into` and the bias path of the slice entry on
+/// `(m, k, n)` under `threads` forced threads, against the scalar loop.
+fn check_transpose_b(
+    m: usize,
+    k: usize,
+    n: usize,
+    threads: usize,
+    seed: u64,
+) -> Result<(), TensorError> {
+    let mut rng = SplitMix64::new(seed);
+    let inf_every = 4 * k.max(1) as u64;
+    let a = awkward(m * k, inf_every, &mut rng);
+    let b = awkward(n * k, inf_every, &mut rng);
+    let bias = awkward(m, inf_every, &mut rng);
+    let want = scalar_transpose_b(&a, &b, (m, k, n));
+    let par = forced(threads);
+    let what = format!("[{m},{k}]·[{n},{k}]ᵀ on {threads} threads");
+
+    let (at, bt) = (
+        Tensor::from_vec(a.clone(), &[m, k])?,
+        Tensor::from_vec(b.clone(), &[n, k])?,
+    );
+    let mut out = Tensor::full(&[m, n], f32::NAN);
+    at.matmul_transpose_b_into(&bt, &par, &mut out)?;
+    assert_same_bits(out.data(), &want, &what);
+
+    let mut out = vec![f32::NAN; m * n];
+    matmul_transpose_b_slices_into(&a, &b, (m, k, n), Some(&bias), &par, &mut out)?;
+    let want: Vec<f32> = want
+        .iter()
+        .enumerate()
+        .map(|(i, &v)| v + bias[i / n])
+        .collect();
+    assert_same_bits(&out, &want, &format!("{what} + bias"));
+    Ok(())
+}
+
+#[test]
+fn transpose_b_tile_edges_are_the_scalar_loop() {
+    // Every row remainder of the 4-row tile and lane remainder of the
+    // 8-lane panel, one-row chunks (m = 1–3) included, with k inside one
+    // k-block and across two (the panel is 256 deep).
+    for m in 1..=9 {
+        for n in 1..=17 {
+            for k in [1, 5, 257] {
+                for threads in 1..=3 {
+                    check_transpose_b(m, k, n, threads, (m * 31 + n * 7 + k) as u64).unwrap();
+                }
+            }
+        }
+    }
+}
 
 fn tensor_strategy(max_len: usize) -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(-100.0f32..100.0, 1..max_len)
@@ -190,6 +285,46 @@ proptest! {
         a.matmul_transpose_b_into(&bt, &par, &mut out).unwrap();
         prop_assert_eq!(&out, &a.matmul_transpose_b_with(&bt, &par).unwrap());
         ws.restore(out);
+    }
+
+    #[test]
+    fn transpose_b_into_is_the_scalar_loop(
+        m in 0usize..=40, k in 0usize..=40, n in 0usize..=40, long_k in 0usize..4,
+        threads in 1usize..=5, seed in 0u64..1000,
+    ) {
+        // One case in four runs k past one k-block (256).
+        let k = if long_k == 0 { 250 + 7 * k } else { k };
+        check_transpose_b(m, k, n, threads, seed).unwrap();
+    }
+
+    #[test]
+    fn im2col_is_the_gather(
+        b in 1usize..3, c in 1usize..4, h in 1usize..9, w in 1usize..9,
+        kh in 1usize..6, kw in 1usize..6, stride in 1usize..4, padding in 0usize..3,
+        threads in 1usize..4, seed in 0u64..500,
+    ) {
+        let spec = Conv2dSpec { in_channels: c, out_channels: 1, kernel_h: kh, kernel_w: kw, stride, padding };
+        let (h, w) = (h.max(kh), w.max(kw));
+        let mut rng = SplitMix64::new(seed);
+        let x = random_tensor(&[b, c, h, w], &mut rng);
+        let (oh, ow) = spec.output_size(h, w).unwrap();
+        let cols = im2col_with(&x, &spec, &forced(threads)).unwrap();
+        // Patch row `(n, oy, ox)`, column `(ch, ky, kx)` reads input
+        // `(n, ch, oy·s + ky − pad, ox·s + kx − pad)`, or 0.0 off the edge.
+        let mut want = Vec::with_capacity(cols.len());
+        for n in 0..b { for oy in 0..oh { for ox in 0..ow {
+            for ch in 0..c { for ky in 0..kh { for kx in 0..kw {
+                let (y, xx) = ((oy * stride + ky) as isize - padding as isize,
+                               (ox * stride + kx) as isize - padding as isize);
+                let inside = (0..h as isize).contains(&y) && (0..w as isize).contains(&xx);
+                want.push(if inside {
+                    x.data()[((n * c + ch) * h + y as usize) * w + xx as usize]
+                } else {
+                    0.0
+                });
+            }}}
+        }}}
+        prop_assert_eq!(cols.data(), &want[..]);
     }
 
     #[test]
