@@ -1,8 +1,10 @@
 //! Parallel-backend and batched-inference benchmark with regression
 //! tracking.
 //!
-//! Measures the tensor kernels (matmul, conv lowering) serial vs
-//! 4-thread, end-to-end engine classification at batch=1 vs batch=32,
+//! Measures the two kernels that still take a thread policy — the
+//! register-tiled `matmul_transpose_b_into` and `im2col_into`, each into a
+//! preallocated output — serial vs 4-thread, end-to-end engine
+//! classification at batch=1 vs batch=32,
 //! and the registry engine's streams inline vs one worker each, then
 //! emits a flat-JSON metrics file (see [`darnet_bench::metrics`]).
 //!
@@ -45,7 +47,7 @@ use darnet_core::{
     RnnConfig, StreamInput, StreamModelSlot,
 };
 use darnet_sim::Frame;
-use darnet_tensor::{im2col_with, Conv2dSpec, Parallelism, Tensor};
+use darnet_tensor::{im2col_into, Conv2dSpec, Parallelism, Tensor};
 
 const THREADS: usize = 4;
 /// The serial-vs-threaded kernel ratios: gated only between runs that
@@ -126,9 +128,10 @@ fn run(fast: bool) -> BTreeMap<String, f64> {
     let par = Parallelism::new(THREADS);
     let serial = Parallelism::serial();
 
-    // Matmul: throughput in multiply-accumulates per second. Sizes are
-    // large enough that thread dispatch (≈0.1 ms on this scale of host)
-    // is small against the serial runtime even with one hardware thread.
+    // The forward product on the register tile: throughput in
+    // multiply-accumulates per second. Sizes are large enough that thread
+    // dispatch (≈0.1 ms on this scale of host) is small against the serial
+    // runtime even with one hardware thread.
     let (m, k, n) = if fast {
         (256, 256, 256)
     } else {
@@ -136,14 +139,15 @@ fn run(fast: bool) -> BTreeMap<String, f64> {
     };
     let reps = if fast { 3 } else { 8 };
     let a = random_tensor(&[m, k], 11);
-    let b = random_tensor(&[k, n], 12);
+    let bt = random_tensor(&[n, k], 12);
+    let mut product = Tensor::zeros(&[m, n]);
     let flops = (m * k * n) as f64;
-    let t_serial = time_per_call(reps, || {
-        a.matmul_with(&b, &serial).expect("matmul");
-    });
-    let t_par = time_per_call(reps, || {
-        a.matmul_with(&b, &par).expect("matmul");
-    });
+    let mut matmul = |par: &Parallelism| {
+        a.matmul_transpose_b_into(&bt, par, &mut product)
+            .expect("matmul");
+    };
+    let t_serial = time_per_call(reps, || matmul(&serial));
+    let t_par = time_per_call(reps, || matmul(&par));
     out.insert("throughput_matmul_serial".to_string(), flops / t_serial);
     out.insert("throughput_matmul_threads".to_string(), flops / t_par);
     out.insert("speedup_matmul_threads".to_string(), t_serial / t_par);
@@ -152,13 +156,13 @@ fn run(fast: bool) -> BTreeMap<String, f64> {
     let (cb, cc, ch) = if fast { (2, 8, 24) } else { (4, 8, 32) };
     let spec = Conv2dSpec::square(cc, 16, 3, 1, 1);
     let x = random_tensor(&[cb, cc, ch, ch], 13);
-    let patches = (cb * ch * ch * spec.patch_len()) as f64;
-    let t_serial = time_per_call(reps, || {
-        im2col_with(&x, &spec, &serial).expect("im2col");
-    });
-    let t_par = time_per_call(reps, || {
-        im2col_with(&x, &spec, &par).expect("im2col");
-    });
+    let mut cols = Tensor::zeros(&[cb * ch * ch, spec.patch_len()]);
+    let patches = cols.len() as f64;
+    let mut lower = |par: &Parallelism| {
+        im2col_into(&x, &spec, par, &mut cols).expect("im2col");
+    };
+    let t_serial = time_per_call(reps, || lower(&serial));
+    let t_par = time_per_call(reps, || lower(&par));
     out.insert("throughput_conv_serial".to_string(), patches / t_serial);
     out.insert("throughput_conv_threads".to_string(), patches / t_par);
     out.insert("speedup_conv_threads".to_string(), t_serial / t_par);

@@ -3,10 +3,10 @@
 //! Uses the crate's counting global allocator
 //! ([`darnet_bench::alloc_counter`]) to prove that, after warm-up, the
 //! `*_into` classification paths of a serially-configured engine never
-//! touch the heap — and that no layer or model spawns a thread of its
-//! own under a threaded policy. It is the only dynamic gate on that
-//! contract (DESIGN.md §12.4; darlint's `hot-alloc` is the static one),
-//! so each entry point keeps its own assertion and message. The counter
+//! touch the heap — and that a threaded engine runs a lone stream inline.
+//! It is the only dynamic gate on that contract (DESIGN.md §12.4;
+//! darlint's `hot-alloc` is the static one), so each entry point keeps
+//! its own assertion and message. The counter
 //! is per thread, so the tests here run side by side and the harness's
 //! own allocations stay out of every measurement.
 //!
@@ -28,9 +28,9 @@ use darnet_core::{
     ClassMap, CombinerKind, ImuSvm, MicroBatchConfig, MicroBatcher, ModalityDescriptor,
     ModalityStatus, MultiModalEngine, MultiStepClassification, StreamInput, StreamModelSlot,
 };
-use darnet_nn::{BiLstm, InceptionBlock, InceptionChannels, Layer, Mode, SvmConfig};
+use darnet_nn::SvmConfig;
 use darnet_sim::{Frame, ImuSample};
-use darnet_tensor::{Parallelism, SplitMix64, Tensor, Workspace};
+use darnet_tensor::{Parallelism, SplitMix64, Tensor};
 
 const BATCH: usize = 8;
 
@@ -238,76 +238,28 @@ fn warm_into_paths_perform_zero_heap_allocations() {
     assert_steady_state("private-frame route", &mut private, &private_paths);
 }
 
-/// Below the engine's streams, the kernels' row chunks are the only
-/// fan-out there is. Under a four-thread policy at the default `min_work`
-/// this file's shapes keep every kernel under the threshold, so a warm
-/// call that allocates anything has spawned a thread from a layer, a
-/// model, or an engine with one stream to run.
+/// The engine's stream fan-out is the only thread policy there is, and it
+/// fans out only when two streams or more take part: a warm call with one
+/// stream left to run is run inline, where a thread scope would allocate.
 #[test]
-fn layers_and_models_never_spawn_under_a_threaded_policy() {
-    fn steady(what: &str, mut call: impl FnMut()) {
-        call();
-        call();
-        let ((), allocs) = alloc_counter::allocations_during(call);
-        assert_eq!(allocs, 0, "{what} allocated on a warm call");
-    }
-    let par = Parallelism::new(4);
-    let mut ws = Workspace::new();
-
-    let channels = InceptionChannels {
-        c1: 2,
-        c3_reduce: 2,
-        c3: 3,
-        c5_reduce: 1,
-        c5: 2,
-        pool_proj: 1,
-    };
-    let mut block = InceptionBlock::new(2, channels, &mut SplitMix64::new(5));
-    block.set_parallelism(par);
-    let maps = random_tensor(&[BATCH, 2, 6, 6], 6);
-    steady("InceptionBlock::forward_into", || {
-        let y = block
-            .forward_into(&maps, Mode::Eval, &mut ws)
-            .expect("inception forward");
-        ws.restore(y);
-    });
-
-    let mut bilstm = BiLstm::new(IMU_FEATURES, 8, &mut SplitMix64::new(7));
-    bilstm.set_parallelism(par);
-    let windows = random_tensor(&[BATCH, WINDOW_LEN, IMU_FEATURES], 14);
-    steady("BiLstm::forward_seq_into", || {
-        let h = bilstm
-            .forward_seq_into(&windows, Mode::Eval, &mut ws)
-            .expect("bilstm forward");
-        ws.restore(h);
-    });
-
-    let mut probs = Vec::new();
-    let mut cnn = tiny_cnn(3);
-    cnn.set_parallelism(par);
-    let frames = random_tensor(&[BATCH, 1, FRAME_SIZE, FRAME_SIZE], 8);
-    steady("FrameCnn::predict_proba_into", || {
-        cnn.predict_proba_into(&frames, &mut probs)
-            .expect("cnn posterior");
-    });
-
-    let mut rnn = tiny_rnn();
-    rnn.set_parallelism(par);
-    steady("ImuRnn::predict_proba_into", || {
-        rnn.predict_proba_into(&windows, &mut probs)
-            .expect("rnn posterior");
-    });
-
-    // One stream left to run is run inline: a thread scope would allocate.
+fn a_single_survivor_runs_inline_under_a_threaded_engine() {
     let mut registry = tiny_registry_engine();
-    registry.set_parallelism(par);
+    registry.set_parallelism(Parallelism::new(4));
+    let windows = random_tensor(&[BATCH, WINDOW_LEN, IMU_FEATURES], 14);
     let survivor = [(StreamId::IMU, StreamInput::Windows(&windows))];
     let mut labels: Vec<MultiStepClassification> = Vec::new();
-    steady("a single-survivor registry call", || {
+    let mut call = || {
         registry
             .classify_batch_into(&survivor, &mut labels)
             .expect("single survivor");
-    });
+    };
+    call();
+    call();
+    let ((), allocs) = alloc_counter::allocations_during(call);
+    assert_eq!(
+        allocs, 0,
+        "a single-survivor registry call allocated on a warm call"
+    );
 }
 
 /// The read side's regression gate: counts repeat exactly where timings

@@ -12,7 +12,7 @@ use darnet_nn::{
     softmax, softmax_cross_entropy, softmax_inplace, AvgPool2d, Conv2d, Dense, Dropout, Flatten,
     InceptionBlock, InceptionChannels, Layer, MaxPool2d, Mode, Optimizer, Relu, Sequential, Sgd,
 };
-use darnet_tensor::{Parallelism, SplitMix64, Tensor, Workspace};
+use darnet_tensor::{SplitMix64, Tensor, Workspace};
 
 use crate::Result;
 
@@ -133,13 +133,6 @@ impl FrameCnn {
     /// The model configuration.
     pub fn config(&self) -> &CnnConfig {
         &self.config
-    }
-
-    /// Routes a [`Parallelism`] handle to every layer so the heavy tensor
-    /// products (im2col, matmul) fan out across threads.
-    pub fn set_parallelism(&mut self, par: Parallelism) {
-        self.features.set_parallelism(par);
-        self.head.set_parallelism(par);
     }
 
     /// Number of output classes.

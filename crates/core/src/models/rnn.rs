@@ -5,7 +5,7 @@
 use darnet_nn::{
     softmax, softmax_cross_entropy, softmax_inplace, Adam, DeepBiLstmClassifier, Mode, Optimizer,
 };
-use darnet_tensor::{Parallelism, SplitMix64, Tensor, Workspace};
+use darnet_tensor::{SplitMix64, Tensor, Workspace};
 
 use crate::dataset::Standardizer;
 use crate::error::CoreError;
@@ -74,12 +74,6 @@ impl ImuRnn {
     /// The model configuration.
     pub fn config(&self) -> &RnnConfig {
         &self.config
-    }
-
-    /// Routes a [`Parallelism`] handle through the stacked BiLSTM so its
-    /// gate products fan out across threads.
-    pub fn set_parallelism(&mut self, par: Parallelism) {
-        self.model.set_parallelism(par);
     }
 
     /// Total trainable parameter count.

@@ -221,16 +221,6 @@ impl StreamModelSlot {
         }
     }
 
-    /// Installs a [`Parallelism`] handle for the model's internal tensor
-    /// products (the SVM baseline has none).
-    pub fn set_parallelism(&mut self, par: Parallelism) {
-        match self {
-            StreamModelSlot::Cnn(m) => m.set_parallelism(par),
-            StreamModelSlot::Rnn(m) => m.set_parallelism(par),
-            StreamModelSlot::Svm(_) => {}
-        }
-    }
-
     /// Writes row-major class probabilities for the batch into `out`
     /// (cleared first), allocating nothing once `out` has capacity.
     ///
@@ -516,10 +506,11 @@ impl MultiModalEngine {
     /// it — whether more than one thread is allowed — and then runs each
     /// *present* stream's model on its own scoped worker whenever at least
     /// two streams take part in a batch; a single survivor, and every
-    /// stream under the serial default, runs on the caller's thread. The
-    /// handle is not passed on to the models: inside an engine their
-    /// layers and kernels always run inline, so no call nests one thread
-    /// scope in another. Results never depend on the installed handle.
+    /// stream under the serial default, runs on the caller's thread. It is
+    /// the only thread policy a product caller can set: models, layers and
+    /// kernels have none and always run inline, so no call nests one
+    /// thread scope in another. Results never depend on the installed
+    /// handle.
     pub fn set_parallelism(&mut self, par: Parallelism) {
         self.parallelism = par;
     }
@@ -540,7 +531,7 @@ impl MultiModalEngine {
     pub fn register(
         &mut self,
         descriptor: ModalityDescriptor,
-        mut model: StreamModelSlot,
+        model: StreamModelSlot,
     ) -> Result<()> {
         if self.streams.len() >= MAX_STREAMS {
             return Err(CoreError::Dataset(format!(
@@ -574,11 +565,6 @@ impl MultiModalEngine {
                 descriptor.id
             )));
         }
-        // A model inside an engine runs its layers and kernels inline:
-        // the engine's one level of thread fan-out is the streams
-        // ([`MultiModalEngine::predict_streams`]), so whatever policy the
-        // model arrived with is replaced by the serial one.
-        model.set_parallelism(Parallelism::serial());
         self.streams.push(RegisteredStream {
             descriptor,
             model,
@@ -631,10 +617,8 @@ impl MultiModalEngine {
                 geometry(teacher)
             )));
         }
-        let mut student = StreamModelSlot::Cnn(student);
-        student.set_parallelism(Parallelism::serial());
         students.retain(|(l, _)| *l != level);
-        students.push((level, student));
+        students.push((level, StreamModelSlot::Cnn(student)));
         Ok(())
     }
 

@@ -27,7 +27,6 @@ pub struct Conv2d {
     /// Train-mode cache: the im2col patch matrix and the input's
     /// `(batch, h, w)`.
     cache: Option<(Tensor, [usize; 3])>,
-    par: Parallelism,
 }
 
 impl Conv2d {
@@ -40,7 +39,6 @@ impl Conv2d {
             weight: Param::new(weight),
             bias: Param::new(Tensor::zeros(&[spec.out_channels])),
             cache: None,
-            par: Parallelism::serial(),
         }
     }
 
@@ -100,7 +98,7 @@ impl Layer for Conv2d {
         let (oh, ow) = self.spec.output_size(h, w)?;
         let (hw, patch, oc) = (oh * ow, self.spec.patch_len(), self.spec.out_channels);
         let mut cols = ws.checkout(&[b * hw, patch]);
-        im2col_into(input, &self.spec, &self.par, &mut cols)?;
+        im2col_into(input, &self.spec, &Parallelism::serial(), &mut cols)?;
         let mut out = ws.checkout(&[b, oc, oh, ow]);
         // Per image, `W [oc, patch] × cols_nᵀ` lands as that image's
         // `[oc, oh·ow]` block of the NCHW output, each output `+ bias[c]`.
@@ -110,7 +108,6 @@ impl Layer for Conv2d {
                 &cols.data()[n * hw * patch..(n + 1) * hw * patch],
                 (oc, patch, hw),
                 Some(self.bias.value.data()),
-                &self.par,
                 &mut out.data_mut()[n * oc * hw..(n + 1) * oc * hw],
             )?;
         }
@@ -130,12 +127,12 @@ impl Layer for Conv2d {
         // [b, out_c, oh, ow] → [b*oh*ow, out_c]
         let dpixels = nchw_to_pixels(grad_out)?;
         // dW [out_c, patch] = dpixelsᵀ × cols
-        let dw = dpixels.matmul_transpose_a_with(cols, &self.par)?;
+        let dw = dpixels.matmul_transpose_a(cols)?;
         self.weight.grad.add_assign(&dw)?;
         let db = dpixels.sum_axis0()?;
         self.bias.grad.add_assign(&db)?;
         // dcols [rows, patch] = dpixels × W
-        let dcols = dpixels.matmul_with(&self.weight.value, &self.par)?;
+        let dcols = dpixels.matmul(&self.weight.value)?;
         Ok(col2im(&dcols, &self.spec, b, h, w)?)
     }
 
@@ -145,10 +142,6 @@ impl Layer for Conv2d {
 
     fn name(&self) -> &'static str {
         "Conv2d"
-    }
-
-    fn set_parallelism(&mut self, par: Parallelism) {
-        self.par = par;
     }
 }
 

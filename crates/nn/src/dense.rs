@@ -1,6 +1,8 @@
 //! Fully connected (dense) layer.
 
-use darnet_tensor::{xavier_uniform, Parallelism, SplitMix64, Tensor, TensorView, Workspace};
+use darnet_tensor::{
+    matmul_transpose_b_slices_into, xavier_uniform, SplitMix64, Tensor, TensorView, Workspace,
+};
 
 use crate::error::NnError;
 use crate::layer::{Layer, Mode};
@@ -18,7 +20,6 @@ pub struct Dense {
     input: Option<Tensor>,
     in_features: usize,
     out_features: usize,
-    par: Parallelism,
 }
 
 impl Dense {
@@ -31,7 +32,6 @@ impl Dense {
             input: None,
             in_features,
             out_features,
-            par: Parallelism::serial(),
         }
     }
 
@@ -87,8 +87,15 @@ impl Layer for Dense {
         if mode == Mode::Train {
             self.input = Some(input.clone());
         }
-        let mut out = ws.checkout(&[input.dims()[0], self.out_features]);
-        input.matmul_transpose_b_into(&self.weight.value, &self.par, &mut out)?;
+        let (batch, k, n) = (input.dims()[0], self.in_features, self.out_features);
+        let mut out = ws.checkout(&[batch, n]);
+        matmul_transpose_b_slices_into(
+            input.data(),
+            self.weight.value.data(),
+            (batch, k, n),
+            None,
+            out.data_mut(),
+        )?;
         out.add_row_broadcast_assign(&self.bias.value)?;
         Ok(out)
     }
@@ -99,13 +106,13 @@ impl Layer for Dense {
             .as_ref()
             .ok_or(NnError::NoForwardCache { layer: "Dense" })?;
         // dW [out, in] = grad_outᵀ [out, batch] × input [batch, in]
-        let dw = grad_out.matmul_transpose_a_with(input, &self.par)?;
+        let dw = grad_out.matmul_transpose_a(input)?;
         self.weight.grad.add_assign(&dw)?;
         // db = column sums of grad_out
         let db = grad_out.sum_axis0()?;
         self.bias.grad.add_assign(&db)?;
         // dx [batch, in] = grad_out [batch, out] × W [out, in]
-        Ok(grad_out.matmul_with(&self.weight.value, &self.par)?)
+        Ok(grad_out.matmul(&self.weight.value)?)
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -114,10 +121,6 @@ impl Layer for Dense {
 
     fn name(&self) -> &'static str {
         "Dense"
-    }
-
-    fn set_parallelism(&mut self, par: Parallelism) {
-        self.par = par;
     }
 }
 

@@ -6,7 +6,7 @@
 //! branches, motivated by the Hebbian principle the paper cites) at a CPU-
 //! trainable scale.
 
-use darnet_tensor::{Parallelism, SplitMix64, Tensor, TensorView, Workspace};
+use darnet_tensor::{SplitMix64, Tensor, TensorView, Workspace};
 
 use crate::conv::Conv2d;
 use crate::error::NnError;
@@ -223,16 +223,6 @@ impl Layer for InceptionBlock {
     fn name(&self) -> &'static str {
         "InceptionBlock"
     }
-
-    fn set_parallelism(&mut self, par: Parallelism) {
-        self.b1.set_parallelism(par);
-        self.b2_reduce.set_parallelism(par);
-        self.b2.set_parallelism(par);
-        self.b3_reduce.set_parallelism(par);
-        self.b3.set_parallelism(par);
-        self.b4_pool.set_parallelism(par);
-        self.b4_proj.set_parallelism(par);
-    }
 }
 
 #[cfg(test)]
@@ -310,21 +300,6 @@ mod tests {
                 dx.data()[i]
             );
         }
-    }
-
-    #[test]
-    fn threaded_kernels_match_serial_bitwise() {
-        let mut serial = InceptionBlock::new(2, tiny_channels(), &mut SplitMix64::new(9));
-        let mut threaded = InceptionBlock::new(2, tiny_channels(), &mut SplitMix64::new(9));
-        threaded.set_parallelism(Parallelism::new(4).with_min_work(1));
-        let mut x = Tensor::zeros(&[2, 2, 5, 5]);
-        let mut r = SplitMix64::new(3);
-        for v in x.data_mut() {
-            *v = r.uniform(-1.0, 1.0);
-        }
-        let ys = serial.forward(&x, Mode::Eval).unwrap();
-        let yt = threaded.forward(&x, Mode::Eval).unwrap();
-        assert_eq!(ys, yt);
     }
 
     #[test]

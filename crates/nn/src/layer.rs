@@ -1,6 +1,6 @@
 //! The [`Layer`] trait and simple stateless layers (activations, flatten).
 
-use darnet_tensor::{Parallelism, Tensor, TensorView, Workspace};
+use darnet_tensor::{Tensor, TensorView, Workspace};
 
 use crate::error::NnError;
 use crate::param::Param;
@@ -79,13 +79,6 @@ pub trait Layer: Send {
     fn param_count(&mut self) -> usize {
         self.params_mut().iter().map(|p| p.len()).sum()
     }
-
-    /// Installs a parallel execution policy for this layer's tensor kernels
-    /// (containers only hand it on to every child layer: no layer spawns a
-    /// thread of its own, so a kernel's row chunks are the one level of
-    /// fan-out below a directly driven model). Stateless layers ignore it;
-    /// results never depend on the installed policy.
-    fn set_parallelism(&mut self, _par: Parallelism) {}
 }
 
 // ---------------------------------------------------------------------

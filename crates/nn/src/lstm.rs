@@ -5,8 +5,7 @@
 //! the paper's configuration, §4.2).
 
 use darnet_tensor::{
-    matmul_transpose_b_slices_into, uniform_init, Parallelism, SplitMix64, Tensor, TensorView,
-    Workspace,
+    matmul_transpose_b_slices_into, uniform_init, SplitMix64, Tensor, TensorView, Workspace,
 };
 
 use crate::error::NnError;
@@ -121,7 +120,6 @@ pub struct LstmCell {
     w_h: Param, // [4H, H]
     b: Param,   // [4H]
     cache: Vec<StepCache>,
-    par: Parallelism,
 }
 
 impl LstmCell {
@@ -143,13 +141,7 @@ impl LstmCell {
             w_h: Param::new(w_h),
             b: Param::new(b),
             cache: Vec::new(),
-            par: Parallelism::serial(),
         }
-    }
-
-    /// Installs a parallel execution policy for the cell's matrix products.
-    pub fn set_parallelism(&mut self, par: Parallelism) {
-        self.par = par;
     }
 
     /// Hidden state width.
@@ -213,7 +205,6 @@ impl LstmCell {
             self.w_x.value.data(),
             (b * time, self.input_size, gates),
             None,
-            &self.par,
             zx.data_mut(),
         )?;
         // Checked out once; reused across all timesteps.
@@ -224,7 +215,13 @@ impl LstmCell {
 
         for t in 0..time {
             // z = (x_t·W_xᵀ + h·W_hᵀ) + b  → [B, 4H]
-            h_t.matmul_transpose_b_into(&self.w_h.value, &self.par, &mut z)?;
+            matmul_transpose_b_slices_into(
+                h_t.data(),
+                self.w_h.value.data(),
+                (b, h, gates),
+                None,
+                z.data_mut(),
+            )?;
             let zd = z.data_mut();
             for n in 0..b {
                 let zx_t = &zx.data()[(n * time + t) * gates..][..gates];
@@ -316,17 +313,17 @@ impl LstmCell {
             }
 
             // Weight gradients.
-            let dwx = dz.matmul_transpose_a_with(&cache.x, &self.par)?;
+            let dwx = dz.matmul_transpose_a(&cache.x)?;
             self.w_x.grad.add_assign(&dwx)?;
-            let dwh = dz.matmul_transpose_a_with(&cache.h_prev, &self.par)?;
+            let dwh = dz.matmul_transpose_a(&cache.h_prev)?;
             self.w_h.grad.add_assign(&dwh)?;
             let db = dz.sum_axis0()?;
             self.b.grad.add_assign(&db)?;
 
             // Input and recurrent gradients.
-            let dx_t = dz.matmul_with(&self.w_x.value, &self.par)?;
+            let dx_t = dz.matmul(&self.w_x.value)?;
             step_write(&mut dx_all, t, &dx_t);
-            dh_next = dz.matmul_with(&self.w_h.value, &self.par)?;
+            dh_next = dz.matmul(&self.w_h.value)?;
             dc_next = dc.mul(&cache.f)?;
         }
         Ok(dx_all)
@@ -380,14 +377,6 @@ impl BiLstm {
     /// Output feature width (`2 × hidden`).
     pub fn output_size(&self) -> usize {
         2 * self.hidden_size
-    }
-
-    /// Installs a parallel execution policy for both direction cells'
-    /// matrix products. The cells themselves run one after the other on
-    /// the calling thread; results are bitwise identical to serial.
-    pub fn set_parallelism(&mut self, par: Parallelism) {
-        self.fwd.set_parallelism(par);
-        self.bwd.set_parallelism(par);
     }
 
     /// Forward pass over `[batch, time, features]`, returning `[batch,
@@ -477,7 +466,6 @@ pub struct DeepBiLstmClassifier {
     pooled_cache: Option<(usize, usize)>, // (batch, time)
     last_hidden: Option<Tensor>,          // [B, T, 2H] from the top BiLSTM
     classes: usize,
-    par: Parallelism,
 }
 
 impl DeepBiLstmClassifier {
@@ -514,22 +502,12 @@ impl DeepBiLstmClassifier {
             pooled_cache: None,
             last_hidden: None,
             classes,
-            par: Parallelism::serial(),
         }
     }
 
     /// Number of output classes.
     pub fn classes(&self) -> usize {
         self.classes
-    }
-
-    /// Installs a parallel execution policy on every stacked BiLSTM layer
-    /// and the classifier head.
-    pub fn set_parallelism(&mut self, par: Parallelism) {
-        self.par = par;
-        for layer in &mut self.layers {
-            layer.set_parallelism(par);
-        }
     }
 
     /// Forward pass producing logits `[batch, classes]` from `[batch, time,
@@ -596,7 +574,13 @@ impl DeepBiLstmClassifier {
         }
         ws.restore(h);
         let mut logits = ws.checkout(&[b, self.classes]);
-        pooled.matmul_transpose_b_into(&self.head_w.value, &self.par, &mut logits)?;
+        matmul_transpose_b_slices_into(
+            pooled.data(),
+            self.head_w.value.data(),
+            (b, feat, self.classes),
+            None,
+            logits.data_mut(),
+        )?;
         if mode == Mode::Train {
             self.pooled_cache = Some((b, time));
             self.last_hidden = Some(pooled);
@@ -798,21 +782,6 @@ mod tests {
                 dx.data()[i]
             );
         }
-    }
-
-    #[test]
-    fn threaded_kernels_match_serial_bitwise() {
-        let mut serial = BiLstm::new(3, 5, &mut SplitMix64::new(21));
-        let mut threaded = BiLstm::new(3, 5, &mut SplitMix64::new(21));
-        threaded.set_parallelism(Parallelism::new(4).with_min_work(1));
-        let x = random_tensor(&[2, 6, 3], 22);
-        let hs = serial.forward_seq(&x, Mode::Train).unwrap();
-        let ht = threaded.forward_seq(&x, Mode::Train).unwrap();
-        assert_eq!(hs, ht);
-        let grad = random_tensor(hs.dims(), 23);
-        let ds = serial.backward_seq(&grad).unwrap();
-        let dt = threaded.backward_seq(&grad).unwrap();
-        assert_eq!(ds, dt);
     }
 
     #[test]

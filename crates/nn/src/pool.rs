@@ -1,8 +1,8 @@
 //! Pooling layers: max, average, and global average pooling.
 
 use darnet_tensor::{
-    avg_pool2d_backward, avg_pool2d_into, max_pool2d_backward, max_pool2d_into, Parallelism,
-    PoolSpec, Tensor, TensorView, Workspace,
+    avg_pool2d_backward, avg_pool2d_into, max_pool2d_backward, max_pool2d_into, PoolSpec, Tensor,
+    TensorView, Workspace,
 };
 
 use crate::error::NnError;
@@ -19,7 +19,6 @@ pub struct MaxPool2d {
     /// Reused argmax buffer for Eval mode, which never needs the indices
     /// (the kernel still produces them).
     scratch_arg: Vec<usize>,
-    par: Parallelism,
 }
 
 impl MaxPool2d {
@@ -29,7 +28,6 @@ impl MaxPool2d {
             spec: PoolSpec::new(window, stride),
             cache: None,
             scratch_arg: Vec::new(),
-            par: Parallelism::serial(),
         }
     }
 }
@@ -55,7 +53,7 @@ impl Layer for MaxPool2d {
             }
             Mode::Eval => &mut self.scratch_arg,
         };
-        max_pool2d_into(input, &self.spec, &self.par, &mut out, arg)?;
+        max_pool2d_into(input, &self.spec, &mut out, arg)?;
         Ok(out)
     }
 
@@ -74,10 +72,6 @@ impl Layer for MaxPool2d {
     fn name(&self) -> &'static str {
         "MaxPool2d"
     }
-
-    fn set_parallelism(&mut self, par: Parallelism) {
-        self.par = par;
-    }
 }
 
 /// Average pooling over square windows.
@@ -85,7 +79,6 @@ impl Layer for MaxPool2d {
 pub struct AvgPool2d {
     spec: PoolSpec,
     input_dims: Option<[usize; 4]>,
-    par: Parallelism,
 }
 
 impl AvgPool2d {
@@ -94,7 +87,6 @@ impl AvgPool2d {
         AvgPool2d {
             spec: PoolSpec::new(window, stride),
             input_dims: None,
-            par: Parallelism::serial(),
         }
     }
 }
@@ -110,7 +102,7 @@ impl Layer for AvgPool2d {
         let d = rank4_dims(input, "avg pool")?;
         let (oh, ow) = self.spec.output_size(d[2], d[3])?;
         let mut out = ws.checkout(&[d[0], d[1], oh, ow]);
-        avg_pool2d_into(input, &self.spec, &self.par, &mut out)?;
+        avg_pool2d_into(input, &self.spec, &mut out)?;
         if mode == Mode::Train {
             self.input_dims = Some(d);
         }
@@ -131,10 +123,6 @@ impl Layer for AvgPool2d {
 
     fn name(&self) -> &'static str {
         "AvgPool2d"
-    }
-
-    fn set_parallelism(&mut self, par: Parallelism) {
-        self.par = par;
     }
 }
 

@@ -106,12 +106,6 @@ impl Layer for Sequential {
     fn name(&self) -> &'static str {
         "Sequential"
     }
-
-    fn set_parallelism(&mut self, par: darnet_tensor::Parallelism) {
-        for layer in &mut self.layers {
-            layer.set_parallelism(par);
-        }
-    }
 }
 
 #[cfg(test)]

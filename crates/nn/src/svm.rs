@@ -1,6 +1,6 @@
 //! Linear one-vs-rest SVM — the IMU baseline model in the paper's Table 2.
 
-use darnet_tensor::{Parallelism, SplitMix64, Tensor};
+use darnet_tensor::{matmul_transpose_b_slices_into, SplitMix64, Tensor};
 
 use crate::error::NnError;
 use crate::loss::softmax_inplace;
@@ -146,7 +146,14 @@ impl LinearSvm {
                 x.dims()
             )));
         }
-        x.matmul_transpose_b_into(&self.weights, &Parallelism::serial(), out)?;
+        let n = x.dims()[0];
+        matmul_transpose_b_slices_into(
+            x.data(),
+            self.weights.data(),
+            (n, self.features, self.classes),
+            None,
+            out.data_mut(),
+        )?;
         Ok(out.add_row_broadcast_assign(&self.bias)?)
     }
 

@@ -3,9 +3,8 @@
 //! `forward` is `forward_into` on a fresh workspace, so "the two paths
 //! agree" is true by construction. What still needs holding is that a
 //! *warm* call — recycled, dirty buffers in the caller's workspace, after
-//! the batch shape changed, after a `Mode::Train` call, with kernels
-//! inline or on threads — returns the bytes a cold call on a freshly built
-//! layer returns, and that a warm workspace stops allocating (cold-miss
+//! the batch shape changed, after a `Mode::Train` call — returns the bytes
+//! a cold call on a freshly built layer returns, and that a warm workspace stops allocating (cold-miss
 //! counter goes flat).
 
 // The helpers below are not #[test] fns themselves, so clippy's
@@ -18,7 +17,7 @@ use darnet_nn::{
     InceptionBlock, InceptionChannels, Layer, LstmCell, MaxPool2d, Mode, NnError, Relu, Sequential,
     Sigmoid, Tanh,
 };
-use darnet_tensor::{Parallelism, SplitMix64, Tensor, TensorError, Workspace};
+use darnet_tensor::{SplitMix64, Tensor, TensorError, Workspace};
 
 fn random_tensor(dims: &[usize], seed: u64) -> Tensor {
     let mut rng = SplitMix64::new(seed);
@@ -82,12 +81,6 @@ fn assert_layer<L: Layer>(build: impl Fn() -> L, dims: &[usize], seed: u64) {
     );
 }
 
-/// `layer` under a policy that fans out even on these tiny shapes.
-fn forced<L: Layer>(mut layer: L, threads: usize) -> L {
-    layer.set_parallelism(Parallelism::new(threads).with_min_work(1));
-    layer
-}
-
 fn tiny_channels() -> InceptionChannels {
     InceptionChannels {
         c1: 2,
@@ -110,99 +103,72 @@ fn activations_flatten_and_dropout() {
 }
 
 #[test]
-fn dense_serial_and_parallel() {
-    for threads in [1, 4] {
-        let build = || forced(Dense::new(6, 4, &mut SplitMix64::new(3)), threads);
-        assert_layer(build, &[8, 6], 2);
-    }
+fn dense() {
+    assert_layer(|| Dense::new(6, 4, &mut SplitMix64::new(3)), &[8, 6], 2);
 }
 
 #[test]
-fn conv_and_pools_serial_and_parallel() {
+fn conv_and_pools() {
     let dims = [8, 3, 6, 6];
-    for threads in [1, 4] {
-        let conv = || Conv2d::square(3, 4, 3, 1, 1, &mut SplitMix64::new(5));
-        assert_layer(|| forced(conv(), threads), &dims, 4);
-        assert_layer(|| forced(MaxPool2d::new(2, 2), threads), &dims, 4);
-        assert_layer(|| forced(AvgPool2d::new(2, 2), threads), &dims, 4);
-    }
+    assert_layer(
+        || Conv2d::square(3, 4, 3, 1, 1, &mut SplitMix64::new(5)),
+        &dims,
+        4,
+    );
+    assert_layer(|| MaxPool2d::new(2, 2), &dims, 4);
+    assert_layer(|| AvgPool2d::new(2, 2), &dims, 4);
     assert_layer(GlobalAvgPool::new, &dims, 4);
 }
 
 #[test]
 fn sequential_stack() {
-    for threads in [1, 4] {
-        let build = || {
-            let mut rng = SplitMix64::new(7);
-            let mut net = Sequential::new();
-            net.push(Conv2d::square(1, 4, 3, 1, 1, &mut rng));
-            net.push(Relu::new());
-            net.push(MaxPool2d::new(2, 2));
-            net.push(Flatten::new());
-            net.push(Dense::new(4 * 4 * 4, 5, &mut rng));
-            forced(net, threads)
-        };
-        assert_layer(build, &[8, 1, 8, 8], 6);
-    }
+    let build = || {
+        let mut rng = SplitMix64::new(7);
+        let mut net = Sequential::new();
+        net.push(Conv2d::square(1, 4, 3, 1, 1, &mut rng));
+        net.push(Relu::new());
+        net.push(MaxPool2d::new(2, 2));
+        net.push(Flatten::new());
+        net.push(Dense::new(4 * 4 * 4, 5, &mut rng));
+        net
+    };
+    assert_layer(build, &[8, 1, 8, 8], 6);
 }
 
 #[test]
-fn inception_block_serial_and_threaded_kernels() {
-    for threads in [1, 4] {
-        let build = || {
-            let block = InceptionBlock::new(3, tiny_channels(), &mut SplitMix64::new(9));
-            forced(block, threads)
-        };
-        assert_layer(build, &[8, 3, 5, 5], 8);
+fn inception_block() {
+    let build = || InceptionBlock::new(3, tiny_channels(), &mut SplitMix64::new(9));
+    assert_layer(build, &[8, 3, 5, 5], 8);
 
-        // The provided `forward` hands a warm block a fresh workspace.
-        let mut block = build();
-        let x = random_tensor(&[8, 3, 5, 5], 8);
-        let cold = block.forward(&x, Mode::Eval).unwrap();
-        block.forward(&head(&x, 6), Mode::Train).unwrap();
-        assert_eq!(block.forward(&x, Mode::Eval).unwrap(), cold);
-    }
+    // The provided `forward` hands a warm block a fresh workspace.
+    let mut block = build();
+    let x = random_tensor(&[8, 3, 5, 5], 8);
+    let cold = block.forward(&x, Mode::Eval).unwrap();
+    block.forward(&head(&x, 6), Mode::Train).unwrap();
+    assert_eq!(block.forward(&x, Mode::Eval).unwrap(), cold);
 }
 
 #[test]
 fn lstm_cell_bilstm_and_classifier() {
     let dims = [8, 5, 3];
-    for threads in [1, 4] {
-        let par = Parallelism::new(threads).with_min_work(1);
-        let cell = || {
-            let mut cell = LstmCell::new(3, 6, &mut SplitMix64::new(11));
-            cell.set_parallelism(par);
-            cell
-        };
-        assert_warm_is_cold(
-            cell,
-            |m, x, mode, ws| m.forward_seq_into(x, mode, ws).unwrap(),
-            &dims,
-            10,
-        );
-        let bi = || {
-            let mut bi = BiLstm::new(3, 5, &mut SplitMix64::new(13));
-            bi.set_parallelism(par);
-            bi
-        };
-        assert_warm_is_cold(
-            bi,
-            |m, x, mode, ws| m.forward_seq_into(x, mode, ws).unwrap(),
-            &dims,
-            12,
-        );
-        let model = || {
-            let mut model = DeepBiLstmClassifier::new(3, 4, 2, 3, &mut SplitMix64::new(14));
-            model.set_parallelism(par);
-            model
-        };
-        assert_warm_is_cold(
-            model,
-            |m, x, mode, ws| m.forward_into(x, mode, ws).unwrap(),
-            &dims,
-            12,
-        );
-    }
+    assert_warm_is_cold(
+        || LstmCell::new(3, 6, &mut SplitMix64::new(11)),
+        |m, x, mode, ws| m.forward_seq_into(x, mode, ws).unwrap(),
+        &dims,
+        10,
+    );
+    assert_warm_is_cold(
+        || BiLstm::new(3, 5, &mut SplitMix64::new(13)),
+        |m, x, mode, ws| m.forward_seq_into(x, mode, ws).unwrap(),
+        &dims,
+        12,
+    );
+    assert_warm_is_cold(
+        || DeepBiLstmClassifier::new(3, 4, 2, 3, &mut SplitMix64::new(14)),
+        |m, x, mode, ws| m.forward_into(x, mode, ws).unwrap(),
+        &dims,
+        12,
+    );
 }
 
 /// With one body a misuse has one error: `forward` and `forward_into`
@@ -292,11 +258,10 @@ mod proptests {
             in_f in 1usize..7,
             out_f in 1usize..7,
             batch in 1usize..5,
-            threads in 1usize..5,
             seed in 0u64..500,
         ) {
             let mut rng = SplitMix64::new(seed);
-            let mut layer = forced(Dense::new(in_f, out_f, &mut rng), threads);
+            let mut layer = Dense::new(in_f, out_f, &mut rng);
             let x = random_tensor(&[batch, in_f], seed ^ 0xABCD);
             let cold = layer.forward(&x, Mode::Eval).unwrap();
             let mut ws = Workspace::new();
@@ -313,11 +278,9 @@ mod proptests {
             hidden in 1usize..5,
             time in 1usize..5,
             batch in 1usize..4,
-            threads in 1usize..5,
             seed in 0u64..200,
         ) {
             let mut cell = LstmCell::new(feat, hidden, &mut SplitMix64::new(seed));
-            cell.set_parallelism(Parallelism::new(threads).with_min_work(1));
             let x = random_tensor(&[batch, time, feat], seed ^ 0x1234);
             let cold = cell.forward_seq(&x, Mode::Eval).unwrap();
             let mut ws = Workspace::new();

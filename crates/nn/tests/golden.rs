@@ -1,11 +1,11 @@
 //! Golden digests of seeded training steps.
 //!
 //! Every other bitwise test in this crate compares two runs of the same
-//! binary (serial vs threaded, cold vs warm workspace), so none of them
-//! can see a refactor that changes what `Mode::Train` computes. These
-//! digests are pinned constants over forward → backward → SGD: the
-//! outputs, `dL/dx`, every parameter gradient and every updated value
-//! must reproduce bit for bit, under a serial and a threaded policy.
+//! binary (cold vs warm workspace) or a forward pass against its reference
+//! loop, so none of them can see a refactor that changes what
+//! `Mode::Train` computes. These digests are pinned constants over
+//! forward → backward → SGD: the outputs, `dL/dx`, every parameter
+//! gradient and every updated value must reproduce bit for bit.
 
 // The helpers below are not #[test] fns themselves, so clippy's
 // allow-unwrap-in-tests does not reach them; a failed unwrap here IS the
@@ -17,7 +17,7 @@ use darnet_nn::{
     Flatten, GlobalAvgPool, InceptionBlock, InceptionChannels, Layer, LstmCell, MaxPool2d, Mode,
     Optimizer, Param, Relu, Sequential, Sgd, Sigmoid, Tanh,
 };
-use darnet_tensor::{Parallelism, SplitMix64, Tensor};
+use darnet_tensor::{SplitMix64, Tensor};
 
 /// FNV-1a accumulator over the little-endian bytes of whatever is fed in.
 struct Fnv(u64);
@@ -65,11 +65,6 @@ fn batches(dims: &[usize], seed: u64) -> Vec<Tensor> {
     vec![full.clone(), small, full]
 }
 
-/// The two policies every digest must agree under.
-fn policies() -> [Parallelism; 2] {
-    [Parallelism::serial(), Parallelism::new(3).with_min_work(1)]
-}
-
 /// One training step per input: forward in `Mode::Train`, backward from a
 /// seeded `dL/dy`, one SGD-with-momentum update. Digests the output,
 /// `dL/dx`, every parameter gradient (before the step clears it) and every
@@ -110,19 +105,10 @@ fn layer_digest(layer: &mut dyn Layer, inputs: &[Tensor]) -> u64 {
     )
 }
 
-/// Builds the layer afresh per policy and holds both runs to `want`.
+/// Builds the layer and holds its run to `want`.
 fn assert_layer<L: Layer>(name: &str, build: impl Fn() -> L, inputs: &[Tensor], want: u64) {
-    for par in policies() {
-        let mut layer = build();
-        layer.set_parallelism(par);
-        let got = layer_digest(&mut layer, inputs);
-        assert_eq!(
-            got,
-            want,
-            "{name} digest {got:#018X} ({} threads)",
-            par.threads()
-        );
-    }
+    let got = layer_digest(&mut build(), inputs);
+    assert_eq!(got, want, "{name} digest {got:#018X}");
 }
 
 fn tiny_channels() -> InceptionChannels {
@@ -218,7 +204,7 @@ fn sequential_digest_is_pinned() {
 }
 
 #[test]
-fn inception_digest_is_pinned_serial_and_threaded() {
+fn inception_digest_is_pinned() {
     let x = batches(&[3, 3, 5, 5], 12);
     assert_layer(
         "InceptionBlock",
@@ -231,59 +217,52 @@ fn inception_digest_is_pinned_serial_and_threaded() {
 #[test]
 fn lstm_digests_are_pinned() {
     let x = batches(&[3, 5, 3], 14);
-    for par in policies() {
-        let mut cell = LstmCell::new(3, 6, &mut SplitMix64::new(15));
-        cell.set_parallelism(par);
-        let got = train_digest(
-            &mut cell,
-            &x,
-            |m, x| m.forward_seq(x, Mode::Train).unwrap(),
-            |m, g| m.backward_seq(g).unwrap(),
-            LstmCell::params_mut,
-        );
-        assert_eq!(got, 0x2DCB_E906_7360_5D0C, "LstmCell digest {got:#018X}");
+    let mut cell = LstmCell::new(3, 6, &mut SplitMix64::new(15));
+    let got = train_digest(
+        &mut cell,
+        &x,
+        |m, x| m.forward_seq(x, Mode::Train).unwrap(),
+        |m, g| m.backward_seq(g).unwrap(),
+        LstmCell::params_mut,
+    );
+    assert_eq!(got, 0x2DCB_E906_7360_5D0C, "LstmCell digest {got:#018X}");
 
-        let mut bi = BiLstm::new(3, 5, &mut SplitMix64::new(16));
-        bi.set_parallelism(par);
-        let got = train_digest(
-            &mut bi,
-            &x,
-            |m, x| m.forward_seq(x, Mode::Train).unwrap(),
-            |m, g| m.backward_seq(g).unwrap(),
-            BiLstm::params_mut,
-        );
-        assert_eq!(got, 0x1BB0_8D8F_66FF_3A09, "BiLstm digest {got:#018X}");
-    }
+    let mut bi = BiLstm::new(3, 5, &mut SplitMix64::new(16));
+    let got = train_digest(
+        &mut bi,
+        &x,
+        |m, x| m.forward_seq(x, Mode::Train).unwrap(),
+        |m, g| m.backward_seq(g).unwrap(),
+        BiLstm::params_mut,
+    );
+    assert_eq!(got, 0x1BB0_8D8F_66FF_3A09, "BiLstm digest {got:#018X}");
 }
 
 #[test]
 fn bilstm_classifier_digest_is_pinned() {
     let x = batches(&[3, 6, 3], 17);
-    for par in policies() {
-        let mut model = DeepBiLstmClassifier::new(3, 4, 2, 3, &mut SplitMix64::new(18));
-        model.set_parallelism(par);
-        let mut opt = Sgd::with_momentum(0.05, 0.9).weight_decay(1e-3);
-        let mut h = Fnv::new();
-        for x in &x {
-            let logits = model.forward(x, Mode::Train).unwrap();
-            h.tensor(&logits);
-            let labels: Vec<usize> = (0..x.dims()[0]).map(|n| n % 3).collect();
-            let (loss, grad) = softmax_cross_entropy(&logits, &labels).unwrap();
-            h.bytes(&loss.to_bits().to_le_bytes());
-            model.backward(&grad).unwrap();
-            let mut ps = model.params_mut();
-            for p in &ps {
-                h.tensor(&p.grad);
-            }
-            opt.step(&mut ps).unwrap();
-            for p in &ps {
-                h.tensor(&p.value);
-            }
+    let mut model = DeepBiLstmClassifier::new(3, 4, 2, 3, &mut SplitMix64::new(18));
+    let mut opt = Sgd::with_momentum(0.05, 0.9).weight_decay(1e-3);
+    let mut h = Fnv::new();
+    for x in &x {
+        let logits = model.forward(x, Mode::Train).unwrap();
+        h.tensor(&logits);
+        let labels: Vec<usize> = (0..x.dims()[0]).map(|n| n % 3).collect();
+        let (loss, grad) = softmax_cross_entropy(&logits, &labels).unwrap();
+        h.bytes(&loss.to_bits().to_le_bytes());
+        model.backward(&grad).unwrap();
+        let mut ps = model.params_mut();
+        for p in &ps {
+            h.tensor(&p.grad);
         }
-        assert_eq!(
-            h.0, 0xE808_4C6E_36B2_1540,
-            "DeepBiLstmClassifier digest {:#018X}",
-            h.0
-        );
+        opt.step(&mut ps).unwrap();
+        for p in &ps {
+            h.tensor(&p.value);
+        }
     }
+    assert_eq!(
+        h.0, 0xE808_4C6E_36B2_1540,
+        "DeepBiLstmClassifier digest {:#018X}",
+        h.0
+    );
 }

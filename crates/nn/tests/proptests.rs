@@ -86,7 +86,7 @@ mod layer_reference {
     //! projection, bit for bit: one `p`-ascending dot product per output.
 
     use darnet_nn::{BiLstm, Conv2d, Layer, LstmCell, Mode};
-    use darnet_tensor::{im2col, Parallelism, SplitMix64, Tensor};
+    use darnet_tensor::{im2col, SplitMix64, Tensor};
     use proptest::prelude::*;
 
     fn dot(a: &[f32], b: &[f32]) -> f32 {
@@ -171,12 +171,11 @@ mod layer_reference {
         fn conv_eval_is_im2col_product_scatter_bias(
             batch in 1usize..3, in_c in 1usize..4, out_c in 1usize..10, size in 5usize..11,
             kernel in 0usize..3, stride in 1usize..=2, padding in 0usize..=2,
-            threads in 1usize..=3, seed in 0u64..500,
+            seed in 0u64..500,
         ) {
             let kernel = [1, 3, 5][kernel];
             let mut rng = SplitMix64::new(seed);
             let mut conv = Conv2d::square(in_c, out_c, kernel, stride, padding, &mut rng);
-            conv.set_parallelism(Parallelism::new(threads).with_min_work(1));
             for v in conv.params_mut()[1].value.data_mut() {
                 *v = rng.uniform(-1.0, 1.0);
             }
@@ -207,21 +206,18 @@ mod layer_reference {
         #[test]
         fn lstm_eval_is_the_per_step_loop(
             batch in 1usize..4, time in 1usize..7, feat in 1usize..14, hidden in 1usize..11,
-            threads in 1usize..=3, seed in 0u64..500,
+            seed in 0u64..500,
         ) {
             let mut rng = SplitMix64::new(seed);
             let x = random(&[batch, time, feat], &mut rng);
-            let par = Parallelism::new(threads).with_min_work(1);
 
             let mut cell = LstmCell::new(feat, hidden, &mut rng);
-            cell.set_parallelism(par);
             let got = cell.forward_seq(&x, Mode::Eval).unwrap();
             prop_assert_eq!(bits(got.data()), bits(&lstm_steps(&x, &mut cell)));
 
             // The bidirectional layer: the backward cell over the
             // time-reversed input, concatenated per step.
             let mut bi = BiLstm::new(feat, hidden, &mut rng);
-            bi.set_parallelism(par);
             let got = bi.forward_seq(&x, Mode::Eval).unwrap();
             let mut fwd = LstmCell::new(feat, hidden, &mut SplitMix64::new(0));
             let mut bwd = LstmCell::new(feat, hidden, &mut SplitMix64::new(0));

@@ -11,8 +11,9 @@
 //! * [`im2col`]/[`col2im`] lowering used by convolution forward/backward,
 //! * max/average pooling kernels,
 //! * deterministic weight initialisation helpers,
-//! * a [`Parallelism`] policy that chunk-parallelizes the matmul, `im2col`,
-//!   and pooling kernels over scoped threads with bitwise-identical results,
+//! * a [`Parallelism`] policy — the engine's stream fan-out handle; only
+//!   [`Tensor::matmul_transpose_b_into`] and [`im2col_into`] still take
+//!   one, for the frozen ledger, with bitwise-identical results,
 //! * a [`Workspace`] buffer pool and `_into` kernel variants that write into
 //!   checked-out buffers, making steady-state inference allocation-free
 //!   after warm-up (see [`workspace`](crate::Workspace)).
@@ -47,14 +48,14 @@ mod shape;
 mod tensor;
 mod workspace;
 
-pub use conv::{col2im, im2col, im2col_into, im2col_with, Conv2dSpec};
+pub use conv::{col2im, im2col, im2col_into, Conv2dSpec};
 pub use error::TensorError;
 pub use init::{he_normal, uniform_init, xavier_uniform, SplitMix64};
 pub use matmul::matmul_transpose_b_slices_into;
 pub use parallel::Parallelism;
 pub use pool::{
-    avg_pool2d, avg_pool2d_backward, avg_pool2d_into, avg_pool2d_with, max_pool2d,
-    max_pool2d_backward, max_pool2d_into, max_pool2d_with, PoolSpec,
+    avg_pool2d, avg_pool2d_backward, avg_pool2d_into, max_pool2d, max_pool2d_backward,
+    max_pool2d_into, PoolSpec,
 };
 pub use shape::Shape;
 pub use tensor::Tensor;

@@ -1,14 +1,12 @@
 //! Matrix multiplication kernels.
 //!
-//! Each product is implemented as a per-output-row kernel shared by the
-//! serial entry points and the [`Parallelism`]-aware `_with` variants, so
-//! parallel execution is bitwise identical to serial: a thread count only
-//! changes *which thread* computes a row, never the arithmetic inside it.
-//!
 //! The forward product every dense, conv and LSTM layer lowers to,
 //! `a [m,k] × bᵀ`, runs on a register-tiled kernel
 //! ([`matmul_transpose_b_slices_into`]); the products only backward passes
-//! use keep their i-k-j loops.
+//! use keep their i-k-j loops. Every product runs inline on the calling
+//! thread, except that [`Tensor::matmul_transpose_b_into`] still chunks its
+//! output rows under a [`Parallelism`] for the frozen ledger — through the
+//! same per-row kernel, so the bits never depend on the policy.
 
 use crate::error::TensorError;
 use crate::parallel::Parallelism;
@@ -22,11 +20,11 @@ const NR: usize = 8;
 /// Depth of one packed panel: `KC × NR` floats, 8 KiB on the stack.
 const KC: usize = 256;
 
-/// Computes output rows `row0..` of `a [m,k] × b [k,n]` into `chunk`.
-/// i-k-j loop order: the innermost loop walks both operands contiguously.
-fn matmul_rows(a: &[f32], b: &[f32], k: usize, n: usize, row0: usize, chunk: &mut [f32]) {
-    for (i, c_row) in chunk.chunks_mut(n).enumerate() {
-        let a_row = &a[(row0 + i) * k..(row0 + i + 1) * k];
+/// Computes `a [m,k] × b [k,n]` into `out` (`n > 0`). i-k-j loop order:
+/// the innermost loop walks both operands contiguously.
+fn matmul_rows(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
+    for (i, c_row) in out.chunks_mut(n).enumerate() {
+        let a_row = &a[i * k..(i + 1) * k];
         for (p, &a_ip) in a_row.iter().enumerate() {
             if a_ip == 0.0 {
                 continue;
@@ -170,21 +168,11 @@ fn tile<const R: usize>(
     }
 }
 
-/// Computes output rows `row0..` of `aᵀ × b` (`a` stored `[k,m]`, `b`
-/// `[k,n]`) into `chunk`. Accumulates over `p` in ascending order per output
-/// row, skipping zero `a` entries — the same element-wise accumulation order
-/// for every dispatch strategy.
-fn matmul_transpose_a_rows(
-    a: &[f32],
-    b: &[f32],
-    k: usize,
-    m: usize,
-    n: usize,
-    row0: usize,
-    chunk: &mut [f32],
-) {
-    for (i, c_row) in chunk.chunks_mut(n).enumerate() {
-        let col = row0 + i;
+/// Computes `aᵀ × b` (`a` stored `[k,m]`, `b` `[k,n]`) into `out` (`n >
+/// 0`). Accumulates over `p` in ascending order per output row, skipping
+/// zero `a` entries.
+fn matmul_transpose_a_rows(a: &[f32], b: &[f32], k: usize, m: usize, n: usize, out: &mut [f32]) {
+    for (col, c_row) in out.chunks_mut(n).enumerate() {
         for p in 0..k {
             let a_pi = a[p * m + col];
             if a_pi == 0.0 {
@@ -230,17 +218,6 @@ impl Tensor {
     /// # Ok::<(), darnet_tensor::TensorError>(())
     /// ```
     pub fn matmul(&self, other: &Tensor) -> Result<Tensor> {
-        self.matmul_with(other, &Parallelism::serial())
-    }
-
-    /// [`Tensor::matmul`] with a parallel execution policy. Output rows are
-    /// chunked across scoped threads; results are bitwise identical to the
-    /// serial product.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Tensor::matmul`].
-    pub fn matmul_with(&self, other: &Tensor, par: &Parallelism) -> Result<Tensor> {
         check_rank2(self, other)?;
         let (m, k) = (self.dims()[0], self.dims()[1]);
         let (k2, n) = (other.dims()[0], other.dims()[1]);
@@ -254,9 +231,7 @@ impl Tensor {
         let b = other.data();
         let mut out = vec![0.0f32; m * n];
         if n > 0 {
-            par.run_rows(&mut out, n, k * n, |row0, chunk| {
-                matmul_rows(a, b, k, n, row0, chunk)
-            });
+            matmul_rows(a, b, k, n, &mut out);
         }
         Tensor::from_vec(out, &[m, n])
     }
@@ -270,20 +245,9 @@ impl Tensor {
     ///
     /// Same conditions as [`Tensor::matmul`].
     pub fn matmul_transpose_b(&self, other: &Tensor) -> Result<Tensor> {
-        self.matmul_transpose_b_with(other, &Parallelism::serial())
-    }
-
-    /// [`Tensor::matmul_transpose_b`] with a parallel execution policy;
-    /// bitwise identical to the serial product. Allocates the `[m,n]`
-    /// output and calls [`Tensor::matmul_transpose_b_into`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Tensor::matmul`].
-    pub fn matmul_transpose_b_with(&self, other: &Tensor, par: &Parallelism) -> Result<Tensor> {
         check_rank2(self, other)?;
         let mut out = Tensor::zeros(&[self.dims()[0], other.dims()[0]]);
-        self.matmul_transpose_b_into(other, par, &mut out)?;
+        self.matmul_transpose_b_into(other, &Parallelism::serial(), &mut out)?;
         Ok(out)
     }
 
@@ -295,16 +259,6 @@ impl Tensor {
     ///
     /// Same conditions as [`Tensor::matmul`].
     pub fn matmul_transpose_a(&self, other: &Tensor) -> Result<Tensor> {
-        self.matmul_transpose_a_with(other, &Parallelism::serial())
-    }
-
-    /// [`Tensor::matmul_transpose_a`] with a parallel execution policy;
-    /// bitwise identical to the serial product.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Tensor::matmul`].
-    pub fn matmul_transpose_a_with(&self, other: &Tensor, par: &Parallelism) -> Result<Tensor> {
         check_rank2(self, other)?;
         let (k, m) = (self.dims()[0], self.dims()[1]);
         let (k2, n) = (other.dims()[0], other.dims()[1]);
@@ -318,17 +272,21 @@ impl Tensor {
         let b = other.data();
         let mut out = vec![0.0f32; m * n];
         if n > 0 {
-            par.run_rows(&mut out, n, k * n, |row0, chunk| {
-                matmul_transpose_a_rows(a, b, k, m, n, row0, chunk)
-            });
+            matmul_transpose_a_rows(a, b, k, m, n, &mut out);
         }
         Tensor::from_vec(out, &[m, n])
     }
 
     /// `self [m,k] × otherᵀ` into a caller-provided `[m,n]` buffer
-    /// (typically a [`crate::Workspace`] checkout) — the one body of this
-    /// product. Every output element is overwritten, so `out`'s prior
-    /// contents are irrelevant.
+    /// (typically a [`crate::Workspace`] checkout). Every output element is
+    /// overwritten, so `out`'s prior contents are irrelevant.
+    ///
+    /// `par` chunks the output rows across scoped threads through the same
+    /// per-row kernel as [`matmul_transpose_b_slices_into`], so the bits do
+    /// not depend on it. No product caller passes anything but
+    /// [`Parallelism::serial`]: the parameter stays only because the frozen
+    /// ledger (`benchmark/src/layers.rs`) calls this with it, and it goes
+    /// once the ledger stops (ROADMAP item 8(g)).
     ///
     /// # Errors
     ///
@@ -350,26 +308,24 @@ impl Tensor {
         if out.dims() != [m, n] {
             return Err(TensorError::shape_mismatch(out.dims(), &[m, n]));
         }
-        matmul_transpose_b_slices_into(
-            self.data(),
-            other.data(),
-            (m, k, n),
-            None,
-            par,
-            out.data_mut(),
-        )
+        let (a, b) = (self.data(), other.data());
+        if !out.is_empty() {
+            par.run_rows(out.data_mut(), n, k * n, |row0, chunk| {
+                matmul_transpose_b_rows(a, b, (k, n), None, row0, chunk)
+            });
+        }
+        Ok(())
     }
 }
 
 /// `a [m,k] × bᵀ` (`b` stored `[n,k]`) on row-major slices into `out
 /// [m,n]`, adding `row_bias[i]` to every output of row `i` when given —
-/// the one body of the product ([`Tensor::matmul_transpose_b_into`] is this
-/// on whole tensors). Slices let a layer multiply part of a buffer: a conv
+/// the product every layer calls ([`Tensor::matmul_transpose_b_into`] runs
+/// the same per-row kernel on whole tensors). Slices let a layer multiply part of a buffer: a conv
 /// computes `W [out_c, patch] × cols_nᵀ` straight into image `n`'s block of
 /// its NCHW output, the LSTM a `[batch, time, in]` input as `[batch·time,
 /// in]`. Every output is `0.0 + a[i][0]·b[j][0] + … ` with `p` ascending,
-/// then `+ row_bias[i]`, so results are bitwise identical under every
-/// [`Parallelism`]. Every output is overwritten.
+/// then `+ row_bias[i]`. Every output is overwritten.
 ///
 /// # Errors
 ///
@@ -381,7 +337,6 @@ pub fn matmul_transpose_b_slices_into(
     b: &[f32],
     (m, k, n): (usize, usize, usize),
     row_bias: Option<&[f32]>,
-    par: &Parallelism,
     out: &mut [f32],
 ) -> Result<()> {
     let bias_len = row_bias.map_or(m, <[f32]>::len);
@@ -391,10 +346,8 @@ pub fn matmul_transpose_b_slices_into(
             &[m * k, n * k, m * n, m],
         ));
     }
-    if n > 0 {
-        par.run_rows(out, n, k * n, |row0, chunk| {
-            matmul_transpose_b_rows(a, b, (k, n), row_bias, row0, chunk)
-        });
+    if !out.is_empty() {
+        matmul_transpose_b_rows(a, b, (k, n), row_bias, 0, out);
     }
     Ok(())
 }
@@ -504,7 +457,7 @@ mod tests {
             let mut out = ws.checkout(&[12, 5]);
             out.data_mut().fill(-3.5);
             a.matmul_transpose_b_into(&bt, &par, &mut out).unwrap();
-            assert_eq!(out, a.matmul_transpose_b_with(&bt, &par).unwrap());
+            assert_eq!(out, a.matmul_transpose_b(&bt).unwrap());
             ws.restore(out);
         }
     }
@@ -517,49 +470,5 @@ mod tests {
         assert!(a
             .matmul_transpose_b_into(&bt, &Parallelism::serial(), &mut bad)
             .is_err());
-    }
-
-    #[test]
-    fn parallel_products_are_bitwise_serial() {
-        let a = Tensor::from_vec(
-            (0..48 * 33)
-                .map(|v| ((v * 37) % 19) as f32 * 0.31 - 2.0)
-                .collect(),
-            &[48, 33],
-        )
-        .unwrap();
-        let b = Tensor::from_vec(
-            (0..33 * 21)
-                .map(|v| ((v * 11) % 23) as f32 * 0.17 - 1.5)
-                .collect(),
-            &[33, 21],
-        )
-        .unwrap();
-        let bt = Tensor::from_vec(
-            (0..21 * 33)
-                .map(|v| ((v * 29) % 13) as f32 * 0.09 - 0.5)
-                .collect(),
-            &[21, 33],
-        )
-        .unwrap();
-        let at = Tensor::from_vec(
-            (0..48 * 21)
-                .map(|v| ((v * 41) % 17) as f32 * 0.23 - 1.0)
-                .collect(),
-            &[48, 21],
-        )
-        .unwrap();
-        for threads in [2, 3, 5, 8] {
-            let par = Parallelism::new(threads).with_min_work(1);
-            assert_eq!(a.matmul(&b).unwrap(), a.matmul_with(&b, &par).unwrap());
-            assert_eq!(
-                a.matmul_transpose_b(&bt).unwrap(),
-                a.matmul_transpose_b_with(&bt, &par).unwrap()
-            );
-            assert_eq!(
-                a.matmul_transpose_a(&at).unwrap(),
-                a.matmul_transpose_a_with(&at, &par).unwrap()
-            );
-        }
     }
 }

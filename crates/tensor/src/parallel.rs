@@ -1,14 +1,17 @@
-//! Scoped-thread execution policy for tensor kernels.
+//! Scoped-thread execution policy.
 //!
 //! [`Parallelism`] is a tiny, copyable handle describing how much thread
-//! fan-out a kernel may use. Kernels that accept one (`matmul_with`,
-//! `im2col_with`, the pooling `_with` variants, …) split their *output* into
-//! contiguous row chunks and run the exact same per-row kernel on each chunk
-//! from a `std::thread::scope` worker. Because every output row is written by
-//! exactly one thread and each row is computed by the very same code path the
-//! serial kernel uses — same loop order, same accumulation order — parallel
-//! results are **bitwise identical** to serial results for every shape and
-//! thread count.
+//! fan-out a caller allows. Its one product reader is the analytics
+//! engine, which runs each present stream's model on a scoped worker when
+//! the handle allows more than one thread. Below the engine nothing takes
+//! one, except two kernels whose parameter the frozen ledger still passes:
+//! [`Tensor::matmul_transpose_b_into`](crate::Tensor::matmul_transpose_b_into)
+//! and [`im2col_into`](crate::im2col_into) split their *output* into
+//! contiguous row chunks and run the exact same per-row kernel on each
+//! chunk from a `std::thread::scope` worker. Because every output row is
+//! written by exactly one thread, by the same code path the serial call
+//! uses, their results are **bitwise identical** to serial results for
+//! every shape and thread count.
 //!
 //! Below a tunable total-work threshold ([`Parallelism::with_min_work`]) the
 //! dispatcher falls back to running the kernel inline on the calling thread,
@@ -20,7 +23,7 @@ use std::ops::Range;
 /// Expressed in rough "inner-loop operations" (multiply-adds, copies).
 const DEFAULT_MIN_WORK: usize = 1 << 16;
 
-/// A copyable parallel-execution policy for tensor kernels.
+/// A copyable parallel-execution policy.
 ///
 /// The default ([`Parallelism::serial`]) runs everything inline on the
 /// calling thread; [`Parallelism::new`] requests a fixed fan-out.
@@ -29,10 +32,9 @@ const DEFAULT_MIN_WORK: usize = 1 << 16;
 /// use darnet_tensor::{Parallelism, Tensor};
 ///
 /// let a = Tensor::ones(&[64, 64]);
-/// let par = Parallelism::new(4);
-/// let serial = a.matmul(&a)?;
-/// let parallel = a.matmul_with(&a, &par)?;
-/// assert_eq!(serial, parallel); // bitwise identical
+/// let mut parallel = Tensor::zeros(&[64, 64]);
+/// a.matmul_transpose_b_into(&a, &Parallelism::new(4), &mut parallel)?;
+/// assert_eq!(a.matmul_transpose_b(&a)?, parallel); // bitwise identical
 /// # Ok::<(), darnet_tensor::TensorError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -71,16 +73,6 @@ impl Parallelism {
     pub fn with_min_work(mut self, min_work: usize) -> Self {
         self.min_work = min_work.max(1);
         self
-    }
-
-    /// Maximum worker threads this policy allows.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Serial-fallback threshold in inner-loop operations.
-    pub fn min_work(&self) -> usize {
-        self.min_work
     }
 
     /// Whether this policy can never fan out.

@@ -4,7 +4,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::conv::check_out_dims;
 use crate::error::TensorError;
-use crate::parallel::Parallelism;
 use crate::tensor::Tensor;
 use crate::Result;
 
@@ -67,39 +66,47 @@ fn check_rank4(input: &Tensor) -> Result<(usize, usize, usize, usize)> {
 ///
 /// Returns an error on rank or geometry problems.
 pub fn max_pool2d(input: &Tensor, spec: &PoolSpec) -> Result<(Tensor, Vec<usize>)> {
-    max_pool2d_with(input, spec, &Parallelism::serial())
+    let (b, c, h, w) = check_rank4(input)?;
+    let (oh, ow) = spec.output_size(h, w)?;
+    let mut out = Tensor::zeros(&[b, c, oh, ow]);
+    let mut argmax = Vec::new();
+    max_pool2d_into(input, spec, &mut out, &mut argmax)?;
+    Ok((out, argmax))
 }
 
-/// Max-pools the `[h,w]` planes `plane0..` into `out_chunk`/`arg_chunk`
-/// (one `oh*ow` stretch per plane).
+/// Max-pools every `[h,w]` plane of `data` into `out`/`arg` (one `oh*ow`
+/// stretch per plane). Each window starts from `−∞` at its own first
+/// index, so its argmax never leaves it (an all-`−∞` window keeps that
+/// index), and element `v` displaces the running `best` when `wins(v,
+/// best)`.
+#[inline(always)]
 fn max_pool_planes(
     data: &[f32],
     spec: &PoolSpec,
     geom: (usize, usize, usize, usize), // (h, w, oh, ow)
-    plane0: usize,
-    out_chunk: &mut [f32],
-    arg_chunk: &mut [usize],
+    out: &mut [f32],
+    arg: &mut [usize],
+    wins: impl Fn(f32, f32) -> bool,
 ) {
     let (h, w, oh, ow) = geom;
     let plane_out = oh * ow;
-    for (i, (out_plane, arg_plane)) in out_chunk
+    for (i, (out_plane, arg_plane)) in out
         .chunks_mut(plane_out)
-        .zip(arg_chunk.chunks_mut(plane_out))
+        .zip(arg.chunks_mut(plane_out))
         .enumerate()
     {
-        let base = (plane0 + i) * h * w;
+        let base = i * h * w;
         let mut o = 0usize;
         for oy in 0..oh {
             for ox in 0..ow {
-                let mut best = f32::NEG_INFINITY;
-                let mut best_idx = 0usize;
+                let first = base + oy * spec.stride * w + ox * spec.stride;
+                let (mut best, mut best_idx) = (f32::NEG_INFINITY, first);
                 for ky in 0..spec.window {
                     for kx in 0..spec.window {
-                        let iy = oy * spec.stride + ky;
-                        let ix = ox * spec.stride + kx;
-                        let idx = base + iy * w + ix;
-                        if data[idx] > best {
-                            best = data[idx];
+                        let idx = first + ky * w + kx;
+                        let v = data[idx];
+                        if wins(v, best) {
+                            best = v;
                             best_idx = idx;
                         }
                     }
@@ -109,72 +116,6 @@ fn max_pool_planes(
                 o += 1;
             }
         }
-    }
-}
-
-/// [`max_pool2d`] with a parallel execution policy: the `batch * channels`
-/// planes are chunked across scoped threads, with the output and argmax
-/// buffers split in lockstep. Bitwise identical to serial. Allocates both
-/// outputs and calls [`max_pool2d_into`].
-///
-/// # Errors
-///
-/// Returns an error on rank or geometry problems.
-pub fn max_pool2d_with(
-    input: &Tensor,
-    spec: &PoolSpec,
-    par: &Parallelism,
-) -> Result<(Tensor, Vec<usize>)> {
-    let (b, c, h, w) = check_rank4(input)?;
-    let (oh, ow) = spec.output_size(h, w)?;
-    let mut out = Tensor::zeros(&[b, c, oh, ow]);
-    let mut argmax = Vec::new();
-    max_pool2d_into(input, spec, par, &mut out, &mut argmax)?;
-    Ok((out, argmax))
-}
-
-/// Serial/threaded dispatch for max pooling: chunks the `planes` `[h,w]`
-/// planes across scoped threads (output and argmax buffers split in
-/// lockstep) or runs inline under a serial policy.
-// darlint: hot
-fn max_pool_dispatch(
-    data: &[f32],
-    spec: &PoolSpec,
-    geom: (usize, usize, usize, usize, usize), // (planes, h, w, oh, ow)
-    par: &Parallelism,
-    out: &mut [f32],
-    arg: &mut [usize],
-) {
-    let (planes, h, w, oh, ow) = geom;
-    let plane_out = oh * ow;
-    let work_per_plane = plane_out * spec.window * spec.window;
-    // Inline execution decided without materializing the partition, so
-    // the serial fast path stays allocation-free (see Parallelism).
-    if par.effective_threads(planes, work_per_plane) <= 1 {
-        max_pool_planes(data, spec, (h, w, oh, ow), 0, out, arg);
-    } else {
-        let ranges = par.partition(planes, work_per_plane);
-        std::thread::scope(|scope| {
-            let mut out_rest = out;
-            let mut arg_rest = arg;
-            for range in ranges {
-                let take = (range.end - range.start) * plane_out;
-                let (out_chunk, out_tail) = out_rest.split_at_mut(take);
-                let (arg_chunk, arg_tail) = arg_rest.split_at_mut(take);
-                out_rest = out_tail;
-                arg_rest = arg_tail;
-                scope.spawn(move || {
-                    max_pool_planes(
-                        data,
-                        spec,
-                        (h, w, oh, ow),
-                        range.start,
-                        out_chunk,
-                        arg_chunk,
-                    )
-                });
-            }
-        });
     }
 }
 
@@ -192,7 +133,6 @@ fn max_pool_dispatch(
 pub fn max_pool2d_into(
     input: &Tensor,
     spec: &PoolSpec,
-    par: &Parallelism,
     out: &mut Tensor,
     argmax: &mut Vec<usize>,
 ) -> Result<()> {
@@ -200,14 +140,17 @@ pub fn max_pool2d_into(
     let (oh, ow) = spec.output_size(h, w)?;
     check_out_dims(out, &[b, c, oh, ow])?;
     argmax.resize(b * c * oh * ow, 0);
-    max_pool_dispatch(
-        input.data(),
-        spec,
-        (b * c, h, w, oh, ow),
-        par,
-        out.data_mut(),
-        argmax,
-    );
+    let (data, geom, out) = (input.data(), (h, w, oh, ow), out.data_mut());
+    // The strict `>` keeps a window's first maximum; a NaN wins and sticks,
+    // so a window holding one pools to NaN. Testing for NaN in the window
+    // loop triples its cost, so only an input that holds one — found by
+    // one vectorised pass — pays for it.
+    if data.iter().fold(false, |nan, v| nan | v.is_nan()) {
+        let wins = |v: f32, best: f32| v > best || (v.is_nan() && !best.is_nan());
+        max_pool_planes(data, spec, geom, out, argmax, wins);
+    } else {
+        max_pool_planes(data, spec, geom, out, argmax, |v, best| v > best);
+    }
     Ok(())
 }
 
@@ -249,21 +192,24 @@ pub fn max_pool2d_backward(
 ///
 /// Returns an error on rank or geometry problems.
 pub fn avg_pool2d(input: &Tensor, spec: &PoolSpec) -> Result<Tensor> {
-    avg_pool2d_with(input, spec, &Parallelism::serial())
+    let (b, c, h, w) = check_rank4(input)?;
+    let (oh, ow) = spec.output_size(h, w)?;
+    let mut out = Tensor::zeros(&[b, c, oh, ow]);
+    avg_pool2d_into(input, spec, &mut out)?;
+    Ok(out)
 }
 
-/// Average-pools the `[h,w]` planes `plane0..` into `chunk`.
+/// Average-pools every `[h,w]` plane of `data` into `out`.
 fn avg_pool_planes(
     data: &[f32],
     spec: &PoolSpec,
     geom: (usize, usize, usize, usize), // (h, w, oh, ow)
-    plane0: usize,
-    chunk: &mut [f32],
+    out: &mut [f32],
 ) {
     let (h, w, oh, ow) = geom;
     let denom = (spec.window * spec.window) as f32;
-    for (i, out_plane) in chunk.chunks_mut(oh * ow).enumerate() {
-        let base = (plane0 + i) * h * w;
+    for (i, out_plane) in out.chunks_mut(oh * ow).enumerate() {
+        let base = i * h * w;
         let mut o = 0usize;
         for oy in 0..oh {
             for ox in 0..ow {
@@ -280,21 +226,6 @@ fn avg_pool_planes(
     }
 }
 
-/// [`avg_pool2d`] with a parallel execution policy: `batch * channels`
-/// planes chunked across scoped threads, bitwise identical to serial.
-/// Allocates the output and calls [`avg_pool2d_into`].
-///
-/// # Errors
-///
-/// Returns an error on rank or geometry problems.
-pub fn avg_pool2d_with(input: &Tensor, spec: &PoolSpec, par: &Parallelism) -> Result<Tensor> {
-    let (b, c, h, w) = check_rank4(input)?;
-    let (oh, ow) = spec.output_size(h, w)?;
-    let mut out = Tensor::zeros(&[b, c, oh, ow]);
-    avg_pool2d_into(input, spec, par, &mut out)?;
-    Ok(out)
-}
-
 /// Average-pools into a caller-provided `[b, c, oh, ow]` buffer
 /// (typically a [`crate::Workspace`] checkout) — the one body of average
 /// pooling. Every output element is overwritten.
@@ -304,23 +235,11 @@ pub fn avg_pool2d_with(input: &Tensor, spec: &PoolSpec, par: &Parallelism) -> Re
 /// Returns an error on rank or geometry problems, or if `out` does not
 /// have the pooled output shape.
 // darlint: hot
-pub fn avg_pool2d_into(
-    input: &Tensor,
-    spec: &PoolSpec,
-    par: &Parallelism,
-    out: &mut Tensor,
-) -> Result<()> {
+pub fn avg_pool2d_into(input: &Tensor, spec: &PoolSpec, out: &mut Tensor) -> Result<()> {
     let (b, c, h, w) = check_rank4(input)?;
     let (oh, ow) = spec.output_size(h, w)?;
     check_out_dims(out, &[b, c, oh, ow])?;
-    let data = input.data();
-    let plane_out = oh * ow;
-    par.run_rows(
-        out.data_mut(),
-        plane_out,
-        plane_out * spec.window * spec.window,
-        |plane0, chunk| avg_pool_planes(data, spec, (h, w, oh, ow), plane0, chunk),
-    );
+    avg_pool_planes(input.data(), spec, (h, w, oh, ow), out.data_mut());
     Ok(())
 }
 
@@ -407,25 +326,21 @@ mod tests {
         .unwrap();
         let spec = PoolSpec::new(2, 2);
         let mut ws = Workspace::new();
-        let mut argmax = Vec::new();
-        for threads in [1, 4] {
-            let par = Parallelism::new(threads).with_min_work(1);
-            let (expected, expected_arg) = max_pool2d_with(&input, &spec, &par).unwrap();
-            let mut out = ws.checkout(expected.dims());
-            out.data_mut().fill(-1.0);
-            argmax.clear();
-            max_pool2d_into(&input, &spec, &par, &mut out, &mut argmax).unwrap();
-            assert_eq!(out, expected);
-            assert_eq!(argmax, expected_arg);
-            ws.restore(out);
+        let (expected, expected_arg) = max_pool2d(&input, &spec).unwrap();
+        let mut out = ws.checkout(expected.dims());
+        out.data_mut().fill(-1.0); // stale contents must be overwritten
+        let mut argmax = vec![usize::MAX; 3];
+        max_pool2d_into(&input, &spec, &mut out, &mut argmax).unwrap();
+        assert_eq!(out, expected);
+        assert_eq!(argmax, expected_arg);
+        ws.restore(out);
 
-            let expected_avg = avg_pool2d_with(&input, &spec, &par).unwrap();
-            let mut out = ws.checkout(expected_avg.dims());
-            out.data_mut().fill(123.0);
-            avg_pool2d_into(&input, &spec, &par, &mut out).unwrap();
-            assert_eq!(out, expected_avg);
-            ws.restore(out);
-        }
+        let expected_avg = avg_pool2d(&input, &spec).unwrap();
+        let mut out = ws.checkout(expected_avg.dims());
+        out.data_mut().fill(123.0);
+        avg_pool2d_into(&input, &spec, &mut out).unwrap();
+        assert_eq!(out, expected_avg);
+        ws.restore(out);
     }
 
     #[test]
@@ -434,9 +349,8 @@ mod tests {
         let spec = PoolSpec::new(2, 2);
         let mut bad = Tensor::zeros(&[1, 1, 3, 3]);
         let mut arg = Vec::new();
-        let par = Parallelism::serial();
-        assert!(max_pool2d_into(&input, &spec, &par, &mut bad, &mut arg).is_err());
-        assert!(avg_pool2d_into(&input, &spec, &par, &mut bad).is_err());
+        assert!(max_pool2d_into(&input, &spec, &mut bad, &mut arg).is_err());
+        assert!(avg_pool2d_into(&input, &spec, &mut bad).is_err());
     }
 
     #[test]
@@ -471,25 +385,32 @@ mod tests {
     }
 
     #[test]
-    fn parallel_pooling_is_bitwise_serial() {
-        let (b, c, h, w) = (2, 3, 7, 6);
-        let input = Tensor::from_vec(
-            (0..b * c * h * w)
-                .map(|v| ((v * 23) % 31) as f32 * 0.7 - 10.0)
-                .collect(),
-            &[b, c, h, w],
-        )
-        .unwrap();
+    fn an_all_negative_infinity_window_keeps_its_argmax_in_its_plane() {
+        // Plane 1 is all −∞: its argmax is its own first element, so
+        // backward leaves plane 0 alone.
+        let mut data = vec![1.0, 2.0, 3.0, 4.0];
+        data.extend([f32::NEG_INFINITY; 4]);
+        let input = Tensor::from_vec(data, &[1, 2, 2, 2]).unwrap();
+        let (out, arg) = max_pool2d(&input, &PoolSpec::new(2, 2)).unwrap();
+        assert_eq!(out.data(), &[4.0, f32::NEG_INFINITY]);
+        assert_eq!(arg, vec![3, 4]);
+        let grad = Tensor::from_vec(vec![10.0, 20.0], &[1, 2, 1, 1]).unwrap();
+        let gin = max_pool2d_backward(&grad, &arg, input.dims()).unwrap();
+        assert_eq!(gin.data(), &[0.0, 0.0, 0.0, 10.0, 20.0, 0.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn a_nan_wins_its_window() {
         let spec = PoolSpec::new(2, 2);
-        let (out_s, arg_s) = max_pool2d(&input, &spec).unwrap();
-        let avg_s = avg_pool2d(&input, &spec).unwrap();
-        for threads in [2, 3, 6] {
-            let par = Parallelism::new(threads).with_min_work(1);
-            let (out_p, arg_p) = max_pool2d_with(&input, &spec, &par).unwrap();
-            assert_eq!(out_s, out_p);
-            assert_eq!(arg_s, arg_p);
-            assert_eq!(avg_s, avg_pool2d_with(&input, &spec, &par).unwrap());
-        }
+        let input = Tensor::from_vec(vec![1.0, f32::NAN, 3.0, 4.0], &[1, 1, 2, 2]).unwrap();
+        let (out, arg) = max_pool2d(&input, &spec).unwrap();
+        assert!(out.data()[0].is_nan());
+        assert_eq!(arg, vec![1]);
+        // And sticks: a later larger value or NaN does not displace it.
+        let input = Tensor::from_vec(vec![f32::NAN; 4], &[1, 1, 2, 2]).unwrap();
+        let (out, arg) = max_pool2d(&input, &spec).unwrap();
+        assert!(out.data()[0].is_nan());
+        assert_eq!(arg, vec![0]);
     }
 
     #[test]

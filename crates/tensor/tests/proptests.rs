@@ -1,9 +1,8 @@
 //! Property-based tests for tensor algebra invariants.
 
 use darnet_tensor::{
-    avg_pool2d, avg_pool2d_with, col2im, im2col, im2col_with, matmul_transpose_b_slices_into,
-    max_pool2d, max_pool2d_with, Conv2dSpec, Parallelism, PoolSpec, SplitMix64, Tensor,
-    TensorError,
+    col2im, im2col, im2col_into, matmul_transpose_b_slices_into, max_pool2d, max_pool2d_backward,
+    Conv2dSpec, Parallelism, PoolSpec, SplitMix64, Tensor, TensorError,
 };
 use proptest::prelude::*;
 
@@ -48,8 +47,8 @@ fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
     }
 }
 
-/// Runs `matmul_transpose_b_into` and the bias path of the slice entry on
-/// `(m, k, n)` under `threads` forced threads, against the scalar loop.
+/// Runs `matmul_transpose_b_into` under `threads` forced threads and the
+/// bias path of the slice entry on `(m, k, n)`, against the scalar loop.
 fn check_transpose_b(
     m: usize,
     k: usize,
@@ -75,13 +74,13 @@ fn check_transpose_b(
     assert_same_bits(out.data(), &want, &what);
 
     let mut out = vec![f32::NAN; m * n];
-    matmul_transpose_b_slices_into(&a, &b, (m, k, n), Some(&bias), &par, &mut out)?;
+    matmul_transpose_b_slices_into(&a, &b, (m, k, n), Some(&bias), &mut out)?;
     let want: Vec<f32> = want
         .iter()
         .enumerate()
         .map(|(i, &v)| v + bias[i / n])
         .collect();
-    assert_same_bits(&out, &want, &format!("{what} + bias"));
+    assert_same_bits(&out, &want, &format!("[{m},{k}]·[{n},{k}]ᵀ + bias"));
     Ok(())
 }
 
@@ -199,66 +198,6 @@ proptest! {
     }
 
     #[test]
-    fn parallel_matmul_is_bitwise_serial(
-        m in 1usize..12, k in 1usize..12, n in 1usize..12,
-        threads in 2usize..9, seed in 0u64..500,
-    ) {
-        let mut rng = SplitMix64::new(seed);
-        let a = random_tensor(&[m, k], &mut rng);
-        let b = random_tensor(&[k, n], &mut rng);
-        let par = forced(threads);
-        prop_assert_eq!(
-            a.matmul_with(&b, &par).unwrap(),
-            a.matmul(&b).unwrap()
-        );
-        let bt = random_tensor(&[n, k], &mut rng);
-        prop_assert_eq!(
-            a.matmul_transpose_b_with(&bt, &par).unwrap(),
-            a.matmul_transpose_b(&bt).unwrap()
-        );
-        let at = random_tensor(&[k, m], &mut rng);
-        prop_assert_eq!(
-            at.matmul_transpose_a_with(&b, &par).unwrap(),
-            at.matmul_transpose_a(&b).unwrap()
-        );
-    }
-
-    #[test]
-    fn parallel_im2col_is_bitwise_serial(
-        b in 1usize..3, c in 1usize..3, h in 3usize..8, w in 3usize..8,
-        kernel in 1usize..4, threads in 2usize..9, seed in 0u64..500,
-    ) {
-        let spec = Conv2dSpec::square(c, 1, kernel, 1, kernel / 2);
-        let mut rng = SplitMix64::new(seed);
-        let x = random_tensor(&[b, c, h, w], &mut rng);
-        prop_assert_eq!(
-            im2col_with(&x, &spec, &forced(threads)).unwrap(),
-            im2col(&x, &spec).unwrap()
-        );
-    }
-
-    #[test]
-    fn parallel_pooling_is_bitwise_serial(
-        b in 1usize..3, c in 1usize..4, h in 2usize..9, w in 2usize..9,
-        window in 2usize..4, stride in 1usize..3,
-        threads in 2usize..9, seed in 0u64..500,
-    ) {
-        let window = window.min(h).min(w);
-        let spec = PoolSpec::new(window, stride);
-        let mut rng = SplitMix64::new(seed);
-        let x = random_tensor(&[b, c, h, w], &mut rng);
-        let par = forced(threads);
-        let (out_p, arg_p) = max_pool2d_with(&x, &spec, &par).unwrap();
-        let (out_s, arg_s) = max_pool2d(&x, &spec).unwrap();
-        prop_assert_eq!(out_p, out_s);
-        prop_assert_eq!(arg_p, arg_s);
-        prop_assert_eq!(
-            avg_pool2d_with(&x, &spec, &par).unwrap(),
-            avg_pool2d(&x, &spec).unwrap()
-        );
-    }
-
-    #[test]
     fn serde_roundtrip(data in tensor_strategy(32)) {
         let n = data.len();
         let a = Tensor::from_vec(data, &[n]).unwrap();
@@ -283,7 +222,7 @@ proptest! {
         let mut out = ws.checkout(&[m, n]);
         out.data_mut().fill(f32::NAN); // stale garbage must not survive
         a.matmul_transpose_b_into(&bt, &par, &mut out).unwrap();
-        prop_assert_eq!(&out, &a.matmul_transpose_b_with(&bt, &par).unwrap());
+        prop_assert_eq!(&out, &a.matmul_transpose_b(&bt).unwrap());
         ws.restore(out);
     }
 
@@ -308,7 +247,8 @@ proptest! {
         let mut rng = SplitMix64::new(seed);
         let x = random_tensor(&[b, c, h, w], &mut rng);
         let (oh, ow) = spec.output_size(h, w).unwrap();
-        let cols = im2col_with(&x, &spec, &forced(threads)).unwrap();
+        let mut cols = Tensor::full(&[b * oh * ow, spec.patch_len()], f32::NAN);
+        im2col_into(&x, &spec, &forced(threads), &mut cols).unwrap();
         // Patch row `(n, oy, ox)`, column `(ch, ky, kx)` reads input
         // `(n, ch, oy·s + ky − pad, ox·s + kx − pad)`, or 0.0 off the edge.
         let mut want = Vec::with_capacity(cols.len());
@@ -325,6 +265,54 @@ proptest! {
             }}}
         }}}
         prop_assert_eq!(cols.data(), &want[..]);
+    }
+
+    #[test]
+    fn max_pool_is_the_first_maximum_of_its_own_window(
+        b in 1usize..3, c in 1usize..4, h in 1usize..9, w in 1usize..9,
+        window in 1usize..4, stride in 1usize..4,
+        inf_every in 2u64..8, nan_every in 3u64..60, dead_plane in 0usize..8,
+        seed in 0u64..1000,
+    ) {
+        let (h, w, planes) = (h.max(window), w.max(window), b * c);
+        let spec = PoolSpec::new(window, stride);
+        let mut rng = SplitMix64::new(seed);
+        let mut data = awkward(planes * h * w, inf_every, &mut rng);
+        // From 40 on the input holds no NaN, and the kernel takes its
+        // other comparison.
+        for v in data.iter_mut().filter(|_| nan_every < 40) {
+            if rng.next_u64().is_multiple_of(nan_every) {
+                *v = f32::NAN;
+            }
+        }
+        // Now and then a whole plane at −∞, whose windows all tie.
+        if dead_plane < planes {
+            data[dead_plane * h * w..][..h * w].fill(f32::NEG_INFINITY);
+        }
+        let x = Tensor::from_vec(data, &[b, c, h, w]).unwrap();
+        let (out, arg) = max_pool2d(&x, &spec).unwrap();
+        let (oh, ow) = spec.output_size(h, w).unwrap();
+        // The scalar reference: a window's first NaN, else its first
+        // element no other exceeds.
+        let mut want = Vec::with_capacity(out.len());
+        for plane in 0..planes { for oy in 0..oh { for ox in 0..ow {
+            let o = (plane * oh + oy) * ow + ox;
+            let cells: Vec<usize> = (0..window * window)
+                .map(|i| (plane * h + oy * stride + i / window) * w + ox * stride + i % window)
+                .collect();
+            prop_assert!(cells.contains(&arg[o]), "output {} argmax {} left its window", o, arg[o]);
+            let v = |i: usize| x.data()[i];
+            let first = cells.iter().copied().find(|&i| v(i).is_nan())
+                .or_else(|| cells.iter().copied().find(|&i| cells.iter().all(|&j| v(j) <= v(i))));
+            prop_assert_eq!(Some(arg[o]), first);
+            want.push(v(arg[o]));
+        }}}
+        assert_same_bits(out.data(), &want, "max pool");
+        // Backward routes each plane's gradient into that plane only.
+        let gin = max_pool2d_backward(&Tensor::ones(out.dims()), &arg, x.dims()).unwrap();
+        for (plane, g) in gin.data().chunks(h * w).enumerate() {
+            prop_assert_eq!(g.iter().sum::<f32>(), (oh * ow) as f32, "plane {}", plane);
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 #                  workspace tests, check --all-targets of the workspace
 #                  and of the frozen ledger package (benchmark/, so an
 #                  API deletion that breaks it fails here and not in
-#                  step 7), clippy -D warnings + escalated panic lints,
+#                  step 8), clippy -D warnings + escalated panic lints,
 #                  darlint (scripts/tier1.sh). darlint is
 #                  deny-by-default — any violation fails — and no other
 #                  step runs it
@@ -18,14 +18,18 @@
 #                  baseline fails the build, as does missing the
 #                  hardware-scaled absolute floors (--check).
 #                  speedup_engine_streams — the registry engine's
-#                  streams inline vs one worker each, the one level of
-#                  thread fan-out under the engine — must read >= 0.85
+#                  streams inline vs one worker each, the one thread
+#                  policy a product caller can set — must read >= 0.85
 #                  when the run has >= 2 hardware threads; it and the two
 #                  kernel thread ratios are left out of the comparison
-#                  while this run or the baseline reports 1. Its two
-#                  engine ratios are the only engine timing gated in CI;
-#                  absolute engine time is the ledger's to report, and
-#                  the zero-alloc contract is tier1's (zero_alloc.rs)
+#                  while this run or the baseline reports 1. The kernel
+#                  ratios time the two kernels that still take a policy
+#                  (for the frozen ledger): matmul_transpose_b_into, the
+#                  register tile, and im2col_into, each into a
+#                  preallocated output. Its two engine ratios are the
+#                  only engine timing gated in CI; absolute engine time
+#                  is the ledger's to report, and the zero-alloc contract
+#                  is tier1's (zero_alloc.rs)
 #   4. chaos     — the crash-tolerance harness in --fast mode,
 #                  compared against the committed BENCH_chaos.json
 #                  baseline; seeded controller kills with torn tail
@@ -52,7 +56,14 @@
 #                  engine under the same loss and within 15% of the
 #                  clean 2-stream baseline (--check); the seeded
 #                  evaluation-split size must equal the baseline's
-#   7. ledger    — the frozen pipeline ledger (benchmark/, BENCHMARK.json;
+#   7. repro     — every repro_* bin (Tables 1–3, Figs 4–5, the six
+#                  ablations) in --fast mode: each stdout's sha256 must
+#                  equal its line in the committed REPRO_fast.sha256, and
+#                  every bin must have a line — paper fidelity held byte
+#                  for byte (~80–90 s, mostly repro_table3 and
+#                  repro_ablation_distill). Like the golden files, the
+#                  digests assume glibc's libm
+#   8. ledger    — the frozen pipeline ledger (benchmark/, BENCHMARK.json;
 #                  a package of its own that step 1 only type-checks)
 #                  against this checkout's crates: its unit tests, then
 #                  an untraced seed-1 run of each workload, which must
@@ -68,7 +79,7 @@
 #   scripts/ci.sh --list          list step names and exit
 #
 # Every step is timed and a per-step elapsed summary is printed at the
-# end, so the 7-step pipeline can be profiled and iterated on locally
+# end, so the 8-step pipeline can be profiled and iterated on locally
 # without grepping logs. The last thing printed is scripts/loc.sh's
 # non-test line count per crate — the number every simplicity PR quotes.
 #
@@ -80,7 +91,7 @@ cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
 
-STEPS=(tier1 docs parallel chaos fleet multiview ledger)
+STEPS=(tier1 docs parallel chaos fleet multiview repro ledger)
 ONLY=()
 while [[ $# -gt 0 ]]; do
   case "$1" in
@@ -132,6 +143,30 @@ step_parallel()  { run_bench bench_parallel  BENCH_parallel.json; }
 step_chaos()     { run_bench bench_chaos     BENCH_chaos.json; }
 step_fleet()     { run_bench bench_fleet     BENCH_fleet.json; }
 step_multiview() { run_bench repro_ablation_multiview BENCH_multiview.json; }
+
+# `sha256  bin` lines, one per repro_* bin. fig4 prints the paths it wrote
+# under the temp dir, so TMPDIR is pinned to the one the digests saw.
+REPRO_DIGESTS=REPRO_fast.sha256
+
+step_repro() {
+  cargo build --release --locked -p darnet-bench --bins
+  local bins listed
+  bins=$(cd crates/bench/src/bin && ls repro_*.rs | sed 's/\.rs$//' | sort)
+  listed=$(awk '{ print $2 }' "$REPRO_DIGESTS" | sort)
+  if [[ "$bins" != "$listed" ]]; then
+    echo "repro: the repro_* bins and $REPRO_DIGESTS's lines differ" >&2
+    return 1
+  fi
+  local want bin got failed=0
+  while read -r want bin; do
+    got=$(TMPDIR=/tmp "target/release/$bin" --fast | sha256sum | cut -d' ' -f1)
+    if [[ "$got" != "$want" ]]; then
+      echo "repro: $bin --fast stdout sha256 is $got, $REPRO_DIGESTS has $want" >&2
+      failed=1
+    fi
+  done < "$REPRO_DIGESTS"
+  return "$failed"
+}
 
 # `workload:seconds` pairs. cabin_stream and fleet_ingest scale in whole
 # sessions, so --seconds 1 is their smallest run; cabin_long runs at the
