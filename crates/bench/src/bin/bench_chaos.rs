@@ -31,7 +31,7 @@ use darnet_collect::runtime::{run_session, CampaignConfig, CrashWindow, Durabili
 use darnet_collect::{
     replay_into, AdmissionConfig, Controller, MemStorage, StreamId, WalConfig, WalStorage,
 };
-use darnet_sim::{Behavior, DrivingWorld, Segment, WorldConfig};
+use darnet_sim::{CanonicalBehavior, DrivingWorld, Segment, WorldConfig};
 
 /// Garbage bytes appended at each kill (the torn final write).
 const TORN_BYTES: u64 = 13;
@@ -58,17 +58,17 @@ const SEEDED: &[&str] = &[
     "overload_shed_batches",
 ];
 
-fn schedule() -> Vec<Segment<Behavior>> {
+fn schedule() -> Vec<Segment<CanonicalBehavior>> {
     vec![
         Segment {
             driver: 0,
-            behavior: Behavior::NormalDriving,
+            behavior: CanonicalBehavior::NormalDriving,
             start: 0.0,
             duration: 5.0,
         },
         Segment {
             driver: 0,
-            behavior: Behavior::Texting,
+            behavior: CanonicalBehavior::Texting,
             start: 5.0,
             duration: 5.0,
         },

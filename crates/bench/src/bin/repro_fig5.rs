@@ -3,13 +3,13 @@
 
 use darnet_bench::{experiment_config, header, pct};
 use darnet_core::experiment::{table2_from_stack, train_stack};
-use darnet_sim::Behavior;
+use darnet_sim::CanonicalBehavior;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = experiment_config();
     let stack = train_stack(&config)?;
     let report = table2_from_stack(&stack)?;
-    let names: Vec<&str> = Behavior::ALL.iter().map(|b| b.name()).collect();
+    let names: Vec<&str> = CanonicalBehavior::TABLE1.iter().map(|b| b.name()).collect();
 
     header("Figure 5a: CNN+RNN (DarNet) confusion matrix");
     println!("top-1 {}", pct(report.top1_cnn_rnn));
@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The paper's headline per-class observation: texting accuracy jumps
     // from 36% (CNN) to 87% (CNN+RNN).
-    let texting = Behavior::Texting.index();
+    let texting = CanonicalBehavior::Texting.index();
     println!(
         "texting accuracy: CNN {} -> CNN+RNN {}",
         pct(report.cm_cnn.per_class_accuracy()[texting].unwrap_or(0.0)),

@@ -210,11 +210,6 @@ impl CollectionAgent {
         &self.config
     }
 
-    /// Transport configuration.
-    pub fn transport_config(&self) -> &RetransmitConfig {
-        &self.transport
-    }
-
     /// Cumulative transport counters.
     pub fn transport_stats(&self) -> TransportStats {
         self.stats
@@ -232,11 +227,6 @@ impl CollectionAgent {
 
     /// Number of polls performed.
     pub fn poll_count(&self) -> u64 {
-        self.polls
-    }
-
-    /// Total readings handed to batches so far plus those still buffered.
-    pub fn readings_produced(&self) -> u64 {
         self.polls
     }
 

@@ -9,12 +9,12 @@ use std::thread;
 
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Sender};
-use darnet_sim::{Behavior, DrivingWorld, Segment};
+use darnet_sim::{CanonicalBehavior, DrivingWorld, Segment};
 
 use crate::agent::{AgentConfig, CollectionAgent};
 use crate::clock::DriftClock;
 use crate::controller::{Controller, ControllerConfig};
-use crate::sensor::{canonical_script, CameraView, ScriptedSensor, Sensor};
+use crate::sensor::{driver_script, CameraView, ScriptedSensor, Sensor};
 use crate::shard::Door;
 use crate::wire::{decode_batch, encode_batch};
 use crate::{CollectError, Result};
@@ -91,13 +91,13 @@ fn run_agent(
 pub fn run_live_session(
     world: &Arc<DrivingWorld>,
     driver: usize,
-    segments: &[Segment<Behavior>],
+    segments: &[Segment<CanonicalBehavior>],
     duration: f64,
     controller_config: ControllerConfig,
 ) -> Result<LiveRunReport> {
     let mut door = Door::new(controller_config);
     let (tx, rx) = bounded::<Bytes>(64);
-    let script = canonical_script(segments, driver);
+    let script = driver_script(segments, driver);
     // Scoped threads: ingest runs on this thread while the agents stream
     // from workers that provably terminate before the scope (and thus
     // this function) returns. If the ingest loop aborts early on an
@@ -163,7 +163,7 @@ mod tests {
         let world = Arc::new(DrivingWorld::new(WorldConfig::default()));
         let segments = vec![Segment {
             driver: 0,
-            behavior: Behavior::Talking,
+            behavior: CanonicalBehavior::Talking,
             start: 0.0,
             duration: 4.0,
         }];
@@ -186,7 +186,7 @@ mod tests {
         let world = Arc::new(DrivingWorld::new(WorldConfig::default()));
         let segments = vec![Segment {
             driver: 0,
-            behavior: Behavior::Texting,
+            behavior: CanonicalBehavior::Texting,
             start: 0.0,
             duration: 3.0,
         }];

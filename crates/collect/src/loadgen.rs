@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use darnet_sim::schedule::build_schedule;
-use darnet_sim::{Behavior, Frame, ImuSample, ScheduleConfig, Segment};
+use darnet_sim::{CanonicalBehavior, Frame, ImuSample, ScheduleConfig, Segment};
 use darnet_tensor::SplitMix64;
 
 use crate::agent::{AgentConfig, CollectionAgent, RetransmitConfig, SpillConfig};
@@ -184,7 +184,7 @@ pub struct FleetReport {
 /// thousands of instances, deterministic per seed, and shaped by the
 /// same scripts the single-session sensors follow.
 struct FleetSensor {
-    script: Arc<Vec<Segment<Behavior>>>,
+    script: Arc<Vec<Segment<CanonicalBehavior>>>,
     /// Script span in seconds (behaviour lookups wrap modulo this).
     span: f64,
     /// Per-agent phase offset into the script.
@@ -197,17 +197,13 @@ struct FleetSensor {
 }
 
 impl FleetSensor {
-    fn behavior_index(&self, t: f64) -> usize {
+    fn behavior(&self, t: f64) -> CanonicalBehavior {
         let local = if self.span > 0.0 {
             (t + self.phase).rem_euclid(self.span)
         } else {
             0.0
         };
-        let behavior = scripted_at(&self.script, local, Behavior::NormalDriving);
-        Behavior::ALL
-            .iter()
-            .position(|b| *b == behavior)
-            .unwrap_or(0)
+        scripted_at(&self.script, local, CanonicalBehavior::NormalDriving)
     }
 }
 
@@ -221,7 +217,7 @@ impl Sensor for FleetSensor {
     }
 
     fn sample(&mut self, t: f64) -> SensorReading {
-        let bi = self.behavior_index(t) as f32;
+        let bi = self.behavior(t).index() as f32;
         if self.frame_period > 0.0 && t + 1e-9 >= self.next_frame_t {
             while self.next_frame_t <= t + 1e-9 {
                 self.next_frame_t += self.frame_period;
@@ -302,13 +298,14 @@ pub fn run_fleet_into(
     let mut master_rng = SplitMix64::new(config.seed);
     let schedule = build_schedule(&config.schedule);
     let drivers = config.schedule.drivers.max(1);
-    let mut scripts: Vec<Vec<Segment<Behavior>>> = vec![Vec::new(); drivers];
+    let mut scripts: Vec<Vec<Segment<CanonicalBehavior>>> = vec![Vec::new(); drivers];
     for seg in schedule {
         if let Some(script) = scripts.get_mut(seg.driver) {
             script.push(seg);
         }
     }
-    let scripts: Vec<Arc<Vec<Segment<Behavior>>>> = scripts.into_iter().map(Arc::new).collect();
+    let scripts: Vec<Arc<Vec<Segment<CanonicalBehavior>>>> =
+        scripts.into_iter().map(Arc::new).collect();
     let spans: Vec<f64> = scripts
         .iter()
         .map(|s| s.last().map(|seg| seg.end()).unwrap_or(1.0))

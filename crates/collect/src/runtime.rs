@@ -32,7 +32,7 @@ use crate::agent::{
 use crate::clock::{ClockConfig, DriftClock};
 use crate::controller::{AlignedImuPoint, ControllerConfig, FrameRecord, StreamHealth};
 use crate::network::{Link, LinkConfig, LinkStats};
-use crate::sensor::{canonical_script, CameraView, ScriptedSensor, Sensor};
+use crate::sensor::{driver_script, CameraView, ScriptedSensor, Sensor};
 use crate::shard::Door;
 use crate::stream::StreamId;
 use crate::wal::{RecoveryReport, WalConfig, WalStats, WalStorage};
@@ -261,18 +261,6 @@ pub struct Durability {
     /// Garbage bytes appended to the WAL tail at each kill — the torn
     /// write a real crash leaves behind. Recovery must truncate them.
     pub torn_tail_bytes: usize,
-}
-
-impl Durability {
-    /// WAL-backed durability on a fresh in-memory store with default
-    /// tuning and no injected chaos — the "durable but hermetic" setup
-    /// used by tests and the fleet load generator.
-    pub fn in_memory() -> Self {
-        Durability {
-            storage: Some(Arc::new(crate::wal::MemStorage::new())),
-            ..Durability::default()
-        }
-    }
 }
 
 /// What the chaos machinery observed over one session.
@@ -533,8 +521,8 @@ fn validate(streams: &[StreamId], crashes: &[CrashWindow]) -> Result<()> {
 /// appends accepted batches to the WAL *before* acking them and is
 /// killed/restarted per `durability.crashes` (recovery replays the log
 /// into a fresh controller). The paper's deployment is
-/// [`StreamId::DARNET_PAIR`] over `build_schedule`'s 6-class script;
-/// `build_canonical_schedule`'s 8-class one passes in the same way.
+/// [`StreamId::DARNET_PAIR`] over `build_schedule`'s default 6-class
+/// script; a script with a drowsiness budget passes in the same way.
 ///
 /// The draw order is fixed — per stream its clock then its
 /// retransmission-jitter seed, then every data link, the sync link, every
@@ -550,17 +538,17 @@ fn validate(streams: &[StreamId], crashes: &[CrashWindow]) -> Result<()> {
 /// [`CollectError::Wal`] / [`CollectError::Recovery`] from the durability
 /// layer; [`CollectError::Overload`] if an agent's spill buffer hits its
 /// bound in strict (non-`drop_oldest`) mode.
-pub fn run_session<B: Copy + Into<CanonicalBehavior>>(
+pub fn run_session(
     world: &Arc<DrivingWorld>,
     driver: usize,
-    segments: &[Segment<B>],
+    segments: &[Segment<CanonicalBehavior>],
     config: &CampaignConfig,
     streams: &[StreamId],
     link_overrides: &[(StreamId, LinkConfig)],
     durability: &Durability,
 ) -> Result<Recording> {
     validate(streams, &durability.crashes)?;
-    let script = canonical_script(segments, driver);
+    let script = driver_script(segments, driver);
     run_streams(
         world,
         driver,
@@ -573,7 +561,7 @@ pub fn run_session<B: Copy + Into<CanonicalBehavior>>(
 }
 
 /// The session loop behind [`run_session`], over an already validated
-/// stream set and one driver's canonical script.
+/// stream set and one driver's script.
 fn run_streams(
     world: &Arc<DrivingWorld>,
     driver: usize,
@@ -850,9 +838,9 @@ fn run_streams(
 /// # Errors
 ///
 /// Propagates per-session errors.
-pub fn run_campaign<B: Copy + Into<CanonicalBehavior>>(
+pub fn run_campaign(
     world: &Arc<DrivingWorld>,
-    segments: &[Segment<B>],
+    segments: &[Segment<CanonicalBehavior>],
     config: &CampaignConfig,
     streams: &[StreamId],
     link_overrides: &[(StreamId, LinkConfig)],
@@ -882,19 +870,19 @@ mod tests {
     use super::*;
     use crate::network::FaultConfig;
     use crate::wal::MemStorage;
-    use darnet_sim::{Behavior, WorldConfig};
+    use darnet_sim::WorldConfig;
 
-    fn short_schedule() -> Vec<Segment<Behavior>> {
+    fn short_schedule() -> Vec<Segment<CanonicalBehavior>> {
         vec![
             Segment {
                 driver: 0,
-                behavior: Behavior::NormalDriving,
+                behavior: CanonicalBehavior::NormalDriving,
                 start: 0.0,
                 duration: 5.0,
             },
             Segment {
                 driver: 0,
-                behavior: Behavior::Texting,
+                behavior: CanonicalBehavior::Texting,
                 start: 5.0,
                 duration: 5.0,
             },
@@ -1382,7 +1370,7 @@ mod tests {
         let mut schedule = short_schedule();
         schedule.push(Segment {
             driver: 1,
-            behavior: Behavior::Talking,
+            behavior: CanonicalBehavior::Talking,
             start: 0.0,
             duration: 6.0,
         });

@@ -50,9 +50,12 @@ pub trait Sensor: Send {
 }
 
 /// Looks up the scripted class at session time `t` for a sorted,
-/// per-driver segment list, generic over the behaviour taxonomy. Falls
-/// back to `fallback` outside the script.
-pub(crate) fn scripted_at<B: Copy>(segments: &[Segment<B>], t: f64, fallback: B) -> B {
+/// per-driver segment list. Falls back to `fallback` outside the script.
+pub(crate) fn scripted_at(
+    segments: &[Segment<CanonicalBehavior>],
+    t: f64,
+    fallback: CanonicalBehavior,
+) -> CanonicalBehavior {
     // Segments are contiguous and sorted by start.
     let idx = segments.partition_point(|s| s.start <= t);
     if idx == 0 {
@@ -66,19 +69,15 @@ pub(crate) fn scripted_at<B: Copy>(segments: &[Segment<B>], t: f64, fallback: B)
     }
 }
 
-/// One driver's slice of a script in either taxonomy, as canonical
-/// segments. The Table-1 embedding keeps the class index, and the sim
-/// renders the six Table-1 classes bit-identically through either
-/// taxonomy, so a 6-class session is just a canonical session that never
-/// goes drowsy.
-pub(crate) fn canonical_script<B: Copy + Into<CanonicalBehavior>>(
-    segments: &[Segment<B>],
+/// One driver's slice of a script.
+pub(crate) fn driver_script(
+    segments: &[Segment<CanonicalBehavior>],
     driver: usize,
 ) -> Vec<Segment<CanonicalBehavior>> {
     segments
         .iter()
         .filter(|s| s.driver == driver)
-        .map(Segment::cast)
+        .copied()
         .collect()
 }
 
@@ -92,7 +91,7 @@ pub enum CameraView {
 }
 
 /// A sensor of the synthetic driving world following one driver's
-/// canonical script: the phone IMU (the paper's Nexus S agent:
+/// script: the phone IMU (the paper's Nexus S agent:
 /// accelerometer, gyroscope, gravity, and rotation listeners at 25 ms;
 /// drowsy classes emit micro-correction signatures instead of
 /// manipulation jitter) or a camera in one of two views of the same
@@ -180,25 +179,25 @@ impl Sensor for ScriptedSensor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use darnet_sim::{Behavior, WorldConfig};
+    use darnet_sim::WorldConfig;
 
-    fn script() -> Vec<Segment<Behavior>> {
+    fn script() -> Vec<Segment<CanonicalBehavior>> {
         vec![
             Segment {
                 driver: 0,
-                behavior: Behavior::NormalDriving,
+                behavior: CanonicalBehavior::NormalDriving,
                 start: 0.0,
                 duration: 15.0,
             },
             Segment {
                 driver: 0,
-                behavior: Behavior::Texting,
+                behavior: CanonicalBehavior::Texting,
                 start: 15.0,
                 duration: 15.0,
             },
             Segment {
                 driver: 0,
-                behavior: Behavior::Talking,
+                behavior: CanonicalBehavior::Talking,
                 start: 30.0,
                 duration: 15.0,
             },
@@ -208,29 +207,24 @@ mod tests {
     #[test]
     fn behavior_lookup_follows_script() {
         let s = script();
-        let at = |t| scripted_at(&s, t, Behavior::NormalDriving);
-        assert_eq!(at(0.0), Behavior::NormalDriving);
-        assert_eq!(at(16.0), Behavior::Texting);
-        assert_eq!(at(44.9), Behavior::Talking);
+        let at = |t| scripted_at(&s, t, CanonicalBehavior::NormalDriving);
+        assert_eq!(at(0.0), CanonicalBehavior::NormalDriving);
+        assert_eq!(at(16.0), CanonicalBehavior::Texting);
+        assert_eq!(at(44.9), CanonicalBehavior::Talking);
         // Past the end: the fallback.
-        assert_eq!(at(45.1), Behavior::NormalDriving);
+        assert_eq!(at(45.1), CanonicalBehavior::NormalDriving);
     }
 
     #[test]
-    fn canonical_script_keeps_one_driver_and_the_class_index() {
+    fn driver_script_keeps_one_driver() {
         let mut s = script();
         s.push(Segment {
             driver: 1,
-            behavior: Behavior::Reaching,
+            behavior: CanonicalBehavior::Reaching,
             start: 0.0,
             duration: 5.0,
         });
-        let canon = canonical_script(&s, 0);
-        assert_eq!(canon.len(), 3);
-        for (c, b) in canon.iter().zip(&s) {
-            assert_eq!(c.behavior.index(), b.behavior.index());
-            assert_eq!((c.driver, c.start, c.duration), (0, b.start, b.duration));
-        }
+        assert_eq!(driver_script(&s, 0), s[..3]);
     }
 
     #[test]
@@ -239,7 +233,7 @@ mod tests {
         let mut cam = ScriptedSensor::camera(
             world,
             0,
-            canonical_script(&script(), 0),
+            driver_script(&script(), 0),
             0.25,
             CameraView::Front,
         );
@@ -253,7 +247,7 @@ mod tests {
     #[test]
     fn imu_sensor_emits_samples() {
         let world = Arc::new(DrivingWorld::new(WorldConfig::default()));
-        let mut imu = ScriptedSensor::imu(world, 1, canonical_script(&script(), 0), 0.025);
+        let mut imu = ScriptedSensor::imu(world, 1, driver_script(&script(), 0), 0.025);
         let reading = imu.sample(20.0);
         assert!(reading.as_imu().is_some());
     }
@@ -261,7 +255,7 @@ mod tests {
     #[test]
     fn sensors_are_boxable_as_trait_objects() {
         let world = Arc::new(DrivingWorld::new(WorldConfig::default()));
-        let script = canonical_script(&script(), 0);
+        let script = driver_script(&script(), 0);
         let sensors: Vec<Box<dyn Sensor>> = vec![
             Box::new(ScriptedSensor::camera(
                 Arc::clone(&world),
@@ -314,28 +308,27 @@ mod tests {
         // Same instant, same scripted class, different geometry.
         assert_ne!(f.as_frame().unwrap(), s.as_frame().unwrap());
         assert!(imu.sample(2.0).as_imu().is_some());
-        // Base classes route through the Table-1 render path bitwise —
-        // what lets the 6-class session run on this one sensor.
-        let legacy = world.render_frame(0, Behavior::Texting, 12.0);
-        assert_eq!(front.sample(12.0).as_frame().unwrap(), &legacy);
-        let legacy_imu = world.imu_sample(0, Behavior::Texting, 12.0);
-        assert_eq!(imu.sample(12.0).as_imu().unwrap(), &legacy_imu);
+        // The sensors read the world at the scripted class.
+        let texting = world.render_canonical_frame(0, CanonicalBehavior::Texting, 12.0);
+        assert_eq!(front.sample(12.0).as_frame().unwrap(), &texting);
+        let texting_imu = world.imu_sample_canonical(0, CanonicalBehavior::Texting, 12.0);
+        assert_eq!(imu.sample(12.0).as_imu().unwrap(), &texting_imu);
     }
 
     #[test]
     fn unsorted_script_is_sorted_on_construction() {
         let world = Arc::new(DrivingWorld::new(WorldConfig::default()));
-        let mut rev = canonical_script(&script(), 0);
+        let mut rev = driver_script(&script(), 0);
         rev.reverse();
         let mut cam = ScriptedSensor::camera(Arc::clone(&world), 0, rev, 0.25, CameraView::Front);
         // Still resolves the right behaviour.
         assert_eq!(
             cam.sample(20.0).as_frame().unwrap(),
-            &world.render_frame(0, Behavior::Texting, 20.0)
+            &world.render_canonical_frame(0, CanonicalBehavior::Texting, 20.0)
         );
         assert_eq!(
             cam.sample(5.0).as_frame().unwrap(),
-            &world.render_frame(0, Behavior::NormalDriving, 5.0)
+            &world.render_canonical_frame(0, CanonicalBehavior::NormalDriving, 5.0)
         );
     }
 }

@@ -15,7 +15,7 @@ use darnet_collect::{
     run_fleet, AlignedImuPoint, ControllerConfig, FaultConfig, FleetConfig, FrameRecord,
     LinkConfig, LinkStats, ShardConfig, SpillStats, StreamHealth, StreamId, TransportStats,
 };
-use darnet_sim::{Behavior, CanonicalBehavior, DrivingWorld, Segment, WorldConfig};
+use darnet_sim::{CanonicalBehavior, DrivingWorld, Segment, WorldConfig};
 
 /// FNV-1a accumulator over the little-endian bytes of whatever is fed in.
 struct Fnv(u64);
@@ -143,7 +143,7 @@ fn world() -> Arc<DrivingWorld> {
     Arc::new(DrivingWorld::new(WorldConfig::default()))
 }
 
-fn segments<B: Copy>(behaviors: &[B], each: f64) -> Vec<Segment<B>> {
+fn segments(behaviors: &[CanonicalBehavior], each: f64) -> Vec<Segment<CanonicalBehavior>> {
     behaviors
         .iter()
         .enumerate()
@@ -187,9 +187,9 @@ fn durable_pair_session_digest_is_pinned() {
     };
     let script = segments(
         &[
-            Behavior::NormalDriving,
-            Behavior::Texting,
-            Behavior::Reaching,
+            CanonicalBehavior::NormalDriving,
+            CanonicalBehavior::Texting,
+            CanonicalBehavior::Reaching,
         ],
         4.0,
     );

@@ -149,21 +149,21 @@ proptest! {
 mod transport_props {
     use darnet_collect::runtime::{run_session, CampaignConfig, Durability, Recording};
     use darnet_collect::{RetransmitConfig, StreamId};
-    use darnet_sim::{Behavior, DrivingWorld, Segment, WorldConfig};
+    use darnet_sim::{CanonicalBehavior, DrivingWorld, Segment, WorldConfig};
     use proptest::prelude::*;
     use std::sync::Arc;
 
-    fn schedule() -> Vec<Segment<Behavior>> {
+    fn schedule() -> Vec<Segment<CanonicalBehavior>> {
         vec![
             Segment {
                 driver: 0,
-                behavior: Behavior::NormalDriving,
+                behavior: CanonicalBehavior::NormalDriving,
                 start: 0.0,
                 duration: 2.0,
             },
             Segment {
                 driver: 0,
-                behavior: Behavior::Texting,
+                behavior: CanonicalBehavior::Texting,
                 start: 2.0,
                 duration: 2.0,
             },

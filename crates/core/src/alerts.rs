@@ -9,7 +9,7 @@
 //! ("a high false positive rate for distracted driving would diminish the
 //! user experience", §5.2).
 
-use darnet_sim::Behavior;
+use darnet_sim::CanonicalBehavior;
 use serde::{Deserialize, Serialize};
 
 use crate::registry::MultiStepClassification;
@@ -43,7 +43,7 @@ pub enum AlertEvent {
     /// Nothing changed.
     None,
     /// A new alert was raised for the given behaviour.
-    Raised(Behavior),
+    Raised(CanonicalBehavior),
     /// The active alert cleared.
     Cleared,
 }
@@ -55,7 +55,7 @@ pub struct AlertTracker {
     distracted_streak: usize,
     normal_streak: usize,
     confidence_acc: f32,
-    active: Option<Behavior>,
+    active: Option<CanonicalBehavior>,
     raised_total: usize,
 }
 
@@ -73,7 +73,7 @@ impl AlertTracker {
     }
 
     /// The currently active alert, if any.
-    pub fn active(&self) -> Option<Behavior> {
+    pub fn active(&self) -> Option<CanonicalBehavior> {
         self.active
     }
 
@@ -83,14 +83,16 @@ impl AlertTracker {
     }
 
     /// Feeds one classification step; returns the transition it causes.
-    /// A step whose class lies outside the 6-behaviour taxonomy
-    /// ([`MultiStepClassification::behavior`] is `None`) changes nothing.
+    /// Every class but normal driving is a distraction, the drowsiness
+    /// classes included; a step whose class lies outside the cabin
+    /// taxonomy ([`MultiStepClassification::behavior`] is `None`) changes
+    /// nothing.
     pub fn observe(&mut self, step: &MultiStepClassification) -> AlertEvent {
         let Some(behavior) = step.behavior() else {
             return AlertEvent::None;
         };
         let confidence = step.scores.iter().cloned().fold(0.0f32, f32::max);
-        if behavior == Behavior::NormalDriving {
+        if behavior == CanonicalBehavior::NormalDriving {
             self.distracted_streak = 0;
             self.confidence_acc = 0.0;
             if self.active.is_some() {
@@ -126,8 +128,8 @@ mod tests {
     use super::*;
     use darnet_collect::StreamId;
 
-    fn step(behavior: Behavior, confidence: f32) -> MultiStepClassification {
-        let mut scores = vec![(1.0 - confidence) / 5.0; 6];
+    fn step(behavior: CanonicalBehavior, confidence: f32) -> MultiStepClassification {
+        let mut scores = vec![(1.0 - confidence) / 7.0; 8];
         scores[behavior.index()] = confidence;
         MultiStepClassification {
             class: behavior.index(),
@@ -141,18 +143,18 @@ mod tests {
     fn alert_fires_after_sustained_distraction() {
         let mut tracker = AlertTracker::new(AlertPolicy::default());
         assert_eq!(
-            tracker.observe(&step(Behavior::Texting, 0.9)),
+            tracker.observe(&step(CanonicalBehavior::Texting, 0.9)),
             AlertEvent::None
         );
         assert_eq!(
-            tracker.observe(&step(Behavior::Texting, 0.9)),
+            tracker.observe(&step(CanonicalBehavior::Texting, 0.9)),
             AlertEvent::None
         );
         assert_eq!(
-            tracker.observe(&step(Behavior::Texting, 0.9)),
-            AlertEvent::Raised(Behavior::Texting)
+            tracker.observe(&step(CanonicalBehavior::Texting, 0.9)),
+            AlertEvent::Raised(CanonicalBehavior::Texting)
         );
-        assert_eq!(tracker.active(), Some(Behavior::Texting));
+        assert_eq!(tracker.active(), Some(CanonicalBehavior::Texting));
         assert_eq!(tracker.raised_total(), 1);
     }
 
@@ -161,15 +163,15 @@ mod tests {
         let mut tracker = AlertTracker::new(AlertPolicy::default());
         for _ in 0..10 {
             assert_eq!(
-                tracker.observe(&step(Behavior::Talking, 0.9)),
+                tracker.observe(&step(CanonicalBehavior::Talking, 0.9)),
                 AlertEvent::None
             );
             assert_eq!(
-                tracker.observe(&step(Behavior::Talking, 0.9)),
+                tracker.observe(&step(CanonicalBehavior::Talking, 0.9)),
                 AlertEvent::None
             );
             assert_eq!(
-                tracker.observe(&step(Behavior::NormalDriving, 0.9)),
+                tracker.observe(&step(CanonicalBehavior::NormalDriving, 0.9)),
                 AlertEvent::None
             );
         }
@@ -180,7 +182,7 @@ mod tests {
     fn low_confidence_streaks_do_not_alert() {
         let mut tracker = AlertTracker::new(AlertPolicy::default());
         for _ in 0..6 {
-            let event = tracker.observe(&step(Behavior::Reaching, 0.3));
+            let event = tracker.observe(&step(CanonicalBehavior::Reaching, 0.3));
             assert_eq!(event, AlertEvent::None);
         }
         assert_eq!(tracker.active(), None);
@@ -190,17 +192,17 @@ mod tests {
     fn alert_clears_after_sustained_normal_driving() {
         let mut tracker = AlertTracker::new(AlertPolicy::default());
         for _ in 0..3 {
-            tracker.observe(&step(Behavior::Texting, 0.9));
+            tracker.observe(&step(CanonicalBehavior::Texting, 0.9));
         }
         assert!(tracker.active().is_some());
         for _ in 0..3 {
             assert_eq!(
-                tracker.observe(&step(Behavior::NormalDriving, 0.8)),
+                tracker.observe(&step(CanonicalBehavior::NormalDriving, 0.8)),
                 AlertEvent::None
             );
         }
         assert_eq!(
-            tracker.observe(&step(Behavior::NormalDriving, 0.8)),
+            tracker.observe(&step(CanonicalBehavior::NormalDriving, 0.8)),
             AlertEvent::Cleared
         );
         assert_eq!(tracker.active(), None);
@@ -210,15 +212,15 @@ mod tests {
     fn distraction_interrupts_clearing() {
         let mut tracker = AlertTracker::new(AlertPolicy::default());
         for _ in 0..3 {
-            tracker.observe(&step(Behavior::Talking, 0.9));
+            tracker.observe(&step(CanonicalBehavior::Talking, 0.9));
         }
         // Two normal steps, then distraction again: the clear streak
         // resets and the alert stays up.
-        tracker.observe(&step(Behavior::NormalDriving, 0.8));
-        tracker.observe(&step(Behavior::NormalDriving, 0.8));
-        tracker.observe(&step(Behavior::Talking, 0.9));
+        tracker.observe(&step(CanonicalBehavior::NormalDriving, 0.8));
+        tracker.observe(&step(CanonicalBehavior::NormalDriving, 0.8));
+        tracker.observe(&step(CanonicalBehavior::Talking, 0.9));
         for _ in 0..3 {
-            tracker.observe(&step(Behavior::NormalDriving, 0.8));
+            tracker.observe(&step(CanonicalBehavior::NormalDriving, 0.8));
         }
         assert!(tracker.active().is_some(), "clear streak should have reset");
     }
@@ -231,12 +233,33 @@ mod tests {
             min_confidence: 0.0,
         });
         assert_eq!(
-            tracker.observe(&step(Behavior::HairMakeup, 0.4)),
-            AlertEvent::Raised(Behavior::HairMakeup)
+            tracker.observe(&step(CanonicalBehavior::HairMakeup, 0.4)),
+            AlertEvent::Raised(CanonicalBehavior::HairMakeup)
         );
         assert_eq!(
-            tracker.observe(&step(Behavior::NormalDriving, 0.4)),
+            tracker.observe(&step(CanonicalBehavior::NormalDriving, 0.4)),
             AlertEvent::Cleared
         );
+    }
+
+    #[test]
+    fn a_drowsy_streak_raises_an_alert() {
+        let mut tracker = AlertTracker::new(AlertPolicy::default());
+        let drowsy = step(CanonicalBehavior::EyesClosing, 0.9);
+        assert_eq!(tracker.observe(&drowsy), AlertEvent::None);
+        assert_eq!(tracker.observe(&drowsy), AlertEvent::None);
+        assert_eq!(
+            tracker.observe(&drowsy),
+            AlertEvent::Raised(CanonicalBehavior::EyesClosing)
+        );
+        // A class outside the taxonomy changes nothing.
+        let outside = MultiStepClassification {
+            class: 8,
+            scores: vec![0.1; 9],
+            ..drowsy
+        };
+        let before = tracker.clone();
+        assert_eq!(tracker.observe(&outside), AlertEvent::None);
+        assert_eq!(tracker, before);
     }
 }

@@ -96,8 +96,8 @@ pub struct Sample {
     pub t: f64,
     /// Driver id.
     pub driver: usize,
-    /// Ground-truth class. A 6-class script only produces classes with a
-    /// [`CanonicalBehavior::base`].
+    /// Ground-truth class. A 6-class script only produces classes of
+    /// [`CanonicalBehavior::TABLE1`].
     pub class: CanonicalBehavior,
     /// One frame per camera of [`Dataset::cameras`], in that order: the
     /// anchor frame, then each other camera's frame nearest in time.
@@ -135,9 +135,9 @@ impl Dataset {
     ///
     /// Returns [`CoreError::Dataset`] if the recordings disagree on their
     /// camera streams or contain frames of inconsistent sizes.
-    pub fn from_recordings<B: Copy + Into<CanonicalBehavior>>(
+    pub fn from_recordings(
         recordings: &[Recording],
-        segments: &[Segment<B>],
+        segments: &[Segment<CanonicalBehavior>],
     ) -> Result<Self> {
         let cameras_of = |rec: &Recording| rec.frames.iter().map(|(s, _)| *s).collect::<Vec<_>>();
         let cameras = recordings.first().map(cameras_of).unwrap_or_default();
@@ -157,7 +157,7 @@ impl Dataset {
             let mut script: Vec<Segment<CanonicalBehavior>> = segments
                 .iter()
                 .filter(|s| s.driver == rec.driver)
-                .map(Segment::cast)
+                .copied()
                 .collect();
             script.sort_by(|a, b| a.start.total_cmp(&b.start));
             for tup in pair_frames_with_windows(anchor, &rec.imu, WINDOW_LEN) {
@@ -652,10 +652,10 @@ pub fn frames_to_tensor_into(frames: &[Frame], out: &mut Tensor) -> Result<()> {
 mod tests {
     use super::*;
     use darnet_collect::runtime::{run_campaign, CampaignConfig};
-    use darnet_sim::{Behavior, WorldConfig};
+    use darnet_sim::WorldConfig;
     use std::sync::Arc;
 
-    fn script<B: Copy>(behaviors: &[B], each: f64) -> Vec<Segment<B>> {
+    fn script(behaviors: &[CanonicalBehavior], each: f64) -> Vec<Segment<CanonicalBehavior>> {
         behaviors
             .iter()
             .enumerate()
@@ -673,9 +673,9 @@ mod tests {
         let world = Arc::new(DrivingWorld::new(WorldConfig::default()));
         let segments = script(
             &[
-                Behavior::NormalDriving,
-                Behavior::Texting,
-                Behavior::Talking,
+                CanonicalBehavior::NormalDriving,
+                CanonicalBehavior::Texting,
+                CanonicalBehavior::Talking,
             ],
             6.0,
         );
@@ -858,7 +858,7 @@ mod tests {
         let expected: Vec<usize> = ds
             .samples()
             .iter()
-            .map(|s| s.class.base().unwrap().imu_class().index())
+            .map(|s| s.class.imu_class().index())
             .collect();
         assert_eq!(ds.labels3(), expected);
     }

@@ -33,9 +33,6 @@ use crate::Result;
 pub struct NaryBayesianCombiner {
     classes: usize,
     parent_cards: Vec<usize>,
-    /// Per-parent tempering exponent applied to that parent's posterior
-    /// before marginalization; `1.0` is neutral (and bitwise-invisible).
-    parent_weights: Vec<f32>,
     /// `cpt[c][a₀]…[aₖ]`, flattened lexicographically.
     cpt: Vec<f32>,
     alpha: f32,
@@ -48,33 +45,13 @@ impl NaryBayesianCombiner {
     /// smoothing `alpha`.
     pub fn new(classes: usize, parent_cards: Vec<usize>, alpha: f32) -> Self {
         let stride: usize = parent_cards.iter().product();
-        let weights = vec![1.0; parent_cards.len()];
         NaryBayesianCombiner {
             classes,
-            parent_weights: weights,
             cpt: vec![0.0; classes * stride],
             parent_cards,
             alpha,
             fitted: false,
         }
-    }
-
-    /// Sets per-parent tempering weights (posterior exponents). A weight
-    /// of `1.0` leaves that parent untouched bitwise.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the weight count does not match the parents.
-    pub fn with_weights(mut self, weights: Vec<f32>) -> Result<Self> {
-        if weights.len() != self.parent_cards.len() {
-            return Err(CoreError::Dataset(format!(
-                "{} weights for {} parents",
-                weights.len(),
-                self.parent_cards.len()
-            )));
-        }
-        self.parent_weights = weights;
-        Ok(self)
     }
 
     /// Number of output classes.
@@ -270,11 +247,9 @@ impl NaryBayesianCombiner {
             return;
         }
         let card = self.parent_cards[depth];
-        let weight = self.parent_weights[depth];
         match parents[depth] {
             Some(probs) => {
                 for (a, &p) in probs.iter().enumerate().take(card) {
-                    let p = if weight == 1.0 { p } else { p.powf(weight) };
                     let w_new = w * p;
                     if w_new == 0.0 {
                         continue;
@@ -285,7 +260,6 @@ impl NaryBayesianCombiner {
             None => {
                 // Absent parent: marginalize with a uniform posterior.
                 let p = 1.0 / card as f32;
-                let p = if weight == 1.0 { p } else { p.powf(weight) };
                 for a in 0..card {
                     let w_new = w * p;
                     if w_new == 0.0 {
@@ -541,24 +515,5 @@ mod tests {
         // Wrong widths and wrong parent counts are dataset errors.
         assert!(nary.combine_n(&[&[0.5; 5][..], &[0.5; 3][..]]).is_err());
         assert!(nary.combine_n(&[&[0.5; 6][..]]).is_err());
-    }
-
-    #[test]
-    fn neutral_weights_are_bitwise_invisible() {
-        let nary = fitted_pair(0xEE);
-        let weighted = nary.clone().with_weights(vec![1.0, 1.0]).unwrap();
-        let mut rng = SplitMix64::new(11);
-        let cnn = random_rows(&mut rng, 1, 6, false);
-        let imu = random_rows(&mut rng, 1, 3, false);
-        let a = nary.combine_n(&[&cnn, &imu]).unwrap();
-        let b = weighted.combine_n(&[&cnn, &imu]).unwrap();
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        // A non-neutral weight changes the posterior.
-        let tempered = nary.clone().with_weights(vec![1.0, 2.0]).unwrap();
-        let c = tempered.combine_n(&[&cnn, &imu]).unwrap();
-        assert_ne!(a, c);
-        assert!(nary.clone().with_weights(vec![1.0]).is_err());
     }
 }

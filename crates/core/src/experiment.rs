@@ -9,12 +9,10 @@ use darnet_collect::runtime::{run_campaign, CampaignConfig, Recording};
 use darnet_collect::{FaultConfig, LinkConfig, StreamId};
 use darnet_nn::SvmConfig;
 use darnet_sim::schedule::{
-    build_canonical_schedule, build_extended_schedule, CanonicalScheduleConfig,
-    ExtendedScheduleConfig, ScheduleConfig, TABLE1_FRAME_COUNTS,
+    build_extended_schedule, build_schedule, ExtendedScheduleConfig, ScheduleConfig,
+    TABLE1_FRAME_COUNTS,
 };
-use darnet_sim::{
-    Behavior, CanonicalBehavior, DrivingWorld, ExtendedBehavior, Frame, Segment, WorldConfig,
-};
+use darnet_sim::{CanonicalBehavior, DrivingWorld, ExtendedBehavior, Frame, Segment, WorldConfig};
 use darnet_tensor::{SplitMix64, Tensor};
 
 use crate::dataset::{Dataset, ExtendedFrameDataset, IMU_FEATURES, WINDOW_LEN};
@@ -117,13 +115,11 @@ fn collect(
         frame_size: config.frame_size,
         seed: config.seed,
     }));
-    let schedule = build_canonical_schedule(&CanonicalScheduleConfig {
-        base: ScheduleConfig {
-            drivers: config.drivers,
-            scale: config.scale,
-            ..ScheduleConfig::default()
-        },
+    let schedule = build_schedule(&ScheduleConfig {
+        drivers: config.drivers,
+        scale: config.scale,
         drowsy_seconds_per_class: drowsy_seconds,
+        ..ScheduleConfig::default()
     });
     let recordings = run_campaign(&world, &schedule, campaign, streams, link_overrides)?;
     Ok((recordings, schedule))
@@ -184,7 +180,7 @@ pub struct Table1Report {
 pub fn run_table1(config: &ExperimentConfig) -> Result<Table1Report> {
     let dataset = collect_multimodal(config)?;
     let counts = dataset.class_counts();
-    let rows = Behavior::ALL
+    let rows = CanonicalBehavior::TABLE1
         .iter()
         .enumerate()
         .map(|(i, b)| Table1Row {
@@ -599,7 +595,7 @@ pub fn run_fig4(dir: &std::path::Path, seed: u64) -> Result<Vec<std::path::PathB
         seed,
         ..WorldConfig::default()
     });
-    let frame = world.render_frame(0, Behavior::Texting, 3.0);
+    let frame = world.render_canonical_frame(0, CanonicalBehavior::Texting, 3.0);
     let downsampler = Downsampler::new(frame.width());
     let mut paths = Vec::new();
     let write = |name: &str, f: &Frame| -> Result<std::path::PathBuf> {
@@ -648,10 +644,7 @@ pub fn run_ablation_combiner(stack: &TrainedStack) -> Result<CombinerAblation> {
         ModalityDescriptor::darnet_imu(),
     );
     let product_preds = pair_predictions(cnn_probs, rnn_probs, |c, m, scores| {
-        let parents = [
-            (Some(c), &camera.class_map, camera.weight),
-            (Some(m), &imu.class_map, imu.weight),
-        ];
+        let parents = [(Some(c), &camera.class_map), (Some(m), &imu.class_map)];
         product_combine_subset_into(&parents, 6, scores)
     })?;
     let cnn_preds = stack.cnn_probs_eval.argmax_rows()?;
@@ -778,11 +771,11 @@ pub fn run_ablation_pretrain(config: &ExperimentConfig) -> Result<PretrainAblati
     let mut proxy_frames = Vec::new();
     let mut proxy_labels = Vec::new();
     let per_class = (train.len() / 6).max(8);
-    for b in Behavior::ALL {
+    for b in CanonicalBehavior::TABLE1 {
         for k in 0..per_class {
             let driver = k % 8;
             let t = k as f64 * 0.83 + b.index() as f64 * 11.0;
-            proxy_frames.push(proxy_world.render_frame(driver, b, t));
+            proxy_frames.push(proxy_world.render_canonical_frame(driver, b, t));
             proxy_labels.push(b.index());
         }
     }
@@ -894,13 +887,13 @@ pub fn run_ablation_distill(
 // Multiview N-stream ablation (modality registry, DESIGN.md §17)
 // ---------------------------------------------------------------------
 
-/// The canonical 8-class → IMU-class projection: each canonical class
-/// keeps the IMU class of its base behaviour, and the drowsiness cues —
-/// which leave both hands on the wheel — collapse onto the wheel class.
+/// The 8-class → IMU-class projection: each class's
+/// [`CanonicalBehavior::imu_class`] — the drowsiness cues, which leave
+/// both hands on the wheel, collapse onto the wheel class.
 pub fn canonical_imu_projection() -> Vec<usize> {
     CanonicalBehavior::ALL
         .iter()
-        .map(|b| b.base().map_or(0, |base| base.imu_class().index()))
+        .map(|b| b.imu_class().index())
         .collect()
 }
 

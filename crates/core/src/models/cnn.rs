@@ -427,7 +427,7 @@ impl std::fmt::Debug for FrameCnn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use darnet_sim::{Behavior, DriverProfile, FrameRenderer};
+    use darnet_sim::{CanonicalBehavior, DriverProfile, FrameRenderer};
 
     fn tiny_config() -> CnnConfig {
         CnnConfig {
@@ -444,9 +444,9 @@ mod tests {
         // Visually distinct classes at 24×24: normal / reaching / hair.
         let renderer = FrameRenderer::new(seed).with_size(24).with_noise(0.02);
         let classes = [
-            Behavior::NormalDriving,
-            Behavior::Reaching,
-            Behavior::HairMakeup,
+            CanonicalBehavior::NormalDriving,
+            CanonicalBehavior::Reaching,
+            CanonicalBehavior::HairMakeup,
         ];
         let driver = DriverProfile::generate(0, 42);
         let mut data = Vec::new();

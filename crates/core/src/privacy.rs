@@ -229,7 +229,7 @@ pub fn distill_dcnn(
 mod tests {
     use super::*;
     use crate::models::CnnConfig;
-    use darnet_sim::{Behavior, DriverProfile, FrameRenderer};
+    use darnet_sim::{CanonicalBehavior, DriverProfile, FrameRenderer};
 
     #[test]
     fn levels_have_paper_ratios() {
@@ -256,7 +256,7 @@ mod tests {
     fn distortion_loses_information_monotonically() {
         let renderer = FrameRenderer::new(5).with_noise(0.0);
         let driver = DriverProfile::generate(0, 42);
-        let frame = renderer.render(&driver, Behavior::Texting, 1.0);
+        let frame = renderer.render(&driver, CanonicalBehavior::Texting, 1.0);
         let ds = Downsampler::new(48);
         let l1 = |a: &Frame, b: &Frame| -> f32 {
             a.pixels()
@@ -293,7 +293,7 @@ mod tests {
         let renderer = FrameRenderer::new(9).with_size(24);
         let driver = DriverProfile::generate(0, 42);
         let frames: Vec<Frame> = (0..24)
-            .map(|i| renderer.render(&driver, Behavior::ALL[i % 6], i as f64 * 0.4))
+            .map(|i| renderer.render(&driver, CanonicalBehavior::TABLE1[i % 6], i as f64 * 0.4))
             .collect();
         let d_config = DistillConfig {
             epochs: 4,

@@ -1,7 +1,7 @@
 //! The modular analytics engine (paper §3.3): "a 1-to-1 mapping between
 //! device data-streams and models, combined at a later stage". Streams
 //! are an ordered registry, each described by a [`ModalityDescriptor`]
-//! (identity, class mapping, fusion weight) and served by a
+//! (identity and class mapping) and served by a
 //! [`StreamModelSlot`]; the stream count is a parameter, and the paper's
 //! camera + IMU pair is [`MultiModalEngine::darnet_pair`].
 //!
@@ -19,7 +19,7 @@
 use serde::{Deserialize, Serialize};
 
 use darnet_collect::StreamId;
-use darnet_sim::{Behavior, Frame};
+use darnet_sim::{CanonicalBehavior, Frame};
 use darnet_tensor::{Parallelism, Tensor, Workspace};
 
 use crate::dataset::frames_to_tensor_into;
@@ -129,27 +129,16 @@ pub struct ModalityDescriptor {
     pub name: String,
     /// Native→canonical class mapping.
     pub class_map: ClassMap,
-    /// Fusion weight: a tempering exponent on the stream's posterior in
-    /// the product rule (and available to the N-ary combiner). `1.0` is
-    /// neutral and bitwise-invisible.
-    pub weight: f32,
 }
 
 impl ModalityDescriptor {
-    /// A descriptor with the default name and neutral weight.
+    /// A descriptor with the default name.
     pub fn new(id: StreamId, class_map: ClassMap) -> Self {
         ModalityDescriptor {
             name: id.label(),
             id,
             class_map,
-            weight: 1.0,
         }
-    }
-
-    /// Sets the fusion weight.
-    pub fn with_weight(mut self, weight: f32) -> Self {
-        self.weight = weight;
-        self
     }
 
     /// The paper's front-camera descriptor (identity over the canonical
@@ -272,12 +261,12 @@ impl StreamInput<'_> {
 /// absent.
 // darlint: hot
 pub fn product_combine_subset_into(
-    parents: &[(Option<&[f32]>, &ClassMap, f32)],
+    parents: &[(Option<&[f32]>, &ClassMap)],
     classes: usize,
     scores: &mut Vec<f32>,
 ) -> Result<()> {
     let mut present = 0usize;
-    for (k, (probs, map, _)) in parents.iter().enumerate() {
+    for (k, (probs, map)) in parents.iter().enumerate() {
         let Some(probs) = probs else { continue };
         present += 1;
         let want = map.native_classes(classes);
@@ -300,13 +289,12 @@ pub fn product_combine_subset_into(
     scores.clear();
     for c in 0..classes {
         let mut acc: Option<f32> = None;
-        for (probs, map, weight) in parents {
+        for (probs, map) in parents {
             let Some(probs) = probs else { continue };
             let f = match map {
                 ClassMap::Identity => probs[c],
                 ClassMap::Projection(m) => probs[m[c]].max(1e-6),
             };
-            let f = if *weight == 1.0 { f } else { f.powf(*weight) };
             acc = Some(match acc {
                 None => f,
                 Some(a) => a * f,
@@ -397,10 +385,10 @@ pub struct MultiStepClassification {
 }
 
 impl MultiStepClassification {
-    /// The fused class as a DarNet behaviour: `None` when the index lies
-    /// outside the 6-class taxonomy (an engine over another class space).
-    pub fn behavior(&self) -> Option<Behavior> {
-        Behavior::from_index(self.class)
+    /// The fused class as a cabin behaviour: `None` when the index lies
+    /// outside the 8-class taxonomy (an engine over another class space).
+    pub fn behavior(&self) -> Option<CanonicalBehavior> {
+        CanonicalBehavior::from_index(self.class)
     }
 }
 
@@ -930,13 +918,13 @@ impl MultiModalEngine {
                 )),
             },
             CombinerKind::Product => {
-                let mut factors: [(Option<&[f32]>, &ClassMap, f32); MAX_STREAMS] =
-                    [(None, &ClassMap::Identity, 1.0); MAX_STREAMS];
+                let mut factors: [(Option<&[f32]>, &ClassMap); MAX_STREAMS] =
+                    [(None, &ClassMap::Identity); MAX_STREAMS];
                 let n = self.streams.len().min(parents.len());
                 for (factor, (stream, row)) in
                     factors.iter_mut().zip(self.streams.iter().zip(parents))
                 {
-                    *factor = (*row, &stream.descriptor.class_map, stream.descriptor.weight);
+                    *factor = (*row, &stream.descriptor.class_map);
                 }
                 product_combine_subset_into(&factors[..n], classes, scores)
             }
@@ -1112,12 +1100,12 @@ mod tests {
         let renderer = FrameRenderer::new(7).with_size(24);
         let driver = DriverProfile::generate(0, 42);
         let behaviors = [
-            Behavior::NormalDriving,
-            Behavior::Reaching,
-            Behavior::HairMakeup,
-            Behavior::Talking,
-            Behavior::Texting,
-            Behavior::EatingDrinking,
+            CanonicalBehavior::NormalDriving,
+            CanonicalBehavior::Reaching,
+            CanonicalBehavior::HairMakeup,
+            CanonicalBehavior::Talking,
+            CanonicalBehavior::Texting,
+            CanonicalBehavior::EatingDrinking,
         ];
         let frames: Vec<Frame> = (0..n)
             .map(|i| renderer.render(&driver, behaviors[i % behaviors.len()], i as f64 * 0.31))
@@ -1193,7 +1181,7 @@ mod tests {
     fn projection_expansion_matches_legacy_imu_only_formula() {
         let map = ClassMap::darnet_imu();
         // The projection is the taxonomy's own 6→3 assignment.
-        let taxonomy = Behavior::ALL.map(|b| b.imu_class().index());
+        let taxonomy = CanonicalBehavior::TABLE1.map(|b| b.imu_class().index());
         assert_eq!(map, ClassMap::Projection(taxonomy.to_vec()));
         let imu = [0.5f32, 0.3, 0.2];
         let mut scores = Vec::new();
@@ -1214,8 +1202,8 @@ mod tests {
         let mut scores = Vec::new();
         product_combine_subset_into(
             &[
-                (Some(&cnn[..]), &camera.class_map, camera.weight),
-                (Some(&imu[..]), &imu_desc.class_map, imu_desc.weight),
+                (Some(&cnn[..]), &camera.class_map),
+                (Some(&imu[..]), &imu_desc.class_map),
             ],
             6,
             &mut scores,
@@ -1226,11 +1214,9 @@ mod tests {
         // The floor: a zero IMU class cannot fully veto the CNN.
         assert!(scores[1] > 0.0);
         // Width mismatches and an all-absent parent list are errors.
-        let short = [(Some(&cnn[..5]), &camera.class_map, 1.0)];
+        let short = [(Some(&cnn[..5]), &camera.class_map)];
         assert!(product_combine_subset_into(&short, 6, &mut scores).is_err());
-        assert!(
-            product_combine_subset_into(&[(None, &camera.class_map, 1.0)], 6, &mut scores).is_err()
-        );
+        assert!(product_combine_subset_into(&[(None, &camera.class_map)], 6, &mut scores).is_err());
     }
 
     #[test]
@@ -1260,7 +1246,7 @@ mod tests {
                     got.scores[got.class],
                     want.iter().copied().fold(0.0, f32::max)
                 );
-                assert_eq!(got.behavior(), Behavior::from_index(got.class));
+                assert_eq!(got.behavior(), CanonicalBehavior::from_index(got.class));
                 assert_eq!(got.used, vec![StreamId::CAMERA_FRONT, StreamId::IMU]);
                 assert!(!got.degraded);
             }

@@ -32,10 +32,10 @@ use darnet_core::{
     MultiModalEngine, MultiStepClassification, NaryBayesianCombiner, RnnConfig, StreamInput,
     StreamModelSlot,
 };
-use darnet_sim::schedule::{
-    build_canonical_schedule, build_schedule, CanonicalScheduleConfig, ScheduleConfig,
+use darnet_sim::schedule::{build_schedule, ScheduleConfig};
+use darnet_sim::{
+    CanonicalBehavior, DriverProfile, DrivingWorld, Frame, FrameRenderer, WorldConfig,
 };
-use darnet_sim::{Behavior, DriverProfile, DrivingWorld, Frame, FrameRenderer, WorldConfig};
 use darnet_tensor::{SplitMix64, Tensor};
 
 /// FNV-1a accumulator over the little-endian bytes of whatever is fed in.
@@ -116,8 +116,8 @@ fn product_fuse(cnn: &[f32], imu: &[f32]) -> Vec<f32> {
         ModalityDescriptor::darnet_imu(),
     );
     let parents = [
-        (Some(cnn), &camera.class_map, camera.weight),
-        (Some(imu), &imu_desc.class_map, imu_desc.weight),
+        (Some(cnn), &camera.class_map),
+        (Some(imu), &imu_desc.class_map),
     ];
     let mut scores = Vec::new();
     product_combine_subset_into(&parents, 6, &mut scores).unwrap();
@@ -175,7 +175,7 @@ fn tiny_batch(n: usize) -> (Vec<Frame>, Tensor) {
     let renderer = FrameRenderer::new(7).with_size(FRAME);
     let driver = DriverProfile::generate(0, 42);
     let frames = (0..n)
-        .map(|i| renderer.render(&driver, Behavior::ALL[i % 6], i as f64 * 0.31))
+        .map(|i| renderer.render(&driver, CanonicalBehavior::TABLE1[i % 6], i as f64 * 0.31))
         .collect();
     let mut rng = SplitMix64::new(0xBA7C);
     let mut windows = Tensor::zeros(&[n, WINDOW_LEN, IMU_FEATURES]);
@@ -486,9 +486,9 @@ fn three_stream_dataset_digest() {
     campaign.retransmit = RetransmitConfig::disabled();
     // The constant the retired 3-stream front-end mixed into every seed.
     campaign.seed ^= 0xCA40_0515_0A11_ED00;
-    let schedule = build_canonical_schedule(&CanonicalScheduleConfig {
-        base,
+    let schedule = build_schedule(&ScheduleConfig {
         drowsy_seconds_per_class: 4.0,
+        ..base
     });
     let streams = [StreamId::IMU, StreamId::CAMERA_FRONT, StreamId::CAMERA_SIDE];
     let lossy_side = LinkConfig {

@@ -51,10 +51,7 @@ fn pair_product(cnn_row: &[f32], imu_row: &[f32]) -> darnet_core::Result<Vec<f32
     let (camera, imu_map) = (ClassMap::Identity, ClassMap::darnet_imu());
     let mut scores = Vec::new();
     product_combine_subset_into(
-        &[
-            (Some(cnn_row), &camera, 1.0),
-            (Some(imu_row), &imu_map, 1.0),
-        ],
+        &[(Some(cnn_row), &camera), (Some(imu_row), &imu_map)],
         6,
         &mut scores,
     )?;

@@ -1,104 +1,9 @@
-//! Behaviour taxonomies: the paper's 6-class driving set (Table 1), the
-//! 18-class extended set used by the dCNN privacy study (§5.3), and the
-//! 3-class phone-orientation set the IMU models operate on.
+//! Behaviour taxonomies: the cabin set (the paper's six Table-1 classes
+//! plus two drowsiness classes), the 18-class extended set used by the
+//! dCNN privacy study (§5.3), and the 3-class phone-orientation set the
+//! IMU models operate on.
 
 use serde::{Deserialize, Serialize};
-
-/// The six driver behaviour classes of the paper's Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub enum Behavior {
-    /// Class 1 — both hands on the wheel, attention forward.
-    NormalDriving,
-    /// Class 2 — phone held to the ear.
-    Talking,
-    /// Class 3 — phone held between waist and eye level.
-    Texting,
-    /// Class 4 — eating or drinking (cup/food near the mouth).
-    EatingDrinking,
-    /// Class 5 — hair and makeup (hand near the top of the head).
-    HairMakeup,
-    /// Class 6 — reaching toward the passenger side or back seat.
-    Reaching,
-}
-
-impl Behavior {
-    /// All six classes in Table 1 order.
-    pub const ALL: [Behavior; 6] = [
-        Behavior::NormalDriving,
-        Behavior::Talking,
-        Behavior::Texting,
-        Behavior::EatingDrinking,
-        Behavior::HairMakeup,
-        Behavior::Reaching,
-    ];
-
-    /// Zero-based class index (Table 1 class number minus one).
-    pub fn index(self) -> usize {
-        match self {
-            Behavior::NormalDriving => 0,
-            Behavior::Talking => 1,
-            Behavior::Texting => 2,
-            Behavior::EatingDrinking => 3,
-            Behavior::HairMakeup => 4,
-            Behavior::Reaching => 5,
-        }
-    }
-
-    /// The class for a zero-based index.
-    ///
-    /// Returns `None` if `index >= 6`.
-    pub fn from_index(index: usize) -> Option<Behavior> {
-        Behavior::ALL.get(index).copied()
-    }
-
-    /// Human-readable name matching Table 1.
-    pub fn name(self) -> &'static str {
-        match self {
-            Behavior::NormalDriving => "Normal Driving",
-            Behavior::Talking => "Talking",
-            Behavior::Texting => "Texting",
-            Behavior::EatingDrinking => "Eating/Drinking",
-            Behavior::HairMakeup => "Hair and Makeup",
-            Behavior::Reaching => "Reaching",
-        }
-    }
-
-    /// The phone-orientation class the driver's mobile device is in during
-    /// this behaviour.
-    ///
-    /// Per the paper, classes 4–6 do not involve the phone, which sits in
-    /// the driver's front-right pocket — the "Normal Driving" position for
-    /// the IMU stream.
-    pub fn imu_class(self) -> ImuClass {
-        match self {
-            Behavior::Talking => ImuClass::Talking,
-            Behavior::Texting => ImuClass::Texting,
-            _ => ImuClass::Normal,
-        }
-    }
-
-    /// Whether task-specific IMU data exists for this behaviour (the
-    /// phone is actively used only while talking or texting).
-    pub fn has_task_imu(self) -> bool {
-        matches!(self, Behavior::Talking | Behavior::Texting)
-    }
-
-    /// Whether Table 1 lists an IMU data type for this class (classes 1–3
-    /// — normal driving contributes pocket-orientation IMU data; classes
-    /// 4–6 are recorded as image-only).
-    pub fn table1_has_imu(self) -> bool {
-        matches!(
-            self,
-            Behavior::NormalDriving | Behavior::Talking | Behavior::Texting
-        )
-    }
-}
-
-impl std::fmt::Display for Behavior {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// Phone-orientation classes for the IMU stream.
 ///
@@ -150,14 +55,14 @@ impl std::fmt::Display for ImuClass {
     }
 }
 
-/// The 8-class canonical multi-stream taxonomy: the paper's six Table-1
-/// behaviours plus two drowsiness classes (eye closure and head droop)
-/// that only a multi-view, multi-modality stack separates reliably —
-/// drowsiness cues live in the face/head geometry (frames) and in
-/// steering micro-corrections (IMU), not in hand position.
+/// The cabin behaviour taxonomy: the paper's six Table-1 classes (indices
+/// 0–5, in Table 1 order) plus two drowsiness classes (eye closure and
+/// head droop) that only a multi-view, multi-modality stack separates
+/// reliably — drowsiness cues live in the face/head geometry (frames) and
+/// in steering micro-corrections (IMU), not in hand position.
 ///
-/// The first six indices coincide with [`Behavior`] so 6-class models and
-/// labels embed directly into the canonical set.
+/// A 6-class model or script is this taxonomy restricted to
+/// [`CanonicalBehavior::TABLE1`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum CanonicalBehavior {
     /// Class 1 — both hands on the wheel, attention forward.
@@ -166,9 +71,9 @@ pub enum CanonicalBehavior {
     Talking,
     /// Class 3 — phone held between waist and eye level.
     Texting,
-    /// Class 4 — eating or drinking.
+    /// Class 4 — eating or drinking (cup/food near the mouth).
     EatingDrinking,
-    /// Class 5 — hair and makeup.
+    /// Class 5 — hair and makeup (hand near the top of the head).
     HairMakeup,
     /// Class 6 — reaching toward the passenger side or back seat.
     Reaching,
@@ -191,7 +96,18 @@ impl CanonicalBehavior {
         CanonicalBehavior::HeadDroop,
     ];
 
-    /// Zero-based class index.
+    /// The six classes of the paper's Table 1, in its order.
+    pub const TABLE1: [CanonicalBehavior; 6] = [
+        CanonicalBehavior::NormalDriving,
+        CanonicalBehavior::Talking,
+        CanonicalBehavior::Texting,
+        CanonicalBehavior::EatingDrinking,
+        CanonicalBehavior::HairMakeup,
+        CanonicalBehavior::Reaching,
+    ];
+
+    /// Zero-based class index (Table 1 class number minus one for the
+    /// first six).
     pub fn index(self) -> usize {
         match self {
             CanonicalBehavior::NormalDriving => 0,
@@ -210,22 +126,46 @@ impl CanonicalBehavior {
         CanonicalBehavior::ALL.get(index).copied()
     }
 
-    /// Human-readable name.
+    /// Human-readable name (Table 1's for its six classes).
     pub fn name(self) -> &'static str {
         match self {
+            CanonicalBehavior::NormalDriving => "Normal Driving",
+            CanonicalBehavior::Talking => "Talking",
+            CanonicalBehavior::Texting => "Texting",
+            CanonicalBehavior::EatingDrinking => "Eating/Drinking",
+            CanonicalBehavior::HairMakeup => "Hair and Makeup",
+            CanonicalBehavior::Reaching => "Reaching",
             CanonicalBehavior::EyesClosing => "Eyes Closing",
             CanonicalBehavior::HeadDroop => "Head Droop",
-            other => match other.base() {
-                Some(b) => b.name(),
-                None => "Unknown",
-            },
         }
     }
 
-    /// The Table-1 behaviour this class embeds, or `None` for the two
-    /// drowsiness classes.
-    pub fn base(self) -> Option<Behavior> {
-        Behavior::from_index(self.index())
+    /// The phone-orientation class the driver's mobile device is in during
+    /// this behaviour.
+    ///
+    /// Per the paper, classes 4–6 do not involve the phone, which sits in
+    /// the driver's front-right pocket — the "Normal Driving" position for
+    /// the IMU stream. A drowsy driver's hands stay on the wheel, so the
+    /// drowsiness classes are pocket-orientation too.
+    pub fn imu_class(self) -> ImuClass {
+        match self {
+            CanonicalBehavior::Talking => ImuClass::Talking,
+            CanonicalBehavior::Texting => ImuClass::Texting,
+            _ => ImuClass::Normal,
+        }
+    }
+
+    /// Whether Table 1 lists an IMU data type for this class (classes 1–3
+    /// — normal driving contributes pocket-orientation IMU data; classes
+    /// 4–6 are recorded as image-only; the drowsiness classes are not in
+    /// Table 1).
+    pub fn table1_has_imu(self) -> bool {
+        matches!(
+            self,
+            CanonicalBehavior::NormalDriving
+                | CanonicalBehavior::Talking
+                | CanonicalBehavior::Texting
+        )
     }
 
     /// Whether this is one of the two drowsiness classes.
@@ -235,12 +175,17 @@ impl CanonicalBehavior {
             CanonicalBehavior::EyesClosing | CanonicalBehavior::HeadDroop
         )
     }
-}
 
-/// Embeds a Table-1 behaviour into the canonical set (same index).
-impl From<Behavior> for CanonicalBehavior {
-    fn from(b: Behavior) -> CanonicalBehavior {
-        CanonicalBehavior::ALL[b.index()]
+    /// The class's seed salt for the dash camera and the IMU: the Table-1
+    /// classes use their index and the drowsiness classes `200 + index`,
+    /// so adding the drowsiness classes moved no Table-1 output.
+    pub(crate) fn salt(self) -> u64 {
+        let index = self.index() as u64;
+        if self.is_drowsy() {
+            200 + index
+        } else {
+            index
+        }
     }
 }
 
@@ -356,29 +301,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn behavior_indices_roundtrip() {
-        for (i, b) in Behavior::ALL.iter().enumerate() {
-            assert_eq!(b.index(), i);
-            assert_eq!(Behavior::from_index(i), Some(*b));
-        }
-        assert_eq!(Behavior::from_index(6), None);
-    }
-
-    #[test]
     fn imu_mapping_matches_table1_data_types() {
-        assert_eq!(Behavior::NormalDriving.imu_class(), ImuClass::Normal);
-        assert_eq!(Behavior::Talking.imu_class(), ImuClass::Talking);
-        assert_eq!(Behavior::Texting.imu_class(), ImuClass::Texting);
-        // Classes 4–6 are "Normal Driving" for the IMU per Table 1.
-        assert_eq!(Behavior::EatingDrinking.imu_class(), ImuClass::Normal);
-        assert_eq!(Behavior::HairMakeup.imu_class(), ImuClass::Normal);
-        assert_eq!(Behavior::Reaching.imu_class(), ImuClass::Normal);
-    }
-
-    #[test]
-    fn only_phone_classes_have_task_imu() {
-        let with_imu: Vec<_> = Behavior::ALL.iter().filter(|b| b.has_task_imu()).collect();
-        assert_eq!(with_imu.len(), 2);
+        assert_eq!(
+            CanonicalBehavior::NormalDriving.imu_class(),
+            ImuClass::Normal
+        );
+        assert_eq!(CanonicalBehavior::Talking.imu_class(), ImuClass::Talking);
+        assert_eq!(CanonicalBehavior::Texting.imu_class(), ImuClass::Texting);
+        // Classes 4–6 are "Normal Driving" for the IMU per Table 1, and a
+        // drowsy driver's phone stays in the pocket too.
+        for c in &CanonicalBehavior::ALL[3..] {
+            assert_eq!(c.imu_class(), ImuClass::Normal, "{c}");
+        }
+        let with_imu: Vec<_> = CanonicalBehavior::ALL
+            .into_iter()
+            .filter(|c| c.table1_has_imu())
+            .collect();
+        assert_eq!(with_imu, CanonicalBehavior::TABLE1[..3]);
     }
 
     #[test]
@@ -389,17 +328,16 @@ mod tests {
             assert_eq!(CanonicalBehavior::from_index(i), Some(*c));
         }
         assert_eq!(CanonicalBehavior::from_index(8), None);
-        // The first six indices coincide with Behavior.
-        for b in Behavior::ALL {
-            let c = CanonicalBehavior::from(b);
-            assert_eq!(c.index(), b.index());
-            assert_eq!(c.base(), Some(b));
+        // Table 1 is the first six classes; they salt with their index.
+        assert_eq!(CanonicalBehavior::TABLE1[..], CanonicalBehavior::ALL[..6]);
+        for c in CanonicalBehavior::TABLE1 {
             assert!(!c.is_drowsy());
+            assert_eq!(c.salt(), c.index() as u64);
         }
         assert!(CanonicalBehavior::EyesClosing.is_drowsy());
         assert!(CanonicalBehavior::HeadDroop.is_drowsy());
-        assert_eq!(CanonicalBehavior::EyesClosing.base(), None);
-        assert_eq!(CanonicalBehavior::HeadDroop.base(), None);
+        assert_eq!(CanonicalBehavior::EyesClosing.salt(), 206);
+        assert_eq!(CanonicalBehavior::HeadDroop.salt(), 207);
     }
 
     #[test]
@@ -422,7 +360,7 @@ mod tests {
 
     #[test]
     fn display_names_are_nonempty() {
-        for b in Behavior::ALL {
+        for b in CanonicalBehavior::ALL {
             assert!(!b.to_string().is_empty());
         }
         for b in ExtendedBehavior::ALL {

@@ -19,7 +19,7 @@
 
 use darnet_tensor::SplitMix64;
 
-use crate::behavior::{Behavior, CanonicalBehavior, ExtendedBehavior};
+use crate::behavior::{CanonicalBehavior, ExtendedBehavior};
 use crate::driver::DriverProfile;
 use crate::frame::{Canvas, Frame};
 
@@ -60,9 +60,10 @@ pub(crate) struct PoseSpec {
 const WHEEL_LEFT: (f32, f32) = (10.0, 35.0);
 const WHEEL_RIGHT: (f32, f32) = (19.0, 36.0);
 
-pub(crate) fn pose_for_behavior(b: Behavior) -> PoseSpec {
-    match b {
-        Behavior::NormalDriving => PoseSpec {
+/// The base pose of a cabin class, before [`ambiguate`].
+pub(crate) fn pose_for(class: CanonicalBehavior) -> PoseSpec {
+    match class {
+        CanonicalBehavior::NormalDriving => PoseSpec {
             right_hand: WHEEL_RIGHT,
             left_hand: WHEEL_LEFT,
             prop: None,
@@ -74,7 +75,7 @@ pub(crate) fn pose_for_behavior(b: Behavior) -> PoseSpec {
         // Phone at the ear: prop is small and partially occluded by the
         // head, arm bent upward — at 48x48 the silhouette stays close to
         // normal driving.
-        Behavior::Talking => PoseSpec {
+        CanonicalBehavior::Talking => PoseSpec {
             right_hand: (29.0, 15.0),
             left_hand: WHEEL_LEFT,
             prop: Some(Prop::Phone),
@@ -85,7 +86,7 @@ pub(crate) fn pose_for_behavior(b: Behavior) -> PoseSpec {
         },
         // Phone near the waist: small low-contrast prop against the torso,
         // slight head-down tilt.
-        Behavior::Texting => PoseSpec {
+        CanonicalBehavior::Texting => PoseSpec {
             right_hand: (25.0, 29.0),
             left_hand: WHEEL_LEFT,
             prop: Some(Prop::Phone),
@@ -95,7 +96,7 @@ pub(crate) fn pose_for_behavior(b: Behavior) -> PoseSpec {
             lean: 0.0,
         },
         // Bright cup at the mouth: visually distinctive.
-        Behavior::EatingDrinking => PoseSpec {
+        CanonicalBehavior::EatingDrinking => PoseSpec {
             right_hand: (27.0, 17.0),
             left_hand: WHEEL_LEFT,
             prop: Some(Prop::Cup),
@@ -105,7 +106,7 @@ pub(crate) fn pose_for_behavior(b: Behavior) -> PoseSpec {
             lean: 0.0,
         },
         // Hand above the head: a high edge no other class has.
-        Behavior::HairMakeup => PoseSpec {
+        CanonicalBehavior::HairMakeup => PoseSpec {
             right_hand: (25.0, 6.0),
             left_hand: WHEEL_LEFT,
             prop: Some(Prop::Brush),
@@ -115,7 +116,7 @@ pub(crate) fn pose_for_behavior(b: Behavior) -> PoseSpec {
             lean: 0.0,
         },
         // Arm fully extended to the passenger side with a body lean.
-        Behavior::Reaching => PoseSpec {
+        CanonicalBehavior::Reaching => PoseSpec {
             right_hand: (44.0, 24.0),
             left_hand: WHEEL_LEFT,
             prop: None,
@@ -124,15 +125,47 @@ pub(crate) fn pose_for_behavior(b: Behavior) -> PoseSpec {
             head_turn: 3.0,
             lean: 3.5,
         },
+        // Drowsiness: hands stay on the wheel (the silhouette is a
+        // near-normal driving pose — the discriminative cue is the
+        // face/head, which the dash view carries weakly and the side view
+        // strongly).
+        CanonicalBehavior::EyesClosing => PoseSpec {
+            right_hand: WHEEL_RIGHT,
+            left_hand: WHEEL_LEFT,
+            prop: None,
+            prop_intensity: 0.0,
+            head_tilt: 1.0,
+            head_turn: 0.0,
+            lean: 0.0,
+        },
+        CanonicalBehavior::HeadDroop => PoseSpec {
+            right_hand: WHEEL_RIGHT,
+            left_hand: WHEEL_LEFT,
+            prop: None,
+            prop_intensity: 0.0,
+            head_tilt: 4.5,
+            head_turn: 0.0,
+            lean: 0.5,
+        },
     }
 }
 
-/// Injects the class-conditional pose ambiguity that makes the frame-only
-/// problem hard: normal / talking / texting draw the right hand from
-/// overlapping regions, so at 48×48 the only reliable cue separating them
-/// is the faint phone — which the paper's CNN also struggles with
-/// (Figure 5c).
-pub(crate) fn ambiguate_pose(pose: &mut PoseSpec, behavior: Behavior, rng: &mut SplitMix64) {
+/// Injects the class-conditional per-frame variation and returns the
+/// eyelid-closure degree in `[0, 1]` (0 = eyes open, drawn as no overlay;
+/// always 0 for the Table-1 classes).
+///
+/// Normal / talking / texting draw the right hand from overlapping
+/// regions, so at 48×48 the only reliable cue separating them is the
+/// faint phone — which the paper's CNN also struggles with (Figure 5c).
+/// Eye closure oscillates — drowsy drivers blink open — so a minority of
+/// `EyesClosing` frames are nearly indistinguishable from normal driving
+/// in the dash view, which is exactly the occlusion regime where the
+/// side-view stream earns its keep.
+pub(crate) fn ambiguate(
+    pose: &mut PoseSpec,
+    class: CanonicalBehavior,
+    rng: &mut SplitMix64,
+) -> f32 {
     const WAIST: (f32, f32) = (25.0, 28.0);
     const FACE: (f32, f32) = (28.0, 16.0);
     // Shared right-hand mixture for the three phone-relevant classes: the
@@ -168,15 +201,15 @@ pub(crate) fn ambiguate_pose(pose: &mut PoseSpec, behavior: Behavior, rng: &mut 
             )
         }
     };
-    match behavior {
-        Behavior::NormalDriving => {
+    match class {
+        CanonicalBehavior::NormalDriving => {
             let (_, hand) = mixture(rng, 0.5, 0.25);
             pose.right_hand = hand;
             pose.prop = None;
             pose.head_tilt = rng.uniform(-1.5, 1.5);
             pose.head_turn = rng.uniform(-1.0, 1.5);
         }
-        Behavior::Texting => {
+        CanonicalBehavior::Texting => {
             let (region, hand) = mixture(rng, 0.2, 0.6);
             pose.right_hand = hand;
             pose.head_tilt = rng.uniform(-1.5, 1.5);
@@ -190,7 +223,7 @@ pub(crate) fn ambiguate_pose(pose: &mut PoseSpec, behavior: Behavior, rng: &mut 
                 pose.prop = None;
             }
         }
-        Behavior::Talking => {
+        CanonicalBehavior::Talking => {
             let (region, hand) = mixture(rng, 0.2, 0.2);
             pose.right_hand = hand;
             pose.head_tilt = rng.uniform(-1.5, 1.5);
@@ -203,7 +236,7 @@ pub(crate) fn ambiguate_pose(pose: &mut PoseSpec, behavior: Behavior, rng: &mut 
             }
         }
         // Eating: hand near the mouth with a mostly-visible bright cup.
-        Behavior::EatingDrinking => {
+        CanonicalBehavior::EatingDrinking => {
             pose.right_hand = (27.0 + rng.uniform(-2.0, 2.0), 17.0 + rng.uniform(-2.0, 2.0));
             pose.head_tilt = rng.uniform(-1.0, 0.5);
             pose.head_turn = rng.uniform(-0.5, 1.0);
@@ -213,7 +246,7 @@ pub(crate) fn ambiguate_pose(pose: &mut PoseSpec, behavior: Behavior, rng: &mut 
             }
         }
         // Hair/makeup: hand anywhere between crown and ear level.
-        Behavior::HairMakeup => {
+        CanonicalBehavior::HairMakeup => {
             pose.right_hand = (25.5 + rng.uniform(-2.5, 2.5), 7.0 + rng.uniform(-1.5, 3.0));
             pose.head_tilt += rng.uniform(-1.0, 1.0);
             pose.prop_intensity = rng.uniform(0.20, 0.40);
@@ -223,7 +256,7 @@ pub(crate) fn ambiguate_pose(pose: &mut PoseSpec, behavior: Behavior, rng: &mut 
         }
         // Reaching is a sweep: early-reach frames sit close to a normal
         // driving pose (the paper's CNN misclassifies reaching as normal).
-        Behavior::Reaching => {
+        CanonicalBehavior::Reaching => {
             // Bias toward the extended phase; only a minority of frames
             // catch the ambiguous start of the sweep.
             let progress = rng.next_f32().sqrt();
@@ -235,78 +268,33 @@ pub(crate) fn ambiguate_pose(pose: &mut PoseSpec, behavior: Behavior, rng: &mut 
             pose.head_turn = 3.0 * progress + rng.uniform(-1.0, 1.0);
             pose.head_tilt = rng.uniform(-1.0, 1.0);
         }
-    }
-}
-
-/// Base pose for the two drowsiness classes: hands stay on the wheel (the
-/// silhouette is a near-normal driving pose — the discriminative cue is
-/// the face/head, which the dash view carries weakly and the side view
-/// strongly).
-pub(crate) fn pose_for_drowsy(c: CanonicalBehavior) -> PoseSpec {
-    match c {
-        CanonicalBehavior::HeadDroop => PoseSpec {
-            right_hand: WHEEL_RIGHT,
-            left_hand: WHEEL_LEFT,
-            prop: None,
-            prop_intensity: 0.0,
-            head_tilt: 4.5,
-            head_turn: 0.0,
-            lean: 0.5,
-        },
-        // EyesClosing (and any future drowsiness onset class): nominal
-        // posture, only the eyelids give it away.
-        _ => PoseSpec {
-            right_hand: WHEEL_RIGHT,
-            left_hand: WHEEL_LEFT,
-            prop: None,
-            prop_intensity: 0.0,
-            head_tilt: 1.0,
-            head_turn: 0.0,
-            lean: 0.0,
-        },
-    }
-}
-
-/// Samples per-frame drowsiness variation and returns the eyelid-closure
-/// degree in `[0, 1]` (0 = eyes open, drawn as no overlay).
-///
-/// Eye closure oscillates — drowsy drivers blink open — so a minority of
-/// `EyesClosing` frames are nearly indistinguishable from normal driving
-/// in the dash view, which is exactly the occlusion regime where the
-/// side-view stream earns its keep.
-pub(crate) fn ambiguate_drowsy(
-    pose: &mut PoseSpec,
-    c: CanonicalBehavior,
-    rng: &mut SplitMix64,
-) -> f32 {
-    match c {
-        CanonicalBehavior::HeadDroop => {
-            pose.head_tilt += rng.uniform(-0.5, 2.0);
-            pose.head_turn += rng.uniform(-1.0, 1.0);
-            pose.lean += rng.uniform(-0.3, 0.8);
-            rng.uniform(0.7, 1.0)
-        }
-        _ => {
+        CanonicalBehavior::EyesClosing => {
             pose.head_tilt += rng.uniform(-0.5, 1.0);
             pose.head_turn += rng.uniform(-0.8, 0.8);
-            if rng.next_f32() < 0.15 {
+            return if rng.next_f32() < 0.15 {
                 // Momentarily blinked open.
                 rng.uniform(0.05, 0.25)
             } else {
                 rng.uniform(0.55, 0.95)
-            }
+            };
+        }
+        CanonicalBehavior::HeadDroop => {
+            pose.head_tilt += rng.uniform(-0.5, 2.0);
+            pose.head_turn += rng.uniform(-1.0, 1.0);
+            pose.lean += rng.uniform(-0.3, 0.8);
+            return rng.uniform(0.7, 1.0);
         }
     }
+    0.0
 }
 
 pub(crate) fn pose_for_extended(b: ExtendedBehavior) -> PoseSpec {
     use ExtendedBehavior as E;
-    let base = |bb: Behavior| pose_for_behavior(bb);
     match b {
-        E::NormalDriving => base(Behavior::NormalDriving),
-        E::TalkingRight => base(Behavior::Talking),
+        E::NormalDriving => pose_for(CanonicalBehavior::NormalDriving),
+        E::TalkingRight => pose_for(CanonicalBehavior::Talking),
         E::TalkingLeft => {
-            let mut p = base(Behavior::Talking);
+            let mut p = pose_for(CanonicalBehavior::Talking);
             // Mirror the phone arm to the left ear; right hand returns to
             // the wheel.
             p.left_hand = (18.0, 14.0);
@@ -314,9 +302,9 @@ pub(crate) fn pose_for_extended(b: ExtendedBehavior) -> PoseSpec {
             p.head_turn = -1.0;
             p
         }
-        E::TextingRight => base(Behavior::Texting),
+        E::TextingRight => pose_for(CanonicalBehavior::Texting),
         E::TextingLeft => {
-            let mut p = base(Behavior::Texting);
+            let mut p = pose_for(CanonicalBehavior::Texting);
             p.left_hand = (21.0, 29.0);
             p.right_hand = WHEEL_RIGHT;
             p
@@ -330,9 +318,9 @@ pub(crate) fn pose_for_extended(b: ExtendedBehavior) -> PoseSpec {
             head_turn: 2.0,
             lean: 0.5,
         },
-        E::Drinking => base(Behavior::EatingDrinking),
+        E::Drinking => pose_for(CanonicalBehavior::EatingDrinking),
         E::Eating => {
-            let mut p = base(Behavior::EatingDrinking);
+            let mut p = pose_for(CanonicalBehavior::EatingDrinking);
             p.prop = Some(Prop::Food);
             p.right_hand = (26.0, 18.0);
             p
@@ -346,16 +334,16 @@ pub(crate) fn pose_for_extended(b: ExtendedBehavior) -> PoseSpec {
             head_turn: 0.5,
             lean: 0.0,
         },
-        E::Hair => base(Behavior::HairMakeup),
+        E::Hair => pose_for(CanonicalBehavior::HairMakeup),
         E::Makeup => {
-            let mut p = base(Behavior::HairMakeup);
+            let mut p = pose_for(CanonicalBehavior::HairMakeup);
             p.right_hand = (26.0, 11.0);
             p.head_tilt = -0.3;
             p
         }
-        E::ReachingSide => base(Behavior::Reaching),
+        E::ReachingSide => pose_for(CanonicalBehavior::Reaching),
         E::ReachingBack => {
-            let mut p = base(Behavior::Reaching);
+            let mut p = pose_for(CanonicalBehavior::Reaching);
             p.right_hand = (41.0, 12.0);
             p.head_turn = 4.0;
             p.lean = 2.5;
@@ -453,44 +441,23 @@ impl FrameRenderer {
         )
     }
 
-    /// Renders a frame for one of the 6 Table-1 behaviours.
+    /// Renders a dash-view frame for one of the 8 cabin classes.
     ///
     /// Classes 1–3 (normal / talking / texting) draw their right-hand
     /// position from *overlapping* distributions and carry only a faint
     /// phone cue, making them deliberately hard for a frame-only model —
     /// the regime the paper's Figure 5c documents (36% CNN texting
-    /// accuracy).
-    pub fn render(&self, driver: &DriverProfile, behavior: Behavior, t: f64) -> Frame {
-        let mut rng = self.rng_for(behavior.index() as u64, driver, t);
-        let mut pose = pose_for_behavior(behavior);
-        ambiguate_pose(&mut pose, behavior, &mut rng);
-        self.render_pose(driver, &pose, &mut rng, t, 0.0)
-    }
-
-    /// Renders a dash-view frame for one of the 8 canonical classes.
-    ///
-    /// The six Table-1 classes delegate to [`FrameRenderer::render`] and
-    /// are bit-identical to it; the two drowsiness classes use fresh seed
-    /// salts (200+) so existing 6-class output is untouched.
-    pub fn render_canonical(
-        &self,
-        driver: &DriverProfile,
-        class: CanonicalBehavior,
-        t: f64,
-    ) -> Frame {
-        match class.base() {
-            Some(b) => self.render(driver, b, t),
-            None => {
-                let mut rng = self.rng_for(200 + class.index() as u64, driver, t);
-                let mut pose = pose_for_drowsy(class);
-                let eyelid = ambiguate_drowsy(&mut pose, class, &mut rng);
-                self.render_pose(driver, &pose, &mut rng, t, eyelid)
-            }
-        }
+    /// accuracy). The drowsiness classes keep a near-normal silhouette and
+    /// draw an eyelid band.
+    pub fn render(&self, driver: &DriverProfile, class: CanonicalBehavior, t: f64) -> Frame {
+        let mut rng = self.rng_for(class.salt(), driver, t);
+        let mut pose = pose_for(class);
+        let eyelid = ambiguate(&mut pose, class, &mut rng);
+        self.render_pose(driver, &pose, &mut rng, t, eyelid)
     }
 
     /// Renders a side-view frame (camera on the passenger-side A-pillar)
-    /// for one of the 8 canonical classes.
+    /// for one of the 8 cabin classes.
     ///
     /// The profile geometry makes head droop and eye closure far more
     /// visible than the dash view does, while hand/prop cues compress
@@ -498,18 +465,8 @@ impl FrameRenderer {
     /// fusion papers exploit. Uses its own seed salt range (300+).
     pub fn render_side(&self, driver: &DriverProfile, class: CanonicalBehavior, t: f64) -> Frame {
         let mut rng = self.rng_for(300 + class.index() as u64, driver, t);
-        let (pose, eyelid) = match class.base() {
-            Some(b) => {
-                let mut pose = pose_for_behavior(b);
-                ambiguate_pose(&mut pose, b, &mut rng);
-                (pose, 0.0)
-            }
-            None => {
-                let mut pose = pose_for_drowsy(class);
-                let eyelid = ambiguate_drowsy(&mut pose, class, &mut rng);
-                (pose, eyelid)
-            }
-        };
+        let mut pose = pose_for(class);
+        let eyelid = ambiguate(&mut pose, class, &mut rng);
         self.render_pose_side(driver, &pose, &mut rng, t, eyelid)
     }
 
@@ -603,8 +560,8 @@ impl FrameRenderer {
         );
 
         // Eyelid band: a dark bar across eye height, darker the more
-        // closed the eyes are. Zero closure draws nothing, so the six
-        // legacy classes are bit-identical to the pre-drowsiness renderer.
+        // closed the eyes are. Zero closure (every Table-1 class) draws
+        // nothing.
         if eyelid > 0.0 {
             let tone = ((0.58 + driver.brightness) * lighting * (1.0 - 0.6 * eyelid)).max(0.05);
             fill_rect(
@@ -957,16 +914,20 @@ mod tests {
     #[test]
     fn rendering_is_deterministic() {
         let r = FrameRenderer::new(7);
-        let a = r.render(&driver(), Behavior::Texting, 1.0);
-        let b = r.render(&driver(), Behavior::Texting, 1.0);
-        assert_eq!(a, b);
+        for c in CanonicalBehavior::ALL {
+            assert_eq!(
+                r.render(&driver(), c, 1.0),
+                r.render(&driver(), c, 1.0),
+                "{c}"
+            );
+        }
     }
 
     #[test]
     fn different_behaviors_render_differently() {
         let r = FrameRenderer::new(7).with_noise(0.0);
-        let normal = r.render(&driver(), Behavior::NormalDriving, 1.0);
-        let reach = r.render(&driver(), Behavior::Reaching, 1.0);
+        let normal = r.render(&driver(), CanonicalBehavior::NormalDriving, 1.0);
+        let reach = r.render(&driver(), CanonicalBehavior::Reaching, 1.0);
         let diff: f32 = normal
             .pixels()
             .iter()
@@ -993,9 +954,9 @@ mod tests {
         let mut sim_tr = 0.0;
         for i in 0..10 {
             let t = i as f64 * 0.7;
-            let texting = r.render(&d, Behavior::Texting, t);
-            let talking = r.render(&d, Behavior::Talking, t);
-            let reaching = r.render(&d, Behavior::Reaching, t);
+            let texting = r.render(&d, CanonicalBehavior::Texting, t);
+            let talking = r.render(&d, CanonicalBehavior::Talking, t);
+            let reaching = r.render(&d, CanonicalBehavior::Reaching, t);
             sim_tt += l1(&texting, &talking);
             sim_tr += l1(&texting, &reaching);
         }
@@ -1008,7 +969,7 @@ mod tests {
     #[test]
     fn all_pixels_in_range() {
         let r = FrameRenderer::new(9);
-        for b in Behavior::ALL {
+        for b in CanonicalBehavior::ALL {
             let f = r.render(&driver(), b, 3.3);
             assert!(f.pixels().iter().all(|&p| (0.0..=1.0).contains(&p)));
         }
@@ -1041,8 +1002,8 @@ mod tests {
         let r = FrameRenderer::new(13).with_noise(0.0);
         let d0 = DriverProfile::generate(0, 42);
         let d1 = DriverProfile::generate(1, 42);
-        let f0 = r.render(&d0, Behavior::NormalDriving, 1.0);
-        let f1 = r.render(&d1, Behavior::NormalDriving, 1.0);
+        let f0 = r.render(&d0, CanonicalBehavior::NormalDriving, 1.0);
+        let f1 = r.render(&d1, CanonicalBehavior::NormalDriving, 1.0);
         let full_diff: f32 = f0
             .pixels()
             .iter()
@@ -1066,30 +1027,12 @@ mod tests {
     }
 
     #[test]
-    fn canonical_base_classes_match_legacy_render_bitwise() {
-        let r = FrameRenderer::new(7);
+    fn drowsy_classes_render_distinctly() {
         let d = driver();
-        for b in Behavior::ALL {
-            let legacy = r.render(&d, b, 2.5);
-            let canonical = r.render_canonical(&d, CanonicalBehavior::from(b), 2.5);
-            assert_eq!(legacy, canonical, "class {b} diverged");
-        }
-    }
-
-    #[test]
-    fn drowsy_classes_render_deterministically_and_distinctly() {
-        let r = FrameRenderer::new(7);
-        let d = driver();
-        for c in [CanonicalBehavior::EyesClosing, CanonicalBehavior::HeadDroop] {
-            let a = r.render_canonical(&d, c, 1.0);
-            let b = r.render_canonical(&d, c, 1.0);
-            assert_eq!(a, b);
-            assert!(a.pixels().iter().all(|&p| (0.0..=1.0).contains(&p)));
-        }
         let rq = FrameRenderer::new(7).with_noise(0.0);
-        let eyes = rq.render_canonical(&d, CanonicalBehavior::EyesClosing, 1.0);
-        let droop = rq.render_canonical(&d, CanonicalBehavior::HeadDroop, 1.0);
-        let normal = rq.render_canonical(&d, CanonicalBehavior::NormalDriving, 1.0);
+        let eyes = rq.render(&d, CanonicalBehavior::EyesClosing, 1.0);
+        let droop = rq.render(&d, CanonicalBehavior::HeadDroop, 1.0);
+        let normal = rq.render(&d, CanonicalBehavior::NormalDriving, 1.0);
         let l1 = |a: &Frame, b: &Frame| -> f32 {
             a.pixels()
                 .iter()
@@ -1112,7 +1055,7 @@ mod tests {
             assert!(a.pixels().iter().all(|&p| (0.0..=1.0).contains(&p)));
         }
         let rq = FrameRenderer::new(7).with_noise(0.0);
-        let dash = rq.render_canonical(&d, CanonicalBehavior::HeadDroop, 2.0);
+        let dash = rq.render(&d, CanonicalBehavior::HeadDroop, 2.0);
         let side = rq.render_side(&d, CanonicalBehavior::HeadDroop, 2.0);
         let diff: f32 = dash
             .pixels()
@@ -1142,8 +1085,8 @@ mod tests {
         for i in 0..10 {
             let t = i as f64 * 0.9;
             dash_gap += l1(
-                &r.render_canonical(&d, CanonicalBehavior::HeadDroop, t),
-                &r.render_canonical(&d, CanonicalBehavior::NormalDriving, t),
+                &r.render(&d, CanonicalBehavior::HeadDroop, t),
+                &r.render(&d, CanonicalBehavior::NormalDriving, t),
             );
             side_gap += l1(
                 &r.render_side(&d, CanonicalBehavior::HeadDroop, t),
@@ -1159,7 +1102,7 @@ mod tests {
     #[test]
     fn custom_canvas_size_scales_geometry() {
         let r = FrameRenderer::new(15).with_size(24);
-        let f = r.render(&driver(), Behavior::NormalDriving, 0.0);
+        let f = r.render(&driver(), CanonicalBehavior::NormalDriving, 0.0);
         assert_eq!(f.width(), 24);
         assert_eq!(f.height(), 24);
     }

@@ -9,7 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::behavior::{Behavior, CanonicalBehavior, ExtendedBehavior};
+use crate::behavior::{CanonicalBehavior, ExtendedBehavior};
 
 /// Frame counts per class from the paper's Table 1.
 pub const TABLE1_FRAME_COUNTS: [usize; 6] = [5_286, 10_352, 9_422, 9_463, 4_848, 17_709];
@@ -38,22 +38,10 @@ impl<B: Copy> Segment<B> {
     pub fn contains(&self, t: f64) -> bool {
         t >= self.start && t < self.end()
     }
-
-    /// The same span scripted in a taxonomy `B` embeds into.
-    pub fn cast<C>(&self) -> Segment<C>
-    where
-        B: Into<C>,
-    {
-        Segment {
-            driver: self.driver,
-            behavior: self.behavior.into(),
-            start: self.start,
-            duration: self.duration,
-        }
-    }
 }
 
-/// Configuration of a 6-class collection campaign.
+/// Configuration of a cabin collection campaign: the paper's Table-1
+/// script, plus an optional drowsiness budget.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ScheduleConfig {
     /// Number of participating drivers (paper: 5).
@@ -66,6 +54,9 @@ pub struct ScheduleConfig {
     pub scale: f64,
     /// Scripted segment length in seconds (paper: 15 s).
     pub segment_seconds: f64,
+    /// Seconds of each drowsiness class per driver. The default `0.0` is
+    /// the paper's 6-class script exactly.
+    pub drowsy_seconds_per_class: f64,
 }
 
 impl Default for ScheduleConfig {
@@ -75,28 +66,33 @@ impl Default for ScheduleConfig {
             camera_fps: 4.0,
             scale: 0.1,
             segment_seconds: 15.0,
+            drowsy_seconds_per_class: 0.0,
         }
     }
 }
 
-/// Builds the full 6-class collection schedule: for each driver, a
-/// round-robin script of 15 s distraction segments whose per-class total
-/// durations are proportional to Table 1.
-pub fn build_schedule(config: &ScheduleConfig) -> Vec<Segment<Behavior>> {
+/// Builds the collection schedule: for each driver, a round-robin script
+/// of 15 s segments over the cabin classes. The Table-1 classes' total
+/// durations are proportional to Table 1; each drowsiness class gets
+/// `drowsy_seconds_per_class`, and a class with no budget never appears.
+pub fn build_schedule(config: &ScheduleConfig) -> Vec<Segment<CanonicalBehavior>> {
     let mut segments = Vec::new();
     for driver in 0..config.drivers {
         // Remaining duration per class for this driver, seconds.
-        let mut remaining: Vec<f64> = TABLE1_FRAME_COUNTS
+        let mut remaining: Vec<f64> = CanonicalBehavior::ALL
             .iter()
-            .map(|&frames| {
-                frames as f64 * config.scale / (config.drivers as f64 * config.camera_fps)
+            .map(|c| match TABLE1_FRAME_COUNTS.get(c.index()) {
+                Some(&frames) => {
+                    frames as f64 * config.scale / (config.drivers as f64 * config.camera_fps)
+                }
+                None => config.drowsy_seconds_per_class,
             })
             .collect();
         let mut t = 0.0f64;
         // Round-robin over the script until all class budgets are used —
         // this mirrors "the entire script was repeated 10 times".
         while remaining.iter().any(|&r| r > 1e-9) {
-            for (idx, behavior) in Behavior::ALL.iter().enumerate() {
+            for (idx, behavior) in CanonicalBehavior::ALL.iter().enumerate() {
                 if remaining[idx] <= 1e-9 {
                     continue;
                 }
@@ -163,70 +159,10 @@ pub fn build_extended_schedule(config: &ExtendedScheduleConfig) -> Vec<Segment<E
     segments
 }
 
-/// Configuration of the 8-class canonical multi-stream campaign: the six
-/// Table-1 behaviours (durations proportional to Table 1) plus the two
-/// drowsiness classes with an explicit per-driver budget.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CanonicalScheduleConfig {
-    /// The Table-1 portion of the script.
-    pub base: ScheduleConfig,
-    /// Seconds of drowsiness footage per drowsy class per driver.
-    pub drowsy_seconds_per_class: f64,
-}
-
-impl Default for CanonicalScheduleConfig {
-    fn default() -> Self {
-        CanonicalScheduleConfig {
-            base: ScheduleConfig::default(),
-            drowsy_seconds_per_class: 20.0,
-        }
-    }
-}
-
-/// Builds the 8-class schedule: per driver, a round-robin script over all
-/// canonical classes — Table-1 classes keep their Table-1-proportional
-/// budgets, the drowsiness classes get `drowsy_seconds_per_class` each.
-pub fn build_canonical_schedule(
-    config: &CanonicalScheduleConfig,
-) -> Vec<Segment<CanonicalBehavior>> {
-    let base = &config.base;
-    let mut segments = Vec::new();
-    for driver in 0..base.drivers {
-        let mut remaining: Vec<f64> = CanonicalBehavior::ALL
-            .iter()
-            .map(|c| match c.base() {
-                Some(b) => {
-                    TABLE1_FRAME_COUNTS[b.index()] as f64 * base.scale
-                        / (base.drivers as f64 * base.camera_fps)
-                }
-                None => config.drowsy_seconds_per_class,
-            })
-            .collect();
-        let mut t = 0.0f64;
-        while remaining.iter().any(|&r| r > 1e-9) {
-            for (idx, class) in CanonicalBehavior::ALL.iter().enumerate() {
-                if remaining[idx] <= 1e-9 {
-                    continue;
-                }
-                let duration = remaining[idx].min(base.segment_seconds);
-                segments.push(Segment {
-                    driver,
-                    behavior: *class,
-                    start: t,
-                    duration,
-                });
-                t += duration;
-                remaining[idx] -= duration;
-            }
-        }
-    }
-    segments
-}
-
 /// Total scheduled duration per class, in seconds (diagnostic used by the
 /// Table 1 reproduction).
-pub fn class_durations(segments: &[Segment<Behavior>]) -> [f64; 6] {
-    let mut out = [0.0f64; 6];
+pub fn class_durations(segments: &[Segment<CanonicalBehavior>]) -> [f64; 8] {
+    let mut out = [0.0f64; 8];
     for s in segments {
         out[s.behavior.index()] += s.duration;
     }
@@ -282,7 +218,7 @@ mod tests {
     fn contains_respects_half_open_interval() {
         let s = Segment {
             driver: 0,
-            behavior: Behavior::Talking,
+            behavior: CanonicalBehavior::Talking,
             start: 10.0,
             duration: 5.0,
         };
@@ -312,21 +248,15 @@ mod tests {
 
     #[test]
     fn canonical_schedule_covers_all_8_classes() {
-        let config = CanonicalScheduleConfig {
-            base: ScheduleConfig {
-                drivers: 2,
-                ..ScheduleConfig::default()
-            },
+        let config = ScheduleConfig {
+            drivers: 2,
             drowsy_seconds_per_class: 10.0,
+            ..ScheduleConfig::default()
         };
-        let segments = build_canonical_schedule(&config);
-        let mut per_class = [0.0f64; 8];
-        for s in &segments {
-            per_class[s.behavior.index()] += s.duration;
-        }
+        let per_class = class_durations(&build_schedule(&config));
         // Table-1 classes keep their proportional budgets.
         for (i, &frames) in TABLE1_FRAME_COUNTS.iter().enumerate() {
-            let expected = frames as f64 * config.base.scale / config.base.camera_fps;
+            let expected = frames as f64 * config.scale / config.camera_fps;
             assert!(
                 (per_class[i] - expected).abs() < 1e-6,
                 "class {i}: {} vs {expected}",

@@ -3,7 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::behavior::{Behavior, CanonicalBehavior, ExtendedBehavior};
+use crate::behavior::{CanonicalBehavior, ExtendedBehavior};
 use crate::driver::DriverProfile;
 use crate::frame::Frame;
 use crate::imu::{ImuSample, ImuSynthesizer};
@@ -96,16 +96,6 @@ impl DrivingWorld {
         &self.drivers[id]
     }
 
-    /// Renders driver `id`'s camera frame at session time `t` while
-    /// performing `behavior`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn render_frame(&self, id: usize, behavior: Behavior, t: f64) -> Frame {
-        self.renderer.render(&self.drivers[id], behavior, t)
-    }
-
     /// Renders an 18-class extended-behaviour frame.
     ///
     /// # Panics
@@ -116,29 +106,18 @@ impl DrivingWorld {
             .render_extended(&self.drivers[id], behavior, t)
     }
 
-    /// Synthesizes the IMU reading of driver `id`'s phone at time `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn imu_sample(&self, id: usize, behavior: Behavior, t: f64) -> ImuSample {
-        let state = self.dynamics[id].state_at(t);
-        self.imu.sample(&self.drivers[id], behavior, &state, t)
-    }
-
-    /// Renders driver `id`'s dash-camera frame for one of the 8 canonical
-    /// classes (bit-identical to [`DrivingWorld::render_frame`] for the
-    /// six Table-1 classes).
+    /// Renders driver `id`'s dash-camera frame at session time `t` while
+    /// performing `class`.
     ///
     /// # Panics
     ///
     /// Panics if `id` is out of range.
     pub fn render_canonical_frame(&self, id: usize, class: CanonicalBehavior, t: f64) -> Frame {
-        self.renderer.render_canonical(&self.drivers[id], class, t)
+        self.renderer.render(&self.drivers[id], class, t)
     }
 
-    /// Renders driver `id`'s side-camera (A-pillar) frame for one of the
-    /// 8 canonical classes — the third registered stream.
+    /// Renders driver `id`'s side-camera (A-pillar) frame at session time
+    /// `t` while performing `class` — the third registered stream.
     ///
     /// # Panics
     ///
@@ -147,17 +126,15 @@ impl DrivingWorld {
         self.side_renderer.render_side(&self.drivers[id], class, t)
     }
 
-    /// Synthesizes the IMU reading for one of the 8 canonical classes
-    /// (bit-identical to [`DrivingWorld::imu_sample`] for the six Table-1
-    /// classes).
+    /// Synthesizes the IMU reading of driver `id`'s phone at session time
+    /// `t` while performing `class`.
     ///
     /// # Panics
     ///
     /// Panics if `id` is out of range.
     pub fn imu_sample_canonical(&self, id: usize, class: CanonicalBehavior, t: f64) -> ImuSample {
         let state = self.dynamics[id].state_at(t);
-        self.imu
-            .sample_canonical(&self.drivers[id], class, &state, t)
+        self.imu.sample(&self.drivers[id], class, &state, t)
     }
 }
 
@@ -169,14 +146,20 @@ mod tests {
     fn world_is_deterministic() {
         let a = DrivingWorld::new(WorldConfig::default());
         let b = DrivingWorld::new(WorldConfig::default());
-        assert_eq!(
-            a.render_frame(2, Behavior::Talking, 3.0),
-            b.render_frame(2, Behavior::Talking, 3.0)
-        );
-        assert_eq!(
-            a.imu_sample(2, Behavior::Talking, 3.0),
-            b.imu_sample(2, Behavior::Talking, 3.0)
-        );
+        for c in CanonicalBehavior::ALL {
+            assert_eq!(
+                a.render_canonical_frame(2, c, 3.0),
+                b.render_canonical_frame(2, c, 3.0)
+            );
+            assert_eq!(
+                a.render_side_frame(1, c, 2.0),
+                b.render_side_frame(1, c, 2.0)
+            );
+            assert_eq!(
+                a.imu_sample_canonical(2, c, 3.0),
+                b.imu_sample_canonical(2, c, 3.0)
+            );
+        }
     }
 
     #[test]
@@ -185,7 +168,7 @@ mod tests {
             frame_size: 32,
             ..WorldConfig::default()
         });
-        let f = world.render_frame(0, Behavior::NormalDriving, 0.0);
+        let f = world.render_canonical_frame(0, CanonicalBehavior::NormalDriving, 0.0);
         assert_eq!(f.width(), 32);
     }
 
@@ -195,8 +178,8 @@ mod tests {
         assert_eq!(world.driver_count(), 5);
         // Different drivers produce different IMU readings at the same
         // instant (style + identity differences).
-        let a = world.imu_sample(0, Behavior::NormalDriving, 5.0);
-        let b = world.imu_sample(1, Behavior::NormalDriving, 5.0);
+        let a = world.imu_sample_canonical(0, CanonicalBehavior::NormalDriving, 5.0);
+        let b = world.imu_sample_canonical(1, CanonicalBehavior::NormalDriving, 5.0);
         assert_ne!(a, b);
     }
 
@@ -211,28 +194,12 @@ mod tests {
     }
 
     #[test]
-    fn canonical_views_are_deterministic_and_base_classes_match_legacy() {
-        let a = DrivingWorld::new(WorldConfig::default());
-        let b = DrivingWorld::new(WorldConfig::default());
-        for c in CanonicalBehavior::ALL {
-            assert_eq!(
-                a.render_side_frame(1, c, 2.0),
-                b.render_side_frame(1, c, 2.0)
-            );
-        }
-        assert_eq!(
-            a.render_canonical_frame(2, CanonicalBehavior::Talking, 3.0),
-            a.render_frame(2, Behavior::Talking, 3.0)
-        );
-        assert_eq!(
-            a.imu_sample_canonical(2, CanonicalBehavior::Talking, 3.0),
-            a.imu_sample(2, Behavior::Talking, 3.0)
-        );
-        // The side camera is an independent sensor: its frames differ
-        // from the dash camera's for the same instant.
+    fn side_camera_is_an_independent_sensor() {
+        // Its frames differ from the dash camera's for the same instant.
+        let world = DrivingWorld::new(WorldConfig::default());
         assert_ne!(
-            a.render_side_frame(2, CanonicalBehavior::Talking, 3.0),
-            a.render_canonical_frame(2, CanonicalBehavior::Talking, 3.0)
+            world.render_side_frame(2, CanonicalBehavior::Talking, 3.0),
+            world.render_canonical_frame(2, CanonicalBehavior::Talking, 3.0)
         );
     }
 
@@ -240,6 +207,6 @@ mod tests {
     #[should_panic]
     fn out_of_range_driver_panics() {
         let world = DrivingWorld::new(WorldConfig::default());
-        let _ = world.render_frame(99, Behavior::Talking, 0.0);
+        let _ = world.render_canonical_frame(99, CanonicalBehavior::Talking, 0.0);
     }
 }

@@ -1,7 +1,9 @@
 //! Property-based tests for the synthetic world.
 
 use darnet_sim::schedule::{build_schedule, class_durations, ScheduleConfig, TABLE1_FRAME_COUNTS};
-use darnet_sim::{Behavior, DriverProfile, DrivingWorld, Frame, FrameRenderer, WorldConfig};
+use darnet_sim::{
+    CanonicalBehavior, DriverProfile, DrivingWorld, Frame, FrameRenderer, WorldConfig,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -10,13 +12,13 @@ proptest! {
     #[test]
     fn frames_are_always_valid_images(
         driver_id in 0usize..5,
-        class in 0usize..6,
+        class in 0usize..8,
         t in 0.0f64..500.0,
         seed in 0u64..50,
     ) {
         let renderer = FrameRenderer::new(seed);
         let driver = DriverProfile::generate(driver_id, seed);
-        let behavior = Behavior::from_index(class).unwrap();
+        let behavior = CanonicalBehavior::from_index(class).unwrap();
         let frame = renderer.render(&driver, behavior, t);
         prop_assert_eq!(frame.pixels().len(), 48 * 48);
         prop_assert!(frame.pixels().iter().all(|&p| (0.0..=1.0).contains(&p)));
@@ -27,12 +29,12 @@ proptest! {
     #[test]
     fn imu_samples_are_always_finite(
         driver_id in 0usize..5,
-        class in 0usize..6,
+        class in 0usize..8,
         t in 0.0f64..500.0,
     ) {
         let world = DrivingWorld::new(WorldConfig::default());
-        let behavior = Behavior::from_index(class).unwrap();
-        let sample = world.imu_sample(driver_id, behavior, t);
+        let behavior = CanonicalBehavior::from_index(class).unwrap();
+        let sample = world.imu_sample_canonical(driver_id, behavior, t);
         prop_assert!(sample.to_features().iter().all(|v| v.is_finite()));
         // Gravity magnitude stays physical.
         let mag: f32 = sample.gravity.iter().map(|v| v * v).sum::<f32>().sqrt();
@@ -57,19 +59,23 @@ proptest! {
     #[test]
     fn world_is_a_pure_function_of_inputs(
         driver_id in 0usize..3,
-        class in 0usize..6,
+        class in 0usize..8,
         t in 0.0f64..100.0,
     ) {
         let w1 = DrivingWorld::new(WorldConfig::default());
         let w2 = DrivingWorld::new(WorldConfig::default());
-        let behavior = Behavior::from_index(class).unwrap();
+        let behavior = CanonicalBehavior::from_index(class).unwrap();
         prop_assert_eq!(
-            w1.render_frame(driver_id, behavior, t),
-            w2.render_frame(driver_id, behavior, t)
+            w1.render_canonical_frame(driver_id, behavior, t),
+            w2.render_canonical_frame(driver_id, behavior, t)
         );
         prop_assert_eq!(
-            w1.imu_sample(driver_id, behavior, t),
-            w2.imu_sample(driver_id, behavior, t)
+            w1.render_side_frame(driver_id, behavior, t),
+            w2.render_side_frame(driver_id, behavior, t)
+        );
+        prop_assert_eq!(
+            w1.imu_sample_canonical(driver_id, behavior, t),
+            w2.imu_sample_canonical(driver_id, behavior, t)
         );
     }
 
@@ -123,7 +129,7 @@ proptest! {
     ) {
         let renderer = FrameRenderer::new(seed);
         let driver = DriverProfile::generate(0, seed);
-        let frame = renderer.render(&driver, Behavior::Talking, 1.0);
+        let frame = renderer.render(&driver, CanonicalBehavior::Talking, 1.0);
         let down = frame.downsample_nearest(new_size, new_size);
         prop_assert_eq!(down.width(), new_size);
         // Nearest-neighbour only selects existing pixel values.

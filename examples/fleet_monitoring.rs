@@ -14,7 +14,7 @@ use darnet::core::alerts::{AlertEvent, AlertPolicy, AlertTracker};
 use darnet::core::dataset::{IMU_FEATURES, WINDOW_LEN};
 use darnet::core::experiment::{train_stack, ExperimentConfig};
 use darnet::core::{CombinerKind, MultiModalEngine, StreamInput, StreamModelSlot};
-use darnet::sim::Behavior;
+use darnet::sim::CanonicalBehavior;
 use darnet::tensor::Tensor;
 
 fn main() -> Result<(), Box<dyn Error>> {
@@ -73,7 +73,7 @@ fn main() -> Result<(), Box<dyn Error>> {
             engine.classify_step_into(&inputs, &mut results)?;
             let result = &results[0];
             steps += 1;
-            if result.behavior() != Some(Behavior::NormalDriving) {
+            if result.behavior() != Some(CanonicalBehavior::NormalDriving) {
                 distracted += 1;
                 per_class[result.class] += 1;
             }
@@ -87,7 +87,7 @@ fn main() -> Result<(), Box<dyn Error>> {
             .enumerate()
             .skip(1)
             .max_by_key(|(_, &c)| c)
-            .map(|(i, _)| Behavior::from_index(i).expect("valid index").name())
+            .map(|(i, _)| CanonicalBehavior::TABLE1[i].name())
             .unwrap_or("-");
         println!(
             "{:<8} {:>8} {:>11.1}% {:>14} {:>12}",

@@ -21,7 +21,7 @@ use darnet::core::{
     CnnConfig, CombinerKind, FrameCnn, ImuRnn, MicroBatchConfig, MicroBatcher, MultiModalEngine,
     NaryBayesianCombiner, RnnConfig, StreamModelSlot,
 };
-use darnet::sim::{Behavior, DrivingWorld, Segment, WorldConfig};
+use darnet::sim::{CanonicalBehavior, DrivingWorld, Segment, WorldConfig};
 use darnet::tensor::Tensor;
 
 /// A minimally-fitted engine standing in for a trained stack (the
@@ -69,19 +69,19 @@ fn main() -> Result<(), Box<dyn Error>> {
     let segments = vec![
         Segment {
             driver: 0,
-            behavior: Behavior::NormalDriving,
+            behavior: CanonicalBehavior::NormalDriving,
             start: 0.0,
             duration: 10.0,
         },
         Segment {
             driver: 0,
-            behavior: Behavior::Texting,
+            behavior: CanonicalBehavior::Texting,
             start: 10.0,
             duration: 10.0,
         },
         Segment {
             driver: 0,
-            behavior: Behavior::Talking,
+            behavior: CanonicalBehavior::Talking,
             start: 20.0,
             duration: 10.0,
         },

@@ -13,7 +13,7 @@ use darnet::collect::StreamId;
 use darnet::core::dataset::Dataset;
 use darnet::core::experiment::{train_stack_on, ExperimentConfig};
 use darnet::core::{CombinerKind, MultiModalEngine, StreamInput, StreamModelSlot};
-use darnet::sim::{Behavior, DrivingWorld, Segment, WorldConfig};
+use darnet::sim::{CanonicalBehavior, DrivingWorld, Segment, WorldConfig};
 use darnet::tensor::Tensor;
 
 fn main() -> Result<(), Box<dyn Error>> {
@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     let mut schedule = Vec::new();
     for driver in 0..world.driver_count() {
         let mut t = 0.0;
-        for &behavior in Behavior::ALL.iter() {
+        for &behavior in CanonicalBehavior::TABLE1.iter() {
             schedule.push(Segment {
                 driver,
                 behavior,
@@ -90,7 +90,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         engine.classify_step_into(&inputs, &mut result)?;
         let step = &result[0];
         let predicted = step.behavior().map_or("-", |b| b.name());
-        let ok = step.behavior() == sample.class.base();
+        let ok = step.behavior() == Some(sample.class);
         if ok {
             correct += 1;
         }

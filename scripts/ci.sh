@@ -70,8 +70,10 @@
 #                  end in a result line with "correct": true and
 #                  "failed": 0 — every label present, no acked batch
 #                  lost and no digest changed across recovery, the
-#                  bitwise shadow pass and the golden posteriors intact.
-#                  No timing gate: the numbers are the driver's to judge
+#                  bitwise shadow pass and the golden posteriors intact —
+#                  and whose seeded wire_bytes_per_label and state_mb
+#                  must equal its line in the committed LEDGER_smoke.txt.
+#                  No timing gate: the timings are the driver's to judge
 #
 # Usage:
 #   scripts/ci.sh                 run every step
@@ -174,16 +176,28 @@ step_repro() {
 # session length feeds the seeded traffic draw) and below 2.5 it has too
 # few latency samples for the p95 the ledger insists on.
 LEDGER_SMOKES=(cabin_stream:1 cabin_long:20 fleet_ingest:1)
+# `workload wire_bytes_per_label state_mb` lines, one per smoke: both are
+# seeded counts, so a smoke must reproduce them exactly.
+LEDGER_EXACT=LEDGER_smoke.txt
 
 step_ledger() {
   local ledger=(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml --)
   cargo test --offline --quiet --manifest-path benchmark/Cargo.toml
-  local smoke verdict
+  local smoke workload verdict want got
   for smoke in "${LEDGER_SMOKES[@]}"; do
-    verdict=$("${ledger[@]}" --workload "${smoke%:*}" --seed 1 --trace 0 \
+    workload=${smoke%:*}
+    verdict=$("${ledger[@]}" --workload "$workload" --seed 1 --trace 0 \
       --seconds "${smoke#*:}" | tail -n 1)
     if [[ "$verdict" != *'"correct": true'* || "$verdict" != *'"failed": 0,'* ]]; then
-      echo "ledger: ${smoke%:*} did not come back correct: ${verdict:0:120}" >&2
+      echo "ledger: $workload did not come back correct: ${verdict:0:120}" >&2
+      return 1
+    fi
+    want=$(awk -v w="$workload" '$1 == w { print $2, $3 }' "$LEDGER_EXACT")
+    got=$(jq -r '"\(.metrics.wire_bytes_per_label.value) \(.metrics.state_mb.value)"' \
+      <<<"$verdict")
+    if [[ -z "$want" ]] || ! jq -en --argjson want "[${want/ /,}]" --argjson got "[${got/ /,}]" \
+      '$want == $got' >/dev/null; then
+      echo "ledger: $workload wire_bytes_per_label state_mb are $got, $LEDGER_EXACT has '$want'" >&2
       return 1
     fi
   done

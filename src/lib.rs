@@ -22,10 +22,10 @@
 //! ## Quickstart
 //!
 //! ```
-//! use darnet::sim::{Behavior, DrivingWorld, WorldConfig};
+//! use darnet::sim::{CanonicalBehavior, DrivingWorld, WorldConfig};
 //!
 //! let world = DrivingWorld::new(WorldConfig::default());
-//! let frame = world.render_frame(0, Behavior::Texting, 1.0);
+//! let frame = world.render_canonical_frame(0, CanonicalBehavior::Texting, 1.0);
 //! assert_eq!(frame.width(), 48);
 //! ```
 //!

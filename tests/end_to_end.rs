@@ -11,7 +11,7 @@ use darnet::core::experiment::{
 };
 use darnet::core::{CombinerKind, MultiModalEngine, StreamInput, StreamModelSlot};
 use darnet::sim::schedule::{build_schedule, ScheduleConfig};
-use darnet::sim::{Behavior, DrivingWorld, Frame, WorldConfig};
+use darnet::sim::{CanonicalBehavior, DrivingWorld, Frame, WorldConfig};
 use darnet::tensor::Tensor;
 
 fn small_campaign() -> (Dataset, ExperimentConfig) {
@@ -135,7 +135,7 @@ fn engine_classifies_held_out_steps_end_to_end() {
             .classify_step_into(&step_inputs(&sample.frames[0], &window), &mut out)
             .expect("classifies");
         assert!((out[0].scores.iter().sum::<f32>() - 1.0).abs() < 1e-3);
-        if out[0].behavior() == sample.class.base() {
+        if out[0].behavior() == Some(sample.class) {
             correct += 1;
         }
     }
@@ -173,9 +173,9 @@ fn behaviors_imu_mapping_consistency_through_pipeline() {
     let (dataset, _) = small_campaign();
     for (s, imu_class) in dataset.samples().iter().zip(dataset.labels3()) {
         // Table-1 invariant: only talking/texting carry task-specific IMU.
-        match s.class.base() {
-            Some(Behavior::Talking) => assert_eq!(imu_class, 1),
-            Some(Behavior::Texting) => assert_eq!(imu_class, 2),
+        match s.class {
+            CanonicalBehavior::Talking => assert_eq!(imu_class, 1),
+            CanonicalBehavior::Texting => assert_eq!(imu_class, 2),
             _ => assert_eq!(imu_class, 0),
         }
     }

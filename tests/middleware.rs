@@ -10,23 +10,23 @@ use darnet::collect::{
     ClockConfig, ControllerConfig, FaultConfig, LinkConfig, RetransmitConfig, StreamId,
 };
 use darnet::core::experiment::{run_ablation_clocksync, ExperimentConfig};
-use darnet::sim::{Behavior, DrivingWorld, Segment, WorldConfig};
+use darnet::sim::{CanonicalBehavior, DrivingWorld, Segment, WorldConfig};
 
 fn world() -> Arc<DrivingWorld> {
     Arc::new(DrivingWorld::new(WorldConfig::default()))
 }
 
-fn script(duration: f64) -> Vec<Segment<Behavior>> {
+fn script(duration: f64) -> Vec<Segment<CanonicalBehavior>> {
     vec![
         Segment {
             driver: 0,
-            behavior: Behavior::Texting,
+            behavior: CanonicalBehavior::Texting,
             start: 0.0,
             duration,
         },
         Segment {
             driver: 0,
-            behavior: Behavior::NormalDriving,
+            behavior: CanonicalBehavior::NormalDriving,
             start: duration,
             duration,
         },
