@@ -71,7 +71,6 @@ fn shard_config(shards: usize) -> ShardConfig {
             per_agent_series: true,
             ..ControllerConfig::default()
         },
-        ..ShardConfig::default()
     }
 }
 
@@ -96,14 +95,7 @@ fn run(fast: bool) -> BTreeMap<String, f64> {
     for &shards in shard_counts {
         let config = fleet_config(agents, session);
         let start = Instant::now();
-        let run = run_fleet(
-            &FleetConfig {
-                parallel_drain: shards > 1,
-                ..config
-            },
-            shard_config(shards),
-        )
-        .expect("fleet run");
+        let run = run_fleet(&config, shard_config(shards)).expect("fleet run");
         // Stopped before the controller is dropped: the run is what is
         // timed, not freeing 10k agents' state.
         let elapsed = start.elapsed().as_secs_f64();
@@ -157,11 +149,8 @@ fn run(fast: bool) -> BTreeMap<String, f64> {
 
     // Determinism twin: the same seed must reproduce the report bit for
     // bit (counters, simulated latencies, digests — everything).
-    let twin_config = FleetConfig {
-        parallel_drain: main_shards > 1,
-        ..fleet_config(agents, session)
-    };
-    let (_, twin) = run_fleet(&twin_config, shard_config(main_shards)).expect("determinism twin");
+    let (_, twin) = run_fleet(&fleet_config(agents, session), shard_config(main_shards))
+        .expect("determinism twin");
     out.insert(
         "rate_fleet_deterministic".to_string(),
         f64::from(u8::from(twin == main)),

@@ -28,7 +28,6 @@ use darnet_core::{
     ClassMap, CombinerKind, ImuSvm, MicroBatchConfig, MicroBatcher, ModalityDescriptor,
     ModalityStatus, MultiModalEngine, MultiStepClassification, StreamInput, StreamModelSlot,
 };
-use darnet_nn::SvmConfig;
 use darnet_sim::{Frame, ImuSample};
 use darnet_tensor::{Parallelism, SplitMix64, Tensor};
 
@@ -176,7 +175,7 @@ fn warm_into_paths_perform_zero_heap_allocations() {
         }),
     ];
     assert_steady_state("pair, RNN slot", &mut tiny_engine(), &pair_paths);
-    let mut svm = ImuSvm::new(WINDOW_LEN, IMU_FEATURES, 3, SvmConfig::default());
+    let mut svm = ImuSvm::new(WINDOW_LEN, IMU_FEATURES, 3);
     svm.fit(&windows, &[0, 1, 2, 0, 1, 2, 0, 1], &mut SplitMix64::new(5))
         .expect("svm smoke fit");
     let mut svm_pair = tiny_pair(StreamModelSlot::Svm(svm));

@@ -8,6 +8,7 @@
 //! network conditions, the controller has the option of processing all
 //! data locally, albeit slower."*
 
+use darnet_sim::schedule::CAMERA_PERIOD;
 use serde::{Deserialize, Serialize};
 
 /// Where the analytics engine runs for this session.
@@ -56,7 +57,7 @@ impl Default for SiteCapabilities {
             local_inference: 0.180,
             remote_inference: 0.012,
             frame_bytes: 2_329.0, // 48×48 + batch overhead, from the wire format
-            frame_period: 0.25,
+            frame_period: CAMERA_PERIOD,
         }
     }
 }

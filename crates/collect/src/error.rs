@@ -5,7 +5,7 @@ use std::fmt;
 /// Error returned by collection-framework operations.
 ///
 /// Marked `#[non_exhaustive]`: downstream matches must carry a wildcard
-/// arm, so adding failure modes (as the transport layer did) is not a
+/// arm, so adding failure modes (as the durability layer did) is not a
 /// breaking change.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
@@ -16,9 +16,6 @@ pub enum CollectError {
     InvalidConfig(String),
     /// A query or alignment was asked for an empty/unknown series.
     NoData(String),
-    /// Reliable delivery failed: the in-flight window overflowed under
-    /// backpressure, or a batch exhausted its ack-timeout retries.
-    Transport(String),
     /// A write-ahead-log storage operation failed. Carries the storage
     /// object, the operation, and the underlying I/O error kind (the
     /// error itself is not `Clone`, its kind is).
@@ -50,8 +47,7 @@ pub enum CollectError {
         shard: usize,
     },
     /// A bounded buffer refused new work: the agent's spill buffer hit
-    /// its configured bound with `drop_oldest` off, or the controller's
-    /// frame log its 2^32 positions.
+    /// its bound, or the controller's frame log its 2^32 positions.
     Overload {
         /// The agent whose buffer overflowed.
         agent_id: u32,
@@ -76,7 +72,6 @@ impl fmt::Display for CollectError {
             CollectError::Decode(msg) => write!(f, "decode error: {msg}"),
             CollectError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             CollectError::NoData(msg) => write!(f, "no data: {msg}"),
-            CollectError::Transport(msg) => write!(f, "transport failure: {msg}"),
             CollectError::Wal { object, op, kind } => {
                 write!(f, "wal storage failure: {op} {object}: {kind}")
             }

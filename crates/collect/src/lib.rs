@@ -27,8 +27,9 @@
 //!   sliding moving average, and writes to the [`TsDb`].
 //! * Reliable transport — per-agent sequence numbers and [`Ack`]s on the
 //!   wire, a bounded in-flight window with exponential-backoff
-//!   retransmission ([`RetransmitConfig`]), and seeded fault injection on
-//!   every [`Link`] ([`FaultConfig`]: Gilbert–Elliott bursts, blackouts,
+//!   retransmission (fixed constants; [`runtime::CampaignConfig::retransmit`]
+//!   switches to fire-and-forget), and seeded fault injection on every
+//!   [`Link`] (i.i.d. loss, and [`FaultConfig`]'s blackouts and
 //!   duplication).
 //! * [`runtime::run_session`] — the one door of the session loop: any
 //!   set of streams ([`StreamId::DARNET_PAIR`] is the paper's) over one
@@ -58,9 +59,7 @@ mod tsdb;
 pub mod wal;
 mod wire;
 
-pub use agent::{
-    AgentConfig, CollectionAgent, RetransmitConfig, SpillConfig, SpillStats, TransportStats,
-};
+pub use agent::{AgentConfig, CollectionAgent, SpillStats, TransportStats};
 pub use align::{interpolate_grid, moving_average, GridSpec};
 pub use clock::{ClockConfig, DriftClock};
 pub use controller::{
@@ -75,8 +74,8 @@ pub use loadgen::{run_fleet, run_fleet_into, FleetConfig, FleetReport};
 pub use network::{FaultConfig, Link, LinkConfig, LinkStats};
 pub use sensor::{CameraView, ScriptedSensor, Sensor, SensorReading};
 pub use shard::{
-    shard_of, BackpressureConfig, FleetAdmission, FleetPressure, OfferOutcome, ShardAck,
-    ShardConfig, ShardPressure, ShardedController,
+    fleet_signal, shard_of, FleetAdmission, FleetPressure, OfferOutcome, ShardAck, ShardConfig,
+    ShardPressure, ShardedController,
 };
 pub use stream::StreamId;
 pub use tsdb::{canonical_fingerprint_merged, Aggregation, SeriesStats, TsDb};

@@ -9,6 +9,7 @@ use std::thread;
 
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Sender};
+use darnet_sim::schedule::CAMERA_PERIOD;
 use darnet_sim::{CanonicalBehavior, DrivingWorld, Segment};
 
 use crate::agent::{AgentConfig, CollectionAgent};
@@ -50,16 +51,15 @@ fn run_agent(
         AgentConfig {
             poll_period,
             transmit_period,
-            ..AgentConfig::default()
         },
     );
     let mut t = 0.0f64;
     let mut next_flush = transmit_period;
     while t <= duration {
         if agent.poll(t).is_err() {
-            // Spill bound hit in strict mode: the agent gives up polling
-            // but still drains what it holds (channel flushes below keep
-            // the buffer far from the default bound in practice).
+            // Spill bound hit: the agent gives up polling but still
+            // drains what it holds (channel flushes below keep the buffer
+            // far from the bound in practice).
             break;
         }
         if t >= next_flush {
@@ -110,7 +110,13 @@ pub fn run_live_session(
             handles.push(scope.spawn(move || {
                 let (sensor, clock) = if camera {
                     (
-                        ScriptedSensor::camera(world, driver, script, 0.25, CameraView::Front),
+                        ScriptedSensor::camera(
+                            world,
+                            driver,
+                            script,
+                            CAMERA_PERIOD,
+                            CameraView::Front,
+                        ),
                         DriftClock::new(1e-6, 0.0),
                     )
                 } else {

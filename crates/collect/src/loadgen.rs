@@ -29,7 +29,7 @@ use darnet_sim::schedule::build_schedule;
 use darnet_sim::{CanonicalBehavior, Frame, ImuSample, ScheduleConfig, Segment};
 use darnet_tensor::SplitMix64;
 
-use crate::agent::{AgentConfig, CollectionAgent, RetransmitConfig, SpillConfig};
+use crate::agent::{AgentConfig, CollectionAgent};
 use crate::clock::DriftClock;
 use crate::network::{FaultConfig, Link, LinkConfig};
 use crate::runtime::{EventQueue, LinkedAgent};
@@ -70,13 +70,6 @@ pub struct FleetConfig {
     /// Per-direction link model (applied to every agent's data and ack
     /// links, independently seeded).
     pub link: LinkConfig,
-    /// Reliable-transport tuning shared by all agents.
-    pub transport: RetransmitConfig,
-    /// Agent spill-buffer bound.
-    pub spill: SpillConfig,
-    /// Drain shards on scoped threads instead of serially. State and
-    /// report are identical either way; this only changes wall-clock.
-    pub parallel_drain: bool,
     /// Feed the fleet admission signal back to agents (defer on `Shed`,
     /// slow down on `Throttle`). Off for traffic-equivalence runs, where
     /// offered traffic must not depend on controller state.
@@ -103,9 +96,6 @@ impl Default for FleetConfig {
                 },
                 ..LinkConfig::default()
             },
-            transport: RetransmitConfig::default(),
-            spill: SpillConfig::default(),
-            parallel_drain: false,
             honor_backpressure: true,
         }
     }
@@ -151,8 +141,6 @@ pub struct FleetReport {
     pub peak_signal: FleetAdmission,
     /// Peak total queued batches observed at a drain tick.
     pub peak_queue_depth: usize,
-    /// Readings dropped oldest-first at agent spill bounds.
-    pub spill_dropped: u64,
     /// High-water mark of any agent's spill buffer.
     pub spill_peak: usize,
     /// Bytes pushed through the wire format (batches + acks, dups and
@@ -275,7 +263,7 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
 ///
 /// # Errors
 ///
-/// Propagates configuration, transport (strict mode), and WAL errors.
+/// Propagates configuration, spill-bound, and WAL errors.
 pub fn run_fleet(
     config: &FleetConfig,
     shard_config: ShardConfig,
@@ -286,11 +274,14 @@ pub fn run_fleet(
 }
 
 /// Runs a fleet load-generation session into an existing sharded
-/// controller (e.g. one opened over per-shard WALs).
+/// controller (e.g. one opened over per-shard WALs). Shards drain on
+/// scoped threads ([`ShardedController::drain_parallel`]) when there is
+/// more than one, serially otherwise; state and report are identical
+/// either way.
 ///
 /// # Errors
 ///
-/// Propagates transport (strict mode) and WAL errors.
+/// Propagates spill-bound and WAL errors.
 pub fn run_fleet_into(
     config: &FleetConfig,
     sharded: &mut ShardedController,
@@ -349,10 +340,9 @@ pub fn run_fleet_into(
             AgentConfig {
                 poll_period: config.imu_period,
                 transmit_period: config.transmit_period,
-                spill: config.spill,
             },
         )
-        .with_transport(config.transport, agent_rng.next_u64());
+        .with_transport(true, agent_rng.next_u64());
         let data_link = Link::new(config.link, agent_rng.next_u64());
         let ack_link = Link::new(config.link, agent_rng.next_u64());
         vehicles.push(LinkedAgent {
@@ -374,6 +364,7 @@ pub fn run_fleet_into(
 
     let session_end = config.session_seconds;
     let end_time = session_end + config.transmit_period + config.drain_grace;
+    let parallel = sharded.shard_count() > 1;
     let mut pending: Vec<Batch> = Vec::new();
     let mut first_flush: BTreeMap<(u32, u32), f64> = BTreeMap::new();
     let mut latencies: Vec<f64> = Vec::new();
@@ -422,7 +413,7 @@ pub fn run_fleet_into(
                         &mut queue,
                         FleetEventKind::Deliver,
                         FleetEventKind::Retry(id),
-                    )?;
+                    );
                     if let Some(batch) = flushed {
                         first_flush.insert((batch.agent_id, batch.seq), t);
                         wire_bytes += encode_batch(batch).len() as u64;
@@ -442,7 +433,7 @@ pub fn run_fleet_into(
                     &mut queue,
                     FleetEventKind::Deliver,
                     FleetEventKind::Retry(id),
-                )?;
+                );
                 for batch in resent {
                     wire_bytes += encode_batch(batch).len() as u64;
                 }
@@ -469,14 +460,15 @@ pub fn run_fleet_into(
             }
             FleetEventKind::Drain => {
                 peak_queue_depth = peak_queue_depth.max(sharded.queued());
-                let acks = if config.parallel_drain {
+                let acks = if parallel {
                     sharded.drain_parallel()?
                 } else {
                     sharded.drain()?
                 };
                 for shard_ack in acks {
-                    let ack = decode_ack(encode_ack(&shard_ack.ack))?;
-                    wire_bytes += encode_ack(&shard_ack.ack).len() as u64;
+                    let encoded = encode_ack(&shard_ack.ack);
+                    wire_bytes += encoded.len() as u64;
+                    let ack = decode_ack(encoded)?;
                     let Some(v) = vehicles.get_mut(ack.agent_id as usize) else {
                         continue;
                     };
@@ -499,7 +491,7 @@ pub fn run_fleet_into(
     // point have no one scheduled to carry them; the accounting below
     // reads controller state directly).
     peak_queue_depth = peak_queue_depth.max(sharded.queued());
-    if config.parallel_drain {
+    if parallel {
         sharded.drain_parallel()?;
     } else {
         sharded.drain()?;
@@ -523,7 +515,6 @@ pub fn run_fleet_into(
         throttled_flushes,
         peak_signal,
         peak_queue_depth,
-        spill_dropped: 0,
         spill_peak: 0,
         wire_bytes,
         approx_bytes: 0,
@@ -543,9 +534,7 @@ pub fn run_fleet_into(
         report.retransmits += stats.retransmits;
         report.abandoned += stats.abandoned;
         report.acked += stats.acked;
-        let spill = v.agent.spill_stats();
-        report.spill_dropped += spill.dropped_oldest;
-        report.spill_peak = report.spill_peak.max(spill.peak_buffered);
+        report.spill_peak = report.spill_peak.max(v.agent.spill_stats().peak_buffered);
     }
     let pressure = sharded.pressure();
     for shard in &pressure.shards {
@@ -640,21 +629,6 @@ mod tests {
             sharded_report.readings_ingested,
             single_report.readings_ingested
         );
-    }
-
-    #[test]
-    fn parallel_drain_reports_identically() {
-        let config = small_config();
-        let (_, serial) = run_fleet(&config, fleet_shards(4)).unwrap();
-        let (_, parallel) = run_fleet(
-            &FleetConfig {
-                parallel_drain: true,
-                ..config
-            },
-            fleet_shards(4),
-        )
-        .unwrap();
-        assert_eq!(serial, parallel);
     }
 
     #[test]

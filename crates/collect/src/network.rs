@@ -1,59 +1,23 @@
 //! A point-to-point link model: base latency, jitter, the packet reordering
-//! jitter induces, and an adversarial fault layer — i.i.d. loss, bursty
-//! loss via a Gilbert–Elliott two-state chain, scheduled blackouts, and
-//! duplication. Everything is driven by one seeded generator, so a session
-//! replays bit-for-bit from its seed.
+//! jitter induces, and an adversarial fault layer — i.i.d. loss, scheduled
+//! blackouts, and duplication. Everything is driven by one seeded
+//! generator, so a session replays bit-for-bit from its seed.
 
 use darnet_tensor::SplitMix64;
 use serde::{Deserialize, Serialize};
 
 /// Fault-injection parameters layered on top of the base link.
 ///
-/// The defaults are all-zero / `None`: a link with default faults behaves
+/// The defaults are zero / `None`: a link with default faults behaves
 /// exactly like the pre-fault-injection model (i.i.d. loss only).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct FaultConfig {
-    /// Gilbert–Elliott: probability per transmission of entering the bad
-    /// (burst) state from the good state.
-    pub p_enter_burst: f64,
-    /// Gilbert–Elliott: probability per transmission of returning to the
-    /// good state from the bad state.
-    pub p_exit_burst: f64,
-    /// Loss probability while in the bad state (the good state uses
-    /// [`LinkConfig::loss`]).
-    pub burst_loss: f64,
     /// Probability a successfully delivered message is also duplicated
     /// (the copy takes an independently jittered path).
     pub duplicate: f64,
     /// Absolute-time interval `[start, end)` during which *nothing* gets
     /// through — an agent walking out of radio range, an interface reset.
     pub blackout: Option<(f64, f64)>,
-}
-
-impl Default for FaultConfig {
-    fn default() -> Self {
-        FaultConfig {
-            p_enter_burst: 0.0,
-            p_exit_burst: 1.0,
-            burst_loss: 1.0,
-            duplicate: 0.0,
-            blackout: None,
-        }
-    }
-}
-
-impl FaultConfig {
-    /// A Gilbert–Elliott burst-loss profile: expected burst length
-    /// `1 / p_exit`, expected gap between bursts `1 / p_enter`
-    /// transmissions, dropping everything inside a burst.
-    pub fn bursty(p_enter: f64, p_exit: f64) -> Self {
-        FaultConfig {
-            p_enter_burst: p_enter,
-            p_exit_burst: p_exit,
-            burst_loss: 1.0,
-            ..FaultConfig::default()
-        }
-    }
 }
 
 /// Link parameters (per direction).
@@ -63,9 +27,9 @@ pub struct LinkConfig {
     pub base_latency: f64,
     /// Uniform jitter added on top of the base latency, seconds.
     pub jitter: f64,
-    /// Probability a message is dropped entirely (good-state loss).
+    /// Probability a message is dropped entirely.
     pub loss: f64,
-    /// Adversarial fault layer (bursts, blackouts, duplication).
+    /// Adversarial fault layer (blackouts, duplication).
     pub faults: FaultConfig,
 }
 
@@ -86,7 +50,7 @@ impl Default for LinkConfig {
 pub struct LinkStats {
     /// Messages offered for transmission.
     pub sent: u64,
-    /// Messages dropped (i.i.d. loss, burst loss, or blackout).
+    /// Messages dropped (i.i.d. loss or blackout).
     pub lost: u64,
     /// Extra deliveries created by duplication.
     pub duplicated: u64,
@@ -104,7 +68,6 @@ pub struct Link {
     config: LinkConfig,
     rng: SplitMix64,
     stats: LinkStats,
-    in_burst: bool,
 }
 
 impl Link {
@@ -114,18 +77,12 @@ impl Link {
             config,
             rng: SplitMix64::new(seed),
             stats: LinkStats::default(),
-            in_burst: false,
         }
     }
 
     /// The link configuration.
     pub fn config(&self) -> &LinkConfig {
         &self.config
-    }
-
-    /// Whether the Gilbert–Elliott chain is currently in the burst state.
-    pub fn in_burst(&self) -> bool {
-        self.in_burst
     }
 
     fn delay(&mut self) -> f64 {
@@ -148,21 +105,7 @@ impl Link {
             }
         }
 
-        // Advance the Gilbert–Elliott chain one step per transmission.
-        if self.in_burst {
-            if faults.p_exit_burst > 0.0 && self.rng.next_f64() < faults.p_exit_burst {
-                self.in_burst = false;
-            }
-        } else if faults.p_enter_burst > 0.0 && self.rng.next_f64() < faults.p_enter_burst {
-            self.in_burst = true;
-        }
-
-        let loss = if self.in_burst {
-            faults.burst_loss
-        } else {
-            self.config.loss
-        };
-        if loss > 0.0 && self.rng.next_f64() < loss {
+        if self.config.loss > 0.0 && self.rng.next_f64() < self.config.loss {
             self.stats.lost += 1;
             return Vec::new();
         }
@@ -285,63 +228,6 @@ mod tests {
     }
 
     #[test]
-    fn gilbert_elliott_losses_come_in_bursts() {
-        // Compare burst-vs-iid at a matched average loss rate: with
-        // p_enter = 0.02 and p_exit = 0.2, the chain spends
-        // p_enter / (p_enter + p_exit) ≈ 9% of transmissions in the burst
-        // state. Runs of consecutive losses should be much longer than
-        // under i.i.d. loss at the same rate.
-        let run_lengths = |mut link: Link| -> (f64, f64) {
-            let mut runs = Vec::new();
-            let mut current = 0u64;
-            let mut lost = 0u64;
-            let n = 20_000;
-            for i in 0..n {
-                if link.transmit(i as f64).is_none() {
-                    current += 1;
-                    lost += 1;
-                } else if current > 0 {
-                    runs.push(current);
-                    current = 0;
-                }
-            }
-            if current > 0 {
-                runs.push(current);
-            }
-            let mean_run = runs.iter().sum::<u64>() as f64 / runs.len().max(1) as f64;
-            (mean_run, lost as f64 / n as f64)
-        };
-
-        let bursty = Link::new(
-            LinkConfig {
-                loss: 0.0,
-                faults: FaultConfig::bursty(0.02, 0.2),
-                ..LinkConfig::default()
-            },
-            23,
-        );
-        let (burst_run, burst_rate) = run_lengths(bursty);
-
-        let iid = Link::new(
-            LinkConfig {
-                loss: burst_rate,
-                ..LinkConfig::default()
-            },
-            23,
-        );
-        let (iid_run, iid_rate) = run_lengths(iid);
-
-        assert!(
-            (burst_rate - iid_rate).abs() < 0.05,
-            "rates {burst_rate} vs {iid_rate}"
-        );
-        assert!(
-            burst_run > 2.0 * iid_run,
-            "burst mean run {burst_run} vs iid {iid_run}"
-        );
-    }
-
-    #[test]
     fn blackout_drops_everything_inside_the_window() {
         let mut link = Link::new(
             LinkConfig {
@@ -401,9 +287,6 @@ mod tests {
             loss: 0.1,
             faults: FaultConfig {
                 duplicate: 0.2,
-                p_enter_burst: 0.05,
-                p_exit_burst: 0.3,
-                burst_loss: 0.9,
                 blackout: Some((3.0, 4.0)),
             },
             ..LinkConfig::default()

@@ -12,7 +12,7 @@
 //! deployment is the stream set [`StreamId::DARNET_PAIR`], and
 //! [`run_campaign`] is a session per driver.
 //!
-//! With the reliable transport enabled (the default), every data delivery
+//! With the reliable transport on (the default), every data delivery
 //! is answered with an ack over the reverse link; unacked batches
 //! retransmit on the agent's backoff schedule until acked or abandoned.
 //! After the session ends the loop keeps running for
@@ -23,12 +23,11 @@ use std::cmp::Ordering;
 use std::collections::{BTreeSet, BinaryHeap};
 use std::sync::Arc;
 
+use darnet_sim::schedule::CAMERA_PERIOD;
 use darnet_sim::{CanonicalBehavior, DrivingWorld, Segment};
 use darnet_tensor::SplitMix64;
 
-use crate::agent::{
-    AgentConfig, CollectionAgent, RetransmitConfig, SpillConfig, SpillStats, TransportStats,
-};
+use crate::agent::{AgentConfig, CollectionAgent, SpillStats, TransportStats};
 use crate::clock::{ClockConfig, DriftClock};
 use crate::controller::{AlignedImuPoint, ControllerConfig, FrameRecord, StreamHealth};
 use crate::network::{Link, LinkConfig, LinkStats};
@@ -142,15 +141,15 @@ impl LinkedAgent {
         queue: &mut EventQueue<K>,
         deliver: fn(u32) -> K,
         retry: K,
-    ) -> Result<Option<&'p Batch>> {
+    ) -> Option<&'p Batch> {
         let first = pending.len();
-        if let Some(batch) = self.agent.flush_at(t)? {
+        if let Some(batch) = self.agent.flush_at(t) {
             self.transmit(t, batch, pending, queue, deliver);
         }
         if let Some(deadline) = self.agent.next_deadline() {
             queue.push(deadline, retry);
         }
-        Ok(pending.get(first))
+        pending.get(first)
     }
 
     /// Ack-timeout check at `t`: retransmits every overdue batch
@@ -163,15 +162,15 @@ impl LinkedAgent {
         queue: &mut EventQueue<K>,
         deliver: fn(u32) -> K,
         retry: K,
-    ) -> Result<&'p [Batch]> {
+    ) -> &'p [Batch] {
         let first = pending.len();
-        for batch in self.agent.due_retransmits(t)? {
+        for batch in self.agent.due_retransmits(t) {
             self.transmit(t, batch, pending, queue, deliver);
         }
         if let Some(deadline) = self.agent.next_deadline() {
             queue.push(deadline, retry);
         }
-        Ok(&pending[first..])
+        &pending[first..]
     }
 
     /// Sends one ack down the reverse link at `t`, scheduling `delivered`
@@ -183,8 +182,6 @@ impl LinkedAgent {
     }
 }
 
-/// Camera frame period, seconds (reproduction default: 4 fps).
-const CAMERA_PERIOD: f64 = 0.25;
 /// Clock re-synchronization period, seconds (paper §3.2: 5 s).
 const SYNC_PERIOD: f64 = 5.0;
 
@@ -201,11 +198,10 @@ pub struct CampaignConfig {
     pub link: LinkConfig,
     /// Agent clock imperfection model.
     pub clock: ClockConfig,
-    /// Reliable-delivery configuration for both agents.
-    pub retransmit: RetransmitConfig,
-    /// Agent-side spill-buffer bound (hold-and-resume across controller
-    /// blackouts and restarts).
-    pub spill: SpillConfig,
+    /// Whether the agents run the ack/retransmit protocol. With it off, a
+    /// flushed batch is fire-and-forget and losses become gaps the
+    /// controller merely accounts for.
+    pub retransmit: bool,
     /// Seconds past the final flush the event loop keeps draining, so
     /// retransmissions of late losses can still complete.
     pub drain_grace: f64,
@@ -224,8 +220,7 @@ impl Default for CampaignConfig {
             controller: ControllerConfig::default(),
             link: LinkConfig::default(),
             clock: ClockConfig::default(),
-            retransmit: RetransmitConfig::default(),
-            spill: SpillConfig::default(),
+            retransmit: true,
             drain_grace: 5.0,
             seed: 0xC0FFEE,
             sync_enabled: true,
@@ -292,8 +287,6 @@ pub struct ChaosReport {
     pub wal_segments_rolled: u64,
     /// Cumulative WAL checkpoints taken ([`crate::wal::Wal::snapshot`]).
     pub wal_snapshots: u64,
-    /// Readings agents dropped oldest-first at the spill bound.
-    pub spill_dropped: u64,
     /// High-water mark of either agent's spill buffer.
     pub spill_peak: usize,
 }
@@ -473,7 +466,6 @@ fn session_agent(
     let agent_config = AgentConfig {
         poll_period: sensor.period(),
         transmit_period: config.transmit_period,
-        spill: config.spill,
     };
     Ok(
         CollectionAgent::new(stream.agent_id(), Box::new(sensor), clock, agent_config)
@@ -534,10 +526,9 @@ fn validate(streams: &[StreamId], crashes: &[CrashWindow]) -> Result<()> {
 /// [`CollectError::InvalidConfig`] for an empty stream set, a stream
 /// registered twice or without a scripted sensor, or a crash window that
 /// is not finite, ordered and disjoint from the one before it;
-/// [`CollectError::Transport`] in strict transport mode;
 /// [`CollectError::Wal`] / [`CollectError::Recovery`] from the durability
 /// layer; [`CollectError::Overload`] if an agent's spill buffer hits its
-/// bound in strict (non-`drop_oldest`) mode.
+/// bound.
 pub fn run_session(
     world: &Arc<DrivingWorld>,
     driver: usize,
@@ -648,7 +639,6 @@ fn run_streams(
     }
 
     let mut pending: Vec<Batch> = Vec::new();
-    let reliable = config.retransmit.enabled;
 
     while let Some((t, event)) = queue.pop() {
         if t > session_end + config.transmit_period + config.drain_grace {
@@ -670,7 +660,7 @@ fn run_streams(
                     &mut queue,
                     SessionEvent::Deliver,
                     SessionEvent::Retry(i),
-                )?;
+                );
                 if t <= session_end {
                     queue.push(t + config.transmit_period, SessionEvent::Flush(i));
                 }
@@ -682,7 +672,7 @@ fn run_streams(
                     &mut queue,
                     SessionEvent::Deliver,
                     SessionEvent::Retry(i),
-                )?;
+                );
             }
             SessionEvent::Sync => {
                 // Controller (master) sends its UTC; the agent applies
@@ -720,7 +710,7 @@ fn run_streams(
                     chaos.shed_batches += 1;
                     continue;
                 };
-                if reliable {
+                if config.retransmit {
                     // Ack every accepted or duplicate delivery —
                     // duplicates included, since a duplicate usually
                     // means the previous ack was lost.
@@ -807,7 +797,6 @@ fn run_streams(
     let mut reports = Vec::with_capacity(streams.len());
     for ((&stream, a), max_clock_error) in streams.iter().zip(&agents).zip(clock_errors) {
         let spill = a.agent.spill_stats();
-        chaos.spill_dropped += spill.dropped_oldest;
         chaos.spill_peak = chaos.spill_peak.max(spill.peak_buffered);
         if stream != StreamId::IMU {
             frames.push((stream, controller.frames_sorted_for(stream)));
@@ -1005,7 +994,6 @@ mod tests {
         // Clean and faulty links, the pair and the three-stream set.
         let mut faulty = CampaignConfig::default();
         faulty.link.loss = 0.15;
-        faulty.link.faults = FaultConfig::bursty(0.05, 0.3);
         faulty.link.faults.duplicate = 0.1;
         for config in [CampaignConfig::default(), faulty] {
             let pair = || run_campaign(&world(), &short_schedule(), &config, &PAIR, &[]).unwrap();
@@ -1044,7 +1032,7 @@ mod tests {
         // controller merely accounts for.
         let mut config = CampaignConfig::default();
         config.link.loss = 0.2;
-        config.retransmit = RetransmitConfig::disabled();
+        config.retransmit = false;
         let rec = pair_session(&config, &Durability::default());
         let lossless = clean_pair_session();
         // Fewer frames arrive, but the pipeline interpolates through gaps.

@@ -52,26 +52,20 @@ const THROTTLE_SHED_RATIO: f64 = 0.25;
 /// Fleet shed ratio at which the signal turns `Shed`.
 const SHED_SHED_RATIO: f64 = 0.75;
 
-/// The rollup of per-shard pressure into a fleet-level admission signal.
-/// Queue fractions are `queued / queue_limit` of the *worst* shard (one
-/// hot shard must be able to throttle the fleet; half full throttles,
-/// nine tenths sheds); shed ratios are fleet-aggregate `shed / offered`
-/// (a quarter throttles, three quarters sheds).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct BackpressureConfig;
-
-impl BackpressureConfig {
-    /// The rollup decision: worst-shard queue fill and fleet shed ratio
-    /// in, fleet admission signal out. Shed thresholds dominate
-    /// throttle thresholds; either axis alone can escalate.
-    pub fn signal(&self, max_queue_frac: f64, shed_ratio: f64) -> FleetAdmission {
-        if max_queue_frac >= SHED_QUEUE_FRAC || shed_ratio >= SHED_SHED_RATIO {
-            FleetAdmission::Shed
-        } else if max_queue_frac >= THROTTLE_QUEUE_FRAC || shed_ratio >= THROTTLE_SHED_RATIO {
-            FleetAdmission::Throttle
-        } else {
-            FleetAdmission::Accept
-        }
+/// The rollup of per-shard pressure into a fleet-level admission signal:
+/// worst-shard queue fill and fleet shed ratio in, signal out. Queue
+/// fractions are `queued / queue_limit` of the *worst* shard (one hot
+/// shard must be able to throttle the fleet; half full throttles, nine
+/// tenths sheds); shed ratios are fleet-aggregate `shed / offered` (a
+/// quarter throttles, three quarters sheds). Shed thresholds dominate
+/// throttle thresholds; either axis alone can escalate.
+pub fn fleet_signal(max_queue_frac: f64, shed_ratio: f64) -> FleetAdmission {
+    if max_queue_frac >= SHED_QUEUE_FRAC || shed_ratio >= SHED_SHED_RATIO {
+        FleetAdmission::Shed
+    } else if max_queue_frac >= THROTTLE_QUEUE_FRAC || shed_ratio >= THROTTLE_SHED_RATIO {
+        FleetAdmission::Throttle
+    } else {
+        FleetAdmission::Accept
     }
 }
 
@@ -99,8 +93,6 @@ pub struct ShardConfig {
     /// [`ControllerConfig::per_agent_series`] so TSDB inserts stay
     /// append-only.
     pub controller: ControllerConfig,
-    /// Rollup thresholds for the fleet admission signal.
-    pub backpressure: BackpressureConfig,
 }
 
 impl Default for ShardConfig {
@@ -109,7 +101,6 @@ impl Default for ShardConfig {
             shards: 4,
             queue_limit: 1024,
             controller: ControllerConfig::default(),
-            backpressure: BackpressureConfig,
         }
     }
 }
@@ -472,7 +463,7 @@ impl ShardedController {
 
     /// The fleet pressure rollup: per-shard queue depth and shed
     /// accounting, folded into the fleet admission signal via
-    /// [`BackpressureConfig::signal`].
+    /// [`fleet_signal`].
     pub fn pressure(&self) -> FleetPressure {
         let mut shards = Vec::with_capacity(self.shards.len());
         let mut max_queue_frac = 0.0f64;
@@ -502,7 +493,7 @@ impl ShardedController {
             shards,
             max_queue_frac,
             shed_ratio,
-            signal: self.config.backpressure.signal(max_queue_frac, shed_ratio),
+            signal: fleet_signal(max_queue_frac, shed_ratio),
         }
     }
 
@@ -1036,15 +1027,14 @@ mod tests {
 
     #[test]
     fn backpressure_rollup_thresholds() {
-        let bp = BackpressureConfig;
-        assert_eq!(bp.signal(0.0, 0.0), FleetAdmission::Accept);
-        assert_eq!(bp.signal(0.49, 0.24), FleetAdmission::Accept);
+        assert_eq!(fleet_signal(0.0, 0.0), FleetAdmission::Accept);
+        assert_eq!(fleet_signal(0.49, 0.24), FleetAdmission::Accept);
         // Either axis crossing its throttle threshold throttles.
-        assert_eq!(bp.signal(0.5, 0.0), FleetAdmission::Throttle);
-        assert_eq!(bp.signal(0.0, 0.25), FleetAdmission::Throttle);
+        assert_eq!(fleet_signal(0.5, 0.0), FleetAdmission::Throttle);
+        assert_eq!(fleet_signal(0.0, 0.25), FleetAdmission::Throttle);
         // Either axis crossing its shed threshold sheds.
-        assert_eq!(bp.signal(0.9, 0.0), FleetAdmission::Shed);
-        assert_eq!(bp.signal(0.0, 0.75), FleetAdmission::Shed);
+        assert_eq!(fleet_signal(0.9, 0.0), FleetAdmission::Shed);
+        assert_eq!(fleet_signal(0.0, 0.75), FleetAdmission::Shed);
         // Severity is ordered, so rollups can take a max.
         assert!(FleetAdmission::Shed > FleetAdmission::Throttle);
         assert!(FleetAdmission::Throttle > FleetAdmission::Accept);

@@ -148,7 +148,7 @@ proptest! {
 
 mod transport_props {
     use darnet_collect::runtime::{run_session, CampaignConfig, Durability, Recording};
-    use darnet_collect::{RetransmitConfig, StreamId};
+    use darnet_collect::StreamId;
     use darnet_sim::{CanonicalBehavior, DrivingWorld, Segment, WorldConfig};
     use proptest::prelude::*;
     use std::sync::Arc;
@@ -171,17 +171,17 @@ mod transport_props {
     }
 
     fn faulty_config(seed: u64, loss: f64, jitter: f64, duplicate: f64) -> CampaignConfig {
-        // Generous drain so worst-case backoff chains can finish; a faster
-        // initial RTO keeps the chains short.
+        // A drain that outlasts the whole retry chain — RTOs of 0.25 s
+        // doubling over 8 retries, each up to 25 % late, sum to < 160 s —
+        // so every batch is either acked or abandoned before the loop ends.
         let mut config = CampaignConfig {
             seed,
-            drain_grace: 25.0,
+            drain_grace: 160.0,
             ..CampaignConfig::default()
         };
         config.link.loss = loss;
         config.link.jitter = jitter;
         config.link.faults.duplicate = duplicate;
-        config.retransmit.ack_timeout = 0.15;
         config
     }
 
@@ -243,12 +243,38 @@ mod transport_props {
             duplicate in 0.0f64..0.5,
         ) {
             let mut config = faulty_config(seed, loss, 0.01, duplicate);
-            config.retransmit = RetransmitConfig::disabled();
+            config.retransmit = false;
             let rec = pair_session(&config);
             // Dedupe holds even without acks: duplication can never inflate
             // the recording past what was polled.
             prop_assert!(rec.readings_ingested <= rec.readings_polled());
             prop_assert!(rec.imu.windows(2).all(|w| w[0].t < w[1].t));
+        }
+
+        /// The retry budget as a contract: a blackout shorter than 3 s,
+        /// starting anywhere in the session, loses nothing. Retries fall
+        /// 0.25, 0.75, 1.75, 3.75 and 7.75 s (±25 % per RTO) after a
+        /// batch's first send, so the fifth at the latest lands after the
+        /// blackout, well inside the budget of 8.
+        #[test]
+        fn any_short_blackout_is_healed_within_the_retry_budget(
+            seed in 0u64..1_000_000,
+            start in 0.0f64..4.0,
+            len in 0.0f64..3.0,
+        ) {
+            let mut config = faulty_config(seed, 0.0, 0.01, 0.0);
+            config.link.faults.blackout = Some((start, start + len));
+            let rec = pair_session(&config);
+            prop_assert_eq!(
+                rec.readings_ingested,
+                rec.readings_polled(),
+                "seed {} blackout [{}, {})",
+                seed, start, start + len
+            );
+            for row in &rec.streams {
+                prop_assert_eq!(row.transport.abandoned, 0);
+                prop_assert_eq!(row.health.expect("both streams delivered").gaps, 0);
+            }
         }
 
         #[test]

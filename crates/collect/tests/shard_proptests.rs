@@ -5,8 +5,8 @@
 use std::collections::BTreeMap;
 
 use darnet_collect::{
-    shard_of, BackpressureConfig, Batch, Controller, ControllerConfig, FleetAdmission,
-    SensorReading, ShardConfig, ShardedController, StampedReading,
+    fleet_signal, shard_of, Batch, Controller, ControllerConfig, FleetAdmission, SensorReading,
+    ShardConfig, ShardedController, StampedReading,
 };
 use darnet_sim::ImuSample;
 use proptest::prelude::*;
@@ -112,11 +112,10 @@ proptest! {
         q1 in 0.0f64..1.0, q2 in 0.0f64..1.0,
         s1 in 0.0f64..1.0, s2 in 0.0f64..1.0,
     ) {
-        let bp = BackpressureConfig;
         let (qlo, qhi) = if q1 <= q2 { (q1, q2) } else { (q2, q1) };
         let (slo, shi) = if s1 <= s2 { (s1, s2) } else { (s2, s1) };
-        prop_assert!(bp.signal(qlo, slo) <= bp.signal(qhi, shi));
-        prop_assert_eq!(bp.signal(0.0, 0.0), FleetAdmission::Accept);
-        prop_assert_eq!(bp.signal(1.0, 1.0), FleetAdmission::Shed);
+        prop_assert!(fleet_signal(qlo, slo) <= fleet_signal(qhi, shi));
+        prop_assert_eq!(fleet_signal(0.0, 0.0), FleetAdmission::Accept);
+        prop_assert_eq!(fleet_signal(1.0, 1.0), FleetAdmission::Shed);
     }
 }

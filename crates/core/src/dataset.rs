@@ -903,7 +903,6 @@ mod tests {
         let config = darnet_sim::schedule::ExtendedScheduleConfig {
             drivers: 2,
             seconds_per_class: 2.0,
-            segment_seconds: 15.0,
         };
         let segments = darnet_sim::schedule::build_extended_schedule(&config);
         let ds = ExtendedFrameDataset::generate(&world, &segments, 4.0);

@@ -7,7 +7,6 @@ use std::sync::Arc;
 
 use darnet_collect::runtime::{run_campaign, CampaignConfig, Recording};
 use darnet_collect::{FaultConfig, LinkConfig, StreamId};
-use darnet_nn::SvmConfig;
 use darnet_sim::schedule::{
     build_extended_schedule, build_schedule, ExtendedScheduleConfig, ScheduleConfig,
     TABLE1_FRAME_COUNTS,
@@ -119,7 +118,6 @@ fn collect(
         drivers: config.drivers,
         scale: config.scale,
         drowsy_seconds_per_class: drowsy_seconds,
-        ..ScheduleConfig::default()
     });
     let recordings = run_campaign(&world, &schedule, campaign, streams, link_overrides)?;
     Ok((recordings, schedule))
@@ -276,7 +274,7 @@ pub fn train_stack_on(config: &ExperimentConfig, dataset: Dataset) -> Result<Tra
         config.seed ^ 0x44,
     );
     rnn.fit(&train_windows, &train_labels3, config.rnn_epochs)?;
-    let mut svm = ImuSvm::new(WINDOW_LEN, IMU_FEATURES, 3, SvmConfig::default());
+    let mut svm = ImuSvm::new(WINDOW_LEN, IMU_FEATURES, 3);
     let mut svm_rng = SplitMix64::new(config.seed ^ 0x55);
     svm.fit(&train_windows, &train_labels3, &mut svm_rng)?;
 
@@ -508,7 +506,6 @@ pub fn run_table3(config: &PrivacyExperimentConfig) -> Result<Table3Report> {
     let schedule = build_extended_schedule(&ExtendedScheduleConfig {
         drivers: config.drivers,
         seconds_per_class: config.seconds_per_class,
-        segment_seconds: 15.0,
     });
     let dataset = ExtendedFrameDataset::generate(&world, &schedule, config.fps);
     // Driver-disjoint evaluation: every 5th driver (or the last one, for
@@ -832,7 +829,6 @@ pub fn run_ablation_distill(
     let schedule = build_extended_schedule(&ExtendedScheduleConfig {
         drivers: config.drivers,
         seconds_per_class: config.seconds_per_class,
-        segment_seconds: 15.0,
     });
     let dataset = ExtendedFrameDataset::generate(&world, &schedule, config.fps);
     let holdout = config.drivers.min(5);

@@ -26,16 +26,8 @@ pub struct CnnConfig {
     /// Width multiplier for every channel count (1.0 = the default small
     /// model; larger is slower and more accurate).
     pub width: f32,
-    /// SGD learning rate.
-    pub lr: f32,
-    /// SGD momentum.
-    pub momentum: f32,
-    /// L2 weight decay.
-    pub weight_decay: f32,
     /// Minibatch size.
     pub batch_size: usize,
-    /// Dropout probability before the head.
-    pub dropout: f32,
 }
 
 impl Default for CnnConfig {
@@ -44,14 +36,19 @@ impl Default for CnnConfig {
             input_size: 48,
             classes: 6,
             width: 1.0,
-            lr: 0.05,
-            momentum: 0.9,
-            weight_decay: 1e-4,
             batch_size: 32,
-            dropout: 0.1,
         }
     }
 }
+
+/// SGD learning rate (decayed per epoch by [`FrameCnn::fit`]).
+const LR: f32 = 0.05;
+/// SGD momentum.
+const MOMENTUM: f32 = 0.9;
+/// L2 weight decay.
+const WEIGHT_DECAY: f32 = 1e-4;
+/// Dropout probability before the head.
+const DROPOUT: f32 = 0.1;
 
 fn scaled(base: usize, width: f32) -> usize {
     ((base as f32 * width).round() as usize).max(1)
@@ -116,9 +113,7 @@ impl FrameCnn {
         let feat_dim = (ch_b.total() * 3).max(16);
         features.push(Dense::new(feat_dim_in, feat_dim, &mut rng));
         features.push(Relu::new());
-        if config.dropout > 0.0 {
-            features.push(Dropout::new(config.dropout, rng.next_u64()));
-        }
+        features.push(Dropout::new(DROPOUT, rng.next_u64()));
         let head = Dense::new(feat_dim, config.classes, &mut rng);
         FrameCnn {
             features,
@@ -189,8 +184,8 @@ impl FrameCnn {
     /// [`darnet_nn::NnError::Diverged`].
     pub fn fit(&mut self, frames: &Tensor, labels: &[usize], epochs: usize) -> Result<Vec<f32>> {
         let n = frames.dims()[0];
-        let mut opt = Sgd::with_momentum(self.config.lr, self.config.momentum)
-            .weight_decay(self.config.weight_decay)
+        let mut opt = Sgd::with_momentum(LR, MOMENTUM)
+            .weight_decay(WEIGHT_DECAY)
             .clip_norm(5.0);
         let mut order: Vec<usize> = (0..n).collect();
         let mut epoch_losses = Vec::with_capacity(epochs);
@@ -199,7 +194,7 @@ impl FrameCnn {
         let img = dims[1] * dims[2] * dims[3];
         for epoch in 0..epochs {
             self.rng.shuffle(&mut order);
-            opt.lr = self.config.lr / (1.0 + 0.3 * epoch as f32);
+            opt.lr = LR / (1.0 + 0.3 * epoch as f32);
             let mut total = 0.0f32;
             let mut batches = 0usize;
             for chunk in order.chunks(bs) {
@@ -435,8 +430,6 @@ mod tests {
             classes: 3,
             width: 0.5,
             batch_size: 16,
-            lr: 0.05,
-            ..CnnConfig::default()
         }
     }
 

@@ -1,7 +1,7 @@
 //! The SVM baseline for the IMU stream (paper §5.2: the CNN+SVM ensemble
 //! that the CNN+RNN architecture edges out by ~1%).
 
-use darnet_nn::{LinearSvm, SvmConfig};
+use darnet_nn::LinearSvm;
 use darnet_tensor::{SplitMix64, Tensor, Workspace};
 
 use crate::dataset::Standardizer;
@@ -13,7 +13,6 @@ use crate::Result;
 pub struct ImuSvm {
     svm: LinearSvm,
     standardizer: Option<Standardizer>,
-    config: SvmConfig,
     window_len: usize,
     features: usize,
     classes: usize,
@@ -23,11 +22,10 @@ pub struct ImuSvm {
 
 impl ImuSvm {
     /// Builds an untrained SVM for `[n, window_len, features]` windows.
-    pub fn new(window_len: usize, features: usize, classes: usize, config: SvmConfig) -> Self {
+    pub fn new(window_len: usize, features: usize, classes: usize) -> Self {
         ImuSvm {
             svm: LinearSvm::new(window_len * features, classes),
             standardizer: None,
-            config,
             window_len,
             features,
             classes,
@@ -66,7 +64,7 @@ impl ImuSvm {
         let std = Standardizer::fit(windows)?;
         let x = self.flatten(&std.apply(windows))?;
         self.standardizer = Some(std);
-        self.svm.fit(&x, labels, &self.config, rng)?;
+        self.svm.fit(&x, labels, rng)?;
         Ok(())
     }
 
@@ -172,7 +170,7 @@ mod tests {
 
     #[test]
     fn svm_learns_toy_windows() {
-        let mut svm = ImuSvm::new(5, 3, 2, SvmConfig::default());
+        let mut svm = ImuSvm::new(5, 3, 2);
         let (x, labels) = toy_windows(40, 1);
         let mut rng = SplitMix64::new(2);
         svm.fit(&x, &labels, &mut rng).unwrap();
@@ -182,14 +180,14 @@ mod tests {
 
     #[test]
     fn predict_before_fit_errors() {
-        let svm = ImuSvm::new(5, 3, 2, SvmConfig::default());
+        let svm = ImuSvm::new(5, 3, 2);
         let x = Tensor::zeros(&[1, 5, 3]);
         assert!(matches!(svm.predict_proba(&x), Err(CoreError::NotReady(_))));
     }
 
     #[test]
     fn wrong_window_shape_is_rejected() {
-        let mut svm = ImuSvm::new(5, 3, 2, SvmConfig::default());
+        let mut svm = ImuSvm::new(5, 3, 2);
         let (x, labels) = toy_windows(5, 3);
         let mut rng = SplitMix64::new(4);
         svm.fit(&x, &labels, &mut rng).unwrap();
@@ -199,7 +197,7 @@ mod tests {
 
     #[test]
     fn probabilities_sum_to_one() {
-        let mut svm = ImuSvm::new(5, 3, 2, SvmConfig::default());
+        let mut svm = ImuSvm::new(5, 3, 2);
         let (x, labels) = toy_windows(10, 5);
         let mut rng = SplitMix64::new(6);
         svm.fit(&x, &labels, &mut rng).unwrap();

@@ -150,10 +150,6 @@ pub fn restore_frames_into(frames: &[Frame], out: &mut Tensor) -> Result<()> {
 /// Hyperparameters for dCNN distillation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DistillConfig {
-    /// SGD learning rate (the paper trains the dCNN with SGD).
-    pub lr: f32,
-    /// SGD momentum.
-    pub momentum: f32,
     /// Epochs over the unlabeled pool.
     pub epochs: usize,
     /// Minibatch size.
@@ -166,14 +162,18 @@ pub struct DistillConfig {
 impl Default for DistillConfig {
     fn default() -> Self {
         DistillConfig {
-            lr: 0.05,
-            momentum: 0.9,
             epochs: 6,
             batch_size: 32,
             temperature: 2.0,
         }
     }
 }
+
+/// SGD learning rate of distillation (the paper trains the dCNN with SGD),
+/// decayed per epoch.
+const DISTILL_LR: f32 = 0.05;
+/// SGD momentum of distillation.
+const DISTILL_MOMENTUM: f32 = 0.9;
 
 /// Trains a dCNN student for `level` by distillation (paper §4.3):
 ///
@@ -201,12 +201,12 @@ pub fn distill_dcnn(
     let mut student = FrameCnn::new(*teacher.config(), seed);
     student.copy_params_from(teacher)?;
 
-    let mut opt = Sgd::with_momentum(config.lr, config.momentum).clip_norm(5.0);
+    let mut opt = Sgd::with_momentum(DISTILL_LR, DISTILL_MOMENTUM).clip_norm(5.0);
     let mut rng = SplitMix64::new(seed ^ 0xD157);
     let mut order: Vec<usize> = (0..unlabeled.len()).collect();
     for epoch in 0..config.epochs {
         rng.shuffle(&mut order);
-        opt.lr = config.lr / (1.0 + 0.3 * epoch as f32);
+        opt.lr = DISTILL_LR / (1.0 + 0.3 * epoch as f32);
         for chunk in order.chunks(config.batch_size.max(1)) {
             let batch_frames: Vec<Frame> = chunk.iter().map(|&i| unlabeled[i].clone()).collect();
             // Step 1: teacher on original frames (device side).
@@ -287,7 +287,6 @@ mod tests {
             classes: 3,
             width: 0.5,
             batch_size: 8,
-            ..CnnConfig::default()
         };
         let mut teacher = FrameCnn::new(config, 1);
         let renderer = FrameRenderer::new(9).with_size(24);

@@ -1070,7 +1070,7 @@ mod tests {
 
     /// The SVM baseline for the pair's IMU slot.
     fn tiny_svm() -> ImuSvm {
-        let mut svm = ImuSvm::new(WINDOW_LEN, IMU_FEATURES, 3, darnet_nn::SvmConfig::default());
+        let mut svm = ImuSvm::new(WINDOW_LEN, IMU_FEATURES, 3);
         let mut x = Tensor::zeros(&[6, WINDOW_LEN, IMU_FEATURES]);
         for (i, v) in x.data_mut().iter_mut().enumerate() {
             *v = ((i * 7) % 11) as f32 * 0.1;

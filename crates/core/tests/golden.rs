@@ -20,7 +20,7 @@
 use std::sync::Arc;
 
 use darnet_collect::runtime::{pair_frames_with_windows, run_campaign, CampaignConfig};
-use darnet_collect::{LinkConfig, RetransmitConfig, StreamId};
+use darnet_collect::{LinkConfig, StreamId};
 use darnet_core::dataset::{Dataset, IMU_FEATURES, WINDOW_LEN};
 use darnet_core::experiment::{
     run_ablation_combiner, table2_from_stack, train_stack_on, ExperimentConfig,
@@ -483,7 +483,7 @@ fn three_stream_dataset_digest() {
     // has no side frame within the 0.3 s tolerance and is dropped; one
     // that lost only its own adopts a frame a period away.
     let (world, base, mut campaign) = dataset_world();
-    campaign.retransmit = RetransmitConfig::disabled();
+    campaign.retransmit = false;
     // The constant the retired 3-stream front-end mixed into every seed.
     campaign.seed ^= 0xCA40_0515_0A11_ED00;
     let schedule = build_schedule(&ScheduleConfig {

@@ -72,7 +72,7 @@ pub use optim::{Adam, Optimizer, Sgd};
 pub use param::Param;
 pub use pool::{AvgPool2d, GlobalAvgPool, MaxPool2d};
 pub use sequential::Sequential;
-pub use svm::{LinearSvm, SvmConfig};
+pub use svm::LinearSvm;
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, NnError>;

@@ -6,29 +6,14 @@ use crate::error::NnError;
 use crate::loss::softmax_inplace;
 use crate::Result;
 
-/// Hyperparameters for [`LinearSvm`] training.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SvmConfig {
-    /// Learning rate for hinge-loss SGD.
-    pub lr: f32,
-    /// L2 regularization strength.
-    pub lambda: f32,
-    /// Number of passes over the training set.
-    pub epochs: usize,
-    /// Hinge margin (standard SVM uses 1.0).
-    pub margin: f32,
-}
-
-impl Default for SvmConfig {
-    fn default() -> Self {
-        SvmConfig {
-            lr: 0.05,
-            lambda: 1e-4,
-            epochs: 30,
-            margin: 1.0,
-        }
-    }
-}
+/// Learning rate for hinge-loss SGD (decayed per epoch).
+const LR: f32 = 0.05;
+/// L2 regularization strength.
+const LAMBDA: f32 = 1e-4;
+/// Number of passes over the training set.
+const EPOCHS: usize = 30;
+/// Hinge margin (the standard SVM's 1.0).
+const MARGIN: f32 = 1.0;
 
 /// A multi-class linear SVM trained one-vs-rest with hinge loss and L2
 /// regularization via SGD.
@@ -66,18 +51,13 @@ impl LinearSvm {
     }
 
     /// Trains on `[n, features]` data with integer labels using one-vs-rest
-    /// hinge loss.
+    /// hinge loss: 30 shuffled epochs of SGD at learning rate 0.05
+    /// (decayed per epoch) with L2 strength 1e-4 and margin 1.
     ///
     /// # Errors
     ///
     /// Returns an error on shape/label problems.
-    pub fn fit(
-        &mut self,
-        x: &Tensor,
-        labels: &[usize],
-        config: &SvmConfig,
-        rng: &mut SplitMix64,
-    ) -> Result<()> {
+    pub fn fit(&mut self, x: &Tensor, labels: &[usize], rng: &mut SplitMix64) -> Result<()> {
         if x.rank() != 2 || x.dims()[1] != self.features {
             return Err(NnError::InvalidConfig(format!(
                 "svm expects [n, {}], got {:?}",
@@ -102,10 +82,10 @@ impl LinearSvm {
         }
         let f = self.features;
         let mut order: Vec<usize> = (0..n).collect();
-        for epoch in 0..config.epochs {
+        for epoch in 0..EPOCHS {
             rng.shuffle(&mut order);
             // Learning-rate decay keeps late epochs from oscillating.
-            let lr = config.lr / (1.0 + 0.1 * epoch as f32);
+            let lr = LR / (1.0 + 0.1 * epoch as f32);
             for &idx in &order {
                 let xi = &x.data()[idx * f..(idx + 1) * f];
                 let yi = labels[idx];
@@ -115,11 +95,11 @@ impl LinearSvm {
                     let score: f32 = w.iter().zip(xi).map(|(&wv, &xv)| wv * xv).sum::<f32>()
                         + self.bias.data()[c];
                     // L2 shrinkage on every step.
-                    let shrink = 1.0 - lr * config.lambda;
+                    let shrink = 1.0 - lr * LAMBDA;
                     for wv in &mut self.weights.data_mut()[c * f..(c + 1) * f] {
                         *wv *= shrink;
                     }
-                    if target * score < config.margin {
+                    if target * score < MARGIN {
                         // Hinge sub-gradient step.
                         for (wv, &xv) in self.weights.data_mut()[c * f..(c + 1) * f]
                             .iter_mut()
@@ -236,8 +216,7 @@ mod tests {
         let (x, labels) = blobs(50, 1);
         let mut svm = LinearSvm::new(2, 3);
         let mut rng = SplitMix64::new(2);
-        svm.fit(&x, &labels, &SvmConfig::default(), &mut rng)
-            .unwrap();
+        svm.fit(&x, &labels, &mut rng).unwrap();
         let preds = svm.predict(&x).unwrap();
         let correct = preds.iter().zip(&labels).filter(|(a, b)| a == b).count();
         let acc = correct as f32 / labels.len() as f32;
@@ -249,8 +228,7 @@ mod tests {
         let (x, labels) = blobs(20, 3);
         let mut svm = LinearSvm::new(2, 3);
         let mut rng = SplitMix64::new(4);
-        svm.fit(&x, &labels, &SvmConfig::default(), &mut rng)
-            .unwrap();
+        svm.fit(&x, &labels, &mut rng).unwrap();
         let p = svm.predict_proba(&x).unwrap();
         for i in 0..x.dims()[0] {
             let s: f32 = p.data()[i * 3..(i + 1) * 3].iter().sum();
@@ -271,11 +249,11 @@ mod tests {
         let mut rng = SplitMix64::new(5);
         let x = Tensor::zeros(&[3, 2]);
         assert!(matches!(
-            svm.fit(&x, &[0, 1], &SvmConfig::default(), &mut rng),
+            svm.fit(&x, &[0, 1], &mut rng),
             Err(NnError::LabelBatchMismatch { .. })
         ));
         assert!(matches!(
-            svm.fit(&x, &[0, 1, 2], &SvmConfig::default(), &mut rng),
+            svm.fit(&x, &[0, 1, 2], &mut rng),
             Err(NnError::LabelOutOfRange { .. })
         ));
         assert!(svm.decision_function(&Tensor::zeros(&[1, 3])).is_err());
@@ -286,12 +264,9 @@ mod tests {
         let (x, labels) = blobs(30, 6);
         let mut svm = LinearSvm::new(2, 3);
         let mut rng = SplitMix64::new(7);
-        let config = SvmConfig {
-            lambda: 0.1,
-            epochs: 50,
-            ..SvmConfig::default()
-        };
-        svm.fit(&x, &labels, &config, &mut rng).unwrap();
-        assert!(svm.weights.norm() < 50.0);
+        svm.fit(&x, &labels, &mut rng).unwrap();
+        // Hinge steps stop once the margins hold and the L2 shrinkage
+        // acts on every step, so the weights settle near norm 1.4.
+        assert!(svm.weights.norm() < 5.0, "norm {}", svm.weights.norm());
     }
 }

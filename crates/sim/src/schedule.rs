@@ -14,6 +14,12 @@ use crate::behavior::{CanonicalBehavior, ExtendedBehavior};
 /// Frame counts per class from the paper's Table 1.
 pub const TABLE1_FRAME_COUNTS: [usize; 6] = [5_286, 10_352, 9_422, 9_463, 4_848, 17_709];
 
+/// Camera frame period, seconds (4 fps): every camera agent's cadence.
+pub const CAMERA_PERIOD: f64 = 0.25;
+
+/// Scripted segment length, seconds (paper: 15 s per distraction).
+pub const SEGMENT_SECONDS: f64 = 15.0;
+
 /// One scripted collection segment: a driver performs one behaviour for a
 /// contiguous span of (session-local) time.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -46,14 +52,9 @@ impl<B: Copy> Segment<B> {
 pub struct ScheduleConfig {
     /// Number of participating drivers (paper: 5).
     pub drivers: usize,
-    /// Camera frame rate used to convert Table-1 frame counts into
-    /// durations (frames per second).
-    pub camera_fps: f64,
     /// Scale factor on the paper's frame counts (1.0 = full 57 k frames;
     /// the default 0.1 reproduces the class balance at 1/10 size).
     pub scale: f64,
-    /// Scripted segment length in seconds (paper: 15 s).
-    pub segment_seconds: f64,
     /// Seconds of each drowsiness class per driver. The default `0.0` is
     /// the paper's 6-class script exactly.
     pub drowsy_seconds_per_class: f64,
@@ -63,9 +64,7 @@ impl Default for ScheduleConfig {
     fn default() -> Self {
         ScheduleConfig {
             drivers: 5,
-            camera_fps: 4.0,
             scale: 0.1,
-            segment_seconds: 15.0,
             drowsy_seconds_per_class: 0.0,
         }
     }
@@ -82,8 +81,10 @@ pub fn build_schedule(config: &ScheduleConfig) -> Vec<Segment<CanonicalBehavior>
         let mut remaining: Vec<f64> = CanonicalBehavior::ALL
             .iter()
             .map(|c| match TABLE1_FRAME_COUNTS.get(c.index()) {
+                // `drivers / period` is exactly `drivers × 4`; multiplying
+                // by the period instead would round differently.
                 Some(&frames) => {
-                    frames as f64 * config.scale / (config.drivers as f64 * config.camera_fps)
+                    frames as f64 * config.scale / (config.drivers as f64 / CAMERA_PERIOD)
                 }
                 None => config.drowsy_seconds_per_class,
             })
@@ -96,7 +97,7 @@ pub fn build_schedule(config: &ScheduleConfig) -> Vec<Segment<CanonicalBehavior>
                 if remaining[idx] <= 1e-9 {
                     continue;
                 }
-                let duration = remaining[idx].min(config.segment_seconds);
+                let duration = remaining[idx].min(SEGMENT_SECONDS);
                 segments.push(Segment {
                     driver,
                     behavior: *behavior,
@@ -119,8 +120,6 @@ pub struct ExtendedScheduleConfig {
     pub drivers: usize,
     /// Seconds of footage per class per driver.
     pub seconds_per_class: f64,
-    /// Scripted segment length in seconds.
-    pub segment_seconds: f64,
 }
 
 impl Default for ExtendedScheduleConfig {
@@ -128,7 +127,6 @@ impl Default for ExtendedScheduleConfig {
         ExtendedScheduleConfig {
             drivers: 10,
             seconds_per_class: 12.0,
-            segment_seconds: 15.0,
         }
     }
 }
@@ -144,7 +142,7 @@ pub fn build_extended_schedule(config: &ExtendedScheduleConfig) -> Vec<Segment<E
                 if remaining[idx] <= 1e-9 {
                     continue;
                 }
-                let duration = remaining[idx].min(config.segment_seconds);
+                let duration = remaining[idx].min(SEGMENT_SECONDS);
                 segments.push(Segment {
                     driver,
                     behavior: *behavior,
@@ -182,7 +180,7 @@ mod tests {
         // summed across drivers already.
         for (i, &frames) in TABLE1_FRAME_COUNTS.iter().enumerate() {
             let expected_frames = frames as f64 * config.scale;
-            let actual_frames = durations[i] * config.camera_fps;
+            let actual_frames = durations[i] / CAMERA_PERIOD;
             assert!(
                 (actual_frames - expected_frames).abs() < 1.0,
                 "class {i}: {actual_frames} vs {expected_frames}"
@@ -209,7 +207,7 @@ mod tests {
     fn segments_never_exceed_scripted_length() {
         let config = ScheduleConfig::default();
         for s in build_schedule(&config) {
-            assert!(s.duration <= config.segment_seconds + 1e-9);
+            assert!(s.duration <= SEGMENT_SECONDS + 1e-9);
             assert!(s.duration > 0.0);
         }
     }
@@ -234,7 +232,6 @@ mod tests {
         let config = ExtendedScheduleConfig {
             drivers: 2,
             seconds_per_class: 10.0,
-            segment_seconds: 15.0,
         };
         let segments = build_extended_schedule(&config);
         let mut per_class = vec![0.0f64; 18];
@@ -256,7 +253,7 @@ mod tests {
         let per_class = class_durations(&build_schedule(&config));
         // Table-1 classes keep their proportional budgets.
         for (i, &frames) in TABLE1_FRAME_COUNTS.iter().enumerate() {
-            let expected = frames as f64 * config.scale / config.camera_fps;
+            let expected = frames as f64 * config.scale * CAMERA_PERIOD;
             assert!(
                 (per_class[i] - expected).abs() < 1e-6,
                 "class {i}: {} vs {expected}",

@@ -62,7 +62,9 @@
 #                  every bin must have a line — paper fidelity held byte
 #                  for byte (~80–90 s, mostly repro_table3 and
 #                  repro_ablation_distill). Like the golden files, the
-#                  digests assume glibc's libm
+#                  digests assume glibc's libm. Each bin's wall time is
+#                  printed and written to target/ci/repro_times.txt
+#                  (`bin seconds` lines); no time is gated
 #   8. ledger    — the frozen pipeline ledger (benchmark/, BENCHMARK.json;
 #                  a package of its own that step 1 only type-checks)
 #                  against this checkout's crates: its unit tests, then
@@ -149,6 +151,8 @@ step_multiview() { run_bench repro_ablation_multiview BENCH_multiview.json; }
 # `sha256  bin` lines, one per repro_* bin. fig4 prints the paths it wrote
 # under the temp dir, so TMPDIR is pinned to the one the digests saw.
 REPRO_DIGESTS=REPRO_fast.sha256
+# `bin seconds` lines: each bin's --fast wall time in this run.
+REPRO_TIMES=target/ci/repro_times.txt
 
 step_repro() {
   cargo build --release --locked -p darnet-bench --bins
@@ -159,9 +163,15 @@ step_repro() {
     echo "repro: the repro_* bins and $REPRO_DIGESTS's lines differ" >&2
     return 1
   fi
-  local want bin got failed=0
+  mkdir -p target/ci
+  : > "$REPRO_TIMES"
+  local want bin got start secs failed=0
   while read -r want bin; do
+    start=$EPOCHREALTIME
     got=$(TMPDIR=/tmp "target/release/$bin" --fast | sha256sum | cut -d' ' -f1)
+    secs=$(awk -v a="$start" -v b="$EPOCHREALTIME" 'BEGIN { printf "%.1f", b - a }')
+    printf '  %-28s %6ss\n' "$bin" "$secs"
+    printf '%s %s\n' "$bin" "$secs" >> "$REPRO_TIMES"
     if [[ "$got" != "$want" ]]; then
       echo "repro: $bin --fast stdout sha256 is $got, $REPRO_DIGESTS has $want" >&2
       failed=1

@@ -6,9 +6,7 @@ use std::sync::Arc;
 
 use darnet::collect::live::run_live_session;
 use darnet::collect::runtime::{run_campaign, run_session, CampaignConfig, Durability, Recording};
-use darnet::collect::{
-    ClockConfig, ControllerConfig, FaultConfig, LinkConfig, RetransmitConfig, StreamId,
-};
+use darnet::collect::{ClockConfig, ControllerConfig, FaultConfig, LinkConfig, StreamId};
 use darnet::core::experiment::{run_ablation_clocksync, ExperimentConfig};
 use darnet::sim::{CanonicalBehavior, DrivingWorld, Segment, WorldConfig};
 
@@ -135,7 +133,7 @@ fn total_camera_outage_still_yields_imu_stream() {
             loss: 0.95,
             ..LinkConfig::default()
         },
-        retransmit: RetransmitConfig::disabled(),
+        retransmit: false,
         ..CampaignConfig::default()
     };
     let rec = pair_session(8.0, &config, &[]);
