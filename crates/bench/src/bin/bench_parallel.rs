@@ -1,42 +1,36 @@
-//! Parallel-backend and batched-inference benchmark with regression
+//! Batched-inference and stream fan-out benchmark with regression
 //! tracking.
 //!
-//! Measures the two kernels that still take a thread policy — the
-//! register-tiled `matmul_transpose_b_into` and `im2col_into`, each into a
-//! preallocated output — serial vs 4-thread, end-to-end engine
-//! classification at batch=1 vs batch=32,
-//! and the registry engine's streams inline vs one worker each, then
-//! emits a flat-JSON metrics file (see [`darnet_bench::metrics`]).
+//! Measures end-to-end engine classification at batch=1 vs batch=32 and
+//! the registry engine's streams inline vs one worker each, then emits a
+//! flat-JSON metrics file (see [`darnet_bench::metrics`]). Per-kernel
+//! numbers are the ledger's (`tensor.matmul_gflops.*`,
+//! `tensor.im2col_gbps.stem`), not this bench's.
 //!
 //! Flags:
 //!
 //! * `--fast`, `--json`, `--out PATH`, `--compare PATH` — the shared
 //!   gated-bench conventions, see [`darnet_bench::gate`].
-//! * `--check` — enforce the acceptance gates: ≥2× kernel speedup at 4
-//!   threads *when ≥4 hardware threads exist* (on smaller hosts the
-//!   threaded path must merely not collapse below 0.5×), and engine
-//!   throughput at batch=32 no lower than at batch=1 (within
-//!   [`gate::TOLERANCE`]) unconditionally; and `speedup_engine_streams`
-//!   — the engine's one level of thread fan-out, a worker per stream —
-//!   no lower than inline within the same tolerance *when this run has
-//!   ≥2 hardware threads*.
+//! * `--check` — enforce the acceptance gates: engine throughput at
+//!   batch=32 no lower than at batch=1 (within [`gate::TOLERANCE`])
+//!   unconditionally; and `speedup_engine_streams` — the engine's one
+//!   level of thread fan-out, a worker per stream — no lower than inline
+//!   within the same tolerance *when this run has ≥2 hardware threads*.
 //!
 //! When this run or the `--compare` baseline reports
-//! `threads_available <= 1`, the two kernel thread speedups are exempt
-//! from both `--compare` and `--check`, and `speedup_engine_streams`
-//! from `--compare`: a serial-vs-threaded ratio
-//! measured on one core is dispatch noise, not a number to pin.
-//! `speedup_engine_batch32` is gated regardless. Both sides are the pair
-//! engine's zero-alloc path — `classify_step_into` × 32 against one
-//! `classify_batch_into` — so all a batch has to amortize is per-call
-//! dispatch and the per-step LSTM products, and since the register-tiled
-//! product (which a batch's taller operands feed better) the ratio reads
-//! 1.38–1.48. The floor guards the property, not a margin: batching never
-//! costs throughput; the committed baseline is what would catch the
-//! kernel regressing to the dot loop (1.17–1.21).
+//! `threads_available <= 1`, `speedup_engine_streams` is exempt from
+//! `--compare`: a serial-vs-threaded ratio measured on one core is
+//! dispatch noise, not a number to pin. `speedup_engine_batch32` is gated
+//! regardless. Both sides are the pair engine's zero-alloc path — 32
+//! one-step `classify_batch_into` calls against one 32-step call — so all
+//! a batch has to amortize is per-call dispatch and the per-step LSTM
+//! products, and since the register-tiled product (which a batch's taller
+//! operands feed better) the ratio reads 1.38–1.48. The floor guards the
+//! property, not a margin: batching never costs throughput; the committed
+//! baseline is what would catch the kernel regressing to the dot loop
+//! (1.17–1.21).
 
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 use darnet_bench::fixtures::{random_tensor, tiny_engine, FRAME_SIZE};
 use darnet_bench::gate::{self, Gate};
@@ -47,15 +41,11 @@ use darnet_core::{
     RnnConfig, StreamInput, StreamModelSlot,
 };
 use darnet_sim::Frame;
-use darnet_tensor::{im2col_into, Conv2dSpec, Parallelism, Tensor};
+use darnet_tensor::{Parallelism, Tensor};
 
-const THREADS: usize = 4;
-/// The serial-vs-threaded kernel ratios: gated only between runs that
-/// both had more than one hardware thread.
-const KERNEL_SPEEDUPS: [&str; 2] = ["speedup_matmul_threads", "speedup_conv_threads"];
-/// Streams inline vs a worker per stream: compared with the baseline on
-/// the kernel ratios' condition, held to [`PARITY_FLOOR`] whenever this
-/// run has a second hardware thread.
+/// Streams inline vs a worker per stream: compared with the baseline only
+/// between runs that both had more than one hardware thread, held to
+/// [`PARITY_FLOOR`] whenever this run has a second hardware thread.
 const STREAMS_SPEEDUP: &str = "speedup_engine_streams";
 /// Frame edge of the ledger's `cabin_*` workloads.
 const CABIN_FRAME: usize = 48;
@@ -63,20 +53,6 @@ const CABIN_FRAME: usize = 48;
 /// streams than inline ones, within the tolerance the baseline
 /// comparison allows.
 const PARITY_FLOOR: f64 = 1.0 - gate::TOLERANCE;
-
-/// Best (minimum) seconds per call over `reps` calls, after one warmup
-/// call. Min-of-N is robust to scheduler noise on small shared hosts,
-/// where mean timings can swing 2× between runs.
-fn time_per_call<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    f();
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best
-}
 
 /// The 3-stream registry engine at the model shape of the ledger's
 /// `cabin_*` workloads — 48×48 frames, CNN width 1.0, BiLSTM 2×64; IMU,
@@ -125,48 +101,6 @@ fn run(fast: bool) -> BTreeMap<String, f64> {
         .unwrap_or(1);
     out.insert("threads_available".to_string(), available as f64);
 
-    let par = Parallelism::new(THREADS);
-    let serial = Parallelism::serial();
-
-    // The forward product on the register tile: throughput in
-    // multiply-accumulates per second. Sizes are large enough that thread
-    // dispatch (≈0.1 ms on this scale of host) is small against the serial
-    // runtime even with one hardware thread.
-    let (m, k, n) = if fast {
-        (256, 256, 256)
-    } else {
-        (320, 320, 320)
-    };
-    let reps = if fast { 3 } else { 8 };
-    let a = random_tensor(&[m, k], 11);
-    let bt = random_tensor(&[n, k], 12);
-    let mut product = Tensor::zeros(&[m, n]);
-    let flops = (m * k * n) as f64;
-    let mut matmul = |par: &Parallelism| {
-        a.matmul_transpose_b_into(&bt, par, &mut product)
-            .expect("matmul");
-    };
-    let t_serial = time_per_call(reps, || matmul(&serial));
-    let t_par = time_per_call(reps, || matmul(&par));
-    out.insert("throughput_matmul_serial".to_string(), flops / t_serial);
-    out.insert("throughput_matmul_threads".to_string(), flops / t_par);
-    out.insert("speedup_matmul_threads".to_string(), t_serial / t_par);
-
-    // Conv lowering (im2col), the dominant convolution cost.
-    let (cb, cc, ch) = if fast { (2, 8, 24) } else { (4, 8, 32) };
-    let spec = Conv2dSpec::square(cc, 16, 3, 1, 1);
-    let x = random_tensor(&[cb, cc, ch, ch], 13);
-    let mut cols = Tensor::zeros(&[cb * ch * ch, spec.patch_len()]);
-    let patches = cols.len() as f64;
-    let mut lower = |par: &Parallelism| {
-        im2col_into(&x, &spec, par, &mut cols).expect("im2col");
-    };
-    let t_serial = time_per_call(reps, || lower(&serial));
-    let t_par = time_per_call(reps, || lower(&par));
-    out.insert("throughput_conv_serial".to_string(), patches / t_serial);
-    out.insert("throughput_conv_threads".to_string(), patches / t_par);
-    out.insert("speedup_conv_threads".to_string(), t_serial / t_par);
-
     // End-to-end pair engine: batch=1 vs batch=32 items/s (serial handle,
     // so the comparison isolates batching from thread-level parallelism).
     let batch = 32usize;
@@ -208,8 +142,8 @@ fn run(fast: bool) -> BTreeMap<String, f64> {
                     (StreamId::IMU, StreamInput::Windows(window)),
                 ];
                 engine
-                    .classify_step_into(&step_inputs, &mut step_labels)
-                    .expect("classify_step_into");
+                    .classify_batch_into(&step_inputs, &mut step_labels)
+                    .expect("classify_batch_into, 1 step");
             }
         }
     });
@@ -268,7 +202,7 @@ fn run(fast: bool) -> BTreeMap<String, f64> {
 
 fn main() {
     let mut gate = Gate::start(
-        "parallel backend + batched inference",
+        "batched inference + stream fan-out",
         run,
         gate::print_metrics,
     );
@@ -277,34 +211,14 @@ fn main() {
     // dispatch noise around 1×, in the baseline and in this run alike.
     let one_core =
         |m: &BTreeMap<String, f64>| m.get("threads_available").is_some_and(|&t| t <= 1.0);
-    let gate_threads =
-        !one_core(&gate.results) && !gate.baseline.as_ref().is_some_and(|(_, b)| one_core(b));
-    if !gate_threads {
-        eprintln!("1 hardware thread in this run or the baseline: thread speedups not compared");
+    if one_core(&gate.results) || gate.baseline.as_ref().is_some_and(|(_, b)| one_core(b)) {
+        eprintln!("1 hardware thread in this run or the baseline: {STREAMS_SPEEDUP} not compared");
         if let Some((_, baseline)) = gate.baseline.as_mut() {
-            baseline.retain(|key, _| {
-                key != STREAMS_SPEEDUP && !KERNEL_SPEEDUPS.contains(&key.as_str())
-            });
+            baseline.remove(STREAMS_SPEEDUP);
         }
     }
     gate.finish(&[], |results, failures| {
         let available = results["threads_available"];
-        let kernel_floor = if available >= THREADS as f64 {
-            2.0
-        } else {
-            // Fewer hardware threads than workers: wall-clock speedup is
-            // physically capped near 1×; only guard against pathological
-            // slowdown from the threaded dispatch itself.
-            0.5
-        };
-        for key in KERNEL_SPEEDUPS {
-            if gate_threads && results[key] < kernel_floor {
-                failures.fail(format_args!(
-                    "{key} = {:.3} < {kernel_floor} ({available} hardware threads)",
-                    results[key]
-                ));
-            }
-        }
         if results["speedup_engine_batch32"] < PARITY_FLOOR {
             failures.fail(format_args!(
                 "speedup_engine_batch32 = {:.3} < {PARITY_FLOOR}",

@@ -11,10 +11,6 @@
 //!   timings live in the pipeline ledger (`benchmark/`), not here; the
 //!   zero-alloc inference path is held by `tests/zero_alloc.rs`.
 
-#![deny(missing_docs)]
-#![deny(unsafe_code)]
-#![warn(rust_2018_idioms)]
-
 use darnet_core::experiment::{ExperimentConfig, MultiviewConfig, PrivacyExperimentConfig};
 
 /// Returns true if the process args request the reduced-scale preset.

@@ -156,9 +156,9 @@ fn warm_into_paths_perform_zero_heap_allocations() {
                 .expect("6");
             assert_eq!(out.len(), 6);
         }),
-        ("classify_step_into", &|engine, out| {
+        ("classify_batch_into, 1 step", &|engine, out| {
             let inputs = &step_inputs[..2];
-            engine.classify_step_into(inputs, out).expect("step");
+            engine.classify_batch_into(inputs, out).expect("step");
             assert_eq!(out.len(), 1);
         }),
         ("classify_tuples_into", &|engine, out| {
@@ -194,8 +194,8 @@ fn warm_into_paths_perform_zero_heap_allocations() {
             engine.classify_batch_into(&six_inputs, out).expect("6");
             assert_eq!(out.len(), 6);
         }),
-        ("classify_step_into", &|engine, out| {
-            engine.classify_step_into(&step_inputs, out).expect("step");
+        ("classify_batch_into, 1 step", &|engine, out| {
+            engine.classify_batch_into(&step_inputs, out).expect("step");
             assert_eq!(out.len(), 1);
         }),
         ("the health-gated subset path", &|engine, out| {

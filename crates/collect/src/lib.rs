@@ -38,10 +38,6 @@
 //!   [`runtime::run_campaign`] runs it for every driver of a
 //!   [`darnet_sim`] schedule.
 
-#![deny(missing_docs)]
-#![deny(unsafe_code)]
-#![warn(rust_2018_idioms)]
-
 mod agent;
 mod align;
 mod clock;

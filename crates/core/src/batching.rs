@@ -2,8 +2,8 @@
 //!
 //! The collect pipeline emits aligned frame+window tuples one at a time
 //! (4 Hz per driver); the engine classifies far more efficiently in
-//! batches, which amortize per-call model overhead and give the parallel
-//! backend enough work per dispatch. A [`MicroBatcher`] sits between the
+//! batches, which amortize per-call model overhead and feed the forward
+//! products taller operands. A [`MicroBatcher`] sits between the
 //! two: tuples queue as they arrive and flush as one batch when either the
 //! batch-size cap is reached or the oldest queued tuple has waited past
 //! the deadline — so latency is bounded by `max_delay` even at low rates,

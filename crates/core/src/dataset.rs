@@ -569,30 +569,6 @@ impl ExtendedFrameDataset {
         let (train, eval) = shuffled_split(self.len(), train_frac, seed)?;
         Ok((self.subset(&train), self.subset(&eval)))
     }
-
-    /// Frames at `indices` as a `[n, 1, h, w]` tensor.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on empty/out-of-range indices.
-    pub fn frames_tensor_of(&self, indices: &[usize]) -> Result<Tensor> {
-        if indices.is_empty() {
-            return Err(CoreError::Dataset("empty frame batch".into()));
-        }
-        let hw = self.frame_size * self.frame_size;
-        let mut data = Vec::with_capacity(indices.len() * hw);
-        for &i in indices {
-            let f = self
-                .frames
-                .get(i)
-                .ok_or_else(|| CoreError::Dataset(format!("index {i} out of range")))?;
-            data.extend_from_slice(f.pixels());
-        }
-        Ok(Tensor::from_vec(
-            data,
-            &[indices.len(), 1, self.frame_size, self.frame_size],
-        )?)
-    }
 }
 
 /// Converts a batch of frames (all the same square size) into a
@@ -605,20 +581,14 @@ pub fn frames_to_tensor(frames: &[Frame]) -> Result<Tensor> {
     let first = frames
         .first()
         .ok_or_else(|| CoreError::Dataset("empty frame batch".into()))?;
-    let (w, h) = (first.width(), first.height());
-    let mut data = Vec::with_capacity(frames.len() * w * h);
-    for f in frames {
-        if f.width() != w || f.height() != h {
-            return Err(CoreError::Dataset("inconsistent frame sizes".into()));
-        }
-        data.extend_from_slice(f.pixels());
-    }
-    Ok(Tensor::from_vec(data, &[frames.len(), 1, h, w])?)
+    let mut out = Tensor::zeros(&[frames.len(), 1, first.height(), first.width()]);
+    frames_to_tensor_into(frames, &mut out)?;
+    Ok(out)
 }
 
 /// [`frames_to_tensor`] writing into a caller-provided `[n, 1, h, w]`
-/// tensor (typically a workspace checkout) instead of allocating one.
-/// Bitwise-identical values to the allocating variant.
+/// tensor (typically a workspace checkout) instead of allocating one: the
+/// one loop that packs pixels.
 ///
 /// # Errors
 ///

@@ -14,7 +14,7 @@ use darnet_sim::schedule::{
 use darnet_sim::{CanonicalBehavior, DrivingWorld, ExtendedBehavior, Frame, Segment, WorldConfig};
 use darnet_tensor::{SplitMix64, Tensor};
 
-use crate::dataset::{Dataset, ExtendedFrameDataset, IMU_FEATURES, WINDOW_LEN};
+use crate::dataset::{frames_to_tensor, Dataset, ExtendedFrameDataset, IMU_FEATURES, WINDOW_LEN};
 use crate::ensemble::{CombinerKind, NaryBayesianCombiner};
 use crate::eval::ConfusionMatrix;
 use crate::health::{HealthPolicy, ModalityStatus};
@@ -490,14 +490,22 @@ pub struct Table3Report {
     pub dcnn_top1: Vec<(PrivacyLevel, f64)>,
 }
 
-/// Regenerates Table 3: trains the 18-class teacher, distills one dCNN
-/// per level on an unlabeled pool, and evaluates everything on the same
-/// held-out split.
-///
-/// # Errors
-///
-/// Propagates training errors.
-pub fn run_table3(config: &PrivacyExperimentConfig) -> Result<Table3Report> {
+/// What both privacy experiments start from: the 18-class world, its
+/// driver-disjoint split, the noisy training labels and the teacher fitted
+/// on them, with its full-resolution Top-1 on the held-out drivers.
+struct PrivacyTeacher {
+    world: DrivingWorld,
+    train: ExtendedFrameDataset,
+    eval: ExtendedFrameDataset,
+    noisy_train: ExtendedFrameDataset,
+    cnn_config: CnnConfig,
+    teacher: FrameCnn,
+    teacher_full: f64,
+}
+
+/// Builds the world and extended schedule of `config`, splits the
+/// dataset by driver, and fits and evaluates the teacher.
+fn fit_privacy_teacher(config: &PrivacyExperimentConfig) -> Result<PrivacyTeacher> {
     let world = DrivingWorld::new(WorldConfig {
         drivers: config.drivers,
         frame_size: config.frame_size,
@@ -516,22 +524,47 @@ pub fn run_table3(config: &PrivacyExperimentConfig) -> Result<Table3Report> {
     let (train, eval) = dataset.split_by_driver(holdout, holdout.saturating_sub(1))?;
 
     // Teacher: supervised training on the labeled split.
-    let mut teacher = FrameCnn::new(
-        CnnConfig {
-            input_size: config.frame_size,
-            classes: 18,
-            width: config.cnn_width,
-            ..CnnConfig::default()
-        },
-        config.seed ^ 0x7,
-    );
-    let train_idx: Vec<usize> = (0..train.len()).collect();
-    let train_frames = train.frames_tensor_of(&train_idx)?;
+    let cnn_config = CnnConfig {
+        input_size: config.frame_size,
+        classes: 18,
+        width: config.cnn_width,
+        ..CnnConfig::default()
+    };
+    let mut teacher = FrameCnn::new(cnn_config, config.seed ^ 0x7);
+    let train_frames = frames_to_tensor(train.frames())?;
     // Hand-annotated video labels are imperfect near segment boundaries;
     // the teacher partially memorizes this noise (the overfitting §5.3
     // describes), while the label-free distilled students do not.
     let noisy_train = train.with_label_noise(config.label_noise, config.seed ^ 0x9A);
     teacher.fit(&train_frames, noisy_train.labels(), config.teacher_epochs)?;
+    let teacher_full = teacher.evaluate(&frames_to_tensor(eval.frames())?, eval.labels())? as f64;
+    Ok(PrivacyTeacher {
+        world,
+        train,
+        eval,
+        noisy_train,
+        cnn_config,
+        teacher,
+        teacher_full,
+    })
+}
+
+/// Regenerates Table 3: trains the 18-class teacher, distills one dCNN
+/// per level on an unlabeled pool, and evaluates everything on the same
+/// held-out split.
+///
+/// # Errors
+///
+/// Propagates training errors.
+pub fn run_table3(config: &PrivacyExperimentConfig) -> Result<Table3Report> {
+    let PrivacyTeacher {
+        world,
+        train,
+        eval,
+        mut teacher,
+        teacher_full: cnn_top1,
+        ..
+    } = fit_privacy_teacher(config)?;
 
     // Unlabeled pool: the training frames plus freshly generated footage
     // at offset times (the paper's method is fully unsupervised, so new
@@ -553,11 +586,6 @@ pub fn run_table3(config: &PrivacyExperimentConfig) -> Result<Table3Report> {
             }
         }
     }
-
-    // Evaluation tensors.
-    let eval_idx: Vec<usize> = (0..eval.len()).collect();
-    let eval_frames_full = eval.frames_tensor_of(&eval_idx)?;
-    let cnn_top1 = teacher.evaluate(&eval_frames_full, eval.labels())? as f64;
 
     let downsampler = Downsampler::new(config.frame_size);
     let mut dcnn_top1 = Vec::new();
@@ -821,33 +849,15 @@ pub fn run_ablation_distill(
     config: &PrivacyExperimentConfig,
     level: PrivacyLevel,
 ) -> Result<DistillAblation> {
-    let world = DrivingWorld::new(WorldConfig {
-        drivers: config.drivers,
-        frame_size: config.frame_size,
-        seed: config.seed,
-    });
-    let schedule = build_extended_schedule(&ExtendedScheduleConfig {
-        drivers: config.drivers,
-        seconds_per_class: config.seconds_per_class,
-    });
-    let dataset = ExtendedFrameDataset::generate(&world, &schedule, config.fps);
-    let holdout = config.drivers.min(5);
-    let (train, eval) = dataset.split_by_driver(holdout, holdout.saturating_sub(1))?;
-    let cnn_config = CnnConfig {
-        input_size: config.frame_size,
-        classes: 18,
-        width: config.cnn_width,
-        ..CnnConfig::default()
-    };
-    let train_idx: Vec<usize> = (0..train.len()).collect();
-    let train_frames = train.frames_tensor_of(&train_idx)?;
-    let noisy = train.with_label_noise(config.label_noise, config.seed ^ 0x9A);
-    let mut teacher = FrameCnn::new(cnn_config, config.seed ^ 0x7);
-    teacher.fit(&train_frames, noisy.labels(), config.teacher_epochs)?;
-
-    let eval_idx: Vec<usize> = (0..eval.len()).collect();
-    let eval_full = eval.frames_tensor_of(&eval_idx)?;
-    let teacher_full = teacher.evaluate(&eval_full, eval.labels())? as f64;
+    let PrivacyTeacher {
+        train,
+        eval,
+        noisy_train: noisy,
+        cnn_config,
+        mut teacher,
+        teacher_full,
+        ..
+    } = fit_privacy_teacher(config)?;
 
     let downsampler = Downsampler::new(config.frame_size);
     let eval_distorted = downsampler.roundtrip_tensor(eval.frames(), level)?;

@@ -36,13 +36,9 @@
 //! * [`MicroBatcher`] — the micro-batching front between the collect
 //!   pipeline and the engine: aligned tuples queue and flush on
 //!   batch-size-or-deadline, bounding latency while amortizing per-call
-//!   model overhead (and feeding the parallel backend whole batches).
+//!   model overhead.
 //! * [`experiment`] — end-to-end experiment drivers regenerating every
 //!   table and figure (used by the `darnet-bench` binaries).
-
-#![deny(missing_docs)]
-#![deny(unsafe_code)]
-#![warn(rust_2018_idioms)]
 
 pub mod alerts;
 pub mod batching;

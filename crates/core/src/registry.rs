@@ -651,22 +651,6 @@ impl MultiModalEngine {
         Ok(())
     }
 
-    /// Classifies one time-step (`n = 1` inputs), all provided streams
-    /// assumed healthy. Equivalent to a single-item
-    /// [`MultiModalEngine::classify_batch_into`].
-    ///
-    /// # Errors
-    ///
-    /// As [`MultiModalEngine::classify_batch_checked_into`].
-    // darlint: hot
-    pub fn classify_step_into(
-        &mut self,
-        inputs: &[(StreamId, StreamInput<'_>)],
-        out: &mut Vec<MultiStepClassification>,
-    ) -> Result<()> {
-        self.classify_batch_checked_into(inputs, &[], out)
-    }
-
     /// Classifies a batch of aligned time-steps, all provided streams
     /// assumed healthy.
     ///
@@ -1281,7 +1265,7 @@ mod tests {
         for (i, frame) in frames.iter().enumerate() {
             let window = window_row(&windows, i);
             let inputs = pair_inputs(std::slice::from_ref(frame), &window);
-            single.classify_step_into(&inputs, &mut step).unwrap();
+            single.classify_batch_into(&inputs, &mut step).unwrap();
             assert_eq!(step.len(), 1);
             assert_eq!(step[0], batch[i], "batch item {i} diverged");
         }
@@ -1485,7 +1469,7 @@ mod tests {
         ];
         let mut serial = three_stream_engine();
         let mut parallel = three_stream_engine();
-        parallel.set_parallelism(Parallelism::new(4).with_min_work(1));
+        parallel.set_parallelism(Parallelism::new(4));
         let (mut expected, mut out) = (Vec::new(), Vec::new());
 
         // Every way a stream takes part or sits out: all three on workers;

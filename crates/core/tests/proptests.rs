@@ -311,7 +311,7 @@ proptest! {
             combiner.clone(),
         )
         .unwrap();
-        engine.set_parallelism(Parallelism::new(threads).with_min_work(1));
+        engine.set_parallelism(Parallelism::new(threads));
 
         let frames: Vec<Frame> = (0..n)
             .map(|_| {
@@ -409,7 +409,7 @@ proptest! {
             (StreamId::CAMERA_SIDE, StreamInput::Frames(&side_frames)),
         ];
 
-        let (mut inline, mut fanned) = (engine(Parallelism::serial()), engine(Parallelism::new(4).with_min_work(1)));
+        let (mut inline, mut fanned) = (engine(Parallelism::serial()), engine(Parallelism::new(4)));
         let (mut want, mut got) = (Vec::new(), Vec::new());
         inline.classify_batch_into(&inputs, &mut want).unwrap();
         fanned.classify_batch_into(&inputs, &mut got).unwrap();

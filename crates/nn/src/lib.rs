@@ -42,10 +42,6 @@
 //! # Ok::<(), darnet_nn::NnError>(())
 //! ```
 
-#![deny(missing_docs)]
-#![deny(unsafe_code)]
-#![warn(rust_2018_idioms)]
-
 mod conv;
 mod dense;
 mod dropout;

@@ -45,10 +45,6 @@
 //! assert_eq!(imu.to_features().len(), 12);
 //! ```
 
-#![deny(missing_docs)]
-#![deny(unsafe_code)]
-#![warn(rust_2018_idioms)]
-
 mod behavior;
 mod driver;
 mod frame;

@@ -96,11 +96,9 @@ pub fn im2col(input: &Tensor, spec: &Conv2dSpec) -> Result<Tensor> {
     Ok(out)
 }
 
-/// Fills patch rows `row0..` into `chunk` (`patch_len > 0`); each patch row
-/// is an independent gather, so any contiguous row range can be produced by
-/// any thread.
+/// Fills every patch row into `out` (`patch_len > 0`).
 ///
-/// The chunk is filled one output-row segment at a time (its pixels share
+/// `out` is filled one output-row segment at a time (its pixels share
 /// their input rows) and, within a segment, one patch column at a time:
 /// column `(ch, ky, kx)` of pixel `ox` reads input `(ch, oy·s + ky − pad,
 /// ox·s + kx − pad)`. The pixels whose read is in bounds form one range, so
@@ -112,13 +110,12 @@ fn im2col_rows(
     data: &[f32],
     spec: &Conv2dSpec,
     geom: (usize, usize, usize, usize, usize), // (c, h, w, oh, ow)
-    row0: usize,
-    chunk: &mut [f32],
+    out: &mut [f32],
 ) {
     let (c, h, w, oh, ow) = geom;
     let (kh, kw, stride, pad) = (spec.kernel_h, spec.kernel_w, spec.stride, spec.padding);
     let patch = spec.patch_len();
-    let (mut row, mut rest) = (row0, chunk);
+    let (mut row, mut rest) = (0, out);
     while !rest.is_empty() {
         // Pixels `ox0..ox0 + len` of output row `oy` of image `n`.
         let (n, oy, ox0) = (row / (oh * ow), row % (oh * ow) / ow, row % ow);
@@ -188,11 +185,10 @@ fn check_im2col(
 /// one body of the lowering. Every output element is overwritten (padding
 /// positions included), so `out`'s prior contents are irrelevant.
 ///
-/// `par` chunks the patch rows across scoped threads; each row is a pure
-/// gather, so the bits do not depend on it. No product caller passes
-/// anything but [`Parallelism::serial`]: the parameter stays only because
-/// the frozen ledger (`benchmark/src/layers.rs`) calls this with it, and it
-/// goes once the ledger stops (ROADMAP item 8(g)).
+/// `_par` is not read: the gather runs inline. The parameter stays only
+/// because the frozen ledger (`benchmark/src/layers.rs`) calls this with
+/// [`Parallelism::serial`], and it goes once the ledger stops (ROADMAP item
+/// 8(g)).
 ///
 /// # Errors
 ///
@@ -202,16 +198,13 @@ fn check_im2col(
 pub fn im2col_into(
     input: &Tensor,
     spec: &Conv2dSpec,
-    par: &Parallelism,
+    _par: &Parallelism,
     out: &mut Tensor,
 ) -> Result<()> {
     let ((b, c, h, w), (oh, ow), patch) = check_im2col(input, spec)?;
     check_out_dims(out, &[b * oh * ow, patch])?;
-    let data = input.data();
     if patch > 0 {
-        par.run_rows(out.data_mut(), patch, patch, |row0, chunk| {
-            im2col_rows(data, spec, (c, h, w, oh, ow), row0, chunk)
-        });
+        im2col_rows(input.data(), spec, (c, h, w, oh, ow), out.data_mut());
     }
     Ok(())
 }
@@ -314,14 +307,10 @@ mod tests {
         let spec = Conv2dSpec::square(3, 4, 3, 1, 1);
         let mut ws = Workspace::new();
         let expected = im2col(&input, &spec).unwrap();
-        for threads in [1, 4] {
-            let par = Parallelism::new(threads).with_min_work(1);
-            let mut out = ws.checkout(expected.dims());
-            out.data_mut().fill(7.0); // stale contents must be overwritten
-            im2col_into(&input, &spec, &par, &mut out).unwrap();
-            assert_eq!(out, expected);
-            ws.restore(out);
-        }
+        let mut out = ws.checkout(expected.dims());
+        out.data_mut().fill(7.0); // stale contents must be overwritten
+        im2col_into(&input, &spec, &Parallelism::serial(), &mut out).unwrap();
+        assert_eq!(out, expected);
     }
 
     #[test]

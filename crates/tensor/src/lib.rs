@@ -11,9 +11,8 @@
 //! * [`im2col`]/[`col2im`] lowering used by convolution forward/backward,
 //! * max/average pooling kernels,
 //! * deterministic weight initialisation helpers,
-//! * a [`Parallelism`] policy — the engine's stream fan-out handle; only
-//!   [`Tensor::matmul_transpose_b_into`] and [`im2col_into`] still take
-//!   one, for the frozen ledger, with bitwise-identical results,
+//! * a [`Parallelism`] thread count — the engine's stream fan-out handle;
+//!   nothing in this crate spawns a thread,
 //! * a [`Workspace`] buffer pool and `_into` kernel variants that write into
 //!   checked-out buffers, making steady-state inference allocation-free
 //!   after warm-up (see [`workspace`](crate::Workspace)).
@@ -33,10 +32,6 @@
 //! assert_eq!(c.data(), a.data());
 //! # Ok::<(), darnet_tensor::TensorError>(())
 //! ```
-
-#![deny(missing_docs)]
-#![deny(unsafe_code)]
-#![warn(rust_2018_idioms)]
 
 mod conv;
 mod error;

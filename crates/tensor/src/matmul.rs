@@ -4,9 +4,7 @@
 //! `a [m,k] × bᵀ`, runs on a register-tiled kernel
 //! ([`matmul_transpose_b_slices_into`]); the products only backward passes
 //! use keep their i-k-j loops. Every product runs inline on the calling
-//! thread, except that [`Tensor::matmul_transpose_b_into`] still chunks its
-//! output rows under a [`Parallelism`] for the frozen ledger — through the
-//! same per-row kernel, so the bits never depend on the policy.
+//! thread.
 
 use crate::error::TensorError;
 use crate::parallel::Parallelism;
@@ -37,34 +35,26 @@ fn matmul_rows(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
     }
 }
 
-/// Computes output rows `row0..` of `a [m,k] × bᵀ` (`b` stored `[n,k]`) into
-/// `chunk` (`n > 0`), adding `row_bias[row]` to every output of a row when
-/// given.
+/// Computes `a [m,k] × bᵀ` (`b` stored `[n,k]`) into `out` (`n > 0`),
+/// adding `row_bias[i]` to every output of row `i` when given.
 ///
 /// Every output is `0.0 + a[i][0]·b[j][0] + … + a[i][k−1]·b[j][k−1]`, then
 /// `+ bias`: one rounding per operation, `p` ascending, no fused
 /// multiply-add and no skipped zero. Tiling only decides which outputs share
-/// registers, so the bits do not depend on the path or on the rows a chunk
-/// holds. Two rows or more pack `b` — the operand every row reuses — into
-/// `NR`-lane k-major panels and accumulate tiles of up to [`MR`] rows; the
-/// running sums rest in `chunk` between k-blocks, which is exact. A single
-/// row would spend more packing `b` than it saves, so it reads `b` in place.
+/// registers, so the bits do not depend on the path. Two rows or more pack
+/// `b` — the operand every row reuses — into `NR`-lane k-major panels and
+/// accumulate tiles of up to [`MR`] rows; the running sums rest in `out`
+/// between k-blocks, which is exact. A single row would spend more packing
+/// `b` than it saves, so it reads `b` in place.
 fn matmul_transpose_b_rows(
     a: &[f32],
     b: &[f32],
     (k, n): (usize, usize),
-    row_bias: Option<&[f32]>,
-    row0: usize,
-    chunk: &mut [f32],
+    bias: Option<&[f32]>,
+    out: &mut [f32],
 ) {
-    let rows = chunk.len() / n;
-    let mut op = Operands {
-        a: &a[row0 * k..(row0 + rows) * k],
-        k,
-        out: chunk,
-        n,
-        bias: row_bias.map(|bias| &bias[row0..row0 + rows]),
-    };
+    let rows = out.len() / n;
+    let mut op = Operands { a, k, out, n, bias };
     let mut panel = [[0.0f32; NR]; KC];
     // `k = 0` is one empty block, so every output is still stored.
     for k0 in (0..k.max(1)).step_by(KC) {
@@ -98,7 +88,7 @@ fn matmul_transpose_b_rows(
     }
 }
 
-/// A chunk's operands: rows of `a` (`k` wide), the output rows (`n` wide)
+/// A product's operands: rows of `a` (`k` wide), the output rows (`n` wide)
 /// and their biases.
 struct Operands<'a> {
     a: &'a [f32],
@@ -281,12 +271,11 @@ impl Tensor {
     /// (typically a [`crate::Workspace`] checkout). Every output element is
     /// overwritten, so `out`'s prior contents are irrelevant.
     ///
-    /// `par` chunks the output rows across scoped threads through the same
-    /// per-row kernel as [`matmul_transpose_b_slices_into`], so the bits do
-    /// not depend on it. No product caller passes anything but
-    /// [`Parallelism::serial`]: the parameter stays only because the frozen
-    /// ledger (`benchmark/src/layers.rs`) calls this with it, and it goes
-    /// once the ledger stops (ROADMAP item 8(g)).
+    /// `_par` is not read: the product runs inline, on the kernel of
+    /// [`matmul_transpose_b_slices_into`]. The parameter stays only because
+    /// the frozen ledger (`benchmark/src/layers.rs`) calls this with
+    /// [`Parallelism::serial`], and it goes once the ledger stops (ROADMAP
+    /// item 8(g)).
     ///
     /// # Errors
     ///
@@ -296,7 +285,7 @@ impl Tensor {
     pub fn matmul_transpose_b_into(
         &self,
         other: &Tensor,
-        par: &Parallelism,
+        _par: &Parallelism,
         out: &mut Tensor,
     ) -> Result<()> {
         check_rank2(self, other)?;
@@ -308,20 +297,14 @@ impl Tensor {
         if out.dims() != [m, n] {
             return Err(TensorError::shape_mismatch(out.dims(), &[m, n]));
         }
-        let (a, b) = (self.data(), other.data());
-        if !out.is_empty() {
-            par.run_rows(out.data_mut(), n, k * n, |row0, chunk| {
-                matmul_transpose_b_rows(a, b, (k, n), None, row0, chunk)
-            });
-        }
-        Ok(())
+        matmul_transpose_b_slices_into(self.data(), other.data(), (m, k, n), None, out.data_mut())
     }
 }
 
 /// `a [m,k] × bᵀ` (`b` stored `[n,k]`) on row-major slices into `out
 /// [m,n]`, adding `row_bias[i]` to every output of row `i` when given —
-/// the product every layer calls ([`Tensor::matmul_transpose_b_into`] runs
-/// the same per-row kernel on whole tensors). Slices let a layer multiply part of a buffer: a conv
+/// the product every layer calls ([`Tensor::matmul_transpose_b_into`] is
+/// this on whole tensors). Slices let a layer multiply part of a buffer: a conv
 /// computes `W [out_c, patch] × cols_nᵀ` straight into image `n`'s block of
 /// its NCHW output, the LSTM a `[batch, time, in]` input as `[batch·time,
 /// in]`. Every output is `0.0 + a[i][0]·b[j][0] + … ` with `p` ascending,
@@ -347,7 +330,7 @@ pub fn matmul_transpose_b_slices_into(
         ));
     }
     if !out.is_empty() {
-        matmul_transpose_b_rows(a, b, (k, n), row_bias, 0, out);
+        matmul_transpose_b_rows(a, b, (k, n), row_bias, out);
     }
     Ok(())
 }
@@ -450,16 +433,12 @@ mod tests {
         )
         .unwrap();
         let mut ws = Workspace::new();
-        for threads in [1, 3] {
-            let par = Parallelism::new(threads).with_min_work(1);
-            // Poison the output buffer to prove prior contents are
-            // irrelevant.
-            let mut out = ws.checkout(&[12, 5]);
-            out.data_mut().fill(-3.5);
-            a.matmul_transpose_b_into(&bt, &par, &mut out).unwrap();
-            assert_eq!(out, a.matmul_transpose_b(&bt).unwrap());
-            ws.restore(out);
-        }
+        // Poison the output buffer to prove prior contents are irrelevant.
+        let mut out = ws.checkout(&[12, 5]);
+        out.data_mut().fill(-3.5);
+        a.matmul_transpose_b_into(&bt, &Parallelism::serial(), &mut out)
+            .unwrap();
+        assert_eq!(out, a.matmul_transpose_b(&bt).unwrap());
     }
 
     #[test]

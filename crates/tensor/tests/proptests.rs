@@ -47,30 +47,23 @@ fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
     }
 }
 
-/// Runs `matmul_transpose_b_into` under `threads` forced threads and the
-/// bias path of the slice entry on `(m, k, n)`, against the scalar loop.
-fn check_transpose_b(
-    m: usize,
-    k: usize,
-    n: usize,
-    threads: usize,
-    seed: u64,
-) -> Result<(), TensorError> {
+/// Runs `matmul_transpose_b_into` and the bias path of the slice entry on
+/// `(m, k, n)`, against the scalar loop.
+fn check_transpose_b(m: usize, k: usize, n: usize, seed: u64) -> Result<(), TensorError> {
     let mut rng = SplitMix64::new(seed);
     let inf_every = 4 * k.max(1) as u64;
     let a = awkward(m * k, inf_every, &mut rng);
     let b = awkward(n * k, inf_every, &mut rng);
     let bias = awkward(m, inf_every, &mut rng);
     let want = scalar_transpose_b(&a, &b, (m, k, n));
-    let par = forced(threads);
-    let what = format!("[{m},{k}]·[{n},{k}]ᵀ on {threads} threads");
+    let what = format!("[{m},{k}]·[{n},{k}]ᵀ");
 
     let (at, bt) = (
         Tensor::from_vec(a.clone(), &[m, k])?,
         Tensor::from_vec(b.clone(), &[n, k])?,
     );
     let mut out = Tensor::full(&[m, n], f32::NAN);
-    at.matmul_transpose_b_into(&bt, &par, &mut out)?;
+    at.matmul_transpose_b_into(&bt, &Parallelism::serial(), &mut out)?;
     assert_same_bits(out.data(), &want, &what);
 
     let mut out = vec![f32::NAN; m * n];
@@ -87,14 +80,12 @@ fn check_transpose_b(
 #[test]
 fn transpose_b_tile_edges_are_the_scalar_loop() {
     // Every row remainder of the 4-row tile and lane remainder of the
-    // 8-lane panel, one-row chunks (m = 1–3) included, with k inside one
+    // 8-lane panel, the one-row product included, with k inside one
     // k-block and across two (the panel is 256 deep).
     for m in 1..=9 {
         for n in 1..=17 {
             for k in [1, 5, 257] {
-                for threads in 1..=3 {
-                    check_transpose_b(m, k, n, threads, (m * 31 + n * 7 + k) as u64).unwrap();
-                }
+                check_transpose_b(m, k, n, (m * 31 + n * 7 + k) as u64).unwrap();
             }
         }
     }
@@ -110,12 +101,6 @@ fn random_tensor(dims: &[usize], rng: &mut SplitMix64) -> Tensor {
         *v = rng.uniform(-2.0, 2.0);
     }
     t
-}
-
-/// A handle that always fans out: `min_work(1)` defeats the serial
-/// fallback so even tiny proptest shapes exercise the threaded path.
-fn forced(threads: usize) -> Parallelism {
-    Parallelism::new(threads).with_min_work(1)
 }
 
 proptest! {
@@ -209,19 +194,17 @@ proptest! {
 
     #[test]
     fn transpose_b_into_is_bitwise_allocating(
-        m in 1usize..7, k in 1usize..7, n in 1usize..7,
-        threads in 1usize..6, seed in 0u64..500,
+        m in 1usize..7, k in 1usize..7, n in 1usize..7, seed in 0u64..500,
     ) {
         use darnet_tensor::Workspace;
         let mut rng = SplitMix64::new(seed);
         let a = random_tensor(&[m, k], &mut rng);
         let bt = random_tensor(&[n, k], &mut rng);
-        let par = forced(threads);
         let mut ws = Workspace::new();
 
         let mut out = ws.checkout(&[m, n]);
         out.data_mut().fill(f32::NAN); // stale garbage must not survive
-        a.matmul_transpose_b_into(&bt, &par, &mut out).unwrap();
+        a.matmul_transpose_b_into(&bt, &Parallelism::serial(), &mut out).unwrap();
         prop_assert_eq!(&out, &a.matmul_transpose_b(&bt).unwrap());
         ws.restore(out);
     }
@@ -229,18 +212,18 @@ proptest! {
     #[test]
     fn transpose_b_into_is_the_scalar_loop(
         m in 0usize..=40, k in 0usize..=40, n in 0usize..=40, long_k in 0usize..4,
-        threads in 1usize..=5, seed in 0u64..1000,
+        seed in 0u64..1000,
     ) {
         // One case in four runs k past one k-block (256).
         let k = if long_k == 0 { 250 + 7 * k } else { k };
-        check_transpose_b(m, k, n, threads, seed).unwrap();
+        check_transpose_b(m, k, n, seed).unwrap();
     }
 
     #[test]
     fn im2col_is_the_gather(
         b in 1usize..3, c in 1usize..4, h in 1usize..9, w in 1usize..9,
         kh in 1usize..6, kw in 1usize..6, stride in 1usize..4, padding in 0usize..3,
-        threads in 1usize..4, seed in 0u64..500,
+        seed in 0u64..500,
     ) {
         let spec = Conv2dSpec { in_channels: c, out_channels: 1, kernel_h: kh, kernel_w: kw, stride, padding };
         let (h, w) = (h.max(kh), w.max(kw));
@@ -248,7 +231,7 @@ proptest! {
         let x = random_tensor(&[b, c, h, w], &mut rng);
         let (oh, ow) = spec.output_size(h, w).unwrap();
         let mut cols = Tensor::full(&[b * oh * ow, spec.patch_len()], f32::NAN);
-        im2col_into(&x, &spec, &forced(threads), &mut cols).unwrap();
+        im2col_into(&x, &spec, &Parallelism::serial(), &mut cols).unwrap();
         // Patch row `(n, oy, ox)`, column `(ch, ky, kx)` reads input
         // `(n, ch, oy·s + ky − pad, ox·s + kx − pad)`, or 0.0 off the edge.
         let mut want = Vec::with_capacity(cols.len());

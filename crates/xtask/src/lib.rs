@@ -13,9 +13,6 @@
 //!   the runtime allowlist (`bench` and this driver's pass timer).
 //! * **scoped-threads-only** — `thread::spawn` is forbidden everywhere;
 //!   concurrency goes through `std::thread::scope`.
-//! * **crate-hygiene** — every crate root carries
-//!   `#![deny(unsafe_code)]`, `#![deny(missing_docs)]`, and
-//!   `#![warn(rust_2018_idioms)]`.
 //! * **hot-alloc** / **hot-propagate** — the reachability pass
 //!   ([`callgraph`]) walks the workspace call graph from every hot root
 //!   (`// darlint: hot` markers and the `*_into` entries in
@@ -58,12 +55,10 @@
 //! resolve correctly. Panics are clippy's: the escalated pass in
 //! `scripts/tier1.sh` denies `unwrap_used`/`expect_used`/`panic`/
 //! `unreachable`/`todo`/`unimplemented` with type information. darlint
-//! covers what clippy does not model (per-path allowlists, attribute
-//! hygiene, transitive hot-path and replay-purity constraints).
-
-#![deny(unsafe_code)]
-#![deny(missing_docs)]
-#![warn(rust_2018_idioms)]
+//! covers what clippy does not model (per-path allowlists, transitive
+//! hot-path and replay-purity constraints). The crate-root lints
+//! (`unsafe_code`, `missing_docs`, `rust_2018_idioms`) are Cargo's:
+//! `[workspace.lints.rust]` in the root `Cargo.toml`.
 
 pub mod callgraph;
 pub mod effects;
@@ -77,7 +72,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use report::LintReport;
-use rules::{check_crate_root, lint_scanned};
+use rules::lint_scanned;
 use scan::{scan, ScannedFile};
 
 /// Runs the full darlint pass over the workspace rooted at `root`
@@ -121,8 +116,7 @@ fn workspace_sources(root: &Path) -> Result<Vec<(String, String)>, String> {
 }
 
 /// Lints a workspace presented as `(workspace-relative path, source)`
-/// pairs: per-file rules, crate-root hygiene, and the cross-file
-/// reachability pass. This is the pure core of [`run_lint`];
+/// pairs: per-file rules and the cross-file reachability pass. This is the pure core of [`run_lint`];
 /// tests feed it synthetic multi-file inputs directly.
 pub fn lint_workspace(files: &[(String, String)]) -> LintReport {
     // Wall-clock each pass so analyzer cost regressions are visible in
@@ -138,15 +132,6 @@ pub fn lint_workspace(files: &[(String, String)]) -> LintReport {
     for (path, sc) in &scanned {
         report.violations.extend(lint_scanned(path, sc).violations);
         report.files_scanned += 1;
-        if is_crate_root(path, files) {
-            // Hygiene is cheap; re-using the raw source keeps the
-            // token-window check simple.
-            if let Some((_, source)) = files.iter().find(|(p, _)| p == path) {
-                report
-                    .violations
-                    .extend(check_crate_root(path, source).violations);
-            }
-        }
     }
     timer.lap("file-rules");
 
@@ -181,19 +166,6 @@ impl PassTimer {
             .push((name, now.duration_since(self.last).as_micros()));
         self.last = now;
     }
-}
-
-/// Is `path` the crate root for its crate: `src/lib.rs`, or `src/main.rs`
-/// when the crate has no `lib.rs`?
-fn is_crate_root(path: &str, files: &[(String, String)]) -> bool {
-    if path.ends_with("/src/lib.rs") {
-        return true;
-    }
-    if let Some(prefix) = path.strip_suffix("/src/main.rs") {
-        let lib = format!("{prefix}/src/lib.rs");
-        return !files.iter().any(|(p, _)| *p == lib);
-    }
-    false
 }
 
 /// Locates the workspace root: `CARGO_MANIFEST_DIR/../..` when invoked via

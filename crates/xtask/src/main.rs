@@ -9,10 +9,6 @@
 //! the tree is clean, 1 that it has at least one violation, 2 an
 //! operational failure (unreadable workspace, bad arguments).
 
-#![deny(unsafe_code)]
-#![deny(missing_docs)]
-#![warn(rust_2018_idioms)]
-
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -26,10 +22,9 @@ USAGE:
 
 COMMANDS:
     lint     run the darlint invariant pass over crates/*/src
-             (deterministic-time, scoped-threads-only, crate-hygiene,
-             hot-alloc, hot-propagate, durable-io, nondet-order,
-             rng-confined, replay-pure, marker); exits 1 on any
-             violation
+             (deterministic-time, scoped-threads-only, hot-alloc,
+             hot-propagate, durable-io, nondet-order, rng-confined,
+             replay-pure, marker); exits 1 on any violation
 
 OPTIONS:
     --root PATH           workspace root (default: auto-detected)

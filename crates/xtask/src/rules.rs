@@ -21,8 +21,6 @@ pub mod rule {
     /// `thread::spawn` anywhere: concurrency goes through
     /// `std::thread::scope`.
     pub const THREAD: &str = "scoped-threads-only";
-    /// Crate roots missing the required inner attributes.
-    pub const HYGIENE: &str = "crate-hygiene";
     /// A `// darlint:` comment that is none of the three markers (`hot`,
     /// `cold — <reason>`, `pure-root`): a `cold` without its reason, a
     /// typo, a retired `allow(<rule>)` hatch.
@@ -139,21 +137,6 @@ const ORDER_ITER_METHODS: &[&str] = &[
     "values_mut",
     "into_iter",
     "drain",
-];
-
-/// Inner attributes every crate root must carry (display form; matching
-/// is token-based, see [`check_crate_root`]).
-pub const REQUIRED_ROOT_ATTRS: &[&str] = &[
-    "#![deny(unsafe_code)]",
-    "#![deny(missing_docs)]",
-    "#![warn(rust_2018_idioms)]",
-];
-
-/// `(level, name)` pairs for the required root attributes.
-const ROOT_ATTRS: &[(&str, &str, &str)] = &[
-    ("deny", "unsafe_code", "#![deny(unsafe_code)]"),
-    ("deny", "missing_docs", "#![deny(missing_docs)]"),
-    ("warn", "rust_2018_idioms", "#![warn(rust_2018_idioms)]"),
 ];
 
 /// A token pattern one rule forbids.
@@ -704,38 +687,6 @@ pub(crate) fn is_test(scanned: &ScannedFile, line: usize) -> bool {
     scanned.is_test_line.get(line - 1).copied().unwrap_or(false)
 }
 
-/// Checks the crate-hygiene rule on a crate-root file.
-pub fn check_crate_root(path: &str, source: &str) -> FileLint {
-    let scanned = scan(source);
-    let mut out = FileLint::default();
-    for (level, name, display) in ROOT_ATTRS {
-        if !has_inner_attr(&scanned.tokens, level, name) {
-            out.violations.push(Violation {
-                rule: rule::HYGIENE,
-                file: path.to_owned(),
-                line: 1,
-                message: format!("crate root is missing the required inner attribute `{display}`"),
-                snippet: String::new(),
-            });
-        }
-    }
-    out
-}
-
-/// Token-level search for `#![level(name)]`.
-fn has_inner_attr(tokens: &[Token], level: &str, name: &str) -> bool {
-    tokens.windows(8).any(|w| {
-        w[0].is_punct('#')
-            && w[1].is_punct('!')
-            && w[2].is_punct('[')
-            && w[3].is_ident(level)
-            && w[4].is_punct('(')
-            && w[5].is_ident(name)
-            && w[6].is_punct(')')
-            && w[7].is_punct(']')
-    })
-}
-
 /// The offending line, trimmed, for diagnostics.
 pub(crate) fn snippet(lines: &[String], line: usize) -> String {
     lines
@@ -938,20 +889,5 @@ impl S {
         let src = "use std::collections::BTreeMap;\nstruct S { m: BTreeMap<u32, u32> }\nimpl S {\n    fn dump(&self) -> usize { self.m.iter().count() }\n}\n";
         let lint = lint_file("crates/collect/src/tsdb.rs", src);
         assert!(lint.violations.is_empty(), "{:?}", lint.violations);
-    }
-
-    #[test]
-    fn hygiene_flags_missing_attrs() {
-        let good = "#![deny(unsafe_code)]\n#![deny(missing_docs)]\n#![warn(rust_2018_idioms)]\n";
-        assert!(check_crate_root("crates/nn/src/lib.rs", good)
-            .violations
-            .is_empty());
-        let bad = "#![deny(unsafe_code)]\n";
-        assert_eq!(
-            check_crate_root("crates/nn/src/lib.rs", bad)
-                .violations
-                .len(),
-            2
-        );
     }
 }

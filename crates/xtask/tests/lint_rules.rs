@@ -2,7 +2,7 @@
 //! exercises one rule, and the assertions pin the exact (rule, line)
 //! pairs so a scanner regression cannot silently widen or narrow a rule.
 
-use xtask::rules::{check_crate_root, lint_file, rule, FileLint, Violation};
+use xtask::rules::{lint_file, rule, FileLint, Violation};
 
 fn fixture(name: &str) -> String {
     let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -345,19 +345,6 @@ fn lexer_edge_cases_never_fire() {
         let lint = lint_file(path, &src);
         assert!(lint.violations.is_empty(), "{path}: {:?}", lint.violations);
     }
-}
-
-#[test]
-fn hygiene_good_root_is_clean_bad_root_lists_each_missing_attr() {
-    let good = check_crate_root("crates/nn/src/lib.rs", &fixture("hygiene_good.rs"));
-    assert!(good.violations.is_empty(), "{:?}", good.violations);
-
-    let bad = check_crate_root("crates/nn/src/lib.rs", &fixture("hygiene_bad.rs"));
-    assert_eq!(bad.violations.len(), 2);
-    assert!(bad.violations.iter().all(|v| v.rule == rule::HYGIENE));
-    let missing: Vec<&str> = bad.violations.iter().map(|v| v.message.as_str()).collect();
-    assert!(missing.iter().any(|m| m.contains("missing_docs")));
-    assert!(missing.iter().any(|m| m.contains("rust_2018_idioms")));
 }
 
 #[test]

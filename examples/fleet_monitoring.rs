@@ -70,7 +70,7 @@ fn main() -> Result<(), Box<dyn Error>> {
                 ),
                 (StreamId::IMU, StreamInput::Windows(&window)),
             ];
-            engine.classify_step_into(&inputs, &mut results)?;
+            engine.classify_batch_into(&inputs, &mut results)?;
             let result = &results[0];
             steps += 1;
             if result.behavior() != Some(CanonicalBehavior::NormalDriving) {

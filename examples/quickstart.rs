@@ -87,7 +87,7 @@ fn main() -> Result<(), Box<dyn Error>> {
             (StreamId::CAMERA_FRONT, StreamInput::Frames(&sample.frames)),
             (StreamId::IMU, StreamInput::Windows(&window)),
         ];
-        engine.classify_step_into(&inputs, &mut result)?;
+        engine.classify_batch_into(&inputs, &mut result)?;
         let step = &result[0];
         let predicted = step.behavior().map_or("-", |b| b.name());
         let ok = step.behavior() == Some(sample.class);

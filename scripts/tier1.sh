@@ -42,8 +42,8 @@ cargo clippy --locked -p darnet-tensor -p darnet-nn -p darnet-core -p darnet-col
   -D clippy::panic -D clippy::unreachable -D clippy::todo -D clippy::unimplemented
 
 # darlint: the in-repo invariant lint (deterministic-time,
-# scoped-threads-only, crate-hygiene, hot-alloc, hot-propagate,
-# nondet-order, durable-io, rng-confined, replay-pure, marker). It is
+# scoped-threads-only, hot-alloc, hot-propagate, nondet-order,
+# durable-io, rng-confined, replay-pure, marker). It is
 # deny-by-default: any violation exits 1. Per-pass timings print to
 # stderr so analyzer cost regressions show up.
 cargo run --locked -q -p xtask -- lint

@@ -32,10 +32,6 @@
 //! See `examples/` for end-to-end scenarios and `crates/bench/src/bin/`
 //! for the binaries that regenerate every table and figure of the paper.
 
-#![deny(missing_docs)]
-#![deny(unsafe_code)]
-#![warn(rust_2018_idioms)]
-
 pub use darnet_collect as collect;
 pub use darnet_core as core;
 pub use darnet_nn as nn;

@@ -132,7 +132,7 @@ fn engine_classifies_held_out_steps_end_to_end() {
         let window = Tensor::from_vec(sample.imu_window.clone(), &[1, WINDOW_LEN, IMU_FEATURES])
             .expect("window shape");
         engine
-            .classify_step_into(&step_inputs(&sample.frames[0], &window), &mut out)
+            .classify_batch_into(&step_inputs(&sample.frames[0], &window), &mut out)
             .expect("classifies");
         assert!((out[0].scores.iter().sum::<f32>() - 1.0).abs() < 1e-3);
         if out[0].behavior() == Some(sample.class) {
@@ -162,7 +162,7 @@ fn svm_slot_works_in_engine() {
         .expect("window shape");
     let mut out = Vec::new();
     engine
-        .classify_step_into(&step_inputs(&sample.frames[0], &window), &mut out)
+        .classify_batch_into(&step_inputs(&sample.frames[0], &window), &mut out)
         .expect("classifies");
     assert_eq!(out[0].used, vec![StreamId::CAMERA_FRONT, StreamId::IMU]);
     assert_eq!(out[0].scores.len(), 6);
