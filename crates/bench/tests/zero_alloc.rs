@@ -2,8 +2,10 @@
 //!
 //! Uses the crate's counting global allocator
 //! ([`darnet_bench::alloc_counter`]) to prove that, after warm-up, the
-//! `*_into` classification paths of a serially-configured engine never
-//! touch the heap — and that a threaded engine runs a lone stream inline.
+//! `*_into` classification paths of an engine that runs its streams
+//! inline never touch the heap — and that the engine does run them inline
+//! when a lone stream is left or, by default, when its models sit below
+//! the fan-out floor, as every engine here does.
 //! It is the only dynamic gate on that contract (DESIGN.md §12.4;
 //! darlint's `hot-alloc` is the static one), so each entry point keeps
 //! its own assertion and message. The counter
@@ -24,6 +26,7 @@ use darnet_collect::{
 };
 use darnet_core::dataset::{IMU_FEATURES, WINDOW_LEN};
 use darnet_core::privacy::PrivacyLevel;
+use darnet_core::registry::FAN_OUT_MIN_FLOPS;
 use darnet_core::{
     ClassMap, CombinerKind, ImuSvm, MicroBatchConfig, MicroBatcher, ModalityDescriptor,
     ModalityStatus, MultiModalEngine, MultiStepClassification, StreamInput, StreamModelSlot,
@@ -258,6 +261,40 @@ fn a_single_survivor_runs_inline_under_a_threaded_engine() {
     assert_eq!(
         allocs, 0,
         "a single-survivor registry call allocated on a warm call"
+    );
+}
+
+/// Fan-out is on by default — the engine takes the host's threads — but
+/// only for calls heavy enough to pay for a spawn. A default-constructed
+/// 3-stream engine of the tiny models, with no `set_parallelism` call,
+/// carries less than [`FAN_OUT_MIN_FLOPS`] over a whole batch, so a warm
+/// full-batch call runs inline and allocates nothing on any host.
+#[test]
+fn a_default_engine_below_the_floor_runs_inline() {
+    let flops = tiny_cnn(3).flops_per_frame() * 2 + tiny_rnn().flops_per_window();
+    assert!(BATCH * flops < FAN_OUT_MIN_FLOPS, "{BATCH} × {flops} FLOPs");
+    let mut registry = tiny_registry_engine();
+    let frames: Vec<Frame> = (0..BATCH)
+        .map(|_| Frame::new(FRAME_SIZE, FRAME_SIZE))
+        .collect();
+    let windows = random_tensor(&[BATCH, WINDOW_LEN, IMU_FEATURES], 14);
+    let inputs = [
+        (StreamId::IMU, StreamInput::Windows(&windows)),
+        (StreamId::CAMERA_FRONT, StreamInput::Frames(&frames)),
+        (StreamId::CAMERA_SIDE, StreamInput::Frames(&frames)),
+    ];
+    let mut labels: Vec<MultiStepClassification> = Vec::new();
+    let mut call = || {
+        registry
+            .classify_batch_into(&inputs, &mut labels)
+            .expect("3-stream batch");
+    };
+    call();
+    call();
+    let ((), allocs) = alloc_counter::allocations_during(call);
+    assert_eq!(
+        allocs, 0,
+        "a default 3-stream engine below the fan-out floor allocated on a warm call"
     );
 }
 

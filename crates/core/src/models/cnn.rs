@@ -54,6 +54,65 @@ fn scaled(base: usize, width: f32) -> usize {
     ((base as f32 * width).round() as usize).max(1)
 }
 
+/// Layer widths and feature-map edges of a [`FrameCnn`], read off its
+/// configuration alone: what [`FrameCnn::new`] builds and
+/// [`FrameCnn::flops_per_frame`] counts.
+struct Shape {
+    /// Stem output channels.
+    stem: usize,
+    /// Inception block A's branches.
+    a: InceptionChannels,
+    /// Inception block B's branches.
+    b: InceptionChannels,
+    /// Input edge of the stem, block A and block B.
+    edges: [usize; 3],
+    /// Whether an average pool shrinks block B's pooled output further.
+    avg_pool: bool,
+    /// Inputs of the feature layer.
+    feat_in: usize,
+    /// Outputs of the feature layer.
+    feat: usize,
+}
+
+impl Shape {
+    fn of(config: &CnnConfig) -> Shape {
+        let w = config.width;
+        let pool2 = |n: usize| if n >= 2 { (n - 2) / 2 + 1 } else { n };
+        let edge = config.input_size;
+        let edges = [edge, pool2(edge), pool2(pool2(edge))];
+        let a = InceptionChannels {
+            c1: scaled(4, w),
+            c3_reduce: scaled(4, w),
+            c3: scaled(6, w),
+            c5_reduce: scaled(2, w),
+            c5: scaled(3, w),
+            pool_proj: scaled(3, w),
+        };
+        let b = InceptionChannels {
+            c1: scaled(6, w),
+            c3_reduce: scaled(6, w),
+            c3: scaled(10, w),
+            c5_reduce: scaled(3, w),
+            c5: scaled(4, w),
+            pool_proj: scaled(4, w),
+        };
+        let mut spatial = pool2(edges[2]);
+        let avg_pool = spatial >= 2;
+        if avg_pool {
+            spatial = pool2(spatial);
+        }
+        Shape {
+            stem: scaled(8, w),
+            a,
+            b,
+            edges,
+            avg_pool,
+            feat_in: b.total() * spatial * spatial,
+            feat: (b.total() * 3).max(16),
+        }
+    }
+}
+
 /// The DarNet frame model: stem convolution → inception blocks → global
 /// average pooling → dense head.
 pub struct FrameCnn {
@@ -70,59 +129,62 @@ impl FrameCnn {
     /// Builds an untrained CNN.
     pub fn new(config: CnnConfig, seed: u64) -> Self {
         let mut rng = SplitMix64::new(seed);
-        let w = config.width;
+        let shape = Shape::of(&config);
         let mut features = Sequential::new();
         // Stem: 1 → 8 channels, preserve 48×48, then halve.
-        features.push(Conv2d::square(1, scaled(8, w), 3, 1, 1, &mut rng));
+        features.push(Conv2d::square(1, shape.stem, 3, 1, 1, &mut rng));
         features.push(Relu::new());
         features.push(MaxPool2d::new(2, 2)); // 24×24
                                              // Inception block A: 8 → 16 channels.
-        let ch_a = InceptionChannels {
-            c1: scaled(4, w),
-            c3_reduce: scaled(4, w),
-            c3: scaled(6, w),
-            c5_reduce: scaled(2, w),
-            c5: scaled(3, w),
-            pool_proj: scaled(3, w),
-        };
-        features.push(InceptionBlock::new(scaled(8, w), ch_a, &mut rng));
+        features.push(InceptionBlock::new(shape.stem, shape.a, &mut rng));
         features.push(MaxPool2d::new(2, 2)); // 12×12
                                              // Inception block B: 16 → 24 channels.
-        let ch_b = InceptionChannels {
-            c1: scaled(6, w),
-            c3_reduce: scaled(6, w),
-            c3: scaled(10, w),
-            c5_reduce: scaled(3, w),
-            c5: scaled(4, w),
-            pool_proj: scaled(4, w),
-        };
-        features.push(InceptionBlock::new(ch_a.total(), ch_b, &mut rng));
+        features.push(InceptionBlock::new(shape.a.total(), shape.b, &mut rng));
         features.push(MaxPool2d::new(2, 2)); // 6×6
                                              // Coarse spatial pooling: keep a small spatial layout rather than
                                              // full global average pooling (pose classes are distinguished by
                                              // *where* activations fire; Inception-V3 affords GAP only because
                                              // it carries 2048 channels).
-        let pool2 = |n: usize| if n >= 2 { (n - 2) / 2 + 1 } else { n };
-        let mut spatial = pool2(pool2(pool2(config.input_size)));
-        if spatial >= 2 {
+        if shape.avg_pool {
             features.push(AvgPool2d::new(2, 2));
-            spatial = pool2(spatial);
         }
         features.push(Flatten::new());
-        let feat_dim_in = ch_b.total() * spatial * spatial;
-        let feat_dim = (ch_b.total() * 3).max(16);
-        features.push(Dense::new(feat_dim_in, feat_dim, &mut rng));
+        features.push(Dense::new(shape.feat_in, shape.feat, &mut rng));
         features.push(Relu::new());
         features.push(Dropout::new(DROPOUT, rng.next_u64()));
-        let head = Dense::new(feat_dim, config.classes, &mut rng);
+        let head = Dense::new(shape.feat, config.classes, &mut rng);
         FrameCnn {
             features,
             head,
             config,
-            feat_dim,
+            feat_dim: shape.feat,
             rng,
             ws: Workspace::new(),
         }
+    }
+
+    /// Forward FLOPs of one frame, from the configuration: the stem
+    /// convolution, both inception blocks, the feature layer and the head,
+    /// a multiply-add counting two. Activations and pooling are left out.
+    pub fn flops_per_frame(&self) -> usize {
+        let Shape {
+            stem,
+            a,
+            b,
+            edges,
+            feat_in,
+            feat,
+            ..
+        } = Shape::of(&self.config);
+        let inception = |cin: usize, ch: &InceptionChannels, edge: usize| {
+            let reduce = cin * (ch.c1 + ch.c3_reduce + ch.c5_reduce + ch.pool_proj);
+            2 * edge * edge * (reduce + ch.c3_reduce * 9 * ch.c3 + ch.c5_reduce * 25 * ch.c5)
+        };
+        2 * edges[0] * edges[0] * 9 * stem
+            + inception(stem, &a, edges[1])
+            + inception(a.total(), &b, edges[2])
+            + 2 * feat_in * feat
+            + 2 * feat * self.config.classes
     }
 
     /// The model configuration.

@@ -7,7 +7,7 @@ use darnet_nn::{
 };
 use darnet_tensor::{SplitMix64, Tensor, Workspace};
 
-use crate::dataset::Standardizer;
+use crate::dataset::{Standardizer, WINDOW_LEN};
 use crate::error::CoreError;
 use crate::Result;
 
@@ -74,6 +74,22 @@ impl ImuRnn {
     /// The model configuration.
     pub fn config(&self) -> &RnnConfig {
         &self.config
+    }
+
+    /// Forward FLOPs of one [`WINDOW_LEN`]-step window, from the
+    /// configuration: each BiLSTM layer's input and recurrent products in
+    /// both directions, then the head, a multiply-add counting two. The
+    /// gate nonlinearities are left out.
+    pub fn flops_per_window(&self) -> usize {
+        let RnnConfig {
+            features,
+            hidden: h,
+            depth,
+            classes,
+            ..
+        } = self.config;
+        let layer = |input: usize| 2 * WINDOW_LEN * 2 * (input * 4 * h + h * 4 * h);
+        layer(features) + depth.saturating_sub(1) * layer(2 * h) + 2 * 2 * h * classes
     }
 
     /// Total trainable parameter count.

@@ -38,6 +38,12 @@ impl ImuSvm {
         self.classes
     }
 
+    /// Forward FLOPs of one window: the linear map from the flattened
+    /// window to every class score, a multiply-add counting two.
+    pub fn flops_per_window(&self) -> usize {
+        2 * self.window_len * self.features * self.classes
+    }
+
     /// The batch length of `[n, window_len, features]` windows.
     fn batch_len(&self, windows: &Tensor) -> Result<usize> {
         match *windows.dims() {

@@ -34,6 +34,19 @@ use crate::Result;
 /// registered streams is capped (far above any plausible sensor roster).
 pub const MAX_STREAMS: usize = 8;
 
+/// The least work, in forward FLOPs over a call's batch, that every group
+/// of a fanned-out call must carry ([`MultiModalEngine::classify_batch_checked_into`]).
+/// A fanned call waits on a second core, and how soon a shared host hands
+/// one over changes from minute to minute. At the ledger's cabin scale
+/// (48×48 frames, BiLSTM 2×64; the lightest group carries 2.47 MFLOP a
+/// step) on a 2-vCPU host, eight-step batches fanned out gain steadily,
+/// but four-step ones took 0.96, 0.99 and 1.27 of their inline time in
+/// three runs: no gain, only run-to-run spread. So cabin batches of at
+/// least seven steps fan out and shorter ones run inline, as does every
+/// edge-scale call (8×8 frames at width 0.25, BiLSTM 1×8: at most 0.41
+/// MFLOP in the heaviest group at eight steps). Fixed, not a setting.
+pub const FAN_OUT_MIN_FLOPS: usize = 16_000_000;
+
 /// How a stream's native class space maps onto the engine's canonical
 /// class space.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -201,6 +214,17 @@ impl StreamModelSlot {
         }
     }
 
+    /// Forward FLOPs per sample — one frame or one window — computed from
+    /// the model's configuration (see each model's own count). The engine
+    /// weighs a stream by it when it schedules a call.
+    pub fn flops_per_sample(&self) -> usize {
+        match self {
+            StreamModelSlot::Cnn(m) => m.flops_per_frame(),
+            StreamModelSlot::Rnn(m) => m.flops_per_window(),
+            StreamModelSlot::Svm(m) => m.flops_per_window(),
+        }
+    }
+
     /// The model's native class count.
     pub fn native_classes(&self) -> usize {
         match self {
@@ -315,6 +339,9 @@ pub fn product_combine_subset_into(
 struct RegisteredStream {
     descriptor: ModalityDescriptor,
     model: StreamModelSlot,
+    /// The model's [`StreamModelSlot::flops_per_sample`], read once at
+    /// registration. A routed dCNN student is costed as its stream's model.
+    flops: usize,
     /// dCNN students of a camera stream, at most one per privacy level.
     students: Vec<(PrivacyLevel, StreamModelSlot)>,
     /// The student serving the current batch's distorted frames, if any.
@@ -355,6 +382,176 @@ impl RegisteredStream {
         }
         Ok((full, full))
     }
+
+    /// This stream's input, if it takes part in the batch.
+    // darlint: hot
+    fn input<'a>(&self, inputs: &[(StreamId, StreamInput<'a>)]) -> Option<StreamInput<'a>> {
+        let id = self.descriptor.id;
+        let input = inputs.iter().find(|(s, _)| self.present && *s == id);
+        input.map(|(_, input)| *input)
+    }
+
+    /// Assembles this stream's camera batch from `frames` in a tensor
+    /// checked out of `ws`, at the geometry [`Self::route_frames`] picks.
+    /// On error nothing stays checked out.
+    // darlint: hot
+    fn assemble(&mut self, frames: &[Frame], n: usize, ws: &mut Workspace) -> Result<Tensor> {
+        let (w, h) = self.route_frames(frames[0].width(), frames[0].height())?;
+        let mut batch = ws.checkout(&[n, 1, h, w]);
+        let built = match self.route {
+            Some(_) => restore_frames_into(frames, &mut batch),
+            None => frames_to_tensor_into(frames, &mut batch),
+        };
+        match built {
+            Ok(()) => Ok(batch),
+            Err(e) => {
+                ws.restore(batch);
+                Err(e)
+            }
+        }
+    }
+
+    /// Runs the stream's model — or the student its batch was routed to —
+    /// over `input` into the stream's posterior buffer.
+    // darlint: hot
+    fn run_model(&mut self, input: &Tensor) -> Result<()> {
+        let model = match self.route.and_then(|s| self.students.get_mut(s)) {
+            Some((_, student)) => student,
+            None => &mut self.model,
+        };
+        model.predict_proba_into(input, &mut self.probs)
+    }
+}
+
+/// One stream's share of a fanned-out call: the stream and the input its
+/// model runs over. A group holds its jobs at their registry indices.
+type Job<'a> = (&'a mut RegisteredStream, &'a Tensor);
+
+/// A call's stream schedule: the present streams split into `groups`
+/// groups, the last run by the caller and each other one by a scoped
+/// worker.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Schedule {
+    /// Group count, at least two.
+    groups: usize,
+    /// Each registered stream's group (0 for an absent one).
+    group: [usize; MAX_STREAMS],
+}
+
+/// Decides how a call runs its streams, from nothing but the thread
+/// count, each registered stream's per-sample FLOPs (`None` when it sits
+/// the call out) and the batch length `n`. The present streams go into
+/// `min(threads, present)` groups, greedy longest-first: heaviest stream
+/// first, ties in registry order, each into the group with the least work
+/// so far (the lowest-numbered on a tie). `None` — run inline — when that
+/// makes fewer than two groups or any group's `n × flops` falls below
+/// [`FAN_OUT_MIN_FLOPS`].
+// darlint: hot
+fn plan_streams(threads: usize, flops: &[Option<usize>], n: usize) -> Option<Schedule> {
+    let mut order = [(0usize, 0usize); MAX_STREAMS];
+    let mut present = 0;
+    for (k, cost) in flops.iter().enumerate() {
+        if let Some(cost) = cost {
+            order[present] = (k, *cost);
+            present += 1;
+        }
+    }
+    let groups = threads.min(present);
+    if groups < 2 {
+        return None;
+    }
+    let order = &mut order[..present];
+    order.sort_unstable_by_key(|&(k, cost)| (std::cmp::Reverse(cost), k));
+    let mut plan = Schedule {
+        groups,
+        group: [0; MAX_STREAMS],
+    };
+    let mut load = [0usize; MAX_STREAMS];
+    for &(k, cost) in order.iter() {
+        let lightest = (0..groups).min_by_key(|&g| load[g])?;
+        plan.group[k] = lightest;
+        load[lightest] += cost;
+    }
+    let heavy = |&load: &usize| n.saturating_mul(load) >= FAN_OUT_MIN_FLOPS;
+    load[..groups].iter().all(heavy).then_some(plan)
+}
+
+/// Runs a call's streams by `plan`. Every camera batch is assembled first,
+/// in registry order on the caller's thread (the workspace is not shared
+/// with workers); an assembly error stops that stream and every later one
+/// from running, as inline. Then a scoped worker runs each group but the
+/// last, the caller runs the last, every worker is joined and the batches
+/// go back to `ws`. The error returned is the first in registry order
+/// across groups.
+// darlint: hot
+fn fan_out(
+    plan: &Schedule,
+    streams: &mut [RegisteredStream],
+    ws: &mut Workspace,
+    inputs: &[(StreamId, StreamInput<'_>)],
+    n: usize,
+) -> Result<()> {
+    let mut batches: [Option<Tensor>; MAX_STREAMS] = [const { None }; MAX_STREAMS];
+    let mut first = None;
+    for (k, (stream, batch)) in streams.iter_mut().zip(&mut batches).enumerate() {
+        if let Some(StreamInput::Frames(frames)) = stream.input(inputs) {
+            match stream.assemble(frames, n, ws) {
+                Ok(assembled) => *batch = Some(assembled),
+                Err(e) => {
+                    first = Some((k, e));
+                    break;
+                }
+            }
+        }
+    }
+    let runnable = first.as_ref().map_or(streams.len(), |(k, _)| *k);
+    let mut groups: [[Option<Job<'_>>; MAX_STREAMS]; MAX_STREAMS] = Default::default();
+    let jobs = streams.iter_mut().zip(&batches).enumerate().take(runnable);
+    for (k, (stream, batch)) in jobs {
+        let input = match (stream.input(inputs), batch) {
+            (Some(StreamInput::Windows(windows)), _) => windows,
+            (Some(StreamInput::Frames(_)), Some(batch)) => batch,
+            _ => continue,
+        };
+        groups[plan.group[k]][k] = Some((stream, input));
+    }
+    let (workers, caller) = groups[..plan.groups].split_at_mut(plan.groups - 1);
+    let ran = std::thread::scope(|scope| {
+        let mut handles = [const { None }; MAX_STREAMS];
+        for (handle, group) in handles.iter_mut().zip(workers) {
+            let lead = group.iter().position(Option::is_some).unwrap_or(0);
+            *handle = Some((lead, scope.spawn(|| run_group(group))));
+        }
+        let mut failed = run_group(&mut caller[0]);
+        // Every worker is joined before the first error surfaces, so none
+        // outlives the scope's borrows.
+        for (lead, handle) in handles.into_iter().flatten() {
+            let joined = handle.join().unwrap_or_else(|_| {
+                let stage = "MultiModalEngine stream group";
+                Some((lead, CoreError::WorkerPanicked { stage }))
+            });
+            failed = failed.into_iter().chain(joined).min_by_key(|(k, _)| *k);
+        }
+        failed
+    });
+    for batch in batches.into_iter().flatten() {
+        ws.restore(batch);
+    }
+    match first.into_iter().chain(ran).min_by_key(|(k, _)| *k) {
+        Some((_, e)) => Err(e),
+        None => Ok(()),
+    }
+}
+
+/// Runs a group's jobs in registry order up to the first error, which it
+/// returns with its stream's registry index.
+// darlint: hot
+fn run_group(group: &mut [Option<Job<'_>>]) -> Option<(usize, CoreError)> {
+    let mut jobs = group.iter_mut().enumerate();
+    jobs.find_map(|(k, job)| {
+        let (stream, input) = job.as_mut()?;
+        stream.run_model(input).err().map(|e| (k, e))
+    })
 }
 
 /// Running counts of how N-stream classifications were fused.
@@ -401,7 +598,10 @@ pub struct MultiModalEngine {
     kind: CombinerKind,
     streams: Vec<RegisteredStream>,
     combiner: Option<NaryBayesianCombiner>,
-    parallelism: Parallelism,
+    /// Threads a call may use, the caller's included: the host's at
+    /// construction, or what [`MultiModalEngine::set_parallelism`]
+    /// installed.
+    threads: usize,
     counters: SubsetCounters,
     pub(crate) ws: Workspace,
     scores_buf: Vec<f32>,
@@ -419,14 +619,16 @@ pub struct MultiModalEngine {
 }
 
 impl MultiModalEngine {
-    /// Creates an empty engine over `classes` canonical classes.
+    /// Creates an empty engine over `classes` canonical classes, allowed
+    /// as many threads as the host has (read once, here: the read touches
+    /// cgroup files and allocates).
     pub fn new(classes: usize, kind: CombinerKind) -> Self {
         MultiModalEngine {
             classes,
             kind,
             streams: Vec::new(),
             combiner: None,
-            parallelism: Parallelism::serial(),
+            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             counters: SubsetCounters::default(),
             ws: Workspace::new(),
             scores_buf: Vec::new(),
@@ -490,17 +692,18 @@ impl MultiModalEngine {
         (self.ws.pool_hits(), self.ws.cold_misses())
     }
 
-    /// Installs a [`Parallelism`] handle. The engine reads one thing off
-    /// it — whether more than one thread is allowed — and then runs each
-    /// *present* stream's model on its own scoped worker whenever at least
-    /// two streams take part in a batch; a single survivor, and every
-    /// stream under the serial default, runs on the caller's thread. It is
-    /// the only thread policy a product caller can set: models, layers and
-    /// kernels have none and always run inline, so no call nests one
-    /// thread scope in another. Results never depend on the installed
-    /// handle.
+    /// Overrides the thread count the engine schedules its streams with —
+    /// by default the host's hardware threads, read at construction.
+    /// [`Parallelism::serial`] runs every call inline; a larger count lets
+    /// a call split its present streams into up to that many groups, one
+    /// run by the caller and each other one by a scoped worker, when every
+    /// group carries at least [`FAN_OUT_MIN_FLOPS`]
+    /// ([`MultiModalEngine::classify_batch_checked_into`]). It is the only
+    /// thread policy a product caller can set: models, layers and kernels
+    /// have none and always run inline, so no call nests one thread scope
+    /// in another. Results never depend on the count.
     pub fn set_parallelism(&mut self, par: Parallelism) {
-        self.parallelism = par;
+        self.threads = par.threads();
     }
 
     /// Registers a stream. Registration order is registry order: it
@@ -555,6 +758,7 @@ impl MultiModalEngine {
         }
         self.streams.push(RegisteredStream {
             descriptor,
+            flops: model.flops_per_sample(),
             model,
             students: Vec::new(),
             route: None,
@@ -675,11 +879,19 @@ impl MultiModalEngine {
     /// policy: every registered stream → N-ary fusion; a plural strict
     /// subset → the same combiner with absent parents marginalized out; a
     /// single survivor → its class-map expansion (the CNN-only / IMU-only
-    /// fallbacks). After one warm-up call at a given
-    /// batch shape, a steady-state call that runs its streams inline
-    /// performs zero heap allocations end to end; one that fans them out
-    /// ([`MultiModalEngine::set_parallelism`]) allocates what its thread
-    /// scope and spawns do, and nothing else.
+    /// fallbacks).
+    ///
+    /// The engine schedules the call itself: the present streams are split
+    /// into at most as many groups as it has threads
+    /// ([`MultiModalEngine::set_parallelism`]; the host's by default),
+    /// the caller runs one group and a scoped worker each of the others —
+    /// but only when every group carries at least [`FAN_OUT_MIN_FLOPS`] of
+    /// forward work over the batch. A single survivor, a serial engine and
+    /// every call below that floor (edge-scale models, short batches) run
+    /// inline. After one warm-up call at a given batch shape, a
+    /// steady-state inline call performs zero heap allocations end to end;
+    /// a fanned-out one allocates what its thread scope and spawns do, and
+    /// nothing else. The output never depends on the schedule.
     ///
     /// # Errors
     ///
@@ -758,92 +970,39 @@ impl MultiModalEngine {
     /// Runs every present stream's model over its assembled input,
     /// filling the per-stream posterior buffers. This is the only place
     /// under the engine that may spawn a thread, and the decision is made
-    /// here, once per call, from the installed policy and the number of
-    /// present streams. Fanned out, the streams form one group: camera
-    /// batches are assembled on the caller's thread (the workspace is not
-    /// shared with workers; a distorted batch is restored here and routed
-    /// to its dCNN student, [`MultiModalEngine::register_dcnn`]), each
-    /// present stream's model runs on its own scoped worker, every worker
-    /// is joined in registry order, and the batches go back to the pool.
-    /// Inline, each stream is a group of its own and the same three steps
-    /// run for it alone, so one camera batch is checked out at a time.
-    /// Either way the first error in registry order is the one returned.
+    /// here, once per call, by [`plan_streams`] from the engine's thread count,
+    /// the present streams' FLOPs and the batch length. Inline, each
+    /// stream in registry order has its camera batch assembled (checked
+    /// out of the workspace; a distorted batch is restored here and routed
+    /// to its dCNN student, [`MultiModalEngine::register_dcnn`]), its model
+    /// run and the batch returned, so one camera batch is out at a time.
+    /// Fanned out, see [`fan_out`]. Either way the first error in registry
+    /// order is the one returned.
     // darlint: hot
     fn predict_streams(&mut self, inputs: &[(StreamId, StreamInput<'_>)], n: usize) -> Result<()> {
         let classes = self.classes;
-        let MultiModalEngine {
-            streams,
-            ws,
-            parallelism,
-            ..
-        } = self;
-        let fan_out = !parallelism.is_serial() && streams.iter().filter(|s| s.present).count() >= 2;
-        // The input of a stream that takes part in this batch.
-        let input_of = |stream: &RegisteredStream| {
-            let id = stream.descriptor.id;
-            let input = inputs.iter().find(|(s, _)| stream.present && *s == id);
-            input.map(|(_, input)| *input)
-        };
-        for group in streams.chunks_mut(if fan_out { MAX_STREAMS } else { 1 }) {
-            let mut batches: [Option<Tensor>; MAX_STREAMS] = [const { None }; MAX_STREAMS];
-            let mut run = Ok(());
-            for (stream, batch) in group.iter_mut().zip(&mut batches) {
-                if let Some(StreamInput::Frames(frames)) = input_of(stream) {
-                    run = stream
-                        .route_frames(frames[0].width(), frames[0].height())
-                        .and_then(|(w, h)| {
-                            let batch = batch.insert(ws.checkout(&[n, 1, h, w]));
-                            match stream.route {
-                                Some(_) => restore_frames_into(frames, batch),
-                                None => frames_to_tensor_into(frames, batch),
-                            }
-                        });
-                    if run.is_err() {
-                        break;
+        let mut flops = [None; MAX_STREAMS];
+        for (cost, stream) in flops.iter_mut().zip(&self.streams) {
+            *cost = stream.present.then_some(stream.flops);
+        }
+        let plan = plan_streams(self.threads, &flops[..self.streams.len()], n);
+        let MultiModalEngine { streams, ws, .. } = self;
+        match plan {
+            Some(plan) => fan_out(&plan, streams, ws, inputs, n)?,
+            None => {
+                for stream in streams.iter_mut() {
+                    match stream.input(inputs) {
+                        Some(StreamInput::Windows(windows)) => stream.run_model(windows)?,
+                        Some(StreamInput::Frames(frames)) => {
+                            let batch = stream.assemble(frames, n, ws)?;
+                            let run = stream.run_model(&batch);
+                            ws.restore(batch);
+                            run?;
+                        }
+                        None => {}
                     }
                 }
             }
-            if run.is_ok() {
-                let mut jobs = group
-                    .iter_mut()
-                    .zip(&batches)
-                    .filter_map(|(stream, batch)| {
-                        let input = match input_of(stream)? {
-                            StreamInput::Windows(windows) => windows,
-                            StreamInput::Frames(_) => batch.as_ref()?,
-                        };
-                        let model = match stream.route {
-                            Some(student) => &mut stream.students.get_mut(student)?.1,
-                            None => &mut stream.model,
-                        };
-                        let probs = &mut stream.probs;
-                        Some(move || model.predict_proba_into(input, probs))
-                    });
-                run = if fan_out {
-                    std::thread::scope(|scope| {
-                        let mut workers = [const { None }; MAX_STREAMS];
-                        for (worker, job) in workers.iter_mut().zip(jobs) {
-                            *worker = Some(scope.spawn(job));
-                        }
-                        // Every worker is joined before the first error
-                        // surfaces, so none outlives the scope's borrows.
-                        let mut first = Ok(());
-                        for worker in workers.into_iter().flatten() {
-                            let joined = worker.join().unwrap_or(Err(CoreError::WorkerPanicked {
-                                stage: "MultiModalEngine stream branch",
-                            }));
-                            first = first.and(joined);
-                        }
-                        first
-                    })
-                } else {
-                    jobs.try_for_each(|mut job| job())
-                };
-            }
-            for batch in batches.into_iter().flatten() {
-                ws.restore(batch);
-            }
-            run?;
         }
         // Posterior checks. Width catches a model/descriptor mismatch
         // that slipped past registration (e.g. a refit model). Finiteness
@@ -1454,9 +1613,82 @@ mod tests {
         engine
     }
 
+    /// Per-sample FLOPs of `(camera CNN, IMU BiLSTM)` at one of the
+    /// ledger's model scales, over its 8-class taxonomy.
+    fn scale_flops(edge: usize, width: f32, hidden: usize, depth: usize) -> (usize, usize) {
+        let cnn = CnnConfig {
+            input_size: edge,
+            classes: 8,
+            width,
+            ..CnnConfig::default()
+        };
+        let rnn = RnnConfig {
+            hidden,
+            depth,
+            ..RnnConfig::default()
+        };
+        (
+            StreamModelSlot::Cnn(FrameCnn::new(cnn, 1)).flops_per_sample(),
+            StreamModelSlot::Rnn(ImuRnn::new(rnn, 2)).flops_per_sample(),
+        )
+    }
+
+    #[test]
+    fn the_schedule_fans_cabin_scale_out_and_keeps_edge_scale_inline() {
+        // The ledger's traced `nn.cnn_flops_per_frame`/`rnn_flops_per_window`.
+        let (cnn, rnn) = scale_flops(48, 1.0, 64, 2);
+        assert_eq!((cnn, rnn), (1_234_944, 5_489_408));
+        // Registry order IMU, front, side: on two threads a worker takes
+        // the BiLSTM and the caller both cameras, from seven steps on;
+        // shorter batches run inline.
+        let cabin = [Some(rnn), Some(cnn), Some(cnn)];
+        for n in [7, 8, 32] {
+            let plan = plan_streams(2, &cabin, n).expect("cabin fans out");
+            assert_eq!(
+                (plan.groups, &plan.group[..3]),
+                (2, &[0, 1, 1][..]),
+                "n = {n}"
+            );
+        }
+        for n in [1, 4, 6] {
+            assert_eq!(plan_streams(2, &cabin, n), None, "n = {n}");
+        }
+        // Three threads: a group each, once a lone camera crosses the floor.
+        let plan = plan_streams(3, &cabin, 13).expect("cabin fans out");
+        assert_eq!((plan.groups, &plan.group[..3]), (3, &[0, 1, 2][..]));
+        assert_eq!(plan_streams(3, &cabin, 12), None);
+        // One thread, or a single survivor: inline.
+        assert_eq!(plan_streams(1, &cabin, 8), None);
+        assert_eq!(plan_streams(2, &[Some(rnn), None, None], 8), None);
+        assert_eq!(plan_streams(2, &[None, None, Some(cnn)], 8), None);
+
+        // Edge scale: every batch the micro-batcher flushes stays inline.
+        let (cnn, rnn) = scale_flops(8, 0.25, 8, 1);
+        assert_eq!((cnn, rnn), (5_438, 51_296));
+        for n in 1..=32 {
+            assert_eq!(plan_streams(2, &[Some(rnn), Some(cnn)], n), None, "n = {n}");
+        }
+        // The floor is on the lightest group, and crossing it fans out.
+        let n = FAN_OUT_MIN_FLOPS.div_ceil(cnn);
+        assert_eq!(plan_streams(2, &[Some(rnn), Some(cnn)], n - 1), None);
+        assert!(plan_streams(2, &[Some(rnn), Some(cnn)], n).is_some());
+    }
+
+    /// The batch length at which every present stream of `engine` alone
+    /// carries [`FAN_OUT_MIN_FLOPS`], so any schedule of it fans out.
+    fn fanned_batch(engine: &MultiModalEngine) -> usize {
+        let lightest = engine.streams.iter().map(|s| s.flops).min().unwrap();
+        FAN_OUT_MIN_FLOPS.div_ceil(lightest)
+    }
+
     #[test]
     fn parallel_registry_engine_is_bitwise_serial() {
-        let (frames, windows) = test_batch(4);
+        let mut serial = three_stream_engine();
+        serial.set_parallelism(Parallelism::serial());
+        let mut parallel = three_stream_engine();
+        parallel.set_parallelism(Parallelism::new(4));
+        let n = fanned_batch(&parallel);
+        let (frames, windows) = test_batch(n);
         let all = [
             (StreamId::IMU, StreamInput::Windows(&windows)),
             (StreamId::CAMERA_FRONT, StreamInput::Frames(&frames)),
@@ -1467,15 +1699,12 @@ mod tests {
             (StreamId::CAMERA_FRONT, ModalityStatus::Unavailable),
             (StreamId::CAMERA_SIDE, ModalityStatus::Unavailable),
         ];
-        let mut serial = three_stream_engine();
-        let mut parallel = three_stream_engine();
-        parallel.set_parallelism(Parallelism::new(4));
         let (mut expected, mut out) = (Vec::new(), Vec::new());
 
-        // Every way a stream takes part or sits out: all three on workers;
-        // two of three with the third unavailable, or its input omitted;
-        // a single survivor (which runs inline — `zero_alloc.rs` holds
-        // that call to 0 allocations).
+        // Every way a stream takes part or sits out: all three in a group
+        // each; two of three with the third unavailable, or its input
+        // omitted; a single survivor (which runs inline — `zero_alloc.rs`
+        // holds that call to 0 allocations).
         type Case<'a> = (
             &'a [(StreamId, StreamInput<'a>)],
             &'a [(StreamId, ModalityStatus)],
@@ -1489,6 +1718,9 @@ mod tests {
             (&all[..1], &[], 1),
         ];
         for (inputs, statuses, used) in cases {
+            let flops: Vec<_> = parallel.streams.iter().map(|s| Some(s.flops)).collect();
+            let fans_out = plan_streams(4, &flops[..used], n).is_some();
+            assert_eq!(fans_out, used > 1, "{used} streams at n = {n}");
             serial
                 .classify_batch_checked_into(inputs, statuses, &mut expected)
                 .unwrap();
@@ -1504,7 +1736,8 @@ mod tests {
         // mis-sized) frames. The error returned is the first in registry
         // order — the front camera's — with workers as without; every
         // worker is joined and every batch restored, so the next call is
-        // bitwise serial again.
+        // bitwise serial again. A worker's model error (IMU windows its
+        // BiLSTM rejects) beats a later stream's assembly error.
         let resized = |size: usize| vec![Frame::new(size, size); frames.len()];
         let (front_bad, side_bad) = (resized(32), resized(48));
         let both_bad = [
@@ -1521,6 +1754,18 @@ mod tests {
         assert_eq!(
             parallel.classify_batch_into(&side_only_bad, &mut out),
             side_err
+        );
+        let narrow = Tensor::zeros(&[n, WINDOW_LEN, 5]);
+        let imu_and_side_bad = [
+            (StreamId::IMU, StreamInput::Windows(&narrow)),
+            all[1],
+            both_bad[2],
+        ];
+        let imu_err = serial.classify_batch_into(&imu_and_side_bad, &mut expected);
+        assert!(imu_err.is_err() && imu_err != side_err);
+        assert_eq!(
+            parallel.classify_batch_into(&imu_and_side_bad, &mut out),
+            imu_err
         );
         serial.classify_batch_into(&all, &mut expected).unwrap();
         parallel.classify_batch_into(&all, &mut out).unwrap();

@@ -6,7 +6,7 @@
 use darnet_collect::StreamId;
 use darnet_core::dataset::{frames_to_tensor, IMU_FEATURES, WINDOW_LEN};
 use darnet_core::privacy::{Downsampler, PrivacyLevel};
-use darnet_core::registry::product_combine_subset_into;
+use darnet_core::registry::{product_combine_subset_into, FAN_OUT_MIN_FLOPS};
 use darnet_core::{
     ClassMap, CnnConfig, CombinerKind, ConfusionMatrix, FrameCnn, ImuRnn, ModalityDescriptor,
     MultiModalEngine, NaryBayesianCombiner, RnnConfig, StreamInput, StreamModelSlot,
@@ -33,6 +33,15 @@ fn random_tensor(dims: &[usize], rng: &mut SplitMix64) -> Tensor {
         *v = rng.uniform(0.01, 1.0);
     }
     t
+}
+
+/// The batch length at which the lightest of `slots` alone carries
+/// [`FAN_OUT_MIN_FLOPS`]: from there on an engine over them fans its
+/// streams out whenever it has the threads. These tests' models are far
+/// below cabin scale, so a short batch would run inline on either side.
+fn fanned_batch(slots: &[StreamModelSlot]) -> usize {
+    let lightest = slots.iter().map(StreamModelSlot::flops_per_sample).min();
+    FAN_OUT_MIN_FLOPS.div_ceil(lightest.unwrap_or(1))
 }
 
 /// The pair combiner (parents `[cnn, imu]`) fitted on random posteriors.
@@ -270,10 +279,12 @@ proptest! {
     /// equals each model's allocating `predict_proba` — on fresh
     /// weight-identical models, sharing no workspace with the engine —
     /// fused outside it by `combine_n` / the product rule / the camera
-    /// expansion, for every combiner kind, streams inline or fanned out.
+    /// expansion, for every combiner kind, streams inline or fanned out:
+    /// the batch is sized past the fan-out floor, so any count above one
+    /// thread really runs a worker.
     #[test]
     fn pair_engine_matches_posteriors_fused_outside_it(
-        n in 1usize..4,
+        extra in 0usize..3,
         threads in 1usize..4,
         seed in 0u64..50,
         kind_idx in 0usize..3,
@@ -303,6 +314,7 @@ proptest! {
             rnn
         };
         let combiner = fitted_pair(24, 1.0, seed ^ 0x77).unwrap();
+        let n = fanned_batch(&[StreamModelSlot::Cnn(make_cnn()), StreamModelSlot::Rnn(make_rnn())]) + extra;
 
         let mut engine = MultiModalEngine::darnet_pair(
             kind,
@@ -350,13 +362,14 @@ proptest! {
 
     /// A dCNN student on a stream worker: IMU, a distorted front batch the
     /// engine routes to the front camera's student, and the side camera,
-    /// fanned out across workers and inline. Both engines must give the
+    /// fanned out across workers (the batch sized past the fan-out floor)
+    /// and inline. Both engines must give the
     /// same labels, and both must be each model's allocating posterior —
     /// the student's on the restored frames — fused outside the engine;
     /// each stream on its own gives that stream's posterior verbatim.
     #[test]
     fn fanned_out_engine_with_a_student_route_is_bitwise_inline(
-        n in 1usize..4,
+        extra in 0usize..3,
         seed in 0u64..50,
         level_idx in 0usize..3,
     ) {
@@ -383,6 +396,7 @@ proptest! {
         let labels: Vec<usize> = (0..24).map(|i| i % 6).collect();
         let mut combiner = NaryBayesianCombiner::new(6, vec![3, 6, 6], 1.0);
         combiner.fit(&[&parents[0], &parents[1], &parents[2]], &labels).unwrap();
+        let n = fanned_batch(&[StreamModelSlot::Rnn(make_rnn()), StreamModelSlot::Cnn(cnn(front))]) + extra;
         let engine = |par: Parallelism| {
             let mut engine = MultiModalEngine::new(6, CombinerKind::Bayesian);
             let side_camera = ModalityDescriptor::new(StreamId::CAMERA_SIDE, ClassMap::Identity);

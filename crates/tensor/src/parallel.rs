@@ -1,9 +1,12 @@
 //! The engine's thread count.
 //!
 //! [`Parallelism`] is a tiny, copyable handle saying how many threads a
-//! caller allows. Its one reader is the analytics engine, which runs each
-//! present stream's model on a scoped worker when the handle allows more
-//! than one thread. Nothing in this crate spawns a thread: the two kernels
+//! caller allows. Its one reader is the analytics engine, whose default
+//! is the host's hardware threads and which splits a call's present
+//! streams into at most that many groups, the caller running one and a
+//! scoped worker each of the others, when every group carries enough
+//! work. Installing a handle overrides the host's count. Nothing in this
+//! crate spawns a thread: the two kernels
 //! that still take one ([`Tensor::matmul_transpose_b_into`](crate::Tensor::matmul_transpose_b_into)
 //! and [`im2col_into`](crate::im2col_into)) ignore it.
 
@@ -18,6 +21,7 @@
 /// assert!(Parallelism::default().is_serial());
 /// assert!(!Parallelism::new(4).is_serial());
 /// assert!(Parallelism::new(0).is_serial()); // clamped to 1
+/// assert_eq!(Parallelism::new(3).threads(), 3);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Parallelism {
@@ -41,6 +45,11 @@ impl Parallelism {
         Parallelism {
             threads: threads.max(1),
         }
+    }
+
+    /// The number of threads this policy allows, the caller's included.
+    pub fn threads(&self) -> usize {
+        self.threads
     }
 
     /// Whether this policy allows only the calling thread.

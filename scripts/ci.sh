@@ -18,11 +18,13 @@
 #                  more than 15% below baseline fails the build.
 #                  speedup_engine_batch32 must read >= 0.85 (--check).
 #                  speedup_engine_streams — the registry engine's
-#                  streams inline vs one worker each, the one thread
-#                  policy a product caller can set — must read >= 0.85
+#                  streams forced inline vs the schedule a default
+#                  engine picks for itself (one group per hardware
+#                  thread, the caller running one) — must read >= 0.85
 #                  when the run has >= 2 hardware threads, and is left
 #                  out of the comparison while this run or the baseline
-#                  reports 1. These two engine ratios are the only
+#                  reports 1 (the committed one reports 2). These two
+#                  engine ratios are the only
 #                  engine timing gated in CI; absolute engine and kernel
 #                  time is the ledger's to report, and the zero-alloc
 #                  contract is tier1's (zero_alloc.rs)
