@@ -21,6 +21,10 @@
 //! * `--fast`, `--json`, `--out PATH`, `--compare PATH` — the shared
 //!   gated-bench conventions, see [`darnet_bench::gate`].
 //! * `--check` — enforce the invariant gates listed above.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the bench harness wall-clocks the recoveries it measures"
+)]
 
 use std::collections::BTreeMap;
 use std::sync::Arc;

@@ -22,6 +22,10 @@
 //! * `--fast`, `--json`, `--out PATH`, `--compare PATH` — the shared
 //!   gated-bench conventions, see [`darnet_bench::gate`].
 //! * `--check` — enforce the invariant gates listed above.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the bench harness wall-clocks the ingest it measures"
+)]
 
 use std::collections::BTreeMap;
 use std::time::Instant;

@@ -1,5 +1,9 @@
 //! Regenerates **Figure 4**: a frame at full resolution and at the three
 //! distortion levels, written as PGM images plus ASCII previews.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "Figure 4's reproduction writes its image files"
+)]
 
 use darnet_bench::header;
 use darnet_core::experiment::run_fig4;

@@ -10,6 +10,10 @@
 //!   ingest), all driven through [`gate`]. Per-kernel and per-layer
 //!   timings live in the pipeline ledger (`benchmark/`), not here; the
 //!   zero-alloc inference path is held by `tests/zero_alloc.rs`.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the bench harness times runs, seeds its workloads and reads and writes its baselines"
+)]
 
 use darnet_core::experiment::{ExperimentConfig, MultiviewConfig, PrivacyExperimentConfig};
 

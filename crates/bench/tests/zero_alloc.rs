@@ -15,6 +15,10 @@
 //! The same counter gates the controller's two sides: a frame read
 //! allocates per call, not per frame of history, and an IMU reading is
 //! written as one TSDB row, allocating for growth only (DESIGN.md §18).
+#![expect(
+    clippy::disallowed_methods,
+    reason = "tests seed their inputs from a SplitMix64"
+)]
 
 use darnet_bench::alloc_counter;
 use darnet_bench::fixtures::{

@@ -3,6 +3,10 @@
 //! when the transport layer is enabled: flushed batches stay in a bounded
 //! in-flight window until acked, and unacked batches are retransmitted on
 //! an exponential-backoff-with-jitter schedule.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "randomness owner: sensor sampling jitter and retransmission backoff"
+)]
 
 use std::collections::VecDeque;
 

@@ -218,6 +218,10 @@ impl GridCache {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests seed their inputs from a SplitMix64"
+)]
 mod tests {
     use super::*;
 

@@ -5,6 +5,10 @@
 //! master's UTC, plus the empirically measured network delay. Because the
 //! system clock is highly susceptible to drift, this synchronization
 //! process is repeated every 5 seconds."*
+#![expect(
+    clippy::disallowed_methods,
+    reason = "randomness owner: simulated clock drift"
+)]
 
 use darnet_tensor::SplitMix64;
 use serde::{Deserialize, Serialize};

@@ -174,12 +174,6 @@ pub struct StreamHealth {
 }
 
 impl StreamHealth {
-    /// The logical stream this health report describes, under the session
-    /// agent→stream convention.
-    pub fn stream_id(&self) -> StreamId {
-        StreamId::from_agent(self.agent_id)
-    }
-
     /// Fraction of the sequence space `[0, highest_seq]` that is missing.
     pub fn gap_ratio(&self) -> f64 {
         let expected = self.highest_seq as f64 + 1.0;

@@ -21,6 +21,10 @@
 //! [`FleetAdmission::Shed`] and halve their flush rate on
 //! [`FleetAdmission::Throttle`] — backpressure as deferral, with the
 //! spill buffer and retransmission schedule absorbing the slack.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "randomness owner: the seeded fleet load generator"
+)]
 
 use std::collections::BTreeMap;
 use std::sync::Arc;

@@ -2,6 +2,10 @@
 //! jitter induces, and an adversarial fault layer — i.i.d. loss, scheduled
 //! blackouts, and duplication. Everything is driven by one seeded
 //! generator, so a session replays bit-for-bit from its seed.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "randomness owner: lossy-link fault injection"
+)]
 
 use darnet_tensor::SplitMix64;
 use serde::{Deserialize, Serialize};

@@ -18,6 +18,10 @@
 //! After the session ends the loop keeps running for
 //! [`CampaignConfig::drain_grace`] seconds so in-flight retransmissions can
 //! complete.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "randomness owner: seeded session transports and fault injection"
+)]
 
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, BinaryHeap};

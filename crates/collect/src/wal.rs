@@ -25,6 +25,10 @@
 //! segments in a real directory for live mode. This module is the only
 //! place in the hot-path crates allowed to touch `std::fs` (darlint's
 //! `durable-io` rule).
+#![expect(
+    clippy::disallowed_methods,
+    reason = "durable-I/O owner: the WAL's directory storage backend"
+)]
 
 use std::collections::BTreeMap;
 use std::fmt;

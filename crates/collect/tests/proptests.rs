@@ -1,5 +1,9 @@
 //! Property-based tests for middleware invariants: interpolation bounds,
 //! smoothing bounds, clock-sync convergence, wire-format roundtrips.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "tests seed their inputs from a SplitMix64"
+)]
 
 use bytes::Bytes;
 use darnet_collect::{

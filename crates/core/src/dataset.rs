@@ -10,6 +10,10 @@
 //! The paper divides its collected dataset into an 80/20 partition for
 //! training and evaluation (§5.1); IMU windows are 20 points at 4 Hz
 //! (5 seconds, §4.2).
+#![expect(
+    clippy::disallowed_methods,
+    reason = "randomness owner: data splits and label-noise fault injection"
+)]
 
 use darnet_collect::runtime::{pair_frames_with_windows, Recording};
 use darnet_collect::{FrameRecord, StreamId};

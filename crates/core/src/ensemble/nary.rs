@@ -273,6 +273,10 @@ impl NaryBayesianCombiner {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests seed their inputs from a SplitMix64"
+)]
 mod tests {
     use super::*;
     use darnet_tensor::SplitMix64;

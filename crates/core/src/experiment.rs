@@ -2,6 +2,10 @@
 //! the paper (see `DESIGN.md` §4 for the experiment index). The
 //! `darnet-bench` binaries are thin wrappers over these functions; the
 //! integration tests run them at reduced scale.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "durable-I/O and randomness owner: seeded experiment setup and the figure files it writes"
+)]
 
 use std::sync::Arc;
 

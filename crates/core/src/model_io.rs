@@ -6,6 +6,10 @@
 //! trainable component. The format is a length-prefixed sequence of
 //! tensors (rank, dims, little-endian `f32` data) with a magic header and
 //! version byte.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "durable-I/O owner: model weight files"
+)]
 
 use std::io::Write as _;
 use std::path::Path;

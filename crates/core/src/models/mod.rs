@@ -1,5 +1,9 @@
 //! The analytics engine's per-stream models: the frame CNN, the IMU
 //! bidirectional LSTM, and the IMU SVM baseline.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "randomness owner: training-time randomness of the classifiers"
+)]
 
 mod cnn;
 mod rnn;

@@ -2,6 +2,10 @@
 //! down-sampling at three distortion levels, and the unsupervised
 //! distillation that trains one dCNN student per level to mimic the
 //! full-resolution teacher's outputs under an L2 loss.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "randomness owner: distillation shuffles"
+)]
 
 use darnet_nn::Sgd;
 use darnet_sim::Frame;

@@ -1175,6 +1175,10 @@ impl std::fmt::Debug for MultiModalEngine {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests seed their inputs from a SplitMix64"
+)]
 mod tests {
     use super::*;
     use crate::dataset::{frames_to_tensor, IMU_FEATURES, WINDOW_LEN};

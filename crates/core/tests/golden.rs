@@ -16,6 +16,10 @@
 // allow-unwrap-in-tests does not reach them; a failed unwrap here IS the
 // test failing.
 #![allow(clippy::unwrap_used)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "tests seed their inputs from a SplitMix64"
+)]
 
 use std::sync::Arc;
 

@@ -2,6 +2,10 @@
 //! combiner invariants, privacy arithmetic, batched-inference equivalence,
 //! and the engine's bitwise fidelity to its models' allocating posteriors
 //! fused outside it.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "tests seed their inputs from a SplitMix64"
+)]
 
 use darnet_collect::StreamId;
 use darnet_core::dataset::{frames_to_tensor, IMU_FEATURES, WINDOW_LEN};

@@ -1,4 +1,5 @@
 //! Inverted dropout.
+#![expect(clippy::disallowed_methods, reason = "randomness owner: dropout masks")]
 
 use darnet_tensor::{SplitMix64, Tensor, TensorView, Workspace};
 

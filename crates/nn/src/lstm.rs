@@ -647,6 +647,10 @@ impl DeepBiLstmClassifier {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests seed their inputs from a SplitMix64"
+)]
 mod tests {
     use super::*;
     use crate::loss::softmax_cross_entropy;

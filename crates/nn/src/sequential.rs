@@ -109,6 +109,10 @@ impl Layer for Sequential {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests seed their inputs from a SplitMix64"
+)]
 mod tests {
     use super::*;
     use crate::dense::Dense;

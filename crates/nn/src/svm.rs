@@ -1,4 +1,8 @@
 //! Linear one-vs-rest SVM — the IMU baseline model in the paper's Table 2.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "randomness owner: training epoch shuffles"
+)]
 
 use darnet_tensor::{matmul_transpose_b_slices_into, SplitMix64, Tensor};
 

@@ -11,6 +11,10 @@
 // allow-unwrap-in-tests does not reach them; a failed unwrap here IS the
 // test failing.
 #![allow(clippy::unwrap_used)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "tests seed their inputs from a SplitMix64"
+)]
 
 use darnet_nn::{
     AvgPool2d, BiLstm, Conv2d, DeepBiLstmClassifier, Dense, Dropout, Flatten, GlobalAvgPool,

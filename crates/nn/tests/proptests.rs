@@ -1,4 +1,8 @@
 //! Property-based tests for network invariants.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "tests seed their inputs from a SplitMix64"
+)]
 
 use darnet_nn::{l2_distill_loss, log_softmax, softmax, softmax_cross_entropy, Layer, Mode, Relu};
 use darnet_tensor::Tensor;

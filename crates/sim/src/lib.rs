@@ -44,6 +44,10 @@
 //! let imu = world.imu_sample_canonical(0, CanonicalBehavior::Texting, 1.25);
 //! assert_eq!(imu.to_features().len(), 12);
 //! ```
+#![expect(
+    clippy::disallowed_methods,
+    reason = "randomness owner: synthetic driving data is randomness by design"
+)]
 
 mod behavior;
 mod driver;

@@ -4,6 +4,10 @@
 //! randomness flows through the tiny [`SplitMix64`] generator seeded
 //! explicitly by the caller. The initialisation schemes follow the usual
 //! conventions: Xavier/Glorot for tanh/sigmoid layers, He for ReLU layers.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "randomness owner: the PRNG itself and the weight initialisers"
+)]
 
 use crate::tensor::Tensor;
 

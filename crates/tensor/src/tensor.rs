@@ -148,11 +148,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns its flat data.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Consumes the tensor into its shape and data (so the workspace pool
     /// can recycle both allocations).
     pub(crate) fn into_parts(self) -> (Shape, Vec<f32>) {

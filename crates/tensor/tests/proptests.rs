@@ -1,4 +1,8 @@
 //! Property-based tests for tensor algebra invariants.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "tests seed their inputs from a SplitMix64"
+)]
 
 use darnet_tensor::{
     col2im, im2col, im2col_into, matmul_transpose_b_slices_into, max_pool2d, max_pool2d_backward,

@@ -1,17 +1,16 @@
-//! The effect seed table shared by every darlint rule.
+//! The effect seed table shared by both reachability constraints.
 //!
-//! Every rule is, at bottom, a ban on the *lexical seeds* of one effect:
-//! `Instant::now` seeds `Time`, `std::fs` seeds `Io`, `SplitMix64::new`
-//! seeds `Rng`, and so on. The per-file rules ban an effect's seeds
-//! outside its sanctioned owners ([`crate::rules::lint_scanned`]); the
+//! Each constraint is, at bottom, a ban on the *lexical seeds* of some
+//! effects: `vec!` seeds `Alloc`, `Instant::now` seeds `Time`,
+//! `std::fs` seeds `Io`, `SplitMix64::new` seeds `Rng`, and so on. The
 //! reachability pass ([`crate::callgraph::analyze`]) bans them on every
-//! function reachable from a marked root. Both read the one table here,
-//! so a construct is a seed of an effect everywhere or nowhere.
+//! function reachable from a marked root. Both constraints read the one
+//! table here, so a construct is a seed of an effect everywhere or
+//! nowhere.
 
 use crate::callgraph::Graph;
 use crate::rules::{
-    hash_bound_names, hash_iter_sites, is_test, match_pat, Pat, ALLOC_PATS, IO_PATS, RNG_PATS,
-    THREAD_PATS, TIME_PATS,
+    is_test, match_pat, Pat, ALLOC_PATS, IO_PATS, RNG_PATS, THREAD_PATS, TIME_PATS,
 };
 use crate::scan::ScannedFile;
 
@@ -21,8 +20,6 @@ use crate::scan::ScannedFile;
 pub enum Effect {
     /// Heap allocation on the steady-state path (`vec!`, `.collect()`).
     Alloc,
-    /// Observing a hash container's nondeterministic iteration order.
-    HashOrder,
     /// Direct filesystem access (`std::fs`, `File::open`, ...).
     Io,
     /// Seeded-PRNG construction or use (`SplitMix64`).
@@ -35,9 +32,8 @@ pub enum Effect {
 
 impl Effect {
     /// Every effect.
-    pub const ALL: [Effect; 6] = [
+    pub const ALL: [Effect; 5] = [
         Effect::Alloc,
-        Effect::HashOrder,
         Effect::Io,
         Effect::Rng,
         Effect::ThreadSpawn,
@@ -48,7 +44,6 @@ impl Effect {
     pub fn name(self) -> &'static str {
         match self {
             Effect::Alloc => "alloc",
-            Effect::HashOrder => "hash-order",
             Effect::Io => "io",
             Effect::Rng => "rng",
             Effect::ThreadSpawn => "thread-spawn",
@@ -57,13 +52,10 @@ impl Effect {
     }
 }
 
-/// Which token patterns introduce each effect. `HashOrder` has no
-/// pattern entry — its seeds are the structural hash-iteration sites
-/// found by [`hash_iter_sites`].
+/// Which token patterns introduce each effect.
 pub(crate) fn seed_pats(effect: Effect) -> &'static [Pat] {
     match effect {
         Effect::Alloc => ALLOC_PATS,
-        Effect::HashOrder => &[],
         Effect::Io => IO_PATS,
         Effect::Rng => RNG_PATS,
         Effect::ThreadSpawn => THREAD_PATS,
@@ -78,19 +70,13 @@ pub(crate) struct Site {
     /// 1-based source line.
     pub(crate) line: usize,
     /// Display form of the construct (e.g. `Instant::now`).
-    pub(crate) what: String,
+    pub(crate) what: &'static str,
 }
 
 /// Extracts the lexical effect sites of every graph node, in token
 /// order. Nested-fn bodies are skipped (they are nodes of their own);
 /// test nodes and test-gated lines contribute nothing.
 pub(crate) fn lexical_sites(graph: &Graph, files: &[(String, ScannedFile)]) -> Vec<Vec<Site>> {
-    // Hash-iteration sites are per-file structural facts; compute once.
-    let file_hash: Vec<Vec<crate::rules::HashIterSite>> = files
-        .iter()
-        .map(|(_, s)| hash_iter_sites(&s.tokens, &hash_bound_names(&s.tokens)))
-        .collect();
-
     graph
         .nodes
         .iter()
@@ -123,19 +109,9 @@ pub(crate) fn lexical_sites(graph: &Graph, files: &[(String, ScannedFile)]) -> V
                         sites.push(Site {
                             effect: e,
                             line,
-                            what: pat.display.to_owned(),
+                            what: pat.display,
                         });
                     }
-                }
-                for hs in file_hash[node.file].iter().filter(|h| h.tok == i) {
-                    if is_test(scanned, hs.line) {
-                        continue;
-                    }
-                    sites.push(Site {
-                        effect: Effect::HashOrder,
-                        line: hs.line,
-                        what: format!("iterate hash-ordered `{}`", hs.name),
-                    });
                 }
                 i += 1;
             }

@@ -22,9 +22,8 @@ USAGE:
 
 COMMANDS:
     lint     run the darlint invariant pass over crates/*/src
-             (deterministic-time, scoped-threads-only, hot-alloc,
-             hot-propagate, durable-io, nondet-order, rng-confined,
-             replay-pure, marker); exits 1 on any violation
+             (hot-alloc, hot-propagate, replay-pure, marker);
+             exits 1 on any violation
 
 OPTIONS:
     --root PATH           workspace root (default: auto-detected)

@@ -14,7 +14,7 @@
 //! not understand is skipped token-by-token; it never panics and never
 //! loses line anchoring.
 
-use crate::lex::{lex, Lexed, TokKind, Token};
+use crate::lex::{Lexed, TokKind, Token};
 
 /// One parsed `fn` item.
 #[derive(Debug, Clone)]
@@ -60,13 +60,6 @@ pub fn parse(lexed: &Lexed) -> ParsedFile {
     };
     items(&lexed.tokens, 0, lexed.tokens.len(), &ctx, &mut out);
     out
-}
-
-/// Convenience: lex and parse in one step.
-pub fn parse_source(source: &str) -> (Lexed, ParsedFile) {
-    let lexed = lex(source);
-    let parsed = parse(&lexed);
-    (lexed, parsed)
 }
 
 /// `is_test_line[i]`: is 1-based line `i + 1` inside a test-gated item?
@@ -533,6 +526,7 @@ fn parse_fn(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lex::lex;
 
     fn parsed(src: &str) -> ParsedFile {
         parse(&lex(src))

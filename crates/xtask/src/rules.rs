@@ -1,26 +1,22 @@
 //! The darlint rule set and its application to scanned files.
 //!
 //! Policy lives here as data; DESIGN.md §11 and §15 are the prose
-//! counterpart. Every rule matches the *token stream* produced by
-//! [`crate::scan`], so comments, strings, and char literals can never
-//! trigger a diagnostic, and matching is layout-insensitive: a call
-//! split across lines or spelled with a turbofish
-//! (`.collect::<Vec<_>>()`) matches the same as its compact form.
+//! counterpart. darlint keeps only what a compiler cannot do: the
+//! transitive hot-path and replay-purity constraints and its own marker
+//! grammar. The name bans (wall clock, detached threads, filesystem,
+//! seeded PRNG, hash-ordered containers) are clippy's, in `clippy.toml`.
+//! Every rule matches the *token stream* produced by [`crate::scan`], so
+//! comments, strings, and char literals can never trigger a diagnostic,
+//! and matching is layout-insensitive: a call split across lines or
+//! spelled with a turbofish (`.collect::<Vec<_>>()`) matches the same as
+//! its compact form.
 
-use std::collections::BTreeSet;
-
-use crate::effects::{seed_pats, Effect};
-use crate::lex::{TokKind, Token};
+use crate::lex::Token;
 use crate::scan::{parse_marker, scan, Marker, ScannedFile};
 
 /// Rule identifiers (stable: diagnostics print them as `darlint[<id>]`
 /// and DESIGN.md §11 is keyed by them).
 pub mod rule {
-    /// `Instant::now` / `SystemTime::now` outside the runtime allowlist.
-    pub const TIME: &str = "deterministic-time";
-    /// `thread::spawn` anywhere: concurrency goes through
-    /// `std::thread::scope`.
-    pub const THREAD: &str = "scoped-threads-only";
     /// A `// darlint:` comment that is none of the three markers (`hot`,
     /// `cold — <reason>`, `pure-root`): a `cold` without its reason, a
     /// typo, a retired `allow(<rule>)` hatch.
@@ -28,118 +24,17 @@ pub mod rule {
     /// Allocating constructs inside a function annotated `// darlint: hot`
     /// (the zero-alloc inference path).
     pub const HOT_ALLOC: &str = "hot-alloc";
-    /// Direct filesystem access (`std::fs`, `File::open`, ...) outside the
-    /// sanctioned durable-I/O owners.
-    pub const DURABLE_IO: &str = "durable-io";
-    /// `HashMap`/`HashSet` (declaration or iteration) in an
-    /// order-sensitive path: digests, fingerprints, replay, reports.
-    pub const ORDER: &str = "nondet-order";
     /// Allocation in a function *transitively reachable* from a hot root
     /// via the call graph.
     pub const HOT_PROPAGATE: &str = "hot-propagate";
-    /// A nondeterminism effect (Time/Io/Rng/ThreadSpawn/HashOrder) on a
-    /// path reachable from a `// darlint: pure-root` function: WAL
-    /// replay, `state_digest`, `canonical_fingerprint*`, and
-    /// `metrics::compare` must stay bitwise-reproducible.
+    /// A nondeterminism effect (Time/Io/Rng/ThreadSpawn) on a path
+    /// reachable from a `// darlint: pure-root` function: WAL replay,
+    /// `state_digest`, `canonical_fingerprint*`, and `metrics::compare`
+    /// must stay bitwise-reproducible.
     pub const REPLAY_PURE: &str = "replay-pure";
-    /// Seeded PRNG construction or use outside the randomness owners
-    /// (sim / loadgen / fault injection / initialization).
-    pub const RNG_CONFINED: &str = "rng-confined";
 }
 
-/// Files (workspace-relative, `/`-separated) or path prefixes where
-/// wall-clock reads are legitimate. Sessions, live mode and the WAL
-/// receive time as data (injected timestamps, arrival stamps) and the
-/// fleet simulation is event-driven virtual time, so no library crate is
-/// here: whoever wants a run timed wraps it in the bench crate.
-pub const TIME_ALLOWLIST: &[&str] = &[
-    "crates/bench/",
-    // The lint driver wall-clocks its own passes so analyzer cost
-    // regressions are visible in the report's last line.
-    "crates/xtask/src/lib.rs",
-];
-
-/// Files or path prefixes sanctioned to touch the filesystem: the WAL's
-/// directory storage backend, model/experiment persistence, the bench
-/// harness, and the xtask driver that walks the workspace.
-/// Everything else must route durable state through a `WalStorage` (so
-/// tests can substitute `MemStorage` and crash-recovery stays simulable).
-pub const DURABLE_IO_ALLOWLIST: &[&str] = &[
-    "crates/collect/src/wal.rs",
-    "crates/core/src/model_io.rs",
-    "crates/core/src/experiment.rs",
-    "crates/bench/",
-    "crates/xtask/src/lib.rs",
-];
-
-/// The randomness owners: files or path prefixes where seeded-PRNG
-/// construction and use (`SplitMix64`) is legitimate. Everything else
-/// must receive randomness as data (a threaded-through `&mut
-/// SplitMix64` or a pre-drawn value) from one of these owners, so the
-/// storage/replay/digest/wire layer and the inference path stay
-/// RNG-free by construction — the `rng-confined` rule enforces the
-/// boundary lexically and the `replay-pure` rule catches transitive
-/// leaks onto the contract paths.
-pub const RNG_ALLOWLIST: &[&str] = &[
-    // The PRNG itself plus the weight-initialization kernels.
-    "crates/tensor/src/init.rs",
-    // Synthetic driving-data generation is randomness by design.
-    "crates/sim/",
-    // Training-time randomness: dropout masks, epoch shuffles.
-    "crates/nn/src/dropout.rs",
-    "crates/nn/src/svm.rs",
-    "crates/core/src/models/",
-    // Data splits, label-noise fault injection, DP shuffling, and
-    // seeded experiment/campaign setup.
-    "crates/core/src/dataset.rs",
-    "crates/core/src/privacy.rs",
-    "crates/core/src/experiment.rs",
-    // The collection-side simulation and fault-injection layer: sensor
-    // jitter, lossy links, clock drift, session transports, fleet load.
-    "crates/collect/src/agent.rs",
-    "crates/collect/src/network.rs",
-    "crates/collect/src/clock.rs",
-    "crates/collect/src/runtime.rs",
-    "crates/collect/src/loadgen.rs",
-    // Seeded benchmark workloads.
-    "crates/bench/",
-];
-
-/// Order-sensitive paths: files whose outputs must be bitwise
-/// reproducible (digests, fingerprints, WAL replay, wire encoding,
-/// deterministic reports). Unlike the allowlists above, the
-/// `nondet-order` rule applies *on* these paths: hash-ordered
-/// containers are banned there outright because their iteration order
-/// varies run-to-run (`RandomState`) and silently breaks digest
-/// equality. Everywhere else `HashMap` is fine.
-pub const ORDER_PATHS: &[&str] = &[
-    "crates/collect/src/tsdb.rs",
-    "crates/collect/src/controller.rs",
-    "crates/collect/src/shard.rs",
-    "crates/collect/src/wal.rs",
-    "crates/collect/src/wire.rs",
-    "crates/collect/src/loadgen.rs",
-    "crates/core/src/model_io.rs",
-    "crates/core/src/experiment.rs",
-    "crates/xtask/src/report.rs",
-];
-
-/// Container types banned by [`rule::ORDER`] on order-sensitive paths.
-pub const HASH_TYPES: &[&str] = &["HashMap", "HashSet"];
-
-/// Iteration methods that surface a hash container's nondeterministic
-/// order when called on a binding known to be hash-typed.
-const ORDER_ITER_METHODS: &[&str] = &[
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "into_iter",
-    "drain",
-];
-
-/// A token pattern one rule forbids.
+/// A token pattern that seeds one effect.
 #[derive(Clone, Copy)]
 pub(crate) struct Pat {
     pub(crate) kind: PatKind,
@@ -164,7 +59,7 @@ pub(crate) enum PatKind {
     MacroCall(&'static str),
 }
 
-/// Constructs forbidden by [`rule::TIME`].
+/// Seeds of the `Time` effect: wall-clock reads.
 pub(crate) const TIME_PATS: &[Pat] = &[
     Pat {
         kind: PatKind::Path(&["Instant", "now"]),
@@ -176,16 +71,15 @@ pub(crate) const TIME_PATS: &[Pat] = &[
     },
 ];
 
-/// Constructs forbidden by [`rule::THREAD`].
+/// Seeds of the `ThreadSpawn` effect: a detached thread.
 pub(crate) const THREAD_PATS: &[Pat] = &[Pat {
     kind: PatKind::Path(&["thread", "spawn"]),
     display: "thread::spawn",
 }];
 
-/// Constructs that construct or advance the seeded PRNG
-/// ([`rule::RNG_CONFINED`] outside [`RNG_ALLOWLIST`]; `Rng` effect
-/// seeds everywhere). The method list mirrors `SplitMix64`'s public
-/// API in `crates/tensor/src/init.rs`.
+/// Seeds of the `Rng` effect: constructing or advancing the seeded
+/// PRNG. The method list mirrors `SplitMix64`'s public API in
+/// `crates/tensor/src/init.rs` (and the `clippy.toml` ban on it).
 pub(crate) const RNG_PATS: &[Pat] = &[
     Pat {
         kind: PatKind::Path(&["SplitMix64", "new"]),
@@ -280,7 +174,7 @@ pub(crate) const ALLOC_PATS: &[Pat] = &[
     },
 ];
 
-/// Constructs forbidden by [`rule::DURABLE_IO`].
+/// Seeds of the `Io` effect: direct filesystem access.
 pub(crate) const IO_PATS: &[Pat] = &[
     Pat {
         kind: PatKind::Path(&["std", "fs"]),
@@ -320,13 +214,6 @@ pub struct Violation {
 pub struct FileLint {
     /// Diagnostics for this file.
     pub violations: Vec<Violation>,
-}
-
-/// Does `path` match the allowlist (exact file or directory prefix)?
-pub(crate) fn allowlisted(path: &str, allowlist: &[&str]) -> bool {
-    allowlist
-        .iter()
-        .any(|a| path == *a || (a.ends_with('/') && path.starts_with(a)))
 }
 
 /// Skips a `<...>` group starting at `start` (which must be `<`),
@@ -396,292 +283,38 @@ pub(crate) fn match_pat(tokens: &[Token], i: usize, pat: &Pat) -> Option<usize> 
     }
 }
 
-/// The per-file rules: each bans the lexical seeds of one effect
-/// outside that effect's sanctioned owners. `scoped-threads-only` has no
-/// owners — every concurrent path uses `std::thread::scope`.
-const SCOPED_RULES: &[(&str, Effect, &[&str], &str)] = &[
-    (
-        rule::TIME,
-        Effect::Time,
-        TIME_ALLOWLIST,
-        "wall-clock read outside the runtime allowlist; inject time \
-         through the clock abstraction",
-    ),
-    (
-        rule::THREAD,
-        Effect::ThreadSpawn,
-        &[],
-        "raw thread::spawn; use std::thread::scope under the \
-         Parallelism policy",
-    ),
-    (
-        rule::DURABLE_IO,
-        Effect::Io,
-        DURABLE_IO_ALLOWLIST,
-        "direct filesystem access outside the durable-I/O owners; \
-         route persistence through a WalStorage backend",
-    ),
-    (
-        rule::RNG_CONFINED,
-        Effect::Rng,
-        RNG_ALLOWLIST,
-        "seeded PRNG construction/use outside the randomness owners; \
-         thread a `SplitMix64` in from sim/loadgen/fault-injection/init",
-    ),
-];
-
-/// Lints one file as a workspace of its own: the per-file rules plus the
+/// Lints one file as a workspace of its own: the marker rule plus the
 /// reachability pass over the file's own call graph. `path` must be
-/// workspace-relative with `/` separators (it selects which rules
-/// apply).
+/// workspace-relative with `/` separators (it decides which `*_into`
+/// functions are implicit hot roots and which files own durable I/O).
 pub fn lint_file(path: &str, source: &str) -> FileLint {
     let files = [(path.to_owned(), scan(source))];
-    let mut out = lint_scanned(path, &files[0].1);
+    let mut out = lint_markers(path, &files[0].1);
     crate::callgraph::analyze(&files, |_| {}, &mut out);
     out
 }
 
-/// Applies the per-file rules to an already-scanned file (the workspace
-/// pass scans once and shares the result with the call-graph analysis).
-pub fn lint_scanned(path: &str, scanned: &ScannedFile) -> FileLint {
-    let mut out = FileLint::default();
-
-    // There is no per-line escape hatch: an exception is a path grant in
-    // one of the allowlists above or a `cold — <reason>` marker, so any
-    // other comment addressed to darlint is a finding, wherever it sits.
-    for c in &scanned.comments {
-        if parse_marker(c) == Some(Marker::Malformed) {
-            out.violations.push(Violation {
-                rule: rule::MARKER,
-                file: path.to_owned(),
-                line: c.line,
-                message: "not a darlint marker, so it marks nothing; darlint reads \
-                          `// darlint: hot`, `// darlint: cold — <reason>` and \
-                          `// darlint: pure-root`, each on its own line above a fn"
-                    .to_owned(),
-                snippet: snippet(&scanned.lines, c.line),
-            });
-        }
-    }
-
-    for &(rule_id, effect, owners, why) in SCOPED_RULES {
-        if allowlisted(path, owners) {
-            continue;
-        }
-        for i in 0..scanned.tokens.len() {
-            for pat in seed_pats(effect) {
-                let Some(line) = match_pat(&scanned.tokens, i, pat) else {
-                    continue;
-                };
-                if is_test(scanned, line) {
-                    continue;
-                }
-                out.violations.push(Violation {
-                    rule: rule_id,
-                    file: path.to_owned(),
-                    line,
-                    message: format!("`{}` — {why}", pat.display),
-                    snippet: snippet(&scanned.lines, line),
-                });
-            }
-        }
-    }
-
-    if allowlisted(path, ORDER_PATHS) {
-        order_check(path, scanned, &mut out);
-    }
-    out
-}
-
-/// The `nondet-order` rule body: on order-sensitive paths, ban
-/// hash-ordered containers at the type level and flag iteration sites
-/// over bindings known to be hash-typed.
-fn order_check(path: &str, scanned: &ScannedFile, out: &mut FileLint) {
-    let tokens = &scanned.tokens;
-    // One diagnostic per line is enough: a declaration or loop header
-    // frequently matches both sub-checks.
-    let mut reported: BTreeSet<usize> = BTreeSet::new();
-    let mut emit = |line: usize, message: String, out: &mut FileLint| {
-        if is_test(scanned, line) || !reported.insert(line) {
-            return;
-        }
-        out.violations.push(Violation {
-            rule: rule::ORDER,
+/// The `marker` rule over an already-scanned file. There is no per-line
+/// escape hatch: an exception is a `cold — <reason>` marker, so any other
+/// comment addressed to darlint is a finding, wherever it sits.
+pub fn lint_markers(path: &str, scanned: &ScannedFile) -> FileLint {
+    let violations = scanned
+        .comments
+        .iter()
+        .filter(|c| parse_marker(c) == Some(Marker::Malformed))
+        .map(|c| Violation {
+            rule: rule::MARKER,
             file: path.to_owned(),
-            line,
-            message,
-            snippet: snippet(&scanned.lines, line),
-        });
-    };
-
-    // Sub-check 1: the types themselves are banned on these paths —
-    // iteration order of std's RandomState-hashed containers varies
-    // run-to-run, which is exactly what a digest/replay path cannot
-    // absorb.
-    for t in tokens {
-        if t.kind == TokKind::Ident && HASH_TYPES.contains(&t.text.as_str()) {
-            emit(
-                t.line,
-                format!(
-                    "`{}` on an order-sensitive path; iteration order is \
-                     nondeterministic — use BTreeMap/BTreeSet or sort \
-                     before folding",
-                    t.text
-                ),
-                out,
-            );
-        }
-    }
-
-    // Sub-check 2: iteration sites over bindings whose declared type or
-    // initializer is hash-ordered. The detection is shared with the
-    // `HashOrder` seeds of [`crate::effects`].
-    let names = hash_bound_names(tokens);
-    for site in hash_iter_sites(tokens, &names) {
-        let message = match &site.method {
-            Some(m) => format!(
-                "iterating hash-ordered `{}` (`.{}()`); order is \
-                 nondeterministic — sort first or use a BTree container",
-                site.name, m
-            ),
-            None => format!(
-                "`for … in` over hash-ordered `{}`; order is \
-                 nondeterministic — sort first or use a BTree \
-                 container",
-                site.name
-            ),
-        };
-        emit(site.line, message, out);
-    }
+            line: c.line,
+            message: "not a darlint marker, so it marks nothing; darlint reads \
+                      `// darlint: hot`, `// darlint: cold — <reason>` and \
+                      `// darlint: pure-root`, each on its own line above a fn"
+                .to_owned(),
+            snippet: snippet(&scanned.lines, c.line),
+        })
+        .collect();
+    FileLint { violations }
 }
-
-/// A site that observes a hash container's nondeterministic iteration
-/// order: either `name.iter()`-shaped (with `method`) or a `for … in`
-/// header mentioning the binding (`method` is `None`).
-pub(crate) struct HashIterSite {
-    /// Token index of the binding mention.
-    pub(crate) tok: usize,
-    /// 1-based source line of the mention.
-    pub(crate) line: usize,
-    /// The hash-bound binding name.
-    pub(crate) name: String,
-    /// The iteration method, for `name.iter()`-shaped sites.
-    pub(crate) method: Option<String>,
-}
-
-/// Finds every iteration site over the hash-bound `names`, in token
-/// order. Shared by the `nondet-order` rule (which bans them on
-/// order-sensitive paths) and the effect seed table (where each one
-/// seeds the `HashOrder` effect).
-pub(crate) fn hash_iter_sites(tokens: &[Token], names: &BTreeSet<String>) -> Vec<HashIterSite> {
-    let mut sites = Vec::new();
-    if names.is_empty() {
-        return sites;
-    }
-    for i in 0..tokens.len() {
-        let t = &tokens[i];
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        // `name.iter()` / `name.keys()` / ... on a known hash binding.
-        if names.contains(&t.text)
-            && tokens.get(i + 1).is_some_and(|n| n.is_punct('.'))
-            && tokens.get(i + 2).is_some_and(|n| {
-                n.kind == TokKind::Ident && ORDER_ITER_METHODS.contains(&n.text.as_str())
-            })
-            && tokens.get(i + 3).is_some_and(|n| n.is_punct('('))
-        {
-            sites.push(HashIterSite {
-                tok: i,
-                line: t.line,
-                name: t.text.clone(),
-                method: Some(tokens[i + 2].text.clone()),
-            });
-        }
-        // `for pat in <expr mentioning a hash binding> {`.
-        if t.is_ident("for") {
-            let mut j = i + 1;
-            let mut depth = 0usize;
-            // Find the `in` of this loop header.
-            while j < tokens.len() && !(depth == 0 && tokens[j].is_ident("in")) {
-                if tokens[j].is_punct('(') || tokens[j].is_punct('[') {
-                    depth += 1;
-                } else if tokens[j].is_punct(')') || tokens[j].is_punct(']') {
-                    depth = depth.saturating_sub(1);
-                }
-                if tokens[j].is_punct('{') || j > i + 24 {
-                    j = tokens.len(); // not a for-loop header we understand
-                }
-                j += 1;
-            }
-            let mut k = j;
-            while k < tokens.len() && !tokens[k].is_punct('{') && k < j + 24 {
-                if tokens[k].kind == TokKind::Ident && names.contains(&tokens[k].text) {
-                    sites.push(HashIterSite {
-                        tok: k,
-                        line: tokens[k].line,
-                        name: tokens[k].text.clone(),
-                        method: None,
-                    });
-                }
-                k += 1;
-            }
-        }
-    }
-    sites
-}
-
-/// Bindings (fields, params, lets) whose declared type or initializer
-/// mentions a hash-ordered container: `series: RwLock<HashMap<..>>`,
-/// `let mut seen = HashSet::new()`.
-pub(crate) fn hash_bound_names(tokens: &[Token]) -> BTreeSet<String> {
-    let mut names = BTreeSet::new();
-    for i in 0..tokens.len() {
-        let t = &tokens[i];
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        // `name : <type tokens containing HashMap/HashSet>`
-        if tokens.get(i + 1).is_some_and(|n| n.is_punct(':'))
-            && !tokens.get(i + 2).is_some_and(|n| n.is_punct(':'))
-        {
-            let mut depth = 0usize;
-            for u in tokens.iter().take(i + 40).skip(i + 2) {
-                if u.is_punct('<') {
-                    depth += 1;
-                } else if u.is_punct('>') {
-                    depth = depth.saturating_sub(1);
-                } else if depth == 0
-                    && (u.is_punct(',') || u.is_punct(';') || u.is_punct('=') || u.is_punct(')'))
-                {
-                    break;
-                } else if u.kind == TokKind::Ident && HASH_TYPES.contains(&u.text.as_str()) {
-                    names.insert(t.text.clone());
-                    break;
-                }
-            }
-        }
-        // `let [mut] name = HashMap::...`
-        if t.is_ident("let") {
-            let mut j = i + 1;
-            if tokens.get(j).is_some_and(|n| n.is_ident("mut")) {
-                j += 1;
-            }
-            let Some(name_tok) = tokens.get(j).filter(|n| n.kind == TokKind::Ident) else {
-                continue;
-            };
-            if tokens.get(j + 1).is_some_and(|n| n.is_punct('='))
-                && tokens
-                    .get(j + 2)
-                    .is_some_and(|n| HASH_TYPES.contains(&n.text.as_str()))
-            {
-                names.insert(name_tok.text.clone());
-            }
-        }
-    }
-    names
-}
-
 /// Is 1-based `line` inside a test-gated region?
 pub(crate) fn is_test(scanned: &ScannedFile, line: usize) -> bool {
     scanned.is_test_line.get(line - 1).copied().unwrap_or(false)
@@ -699,89 +332,29 @@ pub(crate) fn snippet(lines: &[String], line: usize) -> String {
 mod tests {
     use super::*;
 
+    /// Marks `src`'s one fn a replay-purity root and returns the lines
+    /// of its `replay-pure` findings.
+    fn pure_leaks(src: &str) -> Vec<usize> {
+        let lint = lint_file(
+            "crates/nn/src/a.rs",
+            &format!("// darlint: pure-root\n{src}"),
+        );
+        assert!(lint.violations.iter().all(|v| v.rule == rule::REPLAY_PURE));
+        lint.violations.iter().map(|v| v.line).collect()
+    }
+
     #[test]
     fn method_patterns_match_whole_identifiers_and_arity() {
         // `.next_u64_below(n)` is not `.next_u64()`, and a `.normal()`
         // that takes arguments is some other method.
         let src = "fn f(r: &mut R) -> u64 { r.next_u64_below(3) + r.normal(1.0) }\n";
-        assert!(lint_file("crates/nn/src/a.rs", src).violations.is_empty());
+        assert!(pure_leaks(src).is_empty());
     }
 
     #[test]
     fn multiline_method_chain_still_fires() {
         let src = "fn f(r: &mut SplitMix64) -> u64 {\n    r\n        .next_u64()\n}\n";
-        let lint = lint_file("crates/nn/src/a.rs", src);
-        assert_eq!(lint.violations.len(), 1);
-        assert_eq!(lint.violations[0].line, 3);
-    }
-
-    #[test]
-    fn time_allowlist_honored() {
-        let src = "fn t() { let _ = std::time::Instant::now(); }\n";
-        assert_eq!(lint_file("crates/core/src/a.rs", src).violations.len(), 1);
-        assert_eq!(
-            lint_file("crates/collect/src/loadgen.rs", src)
-                .violations
-                .len(),
-            1
-        );
-        assert_eq!(
-            lint_file("crates/bench/src/bin/b.rs", src).violations.len(),
-            0
-        );
-    }
-
-    #[test]
-    fn every_grant_is_still_used_by_the_workspace() {
-        // A grant that outlives its reason is a hole: a regression in the
-        // granted file would pass. Every file (or directory-prefix) entry
-        // of every allowlist must cover at least one file its rule would
-        // fire on were the grant not there.
-        let root = crate::find_root().expect("workspace root");
-        let scanned: Vec<(String, ScannedFile)> = crate::workspace_sources(&root)
-            .expect("workspace sources")
-            .into_iter()
-            .map(|(path, source)| (path, scan(&source)))
-            .collect();
-        let mut stale: Vec<String> = Vec::new();
-        for &(rule_id, _, owners, _) in SCOPED_RULES {
-            for &owner in owners {
-                let used = scanned
-                    .iter()
-                    .filter(|(path, _)| allowlisted(path, &[owner]))
-                    .any(|(_, sc)| {
-                        let ungranted = lint_scanned("crates/ungranted/src/file.rs", sc);
-                        ungranted.violations.iter().any(|v| v.rule == rule_id)
-                    });
-                if !used {
-                    stale.push(format!("{rule_id}: {owner}"));
-                }
-            }
-        }
-        assert!(stale.is_empty(), "grants with no seed left: {stale:?}");
-    }
-
-    #[test]
-    fn durable_io_allowlist_honored() {
-        let src = "fn w(p: &std::path::Path) { let _ = std::fs::read(p); }\n";
-        assert_eq!(
-            lint_file("crates/collect/src/sensor.rs", src)
-                .violations
-                .len(),
-            1
-        );
-        assert_eq!(
-            lint_file("crates/collect/src/wal.rs", src).violations.len(),
-            0
-        );
-        assert_eq!(
-            lint_file("crates/bench/src/bin/b.rs", src).violations.len(),
-            0
-        );
-        assert_eq!(
-            lint_file("crates/xtask/src/lib.rs", src).violations.len(),
-            0
-        );
+        assert_eq!(pure_leaks(src), vec![4]);
     }
 
     #[test]
@@ -840,54 +413,5 @@ pub fn hot_fn_like(defn_count: usize) -> usize {
         let lint = lint_file("crates/tensor/src/a.rs", src);
         assert_eq!(lint.violations.len(), 1);
         assert_eq!(lint.violations[0].line, 3);
-    }
-
-    #[test]
-    fn order_rule_bans_hash_types_on_order_paths_only() {
-        let src = "use std::collections::HashMap;\nstruct S { m: HashMap<u32, u32> }\n";
-        let lint = lint_file("crates/collect/src/tsdb.rs", src);
-        let lines: Vec<usize> = lint.violations.iter().map(|v| v.line).collect();
-        assert_eq!(lines, vec![1, 2]);
-        assert!(lint.violations.iter().all(|v| v.rule == rule::ORDER));
-        // Off the order-sensitive paths, HashMap is fine.
-        assert!(lint_file("crates/collect/src/agent.rs", src)
-            .violations
-            .is_empty());
-    }
-
-    #[test]
-    fn order_rule_flags_iteration_over_hash_bindings() {
-        let src = "\
-use std::collections::HashMap;
-struct S { m: HashMap<u32, u32> }
-impl S {
-    fn dump(&self) -> Vec<u32> {
-        let mut out = Vec::new();
-        for (k, _) in self.m.iter() {
-            out.push(*k);
-        }
-        for v in &self.m {
-            out.push(v.0 + 1);
-        }
-        out
-    }
-}
-";
-        let lint = lint_file("crates/collect/src/controller.rs", src);
-        let order_lines: Vec<usize> = lint
-            .violations
-            .iter()
-            .filter(|v| v.rule == rule::ORDER)
-            .map(|v| v.line)
-            .collect();
-        assert!(order_lines.contains(&6), "m.iter(): {order_lines:?}");
-        assert!(order_lines.contains(&9), "for in &self.m: {order_lines:?}");
-    }
-
-    #[test]
-    fn btreemap_is_clean_on_order_paths() {
-        let src = "use std::collections::BTreeMap;\nstruct S { m: BTreeMap<u32, u32> }\nimpl S {\n    fn dump(&self) -> usize { self.m.iter().count() }\n}\n";
-        let lint = lint_file("crates/collect/src/tsdb.rs", src);
-        assert!(lint.violations.is_empty(), "{:?}", lint.violations);
     }
 }

@@ -1,6 +1,10 @@
 //! Integration tests for darlint: each fixture under `tests/fixtures/`
 //! exercises one rule, and the assertions pin the exact (rule, line)
 //! pairs so a scanner regression cannot silently widen or narrow a rule.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "tests read their fixtures from disk"
+)]
 
 use xtask::rules::{lint_file, rule, FileLint, Violation};
 
@@ -32,112 +36,12 @@ fn comments_strings_docs_and_test_code_never_fire() {
 }
 
 #[test]
-fn time_rule_fires_outside_allowlist_only() {
-    let src = fixture("time_violation.rs");
-    let lint = lint_file("crates/core/src/fixture.rs", &src);
-    assert_eq!(fired(&lint), vec![(rule::TIME, 6), (rule::TIME, 10)]);
-    // The same source inside the allowlist is clean.
-    for allowed in [
-        "crates/bench/src/bin/bench_parallel.rs",
-        "crates/bench/src/bin/bench_fleet.rs",
-    ] {
-        let lint = lint_file(allowed, &src);
-        assert!(
-            lint.violations.iter().all(|v| v.rule != rule::TIME),
-            "{allowed} must be allowlisted: {:?}",
-            lint.violations
-        );
-    }
-}
-
-#[test]
-fn all_of_collect_is_held_to_deterministic_time() {
-    // No file of collect may read a clock: the fleet load generator is
-    // event-driven virtual time (the bench crate wall-clocks a whole run
-    // from outside), and the session loop and live mode take time as
-    // injected data.
-    let src = fixture("time_violation.rs");
-    for held in [
-        "crates/collect/src/loadgen.rs",
-        "crates/collect/src/shard.rs",
-        "crates/collect/src/controller.rs",
-        "crates/collect/src/runtime.rs",
-        "crates/collect/src/live.rs",
-    ] {
-        let lint = lint_file(held, &src);
-        assert_eq!(
-            fired(&lint),
-            vec![(rule::TIME, 6), (rule::TIME, 10)],
-            "{held}"
-        );
-    }
-}
-
-#[test]
-fn durable_io_fires_per_token_outside_allowlist() {
-    let src = fixture("durable_io_violation.rs");
-    let lint = lint_file("crates/collect/src/fixture.rs", &src);
-    assert_eq!(
-        fired(&lint),
-        vec![
-            (rule::DURABLE_IO, 6),  // std::fs
-            (rule::DURABLE_IO, 10), // File::open
-            (rule::DURABLE_IO, 14), // File::create
-            (rule::DURABLE_IO, 18), // OpenOptions::new
-        ]
-    );
-    // The sanctioned durable-I/O owners may touch the filesystem freely.
-    for allowed in [
-        "crates/collect/src/wal.rs",
-        "crates/core/src/model_io.rs",
-        "crates/core/src/experiment.rs",
-        "crates/bench/src/bin/bench_chaos.rs",
-        "crates/xtask/src/lib.rs",
-    ] {
-        let lint = lint_file(allowed, &src);
-        assert!(
-            lint.violations.iter().all(|v| v.rule != rule::DURABLE_IO),
-            "{allowed} must be allowlisted: {:?}",
-            lint.violations
-        );
-    }
-}
-
-#[test]
-fn wal_module_is_held_to_the_deterministic_time_rule() {
-    // The WAL is a durable-I/O owner but *not* a time owner: replay must
-    // be deterministic, so wall-clock reads there are violations.
-    let src = fixture("time_violation.rs");
-    let lint = lint_file("crates/collect/src/wal.rs", &src);
-    assert_eq!(fired(&lint), vec![(rule::TIME, 6), (rule::TIME, 10)]);
-}
-
-#[test]
-fn thread_rule_fires_on_detached_spawn_not_scoped() {
-    let src = fixture("thread_violation.rs");
-    // No file is a thread owner: every concurrent path (the kernels'
-    // `Parallelism`, the micro-batcher, the sharded controller's parallel
-    // drain) uses `std::thread::scope`, so a detached spawn fires there
-    // as it does anywhere else.
-    for held in [
-        "crates/collect/src/fixture.rs",
-        "crates/tensor/src/parallel.rs",
-        "crates/core/src/batching.rs",
-        "crates/collect/src/shard.rs",
-        "crates/collect/src/loadgen.rs",
-    ] {
-        let lint = lint_file(held, &src);
-        assert_eq!(fired(&lint), vec![(rule::THREAD, 4)], "{held}");
-    }
-}
-
-#[test]
 fn retired_allow_hatch_suppresses_nothing_and_is_itself_a_finding() {
     // There is no per-line suppression: a comment in the retired hatch
     // grammar, reason and all, must not look as if it still worked.
-    let src = "fn f() {\n    // darlint: allow(time) — startup banner stamp, never enters a digest\n    let _ = std::time::Instant::now();\n}\n";
+    let src = "// darlint: hot\nfn f() {\n    // darlint: allow(hot-alloc) — warm-up only, never in steady state\n    let _ = vec![0u8; 4];\n}\n";
     let lint = lint_file("crates/nn/src/fixture.rs", src);
-    assert_eq!(fired(&lint), vec![(rule::TIME, 3), (rule::MARKER, 2)]);
+    assert_eq!(fired(&lint), vec![(rule::HOT_ALLOC, 4), (rule::MARKER, 3)]);
 }
 
 #[test]
@@ -310,28 +214,6 @@ fn pure_root_inside_a_recursive_cycle_terminates_and_reports_once() {
 }
 
 #[test]
-fn nondet_order_fires_on_order_paths_only() {
-    let src = fixture("nondet_order_violation.rs");
-    let lint = lint_file("crates/collect/src/wire.rs", &src);
-    assert_eq!(
-        fired(&lint),
-        vec![
-            (rule::ORDER, 2),  // use ... HashMap
-            (rule::ORDER, 5),  // HashMap in the signature
-            (rule::ORDER, 7),  // counts.iter()
-            (rule::ORDER, 15), // HashSet initializer
-        ]
-    );
-    // The same source off the order-sensitive paths is clean.
-    let lint = lint_file("crates/nn/src/fixture.rs", &src);
-    assert!(
-        lint.violations.iter().all(|v| v.rule != rule::ORDER),
-        "{:?}",
-        lint.violations
-    );
-}
-
-#[test]
 fn lexer_edge_cases_never_fire() {
     // Nested block comments, raw strings, char literals, multi-line
     // items, and a cfg(test) module delivered through a macro: none of
@@ -363,11 +245,14 @@ fn clean_file_is_clean_everywhere() {
 
 #[test]
 fn violations_carry_snippets_and_stable_fields() {
-    let lint = lint_file("crates/nn/src/fixture.rs", &fixture("time_violation.rs"));
+    let lint = lint_file(
+        "crates/nn/src/fixture.rs",
+        &fixture("hot_alloc_violations.rs"),
+    );
     let v: &Violation = &lint.violations[0];
     assert_eq!(v.file, "crates/nn/src/fixture.rs");
-    assert!(v.snippet.contains("Instant::now()"));
-    assert!(v.message.contains("Instant::now"));
+    assert!(v.snippet.contains("Tensor::zeros(&[4])"));
+    assert!(v.message.contains("Tensor::zeros"));
 }
 
 #[test]

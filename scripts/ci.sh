@@ -5,8 +5,11 @@
 #                  workspace tests, check --all-targets of the workspace
 #                  and of the frozen ledger package (benchmark/, so an
 #                  API deletion that breaks it fails here and not in
-#                  step 8), clippy -D warnings + escalated panic lints,
-#                  darlint (scripts/tier1.sh). darlint is
+#                  step 8), clippy -D warnings with the clippy.toml
+#                  bans (wall clock, thread::spawn, std::fs, the seeded
+#                  PRNG, HashMap/HashSet) + escalated panic lints,
+#                  darlint (hot-alloc, hot-propagate, replay-pure,
+#                  marker; scripts/tier1.sh). darlint is
 #                  deny-by-default — any violation fails — and no other
 #                  step runs it
 #   2. docs      — rustdoc must build cleanly (missing_docs is denied

@@ -2,8 +2,10 @@
 # Tier-1 gate: formatting, release build, full test suite, a check of
 # every target and of the frozen ledger package, a warnings-as-errors
 # clippy pass over the whole workspace (escalated with panic-hunting
-# lints on six crates), and the darlint invariant pass (see DESIGN.md
-# §11). Run from anywhere.
+# lints on six crates; both passes enforce the clippy.toml bans on the
+# wall clock, thread::spawn, std::fs, the seeded PRNG and
+# HashMap/HashSet), and the darlint invariant pass (see DESIGN.md §11).
+# Run from anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -29,7 +31,17 @@ cargo check --workspace --all-targets --locked
 # that nothing above compiles: check it against these crates here, so an
 # API deletion that breaks it fails in the first CI step, not the last.
 cargo check --offline --all-targets --manifest-path benchmark/Cargo.toml
-cargo clippy --workspace --locked -- -D warnings
+# The clippy.toml bans fire here and in the escalated pass below; an
+# owner's `#[expect(clippy::disallowed_methods)]` grant that no longer
+# covers a banned call is an unfulfilled expectation, so it fails too.
+# A clippy.toml path that resolves to nothing is a warning clippy prints
+# but -D warnings cannot deny (it is not a lint), so fail on it here: a
+# typo must not switch a ban off quietly.
+cargo clippy --workspace --locked -- -D warnings 2>&1 | tee target/clippy.log
+if grep -q "does not refer to" target/clippy.log; then
+  echo "tier1: a clippy.toml path does not resolve (see above)" >&2
+  exit 1
+fi
 
 # Escalated pass on the pipeline crates, the simulator AND the linter
 # itself: panics in non-test code are build errors (clippy.toml exempts
@@ -41,9 +53,8 @@ cargo clippy --locked -p darnet-tensor -p darnet-nn -p darnet-core -p darnet-col
   -D clippy::unwrap_used -D clippy::expect_used -D clippy::dbg_macro \
   -D clippy::panic -D clippy::unreachable -D clippy::todo -D clippy::unimplemented
 
-# darlint: the in-repo invariant lint (deterministic-time,
-# scoped-threads-only, hot-alloc, hot-propagate, nondet-order,
-# durable-io, rng-confined, replay-pure, marker). It is
+# darlint: the in-repo invariant lint for what clippy cannot check
+# (hot-alloc, hot-propagate, replay-pure, marker). It is
 # deny-by-default: any violation exits 1. Per-pass timings print to
 # stderr so analyzer cost regressions show up.
 cargo run --locked -q -p xtask -- lint

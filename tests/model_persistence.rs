@@ -1,6 +1,10 @@
 //! Integration test: a trained stack survives a save/load round-trip with
 //! bit-identical behaviour — the contract behind the paper's promise to
 //! release its learning models.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the round trip saves its weight files under a temp dir"
+)]
 
 use darnet::collect::runtime::{run_campaign, CampaignConfig};
 use darnet::collect::StreamId;

@@ -1,6 +1,10 @@
 //! Integration tests for the privacy-preserving path: distortion,
 //! distillation, wire-size accounting, and the engine's private
 //! classification route.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "tests write Figure 4's files to a temp dir and read them back"
+)]
 
 use darnet::collect::{encode_batch, Batch, SensorReading, StampedReading};
 use darnet::core::dataset::frames_to_tensor;
