@@ -176,6 +176,42 @@ proptest! {
         }
     }
 
+    /// A frame's and a window's posterior row has the same bits alone and at
+    /// any place in a batch of 2–9, through the zero-alloc `_into` paths the
+    /// engine calls: no product, conv or pool mixes a row with its batch.
+    /// 20×20 frames give feature maps of 20, 10 and 5 columns, so conv
+    /// panels end mid-row and span rows.
+    #[test]
+    fn a_row_has_the_same_bits_alone_and_in_any_batch(
+        n in 2usize..=9, at in 0usize..9, seed in 0u64..20,
+    ) {
+        let at = at % n;
+        let mut rng = SplitMix64::new(seed ^ 0x5EED);
+        let (size, classes) = (20, 4);
+        let mut cnn = FrameCnn::new(
+            CnnConfig { input_size: size, classes, width: 0.5, ..CnnConfig::default() },
+            seed,
+        );
+        let frames = random_tensor(&[n, 1, size, size], &mut rng);
+        let img = size * size;
+        let frame = Tensor::from_vec(frames.data()[at * img..][..img].to_vec(), &[1, 1, size, size]).unwrap();
+        let (mut batch, mut alone) = (Vec::new(), Vec::new());
+        cnn.predict_proba_into(&frames, &mut batch).unwrap();
+        cnn.predict_proba_into(&frame, &mut alone).unwrap();
+        prop_assert_eq!(bits(&batch[at * classes..][..classes]), bits(&alone));
+
+        let mut rnn = ImuRnn::new(RnnConfig { hidden: 5, ..RnnConfig::default() }, seed ^ 0x22);
+        let (mean, std) = (random_tensor(&[IMU_FEATURES], &mut rng), random_tensor(&[IMU_FEATURES], &mut rng));
+        rnn.set_standardizer_params(&mean, &std).unwrap();
+        let windows = random_tensor(&[n, WINDOW_LEN, IMU_FEATURES], &mut rng);
+        let row = WINDOW_LEN * IMU_FEATURES;
+        let window = Tensor::from_vec(windows.data()[at * row..][..row].to_vec(), &[1, WINDOW_LEN, IMU_FEATURES]).unwrap();
+        let classes = rnn.config().classes;
+        rnn.predict_proba_into(&windows, &mut batch).unwrap();
+        rnn.predict_proba_into(&window, &mut alone).unwrap();
+        prop_assert_eq!(bits(&batch[at * classes..][..classes]), bits(&alone));
+    }
+
     #[test]
     fn pair_subset_fusion_is_bitwise_the_dense_product(
         n in 12usize..40,

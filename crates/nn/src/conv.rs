@@ -1,8 +1,9 @@
-//! 2-D convolution layer implemented via im2col lowering.
+//! 2-D convolution layer: a forward product packed straight from the NCHW
+//! input, and a backward pass over the im2col patch matrix.
 
 use darnet_tensor::{
-    col2im, he_normal, im2col_into, matmul_transpose_b_slices_into, Conv2dSpec, Parallelism,
-    SplitMix64, Tensor, TensorView, Workspace,
+    col2im, conv2d_into, he_normal, im2col_into, Conv2dSpec, Parallelism, SplitMix64, Tensor,
+    TensorView, Workspace,
 };
 
 use crate::error::NnError;
@@ -13,12 +14,13 @@ use crate::Result;
 /// A 2-D convolution over `[batch, in_c, h, w]` inputs producing
 /// `[batch, out_c, oh, ow]`.
 ///
-/// The forward pass lowers the input to a patch matrix with
-/// [`darnet_tensor::im2col`] and multiplies the `[out_c, in_c·kh·kw]`
-/// weight by each image's patch rows, straight into that image's channel
-/// planes with the bias added as each output is stored; the backward pass
-/// uses the transpose products plus [`col2im`]. Weights use He
-/// initialisation (the layer is normally followed by ReLU).
+/// The forward pass, in both modes, is [`conv2d_into`]: the `[out_c,
+/// in_c·kh·kw]` weight times each pixel's patch, packed straight from the
+/// input into the product's panels and stored into that image's channel
+/// planes with the bias added. Train mode also lowers the input to its
+/// patch matrix with [`im2col_into`] for the backward pass, which uses the
+/// transpose products plus [`col2im`]. Weights use He initialisation (the
+/// layer is normally followed by ReLU).
 #[derive(Debug, Clone)]
 pub struct Conv2d {
     spec: Conv2dSpec,
@@ -96,25 +98,18 @@ impl Layer for Conv2d {
     ) -> Result<TensorView> {
         let [b, _, h, w] = rank4_dims(input, "conv")?;
         let (oh, ow) = self.spec.output_size(h, w)?;
-        let (hw, patch, oc) = (oh * ow, self.spec.patch_len(), self.spec.out_channels);
-        let mut cols = ws.checkout(&[b * hw, patch]);
-        im2col_into(input, &self.spec, &Parallelism::serial(), &mut cols)?;
-        let mut out = ws.checkout(&[b, oc, oh, ow]);
-        // Per image, `W [oc, patch] × cols_nᵀ` lands as that image's
-        // `[oc, oh·ow]` block of the NCHW output, each output `+ bias[c]`.
-        for n in 0..b {
-            matmul_transpose_b_slices_into(
-                self.weight.value.data(),
-                &cols.data()[n * hw * patch..(n + 1) * hw * patch],
-                (oc, patch, hw),
-                Some(self.bias.value.data()),
-                &mut out.data_mut()[n * oc * hw..(n + 1) * oc * hw],
-            )?;
-        }
+        let mut out = ws.checkout(&[b, self.spec.out_channels, oh, ow]);
+        conv2d_into(
+            input,
+            &self.spec,
+            &self.weight.value,
+            &self.bias.value,
+            &mut out,
+        )?;
         if mode == Mode::Train {
+            let mut cols = ws.checkout(&[b * oh * ow, self.spec.patch_len()]);
+            im2col_into(input, &self.spec, &Parallelism::serial(), &mut cols)?;
             self.cache = Some((cols, [b, h, w]));
-        } else {
-            ws.restore(cols);
         }
         Ok(out)
     }

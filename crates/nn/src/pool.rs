@@ -16,9 +16,6 @@ pub struct MaxPool2d {
     spec: PoolSpec,
     /// Train-mode cache: the winning indices and the input dims.
     cache: Option<(Vec<usize>, [usize; 4])>,
-    /// Reused argmax buffer for Eval mode, which never needs the indices
-    /// (the kernel still produces them).
-    scratch_arg: Vec<usize>,
 }
 
 impl MaxPool2d {
@@ -27,7 +24,6 @@ impl MaxPool2d {
         MaxPool2d {
             spec: PoolSpec::new(window, stride),
             cache: None,
-            scratch_arg: Vec::new(),
         }
     }
 }
@@ -44,14 +40,14 @@ impl Layer for MaxPool2d {
         let (oh, ow) = self.spec.output_size(d[2], d[3])?;
         let mut out = ws.checkout(&[d[0], d[1], oh, ow]);
         // Train writes the indices straight into its cache (reusing the
-        // last step's buffer), Eval into the scratch it never reads.
+        // last step's buffer); Eval tracks none.
         let arg = match mode {
             Mode::Train => {
                 let cache = self.cache.get_or_insert_with(Default::default);
                 cache.1 = d;
-                &mut cache.0
+                Some(&mut cache.0)
             }
-            Mode::Eval => &mut self.scratch_arg,
+            Mode::Eval => None,
         };
         max_pool2d_into(input, &self.spec, &mut out, arg)?;
         Ok(out)
@@ -219,21 +215,23 @@ mod tests {
     }
 
     #[test]
-    fn max_pool_train_and_eval_each_keep_their_own_argmax_buffer() {
+    fn an_eval_call_leaves_the_train_cache_untouched() {
         let mut pool = MaxPool2d::new(2, 2);
         let x = Tensor::from_vec((0..16).map(|v| v as f32).collect(), &[1, 1, 4, 4]).unwrap();
         let train_buf = |p: &MaxPool2d| p.cache.as_ref().map(|(arg, _)| arg.as_ptr());
         pool.forward(&x, Mode::Train).unwrap();
         let (first, winners) = (train_buf(&pool), pool.cache.clone());
-        pool.forward(&x.scale(-1.0), Mode::Eval).unwrap();
-        // Eval wrote its indices elsewhere: backward still sees Train's.
+        // A different winner in every window, on a larger input.
+        let other =
+            Tensor::from_vec((0..36).map(|v| -(v as f32)).collect(), &[1, 1, 6, 6]).unwrap();
+        pool.forward(&other, Mode::Eval).unwrap();
         assert_eq!(pool.cache, winners);
-        let eval_buf = pool.scratch_arg.as_ptr();
-        pool.forward(&x, Mode::Train).unwrap();
-        pool.forward(&x, Mode::Eval).unwrap();
-        // Alternating modes reallocates neither buffer.
         assert_eq!(train_buf(&pool), first);
-        assert_eq!(pool.scratch_arg.as_ptr(), eval_buf);
+        let g = pool.backward(&Tensor::ones(&[1, 1, 2, 2])).unwrap();
+        assert_eq!(g.dims(), x.dims());
+        // A second Train call reuses the cache's buffer.
+        pool.forward(&x, Mode::Train).unwrap();
+        assert_eq!(train_buf(&pool), first);
     }
 
     #[test]

@@ -86,11 +86,13 @@ proptest! {
 
 mod layer_reference {
     //! The forward layers against their formulation before the conv wrote
-    //! NCHW straight from the product and the LSTM batched its input
-    //! projection, bit for bit: one `p`-ascending dot product per output.
+    //! NCHW straight from the product, packed its panels from the input and
+    //! the LSTM batched its input projection, bit for bit: one
+    //! `p`-ascending dot product per output. Eval max pooling against the
+    //! kernel that records its argmax.
 
-    use darnet_nn::{BiLstm, Conv2d, Layer, LstmCell, Mode};
-    use darnet_tensor::{im2col, SplitMix64, Tensor};
+    use darnet_nn::{BiLstm, Conv2d, Layer, LstmCell, MaxPool2d, Mode};
+    use darnet_tensor::{im2col, max_pool2d, PoolSpec, SplitMix64, Tensor};
     use proptest::prelude::*;
 
     fn dot(a: &[f32], b: &[f32]) -> f32 {
@@ -168,28 +170,67 @@ mod layer_reference {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// [`bits`] with every NaN as one value: which NaN payload a product
+    /// or sum of two NaNs keeps is not part of the kernel's contract.
+    fn nan_as_one(v: &[f32]) -> Vec<u32> {
+        v.iter()
+            .map(|x| if x.is_nan() { u32::MAX } else { x.to_bits() })
+            .collect()
+    }
+
+    /// Mostly values in `±1.5`, with ±0.0 and subnormals mixed in, ±inf one
+    /// draw in `inf_every` and, when given, NaN one draw in `nan_every`.
+    fn awkward(
+        len: usize,
+        inf_every: u64,
+        nan_every: Option<u64>,
+        rng: &mut SplitMix64,
+    ) -> Vec<f32> {
+        const SPECIAL: [f32; 4] = [0.0, -0.0, 1e-40, -3.5e-39];
+        (0..len)
+            .map(|_| match rng.next_u64() {
+                r if nan_every.is_some_and(|every| r % every == 3) => f32::NAN,
+                r if r % inf_every == 0 => {
+                    [f32::INFINITY, f32::NEG_INFINITY][(r >> 32) as usize % 2]
+                }
+                r if r % 8 == 1 => SPECIAL[(r >> 32) as usize % SPECIAL.len()],
+                _ => rng.uniform(-1.5, 1.5),
+            })
+            .collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         #[test]
         fn conv_eval_is_im2col_product_scatter_bias(
-            batch in 1usize..3, in_c in 1usize..4, out_c in 1usize..10, size in 5usize..11,
+            batch in 1usize..3, in_c in 1usize..=12, out_c in 1usize..10, size in 5usize..11,
             kernel in 0usize..3, stride in 1usize..=2, padding in 0usize..=2,
-            seed in 0u64..500,
+            deep in 0usize..4, nan_every in 2u64..8, seed in 0u64..500,
         ) {
-            let kernel = [1, 3, 5][kernel];
+            // One case in four is a 5×5 kernel over 11–12 channels: a
+            // patch of 275–300, past one 256-deep k-block.
+            let (kernel, in_c) = if deep == 0 { (5, 11 + in_c % 2) } else { ([1, 3, 5][kernel], in_c) };
             let mut rng = SplitMix64::new(seed);
             let mut conv = Conv2d::square(in_c, out_c, kernel, stride, padding, &mut rng);
-            for v in conv.params_mut()[1].value.data_mut() {
-                *v = rng.uniform(-1.0, 1.0);
+            let spec = *conv.spec();
+            let patch = spec.patch_len();
+            // About one non-finite value per four patches; NaN in some cases only.
+            let every = 4 * patch as u64;
+            let nan_every = (nan_every < 6).then_some(nan_every * every);
+            for p in conv.params_mut() {
+                let fresh = awkward(p.value.len(), every, nan_every, &mut rng);
+                p.value.data_mut().copy_from_slice(&fresh);
             }
-            let x = random(&[batch, in_c, size, size], &mut rng);
+            let x = Tensor::from_vec(
+                awkward(batch * in_c * size * size, every, nan_every, &mut rng),
+                &[batch, in_c, size, size],
+            ).unwrap();
             let got = conv.forward(&x, Mode::Eval).unwrap();
 
-            let spec = *conv.spec();
             let cols = im2col(&x, &spec).unwrap();
             let (oh, ow) = spec.output_size(size, size).unwrap();
-            let (hw, patch) = (oh * ow, spec.patch_len());
+            let hw = oh * ow;
             let params = conv.params_mut();
             let (w, bias) = (params[0].value.data(), params[1].value.data());
             // Pixel row `n·hw + p` times weight row `c`, then `+ bias[c]`,
@@ -204,7 +245,53 @@ mod layer_reference {
                 }
             }
             prop_assert_eq!(got.dims(), &[batch, out_c, oh, ow]);
-            prop_assert_eq!(bits(got.data()), bits(&want));
+            prop_assert_eq!(nan_as_one(got.data()), nan_as_one(&want));
+
+            // Train runs the same forward, and caches `im2col(x)`: its
+            // weight gradient is `dyᵀ × im2col(x)` for the pixel-major `dy`.
+            let train = conv.forward(&x, Mode::Train).unwrap();
+            prop_assert_eq!(bits(train.data()), bits(got.data()));
+            let dy = random(&[batch, out_c, oh, ow], &mut rng);
+            conv.backward(&dy).unwrap();
+            let mut dy_pixels = vec![0.0f32; batch * hw * out_c];
+            for n in 0..batch {
+                for c in 0..out_c {
+                    for p in 0..hw {
+                        dy_pixels[(n * hw + p) * out_c + c] = dy.data()[(n * out_c + c) * hw + p];
+                    }
+                }
+            }
+            let dy_pixels = Tensor::from_vec(dy_pixels, &[batch * hw, out_c]).unwrap();
+            let dw = Tensor::zeros(&[out_c, patch]).add(&dy_pixels.matmul_transpose_a(&cols).unwrap()).unwrap();
+            prop_assert_eq!(nan_as_one(conv.params_mut()[0].grad.data()), nan_as_one(dw.data()));
+        }
+
+        #[test]
+        fn max_pool_eval_is_the_argmax_kernel(
+            batch in 1usize..3, c in 1usize..4, h in 3usize..12, w in 3usize..12,
+            window in 2usize..=3, stride in 1usize..=2, nan_every in 2u64..40, seed in 0u64..500,
+        ) {
+            // −∞, ±0.0 and NaN among ordinary values: a window's first
+            // maximum wins, so `[+0.0, −0.0]` pools to `+0.0` and
+            // `[−0.0, +0.0]` to `−0.0`, and a NaN wins and sticks.
+            let mut rng = SplitMix64::new(seed);
+            let data: Vec<f32> = (0..batch * c * h * w)
+                .map(|_| match rng.next_u64() % nan_every.max(8) {
+                    0 if nan_every < 20 => f32::NAN,
+                    1 => f32::NEG_INFINITY,
+                    2..=4 => 0.0,
+                    5..=7 => -0.0,
+                    _ => rng.uniform(-1.0, 1.0),
+                })
+                .collect();
+            let x = Tensor::from_vec(data, &[batch, c, h, w]).unwrap();
+            let spec = PoolSpec::new(window, stride);
+            let (want, _) = max_pool2d(&x, &spec).unwrap();
+            let mut pool = MaxPool2d::new(window, stride);
+            let eval = pool.forward(&x, Mode::Eval).unwrap();
+            prop_assert_eq!(bits(eval.data()), bits(want.data()));
+            let train = pool.forward(&x, Mode::Train).unwrap();
+            prop_assert_eq!(bits(train.data()), bits(want.data()));
         }
 
         #[test]

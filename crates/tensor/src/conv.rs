@@ -1,15 +1,18 @@
-//! Convolution lowering: `im2col` / `col2im`.
+//! Convolution: the forward product and the patch-matrix lowering.
 //!
-//! Convolutions in `darnet-nn` are computed as matrix products over patch
-//! matrices. [`im2col`] turns a `[batch, channels, height, width]` input into
-//! a `[batch * out_h * out_w, channels * kh * kw]` patch matrix; the
-//! convolution is then a single matmul with the `[out_channels, channels *
-//! kh * kw]` weight matrix. [`col2im`] scatters patch-matrix gradients back
-//! into input-shaped gradients for the backward pass.
+//! A convolution is a matrix product of the `[out_channels, channels * kh *
+//! kw]` weight with each pixel's patch. [`conv2d_into`] computes it on the
+//! register-tiled kernel, packing the kernel's panels straight from the
+//! `[batch, channels, height, width]` input, so no patch matrix is written.
+//! [`im2col`] writes that patch matrix, `[batch * out_h * out_w, channels *
+//! kh * kw]`, for the layers' Train cache: the backward products read it,
+//! and [`col2im`] scatters patch-matrix gradients back into input-shaped
+//! gradients.
 
 use serde::{Deserialize, Serialize};
 
 use crate::error::TensorError;
+use crate::matmul::{packed_transpose_b_rows, Block, NR};
 use crate::parallel::Parallelism;
 use crate::tensor::Tensor;
 use crate::Result;
@@ -55,11 +58,11 @@ impl Conv2dSpec {
     /// # Errors
     ///
     /// Returns [`TensorError::InvalidGeometry`] if the kernel does not fit in
-    /// the padded input or stride is zero.
+    /// the padded input, or the stride or a kernel side is zero.
     pub fn output_size(&self, h: usize, w: usize) -> Result<(usize, usize)> {
-        if self.stride == 0 {
+        if self.stride == 0 || self.kernel_h == 0 || self.kernel_w == 0 {
             return Err(TensorError::InvalidGeometry(
-                "stride must be non-zero".into(),
+                "conv kernel and stride must be non-zero".into(),
             ));
         }
         let ph = h + 2 * self.padding;
@@ -202,17 +205,137 @@ pub fn im2col_into(
     out: &mut Tensor,
 ) -> Result<()> {
     let ((b, c, h, w), (oh, ow), patch) = check_im2col(input, spec)?;
-    check_out_dims(out, &[b * oh * ow, patch])?;
+    check_dims(out, &[b * oh * ow, patch])?;
     if patch > 0 {
         im2col_rows(input.data(), spec, (c, h, w, oh, ow), out.data_mut());
     }
     Ok(())
 }
 
-/// Validates that `out` has exactly `dims`.
-pub(crate) fn check_out_dims(out: &Tensor, dims: &[usize]) -> Result<()> {
-    if out.dims() != dims {
-        return Err(TensorError::shape_mismatch(out.dims(), dims));
+/// Convolves `input [b, c, h, w]` with `weight [out_c, c·kh·kw]` into `out
+/// [b, out_c, oh, ow]`, adding `bias[o]` to every output of channel `o`.
+/// Every output element is overwritten.
+///
+/// Per image this is [`crate::matmul_transpose_b_slices_into`] of the
+/// weight by that image's rows of [`im2col`], bit for bit: every output is
+/// `0.0 + w[o][0]·x₀ + … + w[o][P−1]·x_{P−1} + bias[o]` over the patch in
+/// `(ch, ky, kx)` order, padding included as explicit `0.0` terms. But no
+/// patch matrix is written: the kernel's panels are packed straight from
+/// the NCHW input (see `pack_nchw`).
+///
+/// # Errors
+///
+/// Same conditions as [`im2col`], plus [`TensorError::ShapeMismatch`] if
+/// `weight` is not `[out_c, c·kh·kw]`, `bias` not `[out_c]` or `out` not
+/// `[b, out_c, oh, ow]`.
+// darlint: hot
+pub fn conv2d_into(
+    input: &Tensor,
+    spec: &Conv2dSpec,
+    weight: &Tensor,
+    bias: &Tensor,
+    out: &mut Tensor,
+) -> Result<()> {
+    let ((b, c, h, w), (oh, ow), patch) = check_im2col(input, spec)?;
+    let oc = spec.out_channels;
+    check_dims(weight, &[oc, patch])?;
+    check_dims(bias, &[oc])?;
+    check_dims(out, &[b, oc, oh, ow])?;
+    let (img, hw) = (c * h * w, oh * ow);
+    for n in 0..b {
+        let x = &input.data()[n * img..][..img];
+        packed_transpose_b_rows(
+            weight.data(),
+            (patch, hw),
+            Some(bias.data()),
+            &mut out.data_mut()[n * oc * hw..][..oc * hw],
+            |block, panel| pack_nchw(x, spec, (h, w, ow), block, panel),
+        );
+    }
+    Ok(())
+}
+
+/// Packs one panel of a conv product straight from image `x` (`[c, h,
+/// w]`): lane `l` is output pixel `j0 + l` (row-major over `oh × ow`),
+/// depth `p` is patch column `k0 + p = (ch, ky, kx)`, and the value is what
+/// [`im2col`] writes there — input `(ch, oy·s + ky − pad, ox·s + kx − pad)`,
+/// or `0.0` off the edge. Lanes past `nr` repeat the last pixel.
+///
+/// Eight pixels of one output row at stride 1 read eight neighbours of one
+/// input row, so away from the edges such a block copies each depth's
+/// lanes as one 8-float run. An edge depth, or a block that spans two
+/// output rows, ends an image or strides, reads lane by lane.
+#[inline(always)]
+fn pack_nchw(
+    x: &[f32],
+    spec: &Conv2dSpec,
+    (h, w, ow): (usize, usize, usize),
+    Block { k0, kc, j0, nr, .. }: Block,
+    panel: &mut [[f32; NR]],
+) {
+    let (kh, kw, stride) = (spec.kernel_h, spec.kernel_w, spec.stride);
+    let (ih, iw, pad) = (h as isize, w as isize, spec.padding as isize);
+    // Lane `l`'s input row and column at `ky = kx = 0`.
+    let mut origin = [(0isize, 0isize); NR];
+    let (mut oy, mut ox) = (j0 / ow, j0 % ow);
+    let run = stride == 1 && nr == NR && ox + NR <= ow;
+    for (l, at) in origin.iter_mut().enumerate() {
+        *at = ((oy * stride) as isize - pad, (ox * stride) as isize - pad);
+        if l + 1 < nr {
+            ox += 1;
+            if ox == ow {
+                (ox, oy) = (0, oy + 1);
+            }
+        }
+    }
+    let inside = |y: isize, x: isize| (0..ih).contains(&y) && (0..iw).contains(&x);
+    // Depths `p..` run over one kernel row `(ch, ky)` at a time, from `kx`.
+    let (mut p, mut row, mut kx) = (0, k0 / kw, k0 % kw);
+    while p < kc {
+        let (ch, ky) = (row / kh, (row % kh) as isize);
+        let plane = &x[ch * h * w..][..h * w];
+        let depths = &mut panel[p..(p + kw - kx).min(kc)];
+        p += depths.len();
+        let (y, x0) = (origin[0].0 + ky, origin[0].1 + kx as isize);
+        if run && (0..ih).contains(&y) {
+            let src = &plane[y as usize * w..][..w];
+            for (lanes, x0) in depths.iter_mut().zip(x0..) {
+                *lanes = if x0 >= 0 && x0 + NR as isize <= iw {
+                    let src = &src[x0 as usize..][..NR];
+                    std::array::from_fn(|l| src[l])
+                } else {
+                    std::array::from_fn(|l| {
+                        let x = x0 + l as isize;
+                        if (0..iw).contains(&x) {
+                            src[x as usize]
+                        } else {
+                            0.0
+                        }
+                    })
+                };
+            }
+        } else if run {
+            depths.fill([0.0; NR]);
+        } else {
+            for (lanes, kx) in depths.iter_mut().zip(kx as isize..) {
+                *lanes = std::array::from_fn(|l| {
+                    let (y, x) = (origin[l].0 + ky, origin[l].1 + kx);
+                    if inside(y, x) {
+                        plane[y as usize * w + x as usize]
+                    } else {
+                        0.0
+                    }
+                });
+            }
+        }
+        (row, kx) = (row + 1, 0);
+    }
+}
+
+/// Validates that `t` has exactly `dims`.
+pub(crate) fn check_dims(t: &Tensor, dims: &[usize]) -> Result<()> {
+    if t.dims() != dims {
+        return Err(TensorError::shape_mismatch(t.dims(), dims));
     }
     Ok(())
 }
@@ -292,6 +415,67 @@ mod tests {
             ..Conv2dSpec::square(1, 1, 1, 1, 0)
         };
         assert!(zero_stride.output_size(3, 3).is_err());
+    }
+
+    #[test]
+    fn a_zero_kernel_side_is_invalid_geometry() {
+        let base = Conv2dSpec::square(1, 1, 1, 1, 0);
+        for spec in [
+            Conv2dSpec {
+                kernel_h: 0,
+                ..base
+            },
+            Conv2dSpec {
+                kernel_w: 0,
+                ..base
+            },
+        ] {
+            assert!(matches!(
+                spec.output_size(3, 3),
+                Err(TensorError::InvalidGeometry(_))
+            ));
+            let mut out = Tensor::zeros(&[1, 1, 4, 4]);
+            let (w, b) = (Tensor::zeros(&[1, 0]), Tensor::zeros(&[1]));
+            let x = Tensor::zeros(&[1, 1, 3, 3]);
+            assert!(conv2d_into(&x, &spec, &w, &b, &mut out).is_err());
+        }
+    }
+
+    #[test]
+    fn zero_input_channels_convolve_to_the_bias() {
+        // Patch length 0: one empty k-block, so every output is `0.0 + bias`.
+        let spec = Conv2dSpec::square(0, 2, 3, 2, 1);
+        let x = Tensor::zeros(&[2, 0, 5, 4]);
+        let (w, bias) = (
+            Tensor::zeros(&[2, 0]),
+            Tensor::from_vec(vec![-0.5, 3.0], &[2]).unwrap(),
+        );
+        let (oh, ow) = spec.output_size(5, 4).unwrap();
+        let mut out = Tensor::full(&[2, 2, oh, ow], f32::NAN);
+        conv2d_into(&x, &spec, &w, &bias, &mut out).unwrap();
+        for (i, plane) in out.data().chunks(oh * ow).enumerate() {
+            assert!(plane.iter().all(|&v| v == bias.data()[i % 2]), "plane {i}");
+        }
+    }
+
+    #[test]
+    fn conv2d_into_rejects_bad_operand_shapes() {
+        let spec = Conv2dSpec::square(1, 2, 3, 1, 1);
+        let x = Tensor::zeros(&[1, 1, 4, 4]);
+        let (w, b, out) = (
+            Tensor::zeros(&[2, 9]),
+            Tensor::zeros(&[2]),
+            Tensor::zeros(&[1, 2, 4, 4]),
+        );
+        let run = |w: &Tensor, b: &Tensor, out: &Tensor| {
+            conv2d_into(&x, &spec, w, b, &mut out.clone()).is_err()
+        };
+        assert!(!run(&w, &b, &out));
+        assert!(run(&Tensor::zeros(&[2, 8]), &b, &out));
+        assert!(run(&w, &Tensor::zeros(&[3]), &out));
+        assert!(run(&w, &b, &Tensor::zeros(&[1, 2, 3, 4])));
+        let x2 = Tensor::zeros(&[1, 2, 4, 4]);
+        assert!(conv2d_into(&x2, &spec, &w, &b, &mut out.clone()).is_err());
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! * elementwise arithmetic with scalar and tensor operands,
 //! * reductions (sum, mean, max, argmax) over all elements or one axis,
 //! * a cache-friendly [`matmul`](Tensor::matmul) kernel,
-//! * [`im2col`]/[`col2im`] lowering used by convolution forward/backward,
+//! * a [`conv2d_into`] forward that packs the matmul kernel's panels
+//!   straight from NCHW input, and the [`im2col`]/[`col2im`] lowering the
+//!   convolution's Train cache and backward pass use,
 //! * max/average pooling kernels,
 //! * deterministic weight initialisation helpers,
 //! * a [`Parallelism`] thread count — the engine's stream fan-out handle;
@@ -43,7 +45,7 @@ mod shape;
 mod tensor;
 mod workspace;
 
-pub use conv::{col2im, im2col, im2col_into, Conv2dSpec};
+pub use conv::{col2im, conv2d_into, im2col, im2col_into, Conv2dSpec};
 pub use error::TensorError;
 pub use init::{he_normal, uniform_init, xavier_uniform, SplitMix64};
 pub use matmul::matmul_transpose_b_slices_into;

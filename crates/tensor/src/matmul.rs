@@ -2,9 +2,10 @@
 //!
 //! The forward product every dense, conv and LSTM layer lowers to,
 //! `a [m,k] × bᵀ`, runs on a register-tiled kernel
-//! ([`matmul_transpose_b_slices_into`]); the products only backward passes
-//! use keep their i-k-j loops. Every product runs inline on the calling
-//! thread.
+//! ([`matmul_transpose_b_slices_into`]; a conv fills the same kernel's
+//! panels straight from its NCHW input, [`crate::conv2d_into`]); the
+//! products only backward passes use keep their i-k-j loops. Every product
+//! runs inline on the calling thread.
 
 use crate::error::TensorError;
 use crate::parallel::Parallelism;
@@ -14,7 +15,7 @@ use crate::Result;
 /// Rows of `a` in one register tile.
 const MR: usize = 4;
 /// Rows of `b` in one register tile: the lanes of a packed panel.
-const NR: usize = 8;
+pub(crate) const NR: usize = 8;
 /// Depth of one packed panel: `KC × NR` floats, 8 KiB on the stack.
 const KC: usize = 256;
 
@@ -53,37 +54,67 @@ fn matmul_transpose_b_rows(
     bias: Option<&[f32]>,
     out: &mut [f32],
 ) {
-    let rows = out.len() / n;
-    let mut op = Operands { a, k, out, n, bias };
-    let mut panel = [[0.0f32; NR]; KC];
-    // `k = 0` is one empty block, so every output is still stored.
-    for k0 in (0..k.max(1)).step_by(KC) {
-        let kc = KC.min(k - k0);
-        for j0 in (0..n).step_by(NR) {
-            let nr = NR.min(n - j0);
-            let block = Block {
-                k0,
-                kc,
-                j0,
-                nr,
-                last: k0 + kc == k,
-            };
-            // Lanes past `nr` repeat the last row; their sums are never stored.
-            let b_rows: [&[f32]; NR] =
-                std::array::from_fn(|l| &b[(j0 + l.min(nr - 1)) * k + k0..][..kc]);
-            let lane = |p: usize| std::array::from_fn(|l| b_rows[l][p]);
-            if rows == 1 {
-                tile::<1>(&mut op, 0, block, lane, 1);
-                continue;
-            }
-            let panel = &mut panel[..kc];
+    // Lanes past `nr` repeat the last row; their sums are never stored.
+    let b_lanes = |Block { k0, kc, j0, nr, .. }| {
+        let b_rows: [&[f32]; NR] =
+            std::array::from_fn(|l| &b[(j0 + l.min(nr - 1)) * k + k0..][..kc]);
+        move |p: usize| std::array::from_fn(|l| b_rows[l][p])
+    };
+    if out.len() > n {
+        return packed_transpose_b_rows(a, (k, n), bias, out, |block, panel| {
+            let lane = b_lanes(block);
             for (p, lanes) in panel.iter_mut().enumerate() {
                 *lanes = lane(p);
             }
-            let panel = |p: usize| panel[p];
-            for i0 in (0..rows).step_by(MR) {
-                tile::<MR>(&mut op, i0, block, panel, rows - i0);
-            }
+        });
+    }
+    let mut op = Operands { a, k, out, n, bias };
+    for_each_block(k, n, |block| {
+        tile::<1>(&mut op, 0, block, b_lanes(block), 1)
+    });
+}
+
+/// [`matmul_transpose_b_rows`]'s packed path with the panel fill left to
+/// the caller: `pack(block, panel)` writes `panel[p][l]`, operand `b`'s
+/// row `block.j0 + l` at depth `block.k0 + p`, for every `p < block.kc`
+/// and every lane (the sums of lanes past `block.nr` are never stored).
+/// Each panel is filled once and multiplied by every row of
+/// `a`; the arithmetic, and so every bit, is the slice product's.
+pub(crate) fn packed_transpose_b_rows(
+    a: &[f32],
+    (k, n): (usize, usize),
+    bias: Option<&[f32]>,
+    out: &mut [f32],
+    mut pack: impl FnMut(Block, &mut [[f32; NR]]),
+) {
+    let rows = out.len() / n;
+    let mut op = Operands { a, k, out, n, bias };
+    let mut panel = [[0.0f32; NR]; KC];
+    for_each_block(k, n, |block| {
+        let panel = &mut panel[..block.kc];
+        pack(block, panel);
+        let panel = |p: usize| panel[p];
+        for i0 in (0..rows).step_by(MR) {
+            tile::<MR>(&mut op, i0, block, panel, rows - i0);
+        }
+    });
+}
+
+/// Runs `f` on each block of a `k`-deep product over `n` output columns,
+/// k-block by k-block. `k = 0` is one empty block, so every output is
+/// still stored.
+#[inline(always)]
+fn for_each_block(k: usize, n: usize, mut f: impl FnMut(Block)) {
+    for k0 in (0..k.max(1)).step_by(KC) {
+        let kc = KC.min(k - k0);
+        for j0 in (0..n).step_by(NR) {
+            f(Block {
+                k0,
+                kc,
+                j0,
+                nr: NR.min(n - j0),
+                last: k0 + kc == k,
+            });
         }
     }
 }
@@ -101,11 +132,11 @@ struct Operands<'a> {
 /// What a tile covers besides its rows: k-block `k0..k0 + kc` (the `last`
 /// one adds the bias) of output columns `j0..j0 + nr`.
 #[derive(Clone, Copy)]
-struct Block {
-    k0: usize,
-    kc: usize,
-    j0: usize,
-    nr: usize,
+pub(crate) struct Block {
+    pub(crate) k0: usize,
+    pub(crate) kc: usize,
+    pub(crate) j0: usize,
+    pub(crate) nr: usize,
     last: bool,
 }
 

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::conv::check_out_dims;
+use crate::conv::check_dims;
 use crate::error::TensorError;
 use crate::tensor::Tensor;
 use crate::Result;
@@ -70,39 +70,37 @@ pub fn max_pool2d(input: &Tensor, spec: &PoolSpec) -> Result<(Tensor, Vec<usize>
     let (oh, ow) = spec.output_size(h, w)?;
     let mut out = Tensor::zeros(&[b, c, oh, ow]);
     let mut argmax = Vec::new();
-    max_pool2d_into(input, spec, &mut out, &mut argmax)?;
+    max_pool2d_into(input, spec, &mut out, Some(&mut argmax))?;
     Ok((out, argmax))
 }
 
-/// Max-pools every `[h,w]` plane of `data` into `out`/`arg` (one `oh*ow`
-/// stretch per plane). Each window starts from `−∞` at its own first
-/// index, so its argmax never leaves it (an all-`−∞` window keeps that
-/// index), and element `v` displaces the running `best` when `wins(v,
-/// best)`.
+/// Max-pools every `[h,w]` plane of `data` into `out` (one `oh*ow` stretch
+/// per plane). Each window starts from `−∞` at its own first index, so its
+/// argmax never leaves it (an all-`−∞` window keeps that index), and
+/// element `v` displaces the running `best` when `wins(v, best)`. `tap(o,
+/// idx)` sees output `o`'s winning input index — the Train cache's record;
+/// a caller without one passes a no-op, and the index tracking compiles
+/// away.
 #[inline(always)]
 fn max_pool_planes(
     data: &[f32],
-    spec: &PoolSpec,
+    spec: PoolSpec,
     geom: (usize, usize, usize, usize), // (h, w, oh, ow)
     out: &mut [f32],
-    arg: &mut [usize],
+    mut tap: impl FnMut(usize, usize),
     wins: impl Fn(f32, f32) -> bool,
 ) {
     let (h, w, oh, ow) = geom;
-    let plane_out = oh * ow;
-    for (i, (out_plane, arg_plane)) in out
-        .chunks_mut(plane_out)
-        .zip(arg.chunks_mut(plane_out))
-        .enumerate()
-    {
+    let PoolSpec { window, stride } = spec;
+    for (i, out_plane) in out.chunks_mut(oh * ow).enumerate() {
         let base = i * h * w;
         let mut o = 0usize;
         for oy in 0..oh {
             for ox in 0..ow {
-                let first = base + oy * spec.stride * w + ox * spec.stride;
+                let first = base + oy * stride * w + ox * stride;
                 let (mut best, mut best_idx) = (f32::NEG_INFINITY, first);
-                for ky in 0..spec.window {
-                    for kx in 0..spec.window {
+                for ky in 0..window {
+                    for kx in 0..window {
                         let idx = first + ky * w + kx;
                         let v = data[idx];
                         if wins(v, best) {
@@ -112,18 +110,39 @@ fn max_pool_planes(
                     }
                 }
                 out_plane[o] = best;
-                arg_plane[o] = best_idx;
+                tap(i * oh * ow + o, best_idx);
                 o += 1;
             }
         }
     }
 }
 
+/// [`max_pool_planes`] with the window and stride as constants for the
+/// shapes the frame CNN pools with — 2×2 stride 2 and 3×3 stride 1 — so
+/// their window loops unroll; any other shape takes the same body with
+/// both read at run time.
+#[inline(always)]
+fn max_pool_shapes(
+    data: &[f32],
+    spec: &PoolSpec,
+    geom: (usize, usize, usize, usize),
+    out: &mut [f32],
+    tap: impl FnMut(usize, usize),
+    wins: impl Fn(f32, f32) -> bool,
+) {
+    match (spec.window, spec.stride) {
+        (2, 2) => max_pool_planes(data, PoolSpec::new(2, 2), geom, out, tap, wins),
+        (3, 1) => max_pool_planes(data, PoolSpec::new(3, 1), geom, out, tap, wins),
+        _ => max_pool_planes(data, *spec, geom, out, tap, wins),
+    }
+}
+
 /// Max-pools into a caller-provided `[b, c, oh, ow]` buffer (typically a
-/// [`crate::Workspace`] checkout) and a reusable argmax vector — the one
-/// body of max pooling. `argmax` is resized to the output length (no
-/// allocation once its capacity suffices) and every element of both
-/// buffers is overwritten.
+/// [`crate::Workspace`] checkout) — the one body of max pooling — and,
+/// when given one, records each output's winning input index in `argmax`
+/// for [`max_pool2d_backward`]. `argmax` is resized to the output length
+/// (no allocation once its capacity suffices). Every element of both
+/// buffers is overwritten; a call without `argmax` tracks no index at all.
 ///
 /// # Errors
 ///
@@ -134,22 +153,31 @@ pub fn max_pool2d_into(
     input: &Tensor,
     spec: &PoolSpec,
     out: &mut Tensor,
-    argmax: &mut Vec<usize>,
+    argmax: Option<&mut Vec<usize>>,
 ) -> Result<()> {
     let (b, c, h, w) = check_rank4(input)?;
     let (oh, ow) = spec.output_size(h, w)?;
-    check_out_dims(out, &[b, c, oh, ow])?;
-    argmax.resize(b * c * oh * ow, 0);
+    check_dims(out, &[b, c, oh, ow])?;
     let (data, geom, out) = (input.data(), (h, w, oh, ow), out.data_mut());
     // The strict `>` keeps a window's first maximum; a NaN wins and sticks,
     // so a window holding one pools to NaN. Testing for NaN in the window
     // loop triples its cost, so only an input that holds one — found by
     // one vectorised pass — pays for it.
-    if data.iter().fold(false, |nan, v| nan | v.is_nan()) {
-        let wins = |v: f32, best: f32| v > best || (v.is_nan() && !best.is_nan());
-        max_pool_planes(data, spec, geom, out, argmax, wins);
-    } else {
-        max_pool_planes(data, spec, geom, out, argmax, |v, best| v > best);
+    let nan = data.iter().fold(false, |nan, v| nan | v.is_nan());
+    let nan_wins = |v: f32, best: f32| v > best || (v.is_nan() && !best.is_nan());
+    let above = |v: f32, best: f32| v > best;
+    match argmax {
+        Some(arg) => {
+            arg.resize(out.len(), 0);
+            let tap = |o: usize, idx: usize| arg[o] = idx;
+            if nan {
+                max_pool_shapes(data, spec, geom, out, tap, nan_wins);
+            } else {
+                max_pool_shapes(data, spec, geom, out, tap, above);
+            }
+        }
+        None if nan => max_pool_shapes(data, spec, geom, out, |_, _| (), nan_wins),
+        None => max_pool_shapes(data, spec, geom, out, |_, _| (), above),
     }
     Ok(())
 }
@@ -238,7 +266,7 @@ fn avg_pool_planes(
 pub fn avg_pool2d_into(input: &Tensor, spec: &PoolSpec, out: &mut Tensor) -> Result<()> {
     let (b, c, h, w) = check_rank4(input)?;
     let (oh, ow) = spec.output_size(h, w)?;
-    check_out_dims(out, &[b, c, oh, ow])?;
+    check_dims(out, &[b, c, oh, ow])?;
     avg_pool_planes(input.data(), spec, (h, w, oh, ow), out.data_mut());
     Ok(())
 }
@@ -330,9 +358,13 @@ mod tests {
         let mut out = ws.checkout(expected.dims());
         out.data_mut().fill(-1.0); // stale contents must be overwritten
         let mut argmax = vec![usize::MAX; 3];
-        max_pool2d_into(&input, &spec, &mut out, &mut argmax).unwrap();
+        max_pool2d_into(&input, &spec, &mut out, Some(&mut argmax)).unwrap();
         assert_eq!(out, expected);
         assert_eq!(argmax, expected_arg);
+        // Without an argmax the values are the same.
+        out.data_mut().fill(-1.0);
+        max_pool2d_into(&input, &spec, &mut out, None).unwrap();
+        assert_eq!(out, expected);
         ws.restore(out);
 
         let expected_avg = avg_pool2d(&input, &spec).unwrap();
@@ -348,8 +380,7 @@ mod tests {
         let input = Tensor::zeros(&[1, 1, 4, 4]);
         let spec = PoolSpec::new(2, 2);
         let mut bad = Tensor::zeros(&[1, 1, 3, 3]);
-        let mut arg = Vec::new();
-        assert!(max_pool2d_into(&input, &spec, &mut bad, &mut arg).is_err());
+        assert!(max_pool2d_into(&input, &spec, &mut bad, None).is_err());
         assert!(avg_pool2d_into(&input, &spec, &mut bad).is_err());
     }
 
