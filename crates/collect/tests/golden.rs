@@ -10,12 +10,13 @@ use std::sync::Arc;
 use darnet_collect::runtime::{
     run_session, CampaignConfig, ChaosReport, CrashWindow, Durability, Recording,
 };
-use darnet_collect::wal::{MemStorage, WalConfig, WalStorage};
+use darnet_collect::wal::{self, MemStorage, WalConfig, WalStorage};
 use darnet_collect::{
-    run_fleet, AlignedImuPoint, ControllerConfig, FaultConfig, FleetConfig, FrameRecord,
-    LinkConfig, LinkStats, ShardConfig, SpillStats, StreamHealth, StreamId, TransportStats,
+    decode_batch, encode_batch, run_fleet, AlignedImuPoint, Batch, ControllerConfig, FaultConfig,
+    FleetConfig, FrameRecord, LinkConfig, LinkStats, SensorReading, ShardConfig, SpillStats,
+    StampedReading, StreamHealth, StreamId, TransportStats,
 };
-use darnet_sim::{CanonicalBehavior, DrivingWorld, Segment, WorldConfig};
+use darnet_sim::{CanonicalBehavior, DrivingWorld, Frame, ImuSample, Segment, WorldConfig};
 
 /// FNV-1a accumulator over the little-endian bytes of whatever is fed in.
 struct Fnv(u64);
@@ -329,4 +330,118 @@ fn small_fleet_digest_is_pinned() {
         "fleet transport digest {:#018X}",
         h.0
     );
+}
+
+/// IMU features of reading `k`: ordinary values plus `-0.0`, a
+/// subnormal and values near `f32::MAX`.
+fn golden_features(k: u32) -> [f32; ImuSample::FEATURES] {
+    let mut f = [0.0f32; ImuSample::FEATURES];
+    for (c, v) in f.iter_mut().enumerate() {
+        let x = (k * 12 + c as u32) as f32;
+        *v = (x * 0.173).fract() * 19.6 - 9.8;
+    }
+    match k % 4 {
+        0 => f[1] = -0.0,
+        1 => f[4] = f32::from_bits(0x0000_0003),
+        2 => f[7] = f32::MAX * 0.75,
+        _ => f[10] = -1e-38,
+    }
+    f
+}
+
+/// A 48×48 frame whose pixels run below 0, above 1, and through every
+/// `(k + 0.5) / 255` tie of the 8-bit quantiser.
+fn golden_frame(seed: u32) -> Frame {
+    const EDGE: usize = 48;
+    let pixels = (0..EDGE * EDGE)
+        .map(|i| {
+            let i = i as u32 + seed * 131;
+            if i % 3 == 0 {
+                ((i / 3 % 256) as f32 + 0.5) / 255.0
+            } else {
+                (i * 7 % 600) as f32 / 510.0 - 0.05
+            }
+        })
+        .collect();
+    Frame::from_pixels(EDGE, EDGE, pixels)
+}
+
+#[test]
+fn wal_object_bytes_are_pinned() {
+    // IMU batches from agent 0, one 48×48 frame a batch from agent 1:
+    // twelve records, one roll at six records and one checkpoint at ten.
+    let storage = Arc::new(MemStorage::new());
+    let (mut controller, mut log, _) = wal::open(
+        ControllerConfig::default(),
+        Arc::clone(&storage) as Arc<dyn WalStorage>,
+        WalConfig {
+            segment_max_records: 6,
+            snapshot_every: 10,
+        },
+    )
+    .unwrap();
+    for n in 0..12u32 {
+        let (agent_id, seq) = (n % 2, n / 2);
+        let readings = if agent_id == 0 {
+            (0..20)
+                .map(|i| StampedReading {
+                    timestamp: f64::from(seq * 20 + i) * 0.025,
+                    reading: SensorReading::Imu(ImuSample::from_features(&golden_features(
+                        seq * 20 + i,
+                    ))),
+                })
+                .collect()
+        } else {
+            vec![StampedReading {
+                timestamp: f64::from(seq) * 0.25,
+                reading: SensorReading::Frame(golden_frame(seq)),
+            }]
+        };
+        // What the controller is handed: the batch as the wire decodes it.
+        let batch = decode_batch(encode_batch(&Batch {
+            agent_id,
+            seq,
+            readings,
+        }))
+        .unwrap();
+        let arrival = f64::from(n) * 0.125;
+        controller
+            .offer_at(arrival, &batch, Some(&mut log))
+            .unwrap();
+        // A redelivery is deduplicated, not logged.
+        controller
+            .offer_at(arrival, &batch, Some(&mut log))
+            .unwrap();
+        if log.needs_snapshot() {
+            log.snapshot(&controller).unwrap();
+        }
+    }
+    let stats = log.stats();
+    assert_eq!((stats.appends, stats.segments_rolled), (12, 1));
+    assert_eq!(stats.snapshots_taken, 1);
+
+    let mut h = Fnv::new();
+    let names = storage.list().unwrap();
+    assert_eq!(names, ["seg-00000000", "seg-00000001", "seg-00000002"]);
+    for name in &names {
+        let bytes = storage.read(name).unwrap();
+        h.bytes(name.as_bytes());
+        h.u64(bytes.len() as u64);
+        h.bytes(&bytes);
+    }
+    assert_eq!(
+        h.0, 0x3734_29F2_ACC6_FCFF,
+        "wal object digest {:#018X}",
+        h.0
+    );
+
+    // And the log reads back as the state that wrote it.
+    let (replayed, _, report) = wal::open(
+        ControllerConfig::default(),
+        storage as Arc<dyn WalStorage>,
+        WalConfig::default(),
+    )
+    .unwrap();
+    assert_eq!(report.records_replayed, 12);
+    assert_eq!(replayed.state_digest(), controller.state_digest());
 }
