@@ -14,7 +14,8 @@
 //!
 //! The same counter gates the controller's two sides: a frame read
 //! allocates per call, not per frame of history, and an IMU reading is
-//! written as one TSDB row, allocating for growth only (DESIGN.md §18).
+//! written as one TSDB row, allocating for growth only (DESIGN.md §18),
+//! and so does a record appended to the WAL (DESIGN.md §13.1).
 #![expect(
     clippy::disallowed_methods,
     reason = "tests seed their inputs from a SplitMix64"
@@ -25,6 +26,7 @@ use darnet_bench::fixtures::{
     random_tensor, tiny_cnn, tiny_engine, tiny_pair, tiny_rnn, FRAME_SIZE,
 };
 use darnet_collect::runtime::AlignedTuple;
+use darnet_collect::wal::{self, MemStorage, WalConfig, WalStorage};
 use darnet_collect::{
     Batch, Controller, ControllerConfig, SensorReading, StampedReading, StreamId,
 };
@@ -37,6 +39,7 @@ use darnet_core::{
 };
 use darnet_sim::{Frame, ImuSample};
 use darnet_tensor::{Parallelism, SplitMix64, Tensor};
+use std::sync::Arc;
 
 const BATCH: usize = 8;
 
@@ -400,4 +403,48 @@ fn imu_ingest_allocates_for_growth_not_per_reading() {
         "{readings} in-order imu readings allocated {shared} times"
     );
     assert_eq!(ingest(true), shared, "per-agent keys allocate per reading");
+}
+
+/// The WAL's gate, as a count. A record is framed in the log's reused
+/// scratch and appended to its segment object under the name the log
+/// keeps, so warm appends within one segment allocate only when the
+/// object's buffer grows; building the name and the store's key on every
+/// call was two events per record.
+#[test]
+fn wal_append_allocates_for_growth_not_per_record() {
+    const APPENDS: u32 = 256;
+    let batch = |seq: u32| Batch {
+        agent_id: 0,
+        seq,
+        readings: (0..32)
+            .map(|i| StampedReading {
+                timestamp: f64::from(seq * 32 + i) * 0.025,
+                reading: SensorReading::Imu(ImuSample::from_features(&[i as f32; 12])),
+            })
+            .collect(),
+    };
+    let storage = Arc::new(MemStorage::new());
+    let (_, mut log, _) = wal::open(
+        ControllerConfig::default(),
+        Arc::clone(&storage) as Arc<dyn WalStorage>,
+        WalConfig {
+            segment_max_records: u64::from(APPENDS) + 1,
+            snapshot_every: 0,
+        },
+    )
+    .expect("open");
+    // Warm: the segment object and the framing scratch exist.
+    log.append(0.0, &batch(0)).expect("append");
+    let traffic: Vec<Batch> = (1..=APPENDS).map(batch).collect();
+    let ((), allocs) = alloc_counter::allocations_during(|| {
+        for batch in &traffic {
+            log.append(f64::from(batch.seq), batch).expect("append");
+        }
+    });
+    assert_eq!(log.segment_index(), 0, "the appends left the first segment");
+    assert_eq!(log.stats().appends, u64::from(APPENDS) + 1);
+    assert!(
+        allocs * 16 <= u64::from(APPENDS),
+        "{APPENDS} warm wal appends allocated {allocs} times"
+    );
 }

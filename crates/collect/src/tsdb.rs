@@ -61,11 +61,13 @@ impl Series {
     /// in-order arrival, a binary insertion otherwise.
     fn insert(&mut self, t: f64, row: &[f32]) {
         let not_later = |st: &f64| st.total_cmp(&t).is_le();
-        let slot = if self.t.last().is_none_or(not_later) {
-            self.t.len()
-        } else {
-            self.t.partition_point(not_later)
-        };
+        if self.t.last().is_none_or(not_later) {
+            self.dirty = self.dirty.min(self.t.len());
+            self.t.push(t);
+            self.values.extend_from_slice(row);
+            return;
+        }
+        let slot = self.t.partition_point(not_later);
         self.dirty = self.dirty.min(slot);
         self.t.insert(slot, t);
         let at = slot * self.width;
@@ -113,7 +115,8 @@ impl Store {
     }
 
     /// Every column as `(name, series, column)`, sorted by name — the one
-    /// order fingerprints and listings walk (darlint `nondet-order`).
+    /// order fingerprints and listings walk (`clippy.toml` bans the hash
+    /// maps whose order would vary from run to run).
     fn columns(&self) -> Vec<(String, &Series, usize)> {
         let scalars = self.scalars.iter().map(|(name, s)| (name.clone(), s, 0));
         let rows = self
@@ -169,7 +172,8 @@ impl Store {
 /// addresses a channel as the series `metric.<channel>`; nothing a read
 /// returns tells the two layouts apart. Every traversal — fingerprints,
 /// metric listings — walks those names in sorted order regardless of
-/// insertion order (darlint `nondet-order`).
+/// insertion order (`clippy.toml` bans the hash maps whose order would
+/// vary from run to run).
 ///
 /// ```
 /// use darnet_collect::TsDb;

@@ -40,6 +40,12 @@ const KIND_FRAME: u8 = 1;
 /// kind byte.
 const READING_HEADER: usize = 9;
 
+/// Bytes of an IMU reading's payload: its features as big-endian `f32`s.
+const IMU_BYTES: usize = ImuSample::FEATURES * 4;
+
+/// Pixels the encoder quantises on the stack between two puts.
+const PIXEL_CHUNK: usize = 256;
+
 /// Magic byte prefixing controller→agent acknowledgement messages.
 const ACK_MAGIC: u8 = 0xA5;
 
@@ -97,31 +103,55 @@ pub fn encode_batch(batch: &Batch) -> Bytes {
 
 /// Encodes a batch into a caller-provided buffer (appended at the tail),
 /// so hot append paths — the WAL's record framing in particular — can
-/// reuse one scratch allocation across calls.
+/// reuse one scratch allocation across calls. Bytes go out in runs: an
+/// IMU reading as one 57-byte record, a frame's header as one, and its
+/// pixels quantised into a stack chunk put once per [`PIXEL_CHUNK`].
 // darlint: hot
 pub fn encode_batch_into(buf: &mut BytesMut, batch: &Batch) {
-    buf.put_u32(batch.agent_id);
-    buf.put_u32(batch.seq);
-    buf.put_u32(batch.readings.len() as u32);
+    let mut header = [0u8; 12];
+    header[..4].copy_from_slice(&batch.agent_id.to_be_bytes());
+    header[4..8].copy_from_slice(&batch.seq.to_be_bytes());
+    header[8..].copy_from_slice(&(batch.readings.len() as u32).to_be_bytes());
+    buf.put_slice(&header);
     for r in &batch.readings {
-        buf.put_f64(r.timestamp);
         match &r.reading {
             SensorReading::Imu(s) => {
-                buf.put_u8(KIND_IMU);
-                for v in s.to_features() {
-                    buf.put_f32(v);
+                let mut run = [0u8; READING_HEADER + IMU_BYTES];
+                run[..8].copy_from_slice(&r.timestamp.to_be_bytes());
+                run[8] = KIND_IMU;
+                let features = run[READING_HEADER..].chunks_exact_mut(4);
+                for (dst, v) in features.zip(s.to_features()) {
+                    dst.copy_from_slice(&v.to_be_bytes());
                 }
+                buf.put_slice(&run);
             }
             SensorReading::Frame(f) => {
-                buf.put_u8(KIND_FRAME);
-                buf.put_u16(f.width() as u16);
-                buf.put_u16(f.height() as u16);
-                for &p in f.pixels() {
-                    buf.put_u8((p.clamp(0.0, 1.0) * 255.0).round() as u8);
+                let mut run = [0u8; READING_HEADER + 4];
+                run[..8].copy_from_slice(&r.timestamp.to_be_bytes());
+                run[8] = KIND_FRAME;
+                run[9..11].copy_from_slice(&(f.width() as u16).to_be_bytes());
+                run[11..].copy_from_slice(&(f.height() as u16).to_be_bytes());
+                buf.put_slice(&run);
+                let mut chunk = [0u8; PIXEL_CHUNK];
+                for pixels in f.pixels().chunks(PIXEL_CHUNK) {
+                    for (q, &p) in chunk.iter_mut().zip(pixels) {
+                        *q = quantize(p);
+                    }
+                    buf.put_slice(&chunk[..pixels.len()]);
                 }
             }
         }
     }
+}
+
+/// A pixel in `[0, 1]` as the nearest of 256 levels, ties away from
+/// zero: `(p.clamp(0.0, 1.0) * 255.0).round() as u8` without the libm
+/// call. `v - i` is exact (Sterbenz), so the comparison is the tie rule
+/// `round` applies; a NaN pixel becomes 0 on both spellings.
+fn quantize(p: f32) -> u8 {
+    let v = p.clamp(0.0, 1.0) * 255.0;
+    let i = v as u32;
+    (i + u32::from(v - i as f32 >= 0.5)) as u8
 }
 
 /// Readings a decoder reserves room for up front: the header's `count`,
@@ -167,11 +197,12 @@ pub fn decode_batch(mut data: Bytes) -> Result<Batch> {
         let kind = data.get_u8();
         let reading = match kind {
             KIND_IMU => {
-                need(&data, 12 * 4, "imu payload")?;
+                need(&data, IMU_BYTES, "imu payload")?;
                 let mut feats = [0.0f32; ImuSample::FEATURES];
-                for f in &mut feats {
-                    *f = data.get_f32();
+                for (f, b) in feats.iter_mut().zip(data[..IMU_BYTES].chunks_exact(4)) {
+                    *f = f32::from_be_bytes([b[0], b[1], b[2], b[3]]);
                 }
+                data.advance(IMU_BYTES);
                 if !feats.iter().all(|f| f.is_finite()) {
                     return Err(CollectError::Decode(format!(
                         "non-finite imu features {feats:?}"
@@ -184,10 +215,8 @@ pub fn decode_batch(mut data: Bytes) -> Result<Batch> {
                 let w = data.get_u16() as usize;
                 let h = data.get_u16() as usize;
                 need(&data, w * h, "frame pixels")?;
-                let mut pixels = Vec::with_capacity(w * h);
-                for _ in 0..w * h {
-                    pixels.push(data.get_u8() as f32 / 255.0);
-                }
+                let pixels = data[..w * h].iter().map(|&b| b as f32 / 255.0).collect();
+                data.advance(w * h);
                 SensorReading::Frame(Frame::from_pixels(w, h, pixels))
             }
             other => {

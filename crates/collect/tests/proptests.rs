@@ -780,3 +780,289 @@ mod tsdb_model_props {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Byte identity of the write side: the run-wise encoder, decoder and
+// slice-by-8 CRC against the per-byte formulations they replaced, kept
+// here as references.
+// ---------------------------------------------------------------------------
+
+mod byte_identity {
+    use bytes::{Buf, BufMut, Bytes, BytesMut};
+    use darnet_collect::wal::crc32;
+    use darnet_collect::{
+        decode_batch, encode_batch, Batch, CollectError, SensorReading, StampedReading,
+    };
+    use darnet_sim::{Frame, ImuSample};
+    use darnet_tensor::SplitMix64;
+    use proptest::prelude::*;
+
+    /// The per-byte encoder: one `put` and one `round` per pixel.
+    fn reference_encode(batch: &Batch) -> Vec<u8> {
+        let mut buf = BytesMut::new();
+        buf.put_u32(batch.agent_id);
+        buf.put_u32(batch.seq);
+        buf.put_u32(batch.readings.len() as u32);
+        for r in &batch.readings {
+            buf.put_f64(r.timestamp);
+            match &r.reading {
+                SensorReading::Imu(s) => {
+                    buf.put_u8(0);
+                    for v in s.to_features() {
+                        buf.put_f32(v);
+                    }
+                }
+                SensorReading::Frame(f) => {
+                    buf.put_u8(1);
+                    buf.put_u16(f.width() as u16);
+                    buf.put_u16(f.height() as u16);
+                    for &p in f.pixels() {
+                        buf.put_u8((p.clamp(0.0, 1.0) * 255.0).round() as u8);
+                    }
+                }
+            }
+        }
+        buf.to_vec()
+    }
+
+    /// The per-byte decoder, messages and all.
+    fn reference_decode(mut data: Bytes) -> Result<Batch, String> {
+        fn need(data: &Bytes, n: usize, what: &str) -> Result<(), String> {
+            if data.remaining() < n {
+                Err(format!("truncated batch while reading {what}"))
+            } else {
+                Ok(())
+            }
+        }
+        need(&data, 12, "header")?;
+        let agent_id = data.get_u32();
+        let seq = data.get_u32();
+        let count = data.get_u32() as usize;
+        let mut readings = Vec::new();
+        for _ in 0..count {
+            need(&data, 9, "reading header")?;
+            let timestamp = data.get_f64();
+            if !timestamp.is_finite() {
+                return Err(format!("non-finite reading timestamp {timestamp}"));
+            }
+            let reading = match data.get_u8() {
+                0 => {
+                    need(&data, 12 * 4, "imu payload")?;
+                    let mut feats = [0.0f32; ImuSample::FEATURES];
+                    for f in &mut feats {
+                        *f = data.get_f32();
+                    }
+                    if !feats.iter().all(|f| f.is_finite()) {
+                        return Err(format!("non-finite imu features {feats:?}"));
+                    }
+                    SensorReading::Imu(ImuSample::from_features(&feats))
+                }
+                1 => {
+                    need(&data, 4, "frame header")?;
+                    let w = data.get_u16() as usize;
+                    let h = data.get_u16() as usize;
+                    need(&data, w * h, "frame pixels")?;
+                    let mut pixels = Vec::with_capacity(w * h);
+                    for _ in 0..w * h {
+                        pixels.push(data.get_u8() as f32 / 255.0);
+                    }
+                    SensorReading::Frame(Frame::from_pixels(w, h, pixels))
+                }
+                other => return Err(format!("unknown reading kind {other}")),
+            };
+            readings.push(StampedReading { timestamp, reading });
+        }
+        Ok(Batch {
+            agent_id,
+            seq,
+            readings,
+        })
+    }
+
+    /// The bytewise one-table CRC-32 (IEEE).
+    fn reference_crc32(data: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in data {
+            c ^= u32::from(b);
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    /// Every bit a decoded batch carries, so `-0.0` and `0.0` differ.
+    fn bits(batch: &Batch) -> Vec<u64> {
+        let mut out = vec![u64::from(batch.agent_id), u64::from(batch.seq)];
+        for r in &batch.readings {
+            out.push(r.timestamp.to_bits());
+            match &r.reading {
+                SensorReading::Imu(s) => {
+                    out.extend(s.to_features().iter().map(|f| u64::from(f.to_bits())));
+                }
+                SensorReading::Frame(f) => {
+                    out.extend([f.width() as u64, f.height() as u64]);
+                    out.extend(f.pixels().iter().map(|p| u64::from(p.to_bits())));
+                }
+            }
+        }
+        out
+    }
+
+    /// Bit patterns an IMU feature or a stamp takes: arbitrary bits, the
+    /// non-finite values, signed zeros and subnormals.
+    fn any_f32(rng: &mut SplitMix64) -> f32 {
+        match rng.next_usize(8) {
+            0 => f32::NAN,
+            1 => f32::INFINITY,
+            2 => f32::NEG_INFINITY,
+            3 => -0.0,
+            4 => f32::from_bits(rng.next_u64() as u32 & 0x807F_FFFF),
+            5 => rng.uniform(-20.0, 20.0),
+            _ => f32::from_bits(rng.next_u64() as u32),
+        }
+    }
+
+    /// A pixel: arbitrary bits, or within 4 ulps of a quantisation level
+    /// `k/255` or of a tie `(k + 0.5)/255`.
+    fn any_pixel(rng: &mut SplitMix64) -> f32 {
+        let k = rng.next_usize(256) as f32;
+        let centre = match rng.next_usize(4) {
+            0 => return f32::from_bits(rng.next_u64() as u32),
+            1 => k / 255.0,
+            _ => (k + 0.5) / 255.0,
+        };
+        let ulps = rng.next_usize(9) as i32 - 4;
+        f32::from_bits(centre.to_bits().wrapping_add_signed(ulps))
+    }
+
+    fn any_batch(rng: &mut SplitMix64) -> Batch {
+        let readings = (0..rng.next_usize(6))
+            .map(|_| {
+                let timestamp = if rng.next_usize(4) == 0 {
+                    f64::from(any_f32(rng))
+                } else {
+                    rng.next_f64() * 100.0
+                };
+                let reading = if rng.next_usize(2) == 0 {
+                    let mut feats = [0.0f32; ImuSample::FEATURES];
+                    for f in &mut feats {
+                        *f = any_f32(rng);
+                    }
+                    SensorReading::Imu(ImuSample::from_features(&feats))
+                } else {
+                    let (w, h) = (rng.next_usize(65), rng.next_usize(65));
+                    let pixels = (0..w * h).map(|_| any_pixel(rng)).collect();
+                    SensorReading::Frame(Frame::from_pixels(w, h, pixels))
+                };
+                StampedReading { timestamp, reading }
+            })
+            .collect();
+        Batch {
+            agent_id: rng.next_u64() as u32,
+            seq: rng.next_u64() as u32,
+            readings,
+        }
+    }
+
+    /// The new decoder's result in the reference's terms.
+    fn decoded(data: Bytes) -> Result<Vec<u64>, String> {
+        match decode_batch(data) {
+            Ok(batch) => Ok(bits(&batch)),
+            Err(CollectError::Decode(msg)) => Err(msg),
+            Err(other) => Err(format!("not a decode error: {other}")),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn encoding_equals_the_per_byte_reference(seed in any::<u64>()) {
+            let batch = any_batch(&mut SplitMix64::new(seed));
+            let expected = reference_encode(&batch);
+            prop_assert_eq!(&encode_batch(&batch)[..], &expected[..]);
+        }
+
+        #[test]
+        fn decoding_equals_the_per_byte_reference_at_any_cut_or_poison(
+            seed in any::<u64>(),
+            cuts in prop::collection::vec(any::<usize>(), 8),
+            poison in any::<u64>(),
+        ) {
+            let mut rng = SplitMix64::new(seed);
+            let wire = reference_encode(&any_batch(&mut rng));
+            // The whole batch, a prefix of it, and one byte overwritten.
+            let mut inputs = vec![wire.clone()];
+            inputs.extend(cuts.iter().map(|c| wire[..c % (wire.len() + 1)].to_vec()));
+            let mut poisoned = wire.clone();
+            let at = (poison as usize) % poisoned.len();
+            poisoned[at] = (poison >> 32) as u8;
+            inputs.push(poisoned);
+            for input in inputs {
+                let expected = reference_decode(Bytes::from(input.clone())).map(|b| bits(&b));
+                prop_assert_eq!(decoded(Bytes::from(input)), expected);
+            }
+        }
+    }
+
+    #[test]
+    fn every_tie_neighbourhood_quantises_as_round_does() {
+        let mut pixels = Vec::new();
+        for k in 0..256 {
+            for centre in [k as f32 / 255.0, (k as f32 + 0.5) / 255.0] {
+                for ulps in -4..=4 {
+                    pixels.push(f32::from_bits(centre.to_bits().wrapping_add_signed(ulps)));
+                }
+            }
+        }
+        pixels.extend([f32::NAN, -f32::NAN, -0.0, 1.5, -1.5, f32::INFINITY]);
+        let batch = Batch {
+            agent_id: 1,
+            seq: 2,
+            readings: vec![StampedReading {
+                timestamp: 0.5,
+                reading: SensorReading::Frame(Frame::from_pixels(pixels.len(), 1, pixels)),
+            }],
+        };
+        assert_eq!(&encode_batch(&batch)[..], &reference_encode(&batch)[..]);
+    }
+
+    #[test]
+    fn each_byte_decodes_to_its_level_bit_for_bit() {
+        let mut wire = BytesMut::new();
+        wire.put_u32(0);
+        wire.put_u32(0);
+        wire.put_u32(1);
+        wire.put_f64(0.0);
+        wire.put_u8(1);
+        wire.put_u16(256);
+        wire.put_u16(1);
+        for b in 0..=255u8 {
+            wire.put_u8(b);
+        }
+        let batch = decode_batch(wire.freeze()).unwrap();
+        let frame = batch.readings[0].reading.as_frame().unwrap();
+        for (b, p) in (0..=255u8).zip(frame.pixels()) {
+            assert_eq!(p.to_bits(), (b as f32 / 255.0).to_bits(), "byte {b}");
+        }
+    }
+
+    #[test]
+    fn crc32_equals_the_bytewise_reference_at_every_length_and_offset() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(&[]), 0);
+        let mut rng = SplitMix64::new(0xC4C3_2);
+        let data: Vec<u8> = (0..4096 + 8).map(|_| rng.next_u64() as u8).collect();
+        for start in 0..8 {
+            for len in 0..=4096 {
+                let run = &data[start..start + len];
+                assert_eq!(crc32(run), reference_crc32(run), "start {start} len {len}");
+            }
+        }
+    }
+}
