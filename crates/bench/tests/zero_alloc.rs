@@ -409,7 +409,7 @@ fn imu_ingest_allocates_for_growth_not_per_reading() {
 /// scratch and appended to its segment object under the name the log
 /// keeps, so warm appends within one segment allocate only when the
 /// object's buffer grows; building the name and the store's key on every
-/// call was two events per record.
+/// call was three events per record.
 #[test]
 fn wal_append_allocates_for_growth_not_per_record() {
     const APPENDS: u32 = 256;

@@ -105,14 +105,12 @@ pub fn encode_batch(batch: &Batch) -> Bytes {
 /// so hot append paths — the WAL's record framing in particular — can
 /// reuse one scratch allocation across calls. Bytes go out in runs: an
 /// IMU reading as one 57-byte record, a frame's header as one, and its
-/// pixels quantised into a stack chunk put once per [`PIXEL_CHUNK`].
+/// pixels quantised into a 256-byte stack chunk, put once a chunk.
 // darlint: hot
 pub fn encode_batch_into(buf: &mut BytesMut, batch: &Batch) {
-    let mut header = [0u8; 12];
-    header[..4].copy_from_slice(&batch.agent_id.to_be_bytes());
-    header[4..8].copy_from_slice(&batch.seq.to_be_bytes());
-    header[8..].copy_from_slice(&(batch.readings.len() as u32).to_be_bytes());
-    buf.put_slice(&header);
+    buf.put_u32(batch.agent_id);
+    buf.put_u32(batch.seq);
+    buf.put_u32(batch.readings.len() as u32);
     for r in &batch.readings {
         match &r.reading {
             SensorReading::Imu(s) => {

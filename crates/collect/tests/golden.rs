@@ -356,7 +356,7 @@ fn golden_frame(seed: u32) -> Frame {
     let pixels = (0..EDGE * EDGE)
         .map(|i| {
             let i = i as u32 + seed * 131;
-            if i % 3 == 0 {
+            if i.is_multiple_of(3) {
                 ((i / 3 % 256) as f32 + 0.5) / 255.0
             } else {
                 (i * 7 % 600) as f32 / 510.0 - 0.05
