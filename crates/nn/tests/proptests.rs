@@ -122,6 +122,10 @@ mod layer_reference {
 
     /// One LSTM direction step by step: `z = (x_t·W_xᵀ + h·W_hᵀ) + b`,
     /// then the gates, batch row by batch row.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "platform libm's tanh is the reference the LSTM's tanh port is held to"
+    )]
     fn lstm_steps(x: &Tensor, cell: &mut LstmCell) -> Vec<f32> {
         let (b, time, feat, hidden) = (x.dims()[0], x.dims()[1], x.dims()[2], cell.hidden_size());
         let params = cell.params_mut();
