@@ -19,8 +19,9 @@ pub enum CoreError {
     Dataset(String),
     /// The engine was used before its models were trained/registered.
     NotReady(String),
-    /// A stream's model produced a NaN or infinite class probability (a
-    /// poisoned sensor window, typically); no label was derived from it.
+    /// A stream's input held a NaN or infinite value (a poisoned sensor
+    /// window or frame), or its model produced a non-finite class
+    /// probability; no label was derived from it.
     NonFinitePosterior {
         /// The first stream, in registry order, whose posterior is not
         /// finite.
