@@ -63,7 +63,8 @@
 #                  every bin must have a line — paper fidelity held byte
 #                  for byte (~80–90 s, mostly repro_table3 and
 #                  repro_ablation_distill). Like the golden files, the
-#                  digests assume glibc's libm. Each bin's wall time is
+#                  digests assume glibc's exp, ln and cos (tanh is
+#                  in-repo, step 9). Each bin's wall time is
 #                  printed and written to target/ci/repro_times.txt
 #                  (`bin seconds` lines); no time is gated
 #   8. ledger    — the frozen pipeline ledger (benchmark/, BENCHMARK.json;
@@ -77,6 +78,13 @@
 #                  and whose seeded wire_bytes_per_label and state_mb
 #                  must equal its line in the committed LEDGER_smoke.txt.
 #                  No timing gate: the timings are the driver's to judge
+#   9. exhaustive — darnet_nn's tanh port over all 2^32 inputs in release
+#                  (~85 s): the FNV-1a digest of its bits must equal the
+#                  one recorded from glibc's tanhf (the #[ignore]d
+#                  tanh_all_inputs_reproduce_libm). It pins bits, not a
+#                  libm, so it holds on any host; the comparison with the
+#                  host's own libm (tanh_equals_host_libm_on_all_inputs)
+#                  stays a by-hand check
 #
 # Usage:
 #   scripts/ci.sh                 run every step
@@ -84,7 +92,7 @@
 #   scripts/ci.sh --list          list step names and exit
 #
 # Every step is timed and a per-step elapsed summary is printed at the
-# end, so the 8-step pipeline can be profiled and iterated on locally
+# end, so the 9-step pipeline can be profiled and iterated on locally
 # without grepping logs. The last thing printed is scripts/loc.sh's
 # non-test line count per crate — the number every simplicity PR quotes.
 #
@@ -96,7 +104,7 @@ cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
 
-STEPS=(tier1 docs parallel chaos fleet multiview repro ledger)
+STEPS=(tier1 docs parallel chaos fleet multiview repro ledger exhaustive)
 ONLY=()
 while [[ $# -gt 0 ]]; do
   case "$1" in
@@ -212,6 +220,11 @@ step_ledger() {
       return 1
     fi
   done
+}
+
+step_exhaustive() {
+  cargo test --release --locked -q -p darnet-nn --lib -- --ignored --exact \
+    layer::tests::tanh_all_inputs_reproduce_libm
 }
 
 wants() {
