@@ -106,7 +106,6 @@ pub fn encode_batch(batch: &Batch) -> Bytes {
 /// reuse one scratch allocation across calls. Bytes go out in runs: an
 /// IMU reading as one 57-byte record, a frame's header as one, and its
 /// pixels quantised into a 256-byte stack chunk, put once a chunk.
-// darlint: hot
 pub fn encode_batch_into(buf: &mut BytesMut, batch: &Batch) {
     buf.put_u32(batch.agent_id);
     buf.put_u32(batch.seq);

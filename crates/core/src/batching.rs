@@ -131,7 +131,6 @@ impl MultiModalEngine {
     /// Returns a dataset error when a tuple's window is not
     /// `WINDOW_LEN × IMU_FEATURES` long; otherwise as
     /// [`MultiModalEngine::classify_batch_checked_into`].
-    // darlint: hot
     pub fn classify_tuples_into(
         &mut self,
         camera: StreamId,

@@ -154,7 +154,6 @@ impl NaryBayesianCombiner {
     ///
     /// Returns [`CoreError::NotReady`] before fitting or on width
     /// mismatches.
-    // darlint: hot
     pub fn combine_n_into(&self, parents: &[&[f32]], scores: &mut Vec<f32>) -> Result<()> {
         const MAX_PARENTS: usize = 8;
         if parents.len() > MAX_PARENTS {
@@ -180,7 +179,6 @@ impl NaryBayesianCombiner {
     /// Returns [`CoreError::NotReady`] before fitting, a dataset error on
     /// width mismatches, a wrong parent count, or when every parent is
     /// absent.
-    // darlint: hot
     pub fn combine_subset_into(
         &self,
         parents: &[Option<&[f32]>],
@@ -230,7 +228,6 @@ impl NaryBayesianCombiner {
     /// weight threading starts at `1.0`, so the first level's weight is
     /// `1.0 · p₀` — bitwise `p₀` — and every deeper level multiplies in
     /// nested-loop order; a zero weight prunes its subtree.
-    // darlint: hot
     fn descend(
         &self,
         parents: &[Option<&[f32]>],

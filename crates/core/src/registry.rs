@@ -85,7 +85,6 @@ impl ClassMap {
     /// # Errors
     ///
     /// Returns a dataset error on width mismatches.
-    // darlint: hot
     pub fn expand_into(
         &self,
         probs: &[f32],
@@ -283,7 +282,6 @@ impl StreamInput<'_> {
 ///
 /// Returns a dataset error on width mismatches or when every parent is
 /// absent.
-// darlint: hot
 pub fn product_combine_subset_into(
     parents: &[(Option<&[f32]>, &ClassMap)],
     classes: usize,
@@ -362,7 +360,6 @@ impl RegisteredStream {
     /// else is a distorted batch: it goes to the student whose
     /// [`PrivacyLevel::target_size`] is that geometry, restored to the
     /// full input edge.
-    // darlint: hot
     fn route_frames(&mut self, w: usize, h: usize) -> Result<(usize, usize)> {
         self.route = None;
         let StreamModelSlot::Cnn(model) = &self.model else {
@@ -384,7 +381,6 @@ impl RegisteredStream {
     }
 
     /// This stream's input, if it takes part in the batch.
-    // darlint: hot
     fn input<'a>(&self, inputs: &[(StreamId, StreamInput<'a>)]) -> Option<StreamInput<'a>> {
         let id = self.descriptor.id;
         let input = inputs.iter().find(|(s, _)| self.present && *s == id);
@@ -394,7 +390,6 @@ impl RegisteredStream {
     /// Assembles this stream's camera batch from `frames` in a tensor
     /// checked out of `ws`, at the geometry [`Self::route_frames`] picks.
     /// On error nothing stays checked out.
-    // darlint: hot
     fn assemble(&mut self, frames: &[Frame], n: usize, ws: &mut Workspace) -> Result<Tensor> {
         let (w, h) = self.route_frames(frames[0].width(), frames[0].height())?;
         let mut batch = ws.checkout(&[n, 1, h, w]);
@@ -413,7 +408,6 @@ impl RegisteredStream {
 
     /// Runs the stream's model — or the student its batch was routed to —
     /// over `input` into the stream's posterior buffer.
-    // darlint: hot
     fn run_model(&mut self, input: &Tensor) -> Result<()> {
         let model = match self.route.and_then(|s| self.students.get_mut(s)) {
             Some((_, student)) => student,
@@ -452,7 +446,6 @@ struct Schedule {
 /// so far (the lowest-numbered on a tie). `None` — run inline — when that
 /// makes fewer than two groups or any group's `n × flops` falls below
 /// [`FAN_OUT_MIN_FLOPS`].
-// darlint: hot
 fn plan_streams(threads: usize, flops: &[Option<usize>], n: usize) -> Option<Schedule> {
     let mut order = [(0usize, 0usize); MAX_STREAMS];
     let mut present = 0;
@@ -489,7 +482,6 @@ fn plan_streams(threads: usize, flops: &[Option<usize>], n: usize) -> Option<Sch
 /// last, the caller runs the last, every worker is joined and the batches
 /// go back to `ws`. The error returned is the first in registry order
 /// across groups.
-// darlint: hot
 fn fan_out(
     plan: &Schedule,
     streams: &mut [RegisteredStream],
@@ -551,7 +543,6 @@ fn fan_out(
 
 /// Runs a group's jobs in registry order up to the first error, which it
 /// returns with its stream's registry index.
-// darlint: hot
 fn run_group(group: &mut [Option<Job<'_>>]) -> Option<(usize, CoreError)> {
     let mut jobs = group.iter_mut().enumerate();
     jobs.find_map(|(k, job)| {
@@ -867,7 +858,6 @@ impl MultiModalEngine {
     /// # Errors
     ///
     /// As [`MultiModalEngine::classify_batch_checked_into`].
-    // darlint: hot
     pub fn classify_batch_into(
         &mut self,
         inputs: &[(StreamId, StreamInput<'_>)],
@@ -905,7 +895,6 @@ impl MultiModalEngine {
     /// Bayesian combiner is missing); a dataset error on shape
     /// mismatches or unknown stream ids; otherwise propagates model
     /// errors.
-    // darlint: hot
     pub fn classify_batch_checked_into(
         &mut self,
         inputs: &[(StreamId, StreamInput<'_>)],
@@ -966,7 +955,6 @@ impl MultiModalEngine {
     /// their inner vectors' capacity — for the next call that grows an
     /// output, so a caller alternating batch sizes (8, 6, 8, 2 off a
     /// micro-batcher) allocates nothing once the largest has been seen.
-    // darlint: hot
     pub(crate) fn truncate_out(&mut self, out: &mut Vec<MultiStepClassification>, n: usize) {
         if out.len() > n {
             self.spare_steps.extend(out.drain(n..));
@@ -986,7 +974,6 @@ impl MultiModalEngine {
     /// order is the one returned. A present stream whose input holds a NaN
     /// or an infinity is [`CoreError::NonFinitePosterior`] before any model
     /// runs.
-    // darlint: hot
     fn predict_streams(&mut self, inputs: &[(StreamId, StreamInput<'_>)], n: usize) -> Result<()> {
         // tanh and the sigmoid saturate ±inf to ±1 and 0, which would
         // launder a poisoned input into a confident posterior.
@@ -1056,7 +1043,6 @@ impl MultiModalEngine {
     ///
     /// [`CoreError::NotReady`] when every parent is absent or the
     /// Bayesian combiner is missing; a dataset error on width mismatches.
-    // darlint: hot
     fn fuse_row(&self, parents: &[Option<&[f32]>], scores: &mut Vec<f32>) -> Result<()> {
         let classes = self.classes;
         let mut present = self
@@ -1106,7 +1092,6 @@ impl MultiModalEngine {
     /// Fuses step `i` of the batch from the present streams' posterior
     /// rows and writes it into entry `i` of the reused output vector (its
     /// inner vectors keep their capacity).
-    // darlint: hot
     fn fuse_step(
         &self,
         i: usize,
@@ -1142,7 +1127,6 @@ impl MultiModalEngine {
     /// entries and an output vector with room for them — so a caller that
     /// then brings a fresh vector (a labeller after a warm-up call into a
     /// temporary) allocates nothing either.
-    // darlint: hot
     fn fuse_batch(&mut self, n: usize, out: &mut Vec<MultiStepClassification>) -> Result<()> {
         let degraded = self
             .streams

@@ -89,7 +89,6 @@ fn nchw_to_pixels(t: &Tensor) -> Result<Tensor> {
 }
 
 impl Layer for Conv2d {
-    // darlint: hot
     fn forward_into(
         &mut self,
         input: &Tensor,

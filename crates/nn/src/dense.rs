@@ -70,7 +70,6 @@ impl Dense {
 }
 
 impl Layer for Dense {
-    // darlint: hot
     fn forward_into(
         &mut self,
         input: &Tensor,

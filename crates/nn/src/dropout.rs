@@ -41,7 +41,6 @@ impl Dropout {
 }
 
 impl Layer for Dropout {
-    // darlint: hot
     fn forward_into(
         &mut self,
         input: &Tensor,

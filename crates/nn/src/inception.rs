@@ -41,7 +41,6 @@ impl InceptionChannels {
 
 /// Pads the spatial dims of a `[b, c, h, w]` tensor with `pad` rings of
 /// `value`, into a caller-provided `[b, c, h+2p, w+2p]` buffer.
-// darlint: hot
 fn pad_spatial_into(input: &Tensor, pad: usize, value: f32, out: &mut Tensor) -> Result<()> {
     let d = input.dims();
     let (b, c, h, w) = (d[0], d[1], d[2], d[3]);
@@ -137,7 +136,6 @@ impl InceptionBlock {
 }
 
 impl Layer for InceptionBlock {
-    // darlint: hot
     fn forward_into(
         &mut self,
         input: &Tensor,

@@ -99,7 +99,6 @@ impl Relu {
 }
 
 impl Layer for Relu {
-    // darlint: hot
     fn forward_into(
         &mut self,
         input: &Tensor,
@@ -272,7 +271,6 @@ pub(crate) fn sigmoid_of_exp(x: f32, e: f32) -> f32 {
 }
 
 impl Layer for Sigmoid {
-    // darlint: hot
     fn forward_into(
         &mut self,
         input: &Tensor,
@@ -322,7 +320,6 @@ impl Tanh {
 }
 
 impl Layer for Tanh {
-    // darlint: hot
     fn forward_into(
         &mut self,
         input: &Tensor,
@@ -373,7 +370,6 @@ impl Flatten {
 }
 
 impl Layer for Flatten {
-    // darlint: hot
     fn forward_into(
         &mut self,
         input: &Tensor,

@@ -25,7 +25,6 @@ pub fn softmax(logits: &Tensor) -> Result<Tensor> {
 /// # Errors
 ///
 /// Returns an error if `logits` is not rank 2.
-// darlint: hot
 pub fn softmax_inplace(logits: &mut Tensor) -> Result<()> {
     if logits.rank() != 2 {
         return Err(NnError::Tensor(darnet_tensor::TensorError::RankMismatch {

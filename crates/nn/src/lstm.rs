@@ -15,7 +15,6 @@ use crate::Result;
 
 /// Copies timestep `t` of a `[batch, time, feat]` tensor into a
 /// caller-provided `[batch, feat]` buffer.
-// darlint: hot
 fn step_slice_into(x: &Tensor, t: usize, out: &mut Tensor) {
     let d = x.dims();
     let (b, time, f) = (d[0], d[1], d[2]);
@@ -28,7 +27,6 @@ fn step_slice_into(x: &Tensor, t: usize, out: &mut Tensor) {
 
 /// Writes a `[batch, feat]` matrix into timestep `t` of a `[batch, time,
 /// feat]` tensor.
-// darlint: hot
 fn step_write(dst: &mut Tensor, t: usize, src: &Tensor) {
     let (b, time, f) = {
         let d = dst.dims();
@@ -124,7 +122,6 @@ impl StepCache {
     /// Starts a step's cache from its inputs — timestep `t` of the
     /// `[batch, time, feat]` sequence `x` and the carried state; the fused
     /// gate loop fills in the activations.
-    // darlint: cold — Train-cache helper: backward needs every step's gates, so a training step allocates them
     fn begin(x: &Tensor, t: usize, h_prev: &Tensor, c_prev: &Tensor) -> Self {
         let gate = || Tensor::zeros(h_prev.dims());
         let mut x_t = Tensor::zeros(&[x.dims()[0], x.dims()[2]]);
@@ -208,7 +205,6 @@ impl LstmCell {
     /// # Errors
     ///
     /// Returns an error if the input rank or feature width is wrong.
-    // darlint: hot
     pub fn forward_seq_into(
         &mut self,
         x: &Tensor,
@@ -372,7 +368,6 @@ impl LstmCell {
 
 /// Reverses a `[batch, time, feat]` tensor along the time axis into a
 /// caller-provided same-shape buffer.
-// darlint: hot
 fn reverse_time_into(x: &Tensor, out: &mut Tensor) {
     let d = x.dims();
     let (b, time, f) = (d[0], d[1], d[2]);
@@ -431,7 +426,6 @@ impl BiLstm {
     /// # Errors
     ///
     /// Propagates cell errors (bad input shape).
-    // darlint: hot
     pub fn forward_seq_into(
         &mut self,
         x: &Tensor,
@@ -563,7 +557,6 @@ impl DeepBiLstmClassifier {
     /// # Errors
     ///
     /// Propagates layer errors.
-    // darlint: hot
     pub fn forward_into(
         &mut self,
         x: &Tensor,

@@ -29,7 +29,6 @@ impl MaxPool2d {
 }
 
 impl Layer for MaxPool2d {
-    // darlint: hot
     fn forward_into(
         &mut self,
         input: &Tensor,
@@ -88,7 +87,6 @@ impl AvgPool2d {
 }
 
 impl Layer for AvgPool2d {
-    // darlint: hot
     fn forward_into(
         &mut self,
         input: &Tensor,
@@ -138,7 +136,6 @@ impl GlobalAvgPool {
 }
 
 impl Layer for GlobalAvgPool {
-    // darlint: hot
     fn forward_into(
         &mut self,
         input: &Tensor,

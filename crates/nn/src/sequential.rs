@@ -64,7 +64,6 @@ impl std::fmt::Debug for Sequential {
 }
 
 impl Layer for Sequential {
-    // darlint: hot
     fn forward_into(
         &mut self,
         input: &Tensor,

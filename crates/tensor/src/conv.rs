@@ -197,7 +197,6 @@ fn check_im2col(
 ///
 /// Same conditions as [`im2col`], plus [`TensorError::ShapeMismatch`] if
 /// `out` does not have the patch-matrix shape.
-// darlint: hot
 pub fn im2col_into(
     input: &Tensor,
     spec: &Conv2dSpec,
@@ -228,7 +227,6 @@ pub fn im2col_into(
 /// Same conditions as [`im2col`], plus [`TensorError::ShapeMismatch`] if
 /// `weight` is not `[out_c, c·kh·kw]`, `bias` not `[out_c]` or `out` not
 /// `[b, out_c, oh, ow]`.
-// darlint: hot
 pub fn conv2d_into(
     input: &Tensor,
     spec: &Conv2dSpec,

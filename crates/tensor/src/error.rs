@@ -59,7 +59,6 @@ impl TensorError {
     /// [`TensorError::ShapeMismatch`] of two shapes. Out of line so the
     /// zero-alloc kernels that validate shapes keep their two `Vec`s off
     /// the warm path.
-    // darlint: cold — error constructor
     #[cold]
     pub(crate) fn shape_mismatch(left: &[usize], right: &[usize]) -> Self {
         TensorError::ShapeMismatch {
@@ -70,7 +69,6 @@ impl TensorError {
 
     /// [`TensorError::MatmulDimMismatch`] of two operand shapes; see
     /// [`TensorError::shape_mismatch`].
-    // darlint: cold — error constructor
     #[cold]
     pub(crate) fn matmul_dim_mismatch(left: &[usize], right: &[usize]) -> Self {
         TensorError::MatmulDimMismatch {

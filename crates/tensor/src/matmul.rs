@@ -312,7 +312,6 @@ impl Tensor {
     ///
     /// Same conditions as [`Tensor::matmul`], plus
     /// [`TensorError::ShapeMismatch`] if `out` is not `[m,n]`.
-    // darlint: hot
     pub fn matmul_transpose_b_into(
         &self,
         other: &Tensor,
@@ -345,7 +344,6 @@ impl Tensor {
 ///
 /// [`TensorError::ShapeMismatch`] if a slice's length disagrees with `(m,
 /// k, n)` (`row_bias` must hold `m` values).
-// darlint: hot
 pub fn matmul_transpose_b_slices_into(
     a: &[f32],
     b: &[f32],

@@ -148,7 +148,6 @@ fn max_pool_shapes(
 ///
 /// Returns an error on rank or geometry problems, or if `out` does not
 /// have the pooled output shape.
-// darlint: hot
 pub fn max_pool2d_into(
     input: &Tensor,
     spec: &PoolSpec,
@@ -262,7 +261,6 @@ fn avg_pool_planes(
 ///
 /// Returns an error on rank or geometry problems, or if `out` does not
 /// have the pooled output shape.
-// darlint: hot
 pub fn avg_pool2d_into(input: &Tensor, spec: &PoolSpec, out: &mut Tensor) -> Result<()> {
     let (b, c, h, w) = check_rank4(input)?;
     let (oh, ow) = spec.output_size(h, w)?;

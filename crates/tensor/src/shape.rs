@@ -24,7 +24,6 @@ pub struct Shape(Vec<usize>);
 
 impl Shape {
     /// Creates a shape from a slice of dimension sizes.
-    // darlint: cold — copying constructor; hot code builds shapes via From<Vec<usize>>, which wraps the recycled dims buffer
     pub fn new(dims: &[usize]) -> Self {
         Shape(dims.to_vec())
     }

@@ -439,7 +439,6 @@ impl Tensor {
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
-    // darlint: hot
     pub fn copy_into(&self, out: &mut Tensor) -> Result<()> {
         self.check_same_shape(out)?;
         out.data.copy_from_slice(&self.data);
@@ -452,7 +451,6 @@ impl Tensor {
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
-    // darlint: hot
     pub fn map_into<F: Fn(f32) -> f32>(&self, f: F, out: &mut Tensor) -> Result<()> {
         self.check_same_shape(out)?;
         for (o, &v) in out.data.iter_mut().zip(&self.data) {
@@ -468,7 +466,6 @@ impl Tensor {
     /// # Errors
     ///
     /// Returns an error on rank/shape mismatch.
-    // darlint: hot
     pub fn add_row_broadcast_assign(&mut self, bias: &Tensor) -> Result<()> {
         if self.rank() != 2 {
             return Err(TensorError::RankMismatch {
@@ -497,7 +494,6 @@ impl Tensor {
     /// Returns the same errors as [`Tensor::concat`], plus
     /// [`TensorError::ShapeMismatch`] if `out` does not have the
     /// concatenated shape.
-    // darlint: hot
     pub fn concat_into(tensors: &[&Tensor], axis: usize, out: &mut Tensor) -> Result<()> {
         let (axis_total, outer, inner) = Tensor::concat_strides(tensors, axis)?;
         let first = tensors[0];
@@ -531,7 +527,6 @@ impl Tensor {
     /// Validates a concat argument list without allocating: returns the
     /// total length along `axis` plus the outer/inner strides (outer =
     /// product of dims before `axis`, inner = product after).
-    // darlint: hot
     fn concat_strides(tensors: &[&Tensor], axis: usize) -> Result<(usize, usize, usize)> {
         let first = tensors
             .first()

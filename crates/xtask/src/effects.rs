@@ -1,25 +1,19 @@
-//! The effect seed table shared by both reachability constraints.
+//! The effect seed table of the replay-purity constraint.
 //!
-//! Each constraint is, at bottom, a ban on the *lexical seeds* of some
-//! effects: `vec!` seeds `Alloc`, `Instant::now` seeds `Time`,
-//! `std::fs` seeds `Io`, `SplitMix64::new` seeds `Rng`, and so on. The
-//! reachability pass ([`crate::callgraph::analyze`]) bans them on every
-//! function reachable from a marked root. Both constraints read the one
-//! table here, so a construct is a seed of an effect everywhere or
-//! nowhere.
+//! The constraint is, at bottom, a ban on the *lexical seeds* of some
+//! effects: `Instant::now` seeds `Time`, `std::fs` seeds `Io`,
+//! `SplitMix64::new` seeds `Rng`, and so on. The reachability pass
+//! ([`crate::callgraph::analyze`]) bans them on every function reachable
+//! from a `// darlint: pure-root` function.
 
 use crate::callgraph::Graph;
-use crate::rules::{
-    is_test, match_pat, Pat, ALLOC_PATS, IO_PATS, RNG_PATS, THREAD_PATS, TIME_PATS,
-};
+use crate::rules::{is_test, match_pat, Pat, IO_PATS, RNG_PATS, THREAD_PATS, TIME_PATS};
 use crate::scan::ScannedFile;
 
 /// One effect a construct can seed. Panics are not here: clippy owns
 /// them (`scripts/tier1.sh`, DESIGN.md §11.3).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Effect {
-    /// Heap allocation on the steady-state path (`vec!`, `.collect()`).
-    Alloc,
     /// Direct filesystem access (`std::fs`, `File::open`, ...).
     Io,
     /// Seeded-PRNG construction or use (`SplitMix64`).
@@ -32,18 +26,11 @@ pub enum Effect {
 
 impl Effect {
     /// Every effect.
-    pub const ALL: [Effect; 5] = [
-        Effect::Alloc,
-        Effect::Io,
-        Effect::Rng,
-        Effect::ThreadSpawn,
-        Effect::Time,
-    ];
+    pub const ALL: [Effect; 4] = [Effect::Io, Effect::Rng, Effect::ThreadSpawn, Effect::Time];
 
     /// Display name used in diagnostics.
     pub fn name(self) -> &'static str {
         match self {
-            Effect::Alloc => "alloc",
             Effect::Io => "io",
             Effect::Rng => "rng",
             Effect::ThreadSpawn => "thread-spawn",
@@ -55,7 +42,6 @@ impl Effect {
 /// Which token patterns introduce each effect.
 pub(crate) fn seed_pats(effect: Effect) -> &'static [Pat] {
     match effect {
-        Effect::Alloc => ALLOC_PATS,
         Effect::Io => IO_PATS,
         Effect::Rng => RNG_PATS,
         Effect::ThreadSpawn => THREAD_PATS,

@@ -4,31 +4,24 @@
 //! xtask -- lint`). darlint is a self-contained, std-only static
 //! analyzer over `crates/*/src` that machine-checks the project
 //! invariants documented in DESIGN.md §11 and §15 that a compiler cannot
-//! check. It is deny-by-default: any finding fails the run. An exception
-//! is a `// darlint: cold — <reason>` marker; there is no per-line
-//! suppression and no baseline of tolerated findings.
+//! check. It is deny-by-default: any finding fails the run. There is no
+//! exception marker, no per-line suppression and no baseline of
+//! tolerated findings.
 //!
-//! * **hot-alloc** / **hot-propagate** — the reachability pass
-//!   ([`callgraph`]) walks the workspace call graph from every hot root
-//!   (`// darlint: hot` markers and the `*_into` entries in
-//!   `tensor`/`nn`) and forbids the allocating constructs
-//!   `Tensor::zeros`, `vec!`, `.collect()` (turbofish included), and
-//!   `.to_vec()` in every function it reaches; hot code checks buffers
-//!   out of a `darnet_tensor::Workspace` or writes through an `_into`
-//!   kernel. A finding inside a marked function is `hot-alloc`, one in
-//!   an unmarked helper it reaches is `hot-propagate`.
-//!   `// darlint: cold — <reason>` prunes a function out of the walk.
 //! * **replay-pure** — functions transitively reachable from a
 //!   `// darlint: pure-root` marker (WAL replay, `state_digest`,
 //!   `canonical_fingerprint*`, `metrics::compare`) must be free of
 //!   Time/Io/Rng/ThreadSpawn effects (`Io` inside the durable-I/O owners
 //!   is the replay input and passes); diagnostics carry the full
-//!   root-to-site call chain. It is the same reachability pass under a
-//!   second constraint row, over the seed table in [`effects`].
-//! * **marker** — a `// darlint:` comment that is not `hot`,
-//!   `cold — <reason>` or `pure-root` (a `cold` without its reason, a
-//!   typo, a retired `allow(<rule>)` hatch) marks nothing and is itself
-//!   a finding.
+//!   root-to-site call chain. The reachability pass ([`callgraph`]) walks
+//!   the workspace call graph over the seed table in [`effects`].
+//! * **marker** — a `// darlint:` comment that is not `pure-root` (a
+//!   typo, a retired `hot`/`cold` marker or `allow(<rule>)` hatch) marks
+//!   nothing and is itself a finding.
+//!
+//! The zero-alloc contract of the warm label path is not darlint's: the
+//! counting allocator in `crates/bench/tests/zero_alloc.rs` holds every
+//! entry point to 0 allocations at run time (DESIGN.md §12.4).
 //!
 //! The pass operates on a real token stream ([`lex`]) and parsed item
 //! structure ([`parse`]): comments, strings, and char literals can never

@@ -22,7 +22,7 @@ USAGE:
 
 COMMANDS:
     lint     run the darlint invariant pass over crates/*/src
-             (hot-alloc, hot-propagate, replay-pure, marker);
+             (replay-pure, marker);
              exits 1 on any violation
 
 OPTIONS:

@@ -69,17 +69,17 @@ mod tests {
     fn human_mentions_rule_file_line() {
         let report = LintReport {
             violations: vec![Violation {
-                rule: rule::HOT_ALLOC,
+                rule: rule::REPLAY_PURE,
                 file: "crates/nn/src/a.rs".into(),
                 line: 3,
-                message: "`vec!` allocates on the hot path".into(),
-                snippet: "let v = vec![0u8; 4];".into(),
+                message: "`Instant::now` is a time effect on a replay-pure path".into(),
+                snippet: "let t = std::time::Instant::now();".into(),
             }],
             files_scanned: 7,
             timings: Vec::new(),
         };
         let h = report.render_human();
-        assert!(h.contains("darlint[hot-alloc] crates/nn/src/a.rs:3"));
+        assert!(h.contains("darlint[replay-pure] crates/nn/src/a.rs:3"));
         assert!(h.contains("1 violation(s), 7 file(s) scanned"));
     }
 }

@@ -2,13 +2,14 @@
 //!
 //! Policy lives here as data; DESIGN.md §11 and §15 are the prose
 //! counterpart. darlint keeps only what a compiler cannot do: the
-//! transitive hot-path and replay-purity constraints and its own marker
-//! grammar. The name bans (wall clock, detached threads, filesystem,
-//! seeded PRNG, hash-ordered containers) are clippy's, in `clippy.toml`.
+//! transitive replay-purity constraint and its own marker grammar. The
+//! name bans (wall clock, detached threads, filesystem, seeded PRNG,
+//! hash-ordered containers) are clippy's, in `clippy.toml`, and the
+//! zero-alloc contract is a runtime gate, `crates/bench/tests/zero_alloc.rs`.
 //! Every rule matches the *token stream* produced by [`crate::scan`], so
 //! comments, strings, and char literals can never trigger a diagnostic,
 //! and matching is layout-insensitive: a call split across lines or
-//! spelled with a turbofish (`.collect::<Vec<_>>()`) matches the same as
+//! spelled with a turbofish (`.shuffle::<u32>(…)`) matches the same as
 //! its compact form.
 
 use crate::lex::Token;
@@ -17,16 +18,9 @@ use crate::scan::{parse_marker, scan, Marker, ScannedFile};
 /// Rule identifiers (stable: diagnostics print them as `darlint[<id>]`
 /// and DESIGN.md §11 is keyed by them).
 pub mod rule {
-    /// A `// darlint:` comment that is none of the three markers (`hot`,
-    /// `cold — <reason>`, `pure-root`): a `cold` without its reason, a
-    /// typo, a retired `allow(<rule>)` hatch.
+    /// A `// darlint:` comment that is not the one marker, `pure-root`:
+    /// a typo, a retired `hot`/`cold` marker or `allow(<rule>)` hatch.
     pub const MARKER: &str = "marker";
-    /// Allocating constructs inside a function annotated `// darlint: hot`
-    /// (the zero-alloc inference path).
-    pub const HOT_ALLOC: &str = "hot-alloc";
-    /// Allocation in a function *transitively reachable* from a hot root
-    /// via the call graph.
-    pub const HOT_PROPAGATE: &str = "hot-propagate";
     /// A nondeterminism effect (Time/Io/Rng/ThreadSpawn) on a path
     /// reachable from a `// darlint: pure-root` function: WAL replay,
     /// `state_digest`, `canonical_fingerprint*`, and `metrics::compare`
@@ -38,7 +32,7 @@ pub mod rule {
 #[derive(Clone, Copy)]
 pub(crate) struct Pat {
     pub(crate) kind: PatKind,
-    /// Canonical display form for diagnostics (e.g. `.collect()`).
+    /// Canonical display form for diagnostics (e.g. `.next_u64()`).
     pub(crate) display: &'static str,
 }
 
@@ -46,8 +40,8 @@ pub(crate) struct Pat {
 #[derive(Clone, Copy)]
 pub(crate) enum PatKind {
     /// `.name(...)` — a method call, turbofish-tolerant
-    /// (`.collect::<Vec<_>>()` matches `collect`). With `empty_args`,
-    /// the argument list must be `()`.
+    /// (`.shuffle::<u32>(…)` matches `shuffle`). With `empty_args`, the
+    /// argument list must be `()`.
     Method {
         name: &'static str,
         empty_args: bool,
@@ -55,8 +49,6 @@ pub(crate) enum PatKind {
     /// `a::b` — a `::`-joined path suffix (`std::time::Instant::now`
     /// matches `Instant::now`).
     Path(&'static [&'static str]),
-    /// `name!` — a macro invocation.
-    MacroCall(&'static str),
 }
 
 /// Seeds of the `Time` effect: wall-clock reads.
@@ -143,37 +135,6 @@ pub(crate) const RNG_PATS: &[Pat] = &[
     },
 ];
 
-/// Constructs forbidden by [`rule::HOT_ALLOC`] (and flagged by
-/// [`rule::HOT_PROPAGATE`]) on the hot path. Each one
-/// heap-allocates on the success path of the steady state; hot code
-/// must go through workspace checkouts and the `_into` kernels instead.
-/// (Error-path `format!`/`.into()` construction is deliberately not
-/// banned — errors are the cold path by definition.)
-pub(crate) const ALLOC_PATS: &[Pat] = &[
-    Pat {
-        kind: PatKind::Path(&["Tensor", "zeros"]),
-        display: "Tensor::zeros",
-    },
-    Pat {
-        kind: PatKind::MacroCall("vec"),
-        display: "vec!",
-    },
-    Pat {
-        kind: PatKind::Method {
-            name: "collect",
-            empty_args: true,
-        },
-        display: ".collect()",
-    },
-    Pat {
-        kind: PatKind::Method {
-            name: "to_vec",
-            empty_args: true,
-        },
-        display: ".to_vec()",
-    },
-];
-
 /// Seeds of the `Io` effect: direct filesystem access.
 pub(crate) const IO_PATS: &[Pat] = &[
     Pat {
@@ -246,7 +207,7 @@ pub(crate) fn match_pat(tokens: &[Token], i: usize, pat: &Pat) -> Option<usize> 
                 return None;
             }
             let mut j = i + 2;
-            // Optional turbofish: `.collect::<Vec<_>>()`.
+            // Optional turbofish: `.shuffle::<u32>(…)`.
             if tokens.get(j).is_some_and(|t| t.is_punct(':'))
                 && tokens.get(j + 1).is_some_and(|t| t.is_punct(':'))
                 && tokens.get(j + 2).is_some_and(|t| t.is_punct('<'))
@@ -277,16 +238,13 @@ pub(crate) fn match_pat(tokens: &[Token], i: usize, pat: &Pat) -> Option<usize> 
             }
             Some(tokens[i].line)
         }
-        PatKind::MacroCall(name) => (tokens[i].is_ident(name)
-            && tokens.get(i + 1).is_some_and(|t| t.is_punct('!')))
-        .then_some(tokens[i].line),
     }
 }
 
 /// Lints one file as a workspace of its own: the marker rule plus the
 /// reachability pass over the file's own call graph. `path` must be
-/// workspace-relative with `/` separators (it decides which `*_into`
-/// functions are implicit hot roots and which files own durable I/O).
+/// workspace-relative with `/` separators (it decides which files own
+/// durable I/O).
 pub fn lint_file(path: &str, source: &str) -> FileLint {
     let files = [(path.to_owned(), scan(source))];
     let mut out = lint_markers(path, &files[0].1);
@@ -294,9 +252,9 @@ pub fn lint_file(path: &str, source: &str) -> FileLint {
     out
 }
 
-/// The `marker` rule over an already-scanned file. There is no per-line
-/// escape hatch: an exception is a `cold — <reason>` marker, so any other
-/// comment addressed to darlint is a finding, wherever it sits.
+/// The `marker` rule over an already-scanned file. There is no escape
+/// hatch: `pure-root` is the one marker, so any other comment addressed
+/// to darlint is a finding, wherever it sits.
 pub fn lint_markers(path: &str, scanned: &ScannedFile) -> FileLint {
     let violations = scanned
         .comments
@@ -307,8 +265,7 @@ pub fn lint_markers(path: &str, scanned: &ScannedFile) -> FileLint {
             file: path.to_owned(),
             line: c.line,
             message: "not a darlint marker, so it marks nothing; darlint reads \
-                      `// darlint: hot`, `// darlint: cold — <reason>` and \
-                      `// darlint: pure-root`, each on its own line above a fn"
+                      one marker, `// darlint: pure-root`, on its own line above a fn"
                 .to_owned(),
             snippet: snippet(&scanned.lines, c.line),
         })
@@ -366,52 +323,22 @@ mod tests {
     }
 
     #[test]
-    fn hot_alloc_fires_only_inside_hot_functions() {
-        let src = "\
-fn cold() -> Vec<u32> { (0..4).collect() }
-
-// darlint: hot
-fn hot(t: &Tensor, ws: &mut Workspace) -> Vec<f32> {
-    let x = Tensor::zeros(&[2, 2]);
-    let v = vec![0.0f32; 4];
-    let c: Vec<f32> = v.iter().copied().collect();
-    t.data().to_vec()
-}
-
-fn also_cold() -> Vec<u32> { vec![1, 2] }
-";
-        let lint = lint_file("crates/tensor/src/a.rs", src);
-        let lines: Vec<usize> = lint
-            .violations
-            .iter()
-            .filter(|v| v.rule == rule::HOT_ALLOC)
-            .map(|v| v.line)
-            .collect();
-        assert_eq!(lines, vec![5, 6, 7, 8], "zeros, vec!, collect, to_vec");
+    fn turbofish_method_call_still_fires() {
+        // The v1 substring matcher missed a turbofish call.
+        let src = "fn f(r: &mut SplitMix64, v: &mut [u32]) {\n    r.shuffle::<u32>(v);\n}\n";
+        assert_eq!(pure_leaks(src), vec![3]);
     }
 
     #[test]
-    fn turbofish_collect_is_caught_in_hot_fn() {
-        // The v1 substring matcher missed `.collect::<Vec<_>>()`.
-        let src = "// darlint: hot\nfn hot(v: &[f32]) -> Vec<f32> {\n    v.iter().copied().collect::<Vec<_>>()\n}\n";
-        let lint = lint_file("crates/tensor/src/a.rs", src);
-        let rules: Vec<_> = lint.violations.iter().map(|v| v.rule).collect();
-        assert!(rules.contains(&rule::HOT_ALLOC), "{:?}", lint.violations);
-    }
-
-    #[test]
-    fn hot_marker_skips_fn_in_identifier_names() {
+    fn marker_skips_fn_in_identifier_names() {
         // `fn` appearing inside an identifier between the marker and the
         // real function must not derail extent detection.
         let src = "\
-// darlint: hot
-pub fn hot_fn_like(defn_count: usize) -> usize {
-    let v = vec![0u8; defn_count];
-    v.len()
+pub fn pure_fn_like(defn_count: usize) -> usize {
+    let _t = std::time::Instant::now();
+    defn_count
 }
 ";
-        let lint = lint_file("crates/tensor/src/a.rs", src);
-        assert_eq!(lint.violations.len(), 1);
-        assert_eq!(lint.violations[0].line, 3);
+        assert_eq!(pure_leaks(src), vec![3]);
     }
 }

@@ -1,29 +1,22 @@
 //! File scanner underpinning every darlint rule: lexes the source into
 //! tokens ([`crate::lex`]), parses the item structure ([`crate::parse`]),
-//! and resolves the `// darlint: hot` / `cold` / `pure-root` function
-//! markers so the rules (and the call-graph pass) operate on a uniform
-//! per-file view.
+//! and resolves the `// darlint: pure-root` function marker so the rules
+//! (and the call-graph pass) operate on a uniform per-file view.
 //!
 //! Because rules match *tokens* — never raw text — comments, string
 //! literals (plain, raw, byte), and char literals can never trigger a
 //! diagnostic, and matching is whitespace/newline-insensitive: a call
-//! chain split across lines, or a turbofish like
-//! `.collect::<Vec<_>>()`, matches the same as its compact spelling.
+//! chain split across lines, or a turbofish like `.shuffle::<u32>(…)`,
+//! matches the same as its compact spelling.
 
 use crate::lex::{lex, LineComment, Token};
 use crate::parse::{parse, test_line_flags, FnItem};
 
-/// One function with its darlint markers resolved.
+/// One function with its darlint marker resolved.
 #[derive(Debug)]
 pub struct FnInfo {
     /// The parsed item.
     pub item: FnItem,
-    /// Annotated with an own-line `// darlint: hot` marker: the author
-    /// claims this function is on the zero-alloc inference path.
-    pub hot: bool,
-    /// Annotated with `// darlint: cold — <reason>`: explicitly *off*
-    /// the hot path; call-graph propagation does not traverse into it.
-    pub cold: bool,
     /// Annotated with an own-line `// darlint: pure-root` marker: the
     /// author declares this function a replay-purity contract root —
     /// everything transitively reachable from it must be free of the
@@ -43,7 +36,7 @@ pub struct ScannedFile {
     /// `is_test_line[i]` is true when 1-based line `i + 1` sits inside a
     /// `#[cfg(test)]`-gated item (or a `#[test]` function).
     pub is_test_line: Vec<bool>,
-    /// Every `fn` item with markers attached.
+    /// Every `fn` item with its marker attached.
     pub fns: Vec<FnInfo>,
 }
 
@@ -59,28 +52,21 @@ pub fn scan(source: &str) -> ScannedFile {
         .into_iter()
         .map(|item| FnInfo {
             item,
-            hot: false,
-            cold: false,
             pure_root: false,
         })
         .collect();
     // A marker annotates the nearest `fn` item declared after it
     // (attributes and other modifiers may sit in between).
     for c in lexed.comments.iter().filter(|c| c.own_line) {
-        let Some(marker) = parse_marker(c) else {
+        if parse_marker(c) != Some(Marker::PureRoot) {
             continue;
-        };
+        }
         if let Some(f) = fns
             .iter_mut()
             .filter(|f| f.item.line > c.line)
             .min_by_key(|f| f.item.line)
         {
-            match marker {
-                Marker::Hot => f.hot = true,
-                Marker::Cold => f.cold = true,
-                Marker::PureRoot => f.pure_root = true,
-                Marker::Malformed => {}
-            }
+            f.pure_root = true;
         }
     }
 
@@ -96,16 +82,12 @@ pub fn scan(source: &str) -> ScannedFile {
 /// What a `// darlint: …` comment says.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Marker {
-    /// `hot`: the function is on the zero-alloc inference path.
-    Hot,
-    /// `cold — <reason>`: off the hot path; the reason is mandatory.
-    Cold,
-    /// `pure-root`: a replay-purity contract root. Like `hot` it declares
-    /// a contract (not an exception), so it carries no reason.
+    /// `pure-root`: a replay-purity contract root. It declares a contract,
+    /// not an exception, so it carries no reason.
     PureRoot,
-    /// Addressed to darlint but none of the above — a `cold` without its
-    /// reason, a typo, a retired `allow(<rule>)` hatch. It marks nothing,
-    /// and the `marker` rule reports it so it cannot look as if it did.
+    /// Addressed to darlint but not `pure-root` — a typo, a retired
+    /// `hot`/`cold` marker or `allow(<rule>)` hatch. It marks nothing, and
+    /// the `marker` rule reports it so it cannot look as if it did.
     Malformed,
 }
 
@@ -114,16 +96,10 @@ pub(crate) enum Marker {
 pub(crate) fn parse_marker(c: &LineComment) -> Option<Marker> {
     let body = c.text.trim_start_matches('/').trim();
     let rest = body.strip_prefix("darlint:")?.trim();
-    let cold_reason = rest.strip_prefix("cold").and_then(|tail| {
-        let tail = tail.trim_start();
-        // A justification must follow an em-dash or hyphen separator.
-        tail.strip_prefix('—').or_else(|| tail.strip_prefix('-'))
-    });
-    Some(match (rest, cold_reason) {
-        ("hot", _) => Marker::Hot,
-        ("pure-root", _) => Marker::PureRoot,
-        (_, Some(reason)) if !reason.trim_start_matches('-').trim().is_empty() => Marker::Cold,
-        _ => Marker::Malformed,
+    Some(if rest == "pure-root" {
+        Marker::PureRoot
+    } else {
+        Marker::Malformed
     })
 }
 
@@ -142,41 +118,36 @@ mod tests {
     }
 
     #[test]
-    fn hot_marker_attaches_to_next_fn_only() {
+    fn marker_attaches_to_next_fn_only() {
         let src = "\
-fn cold_before() {}
+fn before() {}
 
-// darlint: hot
-pub fn warm(&self) {}
+// darlint: pure-root
+pub fn digest(&self) {}
 
-fn cold_after() {}
+fn after() {}
 ";
         let s = scan(src);
-        let flags: Vec<(String, bool)> =
-            s.fns.iter().map(|f| (f.item.name.clone(), f.hot)).collect();
+        let flags: Vec<(String, bool)> = s
+            .fns
+            .iter()
+            .map(|f| (f.item.name.clone(), f.pure_root))
+            .collect();
         assert_eq!(
             flags,
             vec![
-                ("cold_before".into(), false),
-                ("warm".into(), true),
-                ("cold_after".into(), false),
+                ("before".into(), false),
+                ("digest".into(), true),
+                ("after".into(), false),
             ]
         );
     }
 
     #[test]
-    fn hot_marker_skips_attributes_between_marker_and_fn() {
-        let src = "// darlint: hot\n#[inline]\nfn warm() {}\n";
+    fn marker_skips_attributes_between_marker_and_fn() {
+        let src = "// darlint: pure-root\n#[inline]\nfn digest() {}\n";
         let s = scan(src);
-        assert!(s.fns[0].hot);
-    }
-
-    #[test]
-    fn cold_marker_resolves() {
-        let src = "// darlint: cold — diagnostics formatting, never on the inference path\nfn fmt_report() {}\n";
-        let s = scan(src);
-        assert!(s.fns[0].cold);
-        assert!(!s.fns[0].hot);
+        assert!(s.fns[0].pure_root);
     }
 
     #[test]
@@ -188,21 +159,13 @@ fn cold_after() {}
                 own_line: true,
             })
         };
-        assert_eq!(marker("// darlint: hot"), Some(Marker::Hot));
         assert_eq!(marker("// darlint: pure-root"), Some(Marker::PureRoot));
-        assert_eq!(
-            marker("// darlint: cold — startup only"),
-            Some(Marker::Cold)
-        );
-        assert_eq!(
-            marker("// darlint: cold - startup only"),
-            Some(Marker::Cold)
-        );
         for not_a_marker in [
+            "// darlint: hot",
+            "// darlint: cold — startup only",
+            "// darlint: cold - startup only",
             "// darlint: cold",
-            "// darlint: cold —",
-            "// darlint: coldness — of heart",
-            "// darlint: hot path",
+            "// darlint: pure-root — with a reason",
             "// darlint: allow(time) — startup banner stamp",
         ] {
             assert_eq!(
@@ -211,15 +174,16 @@ fn cold_after() {}
                 "{not_a_marker}"
             );
         }
-        assert_eq!(marker("// the darlint: hot marker, in prose"), None);
+        assert_eq!(marker("// the darlint: pure-root marker, in prose"), None);
     }
 
     #[test]
     fn trailing_marker_is_not_attached() {
-        // Markers must be own-line; a trailing `// darlint: hot` is inert.
-        let src = "fn a() {} // darlint: hot\nfn b() {}\n";
+        // Markers must be own-line; a trailing `// darlint: pure-root` is
+        // inert.
+        let src = "fn a() {} // darlint: pure-root\nfn b() {}\n";
         let s = scan(src);
-        assert!(s.fns.iter().all(|f| !f.hot));
+        assert!(s.fns.iter().all(|f| !f.pure_root));
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Lexer fixture: constructs that defeat line-oriented scanners. Every
 //! pattern-looking token below is inside a comment, string, char
 //! literal, or test-gated region — a correct scanner reports nothing.
-//! Each non-test fn is a hot root and a pure root, so a decoy mistaken
-//! for code would be a finding.
+//! Each non-test fn is a pure root, so a decoy mistaken for code would
+//! be a finding.
 
 /* outer /* nested block /* deeper */ comment */ hides Instant::now() */
 
-// darlint: hot
 // darlint: pure-root
 /// Doc text mentioning std::fs::read("not real"), Instant::now(), vec![0; 9].
 pub fn decoys() -> usize {
@@ -17,7 +16,6 @@ pub fn decoys() -> usize {
     raw.len() + hash_free.len() + escaped.len() + quote.len_utf8()
 }
 
-// darlint: hot
 // darlint: pure-root
 /// A multi-line signature followed by a multi-line call chain: token
 /// streams must survive both.

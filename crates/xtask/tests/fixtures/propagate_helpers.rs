@@ -1,14 +1,14 @@
-//! Helpers reached from the hot fixture root.
+//! Helpers reached from the pure fixture root.
 
-/// First hop: shapes the work, no allocation of its own.
+/// First hop: shapes the work, no effect of its own.
 pub fn mid_helper(out: &mut [f32]) {
-    alloc_helper(out);
+    stamp_helper(out);
 }
 
-/// Second hop: allocates scratch — propagation must flag this.
-pub fn alloc_helper(out: &mut [f32]) {
-    let scratch = vec![0.0f32; out.len()];
-    for (o, s) in out.iter_mut().zip(&scratch) {
-        *o += *s;
+/// Second hop: reads the clock — propagation must flag this.
+pub fn stamp_helper(out: &mut [f32]) {
+    let stamp = std::time::Instant::now();
+    for o in out.iter_mut() {
+        *o += stamp.elapsed().as_secs_f32();
     }
 }

@@ -29,6 +29,13 @@ fn fired(lint: &FileLint) -> Vec<(&'static str, usize)> {
     v
 }
 
+/// The `replay-pure` findings of a workspace lint.
+fn replay_leaks(files: &[(String, String)]) -> Vec<Violation> {
+    let mut leaks = xtask::lint_workspace(files).violations;
+    leaks.retain(|v| v.rule == rule::REPLAY_PURE);
+    leaks
+}
+
 #[test]
 fn comments_strings_docs_and_test_code_never_fire() {
     let lint = lint_file("crates/tensor/src/fixture.rs", &fixture("decoys_clean.rs"));
@@ -39,33 +46,19 @@ fn comments_strings_docs_and_test_code_never_fire() {
 fn retired_allow_hatch_suppresses_nothing_and_is_itself_a_finding() {
     // There is no per-line suppression: a comment in the retired hatch
     // grammar, reason and all, must not look as if it still worked.
-    let src = "// darlint: hot\nfn f() {\n    // darlint: allow(hot-alloc) — warm-up only, never in steady state\n    let _ = vec![0u8; 4];\n}\n";
+    let src = "// darlint: pure-root\nfn f() {\n    // darlint: allow(replay-pure) — startup stamp only, never replayed\n    let _ = std::time::Instant::now();\n}\n";
     let lint = lint_file("crates/nn/src/fixture.rs", src);
-    assert_eq!(fired(&lint), vec![(rule::HOT_ALLOC, 4), (rule::MARKER, 3)]);
-}
-
-#[test]
-fn hot_alloc_fixture_fires_inside_hot_fn_and_spares_cold_fn() {
-    let lint = lint_file(
-        "crates/tensor/src/fixture.rs",
-        &fixture("hot_alloc_violations.rs"),
-    );
     assert_eq!(
         fired(&lint),
-        vec![
-            (rule::HOT_ALLOC, 5), // Tensor::zeros
-            (rule::HOT_ALLOC, 6), // vec!
-            (rule::HOT_ALLOC, 7), // .collect()
-            (rule::HOT_ALLOC, 8), // .to_vec()
-        ]
+        vec![(rule::MARKER, 3), (rule::REPLAY_PURE, 4)]
     );
 }
 
 #[test]
 fn propagation_flags_two_hop_cross_file_alloc() {
-    // The ISSUE's acceptance fixture: a hot root in one file, an unmarked
-    // allocating helper two hops away in another. The call-graph pass
-    // must flag the allocation site and name the whole chain.
+    // A pure root in one file, an unmarked clock-reading helper two hops
+    // away in another. The call-graph pass must flag the seed site and
+    // name the whole chain.
     let files = vec![
         (
             "crates/tensor/src/prop_root.rs".to_owned(),
@@ -76,55 +69,17 @@ fn propagation_flags_two_hop_cross_file_alloc() {
             fixture("propagate_helpers.rs"),
         ),
     ];
-    let report = xtask::lint_workspace(&files);
-    let hits: Vec<_> = report
-        .violations
-        .iter()
-        .filter(|v| v.rule == rule::HOT_PROPAGATE)
-        .collect();
-    assert_eq!(hits.len(), 1, "{:?}", report.violations);
+    let hits = replay_leaks(&files);
+    assert_eq!(hits.len(), 1, "{hits:?}");
     assert_eq!(hits[0].file, "crates/tensor/src/prop_helpers.rs");
-    assert_eq!(hits[0].line, 10); // the vec! in alloc_helper
+    assert_eq!(hits[0].line, 10); // the Instant::now in stamp_helper
     assert!(
         hits[0]
             .message
-            .contains("transform_into → mid_helper → alloc_helper"),
+            .contains("transform_into → mid_helper → stamp_helper"),
         "diagnostic must name the full chain: {}",
         hits[0].message
     );
-}
-
-#[test]
-fn propagation_stops_at_a_cold_marker() {
-    // Same pair of files, but the first hop carries a justified cold
-    // marker: traversal prunes there and the allocation is not reached.
-    let helpers = fixture("propagate_helpers.rs").replace(
-        "pub fn mid_helper",
-        "// darlint: cold — fixture: pruned from traversal\npub fn mid_helper",
-    );
-    let files = vec![
-        (
-            "crates/tensor/src/prop_root.rs".to_owned(),
-            fixture("propagate_root.rs"),
-        ),
-        ("crates/tensor/src/prop_helpers.rs".to_owned(), helpers),
-    ];
-    let report = xtask::lint_workspace(&files);
-    assert!(
-        report
-            .violations
-            .iter()
-            .all(|v| v.rule != rule::HOT_PROPAGATE),
-        "{:?}",
-        report.violations
-    );
-}
-
-/// The `replay-pure` findings of a workspace lint.
-fn replay_leaks(files: &[(String, String)]) -> Vec<Violation> {
-    let mut leaks = xtask::lint_workspace(files).violations;
-    leaks.retain(|v| v.rule == rule::REPLAY_PURE);
-    leaks
 }
 
 #[test]
@@ -156,14 +111,15 @@ fn fixing_the_leak_makes_the_fixture_clean() {
 
 #[test]
 fn cold_marker_does_not_prune_the_replay_pure_walk() {
-    // `cold` is a claim about the hot path only. With one engine behind
-    // both constraints, letting it prune the purity walk too would be
-    // the easy mistake — and would hide this leak.
+    // A stale `cold` marker left over from the retired hot-path rules
+    // marks nothing: the leak below it is still reported, and the marker
+    // itself is a finding.
     let src = fixture("pure_root_time_leak.rs").replace(
         "fn fold(",
         "// darlint: cold — fixture: off the hot path, still on the replay path\nfn fold(",
     );
     let files = workspace(&[("crates/collect/src/digest.rs", &src)]);
+    let report = xtask::lint_workspace(&files);
     let leaks = replay_leaks(&files);
     assert_eq!(leaks.len(), 1, "{leaks:?}");
     assert!(
@@ -171,28 +127,35 @@ fn cold_marker_does_not_prune_the_replay_pure_walk() {
         "{}",
         leaks[0].message
     );
+    let stale: Vec<usize> = report
+        .violations
+        .iter()
+        .filter(|v| v.rule == rule::MARKER)
+        .map(|v| v.line)
+        .collect();
+    assert_eq!(stale, vec![11], "{:?}", report.violations);
 }
 
 #[test]
-fn hot_root_and_its_helper_yield_one_finding_per_site() {
-    // The marked function's own allocation is `hot-alloc`, the unmarked
-    // helper's is `hot-propagate`, and neither site is reported twice.
+fn pure_root_and_its_helper_yield_one_finding_per_site() {
+    // The marked function's own seed and the unmarked helper's are each
+    // reported once, though the helper is reached from the root.
     let src = "\
-// darlint: hot
-pub fn step_into(out: &mut [f32]) {
-    let scratch = vec![0.0f32; out.len()];
-    helper(out, &scratch);
+// darlint: pure-root
+pub fn digest(r: &mut SplitMix64) -> u64 {
+    let _stamp = std::time::Instant::now();
+    helper(r)
 }
 
-fn helper(out: &mut [f32], scratch: &[f32]) {
-    let copy = scratch.to_vec();
-    out.copy_from_slice(&copy);
+fn helper(r: &mut SplitMix64) -> u64 {
+    let draw = r.next_u64();
+    draw
 }
 ";
     let lint = lint_file("crates/nn/src/fixture.rs", src);
     assert_eq!(
         fired(&lint),
-        vec![(rule::HOT_ALLOC, 3), (rule::HOT_PROPAGATE, 8)]
+        vec![(rule::REPLAY_PURE, 3), (rule::REPLAY_PURE, 8)]
     );
 }
 
@@ -247,12 +210,12 @@ fn clean_file_is_clean_everywhere() {
 fn violations_carry_snippets_and_stable_fields() {
     let lint = lint_file(
         "crates/nn/src/fixture.rs",
-        &fixture("hot_alloc_violations.rs"),
+        &fixture("pure_root_time_leak.rs"),
     );
     let v: &Violation = &lint.violations[0];
     assert_eq!(v.file, "crates/nn/src/fixture.rs");
-    assert!(v.snippet.contains("Tensor::zeros(&[4])"));
-    assert!(v.message.contains("Tensor::zeros"));
+    assert_eq!(v.snippet, "let _ = std::time::Instant::now();");
+    assert!(v.message.contains("`Instant::now`"));
 }
 
 #[test]
