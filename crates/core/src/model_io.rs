@@ -47,8 +47,8 @@ pub fn encode_tensors(tensors: &[Tensor]) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::Dataset`] on a bad magic, unsupported version, or
-/// truncated payload.
+/// Returns [`CoreError::Dataset`] on a bad magic, unsupported version,
+/// dims whose size overflows, or truncated payload.
 pub fn decode_tensors(data: &[u8]) -> Result<Vec<Tensor>> {
     let mut buf = Bytes::copy_from_slice(data);
     let fail = |msg: &str| CoreError::Dataset(format!("weight decode: {msg}"));
@@ -75,10 +75,13 @@ pub fn decode_tensors(data: &[u8]) -> Result<Vec<Tensor>> {
             return Err(fail("truncated dims"));
         }
         let dims: Vec<usize> = (0..rank).map(|_| buf.get_u32() as usize).collect();
-        let len: usize = dims.iter().product();
-        if buf.remaining() < len * 4 {
+        let Some(bytes) = dims.iter().try_fold(4usize, |n, &d| n.checked_mul(d)) else {
+            return Err(fail("tensor size overflows"));
+        };
+        if buf.remaining() < bytes {
             return Err(fail("truncated data"));
         }
+        let len = bytes / 4;
         let mut data = Vec::with_capacity(len);
         for _ in 0..len {
             data.push(buf.get_f32_le());
@@ -264,6 +267,16 @@ mod tests {
         assert!(decode_tensors(&bad_version).is_err());
         let truncated = encode_tensors(&[Tensor::zeros(&[100])]);
         assert!(decode_tensors(&truncated[..20]).is_err());
+        // Dims whose byte length (2^64) or element count (2^64) wraps a
+        // usize to 0, which would pass the length check.
+        for dims in [&[1u32 << 31, 1 << 31][..], &[1 << 16; 4]] {
+            let mut lying = b"DNWT\x01\x00\x00\x00\x01".to_vec();
+            lying.push(dims.len() as u8);
+            for d in dims {
+                lying.extend_from_slice(&d.to_be_bytes());
+            }
+            assert!(decode_tensors(&lying).is_err(), "{dims:?}");
+        }
     }
 
     #[test]
