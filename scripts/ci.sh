@@ -8,10 +8,11 @@
 #                  step 8), clippy -D warnings with the clippy.toml
 #                  bans (wall clock, thread::spawn, std::fs, the seeded
 #                  PRNG, HashMap/HashSet) + escalated panic lints,
-#                  darlint (hot-alloc, hot-propagate, replay-pure,
-#                  marker; scripts/tier1.sh). darlint is
-#                  deny-by-default — any violation fails — and no other
-#                  step runs it
+#                  darlint (replay-pure, marker; scripts/tier1.sh).
+#                  darlint is deny-by-default — any violation fails —
+#                  and no other step runs it. The zero-alloc gate is
+#                  crates/bench/tests/zero_alloc.rs, among the
+#                  workspace tests
 #   2. docs      — rustdoc must build cleanly (missing_docs is denied
 #                  in the crates, so this catches broken intra-doc
 #                  links and malformed examples)

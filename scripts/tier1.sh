@@ -54,7 +54,8 @@ cargo clippy --locked -p darnet-tensor -p darnet-nn -p darnet-core -p darnet-col
   -D clippy::panic -D clippy::unreachable -D clippy::todo -D clippy::unimplemented
 
 # darlint: the in-repo invariant lint for what clippy cannot check
-# (hot-alloc, hot-propagate, replay-pure, marker). It is
-# deny-by-default: any violation exits 1. Per-pass timings print to
-# stderr so analyzer cost regressions show up.
+# (replay-pure, marker). It is deny-by-default: any violation exits 1.
+# Per-pass timings print to stderr so analyzer cost regressions show
+# up. The zero-alloc gate is crates/bench/tests/zero_alloc.rs, in the
+# workspace tests above.
 cargo run --locked -q -p xtask -- lint
