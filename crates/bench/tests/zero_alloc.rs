@@ -550,8 +550,9 @@ fn kernels_are_free_when_warm() {
         im2col_into(&image, &spec, &par, &mut cols).expect("im2col");
     });
     let mut conv = Tensor::zeros(&[2, 4, 5, 5]);
+    let mut scratch = Tensor::zeros(&[spec.scratch_len(9, 9)]);
     assert_warm_call_is_free("conv2d_into", || {
-        conv2d_into(&image, &spec, &weight, &conv_bias, &mut conv).expect("conv");
+        conv2d_into(&image, &spec, &weight, &conv_bias, &mut scratch, &mut conv).expect("conv");
     });
     for (window, stride) in [(2, 2), (3, 1), (3, 2)] {
         let pool = PoolSpec::new(window, stride);

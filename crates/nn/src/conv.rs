@@ -1,5 +1,5 @@
-//! 2-D convolution layer: a forward product packed straight from the NCHW
-//! input, and a backward pass over the im2col patch matrix.
+//! 2-D convolution layer: a forward product that reads each image in place,
+//! and a backward pass over the im2col patch matrix.
 
 use darnet_tensor::{
     col2im, conv2d_into, he_normal, im2col_into, Conv2dSpec, Parallelism, SplitMix64, Tensor,
@@ -15,12 +15,12 @@ use crate::Result;
 /// `[batch, out_c, oh, ow]`.
 ///
 /// The forward pass, in both modes, is [`conv2d_into`]: the `[out_c,
-/// in_c·kh·kw]` weight times each pixel's patch, packed straight from the
-/// input into the product's panels and stored into that image's channel
-/// planes with the bias added. Train mode also lowers the input to its
-/// patch matrix with [`im2col_into`] for the backward pass, which uses the
-/// transpose products plus [`col2im`]. Weights use He initialisation (the
-/// layer is normally followed by ReLU).
+/// in_c·kh·kw]` weight times each pixel's patch, read in place from a
+/// zero-ringed copy of the image in a workspace scratch and stored into
+/// that image's channel planes with the bias added. Train mode also lowers
+/// the input to its patch matrix with [`im2col_into`] for the backward
+/// pass, which uses the transpose products plus [`col2im`]. Weights use He
+/// initialisation (the layer is normally followed by ReLU).
 #[derive(Debug, Clone)]
 pub struct Conv2d {
     spec: Conv2dSpec,
@@ -98,13 +98,16 @@ impl Layer for Conv2d {
         let [b, _, h, w] = rank4_dims(input, "conv")?;
         let (oh, ow) = self.spec.output_size(h, w)?;
         let mut out = ws.checkout(&[b, self.spec.out_channels, oh, ow]);
+        let mut scratch = ws.checkout(&[self.spec.scratch_len(h, w)]);
         conv2d_into(
             input,
             &self.spec,
             &self.weight.value,
             &self.bias.value,
+            &mut scratch,
             &mut out,
         )?;
+        ws.restore(scratch);
         if mode == Mode::Train {
             let mut cols = ws.checkout(&[b * oh * ow, self.spec.patch_len()]);
             im2col_into(input, &self.spec, &Parallelism::serial(), &mut cols)?;

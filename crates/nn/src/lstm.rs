@@ -5,7 +5,8 @@
 //! the paper's configuration, §4.2).
 
 use darnet_tensor::{
-    matmul_transpose_b_slices_into, uniform_init, SplitMix64, Tensor, TensorView, Workspace,
+    matmul_transpose_b_packed_into, matmul_transpose_b_slices_into, uniform_init, PackedB,
+    SplitMix64, Tensor, TensorView, Workspace,
 };
 
 use crate::error::NnError;
@@ -151,6 +152,8 @@ pub struct LstmCell {
     w_x: Param, // [4H, F]
     w_h: Param, // [4H, H]
     b: Param,   // [4H]
+    /// `W_h`'s panels, packed at the start of each batched forward call.
+    w_h_panels: PackedB,
     cache: Vec<StepCache>,
 }
 
@@ -172,6 +175,7 @@ impl LstmCell {
             w_x: Param::new(w_x),
             w_h: Param::new(w_h),
             b: Param::new(b),
+            w_h_panels: PackedB::default(),
             cache: Vec::new(),
         }
     }
@@ -243,16 +247,33 @@ impl LstmCell {
         let mut h_t = ws.checkout(&[b, h]);
         let mut c_t = ws.checkout(&[b, h]);
         let mut out = ws.checkout(&[b, time, h]);
+        // Every step multiplies by `W_h`, so two rows or more pack its
+        // panels once per call, from the weights as they are now. A single
+        // row reads `W_h` in place, where packing would not pay.
+        let packed = b > 1;
+        if packed {
+            self.w_h_panels.pack(self.w_h.value.data(), (h, gates))?;
+        }
 
         for t in 0..time {
             // z = (x_t·W_xᵀ + h·W_hᵀ) + b  → [B, 4H]
-            matmul_transpose_b_slices_into(
-                h_t.data(),
-                self.w_h.value.data(),
-                (b, h, gates),
-                None,
-                z.data_mut(),
-            )?;
+            if packed {
+                matmul_transpose_b_packed_into(
+                    h_t.data(),
+                    &self.w_h_panels,
+                    b,
+                    None,
+                    z.data_mut(),
+                )?;
+            } else {
+                matmul_transpose_b_slices_into(
+                    h_t.data(),
+                    self.w_h.value.data(),
+                    (b, h, gates),
+                    None,
+                    z.data_mut(),
+                )?;
+            }
             let zd = z.data_mut();
             for n in 0..b {
                 let zx_t = &zx.data()[(n * time + t) * gates..][..gates];

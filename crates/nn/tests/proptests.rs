@@ -92,7 +92,7 @@ mod layer_reference {
     //! kernel that records its argmax.
 
     use darnet_nn::{BiLstm, Conv2d, Layer, LstmCell, MaxPool2d, Mode};
-    use darnet_tensor::{im2col, max_pool2d, PoolSpec, SplitMix64, Tensor};
+    use darnet_tensor::{im2col, max_pool2d, PoolSpec, SplitMix64, Tensor, Workspace};
     use proptest::prelude::*;
 
     fn dot(a: &[f32], b: &[f32]) -> f32 {
@@ -203,6 +203,31 @@ mod layer_reference {
             .collect()
     }
 
+    /// A cell packs `W_h` per call, so a weight update between two calls on
+    /// one warm workspace shows in the second: its output is the per-step
+    /// loop's on the new weights, in both modes, at batch 1 (no panels) and
+    /// at batch 4.
+    #[test]
+    fn lstm_panels_follow_a_weight_update() {
+        let mut rng = SplitMix64::new(21);
+        for (batch, mode) in [(4, Mode::Eval), (4, Mode::Train), (1, Mode::Eval)] {
+            let x = random(&[batch, 6, 5], &mut rng);
+            let mut cell = LstmCell::new(5, 9, &mut rng);
+            let mut ws = Workspace::new();
+            let before = cell.forward_seq_into(&x, mode, &mut ws).unwrap();
+            let before = bits(before.data());
+            let w_h = random(&[36, 9], &mut rng);
+            cell.params_mut()[1]
+                .value
+                .data_mut()
+                .copy_from_slice(w_h.data());
+            let after = cell.forward_seq_into(&x, mode, &mut ws).unwrap();
+            let want = bits(&lstm_steps(&x, &mut cell));
+            assert_eq!(bits(after.data()), want, "batch {batch}, {mode:?}");
+            assert_ne!(before, want, "batch {batch}: the update changed nothing");
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -210,10 +235,13 @@ mod layer_reference {
         fn conv_eval_is_im2col_product_scatter_bias(
             batch in 1usize..3, in_c in 1usize..=12, out_c in 1usize..10, size in 5usize..11,
             kernel in 0usize..3, stride in 1usize..=2, padding in 0usize..=2,
-            deep in 0usize..4, nan_every in 2u64..8, seed in 0u64..500,
+            deep in 0usize..4, wide in 0usize..3, nan_every in 2u64..8, seed in 0u64..500,
         ) {
             // One case in four is a 5×5 kernel over 11–12 channels: a
-            // patch of 275–300, past one 256-deep k-block.
+            // patch of 275–300, past one 256-deep k-block. One in three
+            // is 21–26 pixels wide, so that at stride 1 an output row holds
+            // two full 8-lane blocks and a tail.
+            let size = if wide == 0 { size + 16 } else { size };
             let (kernel, in_c) = if deep == 0 { (5, 11 + in_c % 2) } else { ([1, 3, 5][kernel], in_c) };
             let mut rng = SplitMix64::new(seed);
             let mut conv = Conv2d::square(in_c, out_c, kernel, stride, padding, &mut rng);

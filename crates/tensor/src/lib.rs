@@ -8,9 +8,11 @@
 //! * elementwise arithmetic with scalar and tensor operands,
 //! * reductions (sum, mean, max, argmax) over all elements or one axis,
 //! * a cache-friendly [`matmul`](Tensor::matmul) kernel,
-//! * a [`conv2d_into`] forward that packs the matmul kernel's panels
-//!   straight from NCHW input, and the [`im2col`]/[`col2im`] lowering the
-//!   convolution's Train cache and backward pass use,
+//! * a [`conv2d_into`] forward whose matmul tile reads its lanes in place
+//!   from a zero-ringed copy of each image, and the [`im2col`]/[`col2im`]
+//!   lowering the convolution's Train cache and backward pass use,
+//! * a [`PackedB`] operand packed once for products that reuse it (the
+//!   LSTM's recurrent weight over a sequence),
 //! * max/average pooling kernels,
 //! * deterministic weight initialisation helpers,
 //! * a [`Parallelism`] thread count — the engine's stream fan-out handle;
@@ -48,7 +50,7 @@ mod workspace;
 pub use conv::{col2im, conv2d_into, im2col, im2col_into, Conv2dSpec};
 pub use error::TensorError;
 pub use init::{he_normal, uniform_init, xavier_uniform, SplitMix64};
-pub use matmul::matmul_transpose_b_slices_into;
+pub use matmul::{matmul_transpose_b_packed_into, matmul_transpose_b_slices_into, PackedB};
 pub use parallel::Parallelism;
 pub use pool::{
     avg_pool2d, avg_pool2d_backward, avg_pool2d_into, max_pool2d, max_pool2d_backward,

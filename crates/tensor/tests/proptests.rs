@@ -5,8 +5,9 @@
 )]
 
 use darnet_tensor::{
-    col2im, im2col, im2col_into, matmul_transpose_b_slices_into, max_pool2d, max_pool2d_backward,
-    Conv2dSpec, Parallelism, PoolSpec, SplitMix64, Tensor, TensorError,
+    col2im, im2col, im2col_into, matmul_transpose_b_packed_into, matmul_transpose_b_slices_into,
+    max_pool2d, max_pool2d_backward, Conv2dSpec, PackedB, Parallelism, PoolSpec, SplitMix64,
+    Tensor, TensorError,
 };
 use proptest::prelude::*;
 
@@ -51,8 +52,8 @@ fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
     }
 }
 
-/// Runs `matmul_transpose_b_into` and the bias path of the slice entry on
-/// `(m, k, n)`, against the scalar loop.
+/// Runs `matmul_transpose_b_into`, the bias path of the slice entry and
+/// the prepacked product on `(m, k, n)`, against the scalar loop.
 fn check_transpose_b(m: usize, k: usize, n: usize, seed: u64) -> Result<(), TensorError> {
     let mut rng = SplitMix64::new(seed);
     let inf_every = 4 * k.max(1) as u64;
@@ -78,6 +79,17 @@ fn check_transpose_b(m: usize, k: usize, n: usize, seed: u64) -> Result<(), Tens
         .map(|(i, &v)| v + bias[i / n])
         .collect();
     assert_same_bits(&out, &want, &format!("[{m},{k}]·[{n},{k}]ᵀ + bias"));
+
+    // Packed over a set that held another operand first.
+    let mut packed = PackedB::default();
+    packed.pack(
+        &awkward((n + 3) * (k + 2), inf_every, &mut rng),
+        (k + 2, n + 3),
+    )?;
+    packed.pack(&b, (k, n))?;
+    let mut out = vec![f32::NAN; m * n];
+    matmul_transpose_b_packed_into(&a, &packed, m, Some(&bias), &mut out)?;
+    assert_same_bits(&out, &want, &format!("[{m},{k}]·packed [{n},{k}]ᵀ + bias"));
     Ok(())
 }
 
