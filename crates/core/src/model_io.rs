@@ -48,7 +48,8 @@ pub fn encode_tensors(tensors: &[Tensor]) -> Vec<u8> {
 /// # Errors
 ///
 /// Returns [`CoreError::Dataset`] on a bad magic, unsupported version,
-/// dims whose size overflows, or truncated payload.
+/// dims whose size overflows, truncated payload, or bytes past the last
+/// tensor.
 pub fn decode_tensors(data: &[u8]) -> Result<Vec<Tensor>> {
     let mut buf = Bytes::copy_from_slice(data);
     let fail = |msg: &str| CoreError::Dataset(format!("weight decode: {msg}"));
@@ -87,6 +88,9 @@ pub fn decode_tensors(data: &[u8]) -> Result<Vec<Tensor>> {
             data.push(buf.get_f32_le());
         }
         out.push(Tensor::from_vec(data, &dims)?);
+    }
+    if buf.remaining() > 0 {
+        return Err(fail("trailing bytes"));
     }
     Ok(out)
 }
@@ -267,6 +271,13 @@ mod tests {
         assert!(decode_tensors(&bad_version).is_err());
         let truncated = encode_tensors(&[Tensor::zeros(&[100])]);
         assert!(decode_tensors(&truncated[..20]).is_err());
+        // Bytes past the declared tensors are an error, not ignored.
+        let t = Tensor::from_vec(vec![1.5, -2.0], &[2]).unwrap();
+        let mut trailing = encode_tensors(std::slice::from_ref(&t));
+        assert_eq!(decode_tensors(&trailing).unwrap(), [t]);
+        trailing.extend_from_slice(&[0xde, 0xad, 0xbe]);
+        let err = decode_tensors(&trailing).unwrap_err();
+        assert!(err.to_string().contains("trailing bytes"), "{err}");
         // Dims whose byte length (2^64) or element count (2^64) wraps a
         // usize to 0, which would pass the length check.
         for dims in [&[1u32 << 31, 1 << 31][..], &[1 << 16; 4]] {
