@@ -524,7 +524,7 @@ mod read_side_props {
             });
         }
 
-        // ROADMAP item 6, the aligner's slice: finite readings in, finite
+        // ROADMAP item 1, the aligner's slice: finite readings in, finite
         // grid out, inside what was observed. The bound on `scale` is the
         // moving average's: it sums up to `window` values before dividing.
         #[test]
