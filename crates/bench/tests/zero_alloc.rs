@@ -294,7 +294,7 @@ fn warm_into_paths_perform_zero_heap_allocations() {
 
 /// The engine's stream fan-out is the only thread policy there is, and it
 /// fans out only when two streams or more take part: a warm call with one
-/// stream left to run is run inline, where a thread scope would allocate.
+/// stream left to run is run inline.
 #[test]
 fn a_single_survivor_runs_inline_under_a_threaded_engine() {
     let mut registry = tiny_registry_engine();
@@ -317,10 +317,11 @@ fn a_single_survivor_runs_inline_under_a_threaded_engine() {
 }
 
 /// Fan-out is on by default — the engine takes the host's threads — but
-/// only for calls heavy enough to pay for a spawn. A default-constructed
+/// only for calls heavy enough to pay for a hand-off. A default-constructed
 /// 3-stream engine of the tiny models, with no `set_parallelism` call,
 /// carries less than [`FAN_OUT_MIN_FLOPS`] over a whole batch, so a warm
-/// full-batch call runs inline and allocates nothing on any host.
+/// full-batch call runs inline, starts no worker and allocates nothing on
+/// any host.
 #[test]
 fn a_default_engine_below_the_floor_runs_inline() {
     let flops = tiny_cnn(3).flops_per_frame() * 2 + tiny_rnn().flops_per_window();
@@ -348,27 +349,24 @@ fn a_default_engine_below_the_floor_runs_inline() {
         allocs, 0,
         "a default 3-stream engine below the fan-out floor allocated on a warm call"
     );
+    assert_eq!(registry.fanned_calls(), 0);
 }
 
-/// A call fanned out over two threads spawns one scoped worker, and the
-/// spawn allocates on the caller's thread; the workers' own allocations
-/// land on their threads and are not counted. The count is per worker,
-/// not per step: it reads the same at `n` and `2n` steps. This pins the
-/// spawn's cost until the engine keeps its workers (ROADMAP item 4), when
-/// the bound becomes 0.
+/// A call fanned out over two threads hands one group to the engine's
+/// resident worker, started by the first fanned call and kept: a warm
+/// fanned call allocates nothing on the caller's thread, at `n` steps and
+/// at `2n`. (The worker's own allocations would land on its thread; its
+/// models are held to 0 by the cases above.) `fanned_calls` proves the
+/// calls fanned out, since a count of 0 is also what an inline call reads.
 #[test]
-fn a_fanned_call_allocates_per_worker_not_per_step() {
-    // std's scoped spawn allocates 4 times on the spawning thread, and 2
-    // more under the test harness's output capture, which the worker
-    // inherits (`--nocapture` reads 4).
-    const SPAWN_ALLOCS: u64 = 6;
+fn a_warm_fanned_call_allocates_nothing() {
     let lightest = tiny_cnn(1)
         .flops_per_frame()
         .min(tiny_rnn().flops_per_window());
     let n = FAN_OUT_MIN_FLOPS.div_ceil(lightest);
     let mut engine = tiny_unfitted_pair(CombinerKind::Product);
     engine.set_parallelism(Parallelism::new(2));
-    let warm_count = |engine: &mut MultiModalEngine, n: usize| {
+    for n in [n, 2 * n] {
         let frames: Vec<Frame> = (0..n).map(|_| Frame::new(FRAME_SIZE, FRAME_SIZE)).collect();
         let windows = random_tensor(&[n, WINDOW_LEN, IMU_FEATURES], 14);
         let inputs = [
@@ -384,23 +382,14 @@ fn a_fanned_call_allocates_per_worker_not_per_step() {
         call();
         call();
         let ((), allocs) = alloc_counter::allocations_during(call);
+        assert_eq!(allocs, 0, "a warm {n}-step fanned call allocated");
         assert_eq!(labels.len(), n);
-        allocs
-    };
-    let (single, double) = (warm_count(&mut engine, n), warm_count(&mut engine, 2 * n));
+    }
     assert_eq!(
-        single,
-        double,
-        "a fanned call allocates per step ({n} vs {})",
-        2 * n
+        engine.fanned_calls(),
+        6,
+        "a call ran inline, not fanned out"
     );
-    assert!(
-        single <= SPAWN_ALLOCS,
-        "a fanned call with one worker allocated {single} times"
-    );
-    // The spawn is the only thing that allocates, so a count of 0 would
-    // mean the call ran inline and this test held nothing.
-    assert!(single > 0, "a {n}-step call ran inline, not fanned out");
 }
 
 /// The Bayesian combiner's all-parents entry, which the engine does not

@@ -13,6 +13,8 @@
 //! the batcher is deterministic and clock-source agnostic, matching the
 //! discrete-event style of [`darnet_collect::runtime`].
 
+use std::cmp::Ordering;
+
 use darnet_collect::runtime::AlignedTuple;
 use darnet_collect::StreamId;
 
@@ -98,9 +100,13 @@ impl MicroBatcher {
     }
 
     /// Whether a batch would flush at `now`: either the queue is full or
-    /// the oldest tuple's deadline has passed.
+    /// `now` is not provably before the oldest tuple's deadline. A NaN
+    /// deadline (a NaN `max_delay`, or a NaN first arrival) or a NaN `now`
+    /// therefore releases the batch rather than holding it until it
+    /// fills; a `max_delay` of `+∞` still means size-only.
     pub fn ready(&self, now: f64) -> bool {
-        self.queue.len() >= self.config.max_batch || self.next_deadline().is_some_and(|d| now >= d)
+        let due = |deadline: f64| now.partial_cmp(&deadline) != Some(Ordering::Less);
+        self.queue.len() >= self.config.max_batch || self.next_deadline().is_some_and(due)
     }
 
     /// Takes the queued batch if [`MicroBatcher::ready`] at `now`.
@@ -215,6 +221,32 @@ mod tests {
         let batch = b.take_ready(1.3).expect("deadline passed");
         assert_eq!(batch.len(), 2);
         assert!(b.is_empty());
+    }
+
+    #[test]
+    fn a_nan_deadline_releases_the_batch() {
+        let nan_delay = MicroBatchConfig {
+            max_batch: 32,
+            max_delay: f64::NAN,
+        };
+        let mut b = MicroBatcher::new(nan_delay);
+        b.push(tuple(1.0), 1.0);
+        assert_eq!(b.take_ready(1e9).map(|batch| batch.len()), Some(1));
+        // A NaN stamp on the first push poisons the deadline the same way.
+        let mut b = MicroBatcher::new(MicroBatchConfig::default());
+        b.push(tuple(1.0), f64::NAN);
+        b.push(tuple(1.1), 1.1);
+        assert!(b.ready(1.1));
+        assert_eq!(b.take_ready(1e9).map(|batch| batch.len()), Some(2));
+        assert!(b.is_empty());
+        // An infinite delay still flushes by size only.
+        let mut b = MicroBatcher::new(MicroBatchConfig {
+            max_batch: 2,
+            max_delay: f64::INFINITY,
+        });
+        b.push(tuple(0.0), 0.0);
+        assert!(b.take_ready(1e300).is_none());
+        assert!(b.push(tuple(0.1), 0.1).is_some());
     }
 
     #[test]

@@ -27,9 +27,10 @@ pub enum CoreError {
         /// finite.
         stream: StreamId,
     },
-    /// A scoped worker thread panicked during a concurrent engine stage
-    /// (see DESIGN.md §11: hot paths convert panics at the join boundary
-    /// instead of re-panicking).
+    /// A worker thread panicked during a concurrent engine stage: a
+    /// stream group on the engine's resident worker, whose panic is caught
+    /// there (see DESIGN.md §10.1 and §11: hot paths convert a worker's
+    /// panic into this error instead of re-panicking).
     WorkerPanicked {
         /// The concurrent stage whose worker died.
         stage: &'static str,

@@ -16,6 +16,10 @@
 //! `predict_proba` fused by [`NaryBayesianCombiner::combine_n`] or
 //! [`ClassMap::expand_into`].
 
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
+
 use serde::{Deserialize, Serialize};
 
 use darnet_collect::StreamId;
@@ -36,16 +40,22 @@ pub const MAX_STREAMS: usize = 8;
 
 /// The least work, in forward FLOPs over a call's batch, that every group
 /// of a fanned-out call must carry ([`MultiModalEngine::classify_batch_checked_into`]).
-/// A fanned call waits on a second core, and how soon a shared host hands
-/// one over changes from minute to minute. At the ledger's cabin scale
-/// (48×48 frames, BiLSTM 2×64; the lightest group carries 2.47 MFLOP a
-/// step) on a 2-vCPU host, eight-step batches fanned out gain steadily,
-/// but four-step ones took 0.96, 0.99 and 1.27 of their inline time in
-/// three runs: no gain, only run-to-run spread. So cabin batches of at
-/// least seven steps fan out and shorter ones run inline, as does every
-/// edge-scale call (8×8 frames at width 0.25, BiLSTM 1×8: at most 0.41
-/// MFLOP in the heaviest group at eight steps). Fixed, not a setting.
-pub const FAN_OUT_MIN_FLOPS: usize = 16_000_000;
+/// A fanned call hands its groups to the engine's resident workers, so
+/// what it has to pay for is a hand-off round trip and a second core.
+/// Timed per call on a 2-vCPU host (twin engines, interleaved, median of
+/// 200 paired calls, three runs), fanned ÷ inline read:
+/// - at the ledger's cabin scale (48×48 frames, BiLSTM 2×64; IMU, front
+///   and side camera; the lightest group, both cameras, carries 2.47
+///   MFLOP a step): 0.70–0.84 at 1 step, 0.67–0.69 at 2, 0.58–0.76 at 4,
+///   0.68–0.79 at 6 and 0.62–0.71 at 8;
+/// - at edge scale (8×8 frames at width 0.25, BiLSTM 1×8; the CNN group
+///   carries 5.4 kFLOP a frame): 0.92–1.11 at 1 step, 0.97–1.03 at 8 and
+///   0.93–0.99 at 32 (0.17 MFLOP): no steady gain.
+///
+/// So the floor sits just below one cabin step's lightest group: every
+/// cabin batch fans out, and every edge-scale batch up to 32 steps runs
+/// inline. Fixed, not a setting.
+pub const FAN_OUT_MIN_FLOPS: usize = 2_000_000;
 
 /// How a stream's native class space maps onto the engine's canonical
 /// class space.
@@ -423,12 +433,8 @@ fn all_finite(values: &[f32]) -> bool {
     values.iter().fold(true, |ok, v| ok & v.is_finite())
 }
 
-/// One stream's share of a fanned-out call: the stream and the input its
-/// model runs over. A group holds its jobs at their registry indices.
-type Job<'a> = (&'a mut RegisteredStream, &'a Tensor);
-
 /// A call's stream schedule: the present streams split into `groups`
-/// groups, the last run by the caller and each other one by a scoped
+/// groups, the last run by the caller and each other one by a resident
 /// worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Schedule {
@@ -475,80 +481,156 @@ fn plan_streams(threads: usize, flops: &[Option<usize>], n: usize) -> Option<Sch
     load[..groups].iter().all(heavy).then_some(plan)
 }
 
-/// Runs a call's streams by `plan`. Every camera batch is assembled first,
-/// in registry order on the caller's thread (the workspace is not shared
-/// with workers); an assembly error stops that stream and every later one
-/// from running, as inline. Then a scoped worker runs each group but the
-/// last, the caller runs the last, every worker is joined and the batches
-/// go back to `ws`. The error returned is the first in registry order
-/// across groups.
-fn fan_out(
-    plan: &Schedule,
-    streams: &mut [RegisteredStream],
-    ws: &mut Workspace,
-    inputs: &[(StreamId, StreamInput<'_>)],
-    n: usize,
-) -> Result<()> {
-    let mut batches: [Option<Tensor>; MAX_STREAMS] = [const { None }; MAX_STREAMS];
-    let mut first = None;
-    for (k, (stream, batch)) in streams.iter_mut().zip(&mut batches).enumerate() {
-        if let Some(StreamInput::Frames(frames)) = stream.input(inputs) {
-            match stream.assemble(frames, n, ws) {
-                Ok(assembled) => *batch = Some(assembled),
-                Err(e) => {
-                    first = Some((k, e));
-                    break;
+/// The stage a stream group's panic reports as [`CoreError::WorkerPanicked`].
+const GROUP_STAGE: &str = "MultiModalEngine stream group";
+
+/// One stream of a worker's group: its registry index, the stream and the
+/// batch its model runs over, both moved to the worker for one call.
+type Job = (usize, RegisteredStream, Tensor);
+
+/// Runs a group's jobs, held in descending registry order, in registry
+/// order up to the first error, which it returns with its stream's
+/// registry index.
+fn run_group(jobs: &mut [Job]) -> Option<(usize, CoreError)> {
+    let mut jobs = jobs.iter_mut().rev();
+    jobs.find_map(|(k, stream, batch)| stream.run_model(batch).err().map(|e| (*k, e)))
+}
+
+/// Whose move it is on a [`Handoff`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Turn {
+    /// Nothing to run: the worker waits, and a group it ran is the
+    /// caller's to take back.
+    Idle,
+    /// A group is handed over; the worker runs it.
+    Run,
+    /// The engine let the worker go; it returns.
+    Exit,
+}
+
+/// What a [`Handoff`]'s mutex guards.
+struct Slot {
+    turn: Turn,
+    /// The group, in descending registry order. It was created with room
+    /// for [`MAX_STREAMS`], so handing streams over allocates nothing.
+    jobs: Vec<Job>,
+    /// The group's first error, with its stream's registry index.
+    failed: Option<(usize, CoreError)>,
+}
+
+/// The one channel between an engine and a resident worker: a slot and a
+/// condition variable signalled on every change of turn, either way.
+struct Handoff {
+    slot: Mutex<Slot>,
+    turned: Condvar,
+}
+
+impl Handoff {
+    /// Locks the slot. Nothing panics while holding it — a group runs
+    /// under `catch_unwind` — so even a poisoned lock guards a whole
+    /// slot: it is taken as it is, and [`Handoff::finish`] reports the
+    /// poison.
+    fn lock(&self) -> MutexGuard<'_, Slot> {
+        self.slot.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The worker's loop: run each group handed over, until told to exit.
+    /// A model's panic is caught and becomes that group's
+    /// [`CoreError::WorkerPanicked`]; the worker keeps serving.
+    fn serve(&self) {
+        let mut slot = self.lock();
+        loop {
+            match slot.turn {
+                Turn::Run => {
+                    let Slot { jobs, failed, .. } = &mut *slot;
+                    let ran = panic::catch_unwind(AssertUnwindSafe(|| run_group(jobs)));
+                    *failed = ran.unwrap_or_else(|_| Some(group_panicked(jobs)));
+                    slot.turn = Turn::Idle;
+                    self.turned.notify_all();
                 }
+                Turn::Exit => return,
+                Turn::Idle => {}
             }
+            slot = self
+                .turned
+                .wait(slot)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
-    let runnable = first.as_ref().map_or(streams.len(), |(k, _)| *k);
-    let mut groups: [[Option<Job<'_>>; MAX_STREAMS]; MAX_STREAMS] = Default::default();
-    let jobs = streams.iter_mut().zip(&batches).enumerate().take(runnable);
-    for (k, (stream, batch)) in jobs {
-        let input = match (stream.input(inputs), batch) {
-            (Some(StreamInput::Windows(windows)), _) => windows,
-            (Some(StreamInput::Frames(_)), Some(batch)) => batch,
-            _ => continue,
-        };
-        groups[plan.group[k]][k] = Some((stream, input));
+
+    /// Hands the staged group to the worker.
+    fn start(&self) {
+        self.lock().turn = Turn::Run;
+        self.turned.notify_all();
     }
-    let (workers, caller) = groups[..plan.groups].split_at_mut(plan.groups - 1);
-    let ran = std::thread::scope(|scope| {
-        let mut handles = [const { None }; MAX_STREAMS];
-        for (handle, group) in handles.iter_mut().zip(workers) {
-            let lead = group.iter().position(Option::is_some).unwrap_or(0);
-            *handle = Some((lead, scope.spawn(|| run_group(group))));
-        }
-        let mut failed = run_group(&mut caller[0]);
-        // Every worker is joined before the first error surfaces, so none
-        // outlives the scope's borrows.
-        for (lead, handle) in handles.into_iter().flatten() {
-            let joined = handle.join().unwrap_or_else(|_| {
-                let stage = "MultiModalEngine stream group";
-                Some((lead, CoreError::WorkerPanicked { stage }))
-            });
-            failed = failed.into_iter().chain(joined).min_by_key(|(k, _)| *k);
+
+    /// Waits until the worker has run its group, and returns the group's
+    /// first error. A lock found poisoned is the group's
+    /// [`CoreError::WorkerPanicked`], and is cleared, so the next call
+    /// hands over as before.
+    fn finish(&self) -> Option<(usize, CoreError)> {
+        let running = |slot: &mut Slot| slot.turn == Turn::Run;
+        let waited = self.turned.wait_while(self.lock(), running);
+        let mut slot = waited.unwrap_or_else(PoisonError::into_inner);
+        let failed = slot.failed.take();
+        if self.slot.is_poisoned() {
+            self.slot.clear_poison();
+            return Some(group_panicked(&slot.jobs));
         }
         failed
-    });
-    for batch in batches.into_iter().flatten() {
-        ws.restore(batch);
-    }
-    match first.into_iter().chain(ran).min_by_key(|(k, _)| *k) {
-        Some((_, e)) => Err(e),
-        None => Ok(()),
     }
 }
 
-/// Runs a group's jobs in registry order up to the first error, which it
-/// returns with its stream's registry index.
-fn run_group(group: &mut [Option<Job<'_>>]) -> Option<(usize, CoreError)> {
-    let mut jobs = group.iter_mut().enumerate();
-    jobs.find_map(|(k, job)| {
-        let (stream, input) = job.as_mut()?;
-        stream.run_model(input).err().map(|e| (k, e))
-    })
+/// A group's panic, reported at its first stream's registry index.
+fn group_panicked(jobs: &[Job]) -> (usize, CoreError) {
+    let lead = jobs.last().map_or(0, |(k, ..)| *k);
+    (lead, CoreError::WorkerPanicked { stage: GROUP_STAGE })
+}
+
+/// A resident stream worker: a thread that runs one group of each fanned
+/// call, fed through its [`Handoff`] and joined when dropped.
+struct Worker {
+    handoff: Arc<Handoff>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Worker {
+    /// Starts a worker, or `None` if the host will not give a thread.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the engine's resident stream workers: each is joined when its engine drops it"
+    )]
+    fn start() -> Option<Worker> {
+        let handoff = Arc::new(Handoff {
+            slot: Mutex::new(Slot {
+                turn: Turn::Idle,
+                jobs: Vec::with_capacity(MAX_STREAMS),
+                failed: None,
+            }),
+            turned: Condvar::new(),
+        });
+        let served = Arc::clone(&handoff);
+        let thread = std::thread::Builder::new()
+            .name("darnet-stream".into())
+            .spawn(move || served.serve())
+            .ok()?;
+        Some(Worker {
+            handoff,
+            thread: Some(thread),
+        })
+    }
+}
+
+impl Drop for Worker {
+    fn drop(&mut self) {
+        self.handoff.lock().turn = Turn::Exit;
+        self.handoff.turned.notify_all();
+        if let Some(thread) = self.thread.take() {
+            // `serve` catches every group's panic, so the join has none
+            // to report.
+            let _ = thread.join();
+        }
+    }
 }
 
 /// Running counts of how N-stream classifications were fused.
@@ -599,6 +681,11 @@ pub struct MultiModalEngine {
     /// construction, or what [`MultiModalEngine::set_parallelism`]
     /// installed.
     threads: usize,
+    /// Resident stream workers, at most `threads − 1`, started by the
+    /// first call that fans out ([`MultiModalEngine::fan_out`]).
+    workers: Vec<Worker>,
+    /// Calls that fanned out ([`MultiModalEngine::fanned_calls`]).
+    fanned: u64,
     counters: SubsetCounters,
     pub(crate) ws: Workspace,
     scores_buf: Vec<f32>,
@@ -626,6 +713,8 @@ impl MultiModalEngine {
             streams: Vec::new(),
             combiner: None,
             threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            workers: Vec::new(),
+            fanned: 0,
             counters: SubsetCounters::default(),
             ws: Workspace::new(),
             scores_buf: Vec::new(),
@@ -684,6 +773,13 @@ impl MultiModalEngine {
         self.counters
     }
 
+    /// How many calls so far ran their streams on more than one thread
+    /// (see [`MultiModalEngine::classify_batch_checked_into`]). An
+    /// observation, like [`MultiModalEngine::counters`]: it sets nothing.
+    pub fn fanned_calls(&self) -> u64 {
+        self.fanned
+    }
+
     /// `(pool_hits, cold_misses)` of the engine's session workspace.
     pub fn workspace_stats(&self) -> (u64, u64) {
         (self.ws.pool_hits(), self.ws.cold_misses())
@@ -693,14 +789,16 @@ impl MultiModalEngine {
     /// by default the host's hardware threads, read at construction.
     /// [`Parallelism::serial`] runs every call inline; a larger count lets
     /// a call split its present streams into up to that many groups, one
-    /// run by the caller and each other one by a scoped worker, when every
-    /// group carries at least [`FAN_OUT_MIN_FLOPS`]
-    /// ([`MultiModalEngine::classify_batch_checked_into`]). It is the only
-    /// thread policy a product caller can set: models, layers and kernels
-    /// have none and always run inline, so no call nests one thread scope
-    /// in another. Results never depend on the count.
+    /// run by the caller and each other one by a resident worker, when
+    /// every group carries at least [`FAN_OUT_MIN_FLOPS`]
+    /// ([`MultiModalEngine::classify_batch_checked_into`]). Workers beyond
+    /// the new count's `threads − 1` are stopped and joined here. It is
+    /// the only thread policy a product caller can set: models, layers
+    /// and kernels have none and always run inline, so no worker starts
+    /// another. Results never depend on the count.
     pub fn set_parallelism(&mut self, par: Parallelism) {
         self.threads = par.threads();
+        self.workers.truncate(self.threads - 1);
     }
 
     /// Registers a stream. Registration order is registry order: it
@@ -880,14 +978,14 @@ impl MultiModalEngine {
     /// The engine schedules the call itself: the present streams are split
     /// into at most as many groups as it has threads
     /// ([`MultiModalEngine::set_parallelism`]; the host's by default),
-    /// the caller runs one group and a scoped worker each of the others —
+    /// the caller runs one group and a resident worker each of the others —
     /// but only when every group carries at least [`FAN_OUT_MIN_FLOPS`] of
     /// forward work over the batch. A single survivor, a serial engine and
-    /// every call below that floor (edge-scale models, short batches) run
-    /// inline. After one warm-up call at a given batch shape, a
-    /// steady-state inline call performs zero heap allocations end to end;
-    /// a fanned-out one allocates what its thread scope and spawns do, and
-    /// nothing else. The output never depends on the schedule.
+    /// every call below that floor (edge-scale models) run inline. After
+    /// one warm-up call at a given batch shape, a steady-state call
+    /// performs zero heap allocations end to end, inline or fanned out
+    /// (the first fanned call starts the workers). The output never
+    /// depends on the schedule.
     ///
     /// # Errors
     ///
@@ -962,18 +1060,18 @@ impl MultiModalEngine {
     }
 
     /// Runs every present stream's model over its assembled input,
-    /// filling the per-stream posterior buffers. This is the only place
-    /// under the engine that may spawn a thread, and the decision is made
-    /// here, once per call, by [`plan_streams`] from the engine's thread count,
-    /// the present streams' FLOPs and the batch length. Inline, each
-    /// stream in registry order has its camera batch assembled (checked
-    /// out of the workspace; a distorted batch is restored here and routed
-    /// to its dCNN student, [`MultiModalEngine::register_dcnn`]), its model
-    /// run and the batch returned, so one camera batch is out at a time.
-    /// Fanned out, see [`fan_out`]. Either way the first error in registry
-    /// order is the one returned. A present stream whose input holds a NaN
-    /// or an infinity is [`CoreError::NonFinitePosterior`] before any model
-    /// runs.
+    /// filling the per-stream posterior buffers. The schedule is decided
+    /// here, once per call, by [`plan_streams`] from the engine's thread
+    /// count, the present streams' FLOPs and the batch length. Inline,
+    /// each stream in registry order has its camera batch assembled
+    /// (checked out of the workspace; a distorted batch is restored here
+    /// and routed to its dCNN student, [`MultiModalEngine::register_dcnn`]),
+    /// its model run and the batch returned, so one camera batch is out at
+    /// a time. Fanned out, see [`MultiModalEngine::fan_out`]; a host that
+    /// will not give a worker thread runs the call inline. Either way the
+    /// first error in registry order is the one returned. A present stream
+    /// whose input holds a NaN or an infinity is
+    /// [`CoreError::NonFinitePosterior`] before any model runs.
     fn predict_streams(&mut self, inputs: &[(StreamId, StreamInput<'_>)], n: usize) -> Result<()> {
         // tanh and the sigmoid saturate ±inf to ±1 and 0, which would
         // launder a poisoned input into a confident posterior.
@@ -995,10 +1093,10 @@ impl MultiModalEngine {
             *cost = stream.present.then_some(stream.flops);
         }
         let plan = plan_streams(self.threads, &flops[..self.streams.len()], n);
-        let MultiModalEngine { streams, ws, .. } = self;
-        match plan {
-            Some(plan) => fan_out(&plan, streams, ws, inputs, n)?,
+        match plan.filter(|plan| self.hire(plan.groups - 1)) {
+            Some(plan) => self.fan_out(&plan, inputs, n)?,
             None => {
+                let MultiModalEngine { streams, ws, .. } = self;
                 for stream in streams.iter_mut() {
                     match stream.input(inputs) {
                         Some(StreamInput::Windows(windows)) => stream.run_model(windows)?,
@@ -1017,7 +1115,7 @@ impl MultiModalEngine {
         // that slipped past registration (e.g. a refit model). Finiteness
         // stops a poisoned window here: fusion picks the label with
         // `total_cmp`, which sorts NaN above every real score.
-        for stream in streams.iter().filter(|s| s.present) {
+        for stream in self.streams.iter().filter(|s| s.present) {
             let id = stream.descriptor.id;
             let native = stream.descriptor.native_classes(classes);
             if stream.probs.len() != n * native {
@@ -1031,6 +1129,127 @@ impl MultiModalEngine {
             }
         }
         Ok(())
+    }
+
+    /// Starts resident workers until the engine has `count`; whether it
+    /// has them.
+    fn hire(&mut self, count: usize) -> bool {
+        while self.workers.len() < count {
+            match Worker::start() {
+                Some(worker) => self.workers.push(worker),
+                None => return false,
+            }
+        }
+        true
+    }
+
+    /// Runs a call's streams by `plan` on the caller and the resident
+    /// workers. Every input is made an owned batch first, in registry
+    /// order on the caller's thread: camera batches are assembled, and
+    /// the windows of a stream bound for a worker are copied, into
+    /// workspace checkouts. An assembly error stops that stream and every
+    /// later one from running, as inline. Each worker's streams then move
+    /// out of the registry, highest index first, into its hand-off with
+    /// their batches; the caller runs the last group in place, then takes
+    /// every worker's streams back into their registry places and every
+    /// batch back to the workspace — on a model error and on a panic too,
+    /// so the registry is whole again before anything returns. The error
+    /// returned is the first in registry order across groups; a worker's
+    /// panic is its group's [`CoreError::WorkerPanicked`], and one in the
+    /// caller's group resumes once everything is back.
+    fn fan_out(
+        &mut self,
+        plan: &Schedule,
+        inputs: &[(StreamId, StreamInput<'_>)],
+        n: usize,
+    ) -> Result<()> {
+        self.fanned += 1;
+        let MultiModalEngine {
+            streams,
+            workers,
+            ws,
+            ..
+        } = self;
+        let caller = plan.groups - 1;
+        let mut batches: [Option<Tensor>; MAX_STREAMS] = [const { None }; MAX_STREAMS];
+        let mut failed = None;
+        for (k, (stream, batch)) in streams.iter_mut().zip(&mut batches).enumerate() {
+            let assembled = match stream.input(inputs) {
+                Some(StreamInput::Frames(frames)) => stream.assemble(frames, n, ws),
+                Some(StreamInput::Windows(windows)) if plan.group[k] != caller => {
+                    let mut copy = ws.checkout(windows.dims());
+                    copy.data_mut().copy_from_slice(windows.data());
+                    Ok(copy)
+                }
+                _ => continue,
+            };
+            match assembled {
+                Ok(assembled) => *batch = Some(assembled),
+                Err(e) => {
+                    failed = Some((k, e));
+                    break;
+                }
+            }
+        }
+        let runnable = failed.as_ref().map_or(streams.len(), |(k, _)| *k);
+        // Hand each worker its streams, highest registry index first, so
+        // the indices still to move stay put.
+        let mut moved = [false; MAX_STREAMS];
+        for k in (0..runnable).rev() {
+            let group = plan.group[k];
+            if group == caller {
+                continue;
+            }
+            if let Some(batch) = batches[k].take() {
+                let job = (k, streams.remove(k), batch);
+                workers[group].handoff.lock().jobs.push(job);
+                moved[k] = true;
+            }
+        }
+        let workers = &workers[..caller];
+        for worker in workers {
+            worker.handoff.start();
+        }
+        // The caller's group: the streams that stayed, still in registry
+        // order, paired with their registry places.
+        let ran = panic::catch_unwind(AssertUnwindSafe(|| {
+            let stayed = (0..runnable).filter(|&k| !moved[k]);
+            stayed.zip(streams.iter_mut()).find_map(|(k, stream)| {
+                let input = match (stream.input(inputs), &batches[k]) {
+                    (_, Some(batch)) => batch,
+                    (Some(StreamInput::Windows(windows)), None) => windows,
+                    _ => return None,
+                };
+                stream.run_model(input).err().map(|e| (k, e))
+            })
+        }));
+        let earliest =
+            |a: Option<(usize, CoreError)>, b| a.into_iter().chain(b).min_by_key(|(k, _)| *k);
+        let panicked = match ran {
+            Ok(error) => {
+                failed = earliest(failed, error);
+                None
+            }
+            Err(payload) => Some(payload),
+        };
+        for worker in workers {
+            failed = earliest(failed, worker.handoff.finish());
+        }
+        // Every stream back to its registry place, lowest first, and every
+        // batch back to the workspace.
+        for k in (0..runnable).filter(|&k| moved[k]) {
+            if let Some((_, stream, batch)) = workers[plan.group[k]].handoff.lock().jobs.pop() {
+                streams.insert(k, stream);
+                ws.restore(batch);
+            }
+        }
+        for batch in batches.into_iter().flatten() {
+            ws.restore(batch);
+        }
+        if let Some(payload) = panicked {
+            panic::resume_unwind(payload);
+        }
+        failed.map_or(Ok(()), |(_, e)| Err(e))
     }
 
     /// Fuses one time-step's posteriors (`parents[k]` is registered
@@ -1698,10 +1917,9 @@ mod tests {
         let (cnn, rnn) = scale_flops(48, 1.0, 64, 2);
         assert_eq!((cnn, rnn), (1_234_944, 5_489_408));
         // Registry order IMU, front, side: on two threads a worker takes
-        // the BiLSTM and the caller both cameras, from seven steps on;
-        // shorter batches run inline.
+        // the BiLSTM and the caller both cameras, at every batch length.
         let cabin = [Some(rnn), Some(cnn), Some(cnn)];
-        for n in [7, 8, 32] {
+        for n in [1, 2, 4, 6, 8, 32] {
             let plan = plan_streams(2, &cabin, n).expect("cabin fans out");
             assert_eq!(
                 (plan.groups, &plan.group[..3]),
@@ -1709,13 +1927,10 @@ mod tests {
                 "n = {n}"
             );
         }
-        for n in [1, 4, 6] {
-            assert_eq!(plan_streams(2, &cabin, n), None, "n = {n}");
-        }
         // Three threads: a group each, once a lone camera crosses the floor.
-        let plan = plan_streams(3, &cabin, 13).expect("cabin fans out");
+        let plan = plan_streams(3, &cabin, 2).expect("cabin fans out");
         assert_eq!((plan.groups, &plan.group[..3]), (3, &[0, 1, 2][..]));
-        assert_eq!(plan_streams(3, &cabin, 12), None);
+        assert_eq!(plan_streams(3, &cabin, 1), None);
         // One thread, or a single survivor: inline.
         assert_eq!(plan_streams(1, &cabin, 8), None);
         assert_eq!(plan_streams(2, &[Some(rnn), None, None], 8), None);
@@ -1829,6 +2044,118 @@ mod tests {
         serial.classify_batch_into(&all, &mut expected).unwrap();
         parallel.classify_batch_into(&all, &mut out).unwrap();
         assert_eq!(out, expected);
+    }
+
+    /// A bad IMU batch fails on a worker: the streams come back, the error
+    /// is the inline engine's, and the next good call is bitwise inline.
+    #[test]
+    fn a_failing_worker_group_gives_its_streams_back() {
+        let mut serial = three_stream_engine();
+        serial.set_parallelism(Parallelism::serial());
+        let mut parallel = three_stream_engine();
+        parallel.set_parallelism(Parallelism::new(2));
+        let n = fanned_batch(&parallel);
+        let (frames, windows) = test_batch(n);
+        let narrow = Tensor::zeros(&[n, WINDOW_LEN, IMU_FEATURES - 1]);
+        let inputs = |imu| {
+            [
+                (StreamId::IMU, StreamInput::Windows(imu)),
+                (StreamId::CAMERA_FRONT, StreamInput::Frames(&frames)),
+                (StreamId::CAMERA_SIDE, StreamInput::Frames(&frames)),
+            ]
+        };
+        // The IMU (registry place 0) runs on the worker, not the caller.
+        let flops: Vec<_> = parallel.streams.iter().map(|s| Some(s.flops)).collect();
+        let plan = plan_streams(2, &flops, n).unwrap();
+        assert_ne!(plan.group[0], plan.groups - 1);
+        let (mut expected, mut out) = (Vec::new(), Vec::new());
+        let want = serial.classify_batch_into(&inputs(&narrow), &mut expected);
+        assert!(matches!(want, Err(CoreError::Nn(_))), "{want:?}");
+        assert_eq!(
+            parallel.classify_batch_into(&inputs(&narrow), &mut out),
+            want
+        );
+        assert_eq!(parallel.fanned_calls(), 1);
+        assert_eq!(parallel.stream_ids(), serial.stream_ids());
+        serial
+            .classify_batch_into(&inputs(&windows), &mut expected)
+            .unwrap();
+        parallel
+            .classify_batch_into(&inputs(&windows), &mut out)
+            .unwrap();
+        assert_eq!(parallel.fanned_calls(), 2);
+        assert_eq!(out, expected);
+        assert_eq!(parallel.counters(), serial.counters());
+    }
+
+    /// A panic on a worker is its group's `WorkerPanicked`, not the
+    /// caller's: the streams come back and the engine stays usable. (The
+    /// side camera's CNN, handed a window tensor, indexes a fourth
+    /// dimension the tensor does not have.)
+    #[test]
+    fn a_panicking_worker_group_is_an_error_and_the_engine_stays_usable() {
+        let mut serial = three_stream_engine();
+        serial.set_parallelism(Parallelism::serial());
+        let mut parallel = three_stream_engine();
+        parallel.set_parallelism(Parallelism::new(4));
+        let n = fanned_batch(&parallel);
+        let (frames, windows) = test_batch(n);
+        let flops: Vec<_> = parallel.streams.iter().map(|s| Some(s.flops)).collect();
+        let plan = plan_streams(4, &flops, n).unwrap();
+        assert_ne!(
+            plan.group[2],
+            plan.groups - 1,
+            "the side camera runs on a worker"
+        );
+        let mut all = [
+            (StreamId::IMU, StreamInput::Windows(&windows)),
+            (StreamId::CAMERA_FRONT, StreamInput::Frames(&frames)),
+            (StreamId::CAMERA_SIDE, StreamInput::Windows(&windows)),
+        ];
+        let mut out = Vec::new();
+        assert_eq!(
+            parallel.classify_batch_into(&all, &mut out),
+            Err(CoreError::WorkerPanicked { stage: GROUP_STAGE })
+        );
+        assert_eq!(parallel.stream_ids(), serial.stream_ids());
+        all[2].1 = StreamInput::Frames(&frames);
+        let mut expected = Vec::new();
+        serial.classify_batch_into(&all, &mut expected).unwrap();
+        parallel.classify_batch_into(&all, &mut out).unwrap();
+        assert_eq!(out, expected);
+        assert_eq!(parallel.fanned_calls(), 2);
+    }
+
+    /// Fewer threads drop the surplus workers; more start them again; the
+    /// bits never move.
+    #[test]
+    fn set_parallelism_stops_and_restarts_workers_bitwise() {
+        let mut serial = three_stream_engine();
+        serial.set_parallelism(Parallelism::serial());
+        let mut engine = three_stream_engine();
+        engine.set_parallelism(Parallelism::new(2));
+        let n = fanned_batch(&engine);
+        let (frames, windows) = test_batch(n);
+        let inputs = [
+            (StreamId::IMU, StreamInput::Windows(&windows)),
+            (StreamId::CAMERA_FRONT, StreamInput::Frames(&frames)),
+            (StreamId::CAMERA_SIDE, StreamInput::Frames(&frames)),
+        ];
+        let (mut expected, mut out) = (Vec::new(), Vec::new());
+        serial.classify_batch_into(&inputs, &mut expected).unwrap();
+        for (par, workers, fanned) in [
+            (Parallelism::new(2), 1, 1),
+            (Parallelism::serial(), 0, 1),
+            (Parallelism::new(2), 1, 2),
+        ] {
+            engine.set_parallelism(par);
+            engine.classify_batch_into(&inputs, &mut out).unwrap();
+            assert_eq!(out, expected, "{par:?}");
+            assert_eq!(
+                (engine.workers.len(), engine.fanned_calls()),
+                (workers, fanned)
+            );
+        }
     }
 
     #[test]

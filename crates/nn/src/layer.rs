@@ -23,8 +23,8 @@ pub enum Mode {
 /// receives `dL/d(output)` and must return `dL/d(input)` while
 /// *accumulating* parameter gradients into the layer's [`Param`]s.
 ///
-/// Layers are `Send` so a whole model can be borrowed by a scoped worker
-/// thread when an engine runs its streams concurrently.
+/// Layers are `Send` so a whole model can move to an engine's stream
+/// worker thread when the engine runs its streams concurrently.
 pub trait Layer: Send {
     /// Computes the layer output for `input` as an owned tensor: runs
     /// [`Layer::forward_into`] on a fresh, empty [`Workspace`], so nothing

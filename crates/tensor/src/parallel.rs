@@ -4,7 +4,7 @@
 //! caller allows. Its one reader is the analytics engine, whose default
 //! is the host's hardware threads and which splits a call's present
 //! streams into at most that many groups, the caller running one and a
-//! scoped worker each of the others, when every group carries enough
+//! resident worker each of the others, when every group carries enough
 //! work. Installing a handle overrides the host's count. Nothing in this
 //! crate spawns a thread: the two kernels
 //! that still take one ([`Tensor::matmul_transpose_b_into`](crate::Tensor::matmul_transpose_b_into)
