@@ -58,8 +58,8 @@ pub fn pct(x: f64) -> String {
 ///
 /// The CI pipeline commits a baseline `BENCH_parallel.json` and compares
 /// every run's metrics against it. Files are a single flat object of
-/// numeric values — hand-rolled here so the harness works offline with no
-/// serde dependence. Three key prefixes participate in regression
+/// numeric values — hand-rolled here, so the harness needs no JSON
+/// library. Three key prefixes participate in regression
 /// comparison: `speedup_*` and `rate_*` are higher-is-better, `cost_*`
 /// is lower-is-better. Speedups are ratios of two timings taken on the
 /// same machine in the same run, so they are comparable across machines;

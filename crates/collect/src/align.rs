@@ -8,12 +8,10 @@
 //! calls the same bodies for the grid points a read has to (re)compute,
 //! so its output is the batch output by construction.
 
-use serde::{Deserialize, Serialize};
-
 use crate::tsdb::Series;
 
 /// A uniform sampling grid `start, start + 1/hz, ...` up to `end`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GridSpec {
     /// First grid point, seconds.
     pub start: f64,

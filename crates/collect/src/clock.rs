@@ -11,10 +11,9 @@
 )]
 
 use darnet_tensor::SplitMix64;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of an agent's clock imperfection.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClockConfig {
     /// Maximum magnitude of the initial offset, seconds.
     pub max_initial_offset: f64,
@@ -38,7 +37,7 @@ impl Default for ClockConfig {
 /// [`DriftClock::apply_sync`] implements the paper's correction: on
 /// receiving the master timestamp, the agent re-bases its clock to
 /// `master_utc + measured_delay`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DriftClock {
     drift: f64,
     offset: f64,

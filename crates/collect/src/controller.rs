@@ -15,7 +15,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write;
 
 use darnet_sim::Frame;
-use serde::{Deserialize, Serialize};
 
 use crate::align::GridCache;
 use crate::error::CollectError;
@@ -26,7 +25,7 @@ use crate::wire::{Ack, Batch};
 use crate::Result;
 
 /// Controller configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControllerConfig {
     /// Uniform grid frequency the IMU stream is aligned to (paper: 4 Hz).
     pub grid_hz: f64,
@@ -69,7 +68,7 @@ impl Default for ControllerConfig {
 /// burst — shedding under transient overload is deferral, not loss.
 /// Persistent shedding surfaces in [`StreamHealth::shed`] and degrades
 /// the modality via the health policy (IMU-only fallback).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdmissionConfig {
     /// Whether admission control runs at all.
     pub enabled: bool,
@@ -121,7 +120,7 @@ fn is_high_priority(batch: &Batch) -> bool {
 }
 
 /// One aligned, smoothed IMU grid point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AlignedImuPoint {
     /// Grid timestamp, seconds (controller time base).
     pub t: f64,
@@ -130,7 +129,7 @@ pub struct AlignedImuPoint {
 }
 
 /// One received camera frame with its (sync-corrected agent) timestamp.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FrameRecord {
     /// Frame timestamp, seconds.
     pub t: f64,

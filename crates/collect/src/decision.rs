@@ -9,10 +9,9 @@
 //! data locally, albeit slower."*
 
 use darnet_sim::schedule::CAMERA_PERIOD;
-use serde::{Deserialize, Serialize};
 
 /// Where the analytics engine runs for this session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProcessingSite {
     /// On the in-vehicle device (slow inference, no network needed).
     Local,
@@ -27,7 +26,7 @@ pub enum ProcessingSite {
 }
 
 /// Observed environment the decision is made against.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkObservation {
     /// Measured one-way latency, seconds.
     pub latency: f64,
@@ -38,7 +37,7 @@ pub struct LinkObservation {
 }
 
 /// Static capabilities of the two processing sites.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SiteCapabilities {
     /// Per-frame inference time on the local device, seconds.
     pub local_inference: f64,
@@ -65,7 +64,7 @@ impl Default for SiteCapabilities {
 /// The user's privacy preference (paper §3.2: "the user has the option of
 /// specifying the degree of privacy at which the image data is
 /// transmitted").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PrivacyPreference {
     /// Full-resolution frames may leave the vehicle.
     None,

@@ -1,14 +1,14 @@
 //! Live (threaded) collection mode: agents on real OS threads (scoped —
 //! see DESIGN.md §11, scoped-threads-only) stream encoded batches to the
-//! controller over crossbeam channels — the shape of the paper's deployed
-//! system, useful for the example binaries and for validating that the
-//! pipeline is `Send`-clean under real concurrency.
+//! controller over one bounded `std::sync::mpsc` channel — the shape of
+//! the paper's deployed system, useful for the example binaries and for
+//! validating that the pipeline is `Send`-clean under real concurrency.
 
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 use std::thread;
 
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Sender};
 use darnet_sim::schedule::CAMERA_PERIOD;
 use darnet_sim::{CanonicalBehavior, DrivingWorld, Segment};
 
@@ -41,7 +41,7 @@ fn run_agent(
     clock: DriftClock,
     duration: f64,
     transmit_period: f64,
-    tx: Sender<Bytes>,
+    tx: SyncSender<Bytes>,
 ) {
     let poll_period = sensor.period();
     let mut agent = CollectionAgent::new(
@@ -96,7 +96,7 @@ pub fn run_live_session(
     controller_config: ControllerConfig,
 ) -> Result<LiveRunReport> {
     let mut door = Door::new(controller_config);
-    let (tx, rx) = bounded::<Bytes>(64);
+    let (tx, rx) = sync_channel::<Bytes>(64);
     let script = driver_script(segments, driver);
     // Scoped threads: ingest runs on this thread while the agents stream
     // from workers that provably terminate before the scope (and thus

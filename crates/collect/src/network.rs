@@ -8,13 +8,12 @@
 )]
 
 use darnet_tensor::SplitMix64;
-use serde::{Deserialize, Serialize};
 
 /// Fault-injection parameters layered on top of the base link.
 ///
 /// The defaults are zero / `None`: a link with default faults behaves
 /// exactly like the pre-fault-injection model (i.i.d. loss only).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultConfig {
     /// Probability a successfully delivered message is also duplicated
     /// (the copy takes an independently jittered path).
@@ -25,7 +24,7 @@ pub struct FaultConfig {
 }
 
 /// Link parameters (per direction).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkConfig {
     /// Minimum one-way latency, seconds.
     pub base_latency: f64,
@@ -50,7 +49,7 @@ impl Default for LinkConfig {
 }
 
 /// Cumulative link counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LinkStats {
     /// Messages offered for transmission.
     pub sent: u64,

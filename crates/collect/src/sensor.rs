@@ -4,10 +4,9 @@
 use std::sync::Arc;
 
 use darnet_sim::{CanonicalBehavior, DrivingWorld, Frame, ImuSample, Segment};
-use serde::{Deserialize, Serialize};
 
 /// One sensor observation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SensorReading {
     /// A 12-channel IMU sample.
     Imu(ImuSample),
@@ -82,7 +81,7 @@ pub(crate) fn driver_script(
 }
 
 /// Which physical camera a scripted camera sensor models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CameraView {
     /// The dash-mounted front view (the paper's Nexus 7 placement).
     Front,

@@ -17,8 +17,6 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::controller::{Controller, ControllerConfig, IngestOutcome, StreamHealth};
 use crate::error::CollectError;
 use crate::tsdb::{canonical_fingerprint_merged, fnv1a, fnv1a_init, TsDb};
@@ -82,7 +80,7 @@ pub enum FleetAdmission {
 }
 
 /// Configuration for a [`ShardedController`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardConfig {
     /// Number of shards agents are hash-partitioned across.
     pub shards: usize,

@@ -12,14 +12,12 @@
 //! stream requires no changes to ingestion, health accounting, or
 //! admission control.
 
-use serde::{Deserialize, Serialize};
-
 /// Identity of one logical sensor stream within a collection session.
 ///
 /// Well-known streams get named constants; any further stream is just the
 /// next integer. Ordering follows the numeric id, which also fixes the
 /// parent order of the core ensemble's conditional-probability tables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct StreamId(pub u16);
 
 impl StreamId {

@@ -2,15 +2,13 @@
 //! database the paper's controller writes aligned tuples into (§4.1).
 
 use std::collections::BTreeMap;
-
-use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::error::CollectError;
 use crate::Result;
 
 /// Summary statistics for one series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SeriesStats {
     /// Number of points.
     pub count: usize,
@@ -196,9 +194,20 @@ impl TsDb {
         TsDb::default()
     }
 
+    /// Shared access to the store. A poisoned lock is taken as it is: no
+    /// code that holds a guard of this store panics, so it is never torn.
+    fn read(&self) -> RwLockReadGuard<'_, Store> {
+        self.store.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Exclusive access to the store; poison is taken as in [`TsDb::read`].
+    fn write(&self) -> RwLockWriteGuard<'_, Store> {
+        self.store.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Inserts a point into `metric`, creating the series if needed.
     pub fn insert(&self, metric: &str, t: f64, value: f32) {
-        self.store.write().insert_scalar(metric, t, value);
+        self.write().insert_scalar(metric, t, value);
     }
 
     /// Inserts a multi-channel sample, readable as the series `metric.0`,
@@ -210,7 +219,7 @@ impl TsDb {
         if values.is_empty() {
             return;
         }
-        let store = &mut *self.store.write();
+        let store = &mut *self.write();
         let same_width = |rows: &&mut Series| rows.width == values.len();
         if let Some(rows) = store.rows.get_mut(metric).filter(same_width) {
             return rows.insert(t, values);
@@ -238,7 +247,7 @@ impl TsDb {
         metric: &str,
         read: impl FnOnce(&Series, usize) -> R,
     ) -> Option<R> {
-        let mut store = self.store.write();
+        let mut store = self.write();
         let series = store.rows.get_mut(metric)?;
         let dirty = std::mem::replace(&mut series.dirty, usize::MAX);
         Some(read(series, dirty))
@@ -246,18 +255,18 @@ impl TsDb {
 
     /// Number of vector samples held as rows.
     pub(crate) fn row_count(&self) -> usize {
-        self.store.read().rows.values().map(|s| s.t.len()).sum()
+        self.read().rows.values().map(|s| s.t.len()).sum()
     }
 
     /// Names of all series, sorted.
     pub fn metrics(&self) -> Vec<String> {
-        let store = self.store.read();
+        let store = self.read();
         store.columns().into_iter().map(|(name, ..)| name).collect()
     }
 
     /// Number of points in `metric` (0 if absent).
     pub fn len(&self, metric: &str) -> usize {
-        let store = self.store.read();
+        let store = self.read();
         store.column(metric).map_or(0, |(s, _)| s.t.len())
     }
 
@@ -272,7 +281,7 @@ impl TsDb {
     ///
     /// Returns [`CollectError::NoData`] if the series does not exist.
     pub fn query_range(&self, metric: &str, t0: f64, t1: f64) -> Result<Vec<(f64, f32)>> {
-        let store = self.store.read();
+        let store = self.read();
         let (series, k) = store
             .column(metric)
             .ok_or_else(|| CollectError::NoData(format!("unknown series {metric}")))?;
@@ -289,7 +298,7 @@ impl TsDb {
     ///
     /// Returns [`CollectError::NoData`] if the series is missing or empty.
     pub fn stats(&self, metric: &str) -> Result<SeriesStats> {
-        let store = self.store.read();
+        let store = self.read();
         let (series, k) = store
             .column(metric)
             .filter(|(s, _)| !s.t.is_empty())
@@ -320,7 +329,7 @@ impl TsDb {
     /// data — the equality check behind the WAL recovery invariant
     /// (replay must rebuild the TSDB *bitwise*, DESIGN.md §13).
     pub fn fingerprint(&self) -> u64 {
-        let store = self.store.read();
+        let store = self.read();
         let mut h = fnv1a_init();
         for (name, series, k) in store.columns() {
             fnv1a(&mut h, name.as_bytes());
@@ -348,7 +357,7 @@ impl TsDb {
 
     /// Total number of points across every series.
     pub fn point_count(&self) -> usize {
-        self.store.read().series().map(|s| s.values.len()).sum()
+        self.read().series().map(|s| s.values.len()).sum()
     }
 
     /// Approximate resident bytes of the stored samples (an `f64`
@@ -358,7 +367,7 @@ impl TsDb {
     /// accounting.
     pub fn approx_bytes(&self) -> u64 {
         let bytes = |s: &Series| (s.t.len() * 8 + s.values.len() * 4) as u64;
-        self.store.read().series().map(bytes).sum()
+        self.read().series().map(bytes).sum()
     }
 
     /// Rolls `metric` up into fixed-width buckets over `[t0, t1)` with the
@@ -425,7 +434,7 @@ impl TsDb {
 /// controller's store over the same traffic.
 // darlint: pure-root
 pub fn canonical_fingerprint_merged(stores: &[&TsDb]) -> u64 {
-    let guards: Vec<_> = stores.iter().map(|s| s.store.read()).collect();
+    let guards: Vec<_> = stores.iter().map(|s| s.read()).collect();
     let mut columns: Vec<_> = guards.iter().flat_map(|g| g.columns()).collect();
     columns.sort_by(|a, b| a.0.cmp(&b.0));
     let mut h = fnv1a_init();
@@ -462,7 +471,7 @@ pub(crate) fn fnv1a(h: &mut u64, bytes: &[u8]) {
 }
 
 /// Rollup aggregation functions (statsd-style).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Aggregation {
     /// Arithmetic mean per bucket.
     Mean,
@@ -752,5 +761,42 @@ mod tests {
         assert_eq!(db.point_count(), 4);
         // One row (8 + 3 × 4) and one scalar point (8 + 4).
         assert_eq!(db.approx_bytes(), 20 + 12);
+    }
+
+    #[test]
+    fn poisoned_store_reads_and_writes_like_a_clean_one() {
+        // A thread that panics while holding the write guard poisons the
+        // lock; the store takes it as it is and carries on unchanged.
+        let poisoned = TsDb::new();
+        std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let _guard = poisoned.write();
+                panic!("panics while holding the store");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(poisoned.store.is_poisoned());
+        let clean = TsDb::new();
+        for db in [&poisoned, &clean] {
+            db.insert("gps.speed", 0.5, 60.0);
+            db.insert_vector("imu", 0.25, &[1.0, 2.0, 3.0]);
+            db.insert_vector("imu", 0.5, &[4.0, 5.0, 6.0]);
+        }
+        assert_eq!(
+            poisoned.query_range("imu.1", 0.0, 1.0).unwrap(),
+            [(0.25, 2.0), (0.5, 5.0)]
+        );
+        assert_eq!(poisoned.metrics(), clean.metrics());
+        for metric in clean.metrics() {
+            assert_eq!(
+                poisoned.query_range(&metric, 0.0, 1.0).unwrap(),
+                clean.query_range(&metric, 0.0, 1.0).unwrap()
+            );
+        }
+        let rows = |db: &TsDb| db.read_rows("imu", |s, dirty| (s.t.clone(), dirty));
+        let read = rows(&poisoned);
+        assert_eq!(read, Some((vec![0.25, 0.5], 0)));
+        assert_eq!(read, rows(&clean));
+        assert_eq!(poisoned.fingerprint(), clean.fingerprint());
     }
 }

@@ -29,10 +29,9 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use parking_lot::Mutex;
 
 use crate::controller::{Controller, ControllerConfig};
 use crate::error::CollectError;
@@ -162,18 +161,23 @@ impl MemStorage {
 
     /// Total bytes across all objects (diagnostic).
     pub fn total_bytes(&self) -> usize {
-        self.objects.lock().values().map(Vec::len).sum()
+        self.objects().values().map(Vec::len).sum()
+    }
+
+    /// The object map. A poisoned lock is taken as it is: no code that
+    /// holds this guard panics, so the map is never left half-written.
+    fn objects(&self) -> MutexGuard<'_, BTreeMap<String, Vec<u8>>> {
+        self.objects.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
 impl WalStorage for MemStorage {
     fn list(&self) -> Result<Vec<String>> {
-        Ok(self.objects.lock().keys().cloned().collect())
+        Ok(self.objects().keys().cloned().collect())
     }
 
     fn read(&self, object: &str) -> Result<Vec<u8>> {
-        self.objects
-            .lock()
+        self.objects()
             .get(object)
             .cloned()
             .ok_or_else(|| CollectError::Wal {
@@ -186,7 +190,7 @@ impl WalStorage for MemStorage {
     fn append(&self, object: &str, data: &[u8]) -> Result<()> {
         // Looked up by `&str`: an append allocates only when the object's
         // buffer grows.
-        let mut objects = self.objects.lock();
+        let mut objects = self.objects();
         match objects.get_mut(object) {
             Some(bytes) => bytes.extend_from_slice(data),
             None => create_object(&mut objects, object, data),
@@ -195,7 +199,7 @@ impl WalStorage for MemStorage {
     }
 
     fn truncate(&self, object: &str, len: u64) -> Result<()> {
-        match self.objects.lock().get_mut(object) {
+        match self.objects().get_mut(object) {
             Some(data) => {
                 data.truncate(len as usize);
                 Ok(())
@@ -799,9 +803,15 @@ mod tests {
     /// controller; returns `(controller, wal, storage)`.
     fn durable_workload(wal_config: WalConfig) -> (Controller, Wal, Arc<MemStorage>) {
         let storage = Arc::new(MemStorage::new());
+        let (controller, wal) = durable_workload_on(&storage, wal_config);
+        (controller, wal, storage)
+    }
+
+    /// [`durable_workload`] logged into a store the caller owns.
+    fn durable_workload_on(storage: &Arc<MemStorage>, wal_config: WalConfig) -> (Controller, Wal) {
         let (mut controller, mut wal, _) = open(
             ControllerConfig::default(),
-            Arc::<MemStorage>::clone(&storage) as Arc<dyn WalStorage>,
+            Arc::<MemStorage>::clone(storage) as Arc<dyn WalStorage>,
             wal_config,
         )
         .unwrap();
@@ -817,13 +827,51 @@ mod tests {
                 wal.snapshot(&controller).unwrap();
             }
         }
-        (controller, wal, storage)
+        (controller, wal)
     }
 
     #[test]
     fn crc32_matches_known_vector() {
         // IEEE CRC-32 of "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn poisoned_storage_logs_and_replays_like_a_clean_one() {
+        // A thread that panics while holding the object map poisons the
+        // mutex; the store takes it as it is and carries on unchanged.
+        let poisoned = Arc::new(MemStorage::new());
+        std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let _guard = poisoned.objects();
+                panic!("panics while holding the object map");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(poisoned.objects.is_poisoned());
+        let clean = Arc::new(MemStorage::new());
+        let config = WalConfig {
+            segment_max_records: 8,
+            snapshot_every: 20,
+        };
+        let (controller, _) = durable_workload_on(&poisoned, config);
+        let (twin, _) = durable_workload_on(&clean, config);
+        assert_eq!(controller.state_digest(), twin.state_digest());
+        assert_eq!(poisoned.list().unwrap(), clean.list().unwrap());
+        for object in clean.list().unwrap() {
+            assert_eq!(
+                poisoned.read(&object).unwrap(),
+                clean.read(&object).unwrap()
+            );
+        }
+        assert_eq!(poisoned.total_bytes(), clean.total_bytes());
+        let recover = |storage: &Arc<MemStorage>| {
+            let storage = Arc::<MemStorage>::clone(storage) as Arc<dyn WalStorage>;
+            let (recovered, ..) = open(ControllerConfig::default(), storage, config).unwrap();
+            (recovered.state_digest(), recovered.tsdb().fingerprint())
+        };
+        assert_eq!(recover(&poisoned), recover(&clean));
+        assert_eq!(recover(&poisoned).0, controller.state_digest());
     }
 
     #[test]

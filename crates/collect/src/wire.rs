@@ -7,14 +7,13 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use darnet_sim::{Frame, ImuSample};
-use serde::{Deserialize, Serialize};
 
 use crate::error::CollectError;
 use crate::sensor::SensorReading;
 use crate::Result;
 
 /// A sensor reading stamped with the *agent's local clock*.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StampedReading {
     /// Agent-local timestamp, seconds.
     pub timestamp: f64,
@@ -23,7 +22,7 @@ pub struct StampedReading {
 }
 
 /// A transmission unit from one agent.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Batch {
     /// Agent identifier.
     pub agent_id: u32,
@@ -55,7 +54,7 @@ const ACK_MAGIC: u8 = 0xA5;
 /// duplicate — re-acks matter when the first ack was lost) batch is acked
 /// individually by `(agent_id, seq)`, and the agent retires the matching
 /// entry from its in-flight window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Ack {
     /// The agent whose batch is acknowledged.
     pub agent_id: u32,

@@ -10,12 +10,11 @@
 //! user experience", §5.2).
 
 use darnet_sim::CanonicalBehavior;
-use serde::{Deserialize, Serialize};
 
 use crate::registry::MultiStepClassification;
 
 /// Alert policy parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AlertPolicy {
     /// Consecutive distracted steps required to raise an alert.
     pub trigger_steps: usize,
@@ -38,7 +37,7 @@ impl Default for AlertPolicy {
 }
 
 /// Alert-state transition produced by one step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AlertEvent {
     /// Nothing changed.
     None,

@@ -11,8 +11,6 @@
 //! the two nested loops `Σ_a Σ_b p_cnn(a) · p_imu(b) · CPT_c[a][b]` would:
 //! same order, same zero-weight skips, same normalization.
 
-use serde::{Deserialize, Serialize};
-
 use darnet_tensor::Tensor;
 
 use crate::error::CoreError;
@@ -29,7 +27,7 @@ use crate::Result;
 /// A parent missing at inference time (an unavailable stream) is summed
 /// out with a uniform posterior over its classes, so any healthy subset of
 /// two or more parents still yields a calibrated fusion.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NaryBayesianCombiner {
     classes: usize,
     parent_cards: Vec<usize>,

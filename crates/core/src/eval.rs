@@ -1,13 +1,11 @@
 //! Evaluation: Top-1 accuracy and confusion matrices (the paper's Table 2
 //! and Figure 5 metrics).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::CoreError;
 use crate::Result;
 
 /// A square confusion matrix; rows are true classes, columns predictions.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfusionMatrix {
     classes: usize,
     counts: Vec<usize>, // row-major [true][pred]

@@ -20,8 +20,6 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
-use serde::{Deserialize, Serialize};
-
 use darnet_collect::StreamId;
 use darnet_sim::{CanonicalBehavior, Frame};
 use darnet_tensor::{Parallelism, Tensor, Workspace};
@@ -59,7 +57,7 @@ pub const FAN_OUT_MIN_FLOPS: usize = 2_000_000;
 
 /// How a stream's native class space maps onto the engine's canonical
 /// class space.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ClassMap {
     /// The stream natively speaks the canonical class space.
     Identity,

@@ -1,8 +1,6 @@
 //! Trainable parameters: a value tensor paired with its gradient and
 //! optimizer state slots.
 
-use serde::{Deserialize, Serialize};
-
 use darnet_tensor::Tensor;
 
 /// A trainable parameter.
@@ -12,7 +10,7 @@ use darnet_tensor::Tensor;
 /// gradient and updates the value. Optimizer state (momentum / Adam moments)
 /// is stored on the parameter itself so that optimizers stay stateless with
 /// respect to parameter identity.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Param {
     /// Current parameter value.
     pub value: Tensor,

@@ -3,15 +3,13 @@
 //! dCNN privacy study (§5.3), and the 3-class phone-orientation set the
 //! IMU models operate on.
 
-use serde::{Deserialize, Serialize};
-
 /// Phone-orientation classes for the IMU stream.
 ///
 /// The paper positions the client device in "one of five varying
 /// orientations" grouped into three classes: texting (hand, waist-to-eye
 /// level), talking (at the ear), and everything else (horizontal in the
 /// front-right pocket).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ImuClass {
     /// Device in the pocket — all non-phone behaviours.
     Normal,
@@ -63,7 +61,7 @@ impl std::fmt::Display for ImuClass {
 ///
 /// A 6-class model or script is this taxonomy restricted to
 /// [`CanonicalBehavior::TABLE1`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CanonicalBehavior {
     /// Class 1 — both hands on the wheel, attention forward.
     NormalDriving,
@@ -202,7 +200,7 @@ impl std::fmt::Display for CanonicalBehavior {
 /// The paper does not enumerate the 18 classes; this reproduction uses a
 /// plausible refinement of the 6-class set (left/right-hand variants and
 /// additional in-cabin tasks).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(missing_docs)]
 pub enum ExtendedBehavior {
     NormalDriving,

@@ -1,7 +1,6 @@
 //! Driver identities.
 
 use darnet_tensor::SplitMix64;
-use serde::{Deserialize, Serialize};
 
 /// A synthetic driver identity.
 ///
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// down-sampling, which is the mechanism behind the paper's observation
 /// that the distilled dCNN-L can beat an over-fitted full-resolution CNN
 /// (§5.3).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DriverProfile {
     /// Zero-based driver id.
     pub id: usize,

@@ -2,8 +2,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 /// A grayscale camera frame with pixel intensities in `[0, 1]`, row-major.
 ///
 /// This is the unit of data the dashcam collection agent emits and the CNN
@@ -13,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// first mutation of a frame whose buffer is shared copies the pixels
 /// (copy on write), so a clone can never be changed through another
 /// handle. Equality compares pixel values, not pointers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Frame {
     width: usize,
     height: usize,

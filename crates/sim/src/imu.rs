@@ -22,7 +22,6 @@
 //!   between sparse, sharp steering-correction jerks.
 
 use darnet_tensor::SplitMix64;
-use serde::{Deserialize, Serialize};
 
 use crate::behavior::{CanonicalBehavior, ImuClass};
 use crate::driver::DriverProfile;
@@ -33,7 +32,7 @@ pub const G: f32 = 9.81;
 
 /// One multimodal IMU reading (all four Android sensor channels the
 /// paper's agent subscribes to).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ImuSample {
     /// Accelerometer (includes gravity), m/s².
     pub accel: [f32; 3],

@@ -7,8 +7,6 @@
 //! from the paper's exact frame counts (scaled by a configurable factor so
 //! the reproduction trains in minutes on a CPU).
 
-use serde::{Deserialize, Serialize};
-
 use crate::behavior::{CanonicalBehavior, ExtendedBehavior};
 
 /// Frame counts per class from the paper's Table 1.
@@ -22,7 +20,7 @@ pub const SEGMENT_SECONDS: f64 = 15.0;
 
 /// One scripted collection segment: a driver performs one behaviour for a
 /// contiguous span of (session-local) time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Segment<B> {
     /// Driver id performing the segment.
     pub driver: usize,
@@ -48,7 +46,7 @@ impl<B: Copy> Segment<B> {
 
 /// Configuration of a cabin collection campaign: the paper's Table-1
 /// script, plus an optional drowsiness budget.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScheduleConfig {
     /// Number of participating drivers (paper: 5).
     pub drivers: usize,
@@ -114,7 +112,7 @@ pub fn build_schedule(config: &ScheduleConfig) -> Vec<Segment<CanonicalBehavior>
 
 /// Configuration of the 18-class extended campaign (the "previously
 /// collected" dataset of §5.3: 18 classes, 10 drivers, 30 fps GoPro).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExtendedScheduleConfig {
     /// Number of drivers (paper: 10).
     pub drivers: usize,

@@ -6,10 +6,8 @@
 //! rate feed into every IMU channel as common-mode signal, so the IMU
 //! models must separate body gestures from vehicle motion.
 
-use serde::{Deserialize, Serialize};
-
 /// Instantaneous vehicle state.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VehicleState {
     /// Speed in m/s.
     pub speed: f32,
@@ -24,7 +22,7 @@ pub struct VehicleState {
 }
 
 /// One segment of the scripted route.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum RoutePhase {
     Accelerate,
     Cruise,
@@ -35,7 +33,7 @@ enum RoutePhase {
 
 /// A deterministic route simulator. The route is a fixed cycle; drivers
 /// differ only by a style factor applied to accelerations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VehicleDynamics {
     /// Driver style factor (1.0 = nominal; >1 more aggressive).
     style: f32,

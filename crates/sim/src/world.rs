@@ -1,8 +1,6 @@
 //! The assembled driving world: drivers, vehicle dynamics, renderer, and
 //! IMU synthesizer behind one façade.
 
-use serde::{Deserialize, Serialize};
-
 use crate::behavior::{CanonicalBehavior, ExtendedBehavior};
 use crate::driver::DriverProfile;
 use crate::frame::Frame;
@@ -16,7 +14,7 @@ const IMAGE_NOISE: f32 = 0.07;
 const IMU_NOISE: f32 = 0.08;
 
 /// World configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorldConfig {
     /// Number of driver identities to generate.
     pub drivers: usize,

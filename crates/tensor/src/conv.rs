@@ -10,8 +10,6 @@
 //! and [`col2im`] scatters patch-matrix gradients back into input-shaped
 //! gradients.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::TensorError;
 use crate::matmul::{for_each_block, rows_by_block, Operands, KC, NR};
 use crate::parallel::Parallelism;
@@ -19,7 +17,7 @@ use crate::tensor::Tensor;
 use crate::Result;
 
 /// Geometry of a 2-D convolution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Conv2dSpec {
     /// Input channels.
     pub in_channels: usize,

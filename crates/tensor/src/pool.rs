@@ -1,14 +1,12 @@
 //! Max and average pooling kernels over `[batch, c, h, w]` tensors.
 
-use serde::{Deserialize, Serialize};
-
 use crate::conv::check_dims;
 use crate::error::TensorError;
 use crate::tensor::Tensor;
 use crate::Result;
 
 /// Geometry of a 2-D pooling operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PoolSpec {
     /// Pooling window height and width (square window).
     pub window: usize,

@@ -1,7 +1,5 @@
 //! Shape and index arithmetic for row-major tensors.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::TensorError;
 use crate::Result;
 
@@ -19,7 +17,7 @@ use crate::Result;
 /// assert_eq!(s.strides(), vec![12, 4, 1]);
 /// assert_eq!(s.flat_index(&[1, 2, 3]), Some(23));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Shape(Vec<usize>);
 
 impl Shape {

@@ -1,7 +1,5 @@
 //! The core [`Tensor`] type: an owned, row-major, `f32` n-d array.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::TensorError;
 use crate::shape::Shape;
 use crate::Result;
@@ -23,7 +21,7 @@ use crate::Result;
 /// assert_eq!(relu.data(), &[1.0, 0.0, 3.0, 0.0]);
 /// # Ok::<(), darnet_tensor::TensorError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,

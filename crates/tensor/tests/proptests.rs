@@ -199,11 +199,9 @@ proptest! {
     }
 
     #[test]
-    fn serde_roundtrip(data in tensor_strategy(32)) {
+    fn from_vec_roundtrips_data_and_dims(data in tensor_strategy(32)) {
         let n = data.len();
         let a = Tensor::from_vec(data, &[n]).unwrap();
-        // serde_json is unavailable offline; roundtrip through the data
-        // accessor instead, which is the serialization contract.
         let b = Tensor::from_vec(a.data().to_vec(), a.dims()).unwrap();
         prop_assert_eq!(a, b);
     }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full CI pipeline, runnable offline on any checkout:
 #
-#   1. tier1     — lockfile freshness, fmt --check, release build,
+#   1. tier1     — lockfile freshness, no external package but the
+#                  vendored bytes and proptest, fmt --check, release build,
 #                  workspace tests, check --all-targets of the workspace
 #                  and of the frozen ledger package (benchmark/, so an
 #                  API deletion that breaks it fails here and not in

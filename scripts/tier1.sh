@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 gate: formatting, release build, full test suite, a check of
+# Tier-1 gate: the external-package allowlist (bytes and proptest, both
+# vendored), formatting, release build, full test suite, a check of
 # every target and of the frozen ledger package, a warnings-as-errors
 # clippy pass over the whole workspace (escalated with panic-hunting
 # lints on six crates; both passes enforce the clippy.toml bans on the
@@ -14,6 +15,18 @@ cd "$(dirname "$0")/.."
 # instead of letting a later step die with a confusing message.
 if ! cargo metadata --locked --format-version 1 >/dev/null 2>&1; then
   echo "tier1: Cargo.lock is stale or missing — regenerate it (cargo update -w) and commit it" >&2
+  exit 1
+fi
+
+# The only packages outside the workspace are the two vendored stubs,
+# bytes and proptest (DESIGN.md §3): channels and locks come from std.
+members=$(cargo tree --workspace --locked --depth 0 --prefix none)
+tree=$(cargo tree --workspace --locked -e normal,build,dev --prefix none)
+extra=$(sed -e '/^$/d' -e 's/ (\*)$//' <<<"$tree" | sort -u \
+  | grep -vxF -f <(sed '/^$/d' <<<"$members") | grep -Ev '^(bytes|proptest) v' || true)
+if [ -n "$extra" ]; then
+  echo "tier1: packages beyond the workspace, bytes and proptest:" >&2
+  echo "$extra" >&2
   exit 1
 fi
 
