@@ -15,7 +15,8 @@
 //! harness's own allocations stay out of every measurement.
 //!
 //! The same counter gates the controller's two sides: a frame read
-//! allocates per call, not per frame of history, and an IMU reading is
+//! allocates nothing and an aligned read once per call, not per frame or
+//! grid point of history, and an IMU reading is
 //! written as one TSDB row, allocating for growth only (DESIGN.md §18),
 //! and so does a record appended to the WAL (DESIGN.md §13.1).
 #![expect(
@@ -580,14 +581,13 @@ fn kernels_are_free_when_warm() {
 }
 
 /// The read side's regression gate: counts repeat exactly where timings
-/// do not. A frame read clones pointers into one `Vec`, so it costs the
-/// same allocation events over a 64-frame history as over a 1 024-frame
-/// one (with owned pixel buffers it cost one more per frame), and handing
-/// a frame of the result on to a warm micro-batcher costs none.
+/// do not. A frame read lends out the stream's own frames, so it costs no
+/// allocation event over a 64-frame history or a 1 024-frame one, and
+/// handing a frame of the result on to a warm micro-batcher costs none.
 #[test]
 fn frame_reads_allocate_per_call_not_per_frame() {
     const EDGE: usize = 48;
-    let read = |history: usize| {
+    let controller = |history: usize| {
         let mut controller = Controller::new(ControllerConfig::default());
         for seq in 0..history as u32 {
             let batch = Batch {
@@ -601,16 +601,17 @@ fn frame_reads_allocate_per_call_not_per_frame() {
             };
             controller.offer_at(0.0, &batch, None).expect("offer");
         }
+        controller
+    };
+    let (short, long) = (controller(2 * 64), controller(2 * 1024));
+    for (controller, history) in [(&short, 64), (&long, 1024)] {
         let (frames, allocs) = alloc_counter::allocations_during(|| {
             controller.frames_sorted_for(StreamId::CAMERA_FRONT)
         });
-        assert_eq!(frames.len(), history / 2);
-        (frames, allocs)
-    };
-    let (_, short) = read(2 * 64);
-    let (frames, long) = read(2 * 1024);
-    assert_eq!(short, long, "a frame read allocates per frame of history");
-    assert!(long <= 2, "a frame read allocated {long} times");
+        assert_eq!(frames.len(), history);
+        assert_eq!(allocs, 0, "a frame read over {history} frames allocated");
+    }
+    let frames = long.frames_sorted_for(StreamId::CAMERA_FRONT);
 
     let tuple = |record: &darnet_collect::FrameRecord, window: Vec<f32>| AlignedTuple {
         t: record.t,
@@ -631,6 +632,43 @@ fn frame_reads_allocate_per_call_not_per_frame() {
         alloc_counter::allocations_during(|| batcher.push(tuple(&frames[1], second), 0.0));
     assert!(flushed.is_none());
     assert_eq!(allocs, 0, "a warm push of a read frame allocated");
+}
+
+/// The aligned read's gate, as a count. The grid cache keeps its points
+/// as `Copy` rows, so a warm `aligned_imu` over 64 grid points of history
+/// and over 1 024 costs the same single allocation event: the result
+/// `Vec`.
+#[test]
+fn aligned_reads_allocate_per_call_not_per_point() {
+    let read = |points: usize| {
+        let mut controller = Controller::new(ControllerConfig::default());
+        // 32 Hz readings (exact binary stamps) spanning `points` grid
+        // points at the default 4 Hz.
+        let readings = (points - 1) * 8 + 1;
+        let batch = Batch {
+            agent_id: StreamId::IMU.agent_id(),
+            seq: 0,
+            readings: (0..readings)
+                .map(|i| StampedReading {
+                    timestamp: i as f64 / 32.0,
+                    reading: SensorReading::Imu(ImuSample::from_features(&[i as f32; 12])),
+                })
+                .collect(),
+        };
+        controller.offer_at(0.0, &batch, None).expect("offer");
+        // Warm: the first read builds the grid cache.
+        assert_eq!(controller.aligned_imu().expect("aligned").len(), points);
+        let (aligned, allocs) = alloc_counter::allocations_during(|| controller.aligned_imu());
+        assert_eq!(aligned.expect("aligned").len(), points);
+        allocs
+    };
+    let short = read(64);
+    assert_eq!(
+        short,
+        read(1024),
+        "an aligned read allocates per grid point"
+    );
+    assert!(short <= 1, "an aligned read allocated {short} times");
 }
 
 /// The write side's gate, again as a count. An IMU reading reaches the

@@ -8,6 +8,9 @@
 //! calls the same bodies for the grid points a read has to (re)compute,
 //! so its output is the batch output by construction.
 
+use darnet_sim::ImuSample;
+
+use crate::controller::AlignedImuPoint;
 use crate::tsdb::Series;
 
 /// A uniform sampling grid `start, start + 1/hz, ...` up to `end`.
@@ -57,30 +60,31 @@ impl GridSpec {
     }
 }
 
-/// The interpolated value at grid time `g`. `at(k)` is the `k`-th of
-/// `len > 0` observations — `(timestamp, channel values)` — in
-/// `(timestamp, arrival)` order; `hi` is the bracket cursor — on return
-/// the first observation in that order not before `g` — and must be
-/// carried from one grid point to the next in grid order (it only moves
-/// forward). Outside the observation span the nearest observation is
-/// returned (no extrapolation).
+/// Writes the interpolated value at grid time `g` into `out`, one value
+/// per channel. `at(k)` is the `k`-th of `len > 0` observations —
+/// `(timestamp, channel values)` — in `(timestamp, arrival)` order; `hi`
+/// is the bracket cursor — on return the first observation in that order
+/// not before `g` — and must be carried from one grid point to the next
+/// in grid order (it only moves forward). Outside the observation span
+/// the nearest observation is returned (no extrapolation).
 #[inline]
 fn interpolate_at<'a>(
     at: impl Fn(usize) -> (f64, &'a [f32]),
     len: usize,
     hi: &mut usize,
     g: f64,
-) -> Vec<f32> {
+    out: &mut [f32],
+) {
     while *hi < len && at(*hi).0 < g {
         *hi += 1;
     }
-    if *hi == 0 {
-        return at(0).1.to_vec();
+    if *hi == 0 || *hi == len {
+        let (_, nearest) = at(if *hi == 0 { 0 } else { len - 1 });
+        for (o, &v) in out.iter_mut().zip(nearest) {
+            *o = v;
+        }
+        return;
     }
-    if *hi == len {
-        return at(len - 1).1.to_vec();
-    }
-    let channels = at(0).1.len();
     let (t0, v0) = at(*hi - 1);
     let (t1, v1) = at(*hi);
     let w = if (t1 - t0).abs() < 1e-12 {
@@ -88,31 +92,33 @@ fn interpolate_at<'a>(
     } else {
         ((g - t0) / (t1 - t0)) as f32
     };
-    (0..channels)
-        .map(|c| v0[c] * (1.0 - w) + v1[c] * w)
-        .collect()
+    for ((o, &a), &b) in out.iter_mut().zip(v0).zip(v1) {
+        *o = a * (1.0 - w) + b * w;
+    }
 }
 
-/// Row `i` of the moving average of `series`, which must hold rows
-/// `0..=i`: the mean of row `i` and the `window - 1` rows before it (as
-/// many as exist). A window of 0 or 1 is the row itself.
+/// Writes row `i` of the moving average of `series`, which must hold rows
+/// `0..=i`, into `out`: the mean of row `i` and the `window - 1` rows
+/// before it (as many as exist). A window of 0 or 1 is the row itself.
 #[inline]
-fn smooth_at(series: &[Vec<f32>], i: usize, window: usize) -> Vec<f32> {
+fn smooth_at<R: AsRef<[f32]>>(series: &[R], i: usize, window: usize, out: &mut [f32]) {
     if window <= 1 {
-        return series[i].clone();
+        for (o, &v) in out.iter_mut().zip(series[i].as_ref()) {
+            *o = v;
+        }
+        return;
     }
     let rows = &series[i.saturating_sub(window - 1)..=i];
     let count = rows.len() as f32;
-    let mut acc = vec![0.0f32; series[0].len()];
+    out.fill(0.0);
     for row in rows {
-        for (a, &v) in acc.iter_mut().zip(row) {
+        for (a, &v) in out.iter_mut().zip(row.as_ref()) {
             *a += v;
         }
     }
-    for a in &mut acc {
+    for a in out {
         *a /= count;
     }
-    acc
 }
 
 /// Linearly interpolates irregular `(t, value)` observations onto `grid`.
@@ -133,9 +139,14 @@ pub fn interpolate_grid(observations: &[(f64, Vec<f32>)], grid: &GridSpec) -> Ve
     let mut sorted: Vec<&(f64, Vec<f32>)> = observations.iter().collect();
     sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
     let at = |k: usize| (sorted[k].0, sorted[k].1.as_slice());
+    let channels = sorted[0].1.len();
     let mut hi = 0usize;
     (0..grid.len())
-        .map(|i| interpolate_at(at, sorted.len(), &mut hi, grid.point(i)))
+        .map(|i| {
+            let mut row = vec![0.0; channels];
+            interpolate_at(at, sorted.len(), &mut hi, grid.point(i), &mut row);
+            row
+        })
         .collect()
 }
 
@@ -148,7 +159,11 @@ pub fn interpolate_grid(observations: &[(f64, Vec<f32>)], grid: &GridSpec) -> Ve
 /// `window == 0` or `1` returns the input unchanged.
 pub fn moving_average(series: &[Vec<f32>], window: usize) -> Vec<Vec<f32>> {
     (0..series.len())
-        .map(|i| smooth_at(series, i, window))
+        .map(|i| {
+            let mut row = vec![0.0; series[0].len()];
+            smooth_at(series, i, window, &mut row);
+            row
+        })
         .collect()
 }
 
@@ -159,8 +174,10 @@ pub fn moving_average(series: &[Vec<f32>], window: usize) -> Vec<Vec<f32>> {
 /// Derived state: everything here is a function of the rows and the two
 /// configuration values, and [`GridCache::read`] returns exactly
 /// `moving_average(interpolate_grid(rows, grid), window)` over the rows'
-/// time span — it runs the same per-point bodies, over the grid points
-/// the rows written since can have changed.
+/// time span, zipped with the grid's points — it runs the same per-point
+/// bodies, over the grid points the rows written since can have changed.
+/// Rows are [`ImuSample::FEATURES`] wide, so every kept row is an array
+/// and a grid point costs no allocation of its own.
 #[derive(Debug)]
 pub(crate) struct GridCache {
     hz: f64,
@@ -169,8 +186,8 @@ pub(crate) struct GridCache {
     /// point read rows `hi - 1` and `hi` and nothing past them, so it
     /// survives a row written at any slot above `hi`.
     bracket: Vec<usize>,
-    interpolated: Vec<Vec<f32>>,
-    smoothed: Vec<Vec<f32>>,
+    interpolated: Vec<[f32; ImuSample::FEATURES]>,
+    smoothed: Vec<AlignedImuPoint>,
 }
 
 impl GridCache {
@@ -184,10 +201,14 @@ impl GridCache {
         }
     }
 
-    /// The grid spanning `rows` and its smoothed rows. `dirty` is the
-    /// lowest slot written since the previous read of the same series
+    /// The smoothed grid points spanning `rows`, or `None` if the rows
+    /// are not [`ImuSample::FEATURES`] wide. `dirty` is the lowest slot
+    /// written since the previous read of the same series
     /// (`TsDb::read_rows`): every row below it is where and what it was.
-    pub(crate) fn read(&mut self, rows: &Series, dirty: usize) -> (GridSpec, &[Vec<f32>]) {
+    pub(crate) fn read(&mut self, rows: &Series, dirty: usize) -> Option<&[AlignedImuPoint]> {
+        if rows.width() != ImuSample::FEATURES {
+            return None;
+        }
         let stamps = rows.stamps();
         let grid = GridSpec {
             start: stamps.first().copied().unwrap_or(f64::NAN),
@@ -205,13 +226,24 @@ impl GridCache {
         self.smoothed.truncate(self.bracket.len());
         let mut hi = self.bracket.last().copied().unwrap_or(0);
         for i in self.bracket.len()..grid.len() {
-            let row = interpolate_at(|k| rows.row(k), stamps.len(), &mut hi, grid.point(i));
+            let mut row = [0.0; ImuSample::FEATURES];
+            interpolate_at(
+                |k| rows.row(k),
+                stamps.len(),
+                &mut hi,
+                grid.point(i),
+                &mut row,
+            );
             self.bracket.push(hi);
             self.interpolated.push(row);
-            let smooth = smooth_at(&self.interpolated, i, self.window);
-            self.smoothed.push(smooth);
+            let mut point = AlignedImuPoint {
+                t: grid.point(i),
+                features: [0.0; ImuSample::FEATURES],
+            };
+            smooth_at(&self.interpolated, i, self.window, &mut point.features);
+            self.smoothed.push(point);
         }
-        (grid, &self.smoothed)
+        Some(&self.smoothed)
     }
 }
 

@@ -14,7 +14,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write;
 
-use darnet_sim::Frame;
+use darnet_sim::{Frame, ImuSample};
 
 use crate::align::GridCache;
 use crate::error::CollectError;
@@ -120,12 +120,12 @@ fn is_high_priority(batch: &Batch) -> bool {
 }
 
 /// One aligned, smoothed IMU grid point.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AlignedImuPoint {
     /// Grid timestamp, seconds (controller time base).
     pub t: f64,
     /// The 12 smoothed IMU features.
-    pub features: Vec<f32>,
+    pub features: [f32; ImuSample::FEATURES],
 }
 
 /// One received camera frame with its (sync-corrected agent) timestamp.
@@ -203,13 +203,15 @@ struct StreamState {
     duplicates: u64,
     last_arrival: f64,
     shed: u64,
-    // Positions in `Controller::frames` of this agent's frames, by
-    // `(t, acceptance order)` — what a stable sort of them by `t` yields,
-    // kept at insert. Derived from the acceptance log: in no digest, byte
-    // count or WAL record, rebuilt by replay like the log itself. `u32`
-    // because a fleet shard holds thousands of streams nobody reads
-    // (`admitted` refuses a frame log that would outgrow it).
-    frames: Vec<u32>,
+    // This agent's frames by `(t, acceptance order)` — what a stable sort
+    // of them by `t` yields, kept at insert — and the one place a frame
+    // is kept: `frames_sorted_for` lends them out as they lie.
+    frames: Vec<FrameRecord>,
+    // Beside each frame, its place in the controller-wide acceptance
+    // order, which `state_digest` folds frames in. `u32` because a fleet
+    // shard holds thousands of streams nobody reads (`admitted` refuses a
+    // frame that would outgrow it).
+    accepted: Vec<u32>,
 }
 
 /// Token-bucket state for admission control.
@@ -223,13 +225,15 @@ struct AdmissionState {
 #[derive(Debug)]
 pub struct Controller {
     config: ControllerConfig,
-    frames: Vec<FrameRecord>,
+    // Frames accepted so far, of every stream: the next acceptance index.
+    frames_accepted: usize,
     // The one store of IMU readings (a row each) and of the cameras'
     // mean intensities.
     tsdb: TsDb,
-    // The aligned grid of the TSDB's IMU rows, brought up to date by
-    // `aligned_imu` (hence the cell: reads take `&self`). Derived state
-    // like `StreamState::frames`; ingest never touches it.
+    // The row series `aligned_imu` reads, and its aligned grid, brought
+    // up to date by each read (hence the cell: reads take `&self`).
+    // Derived state: ingest never touches it.
+    imu_series: String,
     aligned: RefCell<GridCache>,
     // The series names `admitted` writes under: rebuilt per batch under
     // `per_agent_series`, in place so that a warm controller allocates
@@ -246,8 +250,13 @@ impl Controller {
     pub fn new(config: ControllerConfig) -> Self {
         Controller {
             config,
-            frames: Vec::new(),
+            frames_accepted: 0,
             tsdb: TsDb::new(),
+            imu_series: if config.per_agent_series {
+                format!("imu.{}", StreamId::IMU.agent_id())
+            } else {
+                "imu".to_string()
+            },
             aligned: RefCell::new(GridCache::new(config.grid_hz, config.smoothing_window)),
             keys: ("imu".to_string(), "camera.mean_intensity".to_string()),
             streams: BTreeMap::new(),
@@ -276,8 +285,8 @@ impl Controller {
     /// # Errors
     ///
     /// Propagates [`CollectError::Wal`] when the durable append fails,
-    /// and returns [`CollectError::Overload`] when the frame log has no
-    /// position left for the batch's readings (it holds 2^32) and
+    /// and returns [`CollectError::Overload`] when the acceptance order has
+    /// no index left for the batch's readings (it holds 2^32) and
     /// [`CollectError::NonFiniteTimestamp`] when a reading's timestamp is
     /// not finite; the batch is then neither ingested nor acked.
     pub fn offer_at(
@@ -339,9 +348,9 @@ impl Controller {
                 return Ok(IngestOutcome::Duplicate);
             }
         }
-        // Streams index the frame log by `u32` position; refused here,
-        // before the append, so that a refusal leaves no trace either.
-        let held = self.frames.len();
+        // Streams tag each frame with a `u32` acceptance index; refused
+        // here, before the append, so that a refusal leaves no trace either.
+        let held = self.frames_accepted;
         if u32::try_from(held + batch.readings.len()).is_err() {
             return Err(CollectError::Overload {
                 agent_id: batch.agent_id,
@@ -384,15 +393,17 @@ impl Controller {
                     self.tsdb.insert(camera_key, r.timestamp, frame.mean());
                     // After every frame of this stream not later than
                     // it: the end, unless it arrived late.
-                    let slot = stream.frames.partition_point(|&i| {
-                        self.frames[i as usize].t.total_cmp(&r.timestamp).is_le()
-                    });
-                    // Fits: checked for the whole batch before the append.
-                    stream.frames.insert(slot, self.frames.len() as u32);
-                    self.frames.push(FrameRecord {
+                    let slot = stream
+                        .frames
+                        .partition_point(|fr| fr.t.total_cmp(&r.timestamp).is_le());
+                    let record = FrameRecord {
                         t: r.timestamp,
                         frame: frame.clone(),
-                    });
+                    };
+                    stream.frames.insert(slot, record);
+                    // Fits: checked for the whole batch before the append.
+                    stream.accepted.insert(slot, self.frames_accepted as u32);
+                    self.frames_accepted += 1;
                 }
             }
         }
@@ -503,7 +514,9 @@ impl Controller {
         }
         fnv1a(&mut h, &self.batches.to_le_bytes());
         fnv1a(&mut h, &self.readings.to_le_bytes());
-        for fr in &self.frames {
+        let mut log = self.tagged_frames();
+        log.sort_by_key(|&(i, _)| i);
+        for (_, fr) in log {
             fnv1a(&mut h, &fr.t.to_bits().to_le_bytes());
             for &p in fr.frame.pixels() {
                 fnv1a(&mut h, &p.to_bits().to_le_bytes());
@@ -526,7 +539,7 @@ impl Controller {
             // plus 4 bytes per recorded sequence number.
             total += 32 + s.seen.len() as u64 * 4;
         }
-        for fr in &self.frames {
+        for fr in self.streams.values().flat_map(|s| &s.frames) {
             total += 8 + fr.frame.pixels().len() as u64 * 4;
         }
         total + self.tsdb.approx_bytes()
@@ -536,33 +549,39 @@ impl Controller {
     /// not a mirror of it: a row inserted into the IMU series through this
     /// handle shows up in the next [`Controller::aligned_imu`], and a
     /// scalar inserted under one of that series' channel names (`imu.3`)
-    /// turns its rows back into scalar series, leaving nothing to align.
+    /// turns its rows back into scalar series, leaving nothing to align;
+    /// so does an IMU series created here with rows of another width.
     pub fn tsdb(&self) -> &TsDb {
         &self.tsdb
+    }
+
+    /// Every stream's frames with their acceptance indices: one run per
+    /// stream in `(t, acceptance)` order, which is why the callers' sorts
+    /// are the stable ones (they merge natural runs).
+    fn tagged_frames(&self) -> Vec<(u32, &FrameRecord)> {
+        self.streams
+            .values()
+            .flat_map(|s| s.accepted.iter().copied().zip(&s.frames))
+            .collect()
     }
 
     /// Received frames of every stream, sorted by timestamp (ties in
     /// acceptance order).
     pub fn frames_sorted(&self) -> Vec<FrameRecord> {
-        let mut out = self.frames.clone();
-        out.sort_by(|a, b| a.t.total_cmp(&b.t));
-        out
+        let mut all = self.tagged_frames();
+        all.sort_by(|(i, a), (j, b)| a.t.total_cmp(&b.t).then(i.cmp(j)));
+        all.into_iter().map(|(_, fr)| fr.clone()).collect()
     }
 
     /// Received frames of one camera stream, sorted by timestamp (ties in
-    /// acceptance order). A multi-camera session ingests every view into
-    /// the same acceptance log; this is the stream-generic read side that
-    /// keeps each view separable for the per-modality models. One pass
-    /// over the stream's own frames, each clone a pointer copy.
-    pub fn frames_sorted_for(&self, stream: StreamId) -> Vec<FrameRecord> {
-        let Some(state) = self.streams.get(&stream.agent_id()) else {
-            return Vec::new();
-        };
-        state
-            .frames
-            .iter()
-            .map(|&i| self.frames[i as usize].clone())
-            .collect()
+    /// acceptance order): the stream's own store, lent out as it lies. A
+    /// multi-camera session ingests every view; this is the
+    /// stream-generic read side that keeps each view separable for the
+    /// per-modality models.
+    pub fn frames_sorted_for(&self, stream: StreamId) -> &[FrameRecord] {
+        self.streams
+            .get(&stream.agent_id())
+            .map_or(&[], |s| &s.frames)
     }
 
     /// Number of raw IMU observations held: the TSDB's rows.
@@ -577,23 +596,22 @@ impl Controller {
     /// # Errors
     ///
     /// Returns [`CollectError::NoData`] if no IMU observations were
-    /// ingested.
+    /// ingested, or if the IMU series holds rows of another width than
+    /// [`ImuSample::FEATURES`] (only a write through
+    /// [`Controller::tsdb`] makes one).
     pub fn aligned_imu(&self) -> Result<Vec<AlignedImuPoint>> {
-        let series = if self.config.per_agent_series {
-            format!("imu.{}", StreamId::IMU.agent_id())
-        } else {
-            "imu".to_string()
-        };
         let mut cache = self.aligned.borrow_mut();
-        let aligned = self.tsdb.read_rows(&series, |rows, dirty| {
-            let (grid, smoothed) = cache.read(rows, dirty);
-            let point = |(i, features): (usize, &Vec<f32>)| AlignedImuPoint {
-                t: grid.point(i),
-                features: features.clone(),
-            };
-            smoothed.iter().enumerate().map(point).collect()
+        let aligned = self.tsdb.read_rows(&self.imu_series, |rows, dirty| {
+            cache.read(rows, dirty).map(<[AlignedImuPoint]>::to_vec)
         });
-        aligned.ok_or_else(|| CollectError::NoData("no imu observations".into()))
+        match aligned {
+            Some(Some(points)) => Ok(points),
+            Some(None) => Err(CollectError::NoData(format!(
+                "imu rows are not {} wide",
+                ImuSample::FEATURES
+            ))),
+            None => Err(CollectError::NoData("no imu observations".into())),
+        }
     }
 }
 
@@ -601,7 +619,6 @@ impl Controller {
 mod tests {
     use super::*;
     use crate::wire::StampedReading;
-    use darnet_sim::ImuSample;
 
     fn imu_batch(agent: u32, seq: u32, stamps: &[f64]) -> Batch {
         Batch {
@@ -788,6 +805,29 @@ mod tests {
         assert_eq!(c.aligned_imu().unwrap().len(), 5);
         c.offer_at(0.0, &imu_batch(0, 1, &[1e300]), None).unwrap();
         assert_eq!(c.aligned_imu().unwrap(), vec![]);
+    }
+
+    #[test]
+    fn an_imu_series_of_another_width_reads_as_no_data() {
+        for per_agent_series in [false, true] {
+            for width in [1, 2, 11, 13] {
+                let c = Controller::new(ControllerConfig {
+                    per_agent_series,
+                    ..ControllerConfig::default()
+                });
+                let series = if per_agent_series { "imu.0" } else { "imu" };
+                let row: Vec<f32> = (0..width).map(|k| k as f32 + 1.0).collect();
+                for t in [0.0, 0.5, 1.0] {
+                    c.tsdb().insert_vector(series, t, &row);
+                }
+                assert_eq!(c.imu_observation_count(), 3, "width {width}");
+                // Neither cut to nor padded out to twelve features.
+                assert!(
+                    matches!(c.aligned_imu(), Err(CollectError::NoData(_))),
+                    "width {width}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -803,7 +803,7 @@ fn run_streams(
         let spill = a.agent.spill_stats();
         chaos.spill_peak = chaos.spill_peak.max(spill.peak_buffered);
         if stream != StreamId::IMU {
-            frames.push((stream, controller.frames_sorted_for(stream)));
+            frames.push((stream, controller.frames_sorted_for(stream).to_vec()));
         }
         reports.push(StreamReport {
             stream,

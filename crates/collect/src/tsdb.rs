@@ -45,6 +45,11 @@ impl Series {
         }
     }
 
+    /// Values to a row.
+    pub(crate) fn width(&self) -> usize {
+        self.width
+    }
+
     /// The row timestamps.
     pub(crate) fn stamps(&self) -> &[f64] {
         &self.t

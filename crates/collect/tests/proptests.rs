@@ -333,7 +333,11 @@ mod read_side_props {
         grid.points()
             .into_iter()
             .zip(smoothed)
-            .map(|(t, features)| AlignedImuPoint { t, features })
+            .map(|(t, row)| {
+                let mut features = [0.0; ImuSample::FEATURES];
+                features.copy_from_slice(&row);
+                AlignedImuPoint { t, features }
+            })
             .collect()
     }
 
@@ -504,6 +508,46 @@ mod read_side_props {
         out
     }
 
+    /// The reference `state_digest`, FNV-1a over the streams' replayable
+    /// counters (read back through the public API), the ingest counters,
+    /// the frames in the order of the test's own acceptance log, and the
+    /// TSDB fingerprint.
+    fn digest_from_log(controller: &Controller, log: &[(u32, FrameRecord)]) -> u64 {
+        fn fold(h: &mut u64, bytes: &[u8]) {
+            for &b in bytes {
+                *h = (*h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for (id, _, _) in controller.stream_meta() {
+            let health = controller.stream_health(id);
+            let seen: Vec<u32> = health.map_or(Vec::new(), |s| {
+                (0..=s.highest_seq)
+                    .filter(|&seq| controller.has_seen(id, seq))
+                    .collect()
+            });
+            fold(&mut h, &id.to_le_bytes());
+            fold(&mut h, &health.map_or(0, |s| s.delivered).to_le_bytes());
+            let last_arrival = health.map_or(0.0, |s| s.last_arrival);
+            fold(&mut h, &last_arrival.to_bits().to_le_bytes());
+            fold(&mut h, &(seen.len() as u64).to_le_bytes());
+            for seq in seen {
+                fold(&mut h, &seq.to_le_bytes());
+            }
+        }
+        let (batches, readings) = controller.ingest_stats();
+        fold(&mut h, &batches.to_le_bytes());
+        fold(&mut h, &readings.to_le_bytes());
+        for (_, fr) in log {
+            fold(&mut h, &fr.t.to_bits().to_le_bytes());
+            for &p in fr.frame.pixels() {
+                fold(&mut h, &p.to_bits().to_le_bytes());
+            }
+        }
+        fold(&mut h, &controller.tsdb().fingerprint().to_le_bytes());
+        h
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -628,6 +672,9 @@ mod read_side_props {
                 }
                 assert_eq!(controller.frames_sorted(), sorted_from_log(log, None), "seed {seed}");
                 assert!(controller.frames_sorted_for(StreamId(9)).is_empty());
+                // Frames live in their streams; the digest folds them in
+                // acceptance order all the same.
+                assert_eq!(controller.state_digest(), digest_from_log(controller, log), "seed {seed}");
             });
         }
     }

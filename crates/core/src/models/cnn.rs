@@ -14,6 +14,7 @@ use darnet_nn::{
 };
 use darnet_tensor::{SplitMix64, Tensor, Workspace};
 
+use crate::error::CoreError;
 use crate::Result;
 
 /// Hyperparameters for [`FrameCnn`].
@@ -283,14 +284,26 @@ impl FrameCnn {
         Ok(epoch_losses)
     }
 
+    /// The batch length of `[n, 1, input_size, input_size]` frames.
+    fn batch_len(&self, frames: &Tensor) -> Result<usize> {
+        let edge = self.config.input_size;
+        match *frames.dims() {
+            [n, 1, h, w] if (h, w) == (edge, edge) => Ok(n),
+            ref dims => Err(CoreError::Dataset(format!(
+                "expected [n, 1, {edge}, {edge}] frames, got {dims:?}"
+            ))),
+        }
+    }
+
     /// Class-probability predictions, `[n, classes]`, computed in batches.
     ///
     /// # Errors
     ///
-    /// Propagates model errors.
+    /// Returns [`CoreError::Dataset`] unless `frames` is
+    /// `[n, 1, input_size, input_size]`; propagates model errors.
     pub fn predict_proba(&mut self, frames: &Tensor) -> Result<Tensor> {
+        let n = self.batch_len(frames)?;
         let dims = frames.dims().to_vec();
-        let n = dims[0];
         let img = dims[1] * dims[2] * dims[3];
         let bs = 64usize;
         let mut rows = Vec::with_capacity(n * self.config.classes);
@@ -315,10 +328,11 @@ impl FrameCnn {
     ///
     /// # Errors
     ///
-    /// Propagates model errors.
+    /// As [`FrameCnn::predict_proba`].
     pub fn predict_proba_into(&mut self, frames: &Tensor, out: &mut Vec<f32>) -> Result<()> {
+        let n = self.batch_len(frames)?;
         let d = frames.dims();
-        let (n, c, h, w) = (d[0], d[1], d[2], d[3]);
+        let (c, h, w) = (d[1], d[2], d[3]);
         let img = c * h * w;
         let bs = 64usize;
         out.clear();
@@ -561,6 +575,32 @@ mod tests {
             let s: f32 = p.data()[r * 3..(r + 1) * 3].iter().sum();
             assert!((s - 1.0).abs() < 1e-5);
         }
+    }
+
+    #[test]
+    fn frames_of_the_wrong_rank_or_geometry_are_an_error() {
+        let mut cnn = FrameCnn::new(tiny_config(), 7);
+        let mut out = Vec::new();
+        let shapes: [&[usize]; 5] = [
+            &[2, 24, 24],
+            &[2, 576],
+            &[2, 1, 24, 24, 1],
+            &[2, 3, 24, 24],
+            &[2, 1, 25, 25],
+        ];
+        for dims in shapes {
+            let bad = Tensor::zeros(dims);
+            let got = cnn.predict_proba_into(&bad, &mut out);
+            assert!(
+                matches!(got, Err(CoreError::Dataset(_))),
+                "{dims:?}: {got:?}"
+            );
+            let got = cnn.predict_proba(&bad);
+            assert!(matches!(got, Err(CoreError::Dataset(_))), "{dims:?}");
+        }
+        cnn.predict_proba_into(&Tensor::zeros(&[2, 1, 24, 24]), &mut out)
+            .unwrap();
+        assert_eq!(out.len(), 2 * 3);
     }
 
     #[test]

@@ -165,19 +165,31 @@ impl ImuRnn {
         Ok(())
     }
 
+    /// The `(n, time)` of `[n, time, features]` windows, `time > 0`.
+    fn batch_len(&self, windows: &Tensor) -> Result<(usize, usize)> {
+        let features = self.config.features;
+        match *windows.dims() {
+            [n, t, f] if t > 0 && f == features => Ok((n, t)),
+            ref dims => Err(CoreError::Dataset(format!(
+                "expected [n, time, {features}] windows, got {dims:?}"
+            ))),
+        }
+    }
+
     /// Class probabilities, `[n, classes]`.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::NotReady`] before [`ImuRnn::fit`].
+    /// Returns [`CoreError::NotReady`] before [`ImuRnn::fit`] and
+    /// [`CoreError::Dataset`] unless `windows` is `[n, time, features]`.
     pub fn predict_proba(&mut self, windows: &Tensor) -> Result<Tensor> {
         let std = self
             .standardizer
             .as_ref()
             .ok_or_else(|| CoreError::NotReady("imu rnn not fitted".into()))?;
+        let (n, t) = self.batch_len(windows)?;
+        let f = self.config.features;
         let x = std.apply(windows);
-        let dims = x.dims().to_vec();
-        let (n, t, f) = (dims[0], dims[1], dims[2]);
         let row = t * f;
         let bs = 64usize;
         let mut rows = Vec::with_capacity(n * self.config.classes);
@@ -202,14 +214,14 @@ impl ImuRnn {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::NotReady`] before [`ImuRnn::fit`].
+    /// As [`ImuRnn::predict_proba`].
     pub fn predict_proba_into(&mut self, windows: &Tensor, out: &mut Vec<f32>) -> Result<()> {
         let std = self
             .standardizer
             .as_ref()
             .ok_or_else(|| CoreError::NotReady("imu rnn not fitted".into()))?;
-        let d = windows.dims();
-        let (n, t, f) = (d[0], d[1], d[2]);
+        let (n, t) = self.batch_len(windows)?;
+        let f = self.config.features;
         let row = t * f;
         let mut x = self.ws.checkout(&[n, t, f]);
         x.data_mut().copy_from_slice(windows.data());
@@ -322,6 +334,26 @@ mod tests {
         let mut rnn = ImuRnn::new(tiny_config(), 3);
         let x = Tensor::zeros(&[1, 10, 4]);
         assert!(matches!(rnn.predict_proba(&x), Err(CoreError::NotReady(_))));
+    }
+
+    #[test]
+    fn windows_of_the_wrong_rank_or_width_are_an_error() {
+        let mut rnn = ImuRnn::new(tiny_config(), 7);
+        let (x, labels) = toy_windows(4, 8);
+        rnn.fit(&x, &labels, 1).unwrap();
+        let mut out = Vec::new();
+        for dims in [&[40][..], &[4, 40], &[4, 10, 4, 1], &[4, 10, 3], &[4, 0, 4]] {
+            let bad = Tensor::zeros(dims);
+            let got = rnn.predict_proba_into(&bad, &mut out);
+            assert!(
+                matches!(got, Err(CoreError::Dataset(_))),
+                "{dims:?}: {got:?}"
+            );
+            let got = rnn.predict_proba(&bad);
+            assert!(matches!(got, Err(CoreError::Dataset(_))), "{dims:?}");
+        }
+        rnn.predict_proba_into(&x, &mut out).unwrap();
+        assert_eq!(out.len(), 8 * 2);
     }
 
     #[test]

@@ -358,13 +358,17 @@ struct RegisteredStream {
     present: bool,
     /// The stream's health status for the current batch.
     status: ModalityStatus,
+    /// Makes [`RegisteredStream::run_model`] panic: the engine catches a
+    /// model's panic, and no model in the tree panics to prove it.
+    #[cfg(test)]
+    panics: bool,
 }
 
 impl RegisteredStream {
     /// Picks the model for a batch of `w`×`h` frames and returns the
     /// geometry to assemble the batch at. Frames at the stream model's
-    /// own input geometry (and anything offered to a non-camera model,
-    /// which rejects it itself) go to the model as they are. Anything
+    /// own input geometry go to the model as they are (as would frames
+    /// for a non-camera model, which the engine refuses first). Anything
     /// else is a distorted batch: it goes to the student whose
     /// [`PrivacyLevel::target_size`] is that geometry, restored to the
     /// full input edge.
@@ -417,6 +421,8 @@ impl RegisteredStream {
     /// Runs the stream's model — or the student its batch was routed to —
     /// over `input` into the stream's posterior buffer.
     fn run_model(&mut self, input: &Tensor) -> Result<()> {
+        #[cfg(test)]
+        assert!(!self.panics, "a test made this stream's model panic");
         let model = match self.route.and_then(|s| self.students.get_mut(s)) {
             Some((_, student)) => student,
             None => &mut self.model,
@@ -858,6 +864,8 @@ impl MultiModalEngine {
             probs: Vec::new(),
             present: false,
             status: ModalityStatus::Healthy,
+            #[cfg(test)]
+            panics: false,
         });
         self.combiner = None;
         Ok(())
@@ -1067,17 +1075,33 @@ impl MultiModalEngine {
     /// its model run and the batch returned, so one camera batch is out at
     /// a time. Fanned out, see [`MultiModalEngine::fan_out`]; a host that
     /// will not give a worker thread runs the call inline. Either way the
-    /// first error in registry order is the one returned. A present stream
-    /// whose input holds a NaN or an infinity is
-    /// [`CoreError::NonFinitePosterior`] before any model runs.
+    /// first error in registry order is the one returned. Before any model
+    /// runs, a present stream handed frames for a window model or windows
+    /// for a frame model is a [`CoreError::Dataset`], and one whose input
+    /// holds a NaN or an infinity is [`CoreError::NonFinitePosterior`].
     fn predict_streams(&mut self, inputs: &[(StreamId, StreamInput<'_>)], n: usize) -> Result<()> {
         // tanh and the sigmoid saturate ±inf to ±1 and 0, which would
         // launder a poisoned input into a confident posterior.
         for stream in &self.streams {
-            let finite = match stream.input(inputs) {
-                Some(StreamInput::Windows(windows)) => all_finite(windows.data()),
-                Some(StreamInput::Frames(frames)) => frames.iter().all(|f| all_finite(f.pixels())),
-                None => true,
+            let finite = match (stream.input(inputs), &stream.model) {
+                (Some(StreamInput::Frames(frames)), StreamModelSlot::Cnn(_)) => {
+                    frames.iter().all(|f| all_finite(f.pixels()))
+                }
+                (Some(StreamInput::Windows(windows)), StreamModelSlot::Cnn(_)) => {
+                    return Err(CoreError::Dataset(format!(
+                        "stream {} takes frames, got {:?} windows",
+                        stream.descriptor.id,
+                        windows.dims()
+                    )));
+                }
+                (Some(StreamInput::Frames(_)), _) => {
+                    return Err(CoreError::Dataset(format!(
+                        "stream {} takes windows, got frames",
+                        stream.descriptor.id
+                    )));
+                }
+                (Some(StreamInput::Windows(windows)), _) => all_finite(windows.data()),
+                (None, _) => true,
             };
             if !finite {
                 return Err(CoreError::NonFinitePosterior {
@@ -2068,7 +2092,7 @@ mod tests {
         assert_ne!(plan.group[0], plan.groups - 1);
         let (mut expected, mut out) = (Vec::new(), Vec::new());
         let want = serial.classify_batch_into(&inputs(&narrow), &mut expected);
-        assert!(matches!(want, Err(CoreError::Nn(_))), "{want:?}");
+        assert!(matches!(want, Err(CoreError::Dataset(_))), "{want:?}");
         assert_eq!(
             parallel.classify_batch_into(&inputs(&narrow), &mut out),
             want
@@ -2088,8 +2112,7 @@ mod tests {
 
     /// A panic on a worker is its group's `WorkerPanicked`, not the
     /// caller's: the streams come back and the engine stays usable. (The
-    /// side camera's CNN, handed a window tensor, indexes a fourth
-    /// dimension the tensor does not have.)
+    /// side camera's stream is made to panic: no model in the tree does.)
     #[test]
     fn a_panicking_worker_group_is_an_error_and_the_engine_stays_usable() {
         let mut serial = three_stream_engine();
@@ -2105,23 +2128,66 @@ mod tests {
             plan.groups - 1,
             "the side camera runs on a worker"
         );
-        let mut all = [
+        let all = [
             (StreamId::IMU, StreamInput::Windows(&windows)),
             (StreamId::CAMERA_FRONT, StreamInput::Frames(&frames)),
-            (StreamId::CAMERA_SIDE, StreamInput::Windows(&windows)),
+            (StreamId::CAMERA_SIDE, StreamInput::Frames(&frames)),
         ];
         let mut out = Vec::new();
+        parallel.streams[2].panics = true;
         assert_eq!(
             parallel.classify_batch_into(&all, &mut out),
             Err(CoreError::WorkerPanicked { stage: GROUP_STAGE })
         );
         assert_eq!(parallel.stream_ids(), serial.stream_ids());
-        all[2].1 = StreamInput::Frames(&frames);
+        assert!(parallel.streams[2].panics, "the panicking stream came back");
+        parallel.streams[2].panics = false;
         let mut expected = Vec::new();
         serial.classify_batch_into(&all, &mut expected).unwrap();
         parallel.classify_batch_into(&all, &mut out).unwrap();
         assert_eq!(out, expected);
         assert_eq!(parallel.fanned_calls(), 2);
+    }
+
+    /// An input of the wrong kind for its stream's model is refused
+    /// before any stream runs or fans out, and the engine stays usable.
+    #[test]
+    fn an_input_of_the_wrong_kind_is_refused_before_fan_out() {
+        let mut serial = three_stream_engine();
+        serial.set_parallelism(Parallelism::serial());
+        let mut parallel = three_stream_engine();
+        parallel.set_parallelism(Parallelism::new(4));
+        let n = fanned_batch(&parallel);
+        let (frames, windows) = test_batch(n);
+        let mut out = Vec::new();
+        for swapped in [
+            [
+                (StreamId::IMU, StreamInput::Windows(&windows)),
+                (StreamId::CAMERA_FRONT, StreamInput::Frames(&frames)),
+                (StreamId::CAMERA_SIDE, StreamInput::Windows(&windows)),
+            ],
+            [
+                (StreamId::IMU, StreamInput::Frames(&frames)),
+                (StreamId::CAMERA_FRONT, StreamInput::Frames(&frames)),
+                (StreamId::CAMERA_SIDE, StreamInput::Frames(&frames)),
+            ],
+        ] {
+            for engine in [&mut serial, &mut parallel] {
+                let got = engine.classify_batch_into(&swapped, &mut out);
+                assert!(matches!(got, Err(CoreError::Dataset(_))), "{got:?}");
+            }
+        }
+        assert_eq!(parallel.fanned_calls(), 0);
+        let all = [
+            (StreamId::IMU, StreamInput::Windows(&windows)),
+            (StreamId::CAMERA_FRONT, StreamInput::Frames(&frames)),
+            (StreamId::CAMERA_SIDE, StreamInput::Frames(&frames)),
+        ];
+        let mut expected = Vec::new();
+        serial.classify_batch_into(&all, &mut expected).unwrap();
+        parallel.classify_batch_into(&all, &mut out).unwrap();
+        assert_eq!(out, expected);
+        assert_eq!(parallel.fanned_calls(), 1);
     }
 
     /// Fewer threads drop the surplus workers; more start them again; the

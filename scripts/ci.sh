@@ -79,6 +79,9 @@
 #                  bitwise shadow pass and the golden posteriors intact —
 #                  and whose seeded wire_bytes_per_label and state_mb
 #                  must equal its line in the committed LEDGER_smoke.txt.
+#                  benchmark/Cargo.lock is put back byte for byte after
+#                  the cargo calls prune it, and any uncommitted edit
+#                  under benchmark/ or to BENCHMARK.json fails the step.
 #                  No timing gate: the timings are the driver's to judge
 #   9. exhaustive — darnet_nn's tanh port over all 2^32 inputs in release
 #                  (~85 s): the FNV-1a digest of its bits must equal the
@@ -201,7 +204,19 @@ LEDGER_SMOKES=(cabin_stream:1 cabin_long:20 fleet_ingest:1)
 # seeded counts, so a smoke must reproduce them exactly.
 LEDGER_EXACT=LEDGER_smoke.txt
 
+# The ledger's cargo calls prune benchmark/Cargo.lock (as in tier1.sh):
+# the frozen lock is put back byte for byte however the step ends, and an
+# edit under benchmark/ or to BENCHMARK.json then fails the step.
 step_ledger() {
+  FROZEN_LOCK=$(mktemp)
+  cp benchmark/Cargo.lock "$FROZEN_LOCK"
+  trap 'cp "$FROZEN_LOCK" benchmark/Cargo.lock; rm -f "$FROZEN_LOCK"' EXIT
+  ledger_smokes
+  cp "$FROZEN_LOCK" benchmark/Cargo.lock
+  git diff --exit-code -- benchmark BENCHMARK.json
+}
+
+ledger_smokes() {
   local ledger=(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml --)
   cargo test --offline --quiet --manifest-path benchmark/Cargo.toml
   local smoke workload verdict want got

@@ -43,7 +43,17 @@ cargo check --workspace --all-targets --locked
 # The frozen ledger (benchmark/, BENCHMARK.json) is a package of its own
 # that nothing above compiles: check it against these crates here, so an
 # API deletion that breaks it fails in the first CI step, not the last.
+# Cargo prunes the entries of benchmark/Cargo.lock that name packages the
+# workspace no longer vendors; the lock is frozen with the rest of the
+# ledger, so it is put back byte for byte however the check ends, and
+# then any edit under benchmark/ or to BENCHMARK.json fails here: only a
+# benchmark refresh changes them.
+frozen_lock=$(mktemp)
+cp benchmark/Cargo.lock "$frozen_lock"
+trap 'cp "$frozen_lock" benchmark/Cargo.lock; rm -f "$frozen_lock"' EXIT
 cargo check --offline --all-targets --manifest-path benchmark/Cargo.toml
+cp "$frozen_lock" benchmark/Cargo.lock
+git diff --exit-code -- benchmark BENCHMARK.json
 # The clippy.toml bans fire here and in the escalated pass below; an
 # owner's `#[expect(clippy::disallowed_methods)]` grant that no longer
 # covers a banned call is an unfulfilled expectation, so it fails too.
