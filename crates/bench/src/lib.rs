@@ -2,9 +2,9 @@
 //!
 //! Benchmark harness for the DarNet reproduction. Two kinds of targets:
 //!
-//! * **`repro_*` binaries** — regenerate every table and figure of the
-//!   paper (`cargo run -p darnet-bench --release --bin repro_table2`).
-//!   Each accepts `--fast` to run a reduced-scale smoke version.
+//! * **`repro`** — every table, figure and ablation of the paper, one
+//!   section each (`cargo run -p darnet-bench --release --bin repro --
+//!   table2 fig5`); `--fast` runs the reduced-scale smoke version.
 //! * **`bench_*` binaries** — the gated harnesses behind the committed
 //!   `BENCH_*.json` baselines (thread speedups, crash recovery, fleet
 //!   ingest), all driven through [`gate`]. Per-kernel and per-layer
@@ -14,40 +14,6 @@
     clippy::disallowed_methods,
     reason = "the bench harness times runs, seeds its workloads and reads and writes its baselines"
 )]
-
-use darnet_core::experiment::{ExperimentConfig, MultiviewConfig, PrivacyExperimentConfig};
-
-/// Returns true if the process args request the reduced-scale preset.
-pub fn fast_requested() -> bool {
-    std::env::args().any(|a| a == "--fast")
-}
-
-/// Picks the experiment config from the command line (`--fast` or full).
-pub fn experiment_config() -> ExperimentConfig {
-    if fast_requested() {
-        ExperimentConfig::fast()
-    } else {
-        ExperimentConfig::paper()
-    }
-}
-
-/// Picks the privacy experiment config from the command line.
-pub fn privacy_config() -> PrivacyExperimentConfig {
-    if fast_requested() {
-        PrivacyExperimentConfig::fast()
-    } else {
-        PrivacyExperimentConfig::paper()
-    }
-}
-
-/// Picks the multiview N-stream ablation config from the command line.
-pub fn multiview_config() -> MultiviewConfig {
-    if fast_requested() {
-        MultiviewConfig::fast()
-    } else {
-        MultiviewConfig::paper()
-    }
-}
 
 /// Formats a fraction as a paper-style percentage.
 pub fn pct(x: f64) -> String {
@@ -187,8 +153,8 @@ pub mod metrics {
 }
 
 /// The command-line runner the four gated benchmarks share
-/// (`bench_parallel`, `bench_chaos`, `bench_fleet`,
-/// `repro_ablation_multiview` — steps 3–6 of `scripts/ci.sh`).
+/// (`bench_parallel`, `bench_chaos`, `bench_fleet` and `repro`'s
+/// `ablation_multiview` section — steps 3–6 of `scripts/ci.sh`).
 ///
 /// Flags:
 ///
@@ -271,7 +237,7 @@ pub mod gate {
             if flag("--json") {
                 print!("{text}");
             } else {
-                crate::header(title);
+                print!("{}", crate::header(title));
                 summary(&results);
             }
             if let Some(path) = arg_value(&args, "--out") {
@@ -520,9 +486,9 @@ pub mod fixtures {
     }
 }
 
-/// Prints a section header.
-pub fn header(title: &str) {
-    println!("\n=== {title} ===");
+/// A section header line, after a blank one.
+pub fn header(title: &str) -> String {
+    format!("\n=== {title} ===\n")
 }
 
 #[cfg(test)]

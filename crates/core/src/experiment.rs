@@ -1,6 +1,8 @@
 //! End-to-end experiment drivers regenerating every table and figure of
 //! the paper (see `DESIGN.md` §4 for the experiment index). The
-//! `darnet-bench` binaries are thin wrappers over these functions; the
+//! `darnet-bench` `repro` driver prints them, one section each, and
+//! builds each shared artifact (the default campaign's [`Dataset`], the
+//! [`TrainedStack`], the [`PrivacyTeacher`]) once per process; the
 //! integration tests run them at reduced scale.
 #![expect(
     clippy::disallowed_methods,
@@ -72,7 +74,7 @@ impl ExperimentConfig {
         }
     }
 
-    /// Full-reproduction preset used by the `repro_*` binaries: the
+    /// Full-reproduction preset the `repro` driver runs without `--fast`: the
     /// paper's class balance at 1/10 frame count, a wider CNN, and the
     /// paper's 2-layer bidirectional LSTM (32 hidden units per direction —
     /// a CPU-budget reduction of the paper's 64, documented in DESIGN.md).
@@ -127,6 +129,25 @@ fn collect(
     Ok((recordings, schedule))
 }
 
+/// `config`'s frame CNN with a `classes`-way head.
+fn cnn_config(config: &ExperimentConfig, classes: usize) -> CnnConfig {
+    CnnConfig {
+        input_size: config.frame_size,
+        classes,
+        width: config.cnn_width,
+        ..CnnConfig::default()
+    }
+}
+
+/// `config`'s IMU BiLSTM.
+fn rnn_config(config: &ExperimentConfig) -> RnnConfig {
+    RnnConfig {
+        hidden: config.rnn_hidden,
+        depth: config.rnn_depth,
+        ..RnnConfig::default()
+    }
+}
+
 /// The paper's campaign — [`StreamId::DARNET_PAIR`] over the 6-class
 /// script — as a labeled dataset.
 ///
@@ -173,14 +194,9 @@ pub struct Table1Report {
     pub total_collected: usize,
 }
 
-/// Regenerates Table 1: runs the collection campaign and tabulates
-/// per-class frame counts against the paper's.
-///
-/// # Errors
-///
-/// Propagates collection errors.
-pub fn run_table1(config: &ExperimentConfig) -> Result<Table1Report> {
-    let dataset = collect_multimodal(config)?;
+/// Regenerates Table 1: tabulates the per-class frame counts of
+/// `config`'s campaign ([`collect_multimodal`]) against the paper's.
+pub fn run_table1(config: &ExperimentConfig, dataset: &Dataset) -> Table1Report {
     let counts = dataset.class_counts();
     let rows = CanonicalBehavior::TABLE1
         .iter()
@@ -198,10 +214,10 @@ pub fn run_table1(config: &ExperimentConfig) -> Result<Table1Report> {
             collected_frames: counts[i],
         })
         .collect();
-    Ok(Table1Report {
+    Table1Report {
         rows,
         total_collected: dataset.len(),
-    })
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -240,28 +256,20 @@ pub struct TrainedStack {
 ///
 /// Propagates collection/training errors.
 pub fn train_stack(config: &ExperimentConfig) -> Result<TrainedStack> {
-    train_stack_on(config, collect_multimodal(config)?)
+    train_stack_on(config, &collect_multimodal(config)?)
 }
 
-/// Trains the full stack on an already-collected dataset (ablations reuse
-/// this to vary the collection pipeline).
+/// Trains the full stack on an already-collected dataset (the `repro`
+/// driver passes the campaign Table 1 tabulated; tests pass their own).
 ///
 /// # Errors
 ///
 /// Propagates training errors.
-pub fn train_stack_on(config: &ExperimentConfig, dataset: Dataset) -> Result<TrainedStack> {
+pub fn train_stack_on(config: &ExperimentConfig, dataset: &Dataset) -> Result<TrainedStack> {
     let (train, eval) = dataset.split(config.train_frac, config.seed ^ 0x5911)?;
 
     // Frame CNN.
-    let mut cnn = FrameCnn::new(
-        CnnConfig {
-            input_size: config.frame_size,
-            classes: 6,
-            width: config.cnn_width,
-            ..CnnConfig::default()
-        },
-        config.seed ^ 0xC99,
-    );
+    let mut cnn = FrameCnn::new(cnn_config(config, 6), config.seed ^ 0xC99);
     let train_frames = train.frames_tensor(StreamId::CAMERA_FRONT)?;
     let train_labels6 = train.labels();
     cnn.fit(&train_frames, &train_labels6, config.cnn_epochs)?;
@@ -269,14 +277,7 @@ pub fn train_stack_on(config: &ExperimentConfig, dataset: Dataset) -> Result<Tra
     // IMU models.
     let train_windows = train.imu_tensor()?;
     let train_labels3 = train.labels3();
-    let mut rnn = ImuRnn::new(
-        RnnConfig {
-            hidden: config.rnn_hidden,
-            depth: config.rnn_depth,
-            ..RnnConfig::default()
-        },
-        config.seed ^ 0x44,
-    );
+    let mut rnn = ImuRnn::new(rnn_config(config), config.seed ^ 0x44);
     rnn.fit(&train_windows, &train_labels3, config.rnn_epochs)?;
     let mut svm = ImuSvm::new(WINDOW_LEN, IMU_FEATURES, 3);
     let mut svm_rng = SplitMix64::new(config.seed ^ 0x55);
@@ -396,16 +397,6 @@ pub fn table2_from_stack(stack: &TrainedStack) -> Result<Table2Report> {
     })
 }
 
-/// Regenerates Table 2 and Figure 5 end to end.
-///
-/// # Errors
-///
-/// Propagates collection/training errors.
-pub fn run_table2(config: &ExperimentConfig) -> Result<Table2Report> {
-    let stack = train_stack(config)?;
-    table2_from_stack(&stack)
-}
-
 // ---------------------------------------------------------------------
 // Table 3 / Figure 4 (privacy study)
 // ---------------------------------------------------------------------
@@ -458,7 +449,7 @@ impl PrivacyExperimentConfig {
         }
     }
 
-    /// Full preset for the `repro_table3` binary.
+    /// Full preset for Table 3 and the distillation ablation.
     pub fn paper() -> Self {
         PrivacyExperimentConfig {
             seed: 0xD155,
@@ -497,7 +488,10 @@ pub struct Table3Report {
 /// What both privacy experiments start from: the 18-class world, its
 /// driver-disjoint split, the noisy training labels and the teacher fitted
 /// on them, with its full-resolution Top-1 on the held-out drivers.
-struct PrivacyTeacher {
+/// [`run_table3`] and [`run_ablation_distill`] borrow one; distilling
+/// from the teacher runs it in eval mode only, so neither moves what the
+/// other computes.
+pub struct PrivacyTeacher {
     world: DrivingWorld,
     train: ExtendedFrameDataset,
     eval: ExtendedFrameDataset,
@@ -509,7 +503,11 @@ struct PrivacyTeacher {
 
 /// Builds the world and extended schedule of `config`, splits the
 /// dataset by driver, and fits and evaluates the teacher.
-fn fit_privacy_teacher(config: &PrivacyExperimentConfig) -> Result<PrivacyTeacher> {
+///
+/// # Errors
+///
+/// Propagates dataset and training errors.
+pub fn fit_privacy_teacher(config: &PrivacyExperimentConfig) -> Result<PrivacyTeacher> {
     let world = DrivingWorld::new(WorldConfig {
         drivers: config.drivers,
         frame_size: config.frame_size,
@@ -553,22 +551,25 @@ fn fit_privacy_teacher(config: &PrivacyExperimentConfig) -> Result<PrivacyTeache
     })
 }
 
-/// Regenerates Table 3: trains the 18-class teacher, distills one dCNN
-/// per level on an unlabeled pool, and evaluates everything on the same
-/// held-out split.
+/// Regenerates Table 3: distills one dCNN per level from `config`'s
+/// teacher ([`fit_privacy_teacher`]) on an unlabeled pool, and evaluates
+/// everything on the same held-out split.
 ///
 /// # Errors
 ///
 /// Propagates training errors.
-pub fn run_table3(config: &PrivacyExperimentConfig) -> Result<Table3Report> {
+pub fn run_table3(
+    config: &PrivacyExperimentConfig,
+    teacher: &mut PrivacyTeacher,
+) -> Result<Table3Report> {
     let PrivacyTeacher {
         world,
         train,
         eval,
-        mut teacher,
-        teacher_full: cnn_top1,
+        teacher,
+        teacher_full,
         ..
-    } = fit_privacy_teacher(config)?;
+    } = teacher;
 
     // Unlabeled pool: the training frames plus freshly generated footage
     // at offset times (the paper's method is fully unsupervised, so new
@@ -595,7 +596,7 @@ pub fn run_table3(config: &PrivacyExperimentConfig) -> Result<Table3Report> {
     let mut dcnn_top1 = Vec::new();
     for level in PrivacyLevel::ALL {
         let mut student = distill_dcnn(
-            &mut teacher,
+            teacher,
             &unlabeled,
             level,
             &config.distill,
@@ -606,7 +607,7 @@ pub fn run_table3(config: &PrivacyExperimentConfig) -> Result<Table3Report> {
         dcnn_top1.push((level, acc));
     }
     Ok(Table3Report {
-        cnn_top1,
+        cnn_top1: *teacher_full,
         dcnn_top1,
     })
 }
@@ -730,31 +731,34 @@ pub struct AlignmentAblation {
 }
 
 /// Measures the effect of the controller's sliding-moving-average
-/// smoothing on downstream IMU classification.
+/// smoothing on downstream IMU classification. `stack` is `config`'s
+/// [`TrainedStack`], whose RNN is the smoothed arm (the default
+/// campaign smooths over 3 grid points); only the unsmoothed arm trains
+/// here.
 ///
 /// # Errors
 ///
 /// Propagates collection/training errors.
-pub fn run_ablation_alignment(config: &ExperimentConfig) -> Result<AlignmentAblation> {
-    let run = |window: usize| -> Result<f64> {
-        let mut campaign = campaign(config);
-        campaign.controller.smoothing_window = window;
-        let (train, eval) =
-            collect_pair(config, &campaign)?.split(config.train_frac, config.seed ^ 0x5911)?;
-        let mut rnn = ImuRnn::new(
-            RnnConfig {
-                hidden: config.rnn_hidden,
-                depth: config.rnn_depth,
-                ..RnnConfig::default()
-            },
-            config.seed ^ 0x44,
-        );
-        rnn.fit(&train.imu_tensor()?, &train.labels3(), config.rnn_epochs)?;
-        Ok(rnn.evaluate(&eval.imu_tensor()?, &eval.labels3())? as f64)
-    };
+pub fn run_ablation_alignment(
+    config: &ExperimentConfig,
+    stack: &TrainedStack,
+) -> Result<AlignmentAblation> {
+    let mut campaign = campaign(config);
+    campaign.controller.smoothing_window = 1;
+    let (train, eval) =
+        collect_pair(config, &campaign)?.split(config.train_frac, config.seed ^ 0x5911)?;
+    let mut rnn = ImuRnn::new(rnn_config(config), config.seed ^ 0x44);
+    rnn.fit(&train.imu_tensor()?, &train.labels3(), config.rnn_epochs)?;
+    let unsmoothed = rnn.evaluate(&eval.imu_tensor()?, &eval.labels3())?;
+    // `ImuRnn::evaluate`'s arithmetic over the stack's eval posteriors,
+    // so both arms round alike.
+    let labels3 = stack.eval.labels3();
+    let preds = stack.rnn_probs_eval.argmax_rows()?;
+    let correct = preds.iter().zip(&labels3).filter(|(a, b)| a == b).count();
+    let smoothed = correct as f32 / labels3.len().max(1) as f32;
     Ok(AlignmentAblation {
-        smoothed: run(3)?,
-        unsmoothed: run(1)?,
+        smoothed: f64::from(smoothed),
+        unsmoothed: f64::from(unsmoothed),
     })
 }
 
@@ -770,24 +774,22 @@ pub struct PretrainAblation {
 /// Reproduces the paper's transfer-learning rationale: pre-train the CNN
 /// on a *proxy* world (different drivers — standing in for ILSVRC),
 /// replace the head, fine-tune, and compare against from-scratch training
-/// with the same fine-tuning budget.
+/// with the same fine-tuning budget, on `config`'s campaign
+/// ([`collect_multimodal`]).
 ///
 /// # Errors
 ///
 /// Propagates training errors.
-pub fn run_ablation_pretrain(config: &ExperimentConfig) -> Result<PretrainAblation> {
-    let dataset = collect_multimodal(config)?;
+pub fn run_ablation_pretrain(
+    config: &ExperimentConfig,
+    dataset: &Dataset,
+) -> Result<PretrainAblation> {
     let (train, eval) = dataset.split(config.train_frac, config.seed ^ 0x5911)?;
     let train_frames = train.frames_tensor(StreamId::CAMERA_FRONT)?;
     let train_labels = train.labels();
     let eval_frames = eval.frames_tensor(StreamId::CAMERA_FRONT)?;
     let eval_labels = eval.labels();
-    let cnn_config = CnnConfig {
-        input_size: config.frame_size,
-        classes: 6,
-        width: config.cnn_width,
-        ..CnnConfig::default()
-    };
+    let cnn_config = cnn_config(config, 6);
     let fine_tune_epochs = (config.cnn_epochs / 2).max(1);
 
     // Proxy pre-training: a different world (different driver identities
@@ -844,13 +846,15 @@ pub struct DistillAblation {
 
 /// Quantifies what the paper's unsupervised distillation buys at a given
 /// privacy level, against (a) no adaptation at all and (b) supervised
-/// training directly on distorted frames.
+/// training directly on distorted frames, with `config`'s teacher
+/// ([`fit_privacy_teacher`]).
 ///
 /// # Errors
 ///
 /// Propagates training errors.
 pub fn run_ablation_distill(
     config: &PrivacyExperimentConfig,
+    teacher: &mut PrivacyTeacher,
     level: PrivacyLevel,
 ) -> Result<DistillAblation> {
     let PrivacyTeacher {
@@ -858,10 +862,10 @@ pub fn run_ablation_distill(
         eval,
         noisy_train: noisy,
         cnn_config,
-        mut teacher,
+        teacher,
         teacher_full,
         ..
-    } = fit_privacy_teacher(config)?;
+    } = teacher;
 
     let downsampler = Downsampler::new(config.frame_size);
     let eval_distorted = downsampler.roundtrip_tensor(eval.frames(), level)?;
@@ -869,14 +873,14 @@ pub fn run_ablation_distill(
 
     // Supervised student: same architecture, same epochs, trained on
     // distorted frames with the (noisy) labels.
-    let mut supervised = FrameCnn::new(cnn_config, config.seed ^ 0x13);
+    let mut supervised = FrameCnn::new(*cnn_config, config.seed ^ 0x13);
     let train_distorted = downsampler.roundtrip_tensor(train.frames(), level)?;
     supervised.fit(&train_distorted, noisy.labels(), config.distill.epochs)?;
     let supervised_acc = supervised.evaluate(&eval_distorted, eval.labels())? as f64;
 
     // Distilled student: the paper's method, label-free.
     let mut distilled = distill_dcnn(
-        &mut teacher,
+        teacher,
         train.frames(),
         level,
         &config.distill,
@@ -886,7 +890,7 @@ pub fn run_ablation_distill(
 
     Ok(DistillAblation {
         level,
-        teacher_full,
+        teacher_full: *teacher_full,
         teacher_distorted,
         supervised: supervised_acc,
         distilled: distilled_acc,
@@ -936,7 +940,8 @@ impl MultiviewConfig {
         }
     }
 
-    /// Fuller preset for the `repro_ablation_multiview` binary.
+    /// Fuller preset the `repro` driver's `ablation_multiview` section
+    /// runs without `--fast`.
     pub fn paper() -> Self {
         MultiviewConfig {
             base: ExperimentConfig {
@@ -1030,17 +1035,10 @@ pub fn run_ablation_multiview(config: &MultiviewConfig) -> Result<MultiviewAblat
     let train_front = train.frames_tensor(StreamId::CAMERA_FRONT)?;
     let train_side = train.frames_tensor(StreamId::CAMERA_SIDE)?;
 
-    let cnn_config = CnnConfig {
-        input_size: config.frame_size,
-        classes: CanonicalBehavior::ALL.len(),
-        width: config.cnn_width,
-        ..CnnConfig::default()
-    };
-    let rnn_config = RnnConfig {
-        hidden: config.rnn_hidden,
-        depth: config.rnn_depth,
-        ..RnnConfig::default()
-    };
+    let (cnn_config, rnn_config) = (
+        cnn_config(config, CanonicalBehavior::ALL.len()),
+        rnn_config(config),
+    );
     let mut rnn = ImuRnn::new(rnn_config, config.seed ^ 0x44);
     rnn.fit(&train_imu, &labels3_train, config.rnn_epochs)?;
     let mut front = FrameCnn::new(cnn_config, config.seed ^ 0xC99);
@@ -1165,7 +1163,8 @@ mod tests {
 
     #[test]
     fn fast_config_collects_all_classes() {
-        let report = run_table1(&ExperimentConfig::fast()).unwrap();
+        let config = ExperimentConfig::fast();
+        let report = run_table1(&config, &collect_multimodal(&config).unwrap());
         assert_eq!(report.rows.len(), 6);
         for row in &report.rows {
             assert!(row.collected_frames > 0, "class {} empty", row.class);

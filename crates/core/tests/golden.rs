@@ -376,7 +376,7 @@ fn table2_stack_digest() {
     let recordings =
         run_campaign(&world, &schedule, &campaign, &StreamId::DARNET_PAIR, &[]).unwrap();
     let dataset = Dataset::from_recordings(&recordings, &schedule).unwrap();
-    let stack = train_stack_on(&config, dataset).unwrap();
+    let stack = train_stack_on(&config, &dataset).unwrap();
 
     // The Bayesian ensembles' predictions, as Table 2 / Figure 5 report
     // them, and the product rule's beside them.

@@ -23,7 +23,7 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     // A small labeled dataset over a distinctive subset of the paper's
     // 18-class extended taxonomy (the full Table-3 run lives in
-    // `repro_table3`). Classes are interleaved so the contiguous split
+    // `repro table3`). Classes are interleaved so the contiguous split
     // stays stratified.
     let classes = [
         ExtendedBehavior::NormalDriving,

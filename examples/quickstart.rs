@@ -58,7 +58,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         ..ExperimentConfig::fast()
     };
     println!("training CNN, BiLSTM, SVM and Bayesian combiners...");
-    let stack = train_stack_on(&config, dataset)?;
+    let stack = train_stack_on(&config, &dataset)?;
 
     // 5. Assemble the analytics engine and classify held-out time-steps
     //    through the session API, exactly as the deployed system would

@@ -51,7 +51,8 @@
 #                  baseline (--check), and its seeded counts (acked,
 #                  retransmits, deliveries and readings per shard
 #                  count, bytes per agent) must equal it exactly
-#   6. multiview — the N-stream registry ablation in --fast mode,
+#   6. multiview — the N-stream registry ablation (`repro
+#                  ablation_multiview`) in --fast mode,
 #                  compared against the committed BENCH_multiview.json
 #                  baseline; the seeded fault campaign must knock the
 #                  front camera out, and the 3-stream engine's accuracy
@@ -59,16 +60,18 @@
 #                  engine under the same loss and within 15% of the
 #                  clean 2-stream baseline (--check); the seeded
 #                  evaluation-split size must equal the baseline's
-#   7. repro     — every repro_* bin (Tables 1–3, Figs 4–5, the six
-#                  ablations) in --fast mode: each stdout's sha256 must
-#                  equal its line in the committed REPRO_fast.sha256, and
-#                  every bin must have a line — paper fidelity held byte
-#                  for byte (~80–90 s, mostly repro_table3 and
-#                  repro_ablation_distill). Like the golden files, the
-#                  digests assume glibc's exp, ln and cos (tanh is
-#                  in-repo, step 9). Each bin's wall time is
+#   7. repro     — one `repro all --fast` run (Tables 1–3, Figs 4–5,
+#                  the six ablations; each shared model trained once):
+#                  its stdout splits on the `### repro <section>` marker
+#                  lines, each part's sha256 must equal its line in the
+#                  committed REPRO_fast.sha256, and the run's sections
+#                  must be exactly that file's keys — paper fidelity
+#                  held byte for byte (~100 s, mostly table3 and its
+#                  teacher). Like the golden files, the digests assume
+#                  glibc's exp, ln and cos (tanh is in-repo, step 9).
+#                  Each section's wall time (the driver's stderr) is
 #                  printed and written to target/ci/repro_times.txt
-#                  (`bin seconds` lines); no time is gated
+#                  (`section seconds` lines); no time is gated
 #   8. ledger    — the frozen pipeline ledger (benchmark/, BENCHMARK.json;
 #                  a package of its own that step 1 only type-checks)
 #                  against this checkout's crates: its unit tests, then
@@ -145,12 +148,14 @@ step_docs() {
 
 # Shared shape of the four gated benchmarks: --fast smoke, JSON artifact
 # under target/ci/, regression compare against the committed baseline,
-# and the bench's own invariant gates.
+# and the bench's own invariant gates. Arguments after the baseline go
+# before the flags (repro's section name).
 run_bench() {
   local bin="$1"
   local baseline="$2"
+  shift 2
   mkdir -p target/ci
-  cargo run --release --locked -p darnet-bench --bin "$bin" -- \
+  cargo run --release --locked -p darnet-bench --bin "$bin" -- "$@" \
     --fast --json \
     --out "target/ci/$baseline" \
     --compare "$baseline" \
@@ -160,37 +165,51 @@ run_bench() {
 step_parallel()  { run_bench bench_parallel  BENCH_parallel.json; }
 step_chaos()     { run_bench bench_chaos     BENCH_chaos.json; }
 step_fleet()     { run_bench bench_fleet     BENCH_fleet.json; }
-step_multiview() { run_bench repro_ablation_multiview BENCH_multiview.json; }
+step_multiview() { run_bench repro BENCH_multiview.json ablation_multiview; }
 
-# `sha256  bin` lines, one per repro_* bin. fig4 prints the paths it wrote
-# under the temp dir, so TMPDIR is pinned to the one the digests saw.
+# `sha256  section` lines, one per repro section. fig4 prints the paths
+# it wrote under the temp dir, so TMPDIR is pinned to the one the digests
+# saw.
 REPRO_DIGESTS=REPRO_fast.sha256
-# `bin seconds` lines: each bin's --fast wall time in this run.
+# `section seconds` lines: each section's --fast wall time in this run.
 REPRO_TIMES=target/ci/repro_times.txt
 
 step_repro() {
-  cargo build --release --locked -p darnet-bench --bins
-  local bins listed
-  bins=$(cd crates/bench/src/bin && ls repro_*.rs | sed 's/\.rs$//' | sort)
-  listed=$(awk '{ print $2 }' "$REPRO_DIGESTS" | sort)
-  if [[ "$bins" != "$listed" ]]; then
-    echo "repro: the repro_* bins and $REPRO_DIGESTS's lines differ" >&2
+  cargo build --release --locked -p darnet-bench --bin repro
+  mkdir -p target/ci
+  local parts
+  parts=$(mktemp -d)
+  if ! TMPDIR=/tmp target/release/repro all --fast > "$parts/stdout" 2> "$parts/stderr"; then
+    cat "$parts/stderr" >&2
+    rm -rf "$parts"
     return 1
   fi
-  mkdir -p target/ci
-  : > "$REPRO_TIMES"
-  local want bin got start secs failed=0
-  while read -r want bin; do
-    start=$EPOCHREALTIME
-    got=$(TMPDIR=/tmp "target/release/$bin" --fast | sha256sum | cut -d' ' -f1)
-    secs=$(awk -v a="$start" -v b="$EPOCHREALTIME" 'BEGIN { printf "%.1f", b - a }')
-    printf '  %-28s %6ss\n' "$bin" "$secs"
-    printf '%s %s\n' "$bin" "$secs" >> "$REPRO_TIMES"
+  # One file per section under $parts/sections; text before the first
+  # marker lands in a file named `-`, which no section is.
+  mkdir "$parts/sections"
+  LC_ALL=C awk -v dir="$parts/sections" '
+    BEGIN { f = dir "/-" }
+    /^### repro / { f = dir "/" $3; printf "" > f; next }
+    { print > f }' "$parts/stdout"
+  awk '$1 == "repro:" { print $2, $3 }' "$parts/stderr" > "$REPRO_TIMES"
+  awk '{ printf "  %-28s %6ss\n", $1, $2 }' "$REPRO_TIMES"
+  local sections listed
+  sections=$(ls "$parts/sections" | sort)
+  listed=$(awk '{ print $2 }' "$REPRO_DIGESTS" | sort)
+  local failed=0
+  if [[ "$sections" != "$listed" ]]; then
+    echo "repro: the sections of 'repro all' and $REPRO_DIGESTS's keys differ" >&2
+    failed=1
+  fi
+  local want section got
+  while read -r want section; do
+    got=$(sha256sum < "$parts/sections/$section" 2>/dev/null | cut -d' ' -f1)
     if [[ "$got" != "$want" ]]; then
-      echo "repro: $bin --fast stdout sha256 is $got, $REPRO_DIGESTS has $want" >&2
+      echo "repro: $section --fast stdout sha256 is ${got:-missing}, $REPRO_DIGESTS has $want" >&2
       failed=1
     fi
   done < "$REPRO_DIGESTS"
+  rm -rf "$parts"
   return "$failed"
 }
 

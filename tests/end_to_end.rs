@@ -75,7 +75,7 @@ fn dataset_covers_all_classes_with_windows() {
 #[test]
 fn full_stack_ensemble_beats_cnn_alone() {
     let (dataset, config) = small_campaign();
-    let stack = train_stack_on(&config, dataset).expect("stack trains");
+    let stack = train_stack_on(&config, &dataset).expect("stack trains");
     let report = table2_from_stack(&stack).expect("report computes");
     // The paper's central claim: adding the IMU modality through the
     // Bayesian combiner significantly outperforms the frame-only CNN.
@@ -95,7 +95,7 @@ fn full_stack_ensemble_beats_cnn_alone() {
 #[test]
 fn combiner_ablation_orders_strategies() {
     let (dataset, config) = small_campaign();
-    let stack = train_stack_on(&config, dataset).expect("stack trains");
+    let stack = train_stack_on(&config, &dataset).expect("stack trains");
     let ab = run_ablation_combiner(&stack).expect("ablation runs");
     // Any fusion beats no fusion on this dataset.
     assert!(ab.bayesian > ab.cnn_only);
@@ -116,7 +116,7 @@ fn step_inputs<'a>(frame: &'a Frame, window: &'a Tensor) -> [(StreamId, StreamIn
 #[test]
 fn engine_classifies_held_out_steps_end_to_end() {
     let (dataset, config) = small_campaign();
-    let stack = train_stack_on(&config, dataset).expect("stack trains");
+    let stack = train_stack_on(&config, &dataset).expect("stack trains");
     let eval = stack.eval.clone();
     let mut engine = MultiModalEngine::darnet_pair(
         CombinerKind::Bayesian,
@@ -148,7 +148,7 @@ fn engine_classifies_held_out_steps_end_to_end() {
 #[test]
 fn svm_slot_works_in_engine() {
     let (dataset, config) = small_campaign();
-    let stack = train_stack_on(&config, dataset).expect("stack trains");
+    let stack = train_stack_on(&config, &dataset).expect("stack trains");
     let eval = stack.eval.clone();
     let mut engine = MultiModalEngine::darnet_pair(
         CombinerKind::Bayesian,

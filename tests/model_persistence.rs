@@ -45,7 +45,7 @@ fn trained_models_roundtrip_through_weight_files() {
     )
     .unwrap();
     let dataset = Dataset::from_recordings(&recordings, &schedule).unwrap();
-    let mut stack = train_stack_on(&config, dataset).unwrap();
+    let mut stack = train_stack_on(&config, &dataset).unwrap();
 
     let dir = std::env::temp_dir().join("darnet_persist_test");
     std::fs::create_dir_all(&dir).unwrap();
