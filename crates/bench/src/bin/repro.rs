@@ -277,7 +277,7 @@ fn fig5(cache: &mut Cache, out: &mut String) -> Outcome {
     Ok(())
 }
 
-/// The controller's moving-average smoothing on vs. off (DESIGN.md §6.2).
+/// The controller's moving-average smoothing on vs. off (DESIGN.md §6, item 2).
 fn ablation_alignment(cache: &mut Cache, out: &mut String) -> Outcome {
     let config = cache.experiment;
     let ab = run_ablation_alignment(&config, cache.stack()?)?;
@@ -290,7 +290,7 @@ fn ablation_alignment(cache: &mut Cache, out: &mut String) -> Outcome {
 }
 
 /// The 5-second master–slave clock-sync protocol on vs. off
-/// (DESIGN.md §6.3).
+/// (DESIGN.md §6, item 3).
 fn ablation_clocksync(cache: &mut Cache, out: &mut String) -> Outcome {
     let ab = run_ablation_clocksync(&cache.experiment)?;
     let title = "Ablation: clock synchronization (max agent timestamp error)";
@@ -306,7 +306,7 @@ fn ablation_clocksync(cache: &mut Cache, out: &mut String) -> Outcome {
 }
 
 /// Bayesian-network combiner vs. independence product vs. CNN only
-/// (DESIGN.md §6.1).
+/// (DESIGN.md §6, item 1).
 fn ablation_combiner(cache: &mut Cache, out: &mut String) -> Outcome {
     let ab = run_ablation_combiner(cache.stack()?)?;
     let title = "Ablation: modality fusion strategy (eval Top-1)";
@@ -319,7 +319,7 @@ fn ablation_combiner(cache: &mut Cache, out: &mut String) -> Outcome {
 }
 
 /// The paper's label-free dCNN distillation vs. the teacher on distorted
-/// frames and supervised training on them (DESIGN.md §6.5), at dCNN-L.
+/// frames and supervised training on them (DESIGN.md §6, item 5), at dCNN-L.
 fn ablation_distill(cache: &mut Cache, out: &mut String) -> Outcome {
     let config = cache.privacy;
     let ab = run_ablation_distill(&config, cache.teacher()?, PrivacyLevel::Low)?;
@@ -378,7 +378,7 @@ fn ablation_multiview(cache: &mut Cache, _: &mut String) -> Outcome {
 }
 
 /// Proxy pre-training + fine-tuning vs. from-scratch training at the same
-/// fine-tuning budget (DESIGN.md §6.4).
+/// fine-tuning budget (DESIGN.md §6, item 4).
 fn ablation_pretrain(cache: &mut Cache, out: &mut String) -> Outcome {
     let config = cache.experiment;
     let ab = run_ablation_pretrain(&config, cache.dataset()?)?;

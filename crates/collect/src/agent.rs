@@ -13,10 +13,8 @@ use std::collections::VecDeque;
 use darnet_tensor::SplitMix64;
 
 use crate::clock::DriftClock;
-use crate::error::CollectError;
 use crate::sensor::Sensor;
-use crate::wire::{Batch, StampedReading};
-use crate::Result;
+use crate::{Batch, CollectError, Result, StampedReading};
 
 /// Agent configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -348,7 +346,8 @@ impl std::fmt::Debug for CollectionAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sensor::{ScriptedSensor, SensorReading};
+    use crate::sensor::ScriptedSensor;
+    use crate::SensorReading;
     use darnet_sim::{CanonicalBehavior, DrivingWorld, Segment, WorldConfig};
     use std::sync::Arc;
 

@@ -37,48 +37,39 @@
 //!   [`runtime::Durability`], into one [`runtime::Recording`];
 //!   [`runtime::run_campaign`] runs it for every driver of a
 //!   [`darnet_sim`] schedule.
+//!
+//! The effect-free half — wire format, controller, TSDB, alignment, WAL
+//! and shards — is [`darnet_pure`]'s, re-exported here at its old paths;
+//! this crate adds what reads a clock, draws from an RNG, spawns a
+//! thread or writes a file: agents, clocks, links, the session loop,
+//! live mode and [`wal::DirStorage`] (DESIGN.md §11).
 
 mod agent;
-mod align;
 mod clock;
-mod controller;
 mod decision;
-mod error;
 pub mod live;
 pub mod loadgen;
 mod network;
 pub mod runtime;
 mod sensor;
-pub mod shard;
-mod stream;
-mod tsdb;
 pub mod wal;
-mod wire;
 
 pub use agent::{AgentConfig, CollectionAgent, SpillStats, TransportStats};
-pub use align::{interpolate_grid, moving_average, GridSpec};
 pub use clock::{ClockConfig, DriftClock};
-pub use controller::{
-    AdmissionConfig, AlignedImuPoint, Controller, ControllerConfig, FrameRecord, IngestOutcome,
-    StreamHealth,
+pub use darnet_pure::shard;
+pub use darnet_pure::{
+    canonical_fingerprint_merged, decode_ack, decode_batch, encode_ack, encode_batch, fleet_signal,
+    interpolate_grid, moving_average, shard_of, Ack, AdmissionConfig, Aggregation, AlignedImuPoint,
+    Batch, CollectError, Controller, ControllerConfig, FleetAdmission, FleetPressure, FrameRecord,
+    GridSpec, IngestOutcome, OfferOutcome, Result, SensorReading, SeriesStats, ShardAck,
+    ShardConfig, ShardPressure, ShardedController, StampedReading, StreamHealth, StreamId, TsDb,
 };
 pub use decision::{
     decide_processing, LinkObservation, PrivacyPreference, ProcessingSite, SiteCapabilities,
 };
-pub use error::CollectError;
 pub use loadgen::{run_fleet, run_fleet_into, FleetConfig, FleetReport};
 pub use network::{FaultConfig, Link, LinkConfig, LinkStats};
-pub use sensor::{CameraView, ScriptedSensor, Sensor, SensorReading};
-pub use shard::{
-    fleet_signal, shard_of, FleetAdmission, FleetPressure, OfferOutcome, ShardAck, ShardConfig,
-    ShardPressure, ShardedController,
-};
-pub use stream::StreamId;
-pub use tsdb::{canonical_fingerprint_merged, Aggregation, SeriesStats, TsDb};
+pub use sensor::{CameraView, ScriptedSensor, Sensor};
 pub use wal::{
     replay_into, DirStorage, MemStorage, RecoveryReport, Wal, WalConfig, WalStats, WalStorage,
 };
-pub use wire::{decode_ack, decode_batch, encode_ack, encode_batch, Ack, Batch, StampedReading};
-
-/// Crate-wide result alias.
-pub type Result<T> = std::result::Result<T, CollectError>;

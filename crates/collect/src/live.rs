@@ -14,11 +14,9 @@ use darnet_sim::{CanonicalBehavior, DrivingWorld, Segment};
 
 use crate::agent::{AgentConfig, CollectionAgent};
 use crate::clock::DriftClock;
-use crate::controller::{Controller, ControllerConfig};
 use crate::sensor::{driver_script, CameraView, ScriptedSensor, Sensor};
 use crate::shard::Door;
-use crate::wire::{decode_batch, encode_batch};
-use crate::{CollectError, Result};
+use crate::{decode_batch, encode_batch, CollectError, Controller, ControllerConfig, Result};
 
 /// Output of a live run.
 #[derive(Debug)]

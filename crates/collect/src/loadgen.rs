@@ -37,10 +37,9 @@ use crate::agent::{AgentConfig, CollectionAgent};
 use crate::clock::DriftClock;
 use crate::network::{FaultConfig, Link, LinkConfig};
 use crate::runtime::{EventQueue, LinkedAgent};
-use crate::sensor::{scripted_at, Sensor, SensorReading};
+use crate::sensor::{scripted_at, Sensor};
 use crate::shard::{FleetAdmission, ShardConfig, ShardedController};
-use crate::wire::{decode_ack, decode_batch, encode_ack, encode_batch, Batch};
-use crate::Result;
+use crate::{decode_ack, decode_batch, encode_ack, encode_batch, Batch, Result, SensorReading};
 
 /// Controller drain-tick period, seconds: how often shard queues are
 /// drained, acks sent, and the fleet pressure rollup refreshed.
@@ -568,7 +567,7 @@ pub fn run_fleet_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::controller::ControllerConfig;
+    use crate::ControllerConfig;
 
     fn small_config() -> FleetConfig {
         FleetConfig {

@@ -33,14 +33,14 @@ use darnet_tensor::SplitMix64;
 
 use crate::agent::{AgentConfig, CollectionAgent, SpillStats, TransportStats};
 use crate::clock::{ClockConfig, DriftClock};
-use crate::controller::{AlignedImuPoint, ControllerConfig, FrameRecord, StreamHealth};
 use crate::network::{Link, LinkConfig, LinkStats};
 use crate::sensor::{driver_script, CameraView, ScriptedSensor, Sensor};
 use crate::shard::Door;
-use crate::stream::StreamId;
 use crate::wal::{RecoveryReport, WalConfig, WalStats, WalStorage};
-use crate::wire::{decode_ack, decode_batch, encode_ack, encode_batch, Batch};
-use crate::{CollectError, Result};
+use crate::{
+    decode_ack, decode_batch, encode_ack, encode_batch, AlignedImuPoint, Batch, CollectError,
+    ControllerConfig, FrameRecord, Result, StreamHealth, StreamId,
+};
 
 /// A timestamped discrete event with a deterministic tie-break.
 struct TimedEvent<K> {
@@ -1231,7 +1231,7 @@ mod tests {
         let mut config = CampaignConfig::default();
         // A starved token bucket: frames (low priority) get shed under
         // pressure, IMU (high priority) keeps flowing.
-        config.controller.admission = crate::controller::AdmissionConfig {
+        config.controller.admission = crate::AdmissionConfig {
             enabled: true,
             capacity: 64.0,
             drain_per_sec: 24.0,

@@ -111,9 +111,21 @@ proptest! {
     }
 
     #[test]
-    fn decoder_never_panics_on_garbage(bytes in prop::collection::vec(any::<u8>(), 0..200)) {
-        // Must return Ok or Err — never panic.
-        let _ = decode_batch(Bytes::from(bytes));
+    fn decoder_never_panics_on_garbage(
+        stamps in prop::collection::vec(0.0f64..100.0, 0..4),
+        keep in 0usize..300,
+        bytes in prop::collection::vec(any::<u8>(), 0..200),
+    ) {
+        // Garbage, alone or after a valid encoding cut anywhere: the
+        // decoder returns Ok or Err — never panics — and bytes it
+        // accepts are exactly the encoding of what it returned, so
+        // nothing after the last reading slips through.
+        let mut data = encode_batch(&imu_batch(0xA5, 1, &stamps)).to_vec();
+        data.truncate(keep);
+        data.extend(bytes);
+        if let Ok(batch) = decode_batch(Bytes::from(data.clone())) {
+            prop_assert_eq!(encode_batch(&batch).to_vec(), data);
+        }
     }
 
     #[test]

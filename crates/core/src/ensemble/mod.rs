@@ -7,7 +7,7 @@ mod nary;
 pub use nary::NaryBayesianCombiner;
 
 /// The combiner strategies implemented for the ablation study (DESIGN.md
-/// §6.1). The paper's contribution is the Bayesian-network combiner; the
+/// §6, item 1). The paper's contribution is the Bayesian-network combiner; the
 /// product rule and IMU-gated voting are natural simpler baselines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CombinerKind {

@@ -8,10 +8,9 @@
 //! calls the same bodies for the grid points a read has to (re)compute,
 //! so its output is the batch output by construction.
 
-use darnet_sim::ImuSample;
-
 use crate::controller::AlignedImuPoint;
 use crate::tsdb::Series;
+use crate::ImuSample;
 
 /// A uniform sampling grid `start, start + 1/hz, ...` up to `end`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -248,10 +247,6 @@ impl GridCache {
 }
 
 #[cfg(test)]
-#[expect(
-    clippy::disallowed_methods,
-    reason = "tests seed their inputs from a SplitMix64"
-)]
 mod tests {
     use super::*;
 
@@ -423,8 +418,17 @@ mod tests {
 
     #[test]
     fn moving_average_reduces_variance_of_noise() {
-        let mut rng = darnet_tensor::SplitMix64::new(3);
-        let series: Vec<Vec<f32>> = (0..500).map(|_| vec![rng.normal()]).collect();
+        // Uniform noise in [-1, 1) from a xorshift, so the test needs
+        // no PRNG crate.
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let series: Vec<Vec<f32>> = (0..500)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                vec![(state >> 40) as f32 / (1u64 << 23) as f32 - 1.0]
+            })
+            .collect();
         let smooth = moving_average(&series, 5);
         let var = |s: &[Vec<f32>]| {
             let mean = s.iter().map(|v| v[0]).sum::<f32>() / s.len() as f32;

@@ -14,15 +14,13 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write;
 
-use darnet_sim::{Frame, ImuSample};
-
 use crate::align::GridCache;
 use crate::error::CollectError;
 use crate::sensor::SensorReading;
 use crate::stream::StreamId;
 use crate::tsdb::TsDb;
 use crate::wire::{Ack, Batch};
-use crate::Result;
+use crate::{Frame, ImuSample, Result};
 
 /// Controller configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -499,7 +497,6 @@ impl Controller {
     /// tallies are deliberately left out: refused deliveries never enter
     /// the log (only checkpoints carry the tallies), so a recovery loses
     /// whatever accumulated since the last checkpoint (DESIGN.md §13).
-    // darlint: pure-root
     pub fn state_digest(&self) -> u64 {
         use crate::tsdb::{fnv1a, fnv1a_init};
         let mut h = fnv1a_init();
@@ -647,7 +644,7 @@ mod tests {
                 .iter()
                 .map(|&t| StampedReading {
                     timestamp: t,
-                    reading: SensorReading::Frame(darnet_sim::Frame::from_pixels(
+                    reading: SensorReading::Frame(crate::Frame::from_pixels(
                         2,
                         2,
                         vec![t as f32, agent as f32, 0.0, 1.0],
@@ -839,7 +836,7 @@ mod tests {
     #[test]
     fn frames_are_sorted_by_timestamp() {
         let mut c = Controller::new(ControllerConfig::default());
-        let frame = darnet_sim::Frame::new(2, 2);
+        let frame = crate::Frame::new(2, 2);
         for (seq, &t) in [0.5, 0.1, 0.3].iter().enumerate() {
             c.offer_at(
                 0.0,
@@ -867,7 +864,7 @@ mod tests {
             seq,
             readings: vec![StampedReading {
                 timestamp: t,
-                reading: SensorReading::Frame(darnet_sim::Frame::new(4, 4)),
+                reading: SensorReading::Frame(crate::Frame::new(4, 4)),
             }],
         }
     }

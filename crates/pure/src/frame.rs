@@ -30,32 +30,38 @@ pub struct Canvas<'a> {
 
 impl Canvas<'_> {
     /// Canvas width in pixels.
+    #[inline]
     pub fn width(&self) -> usize {
         self.width
     }
 
     /// Canvas height in pixels.
+    #[inline]
     pub fn height(&self) -> usize {
         self.height
     }
 
     /// The pixel buffer (row-major).
+    #[inline]
     pub fn pixels_mut(&mut self) -> &mut [f32] {
         self.pixels
     }
 
+    #[inline]
     fn index(&self, x: isize, y: isize) -> Option<usize> {
         (x >= 0 && y >= 0 && (x as usize) < self.width && (y as usize) < self.height)
             .then(|| y as usize * self.width + x as usize)
     }
 
     /// Pixel at `(x, y)`, or `None` if out of bounds.
+    #[inline]
     pub fn get(&self, x: isize, y: isize) -> Option<f32> {
         self.index(x, y).map(|i| self.pixels[i])
     }
 
     /// Sets pixel `(x, y)` if in bounds (silently ignores out-of-bounds,
     /// which keeps drawing primitives simple).
+    #[inline]
     pub fn put(&mut self, x: isize, y: isize, value: f32) {
         if let Some(i) = self.index(x, y) {
             self.pixels[i] = value.clamp(0.0, 1.0);
@@ -63,6 +69,7 @@ impl Canvas<'_> {
     }
 
     /// Blends `value` over pixel `(x, y)` with weight `alpha` if in bounds.
+    #[inline]
     pub fn blend(&mut self, x: isize, y: isize, value: f32, alpha: f32) {
         if let Some(i) = self.index(x, y) {
             self.pixels[i] = (self.pixels[i] * (1.0 - alpha) + value * alpha).clamp(0.0, 1.0);
@@ -99,22 +106,26 @@ impl Frame {
     }
 
     /// Frame width in pixels.
+    #[inline]
     pub fn width(&self) -> usize {
         self.width
     }
 
     /// Frame height in pixels.
+    #[inline]
     pub fn height(&self) -> usize {
         self.height
     }
 
     /// The pixel buffer (row-major, `[0, 1]`).
+    #[inline]
     pub fn pixels(&self) -> &[f32] {
         &self.pixels
     }
 
     /// The pixels borrowed uniquely for drawing, copied first if another
     /// frame shares them.
+    #[inline]
     pub fn canvas(&mut self) -> Canvas<'_> {
         Canvas {
             width: self.width,
@@ -124,11 +135,13 @@ impl Frame {
     }
 
     /// Mutable pixel buffer (copied first if another frame shares it).
+    #[inline]
     pub fn pixels_mut(&mut self) -> &mut [f32] {
         Arc::make_mut(&mut self.pixels)
     }
 
     /// Pixel at `(x, y)`, or `None` if out of bounds.
+    #[inline]
     pub fn get(&self, x: usize, y: usize) -> Option<f32> {
         if x < self.width && y < self.height {
             Some(self.pixels[y * self.width + x])
@@ -139,11 +152,13 @@ impl Frame {
 
     /// Sets pixel `(x, y)` if in bounds (silently ignores out-of-bounds,
     /// which keeps drawing primitives simple).
+    #[inline]
     pub fn put(&mut self, x: isize, y: isize, value: f32) {
         self.canvas().put(x, y, value);
     }
 
     /// Blends `value` over pixel `(x, y)` with weight `alpha` if in bounds.
+    #[inline]
     pub fn blend(&mut self, x: isize, y: isize, value: f32, alpha: f32) {
         self.canvas().blend(x, y, value, alpha);
     }

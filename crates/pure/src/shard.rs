@@ -193,20 +193,20 @@ pub struct FleetPressure {
 }
 
 /// The one durable ingest door: a [`Controller`] and, when the session
-/// is durable, the [`Wal`] its acks are promises about. Sessions
-/// (`runtime`), live mode and every shard ingest through
-/// [`Door::offer`], so the policy — admission → dedup → WAL append →
-/// mutate → checkpoint if due → ack iff not shed — is written here and
-/// nowhere else in the crate.
+/// is durable, the [`Wal`] its acks are promises about. Sessions and
+/// live mode (`darnet_collect::runtime`, `darnet_collect::live`) and
+/// every shard ingest through [`Door::offer`], so the policy — admission
+/// → dedup → WAL append → mutate → checkpoint if due → ack iff not shed
+/// — is written here and nowhere else in the workspace.
 #[derive(Debug)]
-pub(crate) struct Door {
+pub struct Door {
     controller: Controller,
     wal: Option<Wal>,
 }
 
 impl Door {
     /// A door with no log behind it: acks promise nothing past a crash.
-    pub(crate) fn new(config: ControllerConfig) -> Self {
+    pub fn new(config: ControllerConfig) -> Self {
         Door {
             controller: Controller::new(config),
             wal: None,
@@ -216,7 +216,7 @@ impl Door {
     /// Opens the door over `storage`, replaying whatever a prior
     /// incarnation logged ([`wal::open`]); without storage, [`Door::new`]
     /// and an empty report.
-    pub(crate) fn open(
+    pub fn open(
         config: ControllerConfig,
         storage: Option<Arc<dyn WalStorage>>,
         wal_config: WalConfig,
@@ -234,7 +234,7 @@ impl Door {
     /// batch is in the log, if there is one, and in controller state.
     /// `None` means admission shed it — deferral, not loss: nothing was
     /// logged or mutated, and the unacked agent retransmits later.
-    pub(crate) fn offer(&mut self, arrival: f64, batch: &Batch) -> Result<Option<ShardAck>> {
+    pub fn offer(&mut self, arrival: f64, batch: &Batch) -> Result<Option<ShardAck>> {
         let outcome = self
             .controller
             .offer_at(arrival, batch, self.wal.as_mut())?;
@@ -254,7 +254,7 @@ impl Door {
 
     /// Appends garbage to the log's tail — the torn write a kill leaves
     /// behind ([`Wal::simulate_torn_tail`]); a no-op without a log.
-    pub(crate) fn simulate_torn_tail(&mut self, garbage: &[u8]) -> Result<()> {
+    pub fn simulate_torn_tail(&mut self, garbage: &[u8]) -> Result<()> {
         match self.wal.as_mut() {
             Some(wal) => wal.simulate_torn_tail(garbage),
             None => Ok(()),
@@ -262,7 +262,7 @@ impl Door {
     }
 
     /// This incarnation's WAL counters (zeros without a log).
-    pub(crate) fn wal_stats(&self) -> WalStats {
+    pub fn wal_stats(&self) -> WalStats {
         self.wal.as_ref().map(Wal::stats).unwrap_or_default()
     }
 
@@ -270,7 +270,9 @@ impl Door {
         &self.controller
     }
 
-    pub(crate) fn into_controller(self) -> Controller {
+    /// Closes the door, keeping the controller (and dropping the log
+    /// handle; the storage keeps what was appended).
+    pub fn into_controller(self) -> Controller {
         self.controller
     }
 }
@@ -563,7 +565,6 @@ impl ShardedController {
     /// index) into one fleet digest. Shard-count *dependent* — use
     /// [`ShardedController::tsdb_digest`] for cross-shard-count
     /// comparisons.
-    // darlint: pure-root
     pub fn state_digest(&self) -> u64 {
         let mut h = fnv1a_init();
         for (i, s) in self.shards.iter().enumerate() {
@@ -577,7 +578,6 @@ impl ShardedController {
     /// single controller's [`TsDb::canonical_fingerprint`] over the same
     /// accepted traffic, for *any* shard count. The sharding-correctness
     /// invariant the proptests and `bench_fleet --check` pin.
-    // darlint: pure-root
     pub fn tsdb_digest(&self) -> u64 {
         let stores: Vec<&TsDb> = self
             .shards
@@ -600,7 +600,7 @@ mod tests {
     use crate::sensor::SensorReading;
     use crate::wal::MemStorage;
     use crate::wire::StampedReading;
-    use darnet_sim::ImuSample;
+    use crate::ImuSample;
 
     /// Wire round-trip so WAL replay re-encodes bitwise-identical values
     /// (same convention as the wal.rs tests).
@@ -735,7 +735,7 @@ mod tests {
             seq,
             readings: vec![StampedReading {
                 timestamp: t,
-                reading: SensorReading::Frame(darnet_sim::Frame::new(4, 4)),
+                reading: SensorReading::Frame(crate::Frame::new(4, 4)),
             }],
         })
     }

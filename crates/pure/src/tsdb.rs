@@ -179,14 +179,14 @@ impl Store {
 /// vary from run to run).
 ///
 /// ```
-/// use darnet_collect::TsDb;
+/// use darnet_pure::TsDb;
 ///
 /// let db = TsDb::new();
 /// db.insert("imu.accel.x", 0.0, 1.0);
 /// db.insert("imu.accel.x", 0.5, 2.0);
 /// let pts = db.query_range("imu.accel.x", 0.0, 1.0)?;
 /// assert_eq!(pts.len(), 2);
-/// # Ok::<(), darnet_collect::CollectError>(())
+/// # Ok::<(), darnet_pure::CollectError>(())
 /// ```
 #[derive(Debug, Default)]
 pub struct TsDb {
@@ -355,7 +355,6 @@ impl TsDb {
     /// land in a different relative order than a single controller would
     /// produce; the canonical form is what sharded and unsharded stores
     /// are compared under (DESIGN.md §14).
-    // darlint: pure-root
     pub fn canonical_fingerprint(&self) -> u64 {
         canonical_fingerprint_merged(&[self])
     }
@@ -437,7 +436,6 @@ impl TsDb {
 /// digest depends only on the multiset of points per series. This is how
 /// a sharded controller's per-shard TSDBs are compared against a single
 /// controller's store over the same traffic.
-// darlint: pure-root
 pub fn canonical_fingerprint_merged(stores: &[&TsDb]) -> u64 {
     let guards: Vec<_> = stores.iter().map(|s| s.read()).collect();
     let mut columns: Vec<_> = guards.iter().flat_map(|g| g.columns()).collect();

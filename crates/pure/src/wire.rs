@@ -6,11 +6,10 @@
 //! version 256 bytes — the 9× reduction of Figure 3.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use darnet_sim::{Frame, ImuSample};
 
 use crate::error::CollectError;
 use crate::sensor::SensorReading;
-use crate::Result;
+use crate::{Frame, ImuSample, Result};
 
 /// A sensor reading stamped with the *agent's local clock*.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,11 +74,19 @@ pub fn encode_ack(ack: &Ack) -> Bytes {
 ///
 /// # Errors
 ///
-/// Returns [`CollectError::Decode`] on truncated input or a wrong magic
-/// byte.
+/// Returns [`CollectError::Decode`] on truncated input, bytes past the
+/// ack's nine, or a wrong magic byte. A batch is never nine bytes long
+/// (its header alone is twelve), so one cannot pass for an ack whatever
+/// its agent id.
 pub fn decode_ack(mut data: Bytes) -> Result<Ack> {
     if data.remaining() < 9 {
         return Err(CollectError::Decode("truncated ack".into()));
+    }
+    if data.remaining() > 9 {
+        return Err(CollectError::Decode(format!(
+            "{} trailing bytes after ack",
+            data.remaining() - 9
+        )));
     }
     let magic = data.get_u8();
     if magic != ACK_MAGIC {
@@ -161,8 +168,9 @@ fn reserved_readings(count: usize, remaining: usize) -> usize {
 ///
 /// # Errors
 ///
-/// Returns [`CollectError::Decode`] on truncated or malformed input, a
-/// non-finite timestamp or IMU feature included: a NaN stamp would sort
+/// Returns [`CollectError::Decode`] on truncated or malformed input,
+/// bytes left over after the header's `count` readings, or a non-finite
+/// timestamp or IMU feature: a NaN stamp would sort
 /// to the front of its TSDB series and to the back of the alignment grid,
 /// and turn every grid point past the last finite observation into NaN;
 /// a NaN feature poisons every interpolated and smoothed grid point
@@ -222,6 +230,12 @@ pub fn decode_batch(mut data: Bytes) -> Result<Batch> {
             }
         };
         readings.push(StampedReading { timestamp, reading });
+    }
+    if data.remaining() > 0 {
+        return Err(CollectError::Decode(format!(
+            "{} trailing bytes after {count} readings",
+            data.remaining()
+        )));
     }
     Ok(Batch {
         agent_id,
@@ -367,6 +381,52 @@ mod tests {
             readings: vec![imu_reading(0.0)],
         });
         assert!(decode_ack(batch_bytes).is_err());
+    }
+
+    #[test]
+    fn a_batch_from_an_a5_agent_is_not_an_ack() {
+        // The agent id's high byte is the ack magic: the batch's first
+        // byte matches, its length must not.
+        for readings in [vec![], vec![imu_reading(0.0)]] {
+            let batch = Batch {
+                agent_id: 0xA500_0000,
+                seq: 3,
+                readings,
+            };
+            let bytes = encode_batch(&batch);
+            assert_eq!(bytes[0], ACK_MAGIC);
+            assert!(matches!(
+                decode_ack(bytes.clone()),
+                Err(CollectError::Decode(_))
+            ));
+            assert_eq!(decode_batch(bytes).unwrap(), batch);
+        }
+        let mut ack = BytesMut::new();
+        ack.put_slice(&encode_ack(&Ack {
+            agent_id: 1,
+            seq: 2,
+        }));
+        ack.put_u8(0);
+        assert!(matches!(
+            decode_ack(ack.freeze()),
+            Err(CollectError::Decode(msg)) if msg.contains("trailing")
+        ));
+    }
+
+    #[test]
+    fn bytes_after_the_last_reading_are_refused() {
+        let batch = Batch {
+            agent_id: 4,
+            seq: 9,
+            readings: vec![imu_reading(0.5), frame_reading(0.75)],
+        };
+        let mut buf = BytesMut::new();
+        encode_batch_into(&mut buf, &batch);
+        buf.put_u8(0);
+        assert!(matches!(
+            decode_batch(buf.freeze()),
+            Err(CollectError::Decode(msg)) if msg.contains("trailing")
+        ));
     }
 
     #[test]

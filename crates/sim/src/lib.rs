@@ -51,7 +51,6 @@
 
 mod behavior;
 mod driver;
-mod frame;
 mod imu;
 mod render;
 pub mod schedule;
@@ -59,9 +58,9 @@ mod vehicle;
 mod world;
 
 pub use behavior::{CanonicalBehavior, ExtendedBehavior, ImuClass};
+pub use darnet_pure::{Canvas, Frame, ImuSample};
 pub use driver::DriverProfile;
-pub use frame::{Canvas, Frame};
-pub use imu::{ImuSample, ImuSynthesizer};
+pub use imu::ImuSynthesizer;
 pub use render::FrameRenderer;
 pub use schedule::{ScheduleConfig, Segment};
 pub use vehicle::{VehicleDynamics, VehicleState};

@@ -21,7 +21,7 @@ use darnet_tensor::SplitMix64;
 
 use crate::behavior::{CanonicalBehavior, ExtendedBehavior};
 use crate::driver::DriverProfile;
-use crate::frame::{Canvas, Frame};
+use crate::{Canvas, Frame};
 
 /// Props a hand can hold.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -3,10 +3,10 @@
 
 use crate::behavior::{CanonicalBehavior, ExtendedBehavior};
 use crate::driver::DriverProfile;
-use crate::frame::Frame;
-use crate::imu::{ImuSample, ImuSynthesizer};
+use crate::imu::ImuSynthesizer;
 use crate::render::FrameRenderer;
 use crate::vehicle::VehicleDynamics;
+use crate::{Frame, ImuSample};
 
 /// Image sensor noise sigma, both cameras.
 const IMAGE_NOISE: f32 = 0.07;

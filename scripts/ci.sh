@@ -8,11 +8,13 @@
 #                  API deletion that breaks it fails here and not in
 #                  step 8), clippy -D warnings with the clippy.toml
 #                  bans (wall clock, thread::spawn, std::fs, the seeded
-#                  PRNG, HashMap/HashSet) + escalated panic lints,
-#                  darlint (replay-pure, marker; scripts/tier1.sh).
-#                  darlint is deny-by-default — any violation fails —
-#                  and no other step runs it. The zero-alloc gate is
-#                  crates/bench/tests/zero_alloc.rs, among the
+#                  PRNG, HashMap/HashSet; forbidden outright in
+#                  darnet-pure, the effect-free crate replay runs on) +
+#                  escalated panic lints, and every DESIGN.md §n the
+#                  code cites must name a heading (scripts/tier1.sh).
+#                  No other step lints the tree. The zero-alloc gate is
+#                  crates/bench/tests/zero_alloc.rs, and the crate
+#                  boundary crates/pure/tests/boundary.rs, among the
 #                  workspace tests
 #   2. docs      — rustdoc must build cleanly (missing_docs is denied
 #                  in the crates, so this catches broken intra-doc

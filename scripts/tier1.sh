@@ -5,8 +5,9 @@
 # clippy pass over the whole workspace (escalated with panic-hunting
 # lints on six crates; both passes enforce the clippy.toml bans on the
 # wall clock, thread::spawn, std::fs, the seeded PRNG and
-# HashMap/HashSet), and the darlint invariant pass (see DESIGN.md §11).
-# Run from anywhere.
+# HashMap/HashSet, which darnet-pure forbids outright: replay purity,
+# DESIGN.md §11), and a check that every DESIGN.md section the code
+# cites exists. Run from anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -66,19 +67,26 @@ if grep -q "does not refer to" target/clippy.log; then
   exit 1
 fi
 
-# Escalated pass on the pipeline crates, the simulator AND the linter
-# itself: panics in non-test code are build errors (clippy.toml exempts
-# tests). This is the only panic gate — it sees types, so it catches
-# what a token-level rule cannot, and darlint no longer carries one.
+# Escalated pass on the pipeline crates, the effect-free core and the
+# simulator: panics in non-test code are build errors (clippy.toml
+# exempts tests). This is the only panic gate; it sees types.
 cargo clippy --locked -p darnet-tensor -p darnet-nn -p darnet-core -p darnet-collect \
-  -p darnet-sim -p xtask \
+  -p darnet-sim -p darnet-pure \
   --all-targets -- -D warnings \
   -D clippy::unwrap_used -D clippy::expect_used -D clippy::dbg_macro \
   -D clippy::panic -D clippy::unreachable -D clippy::todo -D clippy::unimplemented
 
-# darlint: the in-repo invariant lint for what clippy cannot check
-# (replay-pure, marker). It is deny-by-default: any violation exits 1.
-# Per-pass timings print to stderr so analyzer cost regressions show
-# up. The zero-alloc gate is crates/bench/tests/zero_alloc.rs, in the
-# workspace tests above.
-cargo run --locked -q -p xtask -- lint
+# Every `DESIGN.md §n` (or `DESIGN §n`) cited in the code, the scripts
+# and clippy.toml names a numbered DESIGN.md heading, so a section that
+# is renumbered or retired cannot leave a dangling citation. A citation
+# may wrap onto the next comment line. The frozen benchmark/ is not
+# searched.
+headings=$(grep -oE '^#+ [0-9]+(\.[0-9]+)*' DESIGN.md | sed -E 's/^#+ //')
+dangling=$(grep -rhozE 'DESIGN(\.md)?[[:space:]/!#]*§ ?[0-9]+(\.[0-9]+)*' \
+    crates src tests examples scripts clippy.toml \
+  | tr '\0' '\n' | grep -oE '§ ?[0-9]+(\.[0-9]+)*$' | tr -d '§ ' | sort -u \
+  | grep -vxF -f <(printf '%s\n' "$headings") || true)
+if [ -n "$dangling" ]; then
+  echo "tier1: DESIGN.md has no heading for cited section(s):" $dangling >&2
+  exit 1
+fi
