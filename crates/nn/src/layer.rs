@@ -176,8 +176,10 @@ pub(crate) fn rank4_dims(input: &Tensor, layer: &str) -> Result<[usize; 4]> {
 /// operation order and no FMA, so it returns libm's bits for every input
 /// (DESIGN §19.6). Every special case is a select, not a branch: each path
 /// is computed and the right one kept, so a loop over it vectorises (the
-/// LSTM gate loop) and no input range costs a misprediction.
-#[inline]
+/// LSTM gate loop) and no input range costs a misprediction. Always
+/// inlined, so that a loop built for AVX2 vectorises it at that width
+/// rather than calling the baseline build lane by lane.
+#[inline(always)]
 pub(crate) fn tanh(x: f32) -> f32 {
     const LN2_HI: f32 = f32::from_bits(0x3f31_7180);
     const LN2_LO: f32 = f32::from_bits(0x3717_f7d1);
@@ -409,7 +411,7 @@ impl Layer for Flatten {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use darnet_tensor::Tensor;
 
@@ -464,14 +466,19 @@ mod tests {
     }
 
     fn digest(xs: impl Iterator<Item = f32>, f: impl Fn(f32) -> f32) -> u64 {
-        let mut hash = 0xcbf2_9ce4_8422_2325_u64;
-        for_each_block(xs, f, |_, y| {
-            let y = if y.is_nan() { f32::NAN } else { y };
-            for byte in y.to_bits().to_le_bytes() {
-                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
-            }
-        });
+        let mut hash = FNV_OFFSET;
+        for_each_block(xs, f, |_, y| hash = fnv(hash, y));
         hash
+    }
+
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+    /// Folds `y`'s bits into an FNV-1a `hash`, a NaN as the canonical NaN.
+    fn fnv(hash: u64, y: f32) -> u64 {
+        let y = if y.is_nan() { f32::NAN } else { y };
+        y.to_bits().to_le_bytes().into_iter().fold(hash, |h, byte| {
+            (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+        })
     }
 
     /// Calls `visit(x, f(x))` for each `x` in order, evaluating `f` over
@@ -523,7 +530,7 @@ mod tests {
     ];
 
     /// Every cut-off ±4 ulps, both signs.
-    fn tanh_cut_off_inputs() -> impl Iterator<Item = f32> {
+    pub(crate) fn tanh_cut_off_inputs() -> impl Iterator<Item = f32> {
         TANH_CUT_OFFS.into_iter().flat_map(|bits| {
             (bits - 4..=bits + 4).flat_map(|b| [f32::from_bits(b), -f32::from_bits(b)])
         })
@@ -572,13 +579,51 @@ mod tests {
         assert_eq!(sweep_digest(tanh, SWEEP_STRIDE), TANH_SWEEP_DIGEST);
     }
 
-    /// The sweep at stride 1: platform-independent, ≈ 40 s in release
+    darnet_tensor::avx2_dispatch! {
+        /// `tanh` of `xs` into `ys`, eight lanes at a time as the gate loop
+        /// runs it, built twice as the gate loop is.
+        fn tanh_lanes(xs: &[f32], ys: &mut [f32]) {
+            for (y, x) in ys.chunks_exact_mut(8).zip(xs.chunks_exact(8)) {
+                for j in 0..8 {
+                    y[j] = tanh(x[j]);
+                }
+            }
+        }
+    }
+
+    /// The sweep at stride 1: platform-independent, ≈ 100 s in release
     /// (`cargo test --release -p darnet-nn --lib -- --ignored
-    /// tanh_all_inputs_reproduce_libm`; scripts/ci.sh runs it).
+    /// tanh_all_inputs_reproduce_libm`; scripts/ci.sh runs it). The same
+    /// pass runs every block through the AVX2 copy of [`tanh_lanes`], which
+    /// must give the same digest: the gate loop's AVX2 lowering on every
+    /// input. Without AVX2 that arm says it skipped.
     #[test]
     #[ignore = "all 2^32 inputs; run in release"]
     fn tanh_all_inputs_reproduce_libm() {
-        assert_eq!(sweep_digest(tanh, 1), TANH_ALL_DIGEST);
+        let (mut xs, mut ys, mut zs) = ([0.0_f32; 1024], [0.0_f32; 1024], [0.0_f32; 1024]);
+        let avx2_ok = tanh_lanes::avx2(&xs, &mut zs).is_some();
+        let (mut scalar, mut avx2) = (FNV_OFFSET, FNV_OFFSET);
+        for start in (0..1_u64 << 32).step_by(xs.len()) {
+            for (bits, x) in (start..).zip(&mut xs) {
+                *x = f32::from_bits(bits as u32);
+            }
+            for (y, &x) in ys.iter_mut().zip(&xs) {
+                *y = tanh(x);
+            }
+            if avx2_ok {
+                tanh_lanes::avx2(&xs, &mut zs);
+            }
+            // Two independent hash chains, interleaved.
+            for (&y, &z) in ys.iter().zip(&zs) {
+                (scalar, avx2) = (fnv(scalar, y), fnv(avx2, z));
+            }
+        }
+        assert_eq!(scalar, TANH_ALL_DIGEST);
+        if avx2_ok {
+            assert_eq!(avx2, TANH_ALL_DIGEST, "the AVX2 copy");
+        } else {
+            println!("avx2 arm skipped: this CPU has no AVX2");
+        }
     }
 
     /// The sigmoid before the select form: a branch on the sign.

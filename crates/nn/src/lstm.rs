@@ -45,62 +45,65 @@ fn step_write(dst: &mut Tensor, t: usize, src: &Tensor) {
 /// cell update) runs over.
 const LANES: usize = 8;
 
-/// The fused gate update: one pass over the packed pre-activations `z`
-/// `[B, 4H]` (gate order `i, f, g, o`) that advances `h` and `c` `[B, H]`
-/// in place. `record(at, [i, f, g, o, tanh_c])` sees each element's
-/// activations — the Train cache's tap; Eval passes a no-op.
-///
-/// Each element is `c = f·c + i·g`, then `h = o·tanh(c)`, with the
-/// sigmoid's `exp` the only libm call. A row goes [`LANES`] units at a
-/// time: the `exp`s first, one by one, then the rest over all lanes at
-/// once, branch-free, the tail padded with zeros.
-#[inline]
-fn gate_update(
-    z: &Tensor,
-    h_t: &mut Tensor,
-    c_t: &mut Tensor,
-    mut record: impl FnMut(usize, [f32; 5]),
-) {
-    let (b, h) = (h_t.dims()[0], h_t.dims()[1]);
-    let zd = z.data();
-    let hd = h_t.data_mut();
-    let cd = c_t.data_mut();
-    for n in 0..b {
-        let row = &zd[n * 4 * h..(n + 1) * 4 * h];
-        for k0 in (0..h).step_by(LANES) {
-            let (at, w) = (n * h + k0, LANES.min(h - k0));
-            let mut zs = [[0.0_f32; LANES]; 4];
-            for (gate, lanes) in zs.iter_mut().enumerate() {
-                lanes[..w].copy_from_slice(&row[gate * h + k0..][..w]);
-            }
-            // exp(−|z|) of the three sigmoid gates `i, f, o`.
-            let mut es = [[0.0_f32; LANES]; 3];
-            for (lanes, gate) in es.iter_mut().zip([0, 1, 3]) {
-                for (e, &v) in lanes[..w].iter_mut().zip(&zs[gate][..w]) {
-                    *e = (-v.abs()).exp();
+darnet_tensor::avx2_dispatch! {
+    /// The fused gate update: one pass over the packed pre-activations `z`
+    /// `[B, 4H]` (gate order `i, f, g, o`) that advances `h` and `c` `[B, H]`
+    /// in place. `record(at, [i, f, g, o, tanh_c])` sees each element's
+    /// activations — the Train cache's tap; Eval passes a no-op.
+    ///
+    /// Each element is `c = f·c + i·g`, then `h = o·tanh(c)`, with the
+    /// sigmoid's `exp` the only libm call. A row goes [`LANES`] units at a
+    /// time: the `exp`s first, one by one, then the rest over all lanes at
+    /// once, branch-free, the tail padded with zeros. Eval runs the
+    /// dispatcher; Train calls `gate_update::baseline`, whose build it keeps.
+    fn gate_update(
+        z: &Tensor,
+        h_t: &mut Tensor,
+        c_t: &mut Tensor,
+        record: impl FnMut(usize, [f32; 5]),
+    ) {
+        let mut record = record;
+        let (b, h) = (h_t.dims()[0], h_t.dims()[1]);
+        let zd = z.data();
+        let hd = h_t.data_mut();
+        let cd = c_t.data_mut();
+        for n in 0..b {
+            let row = &zd[n * 4 * h..(n + 1) * 4 * h];
+            for k0 in (0..h).step_by(LANES) {
+                let (at, w) = (n * h + k0, LANES.min(h - k0));
+                let mut zs = [[0.0_f32; LANES]; 4];
+                for (gate, lanes) in zs.iter_mut().enumerate() {
+                    lanes[..w].copy_from_slice(&row[gate * h + k0..][..w]);
                 }
-            }
-            let mut c = [0.0_f32; LANES];
-            c[..w].copy_from_slice(&cd[at..at + w]);
-            let mut hn = [0.0_f32; LANES];
-            let mut acts = [[0.0_f32; LANES]; 5];
-            for j in 0..LANES {
-                let i_g = sigmoid_of_exp(zs[0][j], es[0][j]);
-                let f_g = sigmoid_of_exp(zs[1][j], es[1][j]);
-                let g_g = tanh(zs[2][j]);
-                let o_g = sigmoid_of_exp(zs[3][j], es[2][j]);
-                let c_new = f_g * c[j] + i_g * g_g;
-                let tanh_c = tanh(c_new);
-                hn[j] = o_g * tanh_c;
-                c[j] = c_new;
-                for (act, v) in acts.iter_mut().zip([i_g, f_g, g_g, o_g, tanh_c]) {
-                    act[j] = v;
+                // exp(−|z|) of the three sigmoid gates `i, f, o`.
+                let mut es = [[0.0_f32; LANES]; 3];
+                for (lanes, gate) in es.iter_mut().zip([0, 1, 3]) {
+                    for (e, &v) in lanes[..w].iter_mut().zip(&zs[gate][..w]) {
+                        *e = (-v.abs()).exp();
+                    }
                 }
-            }
-            hd[at..at + w].copy_from_slice(&hn[..w]);
-            cd[at..at + w].copy_from_slice(&c[..w]);
-            for j in 0..w {
-                record(at + j, acts.map(|act| act[j]));
+                let mut c = [0.0_f32; LANES];
+                c[..w].copy_from_slice(&cd[at..at + w]);
+                let mut hn = [0.0_f32; LANES];
+                let mut acts = [[0.0_f32; LANES]; 5];
+                for j in 0..LANES {
+                    let i_g = sigmoid_of_exp(zs[0][j], es[0][j]);
+                    let f_g = sigmoid_of_exp(zs[1][j], es[1][j]);
+                    let g_g = tanh(zs[2][j]);
+                    let o_g = sigmoid_of_exp(zs[3][j], es[2][j]);
+                    let c_new = f_g * c[j] + i_g * g_g;
+                    let tanh_c = tanh(c_new);
+                    hn[j] = o_g * tanh_c;
+                    c[j] = c_new;
+                    for (act, v) in acts.iter_mut().zip([i_g, f_g, g_g, o_g, tanh_c]) {
+                        act[j] = v;
+                    }
+                }
+                hd[at..at + w].copy_from_slice(&hn[..w]);
+                cd[at..at + w].copy_from_slice(&c[..w]);
+                for j in 0..w {
+                    record(at + j, acts.map(|act| act[j]));
+                }
             }
         }
     }
@@ -293,7 +296,7 @@ impl LstmCell {
                     step.o.data_mut(),
                     step.tanh_c.data_mut(),
                 );
-                gate_update(&z, &mut h_t, &mut c_t, |at, gates| {
+                gate_update::baseline(&z, &mut h_t, &mut c_t, |at, gates| {
                     [i[at], f[at], g[at], o[at], tanh_c[at]] = gates;
                 });
                 self.cache.push(step);
@@ -565,7 +568,8 @@ impl DeepBiLstmClassifier {
     ///
     /// # Errors
     ///
-    /// Propagates layer errors.
+    /// [`NnError::InvalidConfig`] for windows of no timestep; otherwise
+    /// propagates layer errors.
     pub fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
         self.forward_into(x, mode, &mut Workspace::new())
     }
@@ -577,13 +581,21 @@ impl DeepBiLstmClassifier {
     ///
     /// # Errors
     ///
-    /// Propagates layer errors.
+    /// [`NnError::InvalidConfig`] for windows of no timestep, before any
+    /// checkout; otherwise propagates layer errors.
     pub fn forward_into(
         &mut self,
         x: &Tensor,
         mode: Mode,
         ws: &mut Workspace,
     ) -> Result<TensorView> {
+        // The mean over time below divides by `time`.
+        if let [_, 0, _] = *x.dims() {
+            return Err(NnError::InvalidConfig(format!(
+                "lstm classifier needs at least one timestep, got {:?}",
+                x.dims()
+            )));
+        }
         let mut layers = self.layers.iter_mut();
         let mut h = match layers.next() {
             Some(first) => first.forward_seq_into(x, mode, ws)?,
@@ -883,6 +895,121 @@ mod tests {
         let mut deep = DeepBiLstmClassifier::new(4, 8, 2, 3, &mut rng);
         assert!(deep.param_count() > shallow.param_count());
         assert_eq!(deep.classes(), 3);
+    }
+
+    /// Gate inputs no training run reaches: `tanh`'s cut-offs ±4 ulps,
+    /// ±∞, NaN, ±0, subnormals and a ramp.
+    fn awkward_gates() -> Vec<f32> {
+        let subnormals = [1, 0x0040_0000, 0x007f_ffff].map(f32::from_bits);
+        crate::layer::tests::tanh_cut_off_inputs()
+            .chain([f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 0.0, -0.0])
+            .chain(subnormals.into_iter().flat_map(|v| [v, -v]))
+            .chain((0..40).map(|v| v as f32 * 0.37 - 7.0))
+            .collect()
+    }
+
+    /// The gate update one element at a time, on the scalar sigmoid and
+    /// `tanh`: `[i, f, g, o, tanh_c]`, then `c`, then `h`, each as bits.
+    fn scalar_gates(z: &[f32], h: usize, c_prev: &[f32]) -> Vec<[u32; 7]> {
+        use crate::layer::sigmoid_scalar;
+        let mut out = Vec::new();
+        for (n, row) in z.chunks(4 * h).enumerate() {
+            for k in 0..h {
+                let gate = |q: usize| row[q * h + k];
+                let (i, f, g, o) = (
+                    sigmoid_scalar(gate(0)),
+                    sigmoid_scalar(gate(1)),
+                    tanh(gate(2)),
+                    sigmoid_scalar(gate(3)),
+                );
+                let c = f * c_prev[n * h + k] + i * g;
+                let tanh_c = tanh(c);
+                out.push([i, f, g, o, tanh_c, c, o * tanh_c].map(f32::to_bits));
+            }
+        }
+        out
+    }
+
+    /// Both builds of the gate loop, called directly, give the scalar
+    /// gates' bits, recorded activations included: a hidden width with a
+    /// tail below [`LANES`], every awkward input on every gate and as a
+    /// carried cell state, which an open forget gate and a shut input
+    /// gate hand to `tanh(c)` unchanged. Without AVX2 the AVX2 arm says it
+    /// skipped.
+    #[test]
+    fn both_builds_of_the_gate_loop_are_the_scalar_gates() {
+        let (vals, h) = (awkward_gates(), 13);
+        let b = vals.len().div_ceil(h);
+        let pick = |at: usize| vals[at % vals.len()];
+        let c_prev: Vec<f32> = (0..b * h).map(|e| pick(e * 7 + 3)).collect();
+        // Unit `n·h + k` of gate `q` reads value `n·h + k + 37·q`, so every
+        // value reaches every gate.
+        let gates = |carry: bool| -> Vec<f32> {
+            (0..b * 4 * h)
+                .map(|e| match (carry, e / h % 4) {
+                    (true, 0) => f32::NEG_INFINITY,
+                    (true, 1) => f32::INFINITY,
+                    (_, q) => pick(e / (4 * h) * h + e % h + 37 * q),
+                })
+                .collect()
+        };
+        let mut avx2_ran = false;
+        for carry in [false, true] {
+            let z = Tensor::from_vec(gates(carry), &[b, 4 * h]).unwrap();
+            let want = scalar_gates(z.data(), h, &c_prev);
+            type Build = fn(&Tensor, &mut Tensor, &mut Tensor, &mut [[u32; 7]]) -> Option<()>;
+            let copies: [(&str, Build); 2] = [
+                ("baseline", |z, h_t, c_t, got| {
+                    gate_update::baseline(z, h_t, c_t, |at, acts| {
+                        got[at][..5].copy_from_slice(&acts.map(f32::to_bits));
+                    });
+                    Some(())
+                }),
+                ("avx2", |z, h_t, c_t, got| {
+                    gate_update::avx2(z, h_t, c_t, |at, acts| {
+                        got[at][..5].copy_from_slice(&acts.map(f32::to_bits));
+                    })
+                }),
+            ];
+            for (name, copy) in copies {
+                let mut h_t = Tensor::full(&[b, h], f32::NAN);
+                let mut c_t = Tensor::from_vec(c_prev.clone(), &[b, h]).unwrap();
+                let mut got = vec![[0_u32; 7]; b * h];
+                if copy(&z, &mut h_t, &mut c_t, &mut got).is_none() {
+                    continue;
+                }
+                avx2_ran |= name == "avx2";
+                for (e, got) in got.iter_mut().enumerate() {
+                    got[5..].copy_from_slice(&[c_t.data()[e], h_t.data()[e]].map(f32::to_bits));
+                }
+                for (e, (got, want)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(got, want, "{name}, carry {carry}, element {e}");
+                }
+            }
+        }
+        if !avx2_ran {
+            println!("avx2 arm skipped: this CPU has no AVX2");
+        }
+    }
+
+    #[test]
+    fn a_window_of_no_timestep_is_invalid_config() {
+        let mut rng = SplitMix64::new(17);
+        let mut model = DeepBiLstmClassifier::new(3, 4, 2, 2, &mut rng);
+        let x = Tensor::zeros(&[2, 0, 3]);
+        for mode in [Mode::Eval, Mode::Train] {
+            assert!(matches!(
+                model.forward(&x, mode),
+                Err(NnError::InvalidConfig(_))
+            ));
+        }
+        // Refused before any checkout: the workspace stays empty.
+        let mut ws = Workspace::new();
+        assert!(matches!(
+            model.forward_into(&x, Mode::Eval, &mut ws),
+            Err(NnError::InvalidConfig(_))
+        ));
+        assert_eq!((ws.cold_misses(), ws.pool_hits()), (0, 0));
     }
 
     #[test]

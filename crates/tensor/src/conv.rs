@@ -219,88 +219,90 @@ pub fn im2col_into(
     Ok(())
 }
 
-/// Convolves `input [b, c, h, w]` with `weight [out_c, c·kh·kw]` into `out
-/// [b, out_c, oh, ow]`, adding `bias[o]` to every output of channel `o`.
-/// Every output element is overwritten.
-///
-/// Per image this is [`crate::matmul_transpose_b_slices_into`] of the
-/// weight by that image's rows of [`im2col`], bit for bit: every output is
-/// `0.0 + w[o][0]·x₀ + … + w[o][P−1]·x_{P−1} + bias[o]` over the patch in
-/// `(ch, ky, kx)` order, padding included as explicit `0.0` terms. But no
-/// patch matrix and no panel is written. Each image is copied once into
-/// `scratch` as `[c, h + 2·pad, w + 2·pad]` with a zero ring, and the tile
-/// reads its lanes there in place: eight output pixels of one output row
-/// at depth `(ch, ky, kx)` are eight values `stride` apart, at an offset
-/// from the row's first pixel that depends on the depth alone. A row's
-/// tail block has fewer than eight pixels; its spare lanes read on past
-/// the row, into the next row or the slack [`Conv2dSpec::scratch_len`]
-/// leaves past the image, and their sums are never stored. `scratch`'s
-/// prior contents are irrelevant.
-///
-/// # Errors
-///
-/// Same conditions as [`im2col`], plus [`TensorError::ShapeMismatch`] if
-/// `weight` is not `[out_c, c·kh·kw]`, `bias` not `[out_c]`, `out` not
-/// `[b, out_c, oh, ow]` or `scratch` shorter than
-/// [`Conv2dSpec::scratch_len`].
-pub fn conv2d_into(
-    input: &Tensor,
-    spec: &Conv2dSpec,
-    weight: &Tensor,
-    bias: &Tensor,
-    scratch: &mut Tensor,
-    out: &mut Tensor,
-) -> Result<()> {
-    let ((b, c, h, w), (oh, ow), patch) = check_im2col(input, spec)?;
-    let oc = spec.out_channels;
-    check_dims(weight, &[oc, patch])?;
-    check_dims(bias, &[oc])?;
-    check_dims(out, &[b, oc, oh, ow])?;
-    let need = spec.scratch_len(h, w);
-    if scratch.len() < need {
-        return Err(TensorError::shape_mismatch(&[scratch.len()], &[need]));
-    }
-    let (kh, kw, stride) = (spec.kernel_h, spec.kernel_w, spec.stride);
-    let (ph, pw) = (h + 2 * spec.padding, w + 2 * spec.padding);
-    let (img, hw) = (c * h * w, oh * ow);
-    let xs = &mut scratch.data_mut()[..need];
-    // Depth `p`'s offset from a pixel's `(ch, ky, kx) = 0` read, for the
-    // k-block at `at_k0`: once per call when the patch fits one k-block.
-    let (mut at, mut at_k0) = ([0usize; KC], None);
-    for n in 0..b {
-        pad_image(&input.data()[n * img..][..img], (c, h, w), spec.padding, xs);
-        let xs = &*xs;
-        let mut op = Operands {
-            a: weight.data(),
-            k: patch,
-            out: &mut out.data_mut()[n * oc * hw..][..oc * hw],
-            n: hw,
-            bias: Some(bias.data()),
-        };
-        for_each_block(patch, hw, ow, |block| {
-            if at_k0 != Some(block.k0) {
-                for (p, at) in at[..block.kc].iter_mut().enumerate() {
-                    let (row, kx) = ((block.k0 + p) / kw, (block.k0 + p) % kw);
-                    *at = (row / kh * ph + row % kh) * pw + kx;
-                }
-                at_k0 = Some(block.k0);
-            }
-            let (origin, at) = ((block.j0 / ow * pw + block.j0 % ow) * stride, &at);
-            let lanes = |stride: usize| {
-                move |p: usize| {
-                    let src = &xs[origin + at[p]..][..(NR - 1) * stride + 1];
-                    std::array::from_fn(|l| src[l * stride])
-                }
+crate::avx2_dispatch! {
+    /// Convolves `input [b, c, h, w]` with `weight [out_c, c·kh·kw]` into `out
+    /// [b, out_c, oh, ow]`, adding `bias[o]` to every output of channel `o`.
+    /// Every output element is overwritten.
+    ///
+    /// Per image this is [`crate::matmul_transpose_b_slices_into`] of the
+    /// weight by that image's rows of [`im2col`], bit for bit: every output is
+    /// `0.0 + w[o][0]·x₀ + … + w[o][P−1]·x_{P−1} + bias[o]` over the patch in
+    /// `(ch, ky, kx)` order, padding included as explicit `0.0` terms. But no
+    /// patch matrix and no panel is written. Each image is copied once into
+    /// `scratch` as `[c, h + 2·pad, w + 2·pad]` with a zero ring, and the tile
+    /// reads its lanes there in place: eight output pixels of one output row
+    /// at depth `(ch, ky, kx)` are eight values `stride` apart, at an offset
+    /// from the row's first pixel that depends on the depth alone. A row's
+    /// tail block has fewer than eight pixels; its spare lanes read on past
+    /// the row, into the next row or the slack [`Conv2dSpec::scratch_len`]
+    /// leaves past the image, and their sums are never stored. `scratch`'s
+    /// prior contents are irrelevant.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`im2col`], plus [`TensorError::ShapeMismatch`] if
+    /// `weight` is not `[out_c, c·kh·kw]`, `bias` not `[out_c]`, `out` not
+    /// `[b, out_c, oh, ow]` or `scratch` shorter than
+    /// [`Conv2dSpec::scratch_len`].
+    pub fn conv2d_into(
+        input: &Tensor,
+        spec: &Conv2dSpec,
+        weight: &Tensor,
+        bias: &Tensor,
+        scratch: &mut Tensor,
+        out: &mut Tensor,
+    ) -> Result<()> {
+        let ((b, c, h, w), (oh, ow), patch) = check_im2col(input, spec)?;
+        let oc = spec.out_channels;
+        check_dims(weight, &[oc, patch])?;
+        check_dims(bias, &[oc])?;
+        check_dims(out, &[b, oc, oh, ow])?;
+        let need = spec.scratch_len(h, w);
+        if scratch.len() < need {
+            return Err(TensorError::shape_mismatch(&[scratch.len()], &[need]));
+        }
+        let (kh, kw, stride) = (spec.kernel_h, spec.kernel_w, spec.stride);
+        let (ph, pw) = (h + 2 * spec.padding, w + 2 * spec.padding);
+        let (img, hw) = (c * h * w, oh * ow);
+        let xs = &mut scratch.data_mut()[..need];
+        // Depth `p`'s offset from a pixel's `(ch, ky, kx) = 0` read, for the
+        // k-block at `at_k0`: once per call when the patch fits one k-block.
+        let (mut at, mut at_k0) = ([0usize; KC], None);
+        for n in 0..b {
+            pad_image(&input.data()[n * img..][..img], (c, h, w), spec.padding, xs);
+            let xs = &*xs;
+            let mut op = Operands {
+                a: weight.data(),
+                k: patch,
+                out: &mut out.data_mut()[n * oc * hw..][..oc * hw],
+                n: hw,
+                bias: Some(bias.data()),
             };
-            // At a constant stride 1 the eight lanes are one load.
-            if stride == 1 {
-                rows_by_block(&mut op, block, lanes(1));
-            } else {
-                rows_by_block(&mut op, block, lanes(stride));
-            }
-        });
+            for_each_block(patch, hw, ow, |block| {
+                if at_k0 != Some(block.k0) {
+                    for (p, at) in at[..block.kc].iter_mut().enumerate() {
+                        let (row, kx) = ((block.k0 + p) / kw, (block.k0 + p) % kw);
+                        *at = (row / kh * ph + row % kh) * pw + kx;
+                    }
+                    at_k0 = Some(block.k0);
+                }
+                let (origin, at) = ((block.j0 / ow * pw + block.j0 % ow) * stride, &at);
+                let lanes = |stride: usize| {
+                    move |p: usize| {
+                        let src = &xs[origin + at[p]..][..(NR - 1) * stride + 1];
+                        std::array::from_fn(|l| src[l * stride])
+                    }
+                };
+                // At a constant stride 1 the eight lanes are one load.
+                if stride == 1 {
+                    rows_by_block(&mut op, block, lanes(1));
+                } else {
+                    rows_by_block(&mut op, block, lanes(stride));
+                }
+            });
+        }
+        Ok(())
     }
-    Ok(())
 }
 
 /// Copies image `x` (`[c, h, w]`) into the front of `xs` as `[c, h + 2·pad,
@@ -532,6 +534,86 @@ mod tests {
                 .unwrap();
             }
             assert_eq!(fresh, want.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+        }
+    }
+
+    /// The convolution as a scalar loop: every output is `0.0 + w[o][0]·x₀ +
+    /// … + bias[o]` over the patch in `(ch, ky, kx)` order, a padded
+    /// position an explicit `0.0` term.
+    fn scalar_conv(x: &Tensor, spec: &Conv2dSpec, weight: &[f32], bias: &[f32]) -> Vec<u32> {
+        let [b, c, h, w] = [0, 1, 2, 3].map(|d| x.dims()[d]);
+        let (oh, ow) = spec.output_size(h, w).unwrap();
+        let (s, pad) = (spec.stride, spec.padding);
+        let mut out = Vec::new();
+        for n in 0..b {
+            for (o, row) in weight.chunks(spec.patch_len()).enumerate() {
+                for (oy, ox) in (0..oh).flat_map(|oy| (0..ow).map(move |ox| (oy, ox))) {
+                    let mut acc = 0.0f32;
+                    let mut taps = row.iter();
+                    for ch in 0..c {
+                        for ky in 0..spec.kernel_h {
+                            for kx in 0..spec.kernel_w {
+                                let (y, xx) = (
+                                    (oy * s + ky).wrapping_sub(pad),
+                                    (ox * s + kx).wrapping_sub(pad),
+                                );
+                                let v = if y < h && xx < w {
+                                    x.data()[((n * c + ch) * h + y) * w + xx]
+                                } else {
+                                    0.0
+                                };
+                                acc += taps.next().unwrap() * v;
+                            }
+                        }
+                    }
+                    out.push((acc + bias[o]).to_bits());
+                }
+            }
+        }
+        out
+    }
+
+    /// Both builds of `conv2d_into`, called directly, give the scalar
+    /// loop's bits: stride 2 with padding, rows whose width is no multiple
+    /// of 8, a patch deeper than one k-block, output channels in a tail
+    /// below `MR`. Without AVX2 the AVX2 arm says it skipped.
+    #[test]
+    fn both_builds_of_conv2d_are_the_scalar_loop() {
+        let ramp = |len: usize, salt: usize| -> Vec<f32> {
+            (0..len)
+                .map(|v| ((v * 37 + salt) % 29) as f32 / 7.0 - 2.0)
+                .collect()
+        };
+        let mut avx2_ran = false;
+        // (channels, out channels, kernel, stride, pad, h, w)
+        for (c, oc, kernel, stride, pad, h, w) in [
+            (3, 5, 3, 2, 1, 11, 13),
+            (2, 1, 5, 2, 2, 9, 7),
+            (30, 6, 3, 1, 1, 6, 10),
+            (4, 3, 1, 1, 0, 5, 17),
+        ] {
+            let spec = Conv2dSpec::square(c, oc, kernel, stride, pad);
+            let (oh, ow) = spec.output_size(h, w).unwrap();
+            let patch = spec.patch_len();
+            let x = Tensor::from_vec(ramp(2 * c * h * w, 1), &[2, c, h, w]).unwrap();
+            let weight = Tensor::from_vec(ramp(oc * patch, 2), &[oc, patch]).unwrap();
+            let bias = Tensor::from_vec(ramp(oc, 3), &[oc]).unwrap();
+            let want = scalar_conv(&x, &spec, weight.data(), bias.data());
+            let mut scratch = Tensor::full(&[spec.scratch_len(h, w)], f32::NAN);
+            let mut out = Tensor::full(&[2, oc, oh, ow], f32::NAN);
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            conv2d_into::baseline(&x, &spec, &weight, &bias, &mut scratch, &mut out).unwrap();
+            assert_eq!(bits(&out), want, "baseline {spec:?}");
+            out.data_mut().fill(f32::NAN);
+            if let Some(done) = conv2d_into::avx2(&x, &spec, &weight, &bias, &mut scratch, &mut out)
+            {
+                done.unwrap();
+                assert_eq!(bits(&out), want, "avx2 {spec:?}");
+                avx2_ran = true;
+            }
+        }
+        if !avx2_ran {
+            println!("avx2 arm skipped: this CPU has no AVX2");
         }
     }
 

@@ -21,9 +21,13 @@
 //!   checked-out buffers, making steady-state inference allocation-free
 //!   after warm-up (see [`workspace`](crate::Workspace)).
 //!
-//! The library intentionally trades generality for auditability: everything
-//! is plain safe Rust over a `Vec<f32>`, so every numerical routine can be
-//! unit-tested against hand-computed values and finite differences.
+//! The library intentionally trades generality for auditability: it is
+//! safe Rust over a `Vec<f32>`, so every numerical routine can be
+//! unit-tested against hand-computed values and finite differences. The
+//! one exception is a single call: the forward kernels are built twice,
+//! for baseline x86-64 and for AVX2, and `dispatch.rs` picks the AVX2
+//! build at run time when the CPU has it. Both builds give the same bits
+//! (DESIGN §11.5).
 //!
 //! ## Example
 //!
@@ -38,6 +42,7 @@
 //! ```
 
 mod conv;
+mod dispatch;
 mod error;
 mod init;
 mod matmul;

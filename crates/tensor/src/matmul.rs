@@ -38,31 +38,47 @@ fn matmul_rows(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
     }
 }
 
-/// Computes `a [m,k] × bᵀ` (`b` stored `[n,k]`) into `out` (`n > 0`),
-/// adding `row_bias[i]` to every output of row `i` when given.
-///
-/// Every output is `0.0 + a[i][0]·b[j][0] + … + a[i][k−1]·b[j][k−1]`, then
-/// `+ bias`: one rounding per operation, `p` ascending, no fused
-/// multiply-add and no skipped zero. Tiling only decides which outputs share
-/// registers, so the bits do not depend on the path. Two rows or more pack
-/// `b` — the operand every row reuses — into `NR`-lane k-major panels and
-/// accumulate tiles of up to [`MR`] rows; the running sums rest in `out`
-/// between k-blocks, which is exact. A single row would spend more packing
-/// `b` than it saves, so it reads `b` in place.
-fn matmul_transpose_b_rows(
-    a: &[f32],
-    b: &[f32],
-    (k, n): (usize, usize),
-    bias: Option<&[f32]>,
-    out: &mut [f32],
-) {
-    if out.len() > n {
-        return packed_transpose_b_rows(a, (k, n), bias, out, Panels::Fill(b));
-    }
-    let mut op = Operands { a, k, out, n, bias };
-    for_each_block(k, n, n, |block| {
-        tile::<1>(&mut op, 0, block, b_lanes(b, k, block), 1)
-    });
+/// Where a packed product's panels come from: filled from `b [n,k]` block
+/// by block, or read from a set [`PackedB::pack`] built once.
+#[derive(Clone, Copy)]
+enum Panels<'a> {
+    Fill(&'a [f32]),
+    Prebuilt(&'a [[f32; NR]]),
+}
+
+/// The packed product `a × bᵀ` over `(k, n)`, with bias and output
+/// (`out.len() > 0`): the one tile loop, with each block's panel
+/// `panel[p][l]` (operand `b`'s row `block.j0 + l` at depth `block.k0 +
+/// p`) taken from `panels`. A panel is multiplied by every row of `a`; the
+/// arithmetic, and so every bit, is the unpacked product's. Text, not a
+/// function, so that each build of an entry point compiles its closure
+/// with that build's target features (DESIGN §11.5).
+macro_rules! packed_rows {
+    ($a:expr, ($k:expr, $n:expr), $bias:expr, $out:expr, $panels:expr) => {{
+        let (k, n, panels) = ($k, $n, $panels);
+        let mut op = Operands {
+            a: $a,
+            k,
+            out: $out,
+            n,
+            bias: $bias,
+        };
+        let mut fill = [[0.0f32; NR]; KC];
+        let mut at = 0;
+        for_each_block(k, n, n, |block| {
+            let panel: &[[f32; NR]] = match panels {
+                Panels::Fill(b) => {
+                    pack_block(b, k, block, &mut fill[..block.kc]);
+                    &fill[..block.kc]
+                }
+                Panels::Prebuilt(set) => {
+                    at += block.kc;
+                    &set[at - block.kc..at]
+                }
+            };
+            rows_by_block(&mut op, block, |p| panel[p]);
+        });
+    }};
 }
 
 /// Lane `l` of `b`'s rows `block.j0..` at depth `block.k0 + p`, read in
@@ -76,43 +92,6 @@ fn b_lanes(
 ) -> impl Fn(usize) -> [f32; NR] + '_ {
     let b_rows: [&[f32]; NR] = std::array::from_fn(|l| &b[(j0 + l.min(nr - 1)) * k + k0..][..kc]);
     move |p: usize| std::array::from_fn(|l| b_rows[l][p])
-}
-
-/// Where a packed product's panels come from: filled from `b [n,k]` block
-/// by block, or read from a set [`PackedB::pack`] built once.
-#[derive(Clone, Copy)]
-enum Panels<'a> {
-    Fill(&'a [f32]),
-    Prebuilt(&'a [[f32; NR]]),
-}
-
-/// [`matmul_transpose_b_rows`]'s packed path: the one tile loop, with each
-/// block's panel `panel[p][l]` (operand `b`'s row `block.j0 + l` at depth
-/// `block.k0 + p`) taken from `panels`. A panel is multiplied by every row
-/// of `a`; the arithmetic, and so every bit, is the slice product's.
-fn packed_transpose_b_rows(
-    a: &[f32],
-    (k, n): (usize, usize),
-    bias: Option<&[f32]>,
-    out: &mut [f32],
-    panels: Panels<'_>,
-) {
-    let mut op = Operands { a, k, out, n, bias };
-    let mut fill = [[0.0f32; NR]; KC];
-    let mut at = 0;
-    for_each_block(k, n, n, |block| {
-        let panel: &[[f32; NR]] = match panels {
-            Panels::Fill(b) => {
-                pack_block(b, k, block, &mut fill[..block.kc]);
-                &fill[..block.kc]
-            }
-            Panels::Prebuilt(set) => {
-                at += block.kc;
-                &set[at - block.kc..at]
-            }
-        };
-        rows_by_block(&mut op, block, |p| panel[p]);
-    });
 }
 
 /// Writes one block's panel of `b [n,k]`: `panel[p]` is [`b_lanes`]`(p)`.
@@ -371,30 +350,47 @@ impl Tensor {
     }
 }
 
-/// `a [m,k] × bᵀ` (`b` stored `[n,k]`) on row-major slices into `out
-/// [m,n]`, adding `row_bias[i]` to every output of row `i` when given —
-/// the product every layer calls ([`Tensor::matmul_transpose_b_into`] is
-/// this on whole tensors). Slices let a layer multiply part of a buffer:
-/// the LSTM multiplies a `[batch, time, in]` input as `[batch·time, in]`.
-/// Every output is `0.0 + a[i][0]·b[j][0] + … ` with `p` ascending, then
-/// `+ row_bias[i]`. Every output is overwritten.
-///
-/// # Errors
-///
-/// [`TensorError::ShapeMismatch`] if a slice's length disagrees with `(m,
-/// k, n)` (`row_bias` must hold `m` values).
-pub fn matmul_transpose_b_slices_into(
-    a: &[f32],
-    b: &[f32],
-    (m, k, n): (usize, usize, usize),
-    row_bias: Option<&[f32]>,
-    out: &mut [f32],
-) -> Result<()> {
-    check_slices([a.len(), b.len(), out.len()], row_bias, (m, k, n))?;
-    if !out.is_empty() {
-        matmul_transpose_b_rows(a, b, (k, n), row_bias, out);
+crate::avx2_dispatch! {
+    /// `a [m,k] × bᵀ` (`b` stored `[n,k]`) on row-major slices into `out
+    /// [m,n]`, adding `row_bias[i]` to every output of row `i` when given —
+    /// the product every layer calls ([`Tensor::matmul_transpose_b_into`] is
+    /// this on whole tensors). Slices let a layer multiply part of a buffer:
+    /// the LSTM multiplies a `[batch, time, in]` input as `[batch·time, in]`.
+    /// Every output is overwritten.
+    ///
+    /// Every output is `0.0 + a[i][0]·b[j][0] + … + a[i][k−1]·b[j][k−1]`,
+    /// then `+ row_bias[i]`: one rounding per operation, `p` ascending, no
+    /// fused multiply-add and no skipped zero. Tiling only decides which
+    /// outputs share registers, so the bits do not depend on the path. Two
+    /// rows or more pack `b` — the operand every row reuses — into
+    /// `NR`-lane k-major panels and accumulate tiles of up to `MR` rows;
+    /// the running sums rest in `out` between k-blocks, which is exact. A
+    /// single row would spend more packing `b` than it saves, so it reads
+    /// `b` in place.
+    ///
+    /// # Errors
+    ///
+    /// [`TensorError::ShapeMismatch`] if a slice's length disagrees with `(m,
+    /// k, n)` (`row_bias` must hold `m` values).
+    pub fn matmul_transpose_b_slices_into(
+        a: &[f32],
+        b: &[f32],
+        mkn: (usize, usize, usize),
+        row_bias: Option<&[f32]>,
+        out: &mut [f32],
+    ) -> Result<()> {
+        let (_, k, n) = mkn;
+        check_slices([a.len(), b.len(), out.len()], row_bias, mkn)?;
+        if out.len() > n {
+            packed_rows!(a, (k, n), row_bias, out, Panels::Fill(b));
+        } else if !out.is_empty() {
+            let mut op = Operands { a, k, out, n, bias: row_bias };
+            for_each_block(k, n, n, |block| {
+                tile::<1>(&mut op, 0, block, b_lanes(b, k, block), 1)
+            });
+        }
+        Ok(())
     }
-    Ok(())
 }
 
 /// Checks the lengths of a product's `a`, `b` and `out` and its bias
@@ -447,29 +443,31 @@ impl PackedB {
     }
 }
 
-/// [`matmul_transpose_b_slices_into`] over a prepacked `b`, packed at `(k,
-/// n)`: `a [m,k] × bᵀ` into `out [m,n]`, the same tile over the prebuilt
-/// panels, so the same bits. Every output is overwritten. A single row
-/// gains nothing from packing, so a caller with `m = 1` keeps the slice
-/// product.
-///
-/// # Errors
-///
-/// [`TensorError::ShapeMismatch`] if a slice's length disagrees with `(m,
-/// k, n)` (`row_bias` must hold `m` values).
-pub fn matmul_transpose_b_packed_into(
-    a: &[f32],
-    b: &PackedB,
-    m: usize,
-    row_bias: Option<&[f32]>,
-    out: &mut [f32],
-) -> Result<()> {
-    let (k, n) = (b.k, b.n);
-    check_slices([a.len(), n * k, out.len()], row_bias, (m, k, n))?;
-    if !out.is_empty() {
-        packed_transpose_b_rows(a, (k, n), row_bias, out, Panels::Prebuilt(&b.panels));
+crate::avx2_dispatch! {
+    /// [`matmul_transpose_b_slices_into`] over a prepacked `b`, packed at
+    /// `(k, n)`: `a [m,k] × bᵀ` into `out [m,n]`, the same tile over the
+    /// prebuilt panels, so the same bits. Every output is overwritten. A
+    /// single row gains nothing from packing, so a caller with `m = 1` keeps
+    /// the slice product.
+    ///
+    /// # Errors
+    ///
+    /// [`TensorError::ShapeMismatch`] if a slice's length disagrees with `(m,
+    /// k, n)` (`row_bias` must hold `m` values).
+    pub fn matmul_transpose_b_packed_into(
+        a: &[f32],
+        b: &PackedB,
+        m: usize,
+        row_bias: Option<&[f32]>,
+        out: &mut [f32],
+    ) -> Result<()> {
+        let (k, n) = (b.k, b.n);
+        check_slices([a.len(), n * k, out.len()], row_bias, (m, k, n))?;
+        if !out.is_empty() {
+            packed_rows!(a, (k, n), row_bias, out, Panels::Prebuilt(&b.panels));
+        }
+        Ok(())
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -490,6 +488,98 @@ mod tests {
             }
         }
         out
+    }
+
+    /// Values whose products round: a scrambled ramp over several binades,
+    /// with a zero every 7th and an infinity every 61st.
+    fn ramp(len: usize, salt: u32) -> Vec<f32> {
+        (0..len as u32)
+            .map(|i| match (i * 31 + salt) % 61 {
+                0 => f32::INFINITY,
+                v if v % 7 == 0 => 0.0,
+                _ => {
+                    (i.wrapping_mul(2_654_435_761).wrapping_add(salt) % 2_003) as f32 / 37.0 - 27.0
+                }
+            })
+            .collect()
+    }
+
+    /// The scalar loop every product is: `0.0 + a[i][0]·b[j][0] + …`, `p`
+    /// ascending, then `+ bias[i]`.
+    fn scalar_product(
+        a: &[f32],
+        b: &[f32],
+        (m, k, n): (usize, usize, usize),
+        bias: &[f32],
+    ) -> Vec<u32> {
+        let mut out = Vec::with_capacity(m * n);
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = 0.0f32;
+                for p in 0..k {
+                    acc += a[i * k + p] * b[j * k + p];
+                }
+                out.push((acc + bias[i]).to_bits());
+            }
+        }
+        out
+    }
+
+    /// Both builds of both tile entry points, called directly, give the
+    /// scalar loop's bits: one row, row tails below `MR`, column tails
+    /// below `NR`, depth past one `KC` block and depth 0. Without AVX2
+    /// the AVX2 arm says it skipped.
+    #[test]
+    fn both_builds_of_the_tile_are_the_scalar_loop() {
+        let mut avx2_ran = false;
+        for (m, k, n) in [
+            (1, 5, 3),
+            (1, 300, 13),
+            (2, 7, 8),
+            (3, 1, 9),
+            (5, 257, 17),
+            (7, 513, 6),
+            (4, 0, 11),
+            (1, 0, 2),
+            (9, 64, 24),
+        ] {
+            let (a, b, bias) = (ramp(m * k, 1), ramp(n * k, 2), ramp(m, 3));
+            let want = scalar_product(&a, &b, (m, k, n), &bias);
+            let mut packed = PackedB::default();
+            packed.pack(&b, (k, n)).unwrap();
+            let bits = |out: Vec<f32>| out.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let slices = |run: &dyn Fn(&mut [f32])| {
+                let mut out = vec![f32::NAN; m * n];
+                run(&mut out);
+                bits(out)
+            };
+            let what = format!("(m, k, n) = {:?}", (m, k, n));
+            let base = slices(&|out| {
+                matmul_transpose_b_slices_into::baseline(&a, &b, (m, k, n), Some(&bias), out)
+                    .unwrap()
+            });
+            assert_eq!(base, want, "baseline slices {what}");
+            let base = slices(&|out| {
+                matmul_transpose_b_packed_into::baseline(&a, &packed, m, Some(&bias), out).unwrap()
+            });
+            assert_eq!(base, want, "baseline packed {what}");
+            let mut out = vec![f32::NAN; m * n];
+            if let Some(done) =
+                matmul_transpose_b_slices_into::avx2(&a, &b, (m, k, n), Some(&bias), &mut out)
+            {
+                done.unwrap();
+                assert_eq!(bits(out.clone()), want, "avx2 slices {what}");
+                out.fill(f32::NAN);
+                matmul_transpose_b_packed_into::avx2(&a, &packed, m, Some(&bias), &mut out)
+                    .unwrap()
+                    .unwrap();
+                assert_eq!(bits(out), want, "avx2 packed {what}");
+                avx2_ran = true;
+            }
+        }
+        if !avx2_ran {
+            println!("avx2 arm skipped: this CPU has no AVX2");
+        }
     }
 
     #[test]

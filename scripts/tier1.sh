@@ -6,8 +6,9 @@
 # lints on six crates; both passes enforce the clippy.toml bans on the
 # wall clock, thread::spawn, std::fs, the seeded PRNG and
 # HashMap/HashSet, which darnet-pure forbids outright: replay purity,
-# DESIGN.md §11), and a check that every DESIGN.md section the code
-# cites exists. Run from anywhere.
+# DESIGN.md §11), a check that every DESIGN.md section and ROADMAP.md
+# item the code cites exists, and a check that `unsafe` stays in its two
+# sites (DESIGN.md §11.5). Run from anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -88,5 +89,40 @@ dangling=$(grep -rhozE 'DESIGN(\.md)?[[:space:]/!#]*§ ?[0-9]+(\.[0-9]+)*' \
   | grep -vxF -f <(printf '%s\n' "$headings") || true)
 if [ -n "$dangling" ]; then
   echo "tier1: DESIGN.md has no heading for cited section(s):" $dangling >&2
+  exit 1
+fi
+
+# Every `ROADMAP item n` (or `n(x)`) cited in the code and the scripts
+# names a numbered ROADMAP.md item, and its lettered part when one is
+# given, the way the DESIGN.md check above holds sections. A citation
+# may wrap onto the next comment line. The frozen benchmark/ is not
+# searched.
+dangling=""
+for cite in $(grep -rhozE 'ROADMAP(\.md)?[[:space:]/!#]*item[[:space:]/!#]*[0-9]+(\([a-z]\))?' \
+    crates src tests examples scripts \
+  | tr '\0' '\n' | grep -oE '[0-9]+(\([a-z]\))?$' | sort -u); do
+  item=$(awk -v n="${cite%%(*}" '$0 ~ "^" n "\\. " { on = 1; print; next }
+    on && /^([0-9]+\. |\*|#)/ { exit } on' ROADMAP.md)
+  part=$(grep -oE '\([a-z]\)' <<<"$cite" || true)
+  if [ -z "$item" ] || { [ -n "$part" ] && ! grep -qF -- "$part" <<<"$item"; }; then
+    dangling="$dangling $cite"
+  fi
+done
+if [ -n "$dangling" ]; then
+  echo "tier1: ROADMAP.md has no item for cited item(s):$dangling" >&2
+  exit 1
+fi
+
+# The product's one `unsafe` site is the AVX2 dispatch call in
+# darnet-tensor's dispatch module (DESIGN §11.5); the other is
+# darnet_bench's counting allocator (`alloc_counter`). The token anywhere
+# else under crates/*/src or src/ fails.
+allowed=$(awk '/^pub mod alloc_counter/ { on = 1 } on { print FILENAME ":" FNR }
+  on && /^}/ { on = 0 }' crates/bench/src/lib.rs)
+stray=$(grep -rnw --include='*.rs' unsafe crates/*/src src \
+  | grep -v '^crates/tensor/src/dispatch\.rs:' | cut -d: -f1,2 \
+  | grep -vxF -f <(printf '%s\n' "$allowed") || true)
+if [ -n "$stray" ]; then
+  echo "tier1: \`unsafe\` outside the dispatch module and the counting allocator:" $stray >&2
   exit 1
 fi
