@@ -381,17 +381,27 @@ impl Standardizer {
         )
     }
 
-    /// Rebuilds a standardizer from `(mean, std)` rows.
+    /// Rebuilds a standardizer from `(mean, std)` rows. A `std` below
+    /// `1e-6` is raised to it, as [`Standardizer::fit`] does.
     ///
     /// # Errors
     ///
-    /// Returns an error if the rows have different lengths or are empty.
+    /// Returns [`CoreError::Dataset`] if the rows have different lengths or
+    /// are empty, a `mean` is not finite, or a `std` is negative or not
+    /// finite.
     pub fn from_tensors(mean: &Tensor, std: &Tensor) -> Result<Standardizer> {
         if mean.len() != std.len() || mean.is_empty() {
             return Err(CoreError::Dataset(format!(
                 "standardizer rows mismatched: {} vs {}",
                 mean.len(),
                 std.len()
+            )));
+        }
+        let bad_mean = mean.data().iter().find(|m| !m.is_finite());
+        let bad_std = std.data().iter().find(|s| !(s.is_finite() && **s >= 0.0));
+        if let Some(v) = bad_mean.or(bad_std) {
+            return Err(CoreError::Dataset(format!(
+                "standardizer holds {v}: a mean must be finite, a std finite and ≥ 0"
             )));
         }
         Ok(Standardizer {

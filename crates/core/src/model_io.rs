@@ -383,6 +383,38 @@ mod tests {
         assert_eq!(before, after);
     }
 
+    /// A file whose standardizer row holds a NaN, a negative or an
+    /// infinite `std` does not load.
+    #[test]
+    fn rnn_file_with_a_corrupt_std_is_refused() {
+        let config = RnnConfig {
+            features: 4,
+            hidden: 4,
+            depth: 1,
+            classes: 2,
+            ..RnnConfig::default()
+        };
+        let mut a = ImuRnn::new(config, 12);
+        let x = Tensor::from_vec((0..32).map(|v| v as f32 * 0.1).collect(), &[2, 4, 4]).unwrap();
+        a.fit(&x, &[0, 1], 1).unwrap();
+        let weights = a.export_weights().unwrap();
+        let path = std::env::temp_dir().join("darnet_rnn_corrupt_std.dnwt");
+        for bad in [f32::NAN, -1.0, f32::INFINITY] {
+            let mut corrupt = weights.clone();
+            if let Some(std) = corrupt.last_mut() {
+                std.data_mut()[1] = bad;
+            }
+            write_file(&path, &encode_tensors(&corrupt)).unwrap();
+            let got = ImuRnn::new(config, 13).load_weights(&path);
+            assert!(
+                matches!(got, Err(CoreError::Dataset(_))),
+                "std {bad}: {got:?}"
+            );
+        }
+        write_file(&path, &encode_tensors(&weights)).unwrap();
+        ImuRnn::new(config, 13).load_weights(&path).unwrap();
+    }
+
     #[test]
     fn unfitted_rnn_cannot_be_saved() {
         let mut rnn = ImuRnn::new(

@@ -159,8 +159,15 @@ impl ImuRnn {
     ///
     /// # Errors
     ///
-    /// Returns an error if the rows have mismatched lengths.
+    /// Returns [`CoreError::Dataset`] unless both rows hold `config.features`
+    /// values, every mean is finite and every std finite and ≥ 0.
     pub fn set_standardizer_params(&mut self, mean: &Tensor, std: &Tensor) -> Result<()> {
+        let (got, want) = (mean.len(), self.config.features);
+        if got != want {
+            return Err(CoreError::Dataset(format!(
+                "standardizer has {got} features, not {want}"
+            )));
+        }
         self.standardizer = Some(Standardizer::from_tensors(mean, std)?);
         Ok(())
     }
@@ -354,6 +361,45 @@ mod tests {
         }
         rnn.predict_proba_into(&x, &mut out).unwrap();
         assert_eq!(out.len(), 8 * 2);
+    }
+
+    /// A standardizer of another width, a non-finite mean, or a negative
+    /// or non-finite std is refused and leaves the model unfitted; a std
+    /// in `0..1e-6` is raised to `1e-6`, as `fit` writes it.
+    #[test]
+    fn a_standardizer_that_does_not_fit_the_model_is_refused() {
+        let row = |v: &[f32]| Tensor::from_slice(v);
+        let mut rnn = ImuRnn::new(RnnConfig::default(), 1);
+        let window = Tensor::full(&[2, 20, 12], 0.5);
+        let (mean, std) = (Tensor::zeros(&[12]), Tensor::ones(&[12]));
+        let narrow = (Tensor::zeros(&[5]), Tensor::ones(&[5]));
+        let with = |t: &Tensor, v: f32| {
+            let mut t = t.clone();
+            t.data_mut()[3] = v;
+            t
+        };
+        for (what, (m, s)) in [
+            ("5 features", narrow),
+            ("std −1", (mean.clone(), with(&std, -1.0))),
+            ("std NaN", (mean.clone(), with(&std, f32::NAN))),
+            ("std +∞", (mean.clone(), with(&std, f32::INFINITY))),
+            ("mean NaN", (with(&mean, f32::NAN), std.clone())),
+            ("mean −∞", (with(&mean, f32::NEG_INFINITY), std.clone())),
+        ] {
+            let got = rnn.set_standardizer_params(&m, &s);
+            assert!(matches!(got, Err(CoreError::Dataset(_))), "{what}: {got:?}");
+            let got = rnn.predict_proba(&window);
+            assert!(matches!(got, Err(CoreError::NotReady(_))), "{what}");
+        }
+        for tiny in [0.0, 1e-7] {
+            rnn.set_standardizer_params(&mean, &with(&std, tiny))
+                .unwrap();
+            let (_, kept) = rnn.standardizer_params().unwrap();
+            assert_eq!(kept.data()[3], 1e-6);
+        }
+        rnn.set_standardizer_params(&row(&[0.25; 12]), &row(&[2.0; 12]))
+            .unwrap();
+        assert!(rnn.predict_proba(&window).is_ok());
     }
 
     #[test]

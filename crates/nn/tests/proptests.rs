@@ -240,7 +240,8 @@ mod layer_reference {
             // One case in four is a 5×5 kernel over 11–12 channels: a
             // patch of 275–300, past one 256-deep k-block. One in three
             // is 21–26 pixels wide, so that at stride 1 an output row holds
-            // two full 8-lane blocks and a tail.
+            // a 16-column block and an 8-column tail or a part-filled
+            // 16-column block.
             let size = if wide == 0 { size + 16 } else { size };
             let (kernel, in_c) = if deep == 0 { (5, 11 + in_c % 2) } else { ([1, 3, 5][kernel], in_c) };
             let mut rng = SplitMix64::new(seed);

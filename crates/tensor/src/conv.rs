@@ -11,7 +11,7 @@
 //! gradients.
 
 use crate::error::TensorError;
-use crate::matmul::{for_each_block, rows_by_block, Operands, KC, NR};
+use crate::matmul::{by_width, for_each_block, lanes_at, rows_by_block, Operands, KC, NR, NR_TAIL};
 use crate::parallel::Parallelism;
 use crate::tensor::Tensor;
 use crate::Result;
@@ -86,10 +86,11 @@ impl Conv2dSpec {
     /// Length of the scratch [`conv2d_into`] reads an `h × w` image from:
     /// the zero-ringed image, `in_channels · (h + 2·pad) · (w + 2·pad)`,
     /// plus `(8 − 1) · stride` values of slack that a row's spare lanes
-    /// read past its end.
+    /// read past its end: a 16-lane tile holds at least 9 pixels, so no
+    /// tile has more than 7 spare lanes.
     pub fn scratch_len(&self, h: usize, w: usize) -> usize {
         let (ph, pw) = (h + 2 * self.padding, w + 2 * self.padding);
-        self.in_channels * ph * pw + (NR - 1) * self.stride
+        self.in_channels * ph * pw + (NR_TAIL - 1) * self.stride
     }
 }
 
@@ -230,13 +231,13 @@ crate::avx2_dispatch! {
     /// `(ch, ky, kx)` order, padding included as explicit `0.0` terms. But no
     /// patch matrix and no panel is written. Each image is copied once into
     /// `scratch` as `[c, h + 2·pad, w + 2·pad]` with a zero ring, and the tile
-    /// reads its lanes there in place: eight output pixels of one output row
-    /// at depth `(ch, ky, kx)` are eight values `stride` apart, at an offset
-    /// from the row's first pixel that depends on the depth alone. A row's
-    /// tail block has fewer than eight pixels; its spare lanes read on past
-    /// the row, into the next row or the slack [`Conv2dSpec::scratch_len`]
-    /// leaves past the image, and their sums are never stored. `scratch`'s
-    /// prior contents are irrelevant.
+    /// reads its lanes there in place: a block's 16 (8 for a row's last 8 or
+    /// fewer) output pixels of one row at depth `(ch, ky, kx)` are values
+    /// `stride` apart, at an offset from the row's first pixel that depends
+    /// on the depth alone. A row's last block may hold fewer pixels than
+    /// lanes; its spare lanes read on into the next row or the slack
+    /// [`Conv2dSpec::scratch_len`] leaves past the image, and their sums are
+    /// never stored. `scratch`'s prior contents are irrelevant.
     ///
     /// # Errors
     ///
@@ -278,7 +279,7 @@ crate::avx2_dispatch! {
                 n: hw,
                 bias: Some(bias.data()),
             };
-            for_each_block(patch, hw, ow, |block| {
+            for_each_block(patch, hw, ow, NR, |block| {
                 if at_k0 != Some(block.k0) {
                     for (p, at) in at[..block.kc].iter_mut().enumerate() {
                         let (row, kx) = ((block.k0 + p) / kw, (block.k0 + p) % kw);
@@ -287,18 +288,17 @@ crate::avx2_dispatch! {
                     at_k0 = Some(block.k0);
                 }
                 let (origin, at) = ((block.j0 / ow * pw + block.j0 % ow) * stride, &at);
-                let lanes = |stride: usize| {
-                    move |p: usize| {
-                        let src = &xs[origin + at[p]..][..(NR - 1) * stride + 1];
-                        std::array::from_fn(|l| src[l * stride])
+                by_width!(block, |W| {
+                    // At stride 1 a block's lanes are one slice copy.
+                    if stride == 1 {
+                        rows_by_block::<MR, W>(&mut op, block, |p| lanes_at(&xs[origin + at[p]..]));
+                    } else {
+                        rows_by_block::<MR, W>(&mut op, block, |p| {
+                            let src = &xs[origin + at[p]..][..(W - 1) * stride + 1];
+                            std::array::from_fn(|l| src[l * stride])
+                        });
                     }
-                };
-                // At a constant stride 1 the eight lanes are one load.
-                if stride == 1 {
-                    rows_by_block(&mut op, block, lanes(1));
-                } else {
-                    rows_by_block(&mut op, block, lanes(stride));
-                }
+                });
             });
         }
         Ok(())
@@ -486,7 +486,8 @@ mod tests {
         let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let (h, w) = (19, 18);
         let x = Tensor::from_vec(ramp(2 * 3 * h * w, 1), &[2, 3, h, w]).unwrap();
-        // Rows of 18 pixels: two full 8-lane blocks and a tail at stride 1.
+        // Rows of 18 pixels: a 16-column block and an 8-column tail of 2 at
+        // stride 1.
         for (kernel, stride, pad) in [(3, 1, 1), (5, 2, 2), (1, 1, 0), (3, 2, 0)] {
             let spec = Conv2dSpec::square(3, 5, kernel, stride, pad);
             let (oh, ow) = spec.output_size(h, w).unwrap();
@@ -576,7 +577,10 @@ mod tests {
     /// Both builds of `conv2d_into`, called directly, give the scalar
     /// loop's bits: stride 2 with padding, rows whose width is no multiple
     /// of 8, a patch deeper than one k-block, output channels in a tail
-    /// below `MR`. Without AVX2 the AVX2 arm says it skipped.
+    /// below either build's `MR`, and the CNN's own geometries. Each
+    /// scratch is exactly `scratch_len` long and NaN past the image, so a
+    /// stored lane read past the last row is a NaN output. Without AVX2
+    /// the AVX2 arm says it skipped.
     #[test]
     fn both_builds_of_conv2d_are_the_scalar_loop() {
         let ramp = |len: usize, salt: usize| -> Vec<f32> {
@@ -585,13 +589,28 @@ mod tests {
                 .collect()
         };
         let mut avx2_ran = false;
+        // The CNN's geometries: the stem's, block A's and block B's inputs,
+        // rows 48, 24 and 12 pixels wide (16-column tiles, an 8-column tail
+        // at 24), 1×1, 3×3 and 5×5 kernels, 1–10 output channels.
+        let cnn = [(1, 48), (8, 24), (16, 12)]
+            .into_iter()
+            .flat_map(|(c, edge)| {
+                [(1, 0), (3, 1), (5, 2)]
+                    .into_iter()
+                    .flat_map(move |(kernel, pad)| {
+                        (1..=10).map(move |oc| (c, oc, kernel, 1, pad, edge, edge))
+                    })
+            });
         // (channels, out channels, kernel, stride, pad, h, w)
         for (c, oc, kernel, stride, pad, h, w) in [
             (3, 5, 3, 2, 1, 11, 13),
             (2, 1, 5, 2, 2, 9, 7),
             (30, 6, 3, 1, 1, 6, 10),
             (4, 3, 1, 1, 0, 5, 17),
-        ] {
+        ]
+        .into_iter()
+        .chain(cnn)
+        {
             let spec = Conv2dSpec::square(c, oc, kernel, stride, pad);
             let (oh, ow) = spec.output_size(h, w).unwrap();
             let patch = spec.patch_len();

@@ -22,6 +22,10 @@
 /// but x86-64, which compiles only the baseline copy). Tests call the
 /// two directly; nothing else picks a copy.
 ///
+/// Each copy also declares `MR`, a register tile's rows, so that both keep
+/// eight accumulator registers in a 16-column tile: 2 × four 4-lane ones at
+/// baseline, 4 × two 8-lane ones under AVX2 (DESIGN §19.2).
+///
 /// Parameters must be plain identifiers (rebind `mut` inside the body).
 /// The body resolves names through `use super::*`.
 #[macro_export]
@@ -50,12 +54,12 @@ macro_rules! avx2_dispatch {
         mod $name {
             use super::*;
 
-            pub(crate) fn baseline($($arg: $ty),*) -> $ret $body
+            pub(crate) fn baseline($($arg: $ty),*) -> $ret { const MR: usize = 2; $body }
 
             /// Runs AVX2 instructions: call only where the CPU has AVX2.
             #[cfg(target_arch = "x86_64")]
             #[target_feature(enable = "avx2")]
-            pub(super) fn avx2_unchecked($($arg: $ty),*) -> $ret $body
+            pub(super) fn avx2_unchecked($($arg: $ty),*) -> $ret { const MR: usize = 4; $body }
 
             #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
             #[cfg_attr(

@@ -14,11 +14,14 @@ use crate::parallel::Parallelism;
 use crate::tensor::Tensor;
 use crate::Result;
 
-/// Rows of `a` in one register tile.
-const MR: usize = 4;
-/// Rows of `b` in one register tile: the lanes of a packed panel.
-pub(crate) const NR: usize = 8;
-/// Depth of one packed panel: `KC × NR` floats, 8 KiB on the stack.
+/// Output columns (lanes of a packed panel) of a register tile while more
+/// than [`NR_TAIL`] of a row's remain. Its rows, `MR`, are a `const` each
+/// copy of a dispatched entry point sets ([`crate::avx2_dispatch`]).
+pub(crate) const NR: usize = 16;
+/// Output columns of the tile for a row's last 8 or fewer, and of the
+/// one-row product's.
+pub(crate) const NR_TAIL: usize = 8;
+/// Depth of one packed panel: at most `KC × NR` floats, 16 KiB.
 pub(crate) const KC: usize = 256;
 
 /// Computes `a [m,k] × b [k,n]` into `out` (`n > 0`). i-k-j loop order:
@@ -43,16 +46,16 @@ fn matmul_rows(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
 #[derive(Clone, Copy)]
 enum Panels<'a> {
     Fill(&'a [f32]),
-    Prebuilt(&'a [[f32; NR]]),
+    Prebuilt(&'a [f32]),
 }
 
 /// The packed product `a × bᵀ` over `(k, n)`, with bias and output
-/// (`out.len() > 0`): the one tile loop, with each block's panel
-/// `panel[p][l]` (operand `b`'s row `block.j0 + l` at depth `block.k0 +
-/// p`) taken from `panels`. A panel is multiplied by every row of `a`; the
-/// arithmetic, and so every bit, is the unpacked product's. Text, not a
-/// function, so that each build of an entry point compiles its closure
-/// with that build's target features (DESIGN §11.5).
+/// (`out.len() > 0`): the one tile loop, with each block's panel row `p`
+/// (operand `b`'s rows `block.j0..` at depth `block.k0 + p`, one lane
+/// each) taken from `panels`. A panel is multiplied by every row of `a`;
+/// the arithmetic, and so every bit, is the unpacked product's. Text, not
+/// a function, so that each build of an entry point compiles its closure
+/// with that build's target features and `MR` (DESIGN §11.5).
 macro_rules! packed_rows {
     ($a:expr, ($k:expr, $n:expr), $bias:expr, $out:expr, $panels:expr) => {{
         let (k, n, panels) = ($k, $n, $panels);
@@ -63,75 +66,123 @@ macro_rules! packed_rows {
             n,
             bias: $bias,
         };
-        let mut fill = [[0.0f32; NR]; KC];
+        let mut fill = [0.0f32; KC * NR];
         let mut at = 0;
-        for_each_block(k, n, n, |block| {
-            let panel: &[[f32; NR]] = match panels {
+        for_each_block(k, n, n, NR, |block| {
+            let len = block.kc * block.width;
+            let panel: &[f32] = match panels {
                 Panels::Fill(b) => {
-                    pack_block(b, k, block, &mut fill[..block.kc]);
-                    &fill[..block.kc]
+                    pack_block(b, k, block, &mut fill[..len]);
+                    &fill[..len]
                 }
                 Panels::Prebuilt(set) => {
-                    at += block.kc;
-                    &set[at - block.kc..at]
+                    at += len;
+                    &set[at - len..at]
                 }
             };
-            rows_by_block(&mut op, block, |p| panel[p]);
+            by_width!(block, |W| rows_by_block::<MR, W>(&mut op, block, |p| {
+                lanes_at(&panel[p * W..])
+            }));
         });
     }};
+}
+
+/// Evaluates `$run`, an expression over a `const $w`, with `$w` the width
+/// of `block`'s tile: written once for [`NR`], once for [`NR_TAIL`]. Text,
+/// so that `$run`'s closures compile in the calling build (DESIGN §11.5).
+macro_rules! by_width {
+    ($block:expr, |$w:ident| $run:expr) => {
+        if $block.width == NR {
+            const $w: usize = NR;
+            $run
+        } else {
+            const $w: usize = NR_TAIL;
+            $run
+        }
+    };
+}
+pub(crate) use by_width;
+
+/// The first `W` values of `src`: one block's lanes, read as one copy.
+#[inline(always)]
+pub(crate) fn lanes_at<const W: usize>(src: &[f32]) -> [f32; W] {
+    let mut lanes = [0.0; W];
+    lanes.copy_from_slice(&src[..W]);
+    lanes
 }
 
 /// Lane `l` of `b`'s rows `block.j0..` at depth `block.k0 + p`, read in
 /// place. Lanes past `block.nr` repeat the last row; their sums are never
 /// stored.
 #[inline(always)]
-fn b_lanes(
+fn b_lanes<const W: usize>(
     b: &[f32],
     k: usize,
     Block { k0, kc, j0, nr, .. }: Block,
-) -> impl Fn(usize) -> [f32; NR] + '_ {
-    let b_rows: [&[f32]; NR] = std::array::from_fn(|l| &b[(j0 + l.min(nr - 1)) * k + k0..][..kc]);
+) -> impl Fn(usize) -> [f32; W] + '_ {
+    let b_rows: [&[f32]; W] = std::array::from_fn(|l| &b[(j0 + l.min(nr - 1)) * k + k0..][..kc]);
     move |p: usize| std::array::from_fn(|l| b_rows[l][p])
 }
 
-/// Writes one block's panel of `b [n,k]`: `panel[p]` is [`b_lanes`]`(p)`.
+/// Writes one block's panel of `b [n,k]`, `kc` rows of the block's width:
+/// row `p` is [`b_lanes`]`(p)`.
 #[inline(always)]
-fn pack_block(b: &[f32], k: usize, block: Block, panel: &mut [[f32; NR]]) {
-    let lane = b_lanes(b, k, block);
-    for (p, lanes) in panel.iter_mut().enumerate() {
-        *lanes = lane(p);
-    }
+fn pack_block(b: &[f32], k: usize, block: Block, panel: &mut [f32]) {
+    by_width!(block, |W| {
+        let lane = b_lanes::<W>(b, k, block);
+        for (p, lanes) in panel.chunks_exact_mut(W).enumerate() {
+            lanes.copy_from_slice(&lane(p));
+        }
+    });
 }
 
-/// Runs every [`MR`]-row tile of `op`'s rows against one block's lanes.
+/// Runs `op`'s rows against one block's `W` lanes in `R`-row tiles. The
+/// fewer than `R` rows left over take 2-row tiles and then a 1-row one,
+/// so that no tile computes a row twice.
 #[inline(always)]
-pub(crate) fn rows_by_block(
+pub(crate) fn rows_by_block<const R: usize, const W: usize>(
     op: &mut Operands<'_>,
     block: Block,
-    lanes: impl Fn(usize) -> [f32; NR],
+    lanes: impl Fn(usize) -> [f32; W],
 ) {
     let rows = op.out.len() / op.n;
-    for i0 in (0..rows).step_by(MR) {
-        tile::<MR>(op, i0, block, &lanes, rows - i0);
+    let mut i0 = 0;
+    while rows - i0 >= R {
+        tile::<R, W>(op, i0, block, &lanes);
+        i0 += R;
+    }
+    while rows - i0 >= 2 {
+        tile::<2, W>(op, i0, block, &lanes);
+        i0 += 2;
+    }
+    if i0 < rows {
+        tile::<1, W>(op, i0, block, &lanes);
     }
 }
 
 /// Runs `f` on each block of a `k`-deep product over `n` output columns,
-/// k-block by k-block. A block never spans two rows of `row` columns (`row`
-/// divides `n`): a conv's output rows. `k = 0` is one empty block, so
-/// every output is still stored.
+/// k-block by k-block, at most `w` columns a block: a row's last block
+/// holds what is left, on a tile [`NR`] wide if that is more than
+/// [`NR_TAIL`] columns, else one [`NR_TAIL`] wide, which wastes fewer
+/// lanes. A block never spans two rows of `row` columns (`row` divides
+/// `n`): a conv's output rows. `k = 0` is one empty block, so every
+/// output is still stored.
 #[inline(always)]
-pub(crate) fn for_each_block(k: usize, n: usize, row: usize, mut f: impl FnMut(Block)) {
+pub(crate) fn for_each_block(k: usize, n: usize, row: usize, w: usize, mut f: impl FnMut(Block)) {
     for k0 in (0..k.max(1)).step_by(KC) {
         let kc = KC.min(k - k0);
         for r0 in (0..n).step_by(row.max(1)) {
-            for j0 in (r0..r0 + row).step_by(NR) {
+            for j0 in (r0..r0 + row).step_by(w) {
+                let nr = w.min(r0 + row - j0);
+                let width = if nr > NR_TAIL { NR } else { NR_TAIL };
+                let last = k0 + kc == k;
                 f(Block {
                     k0,
                     kc,
                     j0,
-                    nr: NR.min(r0 + row - j0),
-                    last: k0 + kc == k,
+                    nr,
+                    width,
+                    last,
                 });
             }
         }
@@ -149,26 +200,27 @@ pub(crate) struct Operands<'a> {
 }
 
 /// What a tile covers besides its rows: k-block `k0..k0 + kc` (the `last`
-/// one adds the bias) of output columns `j0..j0 + nr`.
+/// one adds the bias) of output columns `j0..j0 + nr`, on a tile `width`
+/// columns wide.
 #[derive(Clone, Copy)]
 pub(crate) struct Block {
     pub(crate) k0: usize,
     pub(crate) kc: usize,
     pub(crate) j0: usize,
     pub(crate) nr: usize,
+    pub(crate) width: usize,
     last: bool,
 }
 
-/// One `R × NR` register tile at output rows `i0..i0 + R`: resumes the sums
+/// One `R × W` register tile at output rows `i0..i0 + R`: resumes the sums
 /// an earlier k-block stored (or starts from `0.0`), adds `a[r][p] ·
 /// lanes(p)[l]` for `p` ascending, and stores the `nr` valid columns.
 #[inline(always)]
-fn tile<const R: usize>(
+fn tile<const R: usize, const W: usize>(
     op: &mut Operands<'_>,
     i0: usize,
     block: Block,
-    lanes: impl Fn(usize) -> [f32; NR],
-    mr: usize,
+    lanes: impl Fn(usize) -> [f32; W],
 ) {
     let Block {
         k0,
@@ -176,13 +228,13 @@ fn tile<const R: usize>(
         j0,
         nr,
         last,
+        ..
     } = block;
-    let mr = mr.min(R);
-    let a: [&[f32]; R] = std::array::from_fn(|r| &op.a[(i0 + r.min(mr - 1)) * op.k + k0..][..kc]);
+    let a: [&[f32]; R] = std::array::from_fn(|r| &op.a[(i0 + r) * op.k + k0..][..kc]);
     let at = |r: usize| (i0 + r) * op.n + j0;
-    let mut acc = [[0.0f32; NR]; R];
+    let mut acc = [[0.0f32; W]; R];
     if k0 > 0 {
-        for (r, acc_r) in acc.iter_mut().enumerate().take(mr) {
+        for (r, acc_r) in acc.iter_mut().enumerate() {
             acc_r[..nr].copy_from_slice(&op.out[at(r)..][..nr]);
         }
     }
@@ -195,7 +247,7 @@ fn tile<const R: usize>(
             }
         }
     }
-    for (r, acc_r) in acc.iter().enumerate().take(mr) {
+    for (r, acc_r) in acc.iter().enumerate() {
         let dst = &mut op.out[at(r)..][..nr];
         match op.bias.filter(|_| last) {
             Some(bias) => {
@@ -362,11 +414,12 @@ crate::avx2_dispatch! {
     /// then `+ row_bias[i]`: one rounding per operation, `p` ascending, no
     /// fused multiply-add and no skipped zero. Tiling only decides which
     /// outputs share registers, so the bits do not depend on the path. Two
-    /// rows or more pack `b` — the operand every row reuses — into
-    /// `NR`-lane k-major panels and accumulate tiles of up to `MR` rows;
-    /// the running sums rest in `out` between k-blocks, which is exact. A
-    /// single row would spend more packing `b` than it saves, so it reads
-    /// `b` in place.
+    /// rows or more pack `b` — the operand every row reuses — into k-major
+    /// panels of `NR` lanes (`NR_TAIL` for a row's last `NR_TAIL` or fewer
+    /// columns) and accumulate tiles of `MR` rows, then of 2 and 1 for the
+    /// rows left over; the running sums rest in `out` between k-blocks,
+    /// which is exact. A single row would spend more packing `b` than it
+    /// saves, so it reads `b` in place, `NR_TAIL` columns at a time.
     ///
     /// # Errors
     ///
@@ -385,8 +438,8 @@ crate::avx2_dispatch! {
             packed_rows!(a, (k, n), row_bias, out, Panels::Fill(b));
         } else if !out.is_empty() {
             let mut op = Operands { a, k, out, n, bias: row_bias };
-            for_each_block(k, n, n, |block| {
-                tile::<1>(&mut op, 0, block, b_lanes(b, k, block), 1)
+            for_each_block(k, n, n, NR_TAIL, |block| {
+                tile::<1, NR_TAIL>(&mut op, 0, block, b_lanes::<NR_TAIL>(b, k, block))
             });
         }
         Ok(())
@@ -416,7 +469,7 @@ fn check_slices(
 /// at the same or a smaller size does not allocate.
 #[derive(Debug, Default)]
 pub struct PackedB {
-    panels: Vec<[f32; NR]>,
+    panels: Vec<f32>,
     k: usize,
     n: usize,
 }
@@ -432,12 +485,14 @@ impl PackedB {
             return Err(TensorError::shape_mismatch(&[b.len()], &[n * k]));
         }
         (self.k, self.n) = (k, n);
-        // Every panel is overwritten below.
-        self.panels.resize(n.div_ceil(NR) * k, [0.0; NR]);
+        // A row's blocks hold its columns rounded up to a multiple of
+        // `NR_TAIL`. Every panel is overwritten below.
+        self.panels.resize(n.div_ceil(NR_TAIL) * NR_TAIL * k, 0.0);
         let mut at = 0;
-        for_each_block(k, n, n, |block| {
-            pack_block(b, k, block, &mut self.panels[at..][..block.kc]);
-            at += block.kc;
+        for_each_block(k, n, n, NR, |block| {
+            let len = block.kc * block.width;
+            pack_block(b, k, block, &mut self.panels[at..][..len]);
+            at += len;
         });
         Ok(())
     }
@@ -526,12 +581,19 @@ mod tests {
     }
 
     /// Both builds of both tile entry points, called directly, give the
-    /// scalar loop's bits: one row, row tails below `MR`, column tails
-    /// below `NR`, depth past one `KC` block and depth 0. Without AVX2
-    /// the AVX2 arm says it skipped.
+    /// scalar loop's bits, and so each other's: one row, row tails below
+    /// either build's `MR` (2 and 4), widths on both sides of the 8/16
+    /// column boundary (a row of 16-column tiles ending in an 8-column
+    /// tail, or in a part-filled 16-column one), depth past one `KC` block
+    /// and depth 0. Without AVX2 the AVX2 arm says it skipped.
     #[test]
     fn both_builds_of_the_tile_are_the_scalar_loop() {
         let mut avx2_ran = false;
+        let grid = [8, 15, 16, 17, 24, 33, 256].into_iter().flat_map(|n| {
+            [1, 2, 3, 4, 5, 7]
+                .into_iter()
+                .flat_map(move |m| [(m, 3, n), (m, KC + 44, n)])
+        });
         for (m, k, n) in [
             (1, 5, 3),
             (1, 300, 13),
@@ -542,7 +604,10 @@ mod tests {
             (4, 0, 11),
             (1, 0, 2),
             (9, 64, 24),
-        ] {
+        ]
+        .into_iter()
+        .chain(grid)
+        {
             let (a, b, bias) = (ramp(m * k, 1), ramp(n * k, 2), ramp(m, 3));
             let want = scalar_product(&a, &b, (m, k, n), &bias);
             let mut packed = PackedB::default();

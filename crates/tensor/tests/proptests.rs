@@ -95,11 +95,13 @@ fn check_transpose_b(m: usize, k: usize, n: usize, seed: u64) -> Result<(), Tens
 
 #[test]
 fn transpose_b_tile_edges_are_the_scalar_loop() {
-    // Every row remainder of the 4-row tile and lane remainder of the
-    // 8-lane panel, the one-row product included, with k inside one
-    // k-block and across two (the panel is 256 deep).
+    // Every row remainder of either build's tile (2 or 4 rows) and every
+    // column remainder of a row of 16-column tiles, whether it ends in an
+    // 8-column tile or a part-filled 16-column one, the one-row product
+    // included, with k inside one k-block and across two (the panel is
+    // 256 deep).
     for m in 1..=9 {
-        for n in 1..=17 {
+        for n in 1..=33 {
             for k in [1, 5, 257] {
                 check_transpose_b(m, k, n, (m * 31 + n * 7 + k) as u64).unwrap();
             }

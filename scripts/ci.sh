@@ -12,9 +12,10 @@
 #                  darnet-pure, the effect-free crate replay runs on) +
 #                  escalated panic lints, every DESIGN.md §n the
 #                  code cites must name a heading and every ROADMAP
-#                  item an item, and the token `unsafe` may appear only
+#                  item an item, the token `unsafe` may appear only
 #                  in darnet-tensor's AVX2 dispatch module and the bench
-#                  crate's counting allocator (scripts/tier1.sh).
+#                  crate's counting allocator, and no `target_feature`
+#                  under crates/ may enable `fma` (scripts/tier1.sh).
 #                  No other step lints the tree. The zero-alloc gate is
 #                  crates/bench/tests/zero_alloc.rs, and the crate
 #                  boundary crates/pure/tests/boundary.rs, among the

@@ -7,8 +7,9 @@
 # wall clock, thread::spawn, std::fs, the seeded PRNG and
 # HashMap/HashSet, which darnet-pure forbids outright: replay purity,
 # DESIGN.md §11), a check that every DESIGN.md section and ROADMAP.md
-# item the code cites exists, and a check that `unsafe` stays in its two
-# sites (DESIGN.md §11.5). Run from anywhere.
+# item the code cites exists, a check that `unsafe` stays in its two
+# sites and one that no `target_feature` enables `fma` (DESIGN.md §11.5).
+# Run from anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -124,5 +125,18 @@ stray=$(grep -rnw --include='*.rs' unsafe crates/*/src src \
   | grep -vxF -f <(printf '%s\n' "$allowed") || true)
 if [ -n "$stray" ]; then
   echo "tier1: \`unsafe\` outside the dispatch module and the counting allocator:" $stray >&2
+  exit 1
+fi
+
+# The AVX2 builds enable `avx2` and never `fma`: no build can then fuse a
+# multiply and an add into one rounding, so every copy of a kernel keeps
+# the baseline's bits (DESIGN.md §11.5). A `target_feature(enable = …)`
+# under crates/ that names `fma` fails, however its list is written.
+fused=$(grep -rozE --include='*.rs' \
+    'target_feature[[:space:]]*\([[:space:]]*enable[[:space:]]*=[[:space:]]*"[^"]*"' crates \
+  | tr '\n\0' ' \n' | grep -i 'fma' || true)
+if [ -n "$fused" ]; then
+  echo "tier1: a target_feature enables fma:" >&2
+  echo "$fused" >&2
   exit 1
 fi
