@@ -223,7 +223,7 @@ fn main() {
             baseline.remove(STREAMS_SPEEDUP);
         }
     }
-    gate.finish(&[], |results, failures| {
+    gate.finish(|results, failures| {
         let available = results["threads_available"];
         if results["speedup_engine_batch32"] < PARITY_FLOOR {
             failures.fail(format_args!(

@@ -5,8 +5,10 @@
 //! ones borrow it. All is seeded, so a section prints the same bytes alone
 //! as after the sections it shares with. Several sections each print a
 //! `### repro <section>` line first, and each one's wall time goes to
-//! stderr as `repro: <section> <seconds>`. `ablation_multiview`, run
-//! alone, also takes [`Gate`]'s `--json`, `--out`, `--compare`, `--check`.
+//! stderr as `repro: <section> <seconds>`. A section may hold its result
+//! to criteria of its own; each one it misses goes to stderr as
+//! `MISSED: <section>: <criterion>`, and under `--check` a miss makes the
+//! run exit 1.
 #![expect(
     clippy::disallowed_methods,
     reason = "the driver times its sections, and Figure 4 writes its image files"
@@ -16,7 +18,6 @@ use std::error::Error;
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use darnet_bench::gate::{Gate, Metrics, TOLERANCE};
 use darnet_bench::{header, pct};
 use darnet_core::dataset::Dataset;
 use darnet_core::eval::ConfusionMatrix;
@@ -50,19 +51,24 @@ const SECTIONS: [(&str, Section); 11] = [
     ("ablation_pretrain", ablation_pretrain),
 ];
 
-/// The sections asked for, in order, and whether `--fast` was.
-fn parse(args: &[String]) -> Result<(Vec<&'static str>, bool), String> {
+/// N=3 with the front camera lost must keep at least this share of N=2
+/// clean (`ablation_multiview`'s criterion).
+const MULTIVIEW_CLEAN_SHARE: f64 = 0.85;
+
+/// The sections asked for, in order, and whether `--fast` and `--check`
+/// were.
+fn parse(args: &[String]) -> Result<(Vec<&'static str>, bool, bool), String> {
     let names = SECTIONS.map(|(name, _)| name);
     let valid = format!("the sections are {}, all", names.join(", "));
-    let (mut sections, mut fast, mut gated) = (Vec::new(), false, false);
-    let mut args = args.iter();
-    while let Some(arg) = args.next() {
+    let (mut sections, mut fast, mut check) = (Vec::new(), false, false);
+    for arg in args {
         match arg.as_str() {
             "--fast" => fast = true,
-            "--json" | "--check" => gated = true,
-            "--out" | "--compare" => {
-                gated = true;
-                args.next().ok_or(format!("{arg} needs a path"))?;
+            "--check" => check = true,
+            flag if flag.starts_with('-') => {
+                return Err(format!(
+                    "unknown flag {flag:?}; the flags are --fast, --check"
+                ))
             }
             "all" => sections.extend(names),
             other => match names.iter().find(|name| **name == other) {
@@ -72,14 +78,11 @@ fn parse(args: &[String]) -> Result<(Vec<&'static str>, bool), String> {
         }
     }
     if sections.is_empty() {
-        return Err(format!("usage: repro <section>… [--fast]; {valid}"));
+        return Err(format!(
+            "usage: repro <section>… [--fast] [--check]; {valid}"
+        ));
     }
-    // `ablation_multiview` is the one section that takes `Gate`'s flags.
-    if gated && sections != ["ablation_multiview"] {
-        let flags = "--json, --out, --compare and --check";
-        return Err(format!("{flags} go with ablation_multiview alone"));
-    }
-    Ok((sections, fast))
+    Ok((sections, fast, check))
 }
 
 /// A lazily built artifact and how many times it was built.
@@ -98,7 +101,8 @@ impl<T> Slot<T> {
     }
 }
 
-/// The presets the sections run at, and what they share.
+/// The presets the sections run at, what they share, and the criteria
+/// the running section missed.
 struct Cache {
     experiment: ExperimentConfig,
     privacy: PrivacyExperimentConfig,
@@ -106,6 +110,7 @@ struct Cache {
     dataset: Slot<Dataset>,
     stack: Slot<TrainedStack>,
     teacher: Slot<PrivacyTeacher>,
+    missed: Vec<String>,
 }
 
 impl Cache {
@@ -118,6 +123,7 @@ impl Cache {
             dataset: Slot(None, 0),
             stack: Slot(None, 0),
             teacher: Slot(None, 0),
+            missed: Vec::new(),
         };
         if fast {
             cache.experiment = ExperimentConfig::fast();
@@ -333,47 +339,41 @@ fn ablation_distill(cache: &mut Cache, out: &mut String) -> Outcome {
     scores(out, title, 40, &rows)
 }
 
-/// The N-stream registry under front-camera loss (DESIGN.md §17), a gated
-/// benchmark that prints through [`Gate`].
-fn ablation_multiview(cache: &mut Cache, _: &mut String) -> Outcome {
+/// The N-stream registry under front-camera loss (DESIGN.md §17). Its
+/// criteria: the fault campaign leaves the front camera unusable, and
+/// N=3 without it scores at least N=2 under the same loss and
+/// [`MULTIVIEW_CLEAN_SHARE`] of N=2 clean.
+fn ablation_multiview(cache: &mut Cache, out: &mut String) -> Outcome {
     let ab = run_ablation_multiview(&cache.multiview)?;
-    let (clean2, clean3) = (ab.two_stream, ab.three_stream);
-    let (lost2, lost3) = (ab.two_stream_front_lost, ab.three_stream_front_lost);
-    let unusable = ab.front_unusable_under_fault;
-    let rates = [
-        ("front camera only", "front_only", ab.front_only),
-        ("IMU + front (N=2)", "two_stream_clean", clean2),
-        ("IMU + front + side (N=3)", "three_stream_clean", clean3),
-        ("N=2, front lost", "two_stream_front_lost", lost2),
-        ("N=3, front lost", "three_stream_front_lost", lost3),
-    ];
-    let rate = |(_, key, x): &(&str, &str, f64)| (format!("rate_{key}"), *x);
-    let mut results: Metrics = rates.iter().map(rate).collect();
-    results.insert("eval_samples".into(), ab.eval_samples as f64);
-    let unusable_rate = f64::from(unusable);
-    results.insert("rate_front_unusable_under_fault".into(), unusable_rate);
+    let (clean2, lost2, lost3) = (
+        ab.two_stream,
+        ab.two_stream_front_lost,
+        ab.three_stream_front_lost,
+    );
     let title = "Ablation: N-stream registry vs front-camera loss (8-class Top-1)";
-    // `--fast` already picked the preset `ab` ran at.
-    let summary = |_: &Metrics| {
-        for (label, _, x) in &rates {
-            println!("{label:<34} {:>10}", pct(*x));
-        }
-        println!("\nfault campaign marked the front camera unusable: {unusable}");
-    };
-    Gate::start(title, |_fast| results, summary).finish(&["eval_samples"], |_, failures| {
-        if !unusable {
-            failures.fail("the fault campaign left the front camera usable");
-        }
-        // The headline claim: with the front camera lost, the side view
-        // keeps 3 streams at or above 2 under the same loss, and within the
-        // tolerance of 2 clean ones.
-        let floor = lost2.max(clean2 * (1.0 - TOLERANCE));
-        if lost3 < floor {
-            let (lost3, floor) = (pct(lost3), pct(floor));
-            let message = format!("3 streams without the front camera: {lost3} < {floor}");
-            failures.fail(message);
-        }
-    });
+    let rows = [
+        ("front camera only", ab.front_only),
+        ("IMU + front (N=2)", clean2),
+        ("IMU + front + side (N=3)", ab.three_stream),
+        ("N=2, front lost", lost2),
+        ("N=3, front lost", lost3),
+    ];
+    scores(out, title, 34, &rows)?;
+    let unusable = ab.front_unusable_under_fault;
+    writeln!(
+        out,
+        "\nfault campaign marked the front camera unusable: {unusable}"
+    )?;
+    if !unusable {
+        let criterion = "the fault campaign left the front camera usable";
+        cache.missed.push(criterion.into());
+    }
+    let floor = lost2.max(clean2 * MULTIVIEW_CLEAN_SHARE);
+    if lost3 < floor {
+        let (lost3, floor) = (pct(lost3), pct(floor));
+        let criterion = format!("N=3 without the front camera: {lost3} < {floor}");
+        cache.missed.push(criterion);
+    }
     Ok(())
 }
 
@@ -401,11 +401,12 @@ fn run(cache: &mut Cache, name: &str) -> Result<String, Box<dyn Error>> {
 
 fn main() -> Outcome {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (sections, fast) = parse(&args).unwrap_or_else(|message| {
+    let (sections, fast, check) = parse(&args).unwrap_or_else(|message| {
         eprintln!("repro: {message}");
         std::process::exit(2)
     });
     let mut cache = Cache::new(fast);
+    let mut missed = false;
     for &name in &sections {
         if sections.len() > 1 {
             println!("### repro {name}");
@@ -413,6 +414,13 @@ fn main() -> Outcome {
         let start = Instant::now();
         print!("{}", run(&mut cache, name)?);
         eprintln!("repro: {name} {:.1}", start.elapsed().as_secs_f64());
+        for criterion in cache.missed.drain(..) {
+            eprintln!("MISSED: {name}: {criterion}");
+            missed = true;
+        }
+    }
+    if check && missed {
+        std::process::exit(1);
     }
     Ok(())
 }
@@ -426,20 +434,24 @@ mod tests {
     }
 
     #[test]
-    fn parse_reads_sections_and_fast() {
+    fn parse_reads_sections_fast_and_check() {
         assert_eq!(
             parse(&args("table2 fig5 --fast")),
-            Ok((vec!["table2", "fig5"], true))
+            Ok((vec!["table2", "fig5"], true, false))
         );
-        assert_eq!(parse(&args("table1")), Ok((vec!["table1"], false)));
-        let gated = "ablation_multiview --fast --json --out m.json --compare B.json --check";
-        assert_eq!(parse(&args(gated)), Ok((vec!["ablation_multiview"], true)));
+        assert_eq!(parse(&args("table1")), Ok((vec!["table1"], false, false)));
+        assert_eq!(
+            parse(&args("--check table2 ablation_multiview")),
+            Ok((vec!["table2", "ablation_multiview"], false, true))
+        );
+        let (sections, fast, check) = parse(&args("all --fast --check")).unwrap();
+        assert_eq!((sections.len(), fast, check), (11, true, true));
     }
 
     #[test]
     fn all_expands_to_every_section_in_digest_order() {
-        let (sections, fast) = parse(&args("all --fast")).unwrap();
-        assert!(fast);
+        let (sections, fast, check) = parse(&args("all --fast")).unwrap();
+        assert!(fast && !check);
         let digests = include_str!("../../../../REPRO_fast.sha256");
         let keys: Vec<&str> = digests
             .lines()
@@ -450,8 +462,8 @@ mod tests {
     }
 
     #[test]
-    fn parse_rejects_unknown_sections_and_misplaced_gate_flags() {
-        for line in ["table9", "--seeds 3 table2", "repro_table2"] {
+    fn parse_rejects_unknown_sections_and_flags() {
+        for line in ["table9", "repro_table2"] {
             let message = parse(&args(line)).unwrap_err();
             assert!(message.starts_with("unknown section"), "{line}: {message}");
             assert!(
@@ -460,20 +472,20 @@ mod tests {
             );
             assert!(message.ends_with("ablation_pretrain, all"), "{message}");
         }
+        // The flags are `--fast` and `--check`, nothing else.
         for line in [
-            "table2 --json",
-            "all --check",
-            "ablation_multiview table1 --out m.json",
-            "ablation_multiview ablation_multiview --compare B.json",
+            "ablation_multiview --json",
+            "ablation_multiview --out m.json",
+            "ablation_multiview --compare BENCH.json",
+            "--seeds 3 table2",
         ] {
             let message = parse(&args(line)).unwrap_err();
-            assert!(
-                message.contains("go with ablation_multiview alone"),
-                "{line}"
-            );
+            assert!(message.starts_with("unknown flag"), "{line}: {message}");
+            assert!(message.ends_with("--fast, --check"), "{message}");
         }
-        assert!(parse(&args("ablation_multiview --out")).is_err());
-        assert!(parse(&args("--fast")).unwrap_err().starts_with("usage"));
+        assert!(parse(&args("--fast --check"))
+            .unwrap_err()
+            .starts_with("usage"));
     }
 
     /// A cache at a few seconds' scale: 2 drivers, one epoch, tiny nets.

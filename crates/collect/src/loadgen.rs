@@ -12,8 +12,8 @@
 //! periodic camera frames — IMU-dominant traffic punctuated by heavy
 //! frame batches, the same mix the single-session runtime produces,
 //! scaled out. Everything is seeded: the same [`FleetConfig`] yields a
-//! bit-identical [`FleetReport`], which is what lets `bench_fleet` gate
-//! fleet numbers in CI.
+//! bit-identical [`FleetReport`], which is what lets a golden test pin
+//! a 10 000-agent fleet's counts and digest.
 //!
 //! The fleet admission signal closes the loop: each drain tick
 //! recomputes [`ShardedController::pressure`], and (when

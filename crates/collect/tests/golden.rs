@@ -1,9 +1,13 @@
-//! Golden digests of seeded runs of the three discrete-event loops.
+//! Golden digests and counts of seeded runs of the three discrete-event
+//! loops.
 //!
 //! Every other determinism test in this crate compares two runs of the
 //! same binary, so it cannot see a change that reorders events or RNG
-//! draws consistently. These digests are pinned constants: a refactor of
-//! the session or fleet loop must reproduce them bit for bit.
+//! draws consistently. These digests and counts are pinned constants: a
+//! refactor of the session or fleet loop must reproduce them bit for bit.
+//! Two of them are the scenarios of the crash-recovery timing harness
+//! (`bench_chaos`) and of the fleet-scale ingest run, whose every
+//! seeded number is held here.
 
 use std::sync::Arc;
 
@@ -12,9 +16,10 @@ use darnet_collect::runtime::{
 };
 use darnet_collect::wal::{self, MemStorage, WalConfig, WalStorage};
 use darnet_collect::{
-    decode_batch, encode_batch, run_fleet, AlignedImuPoint, Batch, ControllerConfig, FaultConfig,
-    FleetConfig, FrameRecord, LinkConfig, LinkStats, SensorReading, ShardConfig, SpillStats,
-    StampedReading, StreamHealth, StreamId, TransportStats,
+    decode_batch, encode_batch, replay_into, run_fleet, AdmissionConfig, AlignedImuPoint, Batch,
+    Controller, ControllerConfig, FaultConfig, FleetAdmission, FleetConfig, FleetReport,
+    FrameRecord, LinkConfig, LinkStats, SensorReading, ShardConfig, SpillStats, StampedReading,
+    StreamHealth, StreamId, TransportStats,
 };
 use darnet_sim::{CanonicalBehavior, DrivingWorld, Frame, ImuSample, Segment, WorldConfig};
 
@@ -157,18 +162,12 @@ fn segments(behaviors: &[CanonicalBehavior], each: f64) -> Vec<Segment<Canonical
         .collect()
 }
 
-#[test]
-fn durable_pair_session_digest_is_pinned() {
-    // Loss and duplication on every link; two controller kills with torn
-    // tails on the WAL.
-    let mut config = CampaignConfig {
-        seed: 0x60_1D_E2,
-        ..CampaignConfig::default()
-    };
-    config.link.loss = 0.08;
-    config.link.faults.duplicate = 0.1;
-    let durability = Durability {
-        storage: Some(Arc::new(MemStorage::new()) as Arc<dyn WalStorage>),
+/// Two controller outages, a 1 s one mid-session and a shorter one near
+/// the end, each torn by 13 garbage bytes at the tail of the log, which
+/// rolls every 8 records and checkpoints every 20.
+fn two_crashes(storage: Option<Arc<MemStorage>>) -> Durability {
+    Durability {
+        storage: storage.map(|s| s as Arc<dyn WalStorage>),
         wal: WalConfig {
             segment_max_records: 8,
             snapshot_every: 20,
@@ -184,7 +183,20 @@ fn durable_pair_session_digest_is_pinned() {
             },
         ],
         torn_tail_bytes: 13,
+    }
+}
+
+#[test]
+fn durable_pair_session_digest_is_pinned() {
+    // Loss and duplication on every link; two controller kills with torn
+    // tails on the WAL.
+    let mut config = CampaignConfig {
+        seed: 0x60_1D_E2,
+        ..CampaignConfig::default()
     };
+    config.link.loss = 0.08;
+    config.link.faults.duplicate = 0.1;
+    let durability = two_crashes(Some(Arc::new(MemStorage::new())));
     let script = segments(
         &[
             CanonicalBehavior::NormalDriving,
@@ -220,6 +232,70 @@ fn durable_pair_session_digest_is_pinned() {
         "durable pair session digest {:#018X}",
         h.0
     );
+}
+
+#[test]
+fn chaos_session_counts_are_pinned() {
+    // `bench_chaos`'s scenario: the pair at the default seed over 5 % loss
+    // on every link, through two torn crashes; then, without crashes, a
+    // starved admission bucket.
+    let world = world();
+    let script = segments(
+        &[CanonicalBehavior::NormalDriving, CanonicalBehavior::Texting],
+        5.0,
+    );
+    let session = |config: &CampaignConfig, durability: &Durability| {
+        let streams = StreamId::DARNET_PAIR;
+        run_session(&world, 0, &script, config, &streams, &[], durability).unwrap()
+    };
+    let mut config = CampaignConfig::default();
+    config.link.loss = 0.05;
+
+    let storage = Arc::new(MemStorage::new());
+    let rec = session(&config, &two_crashes(Some(Arc::clone(&storage))));
+    let c = rec.chaos;
+    // Both outages recovered, and each repaired its 13 torn bytes.
+    assert_eq!((c.recoveries, c.torn_tail_bytes_discarded), (2, 26));
+    // Every batch an agent saw acked survived both crashes, and
+    // retransmission closed every gap.
+    assert_eq!((c.acked, c.acked_lost), (41, 0));
+    assert!(rec.lossless());
+    assert_eq!((c.replayed_records, c.deliveries_while_down), (36, 15));
+    assert_eq!(
+        (c.wal_appends, c.wal_bytes, c.wal_snapshots),
+        (41, 118_986, 2)
+    );
+
+    // Determinism: a second run against a fresh store records the same
+    // session, and the two logs replay to the same controller state.
+    let twin_storage = Arc::new(MemStorage::new());
+    let twin = session(&config, &two_crashes(Some(Arc::clone(&twin_storage))));
+    assert!(twin == rec, "the chaos session is not deterministic");
+    let replayed = |storage: &MemStorage| {
+        let mut controller = Controller::new(config.controller);
+        replay_into(&mut controller, storage).unwrap();
+        controller.state_digest()
+    };
+    assert_eq!(replayed(&storage), replayed(&twin_storage));
+
+    // The control: the same crashes without a WAL lose acked batches, so
+    // the zero above is the log's doing.
+    assert_eq!(session(&config, &two_crashes(None)).chaos.acked_lost, 26);
+
+    // Overload: the starved bucket sheds, frames before IMU batches.
+    let mut overload = CampaignConfig::default();
+    overload.controller.admission = AdmissionConfig {
+        enabled: true,
+        capacity: 64.0,
+        drain_per_sec: 24.0,
+        low_priority_reserve: 32.0,
+    };
+    let rec = session(&overload, &Durability::default());
+    assert_eq!(rec.chaos.shed_batches, 132);
+    let shed = |stream| rec.stream(stream).unwrap().health.unwrap().shed_ratio();
+    let (imu, camera) = (shed(StreamId::IMU), shed(StreamId::CAMERA_FRONT));
+    assert!(imu < camera, "IMU shed {imu} ≥ camera shed {camera}");
+    assert_eq!((imu, camera), (76.0 / 110.0, 94.0 / 95.0));
 }
 
 #[test]
@@ -330,6 +406,67 @@ fn small_fleet_digest_is_pinned() {
         "fleet transport digest {:#018X}",
         h.0
     );
+}
+
+/// The fleet-scale run: 10 000 vehicles for 6 s on the default fleet
+/// seed and links, into `shards` shards behind queues that absorb a whole
+/// drain tick, each vehicle on series of its own.
+fn ten_thousand_agents(shards: usize) -> (FleetConfig, ShardConfig) {
+    let config = FleetConfig {
+        agents: 10_000,
+        session_seconds: 6.0,
+        ..FleetConfig::default()
+    };
+    let shard_config = ShardConfig {
+        shards,
+        queue_limit: 65_536,
+        controller: ControllerConfig {
+            per_agent_series: true,
+            ..ControllerConfig::default()
+        },
+    };
+    (config, shard_config)
+}
+
+/// What the fleet-scale run pins at any shard count.
+fn assert_fleet_ingest(r: &FleetReport) {
+    let ingest = (r.readings_ingested, r.deliveries, r.queue_shed);
+    assert_eq!(ingest, (240_000, 69_373, 0));
+    assert_eq!(
+        (r.peak_signal, r.wire_bytes),
+        (FleetAdmission::Accept, 18_369_523)
+    );
+    // The merged TSDB is the same at any shard count.
+    assert_eq!(
+        r.tsdb_digest, 0x7452_34DE_DF42_5207,
+        "tsdb digest {:#018X}",
+        r.tsdb_digest
+    );
+}
+
+#[test]
+fn ten_thousand_agent_fleet_on_one_shard_is_pinned() {
+    let (config, shards) = ten_thousand_agents(1);
+    let (_, r) = run_fleet(&config, shards).unwrap();
+    assert_fleet_ingest(&r);
+}
+
+#[test]
+fn ten_thousand_agent_fleet_on_eight_shards_is_pinned() {
+    let (config, shards) = ten_thousand_agents(8);
+    let (_, r) = run_fleet(&config, shards).unwrap();
+    assert_fleet_ingest(&r);
+    // The retry budget covers the baseline loss at fleet scale.
+    assert_eq!((r.acked, r.retransmits, r.abandoned), (58_772, 10_908, 0));
+    assert_eq!((r.deferred_flushes, r.bytes_per_agent), (0, 2045));
+    // Simulated seconds, so exact.
+    let latency = (r.ack_latency_p50, r.ack_latency_p99, r.ack_latency_max);
+    let pinned = (
+        0.169_449_985_102_457_57,
+        0.412_963_036_845_605_2,
+        1.147_239_959_252_102_5,
+    );
+    assert_eq!(latency, pinned);
 }
 
 /// IMU features of reading `k`: ordinary values plus `-0.0`, a

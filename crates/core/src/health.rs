@@ -120,12 +120,14 @@ impl SubsetSelection {
 
 impl HealthPolicy {
     /// Assesses one stream at observation time `now`. A stream the
-    /// controller has never heard from (`None`) is unavailable.
+    /// controller has never heard from (`None`) is unavailable, and so is
+    /// every stream at a non-finite `now`: its staleness is unknown.
     pub fn assess(&self, health: Option<&StreamHealth>, now: f64) -> ModalityStatus {
         let Some(h) = health else {
             return ModalityStatus::Unavailable;
         };
-        if h.staleness(now) > MAX_STALENESS
+        if !now.is_finite()
+            || h.staleness(now) > MAX_STALENESS
             || h.gap_ratio() > MAX_GAP_RATIO
             || h.shed_ratio() > MAX_SHED_RATIO
         {
@@ -292,6 +294,23 @@ mod tests {
         let h = health(19, 0, 10.0);
         assert_eq!(p.assess(Some(&h), 13.0), ModalityStatus::Unavailable);
         assert_eq!(p.assess(None, 0.0), ModalityStatus::Unavailable);
+    }
+
+    #[test]
+    fn non_finite_observation_time_is_unavailable() {
+        // `staleness` is `(now - last_arrival).max(0.0)`, which reads a
+        // NaN `now` as 0 s and a -inf one as fresh too.
+        let p = HealthPolicy;
+        let h = health(19, 0, 10.0);
+        for now in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(
+                p.assess(Some(&h), now),
+                ModalityStatus::Unavailable,
+                "{now}"
+            );
+        }
+        let sel = p.select_subset(&[(StreamId::IMU, Some(&h))], f64::NAN);
+        assert_eq!((sel.usable, sel.degraded), (0, true));
     }
 
     #[test]

@@ -846,6 +846,15 @@ impl MultiModalEngine {
                     self.classes
                 )));
             }
+            // A native class no canonical class projects onto would have
+            // its posterior mass dropped by every fusion.
+            let native = descriptor.native_classes(self.classes);
+            if let Some(lost) = (0..native).find(|n| !m.contains(n)) {
+                return Err(CoreError::Dataset(format!(
+                    "projection map of stream {} has no canonical class for native class {lost}",
+                    descriptor.id
+                )));
+            }
         }
         let want = descriptor.native_classes(self.classes);
         let got = model.native_classes();
@@ -997,8 +1006,8 @@ impl MultiModalEngine {
     ///
     /// Returns [`CoreError::NotReady`] when no stream is usable (or the
     /// Bayesian combiner is missing); a dataset error on shape
-    /// mismatches or unknown stream ids; otherwise propagates model
-    /// errors.
+    /// mismatches, unknown stream ids or a stream id given twice in
+    /// `inputs` or in `statuses`; otherwise propagates model errors.
     pub fn classify_batch_checked_into(
         &mut self,
         inputs: &[(StreamId, StreamInput<'_>)],
@@ -1008,9 +1017,17 @@ impl MultiModalEngine {
         if self.streams.is_empty() {
             return Err(CoreError::NotReady("no streams registered".into()));
         }
-        for (id, _) in inputs {
+        for (i, (id, _)) in inputs.iter().enumerate() {
             if !self.streams.iter().any(|s| s.descriptor.id == *id) {
                 return Err(CoreError::Dataset(format!("unknown stream {id}")));
+            }
+            if inputs[..i].iter().any(|(s, _)| s == id) {
+                return Err(CoreError::Dataset(format!("stream {id} has two inputs")));
+            }
+        }
+        for (i, (id, _)) in statuses.iter().enumerate() {
+            if statuses[..i].iter().any(|(s, _)| s == id) {
+                return Err(CoreError::Dataset(format!("stream {id} has two statuses")));
             }
         }
         // Resolve each stream's participation and the batch length.
@@ -2272,6 +2289,30 @@ mod tests {
     }
 
     #[test]
+    fn a_stream_given_twice_is_refused_before_any_model_runs() {
+        let (frames, windows) = test_batch(2);
+        let mut engine = pair_engine(CombinerKind::Bayesian);
+        for stream in &mut engine.streams {
+            stream.panics = true;
+        }
+        let mut out = Vec::new();
+        let [front, imu] = pair_inputs(&frames, &windows);
+        let twice = [front, imu, (StreamId::IMU, StreamInput::Windows(&windows))];
+        assert!(matches!(
+            engine.classify_batch_into(&twice, &mut out),
+            Err(CoreError::Dataset(_))
+        ));
+        let statuses = [
+            (StreamId::IMU, ModalityStatus::Unavailable),
+            (StreamId::IMU, ModalityStatus::Healthy),
+        ];
+        assert!(matches!(
+            engine.classify_batch_checked_into(&twice[..2], &statuses, &mut out),
+            Err(CoreError::Dataset(_))
+        ));
+    }
+
+    #[test]
     fn stale_stream_health_drives_fallback() {
         use crate::health::HealthPolicy;
         use darnet_collect::StreamHealth;
@@ -2462,6 +2503,15 @@ mod tests {
         assert!(engine
             .register(ModalityDescriptor::darnet_imu(), StreamModelSlot::Cnn(cnn))
             .is_err());
+        // A projection no canonical class reads native class 1 through:
+        // fusion would drop that class's mass.
+        let (_, lossy_rnn, _) = tiny_models();
+        let lossy =
+            ModalityDescriptor::new(StreamId::IMU, ClassMap::Projection(vec![0, 2, 0, 0, 0, 2]));
+        assert!(matches!(
+            engine.register(lossy, StreamModelSlot::Rnn(lossy_rnn)),
+            Err(CoreError::Dataset(_))
+        ));
         engine
             .register(ModalityDescriptor::darnet_imu(), StreamModelSlot::Rnn(rnn))
             .unwrap();

@@ -577,7 +577,7 @@ impl ShardedController {
     /// Canonical digest of the union of all shard TSDBs — equal to a
     /// single controller's [`TsDb::canonical_fingerprint`] over the same
     /// accepted traffic, for *any* shard count. The sharding-correctness
-    /// invariant the proptests and `bench_fleet --check` pin.
+    /// invariant the proptests and the 10 000-agent fleet golden pin.
     pub fn tsdb_digest(&self) -> u64 {
         let stores: Vec<&TsDb> = self
             .shards

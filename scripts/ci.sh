@@ -6,7 +6,7 @@
 #                  workspace tests, check --all-targets of the workspace
 #                  and of the frozen ledger package (benchmark/, so an
 #                  API deletion that breaks it fails here and not in
-#                  step 8), clippy -D warnings with the clippy.toml
+#                  step 6), clippy -D warnings with the clippy.toml
 #                  bans (wall clock, thread::spawn, std::fs, the seeded
 #                  PRNG, HashMap/HashSet; forbidden outright in
 #                  darnet-pure, the effect-free crate replay runs on) +
@@ -17,9 +17,13 @@
 #                  crate's counting allocator, and no `target_feature`
 #                  under crates/ may enable `fma` (scripts/tier1.sh).
 #                  No other step lints the tree. The zero-alloc gate is
-#                  crates/bench/tests/zero_alloc.rs, and the crate
-#                  boundary crates/pure/tests/boundary.rs, among the
-#                  workspace tests
+#                  crates/bench/tests/zero_alloc.rs, the crate
+#                  boundary crates/pure/tests/boundary.rs, and every
+#                  count a seed fixes (the chaos session's acked, lost
+#                  and WAL counts, the 10 000-agent fleet's readings,
+#                  acks and TSDB digest: crates/collect/tests/golden.rs;
+#                  the multiview evaluation split: darnet-core's
+#                  experiment tests) among the workspace tests
 #   2. docs      — rustdoc must build cleanly (missing_docs is denied
 #                  in the crates, so this catches broken intra-doc
 #                  links and malformed examples)
@@ -39,46 +43,34 @@
 #                  engine timing gated in CI; absolute engine and kernel
 #                  time is the ledger's to report, and the zero-alloc
 #                  contract is tier1's (zero_alloc.rs)
-#   4. chaos     — the crash-tolerance harness in --fast mode,
+#   4. chaos     — the crash-recovery timing harness in --fast mode,
 #                  compared against the committed BENCH_chaos.json
-#                  baseline; seeded controller kills with torn tail
-#                  writes must recover with zero acked samples lost,
-#                  deterministically, within the replay time budget,
-#                  and overload must shed low-priority streams first
-#                  (--check); its seeded counts (batches acked, WAL
-#                  bytes, replayed records, shed batches, ...) must
-#                  equal the baseline exactly
-#   5. fleet     — the fleet-scale sharded-ingest harness in --fast
-#                  mode (a 10k-agent seeded fleet), compared against
-#                  the committed BENCH_fleet.json baseline; the run
-#                  must be bit-deterministic, the sharded TSDB must
-#                  merge to the single-controller digest, and sustained
-#                  ingest rate / ack p99 must stay within 15% of
-#                  baseline (--check), and its seeded counts (acked,
-#                  retransmits, deliveries and readings per shard
-#                  count, bytes per agent) must equal it exactly
-#   6. multiview — the N-stream registry ablation (`repro
-#                  ablation_multiview`) in --fast mode,
-#                  compared against the committed BENCH_multiview.json
-#                  baseline; the seeded fault campaign must knock the
-#                  front camera out, and the 3-stream engine's accuracy
-#                  under that loss must stay at or above the 2-stream
-#                  engine under the same loss and within 15% of the
-#                  clean 2-stream baseline (--check); the seeded
-#                  evaluation-split size must equal the baseline's
-#   7. repro     — one `repro all --fast` run (Tables 1–3, Figs 4–5,
-#                  the six ablations; each shared model trained once):
+#                  baseline: replaying the WAL of a seeded session torn
+#                  by two controller kills must stay within its time
+#                  budget and beat re-collecting the session by the
+#                  floor (--check), and speedup_recovery_vs_rerun must
+#                  stay within 15% of baseline. It gates clock readings
+#                  only; the session's seeded counts are tier1's
+#   5. repro     — one `repro all --fast --check` run (Tables 1–3,
+#                  Figs 4–5, the six ablations; each shared model trained
+#                  once):
 #                  its stdout splits on the `### repro <section>` marker
 #                  lines, each part's sha256 must equal its line in the
 #                  committed REPRO_fast.sha256, and the run's sections
 #                  must be exactly that file's keys — paper fidelity
 #                  held byte for byte (~100 s, mostly table3 and its
 #                  teacher). Like the golden files, the digests assume
-#                  glibc's exp, ln and cos (tanh is in-repo, step 9).
+#                  glibc's exp, ln and cos (tanh is in-repo, step 7).
+#                  Under --check each section holds its own criteria
+#                  and the run fails on a miss: ablation_multiview's
+#                  seeded fault campaign must knock the front camera
+#                  out, and the 3-stream engine under that loss must
+#                  score at least the 2-stream engine under it and 85%
+#                  of the clean 2-stream engine.
 #                  Each section's wall time (the driver's stderr) is
 #                  printed and written to target/ci/repro_times.txt
 #                  (`section seconds` lines); no time is gated
-#   8. ledger    — the frozen pipeline ledger (benchmark/, BENCHMARK.json;
+#   6. ledger    — the frozen pipeline ledger (benchmark/, BENCHMARK.json;
 #                  a package of its own that step 1 only type-checks)
 #                  against this checkout's crates: its unit tests, then
 #                  an untraced seed-1 run of each workload, which must
@@ -92,7 +84,7 @@
 #                  the cargo calls prune it, and any uncommitted edit
 #                  under benchmark/ or to BENCHMARK.json fails the step.
 #                  No timing gate: the timings are the driver's to judge
-#   9. exhaustive — darnet_nn's tanh port over all 2^32 inputs in release
+#   7. exhaustive — darnet_nn's tanh port over all 2^32 inputs in release
 #                  (~110 s): the FNV-1a digest of its bits must equal the
 #                  one recorded from glibc's tanhf (the #[ignore]d
 #                  tanh_all_inputs_reproduce_libm). The same pass runs
@@ -105,11 +97,11 @@
 #
 # Usage:
 #   scripts/ci.sh                 run every step
-#   scripts/ci.sh --only fleet    run one step (repeatable: --only a --only b)
+#   scripts/ci.sh --only chaos    run one step (repeatable: --only a --only b)
 #   scripts/ci.sh --list          list step names and exit
 #
 # Every step is timed and a per-step elapsed summary is printed at the
-# end, so the 9-step pipeline can be profiled and iterated on locally
+# end, so the 7-step pipeline can be profiled and iterated on locally
 # without grepping logs. The last thing printed is scripts/loc.sh's
 # non-test line count per crate — the number every simplicity PR quotes.
 #
@@ -121,7 +113,7 @@ cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
 
-STEPS=(tier1 docs parallel chaos fleet multiview repro ledger exhaustive)
+STEPS=(tier1 docs parallel chaos repro ledger exhaustive)
 ONLY=()
 while [[ $# -gt 0 ]]; do
   case "$1" in
@@ -155,26 +147,22 @@ step_docs() {
   cargo doc --workspace --no-deps --locked --quiet
 }
 
-# Shared shape of the four gated benchmarks: --fast smoke, JSON artifact
-# under target/ci/, regression compare against the committed baseline,
-# and the bench's own invariant gates. Arguments after the baseline go
-# before the flags (repro's section name).
+# Shared shape of the two gated benchmarks, both wall-clock readings:
+# --fast smoke, JSON artifact under target/ci/, regression compare
+# against the committed baseline, and the bench's own floors and budgets.
 run_bench() {
   local bin="$1"
   local baseline="$2"
-  shift 2
   mkdir -p target/ci
-  cargo run --release --locked -p darnet-bench --bin "$bin" -- "$@" \
+  cargo run --release --locked -p darnet-bench --bin "$bin" -- \
     --fast --json \
     --out "target/ci/$baseline" \
     --compare "$baseline" \
     --check
 }
 
-step_parallel()  { run_bench bench_parallel  BENCH_parallel.json; }
-step_chaos()     { run_bench bench_chaos     BENCH_chaos.json; }
-step_fleet()     { run_bench bench_fleet     BENCH_fleet.json; }
-step_multiview() { run_bench repro BENCH_multiview.json ablation_multiview; }
+step_parallel() { run_bench bench_parallel BENCH_parallel.json; }
+step_chaos()    { run_bench bench_chaos    BENCH_chaos.json; }
 
 # `sha256  section` lines, one per repro section. fig4 prints the paths
 # it wrote under the temp dir, so TMPDIR is pinned to the one the digests
@@ -188,7 +176,7 @@ step_repro() {
   mkdir -p target/ci
   local parts
   parts=$(mktemp -d)
-  if ! TMPDIR=/tmp target/release/repro all --fast > "$parts/stdout" 2> "$parts/stderr"; then
+  if ! TMPDIR=/tmp target/release/repro all --fast --check > "$parts/stdout" 2> "$parts/stderr"; then
     cat "$parts/stderr" >&2
     rm -rf "$parts"
     return 1
