@@ -32,9 +32,9 @@ use darnet_core::experiment::{
 use darnet_core::privacy::{Downsampler, PrivacyLevel};
 use darnet_core::registry::product_combine_subset_into;
 use darnet_core::{
-    CnnConfig, CombinerKind, ConfusionMatrix, FrameCnn, ImuRnn, ModalityDescriptor, ModalityStatus,
-    MultiModalEngine, MultiStepClassification, NaryBayesianCombiner, RnnConfig, StreamInput,
-    StreamModelSlot,
+    encode_tensors, CnnConfig, CombinerKind, ConfusionMatrix, FrameCnn, ImuRnn, ModalityDescriptor,
+    ModalityStatus, MultiModalEngine, MultiStepClassification, NaryBayesianCombiner, RnnConfig,
+    StreamInput, StreamModelSlot,
 };
 use darnet_sim::schedule::{build_schedule, ScheduleConfig};
 use darnet_sim::{
@@ -198,12 +198,11 @@ fn window_row(windows: &Tensor, i: usize) -> Tensor {
     .unwrap()
 }
 
-/// The seeded tiny pair engine: a half-width CNN, a 4-unit BiLSTM after
-/// one epoch on seeded windows, and [`fitted_pair_combiner`].
-fn tiny_engine(kind: CombinerKind) -> MultiModalEngine {
+/// A 4-unit BiLSTM of `depth` layers after one epoch on seeded windows.
+fn tiny_rnn(depth: usize) -> ImuRnn {
     let rnn_config = RnnConfig {
         hidden: 4,
-        depth: 1,
+        depth,
         ..RnnConfig::default()
     };
     let mut rnn = ImuRnn::new(rnn_config, 2);
@@ -213,8 +212,38 @@ fn tiny_engine(kind: CombinerKind) -> MultiModalEngine {
         *v = rng.uniform(-1.0, 1.0);
     }
     rnn.fit(&x, &[0, 1, 2, 0, 1, 2, 0, 1, 2], 1).unwrap();
-    let imu = StreamModelSlot::Rnn(rnn);
+    rnn
+}
+
+/// The seeded tiny pair engine: a half-width CNN, a 4-unit BiLSTM after
+/// one epoch on seeded windows, and [`fitted_pair_combiner`].
+fn tiny_engine(kind: CombinerKind) -> MultiModalEngine {
+    let imu = StreamModelSlot::Rnn(tiny_rnn(1));
     MultiModalEngine::darnet_pair(kind, tiny_cnn(1), imu, fitted_pair_combiner()).unwrap()
+}
+
+/// The `DNWT` bytes of saved models: a seeded tiny CNN, the same CNN
+/// after `replace_head`, and a seeded 2-layer BiLSTM after one epoch.
+/// A round trip passes whatever order the parameters are listed in; a
+/// model file written before a reorder does not load after it, and this
+/// digest is what sees the reorder.
+#[test]
+fn model_file_bytes_digest() {
+    let mut cnn = tiny_cnn(1);
+    let mut h = Fnv::new();
+    h.bytes(&encode_tensors(&cnn.export_weights()));
+    pin(h.0, 0x69F3_F936_B37F_C4FB, "tiny CNN weight file");
+    cnn.replace_head(3);
+    let mut h = Fnv::new();
+    h.bytes(&encode_tensors(&cnn.export_weights()));
+    pin(
+        h.0,
+        0x4D74_6705_742E_BB6F,
+        "tiny CNN weight file after replace_head",
+    );
+    let mut h = Fnv::new();
+    h.bytes(&encode_tensors(&tiny_rnn(2).export_weights().unwrap()));
+    pin(h.0, 0xB51F_7BCD_FBA5_8895, "tiny BiLSTM weight file");
 }
 
 /// What a digest keeps of one step: the label and the fused scores.
