@@ -42,7 +42,7 @@ use darnet_core::{
     StreamModelSlot,
 };
 use darnet_nn::{
-    softmax_inplace, AvgPool2d, BiLstm, Conv2d, DeepBiLstmClassifier, Dense, Dropout, Flatten,
+    bilstm_classifier, softmax_inplace, AvgPool2d, BiLstm, Conv2d, Dense, Dropout, Flatten,
     GlobalAvgPool, InceptionBlock, InceptionChannels, Layer, LinearSvm, LstmCell, MaxPool2d, Mode,
     Relu, Sequential, Sigmoid, Tanh,
 };
@@ -490,8 +490,8 @@ fn recurrent_svm_and_softmax_bodies_are_free_when_warm() {
             .expect("bilstm");
         ws.restore(h);
     });
-    let mut deep = DeepBiLstmClassifier::new(6, 4, 2, 3, &mut rng);
-    assert_warm_call_is_free("DeepBiLstmClassifier::forward_into", || {
+    let mut deep = bilstm_classifier(6, 4, 2, 3, &mut rng);
+    assert_warm_call_is_free("bilstm_classifier forward_into", || {
         let logits = deep.forward_into(&seq, Mode::Eval, &mut ws).expect("deep");
         ws.restore(logits);
     });

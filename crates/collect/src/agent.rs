@@ -16,25 +16,6 @@ use crate::clock::DriftClock;
 use crate::sensor::Sensor;
 use crate::{Batch, CollectError, Result, StampedReading};
 
-/// Agent configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AgentConfig {
-    /// Sensor poll period, seconds (paper: 25 ms for IMU listeners).
-    pub poll_period: f64,
-    /// Batch transmission period, seconds — chosen "based on the latency
-    /// and bandwidth between the agent and the controller" (§3.1).
-    pub transmit_period: f64,
-}
-
-impl Default for AgentConfig {
-    fn default() -> Self {
-        AgentConfig {
-            poll_period: 0.025,
-            transmit_period: 0.5,
-        }
-    }
-}
-
 /// Bound on the agent-side spill buffer: readings accumulated while
 /// flushes are deferred (full in-flight window, controller blackout or
 /// restart). Embedded devices have finite memory, so a poll at the bound
@@ -103,7 +84,6 @@ pub struct CollectionAgent {
     id: u32,
     sensor: Box<dyn Sensor>,
     clock: DriftClock,
-    config: AgentConfig,
     reliable: bool,
     buffer: VecDeque<StampedReading>,
     in_flight: VecDeque<InFlight>,
@@ -116,13 +96,13 @@ pub struct CollectionAgent {
 
 impl CollectionAgent {
     /// Creates an agent around a sensor with the given local clock and the
-    /// default reliable transport.
-    pub fn new(id: u32, sensor: Box<dyn Sensor>, clock: DriftClock, config: AgentConfig) -> Self {
+    /// default reliable transport. The agent polls at the sensor's own
+    /// period; the event loop that drives it owns the flush cadence.
+    pub fn new(id: u32, sensor: Box<dyn Sensor>, clock: DriftClock) -> Self {
         CollectionAgent {
             id,
             sensor,
             clock,
-            config,
             reliable: true,
             buffer: VecDeque::new(),
             in_flight: VecDeque::new(),
@@ -149,9 +129,10 @@ impl CollectionAgent {
         self.id
     }
 
-    /// Agent configuration.
-    pub fn config(&self) -> &AgentConfig {
-        &self.config
+    /// Seconds between polls: the sensor's own period (paper: 25 ms for
+    /// IMU listeners).
+    pub fn poll_period(&self) -> f64 {
+        self.sensor.period()
     }
 
     /// Cumulative transport counters.
@@ -363,7 +344,6 @@ mod tests {
             7,
             Box::new(ScriptedSensor::imu(world, 0, script, 0.025)),
             clock,
-            AgentConfig::default(),
         )
     }
 

@@ -54,7 +54,7 @@ pub mod runtime;
 mod sensor;
 pub mod wal;
 
-pub use agent::{AgentConfig, CollectionAgent, SpillStats, TransportStats};
+pub use agent::{CollectionAgent, SpillStats, TransportStats};
 pub use clock::{ClockConfig, DriftClock};
 pub use darnet_pure::shard;
 pub use darnet_pure::{

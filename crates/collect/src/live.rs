@@ -12,7 +12,7 @@ use bytes::Bytes;
 use darnet_sim::schedule::CAMERA_PERIOD;
 use darnet_sim::{CanonicalBehavior, DrivingWorld, Segment};
 
-use crate::agent::{AgentConfig, CollectionAgent};
+use crate::agent::CollectionAgent;
 use crate::clock::DriftClock;
 use crate::sensor::{driver_script, CameraView, ScriptedSensor, Sensor};
 use crate::shard::Door;
@@ -41,16 +41,8 @@ fn run_agent(
     transmit_period: f64,
     tx: SyncSender<Bytes>,
 ) {
-    let poll_period = sensor.period();
-    let mut agent = CollectionAgent::new(
-        agent_id,
-        sensor,
-        clock,
-        AgentConfig {
-            poll_period,
-            transmit_period,
-        },
-    );
+    let mut agent = CollectionAgent::new(agent_id, sensor, clock);
+    let poll_period = agent.poll_period();
     let mut t = 0.0f64;
     let mut next_flush = transmit_period;
     while t <= duration {

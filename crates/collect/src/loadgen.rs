@@ -33,10 +33,10 @@ use darnet_sim::schedule::build_schedule;
 use darnet_sim::{CanonicalBehavior, Frame, ImuSample, ScheduleConfig, Segment};
 use darnet_tensor::SplitMix64;
 
-use crate::agent::{AgentConfig, CollectionAgent};
+use crate::agent::CollectionAgent;
 use crate::clock::DriftClock;
 use crate::network::{FaultConfig, Link, LinkConfig};
-use crate::runtime::{EventQueue, LinkedAgent};
+use crate::runtime::{check_period, EventQueue, LinkedAgent};
 use crate::sensor::{scripted_at, Sensor};
 use crate::shard::{FleetAdmission, ShardConfig, ShardedController};
 use crate::{decode_ack, decode_batch, encode_ack, encode_batch, Batch, Result, SensorReading};
@@ -284,11 +284,14 @@ pub fn run_fleet(
 ///
 /// # Errors
 ///
-/// Propagates spill-bound and WAL errors.
+/// [`crate::CollectError::InvalidConfig`] for an IMU or transmit period
+/// that is not finite and positive; propagates spill-bound and WAL errors.
 pub fn run_fleet_into(
     config: &FleetConfig,
     sharded: &mut ShardedController,
 ) -> Result<FleetReport> {
+    check_period("imu_period", config.imu_period)?;
+    check_period("transmit_period", config.transmit_period)?;
     let mut master_rng = SplitMix64::new(config.seed);
     let schedule = build_schedule(&config.schedule);
     let drivers = config.schedule.drivers.max(1);
@@ -336,16 +339,8 @@ pub fn run_fleet_into(
             (agent_rng.next_f64() - 0.5) * 2e-5,
             (agent_rng.next_f64() - 0.5) * 0.02,
         );
-        let agent = CollectionAgent::new(
-            id,
-            Box::new(sensor),
-            clock,
-            AgentConfig {
-                poll_period: config.imu_period,
-                transmit_period: config.transmit_period,
-            },
-        )
-        .with_transport(true, agent_rng.next_u64());
+        let agent = CollectionAgent::new(id, Box::new(sensor), clock)
+            .with_transport(true, agent_rng.next_u64());
         let data_link = Link::new(config.link, agent_rng.next_u64());
         let ack_link = Link::new(config.link, agent_rng.next_u64());
         vehicles.push(LinkedAgent {
@@ -567,7 +562,7 @@ pub fn run_fleet_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ControllerConfig;
+    use crate::{CollectError, ControllerConfig};
 
     fn small_config() -> FleetConfig {
         FleetConfig {
@@ -585,6 +580,32 @@ mod tests {
                 ..ControllerConfig::default()
             },
             ..ShardConfig::default()
+        }
+    }
+
+    /// A period of zero, below zero or not finite is refused; at zero or
+    /// below the loop would re-push its poll or flush at the same time
+    /// forever.
+    #[test]
+    fn fleet_rejects_a_period_that_never_advances_time() {
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            for config in [
+                FleetConfig {
+                    imu_period: bad,
+                    ..small_config()
+                },
+                FleetConfig {
+                    transmit_period: bad,
+                    ..small_config()
+                },
+            ] {
+                let got = run_fleet(&config, fleet_shards(1));
+                assert!(
+                    matches!(got, Err(CollectError::InvalidConfig(_))),
+                    "{bad}: {:?}",
+                    got.map(|(_, report)| report.readings_polled)
+                );
+            }
         }
     }
 

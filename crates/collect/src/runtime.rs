@@ -31,10 +31,10 @@ use darnet_sim::schedule::CAMERA_PERIOD;
 use darnet_sim::{CanonicalBehavior, DrivingWorld, Segment};
 use darnet_tensor::SplitMix64;
 
-use crate::agent::{AgentConfig, CollectionAgent, SpillStats, TransportStats};
+use crate::agent::{CollectionAgent, SpillStats, TransportStats};
 use crate::clock::{ClockConfig, DriftClock};
 use crate::network::{Link, LinkConfig, LinkStats};
-use crate::sensor::{driver_script, CameraView, ScriptedSensor, Sensor};
+use crate::sensor::{driver_script, CameraView, ScriptedSensor};
 use crate::shard::Door;
 use crate::wal::{RecoveryReport, WalConfig, WalStats, WalStorage};
 use crate::{
@@ -467,22 +467,37 @@ fn session_agent(
             )))
         }
     };
-    let agent_config = AgentConfig {
-        poll_period: sensor.period(),
-        transmit_period: config.transmit_period,
-    };
     Ok(
-        CollectionAgent::new(stream.agent_id(), Box::new(sensor), clock, agent_config)
+        CollectionAgent::new(stream.agent_id(), Box::new(sensor), clock)
             .with_transport(config.retransmit, rng.next_u64()),
     )
 }
 
-/// Rejects what the loop would silently mis-run: an empty stream set
-/// records nothing, two agents of one stream share an agent id and the
-/// controller discards the second's batches as duplicates, and a crash
-/// window that is not finite, ordered and disjoint from the previous one
-/// turns its restart into a no-op and leaves the controller down.
-fn validate(streams: &[StreamId], crashes: &[CrashWindow]) -> Result<()> {
+/// Refuses a period the event loops cannot run on. Each re-pushes its poll
+/// or flush event at `t + period`, so at zero or below time never passes
+/// the session's end: a flush spins at one instant forever, and polls
+/// repeat until the agent's spill bound stops them with `Overload`. An
+/// infinite period polls or flushes once.
+pub(crate) fn check_period(what: &str, seconds: f64) -> Result<()> {
+    if seconds.is_finite() && seconds > 0.0 {
+        Ok(())
+    } else {
+        Err(CollectError::InvalidConfig(format!(
+            "{what} must be finite and positive, got {seconds}"
+        )))
+    }
+}
+
+/// Rejects what the loop would silently mis-run: an IMU or transmit period
+/// that is not finite and positive (see [`check_period`]); an empty stream
+/// set, which records nothing; a stream given twice, whose two agents share
+/// an agent id, so the controller discards the second's batches as
+/// duplicates; and a crash window that is not finite, ordered and disjoint
+/// from the previous one, whose restart is a no-op that leaves the
+/// controller down.
+fn validate(config: &CampaignConfig, streams: &[StreamId], crashes: &[CrashWindow]) -> Result<()> {
+    check_period("imu_period", config.imu_period)?;
+    check_period("transmit_period", config.transmit_period)?;
     if streams.is_empty() {
         return Err(CollectError::InvalidConfig(
             "a session needs at least one stream".into(),
@@ -527,9 +542,10 @@ fn validate(streams: &[StreamId], crashes: &[CrashWindow]) -> Result<()> {
 ///
 /// # Errors
 ///
-/// [`CollectError::InvalidConfig`] for an empty stream set, a stream
-/// registered twice or without a scripted sensor, or a crash window that
-/// is not finite, ordered and disjoint from the one before it;
+/// [`CollectError::InvalidConfig`] for an IMU or transmit period that is
+/// not finite and positive, an empty stream set, a stream registered
+/// twice or without a scripted sensor, or a crash window that is not
+/// finite, ordered and disjoint from the one before it;
 /// [`CollectError::Wal`] / [`CollectError::Recovery`] from the durability
 /// layer; [`CollectError::Overload`] if an agent's spill buffer hits its
 /// bound.
@@ -542,7 +558,7 @@ pub fn run_session(
     link_overrides: &[(StreamId, LinkConfig)],
     durability: &Durability,
 ) -> Result<Recording> {
-    validate(streams, &durability.crashes)?;
+    validate(config, streams, &durability.crashes)?;
     let script = driver_script(segments, driver);
     run_streams(
         world,
@@ -653,7 +669,7 @@ fn run_streams(
                 if t <= session_end {
                     agents[i].agent.poll(t)?;
                     clock_errors[i] = clock_errors[i].max(agents[i].agent.clock_error(t).abs());
-                    let period = agents[i].agent.config().poll_period;
+                    let period = agents[i].agent.poll_period();
                     queue.push(t + period, SessionEvent::Poll(i));
                 }
             }
@@ -1324,6 +1340,32 @@ mod tests {
         // Equal times keep push order; a NaN time sorts after everything.
         assert_eq!(order, "abcdyz");
         assert!(q.pop().is_none());
+    }
+
+    /// A period of zero, below zero or not finite is refused; at zero or
+    /// below the loop would re-push its poll or flush at the same time
+    /// forever.
+    #[test]
+    fn session_rejects_a_period_that_never_advances_time() {
+        for bad in [0.0, -0.5, f64::NAN, f64::INFINITY] {
+            for config in [
+                CampaignConfig {
+                    imu_period: bad,
+                    ..CampaignConfig::default()
+                },
+                CampaignConfig {
+                    transmit_period: bad,
+                    ..CampaignConfig::default()
+                },
+            ] {
+                let got = canonical_session(&config, &PAIR, &[], &Durability::default());
+                assert!(
+                    matches!(got, Err(CollectError::InvalidConfig(_))),
+                    "{bad}: {:?}",
+                    got.map(|rec| rec.imu.len())
+                );
+            }
+        }
     }
 
     #[test]

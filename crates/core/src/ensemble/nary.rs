@@ -79,8 +79,17 @@ impl NaryBayesianCombiner {
     ///
     /// # Errors
     ///
-    /// Returns an error on shape/label mismatches.
+    /// Returns [`CoreError::Dataset`] on shape/label mismatches, and for a
+    /// smoothing `alpha` that is not finite and positive: at zero a parent
+    /// combination training never saw gets the CPT entry 0/0 = NaN, and
+    /// below zero entries fall below zero.
     pub fn fit(&mut self, parent_probs: &[&Tensor], labels: &[usize]) -> Result<()> {
+        if !(self.alpha.is_finite() && self.alpha > 0.0) {
+            return Err(CoreError::Dataset(format!(
+                "Laplace smoothing alpha must be finite and positive, got {}",
+                self.alpha
+            )));
+        }
         if parent_probs.len() != self.parent_cards.len() {
             return Err(CoreError::Dataset(format!(
                 "{} parent tensors for {} registered parents",
@@ -340,6 +349,23 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "case {case} class {i}");
             }
         }
+    }
+
+    /// A smoothing `alpha` that is zero, negative or not finite is refused
+    /// by `fit`, which leaves the combiner unfitted; at zero a parent
+    /// combination the training set never shows would otherwise hold NaN.
+    #[test]
+    fn fit_refuses_an_alpha_that_is_not_finite_and_positive() {
+        let (cnn, imu, labels) = pair_observations(&mut SplitMix64::new(0xA1FA), 8);
+        for alpha in [0.0, -0.5, f32::NAN, f32::INFINITY] {
+            let mut nary = NaryBayesianCombiner::new(6, vec![6, 3], alpha);
+            let got = nary.fit(&[&cnn, &imu], &labels);
+            assert!(matches!(got, Err(CoreError::Dataset(_))), "alpha {alpha}");
+            assert!(!nary.is_fitted(), "alpha {alpha}");
+        }
+        let mut nary = NaryBayesianCombiner::new(6, vec![6, 3], 0.01);
+        nary.fit(&[&cnn, &imu], &labels).unwrap();
+        assert!(nary.cpt.iter().all(|v| v.is_finite() && *v > 0.0));
     }
 
     #[test]

@@ -117,53 +117,6 @@ impl ConfusionMatrix {
             .collect()
     }
 
-    /// Misclassification rate from true class `i` into predicted class `j`.
-    pub fn confusion_rate(&self, i: usize, j: usize) -> f64 {
-        self.row_normalized()[i][j]
-    }
-
-    /// Per-class precision (diagonal / column sum), `None` for classes
-    /// never predicted.
-    pub fn per_class_precision(&self) -> Vec<Option<f64>> {
-        (0..self.classes)
-            .map(|j| {
-                let col: usize = (0..self.classes).map(|i| self.count(i, j)).sum();
-                if col == 0 {
-                    None
-                } else {
-                    Some(self.count(j, j) as f64 / col as f64)
-                }
-            })
-            .collect()
-    }
-
-    /// Per-class F1 scores (harmonic mean of precision and recall), `None`
-    /// where either is undefined.
-    pub fn per_class_f1(&self) -> Vec<Option<f64>> {
-        let precision = self.per_class_precision();
-        let recall = self.per_class_accuracy();
-        precision
-            .iter()
-            .zip(&recall)
-            .map(|(p, r)| match (p, r) {
-                (Some(p), Some(r)) if p + r > 0.0 => Some(2.0 * p * r / (p + r)),
-                (Some(_), Some(_)) => Some(0.0),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Macro-averaged F1 over the classes where it is defined (0.0 if none
-    /// are).
-    pub fn macro_f1(&self) -> f64 {
-        let f1s: Vec<f64> = self.per_class_f1().into_iter().flatten().collect();
-        if f1s.is_empty() {
-            0.0
-        } else {
-            f1s.iter().sum::<f64>() / f1s.len() as f64
-        }
-    }
-
     /// Renders an ASCII table with row/column class names (paper Figure 5
     /// style, row-normalized percentages).
     pub fn to_table(&self, names: &[&str]) -> String {
@@ -256,46 +209,6 @@ mod tests {
         let table = m.to_table(&["Normal", "Texting"]);
         assert!(table.contains("Normal"));
         assert!(table.contains("100.0%"));
-    }
-
-    #[test]
-    fn precision_counts_columns() {
-        // Predictions: class 0 predicted 3 times, right twice.
-        let m = ConfusionMatrix::from_predictions(&[0, 0, 1, 1], &[0, 0, 0, 1], 2).unwrap();
-        let p = m.per_class_precision();
-        assert!((p[0].unwrap() - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(p[1], Some(1.0));
-    }
-
-    #[test]
-    fn precision_is_none_for_never_predicted_classes() {
-        let m = ConfusionMatrix::from_predictions(&[0, 1], &[0, 0], 2).unwrap();
-        assert_eq!(m.per_class_precision()[1], None);
-        assert_eq!(m.per_class_f1()[1], None);
-    }
-
-    #[test]
-    fn f1_is_harmonic_mean() {
-        // Class 0: precision 2/3, recall 1.0 → F1 = 0.8.
-        let m = ConfusionMatrix::from_predictions(&[0, 0, 1, 1], &[0, 0, 0, 1], 2).unwrap();
-        let f1 = m.per_class_f1();
-        assert!((f1[0].unwrap() - 0.8).abs() < 1e-12);
-        // Class 1: precision 1.0, recall 0.5 → F1 = 2/3.
-        assert!((f1[1].unwrap() - 2.0 / 3.0).abs() < 1e-12);
-        assert!((m.macro_f1() - (0.8 + 2.0 / 3.0) / 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn perfect_matrix_has_unit_macro_f1() {
-        let m = ConfusionMatrix::from_predictions(&[0, 1, 2], &[0, 1, 2], 3).unwrap();
-        assert_eq!(m.macro_f1(), 1.0);
-        assert_eq!(ConfusionMatrix::new(2).macro_f1(), 0.0);
-    }
-
-    #[test]
-    fn confusion_rate_reads_off_diagonal() {
-        let m = ConfusionMatrix::from_predictions(&[0, 0, 0, 0], &[0, 0, 0, 1], 2).unwrap();
-        assert!((m.confusion_rate(0, 1) - 0.25).abs() < 1e-12);
     }
 
     #[test]

@@ -111,11 +111,6 @@ impl SubsetSelection {
             .map(|(_, st)| *st)
             .unwrap_or(ModalityStatus::Unavailable)
     }
-
-    /// Whether `id` participates in the fusion.
-    pub fn is_usable(&self, id: StreamId) -> bool {
-        self.status_of(id) != ModalityStatus::Unavailable
-    }
 }
 
 impl HealthPolicy {
@@ -261,10 +256,8 @@ mod tests {
             sel.status_of(StreamId::CAMERA_SIDE),
             ModalityStatus::Degraded
         );
-        assert!(sel.is_usable(StreamId::IMU));
-        assert!(!sel.is_usable(StreamId::CAMERA_FRONT));
         // An unassessed stream is unavailable by definition.
-        assert!(!sel.is_usable(StreamId(7)));
+        assert_eq!(sel.status_of(StreamId(7)), ModalityStatus::Unavailable);
 
         // All fresh → nothing degraded.
         let all = [

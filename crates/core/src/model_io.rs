@@ -15,6 +15,7 @@ use std::io::Write as _;
 use std::path::Path;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use darnet_nn::Param;
 use darnet_tensor::Tensor;
 
 use crate::error::CoreError;
@@ -107,6 +108,34 @@ fn read_file(path: &Path) -> Result<Vec<u8>> {
     std::fs::read(path).map_err(|e| CoreError::Dataset(format!("reading {}: {e}", path.display())))
 }
 
+/// Copies `weights` into `params` in order, after checking that both list
+/// as many tensors and that every shape agrees; on a mismatch nothing is
+/// assigned.
+fn assign_checked(mut params: Vec<&mut Param>, weights: &[Tensor]) -> Result<()> {
+    if params.len() != weights.len() {
+        return Err(CoreError::Dataset(format!(
+            "weight count mismatch: model has {}, file has {}",
+            params.len(),
+            weights.len()
+        )));
+    }
+    if let Some((p, w)) = params
+        .iter()
+        .zip(weights)
+        .find(|(p, w)| p.value.dims() != w.dims())
+    {
+        return Err(CoreError::Dataset(format!(
+            "weight shape mismatch: {:?} vs {:?}",
+            p.value.dims(),
+            w.dims()
+        )));
+    }
+    for (p, w) in params.iter_mut().zip(weights) {
+        p.value = w.clone();
+    }
+    Ok(())
+}
+
 impl FrameCnn {
     /// Exports every trainable parameter value in layer order.
     pub fn export_weights(&mut self) -> Vec<Tensor> {
@@ -123,25 +152,7 @@ impl FrameCnn {
     ///
     /// Returns an error if count or shapes disagree.
     pub fn import_weights(&mut self, weights: &[Tensor]) -> Result<()> {
-        let mut params = self.all_params_mut();
-        if params.len() != weights.len() {
-            return Err(CoreError::Dataset(format!(
-                "weight count mismatch: model has {}, file has {}",
-                params.len(),
-                weights.len()
-            )));
-        }
-        for (p, w) in params.iter_mut().zip(weights) {
-            if p.value.dims() != w.dims() {
-                return Err(CoreError::Dataset(format!(
-                    "weight shape mismatch: {:?} vs {:?}",
-                    p.value.dims(),
-                    w.dims()
-                )));
-            }
-            p.value = w.clone();
-        }
-        Ok(())
+        assign_checked(self.all_params_mut(), weights)
     }
 
     /// Saves the model weights to a `DNWT` file.
@@ -199,28 +210,8 @@ impl ImuRnn {
             return Err(CoreError::Dataset("weight file too short".into()));
         }
         let (params_part, std_part) = weights.split_at(weights.len() - 2);
-        {
-            let mut params = self.all_params_mut();
-            if params.len() != params_part.len() {
-                return Err(CoreError::Dataset(format!(
-                    "weight count mismatch: model has {}, file has {}",
-                    params.len(),
-                    params_part.len()
-                )));
-            }
-            for (p, w) in params.iter_mut().zip(params_part) {
-                if p.value.dims() != w.dims() {
-                    return Err(CoreError::Dataset(format!(
-                        "weight shape mismatch: {:?} vs {:?}",
-                        p.value.dims(),
-                        w.dims()
-                    )));
-                }
-                p.value = w.clone();
-            }
-        }
-        self.set_standardizer_params(&std_part[0], &std_part[1])?;
-        Ok(())
+        assign_checked(self.all_params_mut(), params_part)?;
+        self.set_standardizer_params(&std_part[0], &std_part[1])
     }
 
     /// Saves the model to a `DNWT` file.

@@ -115,10 +115,9 @@ impl Shape {
 }
 
 /// The DarNet frame model: stem convolution → inception blocks → global
-/// average pooling → dense head.
+/// average pooling → dense head, one [`Sequential`] with the head last.
 pub struct FrameCnn {
-    features: Sequential,
-    head: Dense,
+    net: Sequential,
     config: CnnConfig,
     feat_dim: usize,
     rng: SplitMix64,
@@ -135,32 +134,35 @@ impl FrameCnn {
     pub fn new(config: CnnConfig, seed: u64) -> Self {
         let mut rng = SplitMix64::new(seed);
         let shape = Shape::of(&config);
-        let mut features = Sequential::new();
+        let mut net = Sequential::new();
         // Stem: 1 → 8 channels, preserve 48×48, then halve.
-        features.push(Conv2d::square(1, shape.stem, 3, 1, 1, &mut rng));
-        features.push(Relu::new());
-        features.push(MaxPool2d::new(2, 2)); // 24×24
-                                             // Inception block A: 8 → 16 channels.
-        features.push(InceptionBlock::new(shape.stem, shape.a, &mut rng));
-        features.push(MaxPool2d::new(2, 2)); // 12×12
-                                             // Inception block B: 16 → 24 channels.
-        features.push(InceptionBlock::new(shape.a.total(), shape.b, &mut rng));
-        features.push(MaxPool2d::new(2, 2)); // 6×6
-                                             // Coarse spatial pooling: keep a small spatial layout rather than
-                                             // full global average pooling (pose classes are distinguished by
-                                             // *where* activations fire; Inception-V3 affords GAP only because
-                                             // it carries 2048 channels).
+        net.push(Conv2d::square(1, shape.stem, 3, 1, 1, &mut rng));
+        net.push(Relu::new());
+        net.push(MaxPool2d::new(2, 2)); // 24×24
+
+        // Inception block A: 8 → 16 channels.
+        net.push(InceptionBlock::new(shape.stem, shape.a, &mut rng));
+        net.push(MaxPool2d::new(2, 2)); // 12×12
+
+        // Inception block B: 16 → 24 channels.
+        net.push(InceptionBlock::new(shape.a.total(), shape.b, &mut rng));
+        net.push(MaxPool2d::new(2, 2)); // 6×6
+
+        // Coarse spatial pooling: keep a small spatial layout rather than
+        // full global average pooling (pose classes are distinguished by
+        // *where* activations fire; Inception-V3 affords GAP only because
+        // it carries 2048 channels).
         if shape.avg_pool {
-            features.push(AvgPool2d::new(2, 2));
+            net.push(AvgPool2d::new(2, 2));
         }
-        features.push(Flatten::new());
-        features.push(Dense::new(shape.feat_in, shape.feat, &mut rng));
-        features.push(Relu::new());
-        features.push(Dropout::new(DROPOUT, rng.next_u64()));
-        let head = Dense::new(shape.feat, config.classes, &mut rng);
+        net.push(Flatten::new());
+        net.push(Dense::new(shape.feat_in, shape.feat, &mut rng));
+        net.push(Relu::new());
+        net.push(Dropout::new(DROPOUT, rng.next_u64()));
+        // The head, last so that `replace_head` can swap it.
+        net.push(Dense::new(shape.feat, config.classes, &mut rng));
         FrameCnn {
-            features,
-            head,
+            net,
             config,
             feat_dim: shape.feat,
             rng,
@@ -204,7 +206,7 @@ impl FrameCnn {
 
     /// Total trainable parameter count.
     pub fn param_count(&mut self) -> usize {
-        self.features.param_count() + self.head.param_count()
+        self.net.param_count()
     }
 
     /// Replaces the final fully connected layer with a fresh one for
@@ -212,7 +214,9 @@ impl FrameCnn {
     /// final fully connected layer of this network, such that the number
     /// of outputs corresponds to the number of driving classes").
     pub fn replace_head(&mut self, classes: usize) {
-        self.head = Dense::new(self.feat_dim, classes, &mut self.rng);
+        self.net.pop();
+        self.net
+            .push(Dense::new(self.feat_dim, classes, &mut self.rng));
         self.config.classes = classes;
     }
 
@@ -222,8 +226,7 @@ impl FrameCnn {
     ///
     /// Propagates shape errors.
     pub fn forward(&mut self, frames: &Tensor, mode: Mode) -> Result<Tensor> {
-        let feats = self.features.forward(frames, mode)?;
-        Ok(self.head.forward(&feats, mode)?)
+        Ok(self.net.forward(frames, mode)?)
     }
 
     /// One SGD step on a minibatch. Returns the batch loss.
@@ -234,11 +237,8 @@ impl FrameCnn {
     pub fn train_step(&mut self, frames: &Tensor, labels: &[usize], opt: &mut Sgd) -> Result<f32> {
         let logits = self.forward(frames, Mode::Train)?;
         let (loss, grad) = softmax_cross_entropy(&logits, labels)?;
-        let gfeat = self.head.backward(&grad)?;
-        self.features.backward(&gfeat)?;
-        let mut params = self.features.params_mut();
-        params.extend(self.head.params_mut());
-        opt.step(&mut params)?;
+        self.net.backward(&grad)?;
+        opt.step(&mut self.net.params_mut())?;
         Ok(loss)
     }
 
@@ -339,16 +339,19 @@ impl FrameCnn {
         out.reserve(n * self.config.classes);
         for start in (0..n).step_by(bs) {
             let end = (start + bs).min(n);
-            let mut batch = self.ws.checkout(&[end - start, c, h, w]);
-            batch
-                .data_mut()
-                .copy_from_slice(&frames.data()[start * img..end * img]);
-            let feats = self
-                .features
-                .forward_into(&batch, Mode::Eval, &mut self.ws)?;
-            self.ws.restore(batch);
-            let mut logits = self.head.forward_into(&feats, Mode::Eval, &mut self.ws)?;
-            self.ws.restore(feats);
+            // A call of one chunk (every engine batch) reads the caller's
+            // frames in place; a longer one copies each chunk out.
+            let mut logits = if end - start == n {
+                self.net.forward_into(frames, Mode::Eval, &mut self.ws)?
+            } else {
+                let mut batch = self.ws.checkout(&[end - start, c, h, w]);
+                batch
+                    .data_mut()
+                    .copy_from_slice(&frames.data()[start * img..end * img]);
+                let logits = self.net.forward_into(&batch, Mode::Eval, &mut self.ws)?;
+                self.ws.restore(batch);
+                logits
+            };
             softmax_inplace(&mut logits)?;
             out.extend_from_slice(logits.data());
             self.ws.restore(logits);
@@ -389,43 +392,7 @@ impl FrameCnn {
     /// Mutable access to every trainable parameter, features first, head
     /// last (the serialization order used by `model_io`).
     pub fn all_params_mut(&mut self) -> Vec<&mut darnet_nn::Param> {
-        let mut params = self.features.params_mut();
-        params.extend(self.head.params_mut());
-        params
-    }
-
-    /// Copies every parameter value from `other` (which must have the same
-    /// architecture) — used to initialize dCNN students from the trained
-    /// teacher, as the paper does (§4.3 "we reuse the Inception-V3
-    /// architecture and initialize the weights using the CNN trained on
-    /// the driving dataset").
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the architectures do not match.
-    pub fn copy_params_from(&mut self, other: &mut FrameCnn) -> Result<()> {
-        let mut mine = self.features.params_mut();
-        mine.extend(self.head.params_mut());
-        let mut theirs = other.features.params_mut();
-        theirs.extend(other.head.params_mut());
-        if mine.len() != theirs.len() {
-            return Err(crate::CoreError::Dataset(format!(
-                "architecture mismatch: {} vs {} parameters",
-                mine.len(),
-                theirs.len()
-            )));
-        }
-        for (m, t) in mine.iter_mut().zip(theirs.iter()) {
-            if m.value.dims() != t.value.dims() {
-                return Err(crate::CoreError::Dataset(format!(
-                    "parameter shape mismatch: {:?} vs {:?}",
-                    m.value.dims(),
-                    t.value.dims()
-                )));
-            }
-            m.value = t.value.clone();
-        }
-        Ok(())
+        self.net.params_mut()
     }
 
     /// One distillation step (paper §4.3, step 4): minimize the L2
@@ -433,24 +400,10 @@ impl FrameCnn {
     /// teacher's on the same frames. Outputs are compared after softmax —
     /// probability vectors are bounded, which keeps the unsupervised
     /// training stable regardless of how confident (large-logit) the
-    /// teacher has become.
-    ///
-    /// # Errors
-    ///
-    /// Propagates model errors.
-    pub fn distill_step(
-        &mut self,
-        frames: &Tensor,
-        teacher_logits: &Tensor,
-        opt: &mut Sgd,
-    ) -> Result<f32> {
-        self.distill_step_with_temperature(frames, teacher_logits, opt, 1.0)
-    }
-
-    /// [`FrameCnn::distill_step`] with temperature-softened outputs:
-    /// both models' logits are divided by `temperature` before the
-    /// softmax, which keeps gradients informative when the teacher is
-    /// very confident (standard knowledge-distillation practice).
+    /// teacher has become. Both models' logits are divided by
+    /// `temperature` before the softmax, which keeps gradients informative
+    /// when the teacher is very confident (standard knowledge-distillation
+    /// practice); a temperature of 1 compares the plain outputs.
     ///
     /// # Errors
     ///
@@ -483,11 +436,8 @@ impl FrameCnn {
         // the conventional T² loss compensation so the gradient magnitude
         // is temperature-independent to first order.
         let grad = grad.scale(inv_t * temperature * temperature);
-        let gfeat = self.head.backward(&grad)?;
-        self.features.backward(&gfeat)?;
-        let mut params = self.features.params_mut();
-        params.extend(self.head.params_mut());
-        opt.step(&mut params)?;
+        self.net.backward(&grad)?;
+        opt.step(&mut self.net.params_mut())?;
         Ok(loss)
     }
 }
@@ -496,7 +446,7 @@ impl std::fmt::Debug for FrameCnn {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FrameCnn")
             .field("config", &self.config)
-            .field("layers", &self.features.layer_names())
+            .field("layers", &self.net.layer_names())
             .finish()
     }
 }
@@ -577,6 +527,27 @@ mod tests {
         }
     }
 
+    /// One chunk runs on the caller's frames in place, more than 64 frames
+    /// on copied-out chunks: both give `predict_proba`'s bits.
+    #[test]
+    fn predict_proba_into_is_predict_proba_in_one_chunk_or_several() {
+        let mut cnn = FrameCnn::new(tiny_config(), 8);
+        let (x, _) = tiny_dataset(24, 12);
+        let mut out = Vec::new();
+        for n in [5, x.dims()[0]] {
+            let frames = Tensor::from_vec(x.data()[..n * 576].to_vec(), &[n, 1, 24, 24]).unwrap();
+            cnn.predict_proba_into(&frames, &mut out).unwrap();
+            let want = cnn.predict_proba(&frames).unwrap();
+            assert_eq!(out.len(), want.len(), "{n} frames");
+            assert!(
+                out.iter()
+                    .zip(want.data())
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "{n} frames"
+            );
+        }
+    }
+
     #[test]
     fn frames_of_the_wrong_rank_or_geometry_are_an_error() {
         let mut cnn = FrameCnn::new(tiny_config(), 7);
@@ -620,10 +591,15 @@ mod tests {
         let (x, _) = tiny_dataset(8, 11);
         let t_logits = teacher.logits(&x).unwrap();
         let mut opt = Sgd::with_momentum(0.05, 0.9);
-        let first = student.distill_step(&x, &t_logits, &mut opt).unwrap();
+        let mut step = |student: &mut FrameCnn| {
+            student
+                .distill_step_with_temperature(&x, &t_logits, &mut opt, 1.0)
+                .unwrap()
+        };
+        let first = step(&mut student);
         let mut last = first;
         for _ in 0..15 {
-            last = student.distill_step(&x, &t_logits, &mut opt).unwrap();
+            last = step(&mut student);
         }
         assert!(last < first, "distillation loss {first} -> {last}");
     }

@@ -3,7 +3,8 @@
 //! cells of 64 hidden units, 4 Hz sampling, 5 s windows, softmax output).
 
 use darnet_nn::{
-    softmax, softmax_cross_entropy, softmax_inplace, Adam, DeepBiLstmClassifier, Mode, Optimizer,
+    bilstm_classifier, softmax, softmax_cross_entropy, softmax_inplace, Adam, Layer, Mode,
+    Optimizer, Sequential,
 };
 use darnet_tensor::{SplitMix64, Tensor, Workspace};
 
@@ -41,9 +42,10 @@ impl Default for RnnConfig {
     }
 }
 
-/// The trained IMU model: standardization + stacked BiLSTM + softmax head.
+/// The trained IMU model: standardization + stacked BiLSTM + softmax head,
+/// the network one [`Sequential`] ([`bilstm_classifier`]).
 pub struct ImuRnn {
-    model: DeepBiLstmClassifier,
+    model: Sequential,
     standardizer: Option<Standardizer>,
     config: RnnConfig,
     rng: SplitMix64,
@@ -56,7 +58,7 @@ impl ImuRnn {
     #[expect(clippy::disallowed_methods, reason = "randomness owner: weight init")]
     pub fn new(config: RnnConfig, seed: u64) -> Self {
         let mut rng = SplitMix64::new(seed);
-        let model = DeepBiLstmClassifier::new(
+        let model = bilstm_classifier(
             config.features,
             config.hidden,
             config.depth,

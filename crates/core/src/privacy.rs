@@ -201,8 +201,10 @@ pub fn distill_dcnn(
 ) -> Result<FrameCnn> {
     let full = teacher.config().input_size;
     let downsampler = Downsampler::new(full);
+    // "We reuse the Inception-V3 architecture and initialize the weights
+    // using the CNN trained on the driving dataset" (§4.3).
     let mut student = FrameCnn::new(*teacher.config(), seed);
-    student.copy_params_from(teacher)?;
+    student.import_weights(&teacher.export_weights())?;
 
     let mut opt = Sgd::with_momentum(DISTILL_LR, DISTILL_MOMENTUM).clip_norm(5.0);
     let mut rng = SplitMix64::new(seed ^ 0xD157);

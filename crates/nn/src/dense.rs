@@ -26,6 +26,16 @@ impl Dense {
     /// Creates a dense layer mapping `in_features` to `out_features`.
     pub fn new(in_features: usize, out_features: usize, rng: &mut SplitMix64) -> Self {
         let weight = xavier_uniform(&[out_features, in_features], in_features, out_features, rng);
+        Dense::with_weight(weight)
+    }
+
+    /// A dense layer with the given `[out, in]` weight and a zero bias. A
+    /// weight of another rank is read as one input column, `[len, 1]`.
+    pub fn with_weight(weight: Tensor) -> Self {
+        let (out_features, in_features) = match *weight.dims() {
+            [out, inp] => (out, inp),
+            _ => (weight.len(), 1),
+        };
         Dense {
             weight: Param::new(weight),
             bias: Param::new(Tensor::zeros(&[out_features])),
@@ -48,24 +58,6 @@ impl Dense {
     /// Read access to the weight parameter (for inspection/serialization).
     pub fn weight(&self) -> &Param {
         &self.weight
-    }
-
-    /// Replaces the weight value (e.g. when loading a trained model).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the shape differs from `[out, in]`.
-    pub fn set_weight(&mut self, w: Tensor) -> Result<()> {
-        if w.dims() != [self.out_features, self.in_features] {
-            return Err(NnError::InvalidConfig(format!(
-                "weight shape {:?} does not match [{}, {}]",
-                w.dims(),
-                self.out_features,
-                self.in_features
-            )));
-        }
-        self.weight = Param::new(w);
-        Ok(())
     }
 }
 
@@ -218,11 +210,13 @@ mod tests {
     }
 
     #[test]
-    fn set_weight_validates_shape() {
-        let mut rng = SplitMix64::new(3);
-        let mut layer = Dense::new(2, 3, &mut rng);
-        assert!(layer.set_weight(Tensor::zeros(&[3, 2])).is_ok());
-        assert!(layer.set_weight(Tensor::zeros(&[2, 3])).is_err());
+    fn with_weight_keeps_the_weight_and_zeroes_the_bias() {
+        let w = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[3, 2]).unwrap();
+        let mut layer = Dense::with_weight(w.clone());
+        assert_eq!((layer.in_features(), layer.out_features()), (2, 3));
+        assert_eq!(layer.weight().value, w);
+        let y = layer.forward(&Tensor::ones(&[1, 2]), Mode::Eval).unwrap();
+        assert_eq!(y.data(), &[3.0, 7.0, 11.0]);
     }
 
     #[test]

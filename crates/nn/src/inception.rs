@@ -13,6 +13,7 @@ use crate::error::NnError;
 use crate::layer::{rank4_dims, Layer, Mode, Relu};
 use crate::param::Param;
 use crate::pool::MaxPool2d;
+use crate::sequential::Sequential;
 use crate::Result;
 
 /// Channel allocation for one inception block.
@@ -90,43 +91,37 @@ fn crop_spatial(input: &Tensor, pad: usize) -> Result<Tensor> {
 
 /// An inception block with four parallel branches whose outputs are
 /// concatenated along the channel axis. Spatial size is preserved.
+///
+/// Each branch is a [`Sequential`]: 1×1; 1×1 reduce then 3×3; 1×1 reduce
+/// then 5×5; and a same-size 3×3 max pool then a 1×1 projection, every
+/// convolution followed by a ReLU. The pool branch's input is padded with
+/// −∞ (so padding never wins a window) before its stack, and its gradient
+/// cropped after it.
 #[derive(Debug)]
 pub struct InceptionBlock {
     channels: InceptionChannels,
-    b1: Conv2d,
-    b1_act: Relu,
-    b2_reduce: Conv2d,
-    b2_reduce_act: Relu,
-    b2: Conv2d,
-    b2_act: Relu,
-    b3_reduce: Conv2d,
-    b3_reduce_act: Relu,
-    b3: Conv2d,
-    b3_act: Relu,
-    b4_pool: MaxPool2d,
-    b4_proj: Conv2d,
-    b4_act: Relu,
+    branches: [Sequential; 4],
 }
 
 impl InceptionBlock {
     /// Creates an inception block over `in_channels` input channels.
     pub fn new(in_channels: usize, channels: InceptionChannels, rng: &mut SplitMix64) -> Self {
-        InceptionBlock {
-            channels,
-            b1: Conv2d::square(in_channels, channels.c1, 1, 1, 0, rng),
-            b1_act: Relu::new(),
-            b2_reduce: Conv2d::square(in_channels, channels.c3_reduce, 1, 1, 0, rng),
-            b2_reduce_act: Relu::new(),
-            b2: Conv2d::square(channels.c3_reduce, channels.c3, 3, 1, 1, rng),
-            b2_act: Relu::new(),
-            b3_reduce: Conv2d::square(in_channels, channels.c5_reduce, 1, 1, 0, rng),
-            b3_reduce_act: Relu::new(),
-            b3: Conv2d::square(channels.c5_reduce, channels.c5, 5, 1, 2, rng),
-            b3_act: Relu::new(),
-            b4_pool: MaxPool2d::new(3, 1),
-            b4_proj: Conv2d::square(in_channels, channels.pool_proj, 1, 1, 0, rng),
-            b4_act: Relu::new(),
-        }
+        let mut conv = |cin: usize, cout: usize, k: usize, net: &mut Sequential| {
+            net.push(Conv2d::square(cin, cout, k, 1, k / 2, rng));
+            net.push(Relu::new());
+        };
+        let mut branches: [Sequential; 4] = Default::default();
+        let [b1, b2, b3, b4] = &mut branches;
+        // The convolutions draw their weights in this order, which is also
+        // the parameter order a saved model file lists.
+        conv(in_channels, channels.c1, 1, b1);
+        conv(in_channels, channels.c3_reduce, 1, b2);
+        conv(channels.c3_reduce, channels.c3, 3, b2);
+        conv(in_channels, channels.c5_reduce, 1, b3);
+        conv(channels.c5_reduce, channels.c5, 5, b3);
+        b4.push(MaxPool2d::new(3, 1));
+        conv(in_channels, channels.pool_proj, 1, b4);
+        InceptionBlock { channels, branches }
     }
 
     /// The block's channel allocation.
@@ -143,79 +138,39 @@ impl Layer for InceptionBlock {
         ws: &mut Workspace,
     ) -> Result<TensorView> {
         let d = rank4_dims(input, "inception block")?;
-        // Branch 1: 1×1.
-        let a = self.b1.forward_into(input, mode, ws)?;
-        let y1 = self.b1_act.forward_into(&a, mode, ws)?;
-        ws.restore(a);
-        // Branch 2: 1×1 reduce, then 3×3.
-        let a = self.b2_reduce.forward_into(input, mode, ws)?;
-        let r = self.b2_reduce_act.forward_into(&a, mode, ws)?;
-        ws.restore(a);
-        let c = self.b2.forward_into(&r, mode, ws)?;
-        ws.restore(r);
-        let y2 = self.b2_act.forward_into(&c, mode, ws)?;
-        ws.restore(c);
-        // Branch 3: 1×1 reduce, then 5×5.
-        let a = self.b3_reduce.forward_into(input, mode, ws)?;
-        let r = self.b3_reduce_act.forward_into(&a, mode, ws)?;
-        ws.restore(a);
-        let c = self.b3.forward_into(&r, mode, ws)?;
-        ws.restore(r);
-        let y3 = self.b3_act.forward_into(&c, mode, ws)?;
-        ws.restore(c);
-        // Branch 4: same-size 3×3 max pool (padded with -inf so padding
-        // never wins), then a 1×1 projection.
+        let [b1, b2, b3, b4] = &mut self.branches;
+        let y1 = b1.forward_into(input, mode, ws)?;
+        let y2 = b2.forward_into(input, mode, ws)?;
+        let y3 = b3.forward_into(input, mode, ws)?;
         let mut padded = ws.checkout(&[d[0], d[1], d[2] + 2, d[3] + 2]);
         pad_spatial_into(input, 1, f32::NEG_INFINITY, &mut padded)?;
-        let pooled = self.b4_pool.forward_into(&padded, mode, ws)?;
+        let y4 = b4.forward_into(&padded, mode, ws)?;
         ws.restore(padded);
-        let p = self.b4_proj.forward_into(&pooled, mode, ws)?;
-        ws.restore(pooled);
-        let y4 = self.b4_act.forward_into(&p, mode, ws)?;
-        ws.restore(p);
 
         let mut out = ws.checkout(&[d[0], self.channels.total(), d[2], d[3]]);
         Tensor::concat_into(&[&y1, &y2, &y3, &y4], 1, &mut out)?;
-        ws.restore(y1);
-        ws.restore(y2);
-        ws.restore(y3);
-        ws.restore(y4);
+        for y in [y1, y2, y3, y4] {
+            ws.restore(y);
+        }
         Ok(out)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
         let c = &self.channels;
         let parts = grad_out.split(1, &[c.c1, c.c3, c.c5, c.pool_proj])?;
-        let g1 = self.b1.backward(&self.b1_act.backward(&parts[0])?)?;
-        let g2 = {
-            let g = self.b2.backward(&self.b2_act.backward(&parts[1])?)?;
-            self.b2_reduce.backward(&self.b2_reduce_act.backward(&g)?)?
-        };
-        let g3 = {
-            let g = self.b3.backward(&self.b3_act.backward(&parts[2])?)?;
-            self.b3_reduce.backward(&self.b3_reduce_act.backward(&g)?)?
-        };
-        let g4 = {
-            let g = self.b4_proj.backward(&self.b4_act.backward(&parts[3])?)?;
-            let g_padded = self.b4_pool.backward(&g)?;
-            crop_spatial(&g_padded, 1)?
-        };
-        let mut total = g1;
-        total.add_assign(&g2)?;
-        total.add_assign(&g3)?;
-        total.add_assign(&g4)?;
+        let [b1, b2, b3, b4] = &mut self.branches;
+        let mut total = b1.backward(&parts[0])?;
+        total.add_assign(&b2.backward(&parts[1])?)?;
+        total.add_assign(&b3.backward(&parts[2])?)?;
+        total.add_assign(&crop_spatial(&b4.backward(&parts[3])?, 1)?)?;
         Ok(total)
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut params = Vec::new();
-        params.extend(self.b1.params_mut());
-        params.extend(self.b2_reduce.params_mut());
-        params.extend(self.b2.params_mut());
-        params.extend(self.b3_reduce.params_mut());
-        params.extend(self.b3.params_mut());
-        params.extend(self.b4_proj.params_mut());
-        params
+        self.branches
+            .iter_mut()
+            .flat_map(|b| b.params_mut())
+            .collect()
     }
 
     fn name(&self) -> &'static str {

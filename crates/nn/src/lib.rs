@@ -5,12 +5,13 @@
 //!
 //! * **Convolutional networks** — [`Conv2d`], [`MaxPool2d`], [`AvgPool2d`],
 //!   [`GlobalAvgPool`], [`Relu`], [`Dropout`], [`Flatten`], [`Dense`], and an
-//!   [`InceptionBlock`] composite (parallel 1×1 / 3×3 / 5×5 / pool branches
-//!   concatenated over channels, after Szegedy et al.'s Inception design that
-//!   DarNet's frame classifier builds on).
+//!   [`InceptionBlock`] composite (four parallel 1×1 / 3×3 / 5×5 / pool
+//!   branches, each a [`Sequential`], concatenated over channels, after
+//!   Szegedy et al.'s Inception design that DarNet's frame classifier
+//!   builds on).
 //! * **Recurrent networks** — an [`LstmCell`] with full backpropagation
-//!   through time, a [`BiLstm`] bidirectional wrapper, and the
-//!   [`DeepBiLstmClassifier`] matching the paper's IMU architecture
+//!   through time, a [`BiLstm`] bidirectional layer, [`MeanOverTime`]
+//!   pooling, and [`bilstm_classifier`], the paper's IMU architecture
 //!   (2 stacked bidirectional LSTM layers, 64 hidden units, softmax head).
 //! * **A linear SVM** baseline ([`LinearSvm`]) trained with hinge loss, the
 //!   comparison model in the paper's Table 2.
@@ -18,6 +19,7 @@
 //!   the privacy-preserving dCNN training.
 //! * **Optimizers** — SGD with momentum and weight decay, and Adam.
 //!
+//! Every network is a [`Sequential`] of [`Layer`]s: layers compose one way.
 //! Everything is deterministic given a seed, and every layer's backward pass
 //! is verified against finite differences in the test suite.
 //!
@@ -63,10 +65,10 @@ pub use error::NnError;
 pub use inception::{InceptionBlock, InceptionChannels};
 pub use layer::{Flatten, Layer, Mode, Relu, Sigmoid, Tanh};
 pub use loss::{l2_distill_loss, log_softmax, softmax, softmax_cross_entropy, softmax_inplace};
-pub use lstm::{BiLstm, DeepBiLstmClassifier, LstmCell};
+pub use lstm::{bilstm_classifier, BiLstm, LstmCell};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use param::Param;
-pub use pool::{AvgPool2d, GlobalAvgPool, MaxPool2d};
+pub use pool::{AvgPool2d, GlobalAvgPool, MaxPool2d, MeanOverTime};
 pub use sequential::Sequential;
 pub use svm::LinearSvm;
 

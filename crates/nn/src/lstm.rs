@@ -1,7 +1,7 @@
 //! LSTM recurrent layers: a single [`LstmCell`] with full backpropagation
-//! through time, a bidirectional wrapper ([`BiLstm`]), and the stacked
-//! classifier used for DarNet's IMU stream
-//! ([`DeepBiLstmClassifier`] — 2 bidirectional layers × 64 hidden units in
+//! through time, a bidirectional wrapper ([`BiLstm`], a [`Layer`]), and the
+//! stacked classifier used for DarNet's IMU stream
+//! ([`bilstm_classifier`] — 2 bidirectional layers × 64 hidden units in
 //! the paper's configuration, §4.2).
 
 use darnet_tensor::{
@@ -9,9 +9,12 @@ use darnet_tensor::{
     SplitMix64, Tensor, TensorView, Workspace,
 };
 
+use crate::dense::Dense;
 use crate::error::NnError;
-use crate::layer::{sigmoid_of_exp, tanh, Mode};
+use crate::layer::{sigmoid_of_exp, tanh, Layer, Mode};
 use crate::param::Param;
+use crate::pool::MeanOverTime;
+use crate::sequential::Sequential;
 use crate::Result;
 
 /// Copies timestep `t` of a `[batch, time, feat]` tensor into a
@@ -211,16 +214,17 @@ impl LstmCell {
     ///
     /// # Errors
     ///
-    /// Returns an error if the input rank or feature width is wrong.
+    /// [`NnError::InvalidConfig`] if the input rank or feature width is
+    /// wrong or the window has no timestep, before any checkout.
     pub fn forward_seq_into(
         &mut self,
         x: &Tensor,
         mode: Mode,
         ws: &mut Workspace,
     ) -> Result<TensorView> {
-        if x.rank() != 3 || x.dims()[2] != self.input_size {
+        if x.rank() != 3 || x.dims()[1] == 0 || x.dims()[2] != self.input_size {
             return Err(NnError::InvalidConfig(format!(
-                "lstm expects [batch, time, {}], got {:?}",
+                "lstm expects [batch, time > 0, {}], got {:?}",
                 self.input_size,
                 x.dims()
             )));
@@ -497,214 +501,65 @@ impl BiLstm {
         dx.add_assign(&dx_b)?;
         Ok(dx)
     }
+}
 
-    /// Mutable access to both cells' parameters.
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
+impl Layer for BiLstm {
+    fn forward_into(
+        &mut self,
+        input: &Tensor,
+        mode: Mode,
+        ws: &mut Workspace,
+    ) -> Result<TensorView> {
+        self.forward_seq_into(input, mode, ws)
+    }
+
+    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+        self.backward_seq(grad_out)
+    }
+
+    /// Both cells' parameters, the forward cell's first.
+    fn params_mut(&mut self) -> Vec<&mut Param> {
         let mut p = self.fwd.params_mut();
         p.extend(self.bwd.params_mut());
         p
     }
+
+    fn name(&self) -> &'static str {
+        "BiLstm"
+    }
 }
 
-/// The paper's IMU-sequence architecture: stacked bidirectional LSTM layers
-/// followed by mean-over-time pooling and a softmax classification head.
+/// The paper's IMU-sequence architecture as one [`Sequential`]: `depth`
+/// stacked [`BiLstm`] layers, a [`MeanOverTime`] pooling and a [`Dense`]
+/// head mapping `2·hidden` features to `classes` logits, from `[batch, time,
+/// input_size]` windows.
 ///
 /// The DarNet configuration is 2 layers × 64 hidden units over 20-step
-/// windows (4 Hz × 5 s).
-#[derive(Debug)]
-pub struct DeepBiLstmClassifier {
-    layers: Vec<BiLstm>,
-    head_w: Param,                        // [classes, 2H]
-    head_b: Param,                        // [classes]
-    pooled_cache: Option<(usize, usize)>, // (batch, time)
-    last_hidden: Option<Tensor>,          // [B, T, 2H] from the top BiLSTM
+/// windows (4 Hz × 5 s). The head's weights are drawn from
+/// `U(±√(1/2·hidden))` after every LSTM weight; its bias starts at zero.
+///
+/// # Panics
+///
+/// Panics if `depth == 0`.
+pub fn bilstm_classifier(
+    input_size: usize,
+    hidden_size: usize,
+    depth: usize,
     classes: usize,
-}
-
-impl DeepBiLstmClassifier {
-    /// Creates a stacked bidirectional LSTM classifier.
-    ///
-    /// * `input_size` — features per timestep (e.g. IMU channels),
-    /// * `hidden_size` — hidden units per direction,
-    /// * `depth` — number of stacked BiLSTM layers (paper: 2),
-    /// * `classes` — output classes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth == 0`.
-    pub fn new(
-        input_size: usize,
-        hidden_size: usize,
-        depth: usize,
-        classes: usize,
-        rng: &mut SplitMix64,
-    ) -> Self {
-        assert!(depth > 0, "classifier needs at least one BiLSTM layer");
-        let mut layers = Vec::with_capacity(depth);
-        let mut in_size = input_size;
-        for _ in 0..depth {
-            layers.push(BiLstm::new(in_size, hidden_size, rng));
-            in_size = 2 * hidden_size;
-        }
-        let bound = (1.0 / (2 * hidden_size) as f32).sqrt();
-        let head_w = uniform_init(&[classes, 2 * hidden_size], -bound, bound, rng);
-        DeepBiLstmClassifier {
-            layers,
-            head_w: Param::new(head_w),
-            head_b: Param::new(Tensor::zeros(&[classes])),
-            pooled_cache: None,
-            last_hidden: None,
-            classes,
-        }
+    rng: &mut SplitMix64,
+) -> Sequential {
+    assert!(depth > 0, "classifier needs at least one BiLSTM layer");
+    let mut net = Sequential::new();
+    let mut in_size = input_size;
+    for _ in 0..depth {
+        net.push(BiLstm::new(in_size, hidden_size, rng));
+        in_size = 2 * hidden_size;
     }
-
-    /// Number of output classes.
-    pub fn classes(&self) -> usize {
-        self.classes
-    }
-
-    /// Forward pass producing logits `[batch, classes]` from `[batch, time,
-    /// features]` windows.
-    ///
-    /// # Errors
-    ///
-    /// [`NnError::InvalidConfig`] for windows of no timestep; otherwise
-    /// propagates layer errors.
-    pub fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
-        self.forward_into(x, mode, &mut Workspace::new())
-    }
-
-    /// The classifier's one forward body, on workspace buffers: zero
-    /// steady-state heap allocation in [`Mode::Eval`]; in [`Mode::Train`]
-    /// the pooled features move into the cache for
-    /// [`DeepBiLstmClassifier::backward`].
-    ///
-    /// # Errors
-    ///
-    /// [`NnError::InvalidConfig`] for windows of no timestep, before any
-    /// checkout; otherwise propagates layer errors.
-    pub fn forward_into(
-        &mut self,
-        x: &Tensor,
-        mode: Mode,
-        ws: &mut Workspace,
-    ) -> Result<TensorView> {
-        // The mean over time below divides by `time`.
-        if let [_, 0, _] = *x.dims() {
-            return Err(NnError::InvalidConfig(format!(
-                "lstm classifier needs at least one timestep, got {:?}",
-                x.dims()
-            )));
-        }
-        let mut layers = self.layers.iter_mut();
-        let mut h = match layers.next() {
-            Some(first) => first.forward_seq_into(x, mode, ws)?,
-            None => {
-                // Unreachable by construction (`new` rejects depth 0), but
-                // degrade gracefully rather than panic.
-                let mut copy = ws.checkout(x.dims());
-                x.copy_into(&mut copy)?;
-                copy
-            }
-        };
-        for layer in layers {
-            let y = layer.forward_seq_into(&h, mode, ws)?;
-            ws.restore(h);
-            h = y;
-        }
-        let d = h.dims();
-        let (b, time, feat) = (d[0], d[1], d[2]);
-        // Mean over time → [B, 2H]; the checkout is zero-filled, so the
-        // accumulation starts from zero.
-        let mut pooled = ws.checkout(&[b, feat]);
-        {
-            let pd = pooled.data_mut();
-            let hd = h.data();
-            for n in 0..b {
-                for t in 0..time {
-                    let src = (n * time + t) * feat;
-                    for k in 0..feat {
-                        pd[n * feat + k] += hd[src + k];
-                    }
-                }
-            }
-            let inv_t = 1.0 / time as f32;
-            for v in pd.iter_mut() {
-                *v *= inv_t;
-            }
-        }
-        ws.restore(h);
-        let mut logits = ws.checkout(&[b, self.classes]);
-        matmul_transpose_b_slices_into(
-            pooled.data(),
-            self.head_w.value.data(),
-            (b, feat, self.classes),
-            None,
-            logits.data_mut(),
-        )?;
-        if mode == Mode::Train {
-            self.pooled_cache = Some((b, time));
-            self.last_hidden = Some(pooled);
-        } else {
-            ws.restore(pooled);
-        }
-        logits.add_row_broadcast_assign(&self.head_b.value)?;
-        Ok(logits)
-    }
-
-    /// Backward pass from `dL/d(logits)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::NoForwardCache`] without a prior training forward.
-    pub fn backward(&mut self, grad_logits: &Tensor) -> Result<()> {
-        let (b, time) = self.pooled_cache.ok_or(NnError::NoForwardCache {
-            layer: "DeepBiLstmClassifier",
-        })?;
-        let pooled = self.last_hidden.as_ref().ok_or(NnError::NoForwardCache {
-            layer: "DeepBiLstmClassifier",
-        })?;
-        // Head gradients.
-        let dw = grad_logits.matmul_transpose_a(pooled)?;
-        self.head_w.grad.add_assign(&dw)?;
-        let db = grad_logits.sum_axis0()?;
-        self.head_b.grad.add_assign(&db)?;
-        let dpooled = grad_logits.matmul(&self.head_w.value)?; // [B, 2H]
-
-        // Spread mean-pool gradient over time.
-        let feat = dpooled.dims()[1];
-        let mut dh = Tensor::zeros(&[b, time, feat]);
-        let inv_t = 1.0 / time as f32;
-        for n in 0..b {
-            for t in 0..time {
-                let dst = (n * time + t) * feat;
-                for k in 0..feat {
-                    dh.data_mut()[dst + k] = dpooled.data()[n * feat + k] * inv_t;
-                }
-            }
-        }
-        let mut g = dh;
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward_seq(&g)?;
-        }
-        Ok(())
-    }
-
-    /// Mutable access to all parameters (LSTM layers + head).
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut p: Vec<&mut Param> = Vec::new();
-        for layer in &mut self.layers {
-            p.extend(layer.params_mut());
-        }
-        p.push(&mut self.head_w);
-        p.push(&mut self.head_b);
-        p
-    }
-
-    /// Total scalar parameter count.
-    pub fn param_count(&mut self) -> usize {
-        self.params_mut().iter().map(|p| p.len()).sum()
-    }
+    net.push(MeanOverTime::new());
+    let bound = (1.0 / (2 * hidden_size) as f32).sqrt();
+    let head = uniform_init(&[classes, 2 * hidden_size], -bound, bound, rng);
+    net.push(Dense::with_weight(head));
+    net
 }
 
 #[cfg(test)]
@@ -854,7 +709,7 @@ mod tests {
         // Two classes: sequences drifting up vs. drifting down. A BiLSTM
         // must separate them quickly.
         let mut rng = SplitMix64::new(13);
-        let mut model = DeepBiLstmClassifier::new(1, 8, 2, 2, &mut rng);
+        let mut model = bilstm_classifier(1, 8, 2, 2, &mut rng);
         let mut data_rng = SplitMix64::new(14);
         let make_batch = |rng: &mut SplitMix64| {
             let b = 8;
@@ -891,10 +746,13 @@ mod tests {
     #[test]
     fn classifier_param_count_scales_with_depth() {
         let mut rng = SplitMix64::new(15);
-        let mut shallow = DeepBiLstmClassifier::new(4, 8, 1, 3, &mut rng);
-        let mut deep = DeepBiLstmClassifier::new(4, 8, 2, 3, &mut rng);
+        let mut shallow = bilstm_classifier(4, 8, 1, 3, &mut rng);
+        let mut deep = bilstm_classifier(4, 8, 2, 3, &mut rng);
         assert!(deep.param_count() > shallow.param_count());
-        assert_eq!(deep.classes(), 3);
+        let logits = deep
+            .forward(&Tensor::zeros(&[2, 5, 4]), Mode::Eval)
+            .unwrap();
+        assert_eq!(logits.dims(), &[2, 3]);
     }
 
     /// Gate inputs no training run reaches: `tanh`'s cut-offs ±4 ulps,
@@ -995,7 +853,7 @@ mod tests {
     #[test]
     fn a_window_of_no_timestep_is_invalid_config() {
         let mut rng = SplitMix64::new(17);
-        let mut model = DeepBiLstmClassifier::new(3, 4, 2, 2, &mut rng);
+        let mut model = bilstm_classifier(3, 4, 2, 2, &mut rng);
         let x = Tensor::zeros(&[2, 0, 3]);
         for mode in [Mode::Eval, Mode::Train] {
             assert!(matches!(
@@ -1020,7 +878,7 @@ mod tests {
             cell.backward_seq(&Tensor::zeros(&[1, 1, 2])),
             Err(NnError::NoForwardCache { .. })
         ));
-        let mut model = DeepBiLstmClassifier::new(2, 2, 1, 2, &mut rng);
+        let mut model = bilstm_classifier(2, 2, 1, 2, &mut rng);
         assert!(model.backward(&Tensor::zeros(&[1, 2])).is_err());
     }
 }

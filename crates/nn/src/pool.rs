@@ -1,4 +1,4 @@
-//! Pooling layers: max, average, and global average pooling.
+//! Pooling layers: max, average, global average, and mean over time.
 
 use darnet_tensor::{
     avg_pool2d_backward, avg_pool2d_into, max_pool2d_backward, max_pool2d_into, PoolSpec, Tensor,
@@ -197,6 +197,95 @@ impl Layer for GlobalAvgPool {
     }
 }
 
+/// Mean over the time axis: `[batch, time, feat]` sequences to `[batch,
+/// feat]` rows — the BiLSTM classifier's pooling before its head.
+#[derive(Debug, Clone, Default)]
+pub struct MeanOverTime {
+    /// Train-mode cache: the input's `(batch, time)`.
+    input_len: Option<(usize, usize)>,
+}
+
+impl MeanOverTime {
+    /// Creates a mean-over-time pooling layer.
+    pub fn new() -> Self {
+        MeanOverTime { input_len: None }
+    }
+}
+
+impl Layer for MeanOverTime {
+    fn forward_into(
+        &mut self,
+        input: &Tensor,
+        mode: Mode,
+        ws: &mut Workspace,
+    ) -> Result<TensorView> {
+        let [b, time, feat] = match *input.dims() {
+            [b, time, feat] if time > 0 => [b, time, feat],
+            _ => {
+                return Err(NnError::InvalidConfig(format!(
+                    "mean over time expects [batch, time > 0, feat], got {:?}",
+                    input.dims()
+                )))
+            }
+        };
+        // The checkout is zero-filled, so each sum starts from zero and
+        // adds the steps in time order.
+        let mut out = ws.checkout(&[b, feat]);
+        let od = out.data_mut();
+        let id = input.data();
+        for n in 0..b {
+            for t in 0..time {
+                let src = (n * time + t) * feat;
+                for k in 0..feat {
+                    od[n * feat + k] += id[src + k];
+                }
+            }
+        }
+        let inv_t = 1.0 / time as f32;
+        for v in od.iter_mut() {
+            *v *= inv_t;
+        }
+        if mode == Mode::Train {
+            self.input_len = Some((b, time));
+        }
+        Ok(out)
+    }
+
+    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+        let (b, time) = self.input_len.ok_or(NnError::NoForwardCache {
+            layer: "MeanOverTime",
+        })?;
+        let feat = grad_out.len() / b.max(1);
+        if grad_out.dims() != [b, feat] {
+            return Err(NnError::Tensor(darnet_tensor::TensorError::ShapeMismatch {
+                left: grad_out.dims().to_vec(),
+                right: vec![b, feat],
+            }));
+        }
+        let mut grad_in = Tensor::zeros(&[b, time, feat]);
+        let gi = grad_in.data_mut();
+        let go = grad_out.data();
+        let inv_t = 1.0 / time as f32;
+        for n in 0..b {
+            for t in 0..time {
+                let dst = (n * time + t) * feat;
+                for k in 0..feat {
+                    gi[dst + k] = go[n * feat + k] * inv_t;
+                }
+            }
+        }
+        Ok(grad_in)
+    }
+
+    fn params_mut(&mut self) -> Vec<&mut Param> {
+        Vec::new()
+    }
+
+    fn name(&self) -> &'static str {
+        "MeanOverTime"
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,5 +368,25 @@ mod tests {
         assert!(pool.backward(&Tensor::zeros(&[1, 1, 1, 1])).is_err());
         let mut gap = GlobalAvgPool::new();
         assert!(gap.backward(&Tensor::zeros(&[1, 1])).is_err());
+    }
+
+    #[test]
+    fn mean_over_time_averages_steps_and_spreads_the_gradient() {
+        let mut pool = MeanOverTime::new();
+        let x = Tensor::from_vec(vec![1.0, 10.0, 3.0, 30.0, 2.0, 20.0], &[1, 3, 2]).unwrap();
+        let y = pool.forward(&x, Mode::Train).unwrap();
+        assert_eq!(y.data(), &[2.0, 20.0]);
+        let g = pool
+            .backward(&Tensor::from_vec(vec![3.0, 6.0], &[1, 2]).unwrap())
+            .unwrap();
+        assert_eq!(g.dims(), x.dims());
+        assert_eq!(g.data(), &[1.0, 2.0, 1.0, 2.0, 1.0, 2.0]);
+        for dims in [&[2, 0, 3][..], &[2, 3]] {
+            let got = pool.forward(&Tensor::zeros(dims), Mode::Eval);
+            assert!(matches!(got, Err(NnError::InvalidConfig(_))), "{dims:?}");
+        }
+        assert!(MeanOverTime::new()
+            .backward(&Tensor::zeros(&[1, 2]))
+            .is_err());
     }
 }

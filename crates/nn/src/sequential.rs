@@ -39,6 +39,11 @@ impl Sequential {
         self
     }
 
+    /// Removes and returns the last layer, `None` when the stack is empty.
+    pub fn pop(&mut self) -> Option<Box<dyn Layer>> {
+        self.layers.pop()
+    }
+
     /// Number of layers.
     pub fn len(&self) -> usize {
         self.layers.len()
@@ -88,8 +93,14 @@ impl Layer for Sequential {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let mut g = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
+        // The last layer reads the caller's gradient directly, as the
+        // first layer reads its input in `forward_into`.
+        let mut layers = self.layers.iter_mut().rev();
+        let Some(last) = layers.next() else {
+            return Ok(grad_out.clone());
+        };
+        let mut g = last.backward(grad_out)?;
+        for layer in layers {
             g = layer.backward(&g)?;
         }
         Ok(g)
@@ -166,6 +177,18 @@ mod tests {
         net.push(Dense::new(2, 2, &mut rng));
         net.push(Dense::new(2, 2, &mut rng));
         assert_eq!(net.params_mut().len(), 4);
+    }
+
+    #[test]
+    fn pop_removes_the_last_layer() {
+        let mut rng = SplitMix64::new(3);
+        let mut net = Sequential::new();
+        net.push(Dense::new(2, 2, &mut rng));
+        net.push(Relu::new());
+        assert_eq!(net.pop().map(|l| l.name()), Some("Relu"));
+        assert_eq!(net.layer_names(), vec!["Dense"]);
+        net.pop();
+        assert!(net.pop().is_none());
     }
 
     #[test]

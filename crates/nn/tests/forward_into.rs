@@ -17,7 +17,7 @@
 )]
 
 use darnet_nn::{
-    AvgPool2d, BiLstm, Conv2d, DeepBiLstmClassifier, Dense, Dropout, Flatten, GlobalAvgPool,
+    bilstm_classifier, AvgPool2d, BiLstm, Conv2d, Dense, Dropout, Flatten, GlobalAvgPool,
     InceptionBlock, InceptionChannels, Layer, LstmCell, MaxPool2d, Mode, NnError, Relu, Sequential,
     Sigmoid, Tanh,
 };
@@ -168,7 +168,7 @@ fn lstm_cell_bilstm_and_classifier() {
         12,
     );
     assert_warm_is_cold(
-        || DeepBiLstmClassifier::new(3, 4, 2, 3, &mut SplitMix64::new(14)),
+        || bilstm_classifier(3, 4, 2, 3, &mut SplitMix64::new(14)),
         |m, x, mode, ws| m.forward_into(x, mode, ws).unwrap(),
         &dims,
         12,

@@ -17,9 +17,9 @@
 )]
 
 use darnet_nn::{
-    softmax_cross_entropy, AvgPool2d, BiLstm, Conv2d, DeepBiLstmClassifier, Dense, Dropout,
-    Flatten, GlobalAvgPool, InceptionBlock, InceptionChannels, Layer, LstmCell, MaxPool2d, Mode,
-    Optimizer, Param, Relu, Sequential, Sgd, Sigmoid, Tanh,
+    bilstm_classifier, softmax_cross_entropy, AvgPool2d, BiLstm, Conv2d, Dense, Dropout, Flatten,
+    GlobalAvgPool, InceptionBlock, InceptionChannels, Layer, LstmCell, MaxPool2d, Mode, Optimizer,
+    Param, Relu, Sequential, Sgd, Sigmoid, Tanh,
 };
 use darnet_tensor::{SplitMix64, Tensor};
 
@@ -245,7 +245,7 @@ fn lstm_digests_are_pinned() {
 #[test]
 fn bilstm_classifier_digest_is_pinned() {
     let x = batches(&[3, 6, 3], 17);
-    let mut model = DeepBiLstmClassifier::new(3, 4, 2, 3, &mut SplitMix64::new(18));
+    let mut model = bilstm_classifier(3, 4, 2, 3, &mut SplitMix64::new(18));
     let mut opt = Sgd::with_momentum(0.05, 0.9).weight_decay(1e-3);
     let mut h = Fnv::new();
     for x in &x {
@@ -266,7 +266,7 @@ fn bilstm_classifier_digest_is_pinned() {
     }
     assert_eq!(
         h.0, 0xE808_4C6E_36B2_1540,
-        "DeepBiLstmClassifier digest {:#018X}",
+        "bilstm_classifier digest {:#018X}",
         h.0
     );
 }

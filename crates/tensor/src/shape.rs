@@ -95,22 +95,6 @@ impl Shape {
         }
         Some(flat)
     }
-
-    /// Converts a flat row-major offset back to a multi-dimensional index.
-    ///
-    /// Returns `None` if the offset is out of range.
-    pub fn multi_index(&self, mut flat: usize) -> Option<Vec<usize>> {
-        if flat >= self.len() {
-            return None;
-        }
-        let strides = self.strides();
-        let mut out = vec![0usize; self.0.len()];
-        for (o, &s) in out.iter_mut().zip(&strides) {
-            *o = flat / s;
-            flat %= s;
-        }
-        Some(out)
-    }
 }
 
 impl From<Vec<usize>> for Shape {
@@ -149,11 +133,16 @@ mod tests {
     }
 
     #[test]
-    fn flat_and_multi_index_roundtrip() {
+    fn flat_index_counts_in_row_major_order() {
         let s = Shape::new(&[3, 4, 5]);
-        for flat in 0..s.len() {
-            let multi = s.multi_index(flat).unwrap();
-            assert_eq!(s.flat_index(&multi), Some(flat));
+        let mut flat = 0;
+        for i in 0..3 {
+            for j in 0..4 {
+                for k in 0..5 {
+                    assert_eq!(s.flat_index(&[i, j, k]), Some(flat));
+                    flat += 1;
+                }
+            }
         }
     }
 
@@ -162,7 +151,6 @@ mod tests {
         let s = Shape::new(&[2, 2]);
         assert_eq!(s.flat_index(&[2, 0]), None);
         assert_eq!(s.flat_index(&[0]), None);
-        assert_eq!(s.multi_index(4), None);
     }
 
     #[test]
