@@ -39,6 +39,7 @@ use crate::network::{FaultConfig, Link, LinkConfig};
 use crate::runtime::{check_period, EventQueue, LinkedAgent};
 use crate::sensor::{scripted_at, Sensor};
 use crate::shard::{FleetAdmission, ShardConfig, ShardedController};
+use crate::wal::WalStats;
 use crate::{decode_ack, decode_batch, encode_ack, encode_batch, Batch, Result, SensorReading};
 
 /// Controller drain-tick period, seconds: how often shard queues are
@@ -163,10 +164,8 @@ pub struct FleetReport {
     pub state_digest: u64,
     /// Canonical merged TSDB digest (shard-count invariant).
     pub tsdb_digest: u64,
-    /// WAL records appended (0 without durability).
-    pub wal_appends: u64,
-    /// WAL bytes appended (0 without durability).
-    pub wal_bytes: u64,
+    /// The shards' WAL counters, summed (all 0 without durability).
+    pub wal: WalStats,
 }
 
 /// The synthetic fleet sensor: behaviour-shaped IMU features at the
@@ -522,8 +521,7 @@ pub fn run_fleet_into(
         ack_latency_max: 0.0,
         state_digest: 0,
         tsdb_digest: 0,
-        wal_appends: 0,
-        wal_bytes: 0,
+        wal: sharded.wal_stats(),
     };
     for v in &vehicles {
         let stats = v.agent.transport_stats();
@@ -553,9 +551,6 @@ pub fn run_fleet_into(
     report.ack_latency_max = latencies.last().copied().unwrap_or(0.0);
     report.state_digest = sharded.state_digest();
     report.tsdb_digest = sharded.tsdb_digest();
-    let wal = sharded.wal_stats();
-    report.wal_appends = wal.appends;
-    report.wal_bytes = wal.bytes_appended;
     Ok(report)
 }
 

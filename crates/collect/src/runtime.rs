@@ -268,10 +268,9 @@ pub struct ChaosReport {
     /// Controller recoveries performed (restarts plus a final recovery if
     /// the session ended mid-outage).
     pub recoveries: u64,
-    /// WAL batch records re-ingested across all recoveries.
-    pub replayed_records: u64,
-    /// Torn-tail garbage bytes recovery truncated away.
-    pub torn_tail_bytes_discarded: u64,
+    /// What replay-on-open found and did, summed over every controller
+    /// incarnation: records re-ingested, torn-tail bytes truncated away.
+    pub recovery: RecoveryReport,
     /// Batch deliveries that arrived while the controller was down
     /// (dropped on the floor; the transport retries them).
     pub deliveries_while_down: u64,
@@ -283,14 +282,9 @@ pub struct ChaosReport {
     pub acked_lost: u64,
     /// Batch offers shed by admission control (deferred, not acked).
     pub shed_batches: u64,
-    /// Cumulative WAL appends across incarnations.
-    pub wal_appends: u64,
-    /// Cumulative WAL bytes appended.
-    pub wal_bytes: u64,
-    /// Cumulative WAL segment rolls.
-    pub wal_segments_rolled: u64,
-    /// Cumulative WAL checkpoints taken ([`crate::wal::Wal::snapshot`]).
-    pub wal_snapshots: u64,
+    /// WAL counters summed over every controller incarnation (checkpoints
+    /// are [`crate::wal::Wal::snapshot`]s).
+    pub wal: WalStats,
     /// High-water mark of either agent's spill buffer.
     pub spill_peak: usize,
 }
@@ -492,10 +486,16 @@ pub(crate) fn check_period(what: &str, seconds: f64) -> Result<()> {
 /// that is not finite and positive (see [`check_period`]); an empty stream
 /// set, which records nothing; a stream given twice, whose two agents share
 /// an agent id, so the controller discards the second's batches as
-/// duplicates; and a crash window that is not finite, ordered and disjoint
-/// from the previous one, whose restart is a no-op that leaves the
-/// controller down.
-fn validate(config: &CampaignConfig, streams: &[StreamId], crashes: &[CrashWindow]) -> Result<()> {
+/// duplicates; a link override for a stream the session does not run, or a
+/// second one for the same stream, which the loop would ignore; and a crash
+/// window that is not finite, ordered and disjoint from the previous one,
+/// whose restart is a no-op that leaves the controller down.
+fn validate(
+    config: &CampaignConfig,
+    streams: &[StreamId],
+    link_overrides: &[(StreamId, LinkConfig)],
+    crashes: &[CrashWindow],
+) -> Result<()> {
     check_period("imu_period", config.imu_period)?;
     check_period("transmit_period", config.transmit_period)?;
     if streams.is_empty() {
@@ -507,6 +507,13 @@ fn validate(config: &CampaignConfig, streams: &[StreamId], crashes: &[CrashWindo
         if streams[..i].contains(stream) {
             return Err(CollectError::InvalidConfig(format!(
                 "stream {stream} is registered twice"
+            )));
+        }
+    }
+    for (i, (stream, _)) in link_overrides.iter().enumerate() {
+        if !streams.contains(stream) || link_overrides[..i].iter().any(|(s, _)| s == stream) {
+            return Err(CollectError::InvalidConfig(format!(
+                "the link override for stream {stream} names no stream of the session or repeats one"
             )));
         }
     }
@@ -544,8 +551,9 @@ fn validate(config: &CampaignConfig, streams: &[StreamId], crashes: &[CrashWindo
 ///
 /// [`CollectError::InvalidConfig`] for an IMU or transmit period that is
 /// not finite and positive, an empty stream set, a stream registered
-/// twice or without a scripted sensor, or a crash window that is not
-/// finite, ordered and disjoint from the one before it;
+/// twice or without a scripted sensor, a link override for a stream the
+/// session does not run or for one already overridden, or a crash window
+/// that is not finite, ordered and disjoint from the one before it;
 /// [`CollectError::Wal`] / [`CollectError::Recovery`] from the durability
 /// layer; [`CollectError::Overload`] if an agent's spill buffer hits its
 /// bound.
@@ -558,30 +566,8 @@ pub fn run_session(
     link_overrides: &[(StreamId, LinkConfig)],
     durability: &Durability,
 ) -> Result<Recording> {
-    validate(config, streams, &durability.crashes)?;
+    validate(config, streams, link_overrides, &durability.crashes)?;
     let script = driver_script(segments, driver);
-    run_streams(
-        world,
-        driver,
-        &script,
-        config,
-        streams,
-        link_overrides,
-        durability,
-    )
-}
-
-/// The session loop behind [`run_session`], over an already validated
-/// stream set and one driver's script.
-fn run_streams(
-    world: &Arc<DrivingWorld>,
-    driver: usize,
-    script: &[Segment<CanonicalBehavior>],
-    config: &CampaignConfig,
-    streams: &[StreamId],
-    link_overrides: &[(StreamId, LinkConfig)],
-    durability: &Durability,
-) -> Result<Recording> {
     let session_end = script.iter().map(|s| s.end()).fold(0.0f64, f64::max);
     let link_for = |stream: StreamId| {
         link_overrides
@@ -595,7 +581,7 @@ fn run_streams(
     let mut built = Vec::with_capacity(streams.len());
     for &stream in streams {
         built.push(session_agent(
-            world, driver, script, stream, config, &mut rng,
+            world, driver, &script, stream, config, &mut rng,
         )?);
     }
     let data_links: Vec<Link> = streams
@@ -614,10 +600,8 @@ fn run_streams(
     let mut clock_errors = vec![0.0f64; agents.len()];
 
     let mut chaos = ChaosReport::default();
-    // What every controller incarnation of this session replayed on open
-    // and logged before it died.
+    // What every controller incarnation of this session replayed on open.
     let mut recovered = RecoveryReport::default();
-    let mut logged = WalStats::default();
     let mut open = || -> Result<Door> {
         let (door, report) = Door::open(
             config.controller,
@@ -766,7 +750,7 @@ fn run_streams(
                 // The process dies: all in-memory controller state is
                 // gone. Only the WAL storage (held by `durability`)
                 // survives.
-                logged.absorb(&door.wal_stats());
+                chaos.wal.absorb(&door.wal_stats());
                 door = Door::new(config.controller);
                 down = true;
             }
@@ -792,13 +776,8 @@ fn run_streams(
         chaos.recoveries += 1;
         door = open()?;
     }
-    logged.absorb(&door.wal_stats());
-    chaos.replayed_records = recovered.records_replayed;
-    chaos.torn_tail_bytes_discarded = recovered.torn_tail_bytes;
-    chaos.wal_appends = logged.appends;
-    chaos.wal_bytes = logged.bytes_appended;
-    chaos.wal_segments_rolled = logged.segments_rolled;
-    chaos.wal_snapshots = logged.snapshots_taken;
+    chaos.wal.absorb(&door.wal_stats());
+    chaos.recovery = recovered;
     let controller = door.into_controller();
 
     // The recovery invariant: every batch an agent saw acked must be in
@@ -1190,11 +1169,14 @@ mod tests {
             let chaos = rec.chaos;
             assert_eq!(chaos.recoveries, 2);
             assert!(chaos.deliveries_while_down > 0);
-            assert!(chaos.replayed_records > 0, "replay must do real work");
             assert!(
-                chaos.torn_tail_bytes_discarded >= 13,
+                chaos.recovery.records_replayed > 0,
+                "replay must do real work"
+            );
+            assert!(
+                chaos.recovery.torn_tail_bytes >= 13,
                 "each kill tears the tail; recovery must repair it (got {})",
-                chaos.torn_tail_bytes_discarded
+                chaos.recovery.torn_tail_bytes
             );
             assert!(chaos.acked > 0);
             assert_eq!(
@@ -1202,7 +1184,7 @@ mod tests {
                 "WAL recovery must preserve every acked batch ({} acked)",
                 chaos.acked
             );
-            assert!(chaos.wal_appends > 0 && chaos.wal_snapshots > 0);
+            assert!(chaos.wal.appends > 0 && chaos.wal.snapshots_taken > 0);
             // Hold-and-resume: with retransmission across the outages, the
             // recording ends complete and every stream gap-free.
             assert!(
@@ -1397,6 +1379,15 @@ mod tests {
         assert!(rejected(&PAIR, &[(f64::NAN, 4.0)]));
         // Back-to-back windows are ordered and disjoint.
         assert!(!rejected(&PAIR, &[(3.0, 4.0), (4.0, 5.0)]));
+        // Link overrides: for a stream the session does not run, or twice.
+        let link = LinkConfig::default();
+        let overridden = |overrides: &[(StreamId, LinkConfig)]| {
+            let config = CampaignConfig::default();
+            let result = canonical_session(&config, &PAIR, overrides, &Durability::default());
+            matches!(result, Err(CollectError::InvalidConfig(_)))
+        };
+        assert!(overridden(&[(StreamId::CAMERA_SIDE, link)]));
+        assert!(overridden(&[(StreamId::IMU, link), (StreamId::IMU, link)]));
     }
 
     #[test]

@@ -108,16 +108,16 @@ impl Fnv {
     fn chaos(&mut self, c: &ChaosReport) {
         for v in [
             c.recoveries,
-            c.replayed_records,
-            c.torn_tail_bytes_discarded,
+            c.recovery.records_replayed,
+            c.recovery.torn_tail_bytes,
             c.deliveries_while_down,
             c.acked,
             c.acked_lost,
             c.shed_batches,
-            c.wal_appends,
-            c.wal_bytes,
-            c.wal_segments_rolled,
-            c.wal_snapshots,
+            c.wal.appends,
+            c.wal.bytes_appended,
+            c.wal.segments_rolled,
+            c.wal.snapshots_taken,
             0, // readings dropped oldest-first: always zero, policy retired
             c.spill_peak as u64,
         ] {
@@ -255,14 +255,17 @@ fn chaos_session_counts_are_pinned() {
     let rec = session(&config, &two_crashes(Some(Arc::clone(&storage))));
     let c = rec.chaos;
     // Both outages recovered, and each repaired its 13 torn bytes.
-    assert_eq!((c.recoveries, c.torn_tail_bytes_discarded), (2, 26));
+    assert_eq!((c.recoveries, c.recovery.torn_tail_bytes), (2, 26));
     // Every batch an agent saw acked survived both crashes, and
     // retransmission closed every gap.
     assert_eq!((c.acked, c.acked_lost), (41, 0));
     assert!(rec.lossless());
-    assert_eq!((c.replayed_records, c.deliveries_while_down), (36, 15));
     assert_eq!(
-        (c.wal_appends, c.wal_bytes, c.wal_snapshots),
+        (c.recovery.records_replayed, c.deliveries_while_down),
+        (36, 15)
+    );
+    assert_eq!(
+        (c.wal.appends, c.wal.bytes_appended, c.wal.snapshots_taken),
         (41, 118_986, 2)
     );
 
@@ -467,6 +470,26 @@ fn ten_thousand_agent_fleet_on_eight_shards_is_pinned() {
         1.147_239_959_252_102_5,
     );
     assert_eq!(latency, pinned);
+}
+
+#[test]
+fn lossy_fleet_spends_its_retry_budget() {
+    // At 30 % loss each way a round trip fails about half the time, so
+    // one batch in eight needs a third retry: these counts move with the
+    // agents' retry budget, which the fleet runs above at 1 % loss never
+    // reach. The grace outlasts every backoff, so no batch is left in
+    // flight: each one is acked or abandoned.
+    let mut config = FleetConfig {
+        agents: 60,
+        session_seconds: 6.0,
+        drain_grace: 200.0,
+        ..FleetConfig::default()
+    };
+    config.link.loss = 0.3;
+    let (_, r) = run_fleet(&config, ShardConfig::default()).unwrap();
+    let counts = (r.retransmits, r.abandoned, r.acked);
+    assert_eq!(counts, (351, 0, 348), "{counts:?}");
+    assert_eq!(r.acked + r.abandoned, r.batches_flushed);
 }
 
 /// IMU features of reading `k`: ordinary values plus `-0.0`, a

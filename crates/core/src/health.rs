@@ -41,52 +41,6 @@ const MAX_SHED_RATIO: f64 = 0.75;
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct HealthPolicy;
 
-/// Fleet-level rollup of per-stream assessments: how many agents are in
-/// each [`ModalityStatus`] bucket, and an overall fleet status the
-/// operations side can alert on. Produced by [`HealthPolicy::assess_fleet`]
-/// from a [`ShardedController`](darnet_collect::ShardedController)'s
-/// `stream_healths()` (or any other collection of stream healths).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FleetHealthSummary {
-    /// Streams assessed as [`ModalityStatus::Healthy`].
-    pub healthy: usize,
-    /// Streams assessed as [`ModalityStatus::Degraded`].
-    pub degraded: usize,
-    /// Streams assessed as [`ModalityStatus::Unavailable`].
-    pub unavailable: usize,
-}
-
-impl FleetHealthSummary {
-    /// Total streams assessed.
-    pub fn total(&self) -> usize {
-        self.healthy + self.degraded + self.unavailable
-    }
-
-    /// Fraction of streams that are usable at all (healthy or degraded).
-    /// An empty fleet reports 0.0.
-    pub fn availability(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        (self.healthy + self.degraded) as f64 / total as f64
-    }
-
-    /// Overall fleet status: unavailable when fewer than half the
-    /// streams are usable, degraded when any stream is unavailable or
-    /// more than a quarter are degraded, healthy otherwise. An empty
-    /// fleet is unavailable (nothing to analyze).
-    pub fn overall(&self) -> ModalityStatus {
-        if self.total() == 0 || self.availability() < 0.5 {
-            return ModalityStatus::Unavailable;
-        }
-        if self.unavailable > 0 || self.degraded * 4 > self.total() {
-            return ModalityStatus::Degraded;
-        }
-        ModalityStatus::Healthy
-    }
-}
-
 /// The healthy-subset resolution for one registry of identified streams:
 /// which streams participate in the next fusion and at what status.
 /// Produced by [`HealthPolicy::select_subset`].
@@ -169,20 +123,6 @@ impl HealthPolicy {
             degraded,
         }
     }
-
-    /// Assesses every stream of a fleet at observation time `now` and
-    /// tallies the statuses into a [`FleetHealthSummary`].
-    pub fn assess_fleet(&self, healths: &[StreamHealth], now: f64) -> FleetHealthSummary {
-        let mut summary = FleetHealthSummary::default();
-        for h in healths {
-            match self.assess(Some(h), now) {
-                ModalityStatus::Healthy => summary.healthy += 1,
-                ModalityStatus::Degraded => summary.degraded += 1,
-                ModalityStatus::Unavailable => summary.unavailable += 1,
-            }
-        }
-        summary
-    }
 }
 
 #[cfg(test)]
@@ -199,38 +139,6 @@ mod tests {
             last_arrival,
             shed: 0,
         }
-    }
-
-    #[test]
-    fn fleet_rollup_tallies_and_rolls_up() {
-        let p = HealthPolicy;
-        // 3 healthy, 1 degraded (gap), 1 unavailable (stale).
-        let mut streams = vec![
-            health(19, 0, 10.0),
-            health(19, 0, 10.0),
-            health(19, 0, 10.0),
-        ];
-        streams.push(health(19, 2, 10.0));
-        streams.push(health(19, 0, 1.0));
-        let summary = p.assess_fleet(&streams, 10.1);
-        assert_eq!(
-            (summary.healthy, summary.degraded, summary.unavailable),
-            (3, 1, 1)
-        );
-        assert_eq!(summary.total(), 5);
-        assert!((summary.availability() - 0.8).abs() < 1e-12);
-        // One unavailable stream degrades the fleet view.
-        assert_eq!(summary.overall(), ModalityStatus::Degraded);
-        // All healthy → healthy fleet.
-        let all_good = p.assess_fleet(&streams[..3], 10.1);
-        assert_eq!(all_good.overall(), ModalityStatus::Healthy);
-        // Majority unavailable → unavailable fleet; empty fleet too.
-        let starved = p.assess_fleet(&[health(19, 0, 1.0), health(19, 0, 1.0)], 10.1);
-        assert_eq!(starved.overall(), ModalityStatus::Unavailable);
-        assert_eq!(
-            FleetHealthSummary::default().overall(),
-            ModalityStatus::Unavailable
-        );
     }
 
     #[test]

@@ -28,10 +28,10 @@
 //! * [`MultiModalEngine`] ([`registry`]) — the one modular per-stream
 //!   engine, classifying at each time-step (§3.3: a 1-to-1 mapping between
 //!   device data-streams and ML models, combined at a later stage):
-//!   [`ModalityDescriptor`]s keyed by [`darnet_collect::StreamId`], the
-//!   [`StreamModelSlot`] enum holding the per-stream models (and a camera
-//!   stream's dCNN students), and fusion of any healthy subset of
-//!   registered streams. The paper's camera + IMU pair is
+//!   [`ModalityDescriptor`]s keyed by [`darnet_collect::StreamId`] and the
+//!   [`StreamModelSlot`]s serving them (`registry/streams.rs`), fusion of
+//!   any healthy subset, and resident stream workers for heavy calls
+//!   (`registry/workers.rs`). The paper's camera + IMU pair is
 //!   [`MultiModalEngine::darnet_pair`].
 //! * [`MicroBatcher`] — the micro-batching front between the collect
 //!   pipeline and the engine: aligned tuples queue and flush on
@@ -58,7 +58,7 @@ pub use batching::{MicroBatchConfig, MicroBatcher};
 pub use ensemble::{CombinerKind, NaryBayesianCombiner};
 pub use error::CoreError;
 pub use eval::ConfusionMatrix;
-pub use health::{FleetHealthSummary, HealthPolicy, ModalityStatus, SubsetSelection};
+pub use health::{HealthPolicy, ModalityStatus, SubsetSelection};
 pub use model_io::{decode_tensors, encode_tensors};
 pub use models::{CnnConfig, FrameCnn, ImuRnn, ImuSvm, RnnConfig};
 pub use registry::{

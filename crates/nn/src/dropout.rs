@@ -33,11 +33,6 @@ impl Dropout {
             mask: None,
         }
     }
-
-    /// The drop probability.
-    pub fn probability(&self) -> f32 {
-        self.p
-    }
 }
 
 impl Layer for Dropout {

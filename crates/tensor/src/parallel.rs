@@ -18,10 +18,9 @@
 /// ```
 /// use darnet_tensor::Parallelism;
 ///
-/// assert!(Parallelism::default().is_serial());
-/// assert!(!Parallelism::new(4).is_serial());
-/// assert!(Parallelism::new(0).is_serial()); // clamped to 1
-/// assert_eq!(Parallelism::new(3).threads(), 3);
+/// assert_eq!(Parallelism::default().threads(), 1);
+/// assert_eq!(Parallelism::new(4).threads(), 4);
+/// assert_eq!(Parallelism::new(0).threads(), 1); // clamped to 1
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Parallelism {
@@ -50,10 +49,5 @@ impl Parallelism {
     /// The number of threads this policy allows, the caller's included.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Whether this policy allows only the calling thread.
-    pub fn is_serial(&self) -> bool {
-        self.threads <= 1
     }
 }
