@@ -246,7 +246,7 @@ mod tests {
         let tensors = vec![
             Tensor::from_vec(vec![1.0, -2.5, 3.25], &[3]).unwrap(),
             Tensor::zeros(&[2, 3, 4]),
-            Tensor::scalar(7.5),
+            Tensor::from_vec(vec![7.5], &[]).unwrap(),
         ];
         let encoded = encode_tensors(&tensors);
         let decoded = decode_tensors(&encoded).unwrap();
@@ -257,7 +257,7 @@ mod tests {
     fn codec_rejects_garbage() {
         assert!(decode_tensors(b"nope").is_err());
         assert!(decode_tensors(b"DNWT").is_err());
-        let mut bad_version = encode_tensors(&[Tensor::scalar(1.0)]);
+        let mut bad_version = encode_tensors(&[Tensor::from_vec(vec![1.0], &[]).unwrap()]);
         bad_version[4] = 99;
         assert!(decode_tensors(&bad_version).is_err());
         let truncated = encode_tensors(&[Tensor::zeros(&[100])]);

@@ -222,8 +222,9 @@ mod tests {
         let x = Tensor::full(&[1, 1, 2, 2], -5.0);
         let mut padded = Tensor::zeros(&[1, 1, 4, 4]);
         pad_spatial_into(&x, 1, f32::NEG_INFINITY, &mut padded).unwrap();
-        let (pooled, _) =
-            darnet_tensor::max_pool2d(&padded, &darnet_tensor::PoolSpec::new(3, 1)).unwrap();
+        let mut pooled = Tensor::zeros(&[1, 1, 2, 2]);
+        let spec = darnet_tensor::PoolSpec::new(3, 1);
+        darnet_tensor::max_pool2d_into(&padded, &spec, &mut pooled, None).unwrap();
         assert!(pooled.data().iter().all(|&v| v == -5.0));
     }
 

@@ -202,7 +202,7 @@ mod tests {
 
     fn quadratic_grad(p: &Param) -> Tensor {
         // d/dw of 0.5 * ||w - 3||^2 = w - 3
-        p.value.add_scalar(-3.0)
+        p.value.map(|v| v - 3.0)
     }
 
     #[test]
