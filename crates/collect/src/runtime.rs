@@ -6,7 +6,7 @@
 //! polls, batch flushes, network deliveries, ack deliveries,
 //! retransmission timers, periodic clock syncs, and injected controller
 //! kills/restarts — are processed in timestamp order from one
-//! [`EventQueue`], so campaigns are fully deterministic for a given seed.
+//! `EventQueue`, so campaigns are fully deterministic for a given seed.
 //! There is one such loop behind one door, [`run_session`], which returns
 //! one [`Recording`] whatever the stream set; the paper's two-agent
 //! deployment is the stream set [`StreamId::DARNET_PAIR`], and

@@ -65,9 +65,13 @@ impl ConfusionMatrix {
         self.classes
     }
 
-    /// Raw count for `(truth, prediction)`.
-    pub fn count(&self, truth: usize, prediction: usize) -> usize {
-        self.counts[truth * self.classes + prediction]
+    /// Raw count for `(truth, prediction)`, or `None` when either index
+    /// is outside the matrix.
+    pub fn count(&self, truth: usize, prediction: usize) -> Option<usize> {
+        if truth >= self.classes || prediction >= self.classes {
+            return None;
+        }
+        self.counts.get(truth * self.classes + prediction).copied()
     }
 
     /// Total observations.
@@ -81,7 +85,9 @@ impl ConfusionMatrix {
         if total == 0 {
             return 0.0;
         }
-        let diag: usize = (0..self.classes).map(|i| self.count(i, i)).sum();
+        let diag: usize = (0..self.classes)
+            .map(|i| self.count(i, i).unwrap_or(0))
+            .sum();
         diag as f64 / total as f64
     }
 
@@ -89,11 +95,13 @@ impl ConfusionMatrix {
     pub fn per_class_accuracy(&self) -> Vec<Option<f64>> {
         (0..self.classes)
             .map(|i| {
-                let row: usize = (0..self.classes).map(|j| self.count(i, j)).sum();
+                let row: usize = (0..self.classes)
+                    .map(|j| self.count(i, j).unwrap_or(0))
+                    .sum();
                 if row == 0 {
                     None
                 } else {
-                    Some(self.count(i, i) as f64 / row as f64)
+                    Some(self.count(i, i).unwrap_or(0) as f64 / row as f64)
                 }
             })
             .collect()
@@ -103,13 +111,15 @@ impl ConfusionMatrix {
     pub fn row_normalized(&self) -> Vec<Vec<f64>> {
         (0..self.classes)
             .map(|i| {
-                let row: usize = (0..self.classes).map(|j| self.count(i, j)).sum();
+                let row: usize = (0..self.classes)
+                    .map(|j| self.count(i, j).unwrap_or(0))
+                    .sum();
                 (0..self.classes)
                     .map(|j| {
                         if row == 0 {
                             0.0
                         } else {
-                            self.count(i, j) as f64 / row as f64
+                            self.count(i, j).unwrap_or(0) as f64 / row as f64
                         }
                     })
                     .collect()
@@ -176,8 +186,19 @@ mod tests {
     fn accuracy_counts_diagonal_only() {
         let m = ConfusionMatrix::from_predictions(&[0, 0, 1, 1], &[0, 1, 1, 0], 2).unwrap();
         assert_eq!(m.accuracy(), 0.5);
-        assert_eq!(m.count(0, 1), 1);
-        assert_eq!(m.count(1, 0), 1);
+        assert_eq!(m.count(0, 1), Some(1));
+        assert_eq!(m.count(1, 0), Some(1));
+    }
+
+    #[test]
+    fn count_outside_the_matrix_is_none() {
+        let labels = [0, 1, 1, 1, 2, 5];
+        let m = ConfusionMatrix::from_predictions(&labels, &labels, 6).unwrap();
+        assert_eq!(m.count(1, 1), Some(3));
+        // Row-major, `(0, 7)` would land on `(1, 1)`'s cell.
+        assert_eq!(m.count(0, 7), None);
+        assert_eq!(m.count(6, 0), None);
+        assert_eq!(m.count(5, 5), Some(1));
     }
 
     #[test]

@@ -375,7 +375,7 @@ fn private_frame_route_digest() {
 fn digest_matrix(h: &mut Fnv, m: &ConfusionMatrix) {
     for i in 0..6 {
         for j in 0..6 {
-            h.index(m.count(i, j));
+            h.index(m.count(i, j).unwrap());
         }
     }
 }

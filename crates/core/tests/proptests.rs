@@ -81,7 +81,7 @@ proptest! {
         let m = ConfusionMatrix::from_predictions(&labels, &preds, 4).unwrap();
         prop_assert_eq!(m.total(), pairs.len());
         for i in 0..4 {
-            let row: usize = (0..4).map(|j| m.count(i, j)).sum();
+            let row: usize = (0..4).map(|j| m.count(i, j).unwrap()).sum();
             let expected = labels.iter().filter(|&&l| l == i).count();
             prop_assert_eq!(row, expected);
         }

@@ -143,23 +143,6 @@ impl Layer for Relu {
     }
 }
 
-// ---------------------------------------------------------------------
-// Sigmoid
-// ---------------------------------------------------------------------
-
-/// Logistic sigmoid activation.
-#[derive(Debug, Clone, Default)]
-pub struct Sigmoid {
-    output: Option<Tensor>,
-}
-
-impl Sigmoid {
-    /// Creates a sigmoid layer.
-    pub fn new() -> Self {
-        Sigmoid { output: None }
-    }
-}
-
 /// The dims of a `[batch, c, h, w]` input, or `layer`'s typed rank error.
 pub(crate) fn rank4_dims(input: &Tensor, layer: &str) -> Result<[usize; 4]> {
     match *input.dims() {
@@ -257,12 +240,6 @@ pub(crate) fn tanh(x: f32) -> f32 {
     }
 }
 
-/// Numerically stable scalar sigmoid: see [`sigmoid_of_exp`].
-#[inline]
-pub(crate) fn sigmoid_scalar(x: f32) -> f32 {
-    sigmoid_of_exp(x, (-x.abs()).exp())
-}
-
 /// The sigmoid of `x` given `e = exp(−|x|)`: `1/(1 + e)` for `x ≥ 0` and
 /// `e/(1 + e)` below, one divide whose numerator is selected on the sign,
 /// not branched on. Callers that vectorise the rest compute `e` apart,
@@ -270,87 +247,6 @@ pub(crate) fn sigmoid_scalar(x: f32) -> f32 {
 #[inline]
 pub(crate) fn sigmoid_of_exp(x: f32, e: f32) -> f32 {
     (if x >= 0.0 { 1.0 } else { e }) / (1.0 + e)
-}
-
-impl Layer for Sigmoid {
-    fn forward_into(
-        &mut self,
-        input: &Tensor,
-        mode: Mode,
-        ws: &mut Workspace,
-    ) -> Result<TensorView> {
-        let mut out = ws.checkout(input.dims());
-        input.map_into(sigmoid_scalar, &mut out)?;
-        if mode == Mode::Train {
-            self.output = Some(out.clone());
-        }
-        Ok(out)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let out = self
-            .output
-            .as_ref()
-            .ok_or(NnError::NoForwardCache { layer: "Sigmoid" })?;
-        Ok(grad_out.zip(out, |g, y| g * y * (1.0 - y))?)
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        Vec::new()
-    }
-
-    fn name(&self) -> &'static str {
-        "Sigmoid"
-    }
-}
-
-// ---------------------------------------------------------------------
-// Tanh
-// ---------------------------------------------------------------------
-
-/// Hyperbolic tangent activation.
-#[derive(Debug, Clone, Default)]
-pub struct Tanh {
-    output: Option<Tensor>,
-}
-
-impl Tanh {
-    /// Creates a tanh layer.
-    pub fn new() -> Self {
-        Tanh { output: None }
-    }
-}
-
-impl Layer for Tanh {
-    fn forward_into(
-        &mut self,
-        input: &Tensor,
-        mode: Mode,
-        ws: &mut Workspace,
-    ) -> Result<TensorView> {
-        let mut out = ws.checkout(input.dims());
-        input.map_into(tanh, &mut out)?;
-        if mode == Mode::Train {
-            self.output = Some(out.clone());
-        }
-        Ok(out)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let out = self
-            .output
-            .as_ref()
-            .ok_or(NnError::NoForwardCache { layer: "Tanh" })?;
-        Ok(grad_out.zip(out, |g, y| g * (1.0 - y * y))?)
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        Vec::new()
-    }
-
-    fn name(&self) -> &'static str {
-        "Tanh"
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -415,6 +311,12 @@ pub(crate) mod tests {
     use super::*;
     use darnet_tensor::Tensor;
 
+    /// Numerically stable scalar sigmoid: see [`sigmoid_of_exp`]. The gate
+    /// loop's reference (`lstm.rs`).
+    pub(crate) fn sigmoid_scalar(x: f32) -> f32 {
+        sigmoid_of_exp(x, (-x.abs()).exp())
+    }
+
     #[test]
     fn relu_zeroes_negatives_and_gates_gradient() {
         let mut relu = Relu::new();
@@ -432,16 +334,6 @@ pub(crate) mod tests {
             relu.backward(&Tensor::ones(&[1])),
             Err(NnError::NoForwardCache { .. })
         ));
-    }
-
-    #[test]
-    fn sigmoid_matches_definition_and_derivative() {
-        let mut s = Sigmoid::new();
-        let x = Tensor::from_slice(&[0.0]);
-        let y = s.forward(&x, Mode::Train).unwrap();
-        assert!((y.data()[0] - 0.5).abs() < 1e-6);
-        let g = s.backward(&Tensor::ones(&[1])).unwrap();
-        assert!((g.data()[0] - 0.25).abs() < 1e-6);
     }
 
     #[test]
@@ -696,15 +588,6 @@ pub(crate) mod tests {
             });
             assert_eq!(differ, 0);
         }
-    }
-
-    #[test]
-    fn tanh_derivative_at_zero_is_one() {
-        let mut t = Tanh::new();
-        let x = Tensor::from_slice(&[0.0]);
-        t.forward(&x, Mode::Train).unwrap();
-        let g = t.backward(&Tensor::ones(&[1])).unwrap();
-        assert!((g.data()[0] - 1.0).abs() < 1e-6);
     }
 
     #[test]

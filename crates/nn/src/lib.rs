@@ -4,7 +4,7 @@
 //! [`darnet_tensor`], providing every model family the DarNet paper uses:
 //!
 //! * **Convolutional networks** — [`Conv2d`], [`MaxPool2d`], [`AvgPool2d`],
-//!   [`GlobalAvgPool`], [`Relu`], [`Dropout`], [`Flatten`], [`Dense`], and an
+//!   [`Relu`], [`Dropout`], [`Flatten`], [`Dense`], and an
 //!   [`InceptionBlock`] composite (four parallel 1×1 / 3×3 / 5×5 / pool
 //!   branches, each a [`Sequential`], concatenated over channels, after
 //!   Szegedy et al.'s Inception design that DarNet's frame classifier
@@ -63,12 +63,12 @@ pub use dense::Dense;
 pub use dropout::Dropout;
 pub use error::NnError;
 pub use inception::{InceptionBlock, InceptionChannels};
-pub use layer::{Flatten, Layer, Mode, Relu, Sigmoid, Tanh};
-pub use loss::{l2_distill_loss, log_softmax, softmax, softmax_cross_entropy, softmax_inplace};
+pub use layer::{Flatten, Layer, Mode, Relu};
+pub use loss::{l2_distill_loss, softmax, softmax_cross_entropy, softmax_inplace};
 pub use lstm::{bilstm_classifier, BiLstm, LstmCell};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use param::Param;
-pub use pool::{AvgPool2d, GlobalAvgPool, MaxPool2d, MeanOverTime};
+pub use pool::{AvgPool2d, MaxPool2d, MeanOverTime};
 pub use sequential::Sequential;
 pub use svm::LinearSvm;
 

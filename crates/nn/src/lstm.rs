@@ -769,7 +769,7 @@ mod tests {
     /// The gate update one element at a time, on the scalar sigmoid and
     /// `tanh`: `[i, f, g, o, tanh_c]`, then `c`, then `h`, each as bits.
     fn scalar_gates(z: &[f32], h: usize, c_prev: &[f32]) -> Vec<[u32; 7]> {
-        use crate::layer::sigmoid_scalar;
+        use crate::layer::tests::sigmoid_scalar;
         let mut out = Vec::new();
         for (n, row) in z.chunks(4 * h).enumerate() {
             for k in 0..h {

@@ -1,4 +1,4 @@
-//! Pooling layers: max, average, global average, and mean over time.
+//! Pooling layers: max, average, and mean over time.
 
 use darnet_tensor::{
     avg_pool2d_backward, avg_pool2d_into, max_pool2d_backward, max_pool2d_into, PoolSpec, Tensor,
@@ -117,83 +117,6 @@ impl Layer for AvgPool2d {
 
     fn name(&self) -> &'static str {
         "AvgPool2d"
-    }
-}
-
-/// Global average pooling: `[batch, c, h, w] → [batch, c]`, averaging each
-/// channel's spatial map. Inception-style networks use this in place of
-/// large dense layers before the classifier head.
-#[derive(Debug, Clone, Default)]
-pub struct GlobalAvgPool {
-    input_dims: Option<[usize; 4]>,
-}
-
-impl GlobalAvgPool {
-    /// Creates a global average pooling layer.
-    pub fn new() -> Self {
-        GlobalAvgPool { input_dims: None }
-    }
-}
-
-impl Layer for GlobalAvgPool {
-    fn forward_into(
-        &mut self,
-        input: &Tensor,
-        mode: Mode,
-        ws: &mut Workspace,
-    ) -> Result<TensorView> {
-        let d = rank4_dims(input, "global avg pool")?;
-        let [b, c, h, w] = d;
-        let hw = (h * w) as f32;
-        let mut out = ws.checkout(&[b, c]);
-        let od = out.data_mut();
-        let id = input.data();
-        for n in 0..b {
-            for ch in 0..c {
-                let base = (n * c + ch) * h * w;
-                let sum: f32 = id[base..base + h * w].iter().sum();
-                od[n * c + ch] = sum / hw;
-            }
-        }
-        if mode == Mode::Train {
-            self.input_dims = Some(d);
-        }
-        Ok(out)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let dims = self.input_dims.as_ref().ok_or(NnError::NoForwardCache {
-            layer: "GlobalAvgPool",
-        })?;
-        let [b, c, h, w] = *dims;
-        if grad_out.dims() != [b, c] {
-            return Err(NnError::Tensor(darnet_tensor::TensorError::ShapeMismatch {
-                left: grad_out.dims().to_vec(),
-                right: vec![b, c],
-            }));
-        }
-        let hw = (h * w) as f32;
-        let mut grad_in = Tensor::zeros(dims);
-        let gi = grad_in.data_mut();
-        let go = grad_out.data();
-        for n in 0..b {
-            for ch in 0..c {
-                let g = go[n * c + ch] / hw;
-                let base = (n * c + ch) * h * w;
-                for v in &mut gi[base..base + h * w] {
-                    *v = g;
-                }
-            }
-        }
-        Ok(grad_in)
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        Vec::new()
-    }
-
-    fn name(&self) -> &'static str {
-        "GlobalAvgPool"
     }
 }
 
@@ -321,23 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn global_avg_pool_averages_channels() {
-        let mut pool = GlobalAvgPool::new();
-        let x = Tensor::from_vec(
-            vec![1.0, 2.0, 3.0, 4.0, 10.0, 20.0, 30.0, 40.0],
-            &[1, 2, 2, 2],
-        )
-        .unwrap();
-        let y = pool.forward(&x, Mode::Train).unwrap();
-        assert_eq!(y.dims(), &[1, 2]);
-        assert_eq!(y.data(), &[2.5, 25.0]);
-        let g = pool
-            .backward(&Tensor::from_vec(vec![4.0, 8.0], &[1, 2]).unwrap())
-            .unwrap();
-        assert_eq!(g.data(), &[1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0]);
-    }
-
-    #[test]
     fn avg_pool_layer_gradcheck() {
         let mut pool = AvgPool2d::new(2, 1);
         let x = Tensor::from_vec((0..9).map(|v| v as f32 * 0.3).collect(), &[1, 1, 3, 3]).unwrap();
@@ -357,17 +263,9 @@ mod tests {
     }
 
     #[test]
-    fn global_pool_rejects_non_rank4() {
-        let mut pool = GlobalAvgPool::new();
-        assert!(pool.forward(&Tensor::zeros(&[2, 3]), Mode::Eval).is_err());
-    }
-
-    #[test]
     fn backward_without_forward_fails() {
         let mut pool = MaxPool2d::new(2, 2);
         assert!(pool.backward(&Tensor::zeros(&[1, 1, 1, 1])).is_err());
-        let mut gap = GlobalAvgPool::new();
-        assert!(gap.backward(&Tensor::zeros(&[1, 1])).is_err());
     }
 
     #[test]

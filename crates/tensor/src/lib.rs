@@ -9,8 +9,9 @@
 //! * reductions (sum, mean, max, argmax) over all elements or one axis,
 //! * a cache-friendly [`matmul`](Tensor::matmul) kernel,
 //! * a [`conv2d_into`] forward whose matmul tile reads its lanes in place
-//!   from a zero-ringed copy of each image, and the [`im2col`]/[`col2im`]
-//!   lowering the convolution's Train cache and backward pass use,
+//!   from a zero-ringed copy of each image, and the
+//!   [`im2col_into`]/[`col2im`] lowering the convolution's Train cache and
+//!   backward pass use,
 //! * a [`PackedB`] operand packed once for products that reuse it (the
 //!   LSTM's recurrent weight over a sequence),
 //! * max/average pooling kernels,
@@ -35,7 +36,7 @@
 //! use darnet_tensor::Tensor;
 //!
 //! let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2])?;
-//! let b = Tensor::eye(2);
+//! let b = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], &[2, 2])?;
 //! let c = a.matmul(&b)?;
 //! assert_eq!(c.data(), a.data());
 //! # Ok::<(), darnet_tensor::TensorError>(())
@@ -52,14 +53,13 @@ mod shape;
 mod tensor;
 mod workspace;
 
-pub use conv::{col2im, conv2d_into, im2col, im2col_into, Conv2dSpec};
+pub use conv::{col2im, conv2d_into, im2col_into, Conv2dSpec};
 pub use error::TensorError;
 pub use init::{he_normal, uniform_init, xavier_uniform, SplitMix64};
 pub use matmul::{matmul_transpose_b_packed_into, matmul_transpose_b_slices_into, PackedB};
 pub use parallel::Parallelism;
 pub use pool::{
-    avg_pool2d, avg_pool2d_backward, avg_pool2d_into, max_pool2d, max_pool2d_backward,
-    max_pool2d_into, PoolSpec,
+    avg_pool2d_backward, avg_pool2d_into, max_pool2d_backward, max_pool2d_into, PoolSpec,
 };
 pub use shape::Shape;
 pub use tensor::Tensor;

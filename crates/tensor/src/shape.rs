@@ -1,8 +1,5 @@
 //! Shape and index arithmetic for row-major tensors.
 
-use crate::error::TensorError;
-use crate::Result;
-
 /// An owned tensor shape with row-major stride computation.
 ///
 /// A `Shape` is a thin wrapper over `Vec<usize>` that centralizes element
@@ -51,21 +48,6 @@ impl Shape {
     /// the workspace pool to recycle the allocation).
     pub(crate) fn into_dims(self) -> Vec<usize> {
         self.0
-    }
-
-    /// Size of dimension `axis`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::AxisOutOfRange`] if `axis >= rank()`.
-    pub fn dim(&self, axis: usize) -> Result<usize> {
-        self.0
-            .get(axis)
-            .copied()
-            .ok_or(TensorError::AxisOutOfRange {
-                axis,
-                rank: self.rank(),
-            })
     }
 
     /// Row-major strides (in elements) for each dimension.
@@ -151,13 +133,6 @@ mod tests {
         let s = Shape::new(&[2, 2]);
         assert_eq!(s.flat_index(&[2, 0]), None);
         assert_eq!(s.flat_index(&[0]), None);
-    }
-
-    #[test]
-    fn dim_accessor_errors_on_bad_axis() {
-        let s = Shape::new(&[2, 2]);
-        assert!(s.dim(2).is_err());
-        assert_eq!(s.dim(1).unwrap(), 2);
     }
 
     #[test]

@@ -24,9 +24,11 @@
 #                  acks and TSDB digest: crates/collect/tests/golden.rs;
 #                  the multiview evaluation split: darnet-core's
 #                  experiment tests) among the workspace tests
-#   2. docs      — rustdoc must build cleanly (missing_docs is denied
-#                  in the crates, so this catches broken intra-doc
-#                  links and malformed examples)
+#   2. docs      — rustdoc must build cleanly: the root Cargo.toml's
+#                  [workspace.lints.rustdoc] table denies broken and
+#                  private intra-doc links, so a link to a deleted,
+#                  renamed or private item fails here (the doc examples
+#                  run as doctests in step 1)
 #   3. parallel  — the batching and stream fan-out benchmark in --fast
 #                  mode, compared against the committed
 #                  BENCH_parallel.json baseline; any speedup_* ratio
