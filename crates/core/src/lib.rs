@@ -9,7 +9,7 @@
 //!   for the CNN, 20-step 4 Hz IMU windows for the RNN/SVM, with an 80/20
 //!   train/evaluation split as in the paper.
 //! * [`FrameCnn`] — the frame classifier: a mini-Inception CNN
-//!   (stem convolution + inception blocks + global average pooling), with
+//!   (stem convolution + inception blocks + coarse average pooling), with
 //!   the paper's transfer-learning recipe reproduced as proxy-task
 //!   pre-training followed by head replacement and fine-tuning.
 //! * [`ImuRnn`] — the IMU-sequence classifier: a deep bidirectional LSTM

@@ -3,7 +3,7 @@
 //! DarNet fine-tunes Inception-V3; at CPU-reproduction scale we keep the
 //! architecture *family* — a convolutional stem followed by inception
 //! blocks (parallel 1×1/3×3/5×5/pool branches, channel-concatenated) and
-//! global average pooling — and reproduce the transfer-learning recipe by
+//! coarse average pooling — and reproduce the transfer-learning recipe by
 //! pre-training on a proxy task, then swapping the final fully connected
 //! layer for the target class count (paper §4.2 "Frame-Sequence
 //! Architecture").
