@@ -320,7 +320,7 @@ mod read_side_props {
     use darnet_collect::{
         decode_batch, encode_batch, interpolate_grid, moving_average, AlignedImuPoint, Batch,
         Controller, ControllerConfig, FrameRecord, GridSpec, IngestOutcome, MemStorage,
-        SensorReading, StampedReading, StreamId, WalConfig, WalStorage,
+        SensorReading, StampedReading, StreamId, TsDb, WalConfig, WalStorage,
     };
     use darnet_sim::{Frame, ImuSample};
     use darnet_tensor::SplitMix64;
@@ -523,8 +523,8 @@ mod read_side_props {
     /// The reference `state_digest`, FNV-1a over the streams' replayable
     /// counters (read back through the public API), the ingest counters,
     /// the frames in the order of the test's own acceptance log, and the
-    /// TSDB fingerprint.
-    fn digest_from_log(controller: &Controller, log: &[(u32, FrameRecord)]) -> u64 {
+    /// TSDB fingerprint `tsdb`.
+    fn digest_from_log(controller: &Controller, log: &[(u32, FrameRecord)], tsdb: u64) -> u64 {
         fn fold(h: &mut u64, bytes: &[u8]) {
             for &b in bytes {
                 *h = (*h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
@@ -556,8 +556,81 @@ mod read_side_props {
                 fold(&mut h, &p.to_bits().to_le_bytes());
             }
         }
-        fold(&mut h, &controller.tsdb().fingerprint().to_le_bytes());
+        fold(&mut h, &tsdb.to_le_bytes());
         h
+    }
+
+    /// Mixed batches in arrival order: IMU readings from agents 0 and 3,
+    /// frames among agent 1's. Inside a batch, stamps run out of order,
+    /// repeat, and equal earlier batches' stamps; some batches arrive
+    /// twice.
+    fn mixed_traffic(rng: &mut SplitMix64, batches: usize) -> Vec<Batch> {
+        let mut used: Vec<f64> = Vec::new();
+        let mut clock = 10.0f64;
+        let mut out: Vec<Batch> = Vec::new();
+        for seq in 0..batches as u32 {
+            let agent_id = [0u32, 1, 3][rng.next_usize(3)];
+            let readings = (0..1 + rng.next_usize(6))
+                .map(|_| {
+                    let timestamp = match rng.next_usize(6) {
+                        0 if !used.is_empty() => used[rng.next_usize(used.len())],
+                        1 => clock - rng.next_f64(),
+                        _ => {
+                            clock += rng.next_f64() * 0.2;
+                            clock
+                        }
+                    };
+                    used.push(timestamp);
+                    let reading = if agent_id == 1 && rng.next_usize(3) == 0 {
+                        let pixels = vec![rng.uniform(0.0, 1.0), timestamp as f32];
+                        SensorReading::Frame(Frame::from_pixels(2, 1, pixels))
+                    } else {
+                        SensorReading::Imu(imu_sample(rng, 20.0))
+                    };
+                    StampedReading { timestamp, reading }
+                })
+                .collect();
+            out.push(Batch {
+                agent_id,
+                seq,
+                readings,
+            });
+        }
+        for _ in 0..batches / 3 {
+            let again = out[rng.next_usize(out.len())].clone();
+            out.insert(rng.next_usize(out.len() + 1), again);
+        }
+        out
+    }
+
+    /// A write through `Controller::tsdb()`, made to both stores: a
+    /// scalar under a name that is, or is not quite, a channel of an IMU
+    /// row series, or a row of another or the same width into one.
+    fn outside_write(rng: &mut SplitMix64, stores: [&TsDb; 2]) {
+        const SCALARS: [&str; 7] = [
+            "imu.3",
+            "imu.12",
+            "imu.01",
+            "imu.0.3",
+            "imu.3.11",
+            "imu.3.12",
+            "camera.mean_intensity.1",
+        ];
+        const ROWS: [&str; 4] = ["imu", "imu.0", "imu.3", "camera.mean_intensity"];
+        let t = 8.0 + rng.next_f64() * 4.0;
+        if rng.next_usize(2) == 0 {
+            let (metric, value) = (SCALARS[rng.next_usize(SCALARS.len())], rng.normal());
+            for db in stores {
+                db.insert(metric, t, value);
+            }
+        } else {
+            let metric = ROWS[rng.next_usize(ROWS.len())];
+            let width = [1, 3, 12, 12, 13][rng.next_usize(5)];
+            let row: Vec<f32> = (0..width).map(|_| rng.normal()).collect();
+            for db in stores {
+                db.insert_vector(metric, t, &row);
+            }
+        }
     }
 
     proptest! {
@@ -686,8 +759,67 @@ mod read_side_props {
                 assert!(controller.frames_sorted_for(StreamId(9)).is_empty());
                 // Frames live in their streams; the digest folds them in
                 // acceptance order all the same.
-                assert_eq!(controller.state_digest(), digest_from_log(controller, log), "seed {seed}");
+                let tsdb = controller.tsdb().fingerprint();
+                assert_eq!(controller.state_digest(), digest_from_log(controller, log, tsdb), "seed {seed}");
             });
+        }
+
+        // The write side against the one it replaced. The controller
+        // writes a batch under one guard, through the series its stream
+        // found when it first appeared; the reference writes each reading
+        // on its own, by name, into a second controller's store. Writes
+        // through the handle between batches split the kept series or
+        // add rows beside them.
+        #[test]
+        fn a_batch_written_at_once_stores_what_reading_by_reading_does(
+            seed in any::<u64>(),
+            batches in 1usize..24,
+            per_agent_series in any::<bool>(),
+            outside_every in 0usize..6,
+        ) {
+            let mut rng = SplitMix64::new(seed);
+            let config = ControllerConfig { per_agent_series, ..ControllerConfig::default() };
+            let (mut batched, single) = (Controller::new(config), Controller::new(config));
+            let mut frames: Vec<(u32, FrameRecord)> = Vec::new();
+            for batch in mixed_traffic(&mut rng, batches) {
+                if outside_every > 0 && rng.next_usize(outside_every) == 0 {
+                    outside_write(&mut rng, [batched.tsdb(), single.tsdb()]);
+                }
+                let outcome = batched.offer_at(0.0, &batch, None).expect("offer");
+                if outcome == IngestOutcome::Accepted {
+                    let agent = batch.agent_id;
+                    let (imu, camera) = if per_agent_series {
+                        (format!("imu.{agent}"), format!("camera.mean_intensity.{agent}"))
+                    } else {
+                        ("imu".to_string(), "camera.mean_intensity".to_string())
+                    };
+                    for r in &batch.readings {
+                        match &r.reading {
+                            SensorReading::Imu(s) => {
+                                single.tsdb().insert_vector(&imu, r.timestamp, &s.to_features());
+                            }
+                            SensorReading::Frame(f) => single.tsdb().insert(&camera, r.timestamp, f.mean()),
+                        }
+                    }
+                    frames.extend(batch.readings.iter().filter_map(|r| frame_record(&batch, r)));
+                }
+                if rng.next_usize(3) == 0 {
+                    prop_assert_eq!(
+                        batched.aligned_imu().map(|p| bits(&p)),
+                        single.aligned_imu().map(|p| bits(&p)),
+                        "seed {}", seed
+                    );
+                }
+            }
+            let tsdb = single.tsdb().fingerprint();
+            prop_assert_eq!(batched.tsdb().fingerprint(), tsdb, "seed {}", seed);
+            prop_assert_eq!(batched.tsdb().metrics(), single.tsdb().metrics());
+            prop_assert_eq!(batched.state_digest(), digest_from_log(&batched, &frames, tsdb), "seed {}", seed);
+            prop_assert_eq!(
+                batched.aligned_imu().map(|p| bits(&p)),
+                single.aligned_imu().map(|p| bits(&p)),
+                "seed {}", seed
+            );
         }
     }
 }

@@ -12,13 +12,12 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Write;
 
 use crate::align::GridCache;
 use crate::error::CollectError;
 use crate::sensor::SensorReading;
 use crate::stream::StreamId;
-use crate::tsdb::TsDb;
+use crate::tsdb::{KeptSeries, TsDb};
 use crate::wire::{Ack, Batch};
 use crate::{Frame, ImuSample, Result};
 
@@ -210,6 +209,9 @@ struct StreamState {
     // shard holds thousands of streams nobody reads (`admitted` refuses a
     // frame that would outgrow it).
     accepted: Vec<u32>,
+    // The stream's IMU row series and camera scalar series, named when
+    // its first batch was accepted and found by slot after.
+    series: Option<KeptSeries>,
 }
 
 /// Token-bucket state for admission control.
@@ -233,13 +235,11 @@ pub struct Controller {
     // Derived state: ingest never touches it.
     imu_series: String,
     aligned: RefCell<GridCache>,
-    // The series names `admitted` writes under: rebuilt per batch under
-    // `per_agent_series`, in place so that a warm controller allocates
-    // for neither.
-    keys: (String, String),
     streams: BTreeMap<u32, StreamState>,
     batches: u64,
     readings: u64,
+    // Every stream's `shed`, summed: what a pressure rollup reads.
+    shed: u64,
     admission: AdmissionState,
 }
 
@@ -256,10 +256,10 @@ impl Controller {
                 "imu".to_string()
             },
             aligned: RefCell::new(GridCache::new(config.grid_hz, config.smoothing_window)),
-            keys: ("imu".to_string(), "camera.mean_intensity".to_string()),
             streams: BTreeMap::new(),
             batches: 0,
             readings: 0,
+            shed: 0,
             admission: AdmissionState {
                 tokens: config.admission.capacity,
                 last_refill: 0.0,
@@ -298,6 +298,7 @@ impl Controller {
         // its batches turn out to be duplicates.
         if self.config.admission.enabled && !self.admit(arrival, batch) {
             self.streams.entry(batch.agent_id).or_default().shed += 1;
+            self.shed += 1;
             return Ok(IngestOutcome::Shed);
         }
         self.admitted(arrival, batch, wal)
@@ -372,38 +373,48 @@ impl Controller {
         stream.delivered += 1;
         stream.last_arrival = stream.last_arrival.max(arrival);
         self.batches += 1;
-        let (imu_key, camera_key) = &mut self.keys;
-        if self.config.per_agent_series {
-            imu_key.clear();
-            camera_key.clear();
-            // Writing to a `String` cannot fail.
-            let _ = write!(imu_key, "imu.{}", batch.agent_id);
-            let _ = write!(camera_key, "camera.mean_intensity.{}", batch.agent_id);
-        }
+        self.readings += batch.readings.len() as u64;
+        let per_agent = self.config.per_agent_series;
+        let series = stream.series.get_or_insert_with(|| {
+            let agent = if per_agent {
+                format!(".{}", batch.agent_id)
+            } else {
+                String::new()
+            };
+            KeptSeries::new(
+                format!("imu{agent}"),
+                format!("camera.mean_intensity{agent}"),
+            )
+        });
+        let imu_rows = batch.readings.iter().filter_map(|r| match &r.reading {
+            SensorReading::Imu(sample) => Some((r.timestamp, sample.to_features())),
+            SensorReading::Frame(_) => None,
+        });
+        let intensities = batch.readings.iter().filter_map(|r| match &r.reading {
+            SensorReading::Frame(frame) => Some((r.timestamp, frame.mean())),
+            SensorReading::Imu(_) => None,
+        });
+        // One guard for the batch; the IMU rows and the intensities go to
+        // series neither of which a write to the other can split, so
+        // writing one kind before the other stores what reading order does.
+        self.tsdb.insert_batch(series, imu_rows, intensities);
         for r in &batch.readings {
-            self.readings += 1;
-            match &r.reading {
-                SensorReading::Imu(sample) => {
-                    self.tsdb
-                        .insert_vector(imu_key, r.timestamp, &sample.to_features());
-                }
-                SensorReading::Frame(frame) => {
-                    self.tsdb.insert(camera_key, r.timestamp, frame.mean());
-                    // After every frame of this stream not later than
-                    // it: the end, unless it arrived late.
-                    let slot = stream
-                        .frames
-                        .partition_point(|fr| fr.t.total_cmp(&r.timestamp).is_le());
-                    let record = FrameRecord {
-                        t: r.timestamp,
-                        frame: frame.clone(),
-                    };
-                    stream.frames.insert(slot, record);
-                    // Fits: checked for the whole batch before the append.
-                    stream.accepted.insert(slot, self.frames_accepted as u32);
-                    self.frames_accepted += 1;
-                }
-            }
+            let SensorReading::Frame(frame) = &r.reading else {
+                continue;
+            };
+            // After every frame of this stream not later than it: the
+            // end, unless it arrived late.
+            let slot = stream
+                .frames
+                .partition_point(|fr| fr.t.total_cmp(&r.timestamp).is_le());
+            let record = FrameRecord {
+                t: r.timestamp,
+                frame: frame.clone(),
+            };
+            stream.frames.insert(slot, record);
+            // Fits: checked for the whole batch before the append.
+            stream.accepted.insert(slot, self.frames_accepted as u32);
+            self.frames_accepted += 1;
         }
         Ok(IngestOutcome::Accepted)
     }
@@ -471,7 +482,15 @@ impl Controller {
     pub fn restore_stream_meta(&mut self, agent_id: u32, duplicates: u64, shed: u64) {
         let stream = self.streams.entry(agent_id).or_default();
         stream.duplicates = duplicates;
+        self.shed = self.shed - stream.shed + shed;
         stream.shed = shed;
+    }
+
+    /// Deliveries admission control refused, over every stream — the sum
+    /// of their [`StreamHealth::shed`], counting streams that never had a
+    /// batch accepted (and so have no health report), in O(1).
+    pub fn admission_shed(&self) -> u64 {
+        self.shed
     }
 
     /// Health reports for every stream the controller has seen.
@@ -952,6 +971,26 @@ mod tests {
             c.stream_meta(),
             "meta must restore verbatim"
         );
+    }
+
+    #[test]
+    fn admission_shed_is_the_sum_of_stream_sheds_across_restores() {
+        let mut c = Controller::new(admission_config());
+        let total = |c: &Controller| c.stream_meta().iter().map(|m| m.2).sum::<u64>();
+        // Sixty IMU readings empty the bucket; every frame batch of agent
+        // 5 is then shed, before any of its batches is accepted.
+        let stamps: Vec<f64> = (0..60).map(f64::from).collect();
+        c.offer_at(0.0, &imu_batch(0, 0, &stamps), None).unwrap();
+        for seq in 0..6 {
+            c.offer_at(0.0, &frame_batch(5, seq, 0.0), None).unwrap();
+        }
+        assert!(c.stream_health(5).is_none());
+        assert_eq!((c.admission_shed(), total(&c)), (6, 6));
+        // Restores assign: the total follows each stream's last value.
+        c.restore_stream_meta(5, 0, 7);
+        c.restore_stream_meta(9, 1, 2);
+        c.restore_stream_meta(5, 0, 3);
+        assert_eq!((c.admission_shed(), total(&c)), (5, 5));
     }
 
     #[test]

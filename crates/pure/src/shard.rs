@@ -306,15 +306,6 @@ impl Shard {
         }
         Ok(acks)
     }
-
-    fn admission_shed(&self) -> u64 {
-        self.door
-            .controller()
-            .stream_healths()
-            .iter()
-            .map(|h| h.shed)
-            .sum()
-    }
 }
 
 /// The fleet front door: agents hash-partitioned across N independent
@@ -476,7 +467,7 @@ impl ShardedController {
                 queue_limit: self.config.queue_limit,
                 queue_peak: s.queue_peak,
                 queue_shed: s.queue_shed,
-                admission_shed: s.admission_shed(),
+                admission_shed: s.door.controller().admission_shed(),
                 offered: s.offered,
             };
             max_queue_frac = max_queue_frac.max(p.queue_frac());
@@ -1021,6 +1012,30 @@ mod tests {
         let p = s.pressure();
         assert_eq!(p.shards[0].queued, 0);
         assert!(p.shed_ratio > 0.5);
+    }
+
+    #[test]
+    fn pressure_counts_sheds_of_a_stream_nothing_was_accepted_from() {
+        // A new camera agent whose every delivery is shed has no health
+        // report (no accepted batch); its sheds still reach the rollup.
+        let mut s = ShardedController::new(ShardConfig {
+            shards: 1,
+            controller: frames_shed_config(),
+            ..ShardConfig::default()
+        })
+        .unwrap();
+        for seq in 0..5 {
+            assert_eq!(
+                s.offer_at(0.0, &frame_batch(1, seq, 0.0)),
+                OfferOutcome::Queued
+            );
+        }
+        assert!(s.drain().unwrap().is_empty());
+        assert_eq!(s.stream_health(1), None);
+        let p = s.pressure();
+        assert_eq!(p.shards[0].admission_shed, 5);
+        assert_eq!(p.shed_ratio, 1.0);
+        assert_eq!(p.signal, FleetAdmission::Shed);
     }
 
     #[test]

@@ -95,25 +95,32 @@ fn column_name(name: &str) -> Option<(&str, usize)> {
 
 #[derive(Debug, Default)]
 struct Store {
-    scalars: BTreeMap<String, Series>,
-    /// Vector samples, one row each. Column `k` of series `m` answers to
-    /// the name `m.k`, and no scalar series has such a name: the insert
-    /// that would make one splits the row series first.
-    rows: BTreeMap<String, Series>,
+    /// Every series made, each in the slot it was made in for good. A row
+    /// series that splits leaves its slot empty and zero wide, so a slot
+    /// kept from an earlier write (`KeptSeries`) still holds the row
+    /// series it was found for iff it still has a row's width.
+    slots: Vec<Series>,
+    /// Scalar series by name. None is ever removed.
+    scalars: BTreeMap<String, usize>,
+    /// Row series by name: vector samples, one row each. Column `k` of
+    /// series `m` answers to the name `m.k`, and no scalar series has such
+    /// a name: the insert that would make one splits the row series first.
+    rows: BTreeMap<String, usize>,
 }
 
 impl Store {
     fn series(&self) -> impl Iterator<Item = &Series> {
-        self.scalars.values().chain(self.rows.values())
+        // A split row series' slot is empty: it adds no point and no byte.
+        self.slots.iter()
     }
 
     /// The series and column `name` addresses.
     fn column(&self, name: &str) -> Option<(&Series, usize)> {
-        if let Some(series) = self.scalars.get(name) {
-            return Some((series, 0));
+        if let Some(&slot) = self.scalars.get(name) {
+            return Some((&self.slots[slot], 0));
         }
         let (owner, k) = column_name(name)?;
-        let rows = self.rows.get(owner)?;
+        let rows = &self.slots[*self.rows.get(owner)?];
         (k < rows.width).then_some((rows, k))
     }
 
@@ -121,48 +128,147 @@ impl Store {
     /// order fingerprints and listings walk (`clippy.toml` bans the hash
     /// maps whose order would vary from run to run).
     fn columns(&self) -> Vec<(String, &Series, usize)> {
-        let scalars = self.scalars.iter().map(|(name, s)| (name.clone(), s, 0));
-        let rows = self
-            .rows
+        let scalars = self
+            .scalars
             .iter()
-            .flat_map(|(name, s)| (0..s.width).map(move |k| (format!("{name}.{k}"), s, k)));
+            .map(|(name, &slot)| (name.clone(), &self.slots[slot], 0));
+        let rows = self.rows.iter().flat_map(|(name, &slot)| {
+            let s = &self.slots[slot];
+            (0..s.width).map(move |k| (format!("{name}.{k}"), s, k))
+        });
         let mut out: Vec<_> = scalars.chain(rows).collect();
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
     }
 
+    /// A new series in a slot of its own.
+    fn make(&mut self, width: usize) -> usize {
+        self.slots.push(Series::of_width(width));
+        self.slots.len() - 1
+    }
+
     /// Turns the row series `metric` back into one scalar series per
-    /// column, each with the points and order it had.
+    /// column, each with the points and order it had, and empties its slot.
     fn split(&mut self, metric: &str) {
-        let Some(rows) = self.rows.remove(metric) else {
+        let Some(slot) = self.rows.remove(metric) else {
             return;
         };
+        let rows = std::mem::take(&mut self.slots[slot]);
         for k in 0..rows.width {
-            let column = Series {
-                width: 1,
-                t: rows.t.clone(),
-                values: rows.column(k).map(|(_, v)| v).collect(),
-                dirty: 0,
-            };
+            let column = self.make(1);
+            self.slots[column].t = rows.t.clone();
+            self.slots[column].values = rows.column(k).map(|(_, v)| v).collect();
             self.scalars.insert(format!("{metric}.{k}"), column);
         }
     }
 
-    fn insert_scalar(&mut self, metric: &str, t: f64, value: f32) {
+    /// The slot of the scalar series `metric`, made if it does not exist.
+    fn scalar(&mut self, metric: &str) -> usize {
         // Looked up by `&str`: the key is allocated once per series, not
         // once per point.
-        if let Some(series) = self.scalars.get_mut(metric) {
-            return series.insert(t, &[value]);
+        if let Some(&slot) = self.scalars.get(metric) {
+            return slot;
         }
         // A new scalar name that a row series' column answers to: from
         // here on the name means a series of its own, as do its siblings.
         if let Some((owner, _)) = column_name(metric).filter(|_| self.column(metric).is_some()) {
             self.split(owner);
+            return self.scalars[metric];
         }
-        self.scalars
-            .entry(metric.to_string())
-            .or_insert_with(|| Series::of_width(1))
-            .insert(t, &[value]);
+        let slot = self.make(1);
+        self.scalars.insert(metric.to_string(), slot);
+        slot
+    }
+
+    /// Stores `points` in the scalar series `metric`, one after another,
+    /// and returns its slot (`kept` if `Some`: a scalar series keeps its
+    /// slot for good). The one scalar insert body.
+    fn insert_points(
+        &mut self,
+        metric: &str,
+        mut kept: Option<usize>,
+        points: impl IntoIterator<Item = (f64, f32)>,
+    ) -> Option<usize> {
+        for (t, value) in points {
+            let slot = match kept {
+                Some(slot) => slot,
+                None => *kept.insert(self.scalar(metric)),
+            };
+            self.slots[slot].insert(t, &[value]);
+        }
+        kept
+    }
+
+    /// Stores each of `rows` as [`TsDb::insert_vector`] does, one after
+    /// another, and returns the slot of the row series `metric` names
+    /// afterwards, if any. `kept` is where that series was found before:
+    /// a row goes there while the slot has the row's width — and so still
+    /// holds that series — and is looked up by name otherwise. The one
+    /// row insert body.
+    fn insert_rows<R: AsRef<[f32]>>(
+        &mut self,
+        metric: &str,
+        mut kept: Option<usize>,
+        rows: impl IntoIterator<Item = (f64, R)>,
+    ) -> Option<usize> {
+        for (t, values) in rows {
+            let values = values.as_ref();
+            if values.is_empty() {
+                continue;
+            }
+            let fits = |slot: &usize| self.slots[*slot].width == values.len();
+            let found = kept
+                .filter(fits)
+                .or_else(|| self.rows.get(metric).copied().filter(fits));
+            if let Some(slot) = found {
+                self.slots[slot].insert(t, values);
+                kept = Some(slot);
+                continue;
+            }
+            let taken = |k| self.column(&format!("{metric}.{k}")).is_some();
+            if !(0..values.len()).any(taken) {
+                let slot = self.make(values.len());
+                self.slots[slot].insert(t, values);
+                self.rows.insert(metric.to_string(), slot);
+                kept = Some(slot);
+                continue;
+            }
+            // A channel name is taken, by a scalar series or by rows of
+            // another width: each channel goes where a scalar of its name
+            // does, and the rows, if any, are split by the first.
+            for (k, &v) in values.iter().enumerate() {
+                let name = format!("{metric}.{k}");
+                self.insert_points(&name, None, [(t, v)]);
+            }
+            kept = None;
+        }
+        kept
+    }
+}
+
+/// The two series one writer comes back to batch after batch — a row
+/// series and a scalar series — named once, and the slots the store last
+/// found them in, so that a later batch is written without building or
+/// looking up either name. A slot is checked under the write guard (see
+/// `Store::insert_rows`); one that no longer holds its series sends the
+/// write back to the name.
+#[derive(Debug)]
+pub(crate) struct KeptSeries {
+    rows: (String, Option<usize>),
+    points: (String, Option<usize>),
+}
+
+impl KeptSeries {
+    /// The row series `rows` and the scalar series `points`, not yet
+    /// looked up. Their names must leave neither a column name of the
+    /// other nor a row series whose column the other is: then neither
+    /// series' write splits the other, and [`TsDb::insert_batch`] may
+    /// write one before the other.
+    pub(crate) fn new(rows: String, points: String) -> Self {
+        KeptSeries {
+            rows: (rows, None),
+            points: (points, None),
+        }
     }
 }
 
@@ -212,7 +318,7 @@ impl TsDb {
 
     /// Inserts a point into `metric`, creating the series if needed.
     pub fn insert(&self, metric: &str, t: f64, value: f32) {
-        self.write().insert_scalar(metric, t, value);
+        self.write().insert_points(metric, None, [(t, value)]);
     }
 
     /// Inserts a multi-channel sample, readable as the series `metric.0`,
@@ -220,27 +326,28 @@ impl TsDb {
     /// fixes the row width; a sample of another width, or a scalar
     /// inserted under one of the channel names, turns the rows back into
     /// one scalar series per channel, which is what they read as anyway.
+    /// The one-row case of the body a controller's batch goes through.
     pub fn insert_vector(&self, metric: &str, t: f64, values: &[f32]) {
-        if values.is_empty() {
-            return;
-        }
+        self.write().insert_rows(metric, None, [(t, values)]);
+    }
+
+    /// Writes one batch under one guard, finding each series once:
+    /// `rows` into `series`' row series as [`TsDb::insert_vector`] one
+    /// row after another would — a row of another width still splits the
+    /// rows where it comes — and `points` into its scalar series as
+    /// [`TsDb::insert`] would, each through the slot kept from the
+    /// previous batch while it holds its series.
+    pub(crate) fn insert_batch<R: AsRef<[f32]>>(
+        &self,
+        series: &mut KeptSeries,
+        rows: impl IntoIterator<Item = (f64, R)>,
+        points: impl IntoIterator<Item = (f64, f32)>,
+    ) {
         let store = &mut *self.write();
-        let same_width = |rows: &&mut Series| rows.width == values.len();
-        if let Some(rows) = store.rows.get_mut(metric).filter(same_width) {
-            return rows.insert(t, values);
-        }
-        let taken = |k| store.column(&format!("{metric}.{k}")).is_some();
-        if !(0..values.len()).any(taken) {
-            let mut rows = Series::of_width(values.len());
-            rows.insert(t, values);
-            store.rows.insert(metric.to_string(), rows);
-            return;
-        }
-        // A channel name is taken, by a scalar series or by rows of
-        // another width: each channel goes where a scalar of its name does.
-        for (k, &v) in values.iter().enumerate() {
-            store.insert_scalar(&format!("{metric}.{k}"), t, v);
-        }
+        let (name, slot) = &mut series.rows;
+        *slot = store.insert_rows(name, *slot, rows);
+        let (name, slot) = &mut series.points;
+        *slot = store.insert_points(name, *slot, points);
     }
 
     /// Runs `read` over the row series `metric` and the lowest row slot
@@ -252,15 +359,16 @@ impl TsDb {
         metric: &str,
         read: impl FnOnce(&Series, usize) -> R,
     ) -> Option<R> {
-        let mut store = self.write();
-        let series = store.rows.get_mut(metric)?;
+        let store = &mut *self.write();
+        let series = &mut store.slots[*store.rows.get(metric)?];
         let dirty = std::mem::replace(&mut series.dirty, usize::MAX);
         Some(read(series, dirty))
     }
 
     /// Number of vector samples held as rows.
     pub(crate) fn row_count(&self) -> usize {
-        self.read().rows.values().map(|s| s.t.len()).sum()
+        let store = self.read();
+        store.rows.values().map(|&s| store.slots[s].t.len()).sum()
     }
 
     /// Names of all series, sorted.
@@ -753,6 +861,84 @@ mod tests {
             whole.canonical_fingerprint(),
             canonical_fingerprint_merged(&[&right])
         );
+    }
+
+    /// The row series `m`: its stamps, values and the slot `read_rows`
+    /// would redo from.
+    type Rows = Option<(Vec<f64>, Vec<f32>, usize)>;
+
+    /// What a write leaves: the fingerprint, the names, and what the one
+    /// reader that keeps state sees of `m` (read, so it resets on both
+    /// sides of a comparison).
+    fn written(db: &TsDb) -> (u64, Vec<String>, Rows) {
+        let rows = db.read_rows("m", |s, dirty| (s.t.clone(), s.values.clone(), dirty));
+        (db.fingerprint(), db.metrics(), rows)
+    }
+
+    #[test]
+    fn rows_written_at_once_store_what_insert_vector_does_row_by_row() {
+        type Batch<'a> = &'a [(f64, &'a [f32])];
+        let batches: [Batch<'_>; 4] = [
+            // Out of order, with equal stamps both ways round.
+            &[
+                (1.0, &[1.0, 2.0]),
+                (0.5, &[3.0, 4.0]),
+                (1.0, &[5.0, 6.0]),
+                (0.5, &[7.0, 8.0]),
+            ],
+            // An append, then a row earlier than every one.
+            &[(2.0, &[1.0, 1.0]), (0.25, &[2.0, 2.0])],
+            // A row of another width splits the rows mid-batch; the rows
+            // after it, and an empty one, follow it as scalars.
+            &[
+                (3.0, &[9.0, 9.0]),
+                (3.0, &[1.0, 2.0, 3.0]),
+                (2.5, &[4.0, 4.0]),
+                (0.0, &[]),
+            ],
+            &[(0.75, &[5.0, 5.0, 5.0])],
+        ];
+        let (batched, single) = (TsDb::new(), TsDb::new());
+        for rows in batches {
+            batched.write().insert_rows("m", None, rows.iter().copied());
+            for &(t, values) in rows {
+                single.insert_vector("m", t, values);
+            }
+            assert_eq!(written(&batched), written(&single));
+        }
+        assert_eq!(written(&batched).2, None, "the third batch split the rows");
+    }
+
+    #[test]
+    fn a_kept_slot_writes_where_the_name_would() {
+        let rows = |t0: f64| [(t0 + 0.5, [1.0f32, 2.0]), (t0, [3.0, 4.0])];
+        let (kept, named) = (TsDb::new(), TsDb::new());
+        let mut series = KeptSeries::new("m".into(), "p".into());
+        let write = |series: &mut KeptSeries, t0: f64| {
+            kept.insert_batch(series, rows(t0), [(t0, 1.0), (t0 - 1.0, 2.0)]);
+            for (t, row) in rows(t0) {
+                named.insert_vector("m", t, &row);
+            }
+            named.insert("p", t0, 1.0);
+            named.insert("p", t0 - 1.0, 2.0);
+            assert_eq!(written(&kept), written(&named), "batch at {t0}");
+        };
+        write(&mut series, 1.0);
+        // Rows written by name between two batches, another series made.
+        for db in [&kept, &named] {
+            db.insert_vector("m", 1.25, &[7.0, 7.0]);
+            db.insert_vector("q", 0.0, &[1.0]);
+        }
+        write(&mut series, 2.0);
+        // A scalar under a channel name splits the rows: the slot kept
+        // for them holds nothing now, and the rows go by name.
+        for db in [&kept, &named] {
+            db.insert("m.1", 0.0, 9.0);
+        }
+        write(&mut series, 3.0);
+        write(&mut series, 0.0);
+        assert_eq!(kept.len("m.0"), 9);
+        assert_eq!(kept.len("p"), 8);
     }
 
     #[test]
