@@ -7,7 +7,8 @@
 //! (6 classes) + IMU model (3 classes): the fitted CPT, the Bayesian /
 //! product / CNN-only fused scores, the single-survivor expansions, a
 //! seeded tiny engine's batch and private-frame outputs, and the
-//! confusion matrices behind Table 2 — and, below the models, the two
+//! confusion matrices behind Table 2 — the weights and losses that seeded
+//! CNN, BiLSTM and dCNN trainings leave, and, below the models, the two
 //! labelled datasets a seeded campaign turns into (pair and 3-stream).
 //! If one fails, the arithmetic or a seed's draw order moved: fix the
 //! code, don't re-pin.
@@ -25,11 +26,11 @@ use std::sync::Arc;
 
 use darnet_collect::runtime::{pair_frames_with_windows, run_campaign, CampaignConfig};
 use darnet_collect::{LinkConfig, StreamId};
-use darnet_core::dataset::{Dataset, IMU_FEATURES, WINDOW_LEN};
+use darnet_core::dataset::{frames_to_tensor, Dataset, IMU_FEATURES, WINDOW_LEN};
 use darnet_core::experiment::{
     run_ablation_combiner, table2_from_stack, train_stack_on, ExperimentConfig,
 };
-use darnet_core::privacy::{Downsampler, PrivacyLevel};
+use darnet_core::privacy::{distill_dcnn, DistillConfig, Downsampler, PrivacyLevel};
 use darnet_core::registry::product_combine_subset_into;
 use darnet_core::{
     encode_tensors, CnnConfig, CombinerKind, ConfusionMatrix, FrameCnn, ImuRnn, ModalityDescriptor,
@@ -244,6 +245,75 @@ fn model_file_bytes_digest() {
     let mut h = Fnv::new();
     h.bytes(&encode_tensors(&tiny_rnn(2).export_weights().unwrap()));
     pin(h.0, 0xB51F_7BCD_FBA5_8895, "tiny BiLSTM weight file");
+}
+
+/// A weight file's bytes, then each epoch's mean loss.
+fn digest_training(weights: &[Tensor], losses: &[f32]) -> u64 {
+    let mut h = Fnv::new();
+    h.bytes(&encode_tensors(weights));
+    h.scores(losses);
+    h.0
+}
+
+/// The training goldens: the weights a seeded fit leaves and its per-epoch
+/// losses. Table 2's digest hashes only argmaxes and the repro digests
+/// only printed percentages, so neither sees a weight that moves while
+/// every prediction stays put. Eight-row minibatches over 20 rows end each
+/// epoch on a partial one, and a second epoch runs at the decayed rate.
+#[test]
+fn cnn_fit_digest() {
+    let config = CnnConfig {
+        input_size: FRAME,
+        classes: 6,
+        width: 0.5,
+        batch_size: 8,
+    };
+    let mut cnn = FrameCnn::new(config, 3);
+    let (frames, _) = tiny_batch(20);
+    let labels: Vec<usize> = (0..20).map(|i| i % 6).collect();
+    let losses = cnn
+        .fit(&frames_to_tensor(&frames).unwrap(), &labels, 2)
+        .unwrap();
+    let got = digest_training(&cnn.export_weights(), &losses);
+    pin(got, 0xF4E6_F166_7850_791E, "FrameCnn::fit");
+}
+
+/// [`cnn_fit_digest`] for the BiLSTM: two layers, Adam, four-row
+/// minibatches over nine windows, the standardizer's rows in the file.
+#[test]
+fn rnn_fit_digest() {
+    let config = RnnConfig {
+        hidden: 4,
+        depth: 2,
+        batch_size: 4,
+        ..RnnConfig::default()
+    };
+    let mut rnn = ImuRnn::new(config, 5);
+    let (_, windows) = tiny_batch(9);
+    let labels: Vec<usize> = (0..9).map(|i| i % 3).collect();
+    let losses = rnn.fit(&windows, &labels, 2).unwrap();
+    let got = digest_training(&rnn.export_weights().unwrap(), &losses);
+    pin(got, 0xA2FF_DC24_E260_D79C, "ImuRnn::fit");
+}
+
+/// [`cnn_fit_digest`] for a dCNN-L student distilled from a seeded
+/// teacher (`distill_dcnn` returns no losses), and the teacher's own
+/// weights, which distillation must leave alone.
+#[test]
+fn distill_dcnn_digest() {
+    let mut teacher = tiny_cnn(4);
+    let before = digest_training(&teacher.export_weights(), &[]);
+    let (frames, _) = tiny_batch(20);
+    let config = DistillConfig {
+        epochs: 2,
+        batch_size: 8,
+        ..DistillConfig::default()
+    };
+    let mut student = distill_dcnn(&mut teacher, &frames, PrivacyLevel::Low, &config, 7).unwrap();
+    let got = digest_training(&student.export_weights(), &[]);
+    pin(got, 0x22DD_007F_6316_1E5B, "distill_dcnn student");
+    let got = digest_training(&teacher.export_weights(), &[]);
+    pin(got, before, "distill_dcnn teacher");
 }
 
 /// What a digest keeps of one step: the label and the fused scores.
