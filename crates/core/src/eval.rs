@@ -4,6 +4,19 @@
 use crate::error::CoreError;
 use crate::Result;
 
+/// How many of `preds` equal their label, the count behind every Top-1
+/// accuracy: [`CoreError::Dataset`] unless there is one label per
+/// prediction.
+pub(crate) fn count_correct(preds: &[usize], labels: &[usize]) -> Result<usize> {
+    let (n, got) = (preds.len(), labels.len());
+    if n != got {
+        return Err(CoreError::Dataset(format!(
+            "{got} labels for {n} predictions"
+        )));
+    }
+    Ok(preds.iter().zip(labels).filter(|(a, b)| a == b).count())
+}
+
 /// A square confusion matrix; rows are true classes, columns predictions.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfusionMatrix {

@@ -22,7 +22,7 @@ use darnet_tensor::{SplitMix64, Tensor};
 
 use crate::dataset::{frames_to_tensor, Dataset, ExtendedFrameDataset, IMU_FEATURES, WINDOW_LEN};
 use crate::ensemble::{CombinerKind, NaryBayesianCombiner};
-use crate::eval::ConfusionMatrix;
+use crate::eval::{count_correct, ConfusionMatrix};
 use crate::health::{HealthPolicy, ModalityStatus};
 use crate::models::{CnnConfig, FrameCnn, ImuRnn, ImuSvm, RnnConfig};
 use crate::privacy::{distill_dcnn, DistillConfig, Downsampler, PrivacyLevel};
@@ -334,9 +334,8 @@ pub struct Table2Report {
     pub cm_cnn: ConfusionMatrix,
 }
 
-fn accuracy(preds: &[usize], labels: &[usize]) -> f64 {
-    let correct = preds.iter().zip(labels).filter(|(a, b)| a == b).count();
-    correct as f64 / labels.len().max(1) as f64
+fn accuracy(preds: &[usize], labels: &[usize]) -> Result<f64> {
+    Ok(count_correct(preds, labels)? as f64 / labels.len().max(1) as f64)
 }
 
 /// Hard pair-ensemble predictions over an evaluation split: sample `i`'s
@@ -386,11 +385,11 @@ pub fn table2_from_stack(stack: &TrainedStack) -> Result<Table2Report> {
     let preds_svm_only = stack.svm_probs_eval.argmax_rows()?;
 
     Ok(Table2Report {
-        top1_cnn_rnn: accuracy(&preds_rnn_ens, &labels6),
-        top1_cnn_svm: accuracy(&preds_svm_ens, &labels6),
-        top1_cnn: accuracy(&preds_cnn, &labels6),
-        imu_rnn_top1: accuracy(&preds_rnn_only, &labels3),
-        imu_svm_top1: accuracy(&preds_svm_only, &labels3),
+        top1_cnn_rnn: accuracy(&preds_rnn_ens, &labels6)?,
+        top1_cnn_svm: accuracy(&preds_svm_ens, &labels6)?,
+        top1_cnn: accuracy(&preds_cnn, &labels6)?,
+        imu_rnn_top1: accuracy(&preds_rnn_only, &labels3)?,
+        imu_svm_top1: accuracy(&preds_svm_only, &labels3)?,
         cm_cnn_rnn: ConfusionMatrix::from_predictions(&labels6, &preds_rnn_ens, 6)?,
         cm_cnn_svm: ConfusionMatrix::from_predictions(&labels6, &preds_svm_ens, 6)?,
         cm_cnn: ConfusionMatrix::from_predictions(&labels6, &preds_cnn, 6)?,
@@ -679,9 +678,9 @@ pub fn run_ablation_combiner(stack: &TrainedStack) -> Result<CombinerAblation> {
     })?;
     let cnn_preds = stack.cnn_probs_eval.argmax_rows()?;
     Ok(CombinerAblation {
-        bayesian: accuracy(&bayes_preds, &labels6),
-        product: accuracy(&product_preds, &labels6),
-        cnn_only: accuracy(&cnn_preds, &labels6),
+        bayesian: accuracy(&bayes_preds, &labels6)?,
+        product: accuracy(&product_preds, &labels6)?,
+        cnn_only: accuracy(&cnn_preds, &labels6)?,
     })
 }
 
@@ -1000,7 +999,7 @@ fn score_engine(
 ) -> Result<f64> {
     engine.classify_batch_checked_into(inputs, statuses, out)?;
     let preds: Vec<usize> = out.iter().map(|o| o.class).collect();
-    Ok(accuracy(&preds, labels))
+    accuracy(&preds, labels)
 }
 
 /// Runs the N-stream multiview ablation: a clean canonical campaign

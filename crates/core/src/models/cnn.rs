@@ -9,12 +9,14 @@
 //! Architecture").
 
 use darnet_nn::{
-    softmax, softmax_cross_entropy, softmax_inplace, AvgPool2d, Conv2d, Dense, Dropout, Flatten,
-    InceptionBlock, InceptionChannels, Layer, MaxPool2d, Mode, Optimizer, Relu, Sequential, Sgd,
+    softmax, softmax_inplace, AvgPool2d, Conv2d, Dense, Dropout, Flatten, InceptionBlock,
+    InceptionChannels, Layer, MaxPool2d, Mode, Relu, Sequential, Sgd,
 };
 use darnet_tensor::{SplitMix64, Tensor, Workspace};
 
+use super::train::{self, Schedule, Targets, SGD_DECAY};
 use crate::error::CoreError;
+use crate::eval::count_correct;
 use crate::Result;
 
 /// Hyperparameters for [`FrameCnn`].
@@ -229,59 +231,28 @@ impl FrameCnn {
         Ok(self.net.forward(frames, mode)?)
     }
 
-    /// One SGD step on a minibatch. Returns the batch loss.
-    ///
-    /// # Errors
-    ///
-    /// Propagates model errors.
-    pub fn train_step(&mut self, frames: &Tensor, labels: &[usize], opt: &mut Sgd) -> Result<f32> {
-        let logits = self.forward(frames, Mode::Train)?;
-        let (loss, grad) = softmax_cross_entropy(&logits, labels)?;
-        self.net.backward(&grad)?;
-        opt.step(&mut self.net.params_mut())?;
-        Ok(loss)
-    }
-
     /// Trains for `epochs` passes over `(frames, labels)` with shuffled
     /// minibatches. Returns the mean loss per epoch.
     ///
     /// # Errors
     ///
-    /// Propagates model errors; diverged training surfaces as
+    /// Returns [`CoreError::Dataset`] unless `frames` is
+    /// `[n, 1, input_size, input_size]` with one label per frame;
+    /// propagates model errors, diverged training as
     /// [`darnet_nn::NnError::Diverged`].
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "randomness owner: training-time minibatch shuffles"
-    )]
     pub fn fit(&mut self, frames: &Tensor, labels: &[usize], epochs: usize) -> Result<Vec<f32>> {
-        let n = frames.dims()[0];
+        self.batch_len(frames)?;
         let mut opt = Sgd::with_momentum(LR, MOMENTUM)
             .weight_decay(WEIGHT_DECAY)
             .clip_norm(5.0);
-        let mut order: Vec<usize> = (0..n).collect();
-        let mut epoch_losses = Vec::with_capacity(epochs);
-        let bs = self.config.batch_size.max(1);
-        let dims = frames.dims().to_vec();
-        let img = dims[1] * dims[2] * dims[3];
-        for epoch in 0..epochs {
-            self.rng.shuffle(&mut order);
-            opt.lr = LR / (1.0 + 0.3 * epoch as f32);
-            let mut total = 0.0f32;
-            let mut batches = 0usize;
-            for chunk in order.chunks(bs) {
-                let mut data = Vec::with_capacity(chunk.len() * img);
-                let mut blabels = Vec::with_capacity(chunk.len());
-                for &i in chunk {
-                    data.extend_from_slice(&frames.data()[i * img..(i + 1) * img]);
-                    blabels.push(labels[i]);
-                }
-                let batch = Tensor::from_vec(data, &[chunk.len(), dims[1], dims[2], dims[3]])?;
-                total += self.train_step(&batch, &blabels, &mut opt)?;
-                batches += 1;
-            }
-            epoch_losses.push(total / batches.max(1) as f32);
-        }
-        Ok(epoch_losses)
+        let schedule = Schedule {
+            lr: LR,
+            decay: SGD_DECAY,
+            batch_size: self.config.batch_size,
+            epochs,
+        };
+        let (net, targets) = (&mut self.net, Targets::Labels(labels));
+        train::fit(net, &mut opt, frames, &targets, &mut self.rng, schedule)
     }
 
     /// The batch length of `[n, 1, input_size, input_size]` frames.
@@ -359,33 +330,13 @@ impl FrameCnn {
         Ok(())
     }
 
-    /// Raw logits for a batch (used by the distillation trainer, which
-    /// matches pre-softmax outputs).
-    ///
-    /// # Errors
-    ///
-    /// Propagates model errors.
-    pub fn logits(&mut self, frames: &Tensor) -> Result<Tensor> {
-        self.forward(frames, Mode::Eval)
-    }
-
-    /// Hard class predictions.
-    ///
-    /// # Errors
-    ///
-    /// Propagates model errors.
-    pub fn predict(&mut self, frames: &Tensor) -> Result<Vec<usize>> {
-        Ok(self.predict_proba(frames)?.argmax_rows()?)
-    }
-
     /// Top-1 accuracy against `labels`.
     ///
     /// # Errors
     ///
     /// Propagates model errors.
     pub fn evaluate(&mut self, frames: &Tensor, labels: &[usize]) -> Result<f32> {
-        let preds = self.predict(frames)?;
-        let correct = preds.iter().zip(labels).filter(|(a, b)| a == b).count();
+        let correct = count_correct(&self.predict_proba(frames)?.argmax_rows()?, labels)?;
         Ok(correct as f32 / labels.len().max(1) as f32)
     }
 
@@ -395,50 +346,9 @@ impl FrameCnn {
         self.net.params_mut()
     }
 
-    /// One distillation step (paper §4.3, step 4): minimize the L2
-    /// euclidean distance between this model's final-layer output and the
-    /// teacher's on the same frames. Outputs are compared after softmax —
-    /// probability vectors are bounded, which keeps the unsupervised
-    /// training stable regardless of how confident (large-logit) the
-    /// teacher has become. Both models' logits are divided by
-    /// `temperature` before the softmax, which keeps gradients informative
-    /// when the teacher is very confident (standard knowledge-distillation
-    /// practice); a temperature of 1 compares the plain outputs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates model errors.
-    pub fn distill_step_with_temperature(
-        &mut self,
-        frames: &Tensor,
-        teacher_logits: &Tensor,
-        opt: &mut Sgd,
-        temperature: f32,
-    ) -> Result<f32> {
-        let inv_t = 1.0 / temperature.max(1e-3);
-        let logits = self.forward(frames, Mode::Train)?.scale(inv_t);
-        let p = softmax(&logits)?;
-        let pt = softmax(&teacher_logits.scale(inv_t))?;
-        let (loss, gprob) = darnet_nn::l2_distill_loss(&p, &pt)?;
-        // Backpropagate through the softmax: for each row,
-        // dL/dz_i = p_i (g_i − Σ_j g_j p_j).
-        let (b, c) = (p.dims()[0], p.dims()[1]);
-        let mut grad = Tensor::zeros(&[b, c]);
-        for r in 0..b {
-            let prow = &p.data()[r * c..(r + 1) * c];
-            let grow = &gprob.data()[r * c..(r + 1) * c];
-            let dot: f32 = prow.iter().zip(grow).map(|(&pi, &gi)| pi * gi).sum();
-            for i in 0..c {
-                grad.data_mut()[r * c + i] = prow[i] * (grow[i] - dot);
-            }
-        }
-        // Chain rule through the temperature scaling (z' = z / T), with
-        // the conventional T² loss compensation so the gradient magnitude
-        // is temperature-independent to first order.
-        let grad = grad.scale(inv_t * temperature * temperature);
-        self.net.backward(&grad)?;
-        opt.step(&mut self.net.params_mut())?;
-        Ok(loss)
+    /// The network, for distillation to train through the shared loop.
+    pub(crate) fn net_mut(&mut self) -> &mut Sequential {
+        &mut self.net
     }
 }
 
@@ -574,6 +484,31 @@ mod tests {
         assert_eq!(out.len(), 2 * 3);
     }
 
+    /// `fit` refuses frames of another geometry, and a label count other
+    /// than the frame count, before any step; `evaluate` refuses a label
+    /// count other than the prediction count rather than score the overlap.
+    #[test]
+    fn a_malformed_batch_or_label_count_is_an_error() {
+        let mut cnn = FrameCnn::new(tiny_config(), 10);
+        let (x, _) = tiny_dataset(2, 13);
+        let before = cnn.export_weights();
+        for dims in [&[6, 24, 24][..], &[6, 1, 25, 25]] {
+            let got = cnn.fit(&Tensor::zeros(dims), &[0; 6], 1);
+            assert!(
+                matches!(got, Err(CoreError::Dataset(_))),
+                "{dims:?}: {got:?}"
+            );
+        }
+        for n in [5, 7] {
+            let labels: Vec<usize> = (0..n).map(|i| i % 3).collect();
+            let got = cnn.fit(&x, &labels, 1);
+            assert!(matches!(got, Err(CoreError::Dataset(_))), "{n}: {got:?}");
+            let got = cnn.evaluate(&x, &labels);
+            assert!(matches!(got, Err(CoreError::Dataset(_))), "{n}: {got:?}");
+        }
+        assert_eq!(cnn.export_weights(), before);
+    }
+
     #[test]
     fn replace_head_changes_class_count() {
         let mut cnn = FrameCnn::new(tiny_config(), 4);
@@ -584,23 +519,36 @@ mod tests {
         assert_eq!(logits.dims(), &[1, 5]);
     }
 
+    /// Distilling through the shared loop, one full-batch step an epoch
+    /// at plain softmax matching, closes the L2 gap to the teacher.
     #[test]
-    fn distill_step_reduces_l2_gap() {
+    fn distillation_through_the_loop_reduces_the_l2_gap() {
         let mut teacher = FrameCnn::new(tiny_config(), 5);
         let mut student = FrameCnn::new(tiny_config(), 6);
         let (x, _) = tiny_dataset(8, 11);
-        let t_logits = teacher.logits(&x).unwrap();
-        let mut opt = Sgd::with_momentum(0.05, 0.9);
-        let mut step = |student: &mut FrameCnn| {
-            student
-                .distill_step_with_temperature(&x, &t_logits, &mut opt, 1.0)
-                .unwrap()
+        let teacher_logits = teacher.forward(&x, Mode::Eval).unwrap();
+        let probs = darnet_nn::soft_targets(&teacher_logits, 1.0).unwrap();
+        let targets = Targets::Soft {
+            probs,
+            temperature: 1.0,
         };
-        let first = step(&mut student);
-        let mut last = first;
-        for _ in 0..15 {
-            last = step(&mut student);
-        }
+        let schedule = Schedule {
+            lr: 0.05,
+            decay: 0.0,
+            batch_size: x.dims()[0],
+            epochs: 16,
+        };
+        let mut opt = Sgd::with_momentum(0.05, 0.9);
+        let losses = train::fit(
+            &mut student.net,
+            &mut opt,
+            &x,
+            &targets,
+            &mut student.rng,
+            schedule,
+        )
+        .unwrap();
+        let (first, last) = (losses[0], losses[15]);
         assert!(last < first, "distillation loss {first} -> {last}");
     }
 }

@@ -2,14 +2,13 @@
 //! windows (paper §4.2 "IMU-Sequence Architecture": 2 bidirectional LSTM
 //! cells of 64 hidden units, 4 Hz sampling, 5 s windows, softmax output).
 
-use darnet_nn::{
-    bilstm_classifier, softmax, softmax_cross_entropy, softmax_inplace, Adam, Layer, Mode,
-    Optimizer, Sequential,
-};
+use darnet_nn::{bilstm_classifier, softmax, softmax_inplace, Adam, Layer, Mode, Sequential};
 use darnet_tensor::{SplitMix64, Tensor, Workspace};
 
+use super::train::{self, Schedule, Targets};
 use crate::dataset::{Standardizer, WINDOW_LEN};
 use crate::error::CoreError;
+use crate::eval::count_correct;
 use crate::Result;
 
 /// Hyperparameters for [`ImuRnn`].
@@ -106,44 +105,25 @@ impl ImuRnn {
     ///
     /// # Errors
     ///
-    /// Propagates model errors.
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "randomness owner: training-time minibatch shuffles"
-    )]
+    /// Returns [`CoreError::Dataset`] unless `windows` is
+    /// `[n, time, features]` with one label per window; propagates model
+    /// errors.
     pub fn fit(&mut self, windows: &Tensor, labels: &[usize], epochs: usize) -> Result<Vec<f32>> {
+        self.batch_len(windows)?;
         let std = Standardizer::fit(windows)?;
         let x = std.apply(windows);
-        self.standardizer = Some(std);
-        let dims = x.dims().to_vec();
-        let (n, t, f) = (dims[0], dims[1], dims[2]);
-        let row = t * f;
         let mut opt = Adam::new(self.config.lr);
-        let mut order: Vec<usize> = (0..n).collect();
-        let bs = self.config.batch_size.max(1);
-        let mut epoch_losses = Vec::with_capacity(epochs);
-        for _ in 0..epochs {
-            self.rng.shuffle(&mut order);
-            let mut total = 0.0f32;
-            let mut batches = 0usize;
-            for chunk in order.chunks(bs) {
-                let mut data = Vec::with_capacity(chunk.len() * row);
-                let mut blabels = Vec::with_capacity(chunk.len());
-                for &i in chunk {
-                    data.extend_from_slice(&x.data()[i * row..(i + 1) * row]);
-                    blabels.push(labels[i]);
-                }
-                let batch = Tensor::from_vec(data, &[chunk.len(), t, f])?;
-                let logits = self.model.forward(&batch, Mode::Train)?;
-                let (loss, grad) = softmax_cross_entropy(&logits, &blabels)?;
-                self.model.backward(&grad)?;
-                opt.step(&mut self.model.params_mut())?;
-                total += loss;
-                batches += 1;
-            }
-            epoch_losses.push(total / batches.max(1) as f32);
-        }
-        Ok(epoch_losses)
+        // Adam adapts its own steps: no decay (`lr / 1.0` is exact).
+        let schedule = Schedule {
+            lr: self.config.lr,
+            decay: 0.0,
+            batch_size: self.config.batch_size,
+            epochs,
+        };
+        let (net, targets) = (&mut self.model, Targets::Labels(labels));
+        let losses = train::fit(net, &mut opt, &x, &targets, &mut self.rng, schedule)?;
+        self.standardizer = Some(std);
+        Ok(losses)
     }
 
     /// Mutable access to every trainable parameter (serialization order).
@@ -254,23 +234,13 @@ impl ImuRnn {
         Ok(())
     }
 
-    /// Hard class predictions.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::NotReady`] before [`ImuRnn::fit`].
-    pub fn predict(&mut self, windows: &Tensor) -> Result<Vec<usize>> {
-        Ok(self.predict_proba(windows)?.argmax_rows()?)
-    }
-
     /// Top-1 accuracy against `labels`.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::NotReady`] before [`ImuRnn::fit`].
     pub fn evaluate(&mut self, windows: &Tensor, labels: &[usize]) -> Result<f32> {
-        let preds = self.predict(windows)?;
-        let correct = preds.iter().zip(labels).filter(|(a, b)| a == b).count();
+        let correct = count_correct(&self.predict_proba(windows)?.argmax_rows()?, labels)?;
         Ok(correct as f32 / labels.len().max(1) as f32)
     }
 }
@@ -363,6 +333,32 @@ mod tests {
         }
         rnn.predict_proba_into(&x, &mut out).unwrap();
         assert_eq!(out.len(), 8 * 2);
+    }
+
+    /// `fit` refuses windows of another rank or width, and a label count
+    /// other than the window count, and leaves the model unfitted;
+    /// `evaluate` refuses a label count other than the prediction count.
+    #[test]
+    fn a_malformed_batch_or_label_count_is_an_error() {
+        let mut rnn = ImuRnn::new(tiny_config(), 9);
+        let (x, labels) = toy_windows(4, 10);
+        for dims in [&[8, 40][..], &[8, 10, 3]] {
+            let got = rnn.fit(&Tensor::zeros(dims), &labels, 1);
+            assert!(
+                matches!(got, Err(CoreError::Dataset(_))),
+                "{dims:?}: {got:?}"
+            );
+        }
+        for n in [7, 9] {
+            let got = rnn.fit(&x, &vec![0; n], 1);
+            assert!(matches!(got, Err(CoreError::Dataset(_))), "{n}: {got:?}");
+        }
+        assert!(matches!(rnn.predict_proba(&x), Err(CoreError::NotReady(_))));
+        rnn.fit(&x, &labels, 1).unwrap();
+        for n in [7, 9] {
+            let got = rnn.evaluate(&x, &vec![0; n]);
+            assert!(matches!(got, Err(CoreError::Dataset(_))), "{n}: {got:?}");
+        }
     }
 
     /// A standardizer of another width, a non-finite mean, or a negative

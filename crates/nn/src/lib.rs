@@ -64,7 +64,10 @@ pub use dropout::Dropout;
 pub use error::NnError;
 pub use inception::{InceptionBlock, InceptionChannels};
 pub use layer::{Flatten, Layer, Mode, Relu};
-pub use loss::{l2_distill_loss, softmax, softmax_cross_entropy, softmax_inplace};
+pub use loss::{
+    l2_distill_loss, soft_target_loss, soft_targets, softmax, softmax_cross_entropy,
+    softmax_inplace,
+};
 pub use lstm::{bilstm_classifier, BiLstm, LstmCell};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use param::Param;

@@ -116,6 +116,52 @@ pub fn l2_distill_loss(student: &Tensor, teacher: &Tensor) -> Result<(f32, Tenso
     Ok((loss, grad))
 }
 
+/// `1 / T` of a softened softmax, with `T` held at `1e-3` or more.
+fn inv_temperature(temperature: f32) -> f32 {
+    1.0 / temperature.max(1e-3)
+}
+
+/// Soft targets: the row-wise softmax of `logits / temperature`.
+///
+/// # Errors
+///
+/// Returns an error if `logits` is not rank 2.
+pub fn soft_targets(logits: &Tensor, temperature: f32) -> Result<Tensor> {
+    softmax(&logits.scale(inv_temperature(temperature)))
+}
+
+/// Distillation on softened outputs (§4.3 with a temperature): the
+/// [`l2_distill_loss`] between the student's [`soft_targets`] and the
+/// teacher's `targets`, bounded vectors that keep training stable however
+/// confident the teacher is. Returns `(loss, grad_wrt_logits)`: back
+/// through the softmax, `dL/dz_i = p_i (g_i − Σ_j g_j p_j)` per row, then
+/// through `z / T` with the conventional `T²` compensation, so that the
+/// gradient's magnitude is temperature-independent to first order.
+///
+/// # Errors
+///
+/// Returns an error if `logits` is not rank 2 or `targets` has another
+/// shape.
+pub fn soft_target_loss(
+    logits: &Tensor,
+    targets: &Tensor,
+    temperature: f32,
+) -> Result<(f32, Tensor)> {
+    let p = soft_targets(logits, temperature)?;
+    let (loss, gprob) = l2_distill_loss(&p, targets)?;
+    let c = p.dims()[1];
+    let mut grad = p.clone();
+    let rows = grad.data_mut().chunks_mut(c).zip(p.data().chunks(c));
+    for ((g, prow), grow) in rows.zip(gprob.data().chunks(c)) {
+        let dot: f32 = prow.iter().zip(grow).map(|(&pi, &gi)| pi * gi).sum();
+        for ((g, &pi), &gi) in g.iter_mut().zip(prow).zip(grow) {
+            *g = pi * (gi - dot);
+        }
+    }
+    let inv_t = inv_temperature(temperature);
+    Ok((loss, grad.scale(inv_t * temperature * temperature)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,6 +261,32 @@ mod tests {
             let (lm, _) = l2_distill_loss(&minus, &teacher).unwrap();
             let fd = (lp - lm) / (2.0 * eps);
             assert!((fd - grad.data()[i]).abs() < 1e-2);
+        }
+    }
+
+    /// The soft-target gradient is the loss's derivative in the logits,
+    /// times the `T²` compensation.
+    #[test]
+    fn soft_target_gradient_matches_finite_difference() {
+        let logits = Tensor::from_vec(vec![0.3, -0.7, 1.1, 0.2, 0.9, -0.4], &[2, 3]).unwrap();
+        let teacher = Tensor::from_vec(vec![1.5, 0.1, -0.3, -1.0, 0.4, 2.0], &[2, 3]).unwrap();
+        for temperature in [1.0f32, 2.0] {
+            let targets = soft_targets(&teacher, temperature).unwrap();
+            let loss = |z: &Tensor| soft_target_loss(z, &targets, temperature).unwrap().0;
+            let (_, grad) = soft_target_loss(&logits, &targets, temperature).unwrap();
+            let eps = 1e-2;
+            for i in 0..logits.len() {
+                let (mut plus, mut minus) = (logits.clone(), logits.clone());
+                plus.data_mut()[i] += eps;
+                minus.data_mut()[i] -= eps;
+                let fd = (loss(&plus) - loss(&minus)) / (2.0 * eps);
+                let want = fd * temperature * temperature;
+                assert!(
+                    (want - grad.data()[i]).abs() < 2e-3,
+                    "T {temperature}, index {i}: {want} vs analytic {}",
+                    grad.data()[i]
+                );
+            }
         }
     }
 }

@@ -13,6 +13,9 @@ pub trait Optimizer {
     ///
     /// Returns [`NnError::Diverged`] if a parameter became non-finite.
     fn step(&mut self, params: &mut [&mut Param]) -> Result<()>;
+
+    /// Sets the learning rate of the steps that follow.
+    fn set_lr(&mut self, lr: f32);
 }
 
 /// Stochastic gradient descent with optional momentum and L2 weight decay —
@@ -67,6 +70,10 @@ impl Sgd {
 }
 
 impl Optimizer for Sgd {
+    fn set_lr(&mut self, lr: f32) {
+        self.lr = lr;
+    }
+
     fn step(&mut self, params: &mut [&mut Param]) -> Result<()> {
         for p in params.iter_mut() {
             let mut scale = 1.0f32;
@@ -147,6 +154,10 @@ impl Adam {
 }
 
 impl Optimizer for Adam {
+    fn set_lr(&mut self, lr: f32) {
+        self.lr = lr;
+    }
+
     fn step(&mut self, params: &mut [&mut Param]) -> Result<()> {
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
