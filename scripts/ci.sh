@@ -60,8 +60,11 @@
 #                  lines, each part's sha256 must equal its line in the
 #                  committed REPRO_fast.sha256, and the run's sections
 #                  must be exactly that file's keys — paper fidelity
-#                  held byte for byte (~100 s, mostly table3 and its
-#                  teacher). Like the golden files, the digests assume
+#                  held byte for byte (≈ 70 s of sections on a 2-vCPU
+#                  host: table3 ≈ 34 s, its teacher's and students' fits;
+#                  ablation_multiview, ablation_distill and
+#                  ablation_pretrain ≈ 9–11 s each; table2 ≈ 5 s). Like
+#                  the golden files, the digests assume
 #                  glibc's exp, ln and cos (tanh is in-repo, step 7).
 #                  Under --check each section holds its own criteria
 #                  and the run fails on a miss: ablation_multiview's
