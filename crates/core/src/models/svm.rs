@@ -211,6 +211,28 @@ mod tests {
         }
     }
 
+    /// A warm workspace, one batch shape after another, gives
+    /// `predict_proba`'s bits on a fresh one.
+    #[test]
+    fn predict_proba_into_is_predict_proba_in_one_chunk_or_several() {
+        let mut svm = ImuSvm::new(5, 3, 2);
+        let (x, labels) = toy_windows(35, 9);
+        svm.fit(&x, &labels, &mut SplitMix64::new(10)).unwrap();
+        let mut out = Vec::new();
+        for n in [8, 70, 5, 8] {
+            let windows = Tensor::from_vec(x.data()[..n * 15].to_vec(), &[n, 5, 3]).unwrap();
+            svm.predict_proba_into(&windows, &mut out).unwrap();
+            let want = svm.predict_proba(&windows).unwrap();
+            assert_eq!(out.len(), want.len(), "{n} windows");
+            assert!(
+                out.iter()
+                    .zip(want.data())
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "{n} windows"
+            );
+        }
+    }
+
     #[test]
     fn probabilities_sum_to_one() {
         let mut svm = ImuSvm::new(5, 3, 2);
