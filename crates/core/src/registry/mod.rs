@@ -24,7 +24,7 @@ use std::panic::{self, AssertUnwindSafe};
 
 use darnet_collect::StreamId;
 use darnet_sim::{CanonicalBehavior, Frame};
-use darnet_tensor::{Parallelism, Tensor, Workspace};
+use darnet_tensor::{argmax, Parallelism, Tensor, Workspace};
 
 use crate::ensemble::{CombinerKind, NaryBayesianCombiner};
 use crate::error::CoreError;
@@ -564,8 +564,9 @@ impl MultiModalEngine {
         }
         // Posterior checks. Width catches a model/descriptor mismatch
         // that slipped past registration (e.g. a refit model). Finiteness
-        // stops a poisoned window here: fusion picks the label with
-        // `total_cmp`, which sorts NaN above every real score.
+        // stops a poisoned window here: the label's `argmax` compares
+        // with `>`, false against a NaN, so a poisoned row would still
+        // come out labelled.
         for stream in self.streams.iter().filter(|s| s.present) {
             let id = stream.descriptor.id;
             let native = stream.descriptor.native_classes(classes);
@@ -779,8 +780,7 @@ impl MultiModalEngine {
         }
         self.fuse_row(&parents[..self.streams.len()], scores)?;
         let step = &mut out[i];
-        let best = scores.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1));
-        step.class = best.map_or(0, |(class, _)| class);
+        step.class = argmax(scores);
         step.scores.clear();
         step.scores.extend_from_slice(scores);
         step.used.clear();
@@ -1491,6 +1491,55 @@ mod tests {
             engine.classify_batch_checked_into(&inputs, &statuses, &mut out),
             Err(CoreError::NotReady(_))
         ));
+    }
+
+    /// The IMU-only fallback splits the wheel class's mass evenly over
+    /// every canonical class that maps to it, so a confident wheel window
+    /// ties those classes exactly. The label is the first of the tie,
+    /// Normal Driving, in the paper's 6-class pair and in the 8-class
+    /// taxonomy alike.
+    #[test]
+    fn a_confident_wheel_window_alone_labels_normal_driving() {
+        // Class `c` lifts feature `c`: three separable orientations.
+        let svm = || {
+            let mut x = Tensor::zeros(&[6, WINDOW_LEN, IMU_FEATURES]);
+            for (i, row) in x.data_mut().chunks_mut(IMU_FEATURES).enumerate() {
+                row[(i / WINDOW_LEN) % 3] = 1.0;
+            }
+            let mut svm = ImuSvm::new(WINDOW_LEN, IMU_FEATURES, 3);
+            let mut rng = darnet_tensor::SplitMix64::new(6);
+            svm.fit(&x, &[0, 1, 2, 0, 1, 2], &mut rng).unwrap();
+            svm
+        };
+        let mut wheel = Tensor::zeros(&[1, WINDOW_LEN, IMU_FEATURES]);
+        for row in wheel.data_mut().chunks_mut(IMU_FEATURES) {
+            row[0] = 4.0;
+        }
+        let imu = svm().predict_proba(&wheel).unwrap();
+        assert!(imu.data()[0] > 0.99, "not a confident wheel window: {imu}");
+
+        let (cnn, _, combiner) = tiny_models();
+        let imu_slot = StreamModelSlot::Svm(svm());
+        let pair = MultiModalEngine::darnet_pair(CombinerKind::Bayesian, cnn, imu_slot, combiner);
+        let mut canonical = MultiModalEngine::new(8, CombinerKind::Bayesian);
+        let projection = ClassMap::Projection(crate::experiment::canonical_imu_projection());
+        canonical
+            .register(
+                ModalityDescriptor::new(StreamId::IMU, projection),
+                StreamModelSlot::Svm(svm()),
+            )
+            .unwrap();
+        for (mut engine, classes) in [(pair.unwrap(), 6), (canonical, 8)] {
+            let mut out = Vec::new();
+            let inputs = [(StreamId::IMU, StreamInput::Windows(&wheel))];
+            engine.classify_batch_into(&inputs, &mut out).unwrap();
+            let scores = &out[0].scores;
+            assert_eq!(scores.len(), classes);
+            assert!(scores[3..]
+                .iter()
+                .all(|s| s.to_bits() == scores[0].to_bits()));
+            assert_eq!(out[0].class, CanonicalBehavior::NormalDriving.index());
+        }
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub use pool::{
     avg_pool2d_backward, avg_pool2d_into, max_pool2d_backward, max_pool2d_into, PoolSpec,
 };
 pub use shape::Shape;
-pub use tensor::Tensor;
+pub use tensor::{argmax, Tensor};
 pub use workspace::{TensorView, Workspace};
 
 /// Crate-wide result alias.

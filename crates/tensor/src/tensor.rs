@@ -534,7 +534,7 @@ impl Tensor {
         Ok(out)
     }
 
-    /// Per-row argmax of a rank-2 tensor.
+    /// Per-row [`argmax`] of a rank-2 tensor.
     ///
     /// # Errors
     ///
@@ -547,18 +547,9 @@ impl Tensor {
             });
         }
         let (r, c) = (self.dims()[0], self.dims()[1]);
-        let mut out = Vec::with_capacity(r);
-        for i in 0..r {
-            let row = &self.data[i * c..(i + 1) * c];
-            let mut best = 0usize;
-            for (j, &v) in row.iter().enumerate() {
-                if v > row[best] {
-                    best = j;
-                }
-            }
-            out.push(best);
-        }
-        Ok(out)
+        Ok((0..r)
+            .map(|i| argmax(&self.data[i * c..(i + 1) * c]))
+            .collect())
     }
 
     /// Whether all elements are finite (no NaN/inf). Useful as a training
@@ -566,6 +557,20 @@ impl Tensor {
     pub fn all_finite(&self) -> bool {
         self.data.iter().all(|v| v.is_finite())
     }
+}
+
+/// The index of the first maximum of `row` (0 for an empty row): the one
+/// rule that turns a score row into a label. Every comparison with a NaN
+/// is false, so a row holding one still gets a label; a caller that must
+/// not label a NaN refuses it first.
+pub fn argmax(row: &[f32]) -> usize {
+    let mut best = 0;
+    for (j, &v) in row.iter().enumerate() {
+        if v > row[best] {
+            best = j;
+        }
+    }
+    best
 }
 
 impl Default for Tensor {
@@ -709,6 +714,14 @@ mod tests {
     fn argmax_rows_returns_per_row_winner() {
         let t = Tensor::from_vec(vec![0.1, 0.9, 0.0, 0.7, 0.2, 0.1], &[2, 3]).unwrap();
         assert_eq!(t.argmax_rows().unwrap(), vec![1, 0]);
+    }
+
+    /// A tie goes to its first class; an empty row labels 0.
+    #[test]
+    fn argmax_takes_the_first_maximum() {
+        assert_eq!(argmax(&[0.25, 0.5, 0.0, 0.5]), 1);
+        assert_eq!(argmax(&[0.2; 6]), 0);
+        assert_eq!(argmax(&[]), 0);
     }
 
     #[test]
