@@ -74,7 +74,9 @@
 #                  of the clean 2-stream engine.
 #                  Each section's wall time (the driver's stderr) is
 #                  printed and written to target/ci/repro_times.txt
-#                  (`section seconds` lines); no time is gated
+#                  (`section seconds` lines); no time is gated. Each
+#                  section's stdout is kept in target/ci/repro/sections/,
+#                  and a section whose digest moved is printed in full
 #   6. ledger    — the frozen pipeline ledger (benchmark/, BENCHMARK.json;
 #                  a package of its own that step 1 only type-checks)
 #                  against this checkout's crates: its unit tests, then
@@ -175,15 +177,17 @@ step_chaos()    { run_bench bench_chaos    BENCH_chaos.json; }
 REPRO_DIGESTS=REPRO_fast.sha256
 # `section seconds` lines: each section's --fast wall time in this run.
 REPRO_TIMES=target/ci/repro_times.txt
+# The run's stdout and stderr, and one file per section under sections/,
+# kept after the step so that a moved digest can be read back.
+REPRO_PARTS=target/ci/repro
 
 step_repro() {
   cargo build --release --locked -p darnet-bench --bin repro
-  mkdir -p target/ci
-  local parts
-  parts=$(mktemp -d)
+  local parts=$REPRO_PARTS
+  rm -rf "$parts"
+  mkdir -p "$parts"
   if ! TMPDIR=/tmp target/release/repro all --fast --check > "$parts/stdout" 2> "$parts/stderr"; then
     cat "$parts/stderr" >&2
-    rm -rf "$parts"
     return 1
   fi
   # One file per section under $parts/sections; text before the first
@@ -208,10 +212,13 @@ step_repro() {
     got=$(sha256sum < "$parts/sections/$section" 2>/dev/null | cut -d' ' -f1)
     if [[ "$got" != "$want" ]]; then
       echo "repro: $section --fast stdout sha256 is ${got:-missing}, $REPRO_DIGESTS has $want" >&2
+      if [[ -n "$got" ]]; then
+        echo "repro: $section's stdout ($parts/sections/$section):" >&2
+        cat "$parts/sections/$section" >&2
+      fi
       failed=1
     fi
   done < "$REPRO_DIGESTS"
-  rm -rf "$parts"
   return "$failed"
 }
 
