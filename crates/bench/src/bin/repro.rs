@@ -504,7 +504,6 @@ mod tests {
         cache.privacy = PrivacyExperimentConfig {
             drivers: 2,
             seconds_per_class: 1.0,
-            fps: 2.0,
             frame_size: 24,
             cnn_width: 0.25,
             teacher_epochs: 1,

@@ -51,8 +51,6 @@ pub struct ExperimentConfig {
     pub rnn_hidden: usize,
     /// Stacked BiLSTM layers.
     pub rnn_depth: usize,
-    /// Train fraction of the 80/20 split.
-    pub train_frac: f64,
     /// Number of drivers in the main campaign (paper: 5).
     pub drivers: usize,
 }
@@ -69,7 +67,6 @@ impl ExperimentConfig {
             rnn_epochs: 4,
             rnn_hidden: 12,
             rnn_depth: 1,
-            train_frac: 0.8,
             drivers: 5,
         }
     }
@@ -88,10 +85,16 @@ impl ExperimentConfig {
             rnn_epochs: 8,
             rnn_hidden: 32,
             rnn_depth: 2,
-            train_frac: 0.8,
             drivers: 5,
         }
     }
+}
+
+/// `dataset`'s 80/20 train/eval split under `config`'s seed, the one every
+/// experiment on the cabin campaign makes.
+fn split(config: &ExperimentConfig, dataset: &Dataset) -> Result<(Dataset, Dataset)> {
+    const TRAIN_FRAC: f64 = 0.8;
+    dataset.split(TRAIN_FRAC, config.seed ^ 0x5911)
 }
 
 /// The campaign every experiment starts from: the master seed's campaign
@@ -266,7 +269,7 @@ pub fn train_stack(config: &ExperimentConfig) -> Result<TrainedStack> {
 ///
 /// Propagates training errors.
 pub fn train_stack_on(config: &ExperimentConfig, dataset: &Dataset) -> Result<TrainedStack> {
-    let (train, eval) = dataset.split(config.train_frac, config.seed ^ 0x5911)?;
+    let (train, eval) = split(config, dataset)?;
 
     // Frame CNN.
     let mut cnn = FrameCnn::new(cnn_config(config, 6), config.seed ^ 0xC99);
@@ -409,8 +412,6 @@ pub struct PrivacyExperimentConfig {
     pub drivers: usize,
     /// Seconds of footage per class per driver.
     pub seconds_per_class: f64,
-    /// Sampling fps for the labeled dataset.
-    pub fps: f64,
     /// Frame edge length.
     pub frame_size: usize,
     /// Teacher CNN width.
@@ -423,9 +424,6 @@ pub struct PrivacyExperimentConfig {
     /// split (distillation needs no labels, so students see more data —
     /// the regularization effect behind dCNN-L ≥ CNN).
     pub unlabeled_multiplier: f64,
-    /// Fraction of training labels flipped (annotation noise in the
-    /// hand-labeled video dataset).
-    pub label_noise: f64,
 }
 
 impl PrivacyExperimentConfig {
@@ -435,7 +433,6 @@ impl PrivacyExperimentConfig {
             seed: 0xD155,
             drivers: 4,
             seconds_per_class: 5.0,
-            fps: 3.0,
             frame_size: 48,
             cnn_width: 1.0,
             teacher_epochs: 8,
@@ -444,7 +441,6 @@ impl PrivacyExperimentConfig {
                 ..DistillConfig::default()
             },
             unlabeled_multiplier: 1.5,
-            label_noise: 0.2,
         }
     }
 
@@ -457,7 +453,6 @@ impl PrivacyExperimentConfig {
             // reaches only 78.87%) with a much larger unlabeled pool for
             // the label-free distillation.
             seconds_per_class: 3.0,
-            fps: 3.0,
             // 96 px frames: the paper's absolute distortion sizes
             // (100/50/25 px) still contain gross pose; see DESIGN.md §2.
             frame_size: 96,
@@ -469,7 +464,6 @@ impl PrivacyExperimentConfig {
                 ..DistillConfig::default()
             },
             unlabeled_multiplier: 3.0,
-            label_noise: 0.2,
         }
     }
 }
@@ -516,7 +510,8 @@ pub fn fit_privacy_teacher(config: &PrivacyExperimentConfig) -> Result<PrivacyTe
         drivers: config.drivers,
         seconds_per_class: config.seconds_per_class,
     });
-    let dataset = ExtendedFrameDataset::generate(&world, &schedule, config.fps);
+    const FPS: f64 = 3.0; // the labeled dataset's sampling rate
+    let dataset = ExtendedFrameDataset::generate(&world, &schedule, FPS);
     // Driver-disjoint evaluation: every 5th driver (or the last one, for
     // tiny rosters) is held out, exposing the teacher's identity
     // overfitting (the paper's §5.3 hypothesis for why dCNN-L can beat
@@ -536,7 +531,8 @@ pub fn fit_privacy_teacher(config: &PrivacyExperimentConfig) -> Result<PrivacyTe
     // Hand-annotated video labels are imperfect near segment boundaries;
     // the teacher partially memorizes this noise (the overfitting §5.3
     // describes), while the label-free distilled students do not.
-    let noisy_train = train.with_label_noise(config.label_noise, config.seed ^ 0x9A);
+    const LABEL_NOISE: f64 = 0.2; // the share of training labels flipped
+    let noisy_train = train.with_label_noise(LABEL_NOISE, config.seed ^ 0x9A);
     teacher.fit(&train_frames, noisy_train.labels(), config.teacher_epochs)?;
     let teacher_full = teacher.evaluate(&frames_to_tensor(eval.frames())?, eval.labels())? as f64;
     Ok(PrivacyTeacher {
@@ -744,16 +740,14 @@ pub fn run_ablation_alignment(
 ) -> Result<AlignmentAblation> {
     let mut campaign = campaign(config);
     campaign.controller.smoothing_window = 1;
-    let (train, eval) =
-        collect_pair(config, &campaign)?.split(config.train_frac, config.seed ^ 0x5911)?;
+    let (train, eval) = split(config, &collect_pair(config, &campaign)?)?;
     let mut rnn = ImuRnn::new(rnn_config(config), config.seed ^ 0x44);
     rnn.fit(&train.imu_tensor()?, &train.labels3(), config.rnn_epochs)?;
     let unsmoothed = rnn.evaluate(&eval.imu_tensor()?, &eval.labels3())?;
     // `ImuRnn::evaluate`'s arithmetic over the stack's eval posteriors,
     // so both arms round alike.
     let labels3 = stack.eval.labels3();
-    let preds = stack.rnn_probs_eval.argmax_rows()?;
-    let correct = preds.iter().zip(&labels3).filter(|(a, b)| a == b).count();
+    let correct = count_correct(&stack.rnn_probs_eval.argmax_rows()?, &labels3)?;
     let smoothed = correct as f32 / labels3.len().max(1) as f32;
     Ok(AlignmentAblation {
         smoothed: f64::from(smoothed),
@@ -783,7 +777,7 @@ pub fn run_ablation_pretrain(
     config: &ExperimentConfig,
     dataset: &Dataset,
 ) -> Result<PretrainAblation> {
-    let (train, eval) = dataset.split(config.train_frac, config.seed ^ 0x5911)?;
+    let (train, eval) = split(config, dataset)?;
     let train_frames = train.frames_tensor(StreamId::CAMERA_FRONT)?;
     let train_labels = train.labels();
     let eval_frames = eval.frames_tensor(StreamId::CAMERA_FRONT)?;
@@ -1022,8 +1016,7 @@ pub fn run_ablation_multiview(config: &MultiviewConfig) -> Result<MultiviewAblat
 
     // Clean campaign → three-stream dataset.
     let (clean, schedule) = collect(config, drowsy_seconds, &streams, &campaign, &[])?;
-    let (train, eval) = Dataset::from_recordings(&clean, &schedule)?
-        .split(config.train_frac, config.seed ^ 0x5911)?;
+    let (train, eval) = split(config, &Dataset::from_recordings(&clean, &schedule)?)?;
 
     // Per-stream models: the IMU RNN stays native 3-class behind the
     // canonical projection; both camera views train 8-class heads.
