@@ -34,7 +34,7 @@ use darnet_collect::runtime::AlignedTuple;
 use darnet_collect::wal::{self, MemStorage, WalConfig, WalStorage};
 use darnet_collect::{
     Batch, Controller, ControllerConfig, SensorReading, ShardConfig, ShardedController,
-    StampedReading, StreamId,
+    StampedReading, StreamId, TsDb,
 };
 use darnet_core::dataset::{IMU_FEATURES, WINDOW_LEN};
 use darnet_core::privacy::PrivacyLevel;
@@ -714,6 +714,45 @@ fn imu_ingest_allocates_for_growth_not_per_reading() {
         "{readings} in-order imu readings allocated {shared} times"
     );
     assert_eq!(ingest(true), shared, "per-agent keys allocate per reading");
+}
+
+/// The gate on making a series, as a count. A new row series is found
+/// free of its channel names by one ordered probe of the scalars under
+/// its prefix, so making one among 2 000 others, next to scalars under
+/// that very prefix, allocates as often 12 wide as 1 wide: asking for
+/// each channel by a formatted name was one more event per channel.
+#[test]
+fn a_new_series_allocates_the_same_at_any_width() {
+    let create = |width: usize| {
+        let db = TsDb::new();
+        for agent in 0..1000 {
+            db.insert_vector(&format!("imu.{agent}"), 0.0, &[1.0; 12]);
+            db.insert(&format!("camera.mean_intensity.{agent}"), 0.0, 0.5);
+        }
+        // Under and beside the prefix `imu.1000.`, and none of them a
+        // channel of a row 12 wide.
+        let neighbours = [
+            "imu.1000.12",
+            "imu.1000.01",
+            "imu.1000.0.1",
+            "imu.1000-0",
+            "imu.10000.0",
+            "imu.1001.0",
+        ];
+        for name in neighbours {
+            db.insert(name, 0.0, 1.0);
+        }
+        let values = vec![1.0f32; width];
+        let ((), allocs) =
+            alloc_counter::allocations_during(|| db.insert_vector("imu.1000", 0.5, &values));
+        for k in 0..width {
+            assert_eq!(db.len(&format!("imu.1000.{k}")), 1);
+        }
+        assert_eq!(db.len("imu.1000.12"), 1);
+        allocs
+    };
+    let narrow = create(1);
+    assert_eq!(create(12), narrow, "a new series allocates per channel");
 }
 
 /// The fleet rollup's gate, as a count. `pressure()` reads each shard's

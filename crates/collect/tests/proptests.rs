@@ -902,9 +902,10 @@ mod tsdb_model_props {
     }
 
     // Scalar names that are, are not quite, and are not a row's channel
-    // name; vector names whose channels those are.
-    const SCALARS: [&str; 9] = [
-        "a", "a.1", "a.01", "a.+1", "a.1.0", "a.12", "b", "imu.3", "b.",
+    // name; vector names whose channels those are. `a.10` and `imu.11`
+    // are channels of a 12-wide row and of no narrower one.
+    const SCALARS: [&str; 11] = [
+        "a", "a.1", "a.01", "a.+1", "a.1.0", "a.10", "a.12", "b", "imu.3", "imu.11", "b.",
     ];
     const VECTORS: [&str; 4] = ["a", "a.1", "b", "imu"];
     const WIDTHS: [usize; 5] = [0, 1, 2, 3, 12];

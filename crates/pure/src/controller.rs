@@ -376,15 +376,15 @@ impl Controller {
         self.readings += batch.readings.len() as u64;
         let per_agent = self.config.per_agent_series;
         let series = stream.series.get_or_insert_with(|| {
-            let agent = if per_agent {
-                format!(".{}", batch.agent_id)
+            let agent = batch.agent_id;
+            if per_agent {
+                KeptSeries::new(
+                    format!("imu.{agent}"),
+                    format!("camera.mean_intensity.{agent}"),
+                )
             } else {
-                String::new()
-            };
-            KeptSeries::new(
-                format!("imu{agent}"),
-                format!("camera.mean_intensity{agent}"),
-            )
+                KeptSeries::new("imu".into(), "camera.mean_intensity".into())
+            }
         });
         let imu_rows = batch.readings.iter().filter_map(|r| match &r.reading {
             SensorReading::Imu(sample) => Some((r.timestamp, sample.to_features())),
@@ -696,6 +696,25 @@ mod tests {
         assert_eq!(c.frames_sorted().len(), 5);
         // An unknown stream has no frames.
         assert!(c.frames_sorted_for(crate::StreamId(7)).is_empty());
+    }
+
+    #[test]
+    fn a_stream_id_past_sixteen_bits_names_its_own_agent() {
+        let mut c = Controller::new(ControllerConfig::default());
+        // 70 000 = 65 536 + 4 464: the two agents share their low 16 bits.
+        for agent in [4_464, 70_000] {
+            c.offer_at(0.0, &multi_frame_batch(agent, 0, &[0.25]), None)
+                .unwrap();
+        }
+        for agent in [4_464u32, 70_000] {
+            let stream = crate::StreamId::from_agent(agent);
+            assert_eq!(stream.agent_id(), agent);
+            let frames = c.frames_sorted_for(stream);
+            assert_eq!(frames.len(), 1, "agent {agent}");
+            assert_eq!(frames[0].frame.pixels()[1], agent as f32, "agent {agent}");
+            let health = c.stream_health_by_id(stream).unwrap();
+            assert_eq!(health.agent_id, agent);
+        }
     }
 
     #[test]

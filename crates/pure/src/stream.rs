@@ -18,7 +18,7 @@
 /// next integer. Ordering follows the numeric id, which also fixes the
 /// parent order of the core ensemble's conditional-probability tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct StreamId(pub u16);
+pub struct StreamId(pub u32);
 
 impl StreamId {
     /// The phone IMU stream (agent 0 in every scripted session).
@@ -32,12 +32,12 @@ impl StreamId {
 
     /// The session convention: agent `i` carries stream `i`.
     pub fn from_agent(agent_id: u32) -> StreamId {
-        StreamId(agent_id as u16)
+        StreamId(agent_id)
     }
 
     /// The agent id carrying this stream under the session convention.
     pub fn agent_id(self) -> u32 {
-        self.0 as u32
+        self.0
     }
 
     /// Zero-based index (usable as a registry slot).
@@ -68,7 +68,7 @@ mod tests {
 
     #[test]
     fn agent_convention_roundtrips() {
-        for agent in [0u32, 1, 2, 7] {
+        for agent in [0u32, 1, 2, 7, 70_000] {
             let id = StreamId::from_agent(agent);
             assert_eq!(id.agent_id(), agent);
             assert_eq!(id.index(), agent as usize);

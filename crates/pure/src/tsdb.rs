@@ -2,6 +2,7 @@
 //! database the paper's controller writes aligned tuples into (§4.1).
 
 use std::collections::BTreeMap;
+use std::ops::Bound;
 use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::error::CollectError;
@@ -171,13 +172,34 @@ impl Store {
         }
         // A new scalar name that a row series' column answers to: from
         // here on the name means a series of its own, as do its siblings.
-        if let Some((owner, _)) = column_name(metric).filter(|_| self.column(metric).is_some()) {
-            self.split(owner);
-            return self.scalars[metric];
+        if let Some((owner, k)) = column_name(metric) {
+            let width = self.rows.get(owner).map_or(0, |&s| self.slots[s].width);
+            if k < width {
+                self.split(owner);
+                return self.scalars[metric];
+            }
         }
         let slot = self.make(1);
         self.scalars.insert(metric.to_string(), slot);
         slot
+    }
+
+    /// Whether a series already answers to one of the names
+    /// `{metric}.0` … `{metric}.{width - 1}`, given `prefix` = `{metric}.`:
+    /// what `column` says of any of them, in one probe. `column` finds
+    /// such a name as a scalar of exactly that name, or as a column of the
+    /// row series `metric` — which, never zero wide, then has column 0.
+    /// Those scalars are the ones `column_name` reads as `(metric, k)`
+    /// with `k < width`, and they sort together after `prefix`.
+    fn taken(&self, prefix: &str, width: usize) -> bool {
+        let metric = &prefix[..prefix.len() - 1];
+        self.rows.contains_key(metric)
+            || self
+                .scalars
+                .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+                .take_while(|(name, _)| name.starts_with(prefix))
+                .filter_map(|(name, _)| column_name(name))
+                .any(|(owner, k)| owner == metric && k < width)
     }
 
     /// Stores `points` in the scalar series `metric`, one after another,
@@ -225,11 +247,13 @@ impl Store {
                 kept = Some(slot);
                 continue;
             }
-            let taken = |k| self.column(&format!("{metric}.{k}")).is_some();
-            if !(0..values.len()).any(taken) {
+            let mut key = format!("{metric}.");
+            if !self.taken(&key, values.len()) {
                 let slot = self.make(values.len());
                 self.slots[slot].insert(t, values);
-                self.rows.insert(metric.to_string(), slot);
+                // The probe's prefix, less its dot, is the new key.
+                key.pop();
+                self.rows.insert(key, slot);
                 kept = Some(slot);
                 continue;
             }
@@ -939,6 +963,34 @@ mod tests {
         write(&mut series, 0.0);
         assert_eq!(kept.len("m.0"), 9);
         assert_eq!(kept.len("p"), 8);
+    }
+
+    #[test]
+    fn one_probe_finds_what_every_channel_name_would() {
+        // Scalars that are, are not quite, and are not a channel of `m`.
+        const NAMES: [&str; 7] = ["m.3", "m.03", "m.3.1", "m.30", "m.11", "m.+1", "m."];
+        // Names that sort next to the probe's prefix `m.` on either side.
+        const NEIGHBOURS: [&str; 5] = ["l.3", "m-3", "m0.3", "mm.3", "n.0"];
+        for subset in 0..1u32 << NAMES.len() {
+            for rows in [0, 1, 4, 12] {
+                let mut store = Store::default();
+                if rows > 0 {
+                    store.insert_rows("m", None, [(0.0, vec![1.0; rows])]);
+                }
+                let picked = (0..NAMES.len()).filter(|i| subset >> i & 1 == 1);
+                for name in picked.map(|i| NAMES[i]).chain(NEIGHBOURS) {
+                    store.insert_points(name, None, [(0.0, 2.0)]);
+                }
+                for width in 1..=40 {
+                    let per_channel = (0..width).any(|k| store.column(&format!("m.{k}")).is_some());
+                    assert_eq!(
+                        store.taken("m.", width),
+                        per_channel,
+                        "scalars {subset:#b}, rows {rows} wide, width {width}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
